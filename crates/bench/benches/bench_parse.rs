@@ -1,15 +1,13 @@
-//! Parse front-end benchmarks: scalar vs. SWAR wide scanning on the
-//! sequential reader, and the speculative chunked parallel reader at
-//! several thread counts. Complements `bench_parser.rs` (which measures
+//! Parse front-end benchmarks: the sequential reader and the speculative
+//! chunked parallel reader at several thread counts. Complements `bench_parser.rs` (which measures
 //! structural regimes of the default sequential reader); this suite holds
 //! the document fixed and varies the *front-end*.
 
-use std::io::Cursor;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use vitex_xmlgen::auction::{self, AuctionConfig};
-use vitex_xmlsax::{EventSource, ParallelReader, ReaderConfig, XmlEvent, XmlReader};
+use vitex_xmlsax::{EventSource, ParallelReader, XmlEvent, XmlReader};
 
 fn count_events(mut src: impl EventSource) -> u64 {
     let mut events = 0u64;
@@ -28,13 +26,7 @@ fn bench_parse(c: &mut Criterion) {
     let xml = auction::to_string(&AuctionConfig::sized(2 << 20));
     group.throughput(Throughput::Bytes(xml.len() as u64));
 
-    group.bench_with_input(BenchmarkId::new("sequential", "scalar"), &xml, |b, xml| {
-        b.iter(|| {
-            let cfg = ReaderConfig { wide_scan: false, ..ReaderConfig::default() };
-            count_events(XmlReader::with_config(Cursor::new(xml.as_bytes()), cfg))
-        })
-    });
-    group.bench_with_input(BenchmarkId::new("sequential", "wide"), &xml, |b, xml| {
+    group.bench_with_input(BenchmarkId::new("sequential", 1), &xml, |b, xml| {
         b.iter(|| count_events(XmlReader::from_str(xml)))
     });
     for threads in [2usize, 4] {

@@ -6,7 +6,7 @@
 //! The workload is the distinct-literal regime of experiment E11 /
 //! `e10_sharded`: canonicalization cannot collapse the queries, so the
 //! plan really runs k machines — which is exactly the per-event
-//! main-path cost the runtime trie absorbs. The duplicate-heavy E9
+//! main-path cost the runtime trie absorbs. The duplicate-heavy
 //! workload is measured too: dedup collapses it to ~16 groups first, so
 //! the residual prefix win is smaller but still present.
 
@@ -14,12 +14,12 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use vitex_bench::multiquery::{distinct_overlapping_queries, region_pinned_queries};
-use vitex_core::{DispatchMode, MultiEngine, PlanMode};
+use vitex_core::{MultiEngine, PlanMode};
 use vitex_xmlgen::auction::{self, AuctionConfig};
 use vitex_xmlsax::XmlReader;
 
 fn build_engine(queries: &[String], plan: PlanMode) -> MultiEngine {
-    let mut multi = MultiEngine::with_options(DispatchMode::Indexed, plan);
+    let mut multi = MultiEngine::with_plan(plan);
     for q in queries {
         multi.add_query(q).expect("valid query");
     }

@@ -16,12 +16,12 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use vitex_bench::multiquery::distinct_overlapping_queries;
 use vitex_core::telemetry::Telemetry;
-use vitex_core::{DispatchMode, PlanMode, ShardedEngine};
+use vitex_core::ShardedEngine;
 use vitex_xmlgen::auction::{self, AuctionConfig};
 use vitex_xmlsax::XmlReader;
 
 fn build_engine(k: usize, shards: usize, telemetry: Telemetry) -> ShardedEngine {
-    let mut engine = ShardedEngine::with_options(shards, DispatchMode::Indexed, PlanMode::Shared);
+    let mut engine = ShardedEngine::new(shards);
     engine.set_telemetry(telemetry);
     for q in distinct_overlapping_queries(k) {
         engine.add_query(&q).expect("valid query");

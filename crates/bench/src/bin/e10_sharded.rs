@@ -24,7 +24,7 @@
 
 use vitex_bench::multiquery::distinct_overlapping_queries;
 use vitex_bench::{fmt_dur, header, scale_arg, throughput, time_once};
-use vitex_core::{DispatchMode, PlanMode, ShardedEngine};
+use vitex_core::ShardedEngine;
 use vitex_xmlgen::auction::{self, AuctionConfig};
 use vitex_xmlsax::XmlReader;
 
@@ -41,8 +41,7 @@ struct Row {
 
 fn run_once(queries: &[String], shards: usize, xml: &str) -> Row {
     let (mut engine, build) = time_once(|| {
-        let mut engine =
-            ShardedEngine::with_options(shards, DispatchMode::Indexed, PlanMode::Shared);
+        let mut engine = ShardedEngine::new(shards);
         for q in queries {
             engine.add_query(q).expect("valid query");
         }

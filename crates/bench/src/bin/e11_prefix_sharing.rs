@@ -1,6 +1,6 @@
 //! E11 — prefix-shared execution (runtime step-trie, YFilter-style).
 //!
-//! The shared planner (E9) already collapses *structurally equal*
+//! The shared planner already collapses *structurally equal*
 //! queries, but `/site/a` and `/site/b` still run two machines that each
 //! re-match `/site` on every start tag, so per-event main-path work grows
 //! with the number of *distinct* plan groups. Prefix sharing promotes the
@@ -16,8 +16,7 @@
 //!   them; the plan runs k machines whose main paths overlap heavily.
 //!   This is the regime the tentpole targets: per-event main-path step
 //!   executions must scale with distinct trie nodes, not with k.
-//! * **duplicate** — `multiquery::overlapping_queries(k)` (the E9
-//!   workload): dedup first collapses k registrations to ~16 groups;
+//! * **duplicate** — `multiquery::overlapping_queries(k)`: dedup first collapses k registrations to ~16 groups;
 //!   prefix sharing then also collapses the 16 groups' common `/site/…`
 //!   steps.
 //!
@@ -30,7 +29,7 @@ use vitex_bench::multiquery::{
     distinct_overlapping_queries, overlapping_queries, region_pinned_queries,
 };
 use vitex_bench::{fmt_dur, header, scale_arg, throughput, time_best, time_once};
-use vitex_core::{DispatchMode, MultiEngine, MultiOutput, PlanMode};
+use vitex_core::{MultiEngine, MultiOutput, PlanMode};
 use vitex_xmlgen::auction::{self, AuctionConfig};
 use vitex_xmlsax::XmlReader;
 
@@ -44,7 +43,7 @@ struct Row {
 
 fn run_once(queries: &[String], plan: PlanMode, xml: &str) -> Row {
     let (mut multi, build) = time_once(|| {
-        let mut multi = MultiEngine::with_options(DispatchMode::Indexed, plan);
+        let mut multi = MultiEngine::with_plan(plan);
         for q in queries {
             multi.add_query(q).expect("valid query");
         }

@@ -1,43 +1,27 @@
-//! E12 — the parallel parse front-end: SWAR wide scanning + speculative
-//! chunked parsing.
+//! E12 — the parallel parse front-end: speculative chunked parsing.
 //!
 //! The sharded engine (E10) divides the *machine* work across cores, which
 //! makes the parse the end-to-end ceiling: the paper measures parsing at
 //! 74% of E2's runtime, and a single-core parser caps every downstream
-//! speedup. This experiment measures the two layers that lift that
-//! ceiling:
+//! speedup. The document is split at `<` candidates, chunks are parsed
+//! speculatively on worker threads and reconciled on the coordinator —
+//! same event stream, N-way parse parallelism. (The single-thread layer
+//! underneath, SWAR class-run scanning, is on record in
+//! `BENCH_parse.json`.)
 //!
-//! 1. **Wide scanning** (single-thread win): the byte-class scanner
-//!    classifies text/name/attribute-value runs 8–16 bytes per step
-//!    (SWAR), so scalar vs. wide on the *same* sequential reader isolates
-//!    gain (a). The win scales with run length: text-dense documents gain
-//!    the most; markup-dense documents (runs shorter than one word) stay
-//!    neutral by construction (the scanner probes the first word
-//!    scalar-wise before engaging SWAR).
-//! 2. **Speculative chunked parsing** (multi-core win): the document is
-//!    split at `<` candidates, chunks are parsed speculatively on worker
-//!    threads and reconciled on the coordinator — same event stream,
-//!    N-way parse parallelism.
+//! The table holds the document fixed and scales parse threads, asserting
+//! the event count and a reference query's match count are identical
+//! across every configuration.
 //!
-//! Table 1 sweeps scalar vs. wide over four structural regimes. Table 2
-//! holds the document fixed and scales parse threads, asserting the event
-//! count and a reference query's match count are identical across every
-//! configuration.
-//!
-//! Expected shape: wide/scalar ≥ 1.3× on long-run (text-dense) regimes
-//! and ~1.0× on markup-dense ones; **on a multi-core host** 4-thread
-//! parallel ≥ 2× sequential. On a single-core host the parallel rows
-//! degenerate to ~1× minus speculation overhead — the table reports what
-//! the hardware gives; the differential batteries are the correctness
-//! gate.
-
-use std::io::Cursor;
+//! Expected shape: **on a multi-core host** 4-thread parallel ≥ 2×
+//! sequential. On a single-core host the parallel rows degenerate to ~1×
+//! minus speculation overhead — the table reports what the hardware
+//! gives; the differential batteries are the correctness gate.
 
 use vitex_bench::{fmt_bytes, fmt_dur, header, scale_arg, throughput, time_best};
 use vitex_core::evaluate_reader;
 use vitex_xmlgen::auction::{self, AuctionConfig};
-use vitex_xmlgen::{protein, recursive};
-use vitex_xmlsax::{EventSource, ParallelReader, ReaderConfig, XmlEvent, XmlReader};
+use vitex_xmlsax::{EventSource, ParallelReader, XmlEvent, XmlReader};
 use vitex_xpath::QueryTree;
 
 /// Timing reps per row (minimum is reported).
@@ -53,59 +37,7 @@ fn count_events(mut src: impl EventSource) -> u64 {
     }
 }
 
-fn sequential(xml: &str, wide: bool) -> XmlReader<Cursor<&[u8]>> {
-    let cfg = ReaderConfig { wide_scan: wide, ..ReaderConfig::default() };
-    XmlReader::with_config(Cursor::new(xml.as_bytes()), cfg)
-}
-
-/// Table 1: scalar vs. wide scanning per structural regime.
-fn wide_scan_table(scale: f64) {
-    let size = ((4 << 20) as f64 * scale) as u64;
-    let docs = [
-        (
-            "markup_dense",
-            recursive::to_string(&{
-                let mut cfg = recursive::RecursiveConfig::square(6);
-                cfg.towers = (8000.0 * scale) as usize;
-                cfg
-            }),
-        ),
-        ("attr_dense", auction::to_string(&AuctionConfig::sized(size))),
-        (
-            "text_dense",
-            protein::to_string(&protein::ProteinConfig {
-                sequence_len: 4000,
-                ..protein::ProteinConfig::sized(size)
-            }),
-        ),
-        (
-            "pure_text",
-            format!("<r>{}</r>", "lorem ipsum dolor sit amet ".repeat((size / 27) as usize)),
-        ),
-    ];
-    println!("table 1 — wide scanning (sequential reader, scalar vs SWAR):\n");
-    println!(
-        "{:>14} | {:>8} | {:>10} | {:>10} | {:>8} | {:>8}",
-        "regime", "bytes", "scalar", "wide", "MB/s", "gain"
-    );
-    for (label, xml) in &docs {
-        let (scalar_events, scalar) = time_best(REPS, || count_events(sequential(xml, false)));
-        let (wide_events, wide) = time_best(REPS, || count_events(sequential(xml, true)));
-        assert_eq!(scalar_events, wide_events, "{label}: event count diverged");
-        println!(
-            "{:>14} | {:>8} | {:>10} | {:>10} | {:>8.1} | {:>7.2}x",
-            label,
-            fmt_bytes(xml.len() as u64),
-            fmt_dur(scalar),
-            fmt_dur(wide),
-            throughput(xml.len(), wide),
-            scalar.as_secs_f64() / wide.as_secs_f64(),
-        );
-    }
-    println!();
-}
-
-/// Table 2: sequential vs. speculative chunked parsing at N threads.
+/// Sequential vs. speculative chunked parsing at N threads.
 fn parallel_table(scale: f64) {
     let xml = auction::to_string(&AuctionConfig::sized(((8 << 20) as f64 * scale) as u64));
     let tree = QueryTree::parse("//item/@id").expect("reference query");
@@ -113,8 +45,7 @@ fn parallel_table(scale: f64) {
         r.expect("benchmark query").matches.len()
     };
     println!(
-        "table 2 — speculative chunked parsing ({} auction XML,\n\
-         reference query //item/@id):\n",
+        "speculative chunked parsing ({} auction XML, reference query //item/@id):\n",
         fmt_bytes(xml.len() as u64)
     );
     println!(
@@ -124,18 +55,17 @@ fn parallel_table(scale: f64) {
     let mut base: Option<f64> = None;
     let mut expected: Option<(u64, usize)> = None;
     for threads in [1usize, 2, 4, 8] {
-        let label =
-            if threads == 1 { "wide-seq".to_string() } else { format!("wide-par({threads})") };
+        let label = if threads == 1 { "seq".to_string() } else { format!("par({threads})") };
         let run = || {
             if threads == 1 {
-                count_events(sequential(&xml, true))
+                count_events(XmlReader::from_str(&xml))
             } else {
                 count_events(ParallelReader::from_bytes(xml.as_bytes().to_vec(), threads))
             }
         };
         let (events, d) = time_best(REPS, run);
         let m = if threads == 1 {
-            matches(evaluate_reader(sequential(&xml, true), &tree))
+            matches(evaluate_reader(XmlReader::from_str(&xml), &tree))
         } else {
             matches(evaluate_reader(
                 ParallelReader::from_bytes(xml.as_bytes().to_vec(), threads),
@@ -168,22 +98,17 @@ fn parallel_table(scale: f64) {
 
 fn main() {
     header(
-        "E12: parallel parse front-end (SWAR wide scan + speculative chunks)",
-        "parsing dominates streaming XPath runtime (74% of E2); wide \
-         scanning lifts single-thread scan throughput on long runs and \
-         speculative chunked parsing divides the parse across cores with \
-         a byte-identical event stream",
+        "E12: parallel parse front-end (speculative chunks)",
+        "parsing dominates streaming XPath runtime (74% of E2); speculative \
+         chunked parsing divides the parse across cores with a \
+         byte-identical event stream",
     );
-    let scale = scale_arg();
-    wide_scan_table(scale);
-    parallel_table(scale);
+    parallel_table(scale_arg());
     println!(
-        "shape check: every row drains the identical event stream (and\n\
-         table 2 rows report the identical //item/@id match count —\n\
-         asserted above). the wide gain tracks run length: >= 1.3x on\n\
-         text-dense regimes, ~1.0x on markup-dense ones (short runs take\n\
-         the scalar probe). wide-par(N)/wide-seq isolates chunked-parse\n\
-         scaling: >= 2x at 4 threads expected on a multi-core host; ~1x\n\
-         minus speculation overhead on a single core."
+        "shape check: every row drains the identical event stream and\n\
+         reports the identical //item/@id match count (asserted above).\n\
+         par(N)/seq isolates chunked-parse scaling: >= 2x at 4 threads\n\
+         expected on a multi-core host; ~1x minus speculation overhead on\n\
+         a single core."
     );
 }

@@ -23,7 +23,7 @@ use std::time::Duration;
 use vitex_bench::multiquery::distinct_overlapping_queries;
 use vitex_bench::{fmt_dur, header, scale_arg, throughput};
 use vitex_core::telemetry::{Snapshot, Telemetry};
-use vitex_core::{DispatchMode, PlanMode, ShardedEngine};
+use vitex_core::ShardedEngine;
 use vitex_xmlgen::auction::{self, AuctionConfig};
 use vitex_xmlsax::{ParallelConfig, ParallelReader, XmlReader};
 
@@ -50,7 +50,7 @@ impl FrontEnd {
 
 fn run_once(queries: &[String], shards: usize, front: FrontEnd, xml: &str) -> (Snapshot, u64) {
     let telemetry = Telemetry::enabled();
-    let mut engine = ShardedEngine::with_options(shards, DispatchMode::Indexed, PlanMode::Shared);
+    let mut engine = ShardedEngine::new(shards);
     engine.set_telemetry(telemetry.clone());
     for q in queries {
         engine.add_query(q).expect("valid query");
@@ -170,12 +170,11 @@ fn main() {
     // operator view behind `vitex_shard_imbalance`: not just *that* the
     // load is skewed, but which shard carries which groups' bill.
     let shards = 4usize;
-    let mut engine = ShardedEngine::with_options(shards, DispatchMode::Indexed, PlanMode::Shared);
+    let mut engine = ShardedEngine::new(shards);
     engine.set_profiling(true);
     for q in &queries {
         engine.add_query(q).expect("valid query");
     }
-    let placement = engine.placement();
     let snap = engine
         .session(|session| {
             for _ in 0..2 {
@@ -194,8 +193,7 @@ fn main() {
     }
     let total_work: u64 = per_shard.iter().map(|&(_, w)| w).sum();
     println!(
-        "\nper-shard attributed cost ({shards} shards, placement={placement:?}, \
-         repartitions={}, imbalance={} millis):",
+        "\nper-shard attributed cost ({shards} shards, repartitions={}, imbalance={} millis):",
         snap.repartitions,
         snap.last_imbalance_millis.map_or_else(|| "-".into(), |m| m.to_string()),
     );

@@ -17,7 +17,7 @@
 
 use vitex_bench::multiquery::region_pinned_queries;
 use vitex_bench::{header, scale_arg};
-use vitex_core::{DispatchMode, PlanMode, ShardedEngine};
+use vitex_core::ShardedEngine;
 use vitex_xmlgen::auction::{self, AuctionConfig};
 use vitex_xmlsax::XmlReader;
 
@@ -42,8 +42,7 @@ fn main() {
 
     let mut reference: Option<String> = None;
     for shards in [1usize, 4] {
-        let mut engine =
-            ShardedEngine::with_options(shards, DispatchMode::Indexed, PlanMode::Shared);
+        let mut engine = ShardedEngine::new(shards);
         engine.set_profiling(true);
         for q in &queries {
             engine.add_query(q).expect("valid query");

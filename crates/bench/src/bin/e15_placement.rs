@@ -1,31 +1,31 @@
 //! E15 — cost-aware shard placement: isolate the hog, keep the bytes.
 //!
-//! Round-robin partitioning hands plan groups to workers by slot number,
-//! blind to what each group costs. Plant one expensive subscription among
-//! cheap ones and round-robin chains it to whatever groups share its
-//! shard: one worker saturates while the rest idle at the watermark
-//! barrier. Cost-aware placement (`--placement cost`) replans between
-//! documents from the ledger's deterministic work counters — greedy LPT
-//! bin-packing, swapped in at a document boundary under hysteresis — so
-//! the hog ends up alone on its shard and every other worker shares the
-//! cheap remainder.
+//! A partition that deals plan groups out evenly is blind to what each
+//! group costs. Plant one expensive subscription among cheap ones and it
+//! stays chained to whatever groups share its shard: one worker saturates
+//! while the rest idle at the watermark barrier. A session's first
+//! document runs exactly that partition (LPT under the uniform prior
+//! deals round-robin); placement then replans between documents from the
+//! deterministic machine work counters — greedy LPT bin-packing, swapped
+//! in at a document boundary under hysteresis — so the hog ends up alone
+//! on its shard and every other worker shares the cheap remainder.
 //!
 //! Two claims are printed and asserted:
 //!
 //! 1. **Placement is output-transparent.** The merged match stream is
-//!    byte-identical between round-robin and cost-aware placement at
-//!    every shard count, on both workloads. The watermark merge orders
-//!    by `(event seq, gid)`, so *where* a group runs can never reach
-//!    the subscriber.
+//!    byte-identical at every shard count (one shard has nothing to
+//!    place, so it is the reference), on both workloads. The watermark
+//!    merge orders by `(event seq, gid)`, so *where* a group runs can
+//!    never reach the subscriber.
 //! 2. **The skewed set rebalances.** On a small skewed set (one hog
 //!    among a handful of pinned queries) at 4 shards, the session
 //!    repartitions after the first document, the hog's group sits alone
 //!    on its shard, and the measured imbalance of the last document is
-//!    strictly lower than round-robin's on the same workload.
+//!    strictly lower than the first document's (the round-robin deal).
 
 use vitex_bench::multiquery::region_pinned_queries;
 use vitex_bench::{header, scale_arg};
-use vitex_core::{DispatchMode, Placement, PlacementSnapshot, PlanMode, ShardedEngine};
+use vitex_core::{PlacementSnapshot, ShardedEngine};
 use vitex_xmlgen::auction::{self, AuctionConfig};
 use vitex_xmlsax::XmlReader;
 
@@ -40,35 +40,35 @@ const DOCS: usize = 3;
 
 /// One warm session: every document's merged match stream (query id,
 /// node id, in emission order), the placement snapshot taken *inside*
-/// the session after the last document, and the hog's plan-group slot
+/// the session after each document, and the hog's plan-group slot
 /// recovered from the cost ledger.
 fn run(
-    placement: Placement,
     shards: usize,
     queries: &[String],
     hog_id: usize,
     xml: &str,
-) -> (Vec<(usize, u64)>, PlacementSnapshot, usize) {
-    let mut engine = ShardedEngine::with_options(shards, DispatchMode::Indexed, PlanMode::Shared);
-    engine.set_placement(placement);
+) -> (Vec<(usize, u64)>, Vec<PlacementSnapshot>, usize) {
+    let mut engine = ShardedEngine::new(shards);
     engine.set_profiling(true);
     for q in queries {
         engine.add_query(q).expect("valid query");
     }
     let mut streamed: Vec<(usize, u64)> = Vec::new();
-    let snap = engine
+    let snaps = engine
         .session(|session| {
-            for _ in 0..DOCS {
-                session.run_document(XmlReader::from_str(xml), |q, m| {
-                    streamed.push((q.0, m.node));
-                })?;
-            }
-            Ok(session.placement_snapshot())
+            (0..DOCS)
+                .map(|_| {
+                    session.run_document(XmlReader::from_str(xml), |q, m| {
+                        streamed.push((q.0, m.node));
+                    })?;
+                    Ok(session.placement_snapshot())
+                })
+                .collect()
         })
         .expect("session runs");
     let ledger = engine.group_costs().expect("profiling enabled");
     let hog_gid = ledger.queries[hog_id].group.expect("hog is active");
-    (streamed, snap, hog_gid)
+    (streamed, snaps, hog_gid)
 }
 
 fn main() {
@@ -76,7 +76,7 @@ fn main() {
         "E15: cost-aware shard placement (ledger-driven LPT with mid-session repartitioning)",
         "cost-aware placement isolates an expensive subscription on its own \
          shard and tightens worker load spread, while the watermark merge \
-         keeps the match stream byte-identical to round-robin",
+         keeps the match stream byte-identical to the single-shard run",
     );
     let scale = scale_arg();
     let xml = auction::to_string(&AuctionConfig::sized(((1 << 20) as f64 * scale) as u64));
@@ -98,53 +98,49 @@ fn main() {
         [("e14-crowd (1000 cheap + hog)", &crowd, k), ("skewed (7 cheap + hog)", &skewed, 7)]
     {
         println!("--- workload: {name} ---");
-        for shards in [1usize, 2, 4] {
-            let (rr, _, _) = run(Placement::RoundRobin, shards, queries, hog_id, &xml);
-            let (cost, _, _) = run(Placement::CostAware, shards, queries, hog_id, &xml);
+        let (reference, _, _) = run(1, queries, hog_id, &xml);
+        for shards in [2usize, 4] {
+            let (streamed, _, _) = run(shards, queries, hog_id, &xml);
             assert_eq!(
-                rr, cost,
-                "merged match stream must be byte-identical across placements ({name}, {shards} shards)"
+                streamed, reference,
+                "merged match stream must be byte-identical to one shard ({name}, {shards} shards)"
             );
             println!(
-                "  shards={shards}: {} matches over {DOCS} docs — identical under both placements",
-                rr.len()
+                "  shards={shards}: {} matches over {DOCS} docs — identical to the 1-shard run",
+                streamed.len()
             );
         }
     }
 
     // The rebalance claim, on the skewed set at 4 shards.
     let shards = 4usize;
-    let (_, rr_snap, _) = run(Placement::RoundRobin, shards, &skewed, 7, &xml);
-    let (_, cost_snap, hog_gid) = run(Placement::CostAware, shards, &skewed, 7, &xml);
-
-    assert_eq!(rr_snap.repartitions, 0, "round-robin never replans");
+    let (_, snaps, hog_gid) = run(shards, &skewed, 7, &xml);
+    let (first, last) = (&snaps[0], &snaps[DOCS - 1]);
     assert!(
-        cost_snap.repartitions >= 1,
+        last.repartitions >= 1,
         "the skewed set must trigger a repartition after the first document"
     );
-    let hog_shard = cost_snap.shard_of[hog_gid].expect("hog group is placed");
-    let cohabitants = cost_snap.shard_of.iter().filter(|s| **s == Some(hog_shard)).count();
+    let hog_shard = last.shard_of[hog_gid].expect("hog group is placed");
+    let cohabitants = last.shard_of.iter().filter(|s| **s == Some(hog_shard)).count();
     assert_eq!(cohabitants, 1, "the hog must be alone on its shard after the repartition");
 
-    let rr_imb = rr_snap.last_imbalance_millis.expect("documents ran");
-    let cost_imb = cost_snap.last_imbalance_millis.expect("documents ran");
+    let seed_imb = first.last_imbalance_millis.expect("documents ran");
+    let last_imb = last.last_imbalance_millis.expect("documents ran");
     assert!(
-        cost_imb < rr_imb,
-        "cost-aware placement must measure strictly lower imbalance than \
-         round-robin on the skewed set (cost {cost_imb} vs round-robin {rr_imb})"
+        last_imb < seed_imb,
+        "the repartitioned assignment must measure strictly lower imbalance than the \
+         uniform-prior deal of document 1 (last {last_imb} vs first {seed_imb})"
     );
     println!("--- rebalance (skewed set, {shards} shards) ---");
     println!(
-        "  round-robin: imbalance={rr_imb} millis (1000 = balanced), repartitions=0\n  \
-         cost-aware:  imbalance={cost_imb} millis, repartitions={}, hog group g{hog_gid} alone on shard {hog_shard}",
-        cost_snap.repartitions
+        "  document 1 (uniform prior = round-robin): imbalance={seed_imb} millis (1000 = balanced)\n  \
+         document {DOCS}: imbalance={last_imb} millis, repartitions={}, hog group g{hog_gid} alone on shard {hog_shard}",
+        last.repartitions
     );
     println!(
-        "shape check: under round-robin the hog shares a worker with a cheap\n\
-         group for the whole session, so the last document's max/mean load\n\
-         ratio stays high. Cost-aware placement seeds uniform (its first\n\
-         document is the round-robin partition, which is why the streams\n\
-         match byte-for-byte), observes the first document's deterministic\n\
+        "shape check: document 1 runs the uniform-prior plan, under which\n\
+         the hog shares a worker with a cheap group, so its max/mean load\n\
+         ratio is high. Placement observes that document's deterministic\n\
          machine counters, and LPT then hands the hog a private shard —\n\
          measured imbalance drops and stays down, asserted above."
     );

@@ -2,31 +2,18 @@
 //!
 //! The paper motivates ViteX with publish/subscribe systems: many standing
 //! queries over one stream. This experiment measures one scan of a
-//! disjoint-name workload (one query per element name) at growing k,
-//! comparing scan dispatch (every event pokes every machine — the
-//! pre-refactor behaviour) against indexed dispatch (an event touches only
-//! machines whose query mentions that name, plus wildcard machines).
+//! disjoint-name workload (one query per element name) at growing k: the
+//! dispatch index makes an event touch only machines whose query mentions
+//! its name (plus wildcard machines), so per-event cost follows the
+//! interested machines, not k.
 //!
-//! Expected shape: scan time grows ~linearly in k while indexed time stays
-//! near-flat, so the speedup column grows with k and clears 2× well before
-//! k = 100.
+//! Expected shape: the time column stays near the k=1 cost while k grows
+//! a thousandfold.
 
 use vitex_bench::multiquery::{disjoint_queries, pubsub_doc};
 use vitex_bench::{fmt_bytes, fmt_dur, header, scale_arg, time_best};
-use vitex_core::{DispatchMode, MultiEngine};
+use vitex_core::MultiEngine;
 use vitex_xmlsax::XmlReader;
-
-fn run_once(queries: &[String], mode: DispatchMode, xml: &str) -> (u64, std::time::Duration) {
-    let mut multi = MultiEngine::with_dispatch(mode);
-    for q in queries {
-        multi.add_query(q).expect("valid query");
-    }
-    let (matches, t) = time_best(3, || {
-        let out = multi.run(XmlReader::from_str(xml), |_, _| {}).expect("run");
-        out.matches.iter().map(|m| m.len() as u64).sum::<u64>()
-    });
-    (matches, t)
-}
 
 fn main() {
     header(
@@ -37,29 +24,24 @@ fn main() {
     let scale = scale_arg();
     let records = (20_000_f64 * scale).max(500.0) as usize;
 
-    println!(
-        "{:>5} | {:>10} | {:>10} | {:>10} | {:>8} | {:>9}",
-        "k", "doc", "scan", "indexed", "speedup", "matches"
-    );
+    println!("{:>5} | {:>10} | {:>10} | {:>9}", "k", "doc", "time", "matches");
     for k in [1usize, 10, 100, 1000] {
-        let tags = k.max(100);
-        let xml = pubsub_doc(tags, records);
-        let queries = disjoint_queries(k);
-        let (m_scan, t_scan) = run_once(&queries, DispatchMode::Scan, &xml);
-        let (m_idx, t_idx) = run_once(&queries, DispatchMode::Indexed, &xml);
-        assert_eq!(m_scan, m_idx, "dispatch modes must agree");
+        let xml = pubsub_doc(k.max(100), records);
+        let mut multi = MultiEngine::new();
+        for q in disjoint_queries(k) {
+            multi.add_query(&q).expect("valid query");
+        }
+        let (matches, t) = time_best(3, || {
+            let out = multi.run(XmlReader::from_str(&xml), |_, _| {}).expect("run");
+            out.matches.iter().map(|m| m.len() as u64).sum::<u64>()
+        });
         println!(
-            "{:>5} | {:>10} | {:>10} | {:>10} | {:>7.1}x | {:>9}",
+            "{:>5} | {:>10} | {:>10} | {:>9}",
             k,
             fmt_bytes(xml.len() as u64),
-            fmt_dur(t_scan),
-            fmt_dur(t_idx),
-            t_scan.as_secs_f64() / t_idx.as_secs_f64(),
-            m_idx,
+            fmt_dur(t),
+            matches
         );
     }
-    println!(
-        "\nshape check: the scan column grows ~linearly with k; the indexed\n\
-         column stays near the k=1 cost, so the speedup column tracks k."
-    );
+    println!("\nshape check: the time column stays near the k=1 cost as k grows.");
 }

@@ -108,11 +108,11 @@ pub fn header(id: &str, claim: &str) {
     println!();
 }
 
-/// The multi-query (pub/sub) workload shared by `bench_multi` and the E8
-/// experiment binary: `tags` distinct element names cycled through
-/// `records` records, and one standing query per name — the disjoint-name
-/// regime where the dispatch index shines (every event interests exactly
-/// one machine, so poking all `k` is pure waste).
+/// The multi-query (pub/sub) workloads of the E8/E10/E11 experiment
+/// binaries and their benches. The first: `tags` distinct element names
+/// cycled through `records` records, and one standing query per name —
+/// the disjoint-name regime where the dispatch index shines (every event
+/// interests exactly one machine).
 pub mod multiquery {
     /// A document of `records` records cycling through `tags` distinct
     /// element names, each record carrying an id attribute, a per-tag
@@ -162,11 +162,11 @@ pub mod multiquery {
         "//regions//item/name",
     ];
 
-    /// `k` standing queries for the shared-plan regime (experiment E9):
-    /// the [`OVERLAP_SHAPES`] pool cycled to length `k`, so a 1000-query
-    /// set contains ~60 literal duplicates of each shape plus heavy
-    /// `/site/…` prefix overlap across shapes. Dedup collapses it to
-    /// `min(k, distinct shapes)` machines; unshared planning runs all `k`.
+    /// `k` standing queries for the shared-plan regime: the
+    /// [`OVERLAP_SHAPES`] pool cycled to length `k`, so a 1000-query set
+    /// contains ~60 literal duplicates of each shape plus heavy `/site/…`
+    /// prefix overlap across shapes. Dedup collapses it to
+    /// `min(k, distinct shapes)` machines.
     pub fn overlapping_queries(k: usize) -> Vec<String> {
         (0..k).map(|i| OVERLAP_SHAPES[i % OVERLAP_SHAPES.len()].to_string()).collect()
     }

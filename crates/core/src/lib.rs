@@ -87,9 +87,9 @@ pub use engine::{evaluate_reader, evaluate_str, Engine, EvalOutput};
 pub use error::{EngineError, EngineResult};
 pub use intern::{Interner, Symbol};
 pub use machine::TwigM;
-pub use multi::{DispatchMode, MultiEngine, MultiOutput};
+pub use multi::{MultiEngine, MultiOutput};
 pub use plan::{PlanGroup, PlanMode, QueryPlanner};
 pub use result::{Match, MatchKind, QueryId};
-pub use shard::{Placement, PlacementSnapshot, ShardSession, ShardedEngine};
+pub use shard::{PlacementSnapshot, ShardSession, ShardedEngine};
 pub use stats::{MachineStats, PlanStats, StreamStats};
 pub use telemetry::{Snapshot, Telemetry};

@@ -16,14 +16,12 @@
 //! every emitted solution fans out to the group's subscriber list. The
 //! planner's shared-prefix step trie keeps group lookup cheap and reports
 //! how much structure the plan collapsed ([`MultiOutput::plan`]).
-//! [`PlanMode::Unshared`] (`vitex --no-plan-sharing`) restores the old
-//! one-machine-per-registration behavior bit for bit.
-//! [`PlanMode::PrefixShared`] (`vitex --prefix-sharing`) goes the other
-//! way: the trie becomes a *runtime* structure (see [`crate::plan::trie`])
-//! whose nodes own the shared main-path match state, advanced once per
-//! event by the dedicated `PrefixSink` below — per-group element dispatch
-//! then narrows to predicate-subtree names, and a frame stack pairs each
-//! end tag with exactly the machines its start tag pushed.
+//! Under [`PlanMode::PrefixShared`] (`vitex --prefix-sharing`) the trie
+//! is also a *runtime* structure (see [`crate::plan::trie`]) whose nodes
+//! own the shared main-path match state, advanced once per event by the
+//! dedicated `PrefixSink` below — per-group element dispatch then narrows
+//! to predicate-subtree names, and a frame stack pairs each end tag with
+//! exactly the machines its start tag pushed.
 //!
 //! ## Dispatch
 //!
@@ -43,8 +41,6 @@
 //! because a machine's stacks only ever hold entries for elements it was
 //! shown: skipping an element's start guarantees there is nothing to pop
 //! at its end, and text/attribute tests live inside the delivered events.
-//! [`DispatchMode::Scan`] keeps the poke-everyone path for measurement
-//! (`bench_multi` quantifies the gap).
 //!
 //! Both structures update **incrementally**: [`MultiEngine::add_query`]
 //! splices the new group into the index in place and
@@ -63,21 +59,10 @@ use crate::error::EngineResult;
 use crate::intern::{Interner, Symbol};
 use crate::plan::{PlanGroup, PlanMode, QueryPlanner};
 use crate::result::{Match, NodeId};
-use crate::stats::{MachineStats, PlanStats};
+use crate::stats::{MachineStats, PlanStats, StreamStats};
+use crate::telemetry::{CostLedger, Telemetry};
 
 pub use crate::result::QueryId;
-
-/// How start/end element events are routed to plan groups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchMode {
-    /// Use the name → groups index; only interested machines are touched
-    /// per event. The default.
-    #[default]
-    Indexed,
-    /// Poke every active group on every event (the pre-index behaviour),
-    /// kept for ablation benchmarks.
-    Scan,
-}
 
 /// Summary of one multi-query run.
 #[derive(Debug, Clone)]
@@ -233,14 +218,13 @@ pub struct MultiEngine {
     records: Vec<QueryRecord>,
     interner: Interner,
     driver: DocumentDriver,
-    mode: DispatchMode,
     index: DispatchIndex,
     /// Predicate-only dispatch index, maintained alongside `index` under
     /// [`PlanMode::PrefixShared`] (the main path dispatches through the
-    /// plan trie instead); `None` in the other plan modes.
+    /// plan trie instead); `None` under [`PlanMode::Shared`].
     pred_index: Option<DispatchIndex>,
     /// Per-subscription cost attribution (disabled by default).
-    profile: crate::telemetry::CostLedger,
+    profile: CostLedger,
     /// Scratch for prefix-shared runs: trie pushes billed per routed
     /// group this document (indexed by gid; empty when profiling is off).
     shared_scratch: Vec<u64>,
@@ -255,48 +239,36 @@ pub(crate) struct QueryRecord {
 }
 
 impl MultiEngine {
-    /// Creates an empty engine with indexed dispatch and plan sharing.
+    /// Creates an empty engine with the default plan mode
+    /// ([`PlanMode::Shared`]).
     pub fn new() -> Self {
-        MultiEngine::with_options(DispatchMode::Indexed, PlanMode::Shared)
+        MultiEngine::with_plan(PlanMode::Shared)
     }
 
-    /// Creates an empty engine with an explicit dispatch mode (plan
-    /// sharing on).
-    pub fn with_dispatch(mode: DispatchMode) -> Self {
-        MultiEngine::with_options(mode, PlanMode::Shared)
-    }
-
-    /// Creates an empty engine with explicit dispatch and plan modes. The
-    /// plan mode is fixed for the engine's lifetime: it decides how
-    /// registrations group, so flipping it mid-session would split or
-    /// merge machines under live subscribers.
-    pub fn with_options(mode: DispatchMode, plan: PlanMode) -> Self {
+    /// Creates an empty engine with an explicit plan mode. The mode is
+    /// fixed for the engine's lifetime: it decides which dispatch
+    /// structures registration maintains, so flipping it mid-session
+    /// would strand live subscribers.
+    pub fn with_plan(plan: PlanMode) -> Self {
         MultiEngine {
-            planner: QueryPlanner::new(plan),
+            planner: QueryPlanner::new(),
             records: Vec::new(),
             interner: Interner::new(),
             driver: DocumentDriver::new(),
-            mode,
             index: DispatchIndex::default(),
             pred_index: (plan == PlanMode::PrefixShared).then(DispatchIndex::default),
-            profile: crate::telemetry::CostLedger::disabled(),
+            profile: CostLedger::disabled(),
             shared_scratch: Vec::new(),
         }
     }
 
-    /// The active dispatch mode.
-    pub fn dispatch(&self) -> DispatchMode {
-        self.mode
-    }
-
-    /// Switches dispatch mode (takes effect on the next run).
-    pub fn set_dispatch(&mut self, mode: DispatchMode) {
-        self.mode = mode;
-    }
-
-    /// The plan-sharing mode fixed at construction.
+    /// The plan mode fixed at construction.
     pub fn plan_mode(&self) -> PlanMode {
-        self.planner.mode()
+        if self.pred_index.is_some() {
+            PlanMode::PrefixShared
+        } else {
+            PlanMode::Shared
+        }
     }
 
     /// Registers a query; returns its handle.
@@ -375,34 +347,30 @@ impl MultiEngine {
     /// Attaches a telemetry handle: the driver records stream counters and
     /// dispatch timing, and each run folds per-subscription machine
     /// counters, plan statistics, and the match count into the registry.
-    pub fn set_telemetry(&mut self, telemetry: crate::telemetry::Telemetry) {
+    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.driver.set_telemetry(telemetry);
     }
 
     /// The attached telemetry handle (disabled when none was set). The
     /// overlapped front-end uses it to probe its parse workers and fold
     /// stats without going through the driver.
-    pub(crate) fn telemetry(&self) -> crate::telemetry::Telemetry {
+    pub(crate) fn telemetry(&self) -> Telemetry {
         self.driver.telemetry()
     }
 
     /// Enables (or disables) per-subscription cost attribution. Each run
     /// then folds per-query machine counters, match deliveries, and
-    /// per-group diagnostics into a [`crate::telemetry::CostLedger`];
-    /// read it back with [`MultiEngine::profile_snapshot`].
+    /// per-group diagnostics into a [`CostLedger`]; read it back with
+    /// [`MultiEngine::profile_snapshot`].
     pub fn set_profiling(&mut self, on: bool) {
         if on != self.profile.is_enabled() {
-            self.profile = if on {
-                crate::telemetry::CostLedger::enabled()
-            } else {
-                crate::telemetry::CostLedger::disabled()
-            };
+            self.profile = if on { CostLedger::enabled() } else { CostLedger::disabled() };
         }
     }
 
     /// The live cost-ledger handle (a cheap clone; inert when profiling
     /// is off). The heartbeat reporter samples it concurrently with runs.
-    pub fn cost_ledger(&self) -> crate::telemetry::CostLedger {
+    pub fn cost_ledger(&self) -> CostLedger {
         self.profile.clone()
     }
 
@@ -416,17 +384,16 @@ impl MultiEngine {
     /// layer ([`crate::shard`]) needs: plan groups go to worker threads,
     /// the driver and interner stay on the document thread, and the
     /// registration records parameterize output assembly. The engine's own
-    /// dispatch index is *not* exposed — each shard builds its own over
-    /// its group subset.
+    /// dispatch index travels read-only as the broadcast filter — each
+    /// shard builds its own over its group subset.
     pub(crate) fn shard_parts(&mut self) -> ShardParts<'_> {
         ShardParts {
             planner: &mut self.planner,
             interner: &self.interner,
             driver: &mut self.driver,
-            mode: self.mode,
             index: &self.index,
             records: &self.records,
-            profile: self.profile.clone(),
+            profile: &self.profile,
         }
     }
 
@@ -445,10 +412,8 @@ impl MultiEngine {
             }
         }
         let mut matches: Vec<Vec<Match>> = self.records.iter().map(|_| Vec::new()).collect();
-        let stream = if self.planner.mode() == PlanMode::PrefixShared {
-            let pred = (self.mode == DispatchMode::Indexed)
-                .then(|| self.pred_index.as_ref().expect("prefix mode maintains a pred index"));
-            self.shared_scratch.clear();
+        self.shared_scratch.clear();
+        let stream = if let Some(pred) = &self.pred_index {
             if self.profile.is_enabled() {
                 self.shared_scratch.resize(self.planner.groups().len(), 0);
             }
@@ -475,62 +440,117 @@ impl MultiEngine {
             let mut sink = MultiSink {
                 groups: self.planner.groups_mut(),
                 interner: &self.interner,
-                index: (self.mode == DispatchMode::Indexed).then_some(&self.index),
+                index: &self.index,
                 matches: &mut matches,
                 on_match,
             };
             self.driver.run(reader, &mut sink)?
         };
-        let stats: Vec<MachineStats> = self
-            .records
-            .iter()
-            .map(|r| match r.group {
-                Some(g) => self.planner.group(g).machine().stats().clone(),
-                None => MachineStats::default(),
-            })
-            .collect();
-        let telemetry = self.driver.telemetry();
-        if telemetry.is_enabled() {
-            // Folded per subscription (not per group) so the deterministic
-            // machine counters are invariant across plan modes: a shared
-            // machine contributes once per subscriber, exactly what
-            // unshared mode would have recorded.
-            for s in &stats {
-                telemetry.fold_machine(s);
-            }
-            telemetry.fold_plan(&self.planner.stats(&self.interner));
-            telemetry.add_matches(matches.iter().map(|m| m.len() as u64).sum());
-        }
-        if self.profile.is_enabled() {
-            self.profile.add_doc();
-            // Per-query fold mirrors the telemetry discipline: one fold
-            // per subscription from the per-record stats, so the ledger's
-            // deterministic section is invariant across configurations.
-            for (i, r) in self.records.iter().enumerate() {
-                self.profile.fold_query(QueryId(i), &r.text, r.group, &stats[i], &matches[i]);
-            }
-            for (gid, g) in self.planner.groups().iter().enumerate() {
-                if g.is_active() {
-                    self.profile.fold_group(
-                        gid,
-                        g.canonical_key(),
-                        g.subscribers().len() as u64,
-                        g.machine().stats(),
-                    );
+        let groups = self.planner.groups();
+        Ok(finish_document(
+            FinishedDocument {
+                records: &self.records,
+                matches,
+                stream,
+                plan: self.planner.stats(&self.interner),
+                shared_steps: &self.shared_scratch,
+                holds: Vec::new(),
+            },
+            &self.driver.telemetry(),
+            &self.profile,
+            groups.len(),
+            |gid| {
+                let g = &groups[gid];
+                GroupFacts {
+                    canonical: g.is_active().then(|| g.canonical_key()),
+                    subscribers: g.subscribers().len() as u64,
+                    stats: g.machine().stats(),
                 }
-            }
-            if self.shared_scratch.iter().any(|&n| n > 0) {
-                self.profile.add_shared_steps(&self.shared_scratch);
+            },
+        ))
+    }
+}
+
+/// What the per-document epilogue reads off one plan-group slot. The
+/// inline engine answers from the live [`PlanGroup`]s; a sharded session
+/// from its frozen-plan snapshots plus the workers' `DocEnd` statistics.
+pub(crate) struct GroupFacts<'a> {
+    /// Canonical step key; `None` for an inactive slot.
+    pub(crate) canonical: Option<&'a str>,
+    pub(crate) subscribers: u64,
+    pub(crate) stats: &'a MachineStats,
+}
+
+/// One fully streamed document, as a front-end hands it to
+/// [`finish_document`].
+pub(crate) struct FinishedDocument<'a> {
+    pub(crate) records: &'a [QueryRecord],
+    /// Matches per registration record, in delivery order.
+    pub(crate) matches: Vec<Vec<Match>>,
+    pub(crate) stream: StreamStats,
+    pub(crate) plan: PlanStats,
+    /// Trie pushes billed per routed group (gid-indexed; empty unless
+    /// profiling a prefix-shared plan).
+    pub(crate) shared_steps: &'a [u64],
+    /// Merge-hold attribution `(gid, deliveries, ns)` (sharded runs only).
+    pub(crate) holds: Vec<(u32, u64, u64)>,
+}
+
+/// The **one** per-document epilogue, shared by the inline engine and both
+/// sharded front-ends: projects group statistics onto registration
+/// records, folds the deterministic telemetry counters and the cost
+/// ledger, and assembles the [`MultiOutput`]. Every fold is per
+/// subscription (not per group) from the per-record projection — a shared
+/// machine contributes once per subscriber — which is what makes the
+/// counters and the ledger's per-query section invariant across plan
+/// modes, shard counts and front-ends.
+pub(crate) fn finish_document<'g>(
+    doc: FinishedDocument<'_>,
+    telemetry: &Telemetry,
+    profile: &CostLedger,
+    group_slots: usize,
+    group: impl Fn(usize) -> GroupFacts<'g>,
+) -> MultiOutput {
+    let FinishedDocument { records, matches, stream, plan, shared_steps, holds } = doc;
+    let stats: Vec<MachineStats> = records
+        .iter()
+        .map(|r| match r.group {
+            Some(gid) => group(gid).stats.clone(),
+            None => MachineStats::default(),
+        })
+        .collect();
+    if telemetry.is_enabled() {
+        for s in &stats {
+            telemetry.fold_machine(s);
+        }
+        telemetry.fold_plan(&plan);
+        telemetry.add_matches(matches.iter().map(|m| m.len() as u64).sum());
+    }
+    if profile.is_enabled() {
+        profile.add_doc();
+        for (i, r) in records.iter().enumerate() {
+            profile.fold_query(QueryId(i), &r.text, r.group, &stats[i], &matches[i]);
+        }
+        for gid in 0..group_slots {
+            let g = group(gid);
+            if let Some(canonical) = g.canonical {
+                profile.fold_group(gid, canonical, g.subscribers, g.stats);
             }
         }
-        Ok(MultiOutput {
-            matches,
-            stats,
-            plan: self.planner.stats(&self.interner),
-            elements: stream.elements,
-            text_nodes: stream.text_nodes,
-            events: stream.events,
-        })
+        if shared_steps.iter().any(|&n| n > 0) {
+            profile.add_shared_steps(shared_steps);
+        }
+        for (gid, deliveries, ns) in holds {
+            profile.add_hold(gid as usize, deliveries, ns);
+        }
+    }
+    MultiOutput {
+        matches,
+        stats,
+        plan,
+        elements: stream.elements,
+        text_nodes: stream.text_nodes,
+        events: stream.events,
     }
 }
 
@@ -546,23 +566,20 @@ pub(crate) struct ShardParts<'a> {
     pub(crate) planner: &'a mut QueryPlanner,
     pub(crate) interner: &'a Interner,
     pub(crate) driver: &'a mut DocumentDriver,
-    pub(crate) mode: DispatchMode,
     /// The engine's global dispatch index — read-only during a session,
-    /// used by the broadcast sink as an any-shard-interested filter.
+    /// used by the admission walk as an any-shard-interested filter.
     pub(crate) index: &'a DispatchIndex,
     pub(crate) records: &'a [QueryRecord],
-    /// Cloned cost-ledger handle (disabled when profiling is off).
-    pub(crate) profile: crate::telemetry::CostLedger,
+    /// The cost ledger (disabled when profiling is off).
+    pub(crate) profile: &'a CostLedger,
 }
 
 /// The multi-query [`EventSink`]: routes each event to the interested
-/// plan groups (or all active ones in [`DispatchMode::Scan`]) and fans
-/// each group's solutions out to its subscribers.
+/// plan groups and fans each group's solutions out to its subscribers.
 struct MultiSink<'a, F: FnMut(QueryId, Match)> {
     groups: &'a mut [PlanGroup],
     interner: &'a Interner,
-    /// `Some` in indexed mode, `None` in scan mode.
-    index: Option<&'a DispatchIndex>,
+    index: &'a DispatchIndex,
     matches: &'a mut [Vec<Match>],
     on_match: F,
 }
@@ -570,9 +587,8 @@ struct MultiSink<'a, F: FnMut(QueryId, Match)> {
 impl<F: FnMut(QueryId, Match)> MultiSink<'_, F> {
     /// Runs `f` on group `gi`'s machine with a match callback that fans
     /// out to the group's subscribers (buffers and the user callback).
-    /// Inactive groups are skipped: in scan mode they are still
-    /// enumerated, and in indexed mode a stale bit could briefly outlive
-    /// a retirement.
+    /// Inactive groups are skipped: a stale index bit could briefly
+    /// outlive a retirement.
     #[inline]
     fn with_group(
         &mut self,
@@ -623,8 +639,8 @@ impl<F: FnMut(QueryId, Match)> EventSink for MultiSink<'_, F> {
         node_id: NodeId,
         attr_id_base: NodeId,
     ) {
-        let touch = |this: &mut Self, gi: usize| {
-            this.with_group(gi, |machine, emit| {
+        self.index.for_each_element_target(sym, |gi| {
+            self.with_group(gi, |machine, emit| {
                 machine.start_element_interned(
                     sym,
                     event.name.as_str(),
@@ -636,43 +652,31 @@ impl<F: FnMut(QueryId, Match)> EventSink for MultiSink<'_, F> {
                     emit,
                 );
             });
-        };
-        match self.index {
-            Some(index) => index.for_each_element_target(sym, |gi| touch(self, gi)),
-            None => (0..self.groups.len()).for_each(|gi| touch(self, gi)),
-        }
+        });
     }
 
     fn characters(&mut self, event: &CharactersEvent, node_id: NodeId) {
-        let touch = |this: &mut Self, gi: usize| {
-            this.with_group(gi, |machine, emit| {
+        self.index.for_each_text_target(|gi| {
+            self.with_group(gi, |machine, emit| {
                 machine.characters(&event.text, event.level, node_id, event.span, emit);
             });
-        };
-        match self.index {
-            Some(index) => index.text.for_each(|gi| touch(self, gi)),
-            None => (0..self.groups.len()).for_each(|gi| touch(self, gi)),
-        }
+        });
     }
 
     fn end_element(&mut self, sym: Option<Symbol>, event: &EndElementEvent) {
-        let touch = |this: &mut Self, gi: usize| {
-            this.with_group(gi, |machine, emit| {
+        self.index.for_each_element_target(sym, |gi| {
+            self.with_group(gi, |machine, emit| {
                 machine.end_element(event.name.as_str(), event.level, event.element_span, emit);
             });
-        };
-        match self.index {
-            Some(index) => index.for_each_element_target(sym, |gi| touch(self, gi)),
-            None => (0..self.groups.len()).for_each(|gi| touch(self, gi)),
-        }
+        });
     }
 }
 
 /// Merge-walks one event's trie-planned main pushes (`plans`: `(slot,
 /// machine node, ptr)`, sorted ascending) against its predicate dispatch
 /// targets (`pred_targets`: slots, ascending) in ascending slot order —
-/// the group visit order indexed dispatch uses, so emission interleaving
-/// cannot differ between the modes. `touch` drives one group's machine
+/// the group visit order the dispatch index uses, so emission interleaving
+/// cannot differ between the plan modes. `touch` drives one group's machine
 /// and returns its push count; slots that pushed are appended to `frame`
 /// for the matching end tag. This is the **one** prefix merge-walk in
 /// the system — the single-threaded [`PrefixSink`] keys it by group id,
@@ -720,15 +724,15 @@ pub(crate) fn merge_prefix_targets(
 /// or a predicate-subtree step testing the event's name. Machines that
 /// pushed are recorded on a frame stack so the matching end tag touches
 /// exactly them (an untouched machine has nothing to pop and would have
-/// been a statistics-neutral no-op in the other modes, which is what keeps
-/// output and machine statistics byte-identical across plan modes).
+/// been a statistics-neutral no-op under [`PlanMode::Shared`], which is
+/// what keeps output and machine statistics byte-identical across plan
+/// modes).
 struct PrefixSink<'a, F: FnMut(QueryId, Match)> {
     trie: &'a mut crate::plan::StepTrie,
     groups: &'a mut [PlanGroup],
     interner: &'a Interner,
-    /// `Some` in indexed mode (predicate-only interests), `None` in scan
-    /// mode (every active group plans its predicate steps every event).
-    pred: Option<&'a DispatchIndex>,
+    /// Predicate-only element interests per group.
+    pred: &'a DispatchIndex,
     matches: &'a mut [Vec<Match>],
     on_match: F,
     /// Scratch: trie pushes of the current event.
@@ -793,15 +797,9 @@ impl<F: FnMut(QueryId, Match)> EventSink for PrefixSink<'_, F> {
             }
         }
         plans.sort_unstable();
-        // Groups whose predicate subtrees test this name (every active
-        // group in scan mode).
+        // Groups whose predicate subtrees test this name.
         pred_gids.clear();
-        match pred {
-            Some(index) => index.for_each_element_target(sym, |gi| pred_gids.push(gi as u32)),
-            None => pred_gids.extend(
-                groups.iter().enumerate().filter(|(_, g)| g.is_active()).map(|(gi, _)| gi as u32),
-            ),
-        }
+        pred.for_each_element_target(sym, |gi| pred_gids.push(gi as u32));
         // Frame bookkeeping for the matching end tag.
         frames.push((frame_gids.len() as u32, frame_nodes.len() as u32));
         frame_nodes.extend(pushed.iter().map(|p| p.node));
@@ -828,8 +826,7 @@ impl<F: FnMut(QueryId, Match)> EventSink for PrefixSink<'_, F> {
 
     fn characters(&mut self, event: &CharactersEvent, node_id: NodeId) {
         let Self { groups, pred, matches, on_match, .. } = self;
-        let ngroups = groups.len();
-        let mut touch = |gi: usize| {
+        pred.for_each_text_target(|gi| {
             let group = &mut groups[gi];
             if !group.is_active() {
                 return;
@@ -838,11 +835,7 @@ impl<F: FnMut(QueryId, Match)> EventSink for PrefixSink<'_, F> {
             machine.characters(&event.text, event.level, node_id, event.span, &mut |hit| {
                 fan_out_match(subscribers, matches, on_match, hit)
             });
-        };
-        match pred {
-            Some(index) => index.for_each_text_target(&mut touch),
-            None => (0..ngroups).for_each(touch),
-        }
+        });
     }
 
     fn end_element(&mut self, _sym: Option<Symbol>, event: &EndElementEvent) {
@@ -884,20 +877,29 @@ mod tests {
     }
 
     #[test]
-    fn results_agree_with_single_engines() {
-        let xml = vitex_xmlgen_free::random_doc(99);
-        let queries = ["//a", "//a[b]", "//a/@id", "//b/text()", "//a//b[c]"];
-        for mode in [DispatchMode::Indexed, DispatchMode::Scan] {
-            let mut multi = MultiEngine::with_dispatch(mode);
-            for q in &queries {
-                multi.add_query(q).unwrap();
-            }
-            let out = multi.run(XmlReader::from_str(&xml), |_, _| {}).unwrap();
-            for (i, q) in queries.iter().enumerate() {
-                let single = crate::engine::evaluate_str(&xml, q).unwrap();
-                let multi_ids: Vec<u64> = out.matches[i].iter().map(|m| m.node).collect();
-                let single_ids: Vec<u64> = single.iter().map(|m| m.node).collect();
-                assert_eq!(multi_ids, single_ids, "query {q} mode {mode:?}");
+    fn results_and_stats_agree_with_single_engines() {
+        // k independent single-query engines are the reference: same
+        // matches in the same order, and — untouched machines do no work —
+        // the same per-query machine statistics.
+        for (seed, queries) in [
+            (99, &["//a", "//a[b]", "//a/@id", "//b/text()", "//a//b[c]"][..]),
+            (7, &["//a[b]/c", "//b//c", "//c/@id", "//*[a]"][..]),
+        ] {
+            let xml = vitex_xmlgen_free::random_doc(seed);
+            for plan in [PlanMode::Shared, PlanMode::PrefixShared] {
+                let mut multi = MultiEngine::with_plan(plan);
+                for q in queries {
+                    multi.add_query(q).unwrap();
+                }
+                let out = multi.run(XmlReader::from_str(&xml), |_, _| {}).unwrap();
+                for (i, q) in queries.iter().enumerate() {
+                    let tree = QueryTree::parse(q).unwrap();
+                    let single =
+                        crate::engine::evaluate_reader(XmlReader::from_str(&xml), &tree).unwrap();
+                    assert_eq!(out.matches[i], single.matches, "query {q} under {plan:?}");
+                    assert_eq!(out.stats[i], single.stats, "query {q} under {plan:?}");
+                    assert_eq!(out.events, single.events);
+                }
             }
         }
     }
@@ -917,7 +919,6 @@ mod tests {
     fn query_text_and_introspection() {
         let mut multi = MultiEngine::default();
         assert!(multi.is_empty());
-        assert_eq!(multi.dispatch(), DispatchMode::Indexed);
         assert_eq!(multi.plan_mode(), PlanMode::Shared);
         let id = multi.add_query("//a[ b ]").unwrap();
         assert_eq!(multi.len(), 1);
@@ -984,26 +985,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_and_indexed_dispatch_agree_on_stats() {
-        // Same machines, same document: per-query machine statistics must
-        // be identical in both dispatch modes (untouched machines do no
-        // work in either).
-        let xml = vitex_xmlgen_free::random_doc(7);
-        let queries = ["//a[b]/c", "//b//c", "//c/@id", "//*[a]"];
-        let run = |mode| {
-            let mut multi = MultiEngine::with_dispatch(mode);
-            for q in &queries {
-                multi.add_query(q).unwrap();
-            }
-            multi.run(XmlReader::from_str(&xml), |_, _| {}).unwrap()
-        };
-        let indexed = run(DispatchMode::Indexed);
-        let scanned = run(DispatchMode::Scan);
-        assert_eq!(indexed.stats, scanned.stats);
-        assert_eq!(indexed.events, scanned.events);
-    }
-
-    #[test]
     fn duplicate_queries_share_a_machine_and_fan_out() {
         let mut multi = MultiEngine::new();
         let q1 = multi.add_query("//a[b and c]").unwrap();
@@ -1036,8 +1017,8 @@ mod tests {
         // counters must show the runtime trie at work.
         let xml = "<a><b/><c/><x><y/></x><b/></a>";
         let queries = ["/a/b", "/a/c", "//x[y]", "/a/b"];
-        let run = |plan: PlanMode, dispatch: DispatchMode| {
-            let mut multi = MultiEngine::with_options(dispatch, plan);
+        let run = |plan: PlanMode| {
+            let mut multi = MultiEngine::with_plan(plan);
             for q in queries {
                 multi.add_query(q).unwrap();
             }
@@ -1046,27 +1027,24 @@ mod tests {
                 multi.run(XmlReader::from_str(xml), |q, m| streamed.push((q.0, m.node))).unwrap();
             (out, streamed)
         };
-        for dispatch in [DispatchMode::Indexed, DispatchMode::Scan] {
-            let (prefix, p_streamed) = run(PlanMode::PrefixShared, dispatch);
-            let (shared, s_streamed) = run(PlanMode::Shared, dispatch);
-            assert_eq!(prefix.matches, shared.matches, "{dispatch:?}");
-            assert_eq!(prefix.stats, shared.stats, "{dispatch:?}");
-            assert_eq!(p_streamed, s_streamed, "{dispatch:?}");
-            assert!(prefix.plan.prefix_steps_executed > 0);
-            assert!(prefix.plan.prefix_steps_saved > 0, "/a is shared by two groups");
-            assert!(prefix.plan.prefix_forks > 0);
-            assert!(prefix.plan.prefix_stack_bytes > 0);
-            assert_eq!(shared.plan.prefix_steps_executed, 0);
-        }
+        let (prefix, p_streamed) = run(PlanMode::PrefixShared);
+        let (shared, s_streamed) = run(PlanMode::Shared);
+        assert_eq!(prefix.matches, shared.matches);
+        assert_eq!(prefix.stats, shared.stats);
+        assert_eq!(p_streamed, s_streamed);
+        assert!(prefix.plan.prefix_steps_executed > 0);
+        assert!(prefix.plan.prefix_steps_saved > 0, "/a is shared by two groups");
+        assert!(prefix.plan.prefix_forks > 0);
+        assert!(prefix.plan.prefix_stack_bytes > 0);
+        assert_eq!(shared.plan.prefix_steps_executed, 0);
         // Dedup still applies: the duplicate /a/b joined a group.
-        let (prefix, _) = run(PlanMode::PrefixShared, DispatchMode::Indexed);
         assert_eq!(prefix.plan.queries, 4);
         assert_eq!(prefix.plan.groups, 3);
     }
 
     #[test]
     fn prefix_shared_mode_survives_churn_between_runs() {
-        let mut multi = MultiEngine::with_options(DispatchMode::Indexed, PlanMode::PrefixShared);
+        let mut multi = MultiEngine::with_plan(PlanMode::PrefixShared);
         let qa = multi.add_query("/a/b").unwrap();
         let qb = multi.add_query("/a/c").unwrap();
         let xml = "<a><b/><c/></a>";
@@ -1080,18 +1058,6 @@ mod tests {
         assert_eq!(out.matches[qb.0].len(), 1);
         assert_eq!(out.matches[qd.0].len(), 1);
         assert_eq!(out.plan.recycled_slots, 1, "//b recycled /a/b's slot");
-    }
-
-    #[test]
-    fn unshared_mode_runs_one_machine_per_registration() {
-        let mut multi = MultiEngine::with_options(DispatchMode::Indexed, PlanMode::Unshared);
-        let q1 = multi.add_query("//a").unwrap();
-        let q2 = multi.add_query("//a").unwrap();
-        assert_eq!(multi.plan_mode(), PlanMode::Unshared);
-        assert_eq!(multi.group_count(), 2);
-        let out = multi.run(XmlReader::from_str("<a><a/></a>"), |_, _| {}).unwrap();
-        assert_eq!(out.matches[q1.0], out.matches[q2.0]);
-        assert_eq!(out.plan.dedup_ratio(), 1.0);
     }
 
     #[test]
@@ -1117,18 +1083,6 @@ mod tests {
         // The id space is not recycled.
         let q4 = multi.add_query("//c").unwrap();
         assert_eq!(q4.0, 3);
-    }
-
-    #[test]
-    fn removal_then_scan_mode_skips_retired_groups() {
-        let mut multi = MultiEngine::with_dispatch(DispatchMode::Scan);
-        let qa = multi.add_query("//a").unwrap();
-        let qb = multi.add_query("//b").unwrap();
-        assert_eq!(multi.remove_query(qa), Some(true));
-        let out = multi.run(XmlReader::from_str("<a><b/></a>"), |_, _| {}).unwrap();
-        assert!(out.matches[qa.0].is_empty());
-        assert_eq!(out.matches[qb.0].len(), 1);
-        assert_eq!(out.plan.groups, 1);
     }
 
     /// A tiny deterministic random document without depending on

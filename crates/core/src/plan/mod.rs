@@ -27,11 +27,6 @@
 //! match state (see [`trie`]), so a start tag advances each common prefix
 //! once per event and only forks into per-group machines where queries
 //! diverge — predicates, branches, suffix steps.
-//!
-//! [`PlanMode::Unshared`] (`vitex --no-plan-sharing`) disables layer 1:
-//! every registration gets a private group, reproducing the historical
-//! one-machine-per-query behavior bit for bit. The trie is still
-//! maintained so the modes report comparable plan statistics.
 
 pub mod group;
 pub mod trie;
@@ -47,23 +42,19 @@ use crate::machine::TwigM;
 use crate::result::QueryId;
 use crate::stats::PlanStats;
 
-/// Whether structurally equal queries share one machine — and whether
-/// distinct queries additionally share runtime state along common
-/// main-path prefixes.
+/// Whether distinct queries share runtime state along common main-path
+/// prefixes (structurally equal queries always share one machine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlanMode {
     /// Canonicalize, dedupe and fan out — the default.
     #[default]
     Shared,
-    /// One private machine per registration (the pre-planner behavior,
-    /// kept as an escape hatch and ablation baseline).
-    Unshared,
     /// Everything `Shared` does, plus YFilter-style prefix-shared
     /// execution: the step trie owns the main-path match state at
     /// runtime, so a start tag advances each shared prefix once and only
     /// forks into per-group machines where queries diverge. Output is
-    /// byte-identical to the other modes; only the per-event planning
-    /// cost changes.
+    /// byte-identical to `Shared`; only the per-event planning cost
+    /// changes.
     PrefixShared,
 }
 
@@ -78,9 +69,8 @@ pub struct Registration {
 }
 
 /// Plans standing queries into deduplicated, prefix-shared groups.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct QueryPlanner {
-    mode: PlanMode,
     trie: StepTrie,
     /// Group slots, dense indices. A slot whose group retires (every
     /// subscriber removed) goes onto [`QueryPlanner::free_slots`] and is
@@ -100,26 +90,13 @@ pub struct QueryPlanner {
 
 impl QueryPlanner {
     /// An empty planner.
-    pub fn new(mode: PlanMode) -> Self {
-        QueryPlanner {
-            mode,
-            trie: StepTrie::new(),
-            groups: Vec::new(),
-            free_slots: Vec::new(),
-            recycled: 0,
-            active_groups: 0,
-            active_queries: 0,
-        }
+    pub fn new() -> Self {
+        QueryPlanner::default()
     }
 
-    /// The sharing mode.
-    pub fn mode(&self) -> PlanMode {
-        self.mode
-    }
-
-    /// Registers `tree` for subscriber `id`: joins an existing group when
-    /// sharing finds a structural duplicate, otherwise compiles a new
-    /// machine (interning its nametests in `interner`).
+    /// Registers `tree` for subscriber `id`: joins the existing group of a
+    /// structural duplicate, otherwise compiles a new machine (interning
+    /// its nametests in `interner`).
     pub fn register(
         &mut self,
         tree: &QueryTree,
@@ -130,18 +107,14 @@ impl QueryPlanner {
         let terminal = self.trie.insert_path(&steps);
         let canonical = tree.canonical_key();
         let hash = QueryTree::hash_canonical(&canonical);
-        if self.mode != PlanMode::Unshared {
-            let existing = self.trie.terminals(terminal).iter().copied().find(|&g| {
-                let group = &self.groups[g];
-                group.is_active()
-                    && group.stable_hash() == hash
-                    && group.canonical_key() == canonical
-            });
-            if let Some(g) = existing {
-                self.groups[g].subscribe(id);
-                self.active_queries += 1;
-                return Ok(Registration { group: g, created: false });
-            }
+        let existing = self.trie.terminals(terminal).iter().copied().find(|&g| {
+            let group = &self.groups[g];
+            group.is_active() && group.stable_hash() == hash && group.canonical_key() == canonical
+        });
+        if let Some(g) = existing {
+            self.groups[g].subscribe(id);
+            self.active_queries += 1;
+            return Ok(Registration { group: g, created: false });
         }
         let spec = MachineSpec::compile_with(tree, interner)?;
         let machine = TwigM::from_spec(spec, EvalMode::Compact);
@@ -283,7 +256,7 @@ mod tests {
 
     #[test]
     fn identical_queries_share_one_machine() {
-        let mut p = QueryPlanner::new(PlanMode::Shared);
+        let mut p = QueryPlanner::new();
         let mut i = Interner::new();
         let a = register(&mut p, &mut i, "//a[b and c]/d", 0);
         let b = register(&mut p, &mut i, "//a[c][ b ]/d", 1); // same canonical form
@@ -297,7 +270,7 @@ mod tests {
 
     #[test]
     fn distinct_queries_get_distinct_groups() {
-        let mut p = QueryPlanner::new(PlanMode::Shared);
+        let mut p = QueryPlanner::new();
         let mut i = Interner::new();
         let a = register(&mut p, &mut i, "//a/b", 0);
         let b = register(&mut p, &mut i, "//a/c", 1);
@@ -313,20 +286,8 @@ mod tests {
     }
 
     #[test]
-    fn unshared_mode_never_merges() {
-        let mut p = QueryPlanner::new(PlanMode::Unshared);
-        let mut i = Interner::new();
-        let a = register(&mut p, &mut i, "//a", 0);
-        let b = register(&mut p, &mut i, "//a", 1);
-        assert!(a.created && b.created);
-        assert_ne!(a.group, b.group);
-        assert_eq!(p.group_count(), 2);
-        assert_eq!(p.stats(&i).dedup_ratio(), 1.0);
-    }
-
-    #[test]
     fn unsubscribe_retires_groups() {
-        let mut p = QueryPlanner::new(PlanMode::Shared);
+        let mut p = QueryPlanner::new();
         let mut i = Interner::new();
         let a = register(&mut p, &mut i, "//a", 0);
         register(&mut p, &mut i, "//a", 1);
@@ -344,7 +305,7 @@ mod tests {
 
     #[test]
     fn churny_sessions_recycle_slots_and_bound_the_id_space() {
-        let mut p = QueryPlanner::new(PlanMode::Shared);
+        let mut p = QueryPlanner::new();
         let mut i = Interner::new();
         let first = register(&mut p, &mut i, "//a/b", 0);
         p.unsubscribe(first.group, QueryId(0));
@@ -363,7 +324,7 @@ mod tests {
 
     #[test]
     fn unsubscribing_an_unknown_id_leaves_counters_intact() {
-        let mut p = QueryPlanner::new(PlanMode::Shared);
+        let mut p = QueryPlanner::new();
         let mut i = Interner::new();
         let a = register(&mut p, &mut i, "//a", 0);
         assert!(!p.unsubscribe(a.group, QueryId(42)), "not a subscriber");
@@ -377,7 +338,7 @@ mod tests {
 
     #[test]
     fn stats_report_sharing() {
-        let mut p = QueryPlanner::new(PlanMode::Shared);
+        let mut p = QueryPlanner::new();
         let mut i = Interner::new();
         register(&mut p, &mut i, "/site/people/person", 0);
         register(&mut p, &mut i, "/site/people/person", 1); // duplicate

@@ -3,10 +3,11 @@
 //!
 //! The pipelined front-end ([`super::DocPump`]) overlaps matching with
 //! parsing, but parse, admission and ring publication still serialize on
-//! the document thread. Here that thread shrinks to the **admission
-//! walk** — the only inherently serial work: chunk admission, node
-//! numbering, symbol interning, broadcast-filter decisions and
-//! global-trie [`TriePush`] sequencing for prefix-shared plans — while
+//! the document thread. Here that thread shrinks to the driver's
+//! per-event step plus the **admission walk** ([`super::admit`]) — the
+//! only inherently serial work: node numbering, symbol interning,
+//! broadcast-filter decisions and global-trie [`TriePush`] sequencing for
+//! prefix-shared plans — while
 //!
 //! * parse workers (the [`ParallelReader`] behind
 //!   [`ParallelReader::next_batch`]) decode speculative chunks
@@ -27,7 +28,7 @@
 //! `DocEnd` batch is pushed — on the success *and* the error path — so
 //! by the time workers see `DocEnd` every published window is in their
 //! rings and they can always drain to the final watermark. A worker
-//! panic arrives as a poisoned report ([`super::ingest_report`] closes
+//! panic arrives as a poisoned report (`DocState::ingest_report` closes
 //! the rings, suppresses further callbacks and poisons the session); a
 //! parse error stops admission but still sends `DocEnd` at the last
 //! admitted sequence number, so the workers quiesce and the error
@@ -42,75 +43,115 @@ use vitex_xmlsax::par::{ParStats, ParallelConfig, ParallelReader};
 use vitex_xmlsax::probe::ProbeHandle;
 use vitex_xmlsax::XmlEvent;
 
+use crate::driver::EventSink;
 use crate::error::EngineResult;
-use crate::intern::Symbol;
+use crate::intern::{Interner, Symbol};
 use crate::multi::MultiOutput;
 use crate::plan::TriePush;
 use crate::result::{Match, NodeId, QueryId};
-use crate::stats::{MachineStats, PlanStats, StreamStats};
-use crate::telemetry::{Telemetry, TID_COORDINATOR, TID_PRODUCER_BASE};
+use crate::telemetry::{Telemetry, TID_PRODUCER_BASE};
 
-use super::merge::MatchMerger;
+use super::admit::Admission;
 use super::worker::{EventBatch, Ring, SeqBatch, ShardEvent};
-use super::{ingest_report, poison_error, recv_report, ThreadedSession};
+use super::{broadcast, ThreadedSession};
 
-/// One admitted event awaiting publication: the owned parser event plus
-/// everything the admission walk decided about it (sequence number,
-/// resolved symbol, node ids, trie pushes). Publishers turn these into
-/// [`ShardEvent`]s — the string payloads become `Arc`-shared there, so
-/// the allocation cost is off the admission thread.
-enum ShardItem {
+/// What the admission walk decided about one shipped event: its sequence
+/// number plus whatever the driver and the trie resolved for it.
+enum Verdict {
     Start {
         seq: u64,
         sym: Option<Symbol>,
         node_id: NodeId,
         attr_id_base: NodeId,
         pushes: Arc<[TriePush]>,
-        event: StartElementEvent,
     },
     Text {
         seq: u64,
         node_id: NodeId,
-        event: CharactersEvent,
     },
     End {
         seq: u64,
         sym: Option<Symbol>,
-        event: EndElementEvent,
     },
 }
 
-impl ShardItem {
-    fn into_shard_event(self) -> ShardEvent {
-        match self {
-            ShardItem::Start { seq, sym, node_id, attr_id_base, pushes, event } => {
-                ShardEvent::Start {
-                    seq,
-                    sym,
-                    name: event.name.as_str().into(),
-                    level: event.level,
-                    attrs: event.attributes.as_slice().into(),
-                    node_id,
-                    attr_id_base,
-                    span: event.span,
-                    pushes,
-                }
-            }
-            ShardItem::Text { seq, node_id, event } => ShardEvent::Text {
-                seq,
-                text: event.text.as_str().into(),
-                level: event.level,
-                node_id,
-                span: event.span,
-            },
-            ShardItem::End { seq, sym, event } => ShardEvent::End {
-                seq,
-                sym,
-                name: event.name.as_str().into(),
-                level: event.level,
-                element_span: event.element_span,
-            },
-        }
+/// The overlapped walk's [`EventSink`]: the driver numbers and resolves,
+/// the [`Admission`] sequences and filters; all that is left is to
+/// remember the verdict so the walk can pair it with the *owned* parser
+/// event (the sink only ever sees a borrow).
+struct AdmitSink<'p, 'a> {
+    interner: &'a Interner,
+    admission: &'p mut Admission<'a>,
+    /// Verdict on the event just stepped; `None` when it was filtered (or
+    /// is not a sequenced event at all).
+    verdict: Option<Verdict>,
+}
+
+impl EventSink for AdmitSink<'_, '_> {
+    fn resolve(&mut self, name: &str) -> Option<Symbol> {
+        self.interner.lookup(name)
+    }
+
+    fn start_element(
+        &mut self,
+        sym: Option<Symbol>,
+        event: &StartElementEvent,
+        node_id: NodeId,
+        attr_id_base: NodeId,
+    ) {
+        self.verdict = self.admission.start(sym, event.level).map(|(seq, pushes)| Verdict::Start {
+            seq,
+            sym,
+            node_id,
+            attr_id_base,
+            pushes,
+        });
+    }
+
+    fn characters(&mut self, _event: &CharactersEvent, node_id: NodeId) {
+        self.verdict = self.admission.text().map(|seq| Verdict::Text { seq, node_id });
+    }
+
+    fn end_element(&mut self, sym: Option<Symbol>, event: &EndElementEvent) {
+        self.verdict = self.admission.end(sym, event.level).map(|seq| Verdict::End { seq, sym });
+    }
+}
+
+/// Turns one admitted event — the admission verdict plus the owned parser
+/// event it was passed on — into its ring form. Runs on the publishers:
+/// the string payloads become `Arc`-shared here, so the allocation cost
+/// is off the admission thread.
+fn shard_event(verdict: Verdict, event: XmlEvent) -> ShardEvent {
+    match (verdict, event) {
+        (
+            Verdict::Start { seq, sym, node_id, attr_id_base, pushes },
+            XmlEvent::StartElement(event),
+        ) => ShardEvent::Start {
+            seq,
+            sym,
+            name: event.name.as_str().into(),
+            level: event.level,
+            attrs: event.attributes.as_slice().into(),
+            node_id,
+            attr_id_base,
+            span: event.span,
+            pushes,
+        },
+        (Verdict::Text { seq, node_id }, XmlEvent::Characters(event)) => ShardEvent::Text {
+            seq,
+            text: event.text.as_str().into(),
+            level: event.level,
+            node_id,
+            span: event.span,
+        },
+        (Verdict::End { seq, sym }, XmlEvent::EndElement(event)) => ShardEvent::End {
+            seq,
+            sym,
+            name: event.name.as_str().into(),
+            level: event.level,
+            element_span: event.element_span,
+        },
+        _ => unreachable!("a verdict is paired with the event that produced it"),
     }
 }
 
@@ -121,7 +162,7 @@ impl ShardItem {
 struct PublishJob {
     after: u64,
     through: u64,
-    items: Vec<ShardItem>,
+    items: Vec<(Verdict, XmlEvent)>,
 }
 
 /// A publisher thread: pulls admitted windows off the shared job
@@ -146,11 +187,8 @@ fn publish_loop(
         telemetry.add(|r| &r.producer_batches, 1);
         telemetry.observe(|r| &r.batch_events, job.items.len() as u64);
         let events: EventBatch =
-            job.items.into_iter().map(ShardItem::into_shard_event).collect::<Vec<_>>().into();
-        let batch = SeqBatch { after: job.after, through: job.through, events };
-        for ring in rings {
-            ring.push(batch.clone());
-        }
+            job.items.into_iter().map(|(v, e)| shard_event(v, e)).collect::<Vec<_>>().into();
+        broadcast(rings, SeqBatch { after: job.after, through: job.through, events });
         telemetry.record_span(
             "publish",
             "producer",
@@ -169,61 +207,27 @@ pub(super) fn run_document_overlapped<F: FnMut(QueryId, Match)>(
     config: ParallelConfig,
     mut on_match: F,
 ) -> EngineResult<(MultiOutput, ParStats)> {
-    if let Some(shard) = t.poisoned {
-        return Err(poison_error(shard));
-    }
     let telemetry = t.driver.telemetry();
+    let mut doc = t.begin_document(&telemetry)?;
     let probe = telemetry.is_enabled().then(|| Arc::new(telemetry.clone()) as ProbeHandle);
     let producers = config.threads.max(1);
     let mut reader = ParallelReader::with_config_probe(bytes, config, probe);
     telemetry.gauge_set(|r| &r.producer_threads, producers as u64);
 
     let rings = t.rings;
-    let interner = t.interner;
-    let filter = t.filter;
-    let mut matches: Vec<Vec<Match>> = t.record_groups.iter().map(|_| Vec::new()).collect();
-    let mut merger =
-        MatchMerger::with_profile(t.nshards, telemetry.clone(), t.profile.is_enabled());
-    let mut group_stats: Vec<MachineStats> = vec![MachineStats::default(); t.group_slots];
-    t.shared_scratch.clear();
-    if t.profile.is_enabled() {
-        t.shared_scratch.resize(t.group_slots, 0);
-    }
-    let mut group_bytes = 0u64;
-    let mut done = 0usize;
-    let mut poisoned: Option<usize> = None;
-    if let Some(trie) = &mut t.trie {
-        trie.begin_document();
-    }
-
-    // Admission-walk state — the overlapped mirror of what
-    // `DocumentDriver::run` plus `DocPump` track per document.
-    let mut stats = StreamStats::default();
-    let mut next_id: NodeId = 0;
-    let mut seq = 0u64;
-    let mut after = 0u64;
-    let mut open_syms: Vec<Option<Symbol>> = Vec::new();
-    let mut pushed: Vec<TriePush> = Vec::new();
-    let mut trie_open: Vec<u32> = Vec::new();
-    let mut trie_frames: Vec<u32> = Vec::new();
-    let empty_pushes: Arc<[TriePush]> = Vec::new().into();
-
-    let t_doc = telemetry.timer();
+    let mut walk = t.driver.begin();
     // Seed DocStart into every ring before any publisher can run: ring
     // FIFO then guarantees each worker resets its document state before
     // it sees any of this document's windows, whatever order the racing
     // publishers deliver them in.
-    let doc_start_events: EventBatch =
+    let doc_start: EventBatch =
         vec![ShardEvent::DocStart { assignment: Arc::clone(&t.assignment) }].into();
-    let doc_start = SeqBatch { after: 0, through: 0, events: doc_start_events };
-    for ring in rings {
-        ring.push(doc_start.clone());
-    }
+    broadcast(rings, SeqBatch { after: 0, through: 0, events: doc_start });
 
     let (job_tx, job_rx): (SyncSender<PublishJob>, Receiver<PublishJob>) =
         sync_channel(producers * 2);
     let job_rx = Mutex::new(job_rx);
-    let result: EngineResult<()> = thread::scope(|scope| {
+    let parsed: EngineResult<()> = thread::scope(|scope| {
         let job_rx = &job_rx;
         let mut handles = Vec::with_capacity(producers);
         for producer in 0..producers {
@@ -231,261 +235,68 @@ pub(super) fn run_document_overlapped<F: FnMut(QueryId, Match)>(
             handles.push(scope.spawn(move || publish_loop(producer, job_rx, rings, &telemetry)));
         }
 
-        let mut trie = t.trie.as_deref_mut();
-        let result = loop {
+        let mut sink =
+            AdmitSink { interner: t.interner, admission: &mut t.admission, verdict: None };
+        let parsed = loop {
             let batch = match reader.next_batch() {
                 Ok(Some(events)) => events,
                 Ok(None) => {
-                    // The driver counts EndDocument like every other
-                    // event; `next_batch` swallows it.
-                    stats.events += 1;
+                    // `next_batch` swallows EndDocument; the driver
+                    // counts it like every other event.
+                    t.driver.step(&mut walk, &XmlEvent::EndDocument, &mut sink);
                     break Ok(());
                 }
                 Err(e) => break Err(e.into()),
             };
             let mut items = Vec::with_capacity(batch.len());
             for event in batch {
-                stats.events += 1;
-                match event {
-                    XmlEvent::StartElement(e) => {
-                        stats.elements += 1;
-                        let node_id = next_id;
-                        next_id += 1 + e.attributes.len() as u64;
-                        let sym = interner.lookup(e.name.as_str());
-                        open_syms.push(sym);
-                        let t_ev = telemetry.timer();
-                        seq += 1;
-                        if let Some(tr) = trie.as_deref_mut() {
-                            pushed.clear();
-                            tr.advance(sym, e.level, &mut pushed);
-                            // Shared trie steps are billed here, on the
-                            // admission walk — the same per-(push, routed
-                            // group) discipline as the pipelined pump.
-                            if !t.shared_scratch.is_empty() {
-                                for p in pushed.iter() {
-                                    for &gid in tr.routed(p.node as usize) {
-                                        t.shared_scratch[gid as usize] += 1;
-                                    }
-                                }
-                            }
-                        }
-                        if filter.is_some_and(|index| !index.has_element_target(sym)) {
-                            debug_assert!(
-                                pushed.is_empty(),
-                                "filtered events cannot advance the trie"
-                            );
-                        } else {
-                            let pushes: Arc<[TriePush]> = if trie.is_some() {
-                                trie_frames.push(trie_open.len() as u32);
-                                trie_open.extend(pushed.iter().map(|p| p.node));
-                                if pushed.is_empty() {
-                                    Arc::clone(&empty_pushes)
-                                } else {
-                                    pushed.as_slice().into()
-                                }
-                            } else {
-                                Arc::clone(&empty_pushes)
-                            };
-                            items.push(ShardItem::Start {
-                                seq,
-                                sym,
-                                node_id,
-                                attr_id_base: node_id + 1,
-                                pushes,
-                                event: e,
-                            });
-                        }
-                        telemetry.observe_elapsed(|r| &r.dispatch_ns, t_ev);
-                    }
-                    XmlEvent::Characters(c) => {
-                        stats.text_nodes += 1;
-                        let node_id = next_id;
-                        next_id += 1;
-                        let t_ev = telemetry.timer();
-                        seq += 1;
-                        if filter.is_none_or(|index| index.has_text_target()) {
-                            items.push(ShardItem::Text { seq, node_id, event: c });
-                        }
-                        telemetry.observe_elapsed(|r| &r.dispatch_ns, t_ev);
-                    }
-                    XmlEvent::EndElement(e) => {
-                        let sym = open_syms.pop().flatten();
-                        let t_ev = telemetry.timer();
-                        seq += 1;
-                        if filter.is_some_and(|index| !index.has_element_target(sym)) {
-                            // Skipped: pairs with the skipped start tag
-                            // (same symbol, same frozen index).
-                        } else {
-                            if let Some(tr) = trie.as_deref_mut() {
-                                let base = trie_frames.pop().expect("shipped tags pair") as usize;
-                                for &node in &trie_open[base..] {
-                                    tr.retreat_one(node, e.level);
-                                }
-                                trie_open.truncate(base);
-                            }
-                            items.push(ShardItem::End { seq, sym, event: e });
-                        }
-                        telemetry.observe_elapsed(|r| &r.dispatch_ns, t_ev);
-                    }
-                    XmlEvent::EndDocument => {
-                        unreachable!("next_batch never delivers EndDocument")
-                    }
-                    XmlEvent::StartDocument { .. }
-                    | XmlEvent::Comment(_)
-                    | XmlEvent::ProcessingInstruction(_)
-                    | XmlEvent::DoctypeDeclaration { .. } => {}
+                t.driver.step(&mut walk, &event, &mut sink);
+                if let Some(verdict) = sink.verdict.take() {
+                    items.push((verdict, event));
                 }
             }
             // Publish the admitted window (blocking on the bounded job
             // channel is the backpressure path), then fold in whatever
             // worker reports have already arrived so merged matches
             // stream to the caller while the document is still parsing.
-            if seq > after || !items.is_empty() {
-                if job_tx.send(PublishJob { after, through: seq, items }).is_err() {
+            if sink.admission.has_open_window() {
+                let (after, through) = sink.admission.take_window();
+                if job_tx.send(PublishJob { after, through, items }).is_err() {
                     // Every publisher is gone (panicked); the join below
                     // poisons the session.
                     break Ok(());
                 }
-                after = seq;
             }
-            while let Ok(report) = t.rx.try_recv() {
-                ingest_report(
-                    report,
-                    rings,
-                    &mut poisoned,
-                    &mut merger,
-                    &t.subscribers,
-                    &mut matches,
-                    &mut on_match,
-                    &mut group_stats,
-                    &mut group_bytes,
-                    &mut done,
-                    &t.profile,
-                );
-            }
-            if poisoned.is_some() {
+            doc.ingest_ready(&mut on_match);
+            if doc.poisoned.is_some() {
                 break Ok(());
             }
         };
         // Publishers drain the job channel fully before exiting, so once
         // they are joined every admitted window is in the rings — only
-        // then may DocEnd be pushed (the caller does, right after this
-        // scope). A panicked publisher breaks that guarantee: windows go
-        // missing and the workers could never drain, so poison instead.
+        // then may DocEnd be pushed (right after this scope). A panicked
+        // publisher breaks that guarantee: windows go missing and the
+        // workers could never drain, so poison instead.
         drop(job_tx);
         for handle in handles {
             if handle.join().is_err() {
-                for ring in rings {
-                    ring.close();
-                }
-                poisoned.get_or_insert(usize::MAX);
+                doc.poison(usize::MAX);
             }
         }
-        result
+        parsed
     });
 
     // Close the document on the worker side even after a parse error —
     // the workers quiesce at the last admitted event and the session
     // stays usable (mirrors the pipelined finish-on-error path).
-    let doc_end_events: EventBatch = vec![ShardEvent::DocEnd { seq }].into();
-    let doc_end = SeqBatch { after, through: seq, events: doc_end_events };
-    for ring in rings {
-        ring.push(doc_end.clone());
-    }
-    while done < t.nshards && poisoned.is_none() {
-        match recv_report(t.rx) {
-            Some(report) => ingest_report(
-                report,
-                rings,
-                &mut poisoned,
-                &mut merger,
-                &t.subscribers,
-                &mut matches,
-                &mut on_match,
-                &mut group_stats,
-                &mut group_bytes,
-                &mut done,
-                &t.profile,
-            ),
-            None => {
-                for ring in rings {
-                    ring.close();
-                }
-                poisoned = Some(usize::MAX);
-            }
-        }
-    }
-    t.poisoned = poisoned;
-    if let Some(shard) = poisoned {
-        return Err(poison_error(shard));
-    }
-    result?;
-    debug_assert!(merger.is_drained(), "all shards reported through the final event");
+    let (after, through) = t.admission.take_window();
+    let doc_end: EventBatch = vec![ShardEvent::DocEnd { seq: through }].into();
+    broadcast(rings, SeqBatch { after, through, events: doc_end });
+    doc.await_doc_end(&mut on_match);
 
-    telemetry.add_elapsed(|r| &r.doc_ns, t_doc);
-    telemetry.record_span("document", "stream", TID_COORDINATOR, t_doc);
-    telemetry.fold_stream(&stats);
-
-    // Output assembly: identical to `ThreadedSession::run_document`.
-    let out_stats: Vec<MachineStats> = t
-        .record_groups
-        .iter()
-        .map(|g| match g {
-            Some(gid) => group_stats[*gid].clone(),
-            None => MachineStats::default(),
-        })
-        .collect();
-    let mut plan = PlanStats { plan_bytes: t.plan_overhead + group_bytes, ..t.plan };
-    if let Some(trie) = &t.trie {
-        let run = trie.run_stats();
-        plan.prefix_steps_executed = run.steps_executed;
-        plan.prefix_steps_saved = run.steps_saved;
-        plan.prefix_forks = run.forks;
-        plan.prefix_stack_bytes = run.peak_stack_bytes();
-    }
-    if telemetry.is_enabled() {
-        for s in &out_stats {
-            telemetry.fold_machine(s);
-        }
-        telemetry.fold_plan(&plan);
-        telemetry.add_matches(matches.iter().map(|m| m.len() as u64).sum());
-    }
-    if t.profile.is_enabled() {
-        t.profile.add_doc();
-        // Identical fold discipline to the pipelined path, so the
-        // ledger's deterministic section is invariant across front-ends.
-        for (i, g) in t.record_groups.iter().enumerate() {
-            t.profile.fold_query(QueryId(i), &t.record_texts[i], *g, &out_stats[i], &matches[i]);
-        }
-        for (gid, canonical) in t.group_canonicals.iter().enumerate() {
-            if let Some(canonical) = canonical {
-                t.profile.fold_group(
-                    gid,
-                    canonical,
-                    t.subscribers[gid].len() as u64,
-                    &group_stats[gid],
-                );
-            }
-        }
-        if t.shared_scratch.iter().any(|&n| n > 0) {
-            t.profile.add_shared_steps(&t.shared_scratch);
-        }
-        for (gid, deliveries, ns) in merger.take_holds() {
-            t.profile.add_hold(gid as usize, deliveries, ns);
-        }
-    }
-    t.after_document(&group_stats, &telemetry);
+    let stream = parsed.map(|()| t.driver.finish(walk));
+    let out = t.finish_document(doc, stream, &telemetry)?;
     let par_stats = reader.stats();
     telemetry.fold_par(&par_stats);
-    Ok((
-        MultiOutput {
-            matches,
-            stats: out_stats,
-            plan,
-            elements: stats.elements,
-            text_nodes: stats.text_nodes,
-            events: stats.events,
-        },
-        par_stats,
-    ))
+    Ok((out, par_stats))
 }

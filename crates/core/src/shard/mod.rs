@@ -5,7 +5,7 @@
 //! the planner already routes each event to disjoint plan groups — so the
 //! groups are an embarrassingly partitionable unit of work. The
 //! [`ShardedEngine`] exploits that: it wraps the multi-query engine,
-//! splits the active plan groups round-robin across `N` worker threads,
+//! partitions the active plan groups across `N` worker threads,
 //! broadcasts the driver's interned events over bounded rings
 //! ([`worker::Ring`]), runs each shard's own dispatch index over its
 //! subset, and k-way-merges the per-shard match streams by watermark
@@ -25,14 +25,27 @@
 //! so retired slots recycled by the planner's free-list migrate shards
 //! naturally.
 //!
+//! ## The coordinator
+//!
+//! The document thread does three things per document, each written
+//! once and shared by both front-ends — the pipelined pump
+//! ([`ShardSession::run_document`], any [`EventSource`]) and the
+//! overlapped walk ([`feed`], an owned buffer parsed by speculative
+//! workers): the **admission walk** ([`admit::Admission`]) numbers
+//! events, applies the broadcast filter and sequences the global trie;
+//! the per-document `DocState` ingests worker reports into the watermark
+//! merge until every shard has acknowledged `DocEnd`; and the epilogue
+//! (`ThreadedSession::finish_document`, ending in
+//! [`crate::multi::finish_document`]) assembles the output exactly as the
+//! inline engine does.
+//!
 //! ## Placement
 //!
 //! *Which* groups land on which worker is the [`place`] subsystem's
-//! call: round-robin ([`Placement::RoundRobin`]) or cost-aware LPT
-//! bin-packing over ledger-refined estimates ([`Placement::CostAware`],
-//! the default), with mid-session repartitioning at document boundaries
-//! when measured imbalance exceeds a hysteresis threshold. Groups live
-//! in a [`worker::GroupPool`] between documents, and every document's
+//! call: LPT bin-packing over ledger-refined cost estimates, with
+//! mid-session repartitioning at document boundaries when measured
+//! imbalance exceeds a hysteresis threshold. Groups live in a
+//! [`worker::GroupPool`] between documents, and every document's
 //! `DocStart` carries the assignment to run under — so a repartition is
 //! just a new assignment version, adopted by the workers before the
 //! next event flows.
@@ -40,13 +53,14 @@
 //! ## Determinism
 //!
 //! With `shards = 1` the engine *is* the single-threaded
-//! [`MultiEngine::run`] path — bit for bit, no threads, no rings. With
-//! `shards > 1` determinism is by construction: every match carries its
+//! [`MultiEngine::run`] path — no threads, no rings. With `shards > 1`
+//! determinism is by construction: every match carries its
 //! `(event seq, group id)` key, each shard's stream is emitted in key
 //! order, and the merger releases a match only once every shard's
 //! watermark has passed its event. The differential battery asserts
 //! equality at several shard counts.
 
+pub(crate) mod admit;
 pub(crate) mod feed;
 pub(crate) mod merge;
 pub(crate) mod place;
@@ -65,14 +79,18 @@ use vitex_xpath::query_tree::QueryTree;
 use crate::driver::EventSink;
 use crate::error::{EngineError, EngineResult};
 use crate::intern::{Interner, Symbol};
-use crate::multi::{DispatchMode, MultiEngine, MultiOutput};
-use crate::plan::{PlanGroup, PlanMode, StepTrie, TriePush};
+use crate::multi::{
+    finish_document, FinishedDocument, GroupFacts, MultiEngine, MultiOutput, QueryRecord,
+};
+use crate::plan::PlanMode;
 use crate::result::{Match, NodeId, QueryId};
 use crate::stats::{MachineStats, PlanStats, StreamStats};
+use crate::telemetry::{CostLedger, Telemetry};
 
-use merge::{MatchMerger, TaggedMatch};
+use admit::Admission;
+use merge::MatchMerger;
+pub use place::PlacementSnapshot;
 use place::{Assignment, CostModel, ShardPlan};
-pub use place::{Placement, PlacementSnapshot};
 use worker::{run_worker, EventBatch, GroupPool, Ring, SeqBatch, ShardEvent, WorkerReport};
 
 /// Events per broadcast batch: large enough to amortize ring locking and
@@ -91,8 +109,6 @@ const RING_BATCHES: usize = 8;
 pub struct ShardedEngine {
     multi: MultiEngine,
     shards: usize,
-    /// Group→shard planning policy for sessions this engine opens.
-    placement: Placement,
     /// Test-only fault injection: `(shard, seq)` — that shard's worker
     /// panics when it applies the event with that sequence number.
     fault: Option<(usize, u64)>,
@@ -102,35 +118,21 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// An empty engine running `shards` workers (0 is clamped to 1), with
-    /// indexed dispatch, plan sharing, and cost-aware placement.
+    /// An empty engine running `shards` workers (0 is clamped to 1) with
+    /// the default plan mode.
     pub fn new(shards: usize) -> Self {
-        ShardedEngine::with_options(shards, DispatchMode::Indexed, PlanMode::Shared)
+        ShardedEngine::with_plan(shards, PlanMode::Shared)
     }
 
-    /// An empty engine with explicit dispatch and plan modes; both apply
-    /// within every shard exactly as they do single-threaded.
-    pub fn with_options(shards: usize, dispatch: DispatchMode, plan: PlanMode) -> Self {
+    /// An empty engine with an explicit plan mode, which applies within
+    /// every shard exactly as it does single-threaded.
+    pub fn with_plan(shards: usize, plan: PlanMode) -> Self {
         ShardedEngine {
-            multi: MultiEngine::with_options(dispatch, plan),
+            multi: MultiEngine::with_plan(plan),
             shards: shards.max(1),
-            placement: Placement::default(),
             fault: None,
             swap_fault: None,
         }
-    }
-
-    /// Selects the group→shard planning policy (see [`Placement`]).
-    /// Takes effect when the next session opens; matches and statistics
-    /// are placement-invariant by construction, so this only moves work
-    /// between workers.
-    pub fn set_placement(&mut self, placement: Placement) {
-        self.placement = placement;
-    }
-
-    /// The configured placement policy.
-    pub fn placement(&self) -> Placement {
-        self.placement
     }
 
     /// Test-only fault injection: make shard `shard`'s worker panic when
@@ -208,7 +210,7 @@ impl ShardedEngine {
     /// Attaches a telemetry handle. Beyond the single-threaded counters,
     /// sharded runs record ring occupancy/stalls, worker busy/idle time,
     /// per-batch shard spans, and merge hold/release statistics.
-    pub fn set_telemetry(&mut self, telemetry: crate::telemetry::Telemetry) {
+    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.multi.set_telemetry(telemetry);
     }
 
@@ -228,7 +230,7 @@ impl ShardedEngine {
     }
 
     /// The live cost-ledger handle (see [`MultiEngine::cost_ledger`]).
-    pub fn cost_ledger(&self) -> crate::telemetry::CostLedger {
+    pub fn cost_ledger(&self) -> CostLedger {
         self.multi.cost_ledger()
     }
 
@@ -239,9 +241,6 @@ impl ShardedEngine {
         reader: E,
         on_match: F,
     ) -> EngineResult<MultiOutput> {
-        if self.shards == 1 {
-            return self.multi.run(reader, on_match);
-        }
         self.session(|session| session.run_document(reader, on_match))
     }
 
@@ -269,20 +268,19 @@ impl ShardedEngine {
     /// to stream documents through, and tears the workers down when `f`
     /// returns. The subscription set is frozen for the session (the
     /// borrow checker enforces it — the session mutably borrows the
-    /// engine), so documents stream back-to-back with zero re-planning,
-    /// re-partitioning or thread churn between them.
+    /// engine), so documents stream back-to-back with zero re-planning
+    /// or thread churn between them.
     pub fn session<T>(
         &mut self,
         f: impl FnOnce(&mut ShardSession<'_>) -> EngineResult<T>,
     ) -> EngineResult<T> {
         if self.shards == 1 {
-            // Inline: same API, no threads, bit-for-bit the single-threaded
-            // engine.
+            // Inline: same API, no threads — the single-threaded engine.
             return f(&mut ShardSession { inner: SessionInner::Inline(&mut self.multi) });
         }
-        let placement = self.placement;
         let injected_fault = self.fault;
         let injected_swap_fault = self.swap_fault;
+        let prefix_mode = self.multi.plan_mode() == PlanMode::PrefixShared;
         let parts = self.multi.shard_parts();
         let plan = parts.planner.stats(parts.interner);
         // Group-resident bytes are re-read from the workers after each
@@ -298,24 +296,14 @@ impl ShardedEngine {
                 .map(|g| g.approx_bytes())
                 .sum::<u64>();
         let nsymbols = parts.interner.len();
-        let record_groups: Vec<Option<usize>> = parts.records.iter().map(|r| r.group).collect();
+        // Groups are out on loan to the workers while documents stream,
+        // so what the coordinator reads off them is snapshotted up front
+        // (the plan is frozen for the session): subscriber lists for the
+        // fan-out and, while profiling, canonical keys for the ledger.
         let subscribers: Vec<Vec<QueryId>> =
             parts.planner.groups().iter().map(|g| g.subscribers().to_vec()).collect();
         let group_slots = subscribers.len();
-
-        // Cost attribution: the ledger folds on the document thread at
-        // end of document, exactly like the single-threaded fold site, so
-        // the per-query counters cannot depend on the shard count. The
-        // query texts and group canonical keys are snapshotted up front
-        // (the plan is frozen for the session); both stay empty when
-        // profiling is off.
-        let profile = parts.profile.clone();
-        let profiled = profile.is_enabled();
-        let record_texts: Vec<String> = if profiled {
-            parts.records.iter().map(|r| r.text.clone()).collect()
-        } else {
-            Vec::new()
-        };
+        let profiled = parts.profile.is_enabled();
         let group_canonicals: Vec<Option<String>> = if profiled {
             parts
                 .planner
@@ -344,33 +332,23 @@ impl ShardedEngine {
             .collect();
         let nshards = self.shards.min(active_gids.len()).max(1);
 
-        // Cost estimates for placement planning: uniform prior — which
-        // makes the first LPT plan coincide with round-robin — optionally
-        // seeded from the live cost ledger. Seeding is guarded by each
-        // group's canonical step key: the planner's free-list recycles
-        // retired gids, and a recycled slot must not inherit the retired
-        // query's bill.
+        // Cost estimates for placement planning: uniform prior, seeded
+        // from the live cost ledger when there is one. Seeding is guarded
+        // by each group's canonical step key: the planner's free-list
+        // recycles retired gids, and a recycled slot must not inherit the
+        // retired query's bill.
         let mut cost = CostModel::uniform(group_slots);
-        if placement == Placement::CostAware {
-            if let Some(snapshot) = parts.profile.snapshot() {
-                cost.seed_from_ledger(&snapshot, &group_canonicals);
-            }
+        if let Some(snapshot) = parts.profile.snapshot() {
+            cost.seed_from_ledger(&snapshot, &group_canonicals);
         }
-        let initial_plan = match placement {
-            Placement::RoundRobin => place::round_robin_plan(&active_gids, nshards),
-            Placement::CostAware => place::lpt_plan(&active_gids, &cost, nshards),
-        };
+        let initial_plan = place::lpt_plan(&active_gids, &cost, nshards);
 
-        // Prefix-shared execution: the document thread advances the
+        // Prefix-shared execution: the admission walk advances the
         // *global* plan trie once per event and ships the push decisions;
         // each worker only needs a map from trie node to the main-path
-        // machine nodes of its own group subset. Walking the trie on the
-        // document thread (rather than per shard) is what keeps the
-        // prefix counters — and therefore the plan statistics — identical
-        // at every shard count. The per-group trie paths are snapshotted
-        // here (gid-indexed) so repartitioning can rebuild the per-shard
-        // maps without touching the trie again.
-        let prefix_mode = parts.planner.mode() == PlanMode::PrefixShared;
+        // machine nodes of its own group subset. The per-group trie paths
+        // are snapshotted here (gid-indexed) so repartitioning can rebuild
+        // the per-shard maps without touching the trie again.
         let mut prefix_paths: Vec<Vec<(u32, u32)>> = Vec::new();
         if prefix_mode {
             prefix_paths.resize_with(group_slots, Vec::new);
@@ -387,24 +365,11 @@ impl ShardedEngine {
         }
         let assignment = Arc::new(place::make_assignment(0, &initial_plan, &prefix_paths));
 
-        let (trie, group_slice) = parts.planner.run_split();
-        let trie = prefix_mode.then_some(trie);
-        let mut active_groups: Vec<(usize, &mut PlanGroup)> = Vec::new();
-        for (gid, group) in group_slice.iter_mut().enumerate() {
-            if group.is_active() {
-                active_groups.push((gid, group));
-            }
-        }
         // All active groups start in the pool; workers check theirs out
         // per document under whatever assignment that document carries.
-        let pool = GroupPool::new(active_groups, group_slots);
+        let (trie, groups) = parts.planner.run_split();
+        let pool = GroupPool::new(groups);
 
-        let use_index = parts.mode == DispatchMode::Indexed;
-        // In indexed mode the engine's global index doubles as a broadcast
-        // filter: an event no group is interested in is not even built,
-        // let alone shipped (every shard's own index would drop it). Scan
-        // mode pokes every machine, so everything ships.
-        let filter = use_index.then_some(parts.index);
         let telemetry = parts.driver.telemetry();
         let rings: Vec<Arc<Ring<SeqBatch>>> = (0..nshards)
             .map(|_| Arc::new(Ring::with_telemetry(RING_BATCHES, telemetry.clone())))
@@ -422,7 +387,6 @@ impl ShardedEngine {
                     run_worker(
                         shard,
                         pool,
-                        use_index,
                         nsymbols,
                         prefix_mode,
                         fault,
@@ -442,22 +406,16 @@ impl ShardedEngine {
                 inner: SessionInner::Threaded(Box::new(ThreadedSession {
                     driver: parts.driver,
                     interner: parts.interner,
-                    filter,
-                    trie,
+                    admission: Admission::new(parts.index, prefix_mode.then_some(trie)),
                     rings: &rings,
                     rx: &rx,
-                    subscribers,
-                    record_groups,
-                    group_slots,
-                    nshards,
+                    subscribers: &subscribers,
+                    records: parts.records,
+                    group_canonicals: &group_canonicals,
+                    profile: parts.profile,
                     plan,
                     plan_overhead,
-                    profile,
-                    record_texts,
-                    group_canonicals,
-                    shared_scratch: Vec::new(),
                     poisoned: None,
-                    placement,
                     cost,
                     active_gids,
                     assignment,
@@ -482,15 +440,26 @@ fn poison_error(shard: usize) -> EngineError {
     })
 }
 
+/// Pushes one batch (built once, `Arc`-shared) into every shard ring.
+fn broadcast(rings: &[Arc<Ring<SeqBatch>>], batch: SeqBatch) {
+    for ring in rings {
+        ring.push(batch.clone());
+    }
+}
+
+fn close_rings(rings: &[Arc<Ring<SeqBatch>>]) {
+    for ring in rings {
+        ring.close();
+    }
+}
+
 /// Closes every ring on drop — the session's worker-release guard, run on
 /// both the normal and the unwinding exit path.
 struct CloseRings<'a>(&'a [Arc<Ring<SeqBatch>>]);
 
 impl Drop for CloseRings<'_> {
     fn drop(&mut self) {
-        for ring in self.0 {
-            ring.close();
-        }
+        close_rings(self.0);
     }
 }
 
@@ -567,15 +536,14 @@ impl ShardSession<'_> {
         }
     }
 
-    /// The session's current placement state: policy, effective worker
-    /// count, the group→shard map the *next* document will run under,
+    /// The session's current placement state: effective worker count,
+    /// the group→shard map the *next* document will run under,
     /// repartitions so far, and the last measured imbalance. Inline
     /// (one-shard) sessions report a trivial snapshot — one shard, no
     /// per-group map, nothing to repartition.
     pub fn placement_snapshot(&self) -> PlacementSnapshot {
         match &self.inner {
             SessionInner::Inline(_) => PlacementSnapshot {
-                placement: Placement::RoundRobin,
                 shards: 1,
                 shard_of: Vec::new(),
                 repartitions: 0,
@@ -586,48 +554,37 @@ impl ShardSession<'_> {
     }
 }
 
-/// Session state for the `shards > 1` path.
+/// Session state for the `shards > 1` path. The `&'a` fields are frozen
+/// for the session and `Copy`, so per-document state ([`DocState`]) takes
+/// its own copies instead of borrowing the session.
 struct ThreadedSession<'a> {
     driver: &'a mut crate::driver::DocumentDriver,
     interner: &'a Interner,
-    /// `Some` in indexed mode: the engine's global dispatch index, used
-    /// to skip broadcasting events with no interested group anywhere.
-    filter: Option<&'a crate::multi::DispatchIndex>,
-    /// `Some` under prefix sharing: the global plan trie, advanced once
-    /// per event on the document thread (push decisions ship with the
-    /// events; the run counters feed the plan statistics).
-    trie: Option<&'a mut StepTrie>,
+    /// The admission walk (broadcast filter, global trie, sequence
+    /// windows), reset per document.
+    admission: Admission<'a>,
+    /// One ring per worker; the worker count is `rings.len()`.
     rings: &'a [Arc<Ring<SeqBatch>>],
     rx: &'a Receiver<WorkerReport>,
-    /// Subscriber snapshot per group slot (frozen for the session).
-    subscribers: Vec<Vec<QueryId>>,
-    /// Plan group per registration record (`None` = removed).
-    record_groups: Vec<Option<usize>>,
-    group_slots: usize,
-    nshards: usize,
+    /// Subscriber snapshot per group slot.
+    subscribers: &'a [Vec<QueryId>],
+    records: &'a [QueryRecord],
+    /// Canonical step key per group slot, `None` for inactive slots
+    /// (empty unless profiling).
+    group_canonicals: &'a [Option<String>],
+    /// Cost ledger: disabled (inert) unless profiling is on.
+    profile: &'a CostLedger,
     /// Plan statistics snapshot (the plan cannot change mid-session);
-    /// `plan_bytes` is refreshed per document from worker snapshots.
+    /// the per-run parts are refreshed per document.
     plan: PlanStats,
     /// The non-group share of `plan.plan_bytes` (trie, interner).
     plan_overhead: u64,
-    /// Cost ledger handle: disabled (inert) unless profiling is on.
-    profile: crate::telemetry::CostLedger,
-    /// Query text per registration record (empty unless profiling).
-    record_texts: Vec<String>,
-    /// Canonical step key per group slot, `None` for inactive slots
-    /// (empty unless profiling).
-    group_canonicals: Vec<Option<String>>,
-    /// Per-group shared trie-step billing scratch for the document
-    /// thread's trie walk (sized per document while profiling).
-    shared_scratch: Vec<u64>,
     /// `Some(shard)` once a worker died mid-document: the session is
     /// poisoned and every subsequent document fails fast (`usize::MAX`
     /// when the failing shard is unknown — the report channel died).
     poisoned: Option<usize>,
-    /// The session's placement policy (frozen at open, like the plan).
-    placement: Placement,
     /// Per-group cost estimates, refined from every document's measured
-    /// work; drives LPT replanning under cost-aware placement.
+    /// work; drives LPT replanning.
     cost: CostModel,
     /// The active group ids this session partitions (ascending).
     active_gids: Vec<usize>,
@@ -645,179 +602,122 @@ struct ThreadedSession<'a> {
     last_imbalance: Option<u64>,
 }
 
-impl ThreadedSession<'_> {
+impl<'a> ThreadedSession<'a> {
+    /// The pipelined front-end: the driver pulls `reader` on this thread
+    /// and the [`DocPump`] sink ships what the admission walk admits.
     fn run_document<E: EventSource, F: FnMut(QueryId, Match)>(
         &mut self,
         reader: E,
         mut on_match: F,
     ) -> EngineResult<MultiOutput> {
-        if let Some(shard) = self.poisoned {
-            return Err(poison_error(shard));
-        }
         let telemetry = self.driver.telemetry();
-        let mut matches: Vec<Vec<Match>> = self.record_groups.iter().map(|_| Vec::new()).collect();
-        let mut merger =
-            MatchMerger::with_profile(self.nshards, telemetry.clone(), self.profile.is_enabled());
-        let mut group_stats: Vec<MachineStats> = vec![MachineStats::default(); self.group_slots];
-        self.shared_scratch.clear();
-        if self.profile.is_enabled() {
-            self.shared_scratch.resize(self.group_slots, 0);
-        }
-        let mut group_bytes = 0u64;
-        let mut done = 0usize;
-        if let Some(trie) = &mut self.trie {
-            trie.begin_document();
-        }
-        let stream = {
-            let mut pump = DocPump {
-                interner: self.interner,
-                filter: self.filter,
-                telemetry: &telemetry,
-                trie: self.trie.as_deref_mut(),
-                rings: self.rings,
-                rx: self.rx,
-                merger: &mut merger,
-                subscribers: &self.subscribers,
-                matches: &mut matches,
-                on_match: &mut on_match,
-                group_stats: &mut group_stats,
-                group_bytes: &mut group_bytes,
-                done: &mut done,
-                poisoned: &mut self.poisoned,
-                profile: &self.profile,
-                shared_steps: &mut self.shared_scratch,
-                seq: 0,
-                after: 0,
-                open_names: Vec::new(),
-                pushed: Vec::new(),
-                trie_open: Vec::new(),
-                trie_frames: Vec::new(),
-                empty_pushes: Vec::new().into(),
-                batch: Vec::with_capacity(EVENT_BATCH),
-                ended: false,
-            };
-            pump.batch.push(ShardEvent::DocStart { assignment: Arc::clone(&self.assignment) });
-            let stream = self.driver.run(reader, &mut pump);
-            // On a parse error the driver never reached `document_end`;
-            // close the document on the worker side anyway so the workers
-            // quiesce and the session stays usable for the next document.
-            if !pump.ended {
-                pump.finish_document();
-            }
-            // Block until every shard has acknowledged DocEnd, delivering
-            // merged matches as they become safe.
-            while *pump.done < self.nshards && pump.poisoned.is_none() {
-                match recv_report(self.rx) {
-                    Some(report) => pump.ingest(report),
-                    None => {
-                        // Every worker hung up without a final report: a
-                        // panic escaped containment. Close the rings and
-                        // poison the session with an unknown shard.
-                        for ring in self.rings {
-                            ring.close();
-                        }
-                        *pump.poisoned = Some(usize::MAX);
-                    }
-                }
-            }
-            debug_assert!(
-                pump.poisoned.is_some() || pump.merger.is_drained(),
-                "all shards reported through the final event"
-            );
-            stream
+        let mut doc = self.begin_document(&telemetry)?;
+        let mut pump = DocPump {
+            interner: self.interner,
+            telemetry: &telemetry,
+            admission: &mut self.admission,
+            doc: &mut doc,
+            on_match: &mut on_match,
+            open_names: Vec::new(),
+            batch: Vec::with_capacity(EVENT_BATCH),
+            ended: false,
         };
+        pump.batch.push(ShardEvent::DocStart { assignment: Arc::clone(&self.assignment) });
+        let stream = self.driver.run(reader, &mut pump);
+        // On a parse error the driver never reached `document_end`;
+        // close the document on the worker side anyway so the workers
+        // quiesce and the session stays usable for the next document.
+        if !pump.ended {
+            pump.finish_document();
+        }
+        doc.await_doc_end(&mut on_match);
+        self.finish_document(doc, stream, &telemetry)
+    }
+
+    /// Opens a document: fails fast on a poisoned session, resets the
+    /// admission walk, and returns fresh coordinator state.
+    fn begin_document(&mut self, telemetry: &Telemetry) -> EngineResult<DocState<'a>> {
         if let Some(shard) = self.poisoned {
             return Err(poison_error(shard));
         }
-        let stream: StreamStats = stream?;
-        let stats: Vec<MachineStats> = self
-            .record_groups
-            .iter()
-            .map(|g| match g {
-                Some(gid) => group_stats[*gid].clone(),
-                None => MachineStats::default(),
-            })
-            .collect();
-        // Refresh the per-run halves of the plan snapshot: group-resident
-        // bytes from the worker acknowledgements, prefix counters from
-        // the document thread's trie run.
+        let group_slots = self.subscribers.len();
+        let profiled = self.profile.is_enabled();
+        self.admission.begin_document(if profiled { group_slots } else { 0 });
+        Ok(DocState {
+            rings: self.rings,
+            rx: self.rx,
+            subscribers: self.subscribers,
+            profile: self.profile,
+            matches: self.records.iter().map(|_| Vec::new()).collect(),
+            merger: MatchMerger::with_profile(self.rings.len(), telemetry.clone(), profiled),
+            group_stats: vec![MachineStats::default(); group_slots],
+            group_bytes: 0,
+            done: 0,
+            poisoned: None,
+        })
+    }
+
+    /// The sharded per-document epilogue, after every shard acknowledged
+    /// `DocEnd` (or the session was poisoned): surfaces poisoning and
+    /// parse errors, refreshes the per-run parts of the plan snapshot —
+    /// group-resident bytes from the worker acknowledgements, prefix
+    /// counters from the admission walk's trie run — hands over to the
+    /// engine-wide [`finish_document`], and lets placement observe the
+    /// document.
+    fn finish_document(
+        &mut self,
+        doc: DocState<'a>,
+        stream: EngineResult<StreamStats>,
+        telemetry: &Telemetry,
+    ) -> EngineResult<MultiOutput> {
+        self.poisoned = doc.poisoned;
+        if let Some(shard) = self.poisoned {
+            return Err(poison_error(shard));
+        }
+        let stream = stream?;
+        let DocState { matches, mut merger, group_stats, group_bytes, .. } = doc;
+        debug_assert!(merger.is_drained(), "all shards reported through the final event");
         let mut plan = PlanStats { plan_bytes: self.plan_overhead + group_bytes, ..self.plan };
-        if let Some(trie) = &self.trie {
-            let run = trie.run_stats();
+        if let Some(run) = self.admission.trie_run_stats() {
             plan.prefix_steps_executed = run.steps_executed;
             plan.prefix_steps_saved = run.steps_saved;
             plan.prefix_forks = run.forks;
             plan.prefix_stack_bytes = run.peak_stack_bytes();
         }
-        if telemetry.is_enabled() {
-            // Mirror MultiEngine::run's deterministic folds so the
-            // counters cannot depend on the shard count: per subscription,
-            // plus the plan snapshot and the total match count.
-            for s in &stats {
-                telemetry.fold_machine(s);
-            }
-            telemetry.fold_plan(&plan);
-            telemetry.add_matches(matches.iter().map(|m| m.len() as u64).sum());
-        }
-        if self.profile.is_enabled() {
-            self.profile.add_doc();
-            // Identical fold discipline to `MultiEngine::run`: one fold
-            // per subscription from the per-record stats, so the ledger's
-            // deterministic section is invariant across shard counts.
-            for (i, g) in self.record_groups.iter().enumerate() {
-                self.profile.fold_query(
-                    QueryId(i),
-                    &self.record_texts[i],
-                    *g,
-                    &stats[i],
-                    &matches[i],
-                );
-            }
-            for (gid, canonical) in self.group_canonicals.iter().enumerate() {
-                if let Some(canonical) = canonical {
-                    self.profile.fold_group(
-                        gid,
-                        canonical,
-                        self.subscribers[gid].len() as u64,
-                        &group_stats[gid],
-                    );
-                }
-            }
-            if self.shared_scratch.iter().any(|&n| n > 0) {
-                self.profile.add_shared_steps(&self.shared_scratch);
-            }
-            for (gid, deliveries, ns) in merger.take_holds() {
-                self.profile.add_hold(gid as usize, deliveries, ns);
-            }
-        }
-        self.after_document(&group_stats, &telemetry);
-        Ok(MultiOutput {
-            matches,
-            stats,
-            plan,
-            elements: stream.elements,
-            text_nodes: stream.text_nodes,
-            events: stream.events,
-        })
+        let out = finish_document(
+            FinishedDocument {
+                records: self.records,
+                matches,
+                stream,
+                plan,
+                shared_steps: self.admission.shared_steps(),
+                holds: merger.take_holds(),
+            },
+            telemetry,
+            self.profile,
+            self.subscribers.len(),
+            |gid| GroupFacts {
+                canonical: self.group_canonicals.get(gid).and_then(|c| c.as_deref()),
+                subscribers: self.subscribers[gid].len() as u64,
+                stats: &group_stats[gid],
+            },
+        );
+        self.after_document(&group_stats, telemetry);
+        Ok(out)
     }
 
-    /// Post-document placement bookkeeping, shared by both front-ends:
-    /// measure per-shard loads under the assignment the document just ran
-    /// with (from the deterministic machine work counters, so the
-    /// decision stream is identical at every dispatch/front-end
-    /// configuration), refine the cost estimates, export the imbalance
-    /// gauge, and — under cost-aware placement, past the hysteresis
-    /// threshold — swap in a rebalanced assignment for the next document.
-    /// Swapping here is what keeps repartitioning output-transparent: the
-    /// new assignment travels inside the next `DocStart`, workers adopt
-    /// it before any event of that document flows, and the watermark
-    /// merge never notices.
-    pub(super) fn after_document(
-        &mut self,
-        group_stats: &[MachineStats],
-        telemetry: &crate::telemetry::Telemetry,
-    ) {
-        let mut loads = vec![0u64; self.nshards];
+    /// Post-document placement bookkeeping: measure per-shard loads under
+    /// the assignment the document just ran with (from the deterministic
+    /// machine work counters, so the decision stream is identical at
+    /// every front-end), refine the cost estimates, export the imbalance
+    /// gauge, and — past the hysteresis threshold — swap in a rebalanced
+    /// assignment for the next document. Swapping here is what keeps
+    /// repartitioning output-transparent: the new assignment travels
+    /// inside the next `DocStart`, workers adopt it before any event of
+    /// that document flows, and the watermark merge never notices.
+    fn after_document(&mut self, group_stats: &[MachineStats], telemetry: &Telemetry) {
+        let nshards = self.rings.len();
+        let mut loads = vec![0u64; nshards];
         for (shard, gids) in self.assignment.shard_gids.iter().enumerate() {
             for &gid in gids {
                 let work = place::work_of(&group_stats[gid]);
@@ -828,13 +728,10 @@ impl ThreadedSession<'_> {
         let measured = place::imbalance_millis(&loads);
         self.last_imbalance = Some(measured);
         telemetry.gauge_set(|r| &r.shard_imbalance, measured);
-        if self.placement != Placement::CostAware
-            || self.nshards < 2
-            || measured < place::REPARTITION_THRESHOLD_MILLIS
-        {
+        if nshards < 2 || measured < place::REPARTITION_THRESHOLD_MILLIS {
             return;
         }
-        let plan = place::lpt_plan(&self.active_gids, &self.cost, self.nshards);
+        let plan = place::lpt_plan(&self.active_gids, &self.cost, nshards);
         if plan.shard_gids == self.assignment.shard_gids {
             return;
         }
@@ -859,13 +756,12 @@ impl ThreadedSession<'_> {
     fn placement_snapshot(&self) -> PlacementSnapshot {
         let plan = ShardPlan { shard_gids: self.assignment.shard_gids.clone() };
         let shard_of = plan
-            .shard_of(self.group_slots)
+            .shard_of(self.subscribers.len())
             .into_iter()
             .map(|s| (s != usize::MAX).then_some(s))
             .collect();
         PlacementSnapshot {
-            placement: self.placement,
-            shards: self.nshards,
+            shards: self.rings.len(),
             shard_of,
             repartitions: self.repartitions,
             last_imbalance_millis: self.last_imbalance,
@@ -873,177 +769,139 @@ impl ThreadedSession<'_> {
     }
 }
 
-/// Receives one worker report; `None` means every worker hung up without
-/// a final poisoned report — the caller treats that as an unknown-shard
-/// poisoning of the session.
-fn recv_report(rx: &Receiver<WorkerReport>) -> Option<WorkerReport> {
-    rx.recv().ok()
-}
-
-/// Folds one worker report into the coordinator-side document state.
-/// Shared between the pipelined pump ([`DocPump::ingest`]) and the
-/// overlapped admission walk ([`feed`]), so poisoning semantics cannot
-/// diverge: a poisoned report closes every ring, records the failing
-/// shard, and suppresses all further callbacks (no matches after an
-/// error); late reports from surviving workers draining their rings are
-/// dropped for the same reason.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn ingest_report<F: FnMut(QueryId, Match)>(
-    report: WorkerReport,
-    rings: &[Arc<Ring<SeqBatch>>],
-    poisoned: &mut Option<usize>,
-    merger: &mut MatchMerger,
-    subscribers: &[Vec<QueryId>],
-    matches: &mut [Vec<Match>],
-    on_match: &mut F,
-    group_stats: &mut [MachineStats],
-    group_bytes: &mut u64,
-    done: &mut usize,
-    profile: &crate::telemetry::CostLedger,
-) {
-    if report.poisoned {
-        for ring in rings {
-            ring.close();
-        }
-        poisoned.get_or_insert(report.shard);
-        return;
-    }
-    if poisoned.is_some() {
-        return;
-    }
-    if let Some(doc_stats) = report.doc_stats {
-        for snapshot in doc_stats {
-            profile.add_self_ns(snapshot.gid, snapshot.self_ns);
-            group_stats[snapshot.gid] = snapshot.stats;
-            *group_bytes += snapshot.approx_bytes;
-        }
-        *done += 1;
-    }
-    merger.push(report.shard, report.matches, report.through_seq);
-    merger.drain(|t| fan_out(subscribers, matches, on_match, t));
-}
-
-/// Fans one merged match out to its group's subscribers via the same
-/// [`crate::multi::fan_out_match`] the single-threaded sink uses — one
-/// fan-out implementation, so delivery order cannot diverge.
-fn fan_out<F: FnMut(QueryId, Match)>(
-    subscribers: &[Vec<QueryId>],
-    matches: &mut [Vec<Match>],
-    on_match: &mut F,
-    t: TaggedMatch,
-) {
-    crate::multi::fan_out_match(&subscribers[t.gid as usize], matches, on_match, t.m);
-}
-
-/// The broadcasting [`EventSink`]: numbers events, batches them, ships
-/// each batch to every shard ring, and opportunistically drains worker
-/// reports between batches so merged matches stream to the caller while
-/// the document is still being read.
-struct DocPump<'a, F: FnMut(QueryId, Match)> {
-    interner: &'a Interner,
-    filter: Option<&'a crate::multi::DispatchIndex>,
-    /// Records the broadcast batch-size histogram.
-    telemetry: &'a crate::telemetry::Telemetry,
-    /// `Some` under prefix sharing: the global trie, advanced here once
-    /// per element event; the resulting pushes ship inside
-    /// [`ShardEvent::Start`].
-    trie: Option<&'a mut StepTrie>,
+/// Coordinator-side state of one in-flight document: what the worker
+/// reports fold into. Both front-ends drive it through the same three
+/// calls, so poisoning semantics cannot diverge between them.
+struct DocState<'a> {
     rings: &'a [Arc<Ring<SeqBatch>>],
     rx: &'a Receiver<WorkerReport>,
-    merger: &'a mut MatchMerger,
     subscribers: &'a [Vec<QueryId>],
-    matches: &'a mut Vec<Vec<Match>>,
-    on_match: &'a mut F,
-    /// Per-group machine statistics, filled by DocEnd acknowledgements.
-    group_stats: &'a mut [MachineStats],
-    /// Post-document group-resident bytes summed across DocEnd
+    /// Receives the sampled self-time riding on `DocEnd` snapshots.
+    profile: &'a CostLedger,
+    /// Delivered matches per registration record.
+    matches: Vec<Vec<Match>>,
+    merger: MatchMerger,
+    /// Per-group machine statistics, filled by `DocEnd` acknowledgements.
+    group_stats: Vec<MachineStats>,
+    /// Post-document group-resident bytes summed across `DocEnd`
     /// acknowledgements (feeds [`PlanStats::plan_bytes`]).
-    group_bytes: &'a mut u64,
-    /// Shards that have acknowledged DocEnd so far.
-    done: &'a mut usize,
-    /// Set when a worker dies mid-document (see [`ingest_report`]).
-    poisoned: &'a mut Option<usize>,
-    /// Cost ledger handle, folded through [`ingest_report`] (self-time
-    /// from DocEnd snapshots); inert when profiling is off.
-    profile: &'a crate::telemetry::CostLedger,
-    /// Per-group shared trie-step billing: non-empty only while
-    /// profiling under prefix sharing; the document thread's trie walk
-    /// bills one shared step per `(push, routed group)` pair, mirroring
-    /// the single-threaded `PrefixSink`.
-    shared_steps: &'a mut Vec<u64>,
-    /// Sequence number of the last event pushed (1-based).
-    seq: u64,
-    /// Highest sequence number covered by already-flushed batches: the
-    /// `after` of the next [`SeqBatch`]. Trails `seq` by exactly the
-    /// unflushed events (filtered events consume sequence numbers without
-    /// shipping payloads, so a batch's range can exceed its length).
-    after: u64,
+    group_bytes: u64,
+    /// Shards that have acknowledged `DocEnd` so far.
+    done: usize,
+    /// `Some(shard)` once a worker died mid-document (`usize::MAX` when
+    /// the failing shard is unknown).
+    poisoned: Option<usize>,
+}
+
+impl DocState<'_> {
+    /// Closes every ring and records the failing shard (the first one
+    /// wins). From here on no callback fires: no matches after an error.
+    fn poison(&mut self, shard: usize) {
+        close_rings(self.rings);
+        self.poisoned.get_or_insert(shard);
+    }
+
+    /// Folds one worker report in: matches into the merger (releasing and
+    /// fanning out whatever became safe — through the same
+    /// [`crate::multi::fan_out_match`] the single-threaded sinks use, so
+    /// delivery order cannot diverge), `DocEnd` acknowledgements into the
+    /// statistics snapshot. Late reports from surviving workers draining
+    /// their rings after a poisoning are dropped.
+    fn ingest_report<F: FnMut(QueryId, Match)>(&mut self, report: WorkerReport, on_match: &mut F) {
+        if report.poisoned {
+            return self.poison(report.shard);
+        }
+        if self.poisoned.is_some() {
+            return;
+        }
+        if let Some(doc_stats) = report.doc_stats {
+            for snapshot in doc_stats {
+                self.profile.add_self_ns(snapshot.gid, snapshot.self_ns);
+                self.group_stats[snapshot.gid] = snapshot.stats;
+                self.group_bytes += snapshot.approx_bytes;
+            }
+            self.done += 1;
+        }
+        self.merger.push(report.shard, report.matches, report.through_seq);
+        let (subscribers, matches) = (self.subscribers, &mut self.matches);
+        self.merger.drain(|t| {
+            crate::multi::fan_out_match(&subscribers[t.gid as usize], matches, on_match, t.m)
+        });
+    }
+
+    /// Folds in whatever reports have already arrived, without blocking —
+    /// called between batches so merged matches stream to the caller
+    /// while the document is still being read.
+    fn ingest_ready<F: FnMut(QueryId, Match)>(&mut self, on_match: &mut F) {
+        while let Ok(report) = self.rx.try_recv() {
+            self.ingest_report(report, on_match);
+        }
+    }
+
+    /// Blocks until every shard has acknowledged `DocEnd` or the session
+    /// is poisoned, delivering merged matches as they become safe.
+    fn await_doc_end<F: FnMut(QueryId, Match)>(&mut self, on_match: &mut F) {
+        while self.done < self.rings.len() && self.poisoned.is_none() {
+            match self.rx.recv() {
+                Ok(report) => self.ingest_report(report, on_match),
+                // Every worker hung up without a final report: a panic
+                // escaped containment, on an unknown shard.
+                Err(_) => self.poison(usize::MAX),
+            }
+        }
+    }
+}
+
+/// The pipelined front-end's [`EventSink`]: ships each event the
+/// admission walk admits, batched, to every shard ring, and folds in
+/// worker reports between batches.
+struct DocPump<'p, 'a, F: FnMut(QueryId, Match)> {
+    interner: &'a Interner,
+    /// Records the broadcast batch-size histogram.
+    telemetry: &'p Telemetry,
+    admission: &'p mut Admission<'a>,
+    doc: &'p mut DocState<'a>,
+    on_match: &'p mut F,
     /// `Arc` names of open *shipped* elements, innermost last: the end
-    /// tag reuses the start tag's allocation. Skips pair up (same symbol
-    /// against the same frozen filter), so pushes and pops balance.
+    /// tag reuses the start tag's allocation. Filter verdicts pair up, so
+    /// pushes and pops balance.
     open_names: Vec<Arc<str>>,
-    /// Scratch: the trie pushes of the current element event.
-    pushed: Vec<TriePush>,
-    /// Flat stack of trie nodes pushed per open shipped element (the end
-    /// tag retreats exactly these).
-    trie_open: Vec<u32>,
-    /// One `trie_open` offset per open shipped element.
-    trie_frames: Vec<u32>,
-    /// Shared empty push list (most events push nothing).
-    empty_pushes: Arc<[TriePush]>,
     batch: Vec<ShardEvent>,
     ended: bool,
 }
 
-impl<F: FnMut(QueryId, Match)> DocPump<'_, F> {
-    /// Folds one worker report in: matches into the merger (releasing and
-    /// fanning out whatever became safe), DocEnd acknowledgements into
-    /// the statistics snapshot.
-    fn ingest(&mut self, report: WorkerReport) {
-        ingest_report(
-            report,
-            self.rings,
-            self.poisoned,
-            self.merger,
-            self.subscribers,
-            self.matches,
-            self.on_match,
-            self.group_stats,
-            self.group_bytes,
-            self.done,
-            self.profile,
-        );
+impl<F: FnMut(QueryId, Match)> DocPump<'_, '_, F> {
+    fn push(&mut self, event: ShardEvent) {
+        self.batch.push(event);
+        if self.batch.len() >= EVENT_BATCH {
+            self.flush();
+        }
     }
 
-    /// Broadcasts the pending batch (built once, `Arc`-shared per ring)
-    /// and drains any worker reports that have already arrived.
+    /// Broadcasts the pending batch under the window the admission walk
+    /// accumulated, then drains any worker reports that already arrived.
     fn flush(&mut self) {
         if self.batch.is_empty() {
             return;
         }
         self.telemetry.observe(|r| &r.batch_events, self.batch.len() as u64);
         let events: EventBatch = std::mem::take(&mut self.batch).into();
-        let batch = SeqBatch { after: self.after, through: self.seq, events };
-        self.after = self.seq;
-        for ring in self.rings {
-            ring.push(batch.clone());
-        }
+        let (after, through) = self.admission.take_window();
+        broadcast(self.doc.rings, SeqBatch { after, through, events });
         self.batch.reserve(EVENT_BATCH);
-        while let Ok(report) = self.rx.try_recv() {
-            self.ingest(report);
-        }
+        self.doc.ingest_ready(self.on_match);
     }
 
     /// Terminates the document on the worker side: `DocEnd` at the final
     /// sequence number, flushed with whatever the batch still holds.
     fn finish_document(&mut self) {
-        self.batch.push(ShardEvent::DocEnd { seq: self.seq });
+        self.batch.push(ShardEvent::DocEnd { seq: self.admission.seq() });
         self.flush();
         self.ended = true;
     }
 }
 
-impl<F: FnMut(QueryId, Match)> EventSink for DocPump<'_, F> {
+impl<F: FnMut(QueryId, Match)> EventSink for DocPump<'_, '_, F> {
     fn resolve(&mut self, name: &str) -> Option<Symbol> {
         self.interner.lookup(name)
     }
@@ -1055,46 +913,11 @@ impl<F: FnMut(QueryId, Match)> EventSink for DocPump<'_, F> {
         node_id: NodeId,
         attr_id_base: NodeId,
     ) {
-        self.seq += 1;
-        // Prefix sharing: advance the global trie exactly once per
-        // element event — the same walk the single-threaded engine does,
-        // so the run counters cannot depend on the shard count.
-        if let Some(trie) = &mut self.trie {
-            self.pushed.clear();
-            trie.advance(sym, event.level, &mut self.pushed);
-            if !self.shared_steps.is_empty() {
-                for p in self.pushed.iter() {
-                    for &gid in trie.routed(p.node as usize) {
-                        self.shared_steps[gid as usize] += 1;
-                    }
-                }
-            }
-        }
-        // Sequence numbers advance for *every* event (they are the merge
-        // key), but payloads for events no shard would dispatch are never
-        // built or shipped. The matching end tag resolves to the same
-        // symbol against the same frozen index, so skips always pair up.
-        // A skipped event can never have trie pushes: every routed trie
-        // step name (and any wildcard) is registered in the filter index.
-        if self.filter.is_some_and(|index| !index.has_element_target(sym)) {
-            debug_assert!(self.pushed.is_empty(), "filtered events cannot advance the trie");
-            return;
-        }
-        let pushes: Arc<[TriePush]> = if self.trie.is_some() {
-            self.trie_frames.push(self.trie_open.len() as u32);
-            self.trie_open.extend(self.pushed.iter().map(|p| p.node));
-            if self.pushed.is_empty() {
-                Arc::clone(&self.empty_pushes)
-            } else {
-                self.pushed.as_slice().into()
-            }
-        } else {
-            Arc::clone(&self.empty_pushes)
-        };
+        let Some((seq, pushes)) = self.admission.start(sym, event.level) else { return };
         let name: Arc<str> = event.name.as_str().into();
         self.open_names.push(Arc::clone(&name));
-        self.batch.push(ShardEvent::Start {
-            seq: self.seq,
+        self.push(ShardEvent::Start {
+            seq,
             sym,
             name,
             level: event.level,
@@ -1104,51 +927,29 @@ impl<F: FnMut(QueryId, Match)> EventSink for DocPump<'_, F> {
             span: event.span,
             pushes,
         });
-        if self.batch.len() >= EVENT_BATCH {
-            self.flush();
-        }
     }
 
     fn characters(&mut self, event: &CharactersEvent, node_id: NodeId) {
-        self.seq += 1;
-        if self.filter.is_some_and(|index| !index.has_text_target()) {
-            return;
-        }
-        self.batch.push(ShardEvent::Text {
-            seq: self.seq,
+        let Some(seq) = self.admission.text() else { return };
+        self.push(ShardEvent::Text {
+            seq,
             text: event.text.as_str().into(),
             level: event.level,
             node_id,
             span: event.span,
         });
-        if self.batch.len() >= EVENT_BATCH {
-            self.flush();
-        }
     }
 
     fn end_element(&mut self, sym: Option<Symbol>, event: &EndElementEvent) {
-        self.seq += 1;
-        if self.filter.is_some_and(|index| !index.has_element_target(sym)) {
-            return;
-        }
-        if let Some(trie) = &mut self.trie {
-            let base = self.trie_frames.pop().expect("shipped tags pair") as usize;
-            for &node in &self.trie_open[base..] {
-                trie.retreat_one(node, event.level);
-            }
-            self.trie_open.truncate(base);
-        }
+        let Some(seq) = self.admission.end(sym, event.level) else { return };
         let name = self.open_names.pop().expect("shipped end tags pair with shipped start tags");
-        self.batch.push(ShardEvent::End {
-            seq: self.seq,
+        self.push(ShardEvent::End {
+            seq,
             sym,
             name,
             level: event.level,
             element_span: event.element_span,
         });
-        if self.batch.len() >= EVENT_BATCH {
-            self.flush();
-        }
     }
 
     fn document_end(&mut self) {
@@ -1161,14 +962,104 @@ mod tests {
     use super::*;
     use vitex_xmlsax::XmlReader;
 
+    /// Runs `xml` through one front-end of a hand-built one-shard session
+    /// whose ring nobody consumes (a pre-sent `DocEnd` acknowledgement
+    /// stands in for the worker) and returns what it broadcast, in window
+    /// order.
+    fn capture(plan: PlanMode, xml: &str, overlapped: bool) -> Vec<SeqBatch> {
+        let mut multi = MultiEngine::with_plan(plan);
+        for q in ["/r/a/b", "//a[c]", "//b/text()", "/r/a"] {
+            multi.add_query(q).unwrap();
+        }
+        let parts = multi.shard_parts();
+        let subscribers: Vec<Vec<QueryId>> =
+            parts.planner.groups().iter().map(|g| g.subscribers().to_vec()).collect();
+        let active_gids: Vec<usize> = (0..subscribers.len()).collect();
+        let cost = CostModel::uniform(subscribers.len());
+        let assignment =
+            Arc::new(place::make_assignment(0, &place::lpt_plan(&active_gids, &cost, 1), &[]));
+        let plan_stats = parts.planner.stats(parts.interner);
+        let trie = (plan == PlanMode::PrefixShared).then(|| parts.planner.run_split().0);
+        let rings = [Arc::new(Ring::new(4096))];
+        let (tx, rx) = channel();
+        tx.send(WorkerReport {
+            shard: 0,
+            matches: Vec::new(),
+            through_seq: 0,
+            doc_stats: Some(Vec::new()),
+            poisoned: false,
+        })
+        .unwrap();
+        let mut session = ThreadedSession {
+            driver: parts.driver,
+            interner: parts.interner,
+            admission: Admission::new(parts.index, trie),
+            rings: &rings,
+            rx: &rx,
+            subscribers: &subscribers,
+            records: parts.records,
+            group_canonicals: &[],
+            profile: parts.profile,
+            plan: plan_stats,
+            plan_overhead: 0,
+            poisoned: None,
+            cost,
+            active_gids,
+            assignment,
+            prefix_paths: Vec::new(),
+            repartitions: 0,
+            last_imbalance: None,
+        };
+        if overlapped {
+            let config = ParallelConfig { threads: 2, chunk_bytes: Some(48), ..Default::default() };
+            feed::run_document_overlapped(&mut session, xml.as_bytes().to_vec(), config, |_, _| {})
+                .expect("overlapped run");
+        } else {
+            session.run_document(XmlReader::from_str(xml), |_, _| {}).expect("pipelined run");
+        }
+        rings[0].close();
+        let mut batches: Vec<SeqBatch> = std::iter::from_fn(|| rings[0].pop()).collect();
+        // Racing publishers deliver out of order; windows restore it.
+        batches.sort_by_key(|b| (b.after, b.through));
+        batches
+    }
+
     #[test]
-    fn round_robin_assignment_balances_and_orders() {
-        let assigned = place::round_robin_plan(&[0, 2, 3, 7, 8], 2);
-        assert_eq!(assigned.shard_gids, [vec![0, 3, 8], vec![2, 7]]);
-        let one = place::round_robin_plan(&[4, 5], 1);
-        assert_eq!(one.shard_gids, [vec![4, 5]]);
-        let empty = place::round_robin_plan(&[], 3);
-        assert_eq!(empty.shard_gids, [vec![], vec![], Vec::<usize>::new()]);
+    fn both_front_ends_admit_the_same_event_stream_and_window_chain() {
+        // Names no query mentions (<x>, <y>) are filtered but still
+        // consume sequence numbers; text ships (//b/text() reads it).
+        let mut xml = String::from("<r>");
+        for i in 0..40 {
+            xml.push_str(&format!("<a><x>skip{i}<y/></x><b>t{i}</b><c/></a><x><a><b/></a></x>"));
+        }
+        xml.push_str("</r>");
+        for plan in [PlanMode::Shared, PlanMode::PrefixShared] {
+            // Every shipped event, in full (seq, symbol, level, trie
+            // pushes, payloads), as its `Debug` rendering.
+            let streams = [false, true].map(|overlapped| {
+                let batches = capture(plan, &xml, overlapped);
+                assert!(batches.len() > 1, "{plan:?}: several batches");
+                let mut frontier = 0;
+                for b in &batches {
+                    assert_eq!(b.after, frontier, "{plan:?}/overlapped={overlapped}: window chain");
+                    frontier = b.through;
+                }
+                let events: Vec<String> = batches
+                    .iter()
+                    .flat_map(|b| b.events.iter())
+                    .map(|e| format!("{e:?}"))
+                    .collect();
+                assert_eq!(events.last(), Some(&format!("DocEnd {{ seq: {frontier} }}")));
+                assert!(
+                    frontier > events.len() as u64,
+                    "filtered events consumed sequence numbers"
+                );
+                events
+            });
+            assert_eq!(streams[0], streams[1], "{plan:?}: shipped event stream");
+            let pushed = streams[0].iter().any(|e| e.contains("TriePush"));
+            assert_eq!(pushed, plan == PlanMode::PrefixShared, "{plan:?}: trie pushes ship");
+        }
     }
 
     #[test]

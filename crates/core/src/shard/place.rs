@@ -1,20 +1,21 @@
 //! Cost-aware shard placement: ledger-driven group→shard planning with
 //! mid-session repartitioning.
 //!
-//! The round-robin partition assumes plan groups cost roughly the same —
-//! which collapses under skew: one hog query (the E14 scenario) pins a
-//! whole shard while the rest idle. This module plans placements from
-//! per-group **cost estimates** instead: a [`ShardPlan`] is computed by
-//! greedy LPT (longest-processing-time) bin-packing, the classic 4/3
-//! approximation for makespan on identical machines.
+//! Plan groups do not cost the same: one hog query (the E14 scenario)
+//! can pin a whole shard while the rest idle. This module plans
+//! placements from per-group **cost estimates**: a [`ShardPlan`] is
+//! computed by greedy LPT (longest-processing-time) bin-packing, the
+//! classic 4/3 approximation for makespan on identical machines. Under
+//! the uniform prior a fresh session starts from, LPT deals groups out
+//! round-robin in ascending gid order.
 //!
 //! Estimates come from the same deterministic machine counters the cost
 //! ledger bills ([`crate::telemetry::GroupCost::work`]): pushes + pops +
 //! predicate evaluations + dispatch hits. Those arrive at the coordinator
 //! with every `DocEnd` acknowledgement regardless of whether profiling is
 //! on, so the [`CostModel`] refines itself after every document — and
-//! because the counters are invariant across dispatch × plan × shard ×
-//! front-end configurations, so are the placement decisions. Matches are
+//! because the counters are invariant across plan × shard × front-end
+//! configurations, so are the placement decisions. Matches are
 //! invariant *by construction* either way (the watermark merge orders by
 //! `(event seq, group id)`, which no placement can perturb); determinism
 //! of the decisions just makes experiments and tests reproducible.
@@ -31,41 +32,12 @@ use crate::stats::MachineStats;
 
 use super::worker::PrefixMap;
 
-/// How a sharded session maps plan groups onto worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Placement {
-    /// Round-robin over ascending group ids — the skew-oblivious
-    /// baseline, kept as the escape hatch (`--placement round-robin`)
-    /// and for differential comparison.
-    RoundRobin,
-    /// Greedy LPT bin-packing over per-group cost estimates, refined
-    /// from measured work after every document, with repartitioning at
-    /// document boundaries when measured imbalance exceeds the
-    /// hysteresis threshold. The default.
-    #[default]
-    CostAware,
-}
-
-impl Placement {
-    /// Parses the CLI spelling (`round-robin` | `cost`).
-    pub fn parse(s: &str) -> Option<Placement> {
-        match s {
-            "round-robin" => Some(Placement::RoundRobin),
-            "cost" => Some(Placement::CostAware),
-            _ => None,
-        }
-    }
-}
-
 /// A point-in-time view of a [`crate::shard::ShardSession`]'s placement
-/// state, from [`crate::shard::ShardSession::placement_snapshot`]:
-/// which policy is active, how many workers actually run (after clamping
-/// to the active group count), where each group sits, and how the
-/// repartitioner has been behaving.
+/// state, from [`crate::shard::ShardSession::placement_snapshot`]: how
+/// many workers actually run (after clamping to the active group count),
+/// where each group sits, and how the repartitioner has been behaving.
 #[derive(Debug, Clone)]
 pub struct PlacementSnapshot {
-    /// The session's planning policy.
-    pub placement: Placement,
     /// Effective worker count.
     pub shards: usize,
     /// Shard of each plan-group slot under the assignment the *next*
@@ -81,9 +53,9 @@ pub struct PlacementSnapshot {
 }
 
 /// Measured imbalance (in millis, 1000 = perfectly balanced) above which
-/// a cost-aware session replans between documents. 1300 means "the
-/// hottest shard carries ≥ 1.3× the ideal per-shard load" — far enough
-/// from the round-robin noise floor that balanced workloads never churn.
+/// a session replans between documents. 1300 means "the hottest shard
+/// carries ≥ 1.3× the ideal per-shard load" — far enough from the noise
+/// floor of an even deal that balanced workloads never churn.
 pub(crate) const REPARTITION_THRESHOLD_MILLIS: u64 = 1300;
 
 /// The deterministic work counter placement planning consumes — the same
@@ -99,7 +71,7 @@ pub(crate) fn work_of(stats: &MachineStats) -> u64 {
 pub(crate) struct ShardPlan {
     /// Ascending group ids per shard. Every shard owns at least one group
     /// whenever `active gids ≥ nshards` (LPT always fills an empty bin
-    /// first; round-robin by construction).
+    /// first).
     pub(crate) shard_gids: Vec<Vec<usize>>,
 }
 
@@ -125,23 +97,10 @@ impl ShardPlan {
     }
 }
 
-/// Round-robin plan in ascending gid order — the [`Placement::RoundRobin`]
-/// baseline, also what LPT degenerates to under uniform costs.
-pub(crate) fn round_robin_plan(active_gids: &[usize], nshards: usize) -> ShardPlan {
-    let nshards = nshards.max(1);
-    let mut shard_gids: Vec<Vec<usize>> = (0..nshards).map(|_| Vec::new()).collect();
-    for (i, &gid) in active_gids.iter().enumerate() {
-        shard_gids[i % nshards].push(gid);
-    }
-    ShardPlan { shard_gids }
-}
-
 /// Greedy LPT bin-packing: place groups in descending estimated cost
 /// (ties broken by ascending gid), each onto the currently least-loaded
 /// shard (ties broken by lowest shard index). Fully deterministic; with
-/// uniform estimates it reproduces round-robin exactly, so a cost-aware
-/// session's *first* document runs the identical partition the
-/// round-robin baseline would.
+/// uniform estimates it deals the groups out round-robin.
 pub(crate) fn lpt_plan(active_gids: &[usize], costs: &CostModel, nshards: usize) -> ShardPlan {
     let nshards = nshards.max(1);
     let mut ranked: Vec<usize> = active_gids.to_vec();
@@ -181,9 +140,9 @@ pub(crate) fn imbalance_millis(loads: &[u64]) -> u64 {
 
 /// Per-group cost estimates driving LPT planning.
 ///
-/// Seeded uniform (every active group costs 1) so the initial plan is
-/// round-robin-equivalent; optionally pre-seeded from a prior cost-ledger
-/// snapshot, and refined from measured per-document work thereafter. The
+/// Seeded uniform (every active group costs 1), optionally pre-seeded
+/// from a prior cost-ledger snapshot, and refined from measured
+/// per-document work thereafter. The
 /// refinement is an integer average of the previous estimate and the new
 /// observation — enough smoothing to ride out per-document variance,
 /// deterministic by construction.
@@ -295,11 +254,14 @@ mod tests {
         m
     }
 
-    #[test]
-    fn placement_parses_cli_spellings() {
-        assert_eq!(Placement::parse("round-robin"), Some(Placement::RoundRobin));
-        assert_eq!(Placement::parse("cost"), Some(Placement::CostAware));
-        assert_eq!(Placement::parse("lpt"), None);
+    /// Round-robin in ascending gid order: the reference LPT must
+    /// reproduce under uniform costs.
+    fn round_robin_plan(active_gids: &[usize], nshards: usize) -> ShardPlan {
+        let mut shard_gids: Vec<Vec<usize>> = (0..nshards).map(|_| Vec::new()).collect();
+        for (i, &gid) in active_gids.iter().enumerate() {
+            shard_gids[i % nshards].push(gid);
+        }
+        ShardPlan { shard_gids }
     }
 
     #[test]
@@ -309,6 +271,8 @@ mod tests {
         let lpt = lpt_plan(&gids, &costs, 2);
         assert_eq!(lpt, round_robin_plan(&gids, 2));
         assert_eq!(lpt.shard_gids, [vec![0, 3, 8], vec![2, 7]]);
+        assert_eq!(lpt_plan(&[4, 5], &costs, 1).shard_gids, [vec![4, 5]]);
+        assert_eq!(lpt_plan(&[], &costs, 3), round_robin_plan(&[], 3));
     }
 
     #[test]

@@ -217,14 +217,10 @@ pub(crate) struct GroupPool<'a> {
 }
 
 impl<'a> GroupPool<'a> {
-    /// Stocks the pool with the session's active groups; `group_slots`
-    /// sizes the gid-indexed table.
-    pub(crate) fn new(groups: Vec<(usize, &'a mut PlanGroup)>, group_slots: usize) -> Self {
-        let mut slots: Vec<Mutex<Option<&'a mut PlanGroup>>> =
-            (0..group_slots).map(|_| Mutex::new(None)).collect();
-        for (gid, group) in groups {
-            slots[gid] = Mutex::new(Some(group));
-        }
+    /// Stocks the pool with the active groups of the planner's
+    /// gid-indexed group table.
+    pub(crate) fn new(groups: &'a mut [PlanGroup]) -> Self {
+        let slots = groups.iter_mut().map(|g| Mutex::new(g.is_active().then_some(g))).collect();
         GroupPool { slots }
     }
 
@@ -277,7 +273,7 @@ pub(crate) struct GroupSnapshot {
     /// Sampled self-time (ns) this group's machines spent inside event
     /// handlers during the document. Timing-class: lives here rather than
     /// on [`MachineStats`] because the stats struct is asserted equal
-    /// across shard/dispatch configurations. Zero unless profiling is on.
+    /// across shard configurations. Zero unless profiling is on.
     pub(crate) self_ns: u64,
 }
 
@@ -317,7 +313,6 @@ const SELF_SAMPLE: u64 = 1024;
 pub(crate) fn run_worker(
     shard: usize,
     pool: &GroupPool<'_>,
-    use_index: bool,
     nsymbols: usize,
     prefix_mode: bool,
     fault: Option<u64>,
@@ -327,18 +322,7 @@ pub(crate) fn run_worker(
     out: Sender<WorkerReport>,
 ) {
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        worker_loop(
-            shard,
-            pool,
-            use_index,
-            nsymbols,
-            prefix_mode,
-            fault,
-            swap_fault,
-            profiled,
-            &ring,
-            &out,
-        );
+        worker_loop(shard, pool, nsymbols, prefix_mode, fault, swap_fault, profiled, &ring, &out);
     }));
     // The guard inside worker_loop already reported the poisoning.
     let _ = result;
@@ -360,7 +344,6 @@ fn event_seq(ev: &ShardEvent) -> Option<u64> {
 fn worker_loop<'a>(
     shard: usize,
     pool: &GroupPool<'a>,
-    use_index: bool,
     nsymbols: usize,
     prefix_mode: bool,
     fault: Option<u64>,
@@ -388,8 +371,6 @@ fn worker_loop<'a>(
     let mut cur_version: Option<u64> = None;
     let mut index = DispatchIndex::default();
     let mut local_of: Vec<u32> = Vec::new();
-    // Ascending global gids, indexable by local slot (the scan path).
-    let mut gids: Vec<u32> = Vec::new();
     let mut prefix: Option<Arc<PrefixMap>> = None;
 
     // Prefix-mode scratch: per-event main plans, predicate targets and
@@ -438,8 +419,8 @@ fn worker_loop<'a>(
                         panic!("injected shard-worker fault at seq {f}");
                     }
                 }
-                // Routes this event to the machine of local group `li`. Both
-                // dispatch paths visit groups in ascending global gid order,
+                // Routes this event to the machine of local group `li`. The
+                // index visits groups in ascending global gid order,
                 // mirroring the single-threaded engine.
                 let mut touch = |li: u32, seq: u64, gid: u32| {
                     let sampled = profiled && {
@@ -509,7 +490,6 @@ fn worker_loop<'a>(
                                 }
                                 local_of[*gid] = li as u32;
                             }
-                            gids = groups.iter().map(|(gid, _)| *gid as u32).collect();
                             prefix =
                                 prefix_mode.then(|| Arc::clone(&assignment.prefix_maps[shard]));
                             cur_version = Some(assignment.version);
@@ -544,11 +524,7 @@ fn worker_loop<'a>(
                         }
                         plans.sort_unstable();
                         pred_lis.clear();
-                        if use_index {
-                            index.for_each_element_target(*sym, |gid| pred_lis.push(local_of[gid]));
-                        } else {
-                            pred_lis.extend(0..groups.len() as u32);
-                        }
+                        index.for_each_element_target(*sym, |gid| pred_lis.push(local_of[gid]));
                         frames.push(frame_lis.len() as u32);
                         crate::multi::merge_prefix_targets(
                             &plans,
@@ -607,25 +583,12 @@ fn worker_loop<'a>(
                         frame_lis.truncate(base);
                     }
                     ShardEvent::Start { seq, sym, .. } | ShardEvent::End { seq, sym, .. } => {
-                        if use_index {
-                            index.for_each_element_target(*sym, |gid| {
-                                touch(local_of[gid], *seq, gid as u32)
-                            });
-                        } else {
-                            for (li, &gid) in gids.iter().enumerate() {
-                                touch(li as u32, *seq, gid);
-                            }
-                        }
+                        index.for_each_element_target(*sym, |gid| {
+                            touch(local_of[gid], *seq, gid as u32)
+                        });
                     }
                     ShardEvent::Text { seq, .. } => {
-                        if use_index {
-                            index
-                                .for_each_text_target(|gid| touch(local_of[gid], *seq, gid as u32));
-                        } else {
-                            for (li, &gid) in gids.iter().enumerate() {
-                                touch(li as u32, *seq, gid);
-                            }
-                        }
+                        index.for_each_text_target(|gid| touch(local_of[gid], *seq, gid as u32));
                     }
                     ShardEvent::DocEnd { .. } => {
                         doc_stats = Some(

@@ -44,8 +44,8 @@ impl Snapshot {
     }
 
     /// The deterministic counter subset as `(name, value)` rows — the part
-    /// of the snapshot that must be invariant across dispatch modes and
-    /// shard counts (the differential battery compares this byte-for-byte
+    /// of the snapshot that must be invariant across shard counts and
+    /// front-ends (the differential battery compares this byte-for-byte
     /// via [`Snapshot::deterministic_json`]).
     pub fn deterministic_counters(&self) -> Vec<(&'static str, u64)> {
         self.counters.iter().filter(|c| c.deterministic).map(|c| (c.name, c.value)).collect()

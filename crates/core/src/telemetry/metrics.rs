@@ -8,7 +8,7 @@
 //! live.
 //!
 //! Determinism classes matter for testing: a metric marked `deterministic`
-//! must be byte-identical across dispatch modes and shard counts for the
+//! must be byte-identical across shard counts and front-ends for the
 //! same document + query set + plan mode (the differential battery enforces
 //! this). Timers, ring/backpressure counters, and parse-front-end counters
 //! are scheduling-dependent and are excluded from equality.
@@ -240,11 +240,10 @@ pub struct Registry {
     pub worker_idle_ns: Counter,
     /// Matches released by the merger (`vitex_merge_released_total`).
     pub merge_released: Counter,
-    /// Mid-session shard repartitions performed by the cost-aware placer
-    /// (`vitex_shard_repartitions_total`). Placement-dependent — the
-    /// round-robin baseline never repartitions — and shard-count
-    /// dependent, so excluded from the deterministic class even though
-    /// the decision stream is reproducible for a fixed configuration.
+    /// Mid-session shard repartitions performed by the placer
+    /// (`vitex_shard_repartitions_total`). Shard-count dependent, so
+    /// excluded from the deterministic class even though the decision
+    /// stream is reproducible for a fixed configuration.
     pub shard_repartitions: Counter,
     /// Wall nanoseconds for whole-document runs (`vitex_doc_ns_total`).
     pub doc_ns: Counter,
@@ -296,8 +295,8 @@ pub struct Registry {
 pub struct CounterRow {
     /// Prometheus-style metric name.
     pub name: &'static str,
-    /// Whether the value must be invariant across dispatch modes and shard
-    /// counts (see module docs).
+    /// Whether the value must be invariant across shard counts and
+    /// front-ends (see module docs).
     pub deterministic: bool,
     /// Counter value at snapshot time.
     pub value: u64,

@@ -13,8 +13,8 @@
 //!
 //! Deterministic counters (stream, machine, plan, prefix) are folded from
 //! the per-run stat structs *after* a run — on the document thread, per
-//! subscription — so their values are invariant across dispatch modes and
-//! shard counts by construction. Timing counters, ring/backpressure
+//! subscription — so their values are invariant across shard counts and
+//! front-ends by construction. Timing counters, ring/backpressure
 //! metrics, and parse front-end counters are recorded live from whichever
 //! thread does the work and are scheduling-dependent.
 
@@ -200,7 +200,7 @@ impl Telemetry {
     /// Fold one subscription's machine counters. Folding per subscription —
     /// not per plan group — keeps the totals plan-mode-invariant: a query
     /// that duplicates another reports the shared machine's stats under
-    /// both subscriptions, exactly as unshared planning would.
+    /// both subscriptions, exactly as two private engines would.
     pub fn fold_machine(&self, s: &MachineStats) {
         if let Some(inner) = &self.inner {
             let r = &inner.registry;

@@ -13,7 +13,7 @@
 //!   dispatch hits, matches, emitted bytes) are folded on the document
 //!   thread from the same per-run [`MachineStats`] the engine already
 //!   reports per subscription. Because those stats are invariant across
-//!   dispatch mode, plan mode, shard count, and parse front-end (the
+//!   plan mode, shard count, and parse front-end (the
 //!   differential batteries assert it), the per-query profile is
 //!   **byte-identical** across every execution configuration —
 //!   [`ProfileSnapshot::deterministic_json`] is comparable with `==`.
@@ -44,7 +44,7 @@ pub const PROFILE_SCHEMA: &str = "vitex.profile.v1";
 
 /// Deterministic per-subscription cost counters, keyed by [`QueryId`] and
 /// the query's source text. All counter fields are invariant across
-/// dispatch × plan × shard × front-end configurations.
+/// plan × shard × front-end configurations.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueryCost {
     /// Registration index of the subscription.
@@ -82,10 +82,10 @@ impl QueryCost {
     }
 }
 
-/// Per-plan-group cost diagnostics. Group composition depends on the plan
-/// mode (unshared planning runs one group per registration; shared modes
-/// dedupe), and self-time/hold figures are scheduling-dependent, so none
-/// of this participates in deterministic comparisons.
+/// Per-plan-group cost diagnostics. Group composition depends on which
+/// registrations dedupe, and self-time/hold figures are
+/// scheduling-dependent, so none of this participates in deterministic
+/// comparisons.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GroupCost {
     /// Plan group id.
@@ -346,9 +346,9 @@ impl ProfileSnapshot {
     }
 
     /// Canonical JSON of the deterministic section only (schema, document
-    /// count, per-query counters). Byte-identical across dispatch × plan
-    /// × shard × front-end configurations for the same document stream
-    /// and query set — tests compare it with `==`.
+    /// count, per-query counters). Byte-identical across plan × shard ×
+    /// front-end configurations for the same document stream and query
+    /// set — tests compare it with `==`.
     pub fn deterministic_json(&self) -> String {
         format!(
             "{{\"schema\":\"{PROFILE_SCHEMA}\",\"docs\":{},\"queries\":{}}}",

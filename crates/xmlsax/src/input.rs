@@ -27,8 +27,6 @@ pub struct Scanner<R: Read> {
     /// The underlying reader reported end-of-stream.
     source_eof: bool,
     pos: TextPosition,
-    /// Whether class runs use the SWAR word-at-a-time scan.
-    wide: bool,
     /// Class-run bytes advanced by the SWAR wide path (plain integers:
     /// the accounting is two adds per *run*, not per byte, so it stays on
     /// even when no probe ever reads it).
@@ -53,7 +51,6 @@ impl<R: Read> Scanner<R> {
             end: 0,
             source_eof: false,
             pos: TextPosition::START,
-            wide: true,
             scan_wide_bytes: 0,
             scan_scalar_bytes: 0,
         }
@@ -66,13 +63,6 @@ impl<R: Read> Scanner<R> {
         let mut sc = Scanner::with_capacity(source, capacity);
         sc.pos = pos;
         sc
-    }
-
-    /// Enables or disables the SWAR wide scan inside class runs (enabled
-    /// by default). Disabling it forces the scalar per-byte loop — useful
-    /// for isolating the wide-scan speedup in benchmarks.
-    pub fn set_wide_scan(&mut self, wide: bool) {
-        self.wide = wide;
     }
 
     /// Class-run scan accounting since construction: `(wide_bytes,
@@ -286,7 +276,7 @@ impl<R: Read> Scanner<R> {
                 break;
             }
             let window = &self.buf[self.start..self.end];
-            let n = match class.find_stop(window, self.wide) {
+            let n = match class.find_stop(window) {
                 Some(0) => break,
                 Some(stop) => stop,
                 None => window.len(),
@@ -294,7 +284,7 @@ impl<R: Read> Scanner<R> {
             let run = &self.buf[self.start..self.start + n];
             sink(run);
             self.pos.advance_ascii_run(run);
-            if self.wide && class.wide.ok {
+            if class.wide.ok {
                 // The first word of every run is probed scalar-wise before
                 // the SWAR loop takes over (see ByteClass::find_stop).
                 let probe = n.min(8) as u64;
@@ -432,14 +422,14 @@ impl ByteClass {
     }
 
     /// Index of the first byte of `window` *not* in the class, or `None`
-    /// if every byte is a member. With `wide` set (and a decomposable
-    /// class) the window is classified 8 bytes per step via
-    /// [`WideSpec::stop_mask`]; the scalar loop handles the tail and
-    /// serves as the fallback.
+    /// if every byte is a member. A decomposable class is classified 8
+    /// bytes per step via [`WideSpec::stop_mask`]; the scalar loop
+    /// ([`ByteClass::find_stop_scalar`]) handles the tail and is the whole
+    /// scan for a class SWAR cannot express.
     #[inline]
-    pub(crate) fn find_stop(&self, window: &[u8], wide: bool) -> Option<usize> {
+    pub(crate) fn find_stop(&self, window: &[u8]) -> Option<usize> {
         let mut i = 0;
-        if wide && self.wide.ok {
+        if self.wide.ok {
             // Most runs are short (tag/attribute names average well under
             // 8 bytes): probe the first word scalar-wise so they never
             // pay the SWAR setup; only runs that survive it go wide.
@@ -477,7 +467,14 @@ impl ByteClass {
                 i += 8;
             }
         }
-        window[i..].iter().position(|&b| !self.contains(b)).map(|p| i + p)
+        self.find_stop_scalar(window, i)
+    }
+
+    /// [`ByteClass::find_stop`] from offset `from`, one table lookup per
+    /// byte.
+    #[inline]
+    fn find_stop_scalar(&self, window: &[u8], from: usize) -> Option<usize> {
+        window[from..].iter().position(|&b| !self.contains(b)).map(|p| from + p)
     }
 }
 
@@ -690,7 +687,7 @@ mod tests {
         });
         assert!(!class.wide.ok);
         // find_stop still works via the scalar fallback.
-        assert_eq!(class.find_stop(b"\x00\x02\x04\x05", true), Some(3));
+        assert_eq!(class.find_stop(b"\x00\x02\x04\x05"), Some(3));
     }
 
     #[test]
@@ -712,15 +709,15 @@ mod tests {
             let mut window = vec![b'a'; 20];
             for &stop in &[b'<', b'&', b'\r', 0x80u8, 0x00] {
                 window[stop_at] = stop;
-                let wide = TEXTISH.find_stop(&window, true);
-                let scalar = TEXTISH.find_stop(&window, false);
+                let wide = TEXTISH.find_stop(&window);
+                let scalar = TEXTISH.find_stop_scalar(&window, 0);
                 assert_eq!(wide, scalar, "stop {stop:#x} at {stop_at}");
                 assert_eq!(wide, Some(stop_at));
                 window[stop_at] = b'a';
             }
         }
-        assert_eq!(TEXTISH.find_stop(&[b'x'; 23], true), None);
-        assert_eq!(TEXTISH.find_stop(&[], true), None);
+        assert_eq!(TEXTISH.find_stop(&[b'x'; 23]), None);
+        assert_eq!(TEXTISH.find_stop(&[]), None);
     }
 
     #[test]
@@ -744,8 +741,8 @@ mod tests {
                 window.push((state >> 56) as u8);
             }
             assert_eq!(
-                TEXTISH.find_stop(&window, true),
-                TEXTISH.find_stop(&window, false),
+                TEXTISH.find_stop(&window),
+                TEXTISH.find_stop_scalar(&window, 0),
                 "window {window:?}"
             );
         }
@@ -777,10 +774,18 @@ mod tests {
         let (wide, scalar) = sc.scan_counts();
         assert_eq!(wide + scalar, 100);
         assert_eq!(scalar, 8, "first word is always probed scalar-wise");
-        // With the wide scan disabled everything is scalar.
-        let mut sc = scan(&text);
-        sc.set_wide_scan(false);
-        sc.skip_class_run(&ALL).unwrap();
+        // A class SWAR cannot express (every other byte) scans scalar.
+        static EVEN: ByteClass = ByteClass::new({
+            let mut t = [false; 256];
+            let mut b = 0usize;
+            while b < 0x80 {
+                t[b] = b.is_multiple_of(2);
+                b += 1;
+            }
+            t
+        });
+        let mut sc = scan(&"bd".repeat(50));
+        sc.skip_class_run(&EVEN).unwrap();
         assert_eq!(sc.scan_counts(), (0, 100));
     }
 
@@ -805,17 +810,14 @@ mod tests {
     }
 
     #[test]
-    fn scalar_mode_matches_wide_mode_end_to_end() {
+    fn class_run_crosses_windows_end_to_end() {
         static ALL: ByteClass = ByteClass::new([true; 256]);
         let text = format!("{}\n{}\x7f tail", "run ".repeat(50), "line".repeat(9));
-        for wide in [true, false] {
-            let mut sc = Scanner::with_capacity(Cursor::new(text.clone().into_bytes()), 32);
-            sc.set_wide_scan(wide);
-            let mut out = String::new();
-            let n = sc.consume_class_run(&ALL, &mut out).unwrap();
-            assert_eq!(n, text.len(), "wide={wide}");
-            assert_eq!(out, text);
-            assert_eq!(sc.position().line, 2);
-        }
+        let mut sc = Scanner::with_capacity(Cursor::new(text.clone().into_bytes()), 32);
+        let mut out = String::new();
+        let n = sc.consume_class_run(&ALL, &mut out).unwrap();
+        assert_eq!(n, text.len());
+        assert_eq!(out, text);
+        assert_eq!(sc.position().line, 2);
     }
 }

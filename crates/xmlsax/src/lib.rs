@@ -20,12 +20,9 @@
 //!
 //! ## APIs
 //!
-//! Two complementary interfaces are provided:
-//!
-//! * a **pull** API, [`XmlReader`], an iterator-style `next_event()` loop —
-//!   this is what `vitex-core`'s engine drives;
-//! * a **push** (classic SAX) API, [`push::Handler`] +
-//!   [`push::parse_document`], for callers that prefer callbacks.
+//! The interface is a **pull** API: [`XmlReader`], an iterator-style
+//! `next_event()` loop — this is what `vitex-core`'s engine drives (any
+//! [`EventSource`] will do, including the chunked [`ParallelReader`]).
 //!
 //! A streaming [`writer::XmlWriter`] (used by the `vitex-xmlgen` dataset
 //! generators) and entity/escaping utilities round out the crate.
@@ -75,7 +72,6 @@ pub mod name;
 pub mod par;
 pub mod pos;
 pub mod probe;
-pub mod push;
 pub mod reader;
 pub mod writer;
 

@@ -130,9 +130,11 @@ struct OpenElem {
 /// [`next_event`]: EventSource::next_event
 pub struct ParallelReader {
     inner: Inner,
-    /// Set once `EndDocument` has been observed through [`Self::next_batch`]
-    /// (the batch API never yields it; later calls return `None`).
-    batches_done: bool,
+    /// How the stream ended, once [`Self::next_batch`] has observed it:
+    /// `Ok` for `EndDocument` (the batch API never yields it; later calls
+    /// return `None`), `Err` for the stream's terminal error (later calls
+    /// return it, whatever the inner reader would do when polled again).
+    batch_end: Option<XmlResult<()>>,
 }
 
 enum Inner {
@@ -185,7 +187,7 @@ impl ParallelReader {
             if let Some(p) = probe {
                 reader.set_probe(p);
             }
-            return ParallelReader { inner: Inner::Seq { reader, stats }, batches_done: false };
+            return ParallelReader { inner: Inner::Seq { reader, stats }, batch_end: None };
         }
         let bytes = Arc::new(bytes);
         let source = spawn_parse_workers(
@@ -223,7 +225,7 @@ impl ParallelReader {
                 stats,
                 probe,
             })),
-            batches_done: false,
+            batch_end: None,
         }
     }
 
@@ -231,28 +233,26 @@ impl ParallelReader {
     /// dispatch: up to an internal cap of owned events per call. The
     /// stream-terminating `EndDocument` is never included — exhaustion is
     /// signalled by `Ok(None)`, after the same end-of-document
-    /// well-formedness checks `next_event` performs. Errors are sticky,
-    /// exactly as for [`next_event`].
-    ///
-    /// [`next_event`]: EventSource::next_event
+    /// well-formedness checks `next_event` performs. An error never
+    /// swallows the valid events collected before it: they are returned
+    /// first, and the (sticky) error surfaces on the next call.
     pub fn next_batch(&mut self) -> XmlResult<Option<Vec<XmlEvent>>> {
         const BATCH_EVENTS: usize = 256;
-        if self.batches_done {
-            return Ok(None);
-        }
-        let mut events = Vec::with_capacity(BATCH_EVENTS);
-        while events.len() < BATCH_EVENTS {
-            let ev = self.next_event()?;
-            if ev.is_end_document() {
-                self.batches_done = true;
-                break;
+        let room = if self.batch_end.is_none() { BATCH_EVENTS } else { 0 };
+        let mut events = Vec::with_capacity(room);
+        while self.batch_end.is_none() && events.len() < room {
+            match self.next_event() {
+                Ok(ev) if ev.is_end_document() => self.batch_end = Some(Ok(())),
+                Ok(ev) => events.push(ev),
+                Err(e) => self.batch_end = Some(Err(e)),
             }
-            events.push(ev);
         }
-        if events.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(events))
+        if !events.is_empty() {
+            return Ok(Some(events));
+        }
+        match &self.batch_end {
+            Some(Err(e)) => Err(e.clone()),
+            _ => Ok(None),
         }
     }
 

@@ -38,9 +38,6 @@ pub struct ReaderConfig {
     pub max_depth: usize,
     /// Sliding-window buffer size in bytes. Default: 64 KiB.
     pub buffer_capacity: usize,
-    /// Use the SWAR word-at-a-time scan inside class runs. Default: `true`;
-    /// disable to force the scalar per-byte loop (benchmark ablation).
-    pub wide_scan: bool,
 }
 
 impl Default for ReaderConfig {
@@ -51,7 +48,6 @@ impl Default for ReaderConfig {
             entity_limits: EntityLimits::default(),
             max_depth: 4096,
             buffer_capacity: 64 * 1024,
-            wide_scan: true,
         }
     }
 }
@@ -155,10 +151,8 @@ impl<R: Read> XmlReader<R> {
 
     /// Creates a reader with explicit configuration.
     pub fn with_config(source: R, config: ReaderConfig) -> Self {
-        let mut scanner = Scanner::with_capacity(source, config.buffer_capacity);
-        scanner.set_wide_scan(config.wide_scan);
         XmlReader {
-            scanner,
+            scanner: Scanner::with_capacity(source, config.buffer_capacity),
             config,
             state: DocState::Init,
             open: Vec::new(),
@@ -182,10 +176,8 @@ impl<R: Read> XmlReader<R> {
     /// locally as events with an empty element span (resolved at replay),
     /// and reports end-of-input as `EndDocument`.
     pub(crate) fn fragment(source: R, config: ReaderConfig, start: TextPosition) -> Self {
-        let mut scanner = Scanner::with_capacity_at(source, config.buffer_capacity, start);
-        scanner.set_wide_scan(config.wide_scan);
         XmlReader {
-            scanner,
+            scanner: Scanner::with_capacity_at(source, config.buffer_capacity, start),
             config,
             state: DocState::InRoot,
             open: Vec::new(),

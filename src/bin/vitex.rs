@@ -26,8 +26,7 @@ use std::sync::Arc;
 
 use vitex_core::telemetry::{trace_json, Heartbeat, Telemetry};
 use vitex_core::{
-    DispatchMode, Engine, EvalMode, Match, MatchKind, MultiOutput, Placement, PlanMode, QueryId,
-    ShardedEngine,
+    Engine, EvalMode, Match, MatchKind, MultiOutput, PlanMode, QueryId, ShardedEngine,
 };
 use vitex_xmlsax::{
     EventSource, ParStats, ParallelConfig, ParallelReader, ProbeHandle, XmlEvent, XmlReader,
@@ -35,6 +34,7 @@ use vitex_xmlsax::{
 };
 use vitex_xpath::QueryTree;
 
+#[derive(Default)]
 struct Options {
     queries: Vec<String>,
     file: Option<String>,
@@ -42,15 +42,9 @@ struct Options {
     values: bool,
     stats: bool,
     eager: bool,
-    scan_dispatch: bool,
-    no_plan_sharing: bool,
     prefix_sharing: bool,
     shards: usize,
-    /// Group→shard planning policy for `--shards >= 2` runs; cost-aware
-    /// by default, `--placement round-robin` is the escape hatch.
-    placement: Placement,
     parse_threads: usize,
-    no_overlap: bool,
     machine: bool,
     metrics: bool,
     metrics_json: Option<String>,
@@ -78,12 +72,11 @@ impl Options {
 
     /// Whether the overlapped front-end runs: parse workers feed shard
     /// rings through publisher threads instead of funneling every event
-    /// through the document thread's pump. On by default as soon as both
-    /// `--parse-threads` and `--shards` exceed 1; `--no-overlap` keeps
-    /// the pipelined front-end for comparison (identical output either
+    /// through the document thread's pump. Selected as soon as both
+    /// `--parse-threads` and `--shards` exceed 1 (identical output either
     /// way).
     fn overlapped(&self) -> bool {
-        !self.no_overlap && self.parse_threads >= 2 && self.shards >= 2
+        self.parse_threads >= 2 && self.shards >= 2
     }
 }
 
@@ -96,13 +89,9 @@ const FLAGS: &[&str] = &[
     "--values",
     "--stats",
     "--eager",
-    "--scan-dispatch",
-    "--no-plan-sharing",
     "--prefix-sharing",
     "--shards",
-    "--placement",
     "--parse-threads",
-    "--no-overlap",
     "--machine",
     "--metrics",
     "--metrics-json",
@@ -114,9 +103,8 @@ const FLAGS: &[&str] = &[
     "--help",
 ];
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: vitex [OPTIONS] <QUERY> [FILE]\n\
+fn usage_text() -> &'static str {
+    "usage: vitex [OPTIONS] <QUERY> [FILE]\n\
          \x20      vitex [OPTIONS] -e <QUERY> [-e <QUERY> ...] [FILE]\n\
          \n\
          Streams FILE (or stdin) through the TwigM machine(s) and prints every\n\
@@ -131,16 +119,10 @@ fn usage() -> ! {
          \x20 --values               print attribute values / text content instead of byte spans\n\
          \x20 --stats                print stream + machine + plan (+ parallel-parse) statistics on stderr\n\
          \x20 --eager                eager (ablation) candidate propagation; single-query sequential runs only\n\
-         \x20 --scan-dispatch        multi-query: poke every machine per event instead of using the dispatch index\n\
-         \x20 --no-plan-sharing      multi-query: one machine per registration (no dedup, no shared-prefix trie)\n\
          \x20 --prefix-sharing       multi-query: advance shared main-path prefixes once per event (same output)\n\
          \x20 --shards <N>           run plan groups on N worker threads; output identical to N=1 (default 1)\n\
-         \x20 --placement <P>        group->shard planning for --shards >= 2: 'cost' (default; LPT over\n\
-         \x20                        ledger-refined estimates, repartitions between documents) or\n\
-         \x20                        'round-robin' (skew-oblivious baseline); output identical either way\n\
-         \x20 --parse-threads <N>    parse the document itself on N threads; 0 or 1 = sequential (default 1)\n\
-         \x20 --no-overlap           keep the pipelined front-end even when --parse-threads and --shards\n\
-         \x20                        both exceed 1 (default: overlapped parse->match; identical output)\n\
+         \x20 --parse-threads <N>    parse the document itself on N threads; 0 or 1 = sequential (default 1);\n\
+         \x20                        with --shards >= 2 the parse overlaps with matching (same output)\n\
          \x20 --machine              dump the compiled TwigM machine(s) and exit without reading a document\n\
          \x20 --metrics              print a human-readable telemetry summary on stderr after the run\n\
          \x20 --metrics-json <PATH>  write a metrics snapshot (vitex.metrics.v1 JSON) to PATH\n\
@@ -156,8 +138,6 @@ fn usage() -> ! {
          \x20 vitex --count '//section[author]//table[position]//cell' book.xml\n\
          \x20 vitex -e '//quote[symbol = \"ACME\"]/price' -e '//quote/@seq' feed.xml\n\
          \x20 vitex --shards 4 --metrics-json m.json --trace-out t.json -e '//a' -e '//b' doc.xml"
-    );
-    std::process::exit(2)
 }
 
 /// Levenshtein edit distance, for the unknown-option suggestion.
@@ -176,113 +156,112 @@ fn edit_distance(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
-/// Rejects an unrecognized `-`/`--` argument, suggesting the closest known
-/// flag when one is plausibly near.
-fn unknown_flag(arg: &str) -> ! {
-    let nearest = FLAGS
-        .iter()
-        .map(|f| (edit_distance(arg, f), *f))
-        .min()
-        .filter(|(d, _)| *d <= 3)
-        .map(|(_, f)| f);
-    match nearest {
-        Some(f) => eprintln!("vitex: unknown option '{arg}' (did you mean '{f}'?)"),
-        None => eprintln!("vitex: unknown option '{arg}'"),
-    }
-    eprintln!("run 'vitex --help' for the option list");
-    std::process::exit(2)
+/// Why the command line was rejected (always exit code 2).
+#[derive(Debug, PartialEq)]
+enum CliError {
+    /// A malformed invocation with nothing more specific to say (no
+    /// query, too many positionals) — or `--help`: print the usage text.
+    Usage,
+    /// An unrecognized `-`/`--` argument.
+    UnknownFlag(String),
+    /// A known flag whose value is missing or does not parse.
+    BadValue { flag: String, expects: &'static str, got: Option<String> },
 }
 
-fn parse_args() -> Options {
+impl CliError {
+    /// The stderr text: the usage, or a one-line diagnosis plus a pointer
+    /// to `--help` (an unknown flag also names the closest known one when
+    /// one is plausibly near).
+    fn message(&self) -> String {
+        let diagnosis = match self {
+            CliError::Usage => return usage_text().to_owned(),
+            CliError::UnknownFlag(arg) => {
+                let nearest = FLAGS
+                    .iter()
+                    .map(|f| (edit_distance(arg, f), *f))
+                    .min()
+                    .filter(|(d, _)| *d <= 3)
+                    .map(|(_, f)| f);
+                match nearest {
+                    Some(f) => format!("unknown option '{arg}' (did you mean '{f}'?)"),
+                    None => format!("unknown option '{arg}'"),
+                }
+            }
+            CliError::BadValue { flag, expects, got: Some(got) } => {
+                format!("{flag} expects {expects}, got '{got}'")
+            }
+            CliError::BadValue { flag, expects, got: None } => {
+                format!("{flag} expects {expects}, got nothing")
+            }
+        };
+        format!("vitex: {diagnosis}\nrun 'vitex --help' for the option list")
+    }
+}
+
+/// Parses the value of `flag`: `got` is the next argument, if any.
+fn value<T>(
+    flag: &str,
+    expects: &'static str,
+    got: Option<String>,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<T, CliError> {
+    got.as_deref().and_then(parse).ok_or_else(|| CliError::BadValue {
+        flag: flag.to_owned(),
+        expects,
+        got,
+    })
+}
+
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, CliError> {
     let mut positional_query = None;
-    let mut file = None;
-    let mut opts = Options {
-        queries: Vec::new(),
-        file: None,
-        count: false,
-        values: false,
-        stats: false,
-        eager: false,
-        scan_dispatch: false,
-        no_plan_sharing: false,
-        prefix_sharing: false,
-        shards: 1,
-        placement: Placement::CostAware,
-        parse_threads: 1,
-        no_overlap: false,
-        machine: false,
-        metrics: false,
-        metrics_json: None,
-        trace_out: None,
-        profile: false,
-        profile_json: None,
-        heartbeat: 0,
-    };
-    let mut args = std::env::args().skip(1);
+    let mut opts = Options { shards: 1, parse_threads: 1, ..Options::default() };
+    let text = |s: &str| Some(s.to_owned());
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "-e" | "--query" => match args.next() {
-                Some(q) => opts.queries.push(q),
-                None => usage(),
-            },
+            "-e" | "--query" => opts.queries.push(value(&arg, "a query", args.next(), text)?),
             "--count" => opts.count = true,
             "--values" => opts.values = true,
             "--stats" => opts.stats = true,
             "--eager" => opts.eager = true,
-            "--scan-dispatch" => opts.scan_dispatch = true,
-            "--no-plan-sharing" => opts.no_plan_sharing = true,
             "--prefix-sharing" => opts.prefix_sharing = true,
-            "--shards" => match args.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => opts.shards = n,
-                _ => usage(),
-            },
-            "--placement" => match args.next().as_deref().and_then(Placement::parse) {
-                Some(p) => opts.placement = p,
-                None => usage(),
-            },
-            "--parse-threads" => match args.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) => opts.parse_threads = n,
-                None => usage(),
-            },
-            "--no-overlap" => opts.no_overlap = true,
+            "--shards" => {
+                opts.shards = value(&arg, "a positive integer", args.next(), |n| {
+                    n.parse().ok().filter(|&n: &usize| n >= 1)
+                })?
+            }
+            "--parse-threads" => {
+                opts.parse_threads =
+                    value(&arg, "a non-negative integer", args.next(), |n| n.parse().ok())?
+            }
             "--machine" => opts.machine = true,
             "--metrics" => opts.metrics = true,
-            "--metrics-json" => match args.next() {
-                Some(p) => opts.metrics_json = Some(p),
-                None => usage(),
-            },
-            "--trace-out" => match args.next() {
-                Some(p) => opts.trace_out = Some(p),
-                None => usage(),
-            },
+            "--metrics-json" => opts.metrics_json = Some(value(&arg, "a path", args.next(), text)?),
+            "--trace-out" => opts.trace_out = Some(value(&arg, "a path", args.next(), text)?),
             "--profile" => opts.profile = true,
-            "--profile-json" => match args.next() {
-                Some(p) => opts.profile_json = Some(p),
-                None => usage(),
-            },
-            "--heartbeat" => match args.next().and_then(|n| n.parse::<u64>().ok()) {
-                Some(n) if n >= 1 => opts.heartbeat = n,
-                _ => usage(),
-            },
-            "--help" | "-h" => usage(),
+            "--profile-json" => opts.profile_json = Some(value(&arg, "a path", args.next(), text)?),
+            "--heartbeat" => {
+                opts.heartbeat = value(&arg, "a positive number of seconds", args.next(), |n| {
+                    n.parse().ok().filter(|&n: &u64| n >= 1)
+                })?
+            }
+            "--help" | "-h" => return Err(CliError::Usage),
             // A lone "-" stays positional (stdin convention); anything else
             // starting with '-' is a misspelled flag, not a query or file.
-            s if s.len() > 1 && s.starts_with('-') => unknown_flag(s),
+            s if s.len() > 1 && s.starts_with('-') => return Err(CliError::UnknownFlag(arg)),
             _ if positional_query.is_none() && opts.queries.is_empty() => {
                 positional_query = Some(arg)
             }
-            _ if file.is_none() => file = Some(arg),
-            _ => usage(),
+            _ if opts.file.is_none() => opts.file = Some(arg),
+            _ => return Err(CliError::Usage),
         }
     }
     if let Some(q) = positional_query {
         opts.queries.insert(0, q);
     }
     if opts.queries.is_empty() {
-        usage();
+        return Err(CliError::Usage);
     }
-    opts.file = file;
-    opts
+    Ok(opts)
 }
 
 fn describe(m: &Match, values: bool) -> String {
@@ -550,16 +529,8 @@ fn run_single(opts: &Options, tree: &QueryTree, telemetry: &Telemetry) -> ExitCo
 /// multi-engine. At `--shards 1` — the default — the sharded engine *is*
 /// the single-threaded `MultiEngine::run` path, bit for bit.
 fn run_multi(opts: &Options, trees: &[QueryTree], telemetry: &Telemetry) -> ExitCode {
-    let dispatch = if opts.scan_dispatch { DispatchMode::Scan } else { DispatchMode::Indexed };
-    let plan = if opts.no_plan_sharing {
-        PlanMode::Unshared
-    } else if opts.prefix_sharing {
-        PlanMode::PrefixShared
-    } else {
-        PlanMode::Shared
-    };
-    let mut multi = ShardedEngine::with_options(opts.shards, dispatch, plan);
-    multi.set_placement(opts.placement);
+    let plan = if opts.prefix_sharing { PlanMode::PrefixShared } else { PlanMode::Shared };
+    let mut multi = ShardedEngine::with_plan(opts.shards, plan);
     multi.set_telemetry(telemetry.clone());
     multi.set_profiling(opts.profiling_requested());
     for tree in trees {
@@ -680,11 +651,13 @@ fn run_multi(opts: &Options, trees: &[QueryTree], telemetry: &Telemetry) -> Exit
 }
 
 fn main() -> ExitCode {
-    let opts = parse_args();
-    if opts.no_plan_sharing && opts.prefix_sharing {
-        eprintln!("vitex: --no-plan-sharing and --prefix-sharing are mutually exclusive");
-        return ExitCode::from(2);
-    }
+    let opts = match parse_args(std::env::args().skip(1)) {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("{}", e.message());
+            return ExitCode::from(2);
+        }
+    };
     if let Some((flag_a, flag_b, path)) = duplicate_export_path(&opts) {
         eprintln!(
             "vitex: {flag_a} and {flag_b} both write to '{path}'; give each export its own file"
@@ -727,28 +700,69 @@ mod tests {
     use super::*;
 
     fn base_options() -> Options {
-        Options {
-            queries: vec!["//a".into()],
-            file: None,
-            count: false,
-            values: false,
-            stats: false,
-            eager: false,
-            scan_dispatch: false,
-            no_plan_sharing: false,
-            prefix_sharing: false,
-            shards: 1,
-            placement: Placement::CostAware,
-            parse_threads: 1,
-            no_overlap: false,
-            machine: false,
-            metrics: false,
-            metrics_json: None,
-            trace_out: None,
-            profile: false,
-            profile_json: None,
-            heartbeat: 0,
+        Options { queries: vec!["//a".into()], shards: 1, parse_threads: 1, ..Options::default() }
+    }
+
+    fn parse(args: &[&str]) -> Result<Options, CliError> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn flag_list_and_help_text_agree() {
+        let help = usage_text();
+        for flag in FLAGS {
+            let documented =
+                help.lines().any(|l| l.trim_start().split([' ', ',']).any(|w| w == *flag));
+            assert!(documented, "{flag} is missing from the help text");
         }
+        let options = help.split("options:").nth(1).expect("options section");
+        let options = options.split("examples:").next().expect("examples follow");
+        for word in options.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+            if word.starts_with("--") {
+                assert!(FLAGS.contains(&word), "help mentions {word}, which FLAGS lacks");
+            }
+        }
+        assert_eq!(FLAGS.len(), 18, "16 options, two of them with a short spelling");
+    }
+
+    #[test]
+    fn removed_flags_are_unknown_options() {
+        for flag in ["--scan-dispatch", "--no-plan-sharing", "--placement", "--no-overlap"] {
+            let err = parse(&[flag, "cost", "//a"]).err().expect("rejected");
+            assert_eq!(err, CliError::UnknownFlag(flag.to_string()));
+            assert!(err.message().starts_with(&format!("vitex: unknown option '{flag}'")));
+        }
+    }
+
+    #[test]
+    fn bad_flag_values_are_diagnosed_not_answered_with_the_usage() {
+        for (args, expected) in [
+            (&["--shards", "x", "//a"][..], "vitex: --shards expects a positive integer, got 'x'"),
+            (&["--shards", "0", "//a"], "vitex: --shards expects a positive integer, got '0'"),
+            (
+                &["//a", "--parse-threads", "-1"],
+                "vitex: --parse-threads expects a non-negative integer, got '-1'",
+            ),
+            (
+                &["//a", "--heartbeat", "0"],
+                "vitex: --heartbeat expects a positive number of seconds, got '0'",
+            ),
+            (&["-e"], "vitex: -e expects a query, got nothing"),
+            (&["//a", "--metrics-json"], "vitex: --metrics-json expects a path, got nothing"),
+        ] {
+            let message = parse(args).err().expect("rejected").message();
+            let mut lines = message.lines();
+            assert_eq!(lines.next(), Some(expected), "{args:?}");
+            assert_eq!(lines.next(), Some("run 'vitex --help' for the option list"));
+        }
+        assert_eq!(parse(&[]).err(), Some(CliError::Usage), "no query: usage text");
+        let opts = parse(&["--shards", "3", "-e", "//a", "-e", "//b", "doc.xml"]).expect("valid");
+        assert_eq!(
+            (opts.shards, opts.queries.len(), opts.file.as_deref()),
+            (3, 2, Some("doc.xml"))
+        );
+        assert!(!opts.overlapped(), "overlap needs --parse-threads >= 2 too");
+        assert!(parse(&["--shards", "2", "--parse-threads", "2", "//a"]).unwrap().overlapped());
     }
 
     #[test]

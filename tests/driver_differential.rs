@@ -1,16 +1,22 @@
 //! Driver-level differential tests: the single-query engine, the
-//! multi-query engine (in both dispatch modes) and the naive baseline must
+//! multi-query engine (in both plan modes) and the naive baseline must
 //! produce **identical node-id sequences** for a battery of queries over
 //! generated documents — deep-recursive (the paper's Figure 1 regime) and
-//! protein-shaped (the paper's headline dataset).
+//! protein-shaped (the paper's headline dataset). k independent
+//! single-query engines are the in-engine reference throughout: a
+//! multi-query run must reproduce their matches *and* their per-query
+//! machine statistics.
 //!
 //! This is the correctness gate for the unified [`DocumentDriver`] layer:
-//! all engines now share one SAX loop, one numbering scheme and one
+//! all engines share one SAX loop, one numbering scheme and one
 //! interner-resolution path, so any disagreement here points at the
 //! dispatch index or the symbol plumbing.
 
+mod common;
+
+use common::structural;
 use vitex::baseline::{naive, NaiveConfig};
-use vitex::core::{DispatchMode, Engine, MultiEngine, PlanMode, ShardedEngine};
+use vitex::core::{Engine, EvalOutput, Match, MultiEngine, PlanMode, ShardedEngine};
 use vitex::xmlgen::{protein, recursive};
 use vitex::xmlsax::XmlReader;
 use vitex::xpath::QueryTree;
@@ -35,36 +41,38 @@ const BATTERY: &[&str] = &[
     "//author/text()",
 ];
 
-/// Emission-order node-id sequence from the single-query engine.
-fn single_ids(xml: &str, tree: &QueryTree) -> Vec<u64> {
+/// One query through its own single-query engine: the callback sequence
+/// (full match payloads) and the engine's output (machine statistics,
+/// stream counters).
+fn single_run(xml: &str, tree: &QueryTree) -> (Vec<Match>, EvalOutput) {
     let mut engine = Engine::new(tree).expect("buildable");
     let mut order = Vec::new();
-    engine.run(XmlReader::from_str(xml), |m| order.push(m.node)).expect("single run");
-    order
+    let out = engine.run(XmlReader::from_str(xml), |m| order.push(m)).expect("single run");
+    (order, out)
+}
+
+/// Emission-order node-id sequence from the single-query engine.
+fn single_ids(xml: &str, tree: &QueryTree) -> Vec<u64> {
+    single_run(xml, tree).0.iter().map(|m| m.node).collect()
 }
 
 /// Asserts every engine agrees on every battery query over `xml`, in
-/// every dispatch × plan-sharing combination.
+/// both plan modes.
 fn check_document(label: &str, xml: &str) {
     let trees: Vec<QueryTree> =
         BATTERY.iter().map(|q| QueryTree::parse(q).expect("valid query")).collect();
 
-    for mode in [DispatchMode::Indexed, DispatchMode::Scan] {
-        for plan in [PlanMode::Shared, PlanMode::Unshared, PlanMode::PrefixShared] {
-            let mut multi = MultiEngine::with_options(mode, plan);
-            for tree in &trees {
-                multi.add_tree(tree).expect("registrable");
-            }
-            let out = multi.run(XmlReader::from_str(xml), |_, _| {}).expect("multi run");
-            for (i, tree) in trees.iter().enumerate() {
-                let expected = single_ids(xml, tree);
-                let got: Vec<u64> = out.matches[i].iter().map(|m| m.node).collect();
-                assert_eq!(
-                    got, expected,
-                    "{label}: query {} diverged under {mode:?}/{plan:?}",
-                    BATTERY[i]
-                );
-            }
+    for plan in [PlanMode::Shared, PlanMode::PrefixShared] {
+        let mut multi = MultiEngine::with_plan(plan);
+        for tree in &trees {
+            multi.add_tree(tree).expect("registrable");
+        }
+        let out = multi.run(XmlReader::from_str(xml), |_, _| {}).expect("multi run");
+        for (i, tree) in trees.iter().enumerate() {
+            let (expected, single) = single_run(xml, tree);
+            let q = BATTERY[i];
+            assert_eq!(out.matches[i], expected, "{label}: query {q} diverged under {plan:?}");
+            assert_eq!(out.stats[i], single.stats, "{label}: {q} machine stats under {plan:?}");
         }
     }
 
@@ -170,13 +178,8 @@ fn mixed_doc() -> String {
 #[test]
 fn shared_plan_agrees_with_per_query_engines_on_overlapping_sets() {
     let xml = mixed_doc();
-    for (mode, plan) in [
-        (DispatchMode::Indexed, PlanMode::Shared),
-        (DispatchMode::Scan, PlanMode::Shared),
-        (DispatchMode::Indexed, PlanMode::PrefixShared),
-        (DispatchMode::Scan, PlanMode::PrefixShared),
-    ] {
-        let mut multi = MultiEngine::with_options(mode, plan);
+    for plan in [PlanMode::Shared, PlanMode::PrefixShared] {
+        let mut multi = MultiEngine::with_plan(plan);
         for q in OVERLAP_SET {
             multi.add_query(q).unwrap();
         }
@@ -189,7 +192,7 @@ fn shared_plan_agrees_with_per_query_engines_on_overlapping_sets() {
         for (i, q) in OVERLAP_SET.iter().enumerate() {
             let tree = QueryTree::parse(q).unwrap();
             let got: Vec<u64> = out.matches[i].iter().map(|m| m.node).collect();
-            assert_eq!(got, single_ids(&xml, &tree), "query #{i} {q} under {mode:?}/{plan:?}");
+            assert_eq!(got, single_ids(&xml, &tree), "query #{i} {q} under {plan:?}");
         }
         if plan == PlanMode::PrefixShared {
             assert!(out.plan.prefix_steps_executed > 0, "the trie actually ran");
@@ -199,42 +202,34 @@ fn shared_plan_agrees_with_per_query_engines_on_overlapping_sets() {
 }
 
 #[test]
-fn no_plan_sharing_reproduces_per_query_behavior_bit_for_bit() {
-    // The --no-plan-sharing escape hatch: identical MultiOutput payloads
-    // (matches with spans/values/levels, not just node ids) and identical
-    // streamed callback sequences, for a set with duplicates.
+fn shared_plan_reproduces_per_query_engines_bit_for_bit() {
+    // Dedup and fan-out must be invisible per query: for a set with
+    // duplicates, each subscription's buffered matches and its slice of
+    // the streamed callback sequence equal — payloads (spans, values,
+    // levels), order and machine statistics — what a private engine
+    // running that query alone produces. (Global interleaving across
+    // queries is the multi-engine's own: a shared machine fans a
+    // solution out to all its subscribers at once.)
     let xml = mixed_doc();
-    let run = |plan: PlanMode| {
-        let mut multi = MultiEngine::with_options(DispatchMode::Indexed, plan);
-        for q in OVERLAP_SET {
-            multi.add_query(q).unwrap();
-        }
-        let mut streamed: Vec<(usize, u64)> = Vec::new();
-        let out = multi
-            .run(XmlReader::from_str(&xml), |qid, m| streamed.push((qid.0, m.node)))
-            .expect("run");
-        (out, streamed)
-    };
-    let (shared, shared_streamed) = run(PlanMode::Shared);
-    let (unshared, unshared_streamed) = run(PlanMode::Unshared);
-    assert_eq!(shared.matches, unshared.matches);
-    assert_eq!(shared.elements, unshared.elements);
-    assert_eq!(shared.events, unshared.events);
-    // Streamed (query, node) pairs agree as multisets per query; global
-    // interleaving may differ because a shared machine fans a solution
-    // out to all subscribers at once.
-    let per_query = |streamed: &[(usize, u64)]| {
-        let mut by_query: Vec<Vec<u64>> = vec![Vec::new(); OVERLAP_SET.len()];
-        for &(q, n) in streamed {
-            by_query[q].push(n);
-        }
-        by_query
-    };
-    assert_eq!(per_query(&shared_streamed), per_query(&unshared_streamed));
-    // And the plan counters tell the two modes apart.
-    assert!(shared.plan.groups < unshared.plan.groups);
-    assert_eq!(unshared.plan.dedup_ratio(), 1.0);
-    assert!(shared.plan.dedup_ratio() > 1.0);
+    let mut multi = MultiEngine::new();
+    for q in OVERLAP_SET {
+        multi.add_query(q).unwrap();
+    }
+    let mut streamed: Vec<Vec<Match>> = vec![Vec::new(); OVERLAP_SET.len()];
+    let out = multi.run(XmlReader::from_str(&xml), |qid, m| streamed[qid.0].push(m)).expect("run");
+    for (i, q) in OVERLAP_SET.iter().enumerate() {
+        let (expected, single) = single_run(&xml, &QueryTree::parse(q).unwrap());
+        assert_eq!(out.matches[i], expected, "buffered matches of #{i} {q}");
+        assert_eq!(streamed[i], expected, "streamed matches of #{i} {q}");
+        assert_eq!(out.stats[i], single.stats, "machine statistics of #{i} {q}");
+        assert_eq!(
+            (out.elements, out.text_nodes, out.events),
+            (single.elements, single.text_nodes, single.events),
+            "stream counters"
+        );
+    }
+    assert!(out.plan.groups < OVERLAP_SET.len() as u64, "the overlap set dedups");
+    assert!(out.plan.dedup_ratio() > 1.0);
 }
 
 #[test]
@@ -264,18 +259,18 @@ fn incremental_add_and_remove_matches_fresh_registration() {
 }
 
 #[test]
-fn prefix_sharing_reproduces_unshared_behavior_bit_for_bit() {
+fn prefix_sharing_reproduces_per_query_engines_bit_for_bit() {
     // The prefix-shared runtime rewires the hottest matching path, so the
     // bar is higher than match equality: per-query match payloads, the
     // per-query *machine statistics* (pushes, pops, flags, candidate
     // accounting, peaks — entry-for-entry identical work) and stream
-    // counters must all equal the unshared engine's, and the global
-    // callback interleaving must equal shared mode's (the two modes group
-    // subscribers identically).
+    // counters must all equal what private per-query engines produce, and
+    // the global callback interleaving must equal shared mode's (the two
+    // modes group subscribers identically).
     let xml = mixed_doc();
     let queries: Vec<&str> = BATTERY.iter().chain(OVERLAP_SET).copied().collect();
-    let run = |plan: PlanMode, dispatch: DispatchMode| {
-        let mut multi = MultiEngine::with_options(dispatch, plan);
+    let run = |plan: PlanMode| {
+        let mut multi = MultiEngine::with_plan(plan);
         for q in &queries {
             multi.add_query(q).unwrap();
         }
@@ -285,33 +280,26 @@ fn prefix_sharing_reproduces_unshared_behavior_bit_for_bit() {
             .expect("run");
         (out, streamed)
     };
-    for dispatch in [DispatchMode::Indexed, DispatchMode::Scan] {
-        let (prefix, prefix_streamed) = run(PlanMode::PrefixShared, dispatch);
-        let (shared, shared_streamed) = run(PlanMode::Shared, dispatch);
-        let (unshared, _) = run(PlanMode::Unshared, dispatch);
-        assert_eq!(prefix.matches, unshared.matches, "{dispatch:?}: match payloads");
-        assert_eq!(prefix.stats, unshared.stats, "{dispatch:?}: machine statistics");
+    let (prefix, prefix_streamed) = run(PlanMode::PrefixShared);
+    let (shared, shared_streamed) = run(PlanMode::Shared);
+    for (i, q) in queries.iter().enumerate() {
+        let (expected, single) = single_run(&xml, &QueryTree::parse(q).unwrap());
+        assert_eq!(prefix.matches[i], expected, "match payloads of #{i} {q}");
+        assert_eq!(prefix.stats[i], single.stats, "machine statistics of #{i} {q}");
         assert_eq!(
             (prefix.elements, prefix.text_nodes, prefix.events),
-            (unshared.elements, unshared.text_nodes, unshared.events),
-            "{dispatch:?}: stream counters"
+            (single.elements, single.text_nodes, single.events),
+            "stream counters"
         );
-        assert_eq!(prefix_streamed, shared_streamed, "{dispatch:?}: callback order");
-        // Structural plan statistics equal shared mode; the prefix runtime
-        // counters are the only difference.
-        let structural = |p: &vitex::core::PlanStats| vitex::core::PlanStats {
-            prefix_steps_executed: 0,
-            prefix_steps_saved: 0,
-            prefix_forks: 0,
-            prefix_stack_bytes: 0,
-            ..*p
-        };
-        assert_eq!(structural(&prefix.plan), structural(&shared.plan), "{dispatch:?}: plan");
-        assert!(prefix.plan.prefix_steps_executed > 0);
-        assert!(prefix.plan.prefix_steps_saved > 0, "overlap set shares main-path steps");
-        assert!(prefix.plan.prefix_forks > 0);
-        assert_eq!(shared.plan.prefix_steps_executed, 0, "other modes never touch the trie");
     }
+    assert_eq!(prefix_streamed, shared_streamed, "callback order");
+    // Structural plan statistics equal shared mode; the prefix runtime
+    // counters are the only difference.
+    assert_eq!(structural(&prefix.plan), structural(&shared.plan), "plan");
+    assert!(prefix.plan.prefix_steps_executed > 0);
+    assert!(prefix.plan.prefix_steps_saved > 0, "overlap set shares main-path steps");
+    assert!(prefix.plan.prefix_forks > 0);
+    assert_eq!(shared.plan.prefix_steps_executed, 0, "shared mode never runs the trie");
 }
 
 #[test]
@@ -322,7 +310,7 @@ fn prefix_sharing_churn_splices_and_retires_trie_state() {
     // be re-routed, and every intermediate subscription set must behave
     // exactly like a freshly built engine.
     let xml = mixed_doc();
-    let mut multi = MultiEngine::with_options(DispatchMode::Indexed, PlanMode::PrefixShared);
+    let mut multi = MultiEngine::with_plan(PlanMode::PrefixShared);
     let q_cell = multi.add_query("//section//cell").unwrap();
     let q_cell_dup = multi.add_query("//section//cell").unwrap();
     let q_id = multi.add_query("//ProteinEntry[reference]/@id").unwrap();
@@ -348,7 +336,7 @@ fn prefix_sharing_churn_splices_and_retires_trie_state() {
     // The recycled slot's new trie path must route (and the old one not):
     // a fresh engine over the surviving queries is the ground truth for
     // *all* statistics, prefix runtime counters included.
-    let mut fresh = MultiEngine::with_options(DispatchMode::Indexed, PlanMode::PrefixShared);
+    let mut fresh = MultiEngine::with_plan(PlanMode::PrefixShared);
     let f_cell = fresh.add_query("//section//cell").unwrap();
     let f_name = fresh.add_query("//ProteinEntry/protein/name").unwrap();
     let fresh_out = fresh.run(XmlReader::from_str(&xml), |_, _| {}).unwrap();
@@ -363,46 +351,44 @@ fn prefix_sharing_churn_splices_and_retires_trie_state() {
 
 #[test]
 fn sharded_battery_is_byte_identical_to_single_threaded() {
-    // The sharded engine's whole contract: for every shard count, every
-    // dispatch mode and every plan mode, the merged output — match
-    // payloads (spans/values/levels, not just node ids), per-query
-    // machine statistics, plan counters, stream counters AND the
-    // streamed callback sequence — equals the single-threaded engine's.
+    // The sharded engine's whole contract: for every shard count and
+    // plan mode, the merged output — match payloads (spans/values/levels,
+    // not just node ids), per-query machine statistics, plan counters,
+    // stream counters AND the streamed callback sequence — equals the
+    // single-threaded engine's.
     let xml = mixed_doc();
     let queries: Vec<&str> = BATTERY.iter().chain(OVERLAP_SET).copied().collect();
-    for mode in [DispatchMode::Indexed, DispatchMode::Scan] {
-        for plan in [PlanMode::Shared, PlanMode::Unshared, PlanMode::PrefixShared] {
-            let (reference, ref_streamed) = {
-                let mut multi = MultiEngine::with_options(mode, plan);
-                for q in &queries {
-                    multi.add_query(q).unwrap();
-                }
-                let mut streamed: Vec<(usize, u64)> = Vec::new();
-                let out = multi
-                    .run(XmlReader::from_str(&xml), |q, m| streamed.push((q.0, m.node)))
-                    .expect("reference run");
-                (out, streamed)
-            };
-            for &shards in SHARD_COUNTS {
-                let mut sharded = ShardedEngine::with_options(shards, mode, plan);
-                for q in &queries {
-                    sharded.add_query(q).unwrap();
-                }
-                let mut streamed: Vec<(usize, u64)> = Vec::new();
-                let out = sharded
-                    .run(XmlReader::from_str(&xml), |q, m| streamed.push((q.0, m.node)))
-                    .expect("sharded run");
-                let label = format!("{shards} shards under {mode:?}/{plan:?}");
-                assert_eq!(out.matches, reference.matches, "matches: {label}");
-                assert_eq!(streamed, ref_streamed, "callback sequence: {label}");
-                assert_eq!(out.stats, reference.stats, "machine stats: {label}");
-                assert_eq!(out.plan, reference.plan, "plan stats: {label}");
-                assert_eq!(
-                    (out.elements, out.text_nodes, out.events),
-                    (reference.elements, reference.text_nodes, reference.events),
-                    "stream stats: {label}"
-                );
+    for plan in [PlanMode::Shared, PlanMode::PrefixShared] {
+        let (reference, ref_streamed) = {
+            let mut multi = MultiEngine::with_plan(plan);
+            for q in &queries {
+                multi.add_query(q).unwrap();
             }
+            let mut streamed: Vec<(usize, u64)> = Vec::new();
+            let out = multi
+                .run(XmlReader::from_str(&xml), |q, m| streamed.push((q.0, m.node)))
+                .expect("reference run");
+            (out, streamed)
+        };
+        for &shards in SHARD_COUNTS {
+            let mut sharded = ShardedEngine::with_plan(shards, plan);
+            for q in &queries {
+                sharded.add_query(q).unwrap();
+            }
+            let mut streamed: Vec<(usize, u64)> = Vec::new();
+            let out = sharded
+                .run(XmlReader::from_str(&xml), |q, m| streamed.push((q.0, m.node)))
+                .expect("sharded run");
+            let label = format!("{shards} shards under {plan:?}");
+            assert_eq!(out.matches, reference.matches, "matches: {label}");
+            assert_eq!(streamed, ref_streamed, "callback sequence: {label}");
+            assert_eq!(out.stats, reference.stats, "machine stats: {label}");
+            assert_eq!(out.plan, reference.plan, "plan stats: {label}");
+            assert_eq!(
+                (out.elements, out.text_nodes, out.events),
+                (reference.elements, reference.text_nodes, reference.events),
+                "stream stats: {label}"
+            );
         }
     }
 }
@@ -421,8 +407,8 @@ fn sharded_sessions_survive_churn_and_back_to_back_documents() {
     ];
     for &shards in SHARD_COUNTS {
         for plan in [PlanMode::Shared, PlanMode::PrefixShared] {
-            let mut reference = MultiEngine::with_options(DispatchMode::Indexed, plan);
-            let mut sharded = ShardedEngine::with_options(shards, DispatchMode::Indexed, plan);
+            let mut reference = MultiEngine::with_plan(plan);
+            let mut sharded = ShardedEngine::with_plan(shards, plan);
             for q in OVERLAP_SET {
                 reference.add_query(q).unwrap();
                 sharded.add_query(q).unwrap();
@@ -478,22 +464,20 @@ fn sharded_sessions_survive_churn_and_back_to_back_documents() {
 
 #[test]
 fn recycled_group_slots_do_not_inherit_stale_placement_costs() {
-    // Churn between sessions, aimed at the cost-aware placement seed: a
+    // Churn between sessions, aimed at the ledger-seeded placement plan: a
     // hog query is removed, a cheap newcomer recycles its plan-group
     // slot, and the profiling ledger still holds the hog's counters
     // under that gid. Seeding is keyed by the group's canonical text, so
     // the newcomer must start from the uniform prior — the next
     // session's seed plan is plain round-robin, not a partition that
     // isolates a group that was never expensive.
-    use vitex::core::Placement;
     let mut xml = String::from("<root>");
     for i in 0..300 {
         xml.push_str(&format!("<item id=\"{i}\"><a><b>x{i}</b></a></item>"));
     }
     xml.push_str("</root>");
 
-    let mut engine = ShardedEngine::with_options(2, DispatchMode::Indexed, PlanMode::Shared);
-    engine.set_placement(Placement::CostAware);
+    let mut engine = ShardedEngine::new(2);
     engine.set_profiling(true);
     let queries = ["//item//b", "/root/zzz", "/root/yyy", "/root/xxx"];
     for q in queries {
@@ -553,7 +537,7 @@ fn recycled_group_slots_do_not_inherit_stale_placement_costs() {
         "seed plan splits the four cheap groups evenly — recycled gid {hog_gid} carries no stale cost"
     );
     // And the churned engine still matches a single-threaded reference.
-    let mut reference = MultiEngine::with_options(DispatchMode::Indexed, PlanMode::Shared);
+    let mut reference = MultiEngine::new();
     for q in queries {
         reference.add_query(q).unwrap();
     }
@@ -567,7 +551,7 @@ fn recycled_group_slots_do_not_inherit_stale_placement_costs() {
 
     // Worker-count re-clamp: churn that leaves fewer active groups than
     // configured shards must shrink the next session's worker set.
-    let mut wide = ShardedEngine::with_options(4, DispatchMode::Indexed, PlanMode::Shared);
+    let mut wide = ShardedEngine::new(4);
     for q in queries {
         wide.add_query(q).expect("valid query");
     }

@@ -13,7 +13,7 @@
 //! has to cover. The shard-worker fault is additionally exercised under
 //! the pipelined front-end, whose poisoning path shares the same code.
 
-use vitex::core::{DispatchMode, EngineError, PlanMode, ShardedEngine};
+use vitex::core::{EngineError, ShardedEngine};
 use vitex::xmlsax::{ParallelConfig, ParallelReader, XmlReader};
 
 /// A document big enough to split into many chunks at the test chunk
@@ -28,7 +28,7 @@ fn document() -> String {
 }
 
 fn engine(shards: usize) -> ShardedEngine {
-    let mut engine = ShardedEngine::with_options(shards, DispatchMode::Indexed, PlanMode::Shared);
+    let mut engine = ShardedEngine::new(shards);
     for q in ["//item/@id", "//a//b", "//c/text()", "//item"] {
         engine.add_query(q).expect("valid query");
     }
@@ -153,7 +153,7 @@ fn poisoning_is_per_session_and_front_end_agnostic() {
 
 #[test]
 fn worker_panic_during_assignment_swap_poisons_cleanly() {
-    // Cost-aware placement swaps in a new group→shard assignment at a
+    // Placement swaps in a new group→shard assignment at a
     // document boundary. `inject_swap_fault` makes a worker panic at the
     // exact adoption point — after the repartition decision, while the
     // new assignment is being taken up at DocStart. The session must
@@ -161,9 +161,9 @@ fn worker_panic_during_assignment_swap_poisons_cleanly() {
     // stray callbacks), and a fresh session after clearing the fault
     // must perform the same swap and complete.
     let xml = document();
-    let mut engine = ShardedEngine::with_options(2, DispatchMode::Indexed, PlanMode::Shared);
+    let mut engine = ShardedEngine::new(2);
     // One hog among three near-idle groups: the seed plan (uniform costs
-    // = round-robin) pairs the hog with a cheap group, the first
+    // deal round-robin) pairs the hog with a cheap group, the first
     // document's counters push measured imbalance past the hysteresis
     // threshold, and the planner swaps at the second document.
     for q in ["//item//b", "/root/zzz", "/root/yyy", "/root/xxx"] {

@@ -195,7 +195,7 @@ mod plan_invariants {
     use proptest::prelude::*;
 
     use vitex::core::plan::{StepKey, StepTrie};
-    use vitex::core::{Interner, PlanMode, QueryId, QueryPlanner};
+    use vitex::core::{Interner, QueryId, QueryPlanner};
     use vitex::xpath::generate::{GenConfig, QueryGenerator};
     use vitex::xpath::{Axis, QueryTree};
 
@@ -263,7 +263,7 @@ mod plan_invariants {
         fn planner_churn_keeps_routes_and_slots_consistent(
             seed in 0u64..10_000, ops in 4usize..40
         ) {
-            let mut planner = QueryPlanner::new(PlanMode::PrefixShared);
+            let mut planner = QueryPlanner::new();
             let mut interner = Interner::new();
             let mut qgen = QueryGenerator::new(seed, GenConfig::default());
             // Live registrations: (query id, group id).

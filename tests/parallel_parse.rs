@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 
-use vitex::core::{DispatchMode, PlanMode, ShardedEngine};
+use vitex::core::{EngineError, ShardedEngine};
 use vitex::xmlgen::random::{self, RandomConfig};
 use vitex::xmlgen::{auction, protein, recursive};
 use vitex::xmlsax::{ParallelConfig, ParallelReader, XmlReader};
@@ -56,7 +56,7 @@ fn assert_engine_identical(xml: &str, queries: &[&str], label: &str) {
     let trees: Vec<QueryTree> =
         queries.iter().map(|q| QueryTree::parse(q).expect("valid query")).collect();
     let run = |par: Option<usize>| {
-        let mut engine = ShardedEngine::with_options(1, DispatchMode::Indexed, PlanMode::Shared);
+        let mut engine = ShardedEngine::new(1);
         for tree in &trees {
             engine.add_tree(tree).expect("compiles");
         }
@@ -125,4 +125,52 @@ fn chunked_stream_matches_sequential_on_recursive_doc() {
     let xml = recursive::to_string(&recursive::RecursiveConfig::square(7));
     assert_parse_identical(&xml, "recursive");
     assert_engine_identical(&xml, &["//section[author]//table[position]//cell"], "recursive");
+}
+
+#[test]
+fn truncated_document_delivers_the_same_prefix_and_error_on_every_front_end() {
+    // A document cut off inside a start tag: every match decidable before
+    // the cut must be delivered, in the same order, and the error must
+    // name the same kind at the same position — whether the bytes came
+    // through the sequential reader, the pipelined chunked reader, or the
+    // overlapped front-end (whose batched event pull must not drop the
+    // valid events collected ahead of the error).
+    let full = recursive::to_string(&recursive::RecursiveConfig {
+        towers: 500,
+        ..recursive::RecursiveConfig::square(3)
+    });
+    let cut = full.rfind("<cell").expect("generated document has cells") + 3;
+    let xml = &full[..cut];
+    let queries = ["//cell", "//*[position]", "//section//table"];
+    let cfg =
+        |threads| ParallelConfig { threads, chunk_bytes: Some(4096), ..ParallelConfig::default() };
+    let run = |shards: usize, front: &str| {
+        let mut engine = ShardedEngine::new(shards);
+        for q in queries {
+            engine.add_query(q).expect("valid query");
+        }
+        let mut streamed = Vec::new();
+        let on_match =
+            |q: vitex::core::QueryId, m: vitex::core::Match| streamed.push((q.0, m.node));
+        let bytes = xml.as_bytes().to_vec();
+        let err = match front {
+            "sequential" => engine.run(XmlReader::from_str(xml), on_match).err(),
+            "pipelined" => engine.run(ParallelReader::with_config(bytes, cfg(2)), on_match).err(),
+            _ => engine.run_overlapped(bytes, cfg(2), on_match).err(),
+        };
+        match err {
+            Some(EngineError::Xml(e)) => (streamed, e.to_string()),
+            other => panic!("{front}/{shards} shards: expected an XML error, got {other:?}"),
+        }
+    };
+    let (expected, expected_err) = run(1, "sequential");
+    assert!(expected.len() > 1000, "most of the document matched before the cut");
+    for shards in [1usize, 2] {
+        for front in ["sequential", "pipelined", "overlapped"] {
+            let (streamed, err) = run(shards, front);
+            assert_eq!(err, expected_err, "{front}/{shards} shards: error kind and position");
+            assert_eq!(streamed.len(), expected.len(), "{front}/{shards} shards: match count");
+            assert_eq!(streamed, expected, "{front}/{shards} shards: callback sequence");
+        }
+    }
 }

@@ -1,9 +1,10 @@
 //! The randomized differential harness: seeded random query *sets* ×
 //! seeded random documents, run through every engine configuration the
-//! system has — naive baseline, `PlanMode::{Unshared, Shared,
-//! PrefixShared}` × `DispatchMode::{Indexed, Scan}` × shard counts
-//! {1, 4} × parse front-ends (sequential, pipelined, overlapped) —
-//! asserting identical matches, callback order and statistics.
+//! system has — `PlanMode::{Shared, PrefixShared}` × shard counts × parse
+//! front-ends (sequential, pipelined, overlapped) — asserting identical
+//! matches, callback order and statistics. Two independent references
+//! anchor the sweep: the naive baseline (node-id sets) and k private
+//! single-query engines (match payloads + machine statistics).
 //!
 //! This is the correctness net under the prefix-sharing rewrite of the
 //! hottest matching path: the hand-picked battery in
@@ -20,55 +21,26 @@
 
 use proptest::prelude::*;
 
+mod common;
+
+use common::{query_set, run_front, structural, FrontEnd, ALL_FRONT_ENDS};
 use vitex::baseline::{naive, NaiveConfig};
-use vitex::core::{DispatchMode, MultiOutput, PlanMode, PlanStats, ShardedEngine};
+use vitex::core::{evaluate_reader, EvalOutput, MultiOutput, PlanMode, ShardedEngine};
 use vitex::xmlgen::random::{self, RandomConfig};
-use vitex::xmlsax::{ParallelConfig, ParallelReader, XmlReader};
-use vitex::xpath::generate::{GenConfig, QueryGenerator};
+use vitex::xmlsax::XmlReader;
 use vitex::xpath::QueryTree;
 
-/// Shard counts the harness runs at (1 = the inline single-threaded
-/// delegation, 4 = a genuinely threaded partition).
+/// Shard counts the randomized properties run at (1 = the inline
+/// single-threaded delegation, 4 = a genuinely threaded partition).
 const SHARDS: &[usize] = &[1, 4];
 
-/// Parse front-ends the harness sweeps. `Sequential` is the streaming
-/// reader; `Pipelined(n)` is the n-thread speculative chunked reader
-/// funneled through the document pump; `Overlapped(n)` is the overlapped
-/// front-end — n parse workers and n publisher threads feeding the shard
-/// rings directly, with out-of-order batch delivery. All three must be
-/// byte-identical in matches, callback order and statistics.
-#[derive(Clone, Copy, Debug)]
-enum FrontEnd {
-    Sequential,
-    Pipelined(usize),
-    Overlapped(usize),
-}
-
-/// Every front-end at the counts the fixed-seed sweep pins.
-const ALL_FRONT_ENDS: &[FrontEnd] = &[
-    FrontEnd::Sequential,
-    FrontEnd::Pipelined(2),
-    FrontEnd::Pipelined(4),
-    FrontEnd::Overlapped(2),
-    FrontEnd::Overlapped(4),
-];
+/// Shard counts the fixed-seed sweep pins: adds an even split and a count
+/// that leaves shards with uneven (or no) group subsets.
+const ALL_SHARDS: &[usize] = &[1, 2, 4, 7];
 
 /// The cheaper axis for the randomized properties: sequential versus one
 /// overlapped configuration (the fixed-seed sweep covers the rest).
 const FAST_FRONT_ENDS: &[FrontEnd] = &[FrontEnd::Sequential, FrontEnd::Overlapped(2)];
-
-/// Tiny chunks so even this harness's small documents split into many
-/// speculative fragments: the seam reconciliation and the out-of-order
-/// publication paths get exercised, not just the whole-document
-/// fallback.
-fn par_config(threads: usize) -> ParallelConfig {
-    ParallelConfig { threads, chunk_bytes: Some(96), ..ParallelConfig::default() }
-}
-
-/// Queries per generated set — enough for overlap and duplicates to
-/// appear (the generator's alphabet is 5 tags), small enough to keep the
-/// full configuration product fast.
-const QUERIES_PER_SET: usize = 8;
 
 /// One engine configuration's observable output.
 struct RunResult {
@@ -77,91 +49,66 @@ struct RunResult {
     streamed: Vec<(usize, u64)>,
 }
 
-/// Generates a query set: random trees plus a forced literal duplicate of
-/// the first query (dedup + fan-out must always be exercised).
-fn query_set(query_seed: u64) -> Vec<QueryTree> {
-    let mut qgen = QueryGenerator::new(query_seed, GenConfig::default());
-    let mut trees: Vec<QueryTree> = qgen
-        .queries(QUERIES_PER_SET - 1)
-        .iter()
-        .map(|q| QueryTree::build(q).expect("generated queries are valid"))
-        .collect();
-    trees.push(QueryTree::parse(trees[0].original()).expect("round-trips"));
-    trees
-}
-
 fn run_config(
     trees: &[QueryTree],
     xml: &str,
     plan: PlanMode,
-    dispatch: DispatchMode,
     shards: usize,
     front: FrontEnd,
 ) -> RunResult {
-    let mut engine = ShardedEngine::with_options(shards, dispatch, plan);
+    let mut engine = ShardedEngine::with_plan(shards, plan);
     for tree in trees {
         engine.add_tree(tree).expect("registrable");
     }
     let mut streamed = Vec::new();
-    let out = match front {
-        FrontEnd::Sequential => engine
-            .run(XmlReader::from_str(xml), |qid, m| streamed.push((qid.0, m.node)))
-            .expect("engine run"),
-        FrontEnd::Pipelined(threads) => {
-            let reader = ParallelReader::with_config(xml.as_bytes().to_vec(), par_config(threads));
-            engine.run(reader, |qid, m| streamed.push((qid.0, m.node))).expect("engine run")
-        }
-        FrontEnd::Overlapped(threads) => {
-            engine
-                .run_overlapped(xml.as_bytes().to_vec(), par_config(threads), |qid, m| {
-                    streamed.push((qid.0, m.node))
-                })
-                .expect("engine run")
-                .0
-        }
-    };
+    let out = run_front(&mut engine, xml, front, |qid, m| streamed.push((qid.0, m.node)));
     RunResult { out, streamed }
 }
 
-/// Plan statistics with the prefix runtime counters zeroed — the
-/// structural part that `Shared` and `PrefixShared` must agree on.
-fn structural(p: &PlanStats) -> PlanStats {
-    PlanStats {
-        prefix_steps_executed: 0,
-        prefix_steps_saved: 0,
-        prefix_forks: 0,
-        prefix_stack_bytes: 0,
-        ..*p
+/// The in-engine reference: each query through its own private
+/// single-query engine.
+fn per_query_reference(trees: &[QueryTree], xml: &str) -> Vec<EvalOutput> {
+    trees
+        .iter()
+        .map(|tree| evaluate_reader(XmlReader::from_str(xml), tree).expect("single-query run"))
+        .collect()
+}
+
+/// Asserts a multi-query output equals the per-query reference: match
+/// payloads (spans, values, levels), machine statistics, stream counters.
+fn assert_matches_reference(out: &MultiOutput, reference: &[EvalOutput], label: &str) {
+    for (i, single) in reference.iter().enumerate() {
+        assert_eq!(out.matches[i], single.matches, "matches of query #{i}: {label}");
+        assert_eq!(out.stats[i], single.stats, "machine stats of query #{i}: {label}");
+        assert_eq!(
+            (out.elements, out.text_nodes, out.events),
+            (single.elements, single.text_nodes, single.events),
+            "stream stats: {label}"
+        );
     }
 }
 
 /// The full differential check for one (document, query set) pair,
-/// sweeping plan × dispatch × shards × the given parse front-ends.
-fn check_case(doc_seed: u64, query_seed: u64, fronts: &[FrontEnd]) {
+/// sweeping plan × the given shard counts × the given parse front-ends.
+fn check_case(doc_seed: u64, query_seed: u64, shard_counts: &[usize], fronts: &[FrontEnd]) {
     let ctx = format!("doc_seed={doc_seed} query_seed={query_seed}");
     let xml = random::to_string(&RandomConfig::seeded(doc_seed));
     let trees = query_set(query_seed);
 
     // Ground truth per query: the naive embedding enumerator (sorted
-    // node-id sets; skipped per query on combinatorial blowup).
-    let reference = run_config(
-        &trees,
-        &xml,
-        PlanMode::Unshared,
-        DispatchMode::Indexed,
-        1,
-        FrontEnd::Sequential,
-    );
-    for (i, tree) in trees.iter().enumerate() {
+    // node-id sets; skipped per query on combinatorial blowup) against
+    // the per-query engines everything else is then compared with.
+    let reference = per_query_reference(&trees, &xml);
+    for (tree, single) in trees.iter().zip(&reference) {
         let eval = naive::NaiveEvaluator::new(tree, NaiveConfig { max_embeddings: 100_000 });
         match eval.run(XmlReader::from_str(&xml)) {
             Ok(nout) => {
-                let mut ids: Vec<u64> = reference.out.matches[i].iter().map(|m| m.node).collect();
+                let mut ids: Vec<u64> = single.matches.iter().map(|m| m.node).collect();
                 ids.sort_unstable();
                 assert_eq!(
                     nout.matches,
                     ids,
-                    "{ctx}: naive baseline disagrees on query #{i} {}",
+                    "{ctx}: naive baseline disagrees on {}",
                     tree.original()
                 );
             }
@@ -172,40 +119,26 @@ fn check_case(doc_seed: u64, query_seed: u64, fronts: &[FrontEnd]) {
 
     // Every configuration against the reference.
     let mut shared_run: Option<RunResult> = None;
-    for plan in [PlanMode::Unshared, PlanMode::Shared, PlanMode::PrefixShared] {
+    for plan in [PlanMode::Shared, PlanMode::PrefixShared] {
         let mut plan_reference: Option<RunResult> = None;
-        for dispatch in [DispatchMode::Indexed, DispatchMode::Scan] {
-            for &shards in SHARDS {
-                for &front in fronts {
-                    let r = run_config(&trees, &xml, plan, dispatch, shards, front);
-                    let label = format!("{ctx}: {plan:?}/{dispatch:?}/{shards} shards/{front:?}");
-                    // Matches (full payloads: spans, values, levels) and
-                    // machine statistics are mode-invariant.
-                    assert_eq!(r.out.matches, reference.out.matches, "matches: {label}");
-                    assert_eq!(r.out.stats, reference.out.stats, "machine stats: {label}");
-                    assert_eq!(
-                        (r.out.elements, r.out.text_nodes, r.out.events),
-                        (reference.out.elements, reference.out.text_nodes, reference.out.events),
-                        "stream stats: {label}"
-                    );
-                    // Callback order and plan statistics are invariant
-                    // across dispatch modes, shard counts and parse
-                    // front-ends within one plan mode.
-                    match &plan_reference {
-                        None => plan_reference = Some(r),
-                        Some(first) => {
-                            assert_eq!(r.streamed, first.streamed, "callback order: {label}");
-                            assert_eq!(r.out.plan, first.out.plan, "plan stats: {label}");
-                        }
+        for &shards in shard_counts {
+            for &front in fronts {
+                let r = run_config(&trees, &xml, plan, shards, front);
+                let label = format!("{ctx}: {plan:?}/{shards} shards/{front:?}");
+                assert_matches_reference(&r.out, &reference, &label);
+                // Callback order and plan statistics are invariant across
+                // shard counts and parse front-ends within one plan mode.
+                match &plan_reference {
+                    None => plan_reference = Some(r),
+                    Some(first) => {
+                        assert_eq!(r.streamed, first.streamed, "callback order: {label}");
+                        assert_eq!(r.out.plan, first.out.plan, "plan stats: {label}");
                     }
                 }
             }
         }
         let first = plan_reference.expect("at least one configuration ran");
         match plan {
-            PlanMode::Unshared => {
-                assert_eq!(first.out.plan.dedup_ratio(), 1.0, "{ctx}: unshared never dedups");
-            }
             PlanMode::Shared => {
                 assert!(
                     first.out.plan.groups < trees.len() as u64,
@@ -241,7 +174,7 @@ proptest! {
     /// front-end matrix).
     #[test]
     fn engines_agree_on_random_query_sets(doc_seed in 0u64..4000, query_seed in 0u64..4000) {
-        check_case(doc_seed, query_seed, FAST_FRONT_ENDS);
+        check_case(doc_seed, query_seed, SHARDS, FAST_FRONT_ENDS);
     }
 
     /// Deeply recursive documents — the regime where shared prefix
@@ -250,35 +183,28 @@ proptest! {
     fn engines_agree_on_recursive_documents(depth in 2u64..14, query_seed in 0u64..500) {
         let xml = vitex::xmlgen::recursive::uniform_nesting(depth as usize);
         let trees = query_set(query_seed);
-        let reference =
-            run_config(&trees, &xml, PlanMode::Unshared, DispatchMode::Indexed, 1, FrontEnd::Sequential);
+        let reference = per_query_reference(&trees, &xml);
         for plan in [PlanMode::Shared, PlanMode::PrefixShared] {
             for &shards in SHARDS {
-                let r = run_config(&trees, &xml, plan, DispatchMode::Indexed, shards, FrontEnd::Sequential);
-                prop_assert_eq!(
-                    &r.out.matches, &reference.out.matches,
-                    "depth={} query_seed={} {:?}/{} shards", depth, query_seed, plan, shards
-                );
-                prop_assert_eq!(
-                    &r.out.stats, &reference.out.stats,
-                    "depth={} query_seed={} {:?}/{} shards", depth, query_seed, plan, shards
-                );
+                let r = run_config(&trees, &xml, plan, shards, FrontEnd::Sequential);
+                let label = format!("depth={depth} query_seed={query_seed} {plan:?}/{shards} shards");
+                assert_matches_reference(&r.out, &reference, &label);
             }
         }
     }
 }
 
-/// Placement policy must be output-transparent: a warm session streaming
-/// several documents — enough for cost-aware placement to observe the
+/// Placement must be output-transparent: a warm session streaming
+/// several documents — enough for the placement planner to observe the
 /// first document's counters and repartition at a document boundary —
-/// must produce byte-identical matches, callback order and statistics
-/// under both policies at every shard count. A planted hog query (three
-/// chained descendant wildcards, expensive on every document) skews the
-/// group costs so the sweep actually exercises an assignment swap, not
-/// just the seed plan.
+/// must produce byte-identical matches, callback order and statistics at
+/// every shard count, the inline one-shard run (which has nothing to
+/// place) being the reference. A planted hog query (three chained
+/// descendant wildcards, expensive on every document) skews the group
+/// costs so the sweep actually exercises an assignment swap, not just the
+/// seed plan.
 #[test]
 fn placement_axis_is_output_transparent() {
-    use vitex::core::Placement;
     type SessionOutput = (Vec<MultiOutput>, Vec<(usize, u64)>);
     let docs: Vec<String> =
         [11u64, 22, 33].iter().map(|&s| random::to_string(&RandomConfig::seeded(s))).collect();
@@ -287,44 +213,40 @@ fn placement_axis_is_output_transparent() {
 
     let mut reference: Option<SessionOutput> = None;
     let mut repartitioned = false;
-    for placement in [Placement::RoundRobin, Placement::CostAware] {
-        for &shards in &[1usize, 2, 4, 7] {
-            let mut engine =
-                ShardedEngine::with_options(shards, DispatchMode::Indexed, PlanMode::Shared);
-            engine.set_placement(placement);
-            for tree in &trees {
-                engine.add_tree(tree).expect("registrable");
-            }
-            let mut streamed = Vec::new();
-            let (outs, snap) = engine
-                .session(|session| {
-                    let outs = docs
-                        .iter()
-                        .map(|xml| {
-                            session.run_document(XmlReader::from_str(xml), |qid, m| {
-                                streamed.push((qid.0, m.node))
-                            })
+    for &shards in ALL_SHARDS {
+        let mut engine = ShardedEngine::new(shards);
+        for tree in &trees {
+            engine.add_tree(tree).expect("registrable");
+        }
+        let mut streamed = Vec::new();
+        let (outs, snap) = engine
+            .session(|session| {
+                let outs = docs
+                    .iter()
+                    .map(|xml| {
+                        session.run_document(XmlReader::from_str(xml), |qid, m| {
+                            streamed.push((qid.0, m.node))
                         })
-                        .collect::<Result<Vec<_>, _>>()?;
-                    Ok((outs, session.placement_snapshot()))
-                })
-                .expect("warm session");
-            let label = format!("{placement:?}/{shards} shards");
-            if placement == Placement::RoundRobin || shards == 1 {
-                assert_eq!(snap.repartitions, 0, "no replanning expected: {label}");
-            }
-            repartitioned |= snap.repartitions > 0;
-            match &reference {
-                None => reference = Some((outs, streamed)),
-                Some((ref_outs, ref_streamed)) => {
-                    assert_eq!(outs.len(), ref_outs.len(), "document count: {label}");
-                    for (doc, (out, ref_out)) in outs.iter().zip(ref_outs).enumerate() {
-                        assert_eq!(out.matches, ref_out.matches, "matches doc {doc}: {label}");
-                        assert_eq!(out.stats, ref_out.stats, "machine stats doc {doc}: {label}");
-                        assert_eq!(out.plan, ref_out.plan, "plan stats doc {doc}: {label}");
-                    }
-                    assert_eq!(&streamed, ref_streamed, "callback order: {label}");
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
+                Ok((outs, session.placement_snapshot()))
+            })
+            .expect("warm session");
+        let label = format!("{shards} shards");
+        if shards == 1 {
+            assert_eq!(snap.repartitions, 0, "no replanning expected: {label}");
+        }
+        repartitioned |= snap.repartitions > 0;
+        match &reference {
+            None => reference = Some((outs, streamed)),
+            Some((ref_outs, ref_streamed)) => {
+                assert_eq!(outs.len(), ref_outs.len(), "document count: {label}");
+                for (doc, (out, ref_out)) in outs.iter().zip(ref_outs).enumerate() {
+                    assert_eq!(out.matches, ref_out.matches, "matches doc {doc}: {label}");
+                    assert_eq!(out.stats, ref_out.stats, "machine stats doc {doc}: {label}");
+                    assert_eq!(out.plan, ref_out.plan, "plan stats doc {doc}: {label}");
                 }
+                assert_eq!(&streamed, ref_streamed, "callback order: {label}");
             }
         }
     }
@@ -339,6 +261,6 @@ fn fixed_seed_regression_sweep() {
     const SEEDS: &[(u64, u64)] =
         &[(0, 0), (1, 1), (7, 1913), (42, 42), (99, 3), (1234, 567), (2025, 729), (3999, 3999)];
     for &(doc_seed, query_seed) in SEEDS {
-        check_case(doc_seed, query_seed, ALL_FRONT_ENDS);
+        check_case(doc_seed, query_seed, ALL_SHARDS, ALL_FRONT_ENDS);
     }
 }

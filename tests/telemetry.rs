@@ -1,8 +1,8 @@
 //! Telemetry determinism battery: the deterministic counter subset of the
 //! metrics registry must be **byte-identical** across every execution
-//! configuration that is supposed to be an implementation detail —
-//! dispatch mode, plan mode (for the plan-invariant subset), and shard
-//! count — while the timing-derived counters, gauges and histograms are
+//! configuration that is supposed to be an implementation detail — shard
+//! count, parse front-end, and plan mode (for the plan-invariant subset)
+//! — while the timing-derived counters, gauges and histograms are
 //! present in the snapshot but excluded from the deterministic export.
 //!
 //! Also covers the export surface: the `vitex.metrics.v1` JSON snapshot
@@ -11,26 +11,18 @@
 //! dependency) and must round-trip the counter values the engine reported
 //! through `MultiOutput`.
 
+mod common;
+
+use common::{query_set, run_front, FrontEnd, ALL_FRONT_ENDS};
 use vitex::core::telemetry::{trace_json, ProfileSnapshot, Telemetry};
-use vitex::core::{DispatchMode, MultiOutput, PlanMode, ShardedEngine};
+use vitex::core::{MultiOutput, PlanMode, ShardedEngine};
 use vitex::xmlgen::random::{self, RandomConfig};
-use vitex::xmlsax::{ParallelConfig, ParallelReader, XmlReader};
-use vitex::xpath::generate::{GenConfig, QueryGenerator};
+use vitex::xmlsax::XmlReader;
 use vitex::xpath::QueryTree;
 
-const SHARDS: &[usize] = &[1, 4];
+const SHARDS: &[usize] = &[1, 2, 4, 7];
 
-fn query_set(query_seed: u64) -> Vec<QueryTree> {
-    let mut qgen = QueryGenerator::new(query_seed, GenConfig::default());
-    let mut trees: Vec<QueryTree> = qgen
-        .queries(7)
-        .iter()
-        .map(|q| QueryTree::build(q).expect("generated queries are valid"))
-        .collect();
-    // A literal duplicate exercises dedup fan-out in the folds.
-    trees.push(QueryTree::parse(trees[0].original()).expect("round-trips"));
-    trees
-}
+const PLANS: &[PlanMode] = &[PlanMode::Shared, PlanMode::PrefixShared];
 
 /// Runs one configuration with a fresh enabled telemetry handle; returns
 /// the engine output and the handle for snapshotting.
@@ -38,119 +30,61 @@ fn run_config(
     trees: &[QueryTree],
     xml: &str,
     plan: PlanMode,
-    dispatch: DispatchMode,
     shards: usize,
+    front: FrontEnd,
 ) -> (MultiOutput, Telemetry) {
     let telemetry = Telemetry::enabled();
-    let mut engine = ShardedEngine::with_options(shards, dispatch, plan);
+    let mut engine = ShardedEngine::with_plan(shards, plan);
     engine.set_telemetry(telemetry.clone());
     for tree in trees {
         engine.add_tree(tree).expect("registrable");
     }
-    let out = engine.run(XmlReader::from_str(xml), |_, _| {}).expect("engine run");
+    let out = run_front(&mut engine, xml, front, |_, _| {});
     (out, telemetry)
 }
 
 #[test]
-fn deterministic_counters_are_invariant_across_dispatch_and_shards() {
+fn deterministic_counters_are_invariant_across_parse_front_ends() {
+    // Within a plan mode (plan-shape counters legitimately differ between
+    // them), every shard count × front-end must export byte-identical
+    // deterministic counters — scheduling is an implementation detail.
     for (doc_seed, query_seed) in [(11u64, 5u64), (42, 9)] {
         let xml = random::to_string(&RandomConfig::seeded(doc_seed));
         let trees = query_set(query_seed);
-        for plan in [PlanMode::Unshared, PlanMode::Shared, PlanMode::PrefixShared] {
+        for &plan in PLANS {
             let mut reference: Option<String> = None;
-            for dispatch in [DispatchMode::Indexed, DispatchMode::Scan] {
-                for &shards in SHARDS {
-                    let (_, telemetry) = run_config(&trees, &xml, plan, dispatch, shards);
-                    let json = telemetry.snapshot().expect("enabled").deterministic_json();
+            for &shards in SHARDS {
+                for &front in ALL_FRONT_ENDS {
+                    let (_, telemetry) = run_config(&trees, &xml, plan, shards, front);
+                    let snapshot = telemetry.snapshot().expect("enabled");
+                    if let (FrontEnd::Overlapped(threads), true) = (front, shards > 1) {
+                        // The overlapped front-end actually ran: producer
+                        // metrics were recorded (as scheduling-dependent
+                        // timing metrics, outside the deterministic subset).
+                        assert!(
+                            snapshot.counter("vitex_producer_batches_total").unwrap() > 0,
+                            "producers published batches"
+                        );
+                        assert!(
+                            snapshot
+                                .gauges
+                                .iter()
+                                .any(|g| g.name == "vitex_producer_threads"
+                                    && g.value == threads as u64),
+                            "producer thread-count gauge recorded"
+                        );
+                    }
+                    let json = snapshot.deterministic_json();
                     match &reference {
                         None => reference = Some(json),
                         Some(r) => assert_eq!(
                             &json, r,
                             "doc_seed={doc_seed} query_seed={query_seed} \
-                             {plan:?}/{dispatch:?}/shards={shards}: deterministic \
-                             counters must be byte-identical within a plan mode"
+                             {plan:?}/shards={shards}/{front:?}: deterministic counters \
+                             must be byte-identical within a plan mode"
                         ),
                     }
                 }
-            }
-        }
-    }
-}
-
-/// Tiny chunks so the harness's documents split for real instead of
-/// taking the sequential whole-document fallback.
-fn par_config(threads: usize) -> ParallelConfig {
-    ParallelConfig { threads, chunk_bytes: Some(96), ..ParallelConfig::default() }
-}
-
-#[test]
-fn deterministic_counters_are_invariant_across_parse_front_ends() {
-    // Sequential reader, pipelined reader (2 and 4 parse threads) and the
-    // overlapped front-end (2 and 4 producers) must export byte-identical
-    // deterministic counters — scheduling is an implementation detail.
-    // This is the telemetry face of the `--no-overlap` CLI equivalence.
-    for (doc_seed, query_seed) in [(11u64, 5u64), (42, 9)] {
-        let xml = random::to_string(&RandomConfig::seeded(doc_seed));
-        let trees = query_set(query_seed);
-        for &shards in SHARDS {
-            let mut reference: Option<String> = None;
-            let mut check = |telemetry: Telemetry, label: &str| {
-                let json = telemetry.snapshot().expect("enabled").deterministic_json();
-                match &reference {
-                    None => reference = Some(json),
-                    Some(r) => assert_eq!(
-                        &json, r,
-                        "doc_seed={doc_seed} query_seed={query_seed} shards={shards} \
-                         {label}: deterministic counters must be front-end invariant"
-                    ),
-                }
-            };
-            let make_engine = |telemetry: &Telemetry| {
-                let mut engine =
-                    ShardedEngine::with_options(shards, DispatchMode::Indexed, PlanMode::Shared);
-                engine.set_telemetry(telemetry.clone());
-                for tree in &trees {
-                    engine.add_tree(tree).expect("registrable");
-                }
-                engine
-            };
-            {
-                let telemetry = Telemetry::enabled();
-                let mut engine = make_engine(&telemetry);
-                engine.run(XmlReader::from_str(&xml), |_, _| {}).expect("sequential");
-                check(telemetry, "sequential");
-            }
-            for threads in [2usize, 4] {
-                let telemetry = Telemetry::enabled();
-                let mut engine = make_engine(&telemetry);
-                let reader =
-                    ParallelReader::with_config(xml.as_bytes().to_vec(), par_config(threads));
-                engine.run(reader, |_, _| {}).expect("pipelined");
-                check(telemetry, &format!("pipelined({threads})"));
-            }
-            for threads in [2usize, 4] {
-                let telemetry = Telemetry::enabled();
-                let mut engine = make_engine(&telemetry);
-                engine
-                    .run_overlapped(xml.as_bytes().to_vec(), par_config(threads), |_, _| {})
-                    .expect("overlapped");
-                let snapshot = telemetry.snapshot().expect("enabled");
-                if shards > 1 {
-                    // The overlapped front-end actually ran: producer
-                    // metrics were recorded (as scheduling-dependent
-                    // timing metrics, outside the deterministic subset).
-                    assert!(
-                        snapshot.counter("vitex_producer_batches_total").unwrap() > 0,
-                        "producers published batches"
-                    );
-                    assert!(
-                        snapshot.gauges.iter().any(
-                            |g| g.name == "vitex_producer_threads" && g.value == threads as u64
-                        ),
-                        "producer thread-count gauge recorded"
-                    );
-                }
-                check(telemetry, &format!("overlapped({threads})"));
             }
         }
     }
@@ -171,8 +105,8 @@ fn stream_and_match_counters_are_invariant_across_plan_modes() {
         "vitex_machine_emitted_total",
     ];
     let mut reference: Option<Vec<u64>> = None;
-    for plan in [PlanMode::Unshared, PlanMode::Shared, PlanMode::PrefixShared] {
-        let (_, telemetry) = run_config(&trees, &xml, plan, DispatchMode::Indexed, 1);
+    for &plan in PLANS {
+        let (_, telemetry) = run_config(&trees, &xml, plan, 1, FrontEnd::Sequential);
         let snapshot = telemetry.snapshot().expect("enabled");
         let values: Vec<u64> = plan_invariant
             .iter()
@@ -189,7 +123,7 @@ fn stream_and_match_counters_are_invariant_across_plan_modes() {
 fn snapshot_round_trips_engine_output() {
     let xml = random::to_string(&RandomConfig::seeded(21));
     let trees = query_set(4);
-    let (out, telemetry) = run_config(&trees, &xml, PlanMode::Shared, DispatchMode::Indexed, 4);
+    let (out, telemetry) = run_config(&trees, &xml, PlanMode::Shared, 4, FrontEnd::Sequential);
     let snapshot = telemetry.snapshot().expect("enabled");
     assert_eq!(snapshot.counter("vitex_stream_events_total"), Some(out.events));
     assert_eq!(snapshot.counter("vitex_stream_elements_total"), Some(out.elements));
@@ -205,7 +139,7 @@ fn snapshot_round_trips_engine_output() {
 fn timing_metrics_are_present_but_excluded_from_the_deterministic_export() {
     let xml = random::to_string(&RandomConfig::seeded(13));
     let trees = query_set(2);
-    let (_, telemetry) = run_config(&trees, &xml, PlanMode::Shared, DispatchMode::Indexed, 4);
+    let (_, telemetry) = run_config(&trees, &xml, PlanMode::Shared, 4, FrontEnd::Sequential);
     let snapshot = telemetry.snapshot().expect("enabled");
     // Wall-clock did pass and the dispatch histogram saw events…
     assert!(snapshot.counter("vitex_doc_ns_total").unwrap() > 0);
@@ -228,7 +162,7 @@ fn timing_metrics_are_present_but_excluded_from_the_deterministic_export() {
 fn exports_are_valid_json() {
     let xml = random::to_string(&RandomConfig::seeded(33));
     let trees = query_set(6);
-    let (_, telemetry) = run_config(&trees, &xml, PlanMode::Shared, DispatchMode::Indexed, 4);
+    let (_, telemetry) = run_config(&trees, &xml, PlanMode::Shared, 4, FrontEnd::Sequential);
     let snapshot = telemetry.snapshot().expect("enabled");
     let metrics = snapshot.to_json();
     assert_json(&metrics);
@@ -257,31 +191,20 @@ fn disabled_telemetry_snapshots_nothing() {
 // ---- cost-attribution (profile) battery ----
 
 /// Runs one configuration with profiling enabled and returns the ledger
-/// snapshot. `overlapped: Some(threads)` routes through the overlapped
-/// front-end instead of the sequential reader.
+/// snapshot.
 fn run_profiled(
     trees: &[QueryTree],
     xml: &str,
     plan: PlanMode,
-    dispatch: DispatchMode,
     shards: usize,
-    overlapped: Option<usize>,
+    front: FrontEnd,
 ) -> ProfileSnapshot {
-    let mut engine = ShardedEngine::with_options(shards, dispatch, plan);
+    let mut engine = ShardedEngine::with_plan(shards, plan);
     engine.set_profiling(true);
     for tree in trees {
         engine.add_tree(tree).expect("registrable");
     }
-    match overlapped {
-        Some(threads) => {
-            engine
-                .run_overlapped(xml.as_bytes().to_vec(), par_config(threads), |_, _| {})
-                .expect("overlapped run");
-        }
-        None => {
-            engine.run(XmlReader::from_str(xml), |_, _| {}).expect("run");
-        }
-    }
+    run_front(&mut engine, xml, front, |_, _| {});
     engine.group_costs().expect("profiling enabled")
 }
 
@@ -290,46 +213,29 @@ fn profile_counters_are_invariant_across_every_configuration() {
     // Unlike the metrics registry — whose deterministic subset includes
     // plan-shape counters and is therefore compared within a plan mode —
     // the ledger's per-query section folds once per subscription, so it
-    // must be byte-identical across dispatch × plan × shard × front-end:
-    // ONE reference per (document, query set), full stop.
+    // must be byte-identical across plan × shard × front-end: ONE
+    // reference per (document, query set), full stop.
     for (doc_seed, query_seed) in [(11u64, 5u64), (42, 9)] {
         let xml = random::to_string(&RandomConfig::seeded(doc_seed));
         let trees = query_set(query_seed);
         let mut reference: Option<String> = None;
-        let mut check = |snap: ProfileSnapshot, label: String| {
-            let json = snap.deterministic_json();
-            assert_json(&json);
-            match &reference {
-                None => reference = Some(json),
-                Some(r) => assert_eq!(
-                    &json, r,
-                    "doc_seed={doc_seed} query_seed={query_seed} {label}: per-query \
-                     profile counters must be byte-identical across configurations"
-                ),
-            }
-        };
-        for plan in [PlanMode::Unshared, PlanMode::Shared, PlanMode::PrefixShared] {
-            for dispatch in [DispatchMode::Indexed, DispatchMode::Scan] {
-                for &shards in SHARDS {
-                    check(
-                        run_profiled(&trees, &xml, plan, dispatch, shards, None),
-                        format!("{plan:?}/{dispatch:?}/shards={shards}"),
-                    );
+        for &plan in PLANS {
+            for &shards in SHARDS {
+                for front in [FrontEnd::Sequential, FrontEnd::Pipelined(2), FrontEnd::Overlapped(2)]
+                {
+                    let json = run_profiled(&trees, &xml, plan, shards, front).deterministic_json();
+                    assert_json(&json);
+                    match &reference {
+                        None => reference = Some(json),
+                        Some(r) => assert_eq!(
+                            &json, r,
+                            "doc_seed={doc_seed} query_seed={query_seed} \
+                             {plan:?}/shards={shards}/{front:?}: per-query profile counters \
+                             must be byte-identical across configurations"
+                        ),
+                    }
                 }
             }
-        }
-        for &shards in SHARDS {
-            check(
-                run_profiled(
-                    &trees,
-                    &xml,
-                    PlanMode::Shared,
-                    DispatchMode::Indexed,
-                    shards,
-                    Some(2),
-                ),
-                format!("overlapped(2)/shards={shards}"),
-            );
         }
     }
 }
@@ -339,8 +245,7 @@ fn profile_ranking_is_stable_across_shard_counts() {
     let xml = random::to_string(&RandomConfig::seeded(17));
     let trees = query_set(12);
     let rank = |shards: usize| -> Vec<(usize, u64)> {
-        let snap =
-            run_profiled(&trees, &xml, PlanMode::Shared, DispatchMode::Indexed, shards, None);
+        let snap = run_profiled(&trees, &xml, PlanMode::Shared, shards, FrontEnd::Sequential);
         snap.top_queries(trees.len()).iter().map(|q| (q.id, q.work())).collect()
     };
     let reference = rank(1);
@@ -373,7 +278,7 @@ fn profile_accumulates_across_session_documents() {
 fn profile_full_export_is_valid_json_with_group_diagnostics() {
     let xml = random::to_string(&RandomConfig::seeded(33));
     let trees = query_set(6);
-    let snap = run_profiled(&trees, &xml, PlanMode::PrefixShared, DispatchMode::Indexed, 4, None);
+    let snap = run_profiled(&trees, &xml, PlanMode::PrefixShared, 4, FrontEnd::Sequential);
     let json = snap.to_json();
     assert_json(&json);
     assert!(json.starts_with("{\"schema\":\"vitex.profile.v1\""));
