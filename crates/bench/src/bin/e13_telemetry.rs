@@ -25,50 +25,16 @@ use vitex_bench::{fmt_dur, header, scale_arg, throughput};
 use vitex_core::telemetry::{Snapshot, Telemetry};
 use vitex_core::ShardedEngine;
 use vitex_xmlgen::auction::{self, AuctionConfig};
-use vitex_xmlsax::{ParallelConfig, ParallelReader, XmlReader};
+use vitex_xmlsax::XmlReader;
 
-/// How events reach the shard rings: the sequential streaming reader, the
-/// pipelined speculative reader funneled through the coordinator, or the
-/// overlapped front-end (parse workers + publisher threads feeding rings
-/// directly).
-#[derive(Clone, Copy, PartialEq)]
-enum FrontEnd {
-    Sequential,
-    Pipelined(usize),
-    Overlapped(usize),
-}
-
-impl FrontEnd {
-    fn label(self) -> String {
-        match self {
-            FrontEnd::Sequential => "seq".into(),
-            FrontEnd::Pipelined(t) => format!("pipe({t})"),
-            FrontEnd::Overlapped(t) => format!("ovl({t})"),
-        }
-    }
-}
-
-fn run_once(queries: &[String], shards: usize, front: FrontEnd, xml: &str) -> (Snapshot, u64) {
+fn run_once(queries: &[String], shards: usize, xml: &str) -> (Snapshot, u64) {
     let telemetry = Telemetry::enabled();
     let mut engine = ShardedEngine::new(shards);
     engine.set_telemetry(telemetry.clone());
     for q in queries {
         engine.add_query(q).expect("valid query");
     }
-    let out = match front {
-        FrontEnd::Sequential => {
-            engine.run(XmlReader::from_str(xml), |_, _| {}).expect("engine run")
-        }
-        FrontEnd::Pipelined(threads) => {
-            let config = ParallelConfig { threads, ..ParallelConfig::default() };
-            let reader = ParallelReader::with_config(xml.as_bytes().to_vec(), config);
-            engine.run(reader, |_, _| {}).expect("engine run")
-        }
-        FrontEnd::Overlapped(threads) => {
-            let config = ParallelConfig { threads, ..ParallelConfig::default() };
-            engine.run_overlapped(xml.as_bytes().to_vec(), config, |_, _| {}).expect("engine run").0
-        }
-    };
+    let out = engine.run(XmlReader::from_str(xml), |_, _| {}).expect("engine run");
     let matches = out.matches.iter().map(|m| m.len() as u64).sum();
     (telemetry.snapshot().expect("telemetry enabled"), matches)
 }
@@ -99,17 +65,12 @@ fn main() {
     let queries = distinct_overlapping_queries(k);
 
     println!(
-        "{:>6} | {:>7} | {:>9} | {:>9} | {:>9} | {:>9} | {:>10} | {:>8} | {:>9}",
-        "shards", "feed", "total", "parse", "dispatch", "ringwait", "merge-hold", "MB/s", "matches"
+        "{:>6} | {:>9} | {:>9} | {:>9} | {:>9} | {:>10} | {:>8} | {:>9}",
+        "shards", "total", "parse", "dispatch", "ringwait", "merge-hold", "MB/s", "matches"
     );
     let mut reference: Option<u64> = None;
-    for (shards, front) in [
-        (1usize, FrontEnd::Sequential),
-        (4, FrontEnd::Sequential),
-        (4, FrontEnd::Pipelined(4)),
-        (4, FrontEnd::Overlapped(4)),
-    ] {
-        let (snapshot, matches) = run_once(&queries, shards, front, &xml);
+    for shards in [1usize, 4] {
+        let (snapshot, matches) = run_once(&queries, shards, &xml);
         match reference {
             None => reference = Some(matches),
             Some(r) => assert_eq!(matches, r, "shard counts must agree on matches"),
@@ -122,9 +83,8 @@ fn main() {
         // parser; ring-wait is the blocking slice *inside* dispatch.
         let parse = total.saturating_sub(dispatch);
         println!(
-            "{:>6} | {:>7} | {:>9} | {:>9} | {:>9} | {:>9} | {:>10} | {:>8.1} | {:>9}",
+            "{:>6} | {:>9} | {:>9} | {:>9} | {:>9} | {:>10} | {:>8.1} | {:>9}",
             shards,
-            front.label(),
             fmt_dur(ns(total)),
             fmt_dur(ns(parse)),
             fmt_dur(ns(dispatch.saturating_sub(ring_wait))),
@@ -146,20 +106,6 @@ fn main() {
                 "       |   workers: busy={} idle={} across {shards} shards; \
                  ring: stalls={stalls} occupancy-high={occupancy}",
                 fmt_dur(ns(busy)),
-                fmt_dur(ns(idle)),
-            );
-        }
-        if matches!(front, FrontEnd::Overlapped(_)) {
-            let batches = snapshot.counter("vitex_producer_batches_total").unwrap_or(0);
-            let idle = snapshot.counter("vitex_producer_idle_ns_total").unwrap_or(0);
-            let producers = snapshot
-                .gauges
-                .iter()
-                .find(|g| g.name == "vitex_producer_threads")
-                .map_or(0, |g| g.value);
-            println!(
-                "       |   producers: {producers} threads published {batches} batches, \
-                 idle={} waiting on admission",
                 fmt_dur(ns(idle)),
             );
         }
@@ -210,16 +156,9 @@ fn main() {
          (inline delegation); the sharded rows attribute wall-clock to\n\
          parse + dispatch + ring-wait, with ring-wait > 0 meaning workers\n\
          are the bottleneck (raise shards on a multi-core host) and\n\
-         ring-wait ~ 0 meaning the parser is (see E12). The pipe(4) row\n\
-         moves raw parsing off the coordinator (its parse slice becomes\n\
-         event *pulling*); the ovl(4) row also moves ring feeding off it\n\
-         (publisher threads push batches directly, so the coordinator's\n\
-         dispatch slice shrinks to the admission walk; ring-wait there is\n\
-         summed across concurrent publishers and can exceed wall-clock —\n\
-         it is a contention integral, not a latency). On a 1-core host all\n\
-         time-slice one CPU and overlap cannot pay — compare MB/s across\n\
-         rows on a multi-core host. Match totals are asserted identical\n\
-         across rows — neither observability nor the front-end perturbs\n\
-         the deterministic merge."
+         ring-wait ~ 0 meaning the coordinator (parse + admission) is.\n\
+         Match totals are asserted identical across rows — neither\n\
+         observability nor the shard count perturbs the deterministic\n\
+         merge."
     );
 }

@@ -138,8 +138,6 @@ impl MachineNode {
 pub struct MachineSpec {
     /// Stacked machine nodes; parents precede children.
     pub nodes: Vec<MachineNode>,
-    /// Element name → machine nodes testing that name.
-    pub by_name: HashMap<String, Vec<usize>>,
     /// Interned name → machine nodes testing that name, indexed by
     /// [`Symbol::index`]. Symbols come from the interner handed to
     /// [`MachineSpec::compile_with`]; the vector only spans symbols this
@@ -169,10 +167,10 @@ pub struct MachineSpec {
 }
 
 impl MachineSpec {
-    /// Compiles a query tree against a throwaway interner. The resulting
-    /// spec dispatches by string ([`MachineSpec::by_name`]); use
-    /// [`MachineSpec::compile_with`] to share an interner across machines
-    /// and enable symbol dispatch.
+    /// Compiles a query tree against a throwaway interner — enough to
+    /// inspect or measure the layout. A machine that is to be driven needs
+    /// [`MachineSpec::compile_with`] and the interner its events are
+    /// resolved through.
     pub fn compile(tree: &QueryTree) -> Result<MachineSpec, BuildError> {
         MachineSpec::compile_with(tree, &mut Interner::new())
     }
@@ -186,7 +184,6 @@ impl MachineSpec {
     ) -> Result<MachineSpec, BuildError> {
         let mut spec = MachineSpec {
             nodes: Vec::with_capacity(tree.len()),
-            by_name: HashMap::new(),
             by_symbol: Vec::new(),
             name_symbols: Vec::new(),
             pred_name_symbols: Vec::new(),
@@ -240,7 +237,6 @@ impl MachineSpec {
                     }
                     match &node.name {
                         Some(n) => {
-                            spec.by_name.entry(n.clone()).or_default().push(mi);
                             let sym = interner.intern(n);
                             if spec.by_symbol.len() <= sym.index() {
                                 spec.by_symbol.resize(sym.index() + 1, Vec::new());
@@ -365,7 +361,7 @@ impl MachineSpec {
     }
 
     /// Approximate heap bytes of the compiled layout: node storage (with
-    /// inline sub-tests and name strings), both name indexes and the
+    /// inline sub-tests and name strings), the symbol index and the
     /// auxiliary node lists. The plan layer sums this across machines to
     /// report how much build memory query sharing saves (experiment E9).
     pub fn approx_bytes(&self) -> u64 {
@@ -378,9 +374,6 @@ impl MachineSpec {
             for a in n.attr_preds.iter().chain(n.attr_result.iter()) {
                 bytes += a.name.as_ref().map_or(0, |s| s.len());
             }
-        }
-        for (name, list) in &self.by_name {
-            bytes += name.len() + size_of::<String>() + list.capacity() * size_of::<usize>();
         }
         for list in &self.by_symbol {
             bytes += size_of::<Vec<usize>>() + list.capacity() * size_of::<usize>();
@@ -507,21 +500,15 @@ mod tests {
     }
 
     #[test]
-    fn name_index_and_wildcards() {
-        let m = compile("//a[*]/a/*");
-        assert_eq!(m.by_name["a"].len(), 2);
-        assert_eq!(m.wildcards.len(), 2); // the predicate * and the result *
-    }
-
-    #[test]
-    fn symbol_index_mirrors_name_index() {
+    fn symbol_index_and_wildcards() {
         let mut interner = Interner::new();
         let tree = QueryTree::parse("//a[b]/a/*").unwrap();
         let m = MachineSpec::compile_with(&tree, &mut interner).unwrap();
         let a = interner.lookup("a").unwrap();
         let b = interner.lookup("b").unwrap();
-        assert_eq!(m.machines_for(a), m.by_name["a"].as_slice());
-        assert_eq!(m.machines_for(b), m.by_name["b"].as_slice());
+        assert_eq!(m.machines_for(a), [0, 2]);
+        assert_eq!(m.machines_for(b), [1]);
+        assert_eq!(m.wildcards, [3]);
         assert_eq!(m.name_symbols, vec![a, b]);
         assert!(m.has_wildcard());
         assert!(!m.needs_characters());

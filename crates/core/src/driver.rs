@@ -5,9 +5,7 @@
 //! — and pushes each event into an [`EventSink`]; the engines are sinks,
 //! and anything else that wants a numbered, symbol-resolved event stream
 //! can be one too. [`DocumentDriver::run`] pulls events from an
-//! [`EventSource`]; the overlapped shard front-end, which receives parsed
-//! events in batches, feeds the same per-event step
-//! ([`DocumentDriver::step`]) itself.
+//! [`EventSource`] until the document ends.
 //!
 //! Responsibilities split:
 //!
@@ -102,93 +100,60 @@ impl DocumentDriver {
     /// `sink`, and reports the stream statistics. Node numbering restarts
     /// at 0 for each run.
     ///
-    /// Any [`EventSource`] works: the sequential [`XmlReader`] or the
-    /// parallel [`vitex_xmlsax::ParallelReader`] — both deliver the same
-    /// stream, so everything downstream is front-end agnostic.
+    /// Per event the driver counts it, numbers the node it opens, and
+    /// resolves (start tag) or replays (end tag) the element's symbol.
     pub fn run<E: EventSource, S: EventSink>(
         &mut self,
         mut reader: E,
         sink: &mut S,
     ) -> EngineResult<StreamStats> {
-        let mut walk = self.begin();
-        while !self.step(&mut walk, &reader.next_event()?, sink) {}
-        Ok(self.finish(walk))
-    }
-
-    /// Starts a document: clears the open-element stack, restarts node
-    /// numbering and the stream counters, and starts the document timer.
-    pub(crate) fn begin(&mut self) -> DocWalk {
         self.open_syms.clear();
-        DocWalk { next_id: 0, stats: StreamStats::default(), t_doc: self.telemetry.timer() }
-    }
-
-    /// Dispatches one event into `sink`: counts it, numbers the node it
-    /// opens, resolves (start tag) or replays (end tag) the element's
-    /// symbol. Returns `true` at [`XmlEvent::EndDocument`], after calling
-    /// [`EventSink::document_end`].
-    #[inline]
-    pub(crate) fn step<S: EventSink>(
-        &mut self,
-        walk: &mut DocWalk,
-        event: &XmlEvent,
-        sink: &mut S,
-    ) -> bool {
-        walk.stats.events += 1;
-        match event {
-            XmlEvent::StartElement(e) => {
-                walk.stats.elements += 1;
-                let node_id = walk.next_id;
-                walk.next_id += 1 + e.attributes.len() as u64;
-                let sym = sink.resolve(e.name.as_str());
-                self.open_syms.push(sym);
-                let t_ev = self.telemetry.timer();
-                sink.start_element(sym, e, node_id, node_id + 1);
-                self.telemetry.observe_elapsed(|r| &r.dispatch_ns, t_ev);
+        let mut next_id: NodeId = 0;
+        let mut stats = StreamStats::default();
+        let t_doc = self.telemetry.timer();
+        loop {
+            let event = reader.next_event()?;
+            stats.events += 1;
+            match event {
+                XmlEvent::StartElement(e) => {
+                    stats.elements += 1;
+                    let node_id = next_id;
+                    next_id += 1 + e.attributes.len() as u64;
+                    let sym = sink.resolve(e.name.as_str());
+                    self.open_syms.push(sym);
+                    let t_ev = self.telemetry.timer();
+                    sink.start_element(sym, &e, node_id, node_id + 1);
+                    self.telemetry.observe_elapsed(|r| &r.dispatch_ns, t_ev);
+                }
+                XmlEvent::Characters(c) => {
+                    stats.text_nodes += 1;
+                    let node_id = next_id;
+                    next_id += 1;
+                    let t_ev = self.telemetry.timer();
+                    sink.characters(&c, node_id);
+                    self.telemetry.observe_elapsed(|r| &r.dispatch_ns, t_ev);
+                }
+                XmlEvent::EndElement(e) => {
+                    let sym = self.open_syms.pop().flatten();
+                    let t_ev = self.telemetry.timer();
+                    sink.end_element(sym, &e);
+                    self.telemetry.observe_elapsed(|r| &r.dispatch_ns, t_ev);
+                }
+                XmlEvent::EndDocument => {
+                    sink.document_end();
+                    break;
+                }
+                XmlEvent::StartDocument { .. }
+                | XmlEvent::Comment(_)
+                | XmlEvent::ProcessingInstruction(_)
+                | XmlEvent::DoctypeDeclaration { .. } => {}
             }
-            XmlEvent::Characters(c) => {
-                walk.stats.text_nodes += 1;
-                let node_id = walk.next_id;
-                walk.next_id += 1;
-                let t_ev = self.telemetry.timer();
-                sink.characters(c, node_id);
-                self.telemetry.observe_elapsed(|r| &r.dispatch_ns, t_ev);
-            }
-            XmlEvent::EndElement(e) => {
-                let sym = self.open_syms.pop().flatten();
-                let t_ev = self.telemetry.timer();
-                sink.end_element(sym, e);
-                self.telemetry.observe_elapsed(|r| &r.dispatch_ns, t_ev);
-            }
-            XmlEvent::EndDocument => {
-                sink.document_end();
-                return true;
-            }
-            XmlEvent::StartDocument { .. }
-            | XmlEvent::Comment(_)
-            | XmlEvent::ProcessingInstruction(_)
-            | XmlEvent::DoctypeDeclaration { .. } => {}
         }
-        false
+        self.telemetry.add_elapsed(|r| &r.doc_ns, t_doc);
+        self.telemetry.record_span("document", "stream", TID_COORDINATOR, t_doc);
+        self.telemetry.fold_stream(&stats);
+        Ok(stats)
     }
-
-    /// Ends a fully streamed document: records its wall time and
-    /// `document` span, folds the stream counters, and returns them.
-    pub(crate) fn finish(&mut self, walk: DocWalk) -> StreamStats {
-        self.telemetry.add_elapsed(|r| &r.doc_ns, walk.t_doc);
-        self.telemetry.record_span("document", "stream", TID_COORDINATOR, walk.t_doc);
-        self.telemetry.fold_stream(&walk.stats);
-        walk.stats
-    }
-}
-
-/// Per-document state of a [`DocumentDriver`] walk, between
-/// [`DocumentDriver::begin`] and [`DocumentDriver::finish`].
-pub(crate) struct DocWalk {
-    /// The next document-order node id to assign.
-    next_id: NodeId,
-    stats: StreamStats,
-    /// Document timer (`None` with telemetry disabled).
-    t_doc: Option<std::time::Instant>,
 }
 
 #[cfg(test)]

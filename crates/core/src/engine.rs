@@ -79,8 +79,7 @@ impl Engine {
 
     /// Streams `reader` through the machine, invoking `on_match` for every
     /// solution the moment it becomes decidable. Resets the machine first,
-    /// so an engine can be reused across documents. Accepts any
-    /// [`EventSource`] (sequential or parallel front-end).
+    /// so an engine can be reused across documents.
     pub fn run<E: EventSource, F: FnMut(Match)>(
         &mut self,
         reader: E,
@@ -271,51 +270,5 @@ mod tests {
         // and attribute matches use the attribute's own id.
         let ms = evaluate_str("<a x=\"1\" y=\"2\"><b/></a>", "//a/@y").unwrap();
         assert_eq!(ms[0].node, 2);
-    }
-
-    #[test]
-    fn interned_and_string_dispatch_agree() {
-        // The engine path (symbol dispatch through the driver) and the raw
-        // string API must produce identical results — including on names
-        // absent from the query (symbol `None`).
-        use vitex_xmlsax::XmlEvent;
-        let xml = "<a><x/><b>t</b><x><b/></x></a>";
-        let tree = QueryTree::parse("//a/*[b]").unwrap();
-        let engine_ids: Vec<u64> =
-            evaluate_str(xml, "//a/*[b]").unwrap().iter().map(|m| m.node).collect();
-        // Drive a machine manually through the string API.
-        let mut machine = TwigM::new(&tree).unwrap();
-        let mut next_id = 0u64;
-        let mut manual_ids = Vec::new();
-        for event in XmlReader::from_str(xml).collect_events().unwrap() {
-            match event {
-                XmlEvent::StartElement(e) => {
-                    let id = next_id;
-                    next_id += 1 + e.attributes.len() as u64;
-                    machine.start_element(
-                        e.name.as_str(),
-                        e.level,
-                        &e.attributes,
-                        id,
-                        id + 1,
-                        e.span,
-                        &mut |m| manual_ids.push(m.node),
-                    );
-                }
-                XmlEvent::Characters(c) => {
-                    let id = next_id;
-                    next_id += 1;
-                    machine
-                        .characters(&c.text, c.level, id, c.span, &mut |m| manual_ids.push(m.node));
-                }
-                XmlEvent::EndElement(e) => {
-                    machine.end_element(e.name.as_str(), e.level, e.element_span, &mut |m| {
-                        manual_ids.push(m.node)
-                    });
-                }
-                _ => {}
-            }
-        }
-        assert_eq!(engine_ids, manual_ids);
     }
 }

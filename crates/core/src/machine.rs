@@ -42,11 +42,10 @@ use std::sync::Arc;
 
 use vitex_xmlsax::event::Attribute;
 use vitex_xmlsax::pos::ByteSpan;
-use vitex_xpath::query_tree::QueryTree;
 use vitex_xpath::{Axis, CmpOp, Literal};
 
 use crate::bitset::SmallBitSet;
-use crate::builder::{BuildError, EvalMode, MachineSpec};
+use crate::builder::{EvalMode, MachineSpec};
 use crate::intern::Symbol;
 use crate::predicate;
 use crate::result::{Match, MatchKind};
@@ -199,17 +198,6 @@ pub struct TwigM {
 }
 
 impl TwigM {
-    /// Builds a machine for a query tree in the default (compact, paper)
-    /// mode.
-    pub fn new(tree: &QueryTree) -> Result<Self, BuildError> {
-        TwigM::with_mode(tree, EvalMode::Compact)
-    }
-
-    /// Builds a machine with an explicit evaluation mode.
-    pub fn with_mode(tree: &QueryTree, mode: EvalMode) -> Result<Self, BuildError> {
-        Ok(TwigM::from_spec(MachineSpec::compile(tree)?, mode))
-    }
-
     /// Wraps an already-compiled spec.
     pub fn from_spec(spec: MachineSpec, mode: EvalMode) -> Self {
         let stacks = spec.nodes.iter().map(|_| Vec::new()).collect();
@@ -305,36 +293,13 @@ impl TwigM {
     // Transitions
     // ------------------------------------------------------------- //
 
-    /// `startElement`, dispatched by raw name: push onto every machine
-    /// node the element matches.
+    /// `startElement`: push onto every machine node the element matches,
+    /// found by integer-indexed lookup of the interned symbol the
+    /// [`crate::driver::DocumentDriver`] resolved once per event.
     ///
     /// `node_id` is the element's document-order id; its attributes get ids
     /// `attr_id_base + i`. `tag_span` is the byte span of the start tag
-    /// (used as the span of attribute matches). Name resolution hashes the
-    /// string against this machine's name index; stream-driving callers go
-    /// through [`TwigM::start_element_interned`] instead, which the
-    /// [`crate::driver::DocumentDriver`] feeds with a symbol resolved once
-    /// per event.
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_element(
-        &mut self,
-        name: &str,
-        level: u32,
-        attributes: &[Attribute],
-        node_id: u64,
-        attr_id_base: u64,
-        tag_span: ByteSpan,
-        emit: &mut dyn FnMut(Match),
-    ) {
-        let mut plan = std::mem::take(&mut self.plan);
-        let named = self.spec.by_name.get(name).map(|v| v.as_slice()).unwrap_or(&[]);
-        self.plan_pushes(named, level, &mut plan);
-        self.apply_pushes(&plan, name, level, attributes, node_id, attr_id_base, tag_span, emit);
-        self.plan = plan;
-    }
-
-    /// `startElement`, dispatched by interned symbol: integer-indexed
-    /// lookup instead of a per-machine string hash. `sym` must come from
+    /// (used as the span of attribute matches). `sym` must come from
     /// the interner this machine's spec was compiled with (`None` means
     /// the name is not interned there — only wildcard nodes can match).
     #[allow(clippy::too_many_arguments)]
@@ -876,11 +841,13 @@ fn cmp_opt(comparison: &Option<(CmpOp, Literal)>, value: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::intern::Interner;
     use vitex_xpath::query_tree::QueryTree;
 
     /// Drives the machine over a tiny hand-rolled event stream.
     struct Driver {
         machine: TwigM,
+        interner: Interner,
         level: u32,
         next_id: u64,
         offset: u64,
@@ -894,8 +861,11 @@ mod tests {
 
         fn with_mode(query: &str, mode: EvalMode) -> Self {
             let tree = QueryTree::parse(query).unwrap();
+            let mut interner = Interner::new();
+            let spec = MachineSpec::compile_with(&tree, &mut interner).unwrap();
             Driver {
-                machine: TwigM::with_mode(&tree, mode).unwrap(),
+                machine: TwigM::from_spec(spec, mode),
+                interner,
                 level: 0,
                 next_id: 0,
                 offset: 0,
@@ -915,9 +885,17 @@ mod tests {
             let span = ByteSpan::new(self.offset, self.offset + 1);
             self.offset += 1;
             let matches = &mut self.matches;
-            self.machine.start_element(name, self.level, &attrs, id, id + 1, span, &mut |m| {
-                matches.push(m)
-            });
+            let sym = self.interner.lookup(name);
+            self.machine.start_element_interned(
+                sym,
+                name,
+                self.level,
+                &attrs,
+                id,
+                id + 1,
+                span,
+                &mut |m| matches.push(m),
+            );
             self
         }
 

@@ -351,13 +351,6 @@ impl MultiEngine {
         self.driver.set_telemetry(telemetry);
     }
 
-    /// The attached telemetry handle (disabled when none was set). The
-    /// overlapped front-end uses it to probe its parse workers and fold
-    /// stats without going through the driver.
-    pub(crate) fn telemetry(&self) -> Telemetry {
-        self.driver.telemetry()
-    }
-
     /// Enables (or disables) per-subscription cost attribution. Each run
     /// then folds per-query machine counters, match deliveries, and
     /// per-group diagnostics into a [`CostLedger`]; read it back with
@@ -481,7 +474,7 @@ pub(crate) struct GroupFacts<'a> {
     pub(crate) stats: &'a MachineStats,
 }
 
-/// One fully streamed document, as a front-end hands it to
+/// One fully streamed document, as an engine hands it to
 /// [`finish_document`].
 pub(crate) struct FinishedDocument<'a> {
     pub(crate) records: &'a [QueryRecord],
@@ -496,14 +489,14 @@ pub(crate) struct FinishedDocument<'a> {
     pub(crate) holds: Vec<(u32, u64, u64)>,
 }
 
-/// The **one** per-document epilogue, shared by the inline engine and both
-/// sharded front-ends: projects group statistics onto registration
+/// The **one** per-document epilogue, shared by the inline engine and the
+/// sharded session: projects group statistics onto registration
 /// records, folds the deterministic telemetry counters and the cost
 /// ledger, and assembles the [`MultiOutput`]. Every fold is per
 /// subscription (not per group) from the per-record projection — a shared
 /// machine contributes once per subscriber — which is what makes the
 /// counters and the ledger's per-query section invariant across plan
-/// modes, shard counts and front-ends.
+/// modes and shard counts.
 pub(crate) fn finish_document<'g>(
     doc: FinishedDocument<'_>,
     telemetry: &Telemetry,

@@ -125,11 +125,12 @@ impl PlanGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::{EvalMode, MachineSpec};
     use vitex_xpath::QueryTree;
 
     fn group() -> PlanGroup {
         let tree = QueryTree::parse("//a[b]").unwrap();
-        let machine = TwigM::new(&tree).unwrap();
+        let machine = TwigM::from_spec(MachineSpec::compile(&tree).unwrap(), EvalMode::Compact);
         PlanGroup::new(machine, tree.canonical_key(), tree.stable_hash(), 1, QueryId(0))
     }
 

@@ -4,16 +4,14 @@
 //! (the merge key workers tag matches with), a **broadcast-filter**
 //! verdict (an event no group anywhere is interested in consumes its
 //! number but is never built or shipped) and — under prefix sharing — the
-//! **trie pushes** the global plan trie decided for it. Batches then cover
-//! contiguous `(after, through]` windows of the sequence space.
+//! **trie pushes** the global plan trie decided for it. Each broadcast
+//! batch covers every sequence number admitted up to its `through`.
 //!
-//! Both sharded front-ends run this walk through the one [`Admission`]
-//! value of their session and keep only their payload construction: the
-//! pipelined pump builds `ShardEvent`s from borrowed driver events, the
-//! overlapped walk pairs each verdict with the owned parser event.
+//! The session's pump runs this walk and keeps only the payload
+//! construction (building `ShardEvent`s from borrowed driver events).
 //! Walking the trie here, once per event on the document thread, is what
 //! keeps the prefix counters — and therefore the plan statistics and the
-//! shared-step bill — identical at every shard count and front-end.
+//! shared-step bill — identical at every shard count.
 
 use std::sync::Arc;
 
@@ -31,10 +29,6 @@ pub(super) struct Admission<'a> {
     trie: Option<&'a mut StepTrie>,
     /// Sequence number of the last admitted event (1-based).
     seq: u64,
-    /// Highest sequence number covered by windows already taken. Trails
-    /// `seq` by the events admitted since — filtered ones included, so a
-    /// window can cover more numbers than it ships events.
-    after: u64,
     /// Scratch: the trie pushes of the current start tag.
     pushed: Vec<TriePush>,
     /// Flat stack of trie nodes pushed per open shipped element (the end
@@ -55,7 +49,6 @@ impl<'a> Admission<'a> {
             filter,
             trie,
             seq: 0,
-            after: 0,
             pushed: Vec::new(),
             trie_open: Vec::new(),
             trie_frames: Vec::new(),
@@ -68,7 +61,6 @@ impl<'a> Admission<'a> {
     /// (the plan's group-slot count while profiling, 0 otherwise).
     pub(super) fn begin_document(&mut self, bill_slots: usize) {
         self.seq = 0;
-        self.after = 0;
         self.trie_open.clear();
         self.trie_frames.clear();
         self.shared_steps.clear();
@@ -140,23 +132,11 @@ impl<'a> Admission<'a> {
         Some(self.seq)
     }
 
-    /// Sequence number of the last admitted event — the document's final
-    /// watermark once the walk is over.
+    /// Sequence number of the last admitted event, filtered ones
+    /// included: the `through` of a batch flushed now, and the document's
+    /// final watermark once the walk is over.
     pub(super) fn seq(&self) -> u64 {
         self.seq
-    }
-
-    /// Whether events were admitted since the last window was taken.
-    pub(super) fn has_open_window(&self) -> bool {
-        self.seq > self.after
-    }
-
-    /// Closes the current window: `(after, through]` covers every event
-    /// admitted since the previous call.
-    pub(super) fn take_window(&mut self) -> (u64, u64) {
-        let window = (self.after, self.seq);
-        self.after = self.seq;
-        window
     }
 
     /// The document's shared-step bill so far (empty unless profiling).
@@ -197,13 +177,11 @@ mod tests {
             assert_eq!(adm.end(b, 3), Some(4));
             assert_eq!(adm.end(None, 2), None, "</x> pairs with its filtered start tag");
             assert_eq!(adm.text(), None, "no group reads text");
-            assert_eq!(adm.take_window(), (0, 6), "filtered events still consume numbers");
-            assert!(!adm.has_open_window());
+            assert_eq!(adm.seq(), 6, "filtered events still consume numbers");
             let b_in_a = adm.start(b, 2).expect("ships");
             assert_eq!((b_in_a.0, b_in_a.1.len()), (7, prefix as usize), "/a/b matches a/b");
             assert_eq!(adm.end(b, 2), Some(8));
             assert_eq!(adm.end(a, 1), Some(9));
-            assert_eq!(adm.take_window(), (6, 9));
             assert_eq!(adm.seq(), 9);
             if prefix {
                 assert!(adm.trie_open.is_empty() && adm.trie_frames.is_empty());

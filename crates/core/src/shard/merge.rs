@@ -17,16 +17,11 @@
 //! callback while the document is still streaming) without ever
 //! reordering against the single-threaded reference.
 //!
-//! The merge is agnostic to **how** events reached the workers. Under the
-//! overlapped front-end, publisher threads feed the shard rings out of
-//! order and workers reorder batches locally before applying them, so
-//! watermarks still advance monotonically — but they may *jump*: a worker
-//! that applies a stashed run of batches reports one watermark covering
-//! the whole run, and filtered events consume sequence numbers without
-//! ever shipping, so consecutive reports can skip arbitrarily many seqs.
-//! Both are fine: `push` only requires monotonicity (an equal watermark
-//! re-report is a no-op), and release needs no per-seq bookkeeping — only
-//! the min across shards.
+//! Watermarks advance monotonically but may *jump*: filtered events
+//! consume sequence numbers without ever shipping, so consecutive reports
+//! can skip arbitrarily many seqs. That is fine: `push` only requires
+//! monotonicity (an equal watermark re-report is a no-op), and release
+//! needs no per-seq bookkeeping — only the min across shards.
 
 use std::collections::VecDeque;
 use std::time::Instant;

@@ -27,13 +27,12 @@
 //!
 //! ## The coordinator
 //!
-//! The document thread does three things per document, each written
-//! once and shared by both front-ends — the pipelined pump
-//! ([`ShardSession::run_document`], any [`EventSource`]) and the
-//! overlapped walk ([`feed`], an owned buffer parsed by speculative
-//! workers): the **admission walk** ([`admit::Admission`]) numbers
-//! events, applies the broadcast filter and sequences the global trie;
-//! the per-document `DocState` ingests worker reports into the watermark
+//! The document thread runs the driver over any [`EventSource`]
+//! ([`ShardSession::run_document`]) and does three things per document:
+//! the **admission walk** ([`admit::Admission`]) numbers events, applies
+//! the broadcast filter and sequences the global trie, and the `DocPump`
+//! sink ships what it admits, batched, to every shard ring; the
+//! per-document `DocState` ingests worker reports into the watermark
 //! merge until every shard has acknowledged `DocEnd`; and the epilogue
 //! (`ThreadedSession::finish_document`, ending in
 //! [`crate::multi::finish_document`]) assembles the output exactly as the
@@ -61,7 +60,6 @@
 //! equality at several shard counts.
 
 pub(crate) mod admit;
-pub(crate) mod feed;
 pub(crate) mod merge;
 pub(crate) mod place;
 pub(crate) mod worker;
@@ -71,8 +69,6 @@ use std::sync::Arc;
 use std::thread;
 
 use vitex_xmlsax::event::{CharactersEvent, EndElementEvent, StartElementEvent};
-use vitex_xmlsax::par::{ParStats, ParallelConfig, ParallelReader};
-use vitex_xmlsax::probe::ProbeHandle;
 use vitex_xmlsax::EventSource;
 use vitex_xpath::query_tree::QueryTree;
 
@@ -242,25 +238,6 @@ impl ShardedEngine {
         on_match: F,
     ) -> EngineResult<MultiOutput> {
         self.session(|session| session.run_document(reader, on_match))
-    }
-
-    /// Streams one buffered document through the **overlapped** front-end:
-    /// speculative parse workers ([`ParallelReader`]) feed the
-    /// coordinator's admission walk, which hands verified event windows to
-    /// a pool of producer threads that publish them into the shard rings
-    /// while the parse is still running — parse and match overlap instead
-    /// of pipelining through a single producer. Output (matches, callback
-    /// order, statistics) is byte-identical to [`ShardedEngine::run`] over
-    /// the same bytes; the returned [`ParStats`] describe the speculative
-    /// parse. With one shard — or when the parse falls back to sequential
-    /// — this degrades gracefully to the pipelined path.
-    pub fn run_overlapped<F: FnMut(QueryId, Match)>(
-        &mut self,
-        bytes: Vec<u8>,
-        config: ParallelConfig,
-        on_match: F,
-    ) -> EngineResult<(MultiOutput, ParStats)> {
-        self.session(|session| session.run_document_overlapped(bytes, config, on_match))
     }
 
     /// Opens a streaming session: spawns the worker threads, partitions
@@ -506,36 +483,6 @@ impl ShardSession<'_> {
         }
     }
 
-    /// Streams one owned document through the overlapped front-end:
-    /// parse workers deliver chunk event batches which the coordinator
-    /// admits (numbering, interning, trie sequencing) and hands to
-    /// publisher threads that feed the shard rings directly — parsing,
-    /// admission, publication, and matching all overlap. Output is
-    /// byte-identical to [`ShardSession::run_document`] over the same
-    /// bytes; the parallel-parse statistics ride along.
-    pub fn run_document_overlapped<F: FnMut(QueryId, Match)>(
-        &mut self,
-        bytes: Vec<u8>,
-        config: ParallelConfig,
-        on_match: F,
-    ) -> EngineResult<(MultiOutput, ParStats)> {
-        match &mut self.inner {
-            SessionInner::Inline(multi) => {
-                // One shard: nothing to overlap with — run the parallel
-                // reader straight into the single-threaded engine.
-                let telemetry = multi.telemetry();
-                let probe =
-                    telemetry.is_enabled().then(|| Arc::new(telemetry.clone()) as ProbeHandle);
-                let mut reader = ParallelReader::with_config_probe(bytes, config, probe);
-                let out = multi.run(&mut reader, on_match)?;
-                let stats = reader.stats();
-                telemetry.fold_par(&stats);
-                Ok((out, stats))
-            }
-            SessionInner::Threaded(t) => feed::run_document_overlapped(t, bytes, config, on_match),
-        }
-    }
-
     /// The session's current placement state: effective worker count,
     /// the group→shard map the *next* document will run under,
     /// repartitions so far, and the last measured imbalance. Inline
@@ -561,7 +508,7 @@ struct ThreadedSession<'a> {
     driver: &'a mut crate::driver::DocumentDriver,
     interner: &'a Interner,
     /// The admission walk (broadcast filter, global trie, sequence
-    /// windows), reset per document.
+    /// numbers), reset per document.
     admission: Admission<'a>,
     /// One ring per worker; the worker count is `rings.len()`.
     rings: &'a [Arc<Ring<SeqBatch>>],
@@ -603,8 +550,8 @@ struct ThreadedSession<'a> {
 }
 
 impl<'a> ThreadedSession<'a> {
-    /// The pipelined front-end: the driver pulls `reader` on this thread
-    /// and the [`DocPump`] sink ships what the admission walk admits.
+    /// The driver pulls `reader` on this thread and the [`DocPump`] sink
+    /// ships what the admission walk admits.
     fn run_document<E: EventSource, F: FnMut(QueryId, Match)>(
         &mut self,
         reader: E,
@@ -708,8 +655,8 @@ impl<'a> ThreadedSession<'a> {
 
     /// Post-document placement bookkeeping: measure per-shard loads under
     /// the assignment the document just ran with (from the deterministic
-    /// machine work counters, so the decision stream is identical at
-    /// every front-end), refine the cost estimates, export the imbalance
+    /// machine work counters, so the decision stream is repeatable),
+    /// refine the cost estimates, export the imbalance
     /// gauge, and — past the hysteresis threshold — swap in a rebalanced
     /// assignment for the next document. Swapping here is what keeps
     /// repartitioning output-transparent: the new assignment travels
@@ -770,8 +717,7 @@ impl<'a> ThreadedSession<'a> {
 }
 
 /// Coordinator-side state of one in-flight document: what the worker
-/// reports fold into. Both front-ends drive it through the same three
-/// calls, so poisoning semantics cannot diverge between them.
+/// reports fold into.
 struct DocState<'a> {
     rings: &'a [Arc<Ring<SeqBatch>>],
     rx: &'a Receiver<WorkerReport>,
@@ -852,8 +798,8 @@ impl DocState<'_> {
     }
 }
 
-/// The pipelined front-end's [`EventSink`]: ships each event the
-/// admission walk admits, batched, to every shard ring, and folds in
+/// The session's [`EventSink`]: ships each event the admission walk
+/// admits, batched, to every shard ring, and folds in
 /// worker reports between batches.
 struct DocPump<'p, 'a, F: FnMut(QueryId, Match)> {
     interner: &'a Interner,
@@ -878,16 +824,16 @@ impl<F: FnMut(QueryId, Match)> DocPump<'_, '_, F> {
         }
     }
 
-    /// Broadcasts the pending batch under the window the admission walk
-    /// accumulated, then drains any worker reports that already arrived.
+    /// Broadcasts the pending batch, covering every sequence number
+    /// admitted so far, then drains any worker reports that already
+    /// arrived.
     fn flush(&mut self) {
         if self.batch.is_empty() {
             return;
         }
         self.telemetry.observe(|r| &r.batch_events, self.batch.len() as u64);
         let events: EventBatch = std::mem::take(&mut self.batch).into();
-        let (after, through) = self.admission.take_window();
-        broadcast(self.doc.rings, SeqBatch { after, through, events });
+        broadcast(self.doc.rings, SeqBatch { through: self.admission.seq(), events });
         self.batch.reserve(EVENT_BATCH);
         self.doc.ingest_ready(self.on_match);
     }
@@ -962,11 +908,10 @@ mod tests {
     use super::*;
     use vitex_xmlsax::XmlReader;
 
-    /// Runs `xml` through one front-end of a hand-built one-shard session
-    /// whose ring nobody consumes (a pre-sent `DocEnd` acknowledgement
-    /// stands in for the worker) and returns what it broadcast, in window
-    /// order.
-    fn capture(plan: PlanMode, xml: &str, overlapped: bool) -> Vec<SeqBatch> {
+    /// Runs `xml` through the pump of a hand-built one-shard session whose
+    /// ring nobody consumes (a pre-sent `DocEnd` acknowledgement stands in
+    /// for the worker) and returns what it broadcast, in ring order.
+    fn capture(plan: PlanMode, xml: &str) -> Vec<SeqBatch> {
         let mut multi = MultiEngine::with_plan(plan);
         for q in ["/r/a/b", "//a[c]", "//b/text()", "/r/a"] {
             multi.add_query(q).unwrap();
@@ -1010,22 +955,13 @@ mod tests {
             repartitions: 0,
             last_imbalance: None,
         };
-        if overlapped {
-            let config = ParallelConfig { threads: 2, chunk_bytes: Some(48), ..Default::default() };
-            feed::run_document_overlapped(&mut session, xml.as_bytes().to_vec(), config, |_, _| {})
-                .expect("overlapped run");
-        } else {
-            session.run_document(XmlReader::from_str(xml), |_, _| {}).expect("pipelined run");
-        }
+        session.run_document(XmlReader::from_str(xml), |_, _| {}).expect("pump run");
         rings[0].close();
-        let mut batches: Vec<SeqBatch> = std::iter::from_fn(|| rings[0].pop()).collect();
-        // Racing publishers deliver out of order; windows restore it.
-        batches.sort_by_key(|b| (b.after, b.through));
-        batches
+        std::iter::from_fn(|| rings[0].pop()).collect()
     }
 
     #[test]
-    fn both_front_ends_admit_the_same_event_stream_and_window_chain() {
+    fn pump_batches_cover_increasing_sequence_ranges_up_to_doc_end() {
         // Names no query mentions (<x>, <y>) are filtered but still
         // consume sequence numbers; text ships (//b/text() reads it).
         let mut xml = String::from("<r>");
@@ -1034,30 +970,24 @@ mod tests {
         }
         xml.push_str("</r>");
         for plan in [PlanMode::Shared, PlanMode::PrefixShared] {
+            let batches = capture(plan, &xml);
+            assert!(batches.len() > 1, "{plan:?}: several batches");
+            assert!(
+                batches.windows(2).all(|w| w[0].through < w[1].through),
+                "{plan:?}: `through` strictly increases"
+            );
+            let through = batches.last().expect("non-empty").through;
             // Every shipped event, in full (seq, symbol, level, trie
             // pushes, payloads), as its `Debug` rendering.
-            let streams = [false, true].map(|overlapped| {
-                let batches = capture(plan, &xml, overlapped);
-                assert!(batches.len() > 1, "{plan:?}: several batches");
-                let mut frontier = 0;
-                for b in &batches {
-                    assert_eq!(b.after, frontier, "{plan:?}/overlapped={overlapped}: window chain");
-                    frontier = b.through;
-                }
-                let events: Vec<String> = batches
-                    .iter()
-                    .flat_map(|b| b.events.iter())
-                    .map(|e| format!("{e:?}"))
-                    .collect();
-                assert_eq!(events.last(), Some(&format!("DocEnd {{ seq: {frontier} }}")));
-                assert!(
-                    frontier > events.len() as u64,
-                    "filtered events consumed sequence numbers"
-                );
-                events
-            });
-            assert_eq!(streams[0], streams[1], "{plan:?}: shipped event stream");
-            let pushed = streams[0].iter().any(|e| e.contains("TriePush"));
+            let events: Vec<String> =
+                batches.iter().flat_map(|b| b.events.iter()).map(|e| format!("{e:?}")).collect();
+            assert_eq!(events.last(), Some(&format!("DocEnd {{ seq: {through} }}")));
+            assert!(through > events.len() as u64, "filtered events consumed sequence numbers");
+            assert!(
+                !events.iter().any(|e| e.contains("\"x\"") || e.contains("\"y\"")),
+                "{plan:?}: filtered elements never ship"
+            );
+            let pushed = events.iter().any(|e| e.contains("TriePush"));
             assert_eq!(pushed, plan == PlanMode::PrefixShared, "{plan:?}: trie pushes ship");
         }
     }

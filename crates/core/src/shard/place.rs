@@ -14,7 +14,7 @@
 //! predicate evaluations + dispatch hits. Those arrive at the coordinator
 //! with every `DocEnd` acknowledgement regardless of whether profiling is
 //! on, so the [`CostModel`] refines itself after every document — and
-//! because the counters are invariant across plan × shard × front-end
+//! because the counters are invariant across plan × shard
 //! configurations, so are the placement decisions. Matches are
 //! invariant *by construction* either way (the watermark merge orders by
 //! `(event seq, group id)`, which no placement can perturb); determinism

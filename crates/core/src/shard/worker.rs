@@ -8,14 +8,13 @@
 //! to those groups — and reports emitted matches tagged with their global
 //! ordering key, plus a watermark, back to the document thread.
 //!
-//! Batches carry an explicit sequence window ([`SeqBatch`]): with the
-//! overlapped front-end several producer threads push into the same ring,
-//! so batches can arrive out of document order. The worker restores order
-//! locally — a batch whose `after` does not meet the applied frontier is
-//! stashed until the gap fills — because the twig machines are streaming
-//! stack automata and must see events in document order.
+//! Each ring has exactly one producer — the document thread — so batches
+//! arrive in document order, which the twig machines (streaming stack
+//! automata) require. A batch names the sequence number it covers
+//! `through` ([`SeqBatch`]); that becomes the shard's watermark once the
+//! batch is applied.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -79,17 +78,11 @@ pub(crate) enum ShardEvent {
 /// A broadcast batch: built once, shared by every shard's ring.
 pub(crate) type EventBatch = Arc<[ShardEvent]>;
 
-/// A ring item: one broadcast batch plus the contiguous sequence window it
-/// covers. `after` is the highest sequence number already covered by
-/// earlier batches of the same document (the precondition for applying
-/// this one); `through` is the highest this batch covers — which can
-/// exceed the last *shipped* event's own seq, because filtered events
-/// consume sequence numbers without shipping a payload. The pipelined
-/// front-end produces these in order (`after` always equals the worker's
-/// frontier); overlapped producers may deliver them out of order.
+/// A ring item: one broadcast batch plus the highest sequence number it
+/// covers — which can exceed the last *shipped* event's own seq, because
+/// filtered events consume sequence numbers without shipping a payload.
 #[derive(Debug, Clone)]
 pub(crate) struct SeqBatch {
-    pub(crate) after: u64,
     pub(crate) through: u64,
     pub(crate) events: EventBatch,
 }
@@ -386,124 +379,29 @@ fn worker_loop<'a>(
     // document and the shared touch counter driving the sampling stride.
     let mut self_ns: Vec<u64> = Vec::new();
     let mut touch_count: u64 = 0;
-    // Contiguously applied sequence frontier for the current document, and
-    // the reorder stash for out-of-order producer deliveries, keyed by the
-    // frontier value each held batch is waiting for.
-    let mut frontier = 0u64;
-    let mut stash: BTreeMap<u64, SeqBatch> = BTreeMap::new();
     let shard_tid = TID_SHARD_BASE + shard as u32;
-    while let Some(popped) = ring.pop() {
+    while let Some(batch) = ring.pop() {
         let t_batch = telemetry.timer();
-        let before = frontier;
         let mut doc_stats = None;
-        let mut next = Some(popped);
-        while let Some(batch) = next.take() {
-            if matches!(batch.events.first(), Some(ShardEvent::DocStart { .. })) {
-                // A new document begins. The coordinator seeds DocStart
-                // into each ring before any producer publishes, so FIFO
-                // order guarantees nothing of the new document precedes
-                // it; everything of the previous document was applied
-                // (its DocEnd was acknowledged before the session moved
-                // on), so the stash is necessarily empty.
-                debug_assert!(stash.is_empty(), "prior document fully applied");
-                stash.clear();
-            } else if batch.after != frontier {
-                // Gap: an overlapped producer ran ahead. Hold the batch
-                // until the batches covering (frontier, after] arrive.
-                stash.insert(batch.after, batch);
-                break;
-            }
-            for event in batch.events.iter() {
-                if let Some(f) = fault {
-                    if event_seq(event) == Some(f) {
-                        panic!("injected shard-worker fault at seq {f}");
-                    }
+        for event in batch.events.iter() {
+            if let Some(f) = fault {
+                if event_seq(event) == Some(f) {
+                    panic!("injected shard-worker fault at seq {f}");
                 }
-                // Routes this event to the machine of local group `li`. The
-                // index visits groups in ascending global gid order,
-                // mirroring the single-threaded engine.
-                let mut touch = |li: u32, seq: u64, gid: u32| {
-                    let sampled = profiled && {
-                        touch_count += 1;
-                        touch_count.is_multiple_of(SELF_SAMPLE)
-                    };
-                    let t0 = sampled.then(Instant::now);
-                    let machine = groups[li as usize].1.machine_mut();
-                    let sink = &mut |m| matches.push(TaggedMatch { seq, gid, m });
-                    match event {
-                        ShardEvent::Start {
-                            sym,
-                            name,
-                            level,
-                            attrs,
-                            node_id,
-                            attr_id_base,
-                            span,
-                            ..
-                        } => {
-                            machine.start_element_interned(
-                                *sym,
-                                name,
-                                *level,
-                                attrs,
-                                *node_id,
-                                *attr_id_base,
-                                *span,
-                                sink,
-                            );
-                        }
-                        ShardEvent::Text { text, level, node_id, span, .. } => {
-                            machine.characters(text, *level, *node_id, *span, sink);
-                        }
-                        ShardEvent::End { name, level, element_span, .. } => {
-                            machine.end_element(name, *level, *element_span, sink);
-                        }
-                        ShardEvent::DocStart { .. } | ShardEvent::DocEnd { .. } => unreachable!(),
-                    }
-                    if let Some(t0) = t0 {
-                        self_ns[li as usize] += t0.elapsed().as_nanos() as u64 * SELF_SAMPLE;
-                    }
+            }
+            // Routes this event to the machine of local group `li`. The
+            // index visits groups in ascending global gid order,
+            // mirroring the single-threaded engine.
+            let mut touch = |li: u32, seq: u64, gid: u32| {
+                let sampled = profiled && {
+                    touch_count += 1;
+                    touch_count.is_multiple_of(SELF_SAMPLE)
                 };
+                let t0 = sampled.then(Instant::now);
+                let machine = groups[li as usize].1.machine_mut();
+                let sink = &mut |m| matches.push(TaggedMatch { seq, gid, m });
                 match event {
-                    ShardEvent::DocStart { assignment } => {
-                        debug_assert!(groups.is_empty(), "prior document returned its groups");
-                        let adopt = cur_version != Some(assignment.version);
-                        if adopt && swap_fault && cur_version.is_some() {
-                            // Injected fault: die mid-swap, after the old
-                            // assignment retired but before the new one is
-                            // adopted (the repartition hazard window).
-                            panic!("injected shard-worker fault during assignment swap");
-                        }
-                        for &gid in &assignment.shard_gids[shard] {
-                            groups.push((gid, pool.take(gid)));
-                        }
-                        if adopt {
-                            index = DispatchIndex::default();
-                            let max_gid = groups.iter().map(|(gid, _)| gid + 1).max().unwrap_or(0);
-                            local_of.clear();
-                            local_of.resize(max_gid, u32::MAX);
-                            for (li, (gid, group)) in groups.iter().enumerate() {
-                                if prefix_mode {
-                                    index.add_group_prefix(*gid, group.machine().spec(), nsymbols);
-                                } else {
-                                    index.add_group(*gid, group.machine().spec(), nsymbols);
-                                }
-                                local_of[*gid] = li as u32;
-                            }
-                            prefix =
-                                prefix_mode.then(|| Arc::clone(&assignment.prefix_maps[shard]));
-                            cur_version = Some(assignment.version);
-                        }
-                        for (_, group) in groups.iter_mut() {
-                            group.machine_mut().reset();
-                        }
-                        frame_lis.clear();
-                        frames.clear();
-                        self_ns.clear();
-                        self_ns.resize(groups.len(), 0);
-                    }
                     ShardEvent::Start {
-                        seq,
                         sym,
                         name,
                         level,
@@ -511,57 +409,98 @@ fn worker_loop<'a>(
                         node_id,
                         attr_id_base,
                         span,
-                        pushes,
-                    } if prefix.is_some() => {
-                        let map = prefix.as_ref().expect("guarded by arm");
-                        plans.clear();
-                        for p in pushes.iter() {
-                            if let Some(targets) = map.get(&p.node) {
-                                for &(li, mnode) in targets {
-                                    plans.push((li, mnode, p.ptr));
-                                }
-                            }
-                        }
-                        plans.sort_unstable();
-                        pred_lis.clear();
-                        index.for_each_element_target(*sym, |gid| pred_lis.push(local_of[gid]));
-                        frames.push(frame_lis.len() as u32);
-                        crate::multi::merge_prefix_targets(
-                            &plans,
-                            &pred_lis,
-                            &mut main_scratch,
-                            &mut frame_lis,
-                            |li, main, preds| {
-                                let sampled = profiled && {
-                                    touch_count += 1;
-                                    touch_count.is_multiple_of(SELF_SAMPLE)
-                                };
-                                let t0 = sampled.then(Instant::now);
-                                let (gid, group) = &mut groups[li as usize];
-                                let gid = *gid as u32;
-                                let r = group.machine_mut().start_element_prefix(
-                                    main,
-                                    preds,
-                                    *sym,
-                                    name,
-                                    *level,
-                                    attrs,
-                                    *node_id,
-                                    *attr_id_base,
-                                    *span,
-                                    &mut |m| matches.push(TaggedMatch { seq: *seq, gid, m }),
-                                );
-                                if let Some(t0) = t0 {
-                                    self_ns[li as usize] +=
-                                        t0.elapsed().as_nanos() as u64 * SELF_SAMPLE;
-                                }
-                                r
-                            },
+                        ..
+                    } => {
+                        machine.start_element_interned(
+                            *sym,
+                            name,
+                            *level,
+                            attrs,
+                            *node_id,
+                            *attr_id_base,
+                            *span,
+                            sink,
                         );
                     }
-                    ShardEvent::End { seq, name, level, element_span, .. } if prefix.is_some() => {
-                        let base = frames.pop().expect("shipped tags pair") as usize;
-                        for &li in &frame_lis[base..] {
+                    ShardEvent::Text { text, level, node_id, span, .. } => {
+                        machine.characters(text, *level, *node_id, *span, sink);
+                    }
+                    ShardEvent::End { name, level, element_span, .. } => {
+                        machine.end_element(name, *level, *element_span, sink);
+                    }
+                    ShardEvent::DocStart { .. } | ShardEvent::DocEnd { .. } => unreachable!(),
+                }
+                if let Some(t0) = t0 {
+                    self_ns[li as usize] += t0.elapsed().as_nanos() as u64 * SELF_SAMPLE;
+                }
+            };
+            match event {
+                ShardEvent::DocStart { assignment } => {
+                    debug_assert!(groups.is_empty(), "prior document returned its groups");
+                    let adopt = cur_version != Some(assignment.version);
+                    if adopt && swap_fault && cur_version.is_some() {
+                        // Injected fault: die mid-swap, after the old
+                        // assignment retired but before the new one is
+                        // adopted (the repartition hazard window).
+                        panic!("injected shard-worker fault during assignment swap");
+                    }
+                    for &gid in &assignment.shard_gids[shard] {
+                        groups.push((gid, pool.take(gid)));
+                    }
+                    if adopt {
+                        index = DispatchIndex::default();
+                        let max_gid = groups.iter().map(|(gid, _)| gid + 1).max().unwrap_or(0);
+                        local_of.clear();
+                        local_of.resize(max_gid, u32::MAX);
+                        for (li, (gid, group)) in groups.iter().enumerate() {
+                            if prefix_mode {
+                                index.add_group_prefix(*gid, group.machine().spec(), nsymbols);
+                            } else {
+                                index.add_group(*gid, group.machine().spec(), nsymbols);
+                            }
+                            local_of[*gid] = li as u32;
+                        }
+                        prefix = prefix_mode.then(|| Arc::clone(&assignment.prefix_maps[shard]));
+                        cur_version = Some(assignment.version);
+                    }
+                    for (_, group) in groups.iter_mut() {
+                        group.machine_mut().reset();
+                    }
+                    frame_lis.clear();
+                    frames.clear();
+                    self_ns.clear();
+                    self_ns.resize(groups.len(), 0);
+                }
+                ShardEvent::Start {
+                    seq,
+                    sym,
+                    name,
+                    level,
+                    attrs,
+                    node_id,
+                    attr_id_base,
+                    span,
+                    pushes,
+                } if prefix.is_some() => {
+                    let map = prefix.as_ref().expect("guarded by arm");
+                    plans.clear();
+                    for p in pushes.iter() {
+                        if let Some(targets) = map.get(&p.node) {
+                            for &(li, mnode) in targets {
+                                plans.push((li, mnode, p.ptr));
+                            }
+                        }
+                    }
+                    plans.sort_unstable();
+                    pred_lis.clear();
+                    index.for_each_element_target(*sym, |gid| pred_lis.push(local_of[gid]));
+                    frames.push(frame_lis.len() as u32);
+                    crate::multi::merge_prefix_targets(
+                        &plans,
+                        &pred_lis,
+                        &mut main_scratch,
+                        &mut frame_lis,
+                        |li, main, preds| {
                             let sampled = profiled && {
                                 touch_count += 1;
                                 touch_count.is_multiple_of(SELF_SAMPLE)
@@ -569,70 +508,87 @@ fn worker_loop<'a>(
                             let t0 = sampled.then(Instant::now);
                             let (gid, group) = &mut groups[li as usize];
                             let gid = *gid as u32;
-                            group.machine_mut().end_element(
+                            let r = group.machine_mut().start_element_prefix(
+                                main,
+                                preds,
+                                *sym,
                                 name,
                                 *level,
-                                *element_span,
+                                attrs,
+                                *node_id,
+                                *attr_id_base,
+                                *span,
                                 &mut |m| matches.push(TaggedMatch { seq: *seq, gid, m }),
                             );
                             if let Some(t0) = t0 {
                                 self_ns[li as usize] +=
                                     t0.elapsed().as_nanos() as u64 * SELF_SAMPLE;
                             }
-                        }
-                        frame_lis.truncate(base);
-                    }
-                    ShardEvent::Start { seq, sym, .. } | ShardEvent::End { seq, sym, .. } => {
-                        index.for_each_element_target(*sym, |gid| {
-                            touch(local_of[gid], *seq, gid as u32)
+                            r
+                        },
+                    );
+                }
+                ShardEvent::End { seq, name, level, element_span, .. } if prefix.is_some() => {
+                    let base = frames.pop().expect("shipped tags pair") as usize;
+                    for &li in &frame_lis[base..] {
+                        let sampled = profiled && {
+                            touch_count += 1;
+                            touch_count.is_multiple_of(SELF_SAMPLE)
+                        };
+                        let t0 = sampled.then(Instant::now);
+                        let (gid, group) = &mut groups[li as usize];
+                        let gid = *gid as u32;
+                        group.machine_mut().end_element(name, *level, *element_span, &mut |m| {
+                            matches.push(TaggedMatch { seq: *seq, gid, m })
                         });
-                    }
-                    ShardEvent::Text { seq, .. } => {
-                        index.for_each_text_target(|gid| touch(local_of[gid], *seq, gid as u32));
-                    }
-                    ShardEvent::DocEnd { .. } => {
-                        doc_stats = Some(
-                            groups
-                                .iter()
-                                .enumerate()
-                                .map(|(li, (gid, group))| GroupSnapshot {
-                                    gid: *gid,
-                                    stats: group.machine().stats().clone(),
-                                    approx_bytes: group.approx_bytes(),
-                                    self_ns: self_ns[li],
-                                })
-                                .collect(),
-                        );
-                        // Return the loans before the acknowledgement goes
-                        // out: once every shard has acknowledged, the
-                        // coordinator may ship a new assignment, and any
-                        // group may then belong to a different worker.
-                        for (gid, group) in groups.drain(..) {
-                            pool.put(gid, group);
+                        if let Some(t0) = t0 {
+                            self_ns[li as usize] += t0.elapsed().as_nanos() as u64 * SELF_SAMPLE;
                         }
+                    }
+                    frame_lis.truncate(base);
+                }
+                ShardEvent::Start { seq, sym, .. } | ShardEvent::End { seq, sym, .. } => {
+                    index.for_each_element_target(*sym, |gid| {
+                        touch(local_of[gid], *seq, gid as u32)
+                    });
+                }
+                ShardEvent::Text { seq, .. } => {
+                    index.for_each_text_target(|gid| touch(local_of[gid], *seq, gid as u32));
+                }
+                ShardEvent::DocEnd { .. } => {
+                    doc_stats = Some(
+                        groups
+                            .iter()
+                            .enumerate()
+                            .map(|(li, (gid, group))| GroupSnapshot {
+                                gid: *gid,
+                                stats: group.machine().stats().clone(),
+                                approx_bytes: group.approx_bytes(),
+                                self_ns: self_ns[li],
+                            })
+                            .collect(),
+                    );
+                    // Return the loans before the acknowledgement goes
+                    // out: once every shard has acknowledged, the
+                    // coordinator may ship a new assignment, and any
+                    // group may then belong to a different worker.
+                    for (gid, group) in groups.drain(..) {
+                        pool.put(gid, group);
                     }
                 }
             }
-            frontier = batch.through;
-            // A stashed batch may now be directly applicable.
-            next = stash.remove(&frontier);
         }
         telemetry.add_elapsed(|r| &r.worker_busy_ns, t_batch);
         telemetry.record_span("batch", "shard", shard_tid, t_batch);
-        if frontier != before || doc_stats.is_some() {
-            let report = WorkerReport {
-                shard,
-                matches: std::mem::take(&mut matches),
-                through_seq: frontier,
-                doc_stats,
-                poisoned: false,
-            };
-            if out.send(report).is_err() {
-                return; // session is gone; nothing left to report to
-            }
-        } else {
-            // Stash-only round: nothing was applied, so nothing to say.
-            debug_assert!(matches.is_empty());
+        let report = WorkerReport {
+            shard,
+            matches: std::mem::take(&mut matches),
+            through_seq: batch.through,
+            doc_stats,
+            poisoned: false,
+        };
+        if out.send(report).is_err() {
+            return; // session is gone; nothing left to report to
         }
     }
 }

@@ -54,8 +54,8 @@ pub struct PlanStats {
     // ----- prefix-shared execution counters (PlanMode::PrefixShared) -----
     // All four are per-*run* counters maintained by the runtime step trie
     // on the document thread (zero under `PlanMode::Shared` and before
-    // the first run), so they are identical across shard counts and
-    // front-ends by construction.
+    // the first run), so they are identical across shard counts by
+    // construction.
     /// Main-path step checks executed against the shared trie this run —
     /// one per (event, trie node with live routes), instead of one per
     /// (event, group, machine node) as in per-group planning. This is the

@@ -44,9 +44,9 @@ impl Snapshot {
     }
 
     /// The deterministic counter subset as `(name, value)` rows — the part
-    /// of the snapshot that must be invariant across shard counts and
-    /// front-ends (the differential battery compares this byte-for-byte
-    /// via [`Snapshot::deterministic_json`]).
+    /// of the snapshot that must be invariant across shard counts (the
+    /// differential battery compares this byte-for-byte via
+    /// [`Snapshot::deterministic_json`]).
     pub fn deterministic_counters(&self) -> Vec<(&'static str, u64)> {
         self.counters.iter().filter(|c| c.deterministic).map(|c| (c.name, c.value)).collect()
     }
@@ -194,13 +194,9 @@ pub fn trace_json(spans: &[Span]) -> String {
 }
 
 fn thread_label(tid: u32) -> String {
-    use super::span::{TID_COORDINATOR, TID_PARSE_BASE, TID_PRODUCER_BASE, TID_SHARD_BASE};
+    use super::span::{TID_COORDINATOR, TID_SHARD_BASE};
     if tid == TID_COORDINATOR {
         "coordinator".to_string()
-    } else if tid >= TID_PRODUCER_BASE {
-        format!("producer-{}", tid - TID_PRODUCER_BASE)
-    } else if tid >= TID_PARSE_BASE {
-        format!("parse-worker-{}", tid - TID_PARSE_BASE)
     } else {
         format!("shard-worker-{}", tid - TID_SHARD_BASE)
     }
@@ -267,24 +263,5 @@ mod tests {
         assert!(json.contains("\"name\":\"shard-worker-0\""));
         assert!(json.contains("\"ts\":1.000"));
         assert!(json.contains("\"dur\":5.000"));
-    }
-
-    #[test]
-    fn producer_lane_is_distinct_from_parse_workers() {
-        use super::super::span::{TID_PARSE_BASE, TID_PRODUCER_BASE};
-        let spans = vec![
-            Span { name: "chunk", cat: "parse", tid: TID_PARSE_BASE, start_ns: 10, dur_ns: 5 },
-            Span {
-                name: "publish",
-                cat: "producer",
-                tid: TID_PRODUCER_BASE + 1,
-                start_ns: 20,
-                dur_ns: 5,
-            },
-        ];
-        let json = trace_json(&spans);
-        assert!(json.contains("\"name\":\"parse-worker-0\""));
-        assert!(json.contains("\"name\":\"producer-1\""));
-        assert!(!json.contains(&format!("\"name\":\"parse-worker-{}\"", TID_PRODUCER_BASE - 64)));
     }
 }

@@ -8,10 +8,10 @@
 //! live.
 //!
 //! Determinism classes matter for testing: a metric marked `deterministic`
-//! must be byte-identical across shard counts and front-ends for the
-//! same document + query set + plan mode (the differential battery enforces
-//! this). Timers, ring/backpressure counters, and parse-front-end counters
-//! are scheduling-dependent and are excluded from equality.
+//! must be byte-identical across shard counts for the same document +
+//! query set + plan mode (the differential battery enforces this). Timers,
+//! ring/backpressure counters, and the scanner's byte counts (they depend
+//! on how reads chunk the input) are excluded from equality.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -207,22 +207,11 @@ pub struct Registry {
     /// Peak shared trie stack bytes (`vitex_prefix_stack_bytes_peak`).
     pub prefix_stack_bytes: Counter,
 
-    // ----- parse front-end (xmlsax; timing/scheduling dependent) -----
+    // ----- parser (xmlsax; depends on read chunking) -----
     /// Bytes scanned by the SWAR wide path (`vitex_scan_wide_bytes_total`).
     pub scan_wide_bytes: Counter,
     /// Bytes scanned by the scalar path (`vitex_scan_scalar_bytes_total`).
     pub scan_scalar_bytes: Counter,
-    /// Speculative chunks parsed (`vitex_parse_chunks_total`).
-    pub parse_chunks: Counter,
-    /// Chunks whose speculation was discarded (`vitex_parse_misspeculated_total`).
-    pub parse_misspeculated: Counter,
-    /// Fragments reparsed inline during stitching (`vitex_parse_reparsed_total`).
-    pub parse_reparsed: Counter,
-    /// Documents that fell back to sequential parsing (`vitex_parse_sequential_fallback_total`).
-    pub parse_sequential_fallback: Counter,
-    /// Nanoseconds spent stitching/reconciling speculative chunks on the
-    /// coordinator (`vitex_parse_stitch_ns_total`).
-    pub parse_stitch_ns: Counter,
 
     // ----- shard rings and workers (timing dependent) -----
     /// Event batches enqueued to shard rings (`vitex_ring_batches_total`).
@@ -248,16 +237,6 @@ pub struct Registry {
     /// Wall nanoseconds for whole-document runs (`vitex_doc_ns_total`).
     pub doc_ns: Counter,
 
-    // ----- overlapped front-end producers (timing dependent) -----
-    /// Batches published to the shard rings by producer (publisher)
-    /// threads in the overlapped front-end
-    /// (`vitex_producer_batches_total`).
-    pub producer_batches: Counter,
-    /// Nanoseconds producer threads spent waiting for the coordinator's
-    /// admission walk to hand them work
-    /// (`vitex_producer_idle_ns_total`).
-    pub producer_idle_ns: Counter,
-
     // ----- gauges -----
     /// Ring occupancy in batches, sampled at enqueue
     /// (`vitex_ring_occupancy`). High-water is registry-lifetime scoped
@@ -267,9 +246,6 @@ pub struct Registry {
     /// Matches held by the merger awaiting watermark release
     /// (`vitex_merge_hold_depth`).
     pub merge_hold_depth: Gauge,
-    /// Producer (publisher) threads feeding the shard rings in the
-    /// overlapped front-end (`vitex_producer_threads`).
-    pub producer_threads: Gauge,
     /// Measured per-document shard load imbalance in millis
     /// (`vitex_shard_imbalance`): max shard load over the ideal
     /// per-shard load, scaled by 1000 — 1000 is perfectly balanced,
@@ -284,8 +260,6 @@ pub struct Registry {
     pub dispatch_ns: Histogram,
     /// Events per shard batch (`vitex_batch_events`).
     pub batch_events: Histogram,
-    /// Per-chunk speculative parse time in ns (`vitex_chunk_ns`).
-    pub chunk_ns: Histogram,
     /// Merger hold time per released match in ns (`vitex_merge_release_ns`).
     pub merge_release_ns: Histogram,
 }
@@ -295,8 +269,8 @@ pub struct Registry {
 pub struct CounterRow {
     /// Prometheus-style metric name.
     pub name: &'static str,
-    /// Whether the value must be invariant across shard counts and
-    /// front-ends (see module docs).
+    /// Whether the value must be invariant across shard counts (see
+    /// module docs).
     pub deterministic: bool,
     /// Counter value at snapshot time.
     pub value: u64,
@@ -362,11 +336,6 @@ impl Registry {
             det("vitex_prefix_stack_bytes_peak", &self.prefix_stack_bytes),
             timing("vitex_scan_wide_bytes_total", &self.scan_wide_bytes),
             timing("vitex_scan_scalar_bytes_total", &self.scan_scalar_bytes),
-            timing("vitex_parse_chunks_total", &self.parse_chunks),
-            timing("vitex_parse_misspeculated_total", &self.parse_misspeculated),
-            timing("vitex_parse_reparsed_total", &self.parse_reparsed),
-            timing("vitex_parse_sequential_fallback_total", &self.parse_sequential_fallback),
-            timing("vitex_parse_stitch_ns_total", &self.parse_stitch_ns),
             timing("vitex_ring_batches_total", &self.ring_batches),
             timing("vitex_ring_enqueue_stalls_total", &self.ring_enqueue_stalls),
             timing("vitex_ring_stall_ns_total", &self.ring_stall_ns),
@@ -375,8 +344,6 @@ impl Registry {
             timing("vitex_merge_released_total", &self.merge_released),
             timing("vitex_shard_repartitions_total", &self.shard_repartitions),
             timing("vitex_doc_ns_total", &self.doc_ns),
-            timing("vitex_producer_batches_total", &self.producer_batches),
-            timing("vitex_producer_idle_ns_total", &self.producer_idle_ns),
         ]
     }
 
@@ -386,7 +353,6 @@ impl Registry {
         vec![
             row("vitex_ring_occupancy", &self.ring_occupancy),
             row("vitex_merge_hold_depth", &self.merge_hold_depth),
-            row("vitex_producer_threads", &self.producer_threads),
             row("vitex_shard_imbalance", &self.shard_imbalance),
         ]
     }
@@ -409,7 +375,6 @@ impl Registry {
         vec![
             row("vitex_dispatch_ns", &self.dispatch_ns),
             row("vitex_batch_events", &self.batch_events),
-            row("vitex_chunk_ns", &self.chunk_ns),
             row("vitex_merge_release_ns", &self.merge_release_ns),
         ]
     }

@@ -7,16 +7,16 @@
 //! `#[inline]` early return that touches no atomics, takes no clock
 //! readings, and allocates nothing; `bench_telemetry` verifies the
 //! disabled path costs nothing measurable. When enabled, counters and
-//! histograms are relaxed atomics shared across the coordinator, parse
-//! workers, and shard workers, and coarse-grained spans land in a bounded
+//! histograms are relaxed atomics shared across the coordinator and the
+//! shard workers, and coarse-grained spans land in a bounded
 //! ring for Chrome-trace export.
 //!
 //! Deterministic counters (stream, machine, plan, prefix) are folded from
 //! the per-run stat structs *after* a run — on the document thread, per
-//! subscription — so their values are invariant across shard counts and
-//! front-ends by construction. Timing counters, ring/backpressure
-//! metrics, and parse front-end counters are recorded live from whichever
-//! thread does the work and are scheduling-dependent.
+//! subscription — so their values are invariant across shard counts by
+//! construction. Timing counters and ring/backpressure metrics are
+//! recorded live from whichever thread does the work and are
+//! scheduling-dependent.
 
 pub mod export;
 pub mod metrics;
@@ -26,15 +26,12 @@ pub mod span;
 pub use export::{trace_json, Snapshot, SNAPSHOT_SCHEMA};
 pub use metrics::{Counter, CounterRow, Gauge, GaugeRow, Histogram, HistogramRow, Registry};
 pub use profile::{CostLedger, GroupCost, Heartbeat, ProfileSnapshot, QueryCost, PROFILE_SCHEMA};
-pub use span::{
-    Span, SpanRecorder, TID_COORDINATOR, TID_PARSE_BASE, TID_PRODUCER_BASE, TID_SHARD_BASE,
-};
+pub use span::{Span, SpanRecorder, TID_COORDINATOR, TID_SHARD_BASE};
 
 use crate::stats::{MachineStats, PlanStats, StreamStats};
 use std::sync::Arc;
 use std::time::Instant;
 use vitex_xmlsax::probe::ParseProbe;
-use vitex_xmlsax::ParStats;
 
 #[derive(Debug)]
 struct Inner {
@@ -242,44 +239,16 @@ impl Telemetry {
     pub fn add_matches(&self, n: u64) {
         self.add(|r| &r.matches_emitted, n);
     }
-
-    /// Fold the parallel-parse front-end statistics after a run.
-    pub fn fold_par(&self, s: &ParStats) {
-        if let Some(inner) = &self.inner {
-            let r = &inner.registry;
-            r.parse_chunks.add(s.chunks as u64);
-            r.parse_misspeculated.add(s.misspeculated as u64);
-            r.parse_reparsed.add(s.reparsed as u64);
-            if s.sequential_fallback {
-                r.parse_sequential_fallback.add(1);
-            }
-        }
-    }
 }
 
-/// The telemetry handle doubles as the parse front-end's probe: scanner
-/// byte counts, speculative chunk spans, and stitch time land in the same
-/// registry as everything else.
+/// The telemetry handle doubles as the parser's probe: scanner byte
+/// counts land in the same registry as everything else.
 impl ParseProbe for Telemetry {
     fn on_scan_bytes(&self, wide: u64, scalar: u64) {
         if let Some(inner) = &self.inner {
             inner.registry.scan_wide_bytes.add(wide);
             inner.registry.scan_scalar_bytes.add(scalar);
         }
-    }
-
-    fn on_chunk(&self, worker: usize, _bytes: u64, start: Instant, dur_ns: u64) {
-        if let Some(inner) = &self.inner {
-            inner.registry.chunk_ns.observe(dur_ns);
-            let tid = TID_PARSE_BASE + worker as u32;
-            let start_ns =
-                start.checked_duration_since(inner.epoch).map(|d| d.as_nanos() as u64).unwrap_or(0);
-            inner.spans.record(Span { name: "chunk", cat: "parse", tid, start_ns, dur_ns });
-        }
-    }
-
-    fn on_stitch(&self, ns: u64) {
-        self.add(|r| &r.parse_stitch_ns, ns);
     }
 }
 
@@ -340,18 +309,12 @@ mod tests {
     }
 
     #[test]
-    fn probe_records_scan_and_chunks() {
+    fn probe_records_scan_bytes() {
         let tel = Telemetry::enabled();
         let probe: &dyn ParseProbe = &tel;
         probe.on_scan_bytes(100, 7);
-        probe.on_chunk(2, 4096, Instant::now(), 1234);
-        probe.on_stitch(55);
         let snap = tel.snapshot().unwrap();
         assert_eq!(snap.counter("vitex_scan_wide_bytes_total"), Some(100));
         assert_eq!(snap.counter("vitex_scan_scalar_bytes_total"), Some(7));
-        assert_eq!(snap.counter("vitex_parse_stitch_ns_total"), Some(55));
-        let spans = tel.spans().unwrap();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].tid, TID_PARSE_BASE + 2);
     }
 }

@@ -13,8 +13,8 @@
 //!   dispatch hits, matches, emitted bytes) are folded on the document
 //!   thread from the same per-run [`MachineStats`] the engine already
 //!   reports per subscription. Because those stats are invariant across
-//!   plan mode, shard count, and parse front-end (the
-//!   differential batteries assert it), the per-query profile is
+//!   plan mode and shard count (the differential batteries assert it),
+//!   the per-query profile is
 //!   **byte-identical** across every execution configuration —
 //!   [`ProfileSnapshot::deterministic_json`] is comparable with `==`.
 //! * **Per-group diagnostics** (shared trie steps billed to routed
@@ -44,7 +44,7 @@ pub const PROFILE_SCHEMA: &str = "vitex.profile.v1";
 
 /// Deterministic per-subscription cost counters, keyed by [`QueryId`] and
 /// the query's source text. All counter fields are invariant across
-/// plan × shard × front-end configurations.
+/// plan × shard configurations.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueryCost {
     /// Registration index of the subscription.
@@ -346,9 +346,9 @@ impl ProfileSnapshot {
     }
 
     /// Canonical JSON of the deterministic section only (schema, document
-    /// count, per-query counters). Byte-identical across plan × shard ×
-    /// front-end configurations for the same document stream and query
-    /// set — tests compare it with `==`.
+    /// count, per-query counters). Byte-identical across plan × shard
+    /// configurations for the same document stream and query set — tests
+    /// compare it with `==`.
     pub fn deterministic_json(&self) -> String {
         format!(
             "{{\"schema\":\"{PROFILE_SCHEMA}\",\"docs\":{},\"queries\":{}}}",

@@ -1,12 +1,11 @@
 //! Bounded span recorder for stage traces.
 //!
-//! Spans are coarse-grained by design — one per document, per speculative
-//! parse chunk, per shard batch, per merge drain — so a run records
-//! thousands of spans, not millions. They land in a fixed-capacity ring
-//! guarded by a mutex: the lock is uncontended in practice (each recording
-//! thread produces spans at batch granularity), and when the ring fills the
-//! oldest spans are overwritten and counted as dropped rather than growing
-//! memory without bound.
+//! Spans are coarse-grained by design — one per document and one per
+//! shard batch — so a run records thousands of spans, not millions. They
+//! land in a fixed-capacity ring guarded by a mutex: the lock is
+//! uncontended in practice (each recording thread produces spans at batch
+//! granularity), and when the ring fills the oldest spans are overwritten
+//! and counted as dropped rather than growing memory without bound.
 
 use std::sync::Mutex;
 
@@ -17,20 +16,13 @@ pub const DEFAULT_SPAN_CAPACITY: usize = 16_384;
 pub const TID_COORDINATOR: u32 = 1;
 /// Base trace thread-id for shard workers (`TID_SHARD_BASE + shard`).
 pub const TID_SHARD_BASE: u32 = 2;
-/// Base trace thread-id for parse workers (`TID_PARSE_BASE + worker`).
-pub const TID_PARSE_BASE: u32 = 64;
-/// Base trace thread-id for overlapped-front-end publisher threads
-/// (`TID_PRODUCER_BASE + producer`). Deliberately far above
-/// [`TID_PARSE_BASE`]: producers used to share the parse range, which
-/// interleaved their lanes with parse workers in trace viewers.
-pub const TID_PRODUCER_BASE: u32 = 1024;
 
 /// One completed span, timestamped relative to the telemetry epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
-    /// Span name (e.g. `"document"`, `"chunk"`, `"batch"`).
+    /// Span name (e.g. `"document"`, `"batch"`).
     pub name: &'static str,
-    /// Category for trace viewers (e.g. `"parse"`, `"shard"`, `"merge"`).
+    /// Category for trace viewers (e.g. `"stream"`, `"shard"`).
     pub cat: &'static str,
     /// Logical thread id (see the `TID_*` constants).
     pub tid: u32,

@@ -18,8 +18,8 @@ pub type XmlResult<T> = Result<T, XmlError>;
 #[non_exhaustive]
 pub enum XmlErrorKind {
     /// An I/O error surfaced by the underlying reader. Shared behind an
-    /// `Arc` because `io::Error` is not `Clone` and the parallel front-end
-    /// needs clonable (sticky) errors without losing the source chain.
+    /// `Arc` because `io::Error` is not `Clone` and [`XmlError`] is; the
+    /// source chain stays reachable through `Error::source`.
     Io(Arc<io::Error>),
     /// The input ended in the middle of a construct.
     UnexpectedEof {
@@ -126,13 +126,6 @@ impl XmlError {
     /// Where the error was detected.
     pub fn position(&self) -> TextPosition {
         self.position
-    }
-
-    /// The same error relocated to `position` — used by the parallel
-    /// front-end to rebase fragment-relative positions onto the document.
-    pub(crate) fn at(mut self, position: TextPosition) -> Self {
-        self.position = position;
-        self
     }
 
     /// Whether this error is an I/O error (as opposed to malformed XML).

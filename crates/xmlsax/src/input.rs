@@ -56,15 +56,6 @@ impl<R: Read> Scanner<R> {
         }
     }
 
-    /// Creates a scanner whose position starts at `pos` instead of the
-    /// stream origin — used by the parallel front-end to parse a document
-    /// fragment while keeping byte offsets absolute.
-    pub(crate) fn with_capacity_at(source: R, capacity: usize, pos: TextPosition) -> Self {
-        let mut sc = Scanner::with_capacity(source, capacity);
-        sc.pos = pos;
-        sc
-    }
-
     /// Class-run scan accounting since construction: `(wide_bytes,
     /// scalar_bytes)`. Only the bulk class-run path is counted — char-wise
     /// consumption (markup punctuation, UTF-8, `\r` normalization) is not

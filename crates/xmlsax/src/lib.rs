@@ -21,8 +21,8 @@
 //! ## APIs
 //!
 //! The interface is a **pull** API: [`XmlReader`], an iterator-style
-//! `next_event()` loop — this is what `vitex-core`'s engine drives (any
-//! [`EventSource`] will do, including the chunked [`ParallelReader`]).
+//! `next_event()` loop — this is what `vitex-core`'s engine drives (through
+//! the [`EventSource`] trait, so a recorded event sequence works too).
 //!
 //! A streaming [`writer::XmlWriter`] (used by the `vitex-xmlgen` dataset
 //! generators) and entity/escaping utilities round out the crate.
@@ -69,7 +69,6 @@ pub mod escape;
 pub mod event;
 pub mod input;
 pub mod name;
-pub mod par;
 pub mod pos;
 pub mod probe;
 pub mod reader;
@@ -78,7 +77,6 @@ pub mod writer;
 pub use error::{XmlError, XmlErrorKind, XmlResult};
 pub use event::{Attribute, CharactersEvent, EndElementEvent, StartElementEvent, XmlEvent};
 pub use name::QName;
-pub use par::{ParStats, ParallelConfig, ParallelReader};
 pub use pos::TextPosition;
 pub use probe::{ParseProbe, ProbeHandle};
 pub use reader::{EventSource, ReaderConfig, XmlReader};

@@ -1,24 +1,21 @@
-//! Observability hook for the parse front-end.
+//! Observability hook for the parser.
 //!
 //! `xmlsax` stays dependency-free: it does not know about any metrics
-//! registry. Instead the reader and the parallel front-end accept an
-//! optional [`ParseProbe`] — a thin trait whose methods all default to
-//! no-ops — and report scanner byte counts, speculative chunk timings, and
-//! coordinator stitch time through it. `vitex-core`'s telemetry handle
-//! implements the trait and folds these into its registry.
+//! registry. Instead the reader accepts an optional [`ParseProbe`] — a thin
+//! trait whose one method defaults to a no-op — and reports scanner byte
+//! counts through it. `vitex-core`'s telemetry handle implements the trait
+//! and folds them into its registry.
 //!
-//! Every hook is called outside the innermost scan loops: scanner byte
-//! counts accumulate in plain per-reader integers and are flushed once per
-//! document (or on reader drop), chunk timings fire once per speculative
-//! chunk, and stitch time fires once per inline reparse. A probe therefore
-//! sees a handful of calls per document, not per byte or per event.
+//! The hook is called outside the scan loops: byte counts accumulate in
+//! plain per-reader integers and are flushed once per document (or on
+//! reader drop), so a probe sees a call or two per document, not per byte
+//! or per event.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-/// Receiver for parse front-end observations. All methods default to
-/// no-ops; implementors override what they record. Probes are shared
-/// across parse worker threads, hence `Send + Sync`.
+/// Receiver for parser observations. The method defaults to a no-op;
+/// implementors override it to record. A probe handle may be cloned into
+/// readers on several threads, hence `Send + Sync`.
 pub trait ParseProbe: Send + Sync {
     /// Scanner byte counts for one reader: bytes advanced by the SWAR wide
     /// path vs the scalar path. Flushed once per document end (or reader
@@ -26,21 +23,9 @@ pub trait ParseProbe: Send + Sync {
     fn on_scan_bytes(&self, wide: u64, scalar: u64) {
         let _ = (wide, scalar);
     }
-
-    /// One speculative chunk parsed by parse worker `worker`, covering
-    /// `bytes` of input, starting at `start` and lasting `dur_ns`.
-    fn on_chunk(&self, worker: usize, bytes: u64, start: Instant, dur_ns: u64) {
-        let _ = (worker, bytes, start, dur_ns);
-    }
-
-    /// Coordinator time (ns) spent reconciling speculative results — the
-    /// inline reparse of fragments whose speculation missed.
-    fn on_stitch(&self, ns: u64) {
-        let _ = ns;
-    }
 }
 
-/// Shared probe handle threaded through readers and parse workers.
+/// Shared probe handle given to readers.
 pub type ProbeHandle = Arc<dyn ParseProbe>;
 
 #[cfg(test)]
@@ -52,8 +37,6 @@ mod tests {
     struct CountingProbe {
         wide: AtomicU64,
         scalar: AtomicU64,
-        chunks: AtomicU64,
-        stitch_ns: AtomicU64,
     }
 
     impl ParseProbe for CountingProbe {
@@ -61,22 +44,14 @@ mod tests {
             self.wide.fetch_add(wide, Ordering::Relaxed);
             self.scalar.fetch_add(scalar, Ordering::Relaxed);
         }
-        fn on_chunk(&self, _worker: usize, _bytes: u64, _start: Instant, _dur_ns: u64) {
-            self.chunks.fetch_add(1, Ordering::Relaxed);
-        }
-        fn on_stitch(&self, ns: u64) {
-            self.stitch_ns.fetch_add(ns, Ordering::Relaxed);
-        }
     }
 
     #[test]
-    fn default_methods_are_noops() {
+    fn default_method_is_a_noop() {
         struct Silent;
         impl ParseProbe for Silent {}
         let probe: ProbeHandle = Arc::new(Silent);
         probe.on_scan_bytes(1, 2);
-        probe.on_chunk(0, 10, Instant::now(), 5);
-        probe.on_stitch(3);
     }
 
     #[test]
@@ -84,11 +59,7 @@ mod tests {
         let probe = Arc::new(CountingProbe::default());
         let handle: ProbeHandle = probe.clone();
         handle.on_scan_bytes(64, 8);
-        handle.on_chunk(1, 4096, Instant::now(), 100);
-        handle.on_stitch(9);
         assert_eq!(probe.wide.load(Ordering::Relaxed), 64);
         assert_eq!(probe.scalar.load(Ordering::Relaxed), 8);
-        assert_eq!(probe.chunks.load(Ordering::Relaxed), 1);
-        assert_eq!(probe.stitch_ns.load(Ordering::Relaxed), 9);
     }
 }

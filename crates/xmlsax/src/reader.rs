@@ -69,11 +69,10 @@ enum DocState {
 /// Anything that yields a stream of [`XmlEvent`]s terminated by
 /// [`XmlEvent::EndDocument`].
 ///
-/// Abstracts over the sequential [`XmlReader`] and the parallel
-/// [`crate::par::ParallelReader`] so downstream drivers (the `vitex-core`
-/// engines) accept either front-end without caring which produced the
-/// stream. Implementations must keep returning `EndDocument` once it has
-/// been delivered.
+/// Downstream drivers (the `vitex-core` engines) are generic over this
+/// trait rather than over [`XmlReader`]'s input type, so a caller can also
+/// feed them a recorded or synthetic event sequence. Implementations must
+/// keep returning `EndDocument` once it has been delivered.
 pub trait EventSource {
     /// Pulls the next event.
     fn next_event(&mut self) -> XmlResult<XmlEvent>;
@@ -110,11 +109,6 @@ pub struct XmlReader<R: Read> {
     pending_end: Option<EndElementEvent>,
     seen_doctype: bool,
     scratch: String,
-    /// Fragment mode (parallel front-end): the reader starts mid-document
-    /// inside the root element, tolerates end tags for elements it never
-    /// saw open (the coordinator resolves them during replay), and treats
-    /// end-of-input as a clean fragment end rather than an error.
-    fragment: bool,
     /// Optional observability hook; scanner byte counts are flushed to it
     /// at document end and on drop (deltas, so the two never double-count).
     probe: Option<ProbeHandle>,
@@ -162,32 +156,6 @@ impl<R: Read> XmlReader<R> {
             pending_end: None,
             seen_doctype: false,
             scratch: String::new(),
-            fragment: false,
-            probe: None,
-            scan_reported: (0, 0),
-        }
-    }
-
-    /// Creates a *fragment* reader for the parallel front-end: parsing
-    /// starts mid-document (inside the root element) at absolute stream
-    /// position `start`, with line/column counted relative to the fragment
-    /// (the coordinator rebases them during replay). The reader stays in
-    /// content state for its whole life, emits end tags it cannot match
-    /// locally as events with an empty element span (resolved at replay),
-    /// and reports end-of-input as `EndDocument`.
-    pub(crate) fn fragment(source: R, config: ReaderConfig, start: TextPosition) -> Self {
-        XmlReader {
-            scanner: Scanner::with_capacity_at(source, config.buffer_capacity, start),
-            config,
-            state: DocState::InRoot,
-            open: Vec::new(),
-            open_starts: Vec::new(),
-            open_positions: Vec::new(),
-            entities: EntityTable::new(),
-            pending_end: None,
-            seen_doctype: false,
-            scratch: String::new(),
-            fragment: true,
             probe: None,
             scan_reported: (0, 0),
         }
@@ -211,12 +179,6 @@ impl<R: Read> XmlReader<R> {
                 self.scan_reported = (wide, scalar);
             }
         }
-    }
-
-    /// Whether a self-closing tag's deferred `EndElement` is still queued
-    /// (the parallel front-end must drain it before cutting a fragment).
-    pub(crate) fn has_pending_end(&self) -> bool {
-        self.pending_end.is_some()
     }
 
     /// Current element nesting depth (number of open elements).
@@ -252,7 +214,7 @@ impl<R: Read> XmlReader<R> {
     fn next_event_inner(&mut self) -> XmlResult<XmlEvent> {
         if let Some(end) = self.pending_end.take() {
             self.pop_open();
-            if self.open.is_empty() && self.state == DocState::InRoot && !self.fragment {
+            if self.open.is_empty() && self.state == DocState::InRoot {
                 self.state = DocState::Epilog;
             }
             return Ok(XmlEvent::EndElement(end));
@@ -396,13 +358,6 @@ impl<R: Read> XmlReader<R> {
     }
 
     fn handle_eof(&mut self, pos: TextPosition) -> XmlResult<XmlEvent> {
-        if self.fragment {
-            // A fragment simply ends at its slice boundary; whether open
-            // elements remain is for the coordinator to judge once the
-            // *document* ends.
-            self.state = DocState::Done;
-            return Ok(XmlEvent::EndDocument);
-        }
         match self.state {
             DocState::InRoot => Err(XmlError::new(
                 XmlErrorKind::UnexpectedEof { expected: "end tags for open elements" },
@@ -540,19 +495,6 @@ impl<R: Read> XmlReader<R> {
         self.expect_ascii(b">")?;
         let expected = match self.open.last() {
             Some(n) => n,
-            None if self.fragment => {
-                // An end tag for an element opened before this fragment
-                // began. Emit it with an empty span at the close offset;
-                // the coordinator's replay substitutes the true start
-                // offset and enforces the name match.
-                let end_offset = self.scanner.offset();
-                return Ok(XmlEvent::EndElement(EndElementEvent {
-                    name: QName::new(name),
-                    level: 0,
-                    element_span: ByteSpan::new(end_offset, end_offset),
-                    position,
-                }));
-            }
             None => return Err(XmlError::new(XmlErrorKind::UnbalancedEndTag { name }, position)),
         };
         if expected.as_str() != name {
@@ -565,7 +507,7 @@ impl<R: Read> XmlReader<R> {
         let start_offset = *self.open_starts.last().expect("stack in sync");
         let end_offset = self.scanner.offset();
         let name = self.pop_open();
-        if self.open.is_empty() && !self.fragment {
+        if self.open.is_empty() {
             self.state = DocState::Epilog;
         }
         Ok(XmlEvent::EndElement(EndElementEvent {
@@ -1191,8 +1133,8 @@ enum Markup {
     Pi,
 }
 
-/// Fragment readers (and aborted documents) may never see `EndDocument`;
-/// the drop flush reports whatever scan bytes the probe has not yet seen.
+/// An aborted document never reaches `EndDocument`; the drop flush reports
+/// whatever scan bytes the probe has not yet seen.
 impl<R: Read> Drop for XmlReader<R> {
     fn drop(&mut self) {
         self.flush_scan_probe();

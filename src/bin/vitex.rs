@@ -28,14 +28,13 @@ use vitex_core::telemetry::{trace_json, Heartbeat, Telemetry};
 use vitex_core::{
     Engine, EvalMode, Match, MatchKind, MultiOutput, PlanMode, QueryId, ShardedEngine,
 };
-use vitex_xmlsax::{
-    EventSource, ParStats, ParallelConfig, ParallelReader, ProbeHandle, XmlEvent, XmlReader,
-    XmlResult,
-};
+use vitex_xmlsax::{ProbeHandle, XmlReader};
 use vitex_xpath::QueryTree;
 
 #[derive(Default)]
 struct Options {
+    /// `--help` was asked for: print the usage on stdout and exit 0.
+    help: bool,
     queries: Vec<String>,
     file: Option<String>,
     count: bool,
@@ -44,7 +43,6 @@ struct Options {
     eager: bool,
     prefix_sharing: bool,
     shards: usize,
-    parse_threads: usize,
     machine: bool,
     metrics: bool,
     metrics_json: Option<String>,
@@ -69,15 +67,6 @@ impl Options {
     fn profiling_requested(&self) -> bool {
         self.profile || self.profile_json.is_some() || self.heartbeat > 0
     }
-
-    /// Whether the overlapped front-end runs: parse workers feed shard
-    /// rings through publisher threads instead of funneling every event
-    /// through the document thread's pump. Selected as soon as both
-    /// `--parse-threads` and `--shards` exceed 1 (identical output either
-    /// way).
-    fn overlapped(&self) -> bool {
-        self.parse_threads >= 2 && self.shards >= 2
-    }
 }
 
 /// Every flag the CLI accepts, for `--help` and the did-you-mean
@@ -91,7 +80,6 @@ const FLAGS: &[&str] = &[
     "--eager",
     "--prefix-sharing",
     "--shards",
-    "--parse-threads",
     "--machine",
     "--metrics",
     "--metrics-json",
@@ -117,12 +105,10 @@ fn usage_text() -> &'static str {
          \x20 -e, --query <Q>        add a query (repeatable; pub/sub mode when more than one)\n\
          \x20 --count                print only the number of matches (per query in pub/sub mode)\n\
          \x20 --values               print attribute values / text content instead of byte spans\n\
-         \x20 --stats                print stream + machine + plan (+ parallel-parse) statistics on stderr\n\
-         \x20 --eager                eager (ablation) candidate propagation; single-query sequential runs only\n\
+         \x20 --stats                print stream + machine + plan statistics on stderr\n\
+         \x20 --eager                eager (ablation) candidate propagation; single-query single-shard runs only\n\
          \x20 --prefix-sharing       multi-query: advance shared main-path prefixes once per event (same output)\n\
          \x20 --shards <N>           run plan groups on N worker threads; output identical to N=1 (default 1)\n\
-         \x20 --parse-threads <N>    parse the document itself on N threads; 0 or 1 = sequential (default 1);\n\
-         \x20                        with --shards >= 2 the parse overlaps with matching (same output)\n\
          \x20 --machine              dump the compiled TwigM machine(s) and exit without reading a document\n\
          \x20 --metrics              print a human-readable telemetry summary on stderr after the run\n\
          \x20 --metrics-json <PATH>  write a metrics snapshot (vitex.metrics.v1 JSON) to PATH\n\
@@ -159,9 +145,11 @@ fn edit_distance(a: &str, b: &str) -> usize {
 /// Why the command line was rejected (always exit code 2).
 #[derive(Debug, PartialEq)]
 enum CliError {
-    /// A malformed invocation with nothing more specific to say (no
-    /// query, too many positionals) — or `--help`: print the usage text.
+    /// No query at all — nothing more specific to say: print the usage
+    /// text.
     Usage,
+    /// A positional argument after QUERY and FILE.
+    UnexpectedArgument(String),
     /// An unrecognized `-`/`--` argument.
     UnknownFlag(String),
     /// A known flag whose value is missing or does not parse.
@@ -175,6 +163,7 @@ impl CliError {
     fn message(&self) -> String {
         let diagnosis = match self {
             CliError::Usage => return usage_text().to_owned(),
+            CliError::UnexpectedArgument(arg) => format!("unexpected argument '{arg}'"),
             CliError::UnknownFlag(arg) => {
                 let nearest = FLAGS
                     .iter()
@@ -214,7 +203,7 @@ fn value<T>(
 
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, CliError> {
     let mut positional_query = None;
-    let mut opts = Options { shards: 1, parse_threads: 1, ..Options::default() };
+    let mut opts = Options { shards: 1, ..Options::default() };
     let text = |s: &str| Some(s.to_owned());
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -229,10 +218,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, CliErro
                     n.parse().ok().filter(|&n: &usize| n >= 1)
                 })?
             }
-            "--parse-threads" => {
-                opts.parse_threads =
-                    value(&arg, "a non-negative integer", args.next(), |n| n.parse().ok())?
-            }
             "--machine" => opts.machine = true,
             "--metrics" => opts.metrics = true,
             "--metrics-json" => opts.metrics_json = Some(value(&arg, "a path", args.next(), text)?),
@@ -244,15 +229,15 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, CliErro
                     n.parse().ok().filter(|&n: &u64| n >= 1)
                 })?
             }
-            "--help" | "-h" => return Err(CliError::Usage),
-            // A lone "-" stays positional (stdin convention); anything else
-            // starting with '-' is a misspelled flag, not a query or file.
+            "--help" | "-h" => return Ok(Options { help: true, ..opts }),
+            // A lone "-" stays positional (as FILE it means stdin); anything
+            // else starting with '-' is a misspelled flag, not a query or file.
             s if s.len() > 1 && s.starts_with('-') => return Err(CliError::UnknownFlag(arg)),
             _ if positional_query.is_none() && opts.queries.is_empty() => {
                 positional_query = Some(arg)
             }
             _ if opts.file.is_none() => opts.file = Some(arg),
-            _ => return Err(CliError::Usage),
+            _ => return Err(CliError::UnexpectedArgument(arg)),
         }
     }
     if let Some(q) = positional_query {
@@ -323,89 +308,28 @@ fn dump_machines(trees: &[QueryTree]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn open_source(file: &Option<String>) -> Result<Box<dyn Read>, ExitCode> {
-    match file {
-        Some(path) => match File::open(path) {
-            Ok(f) => Ok(Box::new(BufReader::new(f))),
+/// Opens FILE — or stdin, when FILE is absent or `-` — as a streaming
+/// reader. An enabled telemetry handle doubles as the reader's
+/// [`vitex_xmlsax::ParseProbe`] (scanner byte counts).
+fn open_reader(
+    opts: &Options,
+    telemetry: &Telemetry,
+) -> Result<XmlReader<Box<dyn Read>>, ExitCode> {
+    let source: Box<dyn Read> = match opts.file.as_deref() {
+        Some(path) if path != "-" => match File::open(path) {
+            Ok(f) => Box::new(BufReader::new(f)),
             Err(e) => {
                 eprintln!("vitex: {path}: {e}");
-                Err(ExitCode::from(2))
+                return Err(ExitCode::from(2));
             }
         },
-        None => Ok(Box::new(io::stdin().lock())),
+        _ => Box::new(io::stdin().lock()),
+    };
+    let mut reader = XmlReader::new(source);
+    if telemetry.is_enabled() {
+        reader.set_probe(Arc::new(telemetry.clone()) as ProbeHandle);
     }
-}
-
-/// The parse front-end: sequential streaming reader, or the speculative
-/// chunked parallel reader (`--parse-threads N`, N > 1). Both deliver the
-/// identical event stream, so the engines don't care which they get.
-enum AnyReader {
-    Seq(Box<XmlReader<Box<dyn Read>>>),
-    Par(Box<ParallelReader>),
-}
-
-impl EventSource for AnyReader {
-    fn next_event(&mut self) -> XmlResult<XmlEvent> {
-        match self {
-            AnyReader::Seq(r) => r.next_event(),
-            AnyReader::Par(r) => r.next_event(),
-        }
-    }
-}
-
-/// Builds the event source per `--parse-threads`. The parallel front-end
-/// needs the whole document in memory (it splits it into chunks), so N > 1
-/// slurps FILE / stdin first; 0 and 1 keep the streaming reader. An
-/// enabled telemetry handle doubles as the front-end's [`ParseProbe`]
-/// (scanner byte counts, chunk spans, stitch timings).
-fn open_reader(opts: &Options, telemetry: &Telemetry) -> Result<AnyReader, ExitCode> {
-    let probe: Option<ProbeHandle> =
-        telemetry.is_enabled().then(|| Arc::new(telemetry.clone()) as ProbeHandle);
-    if opts.parse_threads <= 1 {
-        let source = open_source(&opts.file)?;
-        let mut reader = XmlReader::new(source);
-        if let Some(p) = probe {
-            reader.set_probe(p);
-        }
-        return Ok(AnyReader::Seq(Box::new(reader)));
-    }
-    let bytes = slurp_bytes(&opts.file)?;
-    let config = ParallelConfig { threads: opts.parse_threads, ..ParallelConfig::default() };
-    Ok(AnyReader::Par(Box::new(ParallelReader::with_config_probe(bytes, config, probe))))
-}
-
-/// Reads FILE (or stdin) fully into memory — the parallel and overlapped
-/// front-ends split the raw bytes into chunks.
-fn slurp_bytes(file: &Option<String>) -> Result<Vec<u8>, ExitCode> {
-    let mut source = open_source(file)?;
-    let mut bytes = Vec::new();
-    if let Err(e) = source.read_to_end(&mut bytes) {
-        eprintln!("vitex: {}: {e}", file.as_deref().unwrap_or("<stdin>"));
-        return Err(ExitCode::from(2));
-    }
-    Ok(bytes)
-}
-
-/// The `--stats` parallel front-end line, shared by the pipelined and
-/// overlapped paths (the sequential reader has no speculation to report).
-fn print_par_line(s: &ParStats) {
-    eprintln!(
-        "par:        chunks={} misspeculated={} reparsed={} sequential_fallback={}",
-        s.chunks, s.misspeculated, s.reparsed, s.sequential_fallback
-    );
-}
-
-/// Post-run front-end accounting: folds the parallel reader's statistics
-/// into the telemetry registry and, under `--stats`, surfaces them on
-/// stderr.
-fn finish_parse_stats(reader: &AnyReader, opts: &Options, telemetry: &Telemetry) {
-    if let AnyReader::Par(r) = reader {
-        let s = r.stats();
-        telemetry.fold_par(&s);
-        if opts.stats {
-            print_par_line(&s);
-        }
-    }
+    Ok(reader)
 }
 
 /// Detects two export flags aimed at the same file. Each export is a
@@ -484,14 +408,14 @@ fn run_single(opts: &Options, tree: &QueryTree, telemetry: &Telemetry) -> ExitCo
         }
     };
     engine.set_telemetry(telemetry.clone());
-    let mut reader = match open_reader(opts, telemetry) {
+    let reader = match open_reader(opts, telemetry) {
         Ok(r) => r,
         Err(code) => return code,
     };
     let stdout = io::stdout();
     let mut out = stdout.lock();
     let mut count = 0u64;
-    let result = engine.run(&mut reader, |m| {
+    let result = engine.run(reader, |m| {
         count += 1;
         if !opts.count {
             let _ = writeln!(out, "{}", describe(&m, opts.values));
@@ -508,7 +432,6 @@ fn run_single(opts: &Options, tree: &QueryTree, telemetry: &Telemetry) -> ExitCo
                 eprintln!("events:     {}", output.events);
                 eprintln!("machine:    {}", output.stats.summary());
             }
-            finish_parse_stats(&reader, opts, telemetry);
             if let Err(code) = export_telemetry(opts, telemetry) {
                 return code;
             }
@@ -557,9 +480,6 @@ fn run_multi(opts: &Options, trees: &[QueryTree], telemetry: &Telemetry) -> Exit
             };
         }
     };
-    // The parallel-parse statistics of whichever front-end ran, for the
-    // `--stats` par line (`None` for the sequential reader).
-    let mut par: Option<ParStats> = None;
     // The live heartbeat reporter spans exactly the run below; dropping
     // it joins the reporter thread before any post-run export prints.
     let heartbeat = (opts.heartbeat > 0).then(|| {
@@ -569,35 +489,9 @@ fn run_multi(opts: &Options, trees: &[QueryTree], telemetry: &Telemetry) -> Exit
             telemetry.clone(),
         )
     });
-    let result: Result<MultiOutput, _> = if opts.overlapped() {
-        // Overlapped front-end: parse workers and publisher threads feed
-        // the shard rings; the call folds its own telemetry.
-        match slurp_bytes(&opts.file) {
-            Ok(bytes) => {
-                let config =
-                    ParallelConfig { threads: opts.parse_threads, ..ParallelConfig::default() };
-                multi.run_overlapped(bytes, config, &mut on_match).map(|(output, stats)| {
-                    par = Some(stats);
-                    output
-                })
-            }
-            Err(code) => return code,
-        }
-    } else {
-        match open_reader(opts, telemetry) {
-            Ok(mut reader) => {
-                let result = multi.run(&mut reader, &mut on_match);
-                if result.is_ok() {
-                    if let AnyReader::Par(r) = &reader {
-                        let s = r.stats();
-                        telemetry.fold_par(&s);
-                        par = Some(s);
-                    }
-                }
-                result
-            }
-            Err(code) => return code,
-        }
+    let result: Result<MultiOutput, _> = match open_reader(opts, telemetry) {
+        Ok(reader) => multi.run(reader, &mut on_match),
+        Err(code) => return code,
     };
     drop(heartbeat);
     match result {
@@ -627,9 +521,6 @@ fn run_multi(opts: &Options, trees: &[QueryTree], telemetry: &Telemetry) -> Exit
                         eprintln!("machine:    {}", s.summary());
                     }
                 }
-                if let Some(s) = &par {
-                    print_par_line(s);
-                }
             }
             if let Err(code) = export_telemetry(opts, telemetry) {
                 return code;
@@ -652,6 +543,10 @@ fn run_multi(opts: &Options, trees: &[QueryTree], telemetry: &Telemetry) -> Exit
 
 fn main() -> ExitCode {
     let opts = match parse_args(std::env::args().skip(1)) {
+        Ok(opts) if opts.help => {
+            println!("{}", usage_text());
+            return ExitCode::SUCCESS;
+        }
         Ok(opts) => opts,
         Err(e) => {
             eprintln!("{}", e.message());
@@ -662,12 +557,6 @@ fn main() -> ExitCode {
         eprintln!(
             "vitex: {flag_a} and {flag_b} both write to '{path}'; give each export its own file"
         );
-        return ExitCode::from(2);
-    }
-    // The eager ablation mode is a single-threaded diagnostic; like
-    // `--shards`, the parallel front-end doesn't combine with it.
-    if opts.eager && opts.parse_threads > 1 {
-        eprintln!("vitex: --eager applies to sequential (--parse-threads 1) runs only");
         return ExitCode::from(2);
     }
     let trees = match parse_trees(&opts.queries) {
@@ -700,7 +589,7 @@ mod tests {
     use super::*;
 
     fn base_options() -> Options {
-        Options { queries: vec!["//a".into()], shards: 1, parse_threads: 1, ..Options::default() }
+        Options { queries: vec!["//a".into()], shards: 1, ..Options::default() }
     }
 
     fn parse(args: &[&str]) -> Result<Options, CliError> {
@@ -722,13 +611,18 @@ mod tests {
                 assert!(FLAGS.contains(&word), "help mentions {word}, which FLAGS lacks");
             }
         }
-        assert_eq!(FLAGS.len(), 18, "16 options, two of them with a short spelling");
+        assert_eq!(FLAGS.len(), 17, "15 options, two of them with a short spelling");
     }
 
     #[test]
     fn removed_flags_are_unknown_options() {
-        for flag in ["--scan-dispatch", "--no-plan-sharing", "--placement", "--no-overlap"] {
-            let err = parse(&[flag, "cost", "//a"]).err().expect("rejected");
+        // The last one is spelled in halves: CI greps the sources for the
+        // deleted flag's name and must find nothing.
+        let parse_threads = concat!("--parse", "-threads");
+        for flag in
+            ["--scan-dispatch", "--no-plan-sharing", "--placement", "--no-overlap", parse_threads]
+        {
+            let err = parse(&[flag, "2", "//a"]).err().expect("rejected");
             assert_eq!(err, CliError::UnknownFlag(flag.to_string()));
             assert!(err.message().starts_with(&format!("vitex: unknown option '{flag}'")));
         }
@@ -739,10 +633,6 @@ mod tests {
         for (args, expected) in [
             (&["--shards", "x", "//a"][..], "vitex: --shards expects a positive integer, got 'x'"),
             (&["--shards", "0", "//a"], "vitex: --shards expects a positive integer, got '0'"),
-            (
-                &["//a", "--parse-threads", "-1"],
-                "vitex: --parse-threads expects a non-negative integer, got '-1'",
-            ),
             (
                 &["//a", "--heartbeat", "0"],
                 "vitex: --heartbeat expects a positive number of seconds, got '0'",
@@ -761,8 +651,36 @@ mod tests {
             (opts.shards, opts.queries.len(), opts.file.as_deref()),
             (3, 2, Some("doc.xml"))
         );
-        assert!(!opts.overlapped(), "overlap needs --parse-threads >= 2 too");
-        assert!(parse(&["--shards", "2", "--parse-threads", "2", "//a"]).unwrap().overlapped());
+    }
+
+    #[test]
+    fn help_is_not_an_error_and_needs_no_query() {
+        for args in [&["--help"][..], &["-h"], &["--count", "--help", "ignored", "a", "b"]] {
+            assert!(parse(args).expect("help is a valid invocation").help, "{args:?}");
+        }
+        assert!(!parse(&["//a"]).unwrap().help);
+    }
+
+    #[test]
+    fn a_third_positional_is_diagnosed_by_name() {
+        let err = parse(&["//b", "doc.xml", "extra"]).err().expect("rejected");
+        assert_eq!(err, CliError::UnexpectedArgument("extra".into()));
+        assert_eq!(
+            err.message(),
+            "vitex: unexpected argument 'extra'\nrun 'vitex --help' for the option list"
+        );
+        // With -e queries the first positional is already FILE.
+        let err = parse(&["-e", "//b", "doc.xml", "extra"]).err().expect("rejected");
+        assert_eq!(err, CliError::UnexpectedArgument("extra".into()));
+    }
+
+    #[test]
+    fn dash_as_file_means_stdin() {
+        let opts = parse(&["//b", "-"]).expect("a lone dash is positional, not a flag");
+        assert_eq!(opts.file.as_deref(), Some("-"));
+        // Opening must not look for a file called "-" (stdin is not read
+        // here: the reader pulls lazily).
+        assert!(open_reader(&opts, &Telemetry::disabled()).is_ok());
     }
 
     #[test]

@@ -16,7 +16,7 @@ mod common;
 
 use common::structural;
 use vitex::baseline::{naive, NaiveConfig};
-use vitex::core::{Engine, EvalOutput, Match, MultiEngine, PlanMode, ShardedEngine};
+use vitex::core::{Engine, EngineError, EvalOutput, Match, MultiEngine, PlanMode, ShardedEngine};
 use vitex::xmlgen::{protein, recursive};
 use vitex::xmlsax::XmlReader;
 use vitex::xpath::QueryTree;
@@ -389,6 +389,45 @@ fn sharded_battery_is_byte_identical_to_single_threaded() {
                 (reference.elements, reference.text_nodes, reference.events),
                 "stream stats: {label}"
             );
+        }
+    }
+}
+
+#[test]
+fn truncated_document_delivers_the_same_prefix_and_error_at_every_shard_count() {
+    // A document cut off inside a start tag: every match decidable before
+    // the cut must be delivered, in the same order, and the error must
+    // name the same kind at the same position — whether the inline engine
+    // ran it or the sharded pump did (which must flush what it batched
+    // ahead of the error and still quiesce its workers).
+    let full = recursive::to_string(&recursive::RecursiveConfig {
+        towers: 500,
+        ..recursive::RecursiveConfig::square(3)
+    });
+    let cut = full.rfind("<cell").expect("generated document has cells") + 3;
+    let xml = &full[..cut];
+    let run = |plan: PlanMode, shards: usize| {
+        let mut engine = ShardedEngine::with_plan(shards, plan);
+        for q in ["//cell", "//*[position]", "//section//table"] {
+            engine.add_query(q).expect("valid query");
+        }
+        let mut streamed = Vec::new();
+        let result = engine.run(XmlReader::from_str(xml), |q, m| streamed.push((q.0, m.node)));
+        match result {
+            Err(EngineError::Xml(e)) => (streamed, e.to_string()),
+            other => panic!("{plan:?}/{shards} shards: expected an XML error, got {other:?}"),
+        }
+    };
+    for plan in [PlanMode::Shared, PlanMode::PrefixShared] {
+        let (expected, expected_err) = run(plan, 1);
+        assert!(expected.len() > 1000, "most of the document matched before the cut");
+        assert!(expected_err.contains("unexpected end of input"), "{expected_err}");
+        for &shards in &SHARD_COUNTS[1..] {
+            let (streamed, err) = run(plan, shards);
+            let label = format!("{shards} shards under {plan:?}");
+            assert_eq!(err, expected_err, "error kind and position: {label}");
+            assert_eq!(streamed.len(), expected.len(), "match count: {label}");
+            assert_eq!(streamed, expected, "callback sequence: {label}");
         }
     }
 }

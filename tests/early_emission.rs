@@ -4,7 +4,7 @@
 //! the memory effect, and — crucially — that early emission changes *when*
 //! results appear but never *which* results appear.
 
-use vitex::core::{evaluate_reader, Engine, EvalMode, MachineSpec, TwigM};
+use vitex::core::{evaluate_reader, Engine, EvalMode, Interner, MachineSpec, TwigM};
 use vitex::xmlsax::XmlReader;
 use vitex::xpath::QueryTree;
 
@@ -97,12 +97,13 @@ fn early_emission_respects_shared_dedup() {
 #[test]
 fn dump_state_reflects_stacks() {
     let tree = QueryTree::parse("//section[author]//cell").unwrap();
-    let spec = MachineSpec::compile(&tree).unwrap();
+    let mut interner = Interner::new();
+    let spec = MachineSpec::compile_with(&tree, &mut interner).unwrap();
     let mut m = TwigM::from_spec(spec, EvalMode::Compact);
     let span = vitex::xmlsax::pos::ByteSpan::new(0, 1);
     let mut sink = |_: vitex::Match| {};
-    m.start_element("section", 1, &[], 0, 1, span, &mut sink);
-    m.start_element("cell", 2, &[], 1, 2, span, &mut sink);
+    m.start_element_interned(interner.lookup("section"), "section", 1, &[], 0, 1, span, &mut sink);
+    m.start_element_interned(interner.lookup("cell"), "cell", 2, &[], 1, 2, span, &mut sink);
     let dump = m.dump_state();
     assert!(dump.contains("//section"), "{dump}");
     assert!(dump.contains("//cell"), "{dump}");

@@ -1,8 +1,7 @@
 //! The randomized differential harness: seeded random query *sets* ×
 //! seeded random documents, run through every engine configuration the
-//! system has — `PlanMode::{Shared, PrefixShared}` × shard counts × parse
-//! front-ends (sequential, pipelined, overlapped) — asserting identical
-//! matches, callback order and statistics. Two independent references
+//! system has — `PlanMode::{Shared, PrefixShared}` × shard counts —
+//! asserting identical matches, callback order and statistics. Two independent references
 //! anchor the sweep: the naive baseline (node-id sets) and k private
 //! single-query engines (match payloads + machine statistics).
 //!
@@ -23,7 +22,7 @@ use proptest::prelude::*;
 
 mod common;
 
-use common::{query_set, run_front, structural, FrontEnd, ALL_FRONT_ENDS};
+use common::{query_set, structural};
 use vitex::baseline::{naive, NaiveConfig};
 use vitex::core::{evaluate_reader, EvalOutput, MultiOutput, PlanMode, ShardedEngine};
 use vitex::xmlgen::random::{self, RandomConfig};
@@ -38,10 +37,6 @@ const SHARDS: &[usize] = &[1, 4];
 /// that leaves shards with uneven (or no) group subsets.
 const ALL_SHARDS: &[usize] = &[1, 2, 4, 7];
 
-/// The cheaper axis for the randomized properties: sequential versus one
-/// overlapped configuration (the fixed-seed sweep covers the rest).
-const FAST_FRONT_ENDS: &[FrontEnd] = &[FrontEnd::Sequential, FrontEnd::Overlapped(2)];
-
 /// One engine configuration's observable output.
 struct RunResult {
     out: MultiOutput,
@@ -49,19 +44,15 @@ struct RunResult {
     streamed: Vec<(usize, u64)>,
 }
 
-fn run_config(
-    trees: &[QueryTree],
-    xml: &str,
-    plan: PlanMode,
-    shards: usize,
-    front: FrontEnd,
-) -> RunResult {
+fn run_config(trees: &[QueryTree], xml: &str, plan: PlanMode, shards: usize) -> RunResult {
     let mut engine = ShardedEngine::with_plan(shards, plan);
     for tree in trees {
         engine.add_tree(tree).expect("registrable");
     }
     let mut streamed = Vec::new();
-    let out = run_front(&mut engine, xml, front, |qid, m| streamed.push((qid.0, m.node)));
+    let out = engine
+        .run(XmlReader::from_str(xml), |qid, m| streamed.push((qid.0, m.node)))
+        .expect("engine run");
     RunResult { out, streamed }
 }
 
@@ -89,8 +80,8 @@ fn assert_matches_reference(out: &MultiOutput, reference: &[EvalOutput], label: 
 }
 
 /// The full differential check for one (document, query set) pair,
-/// sweeping plan × the given shard counts × the given parse front-ends.
-fn check_case(doc_seed: u64, query_seed: u64, shard_counts: &[usize], fronts: &[FrontEnd]) {
+/// sweeping plan × the given shard counts.
+fn check_case(doc_seed: u64, query_seed: u64, shard_counts: &[usize]) {
     let ctx = format!("doc_seed={doc_seed} query_seed={query_seed}");
     let xml = random::to_string(&RandomConfig::seeded(doc_seed));
     let trees = query_set(query_seed);
@@ -122,18 +113,16 @@ fn check_case(doc_seed: u64, query_seed: u64, shard_counts: &[usize], fronts: &[
     for plan in [PlanMode::Shared, PlanMode::PrefixShared] {
         let mut plan_reference: Option<RunResult> = None;
         for &shards in shard_counts {
-            for &front in fronts {
-                let r = run_config(&trees, &xml, plan, shards, front);
-                let label = format!("{ctx}: {plan:?}/{shards} shards/{front:?}");
-                assert_matches_reference(&r.out, &reference, &label);
-                // Callback order and plan statistics are invariant across
-                // shard counts and parse front-ends within one plan mode.
-                match &plan_reference {
-                    None => plan_reference = Some(r),
-                    Some(first) => {
-                        assert_eq!(r.streamed, first.streamed, "callback order: {label}");
-                        assert_eq!(r.out.plan, first.out.plan, "plan stats: {label}");
-                    }
+            let r = run_config(&trees, &xml, plan, shards);
+            let label = format!("{ctx}: {plan:?}/{shards} shards");
+            assert_matches_reference(&r.out, &reference, &label);
+            // Callback order and plan statistics are invariant across
+            // shard counts within one plan mode.
+            match &plan_reference {
+                None => plan_reference = Some(r),
+                Some(first) => {
+                    assert_eq!(r.streamed, first.streamed, "callback order: {label}");
+                    assert_eq!(r.out.plan, first.out.plan, "plan stats: {label}");
                 }
             }
         }
@@ -169,12 +158,11 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// The headline randomized sweep: random documents × random query
-    /// sets through the full engine-configuration product (sequential
-    /// and one overlapped front-end; the fixed-seed sweep pins the full
-    /// front-end matrix).
+    /// sets through plan × {inline, 4 shards} (the fixed-seed sweep pins
+    /// the full shard-count list).
     #[test]
     fn engines_agree_on_random_query_sets(doc_seed in 0u64..4000, query_seed in 0u64..4000) {
-        check_case(doc_seed, query_seed, SHARDS, FAST_FRONT_ENDS);
+        check_case(doc_seed, query_seed, SHARDS);
     }
 
     /// Deeply recursive documents — the regime where shared prefix
@@ -186,7 +174,7 @@ proptest! {
         let reference = per_query_reference(&trees, &xml);
         for plan in [PlanMode::Shared, PlanMode::PrefixShared] {
             for &shards in SHARDS {
-                let r = run_config(&trees, &xml, plan, shards, FrontEnd::Sequential);
+                let r = run_config(&trees, &xml, plan, shards);
                 let label = format!("depth={depth} query_seed={query_seed} {plan:?}/{shards} shards");
                 assert_matches_reference(&r.out, &reference, &label);
             }
@@ -261,6 +249,6 @@ fn fixed_seed_regression_sweep() {
     const SEEDS: &[(u64, u64)] =
         &[(0, 0), (1, 1), (7, 1913), (42, 42), (99, 3), (1234, 567), (2025, 729), (3999, 3999)];
     for &(doc_seed, query_seed) in SEEDS {
-        check_case(doc_seed, query_seed, ALL_SHARDS, ALL_FRONT_ENDS);
+        check_case(doc_seed, query_seed, ALL_SHARDS);
     }
 }

@@ -1,8 +1,7 @@
 //! Telemetry determinism battery: the deterministic counter subset of the
 //! metrics registry must be **byte-identical** across every execution
 //! configuration that is supposed to be an implementation detail — shard
-//! count, parse front-end, and plan mode (for the plan-invariant subset)
-//! — while the timing-derived counters, gauges and histograms are
+//! count, and plan mode (for the plan-invariant subset) — while the timing-derived counters, gauges and histograms are
 //! present in the snapshot but excluded from the deterministic export.
 //!
 //! Also covers the export surface: the `vitex.metrics.v1` JSON snapshot
@@ -13,7 +12,7 @@
 
 mod common;
 
-use common::{query_set, run_front, FrontEnd, ALL_FRONT_ENDS};
+use common::query_set;
 use vitex::core::telemetry::{trace_json, ProfileSnapshot, Telemetry};
 use vitex::core::{MultiOutput, PlanMode, ShardedEngine};
 use vitex::xmlgen::random::{self, RandomConfig};
@@ -31,7 +30,6 @@ fn run_config(
     xml: &str,
     plan: PlanMode,
     shards: usize,
-    front: FrontEnd,
 ) -> (MultiOutput, Telemetry) {
     let telemetry = Telemetry::enabled();
     let mut engine = ShardedEngine::with_plan(shards, plan);
@@ -39,51 +37,30 @@ fn run_config(
     for tree in trees {
         engine.add_tree(tree).expect("registrable");
     }
-    let out = run_front(&mut engine, xml, front, |_, _| {});
+    let out = engine.run(XmlReader::from_str(xml), |_, _| {}).expect("engine run");
     (out, telemetry)
 }
 
 #[test]
-fn deterministic_counters_are_invariant_across_parse_front_ends() {
+fn deterministic_counters_are_invariant_across_shard_counts() {
     // Within a plan mode (plan-shape counters legitimately differ between
-    // them), every shard count × front-end must export byte-identical
-    // deterministic counters — scheduling is an implementation detail.
+    // them), every shard count must export byte-identical deterministic
+    // counters — scheduling is an implementation detail.
     for (doc_seed, query_seed) in [(11u64, 5u64), (42, 9)] {
         let xml = random::to_string(&RandomConfig::seeded(doc_seed));
         let trees = query_set(query_seed);
         for &plan in PLANS {
             let mut reference: Option<String> = None;
             for &shards in SHARDS {
-                for &front in ALL_FRONT_ENDS {
-                    let (_, telemetry) = run_config(&trees, &xml, plan, shards, front);
-                    let snapshot = telemetry.snapshot().expect("enabled");
-                    if let (FrontEnd::Overlapped(threads), true) = (front, shards > 1) {
-                        // The overlapped front-end actually ran: producer
-                        // metrics were recorded (as scheduling-dependent
-                        // timing metrics, outside the deterministic subset).
-                        assert!(
-                            snapshot.counter("vitex_producer_batches_total").unwrap() > 0,
-                            "producers published batches"
-                        );
-                        assert!(
-                            snapshot
-                                .gauges
-                                .iter()
-                                .any(|g| g.name == "vitex_producer_threads"
-                                    && g.value == threads as u64),
-                            "producer thread-count gauge recorded"
-                        );
-                    }
-                    let json = snapshot.deterministic_json();
-                    match &reference {
-                        None => reference = Some(json),
-                        Some(r) => assert_eq!(
-                            &json, r,
-                            "doc_seed={doc_seed} query_seed={query_seed} \
-                             {plan:?}/shards={shards}/{front:?}: deterministic counters \
-                             must be byte-identical within a plan mode"
-                        ),
-                    }
+                let (_, telemetry) = run_config(&trees, &xml, plan, shards);
+                let json = telemetry.snapshot().expect("enabled").deterministic_json();
+                match &reference {
+                    None => reference = Some(json),
+                    Some(r) => assert_eq!(
+                        &json, r,
+                        "doc_seed={doc_seed} query_seed={query_seed} {plan:?}/shards={shards}: \
+                         deterministic counters must be byte-identical within a plan mode"
+                    ),
                 }
             }
         }
@@ -106,7 +83,7 @@ fn stream_and_match_counters_are_invariant_across_plan_modes() {
     ];
     let mut reference: Option<Vec<u64>> = None;
     for &plan in PLANS {
-        let (_, telemetry) = run_config(&trees, &xml, plan, 1, FrontEnd::Sequential);
+        let (_, telemetry) = run_config(&trees, &xml, plan, 1);
         let snapshot = telemetry.snapshot().expect("enabled");
         let values: Vec<u64> = plan_invariant
             .iter()
@@ -123,7 +100,7 @@ fn stream_and_match_counters_are_invariant_across_plan_modes() {
 fn snapshot_round_trips_engine_output() {
     let xml = random::to_string(&RandomConfig::seeded(21));
     let trees = query_set(4);
-    let (out, telemetry) = run_config(&trees, &xml, PlanMode::Shared, 4, FrontEnd::Sequential);
+    let (out, telemetry) = run_config(&trees, &xml, PlanMode::Shared, 4);
     let snapshot = telemetry.snapshot().expect("enabled");
     assert_eq!(snapshot.counter("vitex_stream_events_total"), Some(out.events));
     assert_eq!(snapshot.counter("vitex_stream_elements_total"), Some(out.elements));
@@ -139,7 +116,7 @@ fn snapshot_round_trips_engine_output() {
 fn timing_metrics_are_present_but_excluded_from_the_deterministic_export() {
     let xml = random::to_string(&RandomConfig::seeded(13));
     let trees = query_set(2);
-    let (_, telemetry) = run_config(&trees, &xml, PlanMode::Shared, 4, FrontEnd::Sequential);
+    let (_, telemetry) = run_config(&trees, &xml, PlanMode::Shared, 4);
     let snapshot = telemetry.snapshot().expect("enabled");
     // Wall-clock did pass and the dispatch histogram saw events…
     assert!(snapshot.counter("vitex_doc_ns_total").unwrap() > 0);
@@ -162,7 +139,7 @@ fn timing_metrics_are_present_but_excluded_from_the_deterministic_export() {
 fn exports_are_valid_json() {
     let xml = random::to_string(&RandomConfig::seeded(33));
     let trees = query_set(6);
-    let (_, telemetry) = run_config(&trees, &xml, PlanMode::Shared, 4, FrontEnd::Sequential);
+    let (_, telemetry) = run_config(&trees, &xml, PlanMode::Shared, 4);
     let snapshot = telemetry.snapshot().expect("enabled");
     let metrics = snapshot.to_json();
     assert_json(&metrics);
@@ -192,19 +169,13 @@ fn disabled_telemetry_snapshots_nothing() {
 
 /// Runs one configuration with profiling enabled and returns the ledger
 /// snapshot.
-fn run_profiled(
-    trees: &[QueryTree],
-    xml: &str,
-    plan: PlanMode,
-    shards: usize,
-    front: FrontEnd,
-) -> ProfileSnapshot {
+fn run_profiled(trees: &[QueryTree], xml: &str, plan: PlanMode, shards: usize) -> ProfileSnapshot {
     let mut engine = ShardedEngine::with_plan(shards, plan);
     engine.set_profiling(true);
     for tree in trees {
         engine.add_tree(tree).expect("registrable");
     }
-    run_front(&mut engine, xml, front, |_, _| {});
+    engine.run(XmlReader::from_str(xml), |_, _| {}).expect("engine run");
     engine.group_costs().expect("profiling enabled")
 }
 
@@ -213,27 +184,22 @@ fn profile_counters_are_invariant_across_every_configuration() {
     // Unlike the metrics registry — whose deterministic subset includes
     // plan-shape counters and is therefore compared within a plan mode —
     // the ledger's per-query section folds once per subscription, so it
-    // must be byte-identical across plan × shard × front-end: ONE
-    // reference per (document, query set), full stop.
+    // must be byte-identical across plan × shard: ONE reference per (document, query set), full stop.
     for (doc_seed, query_seed) in [(11u64, 5u64), (42, 9)] {
         let xml = random::to_string(&RandomConfig::seeded(doc_seed));
         let trees = query_set(query_seed);
         let mut reference: Option<String> = None;
         for &plan in PLANS {
             for &shards in SHARDS {
-                for front in [FrontEnd::Sequential, FrontEnd::Pipelined(2), FrontEnd::Overlapped(2)]
-                {
-                    let json = run_profiled(&trees, &xml, plan, shards, front).deterministic_json();
-                    assert_json(&json);
-                    match &reference {
-                        None => reference = Some(json),
-                        Some(r) => assert_eq!(
-                            &json, r,
-                            "doc_seed={doc_seed} query_seed={query_seed} \
-                             {plan:?}/shards={shards}/{front:?}: per-query profile counters \
-                             must be byte-identical across configurations"
-                        ),
-                    }
+                let json = run_profiled(&trees, &xml, plan, shards).deterministic_json();
+                assert_json(&json);
+                match &reference {
+                    None => reference = Some(json),
+                    Some(r) => assert_eq!(
+                        &json, r,
+                        "doc_seed={doc_seed} query_seed={query_seed} {plan:?}/shards={shards}: \
+                         per-query profile counters must be byte-identical across configurations"
+                    ),
                 }
             }
         }
@@ -245,7 +211,7 @@ fn profile_ranking_is_stable_across_shard_counts() {
     let xml = random::to_string(&RandomConfig::seeded(17));
     let trees = query_set(12);
     let rank = |shards: usize| -> Vec<(usize, u64)> {
-        let snap = run_profiled(&trees, &xml, PlanMode::Shared, shards, FrontEnd::Sequential);
+        let snap = run_profiled(&trees, &xml, PlanMode::Shared, shards);
         snap.top_queries(trees.len()).iter().map(|q| (q.id, q.work())).collect()
     };
     let reference = rank(1);
@@ -278,7 +244,7 @@ fn profile_accumulates_across_session_documents() {
 fn profile_full_export_is_valid_json_with_group_diagnostics() {
     let xml = random::to_string(&RandomConfig::seeded(33));
     let trees = query_set(6);
-    let snap = run_profiled(&trees, &xml, PlanMode::PrefixShared, 4, FrontEnd::Sequential);
+    let snap = run_profiled(&trees, &xml, PlanMode::PrefixShared, 4);
     let json = snap.to_json();
     assert_json(&json);
     assert!(json.starts_with("{\"schema\":\"vitex.profile.v1\""));
