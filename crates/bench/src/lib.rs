@@ -108,7 +108,7 @@ pub fn header(id: &str, claim: &str) {
     println!();
 }
 
-/// The multi-query (pub/sub) workloads of the E8/E10/E11 experiment
+/// The multi-query (pub/sub) workloads of the E8/E10/E14/E15 experiment
 /// binaries and their benches. The first: `tags` distinct element names
 /// cycled through `records` records, and one standing query per name —
 /// the disjoint-name regime where the dispatch index shines (every event
@@ -191,7 +191,7 @@ pub mod multiquery {
     }
 
     /// `k` **region-pinned** distinct subscriptions for the prefix-shared
-    /// regime (experiment E11): subscriber `i` watches one region's items
+    /// regime: subscriber `i` watches one region's items
     /// for *their* item id —
     /// `/site/regions/{region}/item[@id = 'itemI']/{field}`. The
     /// distinguishing predicate is an **inline attribute test** (it folds

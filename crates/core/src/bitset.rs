@@ -123,6 +123,11 @@ impl DynBitSet {
         }
     }
 
+    /// Clears every bit, keeping the storage.
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
     /// Tests bit `i`.
     pub fn contains(&self, i: usize) -> bool {
         self.words.get(i / 64).is_some_and(|w| w & (1 << (i % 64)) != 0)

@@ -138,17 +138,18 @@ impl MachineNode {
 pub struct MachineSpec {
     /// Stacked machine nodes; parents precede children.
     pub nodes: Vec<MachineNode>,
-    /// Interned name → machine nodes testing that name, indexed by
-    /// [`Symbol::index`]. Symbols come from the interner handed to
-    /// [`MachineSpec::compile_with`]; the vector only spans symbols this
-    /// spec mentions, so lookups with later-interned symbols simply miss.
+    /// Machine nodes per nametest, parallel to `name_symbols`: entry `i`
+    /// lists the nodes testing `name_symbols[i]`. Sparse on purpose — a
+    /// query names a handful of tags, so the table's size depends on the
+    /// query alone, never on how many names the shared interner holds.
     pub by_symbol: Vec<Vec<usize>>,
-    /// The distinct symbols this spec's nametests mention (dispatch-index
-    /// construction iterates this).
+    /// The distinct symbols this spec's nametests mention, in first-use
+    /// order. Symbols come from the interner handed to
+    /// [`MachineSpec::compile_with`].
     pub name_symbols: Vec<Symbol>,
     /// The distinct symbols mentioned by **predicate-subtree** nametests
-    /// only. Under prefix-shared execution the main path is driven by the
-    /// plan trie, so per-group dispatch narrows to these.
+    /// only: the main path is driven by the plan trie, so per-group
+    /// element dispatch narrows to these.
     pub pred_name_symbols: Vec<Symbol>,
     /// Machine nodes with a wildcard element test.
     pub wildcards: Vec<usize>,
@@ -238,13 +239,13 @@ impl MachineSpec {
                     match &node.name {
                         Some(n) => {
                             let sym = interner.intern(n);
-                            if spec.by_symbol.len() <= sym.index() {
-                                spec.by_symbol.resize(sym.index() + 1, Vec::new());
-                            }
-                            if spec.by_symbol[sym.index()].is_empty() {
+                            let at = spec.name_symbols.iter().position(|&s| s == sym);
+                            let at = at.unwrap_or_else(|| {
                                 spec.name_symbols.push(sym);
-                            }
-                            spec.by_symbol[sym.index()].push(mi);
+                                spec.by_symbol.push(Vec::new());
+                                spec.by_symbol.len() - 1
+                            });
+                            spec.by_symbol[at].push(mi);
                             if !node.is_main && !spec.pred_name_symbols.contains(&sym) {
                                 spec.pred_name_symbols.push(sym);
                             }
@@ -340,10 +341,14 @@ impl MachineSpec {
     }
 
     /// Machine nodes whose nametest is `sym` (empty for names this spec
-    /// never mentions, including symbols interned after compilation).
+    /// never mentions, including symbols interned after compilation). A
+    /// scan over the spec's few names beats the indexed load it replaces.
     #[inline]
     pub fn machines_for(&self, sym: Symbol) -> &[usize] {
-        self.by_symbol.get(sym.index()).map(Vec::as_slice).unwrap_or(&[])
+        match self.name_symbols.iter().position(|&s| s == sym) {
+            Some(at) => &self.by_symbol[at],
+            None => &[],
+        }
     }
 
     /// Whether any machine node carries a wildcard element test (such a
@@ -523,7 +528,7 @@ mod tests {
             MachineSpec::compile_with(&QueryTree::parse("//b/c").unwrap(), &mut interner).unwrap();
         let b = interner.lookup("b").unwrap();
         // `b` resolves to the same symbol in both specs; the later symbol
-        // `c` is simply out of range for the first spec.
+        // `c` is simply unknown to the first spec.
         assert_eq!(m1.machines_for(b), &[1]);
         assert_eq!(m2.machines_for(b), &[0]);
         let c = interner.lookup("c").unwrap();

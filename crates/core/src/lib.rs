@@ -32,8 +32,8 @@
 //! * [`engine::Engine`] — incremental: feed events, receive matches via a
 //!   callback as soon as they are decidable.
 //! * [`multi::MultiEngine`] — publish/subscribe: many standing queries,
-//!   one scan, with an interned-name dispatch index so an event only
-//!   touches interested machines.
+//!   one scan, executed through the shared step trie so an event only
+//!   touches the machines it can move.
 //! * [`shard::ShardedEngine`] — the same pub/sub surface executed on `N`
 //!   worker threads: plan groups are partitioned across shards, events
 //!   broadcast over bounded rings, and per-shard match streams merged
@@ -43,11 +43,10 @@
 //! * [`plan::QueryPlanner`] — the shared-prefix query planner behind
 //!   `MultiEngine`: canonicalizes queries, dedupes structural duplicates
 //!   into one machine with a subscriber fan-out list, and tries main-path
-//!   steps so overlapping subscriptions share plan structure. Under
-//!   [`plan::PlanMode::PrefixShared`] the trie also *executes*: its nodes
-//!   own the shared main-path match state, advanced once per event, so
-//!   per-event planning scales with distinct steps instead of with the
-//!   number of standing queries.
+//!   steps so overlapping subscriptions share plan structure. The trie
+//!   also *executes*: its nodes own the shared main-path match state,
+//!   advanced once per event, so per-event planning scales with distinct
+//!   steps instead of with the number of standing queries.
 //! * [`driver::DocumentDriver`] — the single SAX event loop (node
 //!   numbering, counting, symbol resolution) behind both engines; custom
 //!   consumers implement [`driver::EventSink`].
@@ -88,7 +87,7 @@ pub use error::{EngineError, EngineResult};
 pub use intern::{Interner, Symbol};
 pub use machine::TwigM;
 pub use multi::{MultiEngine, MultiOutput};
-pub use plan::{PlanGroup, PlanMode, QueryPlanner};
+pub use plan::{PlanGroup, QueryPlanner};
 pub use result::{Match, MatchKind, QueryId};
 pub use shard::{PlacementSnapshot, ShardSession, ShardedEngine};
 pub use stats::{MachineStats, PlanStats, StreamStats};

@@ -243,6 +243,17 @@ impl TwigM {
         self.stacks.iter().all(|s| s.is_empty())
     }
 
+    /// Whether a `characters` event could move the machine right now: some
+    /// text-watching, accumulating or text-result-parent node has an open
+    /// entry. With none open [`TwigM::characters`] is a no-op, which is
+    /// what lets the multi-query executor skip idle machines on text.
+    pub(crate) fn text_live(&self) -> bool {
+        let open = |&q: &usize| !self.stacks[q].is_empty();
+        self.spec.text_watchers.iter().any(open)
+            || self.spec.text_accumulators.iter().any(open)
+            || self.spec.text_result_parent.as_ref().is_some_and(open)
+    }
+
     /// A human-readable snapshot of every machine-node stack — the state
     /// the paper's demo visualizes ("TwigM changes its state according to
     /// the current state and the input event"). One line per stack entry:
@@ -334,7 +345,7 @@ impl TwigM {
         }
     }
 
-    /// `startElement` under prefix-shared execution: the **main-path**
+    /// `startElement` for a plan group's machine: the **main-path**
     /// push decisions arrive pre-computed from the shared plan trie
     /// (`main_plan`, `(machine node, ptr)` pairs in ascending node order —
     /// the trie's stacks mirror this machine's main-path stacks exactly,
@@ -342,9 +353,10 @@ impl TwigM {
     /// made), and only the predicate-subtree nodes are planned here, when
     /// `plan_preds` says this machine has predicate steps testing the
     /// event's name (or a predicate wildcard). Both plans are merged and
-    /// applied through the same [`TwigM::apply_pushes`] as the per-group
-    /// entry points, so the transition semantics — flags, candidates,
-    /// early emission, statistics — cannot diverge between modes.
+    /// applied through the same [`TwigM::apply_pushes`] as the
+    /// single-query entry point, so the transition semantics — flags,
+    /// candidates, early emission, statistics — cannot diverge between a
+    /// private engine and a plan group.
     ///
     /// Returns the number of entries pushed, which is what the engine's
     /// frame stack uses to touch, at the matching end tag, exactly the
@@ -1194,6 +1206,27 @@ mod tests {
             d.close("b");
             d.close("a");
             assert_eq!(d.matches.len(), 1, "mode {mode:?}");
+        }
+    }
+
+    #[test]
+    fn text_live_is_false_only_where_characters_is_a_no_op() {
+        // A text-predicate watcher, a string-value accumulator and a
+        // text-result parent: each reads text exactly while `<a>` is open.
+        for query in ["//a[text() = 'x']", "//r[a = 'x']", "//a/text()"] {
+            let mut d = Driver::new(query);
+            assert!(!d.machine.text_live(), "{query}: before the document");
+            d.open("r");
+            assert!(!d.machine.text_live(), "{query}: <r> reads no text");
+            let idle = (d.machine.stats().clone(), d.machine.dump_state());
+            d.text("x");
+            assert_eq!((d.machine.stats().clone(), d.machine.dump_state()), idle, "{query}");
+            d.open("a").open("c");
+            assert!(d.machine.text_live(), "{query}: <a> is open above <c>");
+            d.close("c").text("x").close("a");
+            assert!(!d.machine.text_live(), "{query}: <a> closed");
+            d.close("r");
+            assert_eq!(d.matches.len(), 1, "{query}");
         }
     }
 

@@ -16,39 +16,47 @@
 //! every emitted solution fans out to the group's subscriber list. The
 //! planner's shared-prefix step trie keeps group lookup cheap and reports
 //! how much structure the plan collapsed ([`MultiOutput::plan`]).
-//! Under [`PlanMode::PrefixShared`] (`vitex --prefix-sharing`) the trie
-//! is also a *runtime* structure (see [`crate::plan::trie`]) whose nodes
-//! own the shared main-path match state, advanced once per event by the
-//! dedicated `PrefixSink` below — per-group element dispatch then narrows
-//! to predicate-subtree names, and a frame stack pairs each end tag with
-//! exactly the machines its start tag pushed.
 //!
-//! ## Dispatch
+//! ## Execution
 //!
 //! Poking every machine on every event makes the per-event cost `O(k)` —
-//! fatal at thousands of standing queries. The engine therefore maintains
-//! a **dispatch index** over the shared [`Interner`]:
+//! fatal at thousands of standing queries. Two structures keep an event
+//! away from machines it cannot move:
 //!
-//! * per interned element name, a [`DynBitSet`] of plan groups whose query
-//!   mentions that name;
-//! * an always-on set of groups containing a wildcard step (they must see
-//!   every element);
-//! * the set of groups that consume `characters` events at all.
+//! * the **step trie** ([`crate::plan::trie`]) owns the main-path match
+//!   state every group routed through a node agrees on. A start tag
+//!   advances it **once** — one axis/name witness check per distinct trie
+//!   node, however many groups share the step — and each push it decides
+//!   lands, through the node's routes, on exactly the group machine nodes
+//!   that must push;
+//! * the **dispatch index** ([`DispatchIndex`], over the shared
+//!   [`Interner`]) covers what the trie does not: per interned name the
+//!   groups whose *predicate subtrees* test it, the groups with a
+//!   predicate wildcard, and the groups that consume `characters` events.
 //!
-//! A `startElement` then touches only groups interested in that name
-//! (plus wildcards), and the end tag replays the same set via the symbol
-//! the [`DocumentDriver`] remembered from the start tag. This is sound
-//! because a machine's stacks only ever hold entries for elements it was
-//! shown: skipping an element's start guarantees there is nothing to pop
-//! at its end, and text/attribute tests live inside the delivered events.
+//! The [`Executor`] below is the per-event apply step over both: a start
+//! tag merge-walks trie-decided main pushes ∪ predicate-name interests in
+//! ascending group order, a frame stack lets an end tag touch exactly the
+//! machines its start tag pushed (an untouched machine has nothing to
+//! pop), and text goes to exactly the machines holding an open entry that
+//! reads text (any other text consumer is idle). It is written once:
+//! [`MultiEngine::run`] drives it inline, keyed by group id, and every
+//! [`crate::shard`] worker drives its own over its group subset, keyed by
+//! local slot. This is sound because a machine's stacks only ever hold
+//! entries for elements it was shown, and text/attribute tests live
+//! inside the delivered events.
 //!
 //! Both structures update **incrementally**: [`MultiEngine::add_query`]
-//! splices the new group into the index in place and
+//! splices the new group into trie routes and index in place and
 //! [`MultiEngine::remove_query`] clears it back out when the last
 //! subscriber of a group leaves — no rebuild between runs, so long-lived
 //! pub/sub sessions can churn subscriptions mid-stream.
 
-use vitex_xmlsax::event::{CharactersEvent, EndElementEvent, StartElementEvent};
+use std::borrow::BorrowMut;
+use std::time::Instant;
+
+use vitex_xmlsax::event::{Attribute, CharactersEvent, EndElementEvent, StartElementEvent};
+use vitex_xmlsax::pos::ByteSpan;
 use vitex_xmlsax::EventSource;
 use vitex_xpath::query_tree::QueryTree;
 
@@ -57,7 +65,7 @@ use crate::builder::MachineSpec;
 use crate::driver::{DocumentDriver, EventSink};
 use crate::error::EngineResult;
 use crate::intern::{Interner, Symbol};
-use crate::plan::{PlanGroup, PlanMode, QueryPlanner};
+use crate::plan::{PlanGroup, QueryPlanner, StepTrie, TriePush};
 use crate::result::{Match, NodeId};
 use crate::stats::{MachineStats, PlanStats, StreamStats};
 use crate::telemetry::{CostLedger, Telemetry};
@@ -84,118 +92,77 @@ pub struct MultiOutput {
     pub events: u64,
 }
 
-/// The dispatch index: which plan groups care about which events.
-/// Maintained incrementally as groups activate and retire. Also built
-/// per shard by [`crate::shard`] workers over their group subset, so
-/// sharded dispatch filters events exactly like the single-threaded path.
+/// The dispatch index: which group slots care about which events *beyond*
+/// the main-path pushes the step trie decides. Maintained incrementally
+/// as groups activate and retire; the engine's is keyed by group id (and
+/// doubles, with the trie, as the sharded broadcast filter), a shard
+/// worker's by local slot over its group subset.
 #[derive(Debug, Default)]
 pub(crate) struct DispatchIndex {
-    /// Symbol index → groups whose query mentions that name (and have no
-    /// wildcard step — wildcard groups live in `wildcard`).
+    /// Symbol index → slots whose predicate subtrees test that name (and
+    /// have no predicate wildcard — those live in `wildcard`).
     by_symbol: Vec<DynBitSet>,
-    /// Groups containing a wildcard element step: they see every element
-    /// event.
+    /// Slots with a wildcard step in a predicate subtree: their machines
+    /// see every element event.
     wildcard: DynBitSet,
-    /// Groups that consume `characters` events.
+    /// Slots that consume `characters` events: the broadcast filter's
+    /// text question. Which of them a given text event can move is the
+    /// executor's `text_live`.
     text: DynBitSet,
 }
 
 impl DispatchIndex {
-    /// Splices a newly created group into the index. `nsymbols` is the
-    /// interner's current size: compiling the group's spec may have
-    /// interned names this index has never seen.
-    pub(crate) fn add_group(&mut self, gid: usize, spec: &MachineSpec, nsymbols: usize) {
+    /// Splices a group in at `slot`. `nsymbols` is the interner's current
+    /// size: compiling the group's spec may have interned names this
+    /// index has never seen.
+    pub(crate) fn add_group(&mut self, slot: usize, spec: &MachineSpec, nsymbols: usize) {
         if self.by_symbol.len() < nsymbols {
             self.by_symbol.resize(nsymbols, DynBitSet::new());
         }
-        if spec.has_wildcard() {
-            // A wildcard group sees every element, which subsumes its
+        if !spec.pred_wildcards.is_empty() {
+            // A wildcard slot sees every element, which subsumes its
             // named interests.
-            self.wildcard.insert(gid);
+            self.wildcard.insert(slot);
         } else {
-            for &sym in &spec.name_symbols {
-                self.by_symbol[sym.index()].insert(gid);
+            for &sym in &spec.pred_name_symbols {
+                self.by_symbol[sym.index()].insert(slot);
             }
         }
         if spec.needs_characters() {
-            self.text.insert(gid);
+            self.text.insert(slot);
         }
     }
 
     /// Clears a retired group (last subscriber removed) back out of the
     /// index — the inverse of [`DispatchIndex::add_group`].
-    fn remove_group(&mut self, gid: usize, spec: &MachineSpec) {
-        if spec.has_wildcard() {
-            self.wildcard.remove(gid);
+    fn remove_group(&mut self, slot: usize, spec: &MachineSpec) {
+        if !spec.pred_wildcards.is_empty() {
+            self.wildcard.remove(slot);
         } else {
-            for &sym in &spec.name_symbols {
+            for &sym in &spec.pred_name_symbols {
                 if let Some(set) = self.by_symbol.get_mut(sym.index()) {
-                    set.remove(gid);
+                    set.remove(slot);
                 }
             }
         }
         if spec.needs_characters() {
-            self.text.remove(gid);
+            self.text.remove(slot);
         }
     }
 
-    /// Splices a group in with **predicate-only** element interests: under
-    /// prefix-shared execution the main path is driven once per event by
-    /// the plan trie, so the per-group element dispatch narrows to the
-    /// names its predicate subtrees test (text interest is unchanged — a
-    /// `characters` event never pushes entries, so there is no trie work
-    /// to share for it).
-    pub(crate) fn add_group_prefix(&mut self, gid: usize, spec: &MachineSpec, nsymbols: usize) {
-        if self.by_symbol.len() < nsymbols {
-            self.by_symbol.resize(nsymbols, DynBitSet::new());
-        }
-        if !spec.pred_wildcards.is_empty() {
-            self.wildcard.insert(gid);
-        } else {
-            for &sym in &spec.pred_name_symbols {
-                self.by_symbol[sym.index()].insert(gid);
-            }
-        }
-        if spec.needs_characters() {
-            self.text.insert(gid);
-        }
-    }
-
-    /// The inverse of [`DispatchIndex::add_group_prefix`].
-    fn remove_group_prefix(&mut self, gid: usize, spec: &MachineSpec) {
-        if !spec.pred_wildcards.is_empty() {
-            self.wildcard.remove(gid);
-        } else {
-            for &sym in &spec.pred_name_symbols {
-                if let Some(set) = self.by_symbol.get_mut(sym.index()) {
-                    set.remove(gid);
-                }
-            }
-        }
-        if spec.needs_characters() {
-            self.text.remove(gid);
-        }
-    }
-
-    /// Calls `f` for every group interested in an element with symbol
-    /// `sym` (named groups ∪ wildcard groups).
+    /// Calls `f` for every slot with predicate interest in an element
+    /// with symbol `sym` (named slots ∪ wildcard slots), ascending.
     #[inline]
-    pub(crate) fn for_each_element_target(&self, sym: Option<Symbol>, f: impl FnMut(usize)) {
+    fn for_each_element_target(&self, sym: Option<Symbol>, f: impl FnMut(usize)) {
         match sym.and_then(|s| self.by_symbol.get(s.index())) {
             Some(named) => named.union_for_each(&self.wildcard, f),
             None => self.wildcard.for_each(f),
         }
     }
 
-    /// Calls `f` for every group that consumes `characters` events.
-    #[inline]
-    pub(crate) fn for_each_text_target(&self, f: impl FnMut(usize)) {
-        self.text.for_each(f)
-    }
-
-    /// Whether *any* group would receive an element event with this
-    /// symbol. The sharded broadcast path uses this to skip building and
-    /// shipping payloads for events every shard would drop anyway.
+    /// Whether *any* slot has predicate interest in an element with this
+    /// symbol — half of the sharded broadcast filter's question (the
+    /// other half is [`StepTrie::has_live_step`]).
     #[inline]
     pub(crate) fn has_element_target(&self, sym: Option<Symbol>) -> bool {
         !self.wildcard.is_empty()
@@ -204,7 +171,7 @@ impl DispatchIndex {
                 .is_some_and(|named| !named.is_empty())
     }
 
-    /// Whether any group consumes `characters` events.
+    /// Whether any slot consumes `characters` events.
     #[inline]
     pub(crate) fn has_text_target(&self) -> bool {
         !self.text.is_empty()
@@ -218,15 +185,16 @@ pub struct MultiEngine {
     records: Vec<QueryRecord>,
     interner: Interner,
     driver: DocumentDriver,
-    index: DispatchIndex,
-    /// Predicate-only dispatch index, maintained alongside `index` under
-    /// [`PlanMode::PrefixShared`] (the main path dispatches through the
-    /// plan trie instead); `None` under [`PlanMode::Shared`].
-    pred_index: Option<DispatchIndex>,
+    /// The per-event apply step, keyed by group id. Its dispatch index is
+    /// the engine's one index; its scratch and frames are cleared, not
+    /// reallocated, per document.
+    exec: Executor,
+    /// Scratch: the trie pushes of the current start tag.
+    pushed: Vec<TriePush>,
     /// Per-subscription cost attribution (disabled by default).
     profile: CostLedger,
-    /// Scratch for prefix-shared runs: trie pushes billed per routed
-    /// group this document (indexed by gid; empty when profiling is off).
+    /// Trie pushes billed per routed group this document (indexed by gid;
+    /// empty when profiling is off).
     shared_scratch: Vec<u64>,
 }
 
@@ -239,35 +207,17 @@ pub(crate) struct QueryRecord {
 }
 
 impl MultiEngine {
-    /// Creates an empty engine with the default plan mode
-    /// ([`PlanMode::Shared`]).
+    /// Creates an empty engine.
     pub fn new() -> Self {
-        MultiEngine::with_plan(PlanMode::Shared)
-    }
-
-    /// Creates an empty engine with an explicit plan mode. The mode is
-    /// fixed for the engine's lifetime: it decides which dispatch
-    /// structures registration maintains, so flipping it mid-session
-    /// would strand live subscribers.
-    pub fn with_plan(plan: PlanMode) -> Self {
         MultiEngine {
             planner: QueryPlanner::new(),
             records: Vec::new(),
             interner: Interner::new(),
             driver: DocumentDriver::new(),
-            index: DispatchIndex::default(),
-            pred_index: (plan == PlanMode::PrefixShared).then(DispatchIndex::default),
+            exec: Executor::default(),
+            pushed: Vec::new(),
             profile: CostLedger::disabled(),
             shared_scratch: Vec::new(),
-        }
-    }
-
-    /// The plan mode fixed at construction.
-    pub fn plan_mode(&self) -> PlanMode {
-        if self.pred_index.is_some() {
-            PlanMode::PrefixShared
-        } else {
-            PlanMode::Shared
         }
     }
 
@@ -286,13 +236,7 @@ impl MultiEngine {
         let reg = self.planner.register(tree, id, &mut self.interner)?;
         if reg.created {
             let spec = self.planner.group(reg.group).machine().spec();
-            // Splice the new group in while the borrow rules allow: spec
-            // is read-only and the index is disjoint from the planner.
-            let nsymbols = self.interner.len();
-            self.index.add_group(reg.group, spec, nsymbols);
-            if let Some(pred) = &mut self.pred_index {
-                pred.add_group_prefix(reg.group, spec, nsymbols);
-            }
+            self.exec.index.add_group(reg.group, spec, self.interner.len());
         }
         self.records.push(QueryRecord { text: tree.original().to_owned(), group: Some(reg.group) });
         Ok(id)
@@ -309,11 +253,7 @@ impl MultiEngine {
         let gid = record.group.take()?;
         let last = self.planner.unsubscribe(gid, id);
         if last {
-            let spec = self.planner.group(gid).machine().spec();
-            self.index.remove_group(gid, spec);
-            if let Some(pred) = &mut self.pred_index {
-                pred.remove_group_prefix(gid, spec);
-            }
+            self.exec.index.remove_group(gid, self.planner.group(gid).machine().spec());
         }
         Some(last)
     }
@@ -328,7 +268,7 @@ impl MultiEngine {
         self.len() == 0
     }
 
-    /// Number of plan groups actually running machines. With sharing on,
+    /// Number of plan groups actually running machines:
     /// `group_count() <= len()`; the gap is the dedup win.
     pub fn group_count(&self) -> usize {
         self.planner.group_count()
@@ -375,16 +315,16 @@ impl MultiEngine {
 
     /// Splits the engine into the disjoint borrows the sharded execution
     /// layer ([`crate::shard`]) needs: plan groups go to worker threads,
-    /// the driver and interner stay on the document thread, and the
-    /// registration records parameterize output assembly. The engine's own
-    /// dispatch index travels read-only as the broadcast filter — each
-    /// shard builds its own over its group subset.
+    /// the trie, driver and interner stay on the document thread, and the
+    /// registration records parameterize output assembly. The engine's
+    /// dispatch index travels read-only as half of the broadcast filter —
+    /// each shard builds its own over its group subset.
     pub(crate) fn shard_parts(&mut self) -> ShardParts<'_> {
         ShardParts {
             planner: &mut self.planner,
             interner: &self.interner,
             driver: &mut self.driver,
-            index: &self.index,
+            index: &self.exec.index,
             records: &self.records,
             profile: &self.profile,
         }
@@ -399,46 +339,28 @@ impl MultiEngine {
         reader: E,
         on_match: F,
     ) -> EngineResult<MultiOutput> {
-        for g in self.planner.groups_mut() {
-            if g.is_active() {
-                g.machine_mut().reset();
-            }
+        let (trie, groups) = self.planner.run_split();
+        for g in groups.iter_mut().filter(|g| g.is_active()) {
+            g.machine_mut().reset();
         }
+        trie.begin_document();
+        self.exec.begin_document();
         let mut matches: Vec<Vec<Match>> = self.records.iter().map(|_| Vec::new()).collect();
         self.shared_scratch.clear();
-        let stream = if let Some(pred) = &self.pred_index {
-            if self.profile.is_enabled() {
-                self.shared_scratch.resize(self.planner.groups().len(), 0);
-            }
-            let (trie, groups) = self.planner.run_split();
-            trie.begin_document();
-            let mut sink = PrefixSink {
-                trie,
-                groups,
-                interner: &self.interner,
-                pred,
-                matches: &mut matches,
-                on_match,
-                pushed: Vec::new(),
-                plans: Vec::new(),
-                pred_gids: Vec::new(),
-                main_scratch: Vec::new(),
-                frame_gids: Vec::new(),
-                frame_nodes: Vec::new(),
-                frames: Vec::new(),
-                shared_steps: &mut self.shared_scratch,
-            };
-            self.driver.run(reader, &mut sink)?
-        } else {
-            let mut sink = MultiSink {
-                groups: self.planner.groups_mut(),
-                interner: &self.interner,
-                index: &self.index,
-                matches: &mut matches,
-                on_match,
-            };
-            self.driver.run(reader, &mut sink)?
+        if self.profile.is_enabled() {
+            self.shared_scratch.resize(groups.len(), 0);
+        }
+        let mut sink = InlineSink {
+            trie,
+            groups,
+            interner: &self.interner,
+            exec: &mut self.exec,
+            pushed: &mut self.pushed,
+            shared_steps: &mut self.shared_scratch,
+            matches: &mut matches,
+            on_match,
         };
+        let stream = self.driver.run(reader, &mut sink)?;
         let groups = self.planner.groups();
         Ok(finish_document(
             FinishedDocument {
@@ -483,7 +405,7 @@ pub(crate) struct FinishedDocument<'a> {
     pub(crate) stream: StreamStats,
     pub(crate) plan: PlanStats,
     /// Trie pushes billed per routed group (gid-indexed; empty unless
-    /// profiling a prefix-shared plan).
+    /// profiling).
     pub(crate) shared_steps: &'a [u64],
     /// Merge-hold attribution `(gid, deliveries, ns)` (sharded runs only).
     pub(crate) holds: Vec<(u32, u64, u64)>,
@@ -495,8 +417,8 @@ pub(crate) struct FinishedDocument<'a> {
 /// ledger, and assembles the [`MultiOutput`]. Every fold is per
 /// subscription (not per group) from the per-record projection — a shared
 /// machine contributes once per subscriber — which is what makes the
-/// counters and the ledger's per-query section invariant across plan
-/// modes and shard counts.
+/// counters and the ledger's per-query section invariant across shard
+/// counts.
 pub(crate) fn finish_document<'g>(
     doc: FinishedDocument<'_>,
     telemetry: &Telemetry,
@@ -559,44 +481,12 @@ pub(crate) struct ShardParts<'a> {
     pub(crate) planner: &'a mut QueryPlanner,
     pub(crate) interner: &'a Interner,
     pub(crate) driver: &'a mut DocumentDriver,
-    /// The engine's global dispatch index — read-only during a session,
-    /// used by the admission walk as an any-shard-interested filter.
+    /// The engine's dispatch index — read-only during a session, used by
+    /// the admission walk as an any-shard-interested filter.
     pub(crate) index: &'a DispatchIndex,
     pub(crate) records: &'a [QueryRecord],
     /// The cost ledger (disabled when profiling is off).
     pub(crate) profile: &'a CostLedger,
-}
-
-/// The multi-query [`EventSink`]: routes each event to the interested
-/// plan groups and fans each group's solutions out to its subscribers.
-struct MultiSink<'a, F: FnMut(QueryId, Match)> {
-    groups: &'a mut [PlanGroup],
-    interner: &'a Interner,
-    index: &'a DispatchIndex,
-    matches: &'a mut [Vec<Match>],
-    on_match: F,
-}
-
-impl<F: FnMut(QueryId, Match)> MultiSink<'_, F> {
-    /// Runs `f` on group `gi`'s machine with a match callback that fans
-    /// out to the group's subscribers (buffers and the user callback).
-    /// Inactive groups are skipped: a stale index bit could briefly
-    /// outlive a retirement.
-    #[inline]
-    fn with_group(
-        &mut self,
-        gi: usize,
-        f: impl FnOnce(&mut crate::machine::TwigM, &mut dyn FnMut(Match)),
-    ) {
-        let group = &mut self.groups[gi];
-        if !group.is_active() {
-            return;
-        }
-        let (machine, subscribers) = group.machine_and_subscribers();
-        let matches = &mut *self.matches;
-        let on_match = &mut self.on_match;
-        f(machine, &mut |hit| fan_out_match(subscribers, matches, on_match, hit));
-    }
 }
 
 /// Fans one solution out to a group's subscribers in registration order:
@@ -620,61 +510,13 @@ pub(crate) fn fan_out_match<F: FnMut(QueryId, Match)>(
     on_match(last, hit);
 }
 
-impl<F: FnMut(QueryId, Match)> EventSink for MultiSink<'_, F> {
-    fn resolve(&mut self, name: &str) -> Option<Symbol> {
-        self.interner.lookup(name)
-    }
-
-    fn start_element(
-        &mut self,
-        sym: Option<Symbol>,
-        event: &StartElementEvent,
-        node_id: NodeId,
-        attr_id_base: NodeId,
-    ) {
-        self.index.for_each_element_target(sym, |gi| {
-            self.with_group(gi, |machine, emit| {
-                machine.start_element_interned(
-                    sym,
-                    event.name.as_str(),
-                    event.level,
-                    &event.attributes,
-                    node_id,
-                    attr_id_base,
-                    event.span,
-                    emit,
-                );
-            });
-        });
-    }
-
-    fn characters(&mut self, event: &CharactersEvent, node_id: NodeId) {
-        self.index.for_each_text_target(|gi| {
-            self.with_group(gi, |machine, emit| {
-                machine.characters(&event.text, event.level, node_id, event.span, emit);
-            });
-        });
-    }
-
-    fn end_element(&mut self, sym: Option<Symbol>, event: &EndElementEvent) {
-        self.index.for_each_element_target(sym, |gi| {
-            self.with_group(gi, |machine, emit| {
-                machine.end_element(event.name.as_str(), event.level, event.element_span, emit);
-            });
-        });
-    }
-}
-
 /// Merge-walks one event's trie-planned main pushes (`plans`: `(slot,
 /// machine node, ptr)`, sorted ascending) against its predicate dispatch
-/// targets (`pred_targets`: slots, ascending) in ascending slot order —
-/// the group visit order the dispatch index uses, so emission interleaving
-/// cannot differ between the plan modes. `touch` drives one group's machine
-/// and returns its push count; slots that pushed are appended to `frame`
-/// for the matching end tag. This is the **one** prefix merge-walk in
-/// the system — the single-threaded [`PrefixSink`] keys it by group id,
-/// the shard workers by local slot, which is what keeps sharded
-/// prefix-shared delivery identical to single-threaded by construction.
+/// targets (`pred_targets`: slots, ascending) in ascending slot order, so
+/// emission interleaving within an event is by group. `touch` drives one
+/// group's machine and returns its push count; slots that pushed are
+/// appended to `frame` for the matching end tag. This is the **one**
+/// merge-walk in the system.
 pub(crate) fn merge_prefix_targets(
     plans: &[(u32, u32, u32)],
     pred_targets: &[u32],
@@ -710,44 +552,231 @@ pub(crate) fn merge_prefix_targets(
     }
 }
 
-/// The prefix-shared [`EventSink`]: a start tag advances the plan trie
-/// **once** — one axis/name witness check per distinct trie node, however
-/// many groups share the step — then forks into per-group machines only
-/// where something actually happens: a main-path push decided by the trie,
-/// or a predicate-subtree step testing the event's name. Machines that
-/// pushed are recorded on a frame stack so the matching end tag touches
-/// exactly them (an untouched machine has nothing to pop and would have
-/// been a statistics-neutral no-op under [`PlanMode::Shared`], which is
-/// what keeps output and machine statistics byte-identical across plan
-/// modes).
-struct PrefixSink<'a, F: FnMut(QueryId, Match)> {
-    trie: &'a mut crate::plan::StepTrie,
-    groups: &'a mut [PlanGroup],
-    interner: &'a Interner,
-    /// Predicate-only element interests per group.
-    pred: &'a DispatchIndex,
-    matches: &'a mut [Vec<Match>],
-    on_match: F,
-    /// Scratch: trie pushes of the current event.
-    pushed: Vec<crate::plan::TriePush>,
-    /// Scratch: per-group main-path plans, `(gid, machine node, ptr)`.
-    plans: Vec<(u32, u32, u32)>,
-    /// Scratch: groups with predicate interest in the current event.
-    pred_gids: Vec<u32>,
-    /// Scratch: one group's main plan in machine form.
-    main_scratch: Vec<(u32, u32)>,
-    /// Flat frame storage: groups that pushed, per open element.
-    frame_gids: Vec<u32>,
-    /// Flat frame storage: trie nodes that pushed, per open element.
-    frame_nodes: Vec<u32>,
-    /// One `(frame_gids offset, frame_nodes offset)` per open element.
-    frames: Vec<(u32, u32)>,
-    /// Shared-step billing per routed group (cost attribution); empty
-    /// when profiling is off, indexed by gid otherwise.
-    shared_steps: &'a mut Vec<u64>,
+/// A start tag as the [`Executor`] consumes it: borrowed from the
+/// driver's event inline, from the ring's `Arc` payloads in a worker.
+pub(crate) struct StartTag<'a> {
+    pub(crate) sym: Option<Symbol>,
+    pub(crate) name: &'a str,
+    pub(crate) level: u32,
+    pub(crate) attributes: &'a [Attribute],
+    pub(crate) node_id: NodeId,
+    pub(crate) attr_id_base: NodeId,
+    pub(crate) span: ByteSpan,
 }
 
-impl<F: FnMut(QueryId, Match)> EventSink for PrefixSink<'_, F> {
+/// Self-time sampling stride: every `SELF_SAMPLE`-th machine touch is
+/// timed and the elapsed nanoseconds scaled back up. The stride is the
+/// profiler's overhead dial: the touch path is the hottest loop in the
+/// engine, so even the counter bump shows up at small strides (64 cost
+/// ~8% on the k=1000 workload; 1024 keeps thousands of samples per
+/// document and measures ~3%).
+const SELF_SAMPLE: u64 = 1024;
+
+/// Sampled per-slot machine self-time (cost attribution; shard workers
+/// switch it on while profiling, everywhere else it is one predictable
+/// branch per touch).
+#[derive(Debug, Default)]
+struct SelfTimer {
+    on: bool,
+    touches: u64,
+    /// Scaled-up sampled nanoseconds per slot, this document.
+    ns: Vec<u64>,
+}
+
+impl SelfTimer {
+    #[inline]
+    fn time<R>(&mut self, slot: u32, touch: impl FnOnce() -> R) -> R {
+        let sampled = self.on && {
+            self.touches += 1;
+            self.touches.is_multiple_of(SELF_SAMPLE)
+        };
+        let t0 = sampled.then(Instant::now);
+        let r = touch();
+        if let Some(t0) = t0 {
+            self.ns[slot as usize] += t0.elapsed().as_nanos() as u64 * SELF_SAMPLE;
+        }
+        r
+    }
+}
+
+/// The **one** per-event apply step of multi-query execution: given a
+/// slot-indexed group slice, the route table `trie node → [(slot,
+/// machine node)]` and the trie's push decisions for a start tag, it
+/// drives exactly the machines the event can move and hands every
+/// solution to `emit` with the emitting slot and its group's subscriber
+/// list. The inline engine keys slots by group id and emits through
+/// [`fan_out_match`]; a shard worker keys them by local index over the
+/// groups it has on loan and emits tagged matches for the merge.
+#[derive(Debug, Default)]
+pub(crate) struct Executor {
+    /// Predicate-subtree and text interests per slot.
+    pub(crate) index: DispatchIndex,
+    /// Scratch: per-slot main-path plans, `(slot, machine node, ptr)`.
+    plans: Vec<(u32, u32, u32)>,
+    /// Scratch: slots with predicate interest in the current event.
+    pred_slots: Vec<u32>,
+    /// Scratch: one group's main plan in machine form.
+    main_scratch: Vec<(u32, u32)>,
+    /// Flat frame storage: slots that pushed, per open element.
+    frame_slots: Vec<u32>,
+    /// One `frame_slots` offset per open element.
+    frames: Vec<u32>,
+    /// Slots whose machine holds an open entry that reads text
+    /// ([`crate::machine::TwigM::text_live`]), kept current at the start
+    /// and end touches that open and close such entries.
+    text_live: DynBitSet,
+    timer: SelfTimer,
+}
+
+impl Executor {
+    /// Drops every frame a previous document left open (a parse error
+    /// ends a document mid-element) and zeroes the self-time samples.
+    pub(crate) fn begin_document(&mut self) {
+        self.frame_slots.clear();
+        self.frames.clear();
+        self.text_live.clear();
+        self.timer.ns.fill(0);
+    }
+
+    /// Switches self-time sampling on or off for `slots` group slots.
+    pub(crate) fn sample_self_time(&mut self, on: bool, slots: usize) {
+        self.timer.on = on;
+        self.timer.ns.clear();
+        self.timer.ns.resize(slots, 0);
+    }
+
+    /// Sampled self-time (ns) of `slot`'s machine this document (zero
+    /// unless sampling is on).
+    pub(crate) fn self_ns(&self, slot: usize) -> u64 {
+        self.timer.ns[slot]
+    }
+
+    /// `startElement`: expands the trie's `pushes` along `routes` into
+    /// per-slot main plans, merge-walks them with the slots whose
+    /// predicate subtrees test the tag's name, and records the slots that
+    /// pushed as the element's frame.
+    pub(crate) fn start<G: BorrowMut<PlanGroup>>(
+        &mut self,
+        groups: &mut [G],
+        routes: &[Vec<(u32, u32)>],
+        pushes: &[TriePush],
+        tag: &StartTag<'_>,
+        mut emit: impl FnMut(u32, &[QueryId], Match),
+    ) {
+        let Self { index, plans, pred_slots, main_scratch, frame_slots, frames, text_live, timer } =
+            self;
+        plans.clear();
+        for p in pushes {
+            plans.extend(routes[p.node as usize].iter().map(|&(slot, mnode)| (slot, mnode, p.ptr)));
+        }
+        // Routes ascend by slot, so one push expands in order; several
+        // pushes interleave.
+        if pushes.len() > 1 {
+            plans.sort_unstable();
+        }
+        pred_slots.clear();
+        index.for_each_element_target(tag.sym, |slot| pred_slots.push(slot as u32));
+        frames.push(frame_slots.len() as u32);
+        merge_prefix_targets(plans, pred_slots, main_scratch, frame_slots, |slot, main, preds| {
+            let (machine, subscribers) =
+                groups[slot as usize].borrow_mut().machine_and_subscribers();
+            let pushes = timer.time(slot, || {
+                machine.start_element_prefix(
+                    main,
+                    preds,
+                    tag.sym,
+                    tag.name,
+                    tag.level,
+                    tag.attributes,
+                    tag.node_id,
+                    tag.attr_id_base,
+                    tag.span,
+                    &mut |hit| emit(slot, subscribers, hit),
+                )
+            });
+            if pushes > 0 && machine.text_live() {
+                text_live.insert(slot as usize);
+            }
+            pushes
+        });
+    }
+
+    /// `characters`: to every slot whose machine holds an open entry that
+    /// reads text, ascending. A text consumer with none open would do
+    /// nothing with the event, so skipping it changes no match and no
+    /// counter.
+    pub(crate) fn text<G: BorrowMut<PlanGroup>>(
+        &mut self,
+        groups: &mut [G],
+        text: &str,
+        level: u32,
+        node_id: NodeId,
+        span: ByteSpan,
+        mut emit: impl FnMut(u32, &[QueryId], Match),
+    ) {
+        let Self { text_live, timer, .. } = self;
+        text_live.for_each(|slot| {
+            let (machine, subscribers) = groups[slot].borrow_mut().machine_and_subscribers();
+            let slot = slot as u32;
+            timer.time(slot, || {
+                machine
+                    .characters(text, level, node_id, span, &mut |hit| emit(slot, subscribers, hit))
+            });
+        });
+    }
+
+    /// `endElement`: pops the element's frame and touches exactly the
+    /// machines its start tag pushed, in the same ascending order.
+    pub(crate) fn end<G: BorrowMut<PlanGroup>>(
+        &mut self,
+        groups: &mut [G],
+        name: &str,
+        level: u32,
+        element_span: ByteSpan,
+        mut emit: impl FnMut(u32, &[QueryId], Match),
+    ) {
+        let base = self.frames.pop().expect("events nest") as usize;
+        for &slot in &self.frame_slots[base..] {
+            let (machine, subscribers) =
+                groups[slot as usize].borrow_mut().machine_and_subscribers();
+            self.timer.time(slot, || {
+                machine
+                    .end_element(name, level, element_span, &mut |hit| emit(slot, subscribers, hit))
+            });
+            if !machine.text_live() {
+                self.text_live.remove(slot as usize);
+            }
+        }
+        self.frame_slots.truncate(base);
+    }
+}
+
+/// The inline emitter: straight into [`fan_out_match`] (the slot is the
+/// group id, which the fan-out does not need).
+fn fan_out<'m, F: FnMut(QueryId, Match)>(
+    matches: &'m mut [Vec<Match>],
+    on_match: &'m mut F,
+) -> impl FnMut(u32, &[QueryId], Match) + 'm {
+    move |_, subscribers, hit| fan_out_match(subscribers, matches, on_match, hit)
+}
+
+/// The inline [`EventSink`]: advances the step trie once per start tag
+/// and hands its push decisions straight to the [`Executor`], with group
+/// ids as slots and [`fan_out_match`] as the emitter.
+struct InlineSink<'a, F: FnMut(QueryId, Match)> {
+    trie: &'a mut StepTrie,
+    groups: &'a mut [PlanGroup],
+    interner: &'a Interner,
+    exec: &'a mut Executor,
+    pushed: &'a mut Vec<TriePush>,
+    /// Shared-step billing per routed group (cost attribution); empty
+    /// when profiling is off, indexed by gid otherwise.
+    shared_steps: &'a mut [u64],
+    matches: &'a mut [Vec<Match>],
+    on_match: F,
+}
+
+impl<F: FnMut(QueryId, Match)> EventSink for InlineSink<'_, F> {
     fn resolve(&mut self, name: &str) -> Option<Symbol> {
         self.interner.lookup(name)
     }
@@ -759,94 +788,31 @@ impl<F: FnMut(QueryId, Match)> EventSink for PrefixSink<'_, F> {
         node_id: NodeId,
         attr_id_base: NodeId,
     ) {
-        let Self {
-            trie,
-            groups,
-            pred,
-            matches,
-            on_match,
-            pushed,
-            plans,
-            pred_gids,
-            main_scratch,
-            frame_gids,
-            frame_nodes,
-            frames,
-            shared_steps,
-            ..
-        } = self;
-        pushed.clear();
-        trie.advance(sym, event.level, pushed);
-        // Expand trie pushes into per-group plans, ascending (gid, node).
-        plans.clear();
-        let bill = !shared_steps.is_empty();
-        for p in pushed.iter() {
-            let depth0 = (p.depth - 1) as usize;
-            for &gid in trie.routed(p.node as usize) {
-                plans.push((gid, groups[gid as usize].main_nodes()[depth0], p.ptr));
-                if bill {
-                    shared_steps[gid as usize] += 1;
-                }
-            }
-        }
-        plans.sort_unstable();
-        // Groups whose predicate subtrees test this name.
-        pred_gids.clear();
-        pred.for_each_element_target(sym, |gi| pred_gids.push(gi as u32));
-        // Frame bookkeeping for the matching end tag.
-        frames.push((frame_gids.len() as u32, frame_nodes.len() as u32));
-        frame_nodes.extend(pushed.iter().map(|p| p.node));
-        merge_prefix_targets(plans, pred_gids, main_scratch, frame_gids, |gid, main, preds| {
-            let group = &mut groups[gid as usize];
-            if !group.is_active() {
-                return 0;
-            }
-            let (machine, subscribers) = group.machine_and_subscribers();
-            machine.start_element_prefix(
-                main,
-                preds,
-                sym,
-                event.name.as_str(),
-                event.level,
-                &event.attributes,
-                node_id,
-                attr_id_base,
-                event.span,
-                &mut |hit| fan_out_match(subscribers, matches, on_match, hit),
-            )
-        });
+        self.pushed.clear();
+        self.trie.advance(sym, event.level, self.pushed);
+        self.trie.bill_pushes(self.pushed, self.shared_steps);
+        let tag = StartTag {
+            sym,
+            name: event.name.as_str(),
+            level: event.level,
+            attributes: &event.attributes,
+            node_id,
+            attr_id_base,
+            span: event.span,
+        };
+        let emit = fan_out(self.matches, &mut self.on_match);
+        self.exec.start(self.groups, self.trie.routes(), self.pushed, &tag, emit);
     }
 
     fn characters(&mut self, event: &CharactersEvent, node_id: NodeId) {
-        let Self { groups, pred, matches, on_match, .. } = self;
-        pred.for_each_text_target(|gi| {
-            let group = &mut groups[gi];
-            if !group.is_active() {
-                return;
-            }
-            let (machine, subscribers) = group.machine_and_subscribers();
-            machine.characters(&event.text, event.level, node_id, event.span, &mut |hit| {
-                fan_out_match(subscribers, matches, on_match, hit)
-            });
-        });
+        let emit = fan_out(self.matches, &mut self.on_match);
+        self.exec.text(self.groups, &event.text, event.level, node_id, event.span, emit);
     }
 
     fn end_element(&mut self, _sym: Option<Symbol>, event: &EndElementEvent) {
-        let (gid_base, node_base) = self.frames.pop().expect("events nest");
-        for i in gid_base as usize..self.frame_gids.len() {
-            let gid = self.frame_gids[i] as usize;
-            let group = &mut self.groups[gid];
-            let (machine, subscribers) = group.machine_and_subscribers();
-            let (matches, on_match) = (&mut *self.matches, &mut self.on_match);
-            machine.end_element(event.name.as_str(), event.level, event.element_span, &mut |hit| {
-                fan_out_match(subscribers, matches, on_match, hit)
-            });
-        }
-        self.frame_gids.truncate(gid_base as usize);
-        for i in node_base as usize..self.frame_nodes.len() {
-            self.trie.retreat_one(self.frame_nodes[i], event.level);
-        }
-        self.frame_nodes.truncate(node_base as usize);
+        let emit = fan_out(self.matches, &mut self.on_match);
+        self.exec.end(self.groups, event.name.as_str(), event.level, event.element_span, emit);
+        self.trie.retreat(event.level);
     }
 }
 
@@ -879,20 +845,18 @@ mod tests {
             (7, &["//a[b]/c", "//b//c", "//c/@id", "//*[a]"][..]),
         ] {
             let xml = vitex_xmlgen_free::random_doc(seed);
-            for plan in [PlanMode::Shared, PlanMode::PrefixShared] {
-                let mut multi = MultiEngine::with_plan(plan);
-                for q in queries {
-                    multi.add_query(q).unwrap();
-                }
-                let out = multi.run(XmlReader::from_str(&xml), |_, _| {}).unwrap();
-                for (i, q) in queries.iter().enumerate() {
-                    let tree = QueryTree::parse(q).unwrap();
-                    let single =
-                        crate::engine::evaluate_reader(XmlReader::from_str(&xml), &tree).unwrap();
-                    assert_eq!(out.matches[i], single.matches, "query {q} under {plan:?}");
-                    assert_eq!(out.stats[i], single.stats, "query {q} under {plan:?}");
-                    assert_eq!(out.events, single.events);
-                }
+            let mut multi = MultiEngine::new();
+            for q in queries {
+                multi.add_query(q).unwrap();
+            }
+            let out = multi.run(XmlReader::from_str(&xml), |_, _| {}).unwrap();
+            for (i, q) in queries.iter().enumerate() {
+                let tree = QueryTree::parse(q).unwrap();
+                let single =
+                    crate::engine::evaluate_reader(XmlReader::from_str(&xml), &tree).unwrap();
+                assert_eq!(out.matches[i], single.matches, "query {q}");
+                assert_eq!(out.stats[i], single.stats, "query {q}");
+                assert_eq!(out.events, single.events);
             }
         }
     }
@@ -912,7 +876,6 @@ mod tests {
     fn query_text_and_introspection() {
         let mut multi = MultiEngine::default();
         assert!(multi.is_empty());
-        assert_eq!(multi.plan_mode(), PlanMode::Shared);
         let id = multi.add_query("//a[ b ]").unwrap();
         assert_eq!(multi.len(), 1);
         assert_eq!(multi.group_count(), 1);
@@ -964,6 +927,32 @@ mod tests {
     }
 
     #[test]
+    fn text_reaches_the_machines_with_an_open_text_reader() {
+        // Text inside, between and outside the elements that read it, with
+        // a reader (`<a>`) staying open across nested pushes of its own
+        // machine: skipping idle text consumers changes no match and no
+        // counter, no slot is left marked when the document ends, and the
+        // marks a truncated document leaves behind do not reach the next.
+        let queries = ["//a[b = 'x']/c", "//d/text()", "//e[text() = 'y']", "//a//a[text() = 'x']"];
+        let xml = "<r>x<a>x<a><b>x</b>x<c/></a>y<b>x<i>!</i></b><c>x</c></a>y<d>y</d><e>y</e>x</r>";
+        let mut multi = MultiEngine::new();
+        for q in queries {
+            multi.add_query(q).unwrap();
+        }
+        assert!(multi.run(XmlReader::from_str("<r><a><b>x"), |_, _| {}).is_err());
+        assert!(!multi.exec.text_live.is_empty(), "the truncated document left <b> open");
+        let out = multi.run(XmlReader::from_str(xml), |_, _| {}).unwrap();
+        assert!(multi.exec.text_live.is_empty());
+        for (i, q) in queries.iter().enumerate() {
+            let tree = QueryTree::parse(q).unwrap();
+            let single = crate::engine::evaluate_reader(XmlReader::from_str(xml), &tree).unwrap();
+            assert!(!single.matches.is_empty(), "query {q} is exercised");
+            assert_eq!(out.matches[i], single.matches, "query {q}");
+            assert_eq!(out.stats[i], single.stats, "query {q}");
+        }
+    }
+
+    #[test]
     fn late_registration_updates_the_index_in_place() {
         let mut multi = MultiEngine::new();
         let qa = multi.add_query("//a").unwrap();
@@ -1004,40 +993,44 @@ mod tests {
     }
 
     #[test]
-    fn prefix_shared_mode_matches_and_counts() {
+    fn prefix_shared_execution_matches_and_counts() {
         // /a/b and /a/c share the /a trie node; //x[y] forks on its
-        // predicate. Results must equal shared mode, and the prefix
-        // counters must show the runtime trie at work.
+        // predicate. Results must equal private per-query engines, the
+        // callback order is pinned by hand, and the prefix counters must
+        // show the runtime trie at work.
         let xml = "<a><b/><c/><x><y/></x><b/></a>";
         let queries = ["/a/b", "/a/c", "//x[y]", "/a/b"];
-        let run = |plan: PlanMode| {
-            let mut multi = MultiEngine::with_plan(plan);
-            for q in queries {
-                multi.add_query(q).unwrap();
-            }
-            let mut streamed = Vec::new();
-            let out =
-                multi.run(XmlReader::from_str(xml), |q, m| streamed.push((q.0, m.node))).unwrap();
-            (out, streamed)
-        };
-        let (prefix, p_streamed) = run(PlanMode::PrefixShared);
-        let (shared, s_streamed) = run(PlanMode::Shared);
-        assert_eq!(prefix.matches, shared.matches);
-        assert_eq!(prefix.stats, shared.stats);
-        assert_eq!(p_streamed, s_streamed);
-        assert!(prefix.plan.prefix_steps_executed > 0);
-        assert!(prefix.plan.prefix_steps_saved > 0, "/a is shared by two groups");
-        assert!(prefix.plan.prefix_forks > 0);
-        assert!(prefix.plan.prefix_stack_bytes > 0);
-        assert_eq!(shared.plan.prefix_steps_executed, 0);
+        let mut multi = MultiEngine::new();
+        for q in queries {
+            multi.add_query(q).unwrap();
+        }
+        let mut streamed = Vec::new();
+        let out = multi.run(XmlReader::from_str(xml), |q, m| streamed.push((q.0, m.node))).unwrap();
+        for (i, q) in queries.iter().enumerate() {
+            let tree = QueryTree::parse(q).unwrap();
+            let single = crate::engine::evaluate_reader(XmlReader::from_str(xml), &tree).unwrap();
+            assert_eq!(out.matches[i], single.matches, "query {q}");
+            assert_eq!(out.stats[i], single.stats, "query {q}");
+        }
+        // Elements number a=0 b=1 c=2 x=3 y=4 b=5. Each solution is
+        // decidable at its element's end tag (x[y] once y closed inside
+        // it); the two /a/b subscribers share a machine and fire together,
+        // in registration order.
+        assert_eq!(streamed, [(0, 1), (3, 1), (1, 2), (2, 3), (0, 5), (3, 5)]);
+        // <a> checks /a once for two groups; <b>, <c>, <x> one node each
+        // (y is a predicate step, not a trie step).
+        assert_eq!(out.plan.prefix_steps_executed, 5);
+        assert_eq!(out.plan.prefix_steps_saved, 1, "/a is shared by two groups");
+        assert_eq!(out.plan.prefix_forks, 6);
+        assert!(out.plan.prefix_stack_bytes > 0);
         // Dedup still applies: the duplicate /a/b joined a group.
-        assert_eq!(prefix.plan.queries, 4);
-        assert_eq!(prefix.plan.groups, 3);
+        assert_eq!(out.plan.queries, 4);
+        assert_eq!(out.plan.groups, 3);
     }
 
     #[test]
-    fn prefix_shared_mode_survives_churn_between_runs() {
-        let mut multi = MultiEngine::with_plan(PlanMode::PrefixShared);
+    fn trie_routes_survive_churn_between_runs() {
+        let mut multi = MultiEngine::new();
         let qa = multi.add_query("/a/b").unwrap();
         let qb = multi.add_query("/a/c").unwrap();
         let xml = "<a><b/><c/></a>";

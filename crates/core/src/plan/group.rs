@@ -23,10 +23,6 @@ pub struct PlanGroup {
     hash: u64,
     /// Terminal node of the group's main path in the planner's step trie.
     trie_node: usize,
-    /// Machine-node index of each main-path element step, in step order —
-    /// position `d` is the node trie depth `d + 1` drives under
-    /// prefix-shared execution.
-    main_nodes: Vec<u32>,
 }
 
 impl PlanGroup {
@@ -38,15 +34,7 @@ impl PlanGroup {
         trie_node: usize,
         first: QueryId,
     ) -> Self {
-        let main_nodes = machine
-            .spec()
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.is_main)
-            .map(|(i, _)| i as u32)
-            .collect();
-        PlanGroup { machine, subscribers: vec![first], canonical, hash, trie_node, main_nodes }
+        PlanGroup { machine, subscribers: vec![first], canonical, hash, trie_node }
     }
 
     /// The shared machine.
@@ -54,14 +42,13 @@ impl PlanGroup {
         &self.machine
     }
 
-    /// Mutable access to the shared machine (the engine resets and drives
-    /// it).
+    /// Mutable access to the shared machine (the engine resets it).
     pub(crate) fn machine_mut(&mut self) -> &mut TwigM {
         &mut self.machine
     }
 
     /// Splits the borrow for the event loop: the machine is driven
-    /// mutably while the emit callback fans out over the subscriber list.
+    /// mutably while the emit callback reads the subscriber list.
     pub(crate) fn machine_and_subscribers(&mut self) -> (&mut TwigM, &[QueryId]) {
         (&mut self.machine, &self.subscribers)
     }
@@ -91,11 +78,6 @@ impl PlanGroup {
         self.trie_node
     }
 
-    /// Machine-node index per main-path step (trie depth − 1 indexes it).
-    pub(crate) fn main_nodes(&self) -> &[u32] {
-        &self.main_nodes
-    }
-
     /// Adds a subscriber (idempotence is the caller's concern: every
     /// registration gets a fresh [`QueryId`]).
     pub(crate) fn subscribe(&mut self, id: QueryId) {
@@ -117,7 +99,6 @@ impl PlanGroup {
     pub fn approx_bytes(&self) -> u64 {
         self.machine.approx_build_bytes()
             + (self.subscribers.capacity() * std::mem::size_of::<QueryId>()) as u64
-            + (self.main_nodes.capacity() * std::mem::size_of::<u32>()) as u64
             + self.canonical.len() as u64
     }
 }

@@ -20,18 +20,18 @@
 //!    keys against a handful of candidates, not against every group) and
 //!    as the measurement substrate for [`PlanStats`] (shared-node counts,
 //!    dedup ratio).
-//!
-//! [`PlanMode::PrefixShared`] (`vitex --prefix-sharing`) adds a third
-//! layer on top: the step trie is promoted from a registration-time index
-//! into a **runtime** structure whose nodes own the shared main-path
-//! match state (see [`trie`]), so a start tag advances each common prefix
-//! once per event and only forks into per-group machines where queries
-//! diverge — predicates, branches, suffix steps.
+//! 3. **The trie executes** — it is also the **runtime** structure whose
+//!    nodes own the shared main-path match state (see [`trie`]): a start
+//!    tag advances each common prefix once per event and only forks into
+//!    per-group machines where queries diverge — predicates, branches,
+//!    suffix steps. There is no other way a multi-query start tag is
+//!    applied.
 
 pub mod group;
 pub mod trie;
 
 pub use group::PlanGroup;
+pub(crate) use trie::RouteTable;
 pub use trie::{PrefixRunStats, StepKey, StepTrie, TriePush};
 
 use vitex_xpath::query_tree::{NodeKind, QueryTree};
@@ -41,22 +41,6 @@ use crate::intern::Interner;
 use crate::machine::TwigM;
 use crate::result::QueryId;
 use crate::stats::PlanStats;
-
-/// Whether distinct queries share runtime state along common main-path
-/// prefixes (structurally equal queries always share one machine).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanMode {
-    /// Canonicalize, dedupe and fan out — the default.
-    #[default]
-    Shared,
-    /// Everything `Shared` does, plus YFilter-style prefix-shared
-    /// execution: the step trie owns the main-path match state at
-    /// runtime, so a start tag advances each shared prefix once and only
-    /// forks into per-group machines where queries diverge. Output is
-    /// byte-identical to `Shared`; only the per-event planning cost
-    /// changes.
-    PrefixShared,
-}
 
 /// The outcome of registering one query with the planner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,6 +101,10 @@ impl QueryPlanner {
             return Ok(Registration { group: g, created: false });
         }
         let spec = MachineSpec::compile_with(tree, interner)?;
+        // The machine node each main-path step drives, in step order:
+        // what a push of the trie node at that depth lands on.
+        let main_nodes: Vec<u32> =
+            (0..spec.len()).filter(|&q| spec.nodes[q].is_main).map(|q| q as u32).collect();
         let machine = TwigM::from_spec(spec, EvalMode::Compact);
         let group = PlanGroup::new(machine, canonical, hash, terminal, id);
         let gid = match self.free_slots.pop() {
@@ -133,7 +121,7 @@ impl QueryPlanner {
                 self.groups.len() - 1
             }
         };
-        self.trie.add_group(terminal, gid);
+        self.trie.add_group(terminal, gid, &main_nodes);
         self.active_groups += 1;
         self.active_queries += 1;
         Ok(Registration { group: gid, created: true })
@@ -163,19 +151,14 @@ impl QueryPlanner {
         &self.groups
     }
 
-    /// Mutable group slice for the engine's event loop.
-    pub(crate) fn groups_mut(&mut self) -> &mut [PlanGroup] {
-        &mut self.groups
-    }
-
     /// The shared step trie (read-only).
     pub fn trie(&self) -> &StepTrie {
         &self.trie
     }
 
-    /// Splits the planner into the disjoint borrows prefix-shared
-    /// execution needs: the runtime trie is advanced once per event while
-    /// the group machines are driven from its push decisions.
+    /// Splits the planner into the disjoint borrows execution needs: the
+    /// runtime trie is advanced once per event while the group machines
+    /// are driven from its push decisions.
     pub(crate) fn run_split(&mut self) -> (&mut StepTrie, &mut [PlanGroup]) {
         (&mut self.trie, &mut self.groups)
     }

@@ -3,9 +3,9 @@
 //! Every element and text event of a document gets a **sequence number**
 //! (the merge key workers tag matches with), a **broadcast-filter**
 //! verdict (an event no group anywhere is interested in consumes its
-//! number but is never built or shipped) and — under prefix sharing — the
-//! **trie pushes** the global plan trie decided for it. Each broadcast
-//! batch covers every sequence number admitted up to its `through`.
+//! number but is never built or shipped) and the **trie pushes** the
+//! global plan trie decided for it. Each broadcast batch covers every
+//! sequence number admitted up to its `through`.
 //!
 //! The session's pump runs this walk and keeps only the payload
 //! construction (building `ShardEvent`s from borrowed driver events).
@@ -13,122 +13,79 @@
 //! keeps the prefix counters — and therefore the plan statistics and the
 //! shared-step bill — identical at every shard count.
 
-use std::sync::Arc;
-
 use crate::intern::Symbol;
 use crate::multi::DispatchIndex;
-use crate::plan::{PrefixRunStats, StepTrie, TriePush};
+use crate::plan::{PrefixRunStats, RouteTable, StepTrie, TriePush};
 
 /// Admission state of a sharded session (see the module docs).
 pub(super) struct Admission<'a> {
-    /// The engine's global dispatch index: does *any* group want this
-    /// event? Frozen for the session, so a filtered start tag's end tag
-    /// (same symbol) is filtered too.
-    filter: &'a DispatchIndex,
-    /// `Some` under prefix sharing: the global plan trie.
-    trie: Option<&'a mut StepTrie>,
+    /// The engine's dispatch index: predicate-subtree and text interests
+    /// of every group. Frozen for the session.
+    index: &'a DispatchIndex,
+    /// The global plan trie: advanced here, once per shipped start tag.
+    /// Its routes are frozen for the session too, so a filtered start
+    /// tag's end tag (same symbol) gets the same verdict.
+    trie: &'a mut StepTrie,
     /// Sequence number of the last admitted event (1-based).
     seq: u64,
     /// Scratch: the trie pushes of the current start tag.
     pushed: Vec<TriePush>,
-    /// Flat stack of trie nodes pushed per open shipped element (the end
-    /// tag retreats exactly these).
-    trie_open: Vec<u32>,
-    /// One `trie_open` offset per open shipped element.
-    trie_frames: Vec<u32>,
-    /// Shared empty push list (most events push nothing).
-    empty_pushes: Arc<[TriePush]>,
     /// Trie pushes billed per routed group this document (gid-indexed;
     /// empty unless profiling).
     shared_steps: Vec<u64>,
 }
 
 impl<'a> Admission<'a> {
-    pub(super) fn new(filter: &'a DispatchIndex, trie: Option<&'a mut StepTrie>) -> Self {
-        Admission {
-            filter,
-            trie,
-            seq: 0,
-            pushed: Vec::new(),
-            trie_open: Vec::new(),
-            trie_frames: Vec::new(),
-            empty_pushes: Vec::new().into(),
-            shared_steps: Vec::new(),
-        }
+    pub(super) fn new(index: &'a DispatchIndex, trie: &'a mut StepTrie) -> Self {
+        Admission { index, trie, seq: 0, pushed: Vec::new(), shared_steps: Vec::new() }
     }
 
     /// Resets for a new document. `bill_slots` sizes the shared-step bill
     /// (the plan's group-slot count while profiling, 0 otherwise).
     pub(super) fn begin_document(&mut self, bill_slots: usize) {
         self.seq = 0;
-        self.trie_open.clear();
-        self.trie_frames.clear();
         self.shared_steps.clear();
         self.shared_steps.resize(bill_slots, 0);
-        if let Some(trie) = &mut self.trie {
-            trie.begin_document();
-        }
+        self.trie.begin_document();
+    }
+
+    /// The broadcast filter's one question: does *any* group want an
+    /// element with this tag? Either a live trie step (or wildcard step)
+    /// tests it, or some group's predicate subtree does. It depends on
+    /// the symbol alone, so start and end tags pair up.
+    fn wants_element(&self, sym: Option<Symbol>) -> bool {
+        self.trie.has_live_step(sym) || self.index.has_element_target(sym)
     }
 
     /// Admits a start tag. `Some((seq, pushes))` when it ships; `None`
-    /// when the broadcast filter drops it (it still consumed a sequence
-    /// number, and cannot have pushed: every routed trie step name, and
-    /// any wildcard, is registered in the filter index).
-    pub(super) fn start(
-        &mut self,
-        sym: Option<Symbol>,
-        level: u32,
-    ) -> Option<(u64, Arc<[TriePush]>)> {
+    /// when the broadcast filter drops it. A dropped tag still consumed a
+    /// sequence number and is never shown to the trie — no live step
+    /// tests its name, so it could not have pushed.
+    pub(super) fn start(&mut self, sym: Option<Symbol>, level: u32) -> Option<(u64, &[TriePush])> {
         self.seq += 1;
-        if let Some(trie) = &mut self.trie {
-            self.pushed.clear();
-            trie.advance(sym, level, &mut self.pushed);
-            // One shared step per (push, routed group) pair — the
-            // single-threaded prefix sink's billing discipline.
-            if !self.shared_steps.is_empty() {
-                for p in &self.pushed {
-                    for &gid in trie.routed(p.node as usize) {
-                        self.shared_steps[gid as usize] += 1;
-                    }
-                }
-            }
-        }
-        if !self.filter.has_element_target(sym) {
-            debug_assert!(self.pushed.is_empty(), "filtered events cannot advance the trie");
+        if !self.wants_element(sym) {
             return None;
         }
-        if self.trie.is_some() {
-            self.trie_frames.push(self.trie_open.len() as u32);
-            self.trie_open.extend(self.pushed.iter().map(|p| p.node));
-        }
-        let pushes = if self.pushed.is_empty() {
-            Arc::clone(&self.empty_pushes)
-        } else {
-            self.pushed.as_slice().into()
-        };
-        Some((self.seq, pushes))
+        self.pushed.clear();
+        self.trie.advance(sym, level, &mut self.pushed);
+        self.trie.bill_pushes(&self.pushed, &mut self.shared_steps);
+        Some((self.seq, &self.pushed))
     }
 
     /// Admits a text node: its sequence number when it ships.
     pub(super) fn text(&mut self) -> Option<u64> {
         self.seq += 1;
-        self.filter.has_text_target().then_some(self.seq)
+        self.index.has_text_target().then_some(self.seq)
     }
 
     /// Admits an end tag (`sym` is its start tag's symbol, so the filter
     /// verdicts pair up): its sequence number when it ships.
     pub(super) fn end(&mut self, sym: Option<Symbol>, level: u32) -> Option<u64> {
         self.seq += 1;
-        if !self.filter.has_element_target(sym) {
+        if !self.wants_element(sym) {
             return None;
         }
-        if let Some(trie) = &mut self.trie {
-            let base = self.trie_frames.pop().expect("shipped tags pair") as usize;
-            for &node in &self.trie_open[base..] {
-                trie.retreat_one(node, level);
-            }
-            self.trie_open.truncate(base);
-        }
+        self.trie.retreat(level);
         Some(self.seq)
     }
 
@@ -144,10 +101,15 @@ impl<'a> Admission<'a> {
         &self.shared_steps
     }
 
-    /// The trie's run counters for the current (or last) document; `None`
-    /// outside prefix sharing.
-    pub(super) fn trie_run_stats(&self) -> Option<PrefixRunStats> {
-        self.trie.as_ref().map(|t| t.run_stats())
+    /// The trie's run counters for the current (or last) document.
+    pub(super) fn trie_run_stats(&self) -> PrefixRunStats {
+        self.trie.run_stats()
+    }
+
+    /// The global route table (gid-keyed), from which placement derives
+    /// each shard's local one.
+    pub(super) fn routes(&self) -> &RouteTable {
+        self.trie.routes()
     }
 }
 
@@ -155,41 +117,66 @@ impl<'a> Admission<'a> {
 mod tests {
     use super::*;
     use crate::multi::MultiEngine;
-    use crate::plan::PlanMode;
+    use crate::result::QueryId;
 
     #[test]
     fn filtered_tags_pair_up_and_consume_sequence_numbers_without_shipping() {
-        for plan in [PlanMode::Shared, PlanMode::PrefixShared] {
-            let mut multi = MultiEngine::with_plan(plan);
-            multi.add_query("/a/b").unwrap();
+        let mut multi = MultiEngine::new();
+        multi.add_query("/a/b").unwrap();
+        let parts = multi.shard_parts();
+        let (a, b) = (parts.interner.lookup("a"), parts.interner.lookup("b"));
+        let mut adm = Admission::new(parts.index, parts.planner.run_split().0);
+        adm.begin_document(0);
+        // <a><x><b/></x>t<b/></a>: x is unknown to every query, and no
+        // query reads text.
+        assert_eq!(adm.start(a, 1).map(|(s, p)| (s, p.len())), Some((1, 1)));
+        assert!(adm.start(None, 2).is_none(), "<x> is filtered");
+        let b_in_x = adm.start(b, 3).expect("<b> ships even under a filtered parent");
+        assert_eq!((b_in_x.0, b_in_x.1.len()), (3, 0), "/a/b does not match a/x/b");
+        assert_eq!(adm.end(b, 3), Some(4));
+        assert_eq!(adm.end(None, 2), None, "</x> pairs with its filtered start tag");
+        assert_eq!(adm.text(), None, "no group reads text");
+        assert_eq!(adm.seq(), 6, "filtered events still consume numbers");
+        let b_in_a = adm.start(b, 2).expect("ships");
+        assert_eq!((b_in_a.0, b_in_a.1.len()), (7, 1), "/a/b matches a/b");
+        assert_eq!(adm.end(b, 2), Some(8));
+        assert_eq!(adm.end(a, 1), Some(9));
+        assert_eq!(adm.seq(), 9);
+        assert_eq!(adm.trie.live_entries(), 0, "every shipped start tag was retreated");
+        // Three start tags shipped (<a>, <b>, <b>), each testing one live step.
+        assert_eq!(adm.trie_run_stats().steps_executed, 3);
+        // A new document restarts the numbering.
+        adm.begin_document(0);
+        assert_eq!(adm.start(a, 1).map(|(s, _)| s), Some(1));
+    }
+
+    #[test]
+    fn retiring_every_group_on_a_trie_path_filters_its_tags_until_re_registration() {
+        // The filter has no index of its own: it reads trie liveness and
+        // the predicate index, so it must follow churn in both.
+        let mut multi = MultiEngine::new();
+        let q_ab = multi.add_query("/a/b").unwrap();
+        let q_c = multi.add_query("//c[d]").unwrap();
+        let ships = |multi: &mut MultiEngine, name: &str| {
             let parts = multi.shard_parts();
-            let (a, b) = (parts.interner.lookup("a"), parts.interner.lookup("b"));
-            let prefix = plan == PlanMode::PrefixShared;
-            let trie = prefix.then(|| parts.planner.run_split().0);
-            let mut adm = Admission::new(parts.index, trie);
+            let sym = parts.interner.lookup(name);
+            let mut adm = Admission::new(parts.index, parts.planner.run_split().0);
             adm.begin_document(0);
-            // <a><x><b/></x>t<b/></a>: x is unknown to every query, and no
-            // query reads text.
-            assert_eq!(adm.start(a, 1).map(|(s, p)| (s, p.len())), Some((1, prefix as usize)));
-            assert!(adm.start(None, 2).is_none(), "<x> is filtered");
-            let b_in_x = adm.start(b, 3).expect("<b> ships even under a filtered parent");
-            assert_eq!((b_in_x.0, b_in_x.1.len()), (3, 0), "/a/b does not match a/x/b");
-            assert_eq!(adm.end(b, 3), Some(4));
-            assert_eq!(adm.end(None, 2), None, "</x> pairs with its filtered start tag");
-            assert_eq!(adm.text(), None, "no group reads text");
-            assert_eq!(adm.seq(), 6, "filtered events still consume numbers");
-            let b_in_a = adm.start(b, 2).expect("ships");
-            assert_eq!((b_in_a.0, b_in_a.1.len()), (7, prefix as usize), "/a/b matches a/b");
-            assert_eq!(adm.end(b, 2), Some(8));
-            assert_eq!(adm.end(a, 1), Some(9));
-            assert_eq!(adm.seq(), 9);
-            if prefix {
-                assert!(adm.trie_open.is_empty() && adm.trie_frames.is_empty());
-                assert!(adm.trie_run_stats().expect("prefix mode").steps_executed > 0);
-            }
-            // A new document restarts the numbering.
-            adm.begin_document(0);
-            assert_eq!(adm.start(a, 1).map(|(s, _)| s), Some(1));
+            let shipped = adm.start(sym, 1).map(|(seq, pushes)| (seq, pushes.len()));
+            assert_eq!(adm.end(sym, 1).is_some(), shipped.is_some(), "</{name}> pairs up");
+            assert_eq!(adm.seq(), 2, "shipped or not, both tags consumed a number");
+            assert_eq!(adm.trie.live_entries(), 0);
+            shipped
+        };
+        assert_eq!(ships(&mut multi, "a"), Some((1, 1)), "/a is a live trie step");
+        assert_eq!(ships(&mut multi, "d"), Some((1, 0)), "d is a predicate name of //c[d]");
+        assert_eq!(multi.remove_query(q_ab), Some(true));
+        assert_eq!(multi.remove_query(q_c), Some(true));
+        for name in ["a", "b", "c", "d"] {
+            assert_eq!(ships(&mut multi, name), None, "<{name}>: every interested group retired");
         }
+        assert_eq!(multi.add_query("/a/b").unwrap(), QueryId(2));
+        assert_eq!(ships(&mut multi, "a"), Some((1, 1)), "re-registration revives the path");
+        assert_eq!(ships(&mut multi, "c"), None, "//c[d] stays retired");
     }
 }

@@ -5,9 +5,11 @@
 //! the planner already routes each event to disjoint plan groups — so the
 //! groups are an embarrassingly partitionable unit of work. The
 //! [`ShardedEngine`] exploits that: it wraps the multi-query engine,
-//! partitions the active plan groups across `N` worker threads,
-//! broadcasts the driver's interned events over bounded rings
-//! ([`worker::Ring`]), runs each shard's own dispatch index over its
+//! partitions the active plan groups across `N` worker threads, advances
+//! the plan trie once per event on the document thread, broadcasts the
+//! driver's interned events — trie push decisions attached — over bounded
+//! rings ([`worker::Ring`]), applies them in each shard with the same
+//! [`crate::multi::Executor`] the inline engine runs, over the shard's
 //! subset, and k-way-merges the per-shard match streams by watermark
 //! ([`merge::MatchMerger`]) into **exactly** the output — same matches,
 //! same order, same statistics — the single-threaded engine produces.
@@ -78,7 +80,7 @@ use crate::intern::{Interner, Symbol};
 use crate::multi::{
     finish_document, FinishedDocument, GroupFacts, MultiEngine, MultiOutput, QueryRecord,
 };
-use crate::plan::PlanMode;
+use crate::plan::TriePush;
 use crate::result::{Match, NodeId, QueryId};
 use crate::stats::{MachineStats, PlanStats, StreamStats};
 use crate::telemetry::{CostLedger, Telemetry};
@@ -114,17 +116,10 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// An empty engine running `shards` workers (0 is clamped to 1) with
-    /// the default plan mode.
+    /// An empty engine running `shards` workers (0 is clamped to 1).
     pub fn new(shards: usize) -> Self {
-        ShardedEngine::with_plan(shards, PlanMode::Shared)
-    }
-
-    /// An empty engine with an explicit plan mode, which applies within
-    /// every shard exactly as it does single-threaded.
-    pub fn with_plan(shards: usize, plan: PlanMode) -> Self {
         ShardedEngine {
-            multi: MultiEngine::with_plan(plan),
+            multi: MultiEngine::new(),
             shards: shards.max(1),
             fault: None,
             swap_fault: None,
@@ -257,7 +252,6 @@ impl ShardedEngine {
         }
         let injected_fault = self.fault;
         let injected_swap_fault = self.swap_fault;
-        let prefix_mode = self.multi.plan_mode() == PlanMode::PrefixShared;
         let parts = self.multi.shard_parts();
         let plan = parts.planner.stats(parts.interner);
         // Group-resident bytes are re-read from the workers after each
@@ -320,31 +314,15 @@ impl ShardedEngine {
         }
         let initial_plan = place::lpt_plan(&active_gids, &cost, nshards);
 
-        // Prefix-shared execution: the admission walk advances the
-        // *global* plan trie once per event and ships the push decisions;
-        // each worker only needs a map from trie node to the main-path
-        // machine nodes of its own group subset. The per-group trie paths
-        // are snapshotted here (gid-indexed) so repartitioning can rebuild
-        // the per-shard maps without touching the trie again.
-        let mut prefix_paths: Vec<Vec<(u32, u32)>> = Vec::new();
-        if prefix_mode {
-            prefix_paths.resize_with(group_slots, Vec::new);
-            let trie = parts.planner.trie();
-            for &gid in &active_gids {
-                let group = parts.planner.group(gid);
-                prefix_paths[gid] = trie
-                    .path_of(group.trie_node())
-                    .iter()
-                    .zip(group.main_nodes())
-                    .map(|(&node, &mnode)| (node, mnode))
-                    .collect();
-            }
-        }
-        let assignment = Arc::new(place::make_assignment(0, &initial_plan, &prefix_paths));
+        // The admission walk advances the *global* plan trie once per
+        // event and ships the push decisions; each worker only needs the
+        // trie's route table narrowed to its own group subset, which the
+        // assignment carries.
+        let (trie, groups) = parts.planner.run_split();
+        let assignment = Arc::new(place::make_assignment(0, &initial_plan, trie.routes()));
 
         // All active groups start in the pool; workers check theirs out
         // per document under whatever assignment that document carries.
-        let (trie, groups) = parts.planner.run_split();
         let pool = GroupPool::new(groups);
 
         let telemetry = parts.driver.telemetry();
@@ -361,17 +339,7 @@ impl ShardedEngine {
                     injected_fault.and_then(|(s, seq)| if s == shard { Some(seq) } else { None });
                 let swap_fault = injected_swap_fault == Some(shard);
                 scope.spawn(move || {
-                    run_worker(
-                        shard,
-                        pool,
-                        nsymbols,
-                        prefix_mode,
-                        fault,
-                        swap_fault,
-                        profiled,
-                        ring,
-                        tx,
-                    )
+                    run_worker(shard, pool, nsymbols, fault, swap_fault, profiled, ring, tx)
                 });
             }
             drop(tx);
@@ -383,7 +351,7 @@ impl ShardedEngine {
                 inner: SessionInner::Threaded(Box::new(ThreadedSession {
                     driver: parts.driver,
                     interner: parts.interner,
-                    admission: Admission::new(parts.index, prefix_mode.then_some(trie)),
+                    admission: Admission::new(parts.index, trie),
                     rings: &rings,
                     rx: &rx,
                     subscribers: &subscribers,
@@ -396,7 +364,6 @@ impl ShardedEngine {
                     cost,
                     active_gids,
                     assignment,
-                    prefix_paths,
                     repartitions: 0,
                     last_imbalance: None,
                 })),
@@ -539,10 +506,6 @@ struct ThreadedSession<'a> {
     /// its `DocStart` and swapped by [`ThreadedSession::after_document`]
     /// when a repartition fires.
     assignment: Arc<Assignment>,
-    /// Per-group `(trie node, machine node)` paths (gid-indexed; empty
-    /// unless prefix sharing) for rebuilding per-shard prefix maps when
-    /// replanning.
-    prefix_paths: Vec<Vec<(u32, u32)>>,
     /// Repartitions performed this session.
     repartitions: u64,
     /// Measured imbalance (millis) of the most recent document.
@@ -566,6 +529,7 @@ impl<'a> ThreadedSession<'a> {
             doc: &mut doc,
             on_match: &mut on_match,
             open_names: Vec::new(),
+            no_pushes: Vec::new().into(),
             batch: Vec::with_capacity(EVENT_BATCH),
             ended: false,
         };
@@ -624,13 +588,15 @@ impl<'a> ThreadedSession<'a> {
         let stream = stream?;
         let DocState { matches, mut merger, group_stats, group_bytes, .. } = doc;
         debug_assert!(merger.is_drained(), "all shards reported through the final event");
-        let mut plan = PlanStats { plan_bytes: self.plan_overhead + group_bytes, ..self.plan };
-        if let Some(run) = self.admission.trie_run_stats() {
-            plan.prefix_steps_executed = run.steps_executed;
-            plan.prefix_steps_saved = run.steps_saved;
-            plan.prefix_forks = run.forks;
-            plan.prefix_stack_bytes = run.peak_stack_bytes();
-        }
+        let run = self.admission.trie_run_stats();
+        let plan = PlanStats {
+            plan_bytes: self.plan_overhead + group_bytes,
+            prefix_steps_executed: run.steps_executed,
+            prefix_steps_saved: run.steps_saved,
+            prefix_forks: run.forks,
+            prefix_stack_bytes: run.peak_stack_bytes(),
+            ..self.plan
+        };
         let out = finish_document(
             FinishedDocument {
                 records: self.records,
@@ -694,7 +660,7 @@ impl<'a> ThreadedSession<'a> {
         self.assignment = Arc::new(place::make_assignment(
             self.assignment.version + 1,
             &plan,
-            &self.prefix_paths,
+            self.admission.routes(),
         ));
         self.repartitions += 1;
         telemetry.add(|r| &r.shard_repartitions, 1);
@@ -812,6 +778,8 @@ struct DocPump<'p, 'a, F: FnMut(QueryId, Match)> {
     /// tag reuses the start tag's allocation. Filter verdicts pair up, so
     /// pushes and pops balance.
     open_names: Vec<Arc<str>>,
+    /// Shared empty push list (most start tags push nothing).
+    no_pushes: Arc<[TriePush]>,
     batch: Vec<ShardEvent>,
     ended: bool,
 }
@@ -860,6 +828,8 @@ impl<F: FnMut(QueryId, Match)> EventSink for DocPump<'_, '_, F> {
         attr_id_base: NodeId,
     ) {
         let Some((seq, pushes)) = self.admission.start(sym, event.level) else { return };
+        let pushes =
+            if pushes.is_empty() { Arc::clone(&self.no_pushes) } else { Arc::from(pushes) };
         let name: Arc<str> = event.name.as_str().into();
         self.open_names.push(Arc::clone(&name));
         self.push(ShardEvent::Start {
@@ -891,7 +861,6 @@ impl<F: FnMut(QueryId, Match)> EventSink for DocPump<'_, '_, F> {
         let name = self.open_names.pop().expect("shipped end tags pair with shipped start tags");
         self.push(ShardEvent::End {
             seq,
-            sym,
             name,
             level: event.level,
             element_span: event.element_span,
@@ -911,8 +880,8 @@ mod tests {
     /// Runs `xml` through the pump of a hand-built one-shard session whose
     /// ring nobody consumes (a pre-sent `DocEnd` acknowledgement stands in
     /// for the worker) and returns what it broadcast, in ring order.
-    fn capture(plan: PlanMode, xml: &str) -> Vec<SeqBatch> {
-        let mut multi = MultiEngine::with_plan(plan);
+    fn capture(xml: &str) -> Vec<SeqBatch> {
+        let mut multi = MultiEngine::new();
         for q in ["/r/a/b", "//a[c]", "//b/text()", "/r/a"] {
             multi.add_query(q).unwrap();
         }
@@ -921,10 +890,13 @@ mod tests {
             parts.planner.groups().iter().map(|g| g.subscribers().to_vec()).collect();
         let active_gids: Vec<usize> = (0..subscribers.len()).collect();
         let cost = CostModel::uniform(subscribers.len());
-        let assignment =
-            Arc::new(place::make_assignment(0, &place::lpt_plan(&active_gids, &cost, 1), &[]));
         let plan_stats = parts.planner.stats(parts.interner);
-        let trie = (plan == PlanMode::PrefixShared).then(|| parts.planner.run_split().0);
+        let trie = parts.planner.run_split().0;
+        let assignment = Arc::new(place::make_assignment(
+            0,
+            &place::lpt_plan(&active_gids, &cost, 1),
+            trie.routes(),
+        ));
         let rings = [Arc::new(Ring::new(4096))];
         let (tx, rx) = channel();
         tx.send(WorkerReport {
@@ -951,7 +923,6 @@ mod tests {
             cost,
             active_gids,
             assignment,
-            prefix_paths: Vec::new(),
             repartitions: 0,
             last_imbalance: None,
         };
@@ -969,27 +940,24 @@ mod tests {
             xml.push_str(&format!("<a><x>skip{i}<y/></x><b>t{i}</b><c/></a><x><a><b/></a></x>"));
         }
         xml.push_str("</r>");
-        for plan in [PlanMode::Shared, PlanMode::PrefixShared] {
-            let batches = capture(plan, &xml);
-            assert!(batches.len() > 1, "{plan:?}: several batches");
-            assert!(
-                batches.windows(2).all(|w| w[0].through < w[1].through),
-                "{plan:?}: `through` strictly increases"
-            );
-            let through = batches.last().expect("non-empty").through;
-            // Every shipped event, in full (seq, symbol, level, trie
-            // pushes, payloads), as its `Debug` rendering.
-            let events: Vec<String> =
-                batches.iter().flat_map(|b| b.events.iter()).map(|e| format!("{e:?}")).collect();
-            assert_eq!(events.last(), Some(&format!("DocEnd {{ seq: {through} }}")));
-            assert!(through > events.len() as u64, "filtered events consumed sequence numbers");
-            assert!(
-                !events.iter().any(|e| e.contains("\"x\"") || e.contains("\"y\"")),
-                "{plan:?}: filtered elements never ship"
-            );
-            let pushed = events.iter().any(|e| e.contains("TriePush"));
-            assert_eq!(pushed, plan == PlanMode::PrefixShared, "{plan:?}: trie pushes ship");
-        }
+        let batches = capture(&xml);
+        assert!(batches.len() > 1, "several batches");
+        assert!(
+            batches.windows(2).all(|w| w[0].through < w[1].through),
+            "`through` strictly increases"
+        );
+        let through = batches.last().expect("non-empty").through;
+        // Every shipped event, in full (seq, symbol, level, trie pushes,
+        // payloads), as its `Debug` rendering.
+        let events: Vec<String> =
+            batches.iter().flat_map(|b| b.events.iter()).map(|e| format!("{e:?}")).collect();
+        assert_eq!(events.last(), Some(&format!("DocEnd {{ seq: {through} }}")));
+        assert!(through > events.len() as u64, "filtered events consumed sequence numbers");
+        assert!(
+            !events.iter().any(|e| e.contains("\"x\"") || e.contains("\"y\"")),
+            "filtered elements never ship"
+        );
+        assert!(events.iter().any(|e| e.contains("TriePush")), "trie pushes ship");
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! predicate evaluations + dispatch hits. Those arrive at the coordinator
 //! with every `DocEnd` acknowledgement regardless of whether profiling is
 //! on, so the [`CostModel`] refines itself after every document — and
-//! because the counters are invariant across plan × shard
-//! configurations, so are the placement decisions. Matches are
+//! because the counters are invariant across shard counts, so are the
+//! placement decisions. Matches are
 //! invariant *by construction* either way (the watermark merge orders by
 //! `(event seq, group id)`, which no placement can perturb); determinism
 //! of the decisions just makes experiments and tests reproducible.
@@ -25,12 +25,8 @@
 //! balanced session never churns its dispatch indexes, and a skewed one
 //! converges after the first document measured under skew.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
+use crate::plan::RouteTable;
 use crate::stats::MachineStats;
-
-use super::worker::PrefixMap;
 
 /// A point-in-time view of a [`crate::shard::ShardSession`]'s placement
 /// state, from [`crate::shard::ShardSession::placement_snapshot`]: how
@@ -201,45 +197,41 @@ impl CostModel {
 
 /// One immutable group→shard assignment, shipped to the workers inside
 /// every `DocStart` event. Workers adopt it when the `version` differs
-/// from the one they are running (rebuilding their local dispatch index
-/// and, under prefix sharing, their trie-routing map) and otherwise just
-/// re-acquire the same groups — so a repartition costs exactly one
-/// index rebuild per worker, at a document boundary, and nothing at all
-/// when the plan is stable.
+/// from the one they are running (rebuilding their local dispatch index)
+/// and otherwise just re-acquire the same groups — so a repartition costs
+/// exactly one index rebuild per worker, at a document boundary, and
+/// nothing at all when the plan is stable.
 #[derive(Debug)]
 pub(crate) struct Assignment {
     pub(crate) version: u64,
-    /// Ascending gids per shard.
+    /// Ascending gids per shard; a group's position is its local slot.
     pub(crate) shard_gids: Vec<Vec<usize>>,
-    /// Per-shard prefix-routing maps (empty unless the session runs
-    /// prefix-shared plans). `Arc` so adopting workers share rather than
-    /// clone.
-    pub(crate) prefix_maps: Vec<Arc<PrefixMap>>,
+    /// Per-shard route tables: global trie node → the `(local slot,
+    /// machine node)` pairs a push of that node drives within the shard's
+    /// group subset. Workers never walk the trie themselves — they apply
+    /// the push decisions the document thread ships along these.
+    pub(crate) routes: Vec<RouteTable>,
 }
 
-/// Builds the assignment for `plan`, deriving per-shard prefix maps from
-/// the per-group trie paths when `prefix_paths` is non-empty. Each path
-/// entry is the group's `(trie node, machine main node)` pairs in path
-/// order — precomputed at session open, so replanning never needs the
-/// trie (which the document thread owns exclusively).
-pub(crate) fn make_assignment(
-    version: u64,
-    plan: &ShardPlan,
-    prefix_paths: &[Vec<(u32, u32)>],
-) -> Assignment {
-    let mut prefix_maps = Vec::new();
-    if !prefix_paths.is_empty() {
-        for gids in &plan.shard_gids {
-            let mut map: PrefixMap = HashMap::new();
-            for (li, &gid) in gids.iter().enumerate() {
-                for &(node, mnode) in &prefix_paths[gid] {
-                    map.entry(node).or_default().push((li as u32, mnode));
-                }
-            }
-            prefix_maps.push(Arc::new(map));
+/// Builds the assignment for `plan`, splitting the trie's gid-keyed
+/// `routes` into one slot-keyed table per shard. Routes ascend by gid and
+/// so do each shard's gids, hence every split list ascends by slot.
+pub(crate) fn make_assignment(version: u64, plan: &ShardPlan, routes: &RouteTable) -> Assignment {
+    let slots = plan.shard_gids.iter().flatten().map(|&gid| gid + 1).max().unwrap_or(0);
+    let mut home = vec![(usize::MAX, 0u32); slots];
+    for (shard, gids) in plan.shard_gids.iter().enumerate() {
+        for (li, &gid) in gids.iter().enumerate() {
+            home[gid] = (shard, li as u32);
         }
     }
-    Assignment { version, shard_gids: plan.shard_gids.clone(), prefix_maps }
+    let mut split = vec![vec![Vec::new(); routes.len()]; plan.shard_gids.len()];
+    for (node, routed) in routes.iter().enumerate() {
+        for &(gid, mnode) in routed {
+            let (shard, li) = home[gid as usize];
+            split[shard][node].push((li, mnode));
+        }
+    }
+    Assignment { version, shard_gids: plan.shard_gids.clone(), routes: split }
 }
 
 #[cfg(test)]
@@ -347,20 +339,16 @@ mod tests {
     }
 
     #[test]
-    fn assignment_builds_per_shard_prefix_maps() {
+    fn assignment_splits_the_route_table_per_shard() {
         let plan = ShardPlan { shard_gids: vec![vec![0, 2], vec![1]] };
-        // gid 0: trie path [5, 6] -> machine nodes [0, 1]; gid 1: [5] ->
-        // [0]; gid 2: [9] -> [0].
-        let paths = vec![vec![(5, 0), (6, 1)], vec![(5, 0)], vec![(9, 0)]];
-        let a = make_assignment(3, &plan, &paths);
+        // Trie node 1 routes gids 0, 1 and 2 (machine nodes 0, 0, 3);
+        // node 2 routes gid 0 (machine node 1); node 3 routes gid 2.
+        let routes: RouteTable =
+            vec![vec![], vec![(0, 0), (1, 0), (2, 3)], vec![(0, 1)], vec![(2, 0)]];
+        let a = make_assignment(3, &plan, &routes);
         assert_eq!(a.version, 3);
-        assert_eq!(a.prefix_maps.len(), 2);
         // Shard 0 local slots: li 0 = gid 0, li 1 = gid 2.
-        assert_eq!(a.prefix_maps[0].get(&5), Some(&vec![(0u32, 0u32)]));
-        assert_eq!(a.prefix_maps[0].get(&6), Some(&vec![(0u32, 1u32)]));
-        assert_eq!(a.prefix_maps[0].get(&9), Some(&vec![(1u32, 0u32)]));
-        assert_eq!(a.prefix_maps[1].get(&5), Some(&vec![(0u32, 0u32)]));
-        let none = make_assignment(1, &plan, &[]);
-        assert!(none.prefix_maps.is_empty(), "no prefix maps outside prefix mode");
+        assert_eq!(a.routes[0], [vec![], vec![(0, 0), (1, 3)], vec![(0, 1)], vec![(1, 0)]]);
+        assert_eq!(a.routes[1], [vec![], vec![(0, 0)], vec![], vec![]]);
     }
 }

@@ -3,10 +3,11 @@
 //! A worker owns a disjoint subset of the plan groups for the duration of
 //! a [`crate::shard::ShardSession`] (the borrow is scoped — groups return
 //! to the engine when the session closes). It pops event batches off its
-//! ring, runs its own [`DispatchIndex`] over the subset — so per-event
-//! filtering behaves exactly like the single-threaded engine restricted
-//! to those groups — and reports emitted matches tagged with their global
-//! ordering key, plus a watermark, back to the document thread.
+//! ring and applies them with its own [`Executor`] over the subset — the
+//! same per-event apply step the single-threaded engine runs, keyed by
+//! local slot and fed the trie pushes the document thread shipped — and
+//! reports emitted matches tagged with their global ordering key, plus a
+//! watermark, back to the document thread.
 //!
 //! Each ring has exactly one producer — the document thread — so batches
 //! arrive in document order, which the twig machines (streaming stack
@@ -14,7 +15,7 @@
 //! `through` ([`SeqBatch`]); that becomes the shard's watermark once the
 //! batch is applied.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -23,21 +24,14 @@ use vitex_xmlsax::event::Attribute;
 use vitex_xmlsax::pos::ByteSpan;
 
 use crate::intern::Symbol;
-use crate::multi::DispatchIndex;
+use crate::multi::{Executor, StartTag};
 use crate::plan::{PlanGroup, TriePush};
-use crate::result::NodeId;
+use crate::result::{Match, NodeId, QueryId};
 use crate::stats::MachineStats;
 use crate::telemetry::{Telemetry, TID_SHARD_BASE};
 
 use super::merge::TaggedMatch;
 use super::place::Assignment;
-
-/// Prefix-shared execution: global trie node → the `(local slot, machine
-/// node)` pairs a push of that node drives within this shard's group
-/// subset. Built by the session on the document thread (which owns the
-/// trie) and handed to the worker, so workers never walk the trie
-/// themselves — they just apply the shipped push decisions.
-pub(crate) type PrefixMap = HashMap<u32, Vec<(u32, u32)>>;
 
 /// One document event in shard-transportable form. String payloads (tag
 /// name, attributes, text) are `Arc`-shared: the document thread builds
@@ -46,9 +40,10 @@ pub(crate) type PrefixMap = HashMap<u32, Vec<(u32, u32)>>;
 #[derive(Debug, Clone)]
 pub(crate) enum ShardEvent {
     /// A document begins: acquire the groups this shard owns under
-    /// `assignment` (adopting it — rebuilding the local dispatch index —
-    /// when its version differs from the one currently running) and
-    /// reset machine state (stacks, stats, dedup sets).
+    /// `assignment` (adopting it — rebuilding the local dispatch index and
+    /// taking its route table — when its version differs from the one
+    /// currently running) and reset machine state (stacks, stats, dedup
+    /// sets).
     DocStart { assignment: Arc<Assignment> },
     /// `startElement` with the symbol the driver resolved once.
     Start {
@@ -60,15 +55,15 @@ pub(crate) enum ShardEvent {
         node_id: NodeId,
         attr_id_base: NodeId,
         span: ByteSpan,
-        /// Main-path push decisions from the document thread's plan trie
-        /// (prefix-shared execution; empty otherwise). `Arc`-shared like
-        /// the other payloads: built once, bumped per ring.
+        /// Main-path push decisions from the document thread's plan
+        /// trie. `Arc`-shared like the other payloads: built once,
+        /// bumped per ring.
         pushes: Arc<[TriePush]>,
     },
     /// A text node.
     Text { seq: u64, text: Arc<str>, level: u32, node_id: NodeId, span: ByteSpan },
-    /// `endElement`, replaying the start tag's symbol.
-    End { seq: u64, sym: Option<Symbol>, name: Arc<str>, level: u32, element_span: ByteSpan },
+    /// `endElement`.
+    End { seq: u64, name: Arc<str>, level: u32, element_span: ByteSpan },
     /// The document ended; `seq` is the total number of sequenced events,
     /// i.e. the final watermark. The worker snapshots machine statistics
     /// and acknowledges.
@@ -270,22 +265,13 @@ pub(crate) struct GroupSnapshot {
     pub(crate) self_ns: u64,
 }
 
-/// Self-time sampling stride: every `SELF_SAMPLE`-th machine touch is
-/// timed and the elapsed nanoseconds scaled back up. The stride is the
-/// profiler's overhead dial: the touch path is the hottest loop in the
-/// engine, so even the counter bump shows up at small strides (64 cost
-/// ~8% on the k=1000 workload; 1024 keeps thousands of samples per
-/// document and measures ~3%).
-const SELF_SAMPLE: u64 = 1024;
-
 /// The worker entry point: runs on its own thread for the lifetime of a
 /// session, processing batches until the ring closes. The worker owns no
 /// groups between documents — it borrows its assigned subset from `pool`
 /// at every `DocStart` (in ascending group-id order, mirroring the
 /// single-threaded engine) and returns them at `DocEnd`. `nsymbols`
 /// sizes the local dispatch index (the interner is frozen for the
-/// session); under `prefix_mode` the index carries predicate-only
-/// interests and the trie-routing map arrives inside the assignment.
+/// session); the trie route table arrives inside the assignment.
 /// Telemetry (batch timing, busy time, per-batch spans) records through
 /// the handle the ring was built with. `fault` and `swap_fault` are the
 /// test-only injection hooks: the worker panics when it applies the
@@ -307,7 +293,6 @@ pub(crate) fn run_worker(
     shard: usize,
     pool: &GroupPool<'_>,
     nsymbols: usize,
-    prefix_mode: bool,
     fault: Option<u64>,
     swap_fault: bool,
     profiled: bool,
@@ -315,7 +300,7 @@ pub(crate) fn run_worker(
     out: Sender<WorkerReport>,
 ) {
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        worker_loop(shard, pool, nsymbols, prefix_mode, fault, swap_fault, profiled, &ring, &out);
+        worker_loop(shard, pool, nsymbols, fault, swap_fault, profiled, &ring, &out);
     }));
     // The guard inside worker_loop already reported the poisoning.
     let _ = result;
@@ -333,12 +318,22 @@ fn event_seq(ev: &ShardEvent) -> Option<u64> {
     }
 }
 
+/// The worker-side emitter: tags a solution of local slot `li` with the
+/// event's sequence number and the slot's global group id — the key the
+/// watermark merge orders by.
+fn tagger<'m>(
+    matches: &'m mut Vec<TaggedMatch>,
+    gids: &'m [usize],
+    seq: u64,
+) -> impl FnMut(u32, &[QueryId], Match) + 'm {
+    move |li, _, m| matches.push(TaggedMatch { seq, gid: gids[li as usize] as u32, m })
+}
+
 #[allow(clippy::too_many_arguments)]
 fn worker_loop<'a>(
     shard: usize,
     pool: &GroupPool<'a>,
     nsymbols: usize,
-    prefix_mode: bool,
     fault: Option<u64>,
     swap_fault: bool,
     profiled: bool,
@@ -353,32 +348,17 @@ fn worker_loop<'a>(
     let telemetry = ring.telemetry.clone();
 
     // The groups currently on loan from the pool (empty between
-    // documents), plus the local dispatch structures over that subset,
-    // keyed by global group id so match tags are globally comparable.
-    // All of it is assignment-dependent state, (re)built when a DocStart
-    // carries a version we have not adopted yet. Under prefix sharing
-    // the index carries predicate-only element interests — the main path
-    // arrives pre-planned inside the events, routed through the
-    // assignment's per-shard prefix map.
-    let mut groups: Vec<(usize, &'a mut PlanGroup)> = Vec::new();
-    let mut cur_version: Option<u64> = None;
-    let mut index = DispatchIndex::default();
-    let mut local_of: Vec<u32> = Vec::new();
-    let mut prefix: Option<Arc<PrefixMap>> = None;
-
-    // Prefix-mode scratch: per-event main plans, predicate targets and
-    // the frame stack of machines that pushed per open element.
-    let mut plans: Vec<(u32, u32, u32)> = Vec::new();
-    let mut pred_lis: Vec<u32> = Vec::new();
-    let mut main_scratch: Vec<(u32, u32)> = Vec::new();
-    let mut frame_lis: Vec<u32> = Vec::new();
-    let mut frames: Vec<u32> = Vec::new();
+    // documents), slot `li` holding global group `assignment
+    // .shard_gids[shard][li]` — ascending, so slot order is the
+    // single-threaded engine's visit order and match tags stay globally
+    // comparable. The executor's dispatch index (predicate and text
+    // interests by slot) is assignment-dependent state, rebuilt when a
+    // DocStart carries a version we have not adopted yet.
+    let mut groups: Vec<&'a mut PlanGroup> = Vec::new();
+    let mut current: Option<Arc<Assignment>> = None;
+    let mut exec = Executor::default();
 
     let mut matches: Vec<TaggedMatch> = Vec::new();
-    // Profiling scratch: sampled per-group self-time for the current
-    // document and the shared touch counter driving the sampling stride.
-    let mut self_ns: Vec<u64> = Vec::new();
-    let mut touch_count: u64 = 0;
     let shard_tid = TID_SHARD_BASE + shard as u32;
     while let Some(batch) = ring.pop() {
         let t_batch = telemetry.timer();
@@ -389,88 +369,34 @@ fn worker_loop<'a>(
                     panic!("injected shard-worker fault at seq {f}");
                 }
             }
-            // Routes this event to the machine of local group `li`. The
-            // index visits groups in ascending global gid order,
-            // mirroring the single-threaded engine.
-            let mut touch = |li: u32, seq: u64, gid: u32| {
-                let sampled = profiled && {
-                    touch_count += 1;
-                    touch_count.is_multiple_of(SELF_SAMPLE)
-                };
-                let t0 = sampled.then(Instant::now);
-                let machine = groups[li as usize].1.machine_mut();
-                let sink = &mut |m| matches.push(TaggedMatch { seq, gid, m });
-                match event {
-                    ShardEvent::Start {
-                        sym,
-                        name,
-                        level,
-                        attrs,
-                        node_id,
-                        attr_id_base,
-                        span,
-                        ..
-                    } => {
-                        machine.start_element_interned(
-                            *sym,
-                            name,
-                            *level,
-                            attrs,
-                            *node_id,
-                            *attr_id_base,
-                            *span,
-                            sink,
-                        );
-                    }
-                    ShardEvent::Text { text, level, node_id, span, .. } => {
-                        machine.characters(text, *level, *node_id, *span, sink);
-                    }
-                    ShardEvent::End { name, level, element_span, .. } => {
-                        machine.end_element(name, *level, *element_span, sink);
-                    }
-                    ShardEvent::DocStart { .. } | ShardEvent::DocEnd { .. } => unreachable!(),
+            if let ShardEvent::DocStart { assignment } = event {
+                debug_assert!(groups.is_empty(), "prior document returned its groups");
+                let adopt = current.as_ref().is_none_or(|c| c.version != assignment.version);
+                if adopt && swap_fault && current.is_some() {
+                    // Injected fault: die mid-swap, after the old
+                    // assignment retired but before the new one is
+                    // adopted (the repartition hazard window).
+                    panic!("injected shard-worker fault during assignment swap");
                 }
-                if let Some(t0) = t0 {
-                    self_ns[li as usize] += t0.elapsed().as_nanos() as u64 * SELF_SAMPLE;
+                groups.extend(assignment.shard_gids[shard].iter().map(|&gid| pool.take(gid)));
+                if adopt {
+                    exec = Executor::default();
+                    for (li, group) in groups.iter().enumerate() {
+                        exec.index.add_group(li, group.machine().spec(), nsymbols);
+                    }
+                    exec.sample_self_time(profiled, groups.len());
+                    current = Some(Arc::clone(assignment));
                 }
-            };
+                for group in groups.iter_mut() {
+                    group.machine_mut().reset();
+                }
+                exec.begin_document();
+                continue;
+            }
+            let assignment = current.as_ref().expect("a DocStart precedes every other event");
+            let gids = &assignment.shard_gids[shard];
             match event {
-                ShardEvent::DocStart { assignment } => {
-                    debug_assert!(groups.is_empty(), "prior document returned its groups");
-                    let adopt = cur_version != Some(assignment.version);
-                    if adopt && swap_fault && cur_version.is_some() {
-                        // Injected fault: die mid-swap, after the old
-                        // assignment retired but before the new one is
-                        // adopted (the repartition hazard window).
-                        panic!("injected shard-worker fault during assignment swap");
-                    }
-                    for &gid in &assignment.shard_gids[shard] {
-                        groups.push((gid, pool.take(gid)));
-                    }
-                    if adopt {
-                        index = DispatchIndex::default();
-                        let max_gid = groups.iter().map(|(gid, _)| gid + 1).max().unwrap_or(0);
-                        local_of.clear();
-                        local_of.resize(max_gid, u32::MAX);
-                        for (li, (gid, group)) in groups.iter().enumerate() {
-                            if prefix_mode {
-                                index.add_group_prefix(*gid, group.machine().spec(), nsymbols);
-                            } else {
-                                index.add_group(*gid, group.machine().spec(), nsymbols);
-                            }
-                            local_of[*gid] = li as u32;
-                        }
-                        prefix = prefix_mode.then(|| Arc::clone(&assignment.prefix_maps[shard]));
-                        cur_version = Some(assignment.version);
-                    }
-                    for (_, group) in groups.iter_mut() {
-                        group.machine_mut().reset();
-                    }
-                    frame_lis.clear();
-                    frames.clear();
-                    self_ns.clear();
-                    self_ns.resize(groups.len(), 0);
-                }
+                ShardEvent::DocStart { .. } => unreachable!("handled above"),
                 ShardEvent::Start {
                     seq,
                     sym,
@@ -481,90 +407,37 @@ fn worker_loop<'a>(
                     attr_id_base,
                     span,
                     pushes,
-                } if prefix.is_some() => {
-                    let map = prefix.as_ref().expect("guarded by arm");
-                    plans.clear();
-                    for p in pushes.iter() {
-                        if let Some(targets) = map.get(&p.node) {
-                            for &(li, mnode) in targets {
-                                plans.push((li, mnode, p.ptr));
-                            }
-                        }
-                    }
-                    plans.sort_unstable();
-                    pred_lis.clear();
-                    index.for_each_element_target(*sym, |gid| pred_lis.push(local_of[gid]));
-                    frames.push(frame_lis.len() as u32);
-                    crate::multi::merge_prefix_targets(
-                        &plans,
-                        &pred_lis,
-                        &mut main_scratch,
-                        &mut frame_lis,
-                        |li, main, preds| {
-                            let sampled = profiled && {
-                                touch_count += 1;
-                                touch_count.is_multiple_of(SELF_SAMPLE)
-                            };
-                            let t0 = sampled.then(Instant::now);
-                            let (gid, group) = &mut groups[li as usize];
-                            let gid = *gid as u32;
-                            let r = group.machine_mut().start_element_prefix(
-                                main,
-                                preds,
-                                *sym,
-                                name,
-                                *level,
-                                attrs,
-                                *node_id,
-                                *attr_id_base,
-                                *span,
-                                &mut |m| matches.push(TaggedMatch { seq: *seq, gid, m }),
-                            );
-                            if let Some(t0) = t0 {
-                                self_ns[li as usize] +=
-                                    t0.elapsed().as_nanos() as u64 * SELF_SAMPLE;
-                            }
-                            r
-                        },
-                    );
+                } => {
+                    let tag = StartTag {
+                        sym: *sym,
+                        name,
+                        level: *level,
+                        attributes: attrs,
+                        node_id: *node_id,
+                        attr_id_base: *attr_id_base,
+                        span: *span,
+                    };
+                    let routes = &assignment.routes[shard];
+                    exec.start(&mut groups, routes, pushes, &tag, tagger(&mut matches, gids, *seq));
                 }
-                ShardEvent::End { seq, name, level, element_span, .. } if prefix.is_some() => {
-                    let base = frames.pop().expect("shipped tags pair") as usize;
-                    for &li in &frame_lis[base..] {
-                        let sampled = profiled && {
-                            touch_count += 1;
-                            touch_count.is_multiple_of(SELF_SAMPLE)
-                        };
-                        let t0 = sampled.then(Instant::now);
-                        let (gid, group) = &mut groups[li as usize];
-                        let gid = *gid as u32;
-                        group.machine_mut().end_element(name, *level, *element_span, &mut |m| {
-                            matches.push(TaggedMatch { seq: *seq, gid, m })
-                        });
-                        if let Some(t0) = t0 {
-                            self_ns[li as usize] += t0.elapsed().as_nanos() as u64 * SELF_SAMPLE;
-                        }
-                    }
-                    frame_lis.truncate(base);
+                ShardEvent::Text { seq, text, level, node_id, span } => {
+                    let emit = tagger(&mut matches, gids, *seq);
+                    exec.text(&mut groups, text, *level, *node_id, *span, emit);
                 }
-                ShardEvent::Start { seq, sym, .. } | ShardEvent::End { seq, sym, .. } => {
-                    index.for_each_element_target(*sym, |gid| {
-                        touch(local_of[gid], *seq, gid as u32)
-                    });
-                }
-                ShardEvent::Text { seq, .. } => {
-                    index.for_each_text_target(|gid| touch(local_of[gid], *seq, gid as u32));
+                ShardEvent::End { seq, name, level, element_span } => {
+                    let emit = tagger(&mut matches, gids, *seq);
+                    exec.end(&mut groups, name, *level, *element_span, emit);
                 }
                 ShardEvent::DocEnd { .. } => {
                     doc_stats = Some(
-                        groups
-                            .iter()
+                        gids.iter()
+                            .zip(&groups)
                             .enumerate()
-                            .map(|(li, (gid, group))| GroupSnapshot {
-                                gid: *gid,
+                            .map(|(li, (&gid, group))| GroupSnapshot {
+                                gid,
                                 stats: group.machine().stats().clone(),
                                 approx_bytes: group.approx_bytes(),
-                                self_ns: self_ns[li],
+                                self_ns: exec.self_ns(li),
                             })
                             .collect(),
                     );
@@ -572,7 +445,7 @@ fn worker_loop<'a>(
                     // out: once every shard has acknowledged, the
                     // coordinator may ship a new assignment, and any
                     // group may then belong to a different worker.
-                    for (gid, group) in groups.drain(..) {
+                    for (&gid, group) in gids.iter().zip(groups.drain(..)) {
                         pool.put(gid, group);
                     }
                 }

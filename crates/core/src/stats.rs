@@ -31,8 +31,7 @@ pub struct PlanStats {
     /// Active subscriptions (registered queries minus removed ones).
     pub queries: u64,
     /// Active plan groups — the number of TwigM machines actually running.
-    /// Equal to `queries` when plan sharing is off or no query duplicates
-    /// another.
+    /// Equal to `queries` when no query duplicates another.
     pub groups: u64,
     /// Cumulative count of retired group slots recycled by later
     /// registrations: the planner's free-list keeps the group-id space
@@ -51,16 +50,14 @@ pub struct PlanStats {
     /// at rest, trie, subscriber lists).
     pub plan_bytes: u64,
 
-    // ----- prefix-shared execution counters (PlanMode::PrefixShared) -----
+    // ----- step-trie execution counters -----
     // All four are per-*run* counters maintained by the runtime step trie
-    // on the document thread (zero under `PlanMode::Shared` and before
-    // the first run), so they are identical across shard counts by
-    // construction.
+    // on the document thread (zero before the first run), so they are
+    // identical across shard counts by construction.
     /// Main-path step checks executed against the shared trie this run —
     /// one per (event, trie node with live routes), instead of one per
-    /// (event, group, machine node) as in per-group planning. This is the
-    /// number the E11 experiment shows scaling with distinct trie nodes
-    /// rather than with the query count.
+    /// (event, group, machine node) as per-group planning would need. It
+    /// scales with distinct trie nodes rather than with the query count.
     pub prefix_steps_executed: u64,
     /// Per-group main-path step checks *avoided* by sharing: for every
     /// executed trie check, `routes - 1` group machines did not have to
@@ -124,13 +121,14 @@ pub struct MachineStats {
     pub flag_propagations: u64,
     /// Predicate evaluations: attribute checks at push time, text
     /// predicate probes on character events, and value comparisons at pop
-    /// time. Counted per (entry, predicate) on the same events in every
-    /// plan mode, so the value is configuration-invariant.
+    /// time. Counted per (entry, predicate) on the same events however
+    /// the machine is driven, so the value is configuration-invariant.
     pub predicate_evals: u64,
     /// Element events that engaged this machine with a non-empty push
-    /// plan — the machine's share of dispatch traffic. Scan-mode calls
-    /// with an empty plan are not hits, so Indexed and Scan dispatch
-    /// agree by construction.
+    /// plan — the machine's share of dispatch traffic. Calls with an
+    /// empty plan are not hits, so a single-query engine (shown every
+    /// element) and a plan group (shown only what can move it) agree by
+    /// construction.
     pub dispatch_hits: u64,
     /// Candidates created (self, attribute, text).
     pub candidates_created: u64,

@@ -9,7 +9,7 @@
 //!
 //! Determinism classes matter for testing: a metric marked `deterministic`
 //! must be byte-identical across shard counts for the same document +
-//! query set + plan mode (the differential battery enforces this). Timers,
+//! query set (the differential battery enforces this). Timers,
 //! ring/backpressure counters, and the scanner's byte counts (they depend
 //! on how reads chunk the input) are excluded from equality.
 
@@ -197,7 +197,7 @@ pub struct Registry {
     /// Approximate compiled plan bytes (`vitex_plan_bytes`).
     pub plan_bytes: Counter,
 
-    // ----- prefix trie runtime (PrefixShared; deterministic) -----
+    // ----- step-trie runtime (deterministic) -----
     /// Shared trie step checks executed (`vitex_prefix_steps_executed_total`).
     pub prefix_steps_executed: Counter,
     /// Per-group step checks avoided by sharing (`vitex_prefix_steps_saved_total`).

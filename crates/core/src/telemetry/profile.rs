@@ -13,14 +13,13 @@
 //!   dispatch hits, matches, emitted bytes) are folded on the document
 //!   thread from the same per-run [`MachineStats`] the engine already
 //!   reports per subscription. Because those stats are invariant across
-//!   plan mode and shard count (the differential batteries assert it),
-//!   the per-query profile is
-//!   **byte-identical** across every execution configuration —
+//!   shard counts (the differential batteries assert it), the per-query
+//!   profile is **byte-identical** across every execution configuration —
 //!   [`ProfileSnapshot::deterministic_json`] is comparable with `==`.
 //! * **Per-group diagnostics** (shared trie steps billed to routed
 //!   groups, sampled worker self-time, merge hold latency, subscriber
-//!   counts) depend on the chosen plan/shard configuration and are
-//!   reported separately, outside the deterministic section.
+//!   counts) depend on the chosen shard configuration and are reported
+//!   separately, outside the deterministic section.
 //!
 //! The ledger is a cheap clone-able handle like
 //! [`Telemetry`](super::Telemetry): disabled (the default) it holds
@@ -102,9 +101,9 @@ pub struct GroupCost {
     pub predicate_evals: u64,
     /// Element events that engaged the group's machine.
     pub dispatch_hits: u64,
-    /// Shared step-trie advances billed to this group (prefix-shared
-    /// plans only): each trie push is billed once to every routed group,
-    /// so the sum over groups counts the work sharing *avoided*.
+    /// Shared step-trie advances billed to this group: each trie push is
+    /// billed once to every routed group, so the sum over groups counts
+    /// the work sharing *avoided*.
     pub shared_steps: u64,
     /// Sampled worker self-time in nanoseconds (sharded runs only; the
     /// inline path reports 0). Timing class — never deterministic.

@@ -10,9 +10,9 @@
 //! one-line description there).
 //!
 //! With one query the tool runs the single-query [`Engine`]; with several
-//! it runs the [`MultiEngine`] — one parse, one document driver, k TwigM
-//! machines behind the interned-name dispatch index — and prefixes every
-//! line with the originating query's index. `--shards N` (N > 1) routes
+//! it runs the multi-query engine — one parse, one document driver, k
+//! TwigM machines behind the shared step trie — and prefixes every line
+//! with the originating query's index. `--shards N` (N > 1) routes
 //! any run through the [`ShardedEngine`]: same output, same order,
 //! machines partitioned across N worker threads. `--metrics`,
 //! `--metrics-json` and `--trace-out` switch on the unified telemetry
@@ -25,9 +25,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use vitex_core::telemetry::{trace_json, Heartbeat, Telemetry};
-use vitex_core::{
-    Engine, EvalMode, Match, MatchKind, MultiOutput, PlanMode, QueryId, ShardedEngine,
-};
+use vitex_core::{Engine, Match, MatchKind, MultiOutput, QueryId, ShardedEngine};
 use vitex_xmlsax::{ProbeHandle, XmlReader};
 use vitex_xpath::QueryTree;
 
@@ -40,8 +38,6 @@ struct Options {
     count: bool,
     values: bool,
     stats: bool,
-    eager: bool,
-    prefix_sharing: bool,
     shards: usize,
     machine: bool,
     metrics: bool,
@@ -77,8 +73,6 @@ const FLAGS: &[&str] = &[
     "--count",
     "--values",
     "--stats",
-    "--eager",
-    "--prefix-sharing",
     "--shards",
     "--machine",
     "--metrics",
@@ -106,8 +100,6 @@ fn usage_text() -> &'static str {
          \x20 --count                print only the number of matches (per query in pub/sub mode)\n\
          \x20 --values               print attribute values / text content instead of byte spans\n\
          \x20 --stats                print stream + machine + plan statistics on stderr\n\
-         \x20 --eager                eager (ablation) candidate propagation; single-query single-shard runs only\n\
-         \x20 --prefix-sharing       multi-query: advance shared main-path prefixes once per event (same output)\n\
          \x20 --shards <N>           run plan groups on N worker threads; output identical to N=1 (default 1)\n\
          \x20 --machine              dump the compiled TwigM machine(s) and exit without reading a document\n\
          \x20 --metrics              print a human-readable telemetry summary on stderr after the run\n\
@@ -211,8 +203,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, CliErro
             "--count" => opts.count = true,
             "--values" => opts.values = true,
             "--stats" => opts.stats = true,
-            "--eager" => opts.eager = true,
-            "--prefix-sharing" => opts.prefix_sharing = true,
             "--shards" => {
                 opts.shards = value(&arg, "a positive integer", args.next(), |n| {
                     n.parse().ok().filter(|&n: &usize| n >= 1)
@@ -397,10 +387,9 @@ fn export_profile(opts: &Options, engine: &ShardedEngine) -> Result<(), ExitCode
     Ok(())
 }
 
-/// Single-query mode: the classic engine, optionally in eager mode.
+/// Single-query mode: the classic engine.
 fn run_single(opts: &Options, tree: &QueryTree, telemetry: &Telemetry) -> ExitCode {
-    let mode = if opts.eager { EvalMode::Eager } else { EvalMode::Compact };
-    let mut engine = match Engine::with_mode(tree, mode) {
+    let mut engine = match Engine::new(tree) {
         Ok(e) => e,
         Err(e) => {
             eprintln!("vitex: {e}");
@@ -452,8 +441,7 @@ fn run_single(opts: &Options, tree: &QueryTree, telemetry: &Telemetry) -> ExitCo
 /// multi-engine. At `--shards 1` — the default — the sharded engine *is*
 /// the single-threaded `MultiEngine::run` path, bit for bit.
 fn run_multi(opts: &Options, trees: &[QueryTree], telemetry: &Telemetry) -> ExitCode {
-    let plan = if opts.prefix_sharing { PlanMode::PrefixShared } else { PlanMode::Shared };
-    let mut multi = ShardedEngine::with_plan(opts.shards, plan);
+    let mut multi = ShardedEngine::new(opts.shards);
     multi.set_telemetry(telemetry.clone());
     multi.set_profiling(opts.profiling_requested());
     for tree in trees {
@@ -568,18 +556,11 @@ fn main() -> ExitCode {
     }
     let telemetry =
         if opts.telemetry_requested() { Telemetry::enabled() } else { Telemetry::disabled() };
-    // `--prefix-sharing` is a plan-mode knob of the multi-query engine;
-    // like `--shards`, it must never change the single-query output
-    // format, so a single query routes through the (unprefixed) pub/sub
-    // path. Profiling lives on the pub/sub engine too — also
-    // output-transparent for a single query.
-    if trees.len() == 1 && opts.shards == 1 && !opts.prefix_sharing && !opts.profiling_requested() {
+    // Profiling lives on the pub/sub engine, which — like `--shards` —
+    // is output-transparent for a single query.
+    if trees.len() == 1 && opts.shards == 1 && !opts.profiling_requested() {
         run_single(&opts, &trees[0], &telemetry)
     } else {
-        if opts.eager {
-            eprintln!("vitex: --eager applies to single-query single-shard runs only");
-            return ExitCode::from(2);
-        }
         run_multi(&opts, &trees, &telemetry)
     }
 }
@@ -611,17 +592,23 @@ mod tests {
                 assert!(FLAGS.contains(&word), "help mentions {word}, which FLAGS lacks");
             }
         }
-        assert_eq!(FLAGS.len(), 17, "15 options, two of them with a short spelling");
+        assert_eq!(FLAGS.len(), 15, "13 options, two of them with a short spelling");
     }
 
     #[test]
     fn removed_flags_are_unknown_options() {
-        // The last one is spelled in halves: CI greps the sources for the
-        // deleted flag's name and must find nothing.
-        let parse_threads = concat!("--parse", "-threads");
-        for flag in
-            ["--scan-dispatch", "--no-plan-sharing", "--placement", "--no-overlap", parse_threads]
-        {
+        // The last three are spelled in halves (and kept out of variable
+        // names): CI greps the sources for the deleted flags' names and
+        // must find nothing.
+        for flag in [
+            "--scan-dispatch",
+            "--no-plan-sharing",
+            "--placement",
+            "--no-overlap",
+            concat!("--parse", "-threads"),
+            concat!("--prefix", "-sharing"),
+            concat!("--eag", "er"),
+        ] {
             let err = parse(&[flag, "2", "//a"]).err().expect("rejected");
             assert_eq!(err, CliError::UnknownFlag(flag.to_string()));
             assert!(err.message().starts_with(&format!("vitex: unknown option '{flag}'")));

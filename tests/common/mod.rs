@@ -1,9 +1,6 @@
-//! Harness pieces shared by the differential batteries
-//! (`random_differential`, `telemetry`): the seeded query-set generator
-//! and the structural projection of plan statistics.
-#![allow(dead_code)]
+//! Harness piece shared by the differential batteries
+//! (`random_differential`, `telemetry`): the seeded query-set generator.
 
-use vitex::core::PlanStats;
 use vitex::xpath::generate::{GenConfig, QueryGenerator};
 use vitex::xpath::QueryTree;
 
@@ -23,16 +20,4 @@ pub fn query_set(query_seed: u64) -> Vec<QueryTree> {
         .collect();
     trees.push(QueryTree::parse(trees[0].original()).expect("round-trips"));
     trees
-}
-
-/// Plan statistics with the prefix runtime counters zeroed — the
-/// structural part that `Shared` and `PrefixShared` must agree on.
-pub fn structural(p: &PlanStats) -> PlanStats {
-    PlanStats {
-        prefix_steps_executed: 0,
-        prefix_steps_saved: 0,
-        prefix_forks: 0,
-        prefix_stack_bytes: 0,
-        ..*p
-    }
 }

@@ -1,5 +1,5 @@
 //! Driver-level differential tests: the single-query engine, the
-//! multi-query engine (in both plan modes) and the naive baseline must
+//! multi-query engine (inline and sharded) and the naive baseline must
 //! produce **identical node-id sequences** for a battery of queries over
 //! generated documents — deep-recursive (the paper's Figure 1 regime) and
 //! protein-shaped (the paper's headline dataset). k independent
@@ -10,14 +10,13 @@
 //! This is the correctness gate for the unified [`DocumentDriver`] layer:
 //! all engines share one SAX loop, one numbering scheme and one
 //! interner-resolution path, so any disagreement here points at the
-//! dispatch index or the symbol plumbing.
+//! step trie, the dispatch index or the symbol plumbing.
 
-mod common;
-
-use common::structural;
 use vitex::baseline::{naive, NaiveConfig};
-use vitex::core::{Engine, EngineError, EvalOutput, Match, MultiEngine, PlanMode, ShardedEngine};
-use vitex::xmlgen::{protein, recursive};
+use vitex::core::{
+    Engine, EngineError, EvalOutput, Match, MultiEngine, MultiOutput, QueryId, ShardedEngine,
+};
+use vitex::xmlgen::{auction, protein, recursive};
 use vitex::xmlsax::XmlReader;
 use vitex::xpath::QueryTree;
 
@@ -56,24 +55,36 @@ fn single_ids(xml: &str, tree: &QueryTree) -> Vec<u64> {
     single_run(xml, tree).0.iter().map(|m| m.node).collect()
 }
 
-/// Asserts every engine agrees on every battery query over `xml`, in
-/// both plan modes.
+/// Asserts a multi-query output equals what private per-query engines
+/// produce: match payloads, machine statistics, stream counters.
+fn assert_equals_private_engines(out: &MultiOutput, queries: &[&str], xml: &str) {
+    for (i, q) in queries.iter().enumerate() {
+        let (expected, single) = single_run(xml, &QueryTree::parse(q).unwrap());
+        assert_eq!(out.matches[i], expected, "match payloads of #{i} {q}");
+        assert_eq!(out.stats[i], single.stats, "machine statistics of #{i} {q}");
+        assert_eq!(
+            (out.elements, out.text_nodes, out.events),
+            (single.elements, single.text_nodes, single.events),
+            "stream counters"
+        );
+    }
+}
+
+/// Asserts every engine agrees on every battery query over `xml`.
 fn check_document(label: &str, xml: &str) {
     let trees: Vec<QueryTree> =
         BATTERY.iter().map(|q| QueryTree::parse(q).expect("valid query")).collect();
 
-    for plan in [PlanMode::Shared, PlanMode::PrefixShared] {
-        let mut multi = MultiEngine::with_plan(plan);
-        for tree in &trees {
-            multi.add_tree(tree).expect("registrable");
-        }
-        let out = multi.run(XmlReader::from_str(xml), |_, _| {}).expect("multi run");
-        for (i, tree) in trees.iter().enumerate() {
-            let (expected, single) = single_run(xml, tree);
-            let q = BATTERY[i];
-            assert_eq!(out.matches[i], expected, "{label}: query {q} diverged under {plan:?}");
-            assert_eq!(out.stats[i], single.stats, "{label}: {q} machine stats under {plan:?}");
-        }
+    let mut multi = MultiEngine::new();
+    for tree in &trees {
+        multi.add_tree(tree).expect("registrable");
+    }
+    let out = multi.run(XmlReader::from_str(xml), |_, _| {}).expect("multi run");
+    for (i, tree) in trees.iter().enumerate() {
+        let (expected, single) = single_run(xml, tree);
+        let q = BATTERY[i];
+        assert_eq!(out.matches[i], expected, "{label}: query {q} diverged");
+        assert_eq!(out.stats[i], single.stats, "{label}: {q} machine stats");
     }
 
     // The naive enumerator agrees on the *set* of ids (it reports sorted).
@@ -178,27 +189,52 @@ fn mixed_doc() -> String {
 #[test]
 fn shared_plan_agrees_with_per_query_engines_on_overlapping_sets() {
     let xml = mixed_doc();
-    for plan in [PlanMode::Shared, PlanMode::PrefixShared] {
-        let mut multi = MultiEngine::with_plan(plan);
-        for q in OVERLAP_SET {
-            multi.add_query(q).unwrap();
-        }
-        assert!(
-            multi.group_count() < OVERLAP_SET.len(),
-            "the overlap set must actually dedupe (got {} groups)",
-            multi.group_count()
-        );
-        let out = multi.run(XmlReader::from_str(&xml), |_, _| {}).expect("shared run");
-        for (i, q) in OVERLAP_SET.iter().enumerate() {
-            let tree = QueryTree::parse(q).unwrap();
-            let got: Vec<u64> = out.matches[i].iter().map(|m| m.node).collect();
-            assert_eq!(got, single_ids(&xml, &tree), "query #{i} {q} under {plan:?}");
-        }
-        if plan == PlanMode::PrefixShared {
-            assert!(out.plan.prefix_steps_executed > 0, "the trie actually ran");
-            assert!(out.plan.prefix_steps_saved > 0, "overlapping set must share steps");
-        }
+    let mut multi = MultiEngine::new();
+    for q in OVERLAP_SET {
+        multi.add_query(q).unwrap();
     }
+    assert!(
+        multi.group_count() < OVERLAP_SET.len(),
+        "the overlap set must actually dedupe (got {} groups)",
+        multi.group_count()
+    );
+    let out = multi.run(XmlReader::from_str(&xml), |_, _| {}).expect("shared run");
+    for (i, q) in OVERLAP_SET.iter().enumerate() {
+        let tree = QueryTree::parse(q).unwrap();
+        let got: Vec<u64> = out.matches[i].iter().map(|m| m.node).collect();
+        assert_eq!(got, single_ids(&xml, &tree), "query #{i} {q}");
+    }
+    assert!(out.plan.prefix_steps_executed > 0, "the trie actually ran");
+    assert!(out.plan.prefix_steps_saved > 0, "overlapping set must share steps");
+}
+
+#[test]
+fn default_engine_executes_the_trie_on_a_region_pinned_set() {
+    // The `auction-k1000-pinned` shape in miniature: 24 subscriptions,
+    // each pinned to one of six regions by its main path and to one item
+    // by an inline attribute test. "The default engine runs the step
+    // trie" is asserted here, not assumed: the counters must move, and
+    // what comes out must still be what 24 private engines produce.
+    const REGIONS: [&str; 6] = ["africa", "asia", "australia", "europe", "namerica", "samerica"];
+    const FIELDS: [&str; 4] = ["name", "quantity", "payment", "description"];
+    let queries: Vec<String> = (0..24)
+        .map(|i| {
+            let (region, field) = (REGIONS[i % 6], FIELDS[i / 6]);
+            format!("/site/regions/{region}/item[@id = 'item{}']/{field}", i + 1)
+        })
+        .collect();
+    let queries: Vec<&str> = queries.iter().map(String::as_str).collect();
+    let xml = auction::to_string(&auction::AuctionConfig::sized(24_000));
+    let mut multi = MultiEngine::new();
+    for q in &queries {
+        multi.add_query(q).unwrap();
+    }
+    let out = multi.run(XmlReader::from_str(&xml), |_, _| {}).expect("run");
+    assert_equals_private_engines(&out, &queries, &xml);
+    assert!(out.matches.iter().filter(|m| !m.is_empty()).count() >= 6, "the pins do hit");
+    assert_eq!(out.plan.groups, 24);
+    assert!(out.plan.prefix_steps_executed > 0, "the trie ran");
+    assert!(out.plan.prefix_steps_saved > 0, "an <item> check stands for four groups");
 }
 
 #[test]
@@ -217,17 +253,8 @@ fn shared_plan_reproduces_per_query_engines_bit_for_bit() {
     }
     let mut streamed: Vec<Vec<Match>> = vec![Vec::new(); OVERLAP_SET.len()];
     let out = multi.run(XmlReader::from_str(&xml), |qid, m| streamed[qid.0].push(m)).expect("run");
-    for (i, q) in OVERLAP_SET.iter().enumerate() {
-        let (expected, single) = single_run(&xml, &QueryTree::parse(q).unwrap());
-        assert_eq!(out.matches[i], expected, "buffered matches of #{i} {q}");
-        assert_eq!(streamed[i], expected, "streamed matches of #{i} {q}");
-        assert_eq!(out.stats[i], single.stats, "machine statistics of #{i} {q}");
-        assert_eq!(
-            (out.elements, out.text_nodes, out.events),
-            (single.elements, single.text_nodes, single.events),
-            "stream counters"
-        );
-    }
+    assert_equals_private_engines(&out, OVERLAP_SET, &xml);
+    assert_eq!(streamed, out.matches, "streamed matches equal the buffered ones");
     assert!(out.plan.groups < OVERLAP_SET.len() as u64, "the overlap set dedups");
     assert!(out.plan.dedup_ratio() > 1.0);
 }
@@ -260,61 +287,50 @@ fn incremental_add_and_remove_matches_fresh_registration() {
 
 #[test]
 fn prefix_sharing_reproduces_per_query_engines_bit_for_bit() {
-    // The prefix-shared runtime rewires the hottest matching path, so the
-    // bar is higher than match equality: per-query match payloads, the
+    // The step trie drives the hottest matching path, so the bar is
+    // higher than match equality: per-query match payloads, the
     // per-query *machine statistics* (pushes, pops, flags, candidate
     // accounting, peaks — entry-for-entry identical work) and stream
-    // counters must all equal what private per-query engines produce, and
-    // the global callback interleaving must equal shared mode's (the two
-    // modes group subscribers identically).
+    // counters must all equal what private per-query engines produce.
+    // The global callback interleaving is checked against an independent
+    // mechanism: the sharded merge, which orders by explicit
+    // `(event seq, group id)` keys instead of by visit order.
     let xml = mixed_doc();
     let queries: Vec<&str> = BATTERY.iter().chain(OVERLAP_SET).copied().collect();
-    let run = |plan: PlanMode| {
-        let mut multi = MultiEngine::with_plan(plan);
+    let run = |shards: usize| {
+        let mut engine = ShardedEngine::new(shards);
         for q in &queries {
-            multi.add_query(q).unwrap();
+            engine.add_query(q).unwrap();
         }
         let mut streamed: Vec<(usize, u64)> = Vec::new();
-        let out = multi
+        let out = engine
             .run(XmlReader::from_str(&xml), |qid, m| streamed.push((qid.0, m.node)))
             .expect("run");
         (out, streamed)
     };
-    let (prefix, prefix_streamed) = run(PlanMode::PrefixShared);
-    let (shared, shared_streamed) = run(PlanMode::Shared);
-    for (i, q) in queries.iter().enumerate() {
-        let (expected, single) = single_run(&xml, &QueryTree::parse(q).unwrap());
-        assert_eq!(prefix.matches[i], expected, "match payloads of #{i} {q}");
-        assert_eq!(prefix.stats[i], single.stats, "machine statistics of #{i} {q}");
-        assert_eq!(
-            (prefix.elements, prefix.text_nodes, prefix.events),
-            (single.elements, single.text_nodes, single.events),
-            "stream counters"
-        );
+    let (inline, inline_streamed) = run(1);
+    assert_equals_private_engines(&inline, &queries, &xml);
+    for &shards in &SHARD_COUNTS[1..] {
+        assert_eq!(run(shards).1, inline_streamed, "callback order at {shards} shards");
     }
-    assert_eq!(prefix_streamed, shared_streamed, "callback order");
-    // Structural plan statistics equal shared mode; the prefix runtime
-    // counters are the only difference.
-    assert_eq!(structural(&prefix.plan), structural(&shared.plan), "plan");
-    assert!(prefix.plan.prefix_steps_executed > 0);
-    assert!(prefix.plan.prefix_steps_saved > 0, "overlap set shares main-path steps");
-    assert!(prefix.plan.prefix_forks > 0);
-    assert_eq!(shared.plan.prefix_steps_executed, 0, "shared mode never runs the trie");
+    assert!(inline.plan.prefix_steps_executed > 0);
+    assert!(inline.plan.prefix_steps_saved > 0, "overlap set shares main-path steps");
+    assert!(inline.plan.prefix_forks > 0);
 }
 
 #[test]
 fn prefix_sharing_churn_splices_and_retires_trie_state() {
-    // Interleave add_query/remove_query between documents under prefix
-    // sharing: retired groups must be spliced out of the trie routes (no
-    // orphan runtime state driving a dead machine), recycled slots must
-    // be re-routed, and every intermediate subscription set must behave
-    // exactly like a freshly built engine.
+    // Interleave add_query/remove_query between documents: retired
+    // groups must be spliced out of the trie routes (no orphan runtime
+    // state driving a dead machine), recycled slots must be re-routed,
+    // and every intermediate subscription set must behave exactly like a
+    // freshly built engine.
     let xml = mixed_doc();
-    let mut multi = MultiEngine::with_plan(PlanMode::PrefixShared);
+    let mut multi = MultiEngine::new();
     let q_cell = multi.add_query("//section//cell").unwrap();
     let q_cell_dup = multi.add_query("//section//cell").unwrap();
     let q_id = multi.add_query("//ProteinEntry[reference]/@id").unwrap();
-    let check = |multi: &mut MultiEngine, live: &[(&str, vitex::core::QueryId)]| {
+    let check = |multi: &mut MultiEngine, live: &[(&str, QueryId)]| {
         let out = multi.run(XmlReader::from_str(&xml), |_, _| {}).expect("run");
         for (q, id) in live {
             let tree = QueryTree::parse(q).unwrap();
@@ -336,7 +352,7 @@ fn prefix_sharing_churn_splices_and_retires_trie_state() {
     // The recycled slot's new trie path must route (and the old one not):
     // a fresh engine over the surviving queries is the ground truth for
     // *all* statistics, prefix runtime counters included.
-    let mut fresh = MultiEngine::with_plan(PlanMode::PrefixShared);
+    let mut fresh = MultiEngine::new();
     let f_cell = fresh.add_query("//section//cell").unwrap();
     let f_name = fresh.add_query("//ProteinEntry/protein/name").unwrap();
     let fresh_out = fresh.run(XmlReader::from_str(&xml), |_, _| {}).unwrap();
@@ -351,45 +367,74 @@ fn prefix_sharing_churn_splices_and_retires_trie_state() {
 
 #[test]
 fn sharded_battery_is_byte_identical_to_single_threaded() {
-    // The sharded engine's whole contract: for every shard count and
-    // plan mode, the merged output — match payloads (spans/values/levels,
-    // not just node ids), per-query machine statistics, plan counters,
-    // stream counters AND the streamed callback sequence — equals the
-    // single-threaded engine's.
+    // The sharded engine's whole contract: for every shard count the
+    // merged output — match payloads (spans/values/levels, not just node
+    // ids), per-query machine statistics, plan counters, stream counters
+    // AND the streamed callback sequence — equals the single-threaded
+    // engine's.
     let xml = mixed_doc();
     let queries: Vec<&str> = BATTERY.iter().chain(OVERLAP_SET).copied().collect();
-    for plan in [PlanMode::Shared, PlanMode::PrefixShared] {
-        let (reference, ref_streamed) = {
-            let mut multi = MultiEngine::with_plan(plan);
-            for q in &queries {
-                multi.add_query(q).unwrap();
-            }
-            let mut streamed: Vec<(usize, u64)> = Vec::new();
-            let out = multi
-                .run(XmlReader::from_str(&xml), |q, m| streamed.push((q.0, m.node)))
-                .expect("reference run");
-            (out, streamed)
-        };
-        for &shards in SHARD_COUNTS {
-            let mut sharded = ShardedEngine::with_plan(shards, plan);
-            for q in &queries {
-                sharded.add_query(q).unwrap();
-            }
-            let mut streamed: Vec<(usize, u64)> = Vec::new();
-            let out = sharded
-                .run(XmlReader::from_str(&xml), |q, m| streamed.push((q.0, m.node)))
-                .expect("sharded run");
-            let label = format!("{shards} shards under {plan:?}");
-            assert_eq!(out.matches, reference.matches, "matches: {label}");
-            assert_eq!(streamed, ref_streamed, "callback sequence: {label}");
-            assert_eq!(out.stats, reference.stats, "machine stats: {label}");
-            assert_eq!(out.plan, reference.plan, "plan stats: {label}");
-            assert_eq!(
-                (out.elements, out.text_nodes, out.events),
-                (reference.elements, reference.text_nodes, reference.events),
-                "stream stats: {label}"
-            );
+    let (reference, ref_streamed) = {
+        let mut multi = MultiEngine::new();
+        for q in &queries {
+            multi.add_query(q).unwrap();
         }
+        let mut streamed: Vec<(usize, u64)> = Vec::new();
+        let out = multi
+            .run(XmlReader::from_str(&xml), |q, m| streamed.push((q.0, m.node)))
+            .expect("reference run");
+        (out, streamed)
+    };
+    for &shards in SHARD_COUNTS {
+        let mut sharded = ShardedEngine::new(shards);
+        for q in &queries {
+            sharded.add_query(q).unwrap();
+        }
+        let mut streamed: Vec<(usize, u64)> = Vec::new();
+        let out = sharded
+            .run(XmlReader::from_str(&xml), |q, m| streamed.push((q.0, m.node)))
+            .expect("sharded run");
+        let label = format!("{shards} shards");
+        assert_eq!(out.matches, reference.matches, "matches: {label}");
+        assert_eq!(streamed, ref_streamed, "callback sequence: {label}");
+        assert_eq!(out.stats, reference.stats, "machine stats: {label}");
+        assert_eq!(out.plan, reference.plan, "plan stats: {label}");
+        assert_eq!(
+            (out.elements, out.text_nodes, out.events),
+            (reference.elements, reference.text_nodes, reference.events),
+            "stream stats: {label}"
+        );
+    }
+}
+
+#[test]
+fn recycled_low_slot_keeps_callback_order_ascending_by_group() {
+    // Three queries share the /a trie node and all fire on the <a> start
+    // tag itself (attribute results under a predicate-free root stream
+    // immediately). Remove the first and register a new one: it recycles
+    // group slot 0 *after* slots 1 and 2 were routed through /a. Within
+    // that one event the groups must still fire in ascending group-id
+    // order — the recycled slot first — inline (visit order, which reads
+    // the trie's routes as they are) and through the 2-shard merge (which
+    // orders by explicit key).
+    let xml = r#"<a w="0" x="1" y="2" z="3"/>"#;
+    for shards in [1usize, 2] {
+        let mut engine = ShardedEngine::new(shards);
+        let q_x = engine.add_query("/a/@x").unwrap();
+        let q_y = engine.add_query("/a/@y").unwrap();
+        let q_z = engine.add_query("/a/@z").unwrap();
+        assert_eq!(engine.remove_query(q_x), Some(true), "slot 0 retires");
+        let q_w = engine.add_query("/a/@w").unwrap();
+        let mut streamed = Vec::new();
+        let out = engine
+            .run(XmlReader::from_str(xml), |q, m| streamed.push((q, m.value.unwrap().to_string())))
+            .expect("run");
+        assert_eq!(out.plan.recycled_slots, 1, "/a/@w took the retired slot");
+        assert_eq!(
+            streamed,
+            [(q_w, "0".to_string()), (q_y, "2".to_string()), (q_z, "3".to_string())],
+            "{shards} shard(s): recycled group 0 fires before groups 1 and 2"
+        );
     }
 }
 
@@ -406,29 +451,63 @@ fn truncated_document_delivers_the_same_prefix_and_error_at_every_shard_count() 
     });
     let cut = full.rfind("<cell").expect("generated document has cells") + 3;
     let xml = &full[..cut];
-    let run = |plan: PlanMode, shards: usize| {
-        let mut engine = ShardedEngine::with_plan(shards, plan);
-        for q in ["//cell", "//*[position]", "//section//table"] {
+    const QUERIES: [&str; 3] = ["//cell", "//*[position]", "//section//table"];
+    let engine = |shards: usize| {
+        let mut engine = ShardedEngine::new(shards);
+        for q in QUERIES {
             engine.add_query(q).expect("valid query");
         }
+        engine
+    };
+    let run = |shards: usize| {
         let mut streamed = Vec::new();
-        let result = engine.run(XmlReader::from_str(xml), |q, m| streamed.push((q.0, m.node)));
+        let result =
+            engine(shards).run(XmlReader::from_str(xml), |q, m| streamed.push((q.0, m.node)));
         match result {
             Err(EngineError::Xml(e)) => (streamed, e.to_string()),
-            other => panic!("{plan:?}/{shards} shards: expected an XML error, got {other:?}"),
+            other => panic!("{shards} shards: expected an XML error, got {other:?}"),
         }
     };
-    for plan in [PlanMode::Shared, PlanMode::PrefixShared] {
-        let (expected, expected_err) = run(plan, 1);
-        assert!(expected.len() > 1000, "most of the document matched before the cut");
-        assert!(expected_err.contains("unexpected end of input"), "{expected_err}");
-        for &shards in &SHARD_COUNTS[1..] {
-            let (streamed, err) = run(plan, shards);
-            let label = format!("{shards} shards under {plan:?}");
-            assert_eq!(err, expected_err, "error kind and position: {label}");
-            assert_eq!(streamed.len(), expected.len(), "match count: {label}");
-            assert_eq!(streamed, expected, "callback sequence: {label}");
-        }
+    let (expected, expected_err) = run(1);
+    assert!(expected.len() > 1000, "most of the document matched before the cut");
+    assert!(expected_err.contains("unexpected end of input"), "{expected_err}");
+    for &shards in &SHARD_COUNTS[1..] {
+        let (streamed, err) = run(shards);
+        assert_eq!(err, expected_err, "error kind and position: {shards} shards");
+        assert_eq!(streamed.len(), expected.len(), "match count: {shards} shards");
+        assert_eq!(streamed, expected, "callback sequence: {shards} shards");
+    }
+
+    // Recovery: the cut leaves entries on the shared trie stacks, open
+    // frames in the executors and open elements in the admission walk.
+    // The next document through the *same* engine — and through the same
+    // warm 2-shard session — must start from nothing: it gets exactly a
+    // fresh engine's output.
+    let whole = recursive::to_string(&recursive::RecursiveConfig::square(4));
+    let observe = |out: MultiOutput, streamed: Vec<(usize, u64)>| {
+        let p = out.plan;
+        let trie_run = (p.prefix_steps_executed, p.prefix_steps_saved, p.prefix_forks);
+        (out.matches, out.stats, trie_run, p.prefix_stack_bytes, streamed)
+    };
+    let fresh = {
+        let mut streamed = Vec::new();
+        let out = engine(1)
+            .run(XmlReader::from_str(&whole), |q, m| streamed.push((q.0, m.node)))
+            .expect("well-formed");
+        observe(out, streamed)
+    };
+    assert!(!fresh.4.is_empty(), "the second document matches");
+    for shards in [1usize, 2] {
+        let mut streamed = Vec::new();
+        let out = engine(shards)
+            .session(|session| {
+                let cut_off = session.run_document(XmlReader::from_str(xml), |_, _| {});
+                assert!(matches!(cut_off, Err(EngineError::Xml(_))), "{cut_off:?}");
+                session
+                    .run_document(XmlReader::from_str(&whole), |q, m| streamed.push((q.0, m.node)))
+            })
+            .expect("the session survives the truncated document");
+        assert_eq!(observe(out, streamed), fresh, "{shards} shard(s) after a truncated document");
     }
 }
 
@@ -445,58 +524,56 @@ fn sharded_sessions_survive_churn_and_back_to_back_documents() {
         protein::to_string(&protein::ProteinConfig { target_bytes: 15_000, ..Default::default() }),
     ];
     for &shards in SHARD_COUNTS {
-        for plan in [PlanMode::Shared, PlanMode::PrefixShared] {
-            let mut reference = MultiEngine::with_plan(plan);
-            let mut sharded = ShardedEngine::with_plan(shards, plan);
-            for q in OVERLAP_SET {
-                reference.add_query(q).unwrap();
-                sharded.add_query(q).unwrap();
+        let mut reference = MultiEngine::new();
+        let mut sharded = ShardedEngine::new(shards);
+        for q in OVERLAP_SET {
+            reference.add_query(q).unwrap();
+            sharded.add_query(q).unwrap();
+        }
+        // Session 1: the whole collection, back-to-back, no re-planning.
+        let outs = sharded
+            .session(|session| {
+                docs.iter()
+                    .map(|xml| session.run_document(XmlReader::from_str(xml), |_, _| {}))
+                    .collect::<Result<Vec<_>, _>>()
+            })
+            .expect("sharded session");
+        for (xml, out) in docs.iter().zip(&outs) {
+            let ref_out = reference.run(XmlReader::from_str(xml), |_, _| {}).unwrap();
+            assert_eq!(out.matches, ref_out.matches, "{shards} shards, session 1");
+            assert_eq!(out.stats, ref_out.stats, "{shards} shards, session 1");
+            assert_eq!(out.plan, ref_out.plan, "{shards} shards, session 1");
+        }
+        // Churn: drop a duplicate, retire a group, add a new shape.
+        for engine_step in [true, false] {
+            let (r1, r2, r3);
+            if engine_step {
+                r1 = reference.remove_query(QueryId(0));
+                r2 = reference.remove_query(QueryId(5));
+                r3 = reference.add_query("//listitem/text()").unwrap();
+            } else {
+                r1 = sharded.remove_query(QueryId(0));
+                r2 = sharded.remove_query(QueryId(5));
+                r3 = sharded.add_query("//listitem/text()").unwrap();
             }
-            // Session 1: the whole collection, back-to-back, no re-planning.
-            let outs = sharded
-                .session(|session| {
-                    docs.iter()
-                        .map(|xml| session.run_document(XmlReader::from_str(xml), |_, _| {}))
-                        .collect::<Result<Vec<_>, _>>()
-                })
-                .expect("sharded session");
-            for (xml, out) in docs.iter().zip(&outs) {
-                let ref_out = reference.run(XmlReader::from_str(xml), |_, _| {}).unwrap();
-                assert_eq!(out.matches, ref_out.matches, "{shards} shards, session 1");
-                assert_eq!(out.stats, ref_out.stats, "{shards} shards, session 1");
-                assert_eq!(out.plan, ref_out.plan, "{shards} shards, session 1");
-            }
-            // Churn: drop a duplicate, retire a group, add a new shape.
-            for engine_step in [true, false] {
-                let (r1, r2, r3);
-                if engine_step {
-                    r1 = reference.remove_query(vitex::core::QueryId(0));
-                    r2 = reference.remove_query(vitex::core::QueryId(5));
-                    r3 = reference.add_query("//listitem/text()").unwrap();
-                } else {
-                    r1 = sharded.remove_query(vitex::core::QueryId(0));
-                    r2 = sharded.remove_query(vitex::core::QueryId(5));
-                    r3 = sharded.add_query("//listitem/text()").unwrap();
-                }
-                assert_eq!(r1, Some(false), "query 0 duplicates query 1");
-                assert_eq!(r2, Some(true), "query 5 was its group's only subscriber");
-                assert_eq!(r3.0, OVERLAP_SET.len());
-            }
-            // Session 2: the rebalanced partition over the churned plan.
-            let outs = sharded
-                .session(|session| {
-                    docs.iter()
-                        .map(|xml| session.run_document(XmlReader::from_str(xml), |_, _| {}))
-                        .collect::<Result<Vec<_>, _>>()
-                })
-                .expect("sharded session after churn");
-            for (xml, out) in docs.iter().zip(&outs) {
-                let ref_out = reference.run(XmlReader::from_str(xml), |_, _| {}).unwrap();
-                assert_eq!(out.matches, ref_out.matches, "{shards} shards, session 2");
-                assert_eq!(out.stats, ref_out.stats, "{shards} shards, session 2");
-                assert_eq!(out.plan, ref_out.plan, "{shards} shards, session 2");
-                assert!(out.plan.recycled_slots > 0, "churn recycled a group slot");
-            }
+            assert_eq!(r1, Some(false), "query 0 duplicates query 1");
+            assert_eq!(r2, Some(true), "query 5 was its group's only subscriber");
+            assert_eq!(r3.0, OVERLAP_SET.len());
+        }
+        // Session 2: the rebalanced partition over the churned plan.
+        let outs = sharded
+            .session(|session| {
+                docs.iter()
+                    .map(|xml| session.run_document(XmlReader::from_str(xml), |_, _| {}))
+                    .collect::<Result<Vec<_>, _>>()
+            })
+            .expect("sharded session after churn");
+        for (xml, out) in docs.iter().zip(&outs) {
+            let ref_out = reference.run(XmlReader::from_str(xml), |_, _| {}).unwrap();
+            assert_eq!(out.matches, ref_out.matches, "{shards} shards, session 2");
+            assert_eq!(out.stats, ref_out.stats, "{shards} shards, session 2");
+            assert_eq!(out.plan, ref_out.plan, "{shards} shards, session 2");
+            assert!(out.plan.recycled_slots > 0, "churn recycled a group slot");
         }
     }
 }
@@ -539,7 +616,7 @@ fn recycled_group_slots_do_not_inherit_stale_placement_costs() {
     // removal retires the hog's group (Some(true) = last subscriber),
     // so the only way `hog_gid` can be active again below is the
     // newcomer recycling it.
-    assert_eq!(engine.remove_query(vitex::core::QueryId(0)), Some(true), "hog group retires");
+    assert_eq!(engine.remove_query(QueryId(0)), Some(true), "hog group retires");
     engine.add_query("/root/www").expect("valid query");
 
     // Session 2: the seed plan, observed before any document runs. The
@@ -580,7 +657,7 @@ fn recycled_group_slots_do_not_inherit_stale_placement_costs() {
     for q in queries {
         reference.add_query(q).unwrap();
     }
-    reference.remove_query(vitex::core::QueryId(0));
+    reference.remove_query(QueryId(0));
     reference.add_query("/root/www").unwrap();
     for out in &outs {
         let ref_out = reference.run(XmlReader::from_str(&xml), |_, _| {}).unwrap();
@@ -594,8 +671,8 @@ fn recycled_group_slots_do_not_inherit_stale_placement_costs() {
     for q in queries {
         wide.add_query(q).expect("valid query");
     }
-    assert_eq!(wide.remove_query(vitex::core::QueryId(2)), Some(true));
-    assert_eq!(wide.remove_query(vitex::core::QueryId(3)), Some(true));
+    assert_eq!(wide.remove_query(QueryId(2)), Some(true));
+    assert_eq!(wide.remove_query(QueryId(3)), Some(true));
     let snap = wide
         .session(|session| {
             session.run_document(XmlReader::from_str(&xml), |_, _| {})?;

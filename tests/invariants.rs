@@ -187,8 +187,32 @@ fn deep_documents_within_parser_limits() {
     assert_eq!(out.matches.len(), depth - 2);
 }
 
+/// The paper's memory claim is polynomial in |Q| — not in |Q| · |Σ|: a
+/// compiled spec must cost the same whether the shared interner it was
+/// compiled against holds three names or five thousand.
+#[test]
+fn spec_size_is_independent_of_the_interner_population() {
+    use vitex::core::{Interner, MachineSpec};
+    let tree = QueryTree::parse("//a[b]/a/c").unwrap();
+    let mut fresh_names = Interner::new();
+    let fresh = MachineSpec::compile_with(&tree, &mut fresh_names).unwrap();
+    let mut crowded_names = Interner::new();
+    for i in 0..5000 {
+        crowded_names.intern(&format!("unrelated{i}"));
+    }
+    let crowded = MachineSpec::compile_with(&tree, &mut crowded_names).unwrap();
+    assert_eq!(crowded.approx_bytes(), fresh.approx_bytes());
+    for name in ["a", "b", "c"] {
+        let (f, c) = (fresh_names.lookup(name).unwrap(), crowded_names.lookup(name).unwrap());
+        assert_eq!(crowded.machines_for(c), fresh.machines_for(f), "nodes testing {name}");
+        assert!(!crowded.machines_for(c).is_empty());
+    }
+    let unrelated = crowded_names.lookup("unrelated4999").unwrap();
+    assert!(crowded.machines_for(unrelated).is_empty());
+}
+
 // --------------------------------------------------------------------- //
-// Step-trie and planner invariants (prefix-shared plan runtime)
+// Step-trie and planner invariants (the plan runtime)
 // --------------------------------------------------------------------- //
 
 mod plan_invariants {
@@ -235,7 +259,7 @@ mod plan_invariants {
                 let path = path_from(seed.wrapping_add(g as u64), &mut interner);
                 let node = trie.insert_path(&path);
                 prop_assert_eq!(trie.insert_path(&path), node, "re-insert is idempotent");
-                trie.add_group(node, g);
+                trie.add_group(node, g, &vec![0; path.len()]);
                 terminals.push((node, g));
                 prop_assert!(trie.terminals(node).contains(&g));
                 prop_assert!(trie.is_routed(g));

@@ -1,12 +1,12 @@
 //! The randomized differential harness: seeded random query *sets* ×
 //! seeded random documents, run through every engine configuration the
-//! system has — `PlanMode::{Shared, PrefixShared}` × shard counts —
-//! asserting identical matches, callback order and statistics. Two independent references
-//! anchor the sweep: the naive baseline (node-id sets) and k private
-//! single-query engines (match payloads + machine statistics).
+//! system has — the shard counts — asserting identical matches, callback
+//! order and statistics. Two independent references anchor the sweep: the
+//! naive baseline (node-id sets) and k private single-query engines
+//! (match payloads + machine statistics).
 //!
-//! This is the correctness net under the prefix-sharing rewrite of the
-//! hottest matching path: the hand-picked battery in
+//! This is the correctness net under the step-trie executor, the hottest
+//! matching path: the hand-picked battery in
 //! `driver_differential.rs` covers known regimes; this harness explores
 //! axes, wildcards, predicates and nesting combinatorially. Every assert
 //! message carries the reproducing `(doc_seed, query_seed)` pair, so a CI
@@ -22,9 +22,9 @@ use proptest::prelude::*;
 
 mod common;
 
-use common::{query_set, structural};
+use common::query_set;
 use vitex::baseline::{naive, NaiveConfig};
-use vitex::core::{evaluate_reader, EvalOutput, MultiOutput, PlanMode, ShardedEngine};
+use vitex::core::{evaluate_reader, EvalOutput, MultiOutput, ShardedEngine};
 use vitex::xmlgen::random::{self, RandomConfig};
 use vitex::xmlsax::XmlReader;
 use vitex::xpath::QueryTree;
@@ -44,8 +44,8 @@ struct RunResult {
     streamed: Vec<(usize, u64)>,
 }
 
-fn run_config(trees: &[QueryTree], xml: &str, plan: PlanMode, shards: usize) -> RunResult {
-    let mut engine = ShardedEngine::with_plan(shards, plan);
+fn run_config(trees: &[QueryTree], xml: &str, shards: usize) -> RunResult {
+    let mut engine = ShardedEngine::new(shards);
     for tree in trees {
         engine.add_tree(tree).expect("registrable");
     }
@@ -80,7 +80,7 @@ fn assert_matches_reference(out: &MultiOutput, reference: &[EvalOutput], label: 
 }
 
 /// The full differential check for one (document, query set) pair,
-/// sweeping plan × the given shard counts.
+/// sweeping the given shard counts.
 fn check_case(doc_seed: u64, query_seed: u64, shard_counts: &[usize]) {
     let ctx = format!("doc_seed={doc_seed} query_seed={query_seed}");
     let xml = random::to_string(&RandomConfig::seeded(doc_seed));
@@ -108,58 +108,34 @@ fn check_case(doc_seed: u64, query_seed: u64, shard_counts: &[usize]) {
         }
     }
 
-    // Every configuration against the reference.
-    let mut shared_run: Option<RunResult> = None;
-    for plan in [PlanMode::Shared, PlanMode::PrefixShared] {
-        let mut plan_reference: Option<RunResult> = None;
-        for &shards in shard_counts {
-            let r = run_config(&trees, &xml, plan, shards);
-            let label = format!("{ctx}: {plan:?}/{shards} shards");
-            assert_matches_reference(&r.out, &reference, &label);
-            // Callback order and plan statistics are invariant across
-            // shard counts within one plan mode.
-            match &plan_reference {
-                None => plan_reference = Some(r),
-                Some(first) => {
-                    assert_eq!(r.streamed, first.streamed, "callback order: {label}");
-                    assert_eq!(r.out.plan, first.out.plan, "plan stats: {label}");
-                }
-            }
-        }
-        let first = plan_reference.expect("at least one configuration ran");
-        match plan {
-            PlanMode::Shared => {
-                assert!(
-                    first.out.plan.groups < trees.len() as u64,
-                    "{ctx}: the forced duplicate must dedup"
-                );
-                assert_eq!(first.out.plan.prefix_steps_executed, 0, "{ctx}: no trie runtime");
-                shared_run = Some(first);
-            }
-            PlanMode::PrefixShared => {
-                // Identical grouping to Shared — and therefore identical
-                // fan-out interleaving — plus a live trie runtime.
-                let shared = shared_run.as_ref().expect("Shared ran before PrefixShared");
-                assert_eq!(
-                    first.streamed, shared.streamed,
-                    "{ctx}: prefix-shared callback order equals shared"
-                );
-                assert_eq!(
-                    structural(&first.out.plan),
-                    structural(&shared.out.plan),
-                    "{ctx}: structural plan stats equal shared mode"
-                );
+    // Every configuration against the reference. Callback order and plan
+    // statistics (trie run counters included) are invariant across shard
+    // counts: inline visit order and the sharded merge's explicit
+    // `(event seq, group id)` keys are independent mechanisms that must
+    // agree.
+    let mut first: Option<RunResult> = None;
+    for &shards in shard_counts {
+        let r = run_config(&trees, &xml, shards);
+        let label = format!("{ctx}: {shards} shards");
+        assert_matches_reference(&r.out, &reference, &label);
+        match &first {
+            None => first = Some(r),
+            Some(first) => {
+                assert_eq!(r.streamed, first.streamed, "callback order: {label}");
+                assert_eq!(r.out.plan, first.out.plan, "plan stats: {label}");
             }
         }
     }
+    let first = first.expect("at least one configuration ran");
+    assert!(first.out.plan.groups < trees.len() as u64, "{ctx}: the forced duplicate must dedup");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// The headline randomized sweep: random documents × random query
-    /// sets through plan × {inline, 4 shards} (the fixed-seed sweep pins
-    /// the full shard-count list).
+    /// sets through {inline, 4 shards} (the fixed-seed sweep pins the
+    /// full shard-count list).
     #[test]
     fn engines_agree_on_random_query_sets(doc_seed in 0u64..4000, query_seed in 0u64..4000) {
         check_case(doc_seed, query_seed, SHARDS);
@@ -172,12 +148,10 @@ proptest! {
         let xml = vitex::xmlgen::recursive::uniform_nesting(depth as usize);
         let trees = query_set(query_seed);
         let reference = per_query_reference(&trees, &xml);
-        for plan in [PlanMode::Shared, PlanMode::PrefixShared] {
-            for &shards in SHARDS {
-                let r = run_config(&trees, &xml, plan, shards);
-                let label = format!("depth={depth} query_seed={query_seed} {plan:?}/{shards} shards");
-                assert_matches_reference(&r.out, &reference, &label);
-            }
+        for &shards in SHARDS {
+            let r = run_config(&trees, &xml, shards);
+            let label = format!("depth={depth} query_seed={query_seed} {shards} shards");
+            assert_matches_reference(&r.out, &reference, &label);
         }
     }
 }

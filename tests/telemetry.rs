@@ -1,8 +1,8 @@
 //! Telemetry determinism battery: the deterministic counter subset of the
 //! metrics registry must be **byte-identical** across every execution
-//! configuration that is supposed to be an implementation detail — shard
-//! count, and plan mode (for the plan-invariant subset) — while the timing-derived counters, gauges and histograms are
-//! present in the snapshot but excluded from the deterministic export.
+//! configuration that is supposed to be an implementation detail — the
+//! shard count — while the timing-derived counters, gauges and histograms
+//! are present in the snapshot but excluded from the deterministic export.
 //!
 //! Also covers the export surface: the `vitex.metrics.v1` JSON snapshot
 //! and the Chrome trace-event JSON must be syntactically valid (checked
@@ -14,25 +14,18 @@ mod common;
 
 use common::query_set;
 use vitex::core::telemetry::{trace_json, ProfileSnapshot, Telemetry};
-use vitex::core::{MultiOutput, PlanMode, ShardedEngine};
+use vitex::core::{evaluate_reader, MultiOutput, ShardedEngine};
 use vitex::xmlgen::random::{self, RandomConfig};
 use vitex::xmlsax::XmlReader;
 use vitex::xpath::QueryTree;
 
 const SHARDS: &[usize] = &[1, 2, 4, 7];
 
-const PLANS: &[PlanMode] = &[PlanMode::Shared, PlanMode::PrefixShared];
-
 /// Runs one configuration with a fresh enabled telemetry handle; returns
 /// the engine output and the handle for snapshotting.
-fn run_config(
-    trees: &[QueryTree],
-    xml: &str,
-    plan: PlanMode,
-    shards: usize,
-) -> (MultiOutput, Telemetry) {
+fn run_config(trees: &[QueryTree], xml: &str, shards: usize) -> (MultiOutput, Telemetry) {
     let telemetry = Telemetry::enabled();
-    let mut engine = ShardedEngine::with_plan(shards, plan);
+    let mut engine = ShardedEngine::new(shards);
     engine.set_telemetry(telemetry.clone());
     for tree in trees {
         engine.add_tree(tree).expect("registrable");
@@ -43,56 +36,52 @@ fn run_config(
 
 #[test]
 fn deterministic_counters_are_invariant_across_shard_counts() {
-    // Within a plan mode (plan-shape counters legitimately differ between
-    // them), every shard count must export byte-identical deterministic
+    // Every shard count must export byte-identical deterministic
     // counters — scheduling is an implementation detail.
     for (doc_seed, query_seed) in [(11u64, 5u64), (42, 9)] {
         let xml = random::to_string(&RandomConfig::seeded(doc_seed));
         let trees = query_set(query_seed);
-        for &plan in PLANS {
-            let mut reference: Option<String> = None;
-            for &shards in SHARDS {
-                let (_, telemetry) = run_config(&trees, &xml, plan, shards);
-                let json = telemetry.snapshot().expect("enabled").deterministic_json();
-                match &reference {
-                    None => reference = Some(json),
-                    Some(r) => assert_eq!(
-                        &json, r,
-                        "doc_seed={doc_seed} query_seed={query_seed} {plan:?}/shards={shards}: \
-                         deterministic counters must be byte-identical within a plan mode"
-                    ),
-                }
+        let mut reference: Option<String> = None;
+        for &shards in SHARDS {
+            let (_, telemetry) = run_config(&trees, &xml, shards);
+            let json = telemetry.snapshot().expect("enabled").deterministic_json();
+            match &reference {
+                None => reference = Some(json),
+                Some(r) => assert_eq!(
+                    &json, r,
+                    "doc_seed={doc_seed} query_seed={query_seed} shards={shards}: \
+                     deterministic counters must be byte-identical across shard counts"
+                ),
             }
         }
     }
 }
 
 #[test]
-fn stream_and_match_counters_are_invariant_across_plan_modes() {
-    // The machine/plan counters legitimately differ between plan modes
-    // (prefix counters only exist under PrefixShared, dedup changes plan
-    // shape) — but what the document contained and what matched cannot.
+fn stream_and_match_counters_equal_per_query_engine_totals() {
+    // However the plan groups and executes the subscriptions, what the
+    // document contained and what matched is fixed by the queries alone:
+    // the registry's stream and match counters must equal what k private
+    // single-query engines report, summed per subscription.
     let xml = random::to_string(&RandomConfig::seeded(3));
     let trees = query_set(8);
-    let plan_invariant = [
-        "vitex_stream_events_total",
-        "vitex_stream_elements_total",
-        "vitex_stream_text_nodes_total",
-        "vitex_matches_total",
-        "vitex_machine_emitted_total",
+    let singles: Vec<_> = trees
+        .iter()
+        .map(|tree| evaluate_reader(XmlReader::from_str(&xml), tree).expect("single-query run"))
+        .collect();
+    let matched: u64 = singles.iter().map(|s| s.matches.len() as u64).sum();
+    let expected = [
+        ("vitex_stream_events_total", singles[0].events),
+        ("vitex_stream_elements_total", singles[0].elements),
+        ("vitex_stream_text_nodes_total", singles[0].text_nodes),
+        ("vitex_matches_total", matched),
+        ("vitex_machine_emitted_total", singles.iter().map(|s| s.stats.emitted).sum()),
     ];
-    let mut reference: Option<Vec<u64>> = None;
-    for &plan in PLANS {
-        let (_, telemetry) = run_config(&trees, &xml, plan, 1);
-        let snapshot = telemetry.snapshot().expect("enabled");
-        let values: Vec<u64> = plan_invariant
-            .iter()
-            .map(|n| snapshot.counter(n).unwrap_or_else(|| panic!("{n} missing")))
-            .collect();
-        match &reference {
-            None => reference = Some(values),
-            Some(r) => assert_eq!(&values, r, "{plan:?} changes stream/match counters"),
-        }
+    assert!(matched > 0, "the seeds were chosen to match something");
+    let (_, telemetry) = run_config(&trees, &xml, 1);
+    let snapshot = telemetry.snapshot().expect("enabled");
+    for (name, value) in expected {
+        assert_eq!(snapshot.counter(name), Some(value), "{name}");
     }
 }
 
@@ -100,7 +89,7 @@ fn stream_and_match_counters_are_invariant_across_plan_modes() {
 fn snapshot_round_trips_engine_output() {
     let xml = random::to_string(&RandomConfig::seeded(21));
     let trees = query_set(4);
-    let (out, telemetry) = run_config(&trees, &xml, PlanMode::Shared, 4);
+    let (out, telemetry) = run_config(&trees, &xml, 4);
     let snapshot = telemetry.snapshot().expect("enabled");
     assert_eq!(snapshot.counter("vitex_stream_events_total"), Some(out.events));
     assert_eq!(snapshot.counter("vitex_stream_elements_total"), Some(out.elements));
@@ -116,7 +105,7 @@ fn snapshot_round_trips_engine_output() {
 fn timing_metrics_are_present_but_excluded_from_the_deterministic_export() {
     let xml = random::to_string(&RandomConfig::seeded(13));
     let trees = query_set(2);
-    let (_, telemetry) = run_config(&trees, &xml, PlanMode::Shared, 4);
+    let (_, telemetry) = run_config(&trees, &xml, 4);
     let snapshot = telemetry.snapshot().expect("enabled");
     // Wall-clock did pass and the dispatch histogram saw events…
     assert!(snapshot.counter("vitex_doc_ns_total").unwrap() > 0);
@@ -139,7 +128,7 @@ fn timing_metrics_are_present_but_excluded_from_the_deterministic_export() {
 fn exports_are_valid_json() {
     let xml = random::to_string(&RandomConfig::seeded(33));
     let trees = query_set(6);
-    let (_, telemetry) = run_config(&trees, &xml, PlanMode::Shared, 4);
+    let (_, telemetry) = run_config(&trees, &xml, 4);
     let snapshot = telemetry.snapshot().expect("enabled");
     let metrics = snapshot.to_json();
     assert_json(&metrics);
@@ -169,8 +158,8 @@ fn disabled_telemetry_snapshots_nothing() {
 
 /// Runs one configuration with profiling enabled and returns the ledger
 /// snapshot.
-fn run_profiled(trees: &[QueryTree], xml: &str, plan: PlanMode, shards: usize) -> ProfileSnapshot {
-    let mut engine = ShardedEngine::with_plan(shards, plan);
+fn run_profiled(trees: &[QueryTree], xml: &str, shards: usize) -> ProfileSnapshot {
+    let mut engine = ShardedEngine::new(shards);
     engine.set_profiling(true);
     for tree in trees {
         engine.add_tree(tree).expect("registrable");
@@ -181,26 +170,23 @@ fn run_profiled(trees: &[QueryTree], xml: &str, plan: PlanMode, shards: usize) -
 
 #[test]
 fn profile_counters_are_invariant_across_every_configuration() {
-    // Unlike the metrics registry — whose deterministic subset includes
-    // plan-shape counters and is therefore compared within a plan mode —
-    // the ledger's per-query section folds once per subscription, so it
-    // must be byte-identical across plan × shard: ONE reference per (document, query set), full stop.
+    // The ledger's per-query section folds once per subscription, so it
+    // must be byte-identical at every shard count: ONE reference per
+    // (document, query set), full stop.
     for (doc_seed, query_seed) in [(11u64, 5u64), (42, 9)] {
         let xml = random::to_string(&RandomConfig::seeded(doc_seed));
         let trees = query_set(query_seed);
         let mut reference: Option<String> = None;
-        for &plan in PLANS {
-            for &shards in SHARDS {
-                let json = run_profiled(&trees, &xml, plan, shards).deterministic_json();
-                assert_json(&json);
-                match &reference {
-                    None => reference = Some(json),
-                    Some(r) => assert_eq!(
-                        &json, r,
-                        "doc_seed={doc_seed} query_seed={query_seed} {plan:?}/shards={shards}: \
-                         per-query profile counters must be byte-identical across configurations"
-                    ),
-                }
+        for &shards in SHARDS {
+            let json = run_profiled(&trees, &xml, shards).deterministic_json();
+            assert_json(&json);
+            match &reference {
+                None => reference = Some(json),
+                Some(r) => assert_eq!(
+                    &json, r,
+                    "doc_seed={doc_seed} query_seed={query_seed} shards={shards}: \
+                     per-query profile counters must be byte-identical across configurations"
+                ),
             }
         }
     }
@@ -211,7 +197,7 @@ fn profile_ranking_is_stable_across_shard_counts() {
     let xml = random::to_string(&RandomConfig::seeded(17));
     let trees = query_set(12);
     let rank = |shards: usize| -> Vec<(usize, u64)> {
-        let snap = run_profiled(&trees, &xml, PlanMode::Shared, shards);
+        let snap = run_profiled(&trees, &xml, shards);
         snap.top_queries(trees.len()).iter().map(|q| (q.id, q.work())).collect()
     };
     let reference = rank(1);
@@ -244,7 +230,7 @@ fn profile_accumulates_across_session_documents() {
 fn profile_full_export_is_valid_json_with_group_diagnostics() {
     let xml = random::to_string(&RandomConfig::seeded(33));
     let trees = query_set(6);
-    let snap = run_profiled(&trees, &xml, PlanMode::PrefixShared, 4);
+    let snap = run_profiled(&trees, &xml, 4);
     let json = snap.to_json();
     assert_json(&json);
     assert!(json.starts_with("{\"schema\":\"vitex.profile.v1\""));
