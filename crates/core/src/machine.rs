@@ -4,8 +4,7 @@
 //! machine node owns a stack of `Entry` values — the paper's triplet
 //! *(level, match status of query children, candidate solutions)*. The
 //! transition functions below implement the `startElement` / `characters` /
-//! `endElement` behaviour described in §3.2 of the paper, reconstructed
-//! precisely in DESIGN.md §4:
+//! `endElement` behaviour described in §3.2 of the paper:
 //!
 //! * **push** — an element is pushed onto every machine node whose name
 //!   test it satisfies *and* whose axis is witnessed by the parent machine
@@ -1027,9 +1026,10 @@ mod tests {
 
     #[test]
     fn alternative_outer_chain_survives_inner_failure() {
-        // Regression test for the subtle completeness case discussed in
-        // DESIGN.md §4: an inner satisfied step whose own parent fails must
-        // not steal the candidate from a viable outer chain.
+        // Regression test for the subtle completeness case behind the
+        // module doc's lazy-inheritance rule: an inner satisfied step whose
+        // own parent fails must not steal the candidate from a viable outer
+        // chain.
         //
         // Query: //a[p]/b[q]//c over:
         //   <a> <p/> <b> <a> <b> <q/> <c/> </b> </a> <q/> </b> </a>

@@ -141,7 +141,7 @@ impl Histogram {
 }
 
 /// Every metric the pipeline records, as fixed fields. Shared behind an
-/// `Arc` by the coordinator, parse workers, shard workers, and the merger.
+/// `Arc` by the coordinator, shard workers, and the merger.
 #[derive(Debug, Default)]
 pub struct Registry {
     // ----- stream stage (DocumentDriver; deterministic) -----

@@ -5,11 +5,13 @@
 //! clone-able wrapper around an optional `Arc`. When telemetry is disabled
 //! (the default) the handle holds `None` and every recording method is an
 //! `#[inline]` early return that touches no atomics, takes no clock
-//! readings, and allocates nothing; `bench_telemetry` verifies the
-//! disabled path costs nothing measurable. When enabled, counters and
+//! readings, and allocates nothing. When enabled, counters and
 //! histograms are relaxed atomics shared across the coordinator and the
 //! shard workers, and coarse-grained spans land in a bounded
-//! ring for Chrome-trace export.
+//! ring for Chrome-trace export; what that costs is the benchmark's
+//! `telemetry.enabled_overhead_pct` — the best full pass with an enabled
+//! handle attached over the best pass with the default disabled one,
+//! per workload.
 //!
 //! Deterministic counters (stream, machine, plan, prefix) are folded from
 //! the per-run stat structs *after* a run — on the document thread, per
@@ -146,23 +148,6 @@ impl Telemetry {
             let dur_ns = t0.elapsed().as_nanos() as u64;
             let start_ns =
                 t0.checked_duration_since(inner.epoch).map(|d| d.as_nanos() as u64).unwrap_or(0);
-            inner.spans.record(Span { name, cat, tid, start_ns, dur_ns });
-        }
-    }
-
-    /// Record a span with an explicit start instant and duration (used by
-    /// parse workers that measured the interval themselves).
-    pub fn record_span_at(
-        &self,
-        name: &'static str,
-        cat: &'static str,
-        tid: u32,
-        start: Instant,
-        dur_ns: u64,
-    ) {
-        if let Some(inner) = &self.inner {
-            let start_ns =
-                start.checked_duration_since(inner.epoch).map(|d| d.as_nanos() as u64).unwrap_or(0);
             inner.spans.record(Span { name, cat, tid, start_ns, dur_ns });
         }
     }

@@ -3,8 +3,7 @@
 //! The paper evaluates on the PIR Protein Sequence Database (75 MB) and
 //! motivates the algorithm with deeply recursive documents (its Figure 1).
 //! Neither dataset is redistributable here, so this crate generates
-//! structurally faithful synthetic equivalents (see DESIGN.md
-//! "Substitutions"):
+//! structurally faithful synthetic equivalents:
 //!
 //! * [`protein`] — a `ProteinDatabase` of `ProteinEntry` records mirroring
 //!   the PIR schema: shallow, wide, attribute-rich, with long `sequence`

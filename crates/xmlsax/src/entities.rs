@@ -87,7 +87,7 @@ impl EntityTable {
     /// `allow_markup` controls whether replacement text containing `<` is
     /// acceptable (it is not: this non-validating parser does not re-parse
     /// entity bodies, so such references are rejected with a clear error —
-    /// see DESIGN.md §8).
+    /// see the crate docs' conformance notes).
     pub fn expand(
         &self,
         name: &str,

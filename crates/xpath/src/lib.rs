@@ -11,9 +11,9 @@
 //!    the paper's TwigM builder consumes, with a distinguished **main path**
 //!    (whose leaf is the result node) and predicate subtrees hanging off it.
 //!
-//! The grammar accepted here is documented in `DESIGN.md` §3. Queries the
-//! fragment cannot express (positional predicates, reverse axes, functions
-//! other than `text()`) are rejected with precise error messages.
+//! The [`ast`] types mirror the accepted grammar production by production.
+//! Queries the fragment cannot express (positional predicates, reverse axes,
+//! functions other than `text()`) are rejected with precise error messages.
 //!
 //! A seeded [`generate::QueryGenerator`] produces random well-formed queries
 //! for the differential test suites and the query-scaling experiments (E5,

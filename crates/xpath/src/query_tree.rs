@@ -124,7 +124,7 @@ impl QueryTree {
     ///   root node has neither) and is rejected with an explanatory error,
     ///   as is a **non-leading** descendant-axis attribute/text step
     ///   (`a//@id` means "attributes of `a` *or* its descendants", which a
-    ///   twig without a self axis cannot express — see DESIGN.md §8).
+    ///   twig without a self axis cannot express).
     pub fn build(query: &Query) -> ParseResult<QueryTree> {
         if query.steps.is_empty() {
             return Err(ParseError::new("query has no steps", 0));

@@ -387,6 +387,19 @@ fn export_profile(opts: &Options, engine: &ShardedEngine) -> Result<(), ExitCode
     Ok(())
 }
 
+/// Ends the run on a failed write to stdout. A closed pipe is the consumer
+/// saying "enough" (`vitex '//a/b' big.xml | head -1`): exit 0 at once
+/// instead of scanning the rest of the document for nobody; pending
+/// exports are skipped. Any other failure (a full disk behind a
+/// redirect) is reported, exit 2.
+fn stdout_failed(e: io::Error) -> ! {
+    if e.kind() == io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    eprintln!("vitex: stdout: {e}");
+    std::process::exit(2)
+}
+
 /// Single-query mode: the classic engine.
 fn run_single(opts: &Options, tree: &QueryTree, telemetry: &Telemetry) -> ExitCode {
     let mut engine = match Engine::new(tree) {
@@ -407,13 +420,13 @@ fn run_single(opts: &Options, tree: &QueryTree, telemetry: &Telemetry) -> ExitCo
     let result = engine.run(reader, |m| {
         count += 1;
         if !opts.count {
-            let _ = writeln!(out, "{}", describe(&m, opts.values));
+            writeln!(out, "{}", describe(&m, opts.values)).unwrap_or_else(|e| stdout_failed(e));
         }
     });
     match result {
         Ok(output) => {
             if opts.count {
-                println!("{count}");
+                writeln!(out, "{count}").unwrap_or_else(|e| stdout_failed(e));
             }
             if opts.stats {
                 eprintln!("elements:   {}", output.elements);
@@ -461,11 +474,12 @@ fn run_multi(opts: &Options, trees: &[QueryTree], telemetry: &Telemetry) -> Exit
         counts[qid.0] += 1;
         if !opts.count {
             let line = describe(&m, opts.values);
-            let _ = if prefixed {
+            let written = if prefixed {
                 writeln!(out, "[{}] {line}", qid.0)
             } else {
                 writeln!(out, "{line}")
             };
+            written.unwrap_or_else(|e| stdout_failed(e));
         }
     };
     // The live heartbeat reporter spans exactly the run below; dropping
@@ -486,11 +500,9 @@ fn run_multi(opts: &Options, trees: &[QueryTree], telemetry: &Telemetry) -> Exit
         Ok(output) => {
             if opts.count {
                 for (i, c) in counts.iter().enumerate() {
-                    if prefixed {
-                        println!("[{i}] {c}");
-                    } else {
-                        println!("{c}");
-                    }
+                    let written =
+                        if prefixed { writeln!(out, "[{i}] {c}") } else { writeln!(out, "{c}") };
+                    written.unwrap_or_else(|e| stdout_failed(e));
                 }
             }
             if opts.stats {

@@ -1,5 +1,6 @@
-//! Harness piece shared by the differential batteries
-//! (`random_differential`, `telemetry`): the seeded query-set generator.
+//! Harness pieces shared by the differential batteries
+//! (`random_differential`, `telemetry`): the seeded query-set generator
+//! and the skewed auction subscription set.
 
 use vitex::xpath::generate::{GenConfig, QueryGenerator};
 use vitex::xpath::QueryTree;
@@ -20,4 +21,22 @@ pub fn query_set(query_seed: u64) -> Vec<QueryTree> {
         .collect();
     trees.push(QueryTree::parse(trees[0].original()).expect("round-trips"));
     trees
+}
+
+/// A skewed subscription set over `vitex::xmlgen::auction` documents: `k`
+/// cheap region-pinned queries (each pins one `@id`, so its machine
+/// barely moves) and, last — query id `k` — one planted hog: a descendant
+/// scan over every item, a value predicate evaluated per item, then a
+/// second descendant descent into each description subtree.
+pub fn pinned_queries_with_hog(k: usize) -> Vec<QueryTree> {
+    const REGIONS: [&str; 6] = ["africa", "asia", "australia", "europe", "namerica", "samerica"];
+    const FIELDS: [&str; 4] = ["name", "quantity", "payment", "description"];
+    let pinned = (0..k).map(|i| {
+        let (region, field) = (REGIONS[i % 6], FIELDS[i / 6 % 4]);
+        format!("/site/regions/{region}/item[@id = 'item{i}']/{field}")
+    });
+    pinned
+        .chain(["//item[payment = 'Cash']//listitem".to_string()])
+        .map(|q| QueryTree::parse(&q).expect("valid query"))
+        .collect()
 }

@@ -8,12 +8,15 @@
 //!   tiny while the naive enumerator's embedding count explodes on the
 //!   same input;
 //! * streaming memory flatness — peak machine bytes must not grow with
-//!   document length on repetitive data (the E1 claim, in miniature).
+//!   document length on repetitive data (the E1 claim, in miniature);
+//! * the paper's complexity claims on deterministic counters — machine
+//!   operations exactly linear in |D| (E4), bounded by events · |Q| ·
+//!   depth (E5), and a compiled machine linear in |Q| (E7).
 
 use proptest::prelude::*;
 
 use vitex::baseline::{naive, NaiveConfig};
-use vitex::core::{evaluate_reader, Engine, EvalMode};
+use vitex::core::{evaluate_reader, Engine, EvalMode, MachineSpec, MachineStats};
 use vitex::xmlgen::random::{self, RandomConfig};
 use vitex::xmlgen::{protein, recursive};
 use vitex::xmlsax::XmlReader;
@@ -143,6 +146,95 @@ fn eager_mode_uses_at_least_as_much_candidate_state() {
     assert!(eager.candidates_copied >= compact.candidates_copied);
 }
 
+/// Everything the machine counts as a unit of work on its stacks and
+/// candidates (pops equal pushes by conservation and are left out).
+fn machine_ops(s: &MachineStats) -> u64 {
+    s.pushes
+        + s.flag_propagations
+        + s.candidates_created
+        + s.candidates_forwarded
+        + s.candidates_inherited
+        + s.candidates_copied
+        + s.candidates_merged
+}
+
+#[test]
+fn machine_operations_are_exactly_linear_in_document_size() {
+    // E4 on counters: the paper query over n independent depth-6 towers
+    // costs the same 30 operations per tower whatever n is, so doubling
+    // |D| doubles the work to the last unit.
+    let tree = QueryTree::parse("//section[author]//table[position]//cell").unwrap();
+    let ops = |towers: usize| {
+        let cfg = recursive::RecursiveConfig { towers, ..recursive::RecursiveConfig::square(6) };
+        let xml = recursive::to_string(&cfg);
+        let out = evaluate_reader(XmlReader::from_str(&xml), &tree).unwrap();
+        assert_eq!(out.matches.len(), towers, "one cell per tower");
+        machine_ops(&out.stats)
+    };
+    assert_eq!(ops(50), 1500);
+    for n in [50, 100, 200] {
+        assert_eq!(ops(2 * n), 2 * ops(n), "ops({}) vs 2 * ops({n})", 2 * n);
+    }
+}
+
+#[test]
+fn machine_operations_are_bounded_by_events_times_query_size_times_depth() {
+    // E5 on counters: operations per (event x query step) stay under a
+    // small constant on every query family, whatever the query size.
+    // Each bound is the family's measured worst case, rounded up.
+    let towers = {
+        // 8 towers of 16-deep <a> nesting, a <b/> and a <c/> at each level.
+        let tower = format!("{}{}", "<a><b/><c/>".repeat(16), "</a>".repeat(16));
+        format!("<a>{}</a>", tower.repeat(8))
+    };
+    let per_event_step = |query: &str, xml: &str, steps: usize| {
+        let tree = QueryTree::parse(query).unwrap();
+        let out = evaluate_reader(XmlReader::from_str(xml), &tree).unwrap();
+        machine_ops(&out.stats) as f64 / (out.events * steps as u64) as f64
+    };
+
+    for k in 1..=32 {
+        let cost = per_event_step(&"//a".repeat(k), &towers, k);
+        assert!(cost <= 1.30, "//a x {k}: {cost} operations per event and step");
+    }
+
+    let mut previous = f64::MAX;
+    for n in [1, 2, 4, 8, 16, 32] {
+        let predicates: String = (0..n).map(|i| if i % 2 == 0 { "[b]" } else { "[c]" }).collect();
+        let cost = per_event_step(&format!("//a{predicates}"), &towers, n);
+        assert!(cost <= 0.67, "//a with {n} predicates: {cost}");
+        assert!(cost < previous, "per-predicate cost must fall with n: {cost} after {previous}");
+        previous = cost;
+    }
+
+    // Every open ancestor is a compatible parent here, so the constant
+    // is a share of the nesting depth (64), not of the query size.
+    let deep = recursive::uniform_nesting(64);
+    for k in 2..=24 {
+        let cost = per_event_step(&"//*".repeat(k), &deep, k);
+        assert!(cost <= 24.7, "//* x {k}: {cost}");
+    }
+}
+
+#[test]
+fn compiled_machine_is_linear_in_query_size() {
+    // E7 on counters: one machine node per element node of the query,
+    // and bytes per query node flat from |Q| = 2 to 5120 (a chain with a
+    // predicate every fourth step).
+    let mut bytes_per_node = Vec::new();
+    for k in [2, 8, 32, 128, 512, 2048, 4096] {
+        let query: String = (0..k)
+            .map(|i| format!("//n{}{}", i % 7, if i % 4 == 3 { "[p]" } else { "" }))
+            .collect();
+        let tree = QueryTree::parse(&query).unwrap();
+        let spec = MachineSpec::compile(&tree).unwrap();
+        assert_eq!(spec.len(), tree.nodes().iter().filter(|n| n.kind.is_element()).count());
+        bytes_per_node.push(spec.approx_bytes() / tree.len() as u64);
+    }
+    let (min, max) = (bytes_per_node.iter().min().unwrap(), bytes_per_node.iter().max().unwrap());
+    assert!(max * 100 <= min * 125, "bytes per query node must stay flat: {bytes_per_node:?}");
+}
+
 #[test]
 fn stop_early_streams_partial_results() {
     // Incremental delivery: a consumer can stop after the first match
@@ -192,7 +284,7 @@ fn deep_documents_within_parser_limits() {
 /// compiled against holds three names or five thousand.
 #[test]
 fn spec_size_is_independent_of_the_interner_population() {
-    use vitex::core::{Interner, MachineSpec};
+    use vitex::core::Interner;
     let tree = QueryTree::parse("//a[b]/a/c").unwrap();
     let mut fresh_names = Interner::new();
     let fresh = MachineSpec::compile_with(&tree, &mut fresh_names).unwrap();

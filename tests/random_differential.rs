@@ -22,9 +22,10 @@ use proptest::prelude::*;
 
 mod common;
 
-use common::query_set;
+use common::{pinned_queries_with_hog, query_set};
 use vitex::baseline::{naive, NaiveConfig};
-use vitex::core::{evaluate_reader, EvalOutput, MultiOutput, ShardedEngine};
+use vitex::core::{evaluate_reader, EvalOutput, MultiOutput, PlacementSnapshot, ShardedEngine};
+use vitex::xmlgen::auction::{self, AuctionConfig};
 use vitex::xmlgen::random::{self, RandomConfig};
 use vitex::xmlsax::XmlReader;
 use vitex::xpath::QueryTree;
@@ -44,11 +45,16 @@ struct RunResult {
     streamed: Vec<(usize, u64)>,
 }
 
-fn run_config(trees: &[QueryTree], xml: &str, shards: usize) -> RunResult {
+fn engine_with(trees: &[QueryTree], shards: usize) -> ShardedEngine {
     let mut engine = ShardedEngine::new(shards);
     for tree in trees {
         engine.add_tree(tree).expect("registrable");
     }
+    engine
+}
+
+fn run_config(trees: &[QueryTree], xml: &str, shards: usize) -> RunResult {
+    let mut engine = engine_with(trees, shards);
     let mut streamed = Vec::new();
     let out = engine
         .run(XmlReader::from_str(xml), |qid, m| streamed.push((qid.0, m.node)))
@@ -156,63 +162,97 @@ proptest! {
     }
 }
 
+/// One warm session over `docs`: every document's output, the callback
+/// sequence, and the placement snapshot taken after each document.
+fn warm_session(
+    engine: &mut ShardedEngine,
+    docs: &[String],
+) -> (Vec<MultiOutput>, Vec<(usize, u64)>, Vec<PlacementSnapshot>) {
+    let mut streamed = Vec::new();
+    let (outs, snaps) = engine
+        .session(|session| {
+            let (mut outs, mut snaps) = (Vec::new(), Vec::new());
+            for xml in docs {
+                outs.push(session.run_document(XmlReader::from_str(xml), |qid, m| {
+                    streamed.push((qid.0, m.node))
+                })?);
+                snaps.push(session.placement_snapshot());
+            }
+            Ok((outs, snaps))
+        })
+        .expect("warm session");
+    (outs, streamed, snaps)
+}
+
 /// Placement must be output-transparent: a warm session streaming
 /// several documents — enough for the placement planner to observe the
 /// first document's counters and repartition at a document boundary —
 /// must produce byte-identical matches, callback order and statistics at
 /// every shard count, the inline one-shard run (which has nothing to
-/// place) being the reference. A planted hog query (three chained
-/// descendant wildcards, expensive on every document) skews the group
-/// costs so the sweep actually exercises an assignment swap, not just the
-/// seed plan.
+/// place) being the reference. A planted hog query skews the group costs
+/// so the sweep actually exercises an assignment swap, not just the seed
+/// plan: three chained descendant wildcards among a random set over
+/// random documents, and the E15 set — one descendant hog among 7 cheap
+/// pinned subscriptions over an auction document — which at 4 shards
+/// must also end with the hog alone on its shard and a lower imbalance.
 #[test]
 fn placement_axis_is_output_transparent() {
-    type SessionOutput = (Vec<MultiOutput>, Vec<(usize, u64)>);
-    let docs: Vec<String> =
+    let random_docs: Vec<String> =
         [11u64, 22, 33].iter().map(|&s| random::to_string(&RandomConfig::seeded(s))).collect();
-    let mut trees = query_set(4242);
-    trees.push(QueryTree::parse("//*//*//*").expect("hog parses"));
+    let mut random_set = query_set(4242);
+    random_set.push(QueryTree::parse("//*//*//*").expect("hog parses"));
+    let auction_docs = vec![auction::to_string(&AuctionConfig::sized(16 * 1024)); 3];
+    let skewed_set = pinned_queries_with_hog(7);
 
-    let mut reference: Option<SessionOutput> = None;
-    let mut repartitioned = false;
-    for &shards in ALL_SHARDS {
-        let mut engine = ShardedEngine::new(shards);
-        for tree in &trees {
-            engine.add_tree(tree).expect("registrable");
-        }
-        let mut streamed = Vec::new();
-        let (outs, snap) = engine
-            .session(|session| {
-                let outs = docs
-                    .iter()
-                    .map(|xml| {
-                        session.run_document(XmlReader::from_str(xml), |qid, m| {
-                            streamed.push((qid.0, m.node))
-                        })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok((outs, session.placement_snapshot()))
-            })
-            .expect("warm session");
-        let label = format!("{shards} shards");
-        if shards == 1 {
-            assert_eq!(snap.repartitions, 0, "no replanning expected: {label}");
-        }
-        repartitioned |= snap.repartitions > 0;
-        match &reference {
-            None => reference = Some((outs, streamed)),
-            Some((ref_outs, ref_streamed)) => {
-                assert_eq!(outs.len(), ref_outs.len(), "document count: {label}");
-                for (doc, (out, ref_out)) in outs.iter().zip(ref_outs).enumerate() {
-                    assert_eq!(out.matches, ref_out.matches, "matches doc {doc}: {label}");
-                    assert_eq!(out.stats, ref_out.stats, "machine stats doc {doc}: {label}");
-                    assert_eq!(out.plan, ref_out.plan, "plan stats doc {doc}: {label}");
+    for (trees, docs) in [(&random_set, &random_docs), (&skewed_set, &auction_docs)] {
+        let mut reference = None;
+        let mut repartitioned = false;
+        for &shards in ALL_SHARDS {
+            let (outs, streamed, snaps) = warm_session(&mut engine_with(trees, shards), docs);
+            let label = format!("{shards} shards");
+            let repartitions = snaps.last().expect("documents ran").repartitions;
+            if shards == 1 {
+                assert_eq!(repartitions, 0, "no replanning expected: {label}");
+            }
+            repartitioned |= repartitions > 0;
+            match &reference {
+                None => reference = Some((outs, streamed)),
+                Some((ref_outs, ref_streamed)) => {
+                    assert_eq!(outs.len(), ref_outs.len(), "document count: {label}");
+                    for (doc, (out, ref_out)) in outs.iter().zip(ref_outs).enumerate() {
+                        assert_eq!(out.matches, ref_out.matches, "matches doc {doc}: {label}");
+                        assert_eq!(out.stats, ref_out.stats, "machine stats doc {doc}: {label}");
+                        assert_eq!(out.plan, ref_out.plan, "plan stats doc {doc}: {label}");
+                    }
+                    assert_eq!(&streamed, ref_streamed, "callback order: {label}");
                 }
-                assert_eq!(&streamed, ref_streamed, "callback order: {label}");
             }
         }
+        assert!(repartitioned, "the planted hog must trigger at least one mid-session repartition");
     }
-    assert!(repartitioned, "the planted hog must trigger at least one mid-session repartition");
+
+    // The rebalance claim, on the skewed set at 4 shards. Document 1 runs
+    // the uniform-prior deal, under which the hog shares a worker with a
+    // cheap group; the ledger names the hog's group.
+    let mut engine = engine_with(&skewed_set, 4);
+    engine.set_profiling(true);
+    let (_, _, snaps) = warm_session(&mut engine, &auction_docs);
+    let (first, last) = (&snaps[0], &snaps[snaps.len() - 1]);
+    assert!(last.repartitions >= 1, "the skewed set must repartition after the first document");
+    let ledger = engine.group_costs().expect("profiling enabled");
+    let hog_shard = last.shard_of[ledger.queries[7].group.expect("hog is active")];
+    assert!(hog_shard.is_some(), "hog group is placed");
+    assert_eq!(
+        last.shard_of.iter().filter(|s| **s == hog_shard).count(),
+        1,
+        "the hog must be alone on its shard after the repartition: {last:?}"
+    );
+    let imbalance = |s: &PlacementSnapshot| s.last_imbalance_millis.expect("documents ran");
+    assert!(
+        imbalance(last) < imbalance(first),
+        "the repartitioned assignment must measure strictly lower imbalance than the \
+         uniform-prior deal of document 1: {first:?} then {last:?}"
+    );
 }
 
 /// A fixed-seed sweep pinned for CI: deterministic regardless of

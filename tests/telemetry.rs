@@ -12,9 +12,10 @@
 
 mod common;
 
-use common::query_set;
+use common::{pinned_queries_with_hog, query_set};
 use vitex::core::telemetry::{trace_json, ProfileSnapshot, Telemetry};
 use vitex::core::{evaluate_reader, MultiOutput, ShardedEngine};
+use vitex::xmlgen::auction::{self, AuctionConfig};
 use vitex::xmlgen::random::{self, RandomConfig};
 use vitex::xmlsax::XmlReader;
 use vitex::xpath::QueryTree;
@@ -113,14 +114,31 @@ fn timing_metrics_are_present_but_excluded_from_the_deterministic_export() {
     assert!(snapshot.histograms.iter().any(|h| h.name == "vitex_batch_events" && h.count > 0));
     // …but none of it leaks into the deterministic subset.
     let det = snapshot.deterministic_json();
-    for name in
-        ["doc_ns", "dispatch_ns", "ring_", "worker_", "merge_", "scan_", "parse_", "producer"]
-    {
+    for name in ["doc_ns", "dispatch_ns", "ring_", "worker_", "merge_", "scan_"] {
         assert!(!det.contains(name), "{name} must not appear in {det}");
     }
     // Full snapshot still lists every timing counter (zero or not).
     for name in ["vitex_ring_enqueue_stalls_total", "vitex_worker_busy_ns_total"] {
         assert!(snapshot.counter(name).is_some(), "{name} missing from snapshot");
+    }
+}
+
+#[test]
+fn dispatch_latency_is_sampled_one_event_in_64() {
+    // The driver times the first dispatched event of every document and
+    // every 64th after it: the smallest document still leaves a sample
+    // (1 of 2 events), a large one does not pay a clock pair per event
+    // (157 of 10 002).
+    let trees = [QueryTree::parse("//a").unwrap()];
+    let large = format!("<r>{}</r>", "<a/>".repeat(5000));
+    for shards in [1, 2] {
+        for xml in ["<a/>", large.as_str()] {
+            let (out, telemetry) = run_config(&trees, xml, shards);
+            let dispatched = 2 * out.elements + out.text_nodes;
+            let snapshot = telemetry.snapshot().expect("enabled");
+            let h = snapshot.histograms.iter().find(|h| h.name == "vitex_dispatch_ns").unwrap();
+            assert_eq!(h.count, dispatched.div_ceil(64), "{shards} shard(s), {dispatched} events");
+        }
     }
 }
 
@@ -194,16 +212,25 @@ fn profile_counters_are_invariant_across_every_configuration() {
 
 #[test]
 fn profile_ranking_is_stable_across_shard_counts() {
-    let xml = random::to_string(&RandomConfig::seeded(17));
-    let trees = query_set(12);
-    let rank = |shards: usize| -> Vec<(usize, u64)> {
-        let snap = run_profiled(&trees, &xml, shards);
-        snap.top_queries(trees.len()).iter().map(|q| (q.id, q.work())).collect()
-    };
-    let reference = rank(1);
-    assert!(!reference.is_empty());
-    for &shards in &SHARDS[1..] {
-        assert_eq!(rank(shards), reference, "top-k order must not depend on the shard count");
+    // Second input, the E14 claim: one planted hog among 100 cheap pinned
+    // subscriptions must rank #1 by attributed work.
+    let auction = auction::to_string(&AuctionConfig::sized(32 * 1024));
+    for (xml, trees, hog) in [
+        (random::to_string(&RandomConfig::seeded(17)), query_set(12), None),
+        (auction, pinned_queries_with_hog(100), Some(100)),
+    ] {
+        let rank = |shards: usize| -> Vec<(usize, u64)> {
+            let snap = run_profiled(&trees, &xml, shards);
+            snap.top_queries(trees.len()).iter().map(|q| (q.id, q.work())).collect()
+        };
+        let reference = rank(1);
+        assert!(!reference.is_empty());
+        if let Some(hog) = hog {
+            assert_eq!(reference[0].0, hog, "the planted expensive query must rank #1");
+        }
+        for &shards in &SHARDS[1..] {
+            assert_eq!(rank(shards), reference, "top-k order must not depend on the shard count");
+        }
     }
 }
 
