@@ -68,9 +68,8 @@ pub trait EventSink {
 
     /// The document ended. Called exactly once per [`DocumentDriver::run`],
     /// after the last element/text event and before `run` returns. Sinks
-    /// that buffer or forward events (e.g. the sharded engine's broadcast
-    /// sink batching events onto worker rings) flush here; the default
-    /// does nothing.
+    /// that buffer or forward events (e.g. a session's ring lane batching
+    /// events onto worker rings) flush here; the default does nothing.
     fn document_end(&mut self) {}
 }
 

@@ -134,7 +134,6 @@ impl<F: FnMut(Match)> EventSink for EngineSink<'_, F> {
         let on_match = &mut self.on_match;
         self.machine.start_element_interned(
             sym,
-            event.name.as_str(),
             event.level,
             &event.attributes,
             node_id,

@@ -34,12 +34,13 @@
 //! * [`multi::MultiEngine`] — publish/subscribe: many standing queries,
 //!   one scan, executed through the shared step trie so an event only
 //!   touches the machines it can move.
-//! * [`shard::ShardedEngine`] — the same pub/sub surface executed on `N`
-//!   worker threads: plan groups are partitioned across shards, events
-//!   broadcast over bounded rings, and per-shard match streams merged
-//!   back into deterministic single-threaded order; its
-//!   [`shard::ShardSession`] streams document collections back-to-back
-//!   through warm workers.
+//! * [`shard::ShardedEngine`] — the same pub/sub surface executed on up
+//!   to `N` worker threads: plan groups are partitioned across shards,
+//!   events broadcast over bounded rings, and per-shard match streams
+//!   merged back into the order one thread delivers; its
+//!   [`shard::ShardSession`] — the one pipeline every multi-query run
+//!   goes through, `MultiEngine::run` included — streams document
+//!   collections back-to-back through warm workers.
 //! * [`plan::QueryPlanner`] — the shared-prefix query planner behind
 //!   `MultiEngine`: canonicalizes queries, dedupes structural duplicates
 //!   into one machine with a subscriber fan-out list, and tries main-path

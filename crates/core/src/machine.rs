@@ -180,7 +180,7 @@ fn entry_base_bytes(e: &Entry) -> u64 {
 
 /// The TwigM machine.
 ///
-/// Feed it SAX events ([`TwigM::start_element`], [`TwigM::characters`],
+/// Feed it SAX events ([`TwigM::start_element_interned`], [`TwigM::characters`],
 /// [`TwigM::end_element`]); solutions come out of the `emit` callback of
 /// `end_element` as soon as they are decidable. [`crate::engine::Engine`]
 /// wires an [`vitex_xmlsax::XmlReader`] to this interface.
@@ -316,7 +316,6 @@ impl TwigM {
     pub fn start_element_interned(
         &mut self,
         sym: Option<Symbol>,
-        name: &str,
         level: u32,
         attributes: &[Attribute],
         node_id: u64,
@@ -327,14 +326,13 @@ impl TwigM {
         let mut plan = std::mem::take(&mut self.plan);
         let named = sym.map(|s| self.spec.machines_for(s)).unwrap_or(&[]);
         self.plan_pushes(named, level, &mut plan);
-        self.apply_pushes(&plan, name, level, attributes, node_id, attr_id_base, tag_span, emit);
+        self.apply_pushes(&plan, level, attributes, node_id, attr_id_base, tag_span, emit);
         self.plan = plan;
     }
 
     /// Phase 1 of `startElement`: plan all pushes for the `named` and
-    /// wildcard machine nodes against the pre-event stack state. Shared by
-    /// both dispatch entry points so the string and interned paths can
-    /// never diverge.
+    /// wildcard machine nodes against the pre-event stack state — every
+    /// push is decided before any is applied.
     fn plan_pushes(&self, named: &[usize], level: u32, plan: &mut Vec<(u32, u32)>) {
         plan.clear();
         for &q in named.iter().chain(&self.spec.wildcards) {
@@ -366,7 +364,6 @@ impl TwigM {
         main_plan: &[(u32, u32)],
         plan_preds: bool,
         sym: Option<Symbol>,
-        name: &str,
         level: u32,
         attributes: &[Attribute],
         node_id: u64,
@@ -402,7 +399,7 @@ impl TwigM {
             plan.sort_unstable_by_key(|&(q, _)| q);
         }
         let pushes = plan.len() as u32;
-        self.apply_pushes(&plan, name, level, attributes, node_id, attr_id_base, tag_span, emit);
+        self.apply_pushes(&plan, level, attributes, node_id, attr_id_base, tag_span, emit);
         self.plan = plan;
         pushes
     }
@@ -412,7 +409,6 @@ impl TwigM {
     fn apply_pushes(
         &mut self,
         plan: &[(u32, u32)],
-        name: &str,
         level: u32,
         attributes: &[Attribute],
         node_id: u64,
@@ -427,7 +423,6 @@ impl TwigM {
             self.push_entry(
                 q as usize,
                 ptr,
-                name,
                 level,
                 attributes,
                 node_id,
@@ -470,7 +465,6 @@ impl TwigM {
         &mut self,
         q: usize,
         ptr: u32,
-        _name: &str,
         level: u32,
         attributes: &[Attribute],
         node_id: u64,
@@ -899,7 +893,6 @@ mod tests {
             let sym = self.interner.lookup(name);
             self.machine.start_element_interned(
                 sym,
-                name,
                 self.level,
                 &attrs,
                 id,

@@ -29,22 +29,28 @@
 //!   node, however many groups share the step — and each push it decides
 //!   lands, through the node's routes, on exactly the group machine nodes
 //!   that must push;
-//! * the **dispatch index** ([`DispatchIndex`], over the shared
-//!   [`Interner`]) covers what the trie does not: per interned name the
-//!   groups whose *predicate subtrees* test it, the groups with a
-//!   predicate wildcard, and the groups that consume `characters` events.
+//! * the **dispatch index** (over the shared [`Interner`]) covers what
+//!   the trie does not: per interned name the groups whose *predicate
+//!   subtrees* test it, the groups with a predicate wildcard, and the
+//!   groups that consume `characters` events.
 //!
-//! The [`Executor`] below is the per-event apply step over both: a start
-//! tag merge-walks trie-decided main pushes ∪ predicate-name interests in
-//! ascending group order, a frame stack lets an end tag touch exactly the
-//! machines its start tag pushed (an untouched machine has nothing to
-//! pop), and text goes to exactly the machines holding an open entry that
-//! reads text (any other text consumer is idle). It is written once:
-//! [`MultiEngine::run`] drives it inline, keyed by group id, and every
-//! [`crate::shard`] worker drives its own over its group subset, keyed by
-//! local slot. This is sound because a machine's stacks only ever hold
-//! entries for elements it was shown, and text/attribute tests live
-//! inside the delivered events.
+//! A document runs through one [`crate::shard::ShardSession`], whatever
+//! the shard count: its **admission walk** asks both structures whether
+//! any group wants the event and advances the trie, and its lane hands
+//! what was admitted to the per-event apply step (the crate-private
+//! `Executor` at the bottom of this file): a start tag merge-walks
+//! trie-decided main pushes ∪ predicate-name interests in ascending group
+//! order, a frame stack lets an end tag touch exactly the machines its
+//! start tag pushed (an untouched machine has nothing to pop), and text
+//! goes to exactly the machines holding an open entry that reads text
+//! (any other text consumer is idle). The apply step is written once:
+//! the session's *direct lane* runs the engine's own over the live
+//! groups, keyed by group id, on the calling thread — that is all
+//! [`MultiEngine::run`] is, a one-document direct-lane session — and
+//! every worker of its *ring lane* runs one over the groups it has on
+//! loan, keyed by local slot. This is sound because a machine's stacks
+//! only ever hold entries for elements it was shown, and text/attribute
+//! tests live inside the delivered events.
 //!
 //! Both structures update **incrementally**: [`MultiEngine::add_query`]
 //! splices the new group into trie routes and index in place and
@@ -55,18 +61,20 @@
 use std::borrow::BorrowMut;
 use std::time::Instant;
 
-use vitex_xmlsax::event::{Attribute, CharactersEvent, EndElementEvent, StartElementEvent};
+use vitex_xmlsax::event::Attribute;
 use vitex_xmlsax::pos::ByteSpan;
 use vitex_xmlsax::EventSource;
 use vitex_xpath::query_tree::QueryTree;
 
 use crate::bitset::DynBitSet;
 use crate::builder::MachineSpec;
-use crate::driver::{DocumentDriver, EventSink};
+use crate::driver::DocumentDriver;
 use crate::error::EngineResult;
 use crate::intern::{Interner, Symbol};
-use crate::plan::{PlanGroup, QueryPlanner, StepTrie, TriePush};
+use crate::plan::{PlanGroup, QueryPlanner, TriePush};
 use crate::result::{Match, NodeId};
+use crate::shard::admit::WalkScratch;
+use crate::shard::ShardSession;
 use crate::stats::{MachineStats, PlanStats, StreamStats};
 use crate::telemetry::{CostLedger, Telemetry};
 
@@ -94,9 +102,10 @@ pub struct MultiOutput {
 
 /// The dispatch index: which group slots care about which events *beyond*
 /// the main-path pushes the step trie decides. Maintained incrementally
-/// as groups activate and retire; the engine's is keyed by group id (and
-/// doubles, with the trie, as the sharded broadcast filter), a shard
-/// worker's by local slot over its group subset.
+/// as groups activate and retire; the engine's is keyed by group id (with
+/// the trie it is the session's admission filter, and the direct lane
+/// dispatches from it), a shard worker's by local slot over its group
+/// subset.
 #[derive(Debug, Default)]
 pub(crate) struct DispatchIndex {
     /// Symbol index → slots whose predicate subtrees test that name (and
@@ -105,7 +114,7 @@ pub(crate) struct DispatchIndex {
     /// Slots with a wildcard step in a predicate subtree: their machines
     /// see every element event.
     wildcard: DynBitSet,
-    /// Slots that consume `characters` events: the broadcast filter's
+    /// Slots that consume `characters` events: the admission filter's
     /// text question. Which of them a given text event can move is the
     /// executor's `text_live`.
     text: DynBitSet,
@@ -161,8 +170,8 @@ impl DispatchIndex {
     }
 
     /// Whether *any* slot has predicate interest in an element with this
-    /// symbol — half of the sharded broadcast filter's question (the
-    /// other half is [`StepTrie::has_live_step`]).
+    /// symbol — half of the admission filter's question (the other half
+    /// is [`crate::plan::StepTrie::has_live_step`]).
     #[inline]
     pub(crate) fn has_element_target(&self, sym: Option<Symbol>) -> bool {
         !self.wildcard.is_empty()
@@ -185,17 +194,15 @@ pub struct MultiEngine {
     records: Vec<QueryRecord>,
     interner: Interner,
     driver: DocumentDriver,
-    /// The per-event apply step, keyed by group id. Its dispatch index is
-    /// the engine's one index; its scratch and frames are cleared, not
-    /// reallocated, per document.
+    /// Predicate-subtree and text interests of every group, by group id.
+    index: DispatchIndex,
+    /// The direct lane's apply step, and the admission walk's buffers:
+    /// engine-owned so that a session per document clears them instead of
+    /// reallocating them.
     exec: Executor,
-    /// Scratch: the trie pushes of the current start tag.
-    pushed: Vec<TriePush>,
+    walk: WalkScratch,
     /// Per-subscription cost attribution (disabled by default).
     profile: CostLedger,
-    /// Trie pushes billed per routed group this document (indexed by gid;
-    /// empty when profiling is off).
-    shared_scratch: Vec<u64>,
 }
 
 /// One registration's bookkeeping.
@@ -214,10 +221,10 @@ impl MultiEngine {
             records: Vec::new(),
             interner: Interner::new(),
             driver: DocumentDriver::new(),
+            index: DispatchIndex::default(),
             exec: Executor::default(),
-            pushed: Vec::new(),
+            walk: WalkScratch::default(),
             profile: CostLedger::disabled(),
-            shared_scratch: Vec::new(),
         }
     }
 
@@ -236,7 +243,7 @@ impl MultiEngine {
         let reg = self.planner.register(tree, id, &mut self.interner)?;
         if reg.created {
             let spec = self.planner.group(reg.group).machine().spec();
-            self.exec.index.add_group(reg.group, spec, self.interner.len());
+            self.index.add_group(reg.group, spec, self.interner.len());
         }
         self.records.push(QueryRecord { text: tree.original().to_owned(), group: Some(reg.group) });
         Ok(id)
@@ -253,7 +260,7 @@ impl MultiEngine {
         let gid = record.group.take()?;
         let last = self.planner.unsubscribe(gid, id);
         if last {
-            self.exec.index.remove_group(gid, self.planner.group(gid).machine().spec());
+            self.index.remove_group(gid, self.planner.group(gid).machine().spec());
         }
         Some(last)
     }
@@ -313,90 +320,52 @@ impl MultiEngine {
         self.profile.snapshot()
     }
 
-    /// Splits the engine into the disjoint borrows the sharded execution
-    /// layer ([`crate::shard`]) needs: plan groups go to worker threads,
-    /// the trie, driver and interner stay on the document thread, and the
-    /// registration records parameterize output assembly. The engine's
-    /// dispatch index travels read-only as half of the broadcast filter —
-    /// each shard builds its own over its group subset.
+    /// Splits the engine into the disjoint borrows a
+    /// [`ShardSession`] holds while documents stream: the planner (its
+    /// trie goes to the admission walk, its groups to the lane), the
+    /// dispatch index read-only, the direct lane's executor, and the
+    /// registration records that parameterize output assembly.
     pub(crate) fn shard_parts(&mut self) -> ShardParts<'_> {
         ShardParts {
             planner: &mut self.planner,
             interner: &self.interner,
             driver: &mut self.driver,
-            index: &self.exec.index,
+            index: &self.index,
+            exec: &mut self.exec,
+            walk: &mut self.walk,
             records: &self.records,
             profile: &self.profile,
         }
     }
 
-    /// Streams `reader` once through every active plan group. `on_match`
-    /// fires with the originating query's id the moment a solution is
-    /// decidable; a solution of a shared machine fires once per
-    /// subscriber, in registration order.
+    /// Streams `reader` once through every active plan group — a
+    /// one-document session on the calling thread. `on_match` fires with
+    /// the originating query's id the moment a solution is decidable; a
+    /// solution of a shared machine fires once per subscriber, in
+    /// registration order.
     pub fn run<E: EventSource, F: FnMut(QueryId, Match)>(
         &mut self,
         reader: E,
         on_match: F,
     ) -> EngineResult<MultiOutput> {
-        let (trie, groups) = self.planner.run_split();
-        for g in groups.iter_mut().filter(|g| g.is_active()) {
-            g.machine_mut().reset();
-        }
-        trie.begin_document();
-        self.exec.begin_document();
-        let mut matches: Vec<Vec<Match>> = self.records.iter().map(|_| Vec::new()).collect();
-        self.shared_scratch.clear();
-        if self.profile.is_enabled() {
-            self.shared_scratch.resize(groups.len(), 0);
-        }
-        let mut sink = InlineSink {
-            trie,
-            groups,
-            interner: &self.interner,
-            exec: &mut self.exec,
-            pushed: &mut self.pushed,
-            shared_steps: &mut self.shared_scratch,
-            matches: &mut matches,
-            on_match,
-        };
-        let stream = self.driver.run(reader, &mut sink)?;
-        let groups = self.planner.groups();
-        Ok(finish_document(
-            FinishedDocument {
-                records: &self.records,
-                matches,
-                stream,
-                plan: self.planner.stats(&self.interner),
-                shared_steps: &self.shared_scratch,
-                holds: Vec::new(),
-            },
-            &self.driver.telemetry(),
-            &self.profile,
-            groups.len(),
-            |gid| {
-                let g = &groups[gid];
-                GroupFacts {
-                    canonical: g.is_active().then(|| g.canonical_key()),
-                    subscribers: g.subscribers().len() as u64,
-                    stats: g.machine().stats(),
-                }
-            },
-        ))
+        ShardSession::open(self.shard_parts(), None).run_document(reader, on_match)
     }
 }
 
 /// What the per-document epilogue reads off one plan-group slot. The
-/// inline engine answers from the live [`PlanGroup`]s; a sharded session
-/// from its frozen-plan snapshots plus the workers' `DocEnd` statistics.
+/// direct lane answers from the live [`PlanGroup`]s and its executor; the
+/// ring lane from its session-open snapshots plus the workers' `DocEnd`
+/// reports.
 pub(crate) struct GroupFacts<'a> {
     /// Canonical step key; `None` for an inactive slot.
     pub(crate) canonical: Option<&'a str>,
     pub(crate) subscribers: u64,
     pub(crate) stats: &'a MachineStats,
+    /// Sampled machine self-time this document (zero unless profiling).
+    pub(crate) self_ns: u64,
 }
 
-/// One fully streamed document, as an engine hands it to
+/// One fully streamed document, as the session hands it to
 /// [`finish_document`].
 pub(crate) struct FinishedDocument<'a> {
     pub(crate) records: &'a [QueryRecord],
@@ -407,14 +376,13 @@ pub(crate) struct FinishedDocument<'a> {
     /// Trie pushes billed per routed group (gid-indexed; empty unless
     /// profiling).
     pub(crate) shared_steps: &'a [u64],
-    /// Merge-hold attribution `(gid, deliveries, ns)` (sharded runs only).
+    /// Merge-hold attribution `(gid, deliveries, ns)` (ring lane only).
     pub(crate) holds: Vec<(u32, u64, u64)>,
 }
 
-/// The **one** per-document epilogue, shared by the inline engine and the
-/// sharded session: projects group statistics onto registration
-/// records, folds the deterministic telemetry counters and the cost
-/// ledger, and assembles the [`MultiOutput`]. Every fold is per
+/// The **one** per-document epilogue: projects group statistics onto
+/// registration records, folds the deterministic telemetry counters and
+/// the cost ledger, and assembles the [`MultiOutput`]. Every fold is per
 /// subscription (not per group) from the per-record projection — a shared
 /// machine contributes once per subscriber — which is what makes the
 /// counters and the ledger's per-query section invariant across shard
@@ -450,6 +418,7 @@ pub(crate) fn finish_document<'g>(
             let g = group(gid);
             if let Some(canonical) = g.canonical {
                 profile.fold_group(gid, canonical, g.subscribers, g.stats);
+                profile.add_self_ns(gid, g.self_ns);
             }
         }
         if shared_steps.iter().any(|&n| n > 0) {
@@ -475,15 +444,18 @@ impl Default for MultiEngine {
     }
 }
 
-/// Split borrows of a [`MultiEngine`] handed to the sharded execution
-/// layer for the duration of a [`crate::shard::ShardSession`].
+/// Split borrows of a [`MultiEngine`], held by a [`ShardSession`] for
+/// its duration.
 pub(crate) struct ShardParts<'a> {
     pub(crate) planner: &'a mut QueryPlanner,
     pub(crate) interner: &'a Interner,
     pub(crate) driver: &'a mut DocumentDriver,
-    /// The engine's dispatch index — read-only during a session, used by
-    /// the admission walk as an any-shard-interested filter.
+    /// The engine's dispatch index — read-only during a session: the
+    /// admission walk's any-group-interested filter, and what the direct
+    /// lane dispatches from.
     pub(crate) index: &'a DispatchIndex,
+    pub(crate) exec: &'a mut Executor,
+    pub(crate) walk: &'a mut WalkScratch,
     pub(crate) records: &'a [QueryRecord],
     /// The cost ledger (disabled when profiling is off).
     pub(crate) profile: &'a CostLedger,
@@ -493,8 +465,8 @@ pub(crate) struct ShardParts<'a> {
 /// buffer push then callback per subscriber, the last subscriber taking
 /// the hit by value so a single-subscriber group clones exactly once (as
 /// the pre-planner engine did). This is the **one** fan-out in the
-/// system — the sharded merge calls it too, which is what keeps sharded
-/// delivery order identical to single-threaded by construction.
+/// system — the direct lane's emitter and the ring lane's merge both end
+/// here, which keeps the two delivery orders identical by construction.
 pub(crate) fn fan_out_match<F: FnMut(QueryId, Match)>(
     subscribers: &[QueryId],
     matches: &mut [Vec<Match>],
@@ -553,10 +525,10 @@ pub(crate) fn merge_prefix_targets(
 }
 
 /// A start tag as the [`Executor`] consumes it: borrowed from the
-/// driver's event inline, from the ring's `Arc` payloads in a worker.
+/// driver's event on the direct lane, from the ring's `Arc` payloads in a
+/// worker.
 pub(crate) struct StartTag<'a> {
     pub(crate) sym: Option<Symbol>,
-    pub(crate) name: &'a str,
     pub(crate) level: u32,
     pub(crate) attributes: &'a [Attribute],
     pub(crate) node_id: NodeId,
@@ -572,9 +544,9 @@ pub(crate) struct StartTag<'a> {
 /// document and measures ~3%).
 const SELF_SAMPLE: u64 = 1024;
 
-/// Sampled per-slot machine self-time (cost attribution; shard workers
-/// switch it on while profiling, everywhere else it is one predictable
-/// branch per touch).
+/// Sampled per-slot machine self-time (cost attribution; a session
+/// switches it on for whichever lane runs while profiling, otherwise it is
+/// one predictable branch per touch).
 #[derive(Debug, Default)]
 struct SelfTimer {
     on: bool,
@@ -604,13 +576,14 @@ impl SelfTimer {
 /// machine node)]` and the trie's push decisions for a start tag, it
 /// drives exactly the machines the event can move and hands every
 /// solution to `emit` with the emitting slot and its group's subscriber
-/// list. The inline engine keys slots by group id and emits through
+/// list. The direct lane keys slots by group id and emits through
 /// [`fan_out_match`]; a shard worker keys them by local index over the
-/// groups it has on loan and emits tagged matches for the merge.
+/// groups it has on loan and emits tagged matches for the merge. The
+/// dispatch index is the caller's (the admission walk reads the engine's
+/// while the direct lane drives this executor; a worker keeps its own
+/// beside it).
 #[derive(Debug, Default)]
 pub(crate) struct Executor {
-    /// Predicate-subtree and text interests per slot.
-    pub(crate) index: DispatchIndex,
     /// Scratch: per-slot main-path plans, `(slot, machine node, ptr)`.
     plans: Vec<(u32, u32, u32)>,
     /// Scratch: slots with predicate interest in the current event.
@@ -638,33 +611,34 @@ impl Executor {
         self.timer.ns.fill(0);
     }
 
-    /// Switches self-time sampling on or off for `slots` group slots.
+    /// Switches self-time sampling on or off for `slots` group slots
+    /// (off keeps no per-slot table).
     pub(crate) fn sample_self_time(&mut self, on: bool, slots: usize) {
         self.timer.on = on;
         self.timer.ns.clear();
-        self.timer.ns.resize(slots, 0);
+        self.timer.ns.resize(if on { slots } else { 0 }, 0);
     }
 
     /// Sampled self-time (ns) of `slot`'s machine this document (zero
     /// unless sampling is on).
     pub(crate) fn self_ns(&self, slot: usize) -> u64 {
-        self.timer.ns[slot]
+        self.timer.ns.get(slot).copied().unwrap_or(0)
     }
 
     /// `startElement`: expands the trie's `pushes` along `routes` into
     /// per-slot main plans, merge-walks them with the slots whose
-    /// predicate subtrees test the tag's name, and records the slots that
-    /// pushed as the element's frame.
+    /// predicate subtrees test the tag's name (`index`), and records the
+    /// slots that pushed as the element's frame.
     pub(crate) fn start<G: BorrowMut<PlanGroup>>(
         &mut self,
         groups: &mut [G],
+        index: &DispatchIndex,
         routes: &[Vec<(u32, u32)>],
         pushes: &[TriePush],
         tag: &StartTag<'_>,
         mut emit: impl FnMut(u32, &[QueryId], Match),
     ) {
-        let Self { index, plans, pred_slots, main_scratch, frame_slots, frames, text_live, timer } =
-            self;
+        let Self { plans, pred_slots, main_scratch, frame_slots, frames, text_live, timer } = self;
         plans.clear();
         for p in pushes {
             plans.extend(routes[p.node as usize].iter().map(|&(slot, mnode)| (slot, mnode, p.ptr)));
@@ -685,7 +659,6 @@ impl Executor {
                     main,
                     preds,
                     tag.sym,
-                    tag.name,
                     tag.level,
                     tag.attributes,
                     tag.node_id,
@@ -748,71 +721,6 @@ impl Executor {
             }
         }
         self.frame_slots.truncate(base);
-    }
-}
-
-/// The inline emitter: straight into [`fan_out_match`] (the slot is the
-/// group id, which the fan-out does not need).
-fn fan_out<'m, F: FnMut(QueryId, Match)>(
-    matches: &'m mut [Vec<Match>],
-    on_match: &'m mut F,
-) -> impl FnMut(u32, &[QueryId], Match) + 'm {
-    move |_, subscribers, hit| fan_out_match(subscribers, matches, on_match, hit)
-}
-
-/// The inline [`EventSink`]: advances the step trie once per start tag
-/// and hands its push decisions straight to the [`Executor`], with group
-/// ids as slots and [`fan_out_match`] as the emitter.
-struct InlineSink<'a, F: FnMut(QueryId, Match)> {
-    trie: &'a mut StepTrie,
-    groups: &'a mut [PlanGroup],
-    interner: &'a Interner,
-    exec: &'a mut Executor,
-    pushed: &'a mut Vec<TriePush>,
-    /// Shared-step billing per routed group (cost attribution); empty
-    /// when profiling is off, indexed by gid otherwise.
-    shared_steps: &'a mut [u64],
-    matches: &'a mut [Vec<Match>],
-    on_match: F,
-}
-
-impl<F: FnMut(QueryId, Match)> EventSink for InlineSink<'_, F> {
-    fn resolve(&mut self, name: &str) -> Option<Symbol> {
-        self.interner.lookup(name)
-    }
-
-    fn start_element(
-        &mut self,
-        sym: Option<Symbol>,
-        event: &StartElementEvent,
-        node_id: NodeId,
-        attr_id_base: NodeId,
-    ) {
-        self.pushed.clear();
-        self.trie.advance(sym, event.level, self.pushed);
-        self.trie.bill_pushes(self.pushed, self.shared_steps);
-        let tag = StartTag {
-            sym,
-            name: event.name.as_str(),
-            level: event.level,
-            attributes: &event.attributes,
-            node_id,
-            attr_id_base,
-            span: event.span,
-        };
-        let emit = fan_out(self.matches, &mut self.on_match);
-        self.exec.start(self.groups, self.trie.routes(), self.pushed, &tag, emit);
-    }
-
-    fn characters(&mut self, event: &CharactersEvent, node_id: NodeId) {
-        let emit = fan_out(self.matches, &mut self.on_match);
-        self.exec.text(self.groups, &event.text, event.level, node_id, event.span, emit);
-    }
-
-    fn end_element(&mut self, _sym: Option<Symbol>, event: &EndElementEvent) {
-        let emit = fan_out(self.matches, &mut self.on_match);
-        self.exec.end(self.groups, event.name.as_str(), event.level, event.element_span, emit);
-        self.trie.retreat(event.level);
     }
 }
 

@@ -181,12 +181,19 @@ impl QueryPlanner {
     /// Plan-level statistics. `interner` contributes its table bytes: the
     /// symbol table is part of the shared plan's resident structure.
     pub fn stats(&self, interner: &Interner) -> PlanStats {
+        let mut stats = self.stats_sans_group_bytes(interner);
+        stats.plan_bytes += resident_bytes(&self.groups);
+        stats
+    }
+
+    /// [`QueryPlanner::stats`] with `plan_bytes` short of the groups'
+    /// resident bytes — the one part of the plan a streamed document
+    /// moves (stack capacity grows). A session snapshots this when it
+    /// opens and adds [`resident_bytes`] after each document, so a
+    /// one-document session walks the groups' bytes once, not twice.
+    pub(crate) fn stats_sans_group_bytes(&self, interner: &Interner) -> PlanStats {
         let active = self.groups.iter().filter(|g| g.is_active());
-        let (mut machine_nodes, mut plan_bytes) = (0u64, 0u64);
-        for g in active {
-            machine_nodes += g.machine().spec().len() as u64;
-            plan_bytes += g.approx_bytes();
-        }
+        let machine_nodes = active.map(|g| g.machine().spec().len() as u64).sum();
         let run = self.trie.run_stats();
         PlanStats {
             queries: self.active_queries as u64,
@@ -195,7 +202,7 @@ impl QueryPlanner {
             machine_nodes,
             trie_nodes: self.trie.len() as u64,
             shared_trie_nodes: self.trie.shared_nodes() as u64,
-            plan_bytes: plan_bytes + self.trie.approx_bytes() + interner.heap_bytes(),
+            plan_bytes: self.trie.approx_bytes() + interner.heap_bytes(),
             prefix_steps_executed: run.steps_executed,
             prefix_steps_saved: run.steps_saved,
             prefix_forks: run.forks,
@@ -221,6 +228,12 @@ impl QueryPlanner {
             })
             .collect()
     }
+}
+
+/// Resident bytes of the active groups among `groups` (stack capacity
+/// grows with the documents seen, so this is re-read per document).
+pub(crate) fn resident_bytes(groups: &[PlanGroup]) -> u64 {
+    groups.iter().filter(|g| g.is_active()).map(PlanGroup::approx_bytes).sum()
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@
 //! which do not influence push/pop timing). Every group whose main path
 //! routes through a trie node therefore agrees, at every moment of the
 //! stream, on that node's stack. Each trie node owns exactly one copy of
-//! that stack ([`TrieEntry`]: the level), [`StepTrie::advance`] updates it
+//! that stack (`TrieEntry`: the level), `StepTrie::advance` updates it
 //! **once per event**, and the engine forks into per-group machines only
 //! where state actually diverges — delivering the planned pushes through
 //! the node's **routes** (`(group, machine node)` pairs) so each group's
@@ -52,7 +52,7 @@ pub struct StepKey {
 /// [`TriePush`], never read back.
 type TrieEntry = u32;
 
-/// A main-path push decided by [`StepTrie::advance`]: the trie node (its
+/// A main-path push decided by `StepTrie::advance`: the trie node (its
 /// routes name the group machine nodes to push onto) and the parent-stack
 /// pointer the new entries carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,7 +214,7 @@ impl StepTrie {
     /// Unrecords `group` from `node` (the group went inactive), splicing
     /// it out of the route lists up to the root. Trie nodes are never
     /// deleted; an empty suffix simply stops counting as shared — and,
-    /// with no routes left, [`StepTrie::advance`] stops touching its
+    /// with no routes left, `StepTrie::advance` stops touching its
     /// runtime stack entirely.
     pub fn remove_group(&mut self, node: usize, group: usize) {
         let terminals = &mut self.nodes[node].terminals;

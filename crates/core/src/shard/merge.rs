@@ -2,11 +2,12 @@
 //!
 //! Workers emit matches tagged with a global ordering key — the sequence
 //! number of the document event that produced the match and the plan
-//! group id that emitted it. The single-threaded engine visits groups in
-//! ascending group-id order within each event, so sorting the union of
-//! all shard streams by `(seq, gid)` (ties within one `(seq, gid)` keep
-//! the machine's emission order, which each shard's FIFO preserves)
-//! reproduces its output **exactly** — same matches, same delivery order.
+//! group id that emitted it. The direct lane (one executor on the calling
+//! thread) visits groups in ascending group-id order within each event,
+//! so sorting the union of all shard streams by `(seq, gid)` (ties within
+//! one `(seq, gid)` keep the machine's emission order, which each shard's
+//! FIFO preserves) reproduces its output **exactly** — same matches, same
+//! delivery order.
 //!
 //! The merge is *streaming*: it never waits for end of document. Each
 //! shard advances a **watermark** — the highest event sequence number it

@@ -1,72 +1,86 @@
-//! Sharded parallel execution: plan groups partitioned across worker
-//! threads, with a deterministic merge back into single-threaded order.
+//! Sessions: one pipeline from SAX events to delivered matches, with the
+//! plan groups on the calling thread or partitioned across workers.
 //!
 //! TwigM machines are independent consumers of the same event stream, and
 //! the planner already routes each event to disjoint plan groups — so the
-//! groups are an embarrassingly partitionable unit of work. The
-//! [`ShardedEngine`] exploits that: it wraps the multi-query engine,
-//! partitions the active plan groups across `N` worker threads, advances
-//! the plan trie once per event on the document thread, broadcasts the
-//! driver's interned events — trie push decisions attached — over bounded
-//! rings ([`worker::Ring`]), applies them in each shard with the same
-//! [`crate::multi::Executor`] the inline engine runs, over the shard's
-//! subset, and k-way-merges the per-shard match streams by watermark
-//! ([`merge::MatchMerger`]) into **exactly** the output — same matches,
-//! same order, same statistics — the single-threaded engine produces.
+//! groups are an embarrassingly partitionable unit of work, and *where*
+//! they run is a transport question. A [`ShardSession`] is the one
+//! pipeline: the driver's interned events pass the admission walk, what
+//! it admits is delivered to the groups, and the per-document epilogue
+//! assembles the output. [`ShardedEngine`] opens sessions over `N` worker
+//! threads; [`MultiEngine::run`] is a one-document session with none. The
+//! output — same matches, same order, same statistics — does not depend
+//! on which.
 //!
 //! ## Sessions
 //!
-//! Worker threads are scoped to a [`ShardSession`], not to a single
-//! document: [`ShardedEngine::session`] spawns the workers once, then
-//! [`ShardSession::run_document`] streams any number of documents
-//! back-to-back through the same registered query set without
-//! re-planning — the document-collections workload, where keeping the
-//! workers warm is what makes the threads pay. Registration churn
-//! (`add_query` / `remove_query`) happens between sessions; the partition
-//! is recomputed over the then-active groups each time a session opens,
-//! so retired slots recycled by the planner's free-list migrate shards
-//! naturally.
+//! A session freezes the subscription set (it mutably borrows the engine)
+//! and streams any number of documents back-to-back through
+//! [`ShardSession::run_document`] without re-planning — the
+//! document-collections workload, where keeping workers warm is what
+//! makes threads pay. Registration churn (`add_query` / `remove_query`)
+//! happens between sessions; the partition is recomputed over the
+//! then-active groups each time a session opens, so retired slots
+//! recycled by the planner's free-list migrate shards naturally.
 //!
-//! ## The coordinator
+//! What every session shares, written once: the driver and interner, the
+//! **admission walk** (`admit::Admission`: sequence numbers, the
+//! any-group-interested filter, the global trie advance and the
+//! shared-step bill — on the document thread, which is what keeps plan
+//! statistics identical at every shard count), the one `EventSink` that
+//! asks the walk first and hands what it admits to the lane, poisoning,
+//! the plan-statistics derivation and the epilogue
+//! (`crate::multi::finish_document`).
 //!
-//! The document thread runs the driver over any [`EventSource`]
-//! ([`ShardSession::run_document`]) and does three things per document:
-//! the **admission walk** ([`admit::Admission`]) numbers events, applies
-//! the broadcast filter and sequences the global trie, and the `DocPump`
-//! sink ships what it admits, batched, to every shard ring; the
-//! per-document `DocState` ingests worker reports into the watermark
-//! merge until every shard has acknowledged `DocEnd`; and the epilogue
-//! (`ThreadedSession::finish_document`, ending in
-//! [`crate::multi::finish_document`]) assembles the output exactly as the
-//! inline engine does.
+//! ## The two lanes
+//!
+//! A lane owns two things: *delivering one admitted event* and
+//! *collecting per-group facts at document end*. Which lane a session
+//! runs follows from the **effective worker count** `min(shards, active
+//! groups)`, which the code observes — nobody chooses it:
+//!
+//! * **direct** (one worker or none): the borrowed driver event goes
+//!   straight into the engine's `crate::multi::Executor` over the live
+//!   groups, with `crate::multi::fan_out_match` as the emitter. Matches
+//!   leave the machines already in delivery order, so nothing is tagged,
+//!   copied into `Arc` payloads or merged; facts are read off the live
+//!   groups. Opening the lane snapshots nothing a live group can answer.
+//! * **ring** (two or more): the event is built once as a `ShardEvent` —
+//!   trie push decisions attached — batched, and broadcast over bounded
+//!   rings (`worker::Ring`); each worker applies it with its own executor
+//!   over the groups it has on loan and reports matches tagged `(event
+//!   seq, group id)`; the watermark merge (`merge::MatchMerger`) releases
+//!   them into exactly the direct lane's order, and the workers' `DocEnd`
+//!   acknowledgements carry the per-group facts. Groups being out on loan
+//!   is why this lane snapshots subscriber lists (and, while profiling,
+//!   canonical keys) when the session opens.
 //!
 //! ## Placement
 //!
-//! *Which* groups land on which worker is the [`place`] subsystem's
-//! call: LPT bin-packing over ledger-refined cost estimates, with
-//! mid-session repartitioning at document boundaries when measured
+//! *Which* groups land on which ring-lane worker is the `place`
+//! subsystem's call: LPT bin-packing over ledger-refined cost estimates,
+//! with mid-session repartitioning at document boundaries when measured
 //! imbalance exceeds a hysteresis threshold. Groups live in a
-//! [`worker::GroupPool`] between documents, and every document's
-//! `DocStart` carries the assignment to run under — so a repartition is
-//! just a new assignment version, adopted by the workers before the
-//! next event flows.
+//! `worker::GroupPool` between documents, and every document's `DocStart`
+//! carries the assignment to run under — so a repartition is just a new
+//! assignment version, adopted by the workers before the next event
+//! flows.
 //!
 //! ## Determinism
 //!
-//! With `shards = 1` the engine *is* the single-threaded
-//! [`MultiEngine::run`] path — no threads, no rings. With `shards > 1`
-//! determinism is by construction: every match carries its
-//! `(event seq, group id)` key, each shard's stream is emitted in key
-//! order, and the merger releases a match only once every shard's
-//! watermark has passed its event. The differential battery asserts
-//! equality at several shard counts.
+//! The direct lane's order is the executor's visit order: ascending group
+//! id within each event. The ring lane reproduces it by construction:
+//! every match carries its `(event seq, group id)` key, each shard's
+//! stream is emitted in key order, and the merger releases a match only
+//! once every shard's watermark has passed its event. The differential
+//! batteries assert equality at shard counts {1, 2, 4, 7}.
 
 pub(crate) mod admit;
 pub(crate) mod merge;
 pub(crate) mod place;
 pub(crate) mod worker;
 
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::thread;
 
@@ -74,22 +88,25 @@ use vitex_xmlsax::event::{CharactersEvent, EndElementEvent, StartElementEvent};
 use vitex_xmlsax::EventSource;
 use vitex_xpath::query_tree::QueryTree;
 
-use crate::driver::EventSink;
+use crate::driver::{DocumentDriver, EventSink};
 use crate::error::{EngineError, EngineResult};
 use crate::intern::{Interner, Symbol};
 use crate::multi::{
-    finish_document, FinishedDocument, GroupFacts, MultiEngine, MultiOutput, QueryRecord,
+    fan_out_match, finish_document, Executor, FinishedDocument, GroupFacts, MultiEngine,
+    MultiOutput, QueryRecord, ShardParts, StartTag,
 };
-use crate::plan::TriePush;
+use crate::plan::{resident_bytes, PlanGroup, RouteTable, TriePush};
 use crate::result::{Match, NodeId, QueryId};
-use crate::stats::{MachineStats, PlanStats, StreamStats};
+use crate::stats::PlanStats;
 use crate::telemetry::{CostLedger, Telemetry};
 
 use admit::Admission;
 use merge::MatchMerger;
 pub use place::PlacementSnapshot;
 use place::{Assignment, CostModel, ShardPlan};
-use worker::{run_worker, EventBatch, GroupPool, Ring, SeqBatch, ShardEvent, WorkerReport};
+use worker::{
+    run_worker, EventBatch, GroupPool, GroupSnapshot, Ring, SeqBatch, ShardEvent, WorkerReport,
+};
 
 /// Events per broadcast batch: large enough to amortize ring locking and
 /// `Arc<[_]>` allocation, small enough to keep delivery incremental.
@@ -98,7 +115,8 @@ const EVENT_BATCH: usize = 256;
 /// Ring depth in batches — the backpressure bound per shard.
 const RING_BATCHES: usize = 8;
 
-/// A multi-query engine that executes plan groups on `N` worker threads.
+/// A multi-query engine that executes plan groups on up to `N` worker
+/// threads.
 ///
 /// The registration surface mirrors [`MultiEngine`] (it *is* one
 /// underneath); only execution differs. See the module docs for the
@@ -116,7 +134,7 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// An empty engine running `shards` workers (0 is clamped to 1).
+    /// An empty engine running up to `shards` workers (0 is clamped to 1).
     pub fn new(shards: usize) -> Self {
         ShardedEngine {
             multi: MultiEngine::new(),
@@ -129,7 +147,9 @@ impl ShardedEngine {
     /// Test-only fault injection: make shard `shard`'s worker panic when
     /// it applies the event with sequence number `seq` (in any later run
     /// or session, until [`Self::clear_worker_fault`]). Exercises the
-    /// poison path from integration tests.
+    /// poison path from integration tests. A session whose effective
+    /// worker count is one delivers on the calling thread and has no
+    /// worker to fault.
     #[doc(hidden)]
     pub fn inject_worker_fault(&mut self, shard: usize, seq: u64) {
         self.fault = Some((shard, seq));
@@ -157,8 +177,8 @@ impl ShardedEngine {
         self.shards
     }
 
-    /// The wrapped single-threaded engine, for registration-surface calls
-    /// not mirrored here.
+    /// The wrapped multi-query engine, for registration-surface calls not
+    /// mirrored here.
     pub fn engine(&self) -> &MultiEngine {
         &self.multi
     }
@@ -198,17 +218,18 @@ impl ShardedEngine {
         self.multi.plan_stats()
     }
 
-    /// Attaches a telemetry handle. Beyond the single-threaded counters,
-    /// sharded runs record ring occupancy/stalls, worker busy/idle time,
-    /// per-batch shard spans, and merge hold/release statistics.
+    /// Attaches a telemetry handle. Beyond the counters every session
+    /// records, ring-lane runs record ring occupancy/stalls, worker
+    /// busy/idle time, per-batch shard spans, and merge hold/release
+    /// statistics.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.multi.set_telemetry(telemetry);
     }
 
     /// Enables (or disables) per-subscription cost attribution (see
-    /// [`MultiEngine::set_profiling`]). Sharded runs additionally
-    /// attribute sampled worker self-time, shared trie steps billed on
-    /// the document thread, and merge hold latency to each plan group.
+    /// [`MultiEngine::set_profiling`]). Every group is additionally billed
+    /// its sampled machine self-time and the shared trie steps taken on
+    /// its behalf; ring-lane runs add merge hold latency.
     pub fn set_profiling(&mut self, on: bool) {
         self.multi.set_profiling(on);
     }
@@ -226,7 +247,6 @@ impl ShardedEngine {
     }
 
     /// Streams one document; a one-document [`ShardedEngine::session`].
-    /// With one shard this *is* [`MultiEngine::run`].
     pub fn run<E: EventSource, F: FnMut(QueryId, Match)>(
         &mut self,
         reader: E,
@@ -235,109 +255,43 @@ impl ShardedEngine {
         self.session(|session| session.run_document(reader, on_match))
     }
 
-    /// Opens a streaming session: spawns the worker threads, partitions
-    /// the active plan groups across them, hands `f` a [`ShardSession`]
-    /// to stream documents through, and tears the workers down when `f`
-    /// returns. The subscription set is frozen for the session (the
-    /// borrow checker enforces it — the session mutably borrows the
-    /// engine), so documents stream back-to-back with zero re-planning
-    /// or thread churn between them.
+    /// Opens a streaming session: partitions the active plan groups
+    /// across the effective worker count, spawns that many worker threads
+    /// when it is two or more, hands `f` a [`ShardSession`] to stream
+    /// documents through, and tears the workers down when `f` returns.
+    /// The subscription set is frozen for the session (the borrow checker
+    /// enforces it — the session mutably borrows the engine), so
+    /// documents stream back-to-back with zero re-planning or thread
+    /// churn between them.
     pub fn session<T>(
         &mut self,
         f: impl FnOnce(&mut ShardSession<'_>) -> EngineResult<T>,
     ) -> EngineResult<T> {
-        if self.shards == 1 {
-            // Inline: same API, no threads — the single-threaded engine.
-            return f(&mut ShardSession { inner: SessionInner::Inline(&mut self.multi) });
-        }
-        let injected_fault = self.fault;
-        let injected_swap_fault = self.swap_fault;
+        let (fault, swap_fault) = (self.fault, self.swap_fault);
+        // A surplus worker would own zero machines yet pop and acknowledge
+        // every batch, so the count is clamped to the active groups —
+        // *here*, against the post-churn set, so removals between sessions
+        // shrink the worker pool. A lone worker behind a ring would
+        // parallelize nothing: below two the calling thread delivers.
+        let workers = self.shards.min(self.multi.group_count());
         let parts = self.multi.shard_parts();
-        let plan = parts.planner.stats(parts.interner);
-        // Group-resident bytes are re-read from the workers after each
-        // document (stack capacity grows with the stream); everything else
-        // in the plan is frozen for the session. `plan_overhead` is the
-        // non-group remainder (trie, interner).
-        let plan_overhead = plan.plan_bytes
-            - parts
-                .planner
-                .groups()
-                .iter()
-                .filter(|g| g.is_active())
-                .map(|g| g.approx_bytes())
-                .sum::<u64>();
-        let nsymbols = parts.interner.len();
-        // Groups are out on loan to the workers while documents stream,
-        // so what the coordinator reads off them is snapshotted up front
-        // (the plan is frozen for the session): subscriber lists for the
-        // fan-out and, while profiling, canonical keys for the ledger.
-        let subscribers: Vec<Vec<QueryId>> =
-            parts.planner.groups().iter().map(|g| g.subscribers().to_vec()).collect();
-        let group_slots = subscribers.len();
-        let profiled = parts.profile.is_enabled();
-        let group_canonicals: Vec<Option<String>> = if profiled {
-            parts
-                .planner
-                .groups()
-                .iter()
-                .map(|g| g.is_active().then(|| g.canonical_key().to_string()))
-                .collect()
-        } else {
-            Vec::new()
-        };
-
-        // Partition the active groups. Surplus workers would own zero
-        // machines yet still pop and acknowledge every batch, so the
-        // worker count is clamped to the active group count (a session
-        // always runs at least one worker — stream statistics must flow
-        // even with no subscriptions). Clamping happens *here*, against
-        // the post-churn active set, so removals between sessions shrink
-        // the worker pool rather than leave idle acknowledgers.
-        let active_gids: Vec<usize> = parts
-            .planner
-            .groups()
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| g.is_active())
-            .map(|(gid, _)| gid)
-            .collect();
-        let nshards = self.shards.min(active_gids.len()).max(1);
-
-        // Cost estimates for placement planning: uniform prior, seeded
-        // from the live cost ledger when there is one. Seeding is guarded
-        // by each group's canonical step key: the planner's free-list
-        // recycles retired gids, and a recycled slot must not inherit the
-        // retired query's bill.
-        let mut cost = CostModel::uniform(group_slots);
-        if let Some(snapshot) = parts.profile.snapshot() {
-            cost.seed_from_ledger(&snapshot, &group_canonicals);
+        if workers < 2 {
+            return f(&mut ShardSession::open(parts, None));
         }
-        let initial_plan = place::lpt_plan(&active_gids, &cost, nshards);
-
-        // The admission walk advances the *global* plan trie once per
-        // event and ships the push decisions; each worker only needs the
-        // trie's route table narrowed to its own group subset, which the
-        // assignment carries.
-        let (trie, groups) = parts.planner.run_split();
-        let assignment = Arc::new(place::make_assignment(0, &initial_plan, trie.routes()));
-
-        // All active groups start in the pool; workers check theirs out
-        // per document under whatever assignment that document carries.
-        let pool = GroupPool::new(groups);
-
+        let (nsymbols, profiled) = (parts.interner.len(), parts.profile.is_enabled());
         let telemetry = parts.driver.telemetry();
-        let rings: Vec<Arc<Ring<SeqBatch>>> = (0..nshards)
+        let rings: Vec<Arc<Ring<SeqBatch>>> = (0..workers)
             .map(|_| Arc::new(Ring::with_telemetry(RING_BATCHES, telemetry.clone())))
             .collect();
-        let (tx, rx): (Sender<WorkerReport>, Receiver<WorkerReport>) = channel();
+        let (tx, rx) = channel();
+        let pool = GroupPool::vacant(parts.planner.groups().len());
+        let ends = RingEnds { rings: &rings, rx: &rx, pool: &pool };
+        let mut session = ShardSession::open(parts, Some(ends));
         thread::scope(|scope| {
-            let pool = &pool;
-            for (shard, shard_ring) in rings.iter().enumerate() {
-                let ring = Arc::clone(shard_ring);
-                let tx = tx.clone();
-                let fault =
-                    injected_fault.and_then(|(s, seq)| if s == shard { Some(seq) } else { None });
-                let swap_fault = injected_swap_fault == Some(shard);
+            for (shard, ring) in rings.iter().enumerate() {
+                let (ring, tx, pool) = (Arc::clone(ring), tx.clone(), &pool);
+                let fault = fault.and_then(|(s, seq)| (s == shard).then_some(seq));
+                let swap_fault = swap_fault == Some(shard);
                 scope.spawn(move || {
                     run_worker(shard, pool, nsymbols, fault, swap_fault, profiled, ring, tx)
                 });
@@ -347,27 +301,6 @@ impl ShardedEngine {
             // the scope joins the workers on unwind, and a worker blocked
             // in `Ring::pop` would never exit.
             let _close_on_exit = CloseRings(&rings);
-            let mut session = ShardSession {
-                inner: SessionInner::Threaded(Box::new(ThreadedSession {
-                    driver: parts.driver,
-                    interner: parts.interner,
-                    admission: Admission::new(parts.index, trie),
-                    rings: &rings,
-                    rx: &rx,
-                    subscribers: &subscribers,
-                    records: parts.records,
-                    group_canonicals: &group_canonicals,
-                    profile: parts.profile,
-                    plan,
-                    plan_overhead,
-                    poisoned: None,
-                    cost,
-                    active_gids,
-                    assignment,
-                    repartitions: 0,
-                    last_imbalance: None,
-                })),
-            };
             f(&mut session)
         })
     }
@@ -382,13 +315,6 @@ fn poison_error(shard: usize) -> EngineError {
     } else {
         format!("shard worker {shard} panicked mid-document; session poisoned")
     })
-}
-
-/// Pushes one batch (built once, `Arc`-shared) into every shard ring.
-fn broadcast(rings: &[Arc<Ring<SeqBatch>>], batch: SeqBatch) {
-    for ring in rings {
-        ring.push(batch.clone());
-    }
 }
 
 fn close_rings(rings: &[Arc<Ring<SeqBatch>>]) {
@@ -417,186 +343,137 @@ impl std::fmt::Debug for ShardedEngine {
     }
 }
 
-/// A live sharded session: worker threads are up, the plan is frozen, and
-/// any number of documents can stream through. Obtained from
+/// A live session: the plan is frozen and any number of documents can
+/// stream through (see the module docs). Obtained from
 /// [`ShardedEngine::session`].
 pub struct ShardSession<'a> {
-    inner: SessionInner<'a>,
-}
-
-enum SessionInner<'a> {
-    /// One shard: delegate to the single-threaded engine.
-    Inline(&'a mut MultiEngine),
-    /// Worker threads are running (boxed: the threaded state is large).
-    Threaded(Box<ThreadedSession<'a>>),
-}
-
-impl ShardSession<'_> {
-    /// Streams one document through the session's workers and returns the
-    /// same [`MultiOutput`] — matches, per-query statistics, plan and
-    /// stream counters, all in the same order — that
-    /// [`MultiEngine::run`] produces for this subscription set.
-    /// `on_match` fires on the calling thread, in single-threaded
-    /// emission order, while the document is still streaming (held back
-    /// only by the merge watermarks).
-    pub fn run_document<E: EventSource, F: FnMut(QueryId, Match)>(
-        &mut self,
-        reader: E,
-        on_match: F,
-    ) -> EngineResult<MultiOutput> {
-        match &mut self.inner {
-            SessionInner::Inline(multi) => multi.run(reader, on_match),
-            SessionInner::Threaded(t) => t.run_document(reader, on_match),
-        }
-    }
-
-    /// The session's current placement state: effective worker count,
-    /// the group→shard map the *next* document will run under,
-    /// repartitions so far, and the last measured imbalance. Inline
-    /// (one-shard) sessions report a trivial snapshot — one shard, no
-    /// per-group map, nothing to repartition.
-    pub fn placement_snapshot(&self) -> PlacementSnapshot {
-        match &self.inner {
-            SessionInner::Inline(_) => PlacementSnapshot {
-                shards: 1,
-                shard_of: Vec::new(),
-                repartitions: 0,
-                last_imbalance_millis: None,
-            },
-            SessionInner::Threaded(t) => t.placement_snapshot(),
-        }
-    }
-}
-
-/// Session state for the `shards > 1` path. The `&'a` fields are frozen
-/// for the session and `Copy`, so per-document state ([`DocState`]) takes
-/// its own copies instead of borrowing the session.
-struct ThreadedSession<'a> {
-    driver: &'a mut crate::driver::DocumentDriver,
+    driver: &'a mut DocumentDriver,
     interner: &'a Interner,
-    /// The admission walk (broadcast filter, global trie, sequence
-    /// numbers), reset per document.
-    admission: Admission<'a>,
-    /// One ring per worker; the worker count is `rings.len()`.
-    rings: &'a [Arc<Ring<SeqBatch>>],
-    rx: &'a Receiver<WorkerReport>,
-    /// Subscriber snapshot per group slot.
-    subscribers: &'a [Vec<QueryId>],
     records: &'a [QueryRecord],
-    /// Canonical step key per group slot, `None` for inactive slots
-    /// (empty unless profiling).
-    group_canonicals: &'a [Option<String>],
     /// Cost ledger: disabled (inert) unless profiling is on.
     profile: &'a CostLedger,
-    /// Plan statistics snapshot (the plan cannot change mid-session);
-    /// the per-run parts are refreshed per document.
+    /// The admission walk, reset per document.
+    admission: Admission<'a>,
+    lane: Lane<'a>,
+    /// Plan-group slots, active or not: what gid-indexed tables size to.
+    group_slots: usize,
+    /// Plan statistics snapshot (the plan cannot change mid-session),
+    /// `plan_bytes` short of the groups' resident bytes; those and the
+    /// run counters are patched in per document.
     plan: PlanStats,
-    /// The non-group share of `plan.plan_bytes` (trie, interner).
-    plan_overhead: u64,
     /// `Some(shard)` once a worker died mid-document: the session is
     /// poisoned and every subsequent document fails fast (`usize::MAX`
     /// when the failing shard is unknown — the report channel died).
     poisoned: Option<usize>,
-    /// Per-group cost estimates, refined from every document's measured
-    /// work; drives LPT replanning.
-    cost: CostModel,
-    /// The active group ids this session partitions (ascending).
-    active_gids: Vec<usize>,
-    /// The assignment the *next* document will run under; shipped inside
-    /// its `DocStart` and swapped by [`ThreadedSession::after_document`]
-    /// when a repartition fires.
-    assignment: Arc<Assignment>,
-    /// Repartitions performed this session.
+    /// Assignment swaps performed this session.
     repartitions: u64,
     /// Measured imbalance (millis) of the most recent document.
     last_imbalance: Option<u64>,
 }
 
-impl<'a> ThreadedSession<'a> {
-    /// The driver pulls `reader` on this thread and the [`DocPump`] sink
-    /// ships what the admission walk admits.
-    fn run_document<E: EventSource, F: FnMut(QueryId, Match)>(
+/// The session's ends of a spawned worker set: one ring per worker, the
+/// report channel, and the pool the workers borrow their groups from.
+pub(crate) struct RingEnds<'r, 'a> {
+    rings: &'a [Arc<Ring<SeqBatch>>],
+    rx: &'a Receiver<WorkerReport>,
+    pool: &'r GroupPool<'a>,
+}
+
+impl<'a> ShardSession<'a> {
+    /// Opens a session over `parts`: on the ring lane when the caller
+    /// spawned workers (`ring`), on the direct lane otherwise. Opening
+    /// costs the plan-statistics snapshot plus whatever the lane snapshots.
+    pub(crate) fn open(parts: ShardParts<'a>, ring: Option<RingEnds<'_, 'a>>) -> Self {
+        let ShardParts { planner, interner, driver, index, exec, walk, records, profile } = parts;
+        let plan = planner.stats_sans_group_bytes(interner);
+        let (trie, groups) = planner.run_split();
+        let group_slots = groups.len();
+        let lane = match ring {
+            None => {
+                exec.sample_self_time(profile.is_enabled(), group_slots);
+                Lane::Direct { groups, exec }
+            }
+            Some(ends) => {
+                let telemetry = driver.telemetry();
+                Lane::Ring(Box::new(RingLane::open(
+                    groups,
+                    trie.routes(),
+                    profile,
+                    telemetry,
+                    ends,
+                )))
+            }
+        };
+        ShardSession {
+            driver,
+            interner,
+            records,
+            profile,
+            admission: Admission::new(index, trie, walk),
+            lane,
+            group_slots,
+            plan,
+            poisoned: None,
+            repartitions: 0,
+            last_imbalance: None,
+        }
+    }
+
+    /// Streams one document through the session and returns the
+    /// [`MultiOutput`] — matches, per-query statistics, plan and stream
+    /// counters — that [`MultiEngine::run`] produces for this
+    /// subscription set, whatever the lane. `on_match` fires on the
+    /// calling thread, in emission order, while the document is still
+    /// streaming (on the ring lane held back only by the merge
+    /// watermarks).
+    pub fn run_document<E: EventSource, F: FnMut(QueryId, Match)>(
         &mut self,
         reader: E,
         mut on_match: F,
     ) -> EngineResult<MultiOutput> {
+        if let Some(shard) = self.poisoned {
+            return Err(poison_error(shard));
+        }
         let telemetry = self.driver.telemetry();
-        let mut doc = self.begin_document(&telemetry)?;
-        let mut pump = DocPump {
+        self.lane.begin_document();
+        self.admission.begin_document(if self.profile.is_enabled() { self.group_slots } else { 0 });
+        let mut matches: Vec<Vec<Match>> = self.records.iter().map(|_| Vec::new()).collect();
+        let mut sink = SessionSink {
             interner: self.interner,
-            telemetry: &telemetry,
-            admission: &mut self.admission,
-            doc: &mut doc,
-            on_match: &mut on_match,
-            open_names: Vec::new(),
-            no_pushes: Vec::new().into(),
-            batch: Vec::with_capacity(EVENT_BATCH),
+            walk: &mut self.admission,
+            lane: &mut self.lane,
+            out: Delivery { matches: &mut matches, on_match: &mut on_match },
             ended: false,
         };
-        pump.batch.push(ShardEvent::DocStart { assignment: Arc::clone(&self.assignment) });
-        let stream = self.driver.run(reader, &mut pump);
-        // On a parse error the driver never reached `document_end`;
-        // close the document on the worker side anyway so the workers
-        // quiesce and the session stays usable for the next document.
-        if !pump.ended {
-            pump.finish_document();
+        let stream = self.driver.run(reader, &mut sink);
+        // On a parse error the driver never reached `document_end`; end
+        // the document on the lane anyway, so ring-lane workers quiesce
+        // and the session stays usable for the next document.
+        if !sink.ended {
+            sink.document_end();
         }
-        doc.await_doc_end(&mut on_match);
-        self.finish_document(doc, stream, &telemetry)
-    }
-
-    /// Opens a document: fails fast on a poisoned session, resets the
-    /// admission walk, and returns fresh coordinator state.
-    fn begin_document(&mut self, telemetry: &Telemetry) -> EngineResult<DocState<'a>> {
-        if let Some(shard) = self.poisoned {
-            return Err(poison_error(shard));
-        }
-        let group_slots = self.subscribers.len();
-        let profiled = self.profile.is_enabled();
-        self.admission.begin_document(if profiled { group_slots } else { 0 });
-        Ok(DocState {
-            rings: self.rings,
-            rx: self.rx,
-            subscribers: self.subscribers,
-            profile: self.profile,
-            matches: self.records.iter().map(|_| Vec::new()).collect(),
-            merger: MatchMerger::with_profile(self.rings.len(), telemetry.clone(), profiled),
-            group_stats: vec![MachineStats::default(); group_slots],
-            group_bytes: 0,
-            done: 0,
-            poisoned: None,
-        })
-    }
-
-    /// The sharded per-document epilogue, after every shard acknowledged
-    /// `DocEnd` (or the session was poisoned): surfaces poisoning and
-    /// parse errors, refreshes the per-run parts of the plan snapshot —
-    /// group-resident bytes from the worker acknowledgements, prefix
-    /// counters from the admission walk's trie run — hands over to the
-    /// engine-wide [`finish_document`], and lets placement observe the
-    /// document.
-    fn finish_document(
-        &mut self,
-        doc: DocState<'a>,
-        stream: EngineResult<StreamStats>,
-        telemetry: &Telemetry,
-    ) -> EngineResult<MultiOutput> {
-        self.poisoned = doc.poisoned;
-        if let Some(shard) = self.poisoned {
-            return Err(poison_error(shard));
+        // Every machine has seen the whole document once the ring lane's
+        // workers have all acknowledged `DocEnd` (the direct lane's just
+        // did); the merge held back `holds`.
+        let mut holds = Vec::new();
+        if let Lane::Ring(r) = sink.lane {
+            self.poisoned = r.await_doc_end(&mut sink.out);
+            if let Some(shard) = self.poisoned {
+                return Err(poison_error(shard));
+            }
+            holds = r.doc.merger.take_holds();
         }
         let stream = stream?;
-        let DocState { matches, mut merger, group_stats, group_bytes, .. } = doc;
-        debug_assert!(merger.is_drained(), "all shards reported through the final event");
         let run = self.admission.trie_run_stats();
         let plan = PlanStats {
-            plan_bytes: self.plan_overhead + group_bytes,
+            plan_bytes: self.plan.plan_bytes + self.lane.group_bytes(),
             prefix_steps_executed: run.steps_executed,
             prefix_steps_saved: run.steps_saved,
             prefix_forks: run.forks,
             prefix_stack_bytes: run.peak_stack_bytes(),
             ..self.plan
         };
+        let lane = &self.lane;
         let out = finish_document(
             FinishedDocument {
                 records: self.records,
@@ -604,77 +481,44 @@ impl<'a> ThreadedSession<'a> {
                 stream,
                 plan,
                 shared_steps: self.admission.shared_steps(),
-                holds: merger.take_holds(),
+                holds,
             },
-            telemetry,
+            &telemetry,
             self.profile,
-            self.subscribers.len(),
-            |gid| GroupFacts {
-                canonical: self.group_canonicals.get(gid).and_then(|c| c.as_deref()),
-                subscribers: self.subscribers[gid].len() as u64,
-                stats: &group_stats[gid],
-            },
+            self.group_slots,
+            |gid| lane.facts(gid),
         );
-        self.after_document(&group_stats, telemetry);
+        // Placement observes the document. One worker carries everything,
+        // which is balanced by definition.
+        let (imbalance, swapped) = match &mut self.lane {
+            Lane::Direct { .. } => (place::imbalance_millis(&[]), false),
+            Lane::Ring(r) => r.rebalance(self.admission.routes()),
+        };
+        self.last_imbalance = Some(imbalance);
+        telemetry.gauge_set(|r| &r.shard_imbalance, imbalance);
+        if swapped {
+            self.repartitions += 1;
+            telemetry.add(|r| &r.shard_repartitions, 1);
+        }
         Ok(out)
     }
 
-    /// Post-document placement bookkeeping: measure per-shard loads under
-    /// the assignment the document just ran with (from the deterministic
-    /// machine work counters, so the decision stream is repeatable),
-    /// refine the cost estimates, export the imbalance
-    /// gauge, and — past the hysteresis threshold — swap in a rebalanced
-    /// assignment for the next document. Swapping here is what keeps
-    /// repartitioning output-transparent: the new assignment travels
-    /// inside the next `DocStart`, workers adopt it before any event of
-    /// that document flows, and the watermark merge never notices.
-    fn after_document(&mut self, group_stats: &[MachineStats], telemetry: &Telemetry) {
-        let nshards = self.rings.len();
-        let mut loads = vec![0u64; nshards];
-        for (shard, gids) in self.assignment.shard_gids.iter().enumerate() {
-            for &gid in gids {
-                let work = place::work_of(&group_stats[gid]);
-                self.cost.observe(gid, work);
-                loads[shard] += work;
+    /// The session's current placement state: effective worker count,
+    /// the group→shard map the *next* document will run under,
+    /// repartitions so far, and the last measured imbalance.
+    pub fn placement_snapshot(&self) -> PlacementSnapshot {
+        let (shards, shard_of) = match &self.lane {
+            Lane::Direct { groups, .. } => {
+                (1, groups.iter().map(|g| g.is_active().then_some(0)).collect())
             }
-        }
-        let measured = place::imbalance_millis(&loads);
-        self.last_imbalance = Some(measured);
-        telemetry.gauge_set(|r| &r.shard_imbalance, measured);
-        if nshards < 2 || measured < place::REPARTITION_THRESHOLD_MILLIS {
-            return;
-        }
-        let plan = place::lpt_plan(&self.active_gids, &self.cost, nshards);
-        if plan.shard_gids == self.assignment.shard_gids {
-            return;
-        }
-        // Only swap when the refined estimates actually predict an
-        // improvement over keeping the current assignment — hysteresis
-        // against estimate noise oscillating two near-equal plans.
-        let current = ShardPlan { shard_gids: self.assignment.shard_gids.clone() };
-        let predicted = place::imbalance_millis(&plan.loads(&self.cost));
-        let staying = place::imbalance_millis(&current.loads(&self.cost));
-        if predicted >= staying {
-            return;
-        }
-        self.assignment = Arc::new(place::make_assignment(
-            self.assignment.version + 1,
-            &plan,
-            self.admission.routes(),
-        ));
-        self.repartitions += 1;
-        telemetry.add(|r| &r.shard_repartitions, 1);
-    }
-
-    fn placement_snapshot(&self) -> PlacementSnapshot {
-        let plan = ShardPlan { shard_gids: self.assignment.shard_gids.clone() };
-        let shard_of = plan
-            .shard_of(self.subscribers.len())
-            .into_iter()
-            .map(|s| (s != usize::MAX).then_some(s))
-            .collect();
+            Lane::Ring(r) => {
+                let plan = ShardPlan { shard_gids: r.assignment.shard_gids.clone() };
+                let shard_of = plan.shard_of(self.group_slots).into_iter();
+                (r.rings.len(), shard_of.map(|s| (s != usize::MAX).then_some(s)).collect())
+            }
+        };
         PlacementSnapshot {
-            shards: self.rings.len(),
+            shards,
             shard_of,
             repartitions: self.repartitions,
             last_imbalance_millis: self.last_imbalance,
@@ -682,140 +526,92 @@ impl<'a> ThreadedSession<'a> {
     }
 }
 
-/// Coordinator-side state of one in-flight document: what the worker
-/// reports fold into.
-struct DocState<'a> {
-    rings: &'a [Arc<Ring<SeqBatch>>],
-    rx: &'a Receiver<WorkerReport>,
-    subscribers: &'a [Vec<QueryId>],
-    /// Receives the sampled self-time riding on `DocEnd` snapshots.
-    profile: &'a CostLedger,
-    /// Delivered matches per registration record.
-    matches: Vec<Vec<Match>>,
-    merger: MatchMerger,
-    /// Per-group machine statistics, filled by `DocEnd` acknowledgements.
-    group_stats: Vec<MachineStats>,
-    /// Post-document group-resident bytes summed across `DocEnd`
-    /// acknowledgements (feeds [`PlanStats::plan_bytes`]).
-    group_bytes: u64,
-    /// Shards that have acknowledged `DocEnd` so far.
-    done: usize,
-    /// `Some(shard)` once a worker died mid-document (`usize::MAX` when
-    /// the failing shard is unknown).
-    poisoned: Option<usize>,
+/// Where delivered matches go — the per-record buffers and the caller's
+/// callback — through the one fan-out.
+struct Delivery<'s, F> {
+    matches: &'s mut [Vec<Match>],
+    on_match: &'s mut F,
 }
 
-impl DocState<'_> {
-    /// Closes every ring and records the failing shard (the first one
-    /// wins). From here on no callback fires: no matches after an error.
-    fn poison(&mut self, shard: usize) {
-        close_rings(self.rings);
-        self.poisoned.get_or_insert(shard);
+impl<F: FnMut(QueryId, Match)> Delivery<'_, F> {
+    fn deliver(&mut self, subscribers: &[QueryId], hit: Match) {
+        fan_out_match(subscribers, self.matches, self.on_match, hit);
     }
+}
 
-    /// Folds one worker report in: matches into the merger (releasing and
-    /// fanning out whatever became safe — through the same
-    /// [`crate::multi::fan_out_match`] the single-threaded sinks use, so
-    /// delivery order cannot diverge), `DocEnd` acknowledgements into the
-    /// statistics snapshot. Late reports from surviving workers draining
-    /// their rings after a poisoning are dropped.
-    fn ingest_report<F: FnMut(QueryId, Match)>(&mut self, report: WorkerReport, on_match: &mut F) {
-        if report.poisoned {
-            return self.poison(report.shard);
-        }
-        if self.poisoned.is_some() {
-            return;
-        }
-        if let Some(doc_stats) = report.doc_stats {
-            for snapshot in doc_stats {
-                self.profile.add_self_ns(snapshot.gid, snapshot.self_ns);
-                self.group_stats[snapshot.gid] = snapshot.stats;
-                self.group_bytes += snapshot.approx_bytes;
+/// How a session delivers what its admission walk admits, and where it
+/// reads per-group facts at document end (see the module docs).
+enum Lane<'a> {
+    /// The calling thread drives the engine's executor over the live
+    /// groups, slots keyed by group id.
+    Direct { groups: &'a mut [PlanGroup], exec: &'a mut Executor },
+    /// Worker threads are running (boxed: the ring-lane state is large).
+    Ring(Box<RingLane<'a>>),
+}
+
+impl Lane<'_> {
+    /// Opens a document: machines and executor reset here or, on the ring
+    /// lane, in each worker when the `DocStart` this queues arrives.
+    fn begin_document(&mut self) {
+        match self {
+            Lane::Direct { groups, exec } => {
+                for g in groups.iter_mut().filter(|g| g.is_active()) {
+                    g.machine_mut().reset();
+                }
+                exec.begin_document();
             }
-            self.done += 1;
-        }
-        self.merger.push(report.shard, report.matches, report.through_seq);
-        let (subscribers, matches) = (self.subscribers, &mut self.matches);
-        self.merger.drain(|t| {
-            crate::multi::fan_out_match(&subscribers[t.gid as usize], matches, on_match, t.m)
-        });
-    }
-
-    /// Folds in whatever reports have already arrived, without blocking —
-    /// called between batches so merged matches stream to the caller
-    /// while the document is still being read.
-    fn ingest_ready<F: FnMut(QueryId, Match)>(&mut self, on_match: &mut F) {
-        while let Ok(report) = self.rx.try_recv() {
-            self.ingest_report(report, on_match);
-        }
-    }
-
-    /// Blocks until every shard has acknowledged `DocEnd` or the session
-    /// is poisoned, delivering merged matches as they become safe.
-    fn await_doc_end<F: FnMut(QueryId, Match)>(&mut self, on_match: &mut F) {
-        while self.done < self.rings.len() && self.poisoned.is_none() {
-            match self.rx.recv() {
-                Ok(report) => self.ingest_report(report, on_match),
-                // Every worker hung up without a final report: a panic
-                // escaped containment, on an unknown shard.
-                Err(_) => self.poison(usize::MAX),
+            Lane::Ring(r) => {
+                r.doc = DocState::new(r.rings.len(), r.subscribers.len(), &r.telemetry, r.profiled);
+                r.batch.clear();
+                r.batch.push(ShardEvent::DocStart { assignment: Arc::clone(&r.assignment) });
             }
+        }
+    }
+
+    /// Post-document resident bytes of the active groups.
+    fn group_bytes(&self) -> u64 {
+        match self {
+            Lane::Direct { groups, .. } => resident_bytes(groups),
+            Lane::Ring(r) => r.doc.groups.iter().map(|g| g.approx_bytes).sum(),
+        }
+    }
+
+    /// What the epilogue reads off group slot `gid`.
+    fn facts(&self, gid: usize) -> GroupFacts<'_> {
+        match self {
+            Lane::Direct { groups, exec } => {
+                let g = &groups[gid];
+                GroupFacts {
+                    canonical: g.is_active().then(|| g.canonical_key()),
+                    subscribers: g.subscribers().len() as u64,
+                    stats: g.machine().stats(),
+                    self_ns: exec.self_ns(gid),
+                }
+            }
+            Lane::Ring(r) => GroupFacts {
+                canonical: r.canonicals.get(gid).and_then(|c| c.as_deref()),
+                subscribers: r.subscribers[gid].len() as u64,
+                stats: &r.doc.groups[gid].stats,
+                self_ns: r.doc.groups[gid].self_ns,
+            },
         }
     }
 }
 
-/// The session's [`EventSink`]: ships each event the admission walk
-/// admits, batched, to every shard ring, and folds in
-/// worker reports between batches.
-struct DocPump<'p, 'a, F: FnMut(QueryId, Match)> {
+/// The **one** [`EventSink`] of multi-query execution: every method asks
+/// the admission walk first and hands what it admits to the lane — a
+/// call into the executor with the borrowed driver event (the slot it
+/// emits under is the group id, which the fan-out does not need), or a
+/// `ShardEvent` built from it and queued for broadcast.
+struct SessionSink<'s, 'a, F> {
     interner: &'a Interner,
-    /// Records the broadcast batch-size histogram.
-    telemetry: &'p Telemetry,
-    admission: &'p mut Admission<'a>,
-    doc: &'p mut DocState<'a>,
-    on_match: &'p mut F,
-    /// `Arc` names of open *shipped* elements, innermost last: the end
-    /// tag reuses the start tag's allocation. Filter verdicts pair up, so
-    /// pushes and pops balance.
-    open_names: Vec<Arc<str>>,
-    /// Shared empty push list (most start tags push nothing).
-    no_pushes: Arc<[TriePush]>,
-    batch: Vec<ShardEvent>,
+    walk: &'s mut Admission<'a>,
+    lane: &'s mut Lane<'a>,
+    out: Delivery<'s, F>,
     ended: bool,
 }
 
-impl<F: FnMut(QueryId, Match)> DocPump<'_, '_, F> {
-    fn push(&mut self, event: ShardEvent) {
-        self.batch.push(event);
-        if self.batch.len() >= EVENT_BATCH {
-            self.flush();
-        }
-    }
-
-    /// Broadcasts the pending batch, covering every sequence number
-    /// admitted so far, then drains any worker reports that already
-    /// arrived.
-    fn flush(&mut self) {
-        if self.batch.is_empty() {
-            return;
-        }
-        self.telemetry.observe(|r| &r.batch_events, self.batch.len() as u64);
-        let events: EventBatch = std::mem::take(&mut self.batch).into();
-        broadcast(self.doc.rings, SeqBatch { through: self.admission.seq(), events });
-        self.batch.reserve(EVENT_BATCH);
-        self.doc.ingest_ready(self.on_match);
-    }
-
-    /// Terminates the document on the worker side: `DocEnd` at the final
-    /// sequence number, flushed with whatever the batch still holds.
-    fn finish_document(&mut self) {
-        self.batch.push(ShardEvent::DocEnd { seq: self.admission.seq() });
-        self.flush();
-        self.ended = true;
-    }
-}
-
-impl<F: FnMut(QueryId, Match)> EventSink for DocPump<'_, '_, F> {
+impl<F: FnMut(QueryId, Match)> EventSink for SessionSink<'_, '_, F> {
     fn resolve(&mut self, name: &str) -> Option<Symbol> {
         self.interner.lookup(name)
     }
@@ -827,48 +623,319 @@ impl<F: FnMut(QueryId, Match)> EventSink for DocPump<'_, '_, F> {
         node_id: NodeId,
         attr_id_base: NodeId,
     ) {
-        let Some((seq, pushes)) = self.admission.start(sym, event.level) else { return };
-        let pushes =
-            if pushes.is_empty() { Arc::clone(&self.no_pushes) } else { Arc::from(pushes) };
-        let name: Arc<str> = event.name.as_str().into();
-        self.open_names.push(Arc::clone(&name));
-        self.push(ShardEvent::Start {
-            seq,
-            sym,
-            name,
-            level: event.level,
-            attrs: event.attributes.as_slice().into(),
-            node_id,
-            attr_id_base,
-            span: event.span,
-            pushes,
-        });
+        let (level, span) = (event.level, event.span);
+        let Some(seq) = self.walk.start(sym, level) else { return };
+        let (walk, attributes) = (&*self.walk, event.attributes.as_slice());
+        match self.lane {
+            Lane::Direct { groups, exec } => {
+                let tag = StartTag { sym, level, attributes, node_id, attr_id_base, span };
+                let emit = |_, subscribers: &[QueryId], hit| self.out.deliver(subscribers, hit);
+                exec.start(&mut groups[..], walk.index(), walk.routes(), walk.pushes(), &tag, emit);
+            }
+            Lane::Ring(r) => {
+                let pushes = match walk.pushes() {
+                    [] => Arc::clone(&r.no_pushes),
+                    pushes => pushes.into(),
+                };
+                let attrs = attributes.into();
+                let event = ShardEvent::Start {
+                    seq,
+                    sym,
+                    level,
+                    attrs,
+                    node_id,
+                    attr_id_base,
+                    span,
+                    pushes,
+                };
+                r.ship(seq, event, &mut self.out);
+            }
+        }
     }
 
     fn characters(&mut self, event: &CharactersEvent, node_id: NodeId) {
-        let Some(seq) = self.admission.text() else { return };
-        self.push(ShardEvent::Text {
-            seq,
-            text: event.text.as_str().into(),
-            level: event.level,
-            node_id,
-            span: event.span,
-        });
+        let Some(seq) = self.walk.text() else { return };
+        let (text, level, span) = (event.text.as_str(), event.level, event.span);
+        match self.lane {
+            Lane::Direct { groups, exec } => {
+                let emit = |_, subscribers: &[QueryId], hit| self.out.deliver(subscribers, hit);
+                exec.text(&mut groups[..], text, level, node_id, span, emit);
+            }
+            Lane::Ring(r) => {
+                let event = ShardEvent::Text { seq, text: text.into(), level, node_id, span };
+                r.ship(seq, event, &mut self.out);
+            }
+        }
     }
 
     fn end_element(&mut self, sym: Option<Symbol>, event: &EndElementEvent) {
-        let Some(seq) = self.admission.end(sym, event.level) else { return };
-        let name = self.open_names.pop().expect("shipped end tags pair with shipped start tags");
-        self.push(ShardEvent::End {
-            seq,
-            name,
-            level: event.level,
-            element_span: event.element_span,
-        });
+        let Some(seq) = self.walk.end(sym, event.level) else { return };
+        let (name, level, element_span) = (event.name.as_str(), event.level, event.element_span);
+        match self.lane {
+            Lane::Direct { groups, exec } => {
+                let emit = |_, subscribers: &[QueryId], hit| self.out.deliver(subscribers, hit);
+                exec.end(&mut groups[..], name, level, element_span, emit);
+            }
+            Lane::Ring(r) => {
+                let event = ShardEvent::End { seq, name: name.into(), level, element_span };
+                r.ship(seq, event, &mut self.out);
+            }
+        }
     }
 
+    /// Terminates the document on the ring lane's worker side: `DocEnd`
+    /// at the final sequence number, flushed with whatever the batch
+    /// still holds.
     fn document_end(&mut self) {
-        self.finish_document();
+        if let Lane::Ring(r) = self.lane {
+            let seq = self.walk.seq();
+            r.batch.push(ShardEvent::DocEnd { seq });
+            r.flush(seq, &mut self.out);
+        }
+        self.ended = true;
+    }
+}
+
+/// Ring-lane state. Groups are out on loan to the workers while documents
+/// stream, so what the coordinator reads off them is snapshotted when the
+/// session opens (the plan is frozen for it).
+struct RingLane<'a> {
+    /// One ring per worker; the worker count is `rings.len()`.
+    rings: &'a [Arc<Ring<SeqBatch>>],
+    rx: &'a Receiver<WorkerReport>,
+    /// Records the broadcast batch-size histogram and the merge gauges.
+    telemetry: Telemetry,
+    /// Subscriber list per group slot, for the fan-out.
+    subscribers: Vec<Vec<QueryId>>,
+    /// Canonical step key per group slot, `None` for inactive slots
+    /// (empty unless profiling).
+    canonicals: Vec<Option<String>>,
+    /// Whether the merge attributes hold latency to groups (profiling).
+    profiled: bool,
+    /// Per-group cost estimates, refined from every document's measured
+    /// work; drives LPT replanning.
+    cost: CostModel,
+    /// The active group ids this session partitions (ascending).
+    active_gids: Vec<usize>,
+    /// The assignment the *next* document will run under; shipped inside
+    /// its `DocStart` and swapped by [`RingLane::rebalance`].
+    assignment: Arc<Assignment>,
+    /// Shared empty push list (most start tags push nothing).
+    no_pushes: Arc<[TriePush]>,
+    /// The broadcast batch being filled.
+    batch: Vec<ShardEvent>,
+    doc: DocState,
+}
+
+/// Coordinator-side state of one in-flight document: what the worker
+/// reports fold into.
+struct DocState {
+    merger: MatchMerger,
+    /// Per-group end-of-document state, filled by `DocEnd`
+    /// acknowledgements (gid-indexed; zeros for inactive slots).
+    groups: Vec<GroupSnapshot>,
+    /// Shards that have acknowledged `DocEnd` so far.
+    done: usize,
+    /// `Some(shard)` once a worker died mid-document (`usize::MAX` when
+    /// the failing shard is unknown).
+    poisoned: Option<usize>,
+}
+
+impl DocState {
+    fn new(nshards: usize, group_slots: usize, telemetry: &Telemetry, profiled: bool) -> Self {
+        DocState {
+            merger: MatchMerger::with_profile(nshards, telemetry.clone(), profiled),
+            groups: (0..group_slots).map(|_| GroupSnapshot::default()).collect(),
+            done: 0,
+            poisoned: None,
+        }
+    }
+}
+impl<'a> RingLane<'a> {
+    /// Snapshots what the coordinator reads off the groups, plans the
+    /// initial placement and stocks the workers' pool.
+    fn open(
+        groups: &'a mut [PlanGroup],
+        routes: &RouteTable,
+        profile: &CostLedger,
+        telemetry: Telemetry,
+        ends: RingEnds<'_, 'a>,
+    ) -> Self {
+        let RingEnds { rings, rx, pool } = ends;
+        let subscribers: Vec<Vec<QueryId>> =
+            groups.iter().map(|g| g.subscribers().to_vec()).collect();
+        let active_gids: Vec<usize> =
+            (0..groups.len()).filter(|&g| groups[g].is_active()).collect();
+        // Cost estimates for placement planning: uniform prior, seeded
+        // from the live cost ledger when there is one. Seeding is guarded
+        // by each group's canonical step key: the planner's free-list
+        // recycles retired gids, and a recycled slot must not inherit the
+        // retired query's bill.
+        let mut cost = CostModel::uniform(groups.len());
+        let mut canonicals = Vec::new();
+        let profiled = profile.is_enabled();
+        if let Some(snapshot) = profile.snapshot() {
+            canonicals = groups
+                .iter()
+                .map(|g| g.is_active().then(|| g.canonical_key().to_string()))
+                .collect();
+            cost.seed_from_ledger(&snapshot, &canonicals);
+        }
+        // Each worker only needs the global trie's route table narrowed
+        // to its own group subset, which the assignment carries.
+        let plan = place::lpt_plan(&active_gids, &cost, rings.len());
+        let assignment = Arc::new(place::make_assignment(0, &plan, routes));
+        // All active groups start in the pool; workers check theirs out
+        // per document under whatever assignment that document carries.
+        for (gid, group) in groups.iter_mut().enumerate().filter(|(_, g)| g.is_active()) {
+            pool.put(gid, group);
+        }
+        RingLane {
+            rings,
+            rx,
+            doc: DocState::new(rings.len(), subscribers.len(), &telemetry, profiled),
+            telemetry,
+            subscribers,
+            canonicals,
+            profiled,
+            cost,
+            active_gids,
+            assignment,
+            no_pushes: Vec::new().into(),
+            batch: Vec::with_capacity(EVENT_BATCH),
+        }
+    }
+
+    /// Queues one admitted event (sequence number `seq`) for broadcast.
+    fn ship<F: FnMut(QueryId, Match)>(
+        &mut self,
+        seq: u64,
+        event: ShardEvent,
+        out: &mut Delivery<'_, F>,
+    ) {
+        self.batch.push(event);
+        if self.batch.len() >= EVENT_BATCH {
+            self.flush(seq, out);
+        }
+    }
+
+    /// Broadcasts the pending batch — built once, `Arc`-shared by every
+    /// ring — covering every sequence number walked `through` now, then
+    /// folds in whatever worker reports have already arrived, without
+    /// blocking, so merged matches stream to the caller while the
+    /// document is still being read.
+    fn flush<F: FnMut(QueryId, Match)>(&mut self, through: u64, out: &mut Delivery<'_, F>) {
+        if self.batch.is_empty() {
+            return;
+        }
+        self.telemetry.observe(|r| &r.batch_events, self.batch.len() as u64);
+        let events: EventBatch = std::mem::take(&mut self.batch).into();
+        for ring in self.rings {
+            ring.push(SeqBatch { through, events: Arc::clone(&events) });
+        }
+        self.batch.reserve(EVENT_BATCH);
+        while let Ok(report) = self.rx.try_recv() {
+            self.ingest_report(report, out);
+        }
+    }
+
+    /// Blocks until every shard has acknowledged `DocEnd` or the session
+    /// is poisoned, delivering merged matches as they become safe.
+    fn await_doc_end<F: FnMut(QueryId, Match)>(
+        &mut self,
+        out: &mut Delivery<'_, F>,
+    ) -> Option<usize> {
+        while self.doc.done < self.rings.len() && self.doc.poisoned.is_none() {
+            match self.rx.recv() {
+                Ok(report) => self.ingest_report(report, out),
+                // Every worker hung up without a final report: a panic
+                // escaped containment, on an unknown shard.
+                Err(_) => self.poison(usize::MAX),
+            }
+        }
+        debug_assert!(
+            self.doc.poisoned.is_some() || self.doc.merger.is_drained(),
+            "all shards reported through the final event"
+        );
+        self.doc.poisoned
+    }
+
+    /// Closes every ring and records the failing shard (the first one
+    /// wins). From here on no callback fires: no matches after an error.
+    fn poison(&mut self, shard: usize) {
+        close_rings(self.rings);
+        self.doc.poisoned.get_or_insert(shard);
+    }
+
+    /// Folds one worker report in: matches into the merger (releasing and
+    /// fanning out whatever became safe — through the same
+    /// [`fan_out_match`] the direct lane emits into, so delivery order
+    /// cannot diverge), `DocEnd` acknowledgements into the per-group
+    /// snapshots. Late reports from surviving workers draining their
+    /// rings after a poisoning are dropped.
+    fn ingest_report<F: FnMut(QueryId, Match)>(
+        &mut self,
+        report: WorkerReport,
+        out: &mut Delivery<'_, F>,
+    ) {
+        if report.poisoned {
+            return self.poison(report.shard);
+        }
+        if self.doc.poisoned.is_some() {
+            return;
+        }
+        if let Some(doc_stats) = report.doc_stats {
+            for snapshot in doc_stats {
+                let gid = snapshot.gid;
+                self.doc.groups[gid] = snapshot;
+            }
+            self.doc.done += 1;
+        }
+        self.doc.merger.push(report.shard, report.matches, report.through_seq);
+        let subscribers = &self.subscribers;
+        self.doc.merger.drain(|t| out.deliver(&subscribers[t.gid as usize], t.m));
+    }
+
+    /// Post-document placement bookkeeping: measure per-shard loads under
+    /// the assignment the document just ran with (from the deterministic
+    /// machine work counters, so the decision stream is repeatable),
+    /// refine the cost estimates and — past the hysteresis threshold —
+    /// swap in a rebalanced assignment for the next document. Swapping
+    /// here is what keeps repartitioning output-transparent: the new
+    /// assignment travels inside the next `DocStart`, workers adopt it
+    /// before any event of that document flows, and the watermark merge
+    /// never notices. Returns the measured imbalance and whether it
+    /// swapped.
+    fn rebalance(&mut self, routes: &RouteTable) -> (u64, bool) {
+        let nshards = self.rings.len();
+        let mut loads = vec![0u64; nshards];
+        for (shard, gids) in self.assignment.shard_gids.iter().enumerate() {
+            for &gid in gids {
+                let work = place::work_of(&self.doc.groups[gid].stats);
+                self.cost.observe(gid, work);
+                loads[shard] += work;
+            }
+        }
+        let measured = place::imbalance_millis(&loads);
+        if measured < place::REPARTITION_THRESHOLD_MILLIS {
+            return (measured, false);
+        }
+        let plan = place::lpt_plan(&self.active_gids, &self.cost, nshards);
+        if plan.shard_gids == self.assignment.shard_gids {
+            return (measured, false);
+        }
+        // Only swap when the refined estimates actually predict an
+        // improvement over keeping the current assignment — hysteresis
+        // against estimate noise oscillating two near-equal plans.
+        let current = ShardPlan { shard_gids: self.assignment.shard_gids.clone() };
+        let predicted = place::imbalance_millis(&plan.loads(&self.cost));
+        let staying = place::imbalance_millis(&current.loads(&self.cost));
+        if predicted >= staying {
+            return (measured, false);
+        }
+        let version = self.assignment.version + 1;
+        self.assignment = Arc::new(place::make_assignment(version, &plan, routes));
+        (measured, true)
     }
 }
 
@@ -877,55 +944,30 @@ mod tests {
     use super::*;
     use vitex_xmlsax::XmlReader;
 
-    /// Runs `xml` through the pump of a hand-built one-shard session whose
-    /// ring nobody consumes (a pre-sent `DocEnd` acknowledgement stands in
-    /// for the worker) and returns what it broadcast, in ring order.
+    /// Runs `xml` through a ring-lane session over two rings nobody
+    /// consumes (pre-sent `DocEnd` acknowledgements stand in for the
+    /// workers) and returns what it broadcast, in ring order.
     fn capture(xml: &str) -> Vec<SeqBatch> {
         let mut multi = MultiEngine::new();
         for q in ["/r/a/b", "//a[c]", "//b/text()", "/r/a"] {
             multi.add_query(q).unwrap();
         }
-        let parts = multi.shard_parts();
-        let subscribers: Vec<Vec<QueryId>> =
-            parts.planner.groups().iter().map(|g| g.subscribers().to_vec()).collect();
-        let active_gids: Vec<usize> = (0..subscribers.len()).collect();
-        let cost = CostModel::uniform(subscribers.len());
-        let plan_stats = parts.planner.stats(parts.interner);
-        let trie = parts.planner.run_split().0;
-        let assignment = Arc::new(place::make_assignment(
-            0,
-            &place::lpt_plan(&active_gids, &cost, 1),
-            trie.routes(),
-        ));
-        let rings = [Arc::new(Ring::new(4096))];
+        let rings = [Arc::new(Ring::new(4096)), Arc::new(Ring::new(4096))];
         let (tx, rx) = channel();
-        tx.send(WorkerReport {
-            shard: 0,
-            matches: Vec::new(),
-            through_seq: 0,
-            doc_stats: Some(Vec::new()),
-            poisoned: false,
-        })
-        .unwrap();
-        let mut session = ThreadedSession {
-            driver: parts.driver,
-            interner: parts.interner,
-            admission: Admission::new(parts.index, trie),
-            rings: &rings,
-            rx: &rx,
-            subscribers: &subscribers,
-            records: parts.records,
-            group_canonicals: &[],
-            profile: parts.profile,
-            plan: plan_stats,
-            plan_overhead: 0,
-            poisoned: None,
-            cost,
-            active_gids,
-            assignment,
-            repartitions: 0,
-            last_imbalance: None,
-        };
+        for shard in 0..rings.len() {
+            tx.send(WorkerReport {
+                shard,
+                matches: Vec::new(),
+                through_seq: 0,
+                doc_stats: Some(Vec::new()),
+                poisoned: false,
+            })
+            .unwrap();
+        }
+        let parts = multi.shard_parts();
+        let pool = GroupPool::vacant(parts.planner.groups().len());
+        let ends = RingEnds { rings: &rings, rx: &rx, pool: &pool };
+        let mut session = ShardSession::open(parts, Some(ends));
         session.run_document(XmlReader::from_str(xml), |_, _| {}).expect("pump run");
         rings[0].close();
         std::iter::from_fn(|| rings[0].pop()).collect()

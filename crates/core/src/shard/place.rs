@@ -37,8 +37,7 @@ pub struct PlacementSnapshot {
     /// Effective worker count.
     pub shards: usize,
     /// Shard of each plan-group slot under the assignment the *next*
-    /// document would run with (`None` = inactive slot). Empty for
-    /// inline one-shard sessions.
+    /// document would run with (`None` = inactive slot).
     pub shard_of: Vec<Option<usize>>,
     /// Assignment swaps performed so far this session.
     pub repartitions: u64,

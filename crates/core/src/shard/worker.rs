@@ -1,13 +1,14 @@
 //! Shard workers: the bounded event ring and the per-shard event loop.
 //!
-//! A worker owns a disjoint subset of the plan groups for the duration of
-//! a [`crate::shard::ShardSession`] (the borrow is scoped — groups return
-//! to the engine when the session closes). It pops event batches off its
-//! ring and applies them with its own [`Executor`] over the subset — the
-//! same per-event apply step the single-threaded engine runs, keyed by
-//! local slot and fed the trie pushes the document thread shipped — and
-//! reports emitted matches tagged with their global ordering key, plus a
-//! watermark, back to the document thread.
+//! A worker of a [`crate::shard::ShardSession`]'s ring lane has a
+//! disjoint subset of the plan groups on loan while a document streams
+//! (the borrow is scoped — groups return to the engine when the session
+//! closes). It pops event batches off its ring and applies them with its
+//! own [`Executor`] over the subset — the same per-event apply step the
+//! direct lane runs, keyed by local slot and fed the trie pushes the
+//! document thread shipped — and reports emitted matches tagged with
+//! their global ordering key, plus a watermark, back to the document
+//! thread.
 //!
 //! Each ring has exactly one producer — the document thread — so batches
 //! arrive in document order, which the twig machines (streaming stack
@@ -24,7 +25,7 @@ use vitex_xmlsax::event::Attribute;
 use vitex_xmlsax::pos::ByteSpan;
 
 use crate::intern::Symbol;
-use crate::multi::{Executor, StartTag};
+use crate::multi::{DispatchIndex, Executor, StartTag};
 use crate::plan::{PlanGroup, TriePush};
 use crate::result::{Match, NodeId, QueryId};
 use crate::stats::MachineStats;
@@ -33,10 +34,10 @@ use crate::telemetry::{Telemetry, TID_SHARD_BASE};
 use super::merge::TaggedMatch;
 use super::place::Assignment;
 
-/// One document event in shard-transportable form. String payloads (tag
-/// name, attributes, text) are `Arc`-shared: the document thread builds
-/// each event **once** and broadcasting to N shards bumps reference
-/// counts; everything else is `Copy`.
+/// One document event in shard-transportable form. String payloads
+/// (attributes, text, end-tag name) are `Arc`-shared: the document thread
+/// builds each event **once** and broadcasting to N shards bumps
+/// reference counts; everything else is `Copy`.
 #[derive(Debug, Clone)]
 pub(crate) enum ShardEvent {
     /// A document begins: acquire the groups this shard owns under
@@ -49,7 +50,6 @@ pub(crate) enum ShardEvent {
     Start {
         seq: u64,
         sym: Option<Symbol>,
-        name: Arc<str>,
         level: u32,
         attrs: Arc<[Attribute]>,
         node_id: NodeId,
@@ -205,11 +205,10 @@ pub(crate) struct GroupPool<'a> {
 }
 
 impl<'a> GroupPool<'a> {
-    /// Stocks the pool with the active groups of the planner's
-    /// gid-indexed group table.
-    pub(crate) fn new(groups: &'a mut [PlanGroup]) -> Self {
-        let slots = groups.iter_mut().map(|g| Mutex::new(g.is_active().then_some(g))).collect();
-        GroupPool { slots }
+    /// A pool of `slots` empty slots; the session stocks it with the
+    /// planner's active groups when it opens.
+    pub(crate) fn vacant(slots: usize) -> Self {
+        GroupPool { slots: (0..slots).map(|_| Mutex::new(None)).collect() }
     }
 
     /// Borrows group `gid` out of the pool. Panics if the group is
@@ -253,7 +252,7 @@ pub(crate) struct WorkerReport {
 /// machine statistics for [`crate::multi::MultiOutput::stats`] and the
 /// group's resident bytes (stack capacity grows with the documents seen,
 /// so plan-memory accounting must read the post-run value).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct GroupSnapshot {
     pub(crate) gid: usize,
     pub(crate) stats: MachineStats,
@@ -269,9 +268,9 @@ pub(crate) struct GroupSnapshot {
 /// session, processing batches until the ring closes. The worker owns no
 /// groups between documents — it borrows its assigned subset from `pool`
 /// at every `DocStart` (in ascending group-id order, mirroring the
-/// single-threaded engine) and returns them at `DocEnd`. `nsymbols`
-/// sizes the local dispatch index (the interner is frozen for the
-/// session); the trie route table arrives inside the assignment.
+/// direct lane) and returns them at `DocEnd`. `nsymbols` sizes the local
+/// dispatch index (the interner is frozen for the session); the trie
+/// route table arrives inside the assignment.
 /// Telemetry (batch timing, busy time, per-batch spans) records through
 /// the handle the ring was built with. `fault` and `swap_fault` are the
 /// test-only injection hooks: the worker panics when it applies the
@@ -350,12 +349,13 @@ fn worker_loop<'a>(
     // The groups currently on loan from the pool (empty between
     // documents), slot `li` holding global group `assignment
     // .shard_gids[shard][li]` — ascending, so slot order is the
-    // single-threaded engine's visit order and match tags stay globally
-    // comparable. The executor's dispatch index (predicate and text
-    // interests by slot) is assignment-dependent state, rebuilt when a
-    // DocStart carries a version we have not adopted yet.
+    // direct lane's visit order and match tags stay globally comparable.
+    // The dispatch index (predicate and text interests by slot) and the
+    // executor are assignment-dependent state, rebuilt when a DocStart
+    // carries a version we have not adopted yet.
     let mut groups: Vec<&'a mut PlanGroup> = Vec::new();
     let mut current: Option<Arc<Assignment>> = None;
+    let mut index = DispatchIndex::default();
     let mut exec = Executor::default();
 
     let mut matches: Vec<TaggedMatch> = Vec::new();
@@ -380,9 +380,10 @@ fn worker_loop<'a>(
                 }
                 groups.extend(assignment.shard_gids[shard].iter().map(|&gid| pool.take(gid)));
                 if adopt {
+                    index = DispatchIndex::default();
                     exec = Executor::default();
                     for (li, group) in groups.iter().enumerate() {
-                        exec.index.add_group(li, group.machine().spec(), nsymbols);
+                        index.add_group(li, group.machine().spec(), nsymbols);
                     }
                     exec.sample_self_time(profiled, groups.len());
                     current = Some(Arc::clone(assignment));
@@ -400,7 +401,6 @@ fn worker_loop<'a>(
                 ShardEvent::Start {
                     seq,
                     sym,
-                    name,
                     level,
                     attrs,
                     node_id,
@@ -410,7 +410,6 @@ fn worker_loop<'a>(
                 } => {
                     let tag = StartTag {
                         sym: *sym,
-                        name,
                         level: *level,
                         attributes: attrs,
                         node_id: *node_id,
@@ -418,7 +417,8 @@ fn worker_loop<'a>(
                         span: *span,
                     };
                     let routes = &assignment.routes[shard];
-                    exec.start(&mut groups, routes, pushes, &tag, tagger(&mut matches, gids, *seq));
+                    let emit = tagger(&mut matches, gids, *seq);
+                    exec.start(&mut groups, &index, routes, pushes, &tag, emit);
                 }
                 ShardEvent::Text { seq, text, level, node_id, span } => {
                     let emit = tagger(&mut matches, gids, *seq);

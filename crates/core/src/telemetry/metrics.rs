@@ -250,9 +250,9 @@ pub struct Registry {
     /// (`vitex_shard_imbalance`): max shard load over the ideal
     /// per-shard load, scaled by 1000 — 1000 is perfectly balanced,
     /// `shards * 1000` is one shard carrying everything. Computed from
-    /// the deterministic machine work counters after every sharded
-    /// document; the high-water mark records the worst document the
-    /// registry has seen.
+    /// the deterministic machine work counters after every multi-query
+    /// document (1000 whenever one worker ran it); the high-water mark
+    /// records the worst document the registry has seen.
     pub shard_imbalance: Gauge,
 
     // ----- histograms (distributions; timing dependent) -----

@@ -17,12 +17,12 @@
 //!   profile is **byte-identical** across every execution configuration —
 //!   [`ProfileSnapshot::deterministic_json`] is comparable with `==`.
 //! * **Per-group diagnostics** (shared trie steps billed to routed
-//!   groups, sampled worker self-time, merge hold latency, subscriber
+//!   groups, sampled machine self-time, merge hold latency, subscriber
 //!   counts) depend on the chosen shard configuration and are reported
 //!   separately, outside the deterministic section.
 //!
 //! The ledger is a cheap clone-able handle like
-//! [`Telemetry`](super::Telemetry): disabled (the default) it holds
+//! [`Telemetry`]: disabled (the default) it holds
 //! `None` and every call is an inert early return; enabled it holds an
 //! `Arc<Mutex<..>>` that is only locked at per-document fold granularity,
 //! never per event.
@@ -105,8 +105,8 @@ pub struct GroupCost {
     /// billed once to every routed group, so the sum over groups counts
     /// the work sharing *avoided*.
     pub shared_steps: u64,
-    /// Sampled worker self-time in nanoseconds (sharded runs only; the
-    /// inline path reports 0). Timing class — never deterministic.
+    /// Sampled machine self-time in nanoseconds, from whichever thread
+    /// ran the group's machine. Timing class — never deterministic.
     pub self_ns: u64,
     /// Matches from this group released by the watermark merger.
     pub deliveries: u64,
@@ -231,7 +231,7 @@ impl CostLedger {
         }
     }
 
-    /// Add sampled worker self-time for a group.
+    /// Add sampled machine self-time for a group.
     pub fn add_self_ns(&self, gid: usize, ns: u64) {
         if ns > 0 {
             if let Some(mut inner) = self.lock() {

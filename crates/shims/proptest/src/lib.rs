@@ -209,7 +209,7 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         len: Range<usize>,

@@ -451,8 +451,9 @@ fn run_single(opts: &Options, tree: &QueryTree, telemetry: &Telemetry) -> ExitCo
 }
 
 /// Pub/sub mode: all queries over one scan via the (optionally sharded)
-/// multi-engine. At `--shards 1` — the default — the sharded engine *is*
-/// the single-threaded `MultiEngine::run` path, bit for bit.
+/// multi-engine. At `--shards 1` — the default — and whenever the group
+/// count clamps the workers to one, the session delivers on the calling
+/// thread, exactly as `MultiEngine::run` does.
 fn run_multi(opts: &Options, trees: &[QueryTree], telemetry: &Telemetry) -> ExitCode {
     let mut multi = ShardedEngine::new(opts.shards);
     multi.set_telemetry(telemetry.clone());

@@ -1,6 +1,6 @@
 //! Driver-level differential tests: the single-query engine, the
-//! multi-query engine (inline and sharded) and the naive baseline must
-//! produce **identical node-id sequences** for a battery of queries over
+//! multi-query engine (on one thread and sharded) and the naive baseline
+//! must produce **identical node-id sequences** for a battery of queries over
 //! generated documents — deep-recursive (the paper's Figure 1 regime) and
 //! protein-shaped (the paper's headline dataset). k independent
 //! single-query engines are the in-engine reference throughout: a
@@ -13,6 +13,7 @@
 //! step trie, the dispatch index or the symbol plumbing.
 
 use vitex::baseline::{naive, NaiveConfig};
+use vitex::core::telemetry::Telemetry;
 use vitex::core::{
     Engine, EngineError, EvalOutput, Match, MultiEngine, MultiOutput, QueryId, ShardedEngine,
 };
@@ -20,8 +21,8 @@ use vitex::xmlgen::{auction, protein, recursive};
 use vitex::xmlsax::XmlReader;
 use vitex::xpath::QueryTree;
 
-/// Shard counts the sharded battery runs at: the single-threaded
-/// delegation path, even splits, and a count that leaves shards with
+/// Shard counts the sharded battery runs at: one (the session delivers on
+/// the calling thread), even splits, and a count that leaves shards with
 /// uneven group subsets.
 const SHARD_COUNTS: &[usize] = &[1, 2, 4, 7];
 
@@ -442,9 +443,9 @@ fn recycled_low_slot_keeps_callback_order_ascending_by_group() {
 fn truncated_document_delivers_the_same_prefix_and_error_at_every_shard_count() {
     // A document cut off inside a start tag: every match decidable before
     // the cut must be delivered, in the same order, and the error must
-    // name the same kind at the same position — whether the inline engine
-    // ran it or the sharded pump did (which must flush what it batched
-    // ahead of the error and still quiesce its workers).
+    // name the same kind at the same position — whether the session
+    // delivered on the calling thread or over rings (where it must flush
+    // what it batched ahead of the error and still quiesce its workers).
     let full = recursive::to_string(&recursive::RecursiveConfig {
         towers: 500,
         ..recursive::RecursiveConfig::square(3)
@@ -680,6 +681,90 @@ fn recycled_group_slots_do_not_inherit_stale_placement_costs() {
         })
         .expect("clamped session");
     assert_eq!(snap.shards, 2, "worker count re-clamps to the surviving group count");
+}
+
+#[test]
+fn a_session_clamped_to_one_worker_ships_nothing() {
+    // The lane follows the *effective* worker count, min(shards, active
+    // groups): eight configured shards over one group — or none — leave
+    // one worker, which would parallelize nothing behind a ring. Such a
+    // session delivers on the calling thread: no batch is built, no ring
+    // is pushed, and what comes out is what `MultiEngine::run` produces.
+    let xml = mixed_doc();
+    for queries in [&["//section[author]//table[position]//cell"][..], &[]] {
+        let telemetry = Telemetry::enabled();
+        let mut engine = ShardedEngine::new(8);
+        engine.set_telemetry(telemetry.clone());
+        let mut reference = MultiEngine::new();
+        for q in queries {
+            engine.add_query(q).unwrap();
+            reference.add_query(q).unwrap();
+        }
+        let (mut streamed, mut ref_streamed) = (Vec::new(), Vec::new());
+        let (out, placement) = engine
+            .session(|session| {
+                let out = session
+                    .run_document(XmlReader::from_str(&xml), |q, m| streamed.push((q.0, m.node)))?;
+                Ok((out, session.placement_snapshot()))
+            })
+            .expect("clamped session");
+        let ref_out = reference
+            .run(XmlReader::from_str(&xml), |q, m| ref_streamed.push((q.0, m.node)))
+            .expect("reference run");
+        let label = format!("{} group(s)", queries.len());
+        assert_eq!(streamed.is_empty(), queries.is_empty(), "the query matches: {label}");
+        assert_eq!(out.matches, ref_out.matches, "matches: {label}");
+        assert_eq!(streamed, ref_streamed, "callback sequence: {label}");
+        assert_eq!(out.stats, ref_out.stats, "machine stats: {label}");
+        assert_eq!(out.plan, ref_out.plan, "plan stats: {label}");
+        assert_eq!(
+            (out.elements, out.text_nodes, out.events),
+            (ref_out.elements, ref_out.text_nodes, ref_out.events),
+            "stream stats: {label}"
+        );
+        assert_eq!(placement.shards, 1, "{label}");
+        let snapshot = telemetry.snapshot().expect("enabled");
+        assert_eq!(snapshot.counter("vitex_ring_batches_total"), Some(0), "{label}");
+        let batches = snapshot.histograms.iter().find(|h| h.name == "vitex_batch_events");
+        assert_eq!(batches.map(|h| h.count), Some(0), "{label}");
+    }
+}
+
+#[test]
+fn placement_snapshot_needs_no_one_worker_caveat() {
+    // One body for every session: at one worker every active group sits
+    // on shard 0 (a retired slot on none), nothing ever repartitions, and
+    // a document that ran measured a perfectly balanced 1000 — whether
+    // one shard was configured or the group count clamped four to one.
+    let xml = mixed_doc();
+    for (shards, retire_first) in [(1usize, true), (4, false)] {
+        let mut engine = ShardedEngine::new(shards);
+        let expected = if retire_first {
+            let retired = engine.add_query("//section//cell").unwrap();
+            engine.add_query("//ProteinEntry/protein/name").unwrap();
+            engine.add_query("//table/cell").unwrap();
+            assert_eq!(engine.remove_query(retired), Some(true));
+            vec![None, Some(0), Some(0)]
+        } else {
+            engine.add_query("//section//cell").unwrap();
+            vec![Some(0)]
+        };
+        let (before, after) = engine
+            .session(|session| {
+                let before = session.placement_snapshot();
+                session.run_document(XmlReader::from_str(&xml), |_, _| {})?;
+                session.run_document(XmlReader::from_str(&xml), |_, _| {})?;
+                Ok((before, session.placement_snapshot()))
+            })
+            .expect("one-worker session");
+        for snap in [&before, &after] {
+            assert_eq!(snap.shards, 1, "{shards} configured shard(s)");
+            assert_eq!(snap.shard_of, expected, "{shards} configured shard(s)");
+            assert_eq!(snap.repartitions, 0, "{shards} configured shard(s)");
+        }
+        assert_eq!(before.last_imbalance_millis, None, "no document ran yet");
+        assert_eq!(after.last_imbalance_millis, Some(1000), "one worker carries everything");
+    }
 }
 
 #[test]

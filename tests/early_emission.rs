@@ -102,8 +102,8 @@ fn dump_state_reflects_stacks() {
     let mut m = TwigM::from_spec(spec, EvalMode::Compact);
     let span = vitex::xmlsax::pos::ByteSpan::new(0, 1);
     let mut sink = |_: vitex::Match| {};
-    m.start_element_interned(interner.lookup("section"), "section", 1, &[], 0, 1, span, &mut sink);
-    m.start_element_interned(interner.lookup("cell"), "cell", 2, &[], 1, 2, span, &mut sink);
+    m.start_element_interned(interner.lookup("section"), 1, &[], 0, 1, span, &mut sink);
+    m.start_element_interned(interner.lookup("cell"), 2, &[], 1, 2, span, &mut sink);
     let dump = m.dump_state();
     assert!(dump.contains("//section"), "{dump}");
     assert!(dump.contains("//cell"), "{dump}");

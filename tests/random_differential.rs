@@ -30,8 +30,8 @@ use vitex::xmlgen::random::{self, RandomConfig};
 use vitex::xmlsax::XmlReader;
 use vitex::xpath::QueryTree;
 
-/// Shard counts the randomized properties run at (1 = the inline
-/// single-threaded delegation, 4 = a genuinely threaded partition).
+/// Shard counts the randomized properties run at (1 = the session
+/// delivers on the calling thread, 4 = a genuinely threaded partition).
 const SHARDS: &[usize] = &[1, 4];
 
 /// Shard counts the fixed-seed sweep pins: adds an even split and a count
@@ -188,8 +188,8 @@ fn warm_session(
 /// several documents — enough for the placement planner to observe the
 /// first document's counters and repartition at a document boundary —
 /// must produce byte-identical matches, callback order and statistics at
-/// every shard count, the inline one-shard run (which has nothing to
-/// place) being the reference. A planted hog query skews the group costs
+/// every shard count, the one-shard run (which has nothing to place)
+/// being the reference. A planted hog query skews the group costs
 /// so the sweep actually exercises an assignment swap, not just the seed
 /// plan: three chained descendant wildcards among a random set over
 /// random documents, and the E15 set — one descendant hog among 7 cheap

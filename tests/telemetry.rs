@@ -106,7 +106,8 @@ fn snapshot_round_trips_engine_output() {
 fn timing_metrics_are_present_but_excluded_from_the_deterministic_export() {
     let xml = random::to_string(&RandomConfig::seeded(13));
     let trees = query_set(2);
-    let (_, telemetry) = run_config(&trees, &xml, 4);
+    let (out, telemetry) = run_config(&trees, &xml, 4);
+    assert!(out.plan.groups >= 2, "a session ships batches only to two or more workers");
     let snapshot = telemetry.snapshot().expect("enabled");
     // Wall-clock did pass and the dispatch histogram saw events…
     assert!(snapshot.counter("vitex_doc_ns_total").unwrap() > 0);
@@ -230,6 +231,33 @@ fn profile_ranking_is_stable_across_shard_counts() {
         }
         for &shards in &SHARDS[1..] {
             assert_eq!(rank(shards), reference, "top-k order must not depend on the shard count");
+        }
+    }
+}
+
+#[test]
+fn sampled_self_time_is_billed_on_both_lanes() {
+    // The ledger's `self_ns` comes from timing one machine touch in 1024,
+    // on whichever lane runs the machines — the calling thread at one
+    // shard, the workers at two — so the document must be long enough
+    // for several thousand touches. Asserted on the sum over groups: a
+    // periodic document can alias a small group out of every sample.
+    // The deterministic per-query section ignores all of it.
+    let xml = auction::to_string(&AuctionConfig::sized(256 * 1024));
+    let trees = pinned_queries_with_hog(100);
+    let mut reference: Option<String> = None;
+    for &shards in SHARDS {
+        let snap = run_profiled(&trees, &xml, shards);
+        let touches: u64 = snap.groups.iter().map(|g| g.pushes + g.pops).sum();
+        assert!(touches > 8 * 1024, "{touches} pushes + pops: too short a document to sample");
+        if shards <= 2 {
+            let self_ns: u64 = snap.groups.iter().map(|g| g.self_ns).sum();
+            assert!(self_ns > 0, "{shards} shard(s): no self-time sampled over {touches} touches");
+        }
+        let json = snap.deterministic_json();
+        match &reference {
+            None => reference = Some(json),
+            Some(r) => assert_eq!(&json, r, "per-query section at {shards} shards"),
         }
     }
 }
