@@ -16,7 +16,7 @@ use crate::builder::{BuildError, EvalMode, MachineSpec};
 use crate::driver::{DocumentDriver, EventSink};
 use crate::error::EngineResult;
 use crate::intern::{Interner, Symbol};
-use crate::machine::TwigM;
+use crate::machine::{CandidateStore, TwigM};
 use crate::result::{Match, NodeId};
 use crate::stats::MachineStats;
 
@@ -38,6 +38,8 @@ pub struct EvalOutput {
 /// A reusable query engine: build once, run over many documents.
 pub struct Engine {
     machine: TwigM,
+    /// The machine's run-time memory, kept warm across documents.
+    store: CandidateStore,
     interner: Interner,
     driver: DocumentDriver,
 }
@@ -54,6 +56,7 @@ impl Engine {
         let spec = MachineSpec::compile_with(tree, &mut interner)?;
         Ok(Engine {
             machine: TwigM::from_spec(spec, mode),
+            store: CandidateStore::new(),
             interner,
             driver: DocumentDriver::new(),
         })
@@ -86,17 +89,22 @@ impl Engine {
         on_match: F,
     ) -> EngineResult<EvalOutput> {
         self.machine.reset();
+        self.store.reset();
         let mut matches = Vec::new();
         let stream = {
             let mut sink = EngineSink {
                 machine: &mut self.machine,
+                store: &mut self.store,
                 interner: &self.interner,
                 matches: &mut matches,
                 on_match,
             };
             self.driver.run(reader, &mut sink)?
         };
-        debug_assert!(self.machine.is_quiescent(), "well-formed input drains all stacks");
+        debug_assert!(
+            self.machine.is_quiescent() && self.store.is_idle(),
+            "well-formed input drains all stacks and returns every store handle"
+        );
         let telemetry = self.driver.telemetry();
         telemetry.fold_machine(self.machine.stats());
         telemetry.add_matches(matches.len() as u64);
@@ -113,6 +121,7 @@ impl Engine {
 /// The single-query [`EventSink`]: every event goes to the one machine.
 struct EngineSink<'a, F: FnMut(Match)> {
     machine: &'a mut TwigM,
+    store: &'a mut CandidateStore,
     interner: &'a Interner,
     matches: &'a mut Vec<Match>,
     on_match: F,
@@ -133,6 +142,7 @@ impl<F: FnMut(Match)> EventSink for EngineSink<'_, F> {
         let matches = &mut *self.matches;
         let on_match = &mut self.on_match;
         self.machine.start_element_interned(
+            self.store,
             sym,
             event.level,
             &event.attributes,
@@ -149,19 +159,32 @@ impl<F: FnMut(Match)> EventSink for EngineSink<'_, F> {
     fn characters(&mut self, event: &CharactersEvent, node_id: NodeId) {
         let matches = &mut *self.matches;
         let on_match = &mut self.on_match;
-        self.machine.characters(&event.text, event.level, node_id, event.span, &mut |m| {
-            matches.push(m.clone());
-            on_match(m);
-        });
+        self.machine.characters(
+            self.store,
+            &event.text,
+            event.level,
+            node_id,
+            event.span,
+            &mut |m| {
+                matches.push(m.clone());
+                on_match(m);
+            },
+        );
     }
 
     fn end_element(&mut self, _sym: Option<Symbol>, event: &EndElementEvent) {
         let matches = &mut *self.matches;
         let on_match = &mut self.on_match;
-        self.machine.end_element(event.name.as_str(), event.level, event.element_span, &mut |m| {
-            matches.push(m.clone());
-            on_match(m);
-        });
+        self.machine.end_element(
+            self.store,
+            event.name.as_str(),
+            event.level,
+            event.element_span,
+            &mut |m| {
+                matches.push(m.clone());
+                on_match(m);
+            },
+        );
     }
 }
 

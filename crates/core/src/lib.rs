@@ -22,9 +22,11 @@
 //!   an outer candidate ancestor (when they are not). A candidate that
 //!   reaches the root machine node fully satisfied **is** a query solution
 //!   and is emitted immediately — the paper's incremental delivery.
-//! * Pattern matches are never enumerated: a candidate lives in exactly one
-//!   stack entry at a time, which is what turns the exponential match space
-//!   into `O(|D|·|Q|·(|Q|+B))` work.
+//! * Pattern matches are never enumerated: a candidate waits on a stack
+//!   entry as an 8-byte instance of a solution stored once, which is what
+//!   turns the exponential match space into `O(|D|·|Q|·(|Q|+B))` work —
+//!   and, with every instance, solution and string buffer pooled in a
+//!   [`machine::CandidateStore`], into no allocation per event.
 //!
 //! ## Entry points
 //!
@@ -52,7 +54,9 @@
 //!   numbering, counting, symbol resolution) behind both engines; custom
 //!   consumers implement [`driver::EventSink`].
 //! * [`machine::TwigM`] — the raw machine, for callers with their own event
-//!   source.
+//!   source. They also make the [`machine::CandidateStore`] its
+//!   transitions are lent (the engines above own theirs) and reset both
+//!   between documents.
 //!
 //! ```
 //! let xml = "<book><section><author>C</author>\
@@ -86,7 +90,7 @@ pub use driver::{DocumentDriver, EventSink};
 pub use engine::{evaluate_reader, evaluate_str, Engine, EvalOutput};
 pub use error::{EngineError, EngineResult};
 pub use intern::{Interner, Symbol};
-pub use machine::TwigM;
+pub use machine::{CandidateStore, TwigM};
 pub use multi::{MultiEngine, MultiOutput};
 pub use plan::{PlanGroup, QueryPlanner};
 pub use result::{Match, MatchKind, QueryId};

@@ -26,17 +26,62 @@
 //!   candidate slides to the entry below (if still ≥ `low`) — its chances
 //!   through outer ancestors stay alive without ever materializing the
 //!   match combinations. When a satisfied entry *forwards* candidates, a
-//!   copy also slides down (marked `shared`), because chains through outer
-//!   entries may succeed where the inner chain's continuation fails;
-//!   `shared` candidates are deduplicated at emission so each solution is
-//!   reported exactly once.
+//!   copy also slides down, because chains through outer entries may
+//!   succeed where the inner chain's continuation fails; a solution that
+//!   reaches the root along several chains is reported exactly once.
 //! * **emission** — candidates on a satisfied entry of the machine *root*
 //!   are solutions (paper: "a node matching the root of TwigM ensures that
 //!   the candidate solutions associated with it are indeed query
 //!   solutions") and are handed to the caller immediately.
+//!
+//! ## Representation: instance, payload, store
+//!
+//! The transitions above move candidates far more often than they create
+//! them (on the recursive benchmark document: 1 752 created, 103 416
+//! moved), so what moves is as small as it can be:
+//!
+//! * an **instance** (`Cand`) is what sits in an entry's candidate list:
+//!   8 bytes, `Copy` — the compatibility bound `low` and the handle of
+//!   the solution it stands for. Down-copying, forwarding and inheriting
+//!   are `memcpy`.
+//! * a **payload** is the solution itself — kind, node id, span, level,
+//!   name and value — stored **once**, however many instances stand for
+//!   it, together with what the instances share: their count (the payload
+//!   is freed with its last instance), the `emitted` bit (a second
+//!   instance reaching the root is suppressed by looking at the payload,
+//!   so the machine keeps no set of emitted node ids and nothing in it
+//!   grows with the number of matches) and the merge stamp. A [`Match`]'s
+//!   `Arc<str>`s are built from the payload when it is emitted, and only
+//!   then.
+//! * the [`CandidateStore`] holds payloads, candidate lists and string
+//!   buffers (names, values, string-value accumulators) in three pools
+//!   with free lists; entries hold `u32` handles into it. It belongs to
+//!   **whoever drives machines** — one in [`crate::engine::Engine`], one
+//!   per multi-query executor (so one per shard worker) — and is lent to
+//!   every transition, so a thousand machines share one set of warm
+//!   buffers, a warm transition allocates nothing, and a machine at rest
+//!   is its spec plus empty stacks. The owner resets it once per document,
+//!   next to [`TwigM::reset`]: a well-formed document hands every handle
+//!   back, which makes that reset O(1); after an aborted document it
+//!   reclaims what the abandoned entries still held.
+//!
+//! **Why hand-over preserves order and counters.** "The candidates slide
+//! to the entry below" is, when the entry below holds none and every
+//! candidate may slide (`max_low`, an upper bound on `low` over the list,
+//! is below the popped index), the same as appending them one by one to an
+//! empty list: same members, same order, none merged. So the list *handle*
+//! moves, in O(1), and `candidates_inherited` grows by the list's length —
+//! exactly what the walk would have counted. A list arriving at a
+//! non-empty list is merged in one pass over both (`CandidateStore::arrive`):
+//! arrivals append in their own order, and an arrival whose solution is
+//! already there widens that instance's range instead — the outcome, and
+//! hence the emission order, of the one-by-one walk. [`MachineStats`]
+//! counts these *logical* operations, per instance and in the walk's
+//! order, so its counters and peaks do not depend on which route a list
+//! took.
 
-use std::collections::HashSet;
 use std::mem::size_of;
+use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
 use vitex_xmlsax::event::Attribute;
@@ -49,6 +94,10 @@ use crate::intern::Symbol;
 use crate::predicate;
 use crate::result::{Match, MatchKind};
 use crate::stats::MachineStats;
+
+/// "No handle": an entry without candidates or without a text buffer, a
+/// payload without a name or value.
+const NONE: u32 = u32::MAX;
 
 /// A stack entry: the paper's *(level, match flags, candidates)* triplet,
 /// plus the parent-stack pointer that makes the compact encoding work.
@@ -66,111 +115,308 @@ struct Entry {
     /// One bit per predicate child of the query node: has a complete match
     /// of that child subtree been bookkept onto this entry?
     flags: SmallBitSet,
-    /// Candidate solutions currently waiting on this entry.
-    cands: CandList,
-    /// Accumulated descendant text (only for predicate leaves carrying a
-    /// value comparison).
-    text: Option<String>,
+    /// The candidate solutions currently waiting on this entry: a list in
+    /// the store, [`NONE`] when there are none (a held list is never
+    /// empty).
+    cands: u32,
+    /// Upper bound on `low` over `cands` (merges only ever lower a `low`).
+    max_low: u32,
+    /// Accumulated descendant text, a string in the store (only for
+    /// predicate leaves carrying a value comparison; [`NONE`] otherwise).
+    text: u32,
 }
 
-/// A candidate solution attached to a stack entry.
-#[derive(Debug, Clone)]
-struct Candidate {
-    /// Lowest index in the *current* stack this candidate may slide down
+/// A candidate instance: one solution waiting on one stack entry.
+#[derive(Debug, Clone, Copy)]
+struct Cand {
+    /// Lowest index in the *current* stack this instance may slide down
     /// to (compatibility bound).
     low: u32,
-    /// Another live instance of this candidate may exist (created by
-    /// forward-time down-copying); emission must deduplicate.
-    shared: bool,
-    /// The payload that becomes a [`Match`].
-    item: CandItem,
+    /// The solution it stands for.
+    payload: u32,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-struct CandItem {
-    kind: MatchKind,
+const CAND_BYTES: u64 = size_of::<Cand>() as u64;
+
+/// A candidate solution — what becomes a [`Match`] — and the state its
+/// instances share.
+#[derive(Debug)]
+struct Payload {
     node: u64,
-    name: Option<Arc<str>>,
     span: ByteSpan,
-    value: Option<Arc<str>>,
     level: u32,
+    /// Name and value strings in the store ([`NONE`] where the match has
+    /// none).
+    name: u32,
+    value: u32,
+    /// Live instances; the payload is freed with the last one.
+    instances: u32,
+    /// Merge epoch this payload was last seen in on the receiving side,
+    /// and its position in that list.
+    stamp: u32,
+    pos: u32,
+    kind: MatchKind,
+    /// Already delivered: any further instance reaching the root is a
+    /// duplicate.
+    emitted: bool,
 }
 
-impl CandItem {
-    fn heap_bytes(&self) -> u64 {
-        (self.name.as_ref().map_or(0, |n| n.len()) + self.value.as_ref().map_or(0, |v| v.len()))
-            as u64
-    }
-
-    fn into_match(self) -> Match {
-        Match {
-            kind: self.kind,
-            node: self.node,
-            name: self.name,
-            span: self.span,
-            value: self.value,
-            level: self.level,
+impl Default for Payload {
+    fn default() -> Self {
+        Payload {
+            node: 0,
+            span: ByteSpan::default(),
+            level: 0,
+            name: NONE,
+            value: NONE,
+            instances: 0,
+            stamp: 0,
+            pos: 0,
+            kind: MatchKind::Element,
+            emitted: false,
         }
     }
 }
 
-fn cand_bytes(c: &Candidate) -> u64 {
-    size_of::<Candidate>() as u64 + c.item.heap_bytes()
+/// Recycled slots addressed by `u32` handles. A slot handed back keeps its
+/// contents (and heap capacity) until it is taken again.
+#[derive(Debug)]
+struct Pool<T> {
+    slots: Vec<T>,
+    free: Vec<u32>,
 }
 
-/// Once a list holds this many candidates, membership checks switch from a
-/// linear scan to a hash index (one long-lived entry — e.g. the root
-/// binding of a selective query — can accumulate the whole result set).
-const CAND_INDEX_THRESHOLD: usize = 32;
-
-/// An entry's candidate buffer with amortized O(1) duplicate detection.
-#[derive(Debug, Clone, Default)]
-struct CandList {
-    items: Vec<Candidate>,
-    index: Option<HashSet<u64>>,
+impl<T> Default for Pool<T> {
+    fn default() -> Self {
+        Pool { slots: Vec::new(), free: Vec::new() }
+    }
 }
 
-impl CandList {
-    fn is_empty(&self) -> bool {
-        self.items.is_empty()
+impl<T: Default> Pool<T> {
+    fn take(&mut self) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
+            self.slots.push(T::default());
+            self.slots.len() as u32 - 1
+        })
     }
 
-    /// Appends a candidate known to be absent (freshly created ids).
-    fn push_new(&mut self, c: Candidate) {
-        if let Some(ix) = &mut self.index {
-            ix.insert(c.item.node);
-        }
-        self.items.push(c);
-        if self.index.is_none() && self.items.len() >= CAND_INDEX_THRESHOLD {
-            self.index = Some(self.items.iter().map(|c| c.item.node).collect());
+    fn give(&mut self, handle: u32) {
+        self.free.push(handle);
+    }
+
+    fn is_idle(&self) -> bool {
+        self.free.len() == self.slots.len()
+    }
+
+    /// Reclaims every slot, lowest handle first out.
+    fn reclaim(&mut self) {
+        self.free.clear();
+        self.free.extend((0..self.slots.len() as u32).rev());
+    }
+}
+
+impl<T> Index<u32> for Pool<T> {
+    type Output = T;
+    fn index(&self, handle: u32) -> &T {
+        &self.slots[handle as usize]
+    }
+}
+
+impl<T> IndexMut<u32> for Pool<T> {
+    fn index_mut(&mut self, handle: u32) -> &mut T {
+        &mut self.slots[handle as usize]
+    }
+}
+
+/// The run-time memory of TwigM machines: candidate payloads, candidate
+/// lists and string buffers, pooled and recycled (see the module docs).
+///
+/// One store serves any number of machines, as long as they are driven
+/// from one place: pass it to every transition of every one of them, and
+/// call [`CandidateStore::reset`] wherever the machines are
+/// [reset](TwigM::reset). [`crate::engine::Engine`] and the multi-query
+/// engines own theirs; only callers of the raw [`TwigM`] make one.
+#[derive(Debug, Default)]
+pub struct CandidateStore {
+    payloads: Pool<Payload>,
+    lists: Pool<Vec<Cand>>,
+    strings: Pool<String>,
+    /// The current merge epoch: a payload stamped with it is in the list
+    /// being merged into, at its recorded position.
+    epoch: u32,
+}
+
+impl CandidateStore {
+    /// An empty store.
+    pub fn new() -> Self {
+        CandidateStore::default()
+    }
+
+    /// Takes back everything lent out, keeping the buffers. After a
+    /// well-formed document the machines have already returned it all and
+    /// there is nothing to do; a document that ended mid-element leaves
+    /// handles in abandoned stack entries, and those are reclaimed here.
+    pub fn reset(&mut self) {
+        if !self.is_idle() {
+            self.payloads.reclaim();
+            self.lists.reclaim();
+            self.strings.reclaim();
         }
     }
 
-    /// Adds an arriving candidate, merging with an existing instance of
-    /// the same solution (widest compatibility range wins).
-    fn merge_or_push(&mut self, stats: &mut MachineStats, cand: Candidate) {
-        let present = match &self.index {
-            Some(ix) => ix.contains(&cand.item.node),
-            None => self.items.iter().any(|c| c.item.node == cand.item.node),
-        };
-        if present {
-            let existing = self
-                .items
-                .iter_mut()
-                .find(|c| c.item.node == cand.item.node)
-                .expect("index agrees with items");
-            existing.low = existing.low.min(cand.low);
-            existing.shared |= cand.shared;
-            stats.on_candidate_merged(cand_bytes(&cand));
+    /// Whether nothing is lent out.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.payloads.is_idle() && self.lists.is_idle() && self.strings.is_idle()
+    }
+
+    /// A pooled copy of `s`.
+    fn string(&mut self, s: &str) -> u32 {
+        let h = self.strings.take();
+        let buf = &mut self.strings[h];
+        buf.clear();
+        buf.push_str(s);
+        h
+    }
+
+    /// The pooled string `h`, or `""` for [`NONE`].
+    fn str(&self, h: u32) -> &str {
+        if h == NONE {
+            ""
         } else {
-            self.push_new(cand);
+            &self.strings[h]
         }
     }
 
-    /// Removes and returns all candidates (dropping the index).
-    fn drain(&mut self) -> std::vec::Drain<'_, Candidate> {
-        self.index = None;
-        self.items.drain(..)
+    /// Stores a new solution, counts it, and returns its first instance.
+    #[allow(clippy::too_many_arguments)]
+    fn create(
+        &mut self,
+        stats: &mut MachineStats,
+        low: u32,
+        kind: MatchKind,
+        node: u64,
+        name: Option<&str>,
+        span: ByteSpan,
+        value: Option<&str>,
+        level: u32,
+    ) -> Cand {
+        let name = name.map_or(NONE, |n| self.string(n));
+        let value = value.map_or(NONE, |v| self.string(v));
+        let payload = self.payloads.take();
+        self.payloads[payload] =
+            Payload { node, span, level, name, value, instances: 1, kind, ..Payload::default() };
+        stats.on_candidate_created(CAND_BYTES + self.payload_bytes(payload));
+        Cand { low, payload }
+    }
+
+    /// Bytes a payload accounts for beyond its instances.
+    fn payload_bytes(&self, payload: u32) -> u64 {
+        let p = &self.payloads[payload];
+        (size_of::<Payload>() + self.str(p.name).len() + self.str(p.value).len()) as u64
+    }
+
+    /// Ends one instance's life and returns the bytes that go with it: its
+    /// own, plus the payload's when it was the last.
+    fn release(&mut self, c: Cand) -> u64 {
+        let p = &mut self.payloads[c.payload];
+        p.instances -= 1;
+        if p.instances > 0 {
+            return CAND_BYTES;
+        }
+        let bytes = CAND_BYTES + self.payload_bytes(c.payload);
+        let p = &self.payloads[c.payload];
+        for h in [p.name, p.value] {
+            if h != NONE {
+                self.strings.give(h);
+            }
+        }
+        self.payloads.give(c.payload);
+        bytes
+    }
+
+    /// The solution as the caller receives it.
+    fn to_match(&self, payload: u32) -> Match {
+        let p = &self.payloads[payload];
+        let arc = |h: u32| (h != NONE).then(|| Arc::from(&*self.strings[h]));
+        Match {
+            kind: p.kind,
+            node: p.node,
+            name: arc(p.name),
+            span: p.span,
+            value: arc(p.value),
+            level: p.level,
+        }
+    }
+
+    /// Detaches `entry`'s list for a walk; [`CandidateStore::hand_over`]
+    /// or [`CandidateStore::recycle`] ends it.
+    fn detach(&mut self, entry: &Entry) -> Vec<Cand> {
+        std::mem::take(&mut self.lists[entry.cands])
+    }
+
+    /// Gives the detached list of `from` to `to`, which holds none.
+    fn hand_over(&mut self, from: &Entry, list: Vec<Cand>, to: &mut Entry, max_low: u32) {
+        debug_assert!(to.cands == NONE && !list.is_empty());
+        self.lists[from.cands] = list;
+        to.cands = from.cands;
+        to.max_low = max_low;
+    }
+
+    /// Returns the detached list of `from`, now walked, to the pool.
+    fn recycle(&mut self, from: &Entry, list: Vec<Cand>) {
+        self.lists[from.cands] = list;
+        self.lists.give(from.cands);
+    }
+
+    /// One instance arrives at `entry`: it joins the list, or — when the
+    /// list already holds an instance of the same solution — widens that
+    /// one's range and is absorbed (`true`).
+    ///
+    /// `stamped` carries one merge across the arrivals of a walk: start it
+    /// `false`. The first arrival that could be present at all (its
+    /// solution has another instance somewhere — a freshly created one
+    /// never does) stamps every payload in the list with a fresh epoch and
+    /// its position, after which each lookup is one comparison; the
+    /// arrivals of one walk are distinct solutions, so the stamps stay
+    /// exact as the list grows.
+    ///
+    /// `c` is either an instance on the move — absorbed, it ends — or, with
+    /// `copy`, a duplicate of one that stays where it is — unabsorbed, it
+    /// becomes an instance of its own.
+    fn arrive(&mut self, entry: &mut Entry, stamped: &mut bool, c: Cand, copy: bool) -> bool {
+        if entry.cands == NONE {
+            entry.cands = self.lists.take();
+            self.lists[entry.cands].clear();
+        } else if self.payloads[c.payload].instances > 1 {
+            if !*stamped {
+                *stamped = true;
+                self.next_epoch();
+                for (pos, held) in self.lists[entry.cands].iter().enumerate() {
+                    let p = &mut self.payloads.slots[held.payload as usize];
+                    (p.stamp, p.pos) = (self.epoch, pos as u32);
+                }
+            }
+            let p = &mut self.payloads[c.payload];
+            if p.stamp == self.epoch {
+                p.instances -= u32::from(!copy);
+                let held = &mut self.lists[entry.cands][p.pos as usize];
+                held.low = held.low.min(c.low);
+                return true;
+            }
+        }
+        self.payloads[c.payload].instances += u32::from(copy);
+        self.lists[entry.cands].push(c);
+        entry.max_low = entry.max_low.max(c.low);
+        false
+    }
+
+    /// Starts a merge epoch no payload is stamped with.
+    fn next_epoch(&mut self) {
+        if self.epoch == u32::MAX {
+            self.payloads.slots.iter_mut().for_each(|p| p.stamp = 0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
     }
 }
 
@@ -181,9 +427,10 @@ fn entry_base_bytes(e: &Entry) -> u64 {
 /// The TwigM machine.
 ///
 /// Feed it SAX events ([`TwigM::start_element_interned`], [`TwigM::characters`],
-/// [`TwigM::end_element`]); solutions come out of the `emit` callback of
-/// `end_element` as soon as they are decidable. [`crate::engine::Engine`]
-/// wires an [`vitex_xmlsax::XmlReader`] to this interface.
+/// [`TwigM::end_element`]), lending each call the [`CandidateStore`] its
+/// run-time state lives in; solutions come out of the `emit` callback as
+/// soon as they are decidable. [`crate::engine::Engine`] wires an
+/// [`vitex_xmlsax::XmlReader`] to this interface.
 #[derive(Debug)]
 pub struct TwigM {
     spec: MachineSpec,
@@ -191,8 +438,6 @@ pub struct TwigM {
     stacks: Vec<Vec<Entry>>,
     /// Reusable per-event push plan (machine node, parent-stack ptr).
     plan: Vec<(u32, u32)>,
-    /// Node ids of already-emitted shared candidates.
-    emitted: HashSet<u64>,
     stats: MachineStats,
 }
 
@@ -200,14 +445,7 @@ impl TwigM {
     /// Wraps an already-compiled spec.
     pub fn from_spec(spec: MachineSpec, mode: EvalMode) -> Self {
         let stacks = spec.nodes.iter().map(|_| Vec::new()).collect();
-        TwigM {
-            spec,
-            mode,
-            stacks,
-            plan: Vec::new(),
-            emitted: HashSet::new(),
-            stats: MachineStats::default(),
-        }
+        TwigM { spec, mode, stacks, plan: Vec::new(), stats: MachineStats::default() }
     }
 
     /// The compiled layout.
@@ -255,12 +493,13 @@ impl TwigM {
 
     /// A human-readable snapshot of every machine-node stack — the state
     /// the paper's demo visualizes ("TwigM changes its state according to
-    /// the current state and the input event"). One line per stack entry:
+    /// the current state and the input event"). One line per stack entry
+    /// (`store` is the one the transitions were lent):
     ///
     /// ```text
     /// [2] //table        L5 #4 flags 0/1 cands 1
     /// ```
-    pub fn dump_state(&self) -> String {
+    pub fn dump_state(&self, store: &CandidateStore) -> String {
         use std::fmt::Write;
         let mut out = String::new();
         for (q, stack) in self.stacks.iter().enumerate() {
@@ -282,20 +521,20 @@ impl TwigM {
                     e.ptr,
                     e.flags.count(),
                     node.nflags,
-                    e.cands.items.len()
+                    if e.cands == NONE { 0 } else { store.lists[e.cands].len() }
                 );
             }
         }
         out
     }
 
-    /// Clears all run state (stacks, dedup set, statistics) so the machine
-    /// can process another document.
+    /// Clears all run state (stacks, statistics) so the machine can
+    /// process another document. What the dropped entries held in the
+    /// store is reclaimed by [`CandidateStore::reset`].
     pub fn reset(&mut self) {
         for s in &mut self.stacks {
             s.clear();
         }
-        self.emitted.clear();
         self.stats = MachineStats::default();
     }
 
@@ -315,6 +554,7 @@ impl TwigM {
     #[allow(clippy::too_many_arguments)]
     pub fn start_element_interned(
         &mut self,
+        store: &mut CandidateStore,
         sym: Option<Symbol>,
         level: u32,
         attributes: &[Attribute],
@@ -326,7 +566,7 @@ impl TwigM {
         let mut plan = std::mem::take(&mut self.plan);
         let named = sym.map(|s| self.spec.machines_for(s)).unwrap_or(&[]);
         self.plan_pushes(named, level, &mut plan);
-        self.apply_pushes(&plan, level, attributes, node_id, attr_id_base, tag_span, emit);
+        self.apply_pushes(store, &plan, level, attributes, node_id, attr_id_base, tag_span, emit);
         self.plan = plan;
     }
 
@@ -361,6 +601,7 @@ impl TwigM {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn start_element_prefix(
         &mut self,
+        store: &mut CandidateStore,
         main_plan: &[(u32, u32)],
         plan_preds: bool,
         sym: Option<Symbol>,
@@ -399,7 +640,7 @@ impl TwigM {
             plan.sort_unstable_by_key(|&(q, _)| q);
         }
         let pushes = plan.len() as u32;
-        self.apply_pushes(&plan, level, attributes, node_id, attr_id_base, tag_span, emit);
+        self.apply_pushes(store, &plan, level, attributes, node_id, attr_id_base, tag_span, emit);
         self.plan = plan;
         pushes
     }
@@ -408,6 +649,7 @@ impl TwigM {
     #[allow(clippy::too_many_arguments)]
     fn apply_pushes(
         &mut self,
+        store: &mut CandidateStore,
         plan: &[(u32, u32)],
         level: u32,
         attributes: &[Attribute],
@@ -421,6 +663,7 @@ impl TwigM {
         }
         for &(q, ptr) in plan {
             self.push_entry(
+                store,
                 q as usize,
                 ptr,
                 level,
@@ -463,6 +706,7 @@ impl TwigM {
     #[allow(clippy::too_many_arguments)]
     fn push_entry(
         &mut self,
+        store: &mut CandidateStore,
         q: usize,
         ptr: u32,
         level: u32,
@@ -472,42 +716,40 @@ impl TwigM {
         tag_span: ByteSpan,
         emit: &mut dyn FnMut(Match),
     ) {
-        let node = &self.spec.nodes[q];
-        let own_index = self.stacks[q].len() as u32;
+        let Self { spec, stacks, stats, .. } = self;
+        let node = &spec.nodes[q];
+        let own_index = stacks[q].len() as u32;
         let mut flags = SmallBitSet::empty(node.nflags as usize);
         // Inline attribute predicates are decidable right now.
         for ap in &node.attr_preds {
-            self.stats.predicate_evals += 1;
+            stats.predicate_evals += 1;
             let hit = attributes.iter().any(|a| {
                 attr_name_matches(ap.name.as_deref(), a.name.as_str())
                     && cmp_opt(&ap.comparison, &a.value)
             });
             if hit {
                 flags.set(ap.slot.expect("predicate tests carry slots") as usize);
-                self.stats.flag_propagations += 1;
+                stats.flag_propagations += 1;
             }
         }
+        let mut entry = Entry { level, ptr, node_id, flags, cands: NONE, max_low: 0, text: NONE };
         // Attribute-result candidates are born here, waiting on this entry.
-        let mut cands = CandList::default();
         if let Some(ar) = &node.attr_result {
             for (i, a) in attributes.iter().enumerate() {
                 if attr_name_matches(ar.name.as_deref(), a.name.as_str())
                     && cmp_opt(&ar.comparison, &a.value)
                 {
-                    let c = Candidate {
-                        low: own_index,
-                        shared: false,
-                        item: CandItem {
-                            kind: MatchKind::Attribute,
-                            node: attr_id_base + i as u64,
-                            name: Some(a.name.as_str().into()),
-                            span: tag_span,
-                            value: Some(a.value.as_str().into()),
-                            level,
-                        },
-                    };
-                    self.stats.on_candidate_created(cand_bytes(&c));
-                    cands.push_new(c);
+                    let c = store.create(
+                        stats,
+                        own_index,
+                        MatchKind::Attribute,
+                        attr_id_base + i as u64,
+                        Some(a.name.as_str()),
+                        tag_span,
+                        Some(a.value.as_str()),
+                        level,
+                    );
+                    store.arrive(&mut entry, &mut false, c, false);
                 }
             }
         }
@@ -516,30 +758,19 @@ impl TwigM {
         // is a solution *now* — deliver it instead of buffering it until
         // the root element closes. This is what makes queries like
         // `//site/people/person/@id` stream with O(1) candidate memory.
-        let is_root = node.is_root;
-        let nflags = node.nflags as usize;
-        let needs_text = node.needs_text;
-        if is_root && !cands.is_empty() && flags.all_set(nflags) {
-            for c in cands.drain() {
-                self.emit_candidate(c, emit);
+        if node.is_root && entry.cands != NONE && entry.flags.all_set(node.nflags as usize) {
+            let born = store.detach(&entry);
+            for &c in &born {
+                emit_candidate(stats, store, c, emit);
             }
+            store.recycle(&entry, born);
+            (entry.cands, entry.max_low) = (NONE, 0);
         }
-        let text = needs_text.then(String::new);
-        let entry = Entry { level, ptr, node_id, flags, cands, text };
-        self.stats.on_push(entry_base_bytes(&entry));
-        self.stacks[q].push(entry);
-    }
-
-    /// Delivers one candidate as a solution, deduplicating shared
-    /// instances so every solution is reported exactly once.
-    fn emit_candidate(&mut self, c: Candidate, emit: &mut dyn FnMut(Match)) {
-        let bytes = cand_bytes(&c);
-        if (c.shared || self.mode == EvalMode::Eager) && !self.emitted.insert(c.item.node) {
-            self.stats.on_candidate_suppressed(bytes);
-            return;
+        if node.needs_text {
+            entry.text = store.string("");
         }
-        self.stats.on_candidate_emitted(bytes);
-        emit(c.item.into_match());
+        stats.on_push(entry_base_bytes(&entry));
+        stacks[q].push(entry);
     }
 
     /// `characters`: text predicates, string-value accumulation, text
@@ -547,22 +778,24 @@ impl TwigM {
     /// element.
     pub fn characters(
         &mut self,
+        store: &mut CandidateStore,
         text: &str,
         level: u32,
         node_id: u64,
         span: ByteSpan,
         emit: &mut dyn FnMut(Match),
     ) {
+        let Self { spec, stacks, stats, .. } = self;
         // Text predicates of elements whose entry is the direct parent.
-        for &q in &self.spec.text_watchers {
-            if let Some(top) = self.stacks[q].last_mut() {
+        for &q in &spec.text_watchers {
+            if let Some(top) = stacks[q].last_mut() {
                 if top.level == level {
-                    for tp in &self.spec.nodes[q].text_preds {
-                        self.stats.predicate_evals += 1;
+                    for tp in &spec.nodes[q].text_preds {
+                        stats.predicate_evals += 1;
                         let slot = tp.slot.expect("predicate tests carry slots") as usize;
                         if !top.flags.get(slot) && cmp_opt(&tp.comparison, text) {
                             top.flags.set(slot);
-                            self.stats.flag_propagations += 1;
+                            stats.flag_propagations += 1;
                         }
                     }
                 }
@@ -570,44 +803,33 @@ impl TwigM {
         }
         // String-value accumulation: text belongs to the subtree of every
         // open entry of an accumulating node.
-        for &q in &self.spec.text_accumulators {
-            for e in self.stacks[q].iter_mut() {
-                e.text.as_mut().expect("accumulators carry buffers").push_str(text);
+        for &q in &spec.text_accumulators {
+            for e in &stacks[q] {
+                debug_assert!(e.text != NONE, "accumulators carry buffers");
+                store.strings[e.text].push_str(text);
             }
-            let n = self.stacks[q].len() as u64;
-            self.stats.add_bytes(n * text.len() as u64);
+            stats.add_bytes(stacks[q].len() as u64 * text.len() as u64);
         }
         // Text-result candidates.
-        if let Some(p) = self.spec.text_result_parent {
-            let own_index = self.stacks[p].len().wrapping_sub(1) as u32;
-            let pnode = &self.spec.nodes[p];
-            let hot_root = pnode.is_root;
-            let nflags = pnode.nflags as usize;
-            let mut pending = None;
-            if let Some(top) = self.stacks[p].last_mut() {
-                if top.level == level {
-                    let c = Candidate {
-                        low: own_index,
-                        shared: false,
-                        item: CandItem {
-                            kind: MatchKind::Text,
-                            node: node_id,
-                            name: None,
-                            span,
-                            value: Some(text.into()),
-                            level,
-                        },
-                    };
-                    self.stats.on_candidate_created(cand_bytes(&c));
-                    if hot_root && top.flags.all_set(nflags) {
-                        pending = Some(c); // early emission (see push_entry)
-                    } else {
-                        top.cands.push_new(c);
-                    }
+        if let Some(p) = spec.text_result_parent {
+            let pnode = &spec.nodes[p];
+            let own_index = stacks[p].len().wrapping_sub(1) as u32;
+            if let Some(top) = stacks[p].last_mut().filter(|top| top.level == level) {
+                let c = store.create(
+                    stats,
+                    own_index,
+                    MatchKind::Text,
+                    node_id,
+                    None,
+                    span,
+                    Some(text),
+                    level,
+                );
+                if pnode.is_root && top.flags.all_set(pnode.nflags as usize) {
+                    emit_candidate(stats, store, c, emit); // early emission (see push_entry)
+                } else {
+                    store.arrive(top, &mut false, c, false);
                 }
-            }
-            if let Some(c) = pending {
-                self.emit_candidate(c, emit);
             }
         }
     }
@@ -618,6 +840,7 @@ impl TwigM {
     /// handed to `emit`.
     pub fn end_element(
         &mut self,
+        store: &mut CandidateStore,
         name: &str,
         level: u32,
         element_span: ByteSpan,
@@ -628,192 +851,204 @@ impl TwigM {
         for q in (0..self.spec.nodes.len()).rev() {
             let needs_pop = matches!(self.stacks[q].last(), Some(top) if top.level == level);
             if needs_pop {
-                self.pop_entry(q, name, element_span, emit);
+                self.pop_entry(store, q, name, element_span, emit);
             }
         }
     }
 
     fn pop_entry(
         &mut self,
+        store: &mut CandidateStore,
         q: usize,
         name: &str,
         element_span: ByteSpan,
         emit: &mut dyn FnMut(Match),
     ) {
-        let idx = self.stacks[q].len() - 1;
-        let mut e = self.stacks[q].pop().expect("checked by caller");
-        let node = &self.spec.nodes[q];
-
-        // Release the entry's byte accounting now; candidate bytes travel
-        // with the candidates.
-        if let Some(t) = &e.text {
-            self.stats.sub_bytes(t.len() as u64);
-        }
+        let Self { spec, mode, stacks, stats, .. } = self;
+        let idx = stacks[q].len() - 1;
+        let mut e = stacks[q].pop().expect("checked by caller");
+        let node = &spec.nodes[q];
         let base = entry_base_bytes(&e);
 
         let preds_ok = e.flags.all_set(node.nflags as usize);
         let cmp_ok = match &node.comparison {
             None => true,
             Some((op, lit)) => {
-                self.stats.predicate_evals += 1;
-                predicate::compare(e.text.as_deref().unwrap_or(""), *op, lit)
+                stats.predicate_evals += 1;
+                predicate::compare(store.str(e.text), *op, lit)
             }
         };
         let satisfied = preds_ok && cmp_ok;
+        // Release the entry's byte accounting now; candidate bytes travel
+        // with the candidates.
+        if e.text != NONE {
+            stats.sub_bytes(store.strings[e.text].len() as u64);
+            store.strings.give(e.text);
+        }
 
         if !node.is_main {
             // Predicate node: propagate the match flag; no candidates live
             // here.
-            debug_assert!(e.cands.is_empty(), "predicate entries never hold candidates");
+            debug_assert!(e.cands == NONE, "predicate entries never hold candidates");
             if satisfied {
                 let slot = node.flag_slot.expect("predicate nodes have slots") as usize;
                 let p = node.parent.expect("predicate nodes have parents");
-                let stats = &mut self.stats;
                 match node.axis {
                     Axis::Child => {
-                        set_flag(stats, &mut self.stacks[p][e.ptr as usize], slot);
+                        set_flag(stats, &mut stacks[p][e.ptr as usize], slot);
                     }
                     Axis::Descendant => {
-                        for t in &mut self.stacks[p][..=e.ptr as usize] {
+                        for t in &mut stacks[p][..=e.ptr as usize] {
                             set_flag(stats, t, slot);
                         }
                     }
                 }
             }
-            self.stats.on_pop(base);
+            stats.on_pop(base);
             return;
         }
 
         // Main-path node. A satisfied result entry is itself a candidate.
         if node.is_result && satisfied {
-            let c = Candidate {
-                low: idx as u32,
-                shared: false,
-                item: CandItem {
-                    kind: MatchKind::Element,
-                    node: e.node_id,
-                    name: Some(name.into()),
-                    span: element_span,
-                    value: None,
-                    level: e.level,
-                },
-            };
-            self.stats.on_candidate_created(cand_bytes(&c));
-            e.cands.push_new(c);
+            let c = store.create(
+                stats,
+                idx as u32,
+                MatchKind::Element,
+                e.node_id,
+                Some(name),
+                element_span,
+                None,
+                e.level,
+            );
+            store.arrive(&mut e, &mut false, c, false);
         }
+        stats.on_pop(base);
+        if e.cands == NONE {
+            return;
+        }
+        let idx = idx as u32;
+        let mut cands = store.detach(&e);
 
         if satisfied && node.is_root {
             // Solutions! Emit immediately (the paper's incremental
-            // delivery), deduplicating shared candidates.
-            for c in e.cands.drain() {
-                self.emit_candidate(c, emit);
+            // delivery); an instance of a solution already delivered is
+            // suppressed.
+            for &c in &cands {
+                emit_candidate(stats, store, c, emit);
             }
         } else if satisfied {
             let p = node.parent.expect("non-root nodes have parents");
+            let pn = &spec.nodes[p];
             // If the forwarding target is the machine root with all its
             // predicates already satisfied, the candidates are solutions
             // right now — deliver instead of buffering (down-copies would
             // only ever produce duplicates, so they are skipped too).
-            let target_hot = {
-                let pn = &self.spec.nodes[p];
-                pn.is_root && self.stacks[p][e.ptr as usize].flags.all_set(pn.nflags as usize)
-            };
-            if target_hot {
-                for c in e.cands.drain() {
-                    self.stats.candidates_forwarded += 1;
-                    self.emit_candidate(c, emit);
+            if pn.is_root && stacks[p][e.ptr as usize].flags.all_set(pn.nflags as usize) {
+                for &c in &cands {
+                    stats.candidates_forwarded += 1;
+                    emit_candidate(stats, store, c, emit);
                 }
-                self.stats.on_pop(base);
-                return;
-            }
-            match self.mode {
-                EvalMode::Compact => {
-                    // Outer entries of *this* stack are alternative
-                    // attachment points whose upward chains may succeed
-                    // where this one's fails: copy candidates down, marked
-                    // shared (lazy inheritance keeps them moving).
-                    if idx > 0 {
-                        let mut copies = Vec::new();
-                        for c in &mut e.cands.items {
-                            if c.low < idx as u32 {
-                                c.shared = true;
-                                copies.push(c.clone());
-                            }
-                        }
-                        if !copies.is_empty() {
-                            let stats = &mut self.stats;
-                            let below = &mut self.stacks[q][idx - 1];
-                            for copy in copies {
-                                stats.on_candidate_copied(cand_bytes(&copy));
-                                merge_candidate(stats, below, copy);
-                            }
+            } else if *mode == EvalMode::Compact {
+                // Outer entries of *this* stack are alternative attachment
+                // points whose upward chains may succeed where this one's
+                // fails: copy candidates down (lazy inheritance keeps them
+                // moving).
+                if idx > 0 {
+                    let below = &mut stacks[q][idx as usize - 1];
+                    let mut stamped = false;
+                    for &c in cands.iter().filter(|c| c.low < idx) {
+                        stats.on_candidate_copied(CAND_BYTES);
+                        if store.arrive(below, &mut stamped, c, true) {
+                            stats.on_candidate_merged(CAND_BYTES);
                         }
                     }
-                    // Forward originals to the deepest compatible parent
-                    // entry.
-                    let new_low = match node.axis {
-                        Axis::Child => e.ptr,
-                        Axis::Descendant => 0,
-                    };
-                    let stats = &mut self.stats;
-                    let target = &mut self.stacks[p][e.ptr as usize];
-                    for mut c in e.cands.drain() {
-                        c.low = new_low;
-                        stats.candidates_forwarded += 1;
-                        merge_candidate(stats, target, c);
-                    }
                 }
-                EvalMode::Eager => {
-                    // Strawman: copy to every compatible parent entry.
-                    let lo = match node.axis {
-                        Axis::Child => e.ptr as usize,
-                        Axis::Descendant => 0,
-                    };
-                    let stats = &mut self.stats;
-                    for c in e.cands.drain() {
-                        let bytes = cand_bytes(&c);
-                        for (t_idx, target) in
-                            self.stacks[p][lo..=e.ptr as usize].iter_mut().enumerate()
-                        {
-                            let mut copy = c.clone();
-                            copy.low = (lo + t_idx) as u32;
-                            copy.shared = true;
-                            if lo + t_idx == e.ptr as usize {
-                                stats.candidates_forwarded += 1;
-                            } else {
-                                stats.on_candidate_copied(cand_bytes(&copy));
-                            }
-                            merge_candidate(stats, target, copy);
-                        }
-                        // The original is consumed by its copies.
-                        let _ = bytes;
-                    }
+                // Forward originals to the deepest compatible parent
+                // entry.
+                let new_low = match node.axis {
+                    Axis::Child => e.ptr,
+                    Axis::Descendant => 0,
+                };
+                stats.candidates_forwarded += cands.len() as u64;
+                cands.iter_mut().for_each(|c| c.low = new_low);
+                let target = &mut stacks[p][e.ptr as usize];
+                if target.cands == NONE {
+                    store.hand_over(&e, cands, target, new_low);
+                    return;
                 }
-            }
-        } else {
-            // Entry died: candidates slide down to the next compatible
-            // entry of the same stack, or are discarded at their bound.
-            let stats = &mut self.stats;
-            if idx > 0 {
-                // Split the borrow: the entry is already popped, so the
-                // stack top is `idx - 1`.
-                let below = self.stacks[q].last_mut().expect("idx > 0 means a lower entry exists");
-                for c in e.cands.drain() {
-                    if c.low < idx as u32 {
-                        stats.candidates_inherited += 1;
-                        merge_candidate(stats, below, c);
-                    } else {
-                        stats.on_candidate_dropped(cand_bytes(&c));
+                let mut stamped = false;
+                for &c in &cands {
+                    if store.arrive(target, &mut stamped, c, false) {
+                        stats.on_candidate_merged(CAND_BYTES);
                     }
                 }
             } else {
-                for c in e.cands.drain() {
-                    stats.on_candidate_dropped(cand_bytes(&c));
+                // Strawman: a copy to every compatible parent entry below
+                // the deepest, which the original moves to.
+                let (lo, ptr) = match node.axis {
+                    Axis::Child => (e.ptr, e.ptr),
+                    Axis::Descendant => (0, e.ptr),
+                };
+                for &c in &cands {
+                    for low in lo..=ptr {
+                        let copy = low < ptr;
+                        if copy {
+                            stats.on_candidate_copied(CAND_BYTES);
+                        } else {
+                            stats.candidates_forwarded += 1;
+                        }
+                        let target = &mut stacks[p][low as usize];
+                        if store.arrive(target, &mut false, Cand { low, ..c }, copy) {
+                            stats.on_candidate_merged(CAND_BYTES);
+                        }
+                    }
                 }
             }
+        } else if idx > 0 {
+            // Entry died: candidates slide down to the next compatible
+            // entry of the same stack, or are discarded at their bound.
+            let below = stacks[q].last_mut().expect("idx > 0 means a lower entry exists");
+            if below.cands == NONE && e.max_low < idx {
+                // All of them slide, onto nothing: the list itself moves.
+                stats.candidates_inherited += cands.len() as u64;
+                store.hand_over(&e, cands, below, e.max_low);
+                return;
+            }
+            let mut stamped = false;
+            for &c in &cands {
+                if c.low >= idx {
+                    stats.on_candidate_dropped(store.release(c));
+                    continue;
+                }
+                stats.candidates_inherited += 1;
+                if store.arrive(below, &mut stamped, c, false) {
+                    stats.on_candidate_merged(CAND_BYTES);
+                }
+            }
+        } else {
+            for &c in &cands {
+                stats.on_candidate_dropped(store.release(c));
+            }
         }
-        self.stats.on_pop(base);
+        store.recycle(&e, cands);
     }
+}
+
+/// Delivers one candidate as a solution, suppressing an instance of a
+/// solution already delivered so every solution is reported exactly once.
+fn emit_candidate(
+    stats: &mut MachineStats,
+    store: &mut CandidateStore,
+    c: Cand,
+    emit: &mut dyn FnMut(Match),
+) {
+    if std::mem::replace(&mut store.payloads[c.payload].emitted, true) {
+        stats.on_candidate_suppressed(store.release(c));
+        return;
+    }
+    let hit = store.to_match(c.payload);
+    stats.on_candidate_emitted(store.release(c));
+    emit(hit);
 }
 
 /// Sets a flag bit, counting only actual transitions.
@@ -822,12 +1057,6 @@ fn set_flag(stats: &mut MachineStats, entry: &mut Entry, slot: usize) {
         entry.flags.set(slot);
         stats.flag_propagations += 1;
     }
-}
-
-/// Adds a candidate to an entry, merging with an existing instance of the
-/// same document node (keeping the widest compatibility range).
-fn merge_candidate(stats: &mut MachineStats, entry: &mut Entry, cand: Candidate) {
-    entry.cands.merge_or_push(stats, cand);
 }
 
 /// Does an attribute name test (None = `@*`) match a concrete name?
@@ -852,6 +1081,7 @@ mod tests {
     /// Drives the machine over a tiny hand-rolled event stream.
     struct Driver {
         machine: TwigM,
+        store: CandidateStore,
         interner: Interner,
         level: u32,
         next_id: u64,
@@ -870,6 +1100,7 @@ mod tests {
             let spec = MachineSpec::compile_with(&tree, &mut interner).unwrap();
             Driver {
                 machine: TwigM::from_spec(spec, mode),
+                store: CandidateStore::new(),
                 interner,
                 level: 0,
                 next_id: 0,
@@ -892,6 +1123,7 @@ mod tests {
             let matches = &mut self.matches;
             let sym = self.interner.lookup(name);
             self.machine.start_element_interned(
+                &mut self.store,
                 sym,
                 self.level,
                 &attrs,
@@ -909,7 +1141,8 @@ mod tests {
             let span = ByteSpan::new(self.offset, self.offset + t.len() as u64);
             self.offset += t.len() as u64;
             let matches = &mut self.matches;
-            self.machine.characters(t, self.level, id, span, &mut |m| matches.push(m));
+            self.machine
+                .characters(&mut self.store, t, self.level, id, span, &mut |m| matches.push(m));
             self
         }
 
@@ -917,7 +1150,7 @@ mod tests {
             let span = ByteSpan::new(0, self.offset);
             let level = self.level;
             let matches = &mut self.matches;
-            self.machine.end_element(name, level, span, &mut |m| matches.push(m));
+            self.machine.end_element(&mut self.store, name, level, span, &mut |m| matches.push(m));
             self.level -= 1;
             self
         }
@@ -1211,9 +1444,13 @@ mod tests {
             assert!(!d.machine.text_live(), "{query}: before the document");
             d.open("r");
             assert!(!d.machine.text_live(), "{query}: <r> reads no text");
-            let idle = (d.machine.stats().clone(), d.machine.dump_state());
+            let idle = (d.machine.stats().clone(), d.machine.dump_state(&d.store));
             d.text("x");
-            assert_eq!((d.machine.stats().clone(), d.machine.dump_state()), idle, "{query}");
+            assert_eq!(
+                (d.machine.stats().clone(), d.machine.dump_state(&d.store)),
+                idle,
+                "{query}"
+            );
             d.open("a").open("c");
             assert!(d.machine.text_live(), "{query}: <a> is open above <c>");
             d.close("c").text("x").close("a");
@@ -1221,6 +1458,57 @@ mod tests {
             d.close("r");
             assert_eq!(d.matches.len(), 1, "{query}");
         }
+    }
+
+    #[test]
+    fn the_moving_parts_are_small() {
+        assert_eq!(size_of::<Cand>(), 8);
+        assert!(size_of::<Entry>() <= 48, "{}", size_of::<Entry>());
+        assert!(size_of::<Payload>() <= 56, "{}", size_of::<Payload>());
+    }
+
+    #[test]
+    fn a_well_formed_document_returns_every_handle_and_reset_reclaims_an_aborted_one() {
+        // Candidates, down-copies, a string-value accumulator and text
+        // results: every kind of handle is out at some point.
+        let mut d = Driver::new("//a[b = 'x']//c/text()");
+        d.open("a").open("a").open("c").text("t").close("c");
+        assert!(!d.store.is_idle(), "candidates are waiting on <a>");
+        d.open("b").text("x").close("b").close("a").close("a");
+        assert_eq!(d.matches.len(), 1);
+        assert!(d.store.is_idle(), "nothing left to reset after a well-formed document");
+
+        d.open("a").open("c").text("t").close("c").open("b").text("x");
+        assert!(!d.store.is_idle());
+        d.machine.reset();
+        d.store.reset();
+        assert!(d.store.is_idle() && d.machine.is_quiescent());
+    }
+
+    #[test]
+    fn merge_stamps_survive_epoch_wrap_around() {
+        // Two towers of the benchmark's recursive shape: every tower merges
+        // down-copies into lists that already hold the same solutions,
+        // which takes a stamping pass per merge. Started two epochs short
+        // of the wrap, the run crosses it; a stale stamp surviving the
+        // wrap would merge the wrong pair (or none) and move the counters.
+        let run = |epoch: u32| {
+            let mut d = Driver::new("//*[author]//*[position]//*");
+            d.store.epoch = epoch;
+            d.open("book");
+            for _ in 0..2 {
+                d.open("section").open("section").open("table").open("table").leaf("cell");
+                d.leaf("position").close("table").leaf("position").close("table");
+                d.close("section").leaf("author").close("section");
+            }
+            d.close("book");
+            (d.matches.clone(), d.machine.stats().clone(), d.store.epoch)
+        };
+        let (matches, stats, epochs) = run(0);
+        assert!(stats.candidates_merged >= 2 && epochs >= 2, "{stats:?}, {epochs} epochs");
+        let wrapped = run(u32::MAX - 1);
+        assert_eq!((&wrapped.0, &wrapped.1), (&matches, &stats));
+        assert_eq!(wrapped.2, epochs - 1, "one epoch before the wrap, the rest after it");
     }
 
     #[test]

@@ -71,6 +71,7 @@ use crate::builder::MachineSpec;
 use crate::driver::DocumentDriver;
 use crate::error::EngineResult;
 use crate::intern::{Interner, Symbol};
+use crate::machine::CandidateStore;
 use crate::plan::{PlanGroup, QueryPlanner, TriePush};
 use crate::result::{Match, NodeId};
 use crate::shard::admit::WalkScratch;
@@ -403,9 +404,11 @@ pub(crate) fn finish_document<'g>(
         })
         .collect();
     if telemetry.is_enabled() {
-        for s in &stats {
-            telemetry.fold_machine(s);
-        }
+        // Every folded field is a plain sum, so the subscriptions' total
+        // goes to the registry's atomics once, not once per subscription.
+        let mut total = MachineStats::default();
+        stats.iter().for_each(|s| total.add(s));
+        telemetry.fold_machine(&total);
         telemetry.fold_plan(&plan);
         telemetry.add_matches(matches.iter().map(|m| m.len() as u64).sum());
     }
@@ -598,16 +601,20 @@ pub(crate) struct Executor {
     /// ([`crate::machine::TwigM::text_live`]), kept current at the start
     /// and end touches that open and close such entries.
     text_live: DynBitSet,
+    /// The run-time memory of every machine this executor drives.
+    store: CandidateStore,
     timer: SelfTimer,
 }
 
 impl Executor {
     /// Drops every frame a previous document left open (a parse error
-    /// ends a document mid-element) and zeroes the self-time samples.
+    /// ends a document mid-element), takes back what its machines held in
+    /// the store, and zeroes the self-time samples.
     pub(crate) fn begin_document(&mut self) {
         self.frame_slots.clear();
         self.frames.clear();
         self.text_live.clear();
+        self.store.reset();
         self.timer.ns.fill(0);
     }
 
@@ -638,7 +645,8 @@ impl Executor {
         tag: &StartTag<'_>,
         mut emit: impl FnMut(u32, &[QueryId], Match),
     ) {
-        let Self { plans, pred_slots, main_scratch, frame_slots, frames, text_live, timer } = self;
+        let Self { plans, pred_slots, main_scratch, frame_slots, frames, text_live, store, timer } =
+            self;
         plans.clear();
         for p in pushes {
             plans.extend(routes[p.node as usize].iter().map(|&(slot, mnode)| (slot, mnode, p.ptr)));
@@ -656,6 +664,7 @@ impl Executor {
                 groups[slot as usize].borrow_mut().machine_and_subscribers();
             let pushes = timer.time(slot, || {
                 machine.start_element_prefix(
+                    store,
                     main,
                     preds,
                     tag.sym,
@@ -687,13 +696,14 @@ impl Executor {
         span: ByteSpan,
         mut emit: impl FnMut(u32, &[QueryId], Match),
     ) {
-        let Self { text_live, timer, .. } = self;
+        let Self { text_live, store, timer, .. } = self;
         text_live.for_each(|slot| {
             let (machine, subscribers) = groups[slot].borrow_mut().machine_and_subscribers();
             let slot = slot as u32;
             timer.time(slot, || {
-                machine
-                    .characters(text, level, node_id, span, &mut |hit| emit(slot, subscribers, hit))
+                machine.characters(store, text, level, node_id, span, &mut |hit| {
+                    emit(slot, subscribers, hit)
+                })
             });
         });
     }
@@ -713,8 +723,9 @@ impl Executor {
             let (machine, subscribers) =
                 groups[slot as usize].borrow_mut().machine_and_subscribers();
             self.timer.time(slot, || {
-                machine
-                    .end_element(name, level, element_span, &mut |hit| emit(slot, subscribers, hit))
+                machine.end_element(&mut self.store, name, level, element_span, &mut |hit| {
+                    emit(slot, subscribers, hit)
+                })
             });
             if !machine.text_live() {
                 self.text_live.remove(slot as usize);
@@ -849,8 +860,10 @@ mod tests {
         }
         assert!(multi.run(XmlReader::from_str("<r><a><b>x"), |_, _| {}).is_err());
         assert!(!multi.exec.text_live.is_empty(), "the truncated document left <b> open");
+        assert!(!multi.exec.store.is_idle(), "and its string-value buffer lent out");
         let out = multi.run(XmlReader::from_str(xml), |_, _| {}).unwrap();
         assert!(multi.exec.text_live.is_empty());
+        assert!(multi.exec.store.is_idle(), "a complete document returns every handle");
         for (i, q) in queries.iter().enumerate() {
             let tree = QueryTree::parse(q).unwrap();
             let single = crate::engine::evaluate_reader(XmlReader::from_str(xml), &tree).unwrap();

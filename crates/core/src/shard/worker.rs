@@ -43,8 +43,8 @@ pub(crate) enum ShardEvent {
     /// A document begins: acquire the groups this shard owns under
     /// `assignment` (adopting it — rebuilding the local dispatch index and
     /// taking its route table — when its version differs from the one
-    /// currently running) and reset machine state (stacks, stats, dedup
-    /// sets).
+    /// currently running) and reset machine state (stacks, stats) and the
+    /// executor's candidate store.
     DocStart { assignment: Arc<Assignment> },
     /// `startElement` with the symbol the driver resolved once.
     Start {

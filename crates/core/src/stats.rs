@@ -166,6 +166,29 @@ pub struct MachineStats {
 }
 
 impl MachineStats {
+    /// Adds `other` field by field: what many machines did, as one record.
+    pub(crate) fn add(&mut self, other: &MachineStats) {
+        self.pushes += other.pushes;
+        self.pops += other.pops;
+        self.flag_propagations += other.flag_propagations;
+        self.predicate_evals += other.predicate_evals;
+        self.dispatch_hits += other.dispatch_hits;
+        self.candidates_created += other.candidates_created;
+        self.candidates_forwarded += other.candidates_forwarded;
+        self.candidates_inherited += other.candidates_inherited;
+        self.candidates_discarded += other.candidates_discarded;
+        self.candidates_merged += other.candidates_merged;
+        self.candidates_copied += other.candidates_copied;
+        self.emitted += other.emitted;
+        self.duplicates_suppressed += other.duplicates_suppressed;
+        self.live_entries += other.live_entries;
+        self.peak_entries += other.peak_entries;
+        self.live_candidates += other.live_candidates;
+        self.peak_candidates += other.peak_candidates;
+        self.live_bytes += other.live_bytes;
+        self.peak_bytes += other.peak_bytes;
+    }
+
     pub(crate) fn on_push(&mut self, entry_bytes: u64) {
         self.pushes += 1;
         self.live_entries += 1;

@@ -4,7 +4,9 @@
 //! the memory effect, and — crucially — that early emission changes *when*
 //! results appear but never *which* results appear.
 
-use vitex::core::{evaluate_reader, Engine, EvalMode, Interner, MachineSpec, TwigM};
+use vitex::core::{
+    evaluate_reader, CandidateStore, Engine, EvalMode, Interner, MachineSpec, TwigM,
+};
 use vitex::xmlsax::XmlReader;
 use vitex::xpath::QueryTree;
 
@@ -100,18 +102,19 @@ fn dump_state_reflects_stacks() {
     let mut interner = Interner::new();
     let spec = MachineSpec::compile_with(&tree, &mut interner).unwrap();
     let mut m = TwigM::from_spec(spec, EvalMode::Compact);
+    let mut store = CandidateStore::new();
     let span = vitex::xmlsax::pos::ByteSpan::new(0, 1);
     let mut sink = |_: vitex::Match| {};
-    m.start_element_interned(interner.lookup("section"), 1, &[], 0, 1, span, &mut sink);
-    m.start_element_interned(interner.lookup("cell"), 2, &[], 1, 2, span, &mut sink);
-    let dump = m.dump_state();
+    m.start_element_interned(&mut store, interner.lookup("section"), 1, &[], 0, 1, span, &mut sink);
+    m.start_element_interned(&mut store, interner.lookup("cell"), 2, &[], 1, 2, span, &mut sink);
+    let dump = m.dump_state(&store);
     assert!(dump.contains("//section"), "{dump}");
     assert!(dump.contains("//cell"), "{dump}");
     assert!(dump.contains("(1 entries)"), "{dump}");
     assert!(dump.contains("/author ?"), "{dump}");
-    m.end_element("cell", 2, span, &mut sink);
-    m.end_element("section", 1, span, &mut sink);
+    m.end_element(&mut store, "cell", 2, span, &mut sink);
+    m.end_element(&mut store, "section", 1, span, &mut sink);
     assert!(m.is_quiescent());
-    let dump = m.dump_state();
+    let dump = m.dump_state(&store);
     assert!(dump.contains("(0 entries)"), "{dump}");
 }

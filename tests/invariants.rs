@@ -11,12 +11,17 @@
 //!   document length on repetitive data (the E1 claim, in miniature);
 //! * the paper's complexity claims on deterministic counters — machine
 //!   operations exactly linear in |D| (E4), bounded by events · |Q| ·
-//!   depth (E5), and a compiled machine linear in |Q| (E7).
+//!   depth (E5), and a compiled machine linear in |Q| (E7);
+//! * the logical counters of the benchmark's recursive document, pinned
+//!   to the unit, so a cheaper way of moving candidates provably counts
+//!   what the one-by-one walk counted;
+//! * a document that ends mid-element leaves nothing behind that the next
+//!   document can see.
 
 use proptest::prelude::*;
 
 use vitex::baseline::{naive, NaiveConfig};
-use vitex::core::{evaluate_reader, Engine, EvalMode, MachineSpec, MachineStats};
+use vitex::core::{evaluate_reader, Engine, EvalMode, MachineSpec, MachineStats, MultiEngine};
 use vitex::xmlgen::random::{self, RandomConfig};
 use vitex::xmlgen::{protein, recursive};
 use vitex::xmlsax::XmlReader;
@@ -175,6 +180,79 @@ fn machine_operations_are_exactly_linear_in_document_size() {
     for n in [50, 100, 200] {
         assert_eq!(ops(2 * n), 2 * ops(n), "ops({}) vs 2 * ops({n})", 2 * n);
     }
+}
+
+#[test]
+fn recursive_benchmark_document_counts_to_the_unit() {
+    // `recursive-k1`'s first document: 24 towers of 24 sections over 24
+    // tables under `//*[author]//*[position]//*`. Every candidate
+    // movement is counted per instance whichever way it is carried out
+    // (one by one, or a whole list handed to the entry below), so these
+    // are properties of the transitions, not of the representation.
+    let xml = recursive::to_string(&recursive::RecursiveConfig {
+        section_depth: 24,
+        table_depth: 24,
+        towers: 24,
+        position_on_outermost_only: false,
+        author_present: true,
+    });
+    let tree = QueryTree::parse("//*[author]//*[position]//*").unwrap();
+    let out = evaluate_reader(XmlReader::from_str(&xml), &tree).unwrap();
+    let expected = MachineStats {
+        pushes: 5_905,
+        pops: 5_905,
+        flag_propagations: 600,
+        predicate_evals: 0,
+        dispatch_hits: 1_777,
+        candidates_created: 1_752,
+        candidates_forwarded: 16_152,
+        candidates_inherited: 72_864,
+        candidates_discarded: 1_752,
+        candidates_merged: 13_248,
+        candidates_copied: 14_400,
+        emitted: 1_152,
+        duplicates_suppressed: 0,
+        peak_entries: 148,
+        peak_candidates: 143,
+        // Byte gauges depend on the representation; conservation (they
+        // return to zero) is checked above.
+        peak_bytes: out.stats.peak_bytes,
+        ..MachineStats::default()
+    };
+    assert_eq!(out.stats, expected);
+    assert_eq!(out.matches.len(), 1_152);
+}
+
+#[test]
+fn an_aborted_document_leaves_nothing_for_the_next_one() {
+    // The truncated document dies with `<r>`, two `<a>`s and a `<b>` open:
+    // flags half set, `@id` candidates waiting on both `<a>` entries, a
+    // string-value accumulating. The same engine must then treat a
+    // complete document exactly as a fresh engine does.
+    let query = "//a[b = 'x']//c/@id";
+    let truncated = "<r><a><c id='1'/><a><c id='2'/><b>x";
+    let complete =
+        "<r><a><c id='1'/><a><c id='2'/><b>x</b></a><c id='3'/><b>x</b></a><a><c id='4'/></a></r>";
+    let tree = QueryTree::parse(query).unwrap();
+
+    let fresh = evaluate_reader(XmlReader::from_str(complete), &tree).unwrap();
+    assert_eq!(fresh.matches.len(), 3, "ids 1, 2 and 3 have an a[b = 'x'] ancestor");
+    let mut engine = Engine::new(&tree).unwrap();
+    assert!(engine.run(XmlReader::from_str(truncated), |_| {}).is_err());
+    let reused = engine.run(XmlReader::from_str(complete), |_| {}).unwrap();
+    assert_eq!(reused.matches, fresh.matches);
+    assert_eq!(reused.stats, fresh.stats);
+
+    // The same through the multi-query session, beside a second machine
+    // sharing the executor's store.
+    let mut multi = MultiEngine::new();
+    let q = multi.add_query(query).unwrap();
+    let other = multi.add_query("//c[@id]").unwrap();
+    assert!(multi.run(XmlReader::from_str(truncated), |_, _| {}).is_err());
+    let out = multi.run(XmlReader::from_str(complete), |_, _| {}).unwrap();
+    assert_eq!(out.matches[q.0], fresh.matches);
+    assert_eq!(out.stats[q.0], fresh.stats);
+    assert_eq!(out.matches[other.0].len(), 4);
 }
 
 #[test]
