@@ -92,9 +92,10 @@ impl DocumentDriver {
         DocumentDriver::default()
     }
 
-    /// Attaches a telemetry handle. The driver folds stream counters and
-    /// records the sampled per-event dispatch histogram, whole-document
-    /// wall time, and a `document` span per run.
+    /// Attaches a telemetry handle. The driver records the sampled
+    /// per-event dispatch histogram, whole-document wall time, and a
+    /// `document` span per run; the stream counters it returns are folded
+    /// by the engine that ran it, with the rest of the document.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
@@ -168,7 +169,6 @@ impl DocumentDriver {
         }
         self.telemetry.add_elapsed(|r| &r.doc_ns, t_doc);
         self.telemetry.record_span("document", "stream", TID_COORDINATOR, t_doc);
-        self.telemetry.fold_stream(&stats);
         Ok(stats)
     }
 }

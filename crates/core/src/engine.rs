@@ -73,9 +73,9 @@ impl Engine {
         &self.machine
     }
 
-    /// Attaches a telemetry handle: the driver records stream counters and
-    /// dispatch timing, and each run folds the machine's counters and the
-    /// match count into the registry.
+    /// Attaches a telemetry handle: the driver records dispatch timing,
+    /// and each run folds its stream counters, the machine's counters and
+    /// the match count into the registry.
     pub fn set_telemetry(&mut self, telemetry: crate::telemetry::Telemetry) {
         self.driver.set_telemetry(telemetry);
     }
@@ -105,9 +105,12 @@ impl Engine {
             self.machine.is_quiescent() && self.store.is_idle(),
             "well-formed input drains all stacks and returns every store handle"
         );
-        let telemetry = self.driver.telemetry();
-        telemetry.fold_machine(self.machine.stats());
-        telemetry.add_matches(matches.len() as u64);
+        self.driver.telemetry().fold_document(
+            &stream,
+            self.machine.stats(),
+            None,
+            matches.len() as u64,
+        );
         Ok(EvalOutput {
             matches,
             stats: self.machine.stats().clone(),

@@ -202,8 +202,9 @@ pub struct MultiEngine {
     /// reallocating them.
     exec: Executor,
     walk: WalkScratch,
-    /// Per-subscription cost attribution (disabled by default).
-    profile: CostLedger,
+    /// Per-subscription cost attribution; `None` (the default) while
+    /// profiling is off.
+    profile: Option<CostLedger>,
 }
 
 /// One registration's bookkeeping.
@@ -225,7 +226,7 @@ impl MultiEngine {
             index: DispatchIndex::default(),
             exec: Executor::default(),
             walk: WalkScratch::default(),
-            profile: CostLedger::disabled(),
+            profile: None,
         }
     }
 
@@ -292,33 +293,28 @@ impl MultiEngine {
         self.planner.stats(&self.interner)
     }
 
-    /// Attaches a telemetry handle: the driver records stream counters and
-    /// dispatch timing, and each run folds per-subscription machine
-    /// counters, plan statistics, and the match count into the registry.
+    /// Attaches a telemetry handle: the driver records dispatch timing,
+    /// and each run folds its stream counters, per-subscription machine
+    /// counters, plan statistics, and match count into the registry.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.driver.set_telemetry(telemetry);
     }
 
     /// Enables (or disables) per-subscription cost attribution. Each run
     /// then folds per-query machine counters, match deliveries, and
-    /// per-group diagnostics into a [`CostLedger`]; read it back with
-    /// [`MultiEngine::profile_snapshot`].
+    /// per-group diagnostics into the engine's cost ledger; read it back
+    /// with [`MultiEngine::profile_snapshot`]. Switching it off drops the
+    /// ledger.
     pub fn set_profiling(&mut self, on: bool) {
-        if on != self.profile.is_enabled() {
-            self.profile = if on { CostLedger::enabled() } else { CostLedger::disabled() };
+        if on != self.profile.is_some() {
+            self.profile = on.then(CostLedger::default);
         }
-    }
-
-    /// The live cost-ledger handle (a cheap clone; inert when profiling
-    /// is off). The heartbeat reporter samples it concurrently with runs.
-    pub fn cost_ledger(&self) -> CostLedger {
-        self.profile.clone()
     }
 
     /// Snapshot of the cost ledger: per-query deterministic counters plus
     /// per-group diagnostics. `None` when profiling is disabled.
     pub fn profile_snapshot(&self) -> Option<crate::telemetry::ProfileSnapshot> {
-        self.profile.snapshot()
+        self.profile.as_ref().map(CostLedger::snapshot)
     }
 
     /// Splits the engine into the disjoint borrows a
@@ -335,7 +331,7 @@ impl MultiEngine {
             exec: &mut self.exec,
             walk: &mut self.walk,
             records: &self.records,
-            profile: &self.profile,
+            profile: self.profile.as_mut(),
         }
     }
 
@@ -382,16 +378,16 @@ pub(crate) struct FinishedDocument<'a> {
 }
 
 /// The **one** per-document epilogue: projects group statistics onto
-/// registration records, folds the deterministic telemetry counters and
-/// the cost ledger, and assembles the [`MultiOutput`]. Every fold is per
-/// subscription (not per group) from the per-record projection — a shared
-/// machine contributes once per subscriber — which is what makes the
-/// counters and the ledger's per-query section invariant across shard
-/// counts.
+/// registration records, folds the document into the telemetry registry
+/// and the cost ledger (when there is one), and assembles the
+/// [`MultiOutput`]. Every fold is per subscription (not per group) from the
+/// per-record projection — a shared machine contributes once per
+/// subscriber — which is what makes the counters and the ledger's
+/// per-query section invariant across shard counts.
 pub(crate) fn finish_document<'g>(
     doc: FinishedDocument<'_>,
     telemetry: &Telemetry,
-    profile: &CostLedger,
+    profile: Option<&mut CostLedger>,
     group_slots: usize,
     group: impl Fn(usize) -> GroupFacts<'g>,
 ) -> MultiOutput {
@@ -404,15 +400,12 @@ pub(crate) fn finish_document<'g>(
         })
         .collect();
     if telemetry.is_enabled() {
-        // Every folded field is a plain sum, so the subscriptions' total
-        // goes to the registry's atomics once, not once per subscription.
         let mut total = MachineStats::default();
         stats.iter().for_each(|s| total.add(s));
-        telemetry.fold_machine(&total);
-        telemetry.fold_plan(&plan);
-        telemetry.add_matches(matches.iter().map(|m| m.len() as u64).sum());
+        let matched = matches.iter().map(|m| m.len() as u64).sum();
+        telemetry.fold_document(&stream, &total, Some(&plan), matched);
     }
-    if profile.is_enabled() {
+    if let Some(profile) = profile {
         profile.add_doc();
         for (i, r) in records.iter().enumerate() {
             profile.fold_query(QueryId(i), &r.text, r.group, &stats[i], &matches[i]);
@@ -460,8 +453,8 @@ pub(crate) struct ShardParts<'a> {
     pub(crate) exec: &'a mut Executor,
     pub(crate) walk: &'a mut WalkScratch,
     pub(crate) records: &'a [QueryRecord],
-    /// The cost ledger (disabled when profiling is off).
-    pub(crate) profile: &'a CostLedger,
+    /// The cost ledger (`None` when profiling is off).
+    pub(crate) profile: Option<&'a mut CostLedger>,
 }
 
 /// Fans one solution out to a group's subscribers in registration order:

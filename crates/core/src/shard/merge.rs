@@ -49,9 +49,9 @@ pub(crate) struct TaggedMatch {
 struct ShardStream {
     /// Matches received but not yet released, already sorted by
     /// `(seq, gid)` — a worker processes events in sequence order and
-    /// groups in ascending gid order. Each match carries its arrival
-    /// instant (`None` with telemetry disabled) so release latency — time
-    /// held waiting on other shards' watermarks — can be observed.
+    /// groups in ascending gid order. While profiling, each match carries
+    /// its arrival instant (`None` otherwise) so the time it is held
+    /// waiting on other shards' watermarks can be billed to its group.
     queue: VecDeque<(TaggedMatch, Option<Instant>)>,
     /// Every event with `seq <= watermark` is fully processed by this
     /// shard; it can produce nothing earlier.
@@ -63,9 +63,10 @@ struct ShardStream {
 #[derive(Debug)]
 pub(crate) struct MatchMerger {
     shards: Vec<ShardStream>,
+    /// Records the hold-depth gauge.
     telemetry: Telemetry,
     /// Cost-attribution mode: stamp arrivals and accumulate per-group
-    /// hold time even when the metrics registry is disabled.
+    /// hold time.
     profiled: bool,
     /// Per-group `(deliveries, hold_ns)` accumulated on release while
     /// profiling; drained per document by [`MatchMerger::take_holds`].
@@ -80,10 +81,9 @@ impl MatchMerger {
         MatchMerger::with_profile(nshards, Telemetry::disabled(), false)
     }
 
-    /// A merger that records hold depth, release latency and release
-    /// counts into `telemetry`; with `profiled` it additionally
-    /// attributes release counts and hold latency to plan groups for the
-    /// cost ledger, independent of whether the registry is enabled.
+    /// A merger that records its hold depth into `telemetry`; with
+    /// `profiled` it additionally attributes release counts and hold
+    /// latency to plan groups for the cost ledger.
     pub(crate) fn with_profile(nshards: usize, telemetry: Telemetry, profiled: bool) -> Self {
         MatchMerger {
             shards: (0..nshards).map(|_| ShardStream::default()).collect(),
@@ -104,12 +104,7 @@ impl MatchMerger {
     /// Ingests one worker report: `matches` in the shard's emission order
     /// plus the shard's new watermark. Watermarks only move forward.
     pub(crate) fn push(&mut self, shard: usize, matches: Vec<TaggedMatch>, through_seq: u64) {
-        let arrived = match self.telemetry.timer() {
-            t @ Some(_) => t,
-            // The ledger needs hold latency even without the registry.
-            None if self.profiled => Some(Instant::now()),
-            None => None,
-        };
+        let arrived = self.profiled.then(Instant::now);
         let s = &mut self.shards[shard];
         debug_assert!(
             matches.windows(2).all(|w| (w[0].seq, w[0].gid) <= (w[1].seq, w[1].gid)),
@@ -139,13 +134,10 @@ impl MatchMerger {
             match best {
                 Some(((seq, _), i)) if seq <= safe_seq => {
                     let (t, arrived) = self.shards[i].queue.pop_front().expect("head exists");
-                    self.telemetry.add(|r| &r.merge_released, 1);
-                    self.telemetry.observe_elapsed(|r| &r.merge_release_ns, arrived);
-                    if self.profiled {
-                        let held = arrived.map(|a| a.elapsed().as_nanos() as u64).unwrap_or(0);
+                    if let Some(arrived) = arrived {
                         let e = self.holds.entry(t.gid).or_insert((0, 0));
                         e.0 += 1;
-                        e.1 += held;
+                        e.1 += arrived.elapsed().as_nanos() as u64;
                     }
                     emit(t);
                 }

@@ -219,9 +219,8 @@ impl ShardedEngine {
     }
 
     /// Attaches a telemetry handle. Beyond the counters every session
-    /// records, ring-lane runs record ring occupancy/stalls, worker
-    /// busy/idle time, per-batch shard spans, and merge hold/release
-    /// statistics.
+    /// records, ring-lane runs record ring occupancy/stalls, worker busy
+    /// time, per-batch shard spans, and the merge hold depth.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.multi.set_telemetry(telemetry);
     }
@@ -239,11 +238,6 @@ impl ShardedEngine {
     /// `None` when profiling is disabled.
     pub fn group_costs(&self) -> Option<crate::telemetry::ProfileSnapshot> {
         self.multi.profile_snapshot()
-    }
-
-    /// The live cost-ledger handle (see [`MultiEngine::cost_ledger`]).
-    pub fn cost_ledger(&self) -> CostLedger {
-        self.multi.cost_ledger()
     }
 
     /// Streams one document; a one-document [`ShardedEngine::session`].
@@ -278,7 +272,7 @@ impl ShardedEngine {
         if workers < 2 {
             return f(&mut ShardSession::open(parts, None));
         }
-        let (nsymbols, profiled) = (parts.interner.len(), parts.profile.is_enabled());
+        let (nsymbols, profiled) = (parts.interner.len(), parts.profile.is_some());
         let telemetry = parts.driver.telemetry();
         let rings: Vec<Arc<Ring<SeqBatch>>> = (0..workers)
             .map(|_| Arc::new(Ring::with_telemetry(RING_BATCHES, telemetry.clone())))
@@ -350,8 +344,8 @@ pub struct ShardSession<'a> {
     driver: &'a mut DocumentDriver,
     interner: &'a Interner,
     records: &'a [QueryRecord],
-    /// Cost ledger: disabled (inert) unless profiling is on.
-    profile: &'a CostLedger,
+    /// Cost ledger: `None` unless profiling is on.
+    profile: Option<&'a mut CostLedger>,
     /// The admission walk, reset per document.
     admission: Admission<'a>,
     lane: Lane<'a>,
@@ -390,7 +384,7 @@ impl<'a> ShardSession<'a> {
         let group_slots = groups.len();
         let lane = match ring {
             None => {
-                exec.sample_self_time(profile.is_enabled(), group_slots);
+                exec.sample_self_time(profile.is_some(), group_slots);
                 Lane::Direct { groups, exec }
             }
             Some(ends) => {
@@ -398,7 +392,7 @@ impl<'a> ShardSession<'a> {
                 Lane::Ring(Box::new(RingLane::open(
                     groups,
                     trie.routes(),
-                    profile,
+                    profile.as_deref(),
                     telemetry,
                     ends,
                 )))
@@ -436,7 +430,7 @@ impl<'a> ShardSession<'a> {
         }
         let telemetry = self.driver.telemetry();
         self.lane.begin_document();
-        self.admission.begin_document(if self.profile.is_enabled() { self.group_slots } else { 0 });
+        self.admission.begin_document(if self.profile.is_some() { self.group_slots } else { 0 });
         let mut matches: Vec<Vec<Match>> = self.records.iter().map(|_| Vec::new()).collect();
         let mut sink = SessionSink {
             interner: self.interner,
@@ -484,7 +478,7 @@ impl<'a> ShardSession<'a> {
                 holds,
             },
             &telemetry,
-            self.profile,
+            self.profile.as_deref_mut(),
             self.group_slots,
             |gid| lane.facts(gid),
         );
@@ -757,7 +751,7 @@ impl<'a> RingLane<'a> {
     fn open(
         groups: &'a mut [PlanGroup],
         routes: &RouteTable,
-        profile: &CostLedger,
+        profile: Option<&CostLedger>,
         telemetry: Telemetry,
         ends: RingEnds<'_, 'a>,
     ) -> Self {
@@ -773,14 +767,14 @@ impl<'a> RingLane<'a> {
         // retired query's bill.
         let mut cost = CostModel::uniform(groups.len());
         let mut canonicals = Vec::new();
-        let profiled = profile.is_enabled();
-        if let Some(snapshot) = profile.snapshot() {
+        if let Some(ledger) = profile {
             canonicals = groups
                 .iter()
                 .map(|g| g.is_active().then(|| g.canonical_key().to_string()))
                 .collect();
-            cost.seed_from_ledger(&snapshot, &canonicals);
+            cost.seed_from_ledger(ledger.groups(), &canonicals);
         }
+        let profiled = profile.is_some();
         // Each worker only needs the global trie's route table narrowed
         // to its own group subset, which the assignment carries.
         let plan = place::lpt_plan(&active_gids, &cost, rings.len());
@@ -911,7 +905,7 @@ impl<'a> RingLane<'a> {
         let mut loads = vec![0u64; nshards];
         for (shard, gids) in self.assignment.shard_gids.iter().enumerate() {
             for &gid in gids {
-                let work = place::work_of(&self.doc.groups[gid].stats);
+                let work = self.doc.groups[gid].stats.work();
                 self.cost.observe(gid, work);
                 loads[shard] += work;
             }

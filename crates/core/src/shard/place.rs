@@ -10,8 +10,8 @@
 //! round-robin in ascending gid order.
 //!
 //! Estimates come from the same deterministic machine counters the cost
-//! ledger bills ([`crate::telemetry::GroupCost::work`]): pushes + pops +
-//! predicate evaluations + dispatch hits. Those arrive at the coordinator
+//! ledger bills ([`crate::stats::MachineStats::work`]: pushes, pops,
+//! predicate evaluations, dispatch hits). Those arrive at the coordinator
 //! with every `DocEnd` acknowledgement regardless of whether profiling is
 //! on, so the [`CostModel`] refines itself after every document — and
 //! because the counters are invariant across shard counts, so are the
@@ -26,7 +26,7 @@
 //! converges after the first document measured under skew.
 
 use crate::plan::RouteTable;
-use crate::stats::MachineStats;
+use crate::telemetry::GroupCost;
 
 /// A point-in-time view of a [`crate::shard::ShardSession`]'s placement
 /// state, from [`crate::shard::ShardSession::placement_snapshot`]: how
@@ -52,14 +52,6 @@ pub struct PlacementSnapshot {
 /// carries ≥ 1.3× the ideal per-shard load" — far enough from the noise
 /// floor of an even deal that balanced workloads never churn.
 pub(crate) const REPARTITION_THRESHOLD_MILLIS: u64 = 1300;
-
-/// The deterministic work counter placement planning consumes — the same
-/// formula as [`crate::telemetry::GroupCost::work`] and
-/// [`crate::telemetry::QueryCost::work`], read straight off the per-run
-/// machine stats that every `DocEnd` acknowledgement carries.
-pub(crate) fn work_of(stats: &MachineStats) -> u64 {
-    stats.pushes + stats.pops + stats.predicate_evals + stats.dispatch_hits
-}
 
 /// A group→shard assignment over a fixed worker count.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -155,23 +147,24 @@ impl CostModel {
         CostModel { est: vec![1; group_slots], observed: vec![false; group_slots] }
     }
 
-    /// Pre-seed estimates from a cost-ledger snapshot taken before the
-    /// session opened. `canonicals[gid]` is the *current* canonical step
+    /// Pre-seed estimates from the cost ledger's per-group bills as of
+    /// session open. `canonicals[gid]` is the *current* canonical step
     /// key of each active slot: a ledger row is only trusted when its
     /// canonical key matches, because the planner's free-list recycles
     /// retired group ids — a recycled slot must never inherit the retired
     /// query's accumulated bill (the partition-staleness bug this guards
     /// against).
-    pub(crate) fn seed_from_ledger(
+    pub(crate) fn seed_from_ledger<'g>(
         &mut self,
-        snapshot: &crate::telemetry::ProfileSnapshot,
+        bills: impl IntoIterator<Item = &'g GroupCost>,
         canonicals: &[Option<String>],
     ) {
-        for g in &snapshot.groups {
+        for g in bills {
             let fresh =
                 canonicals.get(g.gid).and_then(|c| c.as_deref()).is_some_and(|c| c == g.canonical);
-            if fresh && g.work() > 0 {
-                self.est[g.gid] = g.work();
+            let work = g.machine.work();
+            if fresh && work > 0 {
+                self.est[g.gid] = work;
                 self.observed[g.gid] = true;
             }
         }
@@ -318,21 +311,19 @@ mod tests {
 
     #[test]
     fn ledger_seed_rejects_stale_canonicals() {
-        use crate::telemetry::{GroupCost, ProfileSnapshot};
-        let snapshot = ProfileSnapshot {
-            docs: 1,
-            queries: Vec::new(),
-            groups: vec![
-                GroupCost { gid: 0, canonical: "//a".into(), pushes: 500, ..Default::default() },
-                GroupCost { gid: 1, canonical: "//b".into(), pushes: 700, ..Default::default() },
-            ],
+        let bill = |gid, canonical: &str, pushes| GroupCost {
+            gid,
+            canonical: canonical.into(),
+            machine: crate::stats::MachineStats { pushes, ..Default::default() },
+            ..Default::default()
         };
+        let bills = [bill(0, "//a", 500), bill(1, "//b", 700)];
         // Slot 0 was recycled: it now serves "//c", so the ledger's
         // "//a" bill must not leak into its estimate. Slot 1 still
         // serves "//b" and keeps its seed.
         let canonicals = vec![Some("//c".to_string()), Some("//b".to_string())];
         let mut m = CostModel::uniform(2);
-        m.seed_from_ledger(&snapshot, &canonicals);
+        m.seed_from_ledger(&bills, &canonicals);
         assert_eq!(m.estimate(0), 1, "recycled slot keeps the uniform prior");
         assert_eq!(m.estimate(1), 700, "matching canonical seeds the estimate");
     }

@@ -19,7 +19,6 @@
 use std::collections::VecDeque;
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
 
 use vitex_xmlsax::event::Attribute;
 use vitex_xmlsax::pos::ByteSpan;
@@ -96,7 +95,7 @@ pub(crate) struct Ring<T> {
     not_full: Condvar,
     not_empty: Condvar,
     capacity: usize,
-    /// Occupancy, stall and idle accounting; disabled handles make every
+    /// Occupancy and stall accounting; disabled handles make every
     /// recording call a no-op.
     telemetry: Telemetry,
 }
@@ -114,8 +113,8 @@ impl<T> Ring<T> {
         Ring::with_telemetry(capacity, Telemetry::disabled())
     }
 
-    /// A ring holding at most `capacity` items that records occupancy,
-    /// enqueue stalls and consumer idle time into `telemetry`.
+    /// A ring holding at most `capacity` items that records occupancy and
+    /// enqueue stalls into `telemetry`.
     pub(crate) fn with_telemetry(capacity: usize, telemetry: Telemetry) -> Self {
         Ring {
             state: Mutex::new(RingState {
@@ -155,20 +154,14 @@ impl<T> Ring<T> {
     /// `None` once the ring is closed **and** drained.
     pub(crate) fn pop(&self) -> Option<T> {
         let mut state = self.state.lock().expect("ring lock");
-        let mut t_idle: Option<Instant> = None;
         loop {
             if let Some(item) = state.queue.pop_front() {
                 drop(state);
-                self.telemetry.add_elapsed(|r| &r.worker_idle_ns, t_idle);
                 self.not_full.notify_one();
                 return Some(item);
             }
             if state.closed {
-                self.telemetry.add_elapsed(|r| &r.worker_idle_ns, t_idle);
                 return None;
-            }
-            if t_idle.is_none() {
-                t_idle = self.telemetry.timer();
             }
             state = self.not_empty.wait(state).expect("ring lock");
         }

@@ -5,6 +5,20 @@
 //! RSS. [`MachineStats`] accounts for exactly that state — stack entries,
 //! candidate buffers, string-value accumulators — so experiments E1 and E6
 //! can report peak machine-resident bytes without an OS profiler.
+//!
+//! This module is the one place that knows which counters a layer
+//! reports, how they add up, what they are called on export and which of
+//! them are *work*: each record has a **row table** — `(export name,
+//! value)` in export order — and the deterministic section of
+//! `vitex.metrics.v1`, the `--stats` lines and the cost ledger's bills all
+//! read the records through it. A new counter is a field and a row here,
+//! plus whoever increments it.
+
+/// `name=value` for every row, space-separated: the `--stats` rendering of
+/// a row table.
+fn line(rows: &[(&'static str, u64)]) -> String {
+    rows.iter().map(|(name, value)| format!("{name}={value}")).collect::<Vec<_>>().join(" ")
+}
 
 /// Document-stream counters maintained by the
 /// [`crate::driver::DocumentDriver`] — one set per scan, shared verbatim
@@ -20,6 +34,29 @@ pub struct StreamStats {
     /// Total SAX events processed (including structural events such as
     /// comments and the terminating `EndDocument`).
     pub events: u64,
+}
+
+impl StreamStats {
+    /// The exported rows, in export order.
+    pub fn rows(&self) -> [(&'static str, u64); 3] {
+        [
+            ("vitex_stream_events_total", self.events),
+            ("vitex_stream_elements_total", self.elements),
+            ("vitex_stream_text_nodes_total", self.text_nodes),
+        ]
+    }
+
+    /// Adds `other` field by field: several scans as one record.
+    pub(crate) fn add(&mut self, other: &StreamStats) {
+        self.elements += other.elements;
+        self.text_nodes += other.text_nodes;
+        self.events += other.events;
+    }
+
+    /// Human-readable one-line summary: the rows.
+    pub fn summary(&self) -> String {
+        line(&self.rows())
+    }
 }
 
 /// Plan-level counters reported by the multi-query planner
@@ -83,30 +120,46 @@ impl PlanStats {
         }
     }
 
-    /// Human-readable one-line summary.
+    /// The exported rows, in export order: the plan's shape, then the
+    /// step trie's run counters. `recycled_slots` and the dedup ratio are
+    /// read off the record, not exported.
+    pub fn rows(&self) -> [(&'static str, u64); 10] {
+        [
+            ("vitex_plan_queries", self.queries),
+            ("vitex_plan_groups", self.groups),
+            ("vitex_plan_machine_nodes", self.machine_nodes),
+            ("vitex_plan_trie_nodes", self.trie_nodes),
+            ("vitex_plan_shared_trie_nodes", self.shared_trie_nodes),
+            ("vitex_plan_bytes", self.plan_bytes),
+            ("vitex_prefix_steps_executed_total", self.prefix_steps_executed),
+            ("vitex_prefix_steps_saved_total", self.prefix_steps_saved),
+            ("vitex_prefix_forks_total", self.prefix_forks),
+            ("vitex_prefix_stack_bytes_peak", self.prefix_stack_bytes),
+        ]
+    }
+
+    /// Folds the next document of a stream of documents in: the shape
+    /// fields are *levels* (the plan as of that document), the stack bytes
+    /// a peak, and only the three step counters accumulate.
+    pub(crate) fn fold(&mut self, doc: &PlanStats) {
+        *self = PlanStats {
+            prefix_steps_executed: self.prefix_steps_executed + doc.prefix_steps_executed,
+            prefix_steps_saved: self.prefix_steps_saved + doc.prefix_steps_saved,
+            prefix_forks: self.prefix_forks + doc.prefix_forks,
+            prefix_stack_bytes: self.prefix_stack_bytes.max(doc.prefix_stack_bytes),
+            ..*doc
+        };
+    }
+
+    /// Human-readable one-line summary: the rows, then what is not
+    /// exported.
     pub fn summary(&self) -> String {
-        let mut line = format!(
-            "queries={} groups={} dedup={:.2}x recycled_slots={} machine_nodes={} \
-             trie_nodes={} shared_trie_nodes={} plan_bytes={}",
-            self.queries,
-            self.groups,
+        format!(
+            "{} dedup={:.2}x recycled_slots={}",
+            line(&self.rows()),
             self.dedup_ratio(),
-            self.recycled_slots,
-            self.machine_nodes,
-            self.trie_nodes,
-            self.shared_trie_nodes,
-            self.plan_bytes,
-        );
-        if self.prefix_steps_executed > 0 {
-            line.push_str(&format!(
-                " prefix(steps={} saved={} forks={} stack_bytes={})",
-                self.prefix_steps_executed,
-                self.prefix_steps_saved,
-                self.prefix_forks,
-                self.prefix_stack_bytes,
-            ));
-        }
-        line
+            self.recycled_slots
+        )
     }
 }
 
@@ -166,8 +219,43 @@ pub struct MachineStats {
 }
 
 impl MachineStats {
+    /// The exported rows, in export order. A sum over machines turns the
+    /// three peaks into the `_sum` the names say; the live gauges and the
+    /// inherited / merged / copied candidate counts are read off the
+    /// record, not exported.
+    pub fn rows(&self) -> [(&'static str, u64); 13] {
+        [
+            ("vitex_machine_pushes_total", self.pushes),
+            ("vitex_machine_pops_total", self.pops),
+            ("vitex_machine_flag_propagations_total", self.flag_propagations),
+            ("vitex_machine_predicate_evals_total", self.predicate_evals),
+            ("vitex_machine_dispatch_hits_total", self.dispatch_hits),
+            ("vitex_machine_candidates_created_total", self.candidates_created),
+            ("vitex_machine_candidates_forwarded_total", self.candidates_forwarded),
+            ("vitex_machine_candidates_discarded_total", self.candidates_discarded),
+            ("vitex_machine_emitted_total", self.emitted),
+            ("vitex_machine_duplicates_suppressed_total", self.duplicates_suppressed),
+            ("vitex_machine_peak_entries_sum", self.peak_entries),
+            ("vitex_machine_peak_candidates_sum", self.peak_candidates),
+            ("vitex_machine_peak_bytes_sum", self.peak_bytes),
+        ]
+    }
+
+    /// Machine steps executed: pushes + pops.
+    pub fn steps(&self) -> u64 {
+        self.pushes + self.pops
+    }
+
+    /// Attributable machine work — the **one** work formula: what the cost
+    /// ledger ranks subscriptions by and what shard placement balances.
+    /// Every term is invariant across shard counts, so rankings and
+    /// placement decisions are too.
+    pub fn work(&self) -> u64 {
+        self.pushes + self.pops + self.predicate_evals + self.dispatch_hits
+    }
+
     /// Adds `other` field by field: what many machines did, as one record.
-    pub(crate) fn add(&mut self, other: &MachineStats) {
+    pub fn add(&mut self, other: &MachineStats) {
         self.pushes += other.pushes;
         self.pops += other.pops;
         self.flag_propagations += other.flag_propagations;
@@ -250,26 +338,9 @@ impl MachineStats {
         self.live_bytes = self.live_bytes.saturating_sub(bytes);
     }
 
-    /// Human-readable one-line summary.
+    /// Human-readable one-line summary: the rows.
     pub fn summary(&self) -> String {
-        format!(
-            "pushes={} pops={} flags={} preds={} hits={} \
-             cands(created={} fwd={} inherit={} drop={}) \
-             emitted={} peak_entries={} peak_cands={} peak_bytes={}",
-            self.pushes,
-            self.pops,
-            self.flag_propagations,
-            self.predicate_evals,
-            self.dispatch_hits,
-            self.candidates_created,
-            self.candidates_forwarded,
-            self.candidates_inherited,
-            self.candidates_discarded,
-            self.emitted,
-            self.peak_entries,
-            self.peak_candidates,
-            self.peak_bytes,
-        )
+        line(&self.rows())
     }
 }
 
@@ -313,15 +384,71 @@ mod tests {
         let p = PlanStats { queries: 10, groups: 4, ..PlanStats::default() };
         assert_eq!(p.dedup_ratio(), 2.5);
         assert!(p.summary().contains("dedup=2.50x"));
-        assert!(p.summary().contains("groups=4"));
+        assert!(p.summary().contains("vitex_plan_groups=4"));
     }
 
     #[test]
-    fn summary_mentions_key_fields() {
+    fn plan_fold_assigns_levels_maxes_the_peak_and_sums_the_step_counters() {
+        let doc = |queries, steps, stack| PlanStats {
+            queries,
+            groups: queries,
+            plan_bytes: 100 * queries,
+            prefix_steps_executed: steps,
+            prefix_steps_saved: 1,
+            prefix_forks: 2,
+            prefix_stack_bytes: stack,
+            ..PlanStats::default()
+        };
+        let mut total = PlanStats::default();
+        total.fold(&doc(3, 10, 48));
+        total.fold(&doc(2, 5, 24));
+        assert_eq!((total.queries, total.groups, total.plan_bytes), (2, 2, 200), "last document");
+        assert_eq!(total.prefix_stack_bytes, 48, "peak");
+        assert_eq!(
+            (total.prefix_steps_executed, total.prefix_steps_saved, total.prefix_forks),
+            (15, 2, 4)
+        );
+    }
+
+    #[test]
+    fn every_machine_row_is_summed_by_add() {
+        let mut s = MachineStats {
+            flag_propagations: 3,
+            predicate_evals: 4,
+            dispatch_hits: 5,
+            candidates_forwarded: 6,
+            ..MachineStats::default()
+        };
+        s.on_push(10);
+        s.on_candidate_created(8);
+        s.on_candidate_created(8);
+        s.on_candidate_created(8);
+        s.on_candidate_emitted(8);
+        s.on_candidate_dropped(8);
+        s.on_candidate_suppressed(8);
+        s.on_pop(10);
+        let mut twice = s.clone();
+        twice.add(&s);
+        for ((name, one), (_, two)) in s.rows().into_iter().zip(twice.rows()) {
+            assert!(one > 0, "{name} is exercised");
+            assert_eq!(two, 2 * one, "{name}");
+        }
+        assert_eq!(s.work(), 1 + 1 + 4 + 5);
+        assert_eq!(s.steps(), 2);
+    }
+
+    #[test]
+    fn summary_is_the_row_table() {
         let mut s = MachineStats::default();
         s.on_push(10);
         let text = s.summary();
-        assert!(text.contains("pushes=1"));
-        assert!(text.contains("peak_bytes=10"));
+        assert!(text.starts_with("vitex_machine_pushes_total=1 vitex_machine_pops_total=0 "));
+        assert!(text.ends_with(" vitex_machine_peak_bytes_sum=10"));
+        let stream = StreamStats { elements: 3, text_nodes: 1, events: 9 };
+        assert_eq!(
+            stream.summary(),
+            "vitex_stream_events_total=9 vitex_stream_elements_total=3 \
+             vitex_stream_text_nodes_total=1"
+        );
     }
 }

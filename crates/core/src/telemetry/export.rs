@@ -206,10 +206,12 @@ fn thread_label(tid: u32) -> String {
 mod tests {
     use super::super::span::Span;
     use super::*;
+    use crate::stats::{MachineStats, StreamStats};
 
     fn sample_snapshot() -> Snapshot {
         let registry = Registry::default();
-        registry.stream_events.add(10);
+        let stream = StreamStats { events: 10, ..StreamStats::default() };
+        registry.fold_document(&stream, &MachineStats::default(), None, 0);
         registry.worker_busy_ns.add(999);
         registry.ring_occupancy.set(3);
         registry.dispatch_ns.observe(100);

@@ -1,11 +1,13 @@
 //! Atomic metric primitives and the fixed-field registry.
 //!
-//! The registry is deliberately *not* a string-keyed map: every metric the
-//! pipeline records is a named struct field, so the hot path is a single
-//! relaxed atomic op with no hashing, no locking, and no allocation. Export
-//! enumerates the fields through hand-written descriptor tables, which is
-//! also where each metric's Prometheus-style name and determinism class
-//! live.
+//! The registry is deliberately *not* a string-keyed map. What is recorded
+//! *live* — from whichever thread does the work — is a named struct field,
+//! so the hot path is a single relaxed atomic op with no hashing, no
+//! locking, and no allocation; its export names live in the descriptor
+//! tables at the bottom of this file. What is *deterministic* is not
+//! recorded live at all: the registry holds the per-layer records of
+//! [`crate::stats`] and folds each finished document into them under one
+//! lock, and their export names are the records' own row tables.
 //!
 //! Determinism classes matter for testing: a metric marked `deterministic`
 //! must be byte-identical across shard counts for the same document +
@@ -14,6 +16,9 @@
 //! on how reads chunk the input) are excluded from equality.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+use crate::stats::{MachineStats, PlanStats, StreamStats};
 
 /// Number of log2 histogram buckets: bucket 0 holds zero-valued samples,
 /// bucket `i >= 1` holds samples `v` with `2^(i-1) <= v < 2^i`. 65 buckets
@@ -140,72 +145,26 @@ impl Histogram {
     }
 }
 
-/// Every metric the pipeline records, as fixed fields. Shared behind an
-/// `Arc` by the coordinator, shard workers, and the merger.
+/// The deterministic section of the registry: the per-layer records every
+/// finished document is folded into, plus the match count.
+#[derive(Debug, Default)]
+struct Totals {
+    stream: StreamStats,
+    matches: u64,
+    /// Summed over subscriptions — not over plan groups — so a query that
+    /// duplicates another counts the shared machine under both, exactly as
+    /// two private engines would.
+    machine: MachineStats,
+    plan: PlanStats,
+}
+
+/// Every metric the pipeline records. Shared behind an `Arc` by the
+/// coordinator, shard workers, and the merger.
 #[derive(Debug, Default)]
 pub struct Registry {
-    // ----- stream stage (DocumentDriver; deterministic) -----
-    /// SAX events processed (`vitex_stream_events_total`).
-    pub stream_events: Counter,
-    /// Elements seen (`vitex_stream_elements_total`).
-    pub stream_elements: Counter,
-    /// Text nodes seen (`vitex_stream_text_nodes_total`).
-    pub stream_text_nodes: Counter,
-    /// Matches emitted across all queries (`vitex_matches_total`).
-    pub matches_emitted: Counter,
-
-    // ----- machine stage (TwigM; folded per subscription; deterministic) -----
-    /// Stack pushes (`vitex_machine_pushes_total`).
-    pub machine_pushes: Counter,
-    /// Stack pops (`vitex_machine_pops_total`).
-    pub machine_pops: Counter,
-    /// Match-flag propagations (`vitex_machine_flag_propagations_total`).
-    pub machine_flag_propagations: Counter,
-    /// Predicate evaluations (`vitex_machine_predicate_evals_total`).
-    pub machine_predicate_evals: Counter,
-    /// Element events that engaged a machine with a non-empty push plan
-    /// (`vitex_machine_dispatch_hits_total`).
-    pub machine_dispatch_hits: Counter,
-    /// Candidates created (`vitex_machine_candidates_created_total`).
-    pub machine_candidates_created: Counter,
-    /// Candidates forwarded (`vitex_machine_candidates_forwarded_total`).
-    pub machine_candidates_forwarded: Counter,
-    /// Candidates discarded (`vitex_machine_candidates_discarded_total`).
-    pub machine_candidates_discarded: Counter,
-    /// Solutions emitted by machines (`vitex_machine_emitted_total`).
-    pub machine_emitted: Counter,
-    /// Duplicate emissions suppressed (`vitex_machine_duplicates_suppressed_total`).
-    pub machine_duplicates_suppressed: Counter,
-    /// Sum of per-subscription peak stack entries (`vitex_machine_peak_entries_sum`).
-    pub machine_peak_entries: Counter,
-    /// Sum of per-subscription peak candidates (`vitex_machine_peak_candidates_sum`).
-    pub machine_peak_candidates: Counter,
-    /// Sum of per-subscription peak machine-resident bytes (`vitex_machine_peak_bytes_sum`).
-    pub machine_peak_bytes: Counter,
-
-    // ----- plan stage (QueryPlanner; deterministic) -----
-    /// Active subscriptions (`vitex_plan_queries`).
-    pub plan_queries: Counter,
-    /// Active plan groups (`vitex_plan_groups`).
-    pub plan_groups: Counter,
-    /// Stacked machine nodes (`vitex_plan_machine_nodes`).
-    pub plan_machine_nodes: Counter,
-    /// Shared step-trie nodes (`vitex_plan_trie_nodes`).
-    pub plan_trie_nodes: Counter,
-    /// Trie nodes shared by >1 group (`vitex_plan_shared_trie_nodes`).
-    pub plan_shared_trie_nodes: Counter,
-    /// Approximate compiled plan bytes (`vitex_plan_bytes`).
-    pub plan_bytes: Counter,
-
-    // ----- step-trie runtime (deterministic) -----
-    /// Shared trie step checks executed (`vitex_prefix_steps_executed_total`).
-    pub prefix_steps_executed: Counter,
-    /// Per-group step checks avoided by sharing (`vitex_prefix_steps_saved_total`).
-    pub prefix_steps_saved: Counter,
-    /// Forks from trie state into group machines (`vitex_prefix_forks_total`).
-    pub prefix_forks: Counter,
-    /// Peak shared trie stack bytes (`vitex_prefix_stack_bytes_peak`).
-    pub prefix_stack_bytes: Counter,
+    /// The deterministic section; locked once per document, on the
+    /// document thread, by [`Registry::fold_document`].
+    totals: Mutex<Totals>,
 
     // ----- parser (xmlsax; depends on read chunking) -----
     /// Bytes scanned by the SWAR wide path (`vitex_scan_wide_bytes_total`).
@@ -224,11 +183,6 @@ pub struct Registry {
     /// Nanoseconds shard workers spent processing batches
     /// (`vitex_worker_busy_ns_total`).
     pub worker_busy_ns: Counter,
-    /// Nanoseconds shard workers spent blocked on empty rings
-    /// (`vitex_worker_idle_ns_total`).
-    pub worker_idle_ns: Counter,
-    /// Matches released by the merger (`vitex_merge_released_total`).
-    pub merge_released: Counter,
     /// Mid-session shard repartitions performed by the placer
     /// (`vitex_shard_repartitions_total`). Shard-count dependent, so
     /// excluded from the deterministic class even though the decision
@@ -260,8 +214,6 @@ pub struct Registry {
     pub dispatch_ns: Histogram,
     /// Events per shard batch (`vitex_batch_events`).
     pub batch_events: Histogram,
-    /// Merger hold time per released match in ns (`vitex_merge_release_ns`).
-    pub merge_release_ns: Histogram,
 }
 
 /// One exported counter: name, determinism class, value.
@@ -302,49 +254,55 @@ pub struct HistogramRow {
 }
 
 impl Registry {
-    /// Enumerate all counters with their export names and determinism class.
+    /// The deterministic section. Every critical section is plain
+    /// arithmetic on counters that are valid at every step, so a poisoned
+    /// lock is recovered rather than propagated.
+    fn totals(&self) -> MutexGuard<'_, Totals> {
+        self.totals.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Folds one finished document into the deterministic section:
+    /// `machine` is the sum over its subscriptions, `plan` is absent for a
+    /// single-query engine (which has none).
+    pub(crate) fn fold_document(
+        &self,
+        stream: &StreamStats,
+        machine: &MachineStats,
+        plan: Option<&PlanStats>,
+        matches: u64,
+    ) {
+        let mut totals = self.totals();
+        totals.stream.add(stream);
+        totals.matches += matches;
+        totals.machine.add(machine);
+        if let Some(plan) = plan {
+            totals.plan.fold(plan);
+        }
+    }
+
+    /// Enumerate all counters with their export names and determinism
+    /// class: the deterministic section from the records' row tables, then
+    /// the live counters.
     pub fn counter_rows(&self) -> Vec<CounterRow> {
-        let det = |name, c: &Counter| CounterRow { name, deterministic: true, value: c.get() };
+        let totals = self.totals();
+        let deterministic = (totals.stream.rows().into_iter())
+            .chain([("vitex_matches_total", totals.matches)])
+            .chain(totals.machine.rows())
+            .chain(totals.plan.rows())
+            .map(|(name, value)| CounterRow { name, deterministic: true, value });
         let timing = |name, c: &Counter| CounterRow { name, deterministic: false, value: c.get() };
-        vec![
-            det("vitex_stream_events_total", &self.stream_events),
-            det("vitex_stream_elements_total", &self.stream_elements),
-            det("vitex_stream_text_nodes_total", &self.stream_text_nodes),
-            det("vitex_matches_total", &self.matches_emitted),
-            det("vitex_machine_pushes_total", &self.machine_pushes),
-            det("vitex_machine_pops_total", &self.machine_pops),
-            det("vitex_machine_flag_propagations_total", &self.machine_flag_propagations),
-            det("vitex_machine_predicate_evals_total", &self.machine_predicate_evals),
-            det("vitex_machine_dispatch_hits_total", &self.machine_dispatch_hits),
-            det("vitex_machine_candidates_created_total", &self.machine_candidates_created),
-            det("vitex_machine_candidates_forwarded_total", &self.machine_candidates_forwarded),
-            det("vitex_machine_candidates_discarded_total", &self.machine_candidates_discarded),
-            det("vitex_machine_emitted_total", &self.machine_emitted),
-            det("vitex_machine_duplicates_suppressed_total", &self.machine_duplicates_suppressed),
-            det("vitex_machine_peak_entries_sum", &self.machine_peak_entries),
-            det("vitex_machine_peak_candidates_sum", &self.machine_peak_candidates),
-            det("vitex_machine_peak_bytes_sum", &self.machine_peak_bytes),
-            det("vitex_plan_queries", &self.plan_queries),
-            det("vitex_plan_groups", &self.plan_groups),
-            det("vitex_plan_machine_nodes", &self.plan_machine_nodes),
-            det("vitex_plan_trie_nodes", &self.plan_trie_nodes),
-            det("vitex_plan_shared_trie_nodes", &self.plan_shared_trie_nodes),
-            det("vitex_plan_bytes", &self.plan_bytes),
-            det("vitex_prefix_steps_executed_total", &self.prefix_steps_executed),
-            det("vitex_prefix_steps_saved_total", &self.prefix_steps_saved),
-            det("vitex_prefix_forks_total", &self.prefix_forks),
-            det("vitex_prefix_stack_bytes_peak", &self.prefix_stack_bytes),
-            timing("vitex_scan_wide_bytes_total", &self.scan_wide_bytes),
-            timing("vitex_scan_scalar_bytes_total", &self.scan_scalar_bytes),
-            timing("vitex_ring_batches_total", &self.ring_batches),
-            timing("vitex_ring_enqueue_stalls_total", &self.ring_enqueue_stalls),
-            timing("vitex_ring_stall_ns_total", &self.ring_stall_ns),
-            timing("vitex_worker_busy_ns_total", &self.worker_busy_ns),
-            timing("vitex_worker_idle_ns_total", &self.worker_idle_ns),
-            timing("vitex_merge_released_total", &self.merge_released),
-            timing("vitex_shard_repartitions_total", &self.shard_repartitions),
-            timing("vitex_doc_ns_total", &self.doc_ns),
-        ]
+        deterministic
+            .chain([
+                timing("vitex_scan_wide_bytes_total", &self.scan_wide_bytes),
+                timing("vitex_scan_scalar_bytes_total", &self.scan_scalar_bytes),
+                timing("vitex_ring_batches_total", &self.ring_batches),
+                timing("vitex_ring_enqueue_stalls_total", &self.ring_enqueue_stalls),
+                timing("vitex_ring_stall_ns_total", &self.ring_stall_ns),
+                timing("vitex_worker_busy_ns_total", &self.worker_busy_ns),
+                timing("vitex_shard_repartitions_total", &self.shard_repartitions),
+                timing("vitex_doc_ns_total", &self.doc_ns),
+            ])
+            .collect()
     }
 
     /// Enumerate all gauges.
@@ -375,7 +333,6 @@ impl Registry {
         vec![
             row("vitex_dispatch_ns", &self.dispatch_ns),
             row("vitex_batch_events", &self.batch_events),
-            row("vitex_merge_release_ns", &self.merge_release_ns),
         ]
     }
 }
@@ -423,7 +380,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_rows_have_unique_names() {
+    fn exported_names_are_unique() {
         let r = Registry::default();
         let mut names: Vec<&str> = r
             .counter_rows()

@@ -5,7 +5,7 @@
 //! clone-able wrapper around an optional `Arc`. When telemetry is disabled
 //! (the default) the handle holds `None` and every recording method is an
 //! `#[inline]` early return that touches no atomics, takes no clock
-//! readings, and allocates nothing. When enabled, counters and
+//! readings, and allocates nothing. When enabled, live counters and
 //! histograms are relaxed atomics shared across the coordinator and the
 //! shard workers, and coarse-grained spans land in a bounded
 //! ring for Chrome-trace export; what that costs is the benchmark's
@@ -13,12 +13,14 @@
 //! handle attached over the best pass with the default disabled one,
 //! per workload.
 //!
-//! Deterministic counters (stream, machine, plan, prefix) are folded from
-//! the per-run stat structs *after* a run — on the document thread, per
-//! subscription — so their values are invariant across shard counts by
-//! construction. Timing counters and ring/backpressure metrics are
-//! recorded live from whichever thread does the work and are
-//! scheduling-dependent.
+//! Deterministic counters (stream, matches, machine, plan, prefix) are not
+//! recorded live: the registry holds the per-layer records of
+//! [`crate::stats`] and [`Telemetry::fold_document`] folds each finished
+//! document into them — once, on the document thread, the machine record
+//! summed per subscription — so their values are invariant across shard
+//! counts by construction, and their export names are the records' own
+//! row tables. Timing counters and ring/backpressure metrics are recorded
+//! live from whichever thread does the work and are scheduling-dependent.
 
 pub mod export;
 pub mod metrics;
@@ -27,7 +29,8 @@ pub mod span;
 
 pub use export::{trace_json, Snapshot, SNAPSHOT_SCHEMA};
 pub use metrics::{Counter, CounterRow, Gauge, GaugeRow, Histogram, HistogramRow, Registry};
-pub use profile::{CostLedger, GroupCost, Heartbeat, ProfileSnapshot, QueryCost, PROFILE_SCHEMA};
+pub(crate) use profile::CostLedger;
+pub use profile::{GroupCost, ProfileSnapshot, QueryCost, PROFILE_SCHEMA};
 pub use span::{Span, SpanRecorder, TID_COORDINATOR, TID_SHARD_BASE};
 
 use crate::stats::{MachineStats, PlanStats, StreamStats};
@@ -152,11 +155,6 @@ impl Telemetry {
         }
     }
 
-    /// The live registry, when enabled.
-    pub fn registry(&self) -> Option<&Registry> {
-        self.inner.as_deref().map(|i| &i.registry)
-    }
-
     /// Snapshot all metrics, when enabled.
     pub fn snapshot(&self) -> Option<Snapshot> {
         self.inner.as_deref().map(|i| Snapshot::capture(&i.registry, &i.spans))
@@ -167,62 +165,20 @@ impl Telemetry {
         self.inner.as_deref().map(|i| i.spans.collect())
     }
 
-    // ----- deterministic folds from the per-run stat structs -----
-
-    /// Fold document-stream counters (called once per scan by the driver).
-    pub fn fold_stream(&self, s: &StreamStats) {
+    /// Folds one finished document into the deterministic section of the
+    /// registry: the stream counters, the machine counters summed over the
+    /// document's subscriptions, the plan statistics (`None` from a
+    /// single-query engine, which has no plan) and the match count.
+    pub fn fold_document(
+        &self,
+        stream: &StreamStats,
+        machine: &MachineStats,
+        plan: Option<&PlanStats>,
+        matches: u64,
+    ) {
         if let Some(inner) = &self.inner {
-            let r = &inner.registry;
-            r.stream_events.add(s.events);
-            r.stream_elements.add(s.elements);
-            r.stream_text_nodes.add(s.text_nodes);
+            inner.registry.fold_document(stream, machine, plan, matches);
         }
-    }
-
-    /// Fold one subscription's machine counters. Folding per subscription —
-    /// not per plan group — keeps the totals plan-mode-invariant: a query
-    /// that duplicates another reports the shared machine's stats under
-    /// both subscriptions, exactly as two private engines would.
-    pub fn fold_machine(&self, s: &MachineStats) {
-        if let Some(inner) = &self.inner {
-            let r = &inner.registry;
-            r.machine_pushes.add(s.pushes);
-            r.machine_pops.add(s.pops);
-            r.machine_flag_propagations.add(s.flag_propagations);
-            r.machine_predicate_evals.add(s.predicate_evals);
-            r.machine_dispatch_hits.add(s.dispatch_hits);
-            r.machine_candidates_created.add(s.candidates_created);
-            r.machine_candidates_forwarded.add(s.candidates_forwarded);
-            r.machine_candidates_discarded.add(s.candidates_discarded);
-            r.machine_emitted.add(s.emitted);
-            r.machine_duplicates_suppressed.add(s.duplicates_suppressed);
-            r.machine_peak_entries.add(s.peak_entries);
-            r.machine_peak_candidates.add(s.peak_candidates);
-            r.machine_peak_bytes.add(s.peak_bytes);
-        }
-    }
-
-    /// Fold plan-level counters (called once per run).
-    pub fn fold_plan(&self, p: &PlanStats) {
-        if let Some(inner) = &self.inner {
-            let r = &inner.registry;
-            r.plan_queries.add(p.queries);
-            r.plan_groups.add(p.groups);
-            r.plan_machine_nodes.add(p.machine_nodes);
-            r.plan_trie_nodes.add(p.trie_nodes);
-            r.plan_shared_trie_nodes.add(p.shared_trie_nodes);
-            r.plan_bytes.add(p.plan_bytes);
-            r.prefix_steps_executed.add(p.prefix_steps_executed);
-            r.prefix_steps_saved.add(p.prefix_steps_saved);
-            r.prefix_forks.add(p.prefix_forks);
-            r.prefix_stack_bytes.add(p.prefix_stack_bytes);
-        }
-    }
-
-    /// Count emitted matches (deterministic across all execution modes).
-    #[inline]
-    pub fn add_matches(&self, n: u64) {
-        self.add(|r| &r.matches_emitted, n);
     }
 }
 
@@ -246,10 +202,11 @@ mod tests {
         let tel = Telemetry::disabled();
         assert!(!tel.is_enabled());
         assert!(tel.timer().is_none());
-        tel.add(|r| &r.stream_events, 5);
+        tel.add(|r| &r.ring_batches, 5);
         tel.gauge_set(|r| &r.ring_occupancy, 5);
         tel.observe(|r| &r.dispatch_ns, 5);
-        tel.fold_stream(&StreamStats { elements: 1, text_nodes: 1, events: 1 });
+        let stream = StreamStats { elements: 1, text_nodes: 1, events: 1 };
+        tel.fold_document(&stream, &MachineStats::default(), None, 1);
         assert!(tel.snapshot().is_none());
         assert!(tel.spans().is_none());
     }
@@ -258,15 +215,13 @@ mod tests {
     fn enabled_records_and_snapshots() {
         let tel = Telemetry::enabled();
         assert!(tel.is_enabled());
-        tel.add(|r| &r.stream_events, 5);
-        tel.add_matches(2);
+        tel.add(|r| &r.ring_batches, 5);
         let t0 = tel.timer();
         assert!(t0.is_some());
         let ns = tel.add_elapsed(|r| &r.worker_busy_ns, t0);
         tel.record_span("document", "stream", TID_COORDINATOR, t0);
         let snap = tel.snapshot().unwrap();
-        assert_eq!(snap.counter("vitex_stream_events_total"), Some(5));
-        assert_eq!(snap.counter("vitex_matches_total"), Some(2));
+        assert_eq!(snap.counter("vitex_ring_batches_total"), Some(5));
         assert_eq!(snap.counter("vitex_worker_busy_ns_total"), Some(ns));
         let spans = tel.spans().unwrap();
         assert_eq!(spans.len(), 1);
@@ -274,15 +229,23 @@ mod tests {
     }
 
     #[test]
-    fn fold_machine_sums_per_subscription() {
+    fn documents_fold_into_the_deterministic_section() {
         let tel = Telemetry::enabled();
-        let mut s = MachineStats::default();
-        s.on_push(100);
-        tel.fold_machine(&s);
-        tel.fold_machine(&s);
+        let stream = StreamStats { elements: 2, text_nodes: 1, events: 7 };
+        let mut machine = MachineStats::default();
+        machine.on_push(100);
+        let plan = |queries| PlanStats { queries, prefix_forks: 4, ..PlanStats::default() };
+        tel.fold_document(&stream, &machine, Some(&plan(3)), 2);
+        tel.fold_document(&stream, &machine, Some(&plan(2)), 1);
+        // A single-query engine's document leaves the plan rows alone.
+        tel.fold_document(&stream, &machine, None, 0);
         let snap = tel.snapshot().unwrap();
-        assert_eq!(snap.counter("vitex_machine_pushes_total"), Some(2));
-        assert_eq!(snap.counter("vitex_machine_peak_bytes_sum"), Some(200));
+        assert_eq!(snap.counter("vitex_stream_events_total"), Some(21));
+        assert_eq!(snap.counter("vitex_matches_total"), Some(3));
+        assert_eq!(snap.counter("vitex_machine_pushes_total"), Some(3));
+        assert_eq!(snap.counter("vitex_machine_peak_bytes_sum"), Some(300));
+        assert_eq!(snap.counter("vitex_plan_queries"), Some(2), "a level: the last plan");
+        assert_eq!(snap.counter("vitex_prefix_forks_total"), Some(8));
     }
 
     #[test]

@@ -22,16 +22,12 @@ use crate::name::{self, QName};
 use crate::pos::{ByteSpan, TextPosition};
 use crate::probe::ProbeHandle;
 
-/// Configuration for [`XmlReader`].
+/// Configuration for [`XmlReader`]: input limits only. What the reader
+/// reports is fixed by the XPath data model — adjacent character data and
+/// CDATA sections are one [`XmlEvent::Characters`] event (a text node),
+/// and whitespace-only text is reported (string-values include it).
 #[derive(Debug, Clone)]
 pub struct ReaderConfig {
-    /// Merge adjacent character data and CDATA sections into a single
-    /// [`XmlEvent::Characters`] event (XPath text-node semantics).
-    /// Default: `true`.
-    pub coalesce_text: bool,
-    /// Suppress character events that consist entirely of whitespace.
-    /// Default: `false` (string-values must include such whitespace).
-    pub skip_whitespace_text: bool,
     /// Bounds on entity expansion.
     pub entity_limits: EntityLimits,
     /// Maximum element nesting depth. Default: 4096.
@@ -43,8 +39,6 @@ pub struct ReaderConfig {
 impl Default for ReaderConfig {
     fn default() -> Self {
         ReaderConfig {
-            coalesce_text: true,
-            skip_whitespace_text: false,
             entity_limits: EntityLimits::default(),
             max_depth: 4096,
             buffer_capacity: 64 * 1024,
@@ -552,14 +546,9 @@ impl<R: Read> XmlReader<R> {
             match self.scanner.peek_byte()? {
                 None => break,
                 Some(b'<') => {
-                    if self.scanner.starts_with(b"<![CDATA[")?
-                        && (self.config.coalesce_text || text.is_empty())
-                    {
+                    if self.scanner.starts_with(b"<![CDATA[")? {
                         self.read_cdata_into(&mut text)?;
                         raw_tail = ['\0', '\0'];
-                        if !self.config.coalesce_text {
-                            break;
-                        }
                         continue;
                     }
                     break;
@@ -592,10 +581,9 @@ impl<R: Read> XmlReader<R> {
         let is_whitespace = text.chars().all(|c| matches!(c, ' ' | '\t' | '\n'));
         let level = self.open.len() as u32;
         let event = CharactersEvent { text, level, span, position, is_whitespace };
-        if event.text.is_empty() || (self.config.skip_whitespace_text && is_whitespace) {
-            // Nothing reportable (e.g. an empty CDATA section, or pure
-            // whitespace with skipping enabled): recurse into the next
-            // construct.
+        if event.text.is_empty() {
+            // Nothing reportable (e.g. an empty CDATA section): recurse
+            // into the next construct.
             self.scratch = event.text;
             return self.read_content();
         }

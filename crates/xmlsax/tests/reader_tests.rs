@@ -192,12 +192,6 @@ fn adjacent_text_and_cdata_coalesce() {
 }
 
 #[test]
-fn coalescing_can_be_disabled() {
-    let cfg = ReaderConfig { coalesce_text: false, ..Default::default() };
-    assert_eq!(trace_with("<a>x<![CDATA[y]]>z</a>", cfg), "+a \"x\" \"y\" \"z\" -a $");
-}
-
-#[test]
 fn comments_split_text_nodes() {
     // Matches the XPath data model: a comment terminates a text node.
     assert_eq!(trace("<a>x<!--c-->y</a>"), "+a \"x\" #c# \"y\" -a $");
@@ -206,12 +200,6 @@ fn comments_split_text_nodes() {
 #[test]
 fn whitespace_text_is_reported_by_default() {
     assert_eq!(trace("<a> <b/> </a>"), "+a \" \" +b -b \" \" -a $");
-}
-
-#[test]
-fn whitespace_text_can_be_skipped() {
-    let cfg = ReaderConfig { skip_whitespace_text: true, ..Default::default() };
-    assert_eq!(trace_with("<a> <b/> </a>", cfg), "+a +b -b -a $");
 }
 
 #[test]

@@ -9,12 +9,12 @@
 //! Run `vitex --help` for the full option list (every flag carries a
 //! one-line description there).
 //!
-//! With one query the tool runs the single-query [`Engine`]; with several
-//! it runs the multi-query engine — one parse, one document driver, k
-//! TwigM machines behind the shared step trie — and prefixes every line
-//! with the originating query's index. `--shards N` (N > 1) routes
-//! any run through the [`ShardedEngine`]: same output, same order,
-//! machines partitioned across N worker threads. `--metrics`,
+//! Every run goes through one [`ShardedEngine`] session — one parse, one
+//! document driver, k TwigM machines behind the shared step trie; with
+//! several queries every line is prefixed with the originating query's
+//! index. At `--shards 1`, and for any single query, the session delivers
+//! on the calling thread; `--shards N` (N > 1) partitions the machines
+//! across up to N worker threads: same output, same order. `--metrics`,
 //! `--metrics-json` and `--trace-out` switch on the unified telemetry
 //! layer: one registry and span ring covering parse → plan → dispatch →
 //! shard → merge.
@@ -24,8 +24,8 @@ use std::io::{self, BufReader, Read, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use vitex_core::telemetry::{trace_json, Heartbeat, Telemetry};
-use vitex_core::{Engine, Match, MatchKind, MultiOutput, QueryId, ShardedEngine};
+use vitex_core::telemetry::{trace_json, Telemetry};
+use vitex_core::{Match, MatchKind, MultiOutput, QueryId, ShardedEngine, StreamStats};
 use vitex_xmlsax::{ProbeHandle, XmlReader};
 use vitex_xpath::QueryTree;
 
@@ -45,8 +45,6 @@ struct Options {
     trace_out: Option<String>,
     profile: bool,
     profile_json: Option<String>,
-    /// Heartbeat period in seconds (0 = off).
-    heartbeat: u64,
 }
 
 impl Options {
@@ -56,12 +54,10 @@ impl Options {
         self.metrics || self.metrics_json.is_some() || self.trace_out.is_some()
     }
 
-    /// Whether cost attribution was requested (the ledger is enabled
-    /// exactly then). Profiling runs always route through the pub/sub
-    /// engine — the ledger lives there — which is output-transparent:
-    /// single-query output keeps the single-query format.
+    /// Whether cost attribution was requested (the engine keeps a ledger
+    /// exactly then).
     fn profiling_requested(&self) -> bool {
-        self.profile || self.profile_json.is_some() || self.heartbeat > 0
+        self.profile || self.profile_json.is_some()
     }
 }
 
@@ -80,7 +76,6 @@ const FLAGS: &[&str] = &[
     "--trace-out",
     "--profile",
     "--profile-json",
-    "--heartbeat",
     "-h",
     "--help",
 ];
@@ -107,8 +102,6 @@ fn usage_text() -> &'static str {
          \x20 --trace-out <PATH>     write stage spans as Chrome trace-event JSON (Perfetto-loadable) to PATH\n\
          \x20 --profile              print a per-query cost-attribution table (top 10 by work) on stderr\n\
          \x20 --profile-json <PATH>  write the cost ledger (vitex.profile.v1 JSON) to PATH\n\
-         \x20 --heartbeat <SECS>     print a live heartbeat (docs/sec, ring occupancy, hot groups)\n\
-         \x20                        on stderr every SECS seconds while the run is in flight\n\
          \x20 -h, --help             show this help and exit\n\
          \n\
          examples:\n\
@@ -214,11 +207,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, CliErro
             "--trace-out" => opts.trace_out = Some(value(&arg, "a path", args.next(), text)?),
             "--profile" => opts.profile = true,
             "--profile-json" => opts.profile_json = Some(value(&arg, "a path", args.next(), text)?),
-            "--heartbeat" => {
-                opts.heartbeat = value(&arg, "a positive number of seconds", args.next(), |n| {
-                    n.parse().ok().filter(|&n: &u64| n >= 1)
-                })?
-            }
             "--help" | "-h" => return Ok(Options { help: true, ..opts }),
             // A lone "-" stays positional (as FILE it means stdin); anything
             // else starting with '-' is a misspelled flag, not a query or file.
@@ -400,60 +388,10 @@ fn stdout_failed(e: io::Error) -> ! {
     std::process::exit(2)
 }
 
-/// Single-query mode: the classic engine.
-fn run_single(opts: &Options, tree: &QueryTree, telemetry: &Telemetry) -> ExitCode {
-    let mut engine = match Engine::new(tree) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("vitex: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    engine.set_telemetry(telemetry.clone());
-    let reader = match open_reader(opts, telemetry) {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
-    let stdout = io::stdout();
-    let mut out = stdout.lock();
-    let mut count = 0u64;
-    let result = engine.run(reader, |m| {
-        count += 1;
-        if !opts.count {
-            writeln!(out, "{}", describe(&m, opts.values)).unwrap_or_else(|e| stdout_failed(e));
-        }
-    });
-    match result {
-        Ok(output) => {
-            if opts.count {
-                writeln!(out, "{count}").unwrap_or_else(|e| stdout_failed(e));
-            }
-            if opts.stats {
-                eprintln!("elements:   {}", output.elements);
-                eprintln!("text nodes: {}", output.text_nodes);
-                eprintln!("events:     {}", output.events);
-                eprintln!("machine:    {}", output.stats.summary());
-            }
-            if let Err(code) = export_telemetry(opts, telemetry) {
-                return code;
-            }
-            if count > 0 {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            }
-        }
-        Err(e) => {
-            eprintln!("vitex: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-/// Pub/sub mode: all queries over one scan via the (optionally sharded)
-/// multi-engine. At `--shards 1` — the default — and whenever the group
-/// count clamps the workers to one, the session delivers on the calling
-/// thread, exactly as `MultiEngine::run` does.
+/// All queries over one scan via the (optionally sharded) multi-engine.
+/// At `--shards 1` — the default — and whenever the group count clamps
+/// the workers to one (any single query), the session delivers on the
+/// calling thread, exactly as `MultiEngine::run` does.
 fn run_multi(opts: &Options, trees: &[QueryTree], telemetry: &Telemetry) -> ExitCode {
     let mut multi = ShardedEngine::new(opts.shards);
     multi.set_telemetry(telemetry.clone());
@@ -466,9 +404,7 @@ fn run_multi(opts: &Options, trees: &[QueryTree], telemetry: &Telemetry) -> Exit
     }
     let stdout = io::stdout();
     let mut out = stdout.lock();
-    // A single query sharded across threads keeps the single-query output
-    // format: no `[i]` prefixes, bare --count total. `--shards N` must be
-    // a pure execution knob, never a format change.
+    // A single query prints no `[i]` prefixes and a bare --count total.
     let prefixed = trees.len() > 1;
     let mut counts = vec![0u64; trees.len()];
     let mut on_match = |qid: QueryId, m: Match| {
@@ -483,20 +419,10 @@ fn run_multi(opts: &Options, trees: &[QueryTree], telemetry: &Telemetry) -> Exit
             written.unwrap_or_else(|e| stdout_failed(e));
         }
     };
-    // The live heartbeat reporter spans exactly the run below; dropping
-    // it joins the reporter thread before any post-run export prints.
-    let heartbeat = (opts.heartbeat > 0).then(|| {
-        Heartbeat::start(
-            std::time::Duration::from_secs(opts.heartbeat),
-            multi.cost_ledger(),
-            telemetry.clone(),
-        )
-    });
     let result: Result<MultiOutput, _> = match open_reader(opts, telemetry) {
         Ok(reader) => multi.run(reader, &mut on_match),
         Err(code) => return code,
     };
-    drop(heartbeat);
     match result {
         Ok(output) => {
             if opts.count {
@@ -507,11 +433,15 @@ fn run_multi(opts: &Options, trees: &[QueryTree], telemetry: &Telemetry) -> Exit
                 }
             }
             if opts.stats {
-                eprintln!("elements:   {}", output.elements);
-                eprintln!("text nodes: {}", output.text_nodes);
-                eprintln!("events:     {}", output.events);
-                // The plan line is pub/sub-mode diagnostics; a single
-                // query keeps the single-query stats shape.
+                // Per-run records as their row tables: the rows --metrics
+                // prints, machines per query instead of summed.
+                let stream = StreamStats {
+                    elements: output.elements,
+                    text_nodes: output.text_nodes,
+                    events: output.events,
+                };
+                eprintln!("stream:     {}", stream.summary());
+                // The plan line is pub/sub-mode diagnostics.
                 if prefixed {
                     eprintln!("plan:       {}", output.plan.summary());
                 }
@@ -569,13 +499,7 @@ fn main() -> ExitCode {
     }
     let telemetry =
         if opts.telemetry_requested() { Telemetry::enabled() } else { Telemetry::disabled() };
-    // Profiling lives on the pub/sub engine, which — like `--shards` —
-    // is output-transparent for a single query.
-    if trees.len() == 1 && opts.shards == 1 && !opts.profiling_requested() {
-        run_single(&opts, &trees[0], &telemetry)
-    } else {
-        run_multi(&opts, &trees, &telemetry)
-    }
+    run_multi(&opts, &trees, &telemetry)
 }
 
 #[cfg(test)]
@@ -605,12 +529,12 @@ mod tests {
                 assert!(FLAGS.contains(&word), "help mentions {word}, which FLAGS lacks");
             }
         }
-        assert_eq!(FLAGS.len(), 15, "13 options, two of them with a short spelling");
+        assert_eq!(FLAGS.len(), 14, "12 options, two of them with a short spelling");
     }
 
     #[test]
     fn removed_flags_are_unknown_options() {
-        // The last three are spelled in halves (and kept out of variable
+        // The last four are spelled in halves (and kept out of variable
         // names): CI greps the sources for the deleted flags' names and
         // must find nothing.
         for flag in [
@@ -621,6 +545,7 @@ mod tests {
             concat!("--parse", "-threads"),
             concat!("--prefix", "-sharing"),
             concat!("--eag", "er"),
+            concat!("--heart", "beat"),
         ] {
             let err = parse(&[flag, "2", "//a"]).err().expect("rejected");
             assert_eq!(err, CliError::UnknownFlag(flag.to_string()));
@@ -633,10 +558,6 @@ mod tests {
         for (args, expected) in [
             (&["--shards", "x", "//a"][..], "vitex: --shards expects a positive integer, got 'x'"),
             (&["--shards", "0", "//a"], "vitex: --shards expects a positive integer, got '0'"),
-            (
-                &["//a", "--heartbeat", "0"],
-                "vitex: --heartbeat expects a positive number of seconds, got '0'",
-            ),
             (&["-e"], "vitex: -e expects a query, got nothing"),
             (&["//a", "--metrics-json"], "vitex: --metrics-json expects a path, got nothing"),
         ] {

@@ -14,7 +14,7 @@ mod common;
 
 use common::{pinned_queries_with_hog, query_set};
 use vitex::core::telemetry::{trace_json, ProfileSnapshot, Telemetry};
-use vitex::core::{evaluate_reader, MultiOutput, ShardedEngine};
+use vitex::core::{evaluate_reader, MachineStats, MultiOutput, ShardedEngine, StreamStats};
 use vitex::xmlgen::auction::{self, AuctionConfig};
 use vitex::xmlgen::random::{self, RandomConfig};
 use vitex::xmlsax::XmlReader;
@@ -88,18 +88,141 @@ fn stream_and_match_counters_equal_per_query_engine_totals() {
 
 #[test]
 fn snapshot_round_trips_engine_output() {
+    // Every deterministic row of the snapshot is a row of the records the
+    // engine returned: the stream counts, the subscriptions' machine
+    // statistics summed, the plan statistics, and the match count.
     let xml = random::to_string(&RandomConfig::seeded(21));
     let trees = query_set(4);
     let (out, telemetry) = run_config(&trees, &xml, 4);
     let snapshot = telemetry.snapshot().expect("enabled");
-    assert_eq!(snapshot.counter("vitex_stream_events_total"), Some(out.events));
-    assert_eq!(snapshot.counter("vitex_stream_elements_total"), Some(out.elements));
-    assert_eq!(snapshot.counter("vitex_stream_text_nodes_total"), Some(out.text_nodes));
-    let total: u64 = out.matches.iter().map(|m| m.len() as u64).sum();
-    assert_eq!(snapshot.counter("vitex_matches_total"), Some(total));
-    let pushes: u64 = out.stats.iter().map(|s| s.pushes).sum();
-    assert_eq!(snapshot.counter("vitex_machine_pushes_total"), Some(pushes));
-    assert_eq!(snapshot.counter("vitex_plan_queries"), Some(out.plan.queries));
+    let stream =
+        StreamStats { elements: out.elements, text_nodes: out.text_nodes, events: out.events };
+    let mut machines = MachineStats::default();
+    out.stats.iter().for_each(|s| machines.add(s));
+    assert!(machines.pushes > 0 && out.plan.prefix_forks > 0, "the run did something");
+    let matched: u64 = out.matches.iter().map(|m| m.len() as u64).sum();
+    let expected: Vec<(&str, u64)> = (stream.rows().into_iter())
+        .chain([("vitex_matches_total", matched)])
+        .chain(machines.rows())
+        .chain(out.plan.rows())
+        .collect();
+    assert_eq!(snapshot.deterministic_counters(), expected);
+}
+
+/// The deterministic section of `vitex.metrics.v1`, in export order. A
+/// literal on purpose: adding, renaming or reordering a row is a schema
+/// change, and must show up here.
+const DETERMINISTIC_NAMES: [&str; 27] = [
+    "vitex_stream_events_total",
+    "vitex_stream_elements_total",
+    "vitex_stream_text_nodes_total",
+    "vitex_matches_total",
+    "vitex_machine_pushes_total",
+    "vitex_machine_pops_total",
+    "vitex_machine_flag_propagations_total",
+    "vitex_machine_predicate_evals_total",
+    "vitex_machine_dispatch_hits_total",
+    "vitex_machine_candidates_created_total",
+    "vitex_machine_candidates_forwarded_total",
+    "vitex_machine_candidates_discarded_total",
+    "vitex_machine_emitted_total",
+    "vitex_machine_duplicates_suppressed_total",
+    "vitex_machine_peak_entries_sum",
+    "vitex_machine_peak_candidates_sum",
+    "vitex_machine_peak_bytes_sum",
+    "vitex_plan_queries",
+    "vitex_plan_groups",
+    "vitex_plan_machine_nodes",
+    "vitex_plan_trie_nodes",
+    "vitex_plan_shared_trie_nodes",
+    "vitex_plan_bytes",
+    "vitex_prefix_steps_executed_total",
+    "vitex_prefix_steps_saved_total",
+    "vitex_prefix_forks_total",
+    "vitex_prefix_stack_bytes_peak",
+];
+
+#[test]
+fn deterministic_export_names_and_order_are_pinned() {
+    let snapshot = Telemetry::enabled().snapshot().expect("enabled");
+    let names: Vec<&str> = snapshot.deterministic_counters().iter().map(|(n, _)| *n).collect();
+    assert_eq!(names, DETERMINISTIC_NAMES);
+    // The deterministic rows lead the counter section, as they always have.
+    assert!(snapshot.counters[..names.len()].iter().all(|c| c.deterministic));
+    assert!(snapshot.counters[names.len()..].iter().all(|c| !c.deterministic));
+}
+
+#[test]
+fn every_exported_name_is_in_the_readme_glossary() {
+    // ROADMAP 4(c), enforced: a metric the README does not explain — by
+    // its own name or by its family (`vitex_<family>_*`) — has no reader.
+    let readme = include_str!("../README.md");
+    let snapshot = Telemetry::enabled().snapshot().expect("enabled");
+    let names = (snapshot.counters.iter().map(|c| c.name))
+        .chain(snapshot.gauges.iter().map(|g| g.name))
+        .chain(snapshot.histograms.iter().map(|h| h.name));
+    let mut count = 0;
+    for name in names {
+        count += 1;
+        // `vitex_*` itself is how the glossary introduces the namespace,
+        // not a family: a family names at least one word after it.
+        let mut families =
+            name.match_indices('_').skip(1).map(|(i, _)| format!("`{}*`", &name[..=i]));
+        let documented =
+            readme.contains(&format!("`{name}`")) || families.any(|f| readme.contains(&f));
+        assert!(documented, "{name} is exported but the README glossary does not mention it");
+    }
+    assert_eq!(count, 40, "35 counters, 3 gauges, 2 histograms");
+}
+
+#[test]
+fn plan_rows_of_a_session_are_levels_not_sums() {
+    // The plan's shape is a level — after three documents of a session
+    // there are still k subscriptions — and the trie's stack bytes are a
+    // peak; only the step counters accumulate. Same bytes at 1 and 2
+    // shards.
+    let trees = query_set(5);
+    let docs: Vec<String> =
+        [11u64, 42, 7].iter().map(|&seed| random::to_string(&RandomConfig::seeded(seed))).collect();
+    let mut reference: Option<String> = None;
+    for shards in [1, 2] {
+        let telemetry = Telemetry::enabled();
+        let mut engine = ShardedEngine::new(shards);
+        engine.set_telemetry(telemetry.clone());
+        for tree in &trees {
+            engine.add_tree(tree).expect("registrable");
+        }
+        let outs = engine
+            .session(|session| {
+                docs.iter()
+                    .map(|xml| session.run_document(XmlReader::from_str(xml), |_, _| {}))
+                    .collect::<Result<Vec<_>, _>>()
+            })
+            .expect("session");
+        let snapshot = telemetry.snapshot().expect("enabled");
+        let row = |name| snapshot.counter(name).expect(name);
+        let last = &outs[2].plan;
+        assert_eq!(row("vitex_plan_queries"), trees.len() as u64, "{shards} shard(s)");
+        assert_eq!(row("vitex_plan_groups"), engine.group_count() as u64);
+        assert_eq!(row("vitex_plan_machine_nodes"), last.machine_nodes);
+        assert_eq!(row("vitex_plan_trie_nodes"), last.trie_nodes);
+        assert_eq!(row("vitex_plan_shared_trie_nodes"), last.shared_trie_nodes);
+        assert_eq!(row("vitex_plan_bytes"), last.plan_bytes);
+        assert_eq!(
+            row("vitex_prefix_stack_bytes_peak"),
+            outs.iter().map(|o| o.plan.prefix_stack_bytes).max().unwrap()
+        );
+        assert_eq!(
+            row("vitex_prefix_steps_executed_total"),
+            outs.iter().map(|o| o.plan.prefix_steps_executed).sum::<u64>()
+        );
+        assert_eq!(row("vitex_stream_events_total"), outs.iter().map(|o| o.events).sum::<u64>());
+        let json = snapshot.deterministic_json();
+        match &reference {
+            None => reference = Some(json),
+            Some(r) => assert_eq!(&json, r, "byte-identical at 1 and 2 shards"),
+        }
+    }
 }
 
 #[test]
@@ -222,7 +345,7 @@ fn profile_ranking_is_stable_across_shard_counts() {
     ] {
         let rank = |shards: usize| -> Vec<(usize, u64)> {
             let snap = run_profiled(&trees, &xml, shards);
-            snap.top_queries(trees.len()).iter().map(|q| (q.id, q.work())).collect()
+            snap.top_queries(trees.len()).iter().map(|q| (q.id, q.machine.work())).collect()
         };
         let reference = rank(1);
         assert!(!reference.is_empty());
@@ -248,7 +371,7 @@ fn sampled_self_time_is_billed_on_both_lanes() {
     let mut reference: Option<String> = None;
     for &shards in SHARDS {
         let snap = run_profiled(&trees, &xml, shards);
-        let touches: u64 = snap.groups.iter().map(|g| g.pushes + g.pops).sum();
+        let touches: u64 = snap.groups.iter().map(|g| g.machine.pushes + g.machine.pops).sum();
         assert!(touches > 8 * 1024, "{touches} pushes + pops: too short a document to sample");
         if shards <= 2 {
             let self_ns: u64 = snap.groups.iter().map(|g| g.self_ns).sum();
@@ -278,7 +401,7 @@ fn profile_accumulates_across_session_documents() {
     assert_eq!(snap.docs, 2);
     assert_eq!(snap.queries.len(), 1);
     assert_eq!(snap.queries[0].matches, 3, "2 matches from doc 1 + 1 from doc 2");
-    assert!(snap.queries[0].pushes >= 3);
+    assert!(snap.queries[0].machine.pushes >= 3);
 }
 
 #[test]
