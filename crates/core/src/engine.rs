@@ -81,12 +81,13 @@ impl Engine {
     }
 
     /// Streams `reader` through the machine, invoking `on_match` for every
-    /// solution the moment it becomes decidable. Resets the machine first,
-    /// so an engine can be reused across documents.
+    /// solution the moment it becomes decidable, and keeps a copy of each
+    /// for [`EvalOutput::matches`]. Resets the machine first, so an engine
+    /// can be reused across documents.
     pub fn run<E: EventSource, F: FnMut(Match)>(
         &mut self,
         reader: E,
-        on_match: F,
+        mut on_match: F,
     ) -> EngineResult<EvalOutput> {
         self.machine.reset();
         self.store.reset();
@@ -96,8 +97,10 @@ impl Engine {
                 machine: &mut self.machine,
                 store: &mut self.store,
                 interner: &self.interner,
-                matches: &mut matches,
-                on_match,
+                on_match: |m: Match| {
+                    matches.push(m.clone());
+                    on_match(m);
+                },
             };
             self.driver.run(reader, &mut sink)?
         };
@@ -126,7 +129,6 @@ struct EngineSink<'a, F: FnMut(Match)> {
     machine: &'a mut TwigM,
     store: &'a mut CandidateStore,
     interner: &'a Interner,
-    matches: &'a mut Vec<Match>,
     on_match: F,
 }
 
@@ -142,8 +144,6 @@ impl<F: FnMut(Match)> EventSink for EngineSink<'_, F> {
         node_id: NodeId,
         attr_id_base: NodeId,
     ) {
-        let matches = &mut *self.matches;
-        let on_match = &mut self.on_match;
         self.machine.start_element_interned(
             self.store,
             sym,
@@ -152,41 +152,28 @@ impl<F: FnMut(Match)> EventSink for EngineSink<'_, F> {
             node_id,
             attr_id_base,
             event.span,
-            &mut |m| {
-                matches.push(m.clone());
-                on_match(m);
-            },
+            &mut self.on_match,
         );
     }
 
     fn characters(&mut self, event: &CharactersEvent, node_id: NodeId) {
-        let matches = &mut *self.matches;
-        let on_match = &mut self.on_match;
         self.machine.characters(
             self.store,
             &event.text,
             event.level,
             node_id,
             event.span,
-            &mut |m| {
-                matches.push(m.clone());
-                on_match(m);
-            },
+            &mut self.on_match,
         );
     }
 
     fn end_element(&mut self, _sym: Option<Symbol>, event: &EndElementEvent) {
-        let matches = &mut *self.matches;
-        let on_match = &mut self.on_match;
         self.machine.end_element(
             self.store,
             event.name.as_str(),
             event.level,
             event.element_span,
-            &mut |m| {
-                matches.push(m.clone());
-                on_match(m);
-            },
+            &mut self.on_match,
         );
     }
 }

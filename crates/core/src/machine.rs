@@ -32,7 +32,9 @@
 //! * **emission** — candidates on a satisfied entry of the machine *root*
 //!   are solutions (paper: "a node matching the root of TwigM ensures that
 //!   the candidate solutions associated with it are indeed query
-//!   solutions") and are handed to the caller immediately.
+//!   solutions") and are handed to the caller's `emit` callback
+//!   immediately — the only way a solution leaves: neither the machine
+//!   nor anything between it and the API edge keeps a copy.
 //!
 //! ## Representation: instance, payload, store
 //!

@@ -43,7 +43,11 @@
 //! order, a frame stack lets an end tag touch exactly the machines its
 //! start tag pushed (an untouched machine has nothing to pop), and text
 //! goes to exactly the machines holding an open entry that reads text
-//! (any other text consumer is idle). The apply step is written once:
+//! (any other text consumer is idle). Every solution leaves through the
+//! caller's callback and nowhere else (`fan_out_match`);
+//! [`MultiOutput::matches`] is one collecting adapter around a streamed
+//! document, at the API edge ([`ShardSession::run_document`]). The apply
+//! step is written once:
 //! the session's *direct lane* runs the engine's own over the live
 //! groups, keyed by group id, on the calling thread — that is all
 //! [`MultiEngine::run`] is, a one-document direct-lane session — and
@@ -77,6 +81,7 @@ use crate::result::{Match, NodeId};
 use crate::shard::admit::WalkScratch;
 use crate::shard::ShardSession;
 use crate::stats::{MachineStats, PlanStats, StreamStats};
+use crate::telemetry::profile::match_bytes;
 use crate::telemetry::{CostLedger, Telemetry};
 
 pub use crate::result::QueryId;
@@ -85,7 +90,8 @@ pub use crate::result::QueryId;
 #[derive(Debug, Clone)]
 pub struct MultiOutput {
     /// Matches per query, in emission order (indexed by [`QueryId`];
-    /// removed queries keep an empty slot).
+    /// removed queries keep an empty slot). Empty when the document was
+    /// streamed ([`ShardSession::stream_document`]).
     pub matches: Vec<Vec<Match>>,
     /// Machine statistics per query (indexed by [`QueryId`]). Queries
     /// deduplicated into one plan group share a machine and therefore
@@ -360,14 +366,15 @@ pub(crate) struct GroupFacts<'a> {
     pub(crate) stats: &'a MachineStats,
     /// Sampled machine self-time this document (zero unless profiling).
     pub(crate) self_ns: u64,
+    /// Payload bytes of the solutions the group's machine emitted this
+    /// document (zero unless profiling).
+    pub(crate) emitted_bytes: u64,
 }
 
 /// One fully streamed document, as the session hands it to
 /// [`finish_document`].
 pub(crate) struct FinishedDocument<'a> {
     pub(crate) records: &'a [QueryRecord],
-    /// Matches per registration record, in delivery order.
-    pub(crate) matches: Vec<Vec<Match>>,
     pub(crate) stream: StreamStats,
     pub(crate) plan: PlanStats,
     /// Trie pushes billed per routed group (gid-indexed; empty unless
@@ -391,7 +398,7 @@ pub(crate) fn finish_document<'g>(
     group_slots: usize,
     group: impl Fn(usize) -> GroupFacts<'g>,
 ) -> MultiOutput {
-    let FinishedDocument { records, matches, stream, plan, shared_steps, holds } = doc;
+    let FinishedDocument { records, stream, plan, shared_steps, holds } = doc;
     let stats: Vec<MachineStats> = records
         .iter()
         .map(|r| match r.group {
@@ -402,13 +409,15 @@ pub(crate) fn finish_document<'g>(
     if telemetry.is_enabled() {
         let mut total = MachineStats::default();
         stats.iter().for_each(|s| total.add(s));
-        let matched = matches.iter().map(|m| m.len() as u64).sum();
-        telemetry.fold_document(&stream, &total, Some(&plan), matched);
+        // A machine counts `emitted` where a solution leaves it, and each
+        // subscriber of its group is delivered every one.
+        telemetry.fold_document(&stream, &total, Some(&plan), total.emitted);
     }
     if let Some(profile) = profile {
         profile.add_doc();
         for (i, r) in records.iter().enumerate() {
-            profile.fold_query(QueryId(i), &r.text, r.group, &stats[i], &matches[i]);
+            let emitted_bytes = r.group.map_or(0, |gid| group(gid).emitted_bytes);
+            profile.fold_query(QueryId(i), &r.text, r.group, &stats[i], emitted_bytes);
         }
         for gid in 0..group_slots {
             let g = group(gid);
@@ -425,7 +434,7 @@ pub(crate) fn finish_document<'g>(
         }
     }
     MultiOutput {
-        matches,
+        matches: Vec::new(),
         stats,
         plan,
         elements: stream.elements,
@@ -457,24 +466,21 @@ pub(crate) struct ShardParts<'a> {
     pub(crate) profile: Option<&'a mut CostLedger>,
 }
 
-/// Fans one solution out to a group's subscribers in registration order:
-/// buffer push then callback per subscriber, the last subscriber taking
-/// the hit by value so a single-subscriber group clones exactly once (as
-/// the pre-planner engine did). This is the **one** fan-out in the
-/// system — the direct lane's emitter and the ring lane's merge both end
-/// here, which keeps the two delivery orders identical by construction.
+/// Fans one solution out to a group's subscribers in registration order,
+/// the last subscriber taking the hit by value so a single-subscriber
+/// group never clones. This is the **one** fan-out in the system — the
+/// direct lane's emitter and the ring lane's merge both end here, which
+/// keeps the two delivery orders identical by construction — and the
+/// callback the only place a match goes.
 pub(crate) fn fan_out_match<F: FnMut(QueryId, Match)>(
     subscribers: &[QueryId],
-    matches: &mut [Vec<Match>],
     on_match: &mut F,
     hit: Match,
 ) {
     let (&last, rest) = subscribers.split_last().expect("active group has a subscriber");
     for &sub in rest {
-        matches[sub.0].push(hit.clone());
         on_match(sub, hit.clone());
     }
-    matches[last.0].push(hit.clone());
     on_match(last, hit);
 }
 
@@ -540,26 +546,44 @@ pub(crate) struct StartTag<'a> {
 /// document and measures ~3%).
 const SELF_SAMPLE: u64 = 1024;
 
-/// Sampled per-slot machine self-time (cost attribution; a session
-/// switches it on for whichever lane runs while profiling, otherwise it is
-/// one predictable branch per touch).
+/// Per-slot cost attribution: sampled machine self-time and the payload
+/// bytes of emitted solutions (a session switches it on for whichever lane
+/// runs while profiling, otherwise it is one predictable branch per touch).
 #[derive(Debug, Default)]
 struct SelfTimer {
     on: bool,
     touches: u64,
     /// Scaled-up sampled nanoseconds per slot, this document.
     ns: Vec<u64>,
+    /// Payload bytes of the solutions each slot emitted this document —
+    /// the ledger's `emitted_bytes`, tallied where a solution leaves its
+    /// machine.
+    emitted_bytes: Vec<u64>,
 }
 
 impl SelfTimer {
+    /// Runs one machine `touch`, handing it the slot's emit closure: the
+    /// lane's `emit`, after the byte tally while that is on.
     #[inline]
-    fn time<R>(&mut self, slot: u32, touch: impl FnOnce() -> R) -> R {
+    fn time<R>(
+        &mut self,
+        slot: u32,
+        subscribers: &[QueryId],
+        emit: &mut impl FnMut(u32, &[QueryId], Match),
+        touch: impl FnOnce(&mut dyn FnMut(Match)) -> R,
+    ) -> R {
         let sampled = self.on && {
             self.touches += 1;
             self.touches.is_multiple_of(SELF_SAMPLE)
         };
         let t0 = sampled.then(Instant::now);
-        let r = touch();
+        let mut bytes = self.emitted_bytes.get_mut(slot as usize);
+        let r = touch(&mut |hit| {
+            if let Some(bytes) = &mut bytes {
+                **bytes += match_bytes(&hit);
+            }
+            emit(slot, subscribers, hit)
+        });
         if let Some(t0) = t0 {
             self.ns[slot as usize] += t0.elapsed().as_nanos() as u64 * SELF_SAMPLE;
         }
@@ -609,20 +633,30 @@ impl Executor {
         self.text_live.clear();
         self.store.reset();
         self.timer.ns.fill(0);
+        self.timer.emitted_bytes.fill(0);
     }
 
-    /// Switches self-time sampling on or off for `slots` group slots
-    /// (off keeps no per-slot table).
+    /// Switches cost attribution — self-time sampling and the
+    /// emitted-bytes tally — on or off for `slots` group slots (off keeps
+    /// no per-slot table).
     pub(crate) fn sample_self_time(&mut self, on: bool, slots: usize) {
         self.timer.on = on;
-        self.timer.ns.clear();
-        self.timer.ns.resize(if on { slots } else { 0 }, 0);
+        for table in [&mut self.timer.ns, &mut self.timer.emitted_bytes] {
+            table.clear();
+            table.resize(if on { slots } else { 0 }, 0);
+        }
     }
 
     /// Sampled self-time (ns) of `slot`'s machine this document (zero
     /// unless sampling is on).
     pub(crate) fn self_ns(&self, slot: usize) -> u64 {
         self.timer.ns.get(slot).copied().unwrap_or(0)
+    }
+
+    /// Payload bytes `slot`'s machine emitted this document (zero unless
+    /// profiling).
+    pub(crate) fn emitted_bytes(&self, slot: usize) -> u64 {
+        self.timer.emitted_bytes.get(slot).copied().unwrap_or(0)
     }
 
     /// `startElement`: expands the trie's `pushes` along `routes` into
@@ -655,7 +689,7 @@ impl Executor {
         merge_prefix_targets(plans, pred_slots, main_scratch, frame_slots, |slot, main, preds| {
             let (machine, subscribers) =
                 groups[slot as usize].borrow_mut().machine_and_subscribers();
-            let pushes = timer.time(slot, || {
+            let pushes = timer.time(slot, subscribers, &mut emit, |out| {
                 machine.start_element_prefix(
                     store,
                     main,
@@ -666,7 +700,7 @@ impl Executor {
                     tag.node_id,
                     tag.attr_id_base,
                     tag.span,
-                    &mut |hit| emit(slot, subscribers, hit),
+                    out,
                 )
             });
             if pushes > 0 && machine.text_live() {
@@ -693,10 +727,8 @@ impl Executor {
         text_live.for_each(|slot| {
             let (machine, subscribers) = groups[slot].borrow_mut().machine_and_subscribers();
             let slot = slot as u32;
-            timer.time(slot, || {
-                machine.characters(store, text, level, node_id, span, &mut |hit| {
-                    emit(slot, subscribers, hit)
-                })
+            timer.time(slot, subscribers, &mut emit, |out| {
+                machine.characters(store, text, level, node_id, span, out)
             });
         });
     }
@@ -715,10 +747,8 @@ impl Executor {
         for &slot in &self.frame_slots[base..] {
             let (machine, subscribers) =
                 groups[slot as usize].borrow_mut().machine_and_subscribers();
-            self.timer.time(slot, || {
-                machine.end_element(&mut self.store, name, level, element_span, &mut |hit| {
-                    emit(slot, subscribers, hit)
-                })
+            self.timer.time(slot, subscribers, &mut emit, |out| {
+                machine.end_element(&mut self.store, name, level, element_span, out)
             });
             if !machine.text_live() {
                 self.text_live.remove(slot as usize);

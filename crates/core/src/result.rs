@@ -95,12 +95,6 @@ impl fmt::Display for Match {
     }
 }
 
-/// Sorts matches into document order (engine emission order is completion
-/// order, which is generally different).
-pub fn sort_document_order(matches: &mut [Match]) {
-    matches.sort_by_key(|m| m.node);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,14 +108,6 @@ mod tests {
             value: None,
             level: 1,
         }
-    }
-
-    #[test]
-    fn sorting_orders_by_node_id() {
-        let mut ms = vec![m(5), m(1), m(3)];
-        sort_document_order(&mut ms);
-        let ids: Vec<NodeId> = ms.iter().map(|m| m.node).collect();
-        assert_eq!(ids, [1, 3, 5]);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!
 //! A session freezes the subscription set (it mutably borrows the engine)
 //! and streams any number of documents back-to-back through
-//! [`ShardSession::run_document`] without re-planning — the
+//! [`ShardSession::stream_document`] without re-planning — the
 //! document-collections workload, where keeping workers warm is what
 //! makes threads pay. Registration churn (`add_query` / `remove_query`)
 //! happens between sessions; the partition is recomputed over the
@@ -31,6 +31,17 @@
 //! asks the walk first and hands what it admits to the lane, poisoning,
 //! the plan-statistics derivation and the epilogue
 //! (`crate::multi::finish_document`).
+//!
+//! ## One door out
+//!
+//! A match leaves through the caller's callback and nowhere else: both
+//! lanes end in `crate::multi::fan_out_match`, and what telemetry and the
+//! ledger report about matches is counted where a solution leaves its
+//! machine (`MachineStats::emitted`; payload bytes by the executor). So
+//! [`ShardSession::stream_document`], the primitive, holds nothing per
+//! match (the `vitex` CLI is built on it), and buffering is **one**
+//! collecting adapter around it, [`ShardSession::run_document`], which
+//! [`MultiEngine::run`] and [`ShardedEngine::run`] go through.
 //!
 //! ## The two lanes
 //!
@@ -80,13 +91,13 @@ pub(crate) mod merge;
 pub(crate) mod place;
 pub(crate) mod worker;
 
+use std::ops::{Deref, DerefMut};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::thread;
 
 use vitex_xmlsax::event::{CharactersEvent, EndElementEvent, StartElementEvent};
 use vitex_xmlsax::EventSource;
-use vitex_xpath::query_tree::QueryTree;
 
 use crate::driver::{DocumentDriver, EventSink};
 use crate::error::{EngineError, EngineResult};
@@ -118,10 +129,11 @@ const RING_BATCHES: usize = 8;
 /// A multi-query engine that executes plan groups on up to `N` worker
 /// threads.
 ///
-/// The registration surface mirrors [`MultiEngine`] (it *is* one
-/// underneath); only execution differs. See the module docs for the
-/// architecture and [`ShardedEngine::session`] for streaming several
-/// documents through warm workers.
+/// It dereferences to the [`MultiEngine`] it runs — registration,
+/// telemetry and profiling are that engine's methods; only execution
+/// differs. See the module docs for the architecture and
+/// [`ShardedEngine::session`] for streaming several documents through
+/// warm workers.
 pub struct ShardedEngine {
     multi: MultiEngine,
     shards: usize,
@@ -175,69 +187,6 @@ impl ShardedEngine {
     /// The configured worker count.
     pub fn shards(&self) -> usize {
         self.shards
-    }
-
-    /// The wrapped multi-query engine, for registration-surface calls not
-    /// mirrored here.
-    pub fn engine(&self) -> &MultiEngine {
-        &self.multi
-    }
-
-    /// Registers a query; returns its handle.
-    pub fn add_query(&mut self, query: &str) -> EngineResult<QueryId> {
-        self.multi.add_query(query)
-    }
-
-    /// Registers an already-built query tree.
-    pub fn add_tree(&mut self, tree: &QueryTree) -> EngineResult<QueryId> {
-        self.multi.add_tree(tree)
-    }
-
-    /// Unregisters a query (see [`MultiEngine::remove_query`]).
-    pub fn remove_query(&mut self, id: QueryId) -> Option<bool> {
-        self.multi.remove_query(id)
-    }
-
-    /// Active subscription count.
-    pub fn len(&self) -> usize {
-        self.multi.len()
-    }
-
-    /// Whether no subscription is active.
-    pub fn is_empty(&self) -> bool {
-        self.multi.is_empty()
-    }
-
-    /// Active plan-group (machine) count.
-    pub fn group_count(&self) -> usize {
-        self.multi.group_count()
-    }
-
-    /// Plan-level statistics for the current subscription set.
-    pub fn plan_stats(&self) -> PlanStats {
-        self.multi.plan_stats()
-    }
-
-    /// Attaches a telemetry handle. Beyond the counters every session
-    /// records, ring-lane runs record ring occupancy/stalls, worker busy
-    /// time, per-batch shard spans, and the merge hold depth.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.multi.set_telemetry(telemetry);
-    }
-
-    /// Enables (or disables) per-subscription cost attribution (see
-    /// [`MultiEngine::set_profiling`]). Every group is additionally billed
-    /// its sampled machine self-time and the shared trie steps taken on
-    /// its behalf; ring-lane runs add merge hold latency.
-    pub fn set_profiling(&mut self, on: bool) {
-        self.multi.set_profiling(on);
-    }
-
-    /// Snapshot of the cost ledger — deterministic per-query counters
-    /// plus per-group diagnostics (self-time, shared steps, merge holds).
-    /// `None` when profiling is disabled.
-    pub fn group_costs(&self) -> Option<crate::telemetry::ProfileSnapshot> {
-        self.multi.profile_snapshot()
     }
 
     /// Streams one document; a one-document [`ShardedEngine::session`].
@@ -297,6 +246,20 @@ impl ShardedEngine {
             let _close_on_exit = CloseRings(&rings);
             f(&mut session)
         })
+    }
+}
+
+impl Deref for ShardedEngine {
+    type Target = MultiEngine;
+
+    fn deref(&self) -> &MultiEngine {
+        &self.multi
+    }
+}
+
+impl DerefMut for ShardedEngine {
+    fn deref_mut(&mut self) -> &mut MultiEngine {
+        &mut self.multi
     }
 }
 
@@ -413,14 +376,33 @@ impl<'a> ShardSession<'a> {
         }
     }
 
-    /// Streams one document through the session and returns the
-    /// [`MultiOutput`] — matches, per-query statistics, plan and stream
-    /// counters — that [`MultiEngine::run`] produces for this
-    /// subscription set, whatever the lane. `on_match` fires on the
-    /// calling thread, in emission order, while the document is still
-    /// streaming (on the ring lane held back only by the merge
-    /// watermarks).
+    /// [`ShardSession::stream_document`] behind the **one** collecting
+    /// adapter: each delivered match is also copied into the returned
+    /// [`MultiOutput`]'s `matches` (per query, in delivery order), which
+    /// therefore grows with their number.
     pub fn run_document<E: EventSource, F: FnMut(QueryId, Match)>(
+        &mut self,
+        reader: E,
+        mut on_match: F,
+    ) -> EngineResult<MultiOutput> {
+        let mut matches = vec![Vec::new(); self.records.len()];
+        let mut out = self.stream_document(reader, |query, hit| {
+            matches[query.0].push(hit.clone());
+            on_match(query, hit);
+        })?;
+        out.matches = matches;
+        Ok(out)
+    }
+
+    /// Streams one document through the session and returns the
+    /// [`MultiOutput`] — per-query statistics, plan and stream counters —
+    /// that [`MultiEngine::run`] produces for this subscription set,
+    /// whatever the lane, with `matches` left empty: `on_match` is the
+    /// only way a match leaves. It fires on the calling thread, in
+    /// emission order, while the document is still streaming (on the ring
+    /// lane held back only by the merge watermarks), and nothing is kept
+    /// once it returns.
+    pub fn stream_document<E: EventSource, F: FnMut(QueryId, Match)>(
         &mut self,
         reader: E,
         mut on_match: F,
@@ -431,12 +413,11 @@ impl<'a> ShardSession<'a> {
         let telemetry = self.driver.telemetry();
         self.lane.begin_document();
         self.admission.begin_document(if self.profile.is_some() { self.group_slots } else { 0 });
-        let mut matches: Vec<Vec<Match>> = self.records.iter().map(|_| Vec::new()).collect();
         let mut sink = SessionSink {
             interner: self.interner,
             walk: &mut self.admission,
             lane: &mut self.lane,
-            out: Delivery { matches: &mut matches, on_match: &mut on_match },
+            on_match: &mut on_match,
             ended: false,
         };
         let stream = self.driver.run(reader, &mut sink);
@@ -451,7 +432,7 @@ impl<'a> ShardSession<'a> {
         // did); the merge held back `holds`.
         let mut holds = Vec::new();
         if let Lane::Ring(r) = sink.lane {
-            self.poisoned = r.await_doc_end(&mut sink.out);
+            self.poisoned = r.await_doc_end(sink.on_match);
             if let Some(shard) = self.poisoned {
                 return Err(poison_error(shard));
             }
@@ -471,7 +452,6 @@ impl<'a> ShardSession<'a> {
         let out = finish_document(
             FinishedDocument {
                 records: self.records,
-                matches,
                 stream,
                 plan,
                 shared_steps: self.admission.shared_steps(),
@@ -517,19 +497,6 @@ impl<'a> ShardSession<'a> {
             repartitions: self.repartitions,
             last_imbalance_millis: self.last_imbalance,
         }
-    }
-}
-
-/// Where delivered matches go — the per-record buffers and the caller's
-/// callback — through the one fan-out.
-struct Delivery<'s, F> {
-    matches: &'s mut [Vec<Match>],
-    on_match: &'s mut F,
-}
-
-impl<F: FnMut(QueryId, Match)> Delivery<'_, F> {
-    fn deliver(&mut self, subscribers: &[QueryId], hit: Match) {
-        fan_out_match(subscribers, self.matches, self.on_match, hit);
     }
 }
 
@@ -580,6 +547,7 @@ impl Lane<'_> {
                     subscribers: g.subscribers().len() as u64,
                     stats: g.machine().stats(),
                     self_ns: exec.self_ns(gid),
+                    emitted_bytes: exec.emitted_bytes(gid),
                 }
             }
             Lane::Ring(r) => GroupFacts {
@@ -587,6 +555,7 @@ impl Lane<'_> {
                 subscribers: r.subscribers[gid].len() as u64,
                 stats: &r.doc.groups[gid].stats,
                 self_ns: r.doc.groups[gid].self_ns,
+                emitted_bytes: r.doc.groups[gid].emitted_bytes,
             },
         }
     }
@@ -601,7 +570,7 @@ struct SessionSink<'s, 'a, F> {
     interner: &'a Interner,
     walk: &'s mut Admission<'a>,
     lane: &'s mut Lane<'a>,
-    out: Delivery<'s, F>,
+    on_match: &'s mut F,
     ended: bool,
 }
 
@@ -623,7 +592,9 @@ impl<F: FnMut(QueryId, Match)> EventSink for SessionSink<'_, '_, F> {
         match self.lane {
             Lane::Direct { groups, exec } => {
                 let tag = StartTag { sym, level, attributes, node_id, attr_id_base, span };
-                let emit = |_, subscribers: &[QueryId], hit| self.out.deliver(subscribers, hit);
+                let emit = |_, subscribers: &[QueryId], hit| {
+                    fan_out_match(subscribers, self.on_match, hit)
+                };
                 exec.start(&mut groups[..], walk.index(), walk.routes(), walk.pushes(), &tag, emit);
             }
             Lane::Ring(r) => {
@@ -642,7 +613,7 @@ impl<F: FnMut(QueryId, Match)> EventSink for SessionSink<'_, '_, F> {
                     span,
                     pushes,
                 };
-                r.ship(seq, event, &mut self.out);
+                r.ship(seq, event, self.on_match);
             }
         }
     }
@@ -652,12 +623,14 @@ impl<F: FnMut(QueryId, Match)> EventSink for SessionSink<'_, '_, F> {
         let (text, level, span) = (event.text.as_str(), event.level, event.span);
         match self.lane {
             Lane::Direct { groups, exec } => {
-                let emit = |_, subscribers: &[QueryId], hit| self.out.deliver(subscribers, hit);
+                let emit = |_, subscribers: &[QueryId], hit| {
+                    fan_out_match(subscribers, self.on_match, hit)
+                };
                 exec.text(&mut groups[..], text, level, node_id, span, emit);
             }
             Lane::Ring(r) => {
                 let event = ShardEvent::Text { seq, text: text.into(), level, node_id, span };
-                r.ship(seq, event, &mut self.out);
+                r.ship(seq, event, self.on_match);
             }
         }
     }
@@ -667,12 +640,14 @@ impl<F: FnMut(QueryId, Match)> EventSink for SessionSink<'_, '_, F> {
         let (name, level, element_span) = (event.name.as_str(), event.level, event.element_span);
         match self.lane {
             Lane::Direct { groups, exec } => {
-                let emit = |_, subscribers: &[QueryId], hit| self.out.deliver(subscribers, hit);
+                let emit = |_, subscribers: &[QueryId], hit| {
+                    fan_out_match(subscribers, self.on_match, hit)
+                };
                 exec.end(&mut groups[..], name, level, element_span, emit);
             }
             Lane::Ring(r) => {
                 let event = ShardEvent::End { seq, name: name.into(), level, element_span };
-                r.ship(seq, event, &mut self.out);
+                r.ship(seq, event, self.on_match);
             }
         }
     }
@@ -684,7 +659,7 @@ impl<F: FnMut(QueryId, Match)> EventSink for SessionSink<'_, '_, F> {
         if let Lane::Ring(r) = self.lane {
             let seq = self.walk.seq();
             r.batch.push(ShardEvent::DocEnd { seq });
-            r.flush(seq, &mut self.out);
+            r.flush(seq, self.on_match);
         }
         self.ended = true;
     }
@@ -801,15 +776,10 @@ impl<'a> RingLane<'a> {
     }
 
     /// Queues one admitted event (sequence number `seq`) for broadcast.
-    fn ship<F: FnMut(QueryId, Match)>(
-        &mut self,
-        seq: u64,
-        event: ShardEvent,
-        out: &mut Delivery<'_, F>,
-    ) {
+    fn ship<F: FnMut(QueryId, Match)>(&mut self, seq: u64, event: ShardEvent, on_match: &mut F) {
         self.batch.push(event);
         if self.batch.len() >= EVENT_BATCH {
-            self.flush(seq, out);
+            self.flush(seq, on_match);
         }
     }
 
@@ -818,7 +788,7 @@ impl<'a> RingLane<'a> {
     /// folds in whatever worker reports have already arrived, without
     /// blocking, so merged matches stream to the caller while the
     /// document is still being read.
-    fn flush<F: FnMut(QueryId, Match)>(&mut self, through: u64, out: &mut Delivery<'_, F>) {
+    fn flush<F: FnMut(QueryId, Match)>(&mut self, through: u64, on_match: &mut F) {
         if self.batch.is_empty() {
             return;
         }
@@ -829,19 +799,16 @@ impl<'a> RingLane<'a> {
         }
         self.batch.reserve(EVENT_BATCH);
         while let Ok(report) = self.rx.try_recv() {
-            self.ingest_report(report, out);
+            self.ingest_report(report, on_match);
         }
     }
 
     /// Blocks until every shard has acknowledged `DocEnd` or the session
     /// is poisoned, delivering merged matches as they become safe.
-    fn await_doc_end<F: FnMut(QueryId, Match)>(
-        &mut self,
-        out: &mut Delivery<'_, F>,
-    ) -> Option<usize> {
+    fn await_doc_end<F: FnMut(QueryId, Match)>(&mut self, on_match: &mut F) -> Option<usize> {
         while self.doc.done < self.rings.len() && self.doc.poisoned.is_none() {
             match self.rx.recv() {
-                Ok(report) => self.ingest_report(report, out),
+                Ok(report) => self.ingest_report(report, on_match),
                 // Every worker hung up without a final report: a panic
                 // escaped containment, on an unknown shard.
                 Err(_) => self.poison(usize::MAX),
@@ -867,11 +834,7 @@ impl<'a> RingLane<'a> {
     /// cannot diverge), `DocEnd` acknowledgements into the per-group
     /// snapshots. Late reports from surviving workers draining their
     /// rings after a poisoning are dropped.
-    fn ingest_report<F: FnMut(QueryId, Match)>(
-        &mut self,
-        report: WorkerReport,
-        out: &mut Delivery<'_, F>,
-    ) {
+    fn ingest_report<F: FnMut(QueryId, Match)>(&mut self, report: WorkerReport, on_match: &mut F) {
         if report.poisoned {
             return self.poison(report.shard);
         }
@@ -887,7 +850,7 @@ impl<'a> RingLane<'a> {
         }
         self.doc.merger.push(report.shard, report.matches, report.through_seq);
         let subscribers = &self.subscribers;
-        self.doc.merger.drain(|t| out.deliver(&subscribers[t.gid as usize], t.m));
+        self.doc.merger.drain(|t| fan_out_match(&subscribers[t.gid as usize], on_match, t.m));
     }
 
     /// Post-document placement bookkeeping: measure per-shard loads under

@@ -255,6 +255,9 @@ pub(crate) struct GroupSnapshot {
     /// on [`MachineStats`] because the stats struct is asserted equal
     /// across shard configurations. Zero unless profiling is on.
     pub(crate) self_ns: u64,
+    /// Payload bytes of the solutions the group emitted (see
+    /// `Executor::emitted_bytes`). Zero unless profiling is on.
+    pub(crate) emitted_bytes: u64,
 }
 
 /// The worker entry point: runs on its own thread for the lifetime of a
@@ -431,6 +434,7 @@ fn worker_loop<'a>(
                                 stats: group.machine().stats().clone(),
                                 approx_bytes: group.approx_bytes(),
                                 self_ns: exec.self_ns(li),
+                                emitted_bytes: exec.emitted_bytes(li),
                             })
                             .collect(),
                     );

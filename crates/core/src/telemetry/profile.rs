@@ -10,9 +10,10 @@
 //! registry:
 //!
 //! * **Per-query counters** (steps, pushes, pops, predicate evaluations,
-//!   dispatch hits, matches, emitted bytes) are read off the same per-run
-//!   [`MachineStats`] the engine already reports per subscription, summed
-//!   over the documents billed. Because those stats are invariant across
+//!   dispatch hits) are read off the same per-run [`MachineStats`] the
+//!   engine already reports per subscription, summed over the documents
+//!   billed; emitted bytes are tallied by the executor as each solution
+//!   leaves its machine. Because those stats are invariant across
 //!   shard counts (the differential batteries assert it), the per-query
 //!   profile is **byte-identical** across every execution configuration —
 //!   [`ProfileSnapshot::deterministic_json`] is comparable with `==`.
@@ -101,7 +102,7 @@ pub(crate) struct CostLedger {
 /// Match payload bytes for delivery accounting: the node id plus the
 /// name/value text. A pure function of the match, so the
 /// total is deterministic wherever the match set is.
-fn match_bytes(m: &Match) -> u64 {
+pub(crate) fn match_bytes(m: &Match) -> u64 {
     8 + m.name.as_deref().map_or(0, str::len) as u64 + m.value.as_deref().map_or(0, str::len) as u64
 }
 
@@ -111,17 +112,19 @@ impl CostLedger {
         self.docs += 1;
     }
 
-    /// Fold one subscription's per-document machine stats and match
-    /// deliveries. Called once per registered query — per subscription,
-    /// not per plan group, the fold discipline the metrics registry uses —
-    /// which is what makes the per-query counters configuration-invariant.
+    /// Fold one subscription's per-document machine stats and the payload
+    /// bytes of the matches delivered to it (their number is the machine's
+    /// own `emitted`: it counts at the one place a solution leaves it).
+    /// Called once per registered query — per subscription, not per plan
+    /// group, the fold discipline the metrics registry uses — which is
+    /// what makes the per-query counters configuration-invariant.
     pub(crate) fn fold_query(
         &mut self,
         id: QueryId,
         text: &str,
         group: Option<usize>,
         stats: &MachineStats,
-        matches: &[Match],
+        emitted_bytes: u64,
     ) {
         let q = self.queries.entry(id.0).or_default();
         q.id = id.0;
@@ -130,8 +133,8 @@ impl CostLedger {
         }
         q.group = group;
         q.machine.add(stats);
-        q.matches += matches.len() as u64;
-        q.emitted_bytes += matches.iter().map(match_bytes).sum::<u64>();
+        q.matches += stats.emitted;
+        q.emitted_bytes += emitted_bytes;
     }
 
     fn group(&mut self, gid: usize) -> &mut GroupCost {
@@ -406,9 +409,10 @@ mod tests {
         let mut ledger = CostLedger::default();
         ledger.add_doc();
         ledger.add_doc();
-        let matches = vec![sample_match("cell", Some("x"))];
-        ledger.fold_query(QueryId(0), "//a", Some(0), &stats(5, 2), &matches);
-        ledger.fold_query(QueryId(0), "//a", Some(0), &stats(5, 2), &[]);
+        let one_match = MachineStats { emitted: 1, ..stats(5, 2) };
+        let bytes = match_bytes(&sample_match("cell", Some("x")));
+        ledger.fold_query(QueryId(0), "//a", Some(0), &one_match, bytes);
+        ledger.fold_query(QueryId(0), "//a", Some(0), &stats(5, 2), 0);
         let snap = ledger.snapshot();
         assert_eq!(snap.docs, 2);
         assert_eq!(snap.queries.len(), 1);
@@ -423,9 +427,9 @@ mod tests {
     #[test]
     fn ranking_is_by_work_then_id() {
         let mut ledger = CostLedger::default();
-        ledger.fold_query(QueryId(0), "cheap", None, &stats(1, 0), &[]);
-        ledger.fold_query(QueryId(1), "hot", None, &stats(100, 50), &[]);
-        ledger.fold_query(QueryId(2), "cheap2", None, &stats(1, 0), &[]);
+        ledger.fold_query(QueryId(0), "cheap", None, &stats(1, 0), 0);
+        ledger.fold_query(QueryId(1), "hot", None, &stats(100, 50), 0);
+        ledger.fold_query(QueryId(2), "cheap2", None, &stats(1, 0), 0);
         let snap = ledger.snapshot();
         let top = snap.top_queries(2);
         assert_eq!(top[0].text, "hot");
@@ -436,7 +440,7 @@ mod tests {
     fn deterministic_json_shape_and_escaping() {
         let mut ledger = CostLedger::default();
         ledger.add_doc();
-        ledger.fold_query(QueryId(3), "//a[b = \"x\"]", Some(7), &stats(2, 1), &[]);
+        ledger.fold_query(QueryId(3), "//a[b = \"x\"]", Some(7), &stats(2, 1), 0);
         let snap = ledger.snapshot();
         let json = snap.deterministic_json();
         assert!(json.starts_with("{\"schema\":\"vitex.profile.v1\",\"docs\":1,"));
@@ -452,7 +456,7 @@ mod tests {
     #[test]
     fn full_json_adds_group_diagnostics() {
         let mut ledger = CostLedger::default();
-        ledger.fold_query(QueryId(0), "//a", Some(0), &stats(2, 0), &[]);
+        ledger.fold_query(QueryId(0), "//a", Some(0), &stats(2, 0), 0);
         ledger.fold_group(0, "//a", 3, &stats(2, 0));
         ledger.add_shared_steps(&[4]);
         ledger.add_self_ns(0, 1234);
@@ -473,8 +477,8 @@ mod tests {
     fn table_ranks_and_splits() {
         let mut ledger = CostLedger::default();
         ledger.add_doc();
-        ledger.fold_query(QueryId(0), "//cheap", Some(1), &stats(1, 0), &[]);
-        ledger.fold_query(QueryId(1), "//hot//deep", Some(0), &stats(500, 100), &[]);
+        ledger.fold_query(QueryId(0), "//cheap", Some(1), &stats(1, 0), 0);
+        ledger.fold_query(QueryId(1), "//hot//deep", Some(0), &stats(500, 100), 0);
         ledger.fold_group(0, "//hot//deep", 1, &stats(500, 100));
         ledger.add_shared_steps(&[7]);
         let snap = ledger.snapshot();

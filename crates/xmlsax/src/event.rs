@@ -6,7 +6,7 @@
 //! stack entries store, plus byte spans for fragment identification.
 
 use crate::name::QName;
-use crate::pos::{ByteSpan, TextPosition};
+use crate::pos::ByteSpan;
 
 /// A single attribute of a start tag, with its value fully normalized
 /// (entities expanded, whitespace normalization applied).
@@ -34,14 +34,11 @@ pub struct StartElementEvent {
     pub attributes: Vec<Attribute>,
     /// Depth of this element; the root element has level 1.
     pub level: u32,
-    /// Byte span of the start tag itself (`<` through `>`).
+    /// Byte span of the start tag itself (`<` through `>`). A
+    /// self-closing tag (`<a/>`) still gets a matching
+    /// [`XmlEvent::EndElement`], so consumers see a uniform open/close
+    /// discipline.
     pub span: ByteSpan,
-    /// Line/column of the `<`.
-    pub position: TextPosition,
-    /// Whether the tag was self-closing (`<a/>`); a matching
-    /// [`XmlEvent::EndElement`] is still delivered so consumers see a
-    /// uniform open/close discipline.
-    pub self_closing: bool,
 }
 
 impl StartElementEvent {
@@ -61,15 +58,12 @@ pub struct EndElementEvent {
     /// Byte span of the whole element, `<` of the start tag through `>` of
     /// the end tag — this is what identifies a result *fragment*.
     pub element_span: ByteSpan,
-    /// Line/column of the end tag (for self-closing tags, of the start tag).
-    pub position: TextPosition,
 }
 
 /// A run of character data.
 ///
-/// With text coalescing enabled (the default), adjacent character data and
-/// CDATA sections are merged into a single event, matching the XPath data
-/// model in which text nodes are maximal.
+/// Adjacent character data and CDATA sections are merged into a single
+/// event, matching the XPath data model in which text nodes are maximal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CharactersEvent {
     /// The decoded text (entities expanded, line endings normalized).
@@ -78,10 +72,6 @@ pub struct CharactersEvent {
     pub level: u32,
     /// Byte span covering the raw source of the text run.
     pub span: ByteSpan,
-    /// Line/column where the run began.
-    pub position: TextPosition,
-    /// True if the run consists entirely of XML whitespace.
-    pub is_whitespace: bool,
 }
 
 /// A processing instruction `<?target data?>`.
@@ -91,8 +81,6 @@ pub struct ProcessingInstructionEvent {
     pub target: String,
     /// The PI data (possibly empty).
     pub data: String,
-    /// Line/column of the `<?`.
-    pub position: TextPosition,
 }
 
 /// One SAX event in the stream.
@@ -158,8 +146,6 @@ mod tests {
             attributes: vec![Attribute::new("id", "1"), Attribute::new("x", "2")],
             level: 1,
             span: ByteSpan::new(0, 10),
-            position: TextPosition::START,
-            self_closing: false,
         };
         assert_eq!(e.attribute("id"), Some("1"));
         assert_eq!(e.attribute("x"), Some("2"));

@@ -217,26 +217,6 @@ impl<R: Read> Scanner<R> {
         Ok(s.chars().next())
     }
 
-    /// Fast path: consumes a run of bytes for which `pred` holds, appending
-    /// them to `out`. Stops at the first byte failing `pred`, at any
-    /// non-ASCII byte, at `\r` (so normalization can kick in), or at end of
-    /// stream. Returns how many bytes were consumed.
-    ///
-    /// Prefer [`Scanner::consume_class_run`] on hot paths: a prebuilt
-    /// [`ByteClass`] replaces the per-byte predicate call with a table
-    /// lookup and the run is accounted in bulk.
-    pub fn consume_ascii_run(
-        &mut self,
-        pred: impl Fn(u8) -> bool,
-        out: &mut String,
-    ) -> XmlResult<usize> {
-        let mut table = [false; 256];
-        for (b, slot) in table.iter_mut().enumerate().take(0x80) {
-            *slot = b as u8 != b'\r' && pred(b as u8);
-        }
-        self.consume_class_run(&ByteClass::new(table), out)
-    }
-
     /// The memchr-style fast path: consumes the longest prefix of bytes
     /// whose [`ByteClass`] entry is set, appending it to `out` in one
     /// `push_str` and advancing the position **in bulk** (one newline
@@ -561,7 +541,9 @@ mod tests {
     fn ascii_run_stops_at_boundary() {
         let mut sc = scan("hello<world");
         let mut out = String::new();
-        let n = sc.consume_ascii_run(|b| b != b'<', &mut out).unwrap();
+        let mut not_lt = [true; 256];
+        not_lt[b'<' as usize] = false;
+        let n = sc.consume_class_run(&ByteClass::new(not_lt), &mut out).unwrap();
         assert_eq!(n, 5);
         assert_eq!(out, "hello");
         assert_eq!(sc.peek_byte().unwrap(), Some(b'<'));
@@ -569,13 +551,14 @@ mod tests {
 
     #[test]
     fn ascii_run_stops_at_non_ascii_and_cr() {
+        static ALL: ByteClass = ByteClass::new([true; 256]);
         let mut sc = scan("ab\récd");
         let mut out = String::new();
-        sc.consume_ascii_run(|_| true, &mut out).unwrap();
+        sc.consume_class_run(&ALL, &mut out).unwrap();
         assert_eq!(out, "ab");
         assert_eq!(sc.next_char().unwrap(), Some('\n')); // normalized \r
         out.clear();
-        sc.consume_ascii_run(|_| true, &mut out).unwrap();
+        sc.consume_class_run(&ALL, &mut out).unwrap();
         assert_eq!(out, ""); // é is non-ASCII
         assert_eq!(sc.next_char().unwrap(), Some('é'));
     }

@@ -96,8 +96,6 @@ pub struct XmlReader<R: Read> {
     open: Vec<QName>,
     /// Byte offset of the `<` of each open element's start tag.
     open_starts: Vec<u64>,
-    /// Line/column of each open element's start tag.
-    open_positions: Vec<TextPosition>,
     entities: EntityTable,
     /// A self-closing tag produces a deferred `EndElement`.
     pending_end: Option<EndElementEvent>,
@@ -145,7 +143,6 @@ impl<R: Read> XmlReader<R> {
             state: DocState::Init,
             open: Vec::new(),
             open_starts: Vec::new(),
-            open_positions: Vec::new(),
             entities: EntityTable::new(),
             pending_end: None,
             seen_doctype: false,
@@ -406,19 +403,16 @@ impl<R: Read> XmlReader<R> {
         self.expect_ascii(b"<")?;
         let name = QName::new(self.read_name()?);
         let mut attributes: Vec<Attribute> = Vec::new();
-        let self_closing;
-        loop {
+        let self_closing = loop {
             let had_ws = self.skip_whitespace()?;
             match self.scanner.peek_byte()? {
                 Some(b'>') => {
                     self.expect_ascii(b">")?;
-                    self_closing = false;
-                    break;
+                    break false;
                 }
                 Some(b'/') => {
                     self.expect_ascii(b"/>")?;
-                    self_closing = true;
-                    break;
+                    break true;
                 }
                 Some(_) => {
                     if !had_ws {
@@ -448,7 +442,7 @@ impl<R: Read> XmlReader<R> {
                     ))
                 }
             }
-        }
+        };
         if self.open.len() >= self.config.max_depth {
             return Err(XmlError::new(
                 XmlErrorKind::DepthLimit { max: self.config.max_depth },
@@ -458,7 +452,6 @@ impl<R: Read> XmlReader<R> {
         let end_offset = self.scanner.offset();
         self.open.push(name.clone());
         self.open_starts.push(start_offset);
-        self.open_positions.push(position);
         if self.state == DocState::Prolog {
             self.state = DocState::InRoot;
         }
@@ -468,7 +461,6 @@ impl<R: Read> XmlReader<R> {
                 name: name.clone(),
                 level,
                 element_span: ByteSpan::new(start_offset, end_offset),
-                position,
             });
         }
         Ok(XmlEvent::StartElement(StartElementEvent {
@@ -476,8 +468,6 @@ impl<R: Read> XmlReader<R> {
             attributes,
             level,
             span: ByteSpan::new(start_offset, end_offset),
-            position,
-            self_closing,
         }))
     }
 
@@ -508,13 +498,11 @@ impl<R: Read> XmlReader<R> {
             name,
             level,
             element_span: ByteSpan::new(start_offset, end_offset),
-            position,
         }))
     }
 
     fn pop_open(&mut self) -> QName {
         self.open_starts.pop();
-        self.open_positions.pop();
         self.open.pop().expect("pop_open with empty stack")
     }
 
@@ -532,16 +520,11 @@ impl<R: Read> XmlReader<R> {
         // exempt, as the spec requires).
         let mut raw_tail: [char; 2] = ['\0', '\0'];
         loop {
-            // Fast ASCII path via the prebuilt byte class (see TEXT_RUN).
-            let before = text.len();
-            self.scanner.consume_class_run(&TEXT_RUN, &mut text)?;
-            if text.len() > before {
-                let tail_chars: Vec<char> = text[before..].chars().rev().take(2).collect();
-                raw_tail = match tail_chars.as_slice() {
-                    [a] => [raw_tail[1], *a],
-                    [a, b] => [*b, *a],
-                    _ => raw_tail,
-                };
+            // Fast ASCII path via the prebuilt byte class. TEXT_RUN holds
+            // neither `]` nor `>`, so a non-empty run ends any `]]` in
+            // progress.
+            if self.scanner.consume_class_run(&TEXT_RUN, &mut text)? > 0 {
+                raw_tail = ['\0', '\0'];
             }
             match self.scanner.peek_byte()? {
                 None => break,
@@ -578,9 +561,8 @@ impl<R: Read> XmlReader<R> {
             }
         }
         let span = ByteSpan::new(start_offset, self.scanner.offset());
-        let is_whitespace = text.chars().all(|c| matches!(c, ' ' | '\t' | '\n'));
         let level = self.open.len() as u32;
-        let event = CharactersEvent { text, level, span, position, is_whitespace };
+        let event = CharactersEvent { text, level, span };
         if event.text.is_empty() {
             // Nothing reportable (e.g. an empty CDATA section): recurse
             // into the next construct.
@@ -742,7 +724,7 @@ impl<R: Read> XmlReader<R> {
                 }
             }
         }
-        Ok(ProcessingInstructionEvent { target, data, position })
+        Ok(ProcessingInstructionEvent { target, data })
     }
 
     // ---------------------------------------------------------------- //

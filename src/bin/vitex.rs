@@ -365,7 +365,7 @@ fn export_telemetry(opts: &Options, telemetry: &Telemetry) -> Result<(), ExitCod
 /// Emits the requested profiling outputs (`--profile` table on stderr,
 /// `--profile-json` ledger export). A no-op when profiling is disabled.
 fn export_profile(opts: &Options, engine: &ShardedEngine) -> Result<(), ExitCode> {
-    let Some(snapshot) = engine.group_costs() else { return Ok(()) };
+    let Some(snapshot) = engine.profile_snapshot() else { return Ok(()) };
     if opts.profile {
         eprint!("{}", snapshot.table(10));
     }
@@ -419,8 +419,9 @@ fn run_multi(opts: &Options, trees: &[QueryTree], telemetry: &Telemetry) -> Exit
             written.unwrap_or_else(|e| stdout_failed(e));
         }
     };
+    // Streamed: nothing but the callback above reads a match.
     let result: Result<MultiOutput, _> = match open_reader(opts, telemetry) {
-        Ok(reader) => multi.run(reader, &mut on_match),
+        Ok(reader) => multi.session(|session| session.stream_document(reader, &mut on_match)),
         Err(code) => return code,
     };
     match result {

@@ -8,6 +8,8 @@
 //!
 //! * what an [`Engine`] still holds after a document does not grow with
 //!   the number of matches it delivered;
+//! * what a streaming session holds *while* a document runs does not grow
+//!   with them either — the callback is the only place a match goes;
 //! * a warm machine allocates **nothing** per transition — the only
 //!   allocations of a second pass are the `Arc<str>` payloads of the
 //!   matches it hands out.
@@ -18,7 +20,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use vitex::core::{CandidateStore, Engine, EvalMode, Interner, MachineSpec, Match, TwigM};
+use vitex::core::{
+    CandidateStore, Engine, EvalMode, Interner, MachineSpec, Match, ShardedEngine, TwigM,
+};
 use vitex::xmlgen::recursive::{self, RecursiveConfig};
 use vitex::xmlsax::{XmlEvent, XmlReader};
 use vitex::xpath::QueryTree;
@@ -111,6 +115,38 @@ fn what_an_engine_holds_does_not_grow_with_the_number_of_matches() {
         (held_large - held_small).abs() < 1024,
         "engine memory must depend on depth, not on length: {held_small} B after {matches_small} \
          matches, {held_large} B after {matches_large}"
+    );
+}
+
+/// Streams `//*` over `xml` through a one-shard session. Returns the most
+/// this thread held at any delivery, relative to when the session opened,
+/// and the number of deliveries.
+fn streaming_peak(xml: &str) -> (i64, u64) {
+    let mut engine = ShardedEngine::new(1);
+    engine.add_query("//*").unwrap();
+    let (mut peak, mut delivered) = (0i64, 0u64);
+    engine
+        .session(|session| {
+            let opened = tally().live_bytes;
+            session.stream_document(XmlReader::from_str(xml), |_, _| {
+                peak = peak.max(tally().live_bytes - opened);
+                delivered += 1;
+            })
+        })
+        .unwrap();
+    (peak, delivered)
+}
+
+#[test]
+fn what_a_streaming_session_holds_does_not_grow_with_the_number_of_matches() {
+    let (small, large) = (towers(12, 12, 8), towers(12, 12, 64));
+    let (peak_small, matches_small) = streaming_peak(&small);
+    let (peak_large, matches_large) = streaming_peak(&large);
+    assert!(matches_large > 7 * matches_small, "{matches_small} and {matches_large} matches");
+    assert!(
+        peak_large <= peak_small + 4096,
+        "a streamed document keeps no match: peak {peak_small} B over {matches_small} matches, \
+         {peak_large} B over {matches_large}"
     );
 }
 

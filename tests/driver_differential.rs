@@ -409,6 +409,48 @@ fn sharded_battery_is_byte_identical_to_single_threaded() {
 }
 
 #[test]
+fn buffering_is_streaming_plus_a_copy_at_every_shard_count() {
+    // `run_document` is `stream_document` behind one collecting adapter:
+    // both deliver the same `(query, match)` sequence, the buffered
+    // `matches` are that sequence grouped by query, and nothing else in
+    // the two outputs differs.
+    let xml = mixed_doc();
+    let queries: Vec<&str> = BATTERY.iter().chain(OVERLAP_SET).copied().collect();
+    for &shards in SHARD_COUNTS {
+        let mut sharded = ShardedEngine::new(shards);
+        for q in &queries {
+            sharded.add_query(q).unwrap();
+        }
+        let (mut streamed, mut buffered) = (Vec::new(), Vec::new());
+        let (stream_out, run_out) = sharded
+            .session(|session| {
+                let stream_out = session
+                    .stream_document(XmlReader::from_str(&xml), |q, m| streamed.push((q, m)))?;
+                let run_out = session
+                    .run_document(XmlReader::from_str(&xml), |q, m| buffered.push((q, m)))?;
+                Ok((stream_out, run_out))
+            })
+            .expect("both documents stream");
+        let label = format!("{shards} shards");
+        assert!(streamed.len() > queries.len(), "the battery matches: {label}");
+        assert_eq!(streamed, buffered, "delivered sequence: {label}");
+        let mut grouped = vec![Vec::new(); queries.len()];
+        for (q, m) in streamed {
+            grouped[q.0].push(m);
+        }
+        assert_eq!(run_out.matches, grouped, "buffer = the deliveries, by query: {label}");
+        assert!(stream_out.matches.is_empty(), "a streamed document buffers nothing: {label}");
+        assert_eq!(stream_out.stats, run_out.stats, "machine stats: {label}");
+        assert_eq!(stream_out.plan, run_out.plan, "plan stats: {label}");
+        assert_eq!(
+            (stream_out.elements, stream_out.text_nodes, stream_out.events),
+            (run_out.elements, run_out.text_nodes, run_out.events),
+            "stream stats: {label}"
+        );
+    }
+}
+
+#[test]
 fn recycled_low_slot_keeps_callback_order_ascending_by_group() {
     // Three queries share the /a trie node and all fire on the <a> start
     // tag itself (attribute results under a predicate-free root stream
@@ -611,7 +653,8 @@ fn recycled_group_slots_do_not_inherit_stale_placement_costs() {
         })
         .expect("profiled session");
     assert!(snap.repartitions >= 1, "the hog triggers a repartition");
-    let hog_gid = engine.group_costs().expect("profiling on").queries[0].group.expect("hog active");
+    let hog_gid =
+        engine.profile_snapshot().expect("profiling on").queries[0].group.expect("hog active");
 
     // Churn: retire the hog, let a cheap query recycle its slot. The
     // removal retires the hog's group (Some(true) = last subscriber),

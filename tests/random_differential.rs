@@ -239,7 +239,7 @@ fn placement_axis_is_output_transparent() {
     let (_, _, snaps) = warm_session(&mut engine, &auction_docs);
     let (first, last) = (&snaps[0], &snaps[snaps.len() - 1]);
     assert!(last.repartitions >= 1, "the skewed set must repartition after the first document");
-    let ledger = engine.group_costs().expect("profiling enabled");
+    let ledger = engine.profile_snapshot().expect("profiling enabled");
     let hog_shard = last.shard_of[ledger.queries[7].group.expect("hog is active")];
     assert!(hog_shard.is_some(), "hog group is placed");
     assert_eq!(

@@ -307,7 +307,7 @@ fn run_profiled(trees: &[QueryTree], xml: &str, shards: usize) -> ProfileSnapsho
         engine.add_tree(tree).expect("registrable");
     }
     engine.run(XmlReader::from_str(xml), |_, _| {}).expect("engine run");
-    engine.group_costs().expect("profiling enabled")
+    engine.profile_snapshot().expect("profiling enabled")
 }
 
 #[test]
@@ -331,6 +331,45 @@ fn profile_counters_are_invariant_across_every_configuration() {
                 ),
             }
         }
+    }
+}
+
+#[test]
+fn streamed_and_buffered_sessions_bill_the_same() {
+    // Matches and payload bytes are counted as they are delivered, not
+    // read back from a buffer: a session that keeps no match reports the
+    // same `vitex_matches_total` and the same per-query bills as one that
+    // keeps them all.
+    let xml = random::to_string(&RandomConfig::seeded(3));
+    let trees = query_set(8);
+    for &shards in SHARDS {
+        let observe = |buffered: bool| {
+            let telemetry = Telemetry::enabled();
+            let mut engine = ShardedEngine::new(shards);
+            engine.set_telemetry(telemetry.clone());
+            engine.set_profiling(true);
+            for tree in &trees {
+                engine.add_tree(tree).expect("registrable");
+            }
+            let mut delivered = 0u64;
+            engine
+                .session(|session| {
+                    let reader = XmlReader::from_str(&xml);
+                    if buffered {
+                        session.run_document(reader, |_, _| delivered += 1)
+                    } else {
+                        session.stream_document(reader, |_, _| delivered += 1)
+                    }
+                })
+                .expect("engine run");
+            let snapshot = telemetry.snapshot().expect("enabled");
+            assert_eq!(snapshot.counter("vitex_matches_total"), Some(delivered));
+            let profile = engine.profile_snapshot().expect("profiling enabled");
+            (delivered, snapshot.deterministic_json(), profile.deterministic_json())
+        };
+        let (streamed, buffered) = (observe(false), observe(true));
+        assert!(streamed.0 > 0, "the seeds were chosen to match something");
+        assert_eq!(streamed, buffered, "{shards} shards");
     }
 }
 
@@ -397,7 +436,7 @@ fn profile_accumulates_across_session_documents() {
             Ok(())
         })
         .unwrap();
-    let snap = engine.group_costs().expect("profiling enabled");
+    let snap = engine.profile_snapshot().expect("profiling enabled");
     assert_eq!(snap.docs, 2);
     assert_eq!(snap.queries.len(), 1);
     assert_eq!(snap.queries[0].matches, 3, "2 matches from doc 1 + 1 from doc 2");
@@ -426,7 +465,7 @@ fn disabled_profiling_snapshots_nothing() {
     let mut engine = ShardedEngine::new(2);
     engine.add_query("//a").unwrap();
     engine.run(XmlReader::from_str("<a><a/></a>"), |_, _| {}).unwrap();
-    assert!(engine.group_costs().is_none());
+    assert!(engine.profile_snapshot().is_none());
 }
 
 // ---- minimal JSON syntax checker (no serde in the workspace) ----
