@@ -51,8 +51,8 @@
 //! the session's *direct lane* runs the engine's own over the live
 //! groups, keyed by group id, on the calling thread — that is all
 //! [`MultiEngine::run`] is, a one-document direct-lane session — and
-//! every worker of its *ring lane* runs one over the groups it has on
-//! loan, keyed by local slot. This is sound because a machine's stacks
+//! every worker of its *ring lane* runs one over the groups it was
+//! dealt, keyed by local slot. This is sound because a machine's stacks
 //! only ever hold entries for elements it was shown, and text/attribute
 //! tests live inside the delivered events.
 //!
@@ -351,7 +351,7 @@ impl MultiEngine {
         reader: E,
         on_match: F,
     ) -> EngineResult<MultiOutput> {
-        ShardSession::open(self.shard_parts(), None).run_document(reader, on_match)
+        ShardSession::open(self.shard_parts(), None).0.run_document(reader, on_match)
     }
 }
 
@@ -598,10 +598,10 @@ impl SelfTimer {
 /// solution to `emit` with the emitting slot and its group's subscriber
 /// list. The direct lane keys slots by group id and emits through
 /// [`fan_out_match`]; a shard worker keys them by local index over the
-/// groups it has on loan and emits tagged matches for the merge. The
+/// groups it was dealt and emits tagged matches for the merge. The
 /// dispatch index is the caller's (the admission walk reads the engine's
-/// while the direct lane drives this executor; a worker keeps its own
-/// beside it).
+/// while the direct lane drives this executor; a worker is handed its
+/// own at spawn).
 #[derive(Debug, Default)]
 pub(crate) struct Executor {
     /// Scratch: per-slot main-path plans, `(slot, machine node, ptr)`.

@@ -62,13 +62,6 @@ pub struct Match {
     pub level: u32,
 }
 
-impl Match {
-    /// Sort key for document order.
-    pub fn document_order_key(&self) -> NodeId {
-        self.node
-    }
-}
-
 impl fmt::Display for Match {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.kind {

@@ -19,9 +19,9 @@
 //! [`ShardSession::stream_document`] without re-planning — the
 //! document-collections workload, where keeping workers warm is what
 //! makes threads pay. Registration churn (`add_query` / `remove_query`)
-//! happens between sessions; the partition is recomputed over the
-//! then-active groups each time a session opens, so retired slots
-//! recycled by the planner's free-list migrate shards naturally.
+//! happens between sessions; the placement is dealt over the then-active
+//! groups each time a session opens, so retired slots recycled by the
+//! planner's free-list migrate shards naturally.
 //!
 //! What every session shares, written once: the driver and interner, the
 //! **admission walk** (`admit::Admission`: sequence numbers, the
@@ -59,23 +59,26 @@
 //! * **ring** (two or more): the event is built once as a `ShardEvent` —
 //!   trie push decisions attached — batched, and broadcast over bounded
 //!   rings (`worker::Ring`); each worker applies it with its own executor
-//!   over the groups it has on loan and reports matches tagged `(event
-//!   seq, group id)`; the watermark merge (`merge::MatchMerger`) releases
-//!   them into exactly the direct lane's order, and the workers' `DocEnd`
-//!   acknowledgements carry the per-group facts. Groups being out on loan
-//!   is why this lane snapshots subscriber lists (and, while profiling,
-//!   canonical keys) when the session opens.
+//!   over the groups it was spawned with and reports matches tagged
+//!   `(event seq, group id)`; the watermark merge (`merge::MatchMerger`)
+//!   releases them into exactly the direct lane's order, and the workers'
+//!   `DocEnd` acknowledgements carry the per-group facts. The workers
+//!   holding the groups is why this lane snapshots subscriber lists (and,
+//!   while profiling, canonical keys) when the session opens.
 //!
 //! ## Placement
 //!
-//! *Which* groups land on which ring-lane worker is the `place`
-//! subsystem's call: LPT bin-packing over ledger-refined cost estimates,
-//! with mid-session repartitioning at document boundaries when measured
-//! imbalance exceeds a hysteresis threshold. Groups live in a
-//! `worker::GroupPool` between documents, and every document's `DocStart`
-//! carries the assignment to run under — so a repartition is just a new
-//! assignment version, adopted by the workers before the next event
-//! flows.
+//! *Which* groups a ring-lane worker runs is a function of the plan,
+//! computed once when the session opens (`place::deal`): the active
+//! groups ordered by `(trie terminal node, gid)` and dealt round-robin,
+//! so groups on one path — pushed by the same events — spread across the
+//! shards. Each worker receives its `&mut` groups, its slot-keyed route
+//! table and its dispatch index at spawn and keeps them for the session:
+//! no document re-places anything, and a worker takes no lock to reach
+//! its groups. Every document's balance is still measured from the
+//! workers' deterministic work counters
+//! ([`PlacementSnapshot::last_imbalance_millis`],
+//! `vitex_shard_imbalance`).
 //!
 //! ## Determinism
 //!
@@ -103,8 +106,8 @@ use crate::driver::{DocumentDriver, EventSink};
 use crate::error::{EngineError, EngineResult};
 use crate::intern::{Interner, Symbol};
 use crate::multi::{
-    fan_out_match, finish_document, Executor, FinishedDocument, GroupFacts, MultiEngine,
-    MultiOutput, QueryRecord, ShardParts, StartTag,
+    fan_out_match, finish_document, DispatchIndex, Executor, FinishedDocument, GroupFacts,
+    MultiEngine, MultiOutput, QueryRecord, ShardParts, StartTag,
 };
 use crate::plan::{resident_bytes, PlanGroup, RouteTable, TriePush};
 use crate::result::{Match, NodeId, QueryId};
@@ -114,9 +117,8 @@ use crate::telemetry::{CostLedger, Telemetry};
 use admit::Admission;
 use merge::MatchMerger;
 pub use place::PlacementSnapshot;
-use place::{Assignment, CostModel, ShardPlan};
 use worker::{
-    run_worker, EventBatch, GroupPool, GroupSnapshot, Ring, SeqBatch, ShardEvent, WorkerReport,
+    run_worker, EventBatch, GroupSnapshot, Ring, Seat, SeqBatch, ShardEvent, WorkerReport,
 };
 
 /// Events per broadcast batch: large enough to amortize ring locking and
@@ -140,20 +142,12 @@ pub struct ShardedEngine {
     /// Test-only fault injection: `(shard, seq)` — that shard's worker
     /// panics when it applies the event with that sequence number.
     fault: Option<(usize, u64)>,
-    /// Test-only fault injection: that shard's worker panics while
-    /// adopting a repartitioned assignment.
-    swap_fault: Option<usize>,
 }
 
 impl ShardedEngine {
     /// An empty engine running up to `shards` workers (0 is clamped to 1).
     pub fn new(shards: usize) -> Self {
-        ShardedEngine {
-            multi: MultiEngine::new(),
-            shards: shards.max(1),
-            fault: None,
-            swap_fault: None,
-        }
+        ShardedEngine { multi: MultiEngine::new(), shards: shards.max(1), fault: None }
     }
 
     /// Test-only fault injection: make shard `shard`'s worker panic when
@@ -167,21 +161,10 @@ impl ShardedEngine {
         self.fault = Some((shard, seq));
     }
 
-    /// Test-only fault injection: make shard `shard`'s worker panic while
-    /// adopting a *repartitioned* assignment (the initial adoption at
-    /// session open is exempt). Exercises the poison path in the swap
-    /// window from integration tests.
-    #[doc(hidden)]
-    pub fn inject_swap_fault(&mut self, shard: usize) {
-        self.swap_fault = Some(shard);
-    }
-
-    /// Clears faults installed by [`Self::inject_worker_fault`] /
-    /// [`Self::inject_swap_fault`].
+    /// Clears a fault installed by [`Self::inject_worker_fault`].
     #[doc(hidden)]
     pub fn clear_worker_fault(&mut self) {
         self.fault = None;
-        self.swap_fault = None;
     }
 
     /// The configured worker count.
@@ -198,19 +181,19 @@ impl ShardedEngine {
         self.session(|session| session.run_document(reader, on_match))
     }
 
-    /// Opens a streaming session: partitions the active plan groups
-    /// across the effective worker count, spawns that many worker threads
-    /// when it is two or more, hands `f` a [`ShardSession`] to stream
-    /// documents through, and tears the workers down when `f` returns.
-    /// The subscription set is frozen for the session (the borrow checker
-    /// enforces it — the session mutably borrows the engine), so
-    /// documents stream back-to-back with zero re-planning or thread
-    /// churn between them.
+    /// Opens a streaming session: deals the active plan groups across the
+    /// effective worker count, spawns that many worker threads — each
+    /// with its groups — when it is two or more, hands `f` a
+    /// [`ShardSession`] to stream documents through, and tears the
+    /// workers down when `f` returns. The subscription set and the
+    /// placement are frozen for the session (the borrow checker enforces
+    /// it — the session mutably borrows the engine), so documents stream
+    /// back-to-back with zero re-planning or thread churn between them.
     pub fn session<T>(
         &mut self,
         f: impl FnOnce(&mut ShardSession<'_>) -> EngineResult<T>,
     ) -> EngineResult<T> {
-        let (fault, swap_fault) = (self.fault, self.swap_fault);
+        let fault = self.fault;
         // A surplus worker would own zero machines yet pop and acknowledge
         // every batch, so the count is clamped to the active groups —
         // *here*, against the post-churn set, so removals between sessions
@@ -219,25 +202,21 @@ impl ShardedEngine {
         let workers = self.shards.min(self.multi.group_count());
         let parts = self.multi.shard_parts();
         if workers < 2 {
-            return f(&mut ShardSession::open(parts, None));
+            return f(&mut ShardSession::open(parts, None).0);
         }
-        let (nsymbols, profiled) = (parts.interner.len(), parts.profile.is_some());
+        let profiled = parts.profile.is_some();
         let telemetry = parts.driver.telemetry();
         let rings: Vec<Arc<Ring<SeqBatch>>> = (0..workers)
             .map(|_| Arc::new(Ring::with_telemetry(RING_BATCHES, telemetry.clone())))
             .collect();
         let (tx, rx) = channel();
-        let pool = GroupPool::vacant(parts.planner.groups().len());
-        let ends = RingEnds { rings: &rings, rx: &rx, pool: &pool };
-        let mut session = ShardSession::open(parts, Some(ends));
+        let (mut session, seats) =
+            ShardSession::open(parts, Some(RingEnds { rings: &rings, rx: &rx }));
         thread::scope(|scope| {
-            for (shard, ring) in rings.iter().enumerate() {
-                let (ring, tx, pool) = (Arc::clone(ring), tx.clone(), &pool);
+            for (shard, (ring, seat)) in rings.iter().zip(seats).enumerate() {
+                let (ring, tx) = (Arc::clone(ring), tx.clone());
                 let fault = fault.and_then(|(s, seq)| (s == shard).then_some(seq));
-                let swap_fault = swap_fault == Some(shard);
-                scope.spawn(move || {
-                    run_worker(shard, pool, nsymbols, fault, swap_fault, profiled, ring, tx)
-                });
+                scope.spawn(move || run_worker(shard, seat, fault, profiled, ring, tx));
             }
             drop(tx);
             // Rings must close even if `f` (or output assembly) panics:
@@ -322,46 +301,47 @@ pub struct ShardSession<'a> {
     /// poisoned and every subsequent document fails fast (`usize::MAX`
     /// when the failing shard is unknown — the report channel died).
     poisoned: Option<usize>,
-    /// Assignment swaps performed this session.
-    repartitions: u64,
     /// Measured imbalance (millis) of the most recent document.
     last_imbalance: Option<u64>,
 }
 
-/// The session's ends of a spawned worker set: one ring per worker, the
-/// report channel, and the pool the workers borrow their groups from.
-pub(crate) struct RingEnds<'r, 'a> {
+/// The session's ends of a worker set: one ring per worker and the
+/// report channel.
+pub(crate) struct RingEnds<'a> {
     rings: &'a [Arc<Ring<SeqBatch>>],
     rx: &'a Receiver<WorkerReport>,
-    pool: &'r GroupPool<'a>,
 }
 
 impl<'a> ShardSession<'a> {
     /// Opens a session over `parts`: on the ring lane when the caller
-    /// spawned workers (`ring`), on the direct lane otherwise. Opening
-    /// costs the plan-statistics snapshot plus whatever the lane snapshots.
-    pub(crate) fn open(parts: ShardParts<'a>, ring: Option<RingEnds<'_, 'a>>) -> Self {
+    /// brings worker rings (`ring`), on the direct lane otherwise. Opening
+    /// costs the plan-statistics snapshot plus whatever the lane
+    /// snapshots; the ring lane also deals the groups and returns one
+    /// [`Seat`] per ring for the caller to spawn its worker with (none on
+    /// the direct lane).
+    pub(crate) fn open(parts: ShardParts<'a>, ring: Option<RingEnds<'a>>) -> (Self, Vec<Seat<'a>>) {
         let ShardParts { planner, interner, driver, index, exec, walk, records, profile } = parts;
         let plan = planner.stats_sans_group_bytes(interner);
         let (trie, groups) = planner.run_split();
         let group_slots = groups.len();
-        let lane = match ring {
+        let (lane, seats) = match ring {
             None => {
                 exec.sample_self_time(profile.is_some(), group_slots);
-                Lane::Direct { groups, exec }
+                (Lane::Direct { groups, exec }, Vec::new())
             }
             Some(ends) => {
-                let telemetry = driver.telemetry();
-                Lane::Ring(Box::new(RingLane::open(
+                let (lane, seats) = RingLane::open(
                     groups,
                     trie.routes(),
-                    profile.as_deref(),
-                    telemetry,
+                    interner.len(),
+                    profile.is_some(),
+                    driver.telemetry(),
                     ends,
-                )))
+                );
+                (Lane::Ring(Box::new(lane)), seats)
             }
         };
-        ShardSession {
+        let session = ShardSession {
             driver,
             interner,
             records,
@@ -371,9 +351,9 @@ impl<'a> ShardSession<'a> {
             group_slots,
             plan,
             poisoned: None,
-            repartitions: 0,
             last_imbalance: None,
-        }
+        };
+        (session, seats)
     }
 
     /// [`ShardSession::stream_document`] behind the **one** collecting
@@ -462,39 +442,29 @@ impl<'a> ShardSession<'a> {
             self.group_slots,
             |gid| lane.facts(gid),
         );
-        // Placement observes the document. One worker carries everything,
-        // which is balanced by definition.
-        let (imbalance, swapped) = match &mut self.lane {
-            Lane::Direct { .. } => (place::imbalance_millis(&[]), false),
-            Lane::Ring(r) => r.rebalance(self.admission.routes()),
+        // One worker carries everything, which is balanced by definition.
+        let imbalance = match &self.lane {
+            Lane::Direct { .. } => place::imbalance_millis(&[]),
+            Lane::Ring(r) => r.imbalance_millis(),
         };
         self.last_imbalance = Some(imbalance);
         telemetry.gauge_set(|r| &r.shard_imbalance, imbalance);
-        if swapped {
-            self.repartitions += 1;
-            telemetry.add(|r| &r.shard_repartitions, 1);
-        }
         Ok(out)
     }
 
-    /// The session's current placement state: effective worker count,
-    /// the group→shard map the *next* document will run under,
-    /// repartitions so far, and the last measured imbalance.
+    /// The session's placement: effective worker count, the group→shard
+    /// map (fixed for the session) and the last measured imbalance.
     pub fn placement_snapshot(&self) -> PlacementSnapshot {
         let (shards, shard_of) = match &self.lane {
             Lane::Direct { groups, .. } => {
                 (1, groups.iter().map(|g| g.is_active().then_some(0)).collect())
             }
-            Lane::Ring(r) => {
-                let plan = ShardPlan { shard_gids: r.assignment.shard_gids.clone() };
-                let shard_of = plan.shard_of(self.group_slots).into_iter();
-                (r.rings.len(), shard_of.map(|s| (s != usize::MAX).then_some(s)).collect())
-            }
+            Lane::Ring(r) => (r.rings.len(), r.shard_of.clone()),
         };
         PlacementSnapshot {
             shards,
             shard_of,
-            repartitions: self.repartitions,
+            repartitions: 0,
             last_imbalance_millis: self.last_imbalance,
         }
     }
@@ -524,7 +494,7 @@ impl Lane<'_> {
             Lane::Ring(r) => {
                 r.doc = DocState::new(r.rings.len(), r.subscribers.len(), &r.telemetry, r.profiled);
                 r.batch.clear();
-                r.batch.push(ShardEvent::DocStart { assignment: Arc::clone(&r.assignment) });
+                r.batch.push(ShardEvent::DocStart);
             }
         }
     }
@@ -665,9 +635,9 @@ impl<F: FnMut(QueryId, Match)> EventSink for SessionSink<'_, '_, F> {
     }
 }
 
-/// Ring-lane state. Groups are out on loan to the workers while documents
-/// stream, so what the coordinator reads off them is snapshotted when the
-/// session opens (the plan is frozen for it).
+/// Ring-lane state. The workers hold the groups for the whole session, so
+/// what the coordinator reads off them is snapshotted when the session
+/// opens (the plan is frozen for it).
 struct RingLane<'a> {
     /// One ring per worker; the worker count is `rings.len()`.
     rings: &'a [Arc<Ring<SeqBatch>>],
@@ -681,14 +651,8 @@ struct RingLane<'a> {
     canonicals: Vec<Option<String>>,
     /// Whether the merge attributes hold latency to groups (profiling).
     profiled: bool,
-    /// Per-group cost estimates, refined from every document's measured
-    /// work; drives LPT replanning.
-    cost: CostModel,
-    /// The active group ids this session partitions (ascending).
-    active_gids: Vec<usize>,
-    /// The assignment the *next* document will run under; shipped inside
-    /// its `DocStart` and swapped by [`RingLane::rebalance`].
-    assignment: Arc<Assignment>,
+    /// Shard of each group slot, `None` for inactive slots.
+    shard_of: Vec<Option<usize>>,
     /// Shared empty push list (most start tags push nothing).
     no_pushes: Arc<[TriePush]>,
     /// The broadcast batch being filled.
@@ -721,45 +685,53 @@ impl DocState {
     }
 }
 impl<'a> RingLane<'a> {
-    /// Snapshots what the coordinator reads off the groups, plans the
-    /// initial placement and stocks the workers' pool.
+    /// Snapshots what the coordinator reads off the groups, deals them
+    /// over the rings and seats each worker: its groups, in ascending gid
+    /// order, with their slot-keyed route table and dispatch index
+    /// (`nsymbols` sizes it; the interner is frozen for the session).
     fn open(
         groups: &'a mut [PlanGroup],
         routes: &RouteTable,
-        profile: Option<&CostLedger>,
+        nsymbols: usize,
+        profiled: bool,
         telemetry: Telemetry,
-        ends: RingEnds<'_, 'a>,
-    ) -> Self {
-        let RingEnds { rings, rx, pool } = ends;
+        ends: RingEnds<'a>,
+    ) -> (Self, Vec<Seat<'a>>) {
+        let RingEnds { rings, rx } = ends;
         let subscribers: Vec<Vec<QueryId>> =
             groups.iter().map(|g| g.subscribers().to_vec()).collect();
-        let active_gids: Vec<usize> =
-            (0..groups.len()).filter(|&g| groups[g].is_active()).collect();
-        // Cost estimates for placement planning: uniform prior, seeded
-        // from the live cost ledger when there is one. Seeding is guarded
-        // by each group's canonical step key: the planner's free-list
-        // recycles retired gids, and a recycled slot must not inherit the
-        // retired query's bill.
-        let mut cost = CostModel::uniform(groups.len());
         let mut canonicals = Vec::new();
-        if let Some(ledger) = profile {
+        if profiled {
             canonicals = groups
                 .iter()
                 .map(|g| g.is_active().then(|| g.canonical_key().to_string()))
                 .collect();
-            cost.seed_from_ledger(ledger.groups(), &canonicals);
         }
-        let profiled = profile.is_some();
-        // Each worker only needs the global trie's route table narrowed
-        // to its own group subset, which the assignment carries.
-        let plan = place::lpt_plan(&active_gids, &cost, rings.len());
-        let assignment = Arc::new(place::make_assignment(0, &plan, routes));
-        // All active groups start in the pool; workers check theirs out
-        // per document under whatever assignment that document carries.
-        for (gid, group) in groups.iter_mut().enumerate().filter(|(_, g)| g.is_active()) {
-            pool.put(gid, group);
+        let active = groups.iter().enumerate().filter(|(_, g)| g.is_active());
+        let shard_gids =
+            place::deal(active.map(|(gid, g)| (g.trie_node(), gid)).collect(), rings.len());
+        let mut shard_of = vec![None; groups.len()];
+        for (shard, gids) in shard_gids.iter().enumerate() {
+            for &gid in gids {
+                shard_of[gid] = Some(shard);
+            }
         }
-        RingLane {
+        let routes = place::split_routes(&shard_gids, routes);
+        let mut seats: Vec<Seat<'a>> = (shard_gids.into_iter().zip(routes))
+            .map(|(gids, routes)| Seat {
+                gids,
+                groups: Vec::new(),
+                routes,
+                index: DispatchIndex::default(),
+            })
+            .collect();
+        for (group, shard) in groups.iter_mut().zip(&shard_of) {
+            if let Some(seat) = shard.map(|s| &mut seats[s]) {
+                seat.index.add_group(seat.groups.len(), group.machine().spec(), nsymbols);
+                seat.groups.push(group);
+            }
+        }
+        let lane = RingLane {
             rings,
             rx,
             doc: DocState::new(rings.len(), subscribers.len(), &telemetry, profiled),
@@ -767,12 +739,11 @@ impl<'a> RingLane<'a> {
             subscribers,
             canonicals,
             profiled,
-            cost,
-            active_gids,
-            assignment,
+            shard_of,
             no_pushes: Vec::new().into(),
             batch: Vec::with_capacity(EVENT_BATCH),
-        }
+        };
+        (lane, seats)
     }
 
     /// Queues one admitted event (sequence number `seq`) for broadcast.
@@ -853,46 +824,17 @@ impl<'a> RingLane<'a> {
         self.doc.merger.drain(|t| fan_out_match(&subscribers[t.gid as usize], on_match, t.m));
     }
 
-    /// Post-document placement bookkeeping: measure per-shard loads under
-    /// the assignment the document just ran with (from the deterministic
-    /// machine work counters, so the decision stream is repeatable),
-    /// refine the cost estimates and — past the hysteresis threshold —
-    /// swap in a rebalanced assignment for the next document. Swapping
-    /// here is what keeps repartitioning output-transparent: the new
-    /// assignment travels inside the next `DocStart`, workers adopt it
-    /// before any event of that document flows, and the watermark merge
-    /// never notices. Returns the measured imbalance and whether it
-    /// swapped.
-    fn rebalance(&mut self, routes: &RouteTable) -> (u64, bool) {
-        let nshards = self.rings.len();
-        let mut loads = vec![0u64; nshards];
-        for (shard, gids) in self.assignment.shard_gids.iter().enumerate() {
-            for &gid in gids {
-                let work = self.doc.groups[gid].stats.work();
-                self.cost.observe(gid, work);
-                loads[shard] += work;
+    /// The finished document's measured imbalance: per-shard loads from
+    /// the deterministic machine work counters the `DocEnd`
+    /// acknowledgements carried.
+    fn imbalance_millis(&self) -> u64 {
+        let mut loads = vec![0u64; self.rings.len()];
+        for (gid, shard) in self.shard_of.iter().enumerate() {
+            if let Some(shard) = *shard {
+                loads[shard] += self.doc.groups[gid].stats.work();
             }
         }
-        let measured = place::imbalance_millis(&loads);
-        if measured < place::REPARTITION_THRESHOLD_MILLIS {
-            return (measured, false);
-        }
-        let plan = place::lpt_plan(&self.active_gids, &self.cost, nshards);
-        if plan.shard_gids == self.assignment.shard_gids {
-            return (measured, false);
-        }
-        // Only swap when the refined estimates actually predict an
-        // improvement over keeping the current assignment — hysteresis
-        // against estimate noise oscillating two near-equal plans.
-        let current = ShardPlan { shard_gids: self.assignment.shard_gids.clone() };
-        let predicted = place::imbalance_millis(&plan.loads(&self.cost));
-        let staying = place::imbalance_millis(&current.loads(&self.cost));
-        if predicted >= staying {
-            return (measured, false);
-        }
-        let version = self.assignment.version + 1;
-        self.assignment = Arc::new(place::make_assignment(version, &plan, routes));
-        (measured, true)
+        place::imbalance_millis(&loads)
     }
 }
 
@@ -921,10 +863,8 @@ mod tests {
             })
             .unwrap();
         }
-        let parts = multi.shard_parts();
-        let pool = GroupPool::vacant(parts.planner.groups().len());
-        let ends = RingEnds { rings: &rings, rx: &rx, pool: &pool };
-        let mut session = ShardSession::open(parts, Some(ends));
+        let ends = RingEnds { rings: &rings, rx: &rx };
+        let (mut session, _seats) = ShardSession::open(multi.shard_parts(), Some(ends));
         session.run_document(XmlReader::from_str(xml), |_, _| {}).expect("pump run");
         rings[0].close();
         std::iter::from_fn(|| rings[0].pop()).collect()

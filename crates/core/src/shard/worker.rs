@@ -1,14 +1,16 @@
 //! Shard workers: the bounded event ring and the per-shard event loop.
 //!
-//! A worker of a [`crate::shard::ShardSession`]'s ring lane has a
-//! disjoint subset of the plan groups on loan while a document streams
-//! (the borrow is scoped — groups return to the engine when the session
-//! closes). It pops event batches off its ring and applies them with its
-//! own [`Executor`] over the subset — the same per-event apply step the
-//! direct lane runs, keyed by local slot and fed the trie pushes the
-//! document thread shipped — and reports emitted matches tagged with
-//! their global ordering key, plus a watermark, back to the document
-//! thread.
+//! A worker of a [`crate::shard::ShardSession`]'s ring lane is handed its
+//! [`Seat`] once, at spawn: a disjoint subset of the plan groups,
+//! mutably borrowed for the whole session (the borrow is scoped — groups
+//! return to the engine when the session closes), with the route table
+//! and dispatch index keyed by its local slots. Placement never changes
+//! within a session, so nothing is handed back between documents. The
+//! worker pops event batches off its ring and applies them with its own
+//! [`Executor`] over the subset — the same per-event apply step the
+//! direct lane runs, fed the trie pushes the document thread shipped —
+//! and reports emitted matches tagged with their global ordering key,
+//! plus a watermark, back to the document thread.
 //!
 //! Each ring has exactly one producer — the document thread — so batches
 //! arrive in document order, which the twig machines (streaming stack
@@ -25,13 +27,12 @@ use vitex_xmlsax::pos::ByteSpan;
 
 use crate::intern::Symbol;
 use crate::multi::{DispatchIndex, Executor, StartTag};
-use crate::plan::{PlanGroup, TriePush};
+use crate::plan::{PlanGroup, RouteTable, TriePush};
 use crate::result::{Match, NodeId, QueryId};
 use crate::stats::MachineStats;
 use crate::telemetry::{Telemetry, TID_SHARD_BASE};
 
 use super::merge::TaggedMatch;
-use super::place::Assignment;
 
 /// One document event in shard-transportable form. String payloads
 /// (attributes, text, end-tag name) are `Arc`-shared: the document thread
@@ -39,12 +40,9 @@ use super::place::Assignment;
 /// reference counts; everything else is `Copy`.
 #[derive(Debug, Clone)]
 pub(crate) enum ShardEvent {
-    /// A document begins: acquire the groups this shard owns under
-    /// `assignment` (adopting it — rebuilding the local dispatch index and
-    /// taking its route table — when its version differs from the one
-    /// currently running) and reset machine state (stacks, stats) and the
+    /// A document begins: reset machine state (stacks, stats) and the
     /// executor's candidate store.
-    DocStart { assignment: Arc<Assignment> },
+    DocStart,
     /// `startElement` with the symbol the driver resolved once.
     Start {
         seq: u64,
@@ -178,51 +176,19 @@ impl<T> Ring<T> {
     }
 }
 
-/// The session's group loan desk: every active plan group's exclusive
-/// borrow, parked in a per-slot mutex between documents.
-///
-/// Workers take their assigned groups at every [`ShardEvent::DocStart`]
-/// and put them back at every [`ShardEvent::DocEnd`] — *before* sending
-/// the end-of-document acknowledgement, and the coordinator ships the
-/// next document's `DocStart` only after collecting every
-/// acknowledgement, so whenever a new assignment arrives the pool is
-/// fully stocked and a group can migrate between workers without any
-/// cross-worker handoff protocol. Machines reset at `DocStart`, so a
-/// migrated group carries no document state. The per-document mutex
-/// traffic is two uncontended locks per group — noise next to a
-/// document's event volume.
-pub(crate) struct GroupPool<'a> {
-    /// Indexed by global group id; `None` for inactive slots and for
-    /// groups currently out on loan.
-    slots: Vec<Mutex<Option<&'a mut PlanGroup>>>,
-}
-
-impl<'a> GroupPool<'a> {
-    /// A pool of `slots` empty slots; the session stocks it with the
-    /// planner's active groups when it opens.
-    pub(crate) fn vacant(slots: usize) -> Self {
-        GroupPool { slots: (0..slots).map(|_| Mutex::new(None)).collect() }
-    }
-
-    /// Borrows group `gid` out of the pool. Panics if the group is
-    /// absent — that would mean two workers believe they own the same
-    /// gid, which the version-gated assignment protocol rules out.
-    pub(crate) fn take(&self, gid: usize) -> &'a mut PlanGroup {
-        self.slots[gid]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take()
-            .expect("group checked out twice — assignment shards overlap")
-    }
-
-    /// Returns group `gid` to the pool.
-    pub(crate) fn put(&self, gid: usize, group: &'a mut PlanGroup) {
-        let prev = self.slots[gid]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .replace(group);
-        debug_assert!(prev.is_none(), "pool slot {gid} already occupied");
-    }
+/// What one worker runs for the whole session, handed over at spawn.
+/// Local slot `li` is `groups[li]`, global group `gids[li]` — ascending,
+/// so slot order is the direct lane's visit order and match tags stay
+/// globally comparable.
+pub(crate) struct Seat<'a> {
+    pub(crate) gids: Vec<usize>,
+    pub(crate) groups: Vec<&'a mut PlanGroup>,
+    /// Global trie node → the `(local slot, machine node)` pairs a push
+    /// of that node drives here. Workers never walk the trie themselves —
+    /// they apply the push decisions the document thread ships.
+    pub(crate) routes: RouteTable,
+    /// Predicate and text interests by local slot.
+    pub(crate) index: DispatchIndex,
 }
 
 /// One worker→document-thread report: the matches emitted while
@@ -261,17 +227,11 @@ pub(crate) struct GroupSnapshot {
 }
 
 /// The worker entry point: runs on its own thread for the lifetime of a
-/// session, processing batches until the ring closes. The worker owns no
-/// groups between documents — it borrows its assigned subset from `pool`
-/// at every `DocStart` (in ascending group-id order, mirroring the
-/// direct lane) and returns them at `DocEnd`. `nsymbols` sizes the local
-/// dispatch index (the interner is frozen for the session); the trie
-/// route table arrives inside the assignment.
-/// Telemetry (batch timing, busy time, per-batch spans) records through
-/// the handle the ring was built with. `fault` and `swap_fault` are the
-/// test-only injection hooks: the worker panics when it applies the
-/// event with that sequence number, or mid-adoption of a repartitioned
-/// assignment.
+/// session, processing batches until the ring closes, over the [`Seat`]
+/// it was spawned with. Telemetry (batch timing, busy time, per-batch
+/// spans) records through the handle the ring was built with. `fault` is
+/// the test-only injection hook: the worker panics when it applies the
+/// event with that sequence number.
 ///
 /// A panicking worker must not take the session down with it: the
 /// [`PoisonGuard`] closes the ring and sends a poisoned report during the
@@ -279,23 +239,18 @@ pub(crate) struct GroupSnapshot {
 /// and catching the unwind here lets the thread return normally so the
 /// session's scope join succeeds instead of re-raising. The document
 /// thread turns the poisoned report into a clean [`EngineError::Worker`].
-/// Groups the worker held when it panicked stay checked out — harmless,
-/// because the poisoned session never starts another document.
 ///
 /// [`EngineError::Worker`]: crate::error::EngineError::Worker
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_worker(
     shard: usize,
-    pool: &GroupPool<'_>,
-    nsymbols: usize,
+    seat: Seat<'_>,
     fault: Option<u64>,
-    swap_fault: bool,
     profiled: bool,
     ring: Arc<Ring<SeqBatch>>,
     out: Sender<WorkerReport>,
 ) {
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        worker_loop(shard, pool, nsymbols, fault, swap_fault, profiled, &ring, &out);
+        worker_loop(shard, seat, fault, profiled, &ring, &out);
     }));
     // The guard inside worker_loop already reported the poisoning.
     let _ = result;
@@ -305,7 +260,7 @@ pub(crate) fn run_worker(
 /// document-start marker).
 fn event_seq(ev: &ShardEvent) -> Option<u64> {
     match ev {
-        ShardEvent::DocStart { .. } => None,
+        ShardEvent::DocStart => None,
         ShardEvent::Start { seq, .. }
         | ShardEvent::Text { seq, .. }
         | ShardEvent::End { seq, .. }
@@ -324,13 +279,10 @@ fn tagger<'m>(
     move |li, _, m| matches.push(TaggedMatch { seq, gid: gids[li as usize] as u32, m })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker_loop<'a>(
+fn worker_loop(
     shard: usize,
-    pool: &GroupPool<'a>,
-    nsymbols: usize,
+    seat: Seat<'_>,
     fault: Option<u64>,
-    swap_fault: bool,
     profiled: bool,
     ring: &Arc<Ring<SeqBatch>>,
     out: &Sender<WorkerReport>,
@@ -341,18 +293,9 @@ fn worker_loop<'a>(
     // document thread stops waiting for our DocEnd acknowledgement.
     let _poison_on_panic = PoisonGuard { shard, ring, out };
     let telemetry = ring.telemetry.clone();
-
-    // The groups currently on loan from the pool (empty between
-    // documents), slot `li` holding global group `assignment
-    // .shard_gids[shard][li]` — ascending, so slot order is the
-    // direct lane's visit order and match tags stay globally comparable.
-    // The dispatch index (predicate and text interests by slot) and the
-    // executor are assignment-dependent state, rebuilt when a DocStart
-    // carries a version we have not adopted yet.
-    let mut groups: Vec<&'a mut PlanGroup> = Vec::new();
-    let mut current: Option<Arc<Assignment>> = None;
-    let mut index = DispatchIndex::default();
+    let Seat { gids, mut groups, routes, index } = seat;
     let mut exec = Executor::default();
+    exec.sample_self_time(profiled, groups.len());
 
     let mut matches: Vec<TaggedMatch> = Vec::new();
     let shard_tid = TID_SHARD_BASE + shard as u32;
@@ -365,35 +308,13 @@ fn worker_loop<'a>(
                     panic!("injected shard-worker fault at seq {f}");
                 }
             }
-            if let ShardEvent::DocStart { assignment } = event {
-                debug_assert!(groups.is_empty(), "prior document returned its groups");
-                let adopt = current.as_ref().is_none_or(|c| c.version != assignment.version);
-                if adopt && swap_fault && current.is_some() {
-                    // Injected fault: die mid-swap, after the old
-                    // assignment retired but before the new one is
-                    // adopted (the repartition hazard window).
-                    panic!("injected shard-worker fault during assignment swap");
-                }
-                groups.extend(assignment.shard_gids[shard].iter().map(|&gid| pool.take(gid)));
-                if adopt {
-                    index = DispatchIndex::default();
-                    exec = Executor::default();
-                    for (li, group) in groups.iter().enumerate() {
-                        index.add_group(li, group.machine().spec(), nsymbols);
-                    }
-                    exec.sample_self_time(profiled, groups.len());
-                    current = Some(Arc::clone(assignment));
-                }
-                for group in groups.iter_mut() {
-                    group.machine_mut().reset();
-                }
-                exec.begin_document();
-                continue;
-            }
-            let assignment = current.as_ref().expect("a DocStart precedes every other event");
-            let gids = &assignment.shard_gids[shard];
             match event {
-                ShardEvent::DocStart { .. } => unreachable!("handled above"),
+                ShardEvent::DocStart => {
+                    for group in groups.iter_mut() {
+                        group.machine_mut().reset();
+                    }
+                    exec.begin_document();
+                }
                 ShardEvent::Start {
                     seq,
                     sym,
@@ -412,16 +333,15 @@ fn worker_loop<'a>(
                         attr_id_base: *attr_id_base,
                         span: *span,
                     };
-                    let routes = &assignment.routes[shard];
-                    let emit = tagger(&mut matches, gids, *seq);
-                    exec.start(&mut groups, &index, routes, pushes, &tag, emit);
+                    let emit = tagger(&mut matches, &gids, *seq);
+                    exec.start(&mut groups, &index, &routes, pushes, &tag, emit);
                 }
                 ShardEvent::Text { seq, text, level, node_id, span } => {
-                    let emit = tagger(&mut matches, gids, *seq);
+                    let emit = tagger(&mut matches, &gids, *seq);
                     exec.text(&mut groups, text, *level, *node_id, *span, emit);
                 }
                 ShardEvent::End { seq, name, level, element_span } => {
-                    let emit = tagger(&mut matches, gids, *seq);
+                    let emit = tagger(&mut matches, &gids, *seq);
                     exec.end(&mut groups, name, *level, *element_span, emit);
                 }
                 ShardEvent::DocEnd { .. } => {
@@ -438,13 +358,6 @@ fn worker_loop<'a>(
                             })
                             .collect(),
                     );
-                    // Return the loans before the acknowledgement goes
-                    // out: once every shard has acknowledged, the
-                    // coordinator may ship a new assignment, and any
-                    // group may then belong to a different worker.
-                    for (&gid, group) in gids.iter().zip(groups.drain(..)) {
-                        pool.put(gid, group);
-                    }
                 }
             }
         }

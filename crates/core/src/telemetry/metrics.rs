@@ -183,11 +183,6 @@ pub struct Registry {
     /// Nanoseconds shard workers spent processing batches
     /// (`vitex_worker_busy_ns_total`).
     pub worker_busy_ns: Counter,
-    /// Mid-session shard repartitions performed by the placer
-    /// (`vitex_shard_repartitions_total`). Shard-count dependent, so
-    /// excluded from the deterministic class even though the decision
-    /// stream is reproducible for a fixed configuration.
-    pub shard_repartitions: Counter,
     /// Wall nanoseconds for whole-document runs (`vitex_doc_ns_total`).
     pub doc_ns: Counter,
 
@@ -299,7 +294,6 @@ impl Registry {
                 timing("vitex_ring_enqueue_stalls_total", &self.ring_enqueue_stalls),
                 timing("vitex_ring_stall_ns_total", &self.ring_stall_ns),
                 timing("vitex_worker_busy_ns_total", &self.worker_busy_ns),
-                timing("vitex_shard_repartitions_total", &self.shard_repartitions),
                 timing("vitex_doc_ns_total", &self.doc_ns),
             ])
             .collect()

@@ -72,9 +72,9 @@ pub struct GroupCost {
     /// Subscriptions served by this group.
     pub subscribers: u64,
     /// The group machine's counters (one machine, however many
-    /// subscribers), summed over the documents billed;
-    /// [`MachineStats::work`] of it is what a cost-aware shard partitioner
-    /// consumes.
+    /// subscribers), summed over the documents billed. A diagnostic only:
+    /// no shard partitioner reads it (placement is a function of the plan,
+    /// fixed when a session opens).
     pub machine: MachineStats,
     /// Shared step-trie advances billed to this group: each trie push is
     /// billed once to every routed group, so the sum over groups counts
@@ -185,11 +185,6 @@ impl CostLedger {
             g.deliveries += deliveries;
             g.hold_ns += ns;
         }
-    }
-
-    /// The per-group bills so far, ordered by group id.
-    pub(crate) fn groups(&self) -> impl Iterator<Item = &GroupCost> {
-        self.groups.values()
     }
 
     /// Point-in-time copy of the ledger.

@@ -115,20 +115,6 @@ pub enum XmlEvent {
 }
 
 impl XmlEvent {
-    /// Short tag for diagnostics and tests.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            XmlEvent::StartDocument { .. } => "StartDocument",
-            XmlEvent::StartElement(_) => "StartElement",
-            XmlEvent::EndElement(_) => "EndElement",
-            XmlEvent::Characters(_) => "Characters",
-            XmlEvent::Comment(_) => "Comment",
-            XmlEvent::ProcessingInstruction(_) => "ProcessingInstruction",
-            XmlEvent::DoctypeDeclaration { .. } => "Doctype",
-            XmlEvent::EndDocument => "EndDocument",
-        }
-    }
-
     /// Whether this is the terminal event.
     pub fn is_end_document(&self) -> bool {
         matches!(self, XmlEvent::EndDocument)
@@ -150,13 +136,5 @@ mod tests {
         assert_eq!(e.attribute("id"), Some("1"));
         assert_eq!(e.attribute("x"), Some("2"));
         assert_eq!(e.attribute("nope"), None);
-    }
-
-    #[test]
-    fn kind_names() {
-        assert_eq!(XmlEvent::EndDocument.kind_name(), "EndDocument");
-        assert!(XmlEvent::EndDocument.is_end_document());
-        assert_eq!(XmlEvent::Comment(String::new()).kind_name(), "Comment");
-        assert!(!XmlEvent::Comment(String::new()).is_end_document());
     }
 }

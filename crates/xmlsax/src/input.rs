@@ -11,11 +11,6 @@ use std::io::Read;
 use crate::error::{XmlError, XmlErrorKind, XmlResult};
 use crate::pos::TextPosition;
 
-/// Default sliding-window capacity. Large enough that refills are rare,
-/// small enough to keep the parser's footprint negligible next to the
-/// machine's own state.
-const DEFAULT_BUF_CAPACITY: usize = 64 * 1024;
-
 /// A buffered scanner with single-character lookahead primitives.
 pub struct Scanner<R: Read> {
     source: R,
@@ -37,11 +32,6 @@ pub struct Scanner<R: Read> {
 }
 
 impl<R: Read> Scanner<R> {
-    /// Creates a scanner with the default window size.
-    pub fn new(source: R) -> Self {
-        Scanner::with_capacity(source, DEFAULT_BUF_CAPACITY)
-    }
-
     /// Creates a scanner with a specific window size (minimum 16 bytes).
     pub fn with_capacity(source: R, capacity: usize) -> Self {
         Scanner {
@@ -466,7 +456,7 @@ mod tests {
     use std::io::Cursor;
 
     fn scan(s: &str) -> Scanner<Cursor<Vec<u8>>> {
-        Scanner::new(Cursor::new(s.as_bytes().to_vec()))
+        Scanner::with_capacity(Cursor::new(s.as_bytes().to_vec()), 64 * 1024)
     }
 
     #[test]
@@ -508,13 +498,13 @@ mod tests {
 
     #[test]
     fn rejects_invalid_utf8() {
-        let mut sc = Scanner::new(Cursor::new(vec![0xFF, 0x41]));
+        let mut sc = Scanner::with_capacity(Cursor::new(vec![0xFF, 0x41]), 64 * 1024);
         assert!(sc.next_char().is_err());
     }
 
     #[test]
     fn rejects_truncated_utf8() {
-        let mut sc = Scanner::new(Cursor::new(vec![0xC3])); // lone lead byte
+        let mut sc = Scanner::with_capacity(Cursor::new(vec![0xC3]), 64 * 1024); // lone lead byte
         assert!(sc.next_char().is_err());
     }
 

@@ -45,12 +45,6 @@ pub fn is_valid_name(s: &str) -> bool {
     }
 }
 
-/// Validates an `NCName` (a `Name` with no colon) — what XPath nametests
-/// are made of.
-pub fn is_valid_ncname(s: &str) -> bool {
-    is_valid_name(s) && !s.contains(':')
-}
-
 /// A qualified XML name as written in the document, e.g. `title` or
 /// `dc:title`.
 ///
@@ -156,12 +150,6 @@ mod tests {
         assert!(is_valid_name("Ω"));
         // U+00D7 MULTIPLICATION SIGN is excluded from NameStartChar.
         assert!(!is_valid_name("×"));
-    }
-
-    #[test]
-    fn ncname_rejects_colon() {
-        assert!(is_valid_ncname("book"));
-        assert!(!is_valid_ncname("ns:book"));
     }
 
     #[test]

@@ -187,11 +187,6 @@ impl<R: Read> XmlReader<R> {
         self.scanner.offset()
     }
 
-    /// The entity table accumulated from the DOCTYPE internal subset.
-    pub fn entity_table(&self) -> &EntityTable {
-        &self.entities
-    }
-
     /// Pulls the next event. After [`XmlEvent::EndDocument`] has been
     /// returned, every further call returns it again.
     pub fn next_event(&mut self) -> XmlResult<XmlEvent> {

@@ -12,6 +12,10 @@
 //! interner-resolution path, so any disagreement here points at the
 //! step trie, the dispatch index or the symbol plumbing.
 
+#[allow(dead_code)] // this battery draws on the pinned subscriptions only
+mod common;
+
+use common::pinned_queries_with_hog;
 use vitex::baseline::{naive, NaiveConfig};
 use vitex::core::telemetry::Telemetry;
 use vitex::core::{
@@ -603,7 +607,7 @@ fn sharded_sessions_survive_churn_and_back_to_back_documents() {
             assert_eq!(r2, Some(true), "query 5 was its group's only subscriber");
             assert_eq!(r3.0, OVERLAP_SET.len());
         }
-        // Session 2: the rebalanced partition over the churned plan.
+        // Session 2: a fresh deal over the churned plan.
         let outs = sharded
             .session(|session| {
                 docs.iter()
@@ -622,14 +626,11 @@ fn sharded_sessions_survive_churn_and_back_to_back_documents() {
 }
 
 #[test]
-fn recycled_group_slots_do_not_inherit_stale_placement_costs() {
-    // Churn between sessions, aimed at the ledger-seeded placement plan: a
-    // hog query is removed, a cheap newcomer recycles its plan-group
-    // slot, and the profiling ledger still holds the hog's counters
-    // under that gid. Seeding is keyed by the group's canonical text, so
-    // the newcomer must start from the uniform prior — the next
-    // session's seed plan is plain round-robin, not a partition that
-    // isolates a group that was never expensive.
+fn churned_sessions_match_the_reference_and_reclamp_workers() {
+    // Churn between sessions of a profiled engine: a hog query is
+    // removed, a cheap newcomer recycles its plan-group slot, and the
+    // next session deals, runs and reports the recycled slot like any
+    // other — output equal to a single-threaded engine churned alike.
     let mut xml = String::from("<root>");
     for i in 0..300 {
         xml.push_str(&format!("<item id=\"{i}\"><a><b>x{i}</b></a></item>"));
@@ -642,17 +643,14 @@ fn recycled_group_slots_do_not_inherit_stale_placement_costs() {
     for q in queries {
         engine.add_query(q).expect("valid query");
     }
-    // Session 1: the hog's counters land in the ledger and the session
-    // repartitions to isolate it.
-    let snap = engine
+    engine
         .session(|session| {
             for _ in 0..2 {
                 session.run_document(XmlReader::from_str(&xml), |_, _| {})?;
             }
-            Ok(session.placement_snapshot())
+            Ok(())
         })
         .expect("profiled session");
-    assert!(snap.repartitions >= 1, "the hog triggers a repartition");
     let hog_gid =
         engine.profile_snapshot().expect("profiling on").queries[0].group.expect("hog active");
 
@@ -663,14 +661,6 @@ fn recycled_group_slots_do_not_inherit_stale_placement_costs() {
     assert_eq!(engine.remove_query(QueryId(0)), Some(true), "hog group retires");
     engine.add_query("/root/www").expect("valid query");
 
-    // Session 2: the seed plan, observed before any document runs. The
-    // surviving cheap groups seed from their (tiny, comparable) ledger
-    // entries; the recycled slot's stale hog entry (hog canonical ≠
-    // newcomer canonical) must be rejected, leaving the newcomer on the
-    // uniform prior. LPT then splits the four cheap groups 2 + 2 — had
-    // the hog's cost leaked onto the recycled gid, the newcomer would
-    // sit alone on one shard with the other three groups packed
-    // opposite it.
     let (seed, outs) = engine
         .session(|session| {
             let seed = session.placement_snapshot();
@@ -680,21 +670,11 @@ fn recycled_group_slots_do_not_inherit_stale_placement_costs() {
             Ok((seed, outs))
         })
         .expect("session after churn");
-    let active: Vec<usize> =
-        (0..seed.shard_of.len()).filter(|&g| seed.shard_of[g].is_some()).collect();
-    assert_eq!(active.len(), 4, "four groups remain active after churn");
+    let active = seed.shard_of.iter().filter(|s| s.is_some()).count();
+    assert_eq!(active, 4, "four groups remain active after churn");
     assert!(
         seed.shard_of[hog_gid].is_some(),
         "the newcomer recycled the retired hog's group slot {hog_gid}"
-    );
-    let mut per_shard = vec![0usize; seed.shards];
-    for &gid in &active {
-        per_shard[seed.shard_of[gid].unwrap()] += 1;
-    }
-    assert_eq!(
-        per_shard,
-        vec![2, 2],
-        "seed plan splits the four cheap groups evenly — recycled gid {hog_gid} carries no stale cost"
     );
     // And the churned engine still matches a single-threaded reference.
     let mut reference = MultiEngine::new();
@@ -724,6 +704,39 @@ fn recycled_group_slots_do_not_inherit_stale_placement_costs() {
         })
         .expect("clamped session");
     assert_eq!(snap.shards, 2, "worker count re-clamps to the surviving group count");
+}
+
+#[test]
+fn region_pinned_subscriptions_are_dealt_by_path_once_per_session() {
+    // The auction generator fills only the even-indexed regions, and the
+    // pinned set cycles through all six: a deal blind to paths parks every
+    // live subscription on one of two shards (imbalance ≈ 2000). Dealt by
+    // path, each region's groups split across both — from the first
+    // document on, since nothing is measured first — and the placement
+    // holds for the whole session.
+    let mut pinned = pinned_queries_with_hog(1000);
+    pinned.pop(); // the hog
+    let mut engine = ShardedEngine::new(2);
+    for tree in &pinned {
+        engine.add_tree(tree).expect("valid query");
+    }
+    let xml = auction::to_string(&auction::AuctionConfig::sized(64 * 1024));
+    let (before, after) = engine
+        .session(|session| {
+            let before = session.placement_snapshot();
+            let mut after = Vec::new();
+            for _ in 0..3 {
+                session.run_document(XmlReader::from_str(&xml), |_, _| {})?;
+                after.push(session.placement_snapshot());
+            }
+            Ok((before, after))
+        })
+        .expect("pinned session");
+    let first = after[0].last_imbalance_millis.expect("a document ran");
+    assert!(first <= 1100, "the first document runs balanced: imbalance {first}");
+    assert_eq!(before.shards, 2);
+    assert_eq!(before.shard_of, after[2].shard_of, "placement is fixed for the session");
+    assert_eq!(after[2].repartitions, 0);
 }
 
 #[test]

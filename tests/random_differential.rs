@@ -185,16 +185,13 @@ fn warm_session(
 }
 
 /// Placement must be output-transparent: a warm session streaming
-/// several documents — enough for the placement planner to observe the
-/// first document's counters and repartition at a document boundary —
-/// must produce byte-identical matches, callback order and statistics at
-/// every shard count, the one-shard run (which has nothing to place)
-/// being the reference. A planted hog query skews the group costs
-/// so the sweep actually exercises an assignment swap, not just the seed
-/// plan: three chained descendant wildcards among a random set over
-/// random documents, and the E15 set — one descendant hog among 7 cheap
-/// pinned subscriptions over an auction document — which at 4 shards
-/// must also end with the hog alone on its shard and a lower imbalance.
+/// several documents must produce byte-identical matches, callback order
+/// and statistics at every shard count, the one-shard run (which has
+/// nothing to place) being the reference — and keep its placement for
+/// the whole session. Two sets: a random one with a planted hog (three
+/// chained descendant wildcards) over random documents, and the E15 set —
+/// one descendant hog among 7 cheap pinned subscriptions — over auction
+/// documents.
 #[test]
 fn placement_axis_is_output_transparent() {
     let random_docs: Vec<String> =
@@ -206,15 +203,13 @@ fn placement_axis_is_output_transparent() {
 
     for (trees, docs) in [(&random_set, &random_docs), (&skewed_set, &auction_docs)] {
         let mut reference = None;
-        let mut repartitioned = false;
         for &shards in ALL_SHARDS {
             let (outs, streamed, snaps) = warm_session(&mut engine_with(trees, shards), docs);
             let label = format!("{shards} shards");
-            let repartitions = snaps.last().expect("documents ran").repartitions;
-            if shards == 1 {
-                assert_eq!(repartitions, 0, "no replanning expected: {label}");
-            }
-            repartitioned |= repartitions > 0;
+            assert!(
+                snaps.iter().all(|s| s.shard_of == snaps[0].shard_of),
+                "placement is fixed for the session: {label}"
+            );
             match &reference {
                 None => reference = Some((outs, streamed)),
                 Some((ref_outs, ref_streamed)) => {
@@ -228,31 +223,7 @@ fn placement_axis_is_output_transparent() {
                 }
             }
         }
-        assert!(repartitioned, "the planted hog must trigger at least one mid-session repartition");
     }
-
-    // The rebalance claim, on the skewed set at 4 shards. Document 1 runs
-    // the uniform-prior deal, under which the hog shares a worker with a
-    // cheap group; the ledger names the hog's group.
-    let mut engine = engine_with(&skewed_set, 4);
-    engine.set_profiling(true);
-    let (_, _, snaps) = warm_session(&mut engine, &auction_docs);
-    let (first, last) = (&snaps[0], &snaps[snaps.len() - 1]);
-    assert!(last.repartitions >= 1, "the skewed set must repartition after the first document");
-    let ledger = engine.profile_snapshot().expect("profiling enabled");
-    let hog_shard = last.shard_of[ledger.queries[7].group.expect("hog is active")];
-    assert!(hog_shard.is_some(), "hog group is placed");
-    assert_eq!(
-        last.shard_of.iter().filter(|s| **s == hog_shard).count(),
-        1,
-        "the hog must be alone on its shard after the repartition: {last:?}"
-    );
-    let imbalance = |s: &PlacementSnapshot| s.last_imbalance_millis.expect("documents ran");
-    assert!(
-        imbalance(last) < imbalance(first),
-        "the repartitioned assignment must measure strictly lower imbalance than the \
-         uniform-prior deal of document 1: {first:?} then {last:?}"
-    );
 }
 
 /// A fixed-seed sweep pinned for CI: deterministic regardless of
