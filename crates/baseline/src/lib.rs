@@ -15,16 +15,12 @@
 //!   test predicates. Worst-case exponential in the query size on recursive
 //!   data; experiment E3 measures exactly that blowup against TwigM's
 //!   polynomial bookkeeping.
-//! * [`nfa`] — a structure-only lazy-NFA filter (in the spirit of
-//!   XFilter/YFilter) for predicate-free path queries, as an ablation
-//!   reference point.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dom;
 pub mod naive;
-pub mod nfa;
 pub mod oracle;
 
 pub use dom::Document;

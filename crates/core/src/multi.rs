@@ -28,7 +28,11 @@
 //!   advances it **once** — one axis/name witness check per distinct trie
 //!   node, however many groups share the step — and each push it decides
 //!   lands, through the node's routes, on exactly the group machine nodes
-//!   that must push;
+//!   that must push. Where a value gate read the tag's attributes, that
+//!   is only the routed groups whose `[@name = 'literal']` test the tag
+//!   can pass (and those with no such test): a group whose test fails
+//!   would push an entry that can never be satisfied, so it is not shown
+//!   the element at all, and its matches do not change;
 //! * the **dispatch index** (over the shared [`Interner`]) covers what
 //!   the trie does not: per interned name the groups whose *predicate
 //!   subtrees* test it, the groups with a predicate wildcard, and the
@@ -57,10 +61,17 @@
 //! tests live inside the delivered events.
 //!
 //! Both structures update **incrementally**: [`MultiEngine::add_query`]
-//! splices the new group into trie routes and index in place and
-//! [`MultiEngine::remove_query`] clears it back out when the last
+//! splices the new group into trie routes, value gates and index in place
+//! and [`MultiEngine::remove_query`] clears it back out when the last
 //! subscriber of a group leaves — no rebuild between runs, so long-lived
 //! pub/sub sessions can churn subscriptions mid-stream.
+//!
+//! Per subscription, a run reproduces a private [`crate::Engine`]'s
+//! matches and payloads. Its machine statistics are the `Engine`'s too,
+//! unless a value gate spared its group work: then they are what a
+//! one-query `MultiEngine` reports over the same document — a group's
+//! counters never depend on its neighbours — at most the `Engine`'s on
+//! every counter, with `emitted` equal.
 
 use std::borrow::BorrowMut;
 use std::time::Instant;
@@ -76,6 +87,7 @@ use crate::driver::DocumentDriver;
 use crate::error::EngineResult;
 use crate::intern::{Interner, Symbol};
 use crate::machine::CandidateStore;
+use crate::plan::trie::for_each_pushed;
 use crate::plan::{PlanGroup, QueryPlanner, TriePush};
 use crate::result::{Match, NodeId};
 use crate::shard::admit::WalkScratch;
@@ -660,15 +672,18 @@ impl Executor {
     }
 
     /// `startElement`: expands the trie's `pushes` along `routes` into
-    /// per-slot main plans, merge-walks them with the slots whose
-    /// predicate subtrees test the tag's name (`index`), and records the
-    /// slots that pushed as the element's frame.
+    /// per-slot main plans — over a gated push's survivors only, which
+    /// `survivors` holds keyed like `routes` — merge-walks them with the
+    /// slots whose predicate subtrees test the tag's name (`index`), and
+    /// records the slots that pushed as the element's frame.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn start<G: BorrowMut<PlanGroup>>(
         &mut self,
         groups: &mut [G],
         index: &DispatchIndex,
         routes: &[Vec<(u32, u32)>],
         pushes: &[TriePush],
+        survivors: &[u32],
         tag: &StartTag<'_>,
         mut emit: impl FnMut(u32, &[QueryId], Match),
     ) {
@@ -676,7 +691,13 @@ impl Executor {
             self;
         plans.clear();
         for p in pushes {
-            plans.extend(routes[p.node as usize].iter().map(|&(slot, mnode)| (slot, mnode, p.ptr)));
+            let (routes, ptr) = (&routes[p.node as usize], p.ptr);
+            match p.survivors(survivors) {
+                None => plans.extend(routes.iter().map(|&(slot, mnode)| (slot, mnode, ptr))),
+                alive => {
+                    for_each_pushed(routes, alive, |(slot, mnode)| plans.push((slot, mnode, ptr)))
+                }
+            }
         }
         // Routes ascend by slot, so one push expands in order; several
         // pushes interleave.

@@ -32,11 +32,12 @@ pub mod trie;
 
 pub use group::PlanGroup;
 pub(crate) use trie::RouteTable;
-pub use trie::{PrefixRunStats, StepKey, StepTrie, TriePush};
+pub use trie::{PrefixRunStats, RoutedStep, StepKey, StepTrie, TriePush};
 
 use vitex_xpath::query_tree::{NodeKind, QueryTree};
+use vitex_xpath::{CmpOp, Literal};
 
-use crate::builder::{BuildError, EvalMode, MachineSpec};
+use crate::builder::{AttrTest, BuildError, EvalMode, MachineSpec};
 use crate::intern::Interner;
 use crate::machine::TwigM;
 use crate::result::QueryId;
@@ -101,10 +102,7 @@ impl QueryPlanner {
             return Ok(Registration { group: g, created: false });
         }
         let spec = MachineSpec::compile_with(tree, interner)?;
-        // The machine node each main-path step drives, in step order:
-        // what a push of the trie node at that depth lands on.
-        let main_nodes: Vec<u32> =
-            (0..spec.len()).filter(|&q| spec.nodes[q].is_main).map(|q| q as u32).collect();
+        let steps = routed_steps(&spec);
         let machine = TwigM::from_spec(spec, EvalMode::Compact);
         let group = PlanGroup::new(machine, canonical, hash, terminal, id);
         let gid = match self.free_slots.pop() {
@@ -121,7 +119,7 @@ impl QueryPlanner {
                 self.groups.len() - 1
             }
         };
-        self.trie.add_group(terminal, gid, &main_nodes);
+        self.trie.add_group(terminal, gid, &steps);
         self.active_groups += 1;
         self.active_queries += 1;
         Ok(Registration { group: gid, created: true })
@@ -138,7 +136,8 @@ impl QueryPlanner {
         self.active_queries -= 1;
         if last {
             self.active_groups -= 1;
-            self.trie.remove_group(self.groups[gid].trie_node(), gid);
+            let group = &self.groups[gid];
+            self.trie.remove_group(group.trie_node(), gid, &routed_steps(group.machine().spec()));
             self.free_slots.push(gid);
         }
         last
@@ -228,6 +227,24 @@ impl QueryPlanner {
             })
             .collect()
     }
+}
+
+/// A compiled main path as the trie routes it, in step order: the
+/// machine node each step drives — what a push of the trie node at that
+/// depth lands on — and the value-gate key of the node's first inline
+/// `[@name = 'string']` test. `@*`, numeric literals and every other
+/// operator leave the step unkeyed: a gate decides only by string
+/// equality.
+fn routed_steps(spec: &MachineSpec) -> Vec<RoutedStep> {
+    let gate_key = |t: &AttrTest| match (&t.name, &t.comparison) {
+        (Some(name), Some((CmpOp::Eq, Literal::Str(literal)))) => {
+            Some(trie::gate_key(name, literal))
+        }
+        _ => None,
+    };
+    let main = spec.nodes.iter().enumerate().filter(|(_, n)| n.is_main);
+    main.map(|(q, n)| RoutedStep { mnode: q as u32, key: n.attr_preds.iter().find_map(gate_key) })
+        .collect()
 }
 
 /// Resident bytes of the active groups among `groups` (stack capacity

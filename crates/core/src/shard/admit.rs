@@ -4,7 +4,9 @@
 //! (the merge key ring-lane workers tag matches with), an **admission
 //! filter** verdict (an event no group anywhere is interested in consumes
 //! its number but is never delivered) and the **trie pushes** the global
-//! plan trie decided for it. Each broadcast batch of the ring lane covers
+//! plan trie decided for it — each with its survivors where a value gate
+//! read the tag's attributes and narrowed the groups that push (see
+//! [`crate::plan::trie`]). Each broadcast batch of the ring lane covers
 //! every sequence number admitted up to its `through`.
 //!
 //! The session's sink asks this walk first and hands what it admits to
@@ -12,7 +14,10 @@
 //! `ShardEvent` built from the borrowed driver event). Walking the trie
 //! here, once per event on the document thread and nowhere else, is what
 //! keeps the prefix counters — and therefore the plan statistics and the
-//! shared-step bill — identical at every shard count.
+//! shared-step bill, both of which count survivors — identical at every
+//! shard count.
+
+use vitex_xmlsax::event::Attribute;
 
 use crate::intern::Symbol;
 use crate::multi::DispatchIndex;
@@ -71,17 +76,23 @@ impl<'a> Admission<'a> {
     }
 
     /// Admits a start tag: its sequence number when some group wants it
-    /// (the trie has then advanced; [`Admission::pushes`] holds what it
-    /// decided), `None` when the filter drops it. A dropped tag still
-    /// consumed a sequence number and is never shown to the trie — no
-    /// live step tests its name, so it could not have pushed.
-    pub(super) fn start(&mut self, sym: Option<Symbol>, level: u32) -> Option<u64> {
+    /// (the trie has then advanced — its value gates reading
+    /// `attributes` — and [`Admission::pushes`] holds what it decided),
+    /// `None` when the filter drops it. A dropped tag still consumed a
+    /// sequence number and is never shown to the trie — no live step tests
+    /// its name, so it could not have pushed.
+    pub(super) fn start(
+        &mut self,
+        sym: Option<Symbol>,
+        level: u32,
+        attributes: &[Attribute],
+    ) -> Option<u64> {
         self.seq += 1;
         if !self.wants_element(sym) {
             return None;
         }
         self.buf.pushed.clear();
-        self.trie.advance(sym, level, &mut self.buf.pushed);
+        self.trie.advance(sym, level, attributes, &mut self.buf.pushed);
         self.trie.bill_pushes(&self.buf.pushed, &mut self.buf.shared_steps);
         Some(self.seq)
     }
@@ -114,6 +125,12 @@ impl<'a> Admission<'a> {
     /// The trie pushes of the last admitted start tag.
     pub(super) fn pushes(&self) -> &[TriePush] {
         &self.buf.pushed
+    }
+
+    /// The survivor lists the gated ranges of [`Admission::pushes`] index
+    /// (gid-keyed).
+    pub(super) fn survivors(&self) -> &[u32] {
+        self.trie.survivors()
     }
 
     /// The engine's dispatch index (gid-keyed).
@@ -154,15 +171,15 @@ mod tests {
         adm.begin_document(0);
         // <a><x><b/></x>t<b/></a>: x is unknown to every query, and no
         // query reads text.
-        assert_eq!((adm.start(a, 1), adm.pushes().len()), (Some(1), 1));
-        assert!(adm.start(None, 2).is_none(), "<x> is filtered");
-        let b_in_x = adm.start(b, 3).expect("<b> ships even under a filtered parent");
+        assert_eq!((adm.start(a, 1, &[]), adm.pushes().len()), (Some(1), 1));
+        assert!(adm.start(None, 2, &[]).is_none(), "<x> is filtered");
+        let b_in_x = adm.start(b, 3, &[]).expect("<b> ships even under a filtered parent");
         assert_eq!((b_in_x, adm.pushes().len()), (3, 0), "/a/b does not match a/x/b");
         assert_eq!(adm.end(b, 3), Some(4));
         assert_eq!(adm.end(None, 2), None, "</x> pairs with its filtered start tag");
         assert_eq!(adm.text(), None, "no group reads text");
         assert_eq!(adm.seq(), 6, "filtered events still consume numbers");
-        let b_in_a = adm.start(b, 2).expect("ships");
+        let b_in_a = adm.start(b, 2, &[]).expect("ships");
         assert_eq!((b_in_a, adm.pushes().len()), (7, 1), "/a/b matches a/b");
         assert_eq!(adm.end(b, 2), Some(8));
         assert_eq!(adm.end(a, 1), Some(9));
@@ -172,7 +189,7 @@ mod tests {
         assert_eq!(adm.trie_run_stats().steps_executed, 3);
         // A new document restarts the numbering.
         adm.begin_document(0);
-        assert_eq!(adm.start(a, 1), Some(1));
+        assert_eq!(adm.start(a, 1, &[]), Some(1));
     }
 
     #[test]
@@ -187,7 +204,7 @@ mod tests {
             let sym = parts.interner.lookup(name);
             let mut adm = Admission::new(parts.index, parts.planner.run_split().0, parts.walk);
             adm.begin_document(0);
-            let shipped = adm.start(sym, 1).map(|seq| (seq, adm.pushes().len()));
+            let shipped = adm.start(sym, 1, &[]).map(|seq| (seq, adm.pushes().len()));
             assert_eq!(adm.end(sym, 1).is_some(), shipped.is_some(), "</{name}> pairs up");
             assert_eq!(adm.seq(), 2, "shipped or not, both tags consumed a number");
             assert_eq!(adm.trie.live_entries(), 0);

@@ -57,9 +57,11 @@
 //!   copied into `Arc` payloads or merged; facts are read off the live
 //!   groups. Opening the lane snapshots nothing a live group can answer.
 //! * **ring** (two or more): the event is built once as a `ShardEvent` —
-//!   trie push decisions attached — batched, and broadcast over bounded
-//!   rings (`worker::Ring`); each worker applies it with its own executor
-//!   over the groups it was spawned with and reports matches tagged
+//!   trie push decisions attached, with the value gates' survivor lists
+//!   when a push carries one — batched, and broadcast over bounded rings
+//!   (`worker::Ring`); each worker maps the survivors to its local slots,
+//!   applies the event with its own executor over the groups it was
+//!   spawned with and reports matches tagged
 //!   `(event seq, group id)`; the watermark merge (`merge::MatchMerger`)
 //!   releases them into exactly the direct lane's order, and the workers'
 //!   `DocEnd` acknowledgements carry the per-group facts. The workers
@@ -556,21 +558,28 @@ impl<F: FnMut(QueryId, Match)> EventSink for SessionSink<'_, '_, F> {
         node_id: NodeId,
         attr_id_base: NodeId,
     ) {
-        let (level, span) = (event.level, event.span);
-        let Some(seq) = self.walk.start(sym, level) else { return };
-        let (walk, attributes) = (&*self.walk, event.attributes.as_slice());
+        let (level, span, attributes) = (event.level, event.span, event.attributes.as_slice());
+        let Some(seq) = self.walk.start(sym, level, attributes) else { return };
+        let walk = &*self.walk;
         match self.lane {
             Lane::Direct { groups, exec } => {
                 let tag = StartTag { sym, level, attributes, node_id, attr_id_base, span };
                 let emit = |_, subscribers: &[QueryId], hit| {
                     fan_out_match(subscribers, self.on_match, hit)
                 };
-                exec.start(&mut groups[..], walk.index(), walk.routes(), walk.pushes(), &tag, emit);
+                let (routes, pushes, survivors) = (walk.routes(), walk.pushes(), walk.survivors());
+                exec.start(&mut groups[..], walk.index(), routes, pushes, survivors, &tag, emit);
             }
             Lane::Ring(r) => {
                 let pushes = match walk.pushes() {
                     [] => Arc::clone(&r.no_pushes),
                     pushes => pushes.into(),
+                };
+                // The survivor lists ship only when a push reads them.
+                let survivors = if walk.pushes().iter().any(|p| p.gated.is_some()) {
+                    walk.survivors().into()
+                } else {
+                    Arc::clone(&r.no_survivors)
                 };
                 let attrs = attributes.into();
                 let event = ShardEvent::Start {
@@ -582,6 +591,7 @@ impl<F: FnMut(QueryId, Match)> EventSink for SessionSink<'_, '_, F> {
                     attr_id_base,
                     span,
                     pushes,
+                    survivors,
                 };
                 r.ship(seq, event, self.on_match);
             }
@@ -653,8 +663,10 @@ struct RingLane<'a> {
     profiled: bool,
     /// Shard of each group slot, `None` for inactive slots.
     shard_of: Vec<Option<usize>>,
-    /// Shared empty push list (most start tags push nothing).
+    /// Shared empty push and survivor lists (most start tags push
+    /// nothing, and most pushes pass no value gate).
     no_pushes: Arc<[TriePush]>,
+    no_survivors: Arc<[u32]>,
     /// The broadcast batch being filled.
     batch: Vec<ShardEvent>,
     doc: DocState,
@@ -741,6 +753,7 @@ impl<'a> RingLane<'a> {
             profiled,
             shard_of,
             no_pushes: Vec::new().into(),
+            no_survivors: Vec::new().into(),
             batch: Vec::with_capacity(EVENT_BATCH),
         };
         (lane, seats)

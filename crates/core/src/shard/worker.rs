@@ -8,9 +8,10 @@
 //! within a session, so nothing is handed back between documents. The
 //! worker pops event batches off its ring and applies them with its own
 //! [`Executor`] over the subset — the same per-event apply step the
-//! direct lane runs, fed the trie pushes the document thread shipped —
-//! and reports emitted matches tagged with their global ordering key,
-//! plus a watermark, back to the document thread.
+//! direct lane runs, fed the trie pushes the document thread shipped, a
+//! value gate's survivors mapped from group ids to its local slots — and
+//! reports emitted matches tagged with their global ordering key, plus a
+//! watermark, back to the document thread.
 //!
 //! Each ring has exactly one producer — the document thread — so batches
 //! arrive in document order, which the twig machines (streaming stack
@@ -56,6 +57,9 @@ pub(crate) enum ShardEvent {
         /// trie. `Arc`-shared like the other payloads: built once,
         /// bumped per ring.
         pushes: Arc<[TriePush]>,
+        /// The trie's survivor lists (group ids) the gated pushes index;
+        /// empty when no push is gated.
+        survivors: Arc<[u32]>,
     },
     /// A text node.
     Text { seq: u64, text: Arc<str>, level: u32, node_id: NodeId, span: ByteSpan },
@@ -296,6 +300,13 @@ fn worker_loop(
     let Seat { gids, mut groups, routes, index } = seat;
     let mut exec = Executor::default();
     exec.sample_self_time(profiled, groups.len());
+    // Group id → local slot (`None`: dealt elsewhere), and a start tag's
+    // pushes and survivors re-keyed by it.
+    let mut slot_of = vec![None; gids.last().map_or(0, |&gid| gid + 1)];
+    for (li, &gid) in gids.iter().enumerate() {
+        slot_of[gid] = Some(li as u32);
+    }
+    let (mut local_pushes, mut local_survivors) = (Vec::new(), Vec::new());
 
     let mut matches: Vec<TaggedMatch> = Vec::new();
     let shard_tid = TID_SHARD_BASE + shard as u32;
@@ -324,6 +335,7 @@ fn worker_loop(
                     attr_id_base,
                     span,
                     pushes,
+                    survivors,
                 } => {
                     let tag = StartTag {
                         sym: *sym,
@@ -333,8 +345,15 @@ fn worker_loop(
                         attr_id_base: *attr_id_base,
                         span: *span,
                     };
+                    let (pushes, survivors) = if survivors.is_empty() {
+                        (&pushes[..], &survivors[..])
+                    } else {
+                        let local = (&mut local_pushes, &mut local_survivors);
+                        localize(pushes, survivors, &slot_of, local.0, local.1);
+                        (&local_pushes[..], &local_survivors[..])
+                    };
                     let emit = tagger(&mut matches, &gids, *seq);
-                    exec.start(&mut groups, &index, &routes, pushes, &tag, emit);
+                    exec.start(&mut groups, &index, &routes, pushes, survivors, &tag, emit);
                 }
                 ShardEvent::Text { seq, text, level, node_id, span } => {
                     let emit = tagger(&mut matches, &gids, *seq);
@@ -373,6 +392,30 @@ fn worker_loop(
         if out.send(report).is_err() {
             return; // session is gone; nothing left to report to
         }
+    }
+}
+
+/// Re-keys a start tag's gated `pushes` to this worker's local slots:
+/// each survivor range of `survivors` (group ids) becomes a range of
+/// `out` holding the slots of the survivors dealt here — ascending, as
+/// slot order is gid order.
+fn localize(
+    pushes: &[TriePush],
+    survivors: &[u32],
+    slot_of: &[Option<u32>],
+    out_pushes: &mut Vec<TriePush>,
+    out: &mut Vec<u32>,
+) {
+    out_pushes.clear();
+    out.clear();
+    for p in pushes {
+        let gated = p.gated.map(|(from, to)| {
+            let start = out.len() as u32;
+            let gids = &survivors[from as usize..to as usize];
+            out.extend(gids.iter().filter_map(|&gid| slot_of.get(gid as usize).copied().flatten()));
+            (start, out.len() as u32)
+        });
+        out_pushes.push(TriePush { gated, ..*p });
     }
 }
 

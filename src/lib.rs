@@ -13,8 +13,8 @@
 //! * [`xpath`] — the XPath front-end (parser + query tree),
 //! * [`core`] — the TwigM builder/machine/engine (the paper's
 //!   contribution),
-//! * [`baseline`] — the DOM oracle, the exponential naive enumerator, and
-//!   an NFA filter (comparison points),
+//! * [`baseline`] — the DOM oracle and the exponential naive enumerator
+//!   (comparison points),
 //! * [`xmlgen`] — synthetic dataset generators (protein / recursive /
 //!   random / auction).
 //!

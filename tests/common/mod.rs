@@ -1,9 +1,13 @@
 //! Harness pieces shared by the differential batteries
-//! (`random_differential`, `telemetry`): the seeded query-set generator
-//! and the skewed auction subscription set.
+//! (`driver_differential`, `random_differential`, `telemetry`): the seeded
+//! query-set generator, the skewed auction subscription set, and the
+//! private-engine contract for machine statistics.
 
+use vitex::core::{MachineStats, MultiEngine};
+use vitex::xmlsax::XmlReader;
 use vitex::xpath::generate::{GenConfig, QueryGenerator};
-use vitex::xpath::QueryTree;
+use vitex::xpath::query_tree::NodeKind;
+use vitex::xpath::{Axis, CmpOp, Literal, QueryTree};
 
 /// Queries per generated set — enough for overlap and duplicates to
 /// appear (the generator's alphabet is 5 tags), small enough to keep the
@@ -39,4 +43,47 @@ pub fn pinned_queries_with_hog(k: usize) -> Vec<QueryTree> {
         .chain(["//item[payment = 'Cash']//listitem".to_string()])
         .map(|q| QueryTree::parse(&q).expect("valid query"))
         .collect()
+}
+
+/// Whether a value gate can narrow `tree`'s group: some main-path step
+/// with only child steps above it (itself included) tests
+/// `[@name = 'string']` inline. A `//` ends the anchored prefix.
+pub fn gated(tree: &QueryTree) -> bool {
+    let steps = tree.main_path().iter().map(|&id| tree.node(id));
+    let anchored = steps.take_while(|n| n.axis == Axis::Child && n.kind.is_element());
+    anchored.flat_map(|n| &n.pred_children).any(|&c| {
+        let c = tree.node(c);
+        matches!(
+            (&c.kind, &c.comparison),
+            (NodeKind::Attribute { name: Some(_) }, Some((CmpOp::Eq, Literal::Str(_))))
+        )
+    })
+}
+
+/// The private-engine contract for one subscription's machine statistics
+/// (`stats`, from a shared run over `xml`; `engine`, from a private
+/// `Engine`). A query no value gate touches does exactly the `Engine`'s
+/// work. A gated one does what a one-query `MultiEngine` does over the
+/// same document — a group's counters do not depend on its neighbours —
+/// which is at most the `Engine`'s on every counter, with `emitted` equal.
+#[allow(dead_code)] // telemetry has no use for it
+pub fn assert_private_stats(
+    stats: &MachineStats,
+    engine: &MachineStats,
+    tree: &QueryTree,
+    xml: &str,
+    label: &str,
+) {
+    if !gated(tree) {
+        assert_eq!(stats, engine, "machine statistics equal a private Engine's: {label}");
+        return;
+    }
+    let mut alone = MultiEngine::new();
+    alone.add_tree(tree).expect("registrable");
+    let alone = alone.run(XmlReader::from_str(xml), |_, _| {}).expect("one-query run");
+    assert_eq!(stats, &alone.stats[0], "a gated group's counters are its own: {label}");
+    for ((name, gated), (_, private)) in stats.rows().into_iter().zip(engine.rows()) {
+        assert!(gated <= private, "{name}: gated {gated} > private {private}: {label}");
+    }
+    assert_eq!(stats.emitted, engine.emitted, "gating emits what the Engine emits: {label}");
 }

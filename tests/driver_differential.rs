@@ -4,19 +4,22 @@
 //! generated documents — deep-recursive (the paper's Figure 1 regime) and
 //! protein-shaped (the paper's headline dataset). k independent
 //! single-query engines are the in-engine reference throughout: a
-//! multi-query run must reproduce their matches *and* their per-query
-//! machine statistics.
+//! multi-query run must reproduce their matches *and* — the private-engine
+//! contract, `common::assert_private_stats` — their per-query machine
+//! statistics, except where a value gate spares a group work, which then
+//! equals a one-query engine's. The value-routing battery at the end pins
+//! the gates themselves.
 //!
 //! This is the correctness gate for the unified [`DocumentDriver`] layer:
 //! all engines share one SAX loop, one numbering scheme and one
 //! interner-resolution path, so any disagreement here points at the
 //! step trie, the dispatch index or the symbol plumbing.
 
-#[allow(dead_code)] // this battery draws on the pinned subscriptions only
+#[allow(dead_code)] // this battery does not generate query sets
 mod common;
 
-use common::pinned_queries_with_hog;
-use vitex::baseline::{naive, NaiveConfig};
+use common::{assert_private_stats, gated, pinned_queries_with_hog};
+use vitex::baseline::{naive, oracle, Document, NaiveConfig};
 use vitex::core::telemetry::Telemetry;
 use vitex::core::{
     Engine, EngineError, EvalOutput, Match, MultiEngine, MultiOutput, QueryId, ShardedEngine,
@@ -61,12 +64,14 @@ fn single_ids(xml: &str, tree: &QueryTree) -> Vec<u64> {
 }
 
 /// Asserts a multi-query output equals what private per-query engines
-/// produce: match payloads, machine statistics, stream counters.
+/// produce: match payloads and stream counters, and machine statistics
+/// under the private-engine contract (`common::assert_private_stats`).
 fn assert_equals_private_engines(out: &MultiOutput, queries: &[&str], xml: &str) {
     for (i, q) in queries.iter().enumerate() {
-        let (expected, single) = single_run(xml, &QueryTree::parse(q).unwrap());
+        let tree = QueryTree::parse(q).unwrap();
+        let (expected, single) = single_run(xml, &tree);
         assert_eq!(out.matches[i], expected, "match payloads of #{i} {q}");
-        assert_eq!(out.stats[i], single.stats, "machine statistics of #{i} {q}");
+        assert_private_stats(&out.stats[i], &single.stats, &tree, xml, &format!("#{i} {q}"));
         assert_eq!(
             (out.elements, out.text_nodes, out.events),
             (single.elements, single.text_nodes, single.events),
@@ -836,4 +841,181 @@ fn wildcard_only_query_sees_every_element_through_the_index() {
     let got: Vec<u64> = out.matches[q.0].iter().map(|m| m.node).collect();
     assert_eq!(got, expected);
     assert_eq!(out.matches[q.0].len() as u64, out.elements, "//* matches every element");
+}
+
+// --------------------------------------------------------------------- //
+// Value routing: gated trie steps (`plan/trie.rs`, "Value gates")
+// --------------------------------------------------------------------- //
+
+/// One value-routing case at every shard count. Each query's matches
+/// equal the oracle's (node ids) and a private `Engine`'s (payloads), its
+/// statistics keep the private-engine contract, and the callback stream,
+/// statistics and plan are byte-identical across shard counts. When the
+/// set holds gated queries, their pushes must fall below the private
+/// engines' — a gate that spared no work would not be one. Returns the
+/// one-shard output.
+fn check_value_routing(label: &str, queries: &[&str], xml: &str) -> MultiOutput {
+    let trees: Vec<QueryTree> = queries.iter().map(|q| QueryTree::parse(q).unwrap()).collect();
+    let doc = Document::parse_str(xml).expect("well-formed case");
+    let mut reference: Option<(MultiOutput, Vec<(usize, Match)>)> = None;
+    for &shards in SHARD_COUNTS {
+        let mut engine = ShardedEngine::new(shards);
+        for tree in &trees {
+            engine.add_tree(tree).expect("registrable");
+        }
+        let mut streamed = Vec::new();
+        let out = engine.run(XmlReader::from_str(xml), |q, m| streamed.push((q.0, m))).unwrap();
+        let at = format!("{label}, {shards} shard(s)");
+        match &reference {
+            Some((first, first_streamed)) => {
+                assert_eq!(&streamed, first_streamed, "callback stream: {at}");
+                assert_eq!(out.stats, first.stats, "machine stats: {at}");
+                assert_eq!(out.plan, first.plan, "plan stats: {at}");
+            }
+            None => {
+                let (mut gated_pushes, mut private_pushes) = (0, 0);
+                for (i, tree) in trees.iter().enumerate() {
+                    let q = format!("{at}: {}", queries[i]);
+                    let mut expected: Vec<u64> =
+                        oracle::evaluate(&doc, tree).into_iter().map(|m| m.node).collect();
+                    let mut got: Vec<u64> = out.matches[i].iter().map(|m| m.node).collect();
+                    expected.sort_unstable();
+                    got.sort_unstable();
+                    assert_eq!(got, expected, "oracle: {q}");
+                    let (private, single) = single_run(xml, tree);
+                    assert_eq!(out.matches[i], private, "match payloads: {q}");
+                    assert_private_stats(&out.stats[i], &single.stats, tree, xml, &q);
+                    if gated(tree) {
+                        gated_pushes += out.stats[i].pushes;
+                        private_pushes += single.stats.pushes;
+                    }
+                }
+                assert!(
+                    gated_pushes < private_pushes || private_pushes == 0,
+                    "{at}: gated groups pushed {gated_pushes}, private engines {private_pushes}"
+                );
+                reference = Some((out, streamed));
+            }
+        }
+    }
+    reference.expect("shard counts ran").0
+}
+
+#[test]
+fn value_gates_route_by_attribute_literal_at_every_shard_count() {
+    let nested = r#"<r><a id="v1"><b k="v2"><c/></b><b k="v0"><c/></b><b><c/></b></a>
+        <a id="v0"><b k="v2"><c/></b></a><a><b k="v2"><c/></b></a></r>"#;
+    let out = check_value_routing(
+        "nested gates",
+        &[
+            "/r/a[@id = 'v1']/b[@k = 'v2']/c",
+            "/r/a[@id = 'v1']/b/c",
+            "/r/a/b[@k = 'v2']/c",
+            "/r/a/b/c",
+            "/r/a[@id = 'v0']/b[@k = 'v2']/c",
+        ],
+        nested,
+    );
+    let hits: Vec<usize> = out.matches.iter().map(Vec::len).collect();
+    assert_eq!(hits, [1, 3, 3, 5, 1]);
+
+    let shared = r#"<r><a id="v1"><b/><c/></a><a id="v2"><b/><c/></a><a><b/></a></r>"#;
+    let out = check_value_routing(
+        "keyed and unkeyed groups on one node, two groups with one literal",
+        &[
+            "/r/a[@id = 'v1']/b",
+            "/r/a[@id = 'v1']/c",
+            "/r/a/b",
+            "/r/a[b]/c",
+            "/r/a[@id = 'v2'][b]/@id",
+            "/r/a[@id='v1']/b",
+        ],
+        shared,
+    );
+    assert_eq!(out.matches.iter().map(Vec::len).collect::<Vec<_>>(), [1, 1, 3, 2, 1, 1]);
+    assert_eq!(out.plan.groups, 5, "the spaced-out duplicate joins its group");
+
+    let ungated = r#"<r><a id="5.0" k="v1"><b/></a><a id="7"><b/></a></r>"#;
+    let queries =
+        ["/r/a[@* = 'v1']/b", "/r/a[@id = 5]/b", "/r/a[@id != 'v1']/b", "/r/a[@id > 6]/b"];
+    assert!(queries.iter().all(|q| !gated(&QueryTree::parse(q).unwrap())));
+    let out = check_value_routing("@*, numeric, != and relational stay ungated", &queries, ungated);
+    assert_eq!(out.matches.iter().map(Vec::len).collect::<Vec<_>>(), [1, 1, 2, 1]);
+
+    let tail = r#"<r><item id="x"><d><keyword/><keyword><keyword/></keyword></d></item>
+        <item id="y"><keyword/></item></r>"#;
+    let out = check_value_routing(
+        "a // tail below a gate",
+        &["/r/item[@id = 'x']//keyword", "/r/item[@id = 'y']//keyword", "/r/item//keyword"],
+        tail,
+    );
+    assert_eq!(out.matches.iter().map(Vec::len).collect::<Vec<_>>(), [3, 1, 4]);
+
+    // Under `//item`, the inner item is no gate's business: the outer
+    // one's entry carries the match. Gating the `//item` step would drop
+    // the first name.
+    let nested_items = r#"<r><item id="a"><item id="b"><name/></item></item>
+        <item id="b"><item id="a"><name/></item></item></r>"#;
+    let out = check_value_routing(
+        "nested items under //",
+        &["//item[@id = 'a']//name", "/r/item[@id = 'a']//name"],
+        nested_items,
+    );
+    assert_eq!(out.matches.iter().map(Vec::len).collect::<Vec<_>>(), [2, 1]);
+
+    let entities = r#"<r><a id="a&amp;b"><b/></a><a id="a&amp;amp;b"><b/></a></r>"#;
+    let out = check_value_routing(
+        "entity-encoded values",
+        &["/r/a[@id = 'a&b']/b", "/r/a[@id = 'a&amp;b']/b"],
+        entities,
+    );
+    assert_eq!(out.matches.iter().map(Vec::len).collect::<Vec<_>>(), [1, 1]);
+}
+
+#[test]
+fn value_gates_follow_churn_between_sessions_of_one_engine() {
+    // A warm engine churned between sessions — a gate losing its last
+    // keyed group, a recycled slot keying a new one — must at every step
+    // do what an engine freshly built over its live queries does.
+    let docs = [
+        r#"<r><a id="v1"><b/><c/></a><a id="v2"><b/><c/></a><a><b/></a></r>"#,
+        r#"<r><a id="v2"><b/></a><a id="v1"><c/><b/></a></r>"#,
+    ];
+    const Q: [&str; 4] =
+        ["/r/a[@id = 'v1']/b", "/r/a/b", "/r/a[@id = 'v2']/c", "/r/a[@id = 'v2']/b"];
+    for &shards in SHARD_COUNTS {
+        let mut engine = ShardedEngine::new(shards);
+        let ids: Vec<QueryId> = Q[..3].iter().map(|q| engine.add_query(q).unwrap()).collect();
+        let check = |engine: &mut ShardedEngine, live: &[(QueryId, &str)], step: &str| {
+            let outs = engine
+                .session(|session| {
+                    docs.iter()
+                        .map(|xml| session.run_document(XmlReader::from_str(xml), |_, _| {}))
+                        .collect::<Result<Vec<_>, _>>()
+                })
+                .expect("session");
+            let mut fresh = MultiEngine::new();
+            for (_, q) in live {
+                fresh.add_query(q).unwrap();
+            }
+            for (xml, out) in docs.iter().zip(&outs) {
+                let expected = fresh.run(XmlReader::from_str(xml), |_, _| {}).unwrap();
+                let at = format!("{step}, {shards} shard(s)");
+                for (j, (id, q)) in live.iter().enumerate() {
+                    assert_eq!(out.matches[id.0], expected.matches[j], "{q}: {at}");
+                    assert_eq!(out.stats[id.0], expected.stats[j], "{q}: {at}");
+                }
+                let work = |p: &vitex::core::PlanStats| (p.prefix_steps_executed, p.prefix_forks);
+                assert_eq!(work(&out.plan), work(&expected.plan), "trie work: {at}");
+            }
+            outs
+        };
+        check(&mut engine, &[(ids[0], Q[0]), (ids[1], Q[1]), (ids[2], Q[2])], "registered");
+        assert_eq!(engine.remove_query(ids[2]), Some(true));
+        assert_eq!(engine.remove_query(ids[0]), Some(true), "the /r/a gate's last keyed group");
+        check(&mut engine, &[(ids[1], Q[1])], "gate dropped");
+        let q3 = engine.add_query(Q[3]).unwrap();
+        let outs = check(&mut engine, &[(ids[1], Q[1]), (q3, Q[3])], "slot recycled");
+        assert!(outs[0].plan.recycled_slots > 0, "{Q:?}[3] took a retired slot");
+    }
 }

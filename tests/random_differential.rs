@@ -3,7 +3,10 @@
 //! system has — the shard counts — asserting identical matches, callback
 //! order and statistics. Two independent references anchor the sweep: the
 //! naive baseline (node-id sets) and k private single-query engines
-//! (match payloads + machine statistics).
+//! (match payloads + machine statistics under the private-engine contract,
+//! `common::assert_private_stats`). A second, seeded family of anchored
+//! paths with `[@id|@k = 'v0'..'v2']` tests points the sweep at the value
+//! gates, which the general generator reaches only rarely.
 //!
 //! This is the correctness net under the step-trie executor, the hottest
 //! matching path: the hand-picked battery in
@@ -22,7 +25,7 @@ use proptest::prelude::*;
 
 mod common;
 
-use common::{pinned_queries_with_hog, query_set};
+use common::{assert_private_stats, gated, pinned_queries_with_hog, query_set, QUERIES_PER_SET};
 use vitex::baseline::{naive, NaiveConfig};
 use vitex::core::{evaluate_reader, EvalOutput, MultiOutput, PlacementSnapshot, ShardedEngine};
 use vitex::xmlgen::auction::{self, AuctionConfig};
@@ -72,11 +75,19 @@ fn per_query_reference(trees: &[QueryTree], xml: &str) -> Vec<EvalOutput> {
 }
 
 /// Asserts a multi-query output equals the per-query reference: match
-/// payloads (spans, values, levels), machine statistics, stream counters.
-fn assert_matches_reference(out: &MultiOutput, reference: &[EvalOutput], label: &str) {
+/// payloads (spans, values, levels) and stream counters, and machine
+/// statistics under the private-engine contract.
+fn assert_matches_reference(
+    out: &MultiOutput,
+    reference: &[EvalOutput],
+    trees: &[QueryTree],
+    xml: &str,
+    label: &str,
+) {
     for (i, single) in reference.iter().enumerate() {
         assert_eq!(out.matches[i], single.matches, "matches of query #{i}: {label}");
-        assert_eq!(out.stats[i], single.stats, "machine stats of query #{i}: {label}");
+        let at = format!("query #{i}: {label}");
+        assert_private_stats(&out.stats[i], &single.stats, &trees[i], xml, &at);
         assert_eq!(
             (out.elements, out.text_nodes, out.events),
             (single.elements, single.text_nodes, single.events),
@@ -90,15 +101,72 @@ fn assert_matches_reference(out: &MultiOutput, reference: &[EvalOutput], label: 
 fn check_case(doc_seed: u64, query_seed: u64, shard_counts: &[usize]) {
     let ctx = format!("doc_seed={doc_seed} query_seed={query_seed}");
     let xml = random::to_string(&RandomConfig::seeded(doc_seed));
-    let trees = query_set(query_seed);
+    check_trees(&ctx, &xml, &query_set(query_seed), shard_counts);
+}
 
+/// [`check_case`] for the gated family: an anchored, attribute-keyed
+/// query set ([`gated_query_set`]) over an attribute-rich random
+/// document. Returns the trees and the one-shard run.
+fn check_gated_case(
+    doc_seed: u64,
+    query_seed: u64,
+    shard_counts: &[usize],
+) -> (Vec<QueryTree>, RunResult) {
+    let ctx = format!("doc_seed={doc_seed} gated query_seed={query_seed}");
+    let values = ["v0", "v1", "v2"].map(String::from).to_vec();
+    let xml = random::to_string(&RandomConfig {
+        attr_prob: 0.8,
+        values,
+        ..RandomConfig::seeded(doc_seed)
+    });
+    let trees = gated_query_set(query_seed);
+    let first = check_trees(&ctx, &xml, &trees, shard_counts);
+    (trees, first)
+}
+
+/// Anchored paths over the random tag alphabet: one to four child steps,
+/// each a wildcard with probability 1/2 (so paths meet the document) and
+/// testing `[@id|@k = 'v0'..'v2']` with probability 1/3, sometimes ending
+/// in `/@id`, plus a forced duplicate of the first query.
+fn gated_query_set(seed: u64) -> Vec<QueryTree> {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = move |n: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % n) as usize
+    };
+    let mut queries: Vec<String> = (0..QUERIES_PER_SET - 1)
+        .map(|_| {
+            let mut q = String::new();
+            for _ in 0..1 + next(4) {
+                let tag = ["a", "b", "c", "d", "e", "*", "*", "*", "*", "*"][next(10)];
+                q.push('/');
+                q.push_str(tag);
+                if next(3) == 0 {
+                    q.push_str(&format!("[@{} = 'v{}']", ["id", "k"][next(2)], next(3)));
+                }
+            }
+            if next(4) == 0 {
+                q.push_str("/@id");
+            }
+            q
+        })
+        .collect();
+    queries.push(queries[0].clone());
+    queries.iter().map(|q| QueryTree::parse(q).expect("valid query")).collect()
+}
+
+/// The differential check of `trees` over `xml`, sweeping the given
+/// shard counts; returns the first configuration's run.
+fn check_trees(ctx: &str, xml: &str, trees: &[QueryTree], shard_counts: &[usize]) -> RunResult {
     // Ground truth per query: the naive embedding enumerator (sorted
     // node-id sets; skipped per query on combinatorial blowup) against
     // the per-query engines everything else is then compared with.
-    let reference = per_query_reference(&trees, &xml);
+    let reference = per_query_reference(trees, xml);
     for (tree, single) in trees.iter().zip(&reference) {
         let eval = naive::NaiveEvaluator::new(tree, NaiveConfig { max_embeddings: 100_000 });
-        match eval.run(XmlReader::from_str(&xml)) {
+        match eval.run(XmlReader::from_str(xml)) {
             Ok(nout) => {
                 let mut ids: Vec<u64> = single.matches.iter().map(|m| m.node).collect();
                 ids.sort_unstable();
@@ -121,9 +189,9 @@ fn check_case(doc_seed: u64, query_seed: u64, shard_counts: &[usize]) {
     // agree.
     let mut first: Option<RunResult> = None;
     for &shards in shard_counts {
-        let r = run_config(&trees, &xml, shards);
+        let r = run_config(trees, xml, shards);
         let label = format!("{ctx}: {shards} shards");
-        assert_matches_reference(&r.out, &reference, &label);
+        assert_matches_reference(&r.out, &reference, trees, xml, &label);
         match &first {
             None => first = Some(r),
             Some(first) => {
@@ -134,6 +202,7 @@ fn check_case(doc_seed: u64, query_seed: u64, shard_counts: &[usize]) {
     }
     let first = first.expect("at least one configuration ran");
     assert!(first.out.plan.groups < trees.len() as u64, "{ctx}: the forced duplicate must dedup");
+    first
 }
 
 proptest! {
@@ -147,6 +216,13 @@ proptest! {
         check_case(doc_seed, query_seed, SHARDS);
     }
 
+    /// The same sweep over anchored, attribute-keyed sets: the regime of
+    /// the value gates.
+    #[test]
+    fn engines_agree_on_gated_query_sets(doc_seed in 0u64..4000, query_seed in 0u64..4000) {
+        check_gated_case(doc_seed, query_seed, SHARDS);
+    }
+
     /// Deeply recursive documents — the regime where shared prefix
     /// stacks pile up and lazy candidate inheritance matters.
     #[test]
@@ -157,7 +233,7 @@ proptest! {
         for &shards in SHARDS {
             let r = run_config(&trees, &xml, shards);
             let label = format!("depth={depth} query_seed={query_seed} {shards} shards");
-            assert_matches_reference(&r.out, &reference, &label);
+            assert_matches_reference(&r.out, &reference, &trees, &xml, &label);
         }
     }
 }
@@ -236,4 +312,20 @@ fn fixed_seed_regression_sweep() {
     for &(doc_seed, query_seed) in SEEDS {
         check_case(doc_seed, query_seed, ALL_SHARDS);
     }
+}
+
+/// The gated family's fixed seeds, pinned for CI like the general sweep.
+/// Across them the gates must be reached: gated queries that match, and
+/// gated pushes below what the private engines push.
+#[test]
+fn fixed_seed_gated_sweep() {
+    let (mut gated_queries, mut matching) = (0, 0);
+    for seed in 0..24u64 {
+        let (trees, first) = check_gated_case(seed, 7 * seed + 1, ALL_SHARDS);
+        for (_, hits) in trees.iter().zip(&first.out.matches).filter(|(t, _)| gated(t)) {
+            gated_queries += 1;
+            matching += usize::from(!hits.is_empty());
+        }
+    }
+    assert!(matching >= 8, "{gated_queries} gated queries, {matching} of them matching");
 }
