@@ -65,12 +65,6 @@ pub trait EventSink {
 
     /// An element closed; `sym` is the symbol its start tag resolved to.
     fn end_element(&mut self, sym: Option<Symbol>, event: &EndElementEvent);
-
-    /// The document ended. Called exactly once per [`DocumentDriver::run`],
-    /// after the last element/text event and before `run` returns. Sinks
-    /// that buffer or forward events (e.g. a session's ring lane batching
-    /// events onto worker rings) flush here; the default does nothing.
-    fn document_end(&mut self) {}
 }
 
 /// Streams a document once, feeding an [`EventSink`].
@@ -157,10 +151,7 @@ impl DocumentDriver {
                     sink.end_element(sym, &e);
                     self.telemetry.observe_elapsed(|r| &r.dispatch_ns, t_ev);
                 }
-                XmlEvent::EndDocument => {
-                    sink.document_end();
-                    break;
-                }
+                XmlEvent::EndDocument => break,
                 XmlEvent::StartDocument { .. }
                 | XmlEvent::Comment(_)
                 | XmlEvent::ProcessingInstruction(_)

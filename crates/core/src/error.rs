@@ -19,9 +19,6 @@ pub enum EngineError {
     Query(ParseError),
     /// The query could not be compiled into a machine.
     Build(BuildError),
-    /// A shard worker thread died mid-document (the session is poisoned:
-    /// subsequent documents on it fail fast with this error).
-    Worker(String),
 }
 
 impl fmt::Display for EngineError {
@@ -30,7 +27,6 @@ impl fmt::Display for EngineError {
             EngineError::Xml(e) => write!(f, "XML error: {e}"),
             EngineError::Query(e) => write!(f, "query error: {e}"),
             EngineError::Build(e) => write!(f, "machine build error: {e}"),
-            EngineError::Worker(msg) => write!(f, "worker error: {msg}"),
         }
     }
 }
@@ -41,7 +37,6 @@ impl std::error::Error for EngineError {
             EngineError::Xml(e) => Some(e),
             EngineError::Query(e) => Some(e),
             EngineError::Build(e) => Some(e),
-            EngineError::Worker(_) => None,
         }
     }
 }

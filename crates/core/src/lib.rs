@@ -35,14 +35,10 @@
 //!   callback as soon as they are decidable.
 //! * [`multi::MultiEngine`] — publish/subscribe: many standing queries,
 //!   one scan, executed through the shared step trie so an event only
-//!   touches the machines it can move.
-//! * [`shard::ShardedEngine`] — the same pub/sub surface executed on up
-//!   to `N` worker threads: plan groups are partitioned across shards,
-//!   events broadcast over bounded rings, and per-shard match streams
-//!   merged back into the order one thread delivers; its
-//!   [`shard::ShardSession`] — the one pipeline every multi-query run
-//!   goes through, `MultiEngine::run` included — streams document
-//!   collections back-to-back through warm workers.
+//!   touches the machines it can move. Its [`shard::Session`] — the one
+//!   pipeline every multi-query run goes through, `MultiEngine::run`
+//!   included — streams document collections back-to-back on the calling
+//!   thread without re-planning.
 //! * [`plan::QueryPlanner`] — the shared-prefix query planner behind
 //!   `MultiEngine`: canonicalizes queries, dedupes structural duplicates
 //!   into one machine with a subscriber fan-out list, and tries main-path
@@ -72,6 +68,9 @@
 
 pub mod bitset;
 pub mod builder;
+/// Inert names the frozen `benchmark/` compiles against (ROADMAP item 5(i) retires them).
+#[doc(hidden)]
+pub mod compat;
 pub mod driver;
 pub mod engine;
 pub mod error;
@@ -94,6 +93,9 @@ pub use machine::{CandidateStore, TwigM};
 pub use multi::{MultiEngine, MultiOutput};
 pub use plan::{PlanGroup, QueryPlanner};
 pub use result::{Match, MatchKind, QueryId};
-pub use shard::{PlacementSnapshot, ShardSession, ShardedEngine};
+pub use shard::Session;
 pub use stats::{MachineStats, PlanStats, StreamStats};
 pub use telemetry::{Snapshot, Telemetry};
+
+#[doc(hidden)]
+pub use compat::{PlacementSnapshot, ShardSession, ShardedEngine};

@@ -59,7 +59,7 @@
 //!   buffers (names, values, string-value accumulators) in three pools
 //!   with free lists; entries hold `u32` handles into it. It belongs to
 //!   **whoever drives machines** — one in [`crate::engine::Engine`], one
-//!   per multi-query executor (so one per shard worker) — and is lent to
+//!   in the multi-query executor — and is lent to
 //!   every transition, so a thousand machines share one set of warm
 //!   buffers, a warm transition allocates nothing, and a machine at rest
 //!   is its spec plus empty stacks. The owner resets it once per document,

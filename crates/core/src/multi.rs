@@ -38,25 +38,20 @@
 //!   subtrees* test it, the groups with a predicate wildcard, and the
 //!   groups that consume `characters` events.
 //!
-//! A document runs through one [`crate::shard::ShardSession`], whatever
-//! the shard count: its **admission walk** asks both structures whether
-//! any group wants the event and advances the trie, and its lane hands
-//! what was admitted to the per-event apply step (the crate-private
-//! `Executor` at the bottom of this file): a start tag merge-walks
-//! trie-decided main pushes ∪ predicate-name interests in ascending group
-//! order, a frame stack lets an end tag touch exactly the machines its
-//! start tag pushed (an untouched machine has nothing to pop), and text
-//! goes to exactly the machines holding an open entry that reads text
-//! (any other text consumer is idle). Every solution leaves through the
-//! caller's callback and nowhere else (`fan_out_match`);
-//! [`MultiOutput::matches`] is one collecting adapter around a streamed
-//! document, at the API edge ([`ShardSession::run_document`]). The apply
-//! step is written once:
-//! the session's *direct lane* runs the engine's own over the live
-//! groups, keyed by group id, on the calling thread — that is all
-//! [`MultiEngine::run`] is, a one-document direct-lane session — and
-//! every worker of its *ring lane* runs one over the groups it was
-//! dealt, keyed by local slot. This is sound because a machine's stacks
+//! A document runs through one [`Session`] ([`MultiEngine::session`];
+//! [`MultiEngine::run`] is a one-document session): its **admission
+//! walk** asks both structures whether any group wants the event and
+//! advances the trie, and what it admits goes to the per-event apply step
+//! (the crate-private `Executor` at the bottom of this file), on the
+//! calling thread: a start tag merge-walks trie-decided main pushes ∪
+//! predicate-name interests in ascending group order, a frame stack lets
+//! an end tag touch exactly the machines its start tag pushed (an
+//! untouched machine has nothing to pop), and text goes to exactly the
+//! machines holding an open entry that reads text (any other text
+//! consumer is idle). Every solution leaves through the caller's callback
+//! and nowhere else (`fan_out_match`); [`MultiOutput::matches`] is one
+//! collecting adapter around a streamed document, at the API edge
+//! ([`Session::run_document`]). This is sound because a machine's stacks
 //! only ever hold entries for elements it was shown, and text/attribute
 //! tests live inside the delivered events.
 //!
@@ -73,7 +68,6 @@
 //! counters never depend on its neighbours — at most the `Engine`'s on
 //! every counter, with `emitted` equal.
 
-use std::borrow::BorrowMut;
 use std::time::Instant;
 
 use vitex_xmlsax::event::Attribute;
@@ -88,11 +82,11 @@ use crate::error::EngineResult;
 use crate::intern::{Interner, Symbol};
 use crate::machine::CandidateStore;
 use crate::plan::trie::for_each_pushed;
-use crate::plan::{PlanGroup, QueryPlanner, TriePush};
+use crate::plan::{PlanGroup, QueryPlanner};
 use crate::result::{Match, NodeId};
-use crate::shard::admit::WalkScratch;
-use crate::shard::ShardSession;
-use crate::stats::{MachineStats, PlanStats, StreamStats};
+use crate::shard::admit::{WalkScratch, Walked};
+use crate::shard::Session;
+use crate::stats::{MachineStats, PlanStats};
 use crate::telemetry::profile::match_bytes;
 use crate::telemetry::{CostLedger, Telemetry};
 
@@ -103,7 +97,7 @@ pub use crate::result::QueryId;
 pub struct MultiOutput {
     /// Matches per query, in emission order (indexed by [`QueryId`];
     /// removed queries keep an empty slot). Empty when the document was
-    /// streamed ([`ShardSession::stream_document`]).
+    /// streamed ([`Session::stream_document`]).
     pub matches: Vec<Vec<Match>>,
     /// Machine statistics per query (indexed by [`QueryId`]). Queries
     /// deduplicated into one plan group share a machine and therefore
@@ -119,12 +113,10 @@ pub struct MultiOutput {
     pub events: u64,
 }
 
-/// The dispatch index: which group slots care about which events *beyond*
-/// the main-path pushes the step trie decides. Maintained incrementally
-/// as groups activate and retire; the engine's is keyed by group id (with
-/// the trie it is the session's admission filter, and the direct lane
-/// dispatches from it), a shard worker's by local slot over its group
-/// subset.
+/// The dispatch index: which groups care about which events *beyond* the
+/// main-path pushes the step trie decides, by group id. Maintained
+/// incrementally as groups activate and retire; with the trie it is the
+/// session's admission filter, and the executor dispatches from it.
 #[derive(Debug, Default)]
 pub(crate) struct DispatchIndex {
     /// Symbol index → slots whose predicate subtrees test that name (and
@@ -143,7 +135,7 @@ impl DispatchIndex {
     /// Splices a group in at `slot`. `nsymbols` is the interner's current
     /// size: compiling the group's spec may have interned names this
     /// index has never seen.
-    pub(crate) fn add_group(&mut self, slot: usize, spec: &MachineSpec, nsymbols: usize) {
+    fn add_group(&mut self, slot: usize, spec: &MachineSpec, nsymbols: usize) {
         if self.by_symbol.len() < nsymbols {
             self.by_symbol.resize(nsymbols, DynBitSet::new());
         }
@@ -215,7 +207,7 @@ pub struct MultiEngine {
     driver: DocumentDriver,
     /// Predicate-subtree and text interests of every group, by group id.
     index: DispatchIndex,
-    /// The direct lane's apply step, and the admission walk's buffers:
+    /// The per-event apply step, and the admission walk's buffers:
     /// engine-owned so that a session per document clears them instead of
     /// reallocating them.
     exec: Executor,
@@ -335,13 +327,13 @@ impl MultiEngine {
         self.profile.as_ref().map(CostLedger::snapshot)
     }
 
-    /// Splits the engine into the disjoint borrows a
-    /// [`ShardSession`] holds while documents stream: the planner (its
-    /// trie goes to the admission walk, its groups to the lane), the
-    /// dispatch index read-only, the direct lane's executor, and the
-    /// registration records that parameterize output assembly.
-    pub(crate) fn shard_parts(&mut self) -> ShardParts<'_> {
-        ShardParts {
+    /// Splits the engine into the disjoint borrows a [`Session`] holds
+    /// while documents stream: the planner (its trie goes to the admission
+    /// walk, its groups to the executor), the dispatch index read-only,
+    /// the executor, and the registration records that parameterize
+    /// output assembly.
+    pub(crate) fn session_parts(&mut self) -> SessionParts<'_> {
+        SessionParts {
             planner: &mut self.planner,
             interner: &self.interner,
             driver: &mut self.driver,
@@ -353,9 +345,21 @@ impl MultiEngine {
         }
     }
 
+    /// Opens a streaming session, hands it to `f`, and closes it when `f`
+    /// returns. The subscription set is frozen for the session (it
+    /// mutably borrows the engine), so documents stream back-to-back
+    /// through [`Session::stream_document`] with no re-planning between
+    /// them.
+    pub fn session<T>(
+        &mut self,
+        f: impl FnOnce(&mut Session<'_>) -> EngineResult<T>,
+    ) -> EngineResult<T> {
+        f(&mut Session::open(self.session_parts()))
+    }
+
     /// Streams `reader` once through every active plan group — a
-    /// one-document session on the calling thread. `on_match` fires with
-    /// the originating query's id the moment a solution is decidable; a
+    /// one-document [`MultiEngine::session`]. `on_match` fires with the
+    /// originating query's id the moment a solution is decidable; a
     /// solution of a shared machine fires once per subscriber, in
     /// registration order.
     pub fn run<E: EventSource, F: FnMut(QueryId, Match)>(
@@ -363,95 +367,7 @@ impl MultiEngine {
         reader: E,
         on_match: F,
     ) -> EngineResult<MultiOutput> {
-        ShardSession::open(self.shard_parts(), None).0.run_document(reader, on_match)
-    }
-}
-
-/// What the per-document epilogue reads off one plan-group slot. The
-/// direct lane answers from the live [`PlanGroup`]s and its executor; the
-/// ring lane from its session-open snapshots plus the workers' `DocEnd`
-/// reports.
-pub(crate) struct GroupFacts<'a> {
-    /// Canonical step key; `None` for an inactive slot.
-    pub(crate) canonical: Option<&'a str>,
-    pub(crate) subscribers: u64,
-    pub(crate) stats: &'a MachineStats,
-    /// Sampled machine self-time this document (zero unless profiling).
-    pub(crate) self_ns: u64,
-    /// Payload bytes of the solutions the group's machine emitted this
-    /// document (zero unless profiling).
-    pub(crate) emitted_bytes: u64,
-}
-
-/// One fully streamed document, as the session hands it to
-/// [`finish_document`].
-pub(crate) struct FinishedDocument<'a> {
-    pub(crate) records: &'a [QueryRecord],
-    pub(crate) stream: StreamStats,
-    pub(crate) plan: PlanStats,
-    /// Trie pushes billed per routed group (gid-indexed; empty unless
-    /// profiling).
-    pub(crate) shared_steps: &'a [u64],
-    /// Merge-hold attribution `(gid, deliveries, ns)` (ring lane only).
-    pub(crate) holds: Vec<(u32, u64, u64)>,
-}
-
-/// The **one** per-document epilogue: projects group statistics onto
-/// registration records, folds the document into the telemetry registry
-/// and the cost ledger (when there is one), and assembles the
-/// [`MultiOutput`]. Every fold is per subscription (not per group) from the
-/// per-record projection — a shared machine contributes once per
-/// subscriber — which is what makes the counters and the ledger's
-/// per-query section invariant across shard counts.
-pub(crate) fn finish_document<'g>(
-    doc: FinishedDocument<'_>,
-    telemetry: &Telemetry,
-    profile: Option<&mut CostLedger>,
-    group_slots: usize,
-    group: impl Fn(usize) -> GroupFacts<'g>,
-) -> MultiOutput {
-    let FinishedDocument { records, stream, plan, shared_steps, holds } = doc;
-    let stats: Vec<MachineStats> = records
-        .iter()
-        .map(|r| match r.group {
-            Some(gid) => group(gid).stats.clone(),
-            None => MachineStats::default(),
-        })
-        .collect();
-    if telemetry.is_enabled() {
-        let mut total = MachineStats::default();
-        stats.iter().for_each(|s| total.add(s));
-        // A machine counts `emitted` where a solution leaves it, and each
-        // subscriber of its group is delivered every one.
-        telemetry.fold_document(&stream, &total, Some(&plan), total.emitted);
-    }
-    if let Some(profile) = profile {
-        profile.add_doc();
-        for (i, r) in records.iter().enumerate() {
-            let emitted_bytes = r.group.map_or(0, |gid| group(gid).emitted_bytes);
-            profile.fold_query(QueryId(i), &r.text, r.group, &stats[i], emitted_bytes);
-        }
-        for gid in 0..group_slots {
-            let g = group(gid);
-            if let Some(canonical) = g.canonical {
-                profile.fold_group(gid, canonical, g.subscribers, g.stats);
-                profile.add_self_ns(gid, g.self_ns);
-            }
-        }
-        if shared_steps.iter().any(|&n| n > 0) {
-            profile.add_shared_steps(shared_steps);
-        }
-        for (gid, deliveries, ns) in holds {
-            profile.add_hold(gid as usize, deliveries, ns);
-        }
-    }
-    MultiOutput {
-        matches: Vec::new(),
-        stats,
-        plan,
-        elements: stream.elements,
-        text_nodes: stream.text_nodes,
-        events: stream.events,
+        self.session(|session| session.run_document(reader, on_match))
     }
 }
 
@@ -461,15 +377,15 @@ impl Default for MultiEngine {
     }
 }
 
-/// Split borrows of a [`MultiEngine`], held by a [`ShardSession`] for
-/// its duration.
-pub(crate) struct ShardParts<'a> {
+/// Split borrows of a [`MultiEngine`], held by a [`Session`] for its
+/// duration.
+pub(crate) struct SessionParts<'a> {
     pub(crate) planner: &'a mut QueryPlanner,
     pub(crate) interner: &'a Interner,
     pub(crate) driver: &'a mut DocumentDriver,
     /// The engine's dispatch index — read-only during a session: the
-    /// admission walk's any-group-interested filter, and what the direct
-    /// lane dispatches from.
+    /// admission walk's any-group-interested filter, and what the executor
+    /// dispatches from.
     pub(crate) index: &'a DispatchIndex,
     pub(crate) exec: &'a mut Executor,
     pub(crate) walk: &'a mut WalkScratch,
@@ -480,10 +396,8 @@ pub(crate) struct ShardParts<'a> {
 
 /// Fans one solution out to a group's subscribers in registration order,
 /// the last subscriber taking the hit by value so a single-subscriber
-/// group never clones. This is the **one** fan-out in the system — the
-/// direct lane's emitter and the ring lane's merge both end here, which
-/// keeps the two delivery orders identical by construction — and the
-/// callback the only place a match goes.
+/// group never clones. This is the **one** fan-out in the system, and
+/// the callback the only place a match goes.
 pub(crate) fn fan_out_match<F: FnMut(QueryId, Match)>(
     subscribers: &[QueryId],
     on_match: &mut F,
@@ -503,7 +417,7 @@ pub(crate) fn fan_out_match<F: FnMut(QueryId, Match)>(
 /// group's machine and returns its push count; slots that pushed are
 /// appended to `frame` for the matching end tag. This is the **one**
 /// merge-walk in the system.
-pub(crate) fn merge_prefix_targets(
+fn merge_prefix_targets(
     plans: &[(u32, u32, u32)],
     pred_targets: &[u32],
     main_scratch: &mut Vec<(u32, u32)>,
@@ -538,9 +452,8 @@ pub(crate) fn merge_prefix_targets(
     }
 }
 
-/// A start tag as the [`Executor`] consumes it: borrowed from the
-/// driver's event on the direct lane, from the ring's `Arc` payloads in a
-/// worker.
+/// A start tag as the [`Executor`] consumes it, borrowed from the
+/// driver's event.
 pub(crate) struct StartTag<'a> {
     pub(crate) sym: Option<Symbol>,
     pub(crate) level: u32,
@@ -558,30 +471,31 @@ pub(crate) struct StartTag<'a> {
 /// document and measures ~3%).
 const SELF_SAMPLE: u64 = 1024;
 
-/// Per-slot cost attribution: sampled machine self-time and the payload
-/// bytes of emitted solutions (a session switches it on for whichever lane
-/// runs while profiling, otherwise it is one predictable branch per touch).
+/// Per-group cost attribution: sampled machine self-time and the payload
+/// bytes of emitted solutions (a session switches it on while profiling,
+/// otherwise it is one predictable branch per touch).
 #[derive(Debug, Default)]
 struct SelfTimer {
     on: bool,
     touches: u64,
-    /// Scaled-up sampled nanoseconds per slot, this document.
+    /// Scaled-up sampled nanoseconds per group, this document.
     ns: Vec<u64>,
-    /// Payload bytes of the solutions each slot emitted this document —
+    /// Payload bytes of the solutions each group emitted this document —
     /// the ledger's `emitted_bytes`, tallied where a solution leaves its
     /// machine.
     emitted_bytes: Vec<u64>,
 }
 
 impl SelfTimer {
-    /// Runs one machine `touch`, handing it the slot's emit closure: the
-    /// lane's `emit`, after the byte tally while that is on.
+    /// Runs one machine `touch` of group `slot`, handing it the emit
+    /// closure: the fan-out to `subscribers` through `on_match`, after the
+    /// byte tally while that is on.
     #[inline]
     fn time<R>(
         &mut self,
         slot: u32,
         subscribers: &[QueryId],
-        emit: &mut impl FnMut(u32, &[QueryId], Match),
+        on_match: &mut impl FnMut(QueryId, Match),
         touch: impl FnOnce(&mut dyn FnMut(Match)) -> R,
     ) -> R {
         let sampled = self.on && {
@@ -594,7 +508,7 @@ impl SelfTimer {
             if let Some(bytes) = &mut bytes {
                 **bytes += match_bytes(&hit);
             }
-            emit(slot, subscribers, hit)
+            fan_out_match(subscribers, on_match, hit)
         });
         if let Some(t0) = t0 {
             self.ns[slot as usize] += t0.elapsed().as_nanos() as u64 * SELF_SAMPLE;
@@ -603,17 +517,11 @@ impl SelfTimer {
     }
 }
 
-/// The **one** per-event apply step of multi-query execution: given a
-/// slot-indexed group slice, the route table `trie node → [(slot,
-/// machine node)]` and the trie's push decisions for a start tag, it
-/// drives exactly the machines the event can move and hands every
-/// solution to `emit` with the emitting slot and its group's subscriber
-/// list. The direct lane keys slots by group id and emits through
-/// [`fan_out_match`]; a shard worker keys them by local index over the
-/// groups it was dealt and emits tagged matches for the merge. The
-/// dispatch index is the caller's (the admission walk reads the engine's
-/// while the direct lane drives this executor; a worker is handed its
-/// own at spawn).
+/// The **one** per-event apply step of multi-query execution: given the
+/// group slots (a slot is a group id) and what the admission walk decided
+/// for an event, it drives exactly the machines the event can move and
+/// fans every solution out to its group's subscribers through the
+/// caller's callback ([`fan_out_match`]).
 #[derive(Debug, Default)]
 pub(crate) struct Executor {
     /// Scratch: per-slot main-path plans, `(slot, machine node, ptr)`.
@@ -671,24 +579,21 @@ impl Executor {
         self.timer.emitted_bytes.get(slot).copied().unwrap_or(0)
     }
 
-    /// `startElement`: expands the trie's `pushes` along `routes` into
-    /// per-slot main plans — over a gated push's survivors only, which
-    /// `survivors` holds keyed like `routes` — merge-walks them with the
-    /// slots whose predicate subtrees test the tag's name (`index`), and
-    /// records the slots that pushed as the element's frame.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn start<G: BorrowMut<PlanGroup>>(
+    /// `startElement`: expands the walk's trie pushes along its routes
+    /// into per-slot main plans — over a gated push's survivors only —
+    /// merge-walks them with the slots whose predicate subtrees test the
+    /// tag's name (the walk's dispatch index), and records the slots that
+    /// pushed as the element's frame.
+    pub(crate) fn start(
         &mut self,
-        groups: &mut [G],
-        index: &DispatchIndex,
-        routes: &[Vec<(u32, u32)>],
-        pushes: &[TriePush],
-        survivors: &[u32],
+        groups: &mut [PlanGroup],
+        walked: Walked<'_>,
         tag: &StartTag<'_>,
-        mut emit: impl FnMut(u32, &[QueryId], Match),
+        on_match: &mut impl FnMut(QueryId, Match),
     ) {
         let Self { plans, pred_slots, main_scratch, frame_slots, frames, text_live, store, timer } =
             self;
+        let Walked { index, routes, pushes, survivors } = walked;
         plans.clear();
         for p in pushes {
             let (routes, ptr) = (&routes[p.node as usize], p.ptr);
@@ -708,9 +613,8 @@ impl Executor {
         index.for_each_element_target(tag.sym, |slot| pred_slots.push(slot as u32));
         frames.push(frame_slots.len() as u32);
         merge_prefix_targets(plans, pred_slots, main_scratch, frame_slots, |slot, main, preds| {
-            let (machine, subscribers) =
-                groups[slot as usize].borrow_mut().machine_and_subscribers();
-            let pushes = timer.time(slot, subscribers, &mut emit, |out| {
+            let (machine, subscribers) = groups[slot as usize].machine_and_subscribers();
+            let pushes = timer.time(slot, subscribers, on_match, |out| {
                 machine.start_element_prefix(
                     store,
                     main,
@@ -735,20 +639,19 @@ impl Executor {
     /// reads text, ascending. A text consumer with none open would do
     /// nothing with the event, so skipping it changes no match and no
     /// counter.
-    pub(crate) fn text<G: BorrowMut<PlanGroup>>(
+    pub(crate) fn text(
         &mut self,
-        groups: &mut [G],
+        groups: &mut [PlanGroup],
         text: &str,
         level: u32,
         node_id: NodeId,
         span: ByteSpan,
-        mut emit: impl FnMut(u32, &[QueryId], Match),
+        on_match: &mut impl FnMut(QueryId, Match),
     ) {
         let Self { text_live, store, timer, .. } = self;
         text_live.for_each(|slot| {
-            let (machine, subscribers) = groups[slot].borrow_mut().machine_and_subscribers();
-            let slot = slot as u32;
-            timer.time(slot, subscribers, &mut emit, |out| {
+            let (machine, subscribers) = groups[slot].machine_and_subscribers();
+            timer.time(slot as u32, subscribers, on_match, |out| {
                 machine.characters(store, text, level, node_id, span, out)
             });
         });
@@ -756,19 +659,18 @@ impl Executor {
 
     /// `endElement`: pops the element's frame and touches exactly the
     /// machines its start tag pushed, in the same ascending order.
-    pub(crate) fn end<G: BorrowMut<PlanGroup>>(
+    pub(crate) fn end(
         &mut self,
-        groups: &mut [G],
+        groups: &mut [PlanGroup],
         name: &str,
         level: u32,
         element_span: ByteSpan,
-        mut emit: impl FnMut(u32, &[QueryId], Match),
+        on_match: &mut impl FnMut(QueryId, Match),
     ) {
         let base = self.frames.pop().expect("events nest") as usize;
         for &slot in &self.frame_slots[base..] {
-            let (machine, subscribers) =
-                groups[slot as usize].borrow_mut().machine_and_subscribers();
-            self.timer.time(slot, subscribers, &mut emit, |out| {
+            let (machine, subscribers) = groups[slot as usize].machine_and_subscribers();
+            self.timer.time(slot, subscribers, on_match, |out| {
                 machine.end_element(&mut self.store, name, level, element_span, out)
             });
             if !machine.text_live() {

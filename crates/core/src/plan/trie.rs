@@ -180,9 +180,8 @@ impl Gate {
     }
 }
 
-/// Where a trie node's pushes land: per trie node, the `(slot, machine
-/// node)` pairs it drives, ascending by slot. The trie's own table is
-/// keyed by group id; a shard worker's by its local group index.
+/// Where a trie node's pushes land: per trie node, the `(group id,
+/// machine node)` pairs it drives, ascending by group id.
 pub(crate) type RouteTable = Vec<Vec<(u32, u32)>>;
 
 /// Per-run counters of the shared-prefix runtime, reset by
@@ -432,9 +431,9 @@ impl StepTrie {
     /// Whether any **live** step — a trie node with at least one routed
     /// group — tests `sym` (or is a wildcard). A start tag for which this
     /// is false cannot advance the trie: [`StepTrie::advance`] checks
-    /// exactly these nodes. The sharded broadcast filter asks this per
-    /// element; the first node listed is almost always live, so the scan
-    /// is O(1) outside heavy churn.
+    /// exactly these nodes. The admission filter asks this per element;
+    /// the first node listed is almost always live, so the scan is O(1)
+    /// outside heavy churn.
     pub(crate) fn has_live_step(&self, sym: Option<Symbol>) -> bool {
         self.steps_testing(sym).any(|ni| !self.routes[ni as usize].is_empty())
     }
@@ -467,8 +466,8 @@ impl StepTrie {
     /// Approximate heap bytes of the trie's *plan* structure. Runtime
     /// stack capacity is deliberately excluded: it varies over a run, and
     /// plan statistics must be identical whether they are snapshotted
-    /// before a sharded session or after a single-threaded run — the
-    /// runtime side is reported separately as
+    /// before a session or after a run — the runtime side is reported
+    /// separately as
     /// [`PrefixRunStats::peak_stack_bytes`].
     pub fn approx_bytes(&self) -> u64 {
         use std::mem::size_of;

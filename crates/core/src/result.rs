@@ -38,8 +38,7 @@ pub enum MatchKind {
 /// The string payloads (`name`, `value`) are `Arc`-backed: cloning a
 /// `Match` bumps two reference counts instead of copying heap text, so a
 /// shared plan group fanning one solution out to thousands of subscribers
-/// — or a shard worker shipping results across a thread boundary — never
-/// deep-copies the payload.
+/// never deep-copies the payload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Match {
     /// Kind of the matched node.

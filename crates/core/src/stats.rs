@@ -89,8 +89,7 @@ pub struct PlanStats {
 
     // ----- step-trie execution counters -----
     // All four are per-*run* counters maintained by the runtime step trie
-    // on the document thread (zero before the first run), so they are
-    // identical across shard counts by construction.
+    // (zero before the first run).
     /// Main-path step checks executed against the shared trie this run —
     /// one per (event, trie node with live routes), instead of one per
     /// (event, group, machine node) as per-group planning would need. It
@@ -247,9 +246,8 @@ impl MachineStats {
     }
 
     /// Attributable machine work — the **one** work formula: what the cost
-    /// ledger ranks subscriptions by and what shard placement balances.
-    /// Every term is invariant across shard counts, so rankings and
-    /// placement decisions are too.
+    /// ledger ranks subscriptions by. Every term is deterministic, so the
+    /// ranking is too.
     pub fn work(&self) -> u64 {
         self.pushes + self.pops + self.predicate_evals + self.dispatch_hits
     }

@@ -7,7 +7,7 @@
 //! format (`ph: "X"` complete events, microsecond timestamps) and loads
 //! directly in Perfetto or `chrome://tracing`.
 
-use super::metrics::{CounterRow, GaugeRow, HistogramRow, Registry};
+use super::metrics::{CounterRow, HistogramRow, Registry};
 use super::span::{Span, SpanRecorder};
 use std::fmt::Write as _;
 
@@ -19,8 +19,9 @@ pub const SNAPSHOT_SCHEMA: &str = "vitex.metrics.v1";
 pub struct Snapshot {
     /// All counters with determinism class.
     pub counters: Vec<CounterRow>,
-    /// All gauges with high-water marks.
-    pub gauges: Vec<GaugeRow>,
+    /// Always empty: the registry exports no gauge (see `crate::compat`).
+    #[doc(hidden)]
+    pub gauges: Vec<crate::compat::GaugeRow>,
     /// All histograms (non-empty buckets only).
     pub histograms: Vec<HistogramRow>,
     /// Spans overwritten because the span ring was full.
@@ -32,7 +33,7 @@ impl Snapshot {
     pub fn capture(registry: &Registry, spans: &SpanRecorder) -> Snapshot {
         Snapshot {
             counters: registry.counter_rows(),
-            gauges: registry.gauge_rows(),
+            gauges: Vec::new(),
             histograms: registry.histogram_rows(),
             spans_dropped: spans.dropped(),
         }
@@ -44,8 +45,8 @@ impl Snapshot {
     }
 
     /// The deterministic counter subset as `(name, value)` rows — the part
-    /// of the snapshot that must be invariant across shard counts (the
-    /// differential battery compares this byte-for-byte via
+    /// of the snapshot that is a pure function of the documents and the
+    /// query set (tests compare it byte-for-byte via
     /// [`Snapshot::deterministic_json`]).
     pub fn deterministic_counters(&self) -> Vec<(&'static str, u64)> {
         self.counters.iter().filter(|c| c.deterministic).map(|c| (c.name, c.value)).collect()
@@ -79,18 +80,8 @@ impl Snapshot {
                 c.name, c.deterministic, c.value
             );
         }
-        out.push_str("],\"gauges\":[");
-        for (i, g) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"value\":{},\"high\":{}}}",
-                g.name, g.value, g.high
-            );
-        }
-        out.push_str("],\"histograms\":[");
+        // `vitex.metrics.v1` keeps its (empty) gauge section.
+        out.push_str("],\"gauges\":[],\"histograms\":[");
         for (i, h) in self.histograms.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -123,14 +114,6 @@ impl Snapshot {
         for c in &self.counters {
             if c.value > 0 {
                 let _ = writeln!(out, "    {:<44} {}", c.name, c.value);
-            }
-        }
-        if self.gauges.iter().any(|g| g.high > 0) {
-            section(&mut out, "gauges (last / high-water)");
-            for g in &self.gauges {
-                if g.high > 0 {
-                    let _ = writeln!(out, "    {:<44} {} / {}", g.name, g.value, g.high);
-                }
             }
         }
         if self.histograms.iter().any(|h| h.count > 0) {
@@ -194,11 +177,10 @@ pub fn trace_json(spans: &[Span]) -> String {
 }
 
 fn thread_label(tid: u32) -> String {
-    use super::span::{TID_COORDINATOR, TID_SHARD_BASE};
-    if tid == TID_COORDINATOR {
+    if tid == super::span::TID_COORDINATOR {
         "coordinator".to_string()
     } else {
-        format!("shard-worker-{}", tid - TID_SHARD_BASE)
+        format!("thread-{tid}")
     }
 }
 
@@ -212,8 +194,7 @@ mod tests {
         let registry = Registry::default();
         let stream = StreamStats { events: 10, ..StreamStats::default() };
         registry.fold_document(&stream, &MachineStats::default(), None, 0);
-        registry.worker_busy_ns.add(999);
-        registry.ring_occupancy.set(3);
+        registry.doc_ns.add(999);
         registry.dispatch_ns.observe(100);
         let spans = SpanRecorder::default();
         Snapshot::capture(&registry, &spans)
@@ -226,9 +207,10 @@ mod tests {
         assert!(json.contains(
             "\"name\":\"vitex_stream_events_total\",\"deterministic\":true,\"value\":10"
         ));
-        assert!(json.contains(
-            "\"name\":\"vitex_worker_busy_ns_total\",\"deterministic\":false,\"value\":999"
-        ));
+        assert!(
+            json.contains("\"name\":\"vitex_doc_ns_total\",\"deterministic\":false,\"value\":999")
+        );
+        assert!(json.contains("\"gauges\":[],"));
         assert!(json.contains("\"spans_dropped\":0"));
     }
 
@@ -237,7 +219,7 @@ mod tests {
         let snap = sample_snapshot();
         let det = snap.deterministic_json();
         assert!(det.contains("vitex_stream_events_total"));
-        assert!(!det.contains("vitex_worker_busy_ns_total"));
+        assert!(!det.contains("vitex_doc_ns_total"));
         assert!(!det.contains("vitex_dispatch_ns"));
     }
 
@@ -246,7 +228,7 @@ mod tests {
         let text = sample_snapshot().human_summary();
         assert!(text.contains("vitex_stream_events_total"));
         assert!(!text.contains("vitex_stream_elements_total"));
-        assert!(text.contains("vitex_ring_occupancy"));
+        assert!(text.contains("vitex_doc_ns_total"));
         assert!(text.contains("vitex_dispatch_ns"));
     }
 
@@ -254,7 +236,7 @@ mod tests {
     fn trace_json_shape() {
         let spans = vec![
             Span { name: "document", cat: "stream", tid: 1, start_ns: 1000, dur_ns: 5000 },
-            Span { name: "batch", cat: "shard", tid: 2, start_ns: 2000, dur_ns: 100 },
+            Span { name: "probe", cat: "test", tid: 2, start_ns: 2000, dur_ns: 100 },
         ];
         let json = trace_json(&spans);
         assert!(json.starts_with("{\"traceEvents\":["));
@@ -262,7 +244,7 @@ mod tests {
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"ph\":\"M\""));
         assert!(json.contains("\"name\":\"coordinator\""));
-        assert!(json.contains("\"name\":\"shard-worker-0\""));
+        assert!(json.contains("\"name\":\"thread-2\""));
         assert!(json.contains("\"ts\":1.000"));
         assert!(json.contains("\"dur\":5.000"));
     }

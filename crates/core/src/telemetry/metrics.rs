@@ -10,10 +10,9 @@
 //! lock, and their export names are the records' own row tables.
 //!
 //! Determinism classes matter for testing: a metric marked `deterministic`
-//! must be byte-identical across shard counts for the same document +
-//! query set (the differential battery enforces this). Timers,
-//! ring/backpressure counters, and the scanner's byte counts (they depend
-//! on how reads chunk the input) are excluded from equality.
+//! is a pure function of the document and the query set. Timers and the
+//! scanner's byte counts (they depend on how reads chunk the input) are
+//! excluded from equality.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -42,40 +41,6 @@ impl Counter {
     #[inline]
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// Last-value gauge with a monotonic high-water mark.
-///
-/// The high-water mark is **registry-lifetime scoped**: it is never reset,
-/// so across a multi-document `ShardSession` (or anything else sharing the
-/// telemetry handle) it reports the highest level any document reached.
-/// Per-document peaks must be obtained by snapshot differencing between
-/// runs, not from a single accumulated export.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicU64,
-    high: AtomicU64,
-}
-
-impl Gauge {
-    /// Record the current level and fold it into the high-water mark.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.value.store(v, Ordering::Relaxed);
-        self.high.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Most recently recorded level.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    /// Highest level ever recorded.
-    #[inline]
-    pub fn high(&self) -> u64 {
-        self.high.load(Ordering::Relaxed)
     }
 }
 
@@ -158,8 +123,8 @@ struct Totals {
     plan: PlanStats,
 }
 
-/// Every metric the pipeline records. Shared behind an `Arc` by the
-/// coordinator, shard workers, and the merger.
+/// Every metric the pipeline records, shared behind an `Arc` by every
+/// clone of a [`crate::Telemetry`] handle.
 #[derive(Debug, Default)]
 pub struct Registry {
     /// The deterministic section; locked once per document, on the
@@ -172,43 +137,11 @@ pub struct Registry {
     /// Bytes scanned by the scalar path (`vitex_scan_scalar_bytes_total`).
     pub scan_scalar_bytes: Counter,
 
-    // ----- shard rings and workers (timing dependent) -----
-    /// Event batches enqueued to shard rings (`vitex_ring_batches_total`).
-    pub ring_batches: Counter,
-    /// Producer blocked on a full ring (`vitex_ring_enqueue_stalls_total`).
-    pub ring_enqueue_stalls: Counter,
-    /// Nanoseconds the producer spent blocked on full rings
-    /// (`vitex_ring_stall_ns_total`).
-    pub ring_stall_ns: Counter,
-    /// Nanoseconds shard workers spent processing batches
-    /// (`vitex_worker_busy_ns_total`).
-    pub worker_busy_ns: Counter,
+    // ----- timing -----
     /// Wall nanoseconds for whole-document runs (`vitex_doc_ns_total`).
     pub doc_ns: Counter,
-
-    // ----- gauges -----
-    /// Ring occupancy in batches, sampled at enqueue
-    /// (`vitex_ring_occupancy`). High-water is registry-lifetime scoped
-    /// (see [`Gauge`]): it accumulates across every document a session
-    /// runs rather than resetting per document.
-    pub ring_occupancy: Gauge,
-    /// Matches held by the merger awaiting watermark release
-    /// (`vitex_merge_hold_depth`).
-    pub merge_hold_depth: Gauge,
-    /// Measured per-document shard load imbalance in millis
-    /// (`vitex_shard_imbalance`): max shard load over the ideal
-    /// per-shard load, scaled by 1000 — 1000 is perfectly balanced,
-    /// `shards * 1000` is one shard carrying everything. Computed from
-    /// the deterministic machine work counters after every multi-query
-    /// document (1000 whenever one worker ran it); the high-water mark
-    /// records the worst document the registry has seen.
-    pub shard_imbalance: Gauge,
-
-    // ----- histograms (distributions; timing dependent) -----
-    /// Per-event dispatch time in ns (`vitex_dispatch_ns`).
+    /// Sampled per-event dispatch time in ns (`vitex_dispatch_ns`).
     pub dispatch_ns: Histogram,
-    /// Events per shard batch (`vitex_batch_events`).
-    pub batch_events: Histogram,
 }
 
 /// One exported counter: name, determinism class, value.
@@ -216,22 +149,11 @@ pub struct Registry {
 pub struct CounterRow {
     /// Prometheus-style metric name.
     pub name: &'static str,
-    /// Whether the value must be invariant across shard counts (see
-    /// module docs).
+    /// Whether the value is a pure function of the document and the query
+    /// set (see module docs).
     pub deterministic: bool,
     /// Counter value at snapshot time.
     pub value: u64,
-}
-
-/// One exported gauge: last value and high-water mark.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GaugeRow {
-    /// Prometheus-style metric name.
-    pub name: &'static str,
-    /// Last recorded level.
-    pub value: u64,
-    /// High-water mark.
-    pub high: u64,
 }
 
 /// One exported histogram: count, sum, and non-empty log2 buckets.
@@ -290,23 +212,9 @@ impl Registry {
             .chain([
                 timing("vitex_scan_wide_bytes_total", &self.scan_wide_bytes),
                 timing("vitex_scan_scalar_bytes_total", &self.scan_scalar_bytes),
-                timing("vitex_ring_batches_total", &self.ring_batches),
-                timing("vitex_ring_enqueue_stalls_total", &self.ring_enqueue_stalls),
-                timing("vitex_ring_stall_ns_total", &self.ring_stall_ns),
-                timing("vitex_worker_busy_ns_total", &self.worker_busy_ns),
                 timing("vitex_doc_ns_total", &self.doc_ns),
             ])
             .collect()
-    }
-
-    /// Enumerate all gauges.
-    pub fn gauge_rows(&self) -> Vec<GaugeRow> {
-        let row = |name, g: &Gauge| GaugeRow { name, value: g.get(), high: g.high() };
-        vec![
-            row("vitex_ring_occupancy", &self.ring_occupancy),
-            row("vitex_merge_hold_depth", &self.merge_hold_depth),
-            row("vitex_shard_imbalance", &self.shard_imbalance),
-        ]
     }
 
     /// Enumerate all histograms (non-empty buckets only).
@@ -324,10 +232,7 @@ impl Registry {
                 .collect();
             HistogramRow { name, count: h.count(), sum: h.sum(), buckets }
         };
-        vec![
-            row("vitex_dispatch_ns", &self.dispatch_ns),
-            row("vitex_batch_events", &self.batch_events),
-        ]
+        vec![row("vitex_dispatch_ns", &self.dispatch_ns)]
     }
 }
 
@@ -341,16 +246,6 @@ mod tests {
         c.add(3);
         c.add(4);
         assert_eq!(c.get(), 7);
-    }
-
-    #[test]
-    fn gauge_tracks_high_water() {
-        let g = Gauge::default();
-        g.set(5);
-        g.set(9);
-        g.set(2);
-        assert_eq!(g.get(), 2);
-        assert_eq!(g.high(), 9);
     }
 
     #[test]
@@ -380,7 +275,6 @@ mod tests {
             .counter_rows()
             .iter()
             .map(|c| c.name)
-            .chain(r.gauge_rows().iter().map(|g| g.name))
             .chain(r.histogram_rows().iter().map(|h| h.name))
             .collect();
         let total = names.len();

@@ -1,14 +1,13 @@
 //! Unified telemetry layer: metrics registry, stage spans, and exportable
-//! traces across parse → plan → shard → merge.
+//! traces across parse → plan → dispatch → machines.
 //!
 //! All pipeline stages record through one [`Telemetry`] handle — a cheap
 //! clone-able wrapper around an optional `Arc`. When telemetry is disabled
 //! (the default) the handle holds `None` and every recording method is an
 //! `#[inline]` early return that touches no atomics, takes no clock
 //! readings, and allocates nothing. When enabled, live counters and
-//! histograms are relaxed atomics shared across the coordinator and the
-//! shard workers, and coarse-grained spans land in a bounded
-//! ring for Chrome-trace export; what that costs is the benchmark's
+//! histograms are relaxed atomics, and coarse-grained spans land in a
+//! bounded ring for Chrome-trace export; what that costs is the benchmark's
 //! `telemetry.enabled_overhead_pct` — the best full pass with an enabled
 //! handle attached over the best pass with the default disabled one,
 //! per workload.
@@ -16,11 +15,10 @@
 //! Deterministic counters (stream, matches, machine, plan, prefix) are not
 //! recorded live: the registry holds the per-layer records of
 //! [`crate::stats`] and [`Telemetry::fold_document`] folds each finished
-//! document into them — once, on the document thread, the machine record
-//! summed per subscription — so their values are invariant across shard
-//! counts by construction, and their export names are the records' own
-//! row tables. Timing counters and ring/backpressure metrics are recorded
-//! live from whichever thread does the work and are scheduling-dependent.
+//! document into them — once, the machine record summed per subscription
+//! — so their values are a pure function of the documents and the query
+//! set, and their export names are the records' own row tables. Timing
+//! counters are recorded live and vary from run to run.
 
 pub mod export;
 pub mod metrics;
@@ -28,10 +26,10 @@ pub mod profile;
 pub mod span;
 
 pub use export::{trace_json, Snapshot, SNAPSHOT_SCHEMA};
-pub use metrics::{Counter, CounterRow, Gauge, GaugeRow, Histogram, HistogramRow, Registry};
+pub use metrics::{Counter, CounterRow, Histogram, HistogramRow, Registry};
 pub(crate) use profile::CostLedger;
 pub use profile::{GroupCost, ProfileSnapshot, QueryCost, PROFILE_SCHEMA};
-pub use span::{Span, SpanRecorder, TID_COORDINATOR, TID_SHARD_BASE};
+pub use span::{Span, SpanRecorder, TID_COORDINATOR};
 
 use crate::stats::{MachineStats, PlanStats, StreamStats};
 use std::sync::Arc;
@@ -74,30 +72,6 @@ impl Telemetry {
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Add `n` to the counter selected from the registry.
-    #[inline]
-    pub fn add(&self, pick: impl FnOnce(&Registry) -> &Counter, n: u64) {
-        if let Some(inner) = &self.inner {
-            pick(&inner.registry).add(n);
-        }
-    }
-
-    /// Record a gauge level (also folds the high-water mark).
-    #[inline]
-    pub fn gauge_set(&self, pick: impl FnOnce(&Registry) -> &Gauge, v: u64) {
-        if let Some(inner) = &self.inner {
-            pick(&inner.registry).set(v);
-        }
-    }
-
-    /// Record one histogram sample.
-    #[inline]
-    pub fn observe(&self, pick: impl FnOnce(&Registry) -> &Histogram, v: u64) {
-        if let Some(inner) = &self.inner {
-            pick(&inner.registry).observe(v);
-        }
     }
 
     /// Start a timing interval: `Some(now)` when enabled, `None` (no clock
@@ -202,9 +176,8 @@ mod tests {
         let tel = Telemetry::disabled();
         assert!(!tel.is_enabled());
         assert!(tel.timer().is_none());
-        tel.add(|r| &r.ring_batches, 5);
-        tel.gauge_set(|r| &r.ring_occupancy, 5);
-        tel.observe(|r| &r.dispatch_ns, 5);
+        assert_eq!(tel.add_elapsed(|r| &r.doc_ns, Some(Instant::now())), 0);
+        tel.observe_elapsed(|r| &r.dispatch_ns, Some(Instant::now()));
         let stream = StreamStats { elements: 1, text_nodes: 1, events: 1 };
         tel.fold_document(&stream, &MachineStats::default(), None, 1);
         assert!(tel.snapshot().is_none());
@@ -215,14 +188,14 @@ mod tests {
     fn enabled_records_and_snapshots() {
         let tel = Telemetry::enabled();
         assert!(tel.is_enabled());
-        tel.add(|r| &r.ring_batches, 5);
         let t0 = tel.timer();
         assert!(t0.is_some());
-        let ns = tel.add_elapsed(|r| &r.worker_busy_ns, t0);
+        let ns = tel.add_elapsed(|r| &r.doc_ns, t0);
+        tel.observe_elapsed(|r| &r.dispatch_ns, t0);
         tel.record_span("document", "stream", TID_COORDINATOR, t0);
         let snap = tel.snapshot().unwrap();
-        assert_eq!(snap.counter("vitex_ring_batches_total"), Some(5));
-        assert_eq!(snap.counter("vitex_worker_busy_ns_total"), Some(ns));
+        assert_eq!(snap.counter("vitex_doc_ns_total"), Some(ns));
+        assert_eq!(snap.histograms[0].count, 1);
         let spans = tel.spans().unwrap();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].name, "document");
@@ -252,8 +225,9 @@ mod tests {
     fn clones_share_the_registry() {
         let tel = Telemetry::enabled();
         let clone = tel.clone();
-        clone.add(|r| &r.ring_batches, 3);
-        assert_eq!(tel.snapshot().unwrap().counter("vitex_ring_batches_total"), Some(3));
+        let stream = StreamStats { elements: 1, text_nodes: 0, events: 3 };
+        clone.fold_document(&stream, &MachineStats::default(), None, 0);
+        assert_eq!(tel.snapshot().unwrap().counter("vitex_stream_events_total"), Some(3));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Per-subscription cost attribution: who costs what, live.
 //!
 //! The engine's whole performance story is built on *sharing* — deduped
-//! plan groups, a shared prefix trie, shard fan-out — which makes
+//! plan groups, a shared prefix trie, subscriber fan-out — which makes
 //! per-subscription cost invisible: the metrics registry answers "how is
 //! the pipeline doing" but not "which of my thousand standing queries is
 //! eating the machine". The cost ledger answers that second question.
@@ -13,14 +13,14 @@
 //!   dispatch hits) are read off the same per-run [`MachineStats`] the
 //!   engine already reports per subscription, summed over the documents
 //!   billed; emitted bytes are tallied by the executor as each solution
-//!   leaves its machine. Because those stats are invariant across
-//!   shard counts (the differential batteries assert it), the per-query
-//!   profile is **byte-identical** across every execution configuration —
-//!   [`ProfileSnapshot::deterministic_json`] is comparable with `==`.
+//!   leaves its machine. Those stats are a pure function of the documents
+//!   and the query set, so the per-query profile is **byte-identical**
+//!   from run to run — [`ProfileSnapshot::deterministic_json`] is
+//!   comparable with `==`.
 //! * **Per-group diagnostics** (shared trie steps billed to routed
-//!   groups, sampled machine self-time, merge hold latency, subscriber
-//!   counts) depend on the chosen shard configuration and are reported
-//!   separately, outside the deterministic section.
+//!   groups, sampled machine self-time, subscriber counts) depend on how
+//!   registrations dedupe, or on the clock, and are reported separately,
+//!   outside the deterministic section.
 //!
 //! The ledger is plain data the engine owns (`None` while profiling is
 //! off): the per-document epilogue folds into it through `&mut` once a
@@ -37,8 +37,8 @@ use crate::stats::MachineStats;
 pub const PROFILE_SCHEMA: &str = "vitex.profile.v1";
 
 /// Deterministic per-subscription cost counters, keyed by [`QueryId`] and
-/// the query's source text. All counter fields are invariant across
-/// plan × shard configurations.
+/// the query's source text. All counter fields are a pure function of the
+/// documents billed and the query.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueryCost {
     /// Registration index of the subscription.
@@ -60,9 +60,8 @@ pub struct QueryCost {
 }
 
 /// Per-plan-group cost diagnostics. Group composition depends on which
-/// registrations dedupe, and self-time/hold figures are
-/// scheduling-dependent, so none of this participates in deterministic
-/// comparisons.
+/// registrations dedupe, and self-time is a clock reading, so none of
+/// this participates in deterministic comparisons.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GroupCost {
     /// Plan group id.
@@ -72,22 +71,15 @@ pub struct GroupCost {
     /// Subscriptions served by this group.
     pub subscribers: u64,
     /// The group machine's counters (one machine, however many
-    /// subscribers), summed over the documents billed. A diagnostic only:
-    /// no shard partitioner reads it (placement is a function of the plan,
-    /// fixed when a session opens).
+    /// subscribers), summed over the documents billed. A diagnostic only.
     pub machine: MachineStats,
     /// Shared step-trie advances billed to this group: each trie push is
     /// billed once to every routed group, so the sum over groups counts
     /// the work sharing *avoided*.
     pub shared_steps: u64,
-    /// Sampled machine self-time in nanoseconds, measured wherever the
-    /// group's machine ran. Timing class — never deterministic.
+    /// Sampled machine self-time in nanoseconds. Timing class — never
+    /// deterministic.
     pub self_ns: u64,
-    /// Matches from this group released by the watermark merger.
-    pub deliveries: u64,
-    /// Nanoseconds those matches waited in the merger for their
-    /// watermark. Timing class.
-    pub hold_ns: u64,
 }
 
 /// The cost ledger: what each subscription and each plan group has cost
@@ -177,16 +169,6 @@ impl CostLedger {
         }
     }
 
-    /// Add merger hold accounting for a group: `deliveries` matches
-    /// released after waiting a total of `ns` nanoseconds.
-    pub(crate) fn add_hold(&mut self, gid: usize, deliveries: u64, ns: u64) {
-        if deliveries > 0 {
-            let g = self.group(gid);
-            g.deliveries += deliveries;
-            g.hold_ns += ns;
-        }
-    }
-
     /// Point-in-time copy of the ledger.
     pub(crate) fn snapshot(&self) -> ProfileSnapshot {
         ProfileSnapshot {
@@ -232,7 +214,7 @@ fn escape_json(s: &str) -> String {
 impl ProfileSnapshot {
     /// Queries ranked by [`MachineStats::work`] descending, query id
     /// ascending on ties — a deterministic order, so the ranking is
-    /// stable across every execution configuration.
+    /// stable from run to run.
     pub fn top_queries(&self, k: usize) -> Vec<&QueryCost> {
         let mut ranked: Vec<&QueryCost> = self.queries.iter().collect();
         ranked.sort_by(|a, b| b.machine.work().cmp(&a.machine.work()).then(a.id.cmp(&b.id)));
@@ -277,9 +259,8 @@ impl ProfileSnapshot {
     }
 
     /// Canonical JSON of the deterministic section only (schema, document
-    /// count, per-query counters). Byte-identical across plan × shard
-    /// configurations for the same document stream and query set — tests
-    /// compare it with `==`.
+    /// count, per-query counters). Byte-identical for the same document
+    /// stream and query set — tests compare it with `==`.
     pub fn deterministic_json(&self) -> String {
         format!(
             "{{\"schema\":\"{PROFILE_SCHEMA}\",\"docs\":{},\"queries\":{}}}",
@@ -307,7 +288,7 @@ impl ProfileSnapshot {
                 out,
                 "{{\"gid\":{},\"canonical\":\"{}\",\"subscribers\":{},\
                  \"pushes\":{},\"pops\":{},\"predicate_evals\":{},\"dispatch_hits\":{},\
-                 \"shared_steps\":{},\"self_ns\":{},\"deliveries\":{},\"hold_ns\":{}}}",
+                 \"shared_steps\":{},\"self_ns\":{}}}",
                 g.gid,
                 escape_json(&g.canonical),
                 g.subscribers,
@@ -317,8 +298,6 @@ impl ProfileSnapshot {
                 g.machine.dispatch_hits,
                 g.shared_steps,
                 g.self_ns,
-                g.deliveries,
-                g.hold_ns,
             );
         }
         out.push_str("]}");
@@ -455,13 +434,11 @@ mod tests {
         ledger.fold_group(0, "//a", 3, &stats(2, 0));
         ledger.add_shared_steps(&[4]);
         ledger.add_self_ns(0, 1234);
-        ledger.add_hold(0, 2, 99);
         let snap = ledger.snapshot();
         let json = snap.to_json();
         assert!(json.contains("\"groups\":[{\"gid\":0,\"canonical\":\"//a\",\"subscribers\":3"));
         assert!(json.contains("\"shared_steps\":4"));
-        assert!(json.contains("\"self_ns\":1234"));
-        assert!(json.contains("\"deliveries\":2,\"hold_ns\":99"));
+        assert!(json.contains("\"shared_steps\":4,\"self_ns\":1234}"));
         // The queries array is the same bytes in both exports.
         let queries = snap.queries_json();
         assert!(json.contains(&queries));

@@ -1,28 +1,25 @@
 //! Bounded span recorder for stage traces.
 //!
-//! Spans are coarse-grained by design — one per document and one per
-//! shard batch — so a run records thousands of spans, not millions. They
-//! land in a fixed-capacity ring guarded by a mutex: the lock is
-//! uncontended in practice (each recording thread produces spans at batch
-//! granularity), and when the ring fills the oldest spans are overwritten
-//! and counted as dropped rather than growing memory without bound.
+//! Spans are coarse-grained by design — one per document — so a run
+//! records thousands of spans, not millions. They land in a
+//! fixed-capacity ring guarded by a mutex, and when the ring fills the
+//! oldest spans are overwritten and counted as dropped rather than
+//! growing memory without bound.
 
 use std::sync::Mutex;
 
 /// Default span ring capacity.
 pub const DEFAULT_SPAN_CAPACITY: usize = 16_384;
 
-/// Trace thread-id for the coordinator/document thread.
+/// Trace thread-id for the document thread.
 pub const TID_COORDINATOR: u32 = 1;
-/// Base trace thread-id for shard workers (`TID_SHARD_BASE + shard`).
-pub const TID_SHARD_BASE: u32 = 2;
 
 /// One completed span, timestamped relative to the telemetry epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
-    /// Span name (e.g. `"document"`, `"batch"`).
+    /// Span name (e.g. `"document"`).
     pub name: &'static str,
-    /// Category for trace viewers (e.g. `"stream"`, `"shard"`).
+    /// Category for trace viewers (e.g. `"stream"`).
     pub cat: &'static str,
     /// Logical thread id (see the `TID_*` constants).
     pub tid: u32,

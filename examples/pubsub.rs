@@ -11,13 +11,12 @@
 //! ```
 
 //! The second half of the demo streams a *collection* of snapshots
-//! through a [`vitex::core::ShardedEngine`] session: same subscriptions,
-//! machines partitioned across worker threads, results merged back in
-//! deterministic single-threaded order.
+//! through one [`vitex::core::MultiEngine::session`]: same subscriptions,
+//! no re-planning between documents, and nothing kept per match.
 
 use std::time::Instant;
 
-use vitex::core::{MultiEngine, ShardedEngine};
+use vitex::core::MultiEngine;
 use vitex::xmlgen::auction::{self, AuctionConfig};
 use vitex::xmlsax::XmlReader;
 
@@ -73,29 +72,24 @@ fn main() {
         out.stats.iter().map(|s| s.peak_bytes).sum::<u64>()
     );
 
-    // Document collections through warm sharded workers: one session, a
-    // stream of snapshots, zero re-planning between documents.
-    let mut sharded = ShardedEngine::new(4);
-    for q in &subscriptions {
-        sharded.add_query(q).expect("valid subscription");
-    }
+    // A document collection through one session: a stream of snapshots,
+    // zero re-planning between documents, matches counted as they stream.
     let snapshots: Vec<String> =
         (0..3).map(|_| auction::to_string(&AuctionConfig::sized(1 << 20))).collect();
     let t = Instant::now();
-    let totals = sharded
+    let totals = multi
         .session(|session| {
             let mut totals = Vec::new();
             for snap in &snapshots {
-                let out = session.run_document(XmlReader::from_str(snap), |_, _| {})?;
-                totals.push(out.matches.iter().map(Vec::len).sum::<usize>());
+                let mut delivered = 0usize;
+                session.stream_document(XmlReader::from_str(snap), |_, _| delivered += 1)?;
+                totals.push(delivered);
             }
             Ok(totals)
         })
-        .expect("sharded session");
+        .expect("session");
     println!(
-        "\nsharded session ({} shards): {} snapshots back-to-back in {:?}, \
-         matches per snapshot: {totals:?}",
-        sharded.shards(),
+        "\none session: {} snapshots back-to-back in {:?}, matches per snapshot: {totals:?}",
         snapshots.len(),
         t.elapsed(),
     );

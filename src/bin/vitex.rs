@@ -9,15 +9,12 @@
 //! Run `vitex --help` for the full option list (every flag carries a
 //! one-line description there).
 //!
-//! Every run goes through one [`ShardedEngine`] session — one parse, one
+//! Every run goes through one [`MultiEngine`] session — one parse, one
 //! document driver, k TwigM machines behind the shared step trie; with
 //! several queries every line is prefixed with the originating query's
-//! index. At `--shards 1`, and for any single query, the session delivers
-//! on the calling thread; `--shards N` (N > 1) partitions the machines
-//! across up to N worker threads: same output, same order. `--metrics`,
-//! `--metrics-json` and `--trace-out` switch on the unified telemetry
-//! layer: one registry and span ring covering parse → plan → dispatch →
-//! shard → merge.
+//! index. `--metrics`, `--metrics-json` and `--trace-out` switch on the
+//! unified telemetry layer: one registry and span ring covering parse →
+//! plan → dispatch → machines.
 
 use std::fs::File;
 use std::io::{self, BufReader, Read, Write};
@@ -25,7 +22,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use vitex_core::telemetry::{trace_json, Telemetry};
-use vitex_core::{Match, MatchKind, MultiOutput, QueryId, ShardedEngine, StreamStats};
+use vitex_core::{Match, MatchKind, MultiEngine, MultiOutput, QueryId, StreamStats};
 use vitex_xmlsax::{ProbeHandle, XmlReader};
 use vitex_xpath::QueryTree;
 
@@ -38,7 +35,6 @@ struct Options {
     count: bool,
     values: bool,
     stats: bool,
-    shards: usize,
     machine: bool,
     metrics: bool,
     metrics_json: Option<String>,
@@ -69,7 +65,6 @@ const FLAGS: &[&str] = &[
     "--count",
     "--values",
     "--stats",
-    "--shards",
     "--machine",
     "--metrics",
     "--metrics-json",
@@ -95,7 +90,6 @@ fn usage_text() -> &'static str {
          \x20 --count                print only the number of matches (per query in pub/sub mode)\n\
          \x20 --values               print attribute values / text content instead of byte spans\n\
          \x20 --stats                print stream + machine + plan statistics on stderr\n\
-         \x20 --shards <N>           run plan groups on N worker threads; output identical to N=1 (default 1)\n\
          \x20 --machine              dump the compiled TwigM machine(s) and exit without reading a document\n\
          \x20 --metrics              print a human-readable telemetry summary on stderr after the run\n\
          \x20 --metrics-json <PATH>  write a metrics snapshot (vitex.metrics.v1 JSON) to PATH\n\
@@ -108,7 +102,7 @@ fn usage_text() -> &'static str {
          \x20 vitex '//ProteinEntry[reference]/@id' protein.xml\n\
          \x20 vitex --count '//section[author]//table[position]//cell' book.xml\n\
          \x20 vitex -e '//quote[symbol = \"ACME\"]/price' -e '//quote/@seq' feed.xml\n\
-         \x20 vitex --shards 4 --metrics-json m.json --trace-out t.json -e '//a' -e '//b' doc.xml"
+         \x20 vitex --metrics-json m.json --trace-out t.json -e '//a' -e '//b' doc.xml"
 }
 
 /// Levenshtein edit distance, for the unknown-option suggestion.
@@ -137,8 +131,8 @@ enum CliError {
     UnexpectedArgument(String),
     /// An unrecognized `-`/`--` argument.
     UnknownFlag(String),
-    /// A known flag whose value is missing or does not parse.
-    BadValue { flag: String, expects: &'static str, got: Option<String> },
+    /// A known flag whose value is missing.
+    MissingValue { flag: String, expects: &'static str },
 }
 
 impl CliError {
@@ -161,10 +155,7 @@ impl CliError {
                     None => format!("unknown option '{arg}'"),
                 }
             }
-            CliError::BadValue { flag, expects, got: Some(got) } => {
-                format!("{flag} expects {expects}, got '{got}'")
-            }
-            CliError::BadValue { flag, expects, got: None } => {
+            CliError::MissingValue { flag, expects } => {
                 format!("{flag} expects {expects}, got nothing")
             }
         };
@@ -172,41 +163,26 @@ impl CliError {
     }
 }
 
-/// Parses the value of `flag`: `got` is the next argument, if any.
-fn value<T>(
-    flag: &str,
-    expects: &'static str,
-    got: Option<String>,
-    parse: impl FnOnce(&str) -> Option<T>,
-) -> Result<T, CliError> {
-    got.as_deref().and_then(parse).ok_or_else(|| CliError::BadValue {
-        flag: flag.to_owned(),
-        expects,
-        got,
-    })
+/// The value of `flag`: `got` is the next argument, if any.
+fn value(flag: &str, expects: &'static str, got: Option<String>) -> Result<String, CliError> {
+    got.ok_or_else(|| CliError::MissingValue { flag: flag.to_owned(), expects })
 }
 
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, CliError> {
     let mut positional_query = None;
-    let mut opts = Options { shards: 1, ..Options::default() };
-    let text = |s: &str| Some(s.to_owned());
+    let mut opts = Options::default();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "-e" | "--query" => opts.queries.push(value(&arg, "a query", args.next(), text)?),
+            "-e" | "--query" => opts.queries.push(value(&arg, "a query", args.next())?),
             "--count" => opts.count = true,
             "--values" => opts.values = true,
             "--stats" => opts.stats = true,
-            "--shards" => {
-                opts.shards = value(&arg, "a positive integer", args.next(), |n| {
-                    n.parse().ok().filter(|&n: &usize| n >= 1)
-                })?
-            }
             "--machine" => opts.machine = true,
             "--metrics" => opts.metrics = true,
-            "--metrics-json" => opts.metrics_json = Some(value(&arg, "a path", args.next(), text)?),
-            "--trace-out" => opts.trace_out = Some(value(&arg, "a path", args.next(), text)?),
+            "--metrics-json" => opts.metrics_json = Some(value(&arg, "a path", args.next())?),
+            "--trace-out" => opts.trace_out = Some(value(&arg, "a path", args.next())?),
             "--profile" => opts.profile = true,
-            "--profile-json" => opts.profile_json = Some(value(&arg, "a path", args.next(), text)?),
+            "--profile-json" => opts.profile_json = Some(value(&arg, "a path", args.next())?),
             "--help" | "-h" => return Ok(Options { help: true, ..opts }),
             // A lone "-" stays positional (as FILE it means stdin); anything
             // else starting with '-' is a misspelled flag, not a query or file.
@@ -364,7 +340,7 @@ fn export_telemetry(opts: &Options, telemetry: &Telemetry) -> Result<(), ExitCod
 
 /// Emits the requested profiling outputs (`--profile` table on stderr,
 /// `--profile-json` ledger export). A no-op when profiling is disabled.
-fn export_profile(opts: &Options, engine: &ShardedEngine) -> Result<(), ExitCode> {
+fn export_profile(opts: &Options, engine: &MultiEngine) -> Result<(), ExitCode> {
     let Some(snapshot) = engine.profile_snapshot() else { return Ok(()) };
     if opts.profile {
         eprint!("{}", snapshot.table(10));
@@ -388,12 +364,10 @@ fn stdout_failed(e: io::Error) -> ! {
     std::process::exit(2)
 }
 
-/// All queries over one scan via the (optionally sharded) multi-engine.
-/// At `--shards 1` — the default — and whenever the group count clamps
-/// the workers to one (any single query), the session delivers on the
-/// calling thread, exactly as `MultiEngine::run` does.
+/// All queries over one scan via the multi-engine, streamed through one
+/// session.
 fn run_multi(opts: &Options, trees: &[QueryTree], telemetry: &Telemetry) -> ExitCode {
-    let mut multi = ShardedEngine::new(opts.shards);
+    let mut multi = MultiEngine::new();
     multi.set_telemetry(telemetry.clone());
     multi.set_profiling(opts.profiling_requested());
     for tree in trees {
@@ -508,7 +482,7 @@ mod tests {
     use super::*;
 
     fn base_options() -> Options {
-        Options { queries: vec!["//a".into()], shards: 1, ..Options::default() }
+        Options { queries: vec!["//a".into()], ..Options::default() }
     }
 
     fn parse(args: &[&str]) -> Result<Options, CliError> {
@@ -530,12 +504,12 @@ mod tests {
                 assert!(FLAGS.contains(&word), "help mentions {word}, which FLAGS lacks");
             }
         }
-        assert_eq!(FLAGS.len(), 14, "12 options, two of them with a short spelling");
+        assert_eq!(FLAGS.len(), 13, "11 options, two of them with a short spelling");
     }
 
     #[test]
     fn removed_flags_are_unknown_options() {
-        // The last four are spelled in halves (and kept out of variable
+        // The last five are spelled in halves (and kept out of variable
         // names): CI greps the sources for the deleted flags' names and
         // must find nothing.
         for flag in [
@@ -547,6 +521,7 @@ mod tests {
             concat!("--prefix", "-sharing"),
             concat!("--eag", "er"),
             concat!("--heart", "beat"),
+            concat!("--sha", "rds"),
         ] {
             let err = parse(&[flag, "2", "//a"]).err().expect("rejected");
             assert_eq!(err, CliError::UnknownFlag(flag.to_string()));
@@ -557,10 +532,9 @@ mod tests {
     #[test]
     fn bad_flag_values_are_diagnosed_not_answered_with_the_usage() {
         for (args, expected) in [
-            (&["--shards", "x", "//a"][..], "vitex: --shards expects a positive integer, got 'x'"),
-            (&["--shards", "0", "//a"], "vitex: --shards expects a positive integer, got '0'"),
-            (&["-e"], "vitex: -e expects a query, got nothing"),
+            (&["-e"][..], "vitex: -e expects a query, got nothing"),
             (&["//a", "--metrics-json"], "vitex: --metrics-json expects a path, got nothing"),
+            (&["-e", "//a", "--trace-out"], "vitex: --trace-out expects a path, got nothing"),
         ] {
             let message = parse(args).err().expect("rejected").message();
             let mut lines = message.lines();
@@ -568,10 +542,10 @@ mod tests {
             assert_eq!(lines.next(), Some("run 'vitex --help' for the option list"));
         }
         assert_eq!(parse(&[]).err(), Some(CliError::Usage), "no query: usage text");
-        let opts = parse(&["--shards", "3", "-e", "//a", "-e", "//b", "doc.xml"]).expect("valid");
+        let opts = parse(&["--count", "-e", "//a", "-e", "//b", "doc.xml"]).expect("valid");
         assert_eq!(
-            (opts.shards, opts.queries.len(), opts.file.as_deref()),
-            (3, 2, Some("doc.xml"))
+            (opts.count, opts.queries.len(), opts.file.as_deref()),
+            (true, 2, Some("doc.xml"))
         );
     }
 

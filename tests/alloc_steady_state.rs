@@ -21,7 +21,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use vitex::core::{
-    CandidateStore, Engine, EvalMode, Interner, MachineSpec, Match, ShardedEngine, TwigM,
+    CandidateStore, Engine, EvalMode, Interner, MachineSpec, Match, MultiEngine, TwigM,
 };
 use vitex::xmlgen::recursive::{self, RecursiveConfig};
 use vitex::xmlsax::{XmlEvent, XmlReader};
@@ -118,11 +118,11 @@ fn what_an_engine_holds_does_not_grow_with_the_number_of_matches() {
     );
 }
 
-/// Streams `//*` over `xml` through a one-shard session. Returns the most
-/// this thread held at any delivery, relative to when the session opened,
-/// and the number of deliveries.
+/// Streams `//*` over `xml` through a session. Returns the most this
+/// thread held at any delivery, relative to when the session opened, and
+/// the number of deliveries.
 fn streaming_peak(xml: &str) -> (i64, u64) {
-    let mut engine = ShardedEngine::new(1);
+    let mut engine = MultiEngine::new();
     engine.add_query("//*").unwrap();
     let (mut peak, mut delivered) = (0i64, 0u64);
     engine

@@ -34,5 +34,5 @@ fn exits_once_stdout_is_closed(args: &[&str]) {
 #[test]
 fn closed_stdout_ends_the_run() {
     exits_once_stdout_is_closed(&["//a"]);
-    exits_once_stdout_is_closed(&["-e", "//a", "-e", "//r", "--shards", "2"]);
+    exits_once_stdout_is_closed(&["-e", "//a", "-e", "//r"]);
 }

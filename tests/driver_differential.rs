@@ -1,6 +1,6 @@
 //! Driver-level differential tests: the single-query engine, the
-//! multi-query engine (on one thread and sharded) and the naive baseline
-//! must produce **identical node-id sequences** for a battery of queries over
+//! multi-query engine (one-document runs and warm sessions) and the naive
+//! baseline must produce **identical node-id sequences** for a battery of queries over
 //! generated documents — deep-recursive (the paper's Figure 1 regime) and
 //! protein-shaped (the paper's headline dataset). k independent
 //! single-query engines are the in-engine reference throughout: a
@@ -18,20 +18,12 @@
 #[allow(dead_code)] // this battery does not generate query sets
 mod common;
 
-use common::{assert_private_stats, gated, pinned_queries_with_hog};
+use common::{assert_private_stats, gated};
 use vitex::baseline::{naive, oracle, Document, NaiveConfig};
-use vitex::core::telemetry::Telemetry;
-use vitex::core::{
-    Engine, EngineError, EvalOutput, Match, MultiEngine, MultiOutput, QueryId, ShardedEngine,
-};
+use vitex::core::{Engine, EngineError, EvalOutput, Match, MultiEngine, MultiOutput, QueryId};
 use vitex::xmlgen::{auction, protein, recursive};
 use vitex::xmlsax::XmlReader;
 use vitex::xpath::QueryTree;
-
-/// Shard counts the sharded battery runs at: one (the session delivers on
-/// the calling thread), even splits, and a count that leaves shards with
-/// uneven group subsets.
-const SHARD_COUNTS: &[usize] = &[1, 2, 4, 7];
 
 /// Queries with meaningful hits on both document families, mixing names,
 /// wildcards, predicates and special results.
@@ -302,27 +294,14 @@ fn prefix_sharing_reproduces_per_query_engines_bit_for_bit() {
     // per-query *machine statistics* (pushes, pops, flags, candidate
     // accounting, peaks — entry-for-entry identical work) and stream
     // counters must all equal what private per-query engines produce.
-    // The global callback interleaving is checked against an independent
-    // mechanism: the sharded merge, which orders by explicit
-    // `(event seq, group id)` keys instead of by visit order.
     let xml = mixed_doc();
     let queries: Vec<&str> = BATTERY.iter().chain(OVERLAP_SET).copied().collect();
-    let run = |shards: usize| {
-        let mut engine = ShardedEngine::new(shards);
-        for q in &queries {
-            engine.add_query(q).unwrap();
-        }
-        let mut streamed: Vec<(usize, u64)> = Vec::new();
-        let out = engine
-            .run(XmlReader::from_str(&xml), |qid, m| streamed.push((qid.0, m.node)))
-            .expect("run");
-        (out, streamed)
-    };
-    let (inline, inline_streamed) = run(1);
-    assert_equals_private_engines(&inline, &queries, &xml);
-    for &shards in &SHARD_COUNTS[1..] {
-        assert_eq!(run(shards).1, inline_streamed, "callback order at {shards} shards");
+    let mut engine = MultiEngine::new();
+    for q in &queries {
+        engine.add_query(q).unwrap();
     }
+    let inline = engine.run(XmlReader::from_str(&xml), |_, _| {}).expect("run");
+    assert_equals_private_engines(&inline, &queries, &xml);
     assert!(inline.plan.prefix_steps_executed > 0);
     assert!(inline.plan.prefix_steps_saved > 0, "overlap set shares main-path steps");
     assert!(inline.plan.prefix_forks > 0);
@@ -376,87 +355,42 @@ fn prefix_sharing_churn_splices_and_retires_trie_state() {
 }
 
 #[test]
-fn sharded_battery_is_byte_identical_to_single_threaded() {
-    // The sharded engine's whole contract: for every shard count the
-    // merged output — match payloads (spans/values/levels, not just node
-    // ids), per-query machine statistics, plan counters, stream counters
-    // AND the streamed callback sequence — equals the single-threaded
-    // engine's.
-    let xml = mixed_doc();
-    let queries: Vec<&str> = BATTERY.iter().chain(OVERLAP_SET).copied().collect();
-    let (reference, ref_streamed) = {
-        let mut multi = MultiEngine::new();
-        for q in &queries {
-            multi.add_query(q).unwrap();
-        }
-        let mut streamed: Vec<(usize, u64)> = Vec::new();
-        let out = multi
-            .run(XmlReader::from_str(&xml), |q, m| streamed.push((q.0, m.node)))
-            .expect("reference run");
-        (out, streamed)
-    };
-    for &shards in SHARD_COUNTS {
-        let mut sharded = ShardedEngine::new(shards);
-        for q in &queries {
-            sharded.add_query(q).unwrap();
-        }
-        let mut streamed: Vec<(usize, u64)> = Vec::new();
-        let out = sharded
-            .run(XmlReader::from_str(&xml), |q, m| streamed.push((q.0, m.node)))
-            .expect("sharded run");
-        let label = format!("{shards} shards");
-        assert_eq!(out.matches, reference.matches, "matches: {label}");
-        assert_eq!(streamed, ref_streamed, "callback sequence: {label}");
-        assert_eq!(out.stats, reference.stats, "machine stats: {label}");
-        assert_eq!(out.plan, reference.plan, "plan stats: {label}");
-        assert_eq!(
-            (out.elements, out.text_nodes, out.events),
-            (reference.elements, reference.text_nodes, reference.events),
-            "stream stats: {label}"
-        );
-    }
-}
-
-#[test]
-fn buffering_is_streaming_plus_a_copy_at_every_shard_count() {
+fn buffering_is_streaming_plus_a_copy() {
     // `run_document` is `stream_document` behind one collecting adapter:
     // both deliver the same `(query, match)` sequence, the buffered
     // `matches` are that sequence grouped by query, and nothing else in
     // the two outputs differs.
     let xml = mixed_doc();
     let queries: Vec<&str> = BATTERY.iter().chain(OVERLAP_SET).copied().collect();
-    for &shards in SHARD_COUNTS {
-        let mut sharded = ShardedEngine::new(shards);
-        for q in &queries {
-            sharded.add_query(q).unwrap();
-        }
-        let (mut streamed, mut buffered) = (Vec::new(), Vec::new());
-        let (stream_out, run_out) = sharded
-            .session(|session| {
-                let stream_out = session
-                    .stream_document(XmlReader::from_str(&xml), |q, m| streamed.push((q, m)))?;
-                let run_out = session
-                    .run_document(XmlReader::from_str(&xml), |q, m| buffered.push((q, m)))?;
-                Ok((stream_out, run_out))
-            })
-            .expect("both documents stream");
-        let label = format!("{shards} shards");
-        assert!(streamed.len() > queries.len(), "the battery matches: {label}");
-        assert_eq!(streamed, buffered, "delivered sequence: {label}");
-        let mut grouped = vec![Vec::new(); queries.len()];
-        for (q, m) in streamed {
-            grouped[q.0].push(m);
-        }
-        assert_eq!(run_out.matches, grouped, "buffer = the deliveries, by query: {label}");
-        assert!(stream_out.matches.is_empty(), "a streamed document buffers nothing: {label}");
-        assert_eq!(stream_out.stats, run_out.stats, "machine stats: {label}");
-        assert_eq!(stream_out.plan, run_out.plan, "plan stats: {label}");
-        assert_eq!(
-            (stream_out.elements, stream_out.text_nodes, stream_out.events),
-            (run_out.elements, run_out.text_nodes, run_out.events),
-            "stream stats: {label}"
-        );
+    let mut engine = MultiEngine::new();
+    for q in &queries {
+        engine.add_query(q).unwrap();
     }
+    let (mut streamed, mut buffered) = (Vec::new(), Vec::new());
+    let (stream_out, run_out) = engine
+        .session(|session| {
+            let stream_out =
+                session.stream_document(XmlReader::from_str(&xml), |q, m| streamed.push((q, m)))?;
+            let run_out =
+                session.run_document(XmlReader::from_str(&xml), |q, m| buffered.push((q, m)))?;
+            Ok((stream_out, run_out))
+        })
+        .expect("both documents stream");
+    assert!(streamed.len() > queries.len(), "the battery matches");
+    assert_eq!(streamed, buffered, "delivered sequence");
+    let mut grouped = vec![Vec::new(); queries.len()];
+    for (q, m) in streamed {
+        grouped[q.0].push(m);
+    }
+    assert_eq!(run_out.matches, grouped, "buffer = the deliveries, by query");
+    assert!(stream_out.matches.is_empty(), "a streamed document buffers nothing");
+    assert_eq!(stream_out.stats, run_out.stats, "machine stats");
+    assert_eq!(stream_out.plan, run_out.plan, "plan stats");
+    assert_eq!(
+        (stream_out.elements, stream_out.text_nodes, stream_out.events),
+        (run_out.elements, run_out.text_nodes, run_out.events),
+        "stream stats"
+    );
 }
 
 #[test]
@@ -466,37 +400,33 @@ fn recycled_low_slot_keeps_callback_order_ascending_by_group() {
     // immediately). Remove the first and register a new one: it recycles
     // group slot 0 *after* slots 1 and 2 were routed through /a. Within
     // that one event the groups must still fire in ascending group-id
-    // order — the recycled slot first — inline (visit order, which reads
-    // the trie's routes as they are) and through the 2-shard merge (which
-    // orders by explicit key).
+    // order — the recycled slot first — although the trie's routes took
+    // it last.
     let xml = r#"<a w="0" x="1" y="2" z="3"/>"#;
-    for shards in [1usize, 2] {
-        let mut engine = ShardedEngine::new(shards);
-        let q_x = engine.add_query("/a/@x").unwrap();
-        let q_y = engine.add_query("/a/@y").unwrap();
-        let q_z = engine.add_query("/a/@z").unwrap();
-        assert_eq!(engine.remove_query(q_x), Some(true), "slot 0 retires");
-        let q_w = engine.add_query("/a/@w").unwrap();
-        let mut streamed = Vec::new();
-        let out = engine
-            .run(XmlReader::from_str(xml), |q, m| streamed.push((q, m.value.unwrap().to_string())))
-            .expect("run");
-        assert_eq!(out.plan.recycled_slots, 1, "/a/@w took the retired slot");
-        assert_eq!(
-            streamed,
-            [(q_w, "0".to_string()), (q_y, "2".to_string()), (q_z, "3".to_string())],
-            "{shards} shard(s): recycled group 0 fires before groups 1 and 2"
-        );
-    }
+    let mut engine = MultiEngine::new();
+    let q_x = engine.add_query("/a/@x").unwrap();
+    let q_y = engine.add_query("/a/@y").unwrap();
+    let q_z = engine.add_query("/a/@z").unwrap();
+    assert_eq!(engine.remove_query(q_x), Some(true), "slot 0 retires");
+    let q_w = engine.add_query("/a/@w").unwrap();
+    let mut streamed = Vec::new();
+    let out = engine
+        .run(XmlReader::from_str(xml), |q, m| streamed.push((q, m.value.unwrap().to_string())))
+        .expect("run");
+    assert_eq!(out.plan.recycled_slots, 1, "/a/@w took the retired slot");
+    assert_eq!(
+        streamed,
+        [(q_w, "0".to_string()), (q_y, "2".to_string()), (q_z, "3".to_string())],
+        "recycled group 0 fires before groups 1 and 2"
+    );
 }
 
 #[test]
-fn truncated_document_delivers_the_same_prefix_and_error_at_every_shard_count() {
+fn truncated_document_delivers_its_prefix_then_the_engine_starts_fresh() {
     // A document cut off inside a start tag: every match decidable before
-    // the cut must be delivered, in the same order, and the error must
-    // name the same kind at the same position — whether the session
-    // delivered on the calling thread or over rings (where it must flush
-    // what it batched ahead of the error and still quiesce its workers).
+    // the cut must be delivered — each query's in the order its private
+    // `Engine` delivers them — and the error must name the same kind at
+    // the same position.
     let full = recursive::to_string(&recursive::RecursiveConfig {
         towers: 500,
         ..recursive::RecursiveConfig::square(3)
@@ -504,147 +434,125 @@ fn truncated_document_delivers_the_same_prefix_and_error_at_every_shard_count() 
     let cut = full.rfind("<cell").expect("generated document has cells") + 3;
     let xml = &full[..cut];
     const QUERIES: [&str; 3] = ["//cell", "//*[position]", "//section//table"];
-    let engine = |shards: usize| {
-        let mut engine = ShardedEngine::new(shards);
+    let engine = || {
+        let mut engine = MultiEngine::new();
         for q in QUERIES {
             engine.add_query(q).expect("valid query");
         }
         engine
     };
-    let run = |shards: usize| {
-        let mut streamed = Vec::new();
-        let result =
-            engine(shards).run(XmlReader::from_str(xml), |q, m| streamed.push((q.0, m.node)));
-        match result {
-            Err(EngineError::Xml(e)) => (streamed, e.to_string()),
-            other => panic!("{shards} shards: expected an XML error, got {other:?}"),
-        }
-    };
-    let (expected, expected_err) = run(1);
-    assert!(expected.len() > 1000, "most of the document matched before the cut");
-    assert!(expected_err.contains("unexpected end of input"), "{expected_err}");
-    for &shards in &SHARD_COUNTS[1..] {
-        let (streamed, err) = run(shards);
-        assert_eq!(err, expected_err, "error kind and position: {shards} shards");
-        assert_eq!(streamed.len(), expected.len(), "match count: {shards} shards");
-        assert_eq!(streamed, expected, "callback sequence: {shards} shards");
+    let mut streamed = vec![Vec::new(); QUERIES.len()];
+    let result = engine().run(XmlReader::from_str(xml), |q, m| streamed[q.0].push(m.node));
+    let Err(EngineError::Xml(err)) = result else { panic!("expected an XML error") };
+    let err = err.to_string();
+    assert!(err.contains("unexpected end of input"), "{err}");
+    assert!(streamed.iter().map(Vec::len).sum::<usize>() > 1000, "most of the document matched");
+    for (q, streamed) in QUERIES.iter().zip(&streamed) {
+        let mut private = Engine::new(&QueryTree::parse(q).unwrap()).expect("buildable");
+        let mut expected = Vec::new();
+        let result = private.run(XmlReader::from_str(xml), |m| expected.push(m.node));
+        let Err(EngineError::Xml(private_err)) = result else { panic!("{q}: expected an error") };
+        assert_eq!(private_err.to_string(), err, "error kind and position: {q}");
+        assert_eq!(streamed, &expected, "delivered prefix: {q}");
     }
 
     // Recovery: the cut leaves entries on the shared trie stacks, open
-    // frames in the executors and open elements in the admission walk.
-    // The next document through the *same* engine — and through the same
-    // warm 2-shard session — must start from nothing: it gets exactly a
-    // fresh engine's output.
+    // frames in the executor and open elements in the admission walk.
+    // The next document through the *same* engine — a run after the
+    // failed run, and the next document of a warm session — must start
+    // from nothing: it gets exactly a fresh engine's output.
     let whole = recursive::to_string(&recursive::RecursiveConfig::square(4));
     let observe = |out: MultiOutput, streamed: Vec<(usize, u64)>| {
         let p = out.plan;
         let trie_run = (p.prefix_steps_executed, p.prefix_steps_saved, p.prefix_forks);
         (out.matches, out.stats, trie_run, p.prefix_stack_bytes, streamed)
     };
-    let fresh = {
+    let run_whole = |engine: &mut MultiEngine| {
         let mut streamed = Vec::new();
-        let out = engine(1)
+        let out = engine
             .run(XmlReader::from_str(&whole), |q, m| streamed.push((q.0, m.node)))
             .expect("well-formed");
         observe(out, streamed)
     };
+    let fresh = run_whole(&mut engine());
     assert!(!fresh.4.is_empty(), "the second document matches");
-    for shards in [1usize, 2] {
-        let mut streamed = Vec::new();
-        let out = engine(shards)
-            .session(|session| {
-                let cut_off = session.run_document(XmlReader::from_str(xml), |_, _| {});
-                assert!(matches!(cut_off, Err(EngineError::Xml(_))), "{cut_off:?}");
-                session
-                    .run_document(XmlReader::from_str(&whole), |q, m| streamed.push((q.0, m.node)))
-            })
-            .expect("the session survives the truncated document");
-        assert_eq!(observe(out, streamed), fresh, "{shards} shard(s) after a truncated document");
-    }
+    let mut reused = engine();
+    assert!(reused.run(XmlReader::from_str(xml), |_, _| {}).is_err());
+    assert_eq!(run_whole(&mut reused), fresh, "a run after a truncated run");
+    let mut streamed = Vec::new();
+    let out = engine()
+        .session(|session| {
+            let cut_off = session.run_document(XmlReader::from_str(xml), |_, _| {});
+            assert!(matches!(cut_off, Err(EngineError::Xml(_))), "{cut_off:?}");
+            session.run_document(XmlReader::from_str(&whole), |q, m| streamed.push((q.0, m.node)))
+        })
+        .expect("the session survives the truncated document");
+    assert_eq!(observe(out, streamed), fresh, "a session after a truncated document");
 }
 
 #[test]
-fn sharded_sessions_survive_churn_and_back_to_back_documents() {
+fn sessions_survive_churn_and_back_to_back_documents() {
     // A long-lived pub/sub session: register, stream a document
     // collection through one warm session, churn subscriptions (removals
     // retire groups whose slots the planner recycles), open a new session
-    // — at every step the output must equal a single-threaded engine
-    // driven identically.
+    // — at every step the output must equal a one-document run of an
+    // engine driven identically.
     let docs = [
         mixed_doc(),
         recursive::to_string(&recursive::RecursiveConfig::square(7)),
         protein::to_string(&protein::ProteinConfig { target_bytes: 15_000, ..Default::default() }),
     ];
-    for &shards in SHARD_COUNTS {
-        let mut reference = MultiEngine::new();
-        let mut sharded = ShardedEngine::new(shards);
-        for q in OVERLAP_SET {
-            reference.add_query(q).unwrap();
-            sharded.add_query(q).unwrap();
-        }
-        // Session 1: the whole collection, back-to-back, no re-planning.
-        let outs = sharded
-            .session(|session| {
-                docs.iter()
-                    .map(|xml| session.run_document(XmlReader::from_str(xml), |_, _| {}))
-                    .collect::<Result<Vec<_>, _>>()
-            })
-            .expect("sharded session");
-        for (xml, out) in docs.iter().zip(&outs) {
-            let ref_out = reference.run(XmlReader::from_str(xml), |_, _| {}).unwrap();
-            assert_eq!(out.matches, ref_out.matches, "{shards} shards, session 1");
-            assert_eq!(out.stats, ref_out.stats, "{shards} shards, session 1");
-            assert_eq!(out.plan, ref_out.plan, "{shards} shards, session 1");
-        }
-        // Churn: drop a duplicate, retire a group, add a new shape.
-        for engine_step in [true, false] {
-            let (r1, r2, r3);
-            if engine_step {
-                r1 = reference.remove_query(QueryId(0));
-                r2 = reference.remove_query(QueryId(5));
-                r3 = reference.add_query("//listitem/text()").unwrap();
-            } else {
-                r1 = sharded.remove_query(QueryId(0));
-                r2 = sharded.remove_query(QueryId(5));
-                r3 = sharded.add_query("//listitem/text()").unwrap();
-            }
-            assert_eq!(r1, Some(false), "query 0 duplicates query 1");
-            assert_eq!(r2, Some(true), "query 5 was its group's only subscriber");
-            assert_eq!(r3.0, OVERLAP_SET.len());
-        }
-        // Session 2: a fresh deal over the churned plan.
-        let outs = sharded
-            .session(|session| {
-                docs.iter()
-                    .map(|xml| session.run_document(XmlReader::from_str(xml), |_, _| {}))
-                    .collect::<Result<Vec<_>, _>>()
-            })
-            .expect("sharded session after churn");
-        for (xml, out) in docs.iter().zip(&outs) {
-            let ref_out = reference.run(XmlReader::from_str(xml), |_, _| {}).unwrap();
-            assert_eq!(out.matches, ref_out.matches, "{shards} shards, session 2");
-            assert_eq!(out.stats, ref_out.stats, "{shards} shards, session 2");
-            assert_eq!(out.plan, ref_out.plan, "{shards} shards, session 2");
-            assert!(out.plan.recycled_slots > 0, "churn recycled a group slot");
-        }
+    let mut reference = MultiEngine::new();
+    let mut engine = MultiEngine::new();
+    for q in OVERLAP_SET {
+        reference.add_query(q).unwrap();
+        engine.add_query(q).unwrap();
     }
+    let check = |engine: &mut MultiEngine, reference: &mut MultiEngine, label: &str| {
+        let outs = engine
+            .session(|session| {
+                docs.iter()
+                    .map(|xml| session.run_document(XmlReader::from_str(xml), |_, _| {}))
+                    .collect::<Result<Vec<_>, _>>()
+            })
+            .expect("session");
+        for (xml, out) in docs.iter().zip(&outs) {
+            let ref_out = reference.run(XmlReader::from_str(xml), |_, _| {}).unwrap();
+            assert_eq!(out.matches, ref_out.matches, "{label}");
+            assert_eq!(out.stats, ref_out.stats, "{label}");
+            assert_eq!(out.plan, ref_out.plan, "{label}");
+        }
+        outs
+    };
+    // Session 1: the whole collection, back-to-back, no re-planning.
+    check(&mut engine, &mut reference, "session 1");
+    // Churn: drop a duplicate, retire a group, add a new shape.
+    for e in [&mut reference, &mut engine] {
+        assert_eq!(e.remove_query(QueryId(0)), Some(false), "query 0 duplicates query 1");
+        assert_eq!(e.remove_query(QueryId(5)), Some(true), "query 5 was its group's only one");
+        assert_eq!(e.add_query("//listitem/text()").unwrap().0, OVERLAP_SET.len());
+    }
+    // Session 2: over the churned plan.
+    let outs = check(&mut engine, &mut reference, "session 2");
+    assert!(outs.iter().all(|o| o.plan.recycled_slots > 0), "churn recycled a group slot");
 }
 
 #[test]
-fn churned_sessions_match_the_reference_and_reclamp_workers() {
+fn churned_sessions_match_the_reference() {
     // Churn between sessions of a profiled engine: a hog query is
     // removed, a cheap newcomer recycles its plan-group slot, and the
-    // next session deals, runs and reports the recycled slot like any
-    // other — output equal to a single-threaded engine churned alike.
-    let mut xml = String::from("<root>");
+    // next session runs and bills the recycled slot like any other —
+    // output equal to an engine churned alike and run one document at a
+    // time.
+    let mut xml = String::from("<feed>");
     for i in 0..300 {
         xml.push_str(&format!("<item id=\"{i}\"><a><b>x{i}</b></a></item>"));
     }
-    xml.push_str("</root>");
+    xml.push_str("</feed>");
 
-    let mut engine = ShardedEngine::new(2);
+    let mut engine = MultiEngine::new();
     engine.set_profiling(true);
-    let queries = ["//item//b", "/root/zzz", "/root/yyy", "/root/xxx"];
+    let queries = ["//item//b", "/feed/zzz", "/feed/yyy", "/feed/xxx"];
     for q in queries {
         engine.add_query(q).expect("valid query");
     }
@@ -661,170 +569,36 @@ fn churned_sessions_match_the_reference_and_reclamp_workers() {
 
     // Churn: retire the hog, let a cheap query recycle its slot. The
     // removal retires the hog's group (Some(true) = last subscriber),
-    // so the only way `hog_gid` can be active again below is the
+    // so the only way `hog_gid` can serve a query again below is the
     // newcomer recycling it.
     assert_eq!(engine.remove_query(QueryId(0)), Some(true), "hog group retires");
-    engine.add_query("/root/www").expect("valid query");
+    let newcomer = engine.add_query("/feed/www").expect("valid query");
 
-    let (seed, outs) = engine
+    let outs = engine
         .session(|session| {
-            let seed = session.placement_snapshot();
-            let outs = (0..2)
+            (0..2)
                 .map(|_| session.run_document(XmlReader::from_str(&xml), |_, _| {}))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok((seed, outs))
+                .collect::<Result<Vec<_>, _>>()
         })
         .expect("session after churn");
-    let active = seed.shard_of.iter().filter(|s| s.is_some()).count();
-    assert_eq!(active, 4, "four groups remain active after churn");
-    assert!(
-        seed.shard_of[hog_gid].is_some(),
+    let profile = engine.profile_snapshot().expect("profiling on");
+    assert_eq!(
+        profile.queries[newcomer.0].group,
+        Some(hog_gid),
         "the newcomer recycled the retired hog's group slot {hog_gid}"
     );
-    // And the churned engine still matches a single-threaded reference.
+    assert_eq!(profile.groups.len(), 4, "four group slots, the hog's recycled");
+    // And the churned engine still matches a reference churned alike.
     let mut reference = MultiEngine::new();
     for q in queries {
         reference.add_query(q).unwrap();
     }
     reference.remove_query(QueryId(0));
-    reference.add_query("/root/www").unwrap();
+    reference.add_query("/feed/www").unwrap();
     for out in &outs {
         let ref_out = reference.run(XmlReader::from_str(&xml), |_, _| {}).unwrap();
         assert_eq!(out.matches, ref_out.matches, "churned session matches the reference");
         assert_eq!(out.stats, ref_out.stats, "churned session stats match the reference");
-    }
-
-    // Worker-count re-clamp: churn that leaves fewer active groups than
-    // configured shards must shrink the next session's worker set.
-    let mut wide = ShardedEngine::new(4);
-    for q in queries {
-        wide.add_query(q).expect("valid query");
-    }
-    assert_eq!(wide.remove_query(QueryId(2)), Some(true));
-    assert_eq!(wide.remove_query(QueryId(3)), Some(true));
-    let snap = wide
-        .session(|session| {
-            session.run_document(XmlReader::from_str(&xml), |_, _| {})?;
-            Ok(session.placement_snapshot())
-        })
-        .expect("clamped session");
-    assert_eq!(snap.shards, 2, "worker count re-clamps to the surviving group count");
-}
-
-#[test]
-fn region_pinned_subscriptions_are_dealt_by_path_once_per_session() {
-    // The auction generator fills only the even-indexed regions, and the
-    // pinned set cycles through all six: a deal blind to paths parks every
-    // live subscription on one of two shards (imbalance ≈ 2000). Dealt by
-    // path, each region's groups split across both — from the first
-    // document on, since nothing is measured first — and the placement
-    // holds for the whole session.
-    let mut pinned = pinned_queries_with_hog(1000);
-    pinned.pop(); // the hog
-    let mut engine = ShardedEngine::new(2);
-    for tree in &pinned {
-        engine.add_tree(tree).expect("valid query");
-    }
-    let xml = auction::to_string(&auction::AuctionConfig::sized(64 * 1024));
-    let (before, after) = engine
-        .session(|session| {
-            let before = session.placement_snapshot();
-            let mut after = Vec::new();
-            for _ in 0..3 {
-                session.run_document(XmlReader::from_str(&xml), |_, _| {})?;
-                after.push(session.placement_snapshot());
-            }
-            Ok((before, after))
-        })
-        .expect("pinned session");
-    let first = after[0].last_imbalance_millis.expect("a document ran");
-    assert!(first <= 1100, "the first document runs balanced: imbalance {first}");
-    assert_eq!(before.shards, 2);
-    assert_eq!(before.shard_of, after[2].shard_of, "placement is fixed for the session");
-    assert_eq!(after[2].repartitions, 0);
-}
-
-#[test]
-fn a_session_clamped_to_one_worker_ships_nothing() {
-    // The lane follows the *effective* worker count, min(shards, active
-    // groups): eight configured shards over one group — or none — leave
-    // one worker, which would parallelize nothing behind a ring. Such a
-    // session delivers on the calling thread: no batch is built, no ring
-    // is pushed, and what comes out is what `MultiEngine::run` produces.
-    let xml = mixed_doc();
-    for queries in [&["//section[author]//table[position]//cell"][..], &[]] {
-        let telemetry = Telemetry::enabled();
-        let mut engine = ShardedEngine::new(8);
-        engine.set_telemetry(telemetry.clone());
-        let mut reference = MultiEngine::new();
-        for q in queries {
-            engine.add_query(q).unwrap();
-            reference.add_query(q).unwrap();
-        }
-        let (mut streamed, mut ref_streamed) = (Vec::new(), Vec::new());
-        let (out, placement) = engine
-            .session(|session| {
-                let out = session
-                    .run_document(XmlReader::from_str(&xml), |q, m| streamed.push((q.0, m.node)))?;
-                Ok((out, session.placement_snapshot()))
-            })
-            .expect("clamped session");
-        let ref_out = reference
-            .run(XmlReader::from_str(&xml), |q, m| ref_streamed.push((q.0, m.node)))
-            .expect("reference run");
-        let label = format!("{} group(s)", queries.len());
-        assert_eq!(streamed.is_empty(), queries.is_empty(), "the query matches: {label}");
-        assert_eq!(out.matches, ref_out.matches, "matches: {label}");
-        assert_eq!(streamed, ref_streamed, "callback sequence: {label}");
-        assert_eq!(out.stats, ref_out.stats, "machine stats: {label}");
-        assert_eq!(out.plan, ref_out.plan, "plan stats: {label}");
-        assert_eq!(
-            (out.elements, out.text_nodes, out.events),
-            (ref_out.elements, ref_out.text_nodes, ref_out.events),
-            "stream stats: {label}"
-        );
-        assert_eq!(placement.shards, 1, "{label}");
-        let snapshot = telemetry.snapshot().expect("enabled");
-        assert_eq!(snapshot.counter("vitex_ring_batches_total"), Some(0), "{label}");
-        let batches = snapshot.histograms.iter().find(|h| h.name == "vitex_batch_events");
-        assert_eq!(batches.map(|h| h.count), Some(0), "{label}");
-    }
-}
-
-#[test]
-fn placement_snapshot_needs_no_one_worker_caveat() {
-    // One body for every session: at one worker every active group sits
-    // on shard 0 (a retired slot on none), nothing ever repartitions, and
-    // a document that ran measured a perfectly balanced 1000 — whether
-    // one shard was configured or the group count clamped four to one.
-    let xml = mixed_doc();
-    for (shards, retire_first) in [(1usize, true), (4, false)] {
-        let mut engine = ShardedEngine::new(shards);
-        let expected = if retire_first {
-            let retired = engine.add_query("//section//cell").unwrap();
-            engine.add_query("//ProteinEntry/protein/name").unwrap();
-            engine.add_query("//table/cell").unwrap();
-            assert_eq!(engine.remove_query(retired), Some(true));
-            vec![None, Some(0), Some(0)]
-        } else {
-            engine.add_query("//section//cell").unwrap();
-            vec![Some(0)]
-        };
-        let (before, after) = engine
-            .session(|session| {
-                let before = session.placement_snapshot();
-                session.run_document(XmlReader::from_str(&xml), |_, _| {})?;
-                session.run_document(XmlReader::from_str(&xml), |_, _| {})?;
-                Ok((before, session.placement_snapshot()))
-            })
-            .expect("one-worker session");
-        for snap in [&before, &after] {
-            assert_eq!(snap.shards, 1, "{shards} configured shard(s)");
-            assert_eq!(snap.shard_of, expected, "{shards} configured shard(s)");
-            assert_eq!(snap.repartitions, 0, "{shards} configured shard(s)");
-        }
-        assert_eq!(before.last_imbalance_millis, None, "no document ran yet");
-        assert_eq!(after.last_imbalance_millis, Some(1000), "one worker carries everything");
     }
 }
 
@@ -847,62 +621,45 @@ fn wildcard_only_query_sees_every_element_through_the_index() {
 // Value routing: gated trie steps (`plan/trie.rs`, "Value gates")
 // --------------------------------------------------------------------- //
 
-/// One value-routing case at every shard count. Each query's matches
-/// equal the oracle's (node ids) and a private `Engine`'s (payloads), its
-/// statistics keep the private-engine contract, and the callback stream,
-/// statistics and plan are byte-identical across shard counts. When the
-/// set holds gated queries, their pushes must fall below the private
-/// engines' — a gate that spared no work would not be one. Returns the
-/// one-shard output.
+/// One value-routing case. Each query's matches equal the oracle's (node
+/// ids) and a private `Engine`'s (payloads), and its statistics keep the
+/// private-engine contract. When the set holds gated queries, their
+/// pushes must fall below the private engines' — a gate that spared no
+/// work would not be one.
 fn check_value_routing(label: &str, queries: &[&str], xml: &str) -> MultiOutput {
     let trees: Vec<QueryTree> = queries.iter().map(|q| QueryTree::parse(q).unwrap()).collect();
     let doc = Document::parse_str(xml).expect("well-formed case");
-    let mut reference: Option<(MultiOutput, Vec<(usize, Match)>)> = None;
-    for &shards in SHARD_COUNTS {
-        let mut engine = ShardedEngine::new(shards);
-        for tree in &trees {
-            engine.add_tree(tree).expect("registrable");
-        }
-        let mut streamed = Vec::new();
-        let out = engine.run(XmlReader::from_str(xml), |q, m| streamed.push((q.0, m))).unwrap();
-        let at = format!("{label}, {shards} shard(s)");
-        match &reference {
-            Some((first, first_streamed)) => {
-                assert_eq!(&streamed, first_streamed, "callback stream: {at}");
-                assert_eq!(out.stats, first.stats, "machine stats: {at}");
-                assert_eq!(out.plan, first.plan, "plan stats: {at}");
-            }
-            None => {
-                let (mut gated_pushes, mut private_pushes) = (0, 0);
-                for (i, tree) in trees.iter().enumerate() {
-                    let q = format!("{at}: {}", queries[i]);
-                    let mut expected: Vec<u64> =
-                        oracle::evaluate(&doc, tree).into_iter().map(|m| m.node).collect();
-                    let mut got: Vec<u64> = out.matches[i].iter().map(|m| m.node).collect();
-                    expected.sort_unstable();
-                    got.sort_unstable();
-                    assert_eq!(got, expected, "oracle: {q}");
-                    let (private, single) = single_run(xml, tree);
-                    assert_eq!(out.matches[i], private, "match payloads: {q}");
-                    assert_private_stats(&out.stats[i], &single.stats, tree, xml, &q);
-                    if gated(tree) {
-                        gated_pushes += out.stats[i].pushes;
-                        private_pushes += single.stats.pushes;
-                    }
-                }
-                assert!(
-                    gated_pushes < private_pushes || private_pushes == 0,
-                    "{at}: gated groups pushed {gated_pushes}, private engines {private_pushes}"
-                );
-                reference = Some((out, streamed));
-            }
+    let mut engine = MultiEngine::new();
+    for tree in &trees {
+        engine.add_tree(tree).expect("registrable");
+    }
+    let out = engine.run(XmlReader::from_str(xml), |_, _| {}).unwrap();
+    let (mut gated_pushes, mut private_pushes) = (0, 0);
+    for (i, tree) in trees.iter().enumerate() {
+        let q = format!("{label}: {}", queries[i]);
+        let mut expected: Vec<u64> =
+            oracle::evaluate(&doc, tree).into_iter().map(|m| m.node).collect();
+        let mut got: Vec<u64> = out.matches[i].iter().map(|m| m.node).collect();
+        expected.sort_unstable();
+        got.sort_unstable();
+        assert_eq!(got, expected, "oracle: {q}");
+        let (private, single) = single_run(xml, tree);
+        assert_eq!(out.matches[i], private, "match payloads: {q}");
+        assert_private_stats(&out.stats[i], &single.stats, tree, xml, &q);
+        if gated(tree) {
+            gated_pushes += out.stats[i].pushes;
+            private_pushes += single.stats.pushes;
         }
     }
-    reference.expect("shard counts ran").0
+    assert!(
+        gated_pushes < private_pushes || private_pushes == 0,
+        "{label}: gated groups pushed {gated_pushes}, private engines {private_pushes}"
+    );
+    out
 }
 
 #[test]
-fn value_gates_route_by_attribute_literal_at_every_shard_count() {
+fn value_gates_route_by_attribute_literal() {
     let nested = r#"<r><a id="v1"><b k="v2"><c/></b><b k="v0"><c/></b><b><c/></b></a>
         <a id="v0"><b k="v2"><c/></b></a><a><b k="v2"><c/></b></a></r>"#;
     let out = check_value_routing(
@@ -983,39 +740,36 @@ fn value_gates_follow_churn_between_sessions_of_one_engine() {
     ];
     const Q: [&str; 4] =
         ["/r/a[@id = 'v1']/b", "/r/a/b", "/r/a[@id = 'v2']/c", "/r/a[@id = 'v2']/b"];
-    for &shards in SHARD_COUNTS {
-        let mut engine = ShardedEngine::new(shards);
-        let ids: Vec<QueryId> = Q[..3].iter().map(|q| engine.add_query(q).unwrap()).collect();
-        let check = |engine: &mut ShardedEngine, live: &[(QueryId, &str)], step: &str| {
-            let outs = engine
-                .session(|session| {
-                    docs.iter()
-                        .map(|xml| session.run_document(XmlReader::from_str(xml), |_, _| {}))
-                        .collect::<Result<Vec<_>, _>>()
-                })
-                .expect("session");
-            let mut fresh = MultiEngine::new();
-            for (_, q) in live {
-                fresh.add_query(q).unwrap();
+    let mut engine = MultiEngine::new();
+    let ids: Vec<QueryId> = Q[..3].iter().map(|q| engine.add_query(q).unwrap()).collect();
+    let check = |engine: &mut MultiEngine, live: &[(QueryId, &str)], step: &str| {
+        let outs = engine
+            .session(|session| {
+                docs.iter()
+                    .map(|xml| session.run_document(XmlReader::from_str(xml), |_, _| {}))
+                    .collect::<Result<Vec<_>, _>>()
+            })
+            .expect("session");
+        let mut fresh = MultiEngine::new();
+        for (_, q) in live {
+            fresh.add_query(q).unwrap();
+        }
+        for (xml, out) in docs.iter().zip(&outs) {
+            let expected = fresh.run(XmlReader::from_str(xml), |_, _| {}).unwrap();
+            for (j, (id, q)) in live.iter().enumerate() {
+                assert_eq!(out.matches[id.0], expected.matches[j], "{q}: {step}");
+                assert_eq!(out.stats[id.0], expected.stats[j], "{q}: {step}");
             }
-            for (xml, out) in docs.iter().zip(&outs) {
-                let expected = fresh.run(XmlReader::from_str(xml), |_, _| {}).unwrap();
-                let at = format!("{step}, {shards} shard(s)");
-                for (j, (id, q)) in live.iter().enumerate() {
-                    assert_eq!(out.matches[id.0], expected.matches[j], "{q}: {at}");
-                    assert_eq!(out.stats[id.0], expected.stats[j], "{q}: {at}");
-                }
-                let work = |p: &vitex::core::PlanStats| (p.prefix_steps_executed, p.prefix_forks);
-                assert_eq!(work(&out.plan), work(&expected.plan), "trie work: {at}");
-            }
-            outs
-        };
-        check(&mut engine, &[(ids[0], Q[0]), (ids[1], Q[1]), (ids[2], Q[2])], "registered");
-        assert_eq!(engine.remove_query(ids[2]), Some(true));
-        assert_eq!(engine.remove_query(ids[0]), Some(true), "the /r/a gate's last keyed group");
-        check(&mut engine, &[(ids[1], Q[1])], "gate dropped");
-        let q3 = engine.add_query(Q[3]).unwrap();
-        let outs = check(&mut engine, &[(ids[1], Q[1]), (q3, Q[3])], "slot recycled");
-        assert!(outs[0].plan.recycled_slots > 0, "{Q:?}[3] took a retired slot");
-    }
+            let work = |p: &vitex::core::PlanStats| (p.prefix_steps_executed, p.prefix_forks);
+            assert_eq!(work(&out.plan), work(&expected.plan), "trie work: {step}");
+        }
+        outs
+    };
+    check(&mut engine, &[(ids[0], Q[0]), (ids[1], Q[1]), (ids[2], Q[2])], "registered");
+    assert_eq!(engine.remove_query(ids[2]), Some(true));
+    assert_eq!(engine.remove_query(ids[0]), Some(true), "the /r/a gate's last keyed group");
+    check(&mut engine, &[(ids[1], Q[1])], "gate dropped");
+    let q3 = engine.add_query(Q[3]).unwrap();
+    let outs = check(&mut engine, &[(ids[1], Q[1]), (q3, Q[3])], "slot recycled");
+    assert!(outs[0].plan.recycled_slots > 0, "{Q:?}[3] took a retired slot");
 }

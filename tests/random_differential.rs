@@ -1,7 +1,7 @@
 //! The randomized differential harness: seeded random query *sets* ×
-//! seeded random documents, run through every engine configuration the
-//! system has — the shard counts — asserting identical matches, callback
-//! order and statistics. Two independent references anchor the sweep: the
+//! seeded random documents through the multi-query engine — one-document
+//! runs and warm sessions — asserting identical matches and statistics.
+//! Two independent references anchor the sweep: the
 //! naive baseline (node-id sets) and k private single-query engines
 //! (match payloads + machine statistics under the private-engine contract,
 //! `common::assert_private_stats`). A second, seeded family of anchored
@@ -27,42 +27,22 @@ mod common;
 
 use common::{assert_private_stats, gated, pinned_queries_with_hog, query_set, QUERIES_PER_SET};
 use vitex::baseline::{naive, NaiveConfig};
-use vitex::core::{evaluate_reader, EvalOutput, MultiOutput, PlacementSnapshot, ShardedEngine};
+use vitex::core::{evaluate_reader, EvalOutput, MultiEngine, MultiOutput};
 use vitex::xmlgen::auction::{self, AuctionConfig};
 use vitex::xmlgen::random::{self, RandomConfig};
 use vitex::xmlsax::XmlReader;
 use vitex::xpath::QueryTree;
 
-/// Shard counts the randomized properties run at (1 = the session
-/// delivers on the calling thread, 4 = a genuinely threaded partition).
-const SHARDS: &[usize] = &[1, 4];
-
-/// Shard counts the fixed-seed sweep pins: adds an even split and a count
-/// that leaves shards with uneven (or no) group subsets.
-const ALL_SHARDS: &[usize] = &[1, 2, 4, 7];
-
-/// One engine configuration's observable output.
-struct RunResult {
-    out: MultiOutput,
-    /// `(query id, node id)` callback sequence in delivery order.
-    streamed: Vec<(usize, u64)>,
-}
-
-fn engine_with(trees: &[QueryTree], shards: usize) -> ShardedEngine {
-    let mut engine = ShardedEngine::new(shards);
+fn engine_with(trees: &[QueryTree]) -> MultiEngine {
+    let mut engine = MultiEngine::new();
     for tree in trees {
         engine.add_tree(tree).expect("registrable");
     }
     engine
 }
 
-fn run_config(trees: &[QueryTree], xml: &str, shards: usize) -> RunResult {
-    let mut engine = engine_with(trees, shards);
-    let mut streamed = Vec::new();
-    let out = engine
-        .run(XmlReader::from_str(xml), |qid, m| streamed.push((qid.0, m.node)))
-        .expect("engine run");
-    RunResult { out, streamed }
+fn run(trees: &[QueryTree], xml: &str) -> MultiOutput {
+    engine_with(trees).run(XmlReader::from_str(xml), |_, _| {}).expect("engine run")
 }
 
 /// The in-engine reference: each query through its own private
@@ -96,22 +76,17 @@ fn assert_matches_reference(
     }
 }
 
-/// The full differential check for one (document, query set) pair,
-/// sweeping the given shard counts.
-fn check_case(doc_seed: u64, query_seed: u64, shard_counts: &[usize]) {
+/// The full differential check for one (document, query set) pair.
+fn check_case(doc_seed: u64, query_seed: u64) {
     let ctx = format!("doc_seed={doc_seed} query_seed={query_seed}");
     let xml = random::to_string(&RandomConfig::seeded(doc_seed));
-    check_trees(&ctx, &xml, &query_set(query_seed), shard_counts);
+    check_trees(&ctx, &xml, &query_set(query_seed));
 }
 
 /// [`check_case`] for the gated family: an anchored, attribute-keyed
 /// query set ([`gated_query_set`]) over an attribute-rich random
-/// document. Returns the trees and the one-shard run.
-fn check_gated_case(
-    doc_seed: u64,
-    query_seed: u64,
-    shard_counts: &[usize],
-) -> (Vec<QueryTree>, RunResult) {
+/// document. Returns the trees and the run.
+fn check_gated_case(doc_seed: u64, query_seed: u64) -> (Vec<QueryTree>, MultiOutput) {
     let ctx = format!("doc_seed={doc_seed} gated query_seed={query_seed}");
     let values = ["v0", "v1", "v2"].map(String::from).to_vec();
     let xml = random::to_string(&RandomConfig {
@@ -120,8 +95,8 @@ fn check_gated_case(
         ..RandomConfig::seeded(doc_seed)
     });
     let trees = gated_query_set(query_seed);
-    let first = check_trees(&ctx, &xml, &trees, shard_counts);
-    (trees, first)
+    let out = check_trees(&ctx, &xml, &trees);
+    (trees, out)
 }
 
 /// Anchored paths over the random tag alphabet: one to four child steps,
@@ -157,9 +132,8 @@ fn gated_query_set(seed: u64) -> Vec<QueryTree> {
     queries.iter().map(|q| QueryTree::parse(q).expect("valid query")).collect()
 }
 
-/// The differential check of `trees` over `xml`, sweeping the given
-/// shard counts; returns the first configuration's run.
-fn check_trees(ctx: &str, xml: &str, trees: &[QueryTree], shard_counts: &[usize]) -> RunResult {
+/// The differential check of `trees` over `xml`; returns the run.
+fn check_trees(ctx: &str, xml: &str, trees: &[QueryTree]) -> MultiOutput {
     // Ground truth per query: the naive embedding enumerator (sorted
     // node-id sets; skipped per query on combinatorial blowup) against
     // the per-query engines everything else is then compared with.
@@ -182,45 +156,27 @@ fn check_trees(ctx: &str, xml: &str, trees: &[QueryTree], shard_counts: &[usize]
         }
     }
 
-    // Every configuration against the reference. Callback order and plan
-    // statistics (trie run counters included) are invariant across shard
-    // counts: inline visit order and the sharded merge's explicit
-    // `(event seq, group id)` keys are independent mechanisms that must
-    // agree.
-    let mut first: Option<RunResult> = None;
-    for &shards in shard_counts {
-        let r = run_config(trees, xml, shards);
-        let label = format!("{ctx}: {shards} shards");
-        assert_matches_reference(&r.out, &reference, trees, xml, &label);
-        match &first {
-            None => first = Some(r),
-            Some(first) => {
-                assert_eq!(r.streamed, first.streamed, "callback order: {label}");
-                assert_eq!(r.out.plan, first.out.plan, "plan stats: {label}");
-            }
-        }
-    }
-    let first = first.expect("at least one configuration ran");
-    assert!(first.out.plan.groups < trees.len() as u64, "{ctx}: the forced duplicate must dedup");
-    first
+    let out = run(trees, xml);
+    assert_matches_reference(&out, &reference, trees, xml, ctx);
+    assert!(out.plan.groups < trees.len() as u64, "{ctx}: the forced duplicate must dedup");
+    out
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// The headline randomized sweep: random documents × random query
-    /// sets through {inline, 4 shards} (the fixed-seed sweep pins the
-    /// full shard-count list).
+    /// sets.
     #[test]
     fn engines_agree_on_random_query_sets(doc_seed in 0u64..4000, query_seed in 0u64..4000) {
-        check_case(doc_seed, query_seed, SHARDS);
+        check_case(doc_seed, query_seed);
     }
 
     /// The same sweep over anchored, attribute-keyed sets: the regime of
     /// the value gates.
     #[test]
     fn engines_agree_on_gated_query_sets(doc_seed in 0u64..4000, query_seed in 0u64..4000) {
-        check_gated_case(doc_seed, query_seed, SHARDS);
+        check_gated_case(doc_seed, query_seed);
     }
 
     /// Deeply recursive documents — the regime where shared prefix
@@ -230,75 +186,42 @@ proptest! {
         let xml = vitex::xmlgen::recursive::uniform_nesting(depth as usize);
         let trees = query_set(query_seed);
         let reference = per_query_reference(&trees, &xml);
-        for &shards in SHARDS {
-            let r = run_config(&trees, &xml, shards);
-            let label = format!("depth={depth} query_seed={query_seed} {shards} shards");
-            assert_matches_reference(&r.out, &reference, &trees, &xml, &label);
-        }
+        let label = format!("depth={depth} query_seed={query_seed}");
+        assert_matches_reference(&run(&trees, &xml), &reference, &trees, &xml, &label);
     }
 }
 
-/// One warm session over `docs`: every document's output, the callback
-/// sequence, and the placement snapshot taken after each document.
-fn warm_session(
-    engine: &mut ShardedEngine,
-    docs: &[String],
-) -> (Vec<MultiOutput>, Vec<(usize, u64)>, Vec<PlacementSnapshot>) {
-    let mut streamed = Vec::new();
-    let (outs, snaps) = engine
-        .session(|session| {
-            let (mut outs, mut snaps) = (Vec::new(), Vec::new());
-            for xml in docs {
-                outs.push(session.run_document(XmlReader::from_str(xml), |qid, m| {
-                    streamed.push((qid.0, m.node))
-                })?);
-                snaps.push(session.placement_snapshot());
-            }
-            Ok((outs, snaps))
-        })
-        .expect("warm session");
-    (outs, streamed, snaps)
-}
-
-/// Placement must be output-transparent: a warm session streaming
-/// several documents must produce byte-identical matches, callback order
-/// and statistics at every shard count, the one-shard run (which has
-/// nothing to place) being the reference — and keep its placement for
-/// the whole session. Two sets: a random one with a planted hog (three
-/// chained descendant wildcards) over random documents, and the E15 set —
-/// one descendant hog among 7 cheap pinned subscriptions — over auction
-/// documents.
+/// A warm session must treat every document as a fresh engine would: a
+/// session streaming several documents back-to-back produces, document
+/// by document, the private engines' matches and statistics. Two sets: a
+/// random one with a planted hog (three chained descendant wildcards)
+/// over random documents, and one descendant hog among 7 cheap pinned
+/// subscriptions over auction documents.
 #[test]
-fn placement_axis_is_output_transparent() {
+fn a_warm_session_agrees_with_private_engines_on_every_document() {
     let random_docs: Vec<String> =
         [11u64, 22, 33].iter().map(|&s| random::to_string(&RandomConfig::seeded(s))).collect();
     let mut random_set = query_set(4242);
     random_set.push(QueryTree::parse("//*//*//*").expect("hog parses"));
-    let auction_docs = vec![auction::to_string(&AuctionConfig::sized(16 * 1024)); 3];
+    let auction_docs: Vec<String> = [16, 24, 16]
+        .iter()
+        .map(|&kib| auction::to_string(&AuctionConfig::sized(kib * 1024)))
+        .collect();
     let skewed_set = pinned_queries_with_hog(7);
 
     for (trees, docs) in [(&random_set, &random_docs), (&skewed_set, &auction_docs)] {
-        let mut reference = None;
-        for &shards in ALL_SHARDS {
-            let (outs, streamed, snaps) = warm_session(&mut engine_with(trees, shards), docs);
-            let label = format!("{shards} shards");
-            assert!(
-                snaps.iter().all(|s| s.shard_of == snaps[0].shard_of),
-                "placement is fixed for the session: {label}"
-            );
-            match &reference {
-                None => reference = Some((outs, streamed)),
-                Some((ref_outs, ref_streamed)) => {
-                    assert_eq!(outs.len(), ref_outs.len(), "document count: {label}");
-                    for (doc, (out, ref_out)) in outs.iter().zip(ref_outs).enumerate() {
-                        assert_eq!(out.matches, ref_out.matches, "matches doc {doc}: {label}");
-                        assert_eq!(out.stats, ref_out.stats, "machine stats doc {doc}: {label}");
-                        assert_eq!(out.plan, ref_out.plan, "plan stats doc {doc}: {label}");
-                    }
-                    assert_eq!(&streamed, ref_streamed, "callback order: {label}");
-                }
-            }
+        let outs = engine_with(trees)
+            .session(|session| {
+                docs.iter()
+                    .map(|xml| session.run_document(XmlReader::from_str(xml), |_, _| {}))
+                    .collect::<Result<Vec<_>, _>>()
+            })
+            .expect("warm session");
+        for (doc, (xml, out)) in docs.iter().zip(&outs).enumerate() {
+            let reference = per_query_reference(trees, xml);
+            assert_matches_reference(out, &reference, trees, xml, &format!("document {doc}"));
         }
+        assert!(outs.iter().any(|o| o.matches.iter().any(|m| !m.is_empty())), "the sets match");
     }
 }
 
@@ -310,7 +233,7 @@ fn fixed_seed_regression_sweep() {
     const SEEDS: &[(u64, u64)] =
         &[(0, 0), (1, 1), (7, 1913), (42, 42), (99, 3), (1234, 567), (2025, 729), (3999, 3999)];
     for &(doc_seed, query_seed) in SEEDS {
-        check_case(doc_seed, query_seed, ALL_SHARDS);
+        check_case(doc_seed, query_seed);
     }
 }
 
@@ -321,8 +244,8 @@ fn fixed_seed_regression_sweep() {
 fn fixed_seed_gated_sweep() {
     let (mut gated_queries, mut matching) = (0, 0);
     for seed in 0..24u64 {
-        let (trees, first) = check_gated_case(seed, 7 * seed + 1, ALL_SHARDS);
-        for (_, hits) in trees.iter().zip(&first.out.matches).filter(|(t, _)| gated(t)) {
+        let (trees, out) = check_gated_case(seed, 7 * seed + 1);
+        for (_, hits) in trees.iter().zip(&out.matches).filter(|(t, _)| gated(t)) {
             gated_queries += 1;
             matching += usize::from(!hits.is_empty());
         }

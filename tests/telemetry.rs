@@ -1,61 +1,43 @@
-//! Telemetry determinism battery: the deterministic counter subset of the
-//! metrics registry must be **byte-identical** across every execution
-//! configuration that is supposed to be an implementation detail — the
-//! shard count — while the timing-derived counters, gauges and histograms
-//! are present in the snapshot but excluded from the deterministic export.
+//! Telemetry battery: the deterministic counter subset of the metrics
+//! registry must equal what the engine reported through `MultiOutput` and
+//! what private per-query engines count, while the timing-derived
+//! counters and histograms are present in the snapshot but excluded from
+//! the deterministic export.
 //!
 //! Also covers the export surface: the `vitex.metrics.v1` JSON snapshot
 //! and the Chrome trace-event JSON must be syntactically valid (checked
 //! with a small hand-rolled JSON walker — the workspace takes no serde
-//! dependency) and must round-trip the counter values the engine reported
-//! through `MultiOutput`.
+//! dependency), and the README's metric glossary and the exported names
+//! must cover each other.
 
 mod common;
 
 use common::{pinned_queries_with_hog, query_set};
 use vitex::core::telemetry::{trace_json, ProfileSnapshot, Telemetry};
-use vitex::core::{evaluate_reader, MachineStats, MultiOutput, ShardedEngine, StreamStats};
+use vitex::core::{evaluate_reader, MachineStats, MultiEngine, MultiOutput, StreamStats};
 use vitex::xmlgen::auction::{self, AuctionConfig};
 use vitex::xmlgen::random::{self, RandomConfig};
 use vitex::xmlsax::XmlReader;
 use vitex::xpath::QueryTree;
 
-const SHARDS: &[usize] = &[1, 2, 4, 7];
-
-/// Runs one configuration with a fresh enabled telemetry handle; returns
-/// the engine output and the handle for snapshotting.
-fn run_config(trees: &[QueryTree], xml: &str, shards: usize) -> (MultiOutput, Telemetry) {
+/// A fresh engine over `trees` with an enabled telemetry handle attached;
+/// returns the engine and the handle for snapshotting.
+fn observed_engine(trees: &[QueryTree]) -> (MultiEngine, Telemetry) {
     let telemetry = Telemetry::enabled();
-    let mut engine = ShardedEngine::new(shards);
+    let mut engine = MultiEngine::new();
     engine.set_telemetry(telemetry.clone());
     for tree in trees {
         engine.add_tree(tree).expect("registrable");
     }
-    let out = engine.run(XmlReader::from_str(xml), |_, _| {}).expect("engine run");
-    (out, telemetry)
+    (engine, telemetry)
 }
 
-#[test]
-fn deterministic_counters_are_invariant_across_shard_counts() {
-    // Every shard count must export byte-identical deterministic
-    // counters — scheduling is an implementation detail.
-    for (doc_seed, query_seed) in [(11u64, 5u64), (42, 9)] {
-        let xml = random::to_string(&RandomConfig::seeded(doc_seed));
-        let trees = query_set(query_seed);
-        let mut reference: Option<String> = None;
-        for &shards in SHARDS {
-            let (_, telemetry) = run_config(&trees, &xml, shards);
-            let json = telemetry.snapshot().expect("enabled").deterministic_json();
-            match &reference {
-                None => reference = Some(json),
-                Some(r) => assert_eq!(
-                    &json, r,
-                    "doc_seed={doc_seed} query_seed={query_seed} shards={shards}: \
-                     deterministic counters must be byte-identical across shard counts"
-                ),
-            }
-        }
-    }
+/// Runs `xml` through a fresh observed engine; returns the engine output
+/// and the handle for snapshotting.
+fn run_observed(trees: &[QueryTree], xml: &str) -> (MultiOutput, Telemetry) {
+    let (mut engine, telemetry) = observed_engine(trees);
+    let out = engine.run(XmlReader::from_str(xml), |_, _| {}).expect("engine run");
+    (out, telemetry)
 }
 
 #[test]
@@ -79,7 +61,7 @@ fn stream_and_match_counters_equal_per_query_engine_totals() {
         ("vitex_machine_emitted_total", singles.iter().map(|s| s.stats.emitted).sum()),
     ];
     assert!(matched > 0, "the seeds were chosen to match something");
-    let (_, telemetry) = run_config(&trees, &xml, 1);
+    let (_, telemetry) = run_observed(&trees, &xml);
     let snapshot = telemetry.snapshot().expect("enabled");
     for (name, value) in expected {
         assert_eq!(snapshot.counter(name), Some(value), "{name}");
@@ -93,7 +75,7 @@ fn snapshot_round_trips_engine_output() {
     // statistics summed, the plan statistics, and the match count.
     let xml = random::to_string(&RandomConfig::seeded(21));
     let trees = query_set(4);
-    let (out, telemetry) = run_config(&trees, &xml, 4);
+    let (out, telemetry) = run_observed(&trees, &xml);
     let snapshot = telemetry.snapshot().expect("enabled");
     let stream =
         StreamStats { elements: out.elements, text_nodes: out.text_nodes, events: out.events };
@@ -152,17 +134,21 @@ fn deterministic_export_names_and_order_are_pinned() {
     assert!(snapshot.counters[names.len()..].iter().all(|c| !c.deterministic));
 }
 
+/// Every exported metric name: counters, then histograms.
+fn exported_names() -> Vec<&'static str> {
+    let snapshot = Telemetry::enabled().snapshot().expect("enabled");
+    assert!(snapshot.gauges.is_empty(), "the registry exports no gauge");
+    let counters = snapshot.counters.iter().map(|c| c.name);
+    counters.chain(snapshot.histograms.iter().map(|h| h.name)).collect()
+}
+
 #[test]
 fn every_exported_name_is_in_the_readme_glossary() {
     // ROADMAP 4(c), enforced: a metric the README does not explain — by
     // its own name or by its family (`vitex_<family>_*`) — has no reader.
     let readme = include_str!("../README.md");
-    let snapshot = Telemetry::enabled().snapshot().expect("enabled");
-    let names = (snapshot.counters.iter().map(|c| c.name))
-        .chain(snapshot.gauges.iter().map(|g| g.name))
-        .chain(snapshot.histograms.iter().map(|h| h.name));
     let mut count = 0;
-    for name in names {
+    for name in exported_names() {
         count += 1;
         // `vitex_*` itself is how the glossary introduces the namespace,
         // not a family: a family names at least one word after it.
@@ -172,77 +158,85 @@ fn every_exported_name_is_in_the_readme_glossary() {
             readme.contains(&format!("`{name}`")) || families.any(|f| readme.contains(&f));
         assert!(documented, "{name} is exported but the README glossary does not mention it");
     }
-    assert_eq!(count, 39, "34 counters, 3 gauges, 2 histograms");
+    assert_eq!(count, 31, "30 counters, 0 gauges, 1 histogram");
+}
+
+#[test]
+fn every_name_the_readme_glossary_backticks_is_exported() {
+    // The other direction: a name or family the glossary explains must
+    // still be exported, so a deleted metric cannot linger in the docs.
+    let readme = include_str!("../README.md");
+    let glossary = readme.split("Metric glossary").nth(1).expect("README has a metric glossary");
+    let glossary = glossary.split("\n## ").next().expect("the section ends");
+    let exported = exported_names();
+    let mut checked = 0;
+    for quoted in glossary.split('`').skip(1).step_by(2) {
+        let Some(rest) = quoted.strip_prefix("vitex_") else { continue };
+        let found = match rest.strip_suffix('*') {
+            // `vitex_*` names the namespace, not a family.
+            Some("") => continue,
+            Some(family) => exported.iter().any(|n| n.starts_with(&format!("vitex_{family}"))),
+            None => exported.contains(&quoted),
+        };
+        assert!(found, "the README glossary explains `{quoted}`, which is not exported");
+        checked += 1;
+    }
+    assert!(checked >= 9, "the glossary section was found: {checked} names or families");
 }
 
 #[test]
 fn plan_rows_of_a_session_are_levels_not_sums() {
     // The plan's shape is a level — after three documents of a session
     // there are still k subscriptions — and the trie's stack bytes are a
-    // peak; only the step counters accumulate. Same bytes at 1 and 2
-    // shards.
+    // peak; only the step counters accumulate.
     let trees = query_set(5);
     let docs: Vec<String> =
         [11u64, 42, 7].iter().map(|&seed| random::to_string(&RandomConfig::seeded(seed))).collect();
-    let mut reference: Option<String> = None;
-    for shards in [1, 2] {
-        let telemetry = Telemetry::enabled();
-        let mut engine = ShardedEngine::new(shards);
-        engine.set_telemetry(telemetry.clone());
-        for tree in &trees {
-            engine.add_tree(tree).expect("registrable");
-        }
-        let outs = engine
-            .session(|session| {
-                docs.iter()
-                    .map(|xml| session.run_document(XmlReader::from_str(xml), |_, _| {}))
-                    .collect::<Result<Vec<_>, _>>()
-            })
-            .expect("session");
-        let snapshot = telemetry.snapshot().expect("enabled");
-        let row = |name| snapshot.counter(name).expect(name);
-        let last = &outs[2].plan;
-        assert_eq!(row("vitex_plan_queries"), trees.len() as u64, "{shards} shard(s)");
-        assert_eq!(row("vitex_plan_groups"), engine.group_count() as u64);
-        assert_eq!(row("vitex_plan_machine_nodes"), last.machine_nodes);
-        assert_eq!(row("vitex_plan_trie_nodes"), last.trie_nodes);
-        assert_eq!(row("vitex_plan_shared_trie_nodes"), last.shared_trie_nodes);
-        assert_eq!(row("vitex_plan_bytes"), last.plan_bytes);
-        assert_eq!(
-            row("vitex_prefix_stack_bytes_peak"),
-            outs.iter().map(|o| o.plan.prefix_stack_bytes).max().unwrap()
-        );
-        assert_eq!(
-            row("vitex_prefix_steps_executed_total"),
-            outs.iter().map(|o| o.plan.prefix_steps_executed).sum::<u64>()
-        );
-        assert_eq!(row("vitex_stream_events_total"), outs.iter().map(|o| o.events).sum::<u64>());
-        let json = snapshot.deterministic_json();
-        match &reference {
-            None => reference = Some(json),
-            Some(r) => assert_eq!(&json, r, "byte-identical at 1 and 2 shards"),
-        }
-    }
+    let (mut engine, telemetry) = observed_engine(&trees);
+    let outs = engine
+        .session(|session| {
+            docs.iter()
+                .map(|xml| session.run_document(XmlReader::from_str(xml), |_, _| {}))
+                .collect::<Result<Vec<_>, _>>()
+        })
+        .expect("session");
+    let snapshot = telemetry.snapshot().expect("enabled");
+    let row = |name| snapshot.counter(name).expect(name);
+    let last = &outs[2].plan;
+    assert_eq!(row("vitex_plan_queries"), trees.len() as u64);
+    assert_eq!(row("vitex_plan_groups"), engine.group_count() as u64);
+    assert_eq!(row("vitex_plan_machine_nodes"), last.machine_nodes);
+    assert_eq!(row("vitex_plan_trie_nodes"), last.trie_nodes);
+    assert_eq!(row("vitex_plan_shared_trie_nodes"), last.shared_trie_nodes);
+    assert_eq!(row("vitex_plan_bytes"), last.plan_bytes);
+    assert_eq!(
+        row("vitex_prefix_stack_bytes_peak"),
+        outs.iter().map(|o| o.plan.prefix_stack_bytes).max().unwrap()
+    );
+    assert_eq!(
+        row("vitex_prefix_steps_executed_total"),
+        outs.iter().map(|o| o.plan.prefix_steps_executed).sum::<u64>()
+    );
+    assert_eq!(row("vitex_stream_events_total"), outs.iter().map(|o| o.events).sum::<u64>());
 }
 
 #[test]
 fn timing_metrics_are_present_but_excluded_from_the_deterministic_export() {
     let xml = random::to_string(&RandomConfig::seeded(13));
     let trees = query_set(2);
-    let (out, telemetry) = run_config(&trees, &xml, 4);
-    assert!(out.plan.groups >= 2, "a session ships batches only to two or more workers");
+    let (_, telemetry) = run_observed(&trees, &xml);
     let snapshot = telemetry.snapshot().expect("enabled");
     // Wall-clock did pass and the dispatch histogram saw events…
     assert!(snapshot.counter("vitex_doc_ns_total").unwrap() > 0);
     assert!(snapshot.histograms.iter().any(|h| h.name == "vitex_dispatch_ns" && h.count > 0));
-    assert!(snapshot.histograms.iter().any(|h| h.name == "vitex_batch_events" && h.count > 0));
     // …but none of it leaks into the deterministic subset.
     let det = snapshot.deterministic_json();
-    for name in ["doc_ns", "dispatch_ns", "ring_", "worker_", "merge_", "scan_"] {
+    for name in ["doc_ns", "dispatch_ns", "scan_"] {
         assert!(!det.contains(name), "{name} must not appear in {det}");
     }
-    // Full snapshot still lists every timing counter (zero or not).
-    for name in ["vitex_ring_enqueue_stalls_total", "vitex_worker_busy_ns_total"] {
+    // Full snapshot still lists every timing counter (zero or not: a
+    // string reader reports no scanner bytes).
+    for name in ["vitex_scan_wide_bytes_total", "vitex_scan_scalar_bytes_total"] {
         assert!(snapshot.counter(name).is_some(), "{name} missing from snapshot");
     }
 }
@@ -255,14 +249,12 @@ fn dispatch_latency_is_sampled_one_event_in_64() {
     // (157 of 10 002).
     let trees = [QueryTree::parse("//a").unwrap()];
     let large = format!("<r>{}</r>", "<a/>".repeat(5000));
-    for shards in [1, 2] {
-        for xml in ["<a/>", large.as_str()] {
-            let (out, telemetry) = run_config(&trees, xml, shards);
-            let dispatched = 2 * out.elements + out.text_nodes;
-            let snapshot = telemetry.snapshot().expect("enabled");
-            let h = snapshot.histograms.iter().find(|h| h.name == "vitex_dispatch_ns").unwrap();
-            assert_eq!(h.count, dispatched.div_ceil(64), "{shards} shard(s), {dispatched} events");
-        }
+    for xml in ["<a/>", large.as_str()] {
+        let (out, telemetry) = run_observed(&trees, xml);
+        let dispatched = 2 * out.elements + out.text_nodes;
+        let snapshot = telemetry.snapshot().expect("enabled");
+        let h = snapshot.histograms.iter().find(|h| h.name == "vitex_dispatch_ns").unwrap();
+        assert_eq!(h.count, dispatched.div_ceil(64), "{dispatched} events");
     }
 }
 
@@ -270,13 +262,14 @@ fn dispatch_latency_is_sampled_one_event_in_64() {
 fn exports_are_valid_json() {
     let xml = random::to_string(&RandomConfig::seeded(33));
     let trees = query_set(6);
-    let (_, telemetry) = run_config(&trees, &xml, 4);
+    let (_, telemetry) = run_observed(&trees, &xml);
     let snapshot = telemetry.snapshot().expect("enabled");
     let metrics = snapshot.to_json();
     assert_json(&metrics);
     assert!(metrics.starts_with("{\"schema\":\"vitex.metrics.v1\""));
+    assert!(metrics.contains("\"gauges\":[],"), "the schema keeps its gauge section");
     let spans = telemetry.spans().expect("enabled");
-    assert!(!spans.is_empty(), "a sharded run records document and batch spans");
+    assert!(!spans.is_empty(), "a run records its document span");
     let trace = trace_json(&spans);
     assert_json(&trace);
     assert!(trace.contains("\"traceEvents\""));
@@ -290,7 +283,7 @@ fn disabled_telemetry_snapshots_nothing() {
     assert!(telemetry.snapshot().is_none());
     assert!(telemetry.spans().is_none());
     // And an engine run with the default (disabled) handle works as before.
-    let mut engine = ShardedEngine::new(2);
+    let mut engine = MultiEngine::new();
     engine.add_query("//a").unwrap();
     let out = engine.run(XmlReader::from_str("<a><a/></a>"), |_, _| {}).unwrap();
     assert_eq!(out.matches[0].len(), 2);
@@ -298,40 +291,16 @@ fn disabled_telemetry_snapshots_nothing() {
 
 // ---- cost-attribution (profile) battery ----
 
-/// Runs one configuration with profiling enabled and returns the ledger
-/// snapshot.
-fn run_profiled(trees: &[QueryTree], xml: &str, shards: usize) -> ProfileSnapshot {
-    let mut engine = ShardedEngine::new(shards);
+/// Runs `xml` through a fresh engine with profiling enabled and returns
+/// the ledger snapshot.
+fn run_profiled(trees: &[QueryTree], xml: &str) -> ProfileSnapshot {
+    let mut engine = MultiEngine::new();
     engine.set_profiling(true);
     for tree in trees {
         engine.add_tree(tree).expect("registrable");
     }
     engine.run(XmlReader::from_str(xml), |_, _| {}).expect("engine run");
     engine.profile_snapshot().expect("profiling enabled")
-}
-
-#[test]
-fn profile_counters_are_invariant_across_every_configuration() {
-    // The ledger's per-query section folds once per subscription, so it
-    // must be byte-identical at every shard count: ONE reference per
-    // (document, query set), full stop.
-    for (doc_seed, query_seed) in [(11u64, 5u64), (42, 9)] {
-        let xml = random::to_string(&RandomConfig::seeded(doc_seed));
-        let trees = query_set(query_seed);
-        let mut reference: Option<String> = None;
-        for &shards in SHARDS {
-            let json = run_profiled(&trees, &xml, shards).deterministic_json();
-            assert_json(&json);
-            match &reference {
-                None => reference = Some(json),
-                Some(r) => assert_eq!(
-                    &json, r,
-                    "doc_seed={doc_seed} query_seed={query_seed} shards={shards}: \
-                     per-query profile counters must be byte-identical across configurations"
-                ),
-            }
-        }
-    }
 }
 
 #[test]
@@ -342,92 +311,66 @@ fn streamed_and_buffered_sessions_bill_the_same() {
     // keeps them all.
     let xml = random::to_string(&RandomConfig::seeded(3));
     let trees = query_set(8);
-    for &shards in SHARDS {
-        let observe = |buffered: bool| {
-            let telemetry = Telemetry::enabled();
-            let mut engine = ShardedEngine::new(shards);
-            engine.set_telemetry(telemetry.clone());
-            engine.set_profiling(true);
-            for tree in &trees {
-                engine.add_tree(tree).expect("registrable");
-            }
-            let mut delivered = 0u64;
-            engine
-                .session(|session| {
-                    let reader = XmlReader::from_str(&xml);
-                    if buffered {
-                        session.run_document(reader, |_, _| delivered += 1)
-                    } else {
-                        session.stream_document(reader, |_, _| delivered += 1)
-                    }
-                })
-                .expect("engine run");
-            let snapshot = telemetry.snapshot().expect("enabled");
-            assert_eq!(snapshot.counter("vitex_matches_total"), Some(delivered));
-            let profile = engine.profile_snapshot().expect("profiling enabled");
-            (delivered, snapshot.deterministic_json(), profile.deterministic_json())
-        };
-        let (streamed, buffered) = (observe(false), observe(true));
-        assert!(streamed.0 > 0, "the seeds were chosen to match something");
-        assert_eq!(streamed, buffered, "{shards} shards");
-    }
+    let observe = |buffered: bool| {
+        let (mut engine, telemetry) = observed_engine(&trees);
+        engine.set_profiling(true);
+        let mut delivered = 0u64;
+        engine
+            .session(|session| {
+                let reader = XmlReader::from_str(&xml);
+                if buffered {
+                    session.run_document(reader, |_, _| delivered += 1)
+                } else {
+                    session.stream_document(reader, |_, _| delivered += 1)
+                }
+            })
+            .expect("engine run");
+        let snapshot = telemetry.snapshot().expect("enabled");
+        assert_eq!(snapshot.counter("vitex_matches_total"), Some(delivered));
+        let profile = engine.profile_snapshot().expect("profiling enabled");
+        let json = profile.deterministic_json();
+        assert_json(&json);
+        (delivered, snapshot.deterministic_json(), json)
+    };
+    let (streamed, buffered) = (observe(false), observe(true));
+    assert!(streamed.0 > 0, "the seeds were chosen to match something");
+    assert_eq!(streamed, buffered);
 }
 
 #[test]
-fn profile_ranking_is_stable_across_shard_counts() {
-    // Second input, the E14 claim: one planted hog among 100 cheap pinned
-    // subscriptions must rank #1 by attributed work.
-    let auction = auction::to_string(&AuctionConfig::sized(32 * 1024));
-    for (xml, trees, hog) in [
-        (random::to_string(&RandomConfig::seeded(17)), query_set(12), None),
-        (auction, pinned_queries_with_hog(100), Some(100)),
-    ] {
-        let rank = |shards: usize| -> Vec<(usize, u64)> {
-            let snap = run_profiled(&trees, &xml, shards);
-            snap.top_queries(trees.len()).iter().map(|q| (q.id, q.machine.work())).collect()
-        };
-        let reference = rank(1);
-        assert!(!reference.is_empty());
-        if let Some(hog) = hog {
-            assert_eq!(reference[0].0, hog, "the planted expensive query must rank #1");
-        }
-        for &shards in &SHARDS[1..] {
-            assert_eq!(rank(shards), reference, "top-k order must not depend on the shard count");
-        }
-    }
+fn profile_ranks_the_planted_hog_first() {
+    // The E14 claim: one planted hog among 100 cheap pinned subscriptions
+    // ranks #1 by attributed work.
+    let xml = auction::to_string(&AuctionConfig::sized(32 * 1024));
+    let trees = pinned_queries_with_hog(100);
+    let snap = run_profiled(&trees, &xml);
+    let ranked: Vec<(usize, u64)> =
+        snap.top_queries(2).iter().map(|q| (q.id, q.machine.work())).collect();
+    assert_eq!(ranked[0].0, 100, "the planted expensive query must rank #1: {ranked:?}");
+    assert!(ranked[0].1 > ranked[1].1, "by a margin: {ranked:?}");
 }
 
 #[test]
-fn sampled_self_time_is_billed_on_both_lanes() {
+fn sampled_self_time_is_billed() {
     // The ledger's `self_ns` comes from timing one machine touch in 1024,
-    // on whichever lane runs the machines — the calling thread at one
-    // shard, the workers at two — so the document must be long enough
-    // for several thousand touches. Asserted on the sum over groups: a
-    // periodic document can alias a small group out of every sample.
-    // The deterministic per-query section ignores all of it. (Value gates
-    // spare the pinned groups most of their pushes, hence 512 KiB.)
+    // so the document must be long enough for several thousand touches.
+    // Asserted on the sum over groups: a periodic document can alias a
+    // small group out of every sample. The deterministic per-query
+    // section ignores all of it. (Value gates spare the pinned groups
+    // most of their pushes, hence 512 KiB.)
     let xml = auction::to_string(&AuctionConfig::sized(512 * 1024));
     let trees = pinned_queries_with_hog(100);
-    let mut reference: Option<String> = None;
-    for &shards in SHARDS {
-        let snap = run_profiled(&trees, &xml, shards);
-        let touches: u64 = snap.groups.iter().map(|g| g.machine.pushes + g.machine.pops).sum();
-        assert!(touches > 8 * 1024, "{touches} pushes + pops: too short a document to sample");
-        if shards <= 2 {
-            let self_ns: u64 = snap.groups.iter().map(|g| g.self_ns).sum();
-            assert!(self_ns > 0, "{shards} shard(s): no self-time sampled over {touches} touches");
-        }
-        let json = snap.deterministic_json();
-        match &reference {
-            None => reference = Some(json),
-            Some(r) => assert_eq!(&json, r, "per-query section at {shards} shards"),
-        }
-    }
+    let snap = run_profiled(&trees, &xml);
+    let touches: u64 = snap.groups.iter().map(|g| g.machine.pushes + g.machine.pops).sum();
+    assert!(touches > 8 * 1024, "{touches} pushes + pops: too short a document to sample");
+    let self_ns: u64 = snap.groups.iter().map(|g| g.self_ns).sum();
+    assert!(self_ns > 0, "no self-time sampled over {touches} touches");
+    assert!(!snap.deterministic_json().contains("self_ns"), "self-time is not deterministic");
 }
 
 #[test]
 fn profile_accumulates_across_session_documents() {
-    let mut engine = ShardedEngine::new(2);
+    let mut engine = MultiEngine::new();
     engine.set_profiling(true);
     engine.add_query("//a").unwrap();
     engine
@@ -448,7 +391,7 @@ fn profile_accumulates_across_session_documents() {
 fn profile_full_export_is_valid_json_with_group_diagnostics() {
     let xml = random::to_string(&RandomConfig::seeded(33));
     let trees = query_set(6);
-    let snap = run_profiled(&trees, &xml, 4);
+    let snap = run_profiled(&trees, &xml);
     let json = snap.to_json();
     assert_json(&json);
     assert!(json.starts_with("{\"schema\":\"vitex.profile.v1\""));
@@ -463,7 +406,7 @@ fn profile_full_export_is_valid_json_with_group_diagnostics() {
 
 #[test]
 fn disabled_profiling_snapshots_nothing() {
-    let mut engine = ShardedEngine::new(2);
+    let mut engine = MultiEngine::new();
     engine.add_query("//a").unwrap();
     engine.run(XmlReader::from_str("<a><a/></a>"), |_, _| {}).unwrap();
     assert!(engine.profile_snapshot().is_none());
