@@ -115,6 +115,10 @@ pub struct MachineNode {
     pub is_result: bool,
     /// Entries must accumulate descendant text for `comparison`.
     pub needs_text: bool,
+    /// The query's parametric leaf ([`QueryTree::parametric_node`]): its
+    /// `= 'string'` comparison is a lookup in the machine's binding
+    /// table, which a shape group fills with every subscriber's literal.
+    pub parametric: bool,
     /// Inline attribute predicate children.
     pub attr_preds: Vec<AttrTest>,
     /// Inline text predicate children.
@@ -198,6 +202,7 @@ impl MachineSpec {
         };
         // Query-node id → machine-node index (element nodes only).
         let mut index: HashMap<usize, usize> = HashMap::new();
+        let parametric = tree.parametric_node();
 
         for qnode in tree.nodes() {
             match &qnode.kind {
@@ -228,6 +233,7 @@ impl MachineSpec {
                             && qnode.main_child.is_none()
                             && qnode.id == tree.result(),
                         needs_text: qnode.comparison.is_some(),
+                        parametric: parametric == Some(qnode.id),
                         attr_preds: Vec::new(),
                         text_preds: Vec::new(),
                         attr_result: None,
@@ -502,6 +508,19 @@ mod tests {
         assert_eq!(m.text_accumulators, vec![1]);
         // The main node never accumulates.
         assert!(!m.nodes[0].needs_text);
+    }
+
+    #[test]
+    fn the_parametric_leaf_is_marked() {
+        let marked = |q: &str| -> Vec<usize> {
+            let m = compile(q);
+            m.nodes.iter().enumerate().filter(|(_, n)| n.parametric).map(|(i, _)| i).collect()
+        };
+        assert_eq!(marked("//a[c][b = 'v']/d"), [2]);
+        assert_eq!(marked("//a[b/c = 'v']"), [2], "the leaf of a predicate path");
+        for q in ["//a[b != 'v']", "//a[b = 1]", "//a[@id = 'v']", "//a[b = 'v'][c = 'w']"] {
+            assert!(marked(q).is_empty(), "{q}");
+        }
     }
 
     #[test]

@@ -81,6 +81,41 @@
 //! counts these *logical* operations, per instance and in the walk's
 //! order, so its counters and peaks do not depend on which route a list
 //! took.
+//!
+//! ## Bindings: one machine for many literals
+//!
+//! A query's *parametric leaf* — its one predicate element compared with
+//! `= 'string'` ([`vitex_xpath::QueryTree::parametric_node`]) — is not
+//! compared with a literal but looked up in the machine's **binding
+//! table**: when the leaf pops, its string-value is hashed once and the
+//! table names the binding whose literal it equals (the bytes are
+//! compared, so a hash collision cannot match). A lone query's table has
+//! one binding; a shape group's holds one per distinct literal its
+//! subscribers test, and its machine then runs as all those one-literal
+//! machines at once:
+//!
+//! * structure does not depend on the literal, so pushes, pops and every
+//!   other flag are shared;
+//! * the leaf's ancestors up to its main-path **owner** keep, beside the
+//!   leaf's flag bit, the *set* of bindings it was satisfied for (`lits`,
+//!   a set in the store; with one binding the bit says it all and no set
+//!   is kept);
+//! * where the owner pops satisfied for every binding, or for none, the
+//!   transitions are exactly the one-literal ones. Satisfied for some
+//!   bindings `S` only, it is both at once: every candidate that may slide
+//!   to the entry below does (as for a failed entry), and what goes up
+//!   goes for `S` only — a **tagged** payload: the solution's own when no
+//!   other instance of it is left, otherwise a *variant* that stands for
+//!   the same solution and keeps it alive;
+//! * emission delivers a solution to the bindings its payload stands for
+//!   (and, at a root that is the owner, that the entry satisfied) minus
+//!   those it already reached: the solution keeps a per-binding *done*
+//!   record, so one reaching the root along two owner entries is
+//!   delivered once per binding. The caller's callback learns which
+//!   bindings: all of them, or a list ascending by binding id.
+//!
+//! Candidate instances stay 8 bytes and a machine without a parametric
+//! leaf never looks at any of this.
 
 use std::mem::size_of;
 use std::ops::{Index, IndexMut};
@@ -97,9 +132,72 @@ use crate::predicate;
 use crate::result::{Match, MatchKind};
 use crate::stats::MachineStats;
 
-/// "No handle": an entry without candidates or without a text buffer, a
-/// payload without a name or value.
+/// "No handle": an entry without candidates, text buffer or binding set, a
+/// payload without a name, value or tag.
 const NONE: u32 = u32::MAX;
+
+/// Where a machine delivers a solution: to the bindings listed (ascending
+/// binding ids), or with `None` to every binding it has (see "Bindings"
+/// in the module docs).
+pub(crate) type Deliver<'a> = dyn FnMut(Option<&[u32]>, Match) + 'a;
+
+/// FNV-1a over `bytes`: what value gates and binding tables file a
+/// literal under.
+pub(crate) fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    let fold = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, fold)
+}
+
+/// A machine's binding table: the literals its parametric leaf is
+/// compared with, by binding id (see the module docs).
+#[derive(Debug, Clone)]
+struct Bindings {
+    /// Each binding's literal, by id: first-registration order.
+    literals: Vec<Box<str>>,
+    /// `(fnv1a of the literal, binding id)`, ascending: the lookup index.
+    index: Vec<(u64, u32)>,
+}
+
+impl Bindings {
+    /// A table binding `first` as binding 0.
+    fn new(first: &str) -> Self {
+        let mut table = Bindings { literals: Vec::new(), index: Vec::new() };
+        table.bind(first);
+        table
+    }
+
+    fn len(&self) -> usize {
+        self.literals.len()
+    }
+
+    /// The binding whose literal is `value`: one hash, then a byte
+    /// comparison per binding filed under it.
+    fn lookup(&self, value: &str) -> Option<u32> {
+        let hash = fnv1a(value.bytes());
+        let filed = &self.index[self.index.partition_point(|&(h, _)| h < hash)..];
+        let mut ids = filed.iter().take_while(|&&(h, _)| h == hash).map(|&(_, id)| id);
+        ids.find(|&id| *self.literals[id as usize] == *value)
+    }
+
+    /// `literal`'s binding id, and whether this call added it (as the last
+    /// binding).
+    fn bind(&mut self, literal: &str) -> (u32, bool) {
+        if let Some(id) = self.lookup(literal) {
+            return (id, false);
+        }
+        let (hash, id) = (fnv1a(literal.bytes()), self.literals.len() as u32);
+        self.index.insert(self.index.partition_point(|&(h, _)| h <= hash), (hash, id));
+        self.literals.push(literal.into());
+        (id, true)
+    }
+
+    /// Drops binding `id`; the later ones move down by one.
+    fn unbind(&mut self, id: u32) {
+        self.literals.remove(id as usize);
+        self.index.retain(|&(_, i)| i != id);
+        self.index.iter_mut().filter(|(_, i)| *i > id).for_each(|(_, i)| *i -= 1);
+    }
+}
 
 /// A stack entry: the paper's *(level, match flags, candidates)* triplet,
 /// plus the parent-stack pointer that makes the compact encoding work.
@@ -126,6 +224,11 @@ struct Entry {
     /// Accumulated descendant text, a string in the store (only for
     /// predicate leaves carrying a value comparison; [`NONE`] otherwise).
     text: u32,
+    /// The bindings the parametric leaf's flag bit stands for, a set in
+    /// the store: kept by the leaf's ancestors up to its owner while the
+    /// machine has several bindings ([`NONE`] otherwise, and until the
+    /// bit is first set).
+    lits: u32,
 }
 
 /// A candidate instance: one solution waiting on one stack entry.
@@ -158,9 +261,12 @@ struct Payload {
     stamp: u32,
     pos: u32,
     kind: MatchKind,
-    /// Already delivered: any further instance reaching the root is a
-    /// duplicate.
+    /// Already delivered (to every binding): any further instance reaching
+    /// the root is a duplicate.
     emitted: bool,
+    /// Its [`Tag`] in the store, [`NONE`] for a solution that stands for
+    /// every binding and has reached none of them.
+    tag: u32,
 }
 
 impl Default for Payload {
@@ -176,7 +282,29 @@ impl Default for Payload {
             pos: 0,
             kind: MatchKind::Element,
             emitted: false,
+            tag: NONE,
         }
+    }
+}
+
+/// Which bindings a payload stands for, and which its solution reached
+/// (see "Bindings" in the module docs).
+#[derive(Debug)]
+struct Tag {
+    /// The solution's own payload when this one is a variant of it
+    /// (holding it alive; the variant has no strings of its own), [`NONE`]
+    /// on the solution's payload.
+    base: u32,
+    /// The bindings the payload stands for, ascending; empty for all.
+    alive: Vec<u32>,
+    /// On the solution's payload: the bindings already delivered to,
+    /// ascending.
+    done: Vec<u32>,
+}
+
+impl Default for Tag {
+    fn default() -> Self {
+        Tag { base: NONE, alive: Vec::new(), done: Vec::new() }
     }
 }
 
@@ -243,9 +371,17 @@ pub struct CandidateStore {
     payloads: Pool<Payload>,
     lists: Pool<Vec<Cand>>,
     strings: Pool<String>,
+    /// Binding sets of entries (`Entry::lits`), ascending ids.
+    sets: Pool<Vec<u32>>,
+    tags: Pool<Tag>,
     /// The current merge epoch: a payload stamped with it is in the list
     /// being merged into, at its recorded position.
     epoch: u32,
+    /// Scratch: the bindings one delivery goes to.
+    to: Vec<u32>,
+    /// Scratch: one start tag's push plan, `(machine node, parent-stack
+    /// ptr)`.
+    plan: Vec<(u32, u32)>,
 }
 
 impl CandidateStore {
@@ -263,12 +399,18 @@ impl CandidateStore {
             self.payloads.reclaim();
             self.lists.reclaim();
             self.strings.reclaim();
+            self.sets.reclaim();
+            self.tags.reclaim();
         }
     }
 
     /// Whether nothing is lent out.
     pub(crate) fn is_idle(&self) -> bool {
-        self.payloads.is_idle() && self.lists.is_idle() && self.strings.is_idle()
+        self.payloads.is_idle()
+            && self.lists.is_idle()
+            && self.strings.is_idle()
+            && self.sets.is_idle()
+            && self.tags.is_idle()
     }
 
     /// A pooled copy of `s`.
@@ -325,15 +467,158 @@ impl CandidateStore {
         if p.instances > 0 {
             return CAND_BYTES;
         }
-        let bytes = CAND_BYTES + self.payload_bytes(c.payload);
-        let p = &self.payloads[c.payload];
-        for h in [p.name, p.value] {
-            if h != NONE {
-                self.strings.give(h);
+        CAND_BYTES + self.free(c.payload)
+    }
+
+    /// Frees a payload nothing stands on any more and returns its bytes —
+    /// plus its solution's, when it was a variant holding the last of it.
+    fn free(&mut self, payload: u32) -> u64 {
+        let bytes = self.payload_bytes(payload);
+        let p = &self.payloads[payload];
+        let (tag, strings) = (p.tag, [p.name, p.value]);
+        for h in strings.into_iter().filter(|&h| h != NONE) {
+            self.strings.give(h);
+        }
+        self.payloads.give(payload);
+        if tag == NONE {
+            return bytes;
+        }
+        let base = self.tags[tag].base;
+        self.tags.give(tag);
+        if base == NONE {
+            return bytes;
+        }
+        let solution = &mut self.payloads[base];
+        solution.instances -= 1;
+        if solution.instances > 0 {
+            bytes
+        } else {
+            bytes + self.free(base)
+        }
+    }
+
+    /// The solution `payload` belongs to (itself, or a variant's base), and
+    /// the bindings `payload` stands for (ascending; empty for all).
+    fn solution(&self, payload: u32) -> (u32, &[u32]) {
+        match self.payloads[payload].tag {
+            NONE => (payload, &[]),
+            t => {
+                let tag = &self.tags[t];
+                (if tag.base == NONE { payload } else { tag.base }, &tag.alive)
             }
         }
-        self.payloads.give(c.payload);
-        bytes
+    }
+
+    /// A fresh tag with `base` and the `alive` list `fill` writes (reading
+    /// the store as it is).
+    fn tag(&mut self, base: u32, fill: impl FnOnce(&Self, &mut Vec<u32>)) -> u32 {
+        let t = self.tags.take();
+        let mut alive = std::mem::take(&mut self.tags[t].alive);
+        alive.clear();
+        fill(self, &mut alive);
+        let tag = &mut self.tags[t];
+        (tag.base, tag.alive) = (base, alive);
+        tag.done.clear();
+        t
+    }
+
+    /// A new instance standing for `c`'s solution for those bindings of
+    /// `lits` that `c` stands for: a variant payload, holding the solution
+    /// alive. `None` when `c` stands for none of them.
+    fn variant(&mut self, stats: &mut MachineStats, c: Cand, lits: &[u32]) -> Option<Cand> {
+        let (solution, _) = self.solution(c.payload);
+        let tag = self.tag(solution, |store, alive| {
+            let (_, stands) = store.solution(c.payload);
+            let kept = |l: &u32| stands.is_empty() || stands.binary_search(l).is_ok();
+            alive.extend(lits.iter().copied().filter(kept));
+        });
+        if self.tags[tag].alive.is_empty() {
+            self.tags.give(tag);
+            return None;
+        }
+        let payload = self.payloads.take();
+        self.payloads[payload] = Payload { instances: 1, tag, ..Payload::default() };
+        self.payloads[solution].instances += 1;
+        stats.on_candidate_copied(CAND_BYTES + self.payload_bytes(payload));
+        Some(Cand { low: c.low, payload })
+    }
+
+    /// `c`, carried on for the bindings in `lits` only: its payload tagged
+    /// in place when `c` is all there is of the solution, otherwise a
+    /// variant, `c` itself ending here.
+    fn retag(&mut self, stats: &mut MachineStats, c: Cand, lits: &[u32]) -> Option<Cand> {
+        let p = &self.payloads[c.payload];
+        if p.tag == NONE && p.instances == 1 {
+            let tag = self.tag(NONE, |_, alive| alive.extend_from_slice(lits));
+            self.payloads[c.payload].tag = tag;
+            return Some(c);
+        }
+        let up = self.variant(stats, c, lits);
+        stats.on_candidate_dropped(self.release(c));
+        up
+    }
+
+    /// Delivers `c`'s solution through `emit` to the bindings `c` stands
+    /// for — those in `within` only, when given — that the solution has not
+    /// reached yet, and records them; `false` when there are none. `n` is
+    /// the machine's binding count.
+    fn deliver(
+        &mut self,
+        c: Cand,
+        within: Option<&[u32]>,
+        n: usize,
+        emit: &mut Deliver<'_>,
+    ) -> bool {
+        let p = &mut self.payloads[c.payload];
+        if p.tag == NONE && within.is_none() {
+            // The one-literal case: all bindings, once.
+            if std::mem::replace(&mut p.emitted, true) {
+                return false;
+            }
+            emit(None, self.to_match(c.payload));
+            return true;
+        }
+        let mut to = std::mem::take(&mut self.to);
+        to.clear();
+        let (solution, stands) = self.solution(c.payload);
+        let s = &self.payloads[solution];
+        let done: &[u32] = if s.tag == NONE { &[] } else { &self.tags[s.tag].done };
+        let new = |l: &u32| !s.emitted && done.binary_search(l).is_err();
+        match (stands.is_empty(), within) {
+            (true, None) => to.extend((0..n as u32).filter(new)),
+            (true, Some(w)) => to.extend(w.iter().copied().filter(new)),
+            (false, w) => to.extend(
+                stands
+                    .iter()
+                    .copied()
+                    .filter(|l| new(l) && w.is_none_or(|w| w.binary_search(l).is_ok())),
+            ),
+        }
+        let delivered = !to.is_empty();
+        if delivered {
+            emit((to.len() < n).then_some(&to[..]), self.to_match(solution));
+            self.record_done(solution, &to, n);
+        }
+        self.to = to;
+        delivered
+    }
+
+    /// Records that `solution` reached the bindings `to` (ascending).
+    fn record_done(&mut self, solution: u32, to: &[u32], n: usize) {
+        let mut tag = self.payloads[solution].tag;
+        if tag == NONE {
+            tag = self.tag(NONE, |_, _| {});
+            self.payloads[solution].tag = tag;
+        }
+        let done = &mut self.tags[tag].done;
+        for &l in to {
+            if let Err(at) = done.binary_search(&l) {
+                done.insert(at, l);
+            }
+        }
+        if done.len() == n {
+            self.payloads[solution].emitted = true;
+        }
     }
 
     /// The solution as the caller receives it.
@@ -438,16 +723,40 @@ pub struct TwigM {
     spec: MachineSpec,
     mode: EvalMode,
     stacks: Vec<Vec<Entry>>,
-    /// Reusable per-event push plan (machine node, parent-stack ptr).
-    plan: Vec<(u32, u32)>,
+    /// The parametric leaf's binding table (`None` without one).
+    bindings: Option<Box<Bindings>>,
     stats: MachineStats,
 }
 
 impl TwigM {
-    /// Wraps an already-compiled spec.
+    /// Wraps an already-compiled spec. A parametric leaf's literal becomes
+    /// binding 0.
     pub fn from_spec(spec: MachineSpec, mode: EvalMode) -> Self {
         let stacks = spec.nodes.iter().map(|_| Vec::new()).collect();
-        TwigM { spec, mode, stacks, plan: Vec::new(), stats: MachineStats::default() }
+        let bindings = spec.nodes.iter().find(|n| n.parametric).map(|n| match &n.comparison {
+            Some((CmpOp::Eq, Literal::Str(literal))) => Box::new(Bindings::new(literal)),
+            _ => unreachable!("a parametric leaf compares with `= 'string'`"),
+        });
+        TwigM { spec, mode, stacks, bindings, stats: MachineStats::default() }
+    }
+
+    /// How many literals the parametric leaf is looked up against: the
+    /// bindings a shape group's subscribers test, one for a lone query and
+    /// for a machine without a parametric leaf.
+    pub fn binding_count(&self) -> usize {
+        self.bindings.as_ref().map_or(1, |b| b.len())
+    }
+
+    /// Binds `literal` to the parametric leaf: its binding id (new
+    /// bindings come last) and whether it is new. Between documents only.
+    pub(crate) fn bind(&mut self, literal: &str) -> (u32, bool) {
+        self.bindings.as_mut().expect("only a parametric leaf binds literals").bind(literal)
+    }
+
+    /// Drops binding `id`; the later ones move down by one. Between
+    /// documents only.
+    pub(crate) fn unbind(&mut self, id: u32) {
+        self.bindings.as_mut().expect("only a parametric leaf binds literals").unbind(id);
     }
 
     /// The compiled layout.
@@ -466,14 +775,16 @@ impl TwigM {
     }
 
     /// Approximate resident bytes of the machine at rest: the compiled
-    /// spec plus per-node stack headroom (run-time entry/candidate bytes
-    /// are tracked live in [`MachineStats`]). The multi-query planner sums
-    /// this across plan groups to report the build-memory effect of query
-    /// sharing.
+    /// spec, per-node stack headroom and the bound literals (run-time
+    /// entry/candidate bytes are tracked live in [`MachineStats`]). The
+    /// multi-query planner sums this across plan groups to report the
+    /// build-memory effect of query sharing.
     pub fn approx_build_bytes(&self) -> u64 {
         let stacks: usize =
             self.stacks.iter().map(|s| s.capacity() * std::mem::size_of::<Entry>()).sum();
-        self.spec.approx_bytes() + (stacks + self.plan.capacity() * 8) as u64
+        let literals =
+            self.bindings.as_ref().map_or(0, |b| b.literals.iter().map(|l| l.len()).sum());
+        self.spec.approx_bytes() + (stacks + literals) as u64
     }
 
     /// True when no entries are live (before a document and after a
@@ -565,11 +876,12 @@ impl TwigM {
         tag_span: ByteSpan,
         emit: &mut dyn FnMut(Match),
     ) {
-        let mut plan = std::mem::take(&mut self.plan);
+        let mut plan = std::mem::take(&mut store.plan);
         let named = sym.map(|s| self.spec.machines_for(s)).unwrap_or(&[]);
         self.plan_pushes(named, level, &mut plan);
+        let emit = &mut |_: Option<&[u32]>, m| emit(m);
         self.apply_pushes(store, &plan, level, attributes, node_id, attr_id_base, tag_span, emit);
-        self.plan = plan;
+        store.plan = plan;
     }
 
     /// Phase 1 of `startElement`: plan all pushes for the `named` and
@@ -612,7 +924,7 @@ impl TwigM {
         node_id: u64,
         attr_id_base: u64,
         tag_span: ByteSpan,
-        emit: &mut dyn FnMut(Match),
+        emit: &mut Deliver<'_>,
     ) -> u32 {
         #[cfg(debug_assertions)]
         for &(q, ptr) in main_plan {
@@ -623,7 +935,7 @@ impl TwigM {
                 "trie push decision must equal the machine's own"
             );
         }
-        let mut plan = std::mem::take(&mut self.plan);
+        let mut plan = std::mem::take(&mut store.plan);
         plan.clear();
         plan.extend_from_slice(main_plan);
         if plan_preds {
@@ -643,7 +955,7 @@ impl TwigM {
         }
         let pushes = plan.len() as u32;
         self.apply_pushes(store, &plan, level, attributes, node_id, attr_id_base, tag_span, emit);
-        self.plan = plan;
+        store.plan = plan;
         pushes
     }
 
@@ -658,7 +970,7 @@ impl TwigM {
         node_id: u64,
         attr_id_base: u64,
         tag_span: ByteSpan,
-        emit: &mut dyn FnMut(Match),
+        emit: &mut Deliver<'_>,
     ) {
         if !plan.is_empty() {
             self.stats.dispatch_hits += 1;
@@ -716,8 +1028,9 @@ impl TwigM {
         node_id: u64,
         attr_id_base: u64,
         tag_span: ByteSpan,
-        emit: &mut dyn FnMut(Match),
+        emit: &mut Deliver<'_>,
     ) {
+        let n = self.binding_count();
         let Self { spec, stacks, stats, .. } = self;
         let node = &spec.nodes[q];
         let own_index = stacks[q].len() as u32;
@@ -734,7 +1047,8 @@ impl TwigM {
                 stats.flag_propagations += 1;
             }
         }
-        let mut entry = Entry { level, ptr, node_id, flags, cands: NONE, max_low: 0, text: NONE };
+        let mut entry =
+            Entry { level, ptr, node_id, flags, cands: NONE, max_low: 0, text: NONE, lits: NONE };
         // Attribute-result candidates are born here, waiting on this entry.
         if let Some(ar) = &node.attr_result {
             for (i, a) in attributes.iter().enumerate() {
@@ -759,11 +1073,13 @@ impl TwigM {
         // are already satisfied (e.g. it has none), any candidate born here
         // is a solution *now* — deliver it instead of buffering it until
         // the root element closes. This is what makes queries like
-        // `//site/people/person/@id` stream with O(1) candidate memory.
+        // `//site/people/person/@id` stream with O(1) candidate memory. (A
+        // root that owns the parametric leaf is never satisfied yet: the
+        // leaf has not popped.)
         if node.is_root && entry.cands != NONE && entry.flags.all_set(node.nflags as usize) {
             let born = store.detach(&entry);
             for &c in &born {
-                emit_candidate(stats, store, c, emit);
+                emit_candidate(stats, store, c, n, emit);
             }
             store.recycle(&entry, born);
             (entry.cands, entry.max_low) = (NONE, 0);
@@ -787,6 +1103,21 @@ impl TwigM {
         span: ByteSpan,
         emit: &mut dyn FnMut(Match),
     ) {
+        self.characters_to(store, text, level, node_id, span, &mut |_, m| emit(m));
+    }
+
+    /// [`TwigM::characters`], telling `emit` which bindings a solution
+    /// goes to.
+    pub(crate) fn characters_to(
+        &mut self,
+        store: &mut CandidateStore,
+        text: &str,
+        level: u32,
+        node_id: u64,
+        span: ByteSpan,
+        emit: &mut Deliver<'_>,
+    ) {
+        let n = self.binding_count();
         let Self { spec, stacks, stats, .. } = self;
         // Text predicates of elements whose entry is the direct parent.
         for &q in &spec.text_watchers {
@@ -827,9 +1158,16 @@ impl TwigM {
                     Some(text),
                     level,
                 );
-                if pnode.is_root && top.flags.all_set(pnode.nflags as usize) {
-                    emit_candidate(stats, store, c, emit); // early emission (see push_entry)
+                if !(pnode.is_root && top.flags.all_set(pnode.nflags as usize)) {
+                    store.arrive(top, &mut false, c, false);
+                } else if top.lits == NONE || store.sets[top.lits].len() == n {
+                    emit_candidate(stats, store, c, n, emit); // early emission (see push_entry)
                 } else {
+                    // A root satisfied for some bindings: they have the text
+                    // now, the others may still come.
+                    let held = std::mem::take(&mut store.sets[top.lits]);
+                    deliver_now(stats, store, c, &held, n, emit);
+                    store.sets[top.lits] = held;
                     store.arrive(top, &mut false, c, false);
                 }
             }
@@ -848,6 +1186,19 @@ impl TwigM {
         element_span: ByteSpan,
         emit: &mut dyn FnMut(Match),
     ) {
+        self.end_element_to(store, name, level, element_span, &mut |_, m| emit(m));
+    }
+
+    /// [`TwigM::end_element`], telling `emit` which bindings a solution
+    /// goes to.
+    pub(crate) fn end_element_to(
+        &mut self,
+        store: &mut CandidateStore,
+        name: &str,
+        level: u32,
+        element_span: ByteSpan,
+        emit: &mut Deliver<'_>,
+    ) {
         // Reverse id order = children before parents (the builder lays
         // parents out first).
         for q in (0..self.spec.nodes.len()).rev() {
@@ -864,23 +1215,28 @@ impl TwigM {
         q: usize,
         name: &str,
         element_span: ByteSpan,
-        emit: &mut dyn FnMut(Match),
+        emit: &mut Deliver<'_>,
     ) {
-        let Self { spec, mode, stacks, stats, .. } = self;
+        let n = self.binding_count();
+        let Self { spec, stacks, bindings, stats, .. } = self;
         let idx = stacks[q].len() - 1;
         let mut e = stacks[q].pop().expect("checked by caller");
         let node = &spec.nodes[q];
         let base = entry_base_bytes(&e);
 
-        let preds_ok = e.flags.all_set(node.nflags as usize);
-        let cmp_ok = match &node.comparison {
-            None => true,
-            Some((op, lit)) => {
-                stats.predicate_evals += 1;
-                predicate::compare(store.str(e.text), *op, lit)
-            }
-        };
-        let satisfied = preds_ok && cmp_ok;
+        let mut satisfied = e.flags.all_set(node.nflags as usize);
+        // The binding a parametric leaf's string-value names.
+        let mut bound = NONE;
+        if let Some((op, lit)) = &node.comparison {
+            stats.predicate_evals += 1;
+            let value = store.str(e.text);
+            satisfied &= if node.parametric {
+                let table = bindings.as_deref().expect("a parametric leaf has a binding table");
+                table.lookup(value).inspect(|&id| bound = id).is_some()
+            } else {
+                predicate::compare(value, *op, lit)
+            };
+        }
         // Release the entry's byte accounting now; candidate bytes travel
         // with the candidates.
         if e.text != NONE {
@@ -888,33 +1244,81 @@ impl TwigM {
             store.strings.give(e.text);
         }
 
-        if !node.is_main {
-            // Predicate node: propagate the match flag; no candidates live
-            // here.
-            debug_assert!(e.cands == NONE, "predicate entries never hold candidates");
-            if satisfied {
-                let slot = node.flag_slot.expect("predicate nodes have slots") as usize;
-                let p = node.parent.expect("predicate nodes have parents");
-                match node.axis {
-                    Axis::Child => {
-                        set_flag(stats, &mut stacks[p][e.ptr as usize], slot);
-                    }
-                    Axis::Descendant => {
-                        for t in &mut stacks[p][..=e.ptr as usize] {
-                            set_flag(stats, t, slot);
-                        }
-                    }
-                }
+        if node.is_main {
+            // Owning the parametric leaf of a machine with several
+            // bindings, the entry may hold for some of them only: the set
+            // its flag stands for.
+            let sat = match e.lits {
+                _ if !satisfied => Sat::No,
+                NONE => Sat::All,
+                set if store.sets[set].len() == n => Sat::All,
+                set => Sat::Some(set),
+            };
+            if e.lits != NONE && !matches!(sat, Sat::Some(_)) {
+                store.sets.give(e.lits);
             }
-            stats.on_pop(base);
-            return;
+            return self.pop_main(
+                store,
+                q,
+                idx as u32,
+                &mut e,
+                sat,
+                base,
+                name,
+                element_span,
+                emit,
+            );
         }
+        // Predicate node: propagate the match flag — with several bindings,
+        // for the ones this subtree satisfied; no candidates live here.
+        debug_assert!(e.cands == NONE, "predicate entries never hold candidates");
+        if satisfied {
+            let slot = node.flag_slot.expect("predicate nodes have slots") as usize;
+            let p = node.parent.expect("predicate nodes have parents");
+            let parents = match node.axis {
+                Axis::Child => e.ptr as usize..=e.ptr as usize,
+                Axis::Descendant => 0..=e.ptr as usize,
+            };
+            let parents = &mut stacks[p][parents];
+            if n == 1 || (!node.parametric && e.lits == NONE) {
+                parents.iter_mut().for_each(|t| set_flag(stats, t, slot));
+            } else if node.parametric {
+                parents.iter_mut().for_each(|t| add_lits(stats, store, t, slot, &[bound]));
+            } else {
+                let set = std::mem::take(&mut store.sets[e.lits]);
+                parents.iter_mut().for_each(|t| add_lits(stats, store, t, slot, &set));
+                store.sets[e.lits] = set;
+            }
+        }
+        if e.lits != NONE {
+            store.sets.give(e.lits);
+        }
+        stats.on_pop(base);
+    }
 
-        // Main-path node. A satisfied result entry is itself a candidate.
-        if node.is_result && satisfied {
+    /// The main-path half of a pop: the entry (at index `idx` of its stack)
+    /// was satisfied as `sat` says, and its candidates move on.
+    #[allow(clippy::too_many_arguments)]
+    fn pop_main(
+        &mut self,
+        store: &mut CandidateStore,
+        q: usize,
+        idx: u32,
+        e: &mut Entry,
+        sat: Sat,
+        base: u64,
+        name: &str,
+        element_span: ByteSpan,
+        emit: &mut Deliver<'_>,
+    ) {
+        let n = self.binding_count();
+        let Self { spec, stacks, stats, .. } = self;
+        let node = &spec.nodes[q];
+        // A satisfied result entry is itself a candidate.
+        if node.is_result && !matches!(sat, Sat::No) {
             let c = store.create(
                 stats,
-                idx as u32,
+                idx,
                 MatchKind::Element,
                 e.node_id,
                 Some(name),
@@ -922,135 +1326,302 @@ impl TwigM {
                 None,
                 e.level,
             );
-            store.arrive(&mut e, &mut false, c, false);
+            store.arrive(e, &mut false, c, false);
         }
         stats.on_pop(base);
+        if let Sat::Some(set) = sat {
+            let held = std::mem::take(&mut store.sets[set]);
+            if e.cands != NONE {
+                let cands = store.detach(e);
+                self.pop_partial(store, q, idx, e, cands, &held, emit);
+            }
+            store.sets[set] = held;
+            return store.sets.give(set);
+        }
         if e.cands == NONE {
             return;
         }
-        let idx = idx as u32;
-        let mut cands = store.detach(&e);
-
-        if satisfied && node.is_root {
+        let cands = store.detach(e);
+        if let Sat::No = sat {
+            return self.fail(store, q, idx, e, cands);
+        }
+        if node.is_root {
             // Solutions! Emit immediately (the paper's incremental
             // delivery); an instance of a solution already delivered is
             // suppressed.
             for &c in &cands {
-                emit_candidate(stats, store, c, emit);
+                emit_candidate(stats, store, c, n, emit);
             }
-        } else if satisfied {
-            let p = node.parent.expect("non-root nodes have parents");
-            let pn = &spec.nodes[p];
-            // If the forwarding target is the machine root with all its
-            // predicates already satisfied, the candidates are solutions
+            return store.recycle(e, cands);
+        }
+        let p = node.parent.expect("non-root nodes have parents");
+        let pn = &spec.nodes[p];
+        let target = &stacks[p][e.ptr as usize];
+        if pn.is_root && target.flags.all_set(pn.nflags as usize) {
+            // The forwarding target is the machine root with all its
+            // predicates already satisfied: the candidates are solutions
             // right now — deliver instead of buffering (down-copies would
-            // only ever produce duplicates, so they are skipped too).
-            if pn.is_root && stacks[p][e.ptr as usize].flags.all_set(pn.nflags as usize) {
+            // only ever produce duplicates, so they are skipped too). A root
+            // that owns the parametric leaf may hold for some bindings only:
+            // they get the candidates now, which also wait on it for the
+            // others.
+            let held = target.lits;
+            if held == NONE || store.sets[held].len() == n {
                 for &c in &cands {
                     stats.candidates_forwarded += 1;
-                    emit_candidate(stats, store, c, emit);
+                    emit_candidate(stats, store, c, n, emit);
                 }
-            } else if *mode == EvalMode::Compact {
-                // Outer entries of *this* stack are alternative attachment
-                // points whose upward chains may succeed where this one's
-                // fails: copy candidates down (lazy inheritance keeps them
-                // moving).
-                if idx > 0 {
-                    let below = &mut stacks[q][idx as usize - 1];
-                    let mut stamped = false;
-                    for &c in cands.iter().filter(|c| c.low < idx) {
-                        stats.on_candidate_copied(CAND_BYTES);
-                        if store.arrive(below, &mut stamped, c, true) {
-                            stats.on_candidate_merged(CAND_BYTES);
-                        }
-                    }
-                }
-                // Forward originals to the deepest compatible parent
-                // entry.
-                let new_low = match node.axis {
-                    Axis::Child => e.ptr,
-                    Axis::Descendant => 0,
-                };
-                stats.candidates_forwarded += cands.len() as u64;
-                cands.iter_mut().for_each(|c| c.low = new_low);
-                let target = &mut stacks[p][e.ptr as usize];
-                if target.cands == NONE {
-                    store.hand_over(&e, cands, target, new_low);
-                    return;
-                }
+                return store.recycle(e, cands);
+            }
+            let held_for = std::mem::take(&mut store.sets[held]);
+            for &c in &cands {
+                deliver_now(stats, store, c, &held_for, n, emit);
+            }
+            store.sets[held] = held_for;
+        }
+        self.forward(store, q, idx, e, cands)
+    }
+
+    /// [`TwigM::pop_main`] for an entry that owns the parametric leaf and
+    /// holds for the bindings in `s` only. For the others it failed.
+    #[allow(clippy::too_many_arguments)]
+    fn pop_partial(
+        &mut self,
+        store: &mut CandidateStore,
+        q: usize,
+        idx: u32,
+        e: &Entry,
+        cands: Vec<Cand>,
+        s: &[u32],
+        emit: &mut Deliver<'_>,
+    ) {
+        let n = self.binding_count();
+        let Self { spec, stacks, stats, .. } = self;
+        let node = &spec.nodes[q];
+        let root_now = node.parent.is_none_or(|p| {
+            let pn = &spec.nodes[p];
+            pn.is_root && stacks[p][e.ptr as usize].flags.all_set(pn.nflags as usize)
+        });
+        if !root_now {
+            return self.forward_tagged(store, q, idx, e, cands, s);
+        }
+        // Solutions for the bindings in `s`, at the root or forwarded to a
+        // satisfied one (which owns no parametric leaf: this entry does).
+        for &c in &cands {
+            stats.candidates_forwarded += u64::from(!node.is_root);
+            deliver_now(stats, store, c, s, n, emit);
+        }
+        self.fail(store, q, idx, e, cands)
+    }
+
+    /// Candidates of a satisfied non-root entry go up to the deepest
+    /// compatible parent entry.
+    fn forward(
+        &mut self,
+        store: &mut CandidateStore,
+        q: usize,
+        idx: u32,
+        e: &Entry,
+        mut cands: Vec<Cand>,
+    ) {
+        let Self { spec, mode, stacks, stats, .. } = self;
+        let node = &spec.nodes[q];
+        let p = node.parent.expect("non-root nodes have parents");
+        if *mode == EvalMode::Compact {
+            // Outer entries of *this* stack are alternative attachment
+            // points whose upward chains may succeed where this one's
+            // fails: copy candidates down (lazy inheritance keeps them
+            // moving).
+            if idx > 0 {
+                let below = &mut stacks[q][idx as usize - 1];
                 let mut stamped = false;
-                for &c in &cands {
-                    if store.arrive(target, &mut stamped, c, false) {
+                for &c in cands.iter().filter(|c| c.low < idx) {
+                    stats.on_candidate_copied(CAND_BYTES);
+                    if store.arrive(below, &mut stamped, c, true) {
                         stats.on_candidate_merged(CAND_BYTES);
                     }
                 }
-            } else {
-                // Strawman: a copy to every compatible parent entry below
-                // the deepest, which the original moves to.
-                let (lo, ptr) = match node.axis {
-                    Axis::Child => (e.ptr, e.ptr),
-                    Axis::Descendant => (0, e.ptr),
-                };
-                for &c in &cands {
-                    for low in lo..=ptr {
-                        let copy = low < ptr;
-                        if copy {
-                            stats.on_candidate_copied(CAND_BYTES);
-                        } else {
-                            stats.candidates_forwarded += 1;
-                        }
-                        let target = &mut stacks[p][low as usize];
-                        if store.arrive(target, &mut false, Cand { low, ..c }, copy) {
-                            stats.on_candidate_merged(CAND_BYTES);
-                        }
-                    }
-                }
             }
-        } else if idx > 0 {
-            // Entry died: candidates slide down to the next compatible
-            // entry of the same stack, or are discarded at their bound.
-            let below = stacks[q].last_mut().expect("idx > 0 means a lower entry exists");
-            if below.cands == NONE && e.max_low < idx {
-                // All of them slide, onto nothing: the list itself moves.
-                stats.candidates_inherited += cands.len() as u64;
-                store.hand_over(&e, cands, below, e.max_low);
-                return;
+            // Forward originals to the deepest compatible parent entry.
+            let new_low = match node.axis {
+                Axis::Child => e.ptr,
+                Axis::Descendant => 0,
+            };
+            stats.candidates_forwarded += cands.len() as u64;
+            cands.iter_mut().for_each(|c| c.low = new_low);
+            let target = &mut stacks[p][e.ptr as usize];
+            if target.cands == NONE {
+                return store.hand_over(e, cands, target, new_low);
             }
             let mut stamped = false;
             for &c in &cands {
-                if c.low >= idx {
-                    stats.on_candidate_dropped(store.release(c));
-                    continue;
-                }
-                stats.candidates_inherited += 1;
-                if store.arrive(below, &mut stamped, c, false) {
+                if store.arrive(target, &mut stamped, c, false) {
                     stats.on_candidate_merged(CAND_BYTES);
                 }
             }
         } else {
+            // Strawman: a copy to every compatible parent entry below the
+            // deepest, which the original moves to.
+            let (lo, ptr) = match node.axis {
+                Axis::Child => (e.ptr, e.ptr),
+                Axis::Descendant => (0, e.ptr),
+            };
+            for &c in &cands {
+                for low in lo..=ptr {
+                    let copy = low < ptr;
+                    if copy {
+                        stats.on_candidate_copied(CAND_BYTES);
+                    } else {
+                        stats.candidates_forwarded += 1;
+                    }
+                    let target = &mut stacks[p][low as usize];
+                    if store.arrive(target, &mut false, Cand { low, ..c }, copy) {
+                        stats.on_candidate_merged(CAND_BYTES);
+                    }
+                }
+            }
+        }
+        store.recycle(e, cands);
+    }
+
+    /// Candidates of a non-root entry that owns the parametric leaf and is
+    /// satisfied for the bindings in `s` only. For the others it failed:
+    /// every candidate that may slide down does. What goes up, goes for
+    /// `s` only, as a tagged instance.
+    fn forward_tagged(
+        &mut self,
+        store: &mut CandidateStore,
+        q: usize,
+        idx: u32,
+        e: &Entry,
+        mut cands: Vec<Cand>,
+        s: &[u32],
+    ) {
+        let Self { spec, mode, stacks, stats, .. } = self;
+        debug_assert_eq!(*mode, EvalMode::Compact, "several bindings run compact");
+        let node = &spec.nodes[q];
+        let p = node.parent.expect("non-root nodes have parents");
+        let new_low = match node.axis {
+            Axis::Child => e.ptr,
+            Axis::Descendant => 0,
+        };
+        let (mut stamped, mut up) = (false, 0);
+        for i in 0..cands.len() {
+            let c = cands[i];
+            let tagged = if c.low < idx {
+                let below = &mut stacks[q][idx as usize - 1];
+                stats.candidates_inherited += 1;
+                if store.arrive(below, &mut stamped, c, false) {
+                    stats.on_candidate_merged(CAND_BYTES);
+                }
+                store.variant(stats, c, s)
+            } else {
+                store.retag(stats, c, s)
+            };
+            if let Some(t) = tagged {
+                cands[up] = Cand { low: new_low, ..t };
+                up += 1;
+            }
+        }
+        cands.truncate(up);
+        stats.candidates_forwarded += up as u64;
+        let target = &mut stacks[p][e.ptr as usize];
+        if target.cands == NONE && up > 0 {
+            return store.hand_over(e, cands, target, new_low);
+        }
+        let mut stamped = false;
+        for &c in &cands {
+            if store.arrive(target, &mut stamped, c, false) {
+                stats.on_candidate_merged(CAND_BYTES);
+            }
+        }
+        store.recycle(e, cands);
+    }
+
+    /// Candidates of an entry that failed (for every binding, or for all
+    /// but those they were just delivered to): each slides down to the
+    /// next compatible entry of the same stack, or is discarded at its
+    /// bound.
+    fn fail(
+        &mut self,
+        store: &mut CandidateStore,
+        q: usize,
+        idx: u32,
+        e: &Entry,
+        cands: Vec<Cand>,
+    ) {
+        let Self { stacks, stats, .. } = self;
+        if idx == 0 {
             for &c in &cands {
                 stats.on_candidate_dropped(store.release(c));
             }
+            return store.recycle(e, cands);
         }
-        store.recycle(&e, cands);
+        let below = stacks[q].last_mut().expect("idx > 0 means a lower entry exists");
+        if below.cands == NONE && e.max_low < idx {
+            // All of them slide, onto nothing: the list itself moves.
+            stats.candidates_inherited += cands.len() as u64;
+            return store.hand_over(e, cands, below, e.max_low);
+        }
+        let mut stamped = false;
+        for &c in &cands {
+            if c.low >= idx {
+                stats.on_candidate_dropped(store.release(c));
+                continue;
+            }
+            stats.candidates_inherited += 1;
+            if store.arrive(below, &mut stamped, c, false) {
+                stats.on_candidate_merged(CAND_BYTES);
+            }
+        }
+        store.recycle(e, cands);
     }
 }
 
+/// What a popping main-path entry is satisfied for.
+#[derive(Debug, Clone, Copy)]
+enum Sat {
+    No,
+    /// Every binding (one, unless the entry owns the parametric leaf).
+    All,
+    /// Only those in this set of the store: it owns the parametric leaf,
+    /// whose flag holds for them.
+    Some(u32),
+}
+
 /// Delivers one candidate as a solution, suppressing an instance of a
-/// solution already delivered so every solution is reported exactly once.
+/// solution already delivered, so that every solution reaches each of
+/// its bindings exactly once.
 fn emit_candidate(
     stats: &mut MachineStats,
     store: &mut CandidateStore,
     c: Cand,
-    emit: &mut dyn FnMut(Match),
+    n: usize,
+    emit: &mut Deliver<'_>,
 ) {
-    if std::mem::replace(&mut store.payloads[c.payload].emitted, true) {
-        stats.on_candidate_suppressed(store.release(c));
-        return;
+    let delivered = store.deliver(c, None, n, emit);
+    let bytes = store.release(c);
+    if delivered {
+        stats.on_candidate_emitted(bytes);
+    } else {
+        stats.on_candidate_suppressed(bytes);
     }
-    let hit = store.to_match(c.payload);
-    stats.on_candidate_emitted(store.release(c));
-    emit(hit);
+}
+
+/// Delivers `c`'s solution to those bindings of `within` it stands for and
+/// has not reached; the candidate itself stays where it is, for the
+/// others.
+fn deliver_now(
+    stats: &mut MachineStats,
+    store: &mut CandidateStore,
+    c: Cand,
+    within: &[u32],
+    n: usize,
+    emit: &mut Deliver<'_>,
+) {
+    if store.deliver(c, Some(within), n, emit) {
+        stats.emitted += 1;
+    }
 }
 
 /// Sets a flag bit, counting only actual transitions.
@@ -1059,6 +1630,29 @@ fn set_flag(stats: &mut MachineStats, entry: &mut Entry, slot: usize) {
         entry.flags.set(slot);
         stats.flag_propagations += 1;
     }
+}
+
+/// Sets the parametric leaf's flag bit on `entry` for the bindings in
+/// `lits`, counting each binding new to its set.
+fn add_lits(
+    stats: &mut MachineStats,
+    store: &mut CandidateStore,
+    entry: &mut Entry,
+    slot: usize,
+    lits: &[u32],
+) {
+    if entry.lits == NONE {
+        entry.lits = store.sets.take();
+        store.sets[entry.lits].clear();
+    }
+    let set = &mut store.sets[entry.lits];
+    for &l in lits {
+        if let Err(at) = set.binary_search(&l) {
+            set.insert(at, l);
+            stats.flag_propagations += 1;
+        }
+    }
+    entry.flags.set(slot);
 }
 
 /// Does an attribute name test (None = `@*`) match a concrete name?
@@ -1089,6 +1683,8 @@ mod tests {
         next_id: u64,
         offset: u64,
         matches: Vec<Match>,
+        /// Every delivery: to which bindings (`None`: all), and the node.
+        delivered: Vec<(Option<Vec<u32>>, u64)>,
     }
 
     impl Driver {
@@ -1108,6 +1704,7 @@ mod tests {
                 next_id: 0,
                 offset: 0,
                 matches: Vec::new(),
+                delivered: Vec::new(),
             }
         }
 
@@ -1122,7 +1719,7 @@ mod tests {
             let attrs: Vec<Attribute> = attrs.iter().map(|(n, v)| Attribute::new(*n, *v)).collect();
             let span = ByteSpan::new(self.offset, self.offset + 1);
             self.offset += 1;
-            let matches = &mut self.matches;
+            let (matches, delivered) = (&mut self.matches, &mut self.delivered);
             let sym = self.interner.lookup(name);
             self.machine.start_element_interned(
                 &mut self.store,
@@ -1132,7 +1729,10 @@ mod tests {
                 id,
                 id + 1,
                 span,
-                &mut |m| matches.push(m),
+                &mut |m| {
+                    delivered.push((None, m.node));
+                    matches.push(m)
+                },
             );
             self
         }
@@ -1142,17 +1742,24 @@ mod tests {
             self.next_id += 1;
             let span = ByteSpan::new(self.offset, self.offset + t.len() as u64);
             self.offset += t.len() as u64;
-            let matches = &mut self.matches;
-            self.machine
-                .characters(&mut self.store, t, self.level, id, span, &mut |m| matches.push(m));
+            let (matches, delivered) = (&mut self.matches, &mut self.delivered);
+            let emit = &mut |to: Option<&[u32]>, m: Match| {
+                delivered.push((to.map(<[u32]>::to_vec), m.node));
+                matches.push(m)
+            };
+            self.machine.characters_to(&mut self.store, t, self.level, id, span, emit);
             self
         }
 
         fn close(&mut self, name: &str) -> &mut Self {
             let span = ByteSpan::new(0, self.offset);
             let level = self.level;
-            let matches = &mut self.matches;
-            self.machine.end_element(&mut self.store, name, level, span, &mut |m| matches.push(m));
+            let (matches, delivered) = (&mut self.matches, &mut self.delivered);
+            let emit = &mut |to: Option<&[u32]>, m: Match| {
+                delivered.push((to.map(<[u32]>::to_vec), m.node));
+                matches.push(m)
+            };
+            self.machine.end_element_to(&mut self.store, name, level, span, emit);
             self.level -= 1;
             self
         }
@@ -1548,5 +2155,123 @@ mod tests {
         let mut d = Driver::new("//b");
         d.open("a").leaf("b").leaf("c").leaf("b").close("a");
         assert_eq!(d.names(), vec![1, 3]);
+    }
+
+    /// Runs `events` through one machine binding every literal of
+    /// `literals` (distinct) into `shape` (`$` stands for the literal) and
+    /// through one machine per literal. Each binding must be delivered,
+    /// in order, exactly the matches of its literal's machine — nothing
+    /// twice — and the shared machine must do its work counters' worth.
+    /// Returns the shared driver.
+    fn agrees_with_one_literal_machines(
+        shape: &str,
+        literals: &[&str],
+        events: impl Fn(&mut Driver),
+    ) -> Driver {
+        let query = |literal: &str| shape.replace('$', &format!("'{literal}'"));
+        let mut shared = Driver::new(&query(literals[0]));
+        for literal in literals {
+            shared.machine.bind(literal);
+        }
+        assert_eq!(shared.machine.binding_count(), literals.len());
+        events(&mut shared);
+        assert!(shared.machine.is_quiescent() && shared.store.is_idle(), "every handle returned");
+        let work = |s: &MachineStats| (s.pushes, s.pops, s.predicate_evals, s.dispatch_hits);
+        for (b, literal) in literals.iter().enumerate() {
+            let mut alone = Driver::new(&query(literal));
+            events(&mut alone);
+            let to_b =
+                |to: &Option<Vec<u32>>| to.as_ref().is_none_or(|to| to.contains(&(b as u32)));
+            let got: Vec<u64> =
+                shared.delivered.iter().filter(|(to, _)| to_b(to)).map(|&(_, n)| n).collect();
+            assert_eq!(got, alone.names(), "{}", query(literal));
+            assert_eq!(work(shared.machine.stats()), work(alone.machine.stats()), "{literal}");
+        }
+        shared
+    }
+
+    #[test]
+    fn an_owner_holds_the_set_of_bindings_its_leaves_satisfied() {
+        // Two `p` children satisfy two literals on one `a`: its `c` reaches
+        // both in one delivery; the second `a` reaches one; the third none.
+        let d = agrees_with_one_literal_machines("//a[p = $]/c", &["x", "y", "z"], |d| {
+            d.open("r");
+            d.open("a").open("p").text("x").close("p").open("p").text("y").close("p");
+            d.leaf("c").close("a");
+            d.open("a").open("p").text("z").close("p").leaf("c").close("a");
+            d.open("a").open("p").text("w").close("p").leaf("c").close("a");
+            d.close("r");
+        });
+        assert_eq!(d.delivered, [(Some(vec![0, 1]), 6), (Some(vec![2]), 10)]);
+        // A binding's set is what flag propagations count.
+        assert_eq!(d.machine.stats().flag_propagations, 3);
+    }
+
+    #[test]
+    fn nested_owners_deliver_once_per_binding() {
+        // `//a[p = $]//b` over `a` in `a`: the inner `a` holds for one
+        // literal, the outer for the other or the same one.
+        for (outer, inner) in [("y", "x"), ("x", "x"), ("x", "y"), ("w", "x")] {
+            let d = agrees_with_one_literal_machines("//a[p = $]//b", &["x", "y"], |d| {
+                d.open("a").open("p").text(outer).close("p");
+                d.open("a").open("p").text(inner).close("p").leaf("b").close("a");
+                d.leaf("b").close("a");
+            });
+            let deliveries = d.delivered.iter().map(|(to, _)| to.as_ref().map_or(2, Vec::len));
+            assert!(deliveries.sum::<usize>() <= 4, "{outer}/{inner}: {:?}", d.delivered);
+        }
+    }
+
+    #[test]
+    fn a_variant_carries_a_solution_up_for_some_bindings() {
+        // The owner `a` is not the root and lets `b` slide to the outer `a`:
+        // what goes up to `r` (satisfied only once its `z` closes) goes for
+        // the inner `a`'s literal only, a variant of the solution that also
+        // waits below for the other.
+        for (outer, inner) in [("x", "y"), ("y", "y"), ("w", "x")] {
+            let d = agrees_with_one_literal_machines("//r[z]/a[p = $]//b", &["x", "y"], |d| {
+                d.open("r").open("a").open("p").text(outer).close("p");
+                d.open("r").open("a").open("p").text(inner).close("p").leaf("b");
+                d.close("a").leaf("z").close("r").leaf("b").close("a").leaf("z").close("r");
+            });
+            assert!(d.machine.stats().candidates_copied > 0, "{outer}/{inner}: a variant was made");
+        }
+    }
+
+    #[test]
+    fn a_partly_satisfied_root_delivers_early_and_keeps_the_rest() {
+        // Text results and element results decidable at the root while it
+        // holds for some bindings: those get them at once, the rest later.
+        agrees_with_one_literal_machines("//a[p = $]/text()", &["x", "y", "z"], |d| {
+            d.open("a").open("p").text("x").close("p").text("t1");
+            d.open("p").text("y").close("p").text("t2").close("a");
+        });
+        agrees_with_one_literal_machines("//a[p = $]/c/d", &["x", "y"], |d| {
+            d.open("a").open("p").text("x").close("p").open("c").leaf("d").close("c");
+            d.open("p").text("y").close("p").open("c").leaf("d").close("c").close("a");
+        });
+        agrees_with_one_literal_machines("//a[q/p = $]//c/@id", &["x", "y"], |d| {
+            d.open("a").open("q").open("p").text("x").close("p").close("q");
+            d.open("c").open_attrs("c", &[("id", "1")]).close("c").close("c");
+            d.open("q").open("p").text("y").close("p").close("q").close("a");
+        });
+    }
+
+    #[test]
+    fn the_table_confirms_the_bytes_a_hash_names() {
+        let mut table = Bindings::new("x");
+        assert_eq!(table.bind("y"), (1, true));
+        assert_eq!(table.bind("x"), (0, false));
+        assert_eq!(
+            (table.lookup("x"), table.lookup("y"), table.lookup("z")),
+            (Some(0), Some(1), None)
+        );
+        // File "zz" under binding 0 as a colliding hash would: still no match.
+        let collision = fnv1a("zz".bytes());
+        let at = table.index.partition_point(|&(h, _)| h < collision);
+        table.index.insert(at, (collision, 0));
+        assert_eq!(table.lookup("zz"), None);
+        table.unbind(0);
+        assert_eq!((table.lookup("y"), table.len()), (Some(0), 1), "later bindings move down");
     }
 }

@@ -10,10 +10,14 @@
 //!
 //! ## Planning
 //!
-//! Registration goes through the [`QueryPlanner`]: structurally identical
-//! queries (after canonicalization — predicate order sorted away) are
-//! **deduplicated** into one [`PlanGroup`] running a single machine, and
-//! every emitted solution fans out to the group's subscriber list. The
+//! Registration goes through the [`QueryPlanner`]: queries of one
+//! **shape** (after canonicalization — predicate order sorted away — and
+//! with the literal of their one `= 'string'` predicate leaf erased) share
+//! one [`PlanGroup`] running a single machine, whose binding table files
+//! each subscriber under its literal. Every solution fans out to the
+//! subscribers of the bindings it reaches: bindings in first-registration
+//! order, each binding's subscribers in registration order. Structurally
+//! identical queries are the one-binding case (plain deduplication). The
 //! planner's shared-prefix step trie keeps group lookup cheap and reports
 //! how much structure the plan collapsed ([`MultiOutput::plan`]).
 //!
@@ -66,7 +70,11 @@
 //! unless a value gate spared its group work: then they are what a
 //! one-query `MultiEngine` reports over the same document — a group's
 //! counters never depend on its neighbours — at most the `Engine`'s on
-//! every counter, with `emitted` equal.
+//! every counter, with `emitted` equal. In a group with several bindings
+//! that holds for the work counters — pushes, pops, predicate evaluations
+//! and dispatch hits, the structure being the literal's alone — and for
+//! `emitted`, which counts the subscription's own deliveries; flag and
+//! candidate counters are the shared machine's.
 
 use std::time::Instant;
 
@@ -80,7 +88,8 @@ use crate::builder::MachineSpec;
 use crate::driver::DocumentDriver;
 use crate::error::EngineResult;
 use crate::intern::{Interner, Symbol};
-use crate::machine::CandidateStore;
+use crate::machine::{CandidateStore, Deliver};
+use crate::plan::group::Binding;
 use crate::plan::trie::for_each_pushed;
 use crate::plan::{PlanGroup, QueryPlanner};
 use crate::result::{Match, NodeId};
@@ -99,9 +108,15 @@ pub struct MultiOutput {
     /// removed queries keep an empty slot). Empty when the document was
     /// streamed ([`Session::stream_document`]).
     pub matches: Vec<Vec<Match>>,
-    /// Machine statistics per query (indexed by [`QueryId`]). Queries
-    /// deduplicated into one plan group share a machine and therefore
-    /// report identical statistics; removed queries report zeros.
+    /// Machine statistics per query (indexed by [`QueryId`]); removed
+    /// queries report zeros. Queries of one plan group share a machine and
+    /// report its statistics — equal, for a group with one binding, to
+    /// what a private [`crate::Engine`] reports on every counter — except
+    /// `emitted`, which counts each subscription's own deliveries. With
+    /// several bindings the shared counters still equal a private
+    /// `Engine`'s on pushes, pops, predicate evaluations and dispatch hits
+    /// (the module docs say when a value gate lowers them); the flag and
+    /// candidate counters are the group's.
     pub stats: Vec<MachineStats>,
     /// Plan-level statistics: group/dedup/trie-sharing counters.
     pub plan: PlanStats,
@@ -394,16 +409,48 @@ pub(crate) struct SessionParts<'a> {
     pub(crate) profile: Option<&'a mut CostLedger>,
 }
 
-/// Fans one solution out to a group's subscribers in registration order,
-/// the last subscriber taking the hit by value so a single-subscriber
-/// group never clones. This is the **one** fan-out in the system, and
-/// the callback the only place a match goes.
+/// Fans one solution a group's machine delivered to `to` — its bindings,
+/// ascending, or `None` for all of them — out to their subscribers:
+/// binding by binding, each one's in registration order, the last
+/// subscriber taking the hit by value so a single-subscriber delivery
+/// never clones. With several bindings, each one reached is billed the
+/// delivery. This is the **one** fan-out in the system, and the callback
+/// the only place a match goes.
 pub(crate) fn fan_out_match<F: FnMut(QueryId, Match)>(
     subscribers: &[QueryId],
+    bindings: &mut [Binding],
+    to: Option<&[u32]>,
     on_match: &mut F,
     hit: Match,
 ) {
-    let (&last, rest) = subscribers.split_last().expect("active group has a subscriber");
+    let mut reached = subscribers;
+    if !bindings.is_empty() {
+        let (count, bytes) = (bindings.len(), match_bytes(&hit));
+        // Bills binding `b` and returns its subscribers' range.
+        let mut bill = |b: usize| {
+            let start = if b == 0 { 0 } else { bindings[b - 1].end as usize };
+            let binding = &mut bindings[b];
+            (binding.delivered, binding.bytes) = (binding.delivered + 1, binding.bytes + bytes);
+            start..binding.end as usize
+        };
+        match to {
+            None => {
+                for b in 0..count {
+                    bill(b);
+                }
+            }
+            Some(to) => {
+                let (&last, rest) = to.split_last().expect("a delivery reaches a binding");
+                for &b in rest {
+                    subscribers[bill(b as usize)]
+                        .iter()
+                        .for_each(|&sub| on_match(sub, hit.clone()));
+                }
+                reached = &subscribers[bill(last as usize)];
+            }
+        }
+    }
+    let (&last, rest) = reached.split_last().expect("a binding has a subscriber");
     for &sub in rest {
         on_match(sub, hit.clone());
     }
@@ -481,22 +528,23 @@ struct SelfTimer {
     /// Scaled-up sampled nanoseconds per group, this document.
     ns: Vec<u64>,
     /// Payload bytes of the solutions each group emitted this document —
-    /// the ledger's `emitted_bytes`, tallied where a solution leaves its
+    /// the ledger's `emitted_bytes` of a group with one binding (one with
+    /// several bills its bindings), tallied where a solution leaves its
     /// machine.
     emitted_bytes: Vec<u64>,
 }
 
 impl SelfTimer {
     /// Runs one machine `touch` of group `slot`, handing it the emit
-    /// closure: the fan-out to `subscribers` through `on_match`, after the
-    /// byte tally while that is on.
+    /// closure: the fan-out to `subscribers` and `bindings` through
+    /// `on_match`, after the byte tally while that is on.
     #[inline]
     fn time<R>(
         &mut self,
         slot: u32,
-        subscribers: &[QueryId],
+        (subscribers, bindings): (&[QueryId], &mut [Binding]),
         on_match: &mut impl FnMut(QueryId, Match),
-        touch: impl FnOnce(&mut dyn FnMut(Match)) -> R,
+        touch: impl FnOnce(&mut Deliver<'_>) -> R,
     ) -> R {
         let sampled = self.on && {
             self.touches += 1;
@@ -504,11 +552,11 @@ impl SelfTimer {
         };
         let t0 = sampled.then(Instant::now);
         let mut bytes = self.emitted_bytes.get_mut(slot as usize);
-        let r = touch(&mut |hit| {
+        let r = touch(&mut |to, hit| {
             if let Some(bytes) = &mut bytes {
                 **bytes += match_bytes(&hit);
             }
-            fan_out_match(subscribers, on_match, hit)
+            fan_out_match(subscribers, bindings, to, on_match, hit)
         });
         if let Some(t0) = t0 {
             self.ns[slot as usize] += t0.elapsed().as_nanos() as u64 * SELF_SAMPLE;
@@ -613,8 +661,8 @@ impl Executor {
         index.for_each_element_target(tag.sym, |slot| pred_slots.push(slot as u32));
         frames.push(frame_slots.len() as u32);
         merge_prefix_targets(plans, pred_slots, main_scratch, frame_slots, |slot, main, preds| {
-            let (machine, subscribers) = groups[slot as usize].machine_and_subscribers();
-            let pushes = timer.time(slot, subscribers, on_match, |out| {
+            let (machine, subscribers, bindings) = groups[slot as usize].machine_and_fan_out();
+            let pushes = timer.time(slot, (subscribers, bindings), on_match, |out| {
                 machine.start_element_prefix(
                     store,
                     main,
@@ -650,9 +698,9 @@ impl Executor {
     ) {
         let Self { text_live, store, timer, .. } = self;
         text_live.for_each(|slot| {
-            let (machine, subscribers) = groups[slot].machine_and_subscribers();
-            timer.time(slot as u32, subscribers, on_match, |out| {
-                machine.characters(store, text, level, node_id, span, out)
+            let (machine, subscribers, bindings) = groups[slot].machine_and_fan_out();
+            timer.time(slot as u32, (subscribers, bindings), on_match, |out| {
+                machine.characters_to(store, text, level, node_id, span, out)
             });
         });
     }
@@ -669,9 +717,9 @@ impl Executor {
     ) {
         let base = self.frames.pop().expect("events nest") as usize;
         for &slot in &self.frame_slots[base..] {
-            let (machine, subscribers) = groups[slot as usize].machine_and_subscribers();
-            self.timer.time(slot, subscribers, on_match, |out| {
-                machine.end_element(&mut self.store, name, level, element_span, out)
+            let (machine, subscribers, bindings) = groups[slot as usize].machine_and_fan_out();
+            self.timer.time(slot, (subscribers, bindings), on_match, |out| {
+                machine.end_element_to(&mut self.store, name, level, element_span, out)
             });
             if !machine.text_live() {
                 self.text_live.remove(slot as usize);

@@ -4,19 +4,25 @@
 //! The paper's pub/sub motivation (stock tickers, personalized
 //! newspapers) registers thousands of subscriptions over one stream, and
 //! realistic subscription sets overlap heavily — many are literally
-//! identical, most share long `/site/…`-style prefixes. The planner
-//! collapses that redundancy in two layers:
+//! identical, many differ only in the value they look for, most share
+//! long `/site/…`-style prefixes. The planner collapses that redundancy in
+//! layers:
 //!
-//! 1. **Canonicalization + dedup** — each query is reduced to its
-//!    canonical structural form ([`vitex_xpath::QueryTree::canonical_key`]:
-//!    predicate order sorted away). Structurally equal queries join one
-//!    [`PlanGroup`] sharing a single TwigM machine; the group fans each
-//!    solution out to every subscriber id. Matching happens **once** per
-//!    distinct query shape, not once per registration.
+//! 1. **Shapes** — each query is reduced to its shape key
+//!    ([`vitex_xpath::QueryTree::shape_key`]: the canonical structural
+//!    form, predicate order sorted away, with the literal of its one
+//!    `= 'string'` predicate leaf erased). Queries of one shape join one
+//!    [`PlanGroup`] sharing a single TwigM machine, whose binding table
+//!    files each subscriber under the literal it tests; the group fans each
+//!    solution out to the subscribers of the bindings it reaches.
+//!    Structurally identical queries are the one-binding case. Matching
+//!    happens **once** per distinct shape, not once per registration or
+//!    per literal, and a literal joins or leaves a live shape without a
+//!    compilation.
 //! 2. **Shared-prefix trie** — main-path steps (axis + interned name
 //!    test) are inserted into a [`StepTrie`], so queries sharing prefixes
 //!    share trie nodes. The trie doubles as the grouping index (candidate
-//!    groups live at the terminal node, so registration compares canonical
+//!    groups live at the terminal node, so registration compares shape
 //!    keys against a handful of candidates, not against every group) and
 //!    as the measurement substrate for [`PlanStats`] (shared-node counts,
 //!    dedup ratio).
@@ -49,7 +55,8 @@ pub struct Registration {
     /// Index of the plan group now serving the query.
     pub group: usize,
     /// Whether the group (and its machine) was created by this
-    /// registration — `false` means the query joined an existing machine.
+    /// registration — `false` means the query joined an existing machine,
+    /// under its literal's binding or a new one, and nothing was compiled.
     pub created: bool,
 }
 
@@ -69,6 +76,10 @@ pub struct QueryPlanner {
     free_slots: Vec<usize>,
     /// Cumulative count of slot reuses ([`PlanStats::recycled_slots`]).
     recycled: u64,
+    /// The groups with several bindings: the only ones that bill their
+    /// deliveries per binding, so the only ones a document's epilogue
+    /// visits for that.
+    multi_binding: Vec<usize>,
     active_groups: usize,
     active_queries: usize,
 }
@@ -79,9 +90,9 @@ impl QueryPlanner {
         QueryPlanner::default()
     }
 
-    /// Registers `tree` for subscriber `id`: joins the existing group of a
-    /// structural duplicate, otherwise compiles a new machine (interning
-    /// its nametests in `interner`).
+    /// Registers `tree` for subscriber `id`: joins the existing group of
+    /// its shape (under its literal's binding), otherwise compiles a new
+    /// machine (interning its nametests in `interner`).
     pub fn register(
         &mut self,
         tree: &QueryTree,
@@ -90,21 +101,26 @@ impl QueryPlanner {
     ) -> Result<Registration, BuildError> {
         let steps = self.main_path_steps(tree, interner);
         let terminal = self.trie.insert_path(&steps);
-        let canonical = tree.canonical_key();
-        let hash = QueryTree::hash_canonical(&canonical);
+        let (key, literal) = tree.shape_key();
+        let hash = QueryTree::hash_canonical(&key);
         let existing = self.trie.terminals(terminal).iter().copied().find(|&g| {
             let group = &self.groups[g];
-            group.is_active() && group.stable_hash() == hash && group.canonical_key() == canonical
+            group.is_active() && group.stable_hash() == hash && group.shape_key() == key
         });
         if let Some(g) = existing {
-            self.groups[g].subscribe(id);
+            let group = &mut self.groups[g];
+            let several = group.has_several_bindings();
+            group.subscribe(id, literal);
+            if !several && group.has_several_bindings() {
+                self.multi_binding.push(g);
+            }
             self.active_queries += 1;
             return Ok(Registration { group: g, created: false });
         }
         let spec = MachineSpec::compile_with(tree, interner)?;
         let steps = routed_steps(&spec);
         let machine = TwigM::from_spec(spec, EvalMode::Compact);
-        let group = PlanGroup::new(machine, canonical, hash, terminal, id);
+        let group = PlanGroup::new(machine, key, hash, terminal, id);
         let gid = match self.free_slots.pop() {
             Some(slot) => {
                 // Recycle a retired slot: the engine unwired the old
@@ -125,14 +141,20 @@ impl QueryPlanner {
         Ok(Registration { group: gid, created: true })
     }
 
-    /// Removes subscriber `id` from group `gid`; returns whether it was
-    /// the group's **last** subscriber (the group is now inactive and the
-    /// engine must stop dispatching to it). An id that is not subscribed
-    /// to `gid` changes nothing and returns `false`.
+    /// Removes subscriber `id` from group `gid` (and its literal's binding,
+    /// if it was the last to test it); returns whether it was the group's
+    /// **last** subscriber (the group is now inactive and the engine must
+    /// stop dispatching to it). An id that is not subscribed to `gid`
+    /// changes nothing and returns `false`.
     pub fn unsubscribe(&mut self, gid: usize, id: QueryId) -> bool {
-        let Some(last) = self.groups[gid].unsubscribe(id) else {
+        let group = &mut self.groups[gid];
+        let several = group.has_several_bindings();
+        let Some(last) = group.unsubscribe(id) else {
             return false;
         };
+        if several && !group.has_several_bindings() {
+            self.multi_binding.retain(|&g| g != gid);
+        }
         self.active_queries -= 1;
         if last {
             self.active_groups -= 1;
@@ -157,9 +179,10 @@ impl QueryPlanner {
 
     /// Splits the planner into the disjoint borrows execution needs: the
     /// runtime trie is advanced once per event while the group machines
-    /// are driven from its push decisions.
-    pub(crate) fn run_split(&mut self) -> (&mut StepTrie, &mut [PlanGroup]) {
-        (&mut self.trie, &mut self.groups)
+    /// are driven from its push decisions, and the ids of the groups with
+    /// several bindings.
+    pub(crate) fn run_split(&mut self) -> (&mut StepTrie, &mut [PlanGroup], &[usize]) {
+        (&mut self.trie, &mut self.groups, &self.multi_binding)
     }
 
     /// One group by index.
@@ -347,6 +370,73 @@ mod tests {
         assert!(!p.unsubscribe(a.group, QueryId(0)), "already removed");
         assert_eq!(p.query_count(), 0);
         assert_eq!(p.group_count(), 0);
+    }
+
+    #[test]
+    fn pop_time_string_literals_share_a_shape_and_the_rest_do_not() {
+        let mut p = QueryPlanner::new();
+        let mut i = Interner::new();
+        let group =
+            |p: &mut QueryPlanner, i: &mut Interner, q: &str, id| register(p, i, q, id).group;
+        // One `= 'string'` element leaf: the literal is a binding.
+        for shape in ["//item[payment = $]/@id", "/r/a[b/c = $]//d", "//a[@id = 'k'][b = $]/c"] {
+            let at = |l: &str| shape.replace('$', &format!("'{l}'"));
+            let g = group(&mut p, &mut i, &at("x"), 0);
+            assert_eq!(group(&mut p, &mut i, &at("y"), 1), g, "{shape}");
+            assert_eq!(p.group(g).machine().binding_count(), 2, "{shape}");
+        }
+        // Everything else keys by its literal: a group per query.
+        for (n, shape) in [
+            "//a[b != $]",
+            "//a[b < $]",
+            "//a[text() = $]",
+            "//a[@id = $]/c",
+            "//a[b = $][c = 'v']",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let at = |l: &str| shape.replace('$', &format!("'{l}'"));
+            let g = group(&mut p, &mut i, &at("x"), 10 + n);
+            assert_ne!(group(&mut p, &mut i, &at("y"), 20 + n), g, "{shape}");
+            assert_eq!(p.group(g).machine().binding_count(), 1, "{shape}");
+        }
+        let numeric = group(&mut p, &mut i, "//a[b = 1]", 30);
+        assert_ne!(group(&mut p, &mut i, "//a[b = 2]", 31), numeric, "numeric literals");
+        assert_eq!(p.group_count(), 3 + 2 * 5 + 2);
+    }
+
+    #[test]
+    fn a_literal_joins_and_leaves_a_live_shape_without_compiling() {
+        let mut p = QueryPlanner::new();
+        let mut i = Interner::new();
+        let first = register(&mut p, &mut i, "//person[emailaddress = 'a']/name", 0);
+        assert!(first.created);
+        let (spec, names) = (p.group(first.group).machine().spec().clone(), i.len());
+        for (id, literal) in [(1, "b"), (2, "a"), (3, "c")] {
+            let q = format!("//person[emailaddress = '{literal}']/name");
+            let r = register(&mut p, &mut i, &q, id);
+            assert_eq!(r, Registration { group: first.group, created: false }, "{literal}");
+        }
+        let g = p.group(first.group);
+        assert_eq!(
+            (g.machine().spec(), i.len()),
+            (&spec, names),
+            "nothing was compiled or interned"
+        );
+        assert_eq!(g.subscribers(), [0, 2, 1, 3].map(QueryId), "binding `a`, then `b`, then `c`");
+        assert_eq!((p.query_count(), p.group_count(), p.groups().len()), (4, 1, 1));
+
+        // Dropping bindings one subscriber at a time; the last one retires
+        // the group and frees its slot for the next shape.
+        for (id, last) in [(1, false), (0, false), (3, false), (2, true)] {
+            assert_eq!(p.unsubscribe(first.group, QueryId(id)), last, "{id}");
+        }
+        assert_eq!((p.query_count(), p.group_count()), (0, 0));
+        assert!(!p.trie().is_routed(first.group), "the retired group is unrouted");
+        let next = register(&mut p, &mut i, "//item[payment = 'x']/@id", 4);
+        assert_eq!((next.group, next.created), (first.group, true), "the slot is recycled");
+        assert_eq!(p.stats(&i).recycled_slots, 1);
     }
 
     #[test]

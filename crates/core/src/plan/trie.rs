@@ -71,6 +71,7 @@ use vitex_xmlsax::event::Attribute;
 use vitex_xpath::Axis;
 
 use crate::intern::Symbol;
+use crate::machine::fnv1a;
 
 /// The label of a trie edge: one location step of a query's main path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,8 +129,7 @@ pub struct RoutedStep {
 /// UTF-8 string contains, and the value. Pairs that collide only widen a
 /// survivor set.
 pub fn gate_key(name: &str, value: &str) -> u64 {
-    let bytes = name.bytes().chain([0xff]).chain(value.bytes());
-    bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    fnv1a(name.bytes().chain([0xff]).chain(value.bytes()))
 }
 
 /// A trie node's value gate (see the module docs). Its lists hold group

@@ -40,8 +40,9 @@
 //! ## Determinism
 //!
 //! Matches reach the callback in the executor's visit order: events in
-//! document order, ascending group id within each event, and a shared
-//! machine's subscribers in registration order.
+//! document order, ascending group id within each event, and for one
+//! solution of a shared machine its bindings in first-registration order,
+//! each binding's subscribers in registration order.
 
 pub(crate) mod admit;
 
@@ -72,6 +73,8 @@ pub struct Session<'a> {
     admission: Admission<'a>,
     /// Plan-group slots, active or not, indexed by group id.
     groups: &'a mut [PlanGroup],
+    /// The groups with several bindings, which bill their deliveries.
+    multi_binding: &'a [usize],
     exec: &'a mut Executor,
     /// Plan statistics snapshot (the plan cannot change mid-session),
     /// `plan_bytes` short of the groups' resident bytes; those and the
@@ -85,7 +88,7 @@ impl<'a> Session<'a> {
     pub(crate) fn open(parts: SessionParts<'a>) -> Self {
         let SessionParts { planner, interner, driver, index, exec, walk, records, profile } = parts;
         let plan = planner.stats_sans_group_bytes(interner);
-        let (trie, groups) = planner.run_split();
+        let (trie, groups, multi_binding) = planner.run_split();
         exec.sample_self_time(profile.is_some(), groups.len());
         Session {
             driver,
@@ -94,6 +97,7 @@ impl<'a> Session<'a> {
             profile,
             admission: Admission::new(index, trie, walk),
             groups,
+            multi_binding,
             exec,
             plan,
         }
@@ -131,6 +135,9 @@ impl<'a> Session<'a> {
         for g in self.groups.iter_mut().filter(|g| g.is_active()) {
             g.machine_mut().reset();
         }
+        for &g in self.multi_binding {
+            self.groups[g].reset_bills();
+        }
         self.exec.begin_document();
         self.admission.begin_document(if self.profile.is_some() { self.groups.len() } else { 0 });
         let mut sink = SessionSink {
@@ -149,7 +156,7 @@ impl<'a> Session<'a> {
     /// registry and the cost ledger (when there is one), and assembles the
     /// [`MultiOutput`]. Every fold is per subscription (not per group) — a
     /// shared machine contributes once per subscriber, as private engines
-    /// would.
+    /// would, with what its own binding was delivered.
     fn finish_document(&mut self, stream: StreamStats) -> MultiOutput {
         let run = self.admission.trie_run_stats();
         let plan = PlanStats {
@@ -161,28 +168,44 @@ impl<'a> Session<'a> {
             ..self.plan
         };
         let groups = &*self.groups;
-        let stats: Vec<MachineStats> = (self.records.iter())
+        let mut stats: Vec<MachineStats> = (self.records.iter())
             .map(|r| {
                 r.group.map_or_else(MachineStats::default, |g| groups[g].machine().stats().clone())
             })
             .collect();
+        // The machine of a group with one binding delivers every solution it
+        // emits to every subscriber; one with several bills each binding.
+        let mut emitted_bytes: Vec<u64> = match self.profile {
+            Some(_) => (self.records.iter())
+                .map(|r| r.group.map_or(0, |g| self.exec.emitted_bytes(g)))
+                .collect(),
+            None => Vec::new(),
+        };
+        for (subscribers, bill) in
+            self.multi_binding.iter().flat_map(|&g| groups[g].binding_bills())
+        {
+            for q in subscribers {
+                stats[q.0].emitted = bill.delivered;
+                if let Some(bytes) = emitted_bytes.get_mut(q.0) {
+                    *bytes = bill.bytes;
+                }
+            }
+        }
         let telemetry = self.driver.telemetry();
         if telemetry.is_enabled() {
             let mut total = MachineStats::default();
             stats.iter().for_each(|s| total.add(s));
-            // A machine counts `emitted` where a solution leaves it, and each
-            // subscriber of its group is delivered every one.
+            // `emitted` counts each subscriber's deliveries.
             telemetry.fold_document(&stream, &total, Some(&plan), total.emitted);
         }
         if let Some(profile) = self.profile.as_deref_mut() {
             profile.add_doc();
             for (i, r) in self.records.iter().enumerate() {
-                let emitted_bytes = r.group.map_or(0, |gid| self.exec.emitted_bytes(gid));
-                profile.fold_query(QueryId(i), &r.text, r.group, &stats[i], emitted_bytes);
+                profile.fold_query(QueryId(i), &r.text, r.group, &stats[i], emitted_bytes[i]);
             }
             for (gid, g) in groups.iter().enumerate().filter(|(_, g)| g.is_active()) {
                 let subscribers = g.subscribers().len() as u64;
-                profile.fold_group(gid, g.canonical_key(), subscribers, g.machine().stats());
+                profile.fold_group(gid, g.shape_key(), subscribers, g.machine().stats());
                 profile.add_self_ns(gid, self.exec.self_ns(gid));
             }
             let shared_steps = self.admission.shared_steps();

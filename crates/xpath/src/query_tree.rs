@@ -318,7 +318,56 @@ impl QueryTree {
         out
     }
 
+    /// The query's **parametric leaf**: its one predicate element node
+    /// compared with `= 'string'` — a test of the node's string-value,
+    /// decided when the element closes (`[payment = 'Cash']`). `None` when
+    /// the query has no such leaf, or more than one. Attribute and
+    /// `text()` comparisons, `!=`, numeric literals and relational
+    /// operators never make a leaf parametric.
+    pub fn parametric_node(&self) -> Option<QNodeId> {
+        let mut leaves = self.nodes.iter().filter(|n| {
+            n.kind.is_element()
+                && !n.on_main_path
+                && matches!(n.comparison, Some((CmpOp::Eq, Literal::Str(_))))
+        });
+        let leaf = leaves.next()?;
+        leaves.next().is_none().then_some(leaf.id)
+    }
+
+    /// The **shape key** and the literal it leaves out: the canonical key
+    /// with the parametric leaf's literal erased to `''`, so queries that
+    /// differ only in that literal share a key
+    /// (`//a[b = 'x']` and `//a[b = 'y']` both read `//a[/b='']`). A query
+    /// without a parametric leaf keys by its canonical key and has no
+    /// literal. An erased leaf cannot be mistaken for a real `= ''` test:
+    /// a query whose key shows one has a second `=`-string leaf, which
+    /// leaves it without a parametric leaf and its other literal in place.
+    ///
+    /// ```
+    /// use vitex_xpath::QueryTree;
+    /// let a = QueryTree::parse("//item[payment = 'Cash']/@id").unwrap();
+    /// let b = QueryTree::parse("//item[payment = 'Creditcard']/@id").unwrap();
+    /// assert_eq!(a.shape_key(), ("//item[/payment='']/@id".to_string(), Some("Cash")));
+    /// assert_eq!(a.shape_key().0, b.shape_key().0);
+    /// ```
+    pub fn shape_key(&self) -> (String, Option<&str>) {
+        let leaf = self.parametric_node();
+        let mut out = String::with_capacity(self.original.len());
+        self.key_node(self.root(), leaf, &mut out);
+        let literal = leaf.map(|id| match &self.nodes[id].comparison {
+            Some((_, Literal::Str(s))) => s.as_str(),
+            _ => unreachable!("a parametric leaf compares with a string"),
+        });
+        (out, literal)
+    }
+
     fn canonical_node(&self, id: QNodeId, out: &mut String) {
+        self.key_node(id, None, out);
+    }
+
+    /// The canonical serialization of `id`'s subtree, the literal of node
+    /// `erase` (if any) written as `''`.
+    fn key_node(&self, id: QNodeId, erase: Option<QNodeId>, out: &mut String) {
         let n = self.node(id);
         out.push_str(match n.axis {
             Axis::Child => "/",
@@ -332,8 +381,10 @@ impl QueryTree {
             }
             NodeKind::Text => out.push_str("text()"),
         }
-        if let Some((op, lit)) = &n.comparison {
-            out.push_str(&format!("{op}{lit}"));
+        match &n.comparison {
+            Some((op, _)) if erase == Some(id) => out.push_str(&format!("{op}''")),
+            Some((op, lit)) => out.push_str(&format!("{op}{lit}")),
+            None => {}
         }
         if !n.pred_children.is_empty() {
             let mut preds: Vec<String> = n
@@ -341,7 +392,7 @@ impl QueryTree {
                 .iter()
                 .map(|&c| {
                     let mut p = String::new();
-                    self.canonical_node(c, &mut p);
+                    self.key_node(c, erase, &mut p);
                     p
                 })
                 .collect();
@@ -353,7 +404,7 @@ impl QueryTree {
             }
         }
         if let Some(mc) = n.main_child {
-            self.canonical_node(mc, out);
+            self.key_node(mc, erase, out);
         }
     }
 
@@ -633,6 +684,44 @@ mod tests {
         };
         assert_eq!(t.stable_hash(), expected);
         assert_eq!(t.stable_hash(), build("//a").stable_hash());
+    }
+
+    #[test]
+    fn shape_keys_erase_only_the_parametric_literal() {
+        // One `=`-string leaf, wherever it sits: parametric.
+        for (q, key, literal) in [
+            ("//a[b = 'x']", "//a[/b='']", "x"),
+            ("//a[c][b/d = \"it's\"]/e", "//a[/b[/d='']][/c]/e", "it's"),
+            ("/r/a[@id = 'v'][p = 'Cash']/n", "/r/a[/@id='v'][/p='']/n", "Cash"),
+            ("//a[b > 3][c = 'y']", "//a[/b>3][/c='']", "y"),
+        ] {
+            let t = build(q);
+            assert_eq!(t.shape_key(), (key.to_string(), Some(literal)), "{q}");
+            assert!(t.node(t.parametric_node().unwrap()).kind.is_element());
+        }
+        // These stay keyed by their canonical form, literal and all.
+        for q in [
+            "//a",
+            "//a[b != 'x']",
+            "//a[b = 5]",
+            "//a[b < 'x']",
+            "//a[text() = 'x']",
+            "//a[@id = 'x']",
+            "//a[b = 'x'][c = 'y']",
+            "//a[b = ''][c = 'x']",
+        ] {
+            let t = build(q);
+            assert_eq!(t.parametric_node(), None, "{q}");
+            assert_eq!(t.shape_key(), (t.canonical_key(), None), "{q}");
+        }
+        // Predicate order is still sorted away, after the erasure.
+        assert_eq!(build("//a[z = 'q'][c]").shape_key().0, build("//a[c][z = 'r']").shape_key().0);
+        // An erased leaf is not a real empty-literal test: that one comes
+        // with a second literal.
+        assert_ne!(
+            build("//a[b = ''][c = 'x']").shape_key().0,
+            build("//a[b = 'x'][c]").shape_key().0
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Harness pieces shared by the differential batteries
 //! (`driver_differential`, `random_differential`, `telemetry`): the seeded
 //! query-set generator, the skewed auction subscription set, and the
-//! private-engine contract for machine statistics.
+//! private-engine contract for machine statistics (gated and shape-group
+//! subscriptions included).
 
 use vitex::core::{MachineStats, MultiEngine};
 use vitex::xmlsax::XmlReader;
@@ -60,30 +61,56 @@ pub fn gated(tree: &QueryTree) -> bool {
     })
 }
 
+/// Whether query `i` of `trees` shares its machine with another literal:
+/// a query of the same shape tests a different one, so their plan group
+/// has several bindings.
+#[allow(dead_code)] // telemetry has no use for it
+pub fn literal_shared(trees: &[QueryTree], i: usize) -> bool {
+    let (key, literal) = trees[i].shape_key();
+    literal.is_some()
+        && trees.iter().map(QueryTree::shape_key).any(|(k, l)| k == key && l != literal)
+}
+
 /// The private-engine contract for one subscription's machine statistics
 /// (`stats`, from a shared run over `xml`; `engine`, from a private
-/// `Engine`). A query no value gate touches does exactly the `Engine`'s
-/// work. A gated one does what a one-query `MultiEngine` does over the
-/// same document — a group's counters do not depend on its neighbours —
-/// which is at most the `Engine`'s on every counter, with `emitted` equal.
+/// `Engine`; `shared`: [`literal_shared`]).
+///
+/// * A query no value gate touches, in a group with one binding, does
+///   exactly the `Engine`'s work: equal on every counter.
+/// * A gated one does what a one-query `MultiEngine` does over the same
+///   document — a group's counters do not depend on its neighbours —
+///   which is at most the `Engine`'s on every counter, with `emitted`
+///   equal.
+/// * In a group with several bindings either holds on the work counters
+///   (pushes, pops, predicate evaluations, dispatch hits) and on
+///   `emitted`, the subscription's own deliveries; its flag and candidate
+///   counters are the group's.
 #[allow(dead_code)] // telemetry has no use for it
 pub fn assert_private_stats(
     stats: &MachineStats,
     engine: &MachineStats,
     tree: &QueryTree,
+    shared: bool,
     xml: &str,
     label: &str,
 ) {
-    if !gated(tree) {
-        assert_eq!(stats, engine, "machine statistics equal a private Engine's: {label}");
+    let own = if gated(tree) {
+        let mut alone = MultiEngine::new();
+        alone.add_tree(tree).expect("registrable");
+        let alone = alone.run(XmlReader::from_str(xml), |_, _| {}).expect("one-query run");
+        let alone = alone.stats[0].clone();
+        for ((name, gated), (_, private)) in alone.rows().into_iter().zip(engine.rows()) {
+            assert!(gated <= private, "{name}: gated {gated} > private {private}: {label}");
+        }
+        assert_eq!(alone.emitted, engine.emitted, "gating emits what the Engine emits: {label}");
+        alone
+    } else {
+        engine.clone()
+    };
+    if !shared {
+        assert_eq!(stats, &own, "machine statistics are the subscription's own: {label}");
         return;
     }
-    let mut alone = MultiEngine::new();
-    alone.add_tree(tree).expect("registrable");
-    let alone = alone.run(XmlReader::from_str(xml), |_, _| {}).expect("one-query run");
-    assert_eq!(stats, &alone.stats[0], "a gated group's counters are its own: {label}");
-    for ((name, gated), (_, private)) in stats.rows().into_iter().zip(engine.rows()) {
-        assert!(gated <= private, "{name}: gated {gated} > private {private}: {label}");
-    }
-    assert_eq!(stats.emitted, engine.emitted, "gating emits what the Engine emits: {label}");
+    let work = |s: &MachineStats| (s.pushes, s.pops, s.predicate_evals, s.dispatch_hits, s.emitted);
+    assert_eq!(work(stats), work(&own), "a shape group's work and own deliveries: {label}");
 }

@@ -7,8 +7,10 @@
 //! multi-query run must reproduce their matches *and* — the private-engine
 //! contract, `common::assert_private_stats` — their per-query machine
 //! statistics, except where a value gate spares a group work, which then
-//! equals a one-query engine's. The value-routing battery at the end pins
-//! the gates themselves.
+//! equals a one-query engine's, or where a shape group shares a machine
+//! among literals, which keeps the work counters and each subscription's
+//! own deliveries. The value-routing and shape-group batteries at the end
+//! pin the gates and the binding tables themselves.
 //!
 //! This is the correctness gate for the unified [`DocumentDriver`] layer:
 //! all engines share one SAX loop, one numbering scheme and one
@@ -18,7 +20,7 @@
 #[allow(dead_code)] // this battery does not generate query sets
 mod common;
 
-use common::{assert_private_stats, gated};
+use common::{assert_private_stats, gated, literal_shared};
 use vitex::baseline::{naive, oracle, Document, NaiveConfig};
 use vitex::core::{Engine, EngineError, EvalOutput, Match, MultiEngine, MultiOutput, QueryId};
 use vitex::xmlgen::{auction, protein, recursive};
@@ -59,11 +61,12 @@ fn single_ids(xml: &str, tree: &QueryTree) -> Vec<u64> {
 /// produce: match payloads and stream counters, and machine statistics
 /// under the private-engine contract (`common::assert_private_stats`).
 fn assert_equals_private_engines(out: &MultiOutput, queries: &[&str], xml: &str) {
-    for (i, q) in queries.iter().enumerate() {
-        let tree = QueryTree::parse(q).unwrap();
-        let (expected, single) = single_run(xml, &tree);
+    let trees: Vec<QueryTree> = queries.iter().map(|q| QueryTree::parse(q).unwrap()).collect();
+    for (i, (q, tree)) in queries.iter().zip(&trees).enumerate() {
+        let (expected, single) = single_run(xml, tree);
         assert_eq!(out.matches[i], expected, "match payloads of #{i} {q}");
-        assert_private_stats(&out.stats[i], &single.stats, &tree, xml, &format!("#{i} {q}"));
+        let shared = literal_shared(&trees, i);
+        assert_private_stats(&out.stats[i], &single.stats, tree, shared, xml, &format!("#{i} {q}"));
         assert_eq!(
             (out.elements, out.text_nodes, out.events),
             (single.elements, single.text_nodes, single.events),
@@ -621,12 +624,11 @@ fn wildcard_only_query_sees_every_element_through_the_index() {
 // Value routing: gated trie steps (`plan/trie.rs`, "Value gates")
 // --------------------------------------------------------------------- //
 
-/// One value-routing case. Each query's matches equal the oracle's (node
-/// ids) and a private `Engine`'s (payloads), and its statistics keep the
-/// private-engine contract. When the set holds gated queries, their
-/// pushes must fall below the private engines' — a gate that spared no
-/// work would not be one.
-fn check_value_routing(label: &str, queries: &[&str], xml: &str) -> MultiOutput {
+/// Runs `queries` through one engine over `xml`: each query's matches
+/// equal the oracle's (node ids) and a private `Engine`'s (payloads), and
+/// its statistics keep the private-engine contract. Returns the run and
+/// the private engines' outputs.
+fn check_queries(label: &str, queries: &[&str], xml: &str) -> (MultiOutput, Vec<EvalOutput>) {
     let trees: Vec<QueryTree> = queries.iter().map(|q| QueryTree::parse(q).unwrap()).collect();
     let doc = Document::parse_str(xml).expect("well-formed case");
     let mut engine = MultiEngine::new();
@@ -634,7 +636,7 @@ fn check_value_routing(label: &str, queries: &[&str], xml: &str) -> MultiOutput 
         engine.add_tree(tree).expect("registrable");
     }
     let out = engine.run(XmlReader::from_str(xml), |_, _| {}).unwrap();
-    let (mut gated_pushes, mut private_pushes) = (0, 0);
+    let mut privates = Vec::new();
     for (i, tree) in trees.iter().enumerate() {
         let q = format!("{label}: {}", queries[i]);
         let mut expected: Vec<u64> =
@@ -645,10 +647,23 @@ fn check_value_routing(label: &str, queries: &[&str], xml: &str) -> MultiOutput 
         assert_eq!(got, expected, "oracle: {q}");
         let (private, single) = single_run(xml, tree);
         assert_eq!(out.matches[i], private, "match payloads: {q}");
-        assert_private_stats(&out.stats[i], &single.stats, tree, xml, &q);
-        if gated(tree) {
+        let shared = literal_shared(&trees, i);
+        assert_private_stats(&out.stats[i], &single.stats, tree, shared, xml, &q);
+        privates.push(single);
+    }
+    (out, privates)
+}
+
+/// One value-routing case: [`check_queries`], and when the set holds
+/// gated queries, their pushes must fall below the private engines' — a
+/// gate that spared no work would not be one.
+fn check_value_routing(label: &str, queries: &[&str], xml: &str) -> MultiOutput {
+    let (out, privates) = check_queries(label, queries, xml);
+    let (mut gated_pushes, mut private_pushes) = (0, 0);
+    for (i, q) in queries.iter().enumerate() {
+        if gated(&QueryTree::parse(q).unwrap()) {
             gated_pushes += out.stats[i].pushes;
-            private_pushes += single.stats.pushes;
+            private_pushes += privates[i].stats.pushes;
         }
     }
     assert!(
@@ -772,4 +787,204 @@ fn value_gates_follow_churn_between_sessions_of_one_engine() {
     let q3 = engine.add_query(Q[3]).unwrap();
     let outs = check(&mut engine, &[(ids[1], Q[1]), (q3, Q[3])], "slot recycled");
     assert!(outs[0].plan.recycled_slots > 0, "{Q:?}[3] took a retired slot");
+}
+
+// --------------------------------------------------------------------- //
+// Shape groups: subscriptions that differ only in a pop-time string
+// literal share one machine (`plan/group.rs`, `machine.rs` "Bindings")
+// --------------------------------------------------------------------- //
+
+/// One shape-group case: [`check_queries`], and the plan runs one group
+/// per shape.
+fn check_shape_groups(label: &str, queries: &[String], xml: &str) -> MultiOutput {
+    let queries: Vec<&str> = queries.iter().map(String::as_str).collect();
+    let (out, _) = check_queries(label, &queries, xml);
+    let mut shapes: Vec<String> =
+        queries.iter().map(|q| QueryTree::parse(q).unwrap().shape_key().0).collect();
+    shapes.sort_unstable();
+    shapes.dedup();
+    assert_eq!(out.plan.groups, shapes.len() as u64, "{label}: one group per shape");
+    out
+}
+
+/// `shape` (`$` stands for the literal) with each of `literals`.
+fn instances(shape: &str, literals: &[&str]) -> Vec<String> {
+    literals.iter().map(|l| shape.replace('$', &format!("'{l}'"))).collect()
+}
+
+/// The distinct string-values of the `name` elements of `xml`, in
+/// document order.
+fn values_of(xml: &str, name: &str) -> Vec<String> {
+    let doc = Document::parse_str(xml).expect("well-formed");
+    let mut values: Vec<String> = Vec::new();
+    for e in doc.elements().filter(|&e| doc.node(e).name() == Some(name)) {
+        let value = doc.string_value(e);
+        if !values.contains(&value) {
+            values.push(value);
+        }
+    }
+    values
+}
+
+#[test]
+fn shape_groups_run_one_machine_per_shape_for_real_and_absent_literals() {
+    // The `auction-k1000-distinct` shapes, with literals the document
+    // holds (so matches happen), literals it does not, and duplicates:
+    // four machines for 40 subscriptions, each delivered what a private
+    // engine delivers.
+    let xml = auction::to_string(&auction::AuctionConfig::sized(24_000));
+    let (payments, emails, names) =
+        (values_of(&xml, "payment"), values_of(&xml, "emailaddress"), values_of(&xml, "name"));
+    assert_eq!(payments.len(), 2, "{payments:?}");
+    // Person names come after the item names.
+    let people: Vec<String> = names.iter().rev().step_by(2).take(4).cloned().collect();
+    let (mut queries, mut real) = (Vec::new(), Vec::new());
+    for (shape, found) in [
+        ("/site/regions//item[payment = $]/@id", &payments[..]),
+        ("//item[quantity][payment = $]/name", &payments[..]),
+        ("//person[emailaddress = $]/name", &emails[..4]),
+        ("/site/people/person[name = $]/@id", &people[..]),
+    ] {
+        let mut literals: Vec<&str> = found.iter().map(String::as_str).collect();
+        literals.extend(["absent", "", found[0].as_str()]);
+        for literal in literals {
+            queries.extend(instances(shape, &[literal]));
+            real.push(found.iter().any(|f| f == literal));
+        }
+    }
+    let out = check_shape_groups("auction shapes", &queries, &xml);
+    let hits: Vec<bool> = out.matches.iter().map(|m| !m.is_empty()).collect();
+    assert_eq!(hits, real, "exactly the literals the document holds match");
+    assert_eq!(out.plan.dedup_ratio(), queries.len() as f64 / 4.0);
+}
+
+#[test]
+fn shape_groups_on_hand_made_documents() {
+    // An owner with two children satisfying different literals, and a
+    // literal no child has.
+    let two = "<site><regions><africa>\
+        <item id=\"i1\"><name>n1</name><payment>x</payment><payment>y</payment><quantity>1</quantity></item>\
+        <item id=\"i2\"><name>n2</name><payment>y</payment></item>\
+        <item id=\"i3\"><name>n3</name><payment>x</payment><quantity>2</quantity></item>\
+        </africa></regions></site>";
+    let mut queries = instances("//item[payment = $]/name", &["x", "y", "z"]);
+    queries.extend(instances("//item[quantity][payment = $]/name", &["y", "x"]));
+    queries.extend(instances("/site/regions//item[payment = $]/@id", &["x", "y", "x"]));
+    let out = check_shape_groups("two payments", &queries, two);
+    let hits: Vec<usize> = out.matches.iter().map(Vec::len).collect();
+    assert_eq!(hits, [2, 2, 0, 1, 2, 2, 2, 2]);
+
+    // Nested owners under `//`: each literal's subscribers get `b` once,
+    // through whichever `a` holds for them; and the same with the owner
+    // below the root, where a solution goes up for some literals and
+    // waits below for the others.
+    let nested = "<r><a><p>y</p><a><p>x</p><b/></a><b/></a>\
+        <a><p>x</p><a><p>x</p><b/></a></a><a><p>w</p><a><p>y</p><b/></a></a></r>";
+    let queries = instances("//a[p = $]//b", &["x", "y", "w", "v"]);
+    let out = check_shape_groups("nested owners", &queries, nested);
+    assert_eq!(out.matches.iter().map(Vec::len).collect::<Vec<_>>(), [2, 3, 1, 0]);
+    let below = "<s><r><a><p>x</p><r><a><p>y</p><b/></a><z/></r><b/></a><z/></r>\
+        <r><a><p>y</p><r><a><p>y</p><b/></a></r></a><z/></r></s>";
+    let queries = instances("//r[z]/a[p = $]//b", &["x", "y", "q"]);
+    let out = check_shape_groups("owner below the root", &queries, below);
+    assert_eq!(out.matches.iter().map(Vec::len).collect::<Vec<_>>(), [2, 2, 0]);
+
+    // Literals whose text carries entity references.
+    let entities =
+        "<r><a><p>a&amp;b</p><c/></a><a><p>a&lt;b</p><c/></a><a><p>a&amp;amp;b</p><c/></a></r>";
+    let queries = instances("//a[p = $]/c", &["a&b", "a<b", "a&amp;b", "a"]);
+    let out = check_shape_groups("entities", &queries, entities);
+    assert_eq!(out.matches.iter().map(Vec::len).collect::<Vec<_>>(), [1, 1, 1, 0]);
+}
+
+#[test]
+fn a_gated_and_parametric_query_keeps_both() {
+    // The inline `@id` literal keys a value gate and stays in the shape;
+    // the `payment` literal is a binding. Three groups: one per `@id`.
+    let xml = auction::to_string(&auction::AuctionConfig::sized(24_000));
+    let mut queries = Vec::new();
+    for id in ["item3", "item5", "item100"] {
+        let shape = format!("/site/regions/africa/item[@id = '{id}'][payment = $]/name");
+        queries.extend(instances(&shape, &["Cash", "Creditcard", "Cheque"]));
+    }
+    assert!(queries.iter().all(|q| gated(&QueryTree::parse(q).unwrap())));
+    let out = check_shape_groups("gated and parametric", &queries, &xml);
+    let hits = out.matches.iter().filter(|m| !m.is_empty()).count();
+    assert_eq!(hits, 2, "items 3 and 5 are in africa, each with one payment");
+}
+
+#[test]
+fn one_solution_reaches_bindings_in_registration_order() {
+    // Bindings in first-registration order, each binding's subscribers in
+    // registration order: `y` was bound first.
+    let mut engine = MultiEngine::new();
+    let ids: Vec<QueryId> = ["y", "x", "y", "x", "z"]
+        .iter()
+        .map(|l| engine.add_query(&format!("//a[p = '{l}']/c")).unwrap())
+        .collect();
+    assert_eq!(engine.group_count(), 1);
+    let mut streamed = Vec::new();
+    let xml = "<r><a><p>x</p><p>y</p><c/></a><a><p>z</p><c/></a></r>";
+    engine.run(XmlReader::from_str(xml), |q, m| streamed.push((q, m.node))).unwrap();
+    let at = |i: usize, node| (ids[i], node);
+    assert_eq!(streamed, [at(0, 6), at(2, 6), at(1, 6), at(3, 6), at(4, 10)]);
+}
+
+#[test]
+fn shape_groups_follow_literal_churn_between_sessions() {
+    // A warm engine whose shapes gain and lose literals between sessions
+    // — a binding's last subscriber leaving, a new literal, one more
+    // subscriber on a live one — does what an engine freshly built over
+    // its live queries does, and never compiles a machine for a literal.
+    let docs = [
+        auction::to_string(&auction::AuctionConfig { seed: 11, target_bytes: 16_000 }),
+        auction::to_string(&auction::AuctionConfig { seed: 12, target_bytes: 12_000 }),
+    ];
+    let payment = |l: &str| format!("//item[quantity][payment = '{l}']/name");
+    let email = |n: u32| format!("//person[emailaddress = 'mailto:p{n}@example.org']/name");
+    let mut engine = MultiEngine::new();
+    let mut live: Vec<(QueryId, String)> = Vec::new();
+    for q in [payment("Cash"), email(3), payment("Creditcard"), email(4), email(3), payment("x")] {
+        live.push((engine.add_query(&q).unwrap(), q));
+    }
+    assert_eq!(engine.group_count(), 2);
+    let check = |engine: &mut MultiEngine, live: &[(QueryId, String)], step: &str| {
+        let outs = engine
+            .session(|session| {
+                docs.iter()
+                    .map(|xml| session.run_document(XmlReader::from_str(xml), |_, _| {}))
+                    .collect::<Result<Vec<_>, _>>()
+            })
+            .expect("session");
+        let mut fresh = MultiEngine::new();
+        for (_, q) in live {
+            fresh.add_query(q).unwrap();
+        }
+        let trees: Vec<QueryTree> =
+            live.iter().map(|(_, q)| QueryTree::parse(q).unwrap()).collect();
+        for (xml, out) in docs.iter().zip(&outs) {
+            let expected = fresh.run(XmlReader::from_str(xml), |_, _| {}).unwrap();
+            for (j, (id, q)) in live.iter().enumerate() {
+                assert_eq!(out.matches[id.0], expected.matches[j], "{q}: {step}");
+                assert_eq!(out.stats[id.0], expected.stats[j], "{q}: {step}");
+                let (private, single) = single_run(xml, &trees[j]);
+                assert_eq!(out.matches[id.0], private, "{q}: {step}");
+                let shared = literal_shared(&trees, j);
+                assert_private_stats(&out.stats[id.0], &single.stats, &trees[j], shared, xml, q);
+            }
+        }
+        assert!(outs.iter().any(|o| o.matches.iter().any(|m| !m.is_empty())), "{step}: matches");
+    };
+    check(&mut engine, &live, "registered");
+    // `Cash` loses its only subscriber (its binding goes, `Creditcard`
+    // moves down), `mailto:p3` one of two.
+    assert_eq!(engine.remove_query(live[0].0), Some(false));
+    assert_eq!(engine.remove_query(live[4].0), Some(false));
+    live.retain(|(id, _)| ![0, 4].contains(&id.0));
+    check(&mut engine, &live, "literals removed");
+    for q in [payment("Cash"), email(5), payment("Creditcard")] {
+        live.push((engine.add_query(&q).unwrap(), q));
+    }
+    assert_eq!(engine.group_count(), 2, "new literals join their shapes");
+    check(&mut engine, &live, "literals added");
 }

@@ -6,7 +6,10 @@
 //! (match payloads + machine statistics under the private-engine contract,
 //! `common::assert_private_stats`). A second, seeded family of anchored
 //! paths with `[@id|@k = 'v0'..'v2']` tests points the sweep at the value
-//! gates, which the general generator reaches only rarely.
+//! gates, which the general generator reaches only rarely; a third, of
+//! random shapes with one `[step = 'literal']` leaf, each registered with
+//! several literals sampled from the document, points it at the shape
+//! groups.
 //!
 //! This is the correctness net under the step-trie executor, the hottest
 //! matching path: the hand-picked battery in
@@ -25,8 +28,11 @@ use proptest::prelude::*;
 
 mod common;
 
-use common::{assert_private_stats, gated, pinned_queries_with_hog, query_set, QUERIES_PER_SET};
-use vitex::baseline::{naive, NaiveConfig};
+use common::{
+    assert_private_stats, gated, literal_shared, pinned_queries_with_hog, query_set,
+    QUERIES_PER_SET,
+};
+use vitex::baseline::{naive, Document, NaiveConfig};
 use vitex::core::{evaluate_reader, EvalOutput, MultiEngine, MultiOutput};
 use vitex::xmlgen::auction::{self, AuctionConfig};
 use vitex::xmlgen::random::{self, RandomConfig};
@@ -66,8 +72,8 @@ fn assert_matches_reference(
 ) {
     for (i, single) in reference.iter().enumerate() {
         assert_eq!(out.matches[i], single.matches, "matches of query #{i}: {label}");
-        let at = format!("query #{i}: {label}");
-        assert_private_stats(&out.stats[i], &single.stats, &trees[i], xml, &at);
+        let (at, shared) = (format!("query #{i}: {label}"), literal_shared(trees, i));
+        assert_private_stats(&out.stats[i], &single.stats, &trees[i], shared, xml, &at);
         assert_eq!(
             (out.elements, out.text_nodes, out.events),
             (single.elements, single.text_nodes, single.events),
@@ -104,13 +110,7 @@ fn check_gated_case(doc_seed: u64, query_seed: u64) -> (Vec<QueryTree>, MultiOut
 /// testing `[@id|@k = 'v0'..'v2']` with probability 1/3, sometimes ending
 /// in `/@id`, plus a forced duplicate of the first query.
 fn gated_query_set(seed: u64) -> Vec<QueryTree> {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut next = move |n: u64| {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state % n) as usize
-    };
+    let mut next = xorshift(seed);
     let mut queries: Vec<String> = (0..QUERIES_PER_SET - 1)
         .map(|_| {
             let mut q = String::new();
@@ -129,6 +129,73 @@ fn gated_query_set(seed: u64) -> Vec<QueryTree> {
         })
         .collect();
     queries.push(queries[0].clone());
+    queries.iter().map(|q| QueryTree::parse(q).expect("valid query")).collect()
+}
+
+/// A seeded draw: `next(n)` is uniform-ish in `0..n`.
+fn xorshift(seed: u64) -> impl FnMut(usize) -> usize {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    move |n| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % n as u64) as usize
+    }
+}
+
+/// [`check_case`] for the literal family ([`literal_query_set`]) over a
+/// bushy random document. Returns the trees and the run.
+fn check_literal_case(doc_seed: u64, query_seed: u64) -> (Vec<QueryTree>, MultiOutput) {
+    let ctx = format!("doc_seed={doc_seed} literal query_seed={query_seed}");
+    // Bushier than the default, so the shapes meet the literals' elements.
+    let bushy =
+        RandomConfig { max_children: 8, element_prob: 0.8, ..RandomConfig::seeded(doc_seed) };
+    let xml = random::to_string(&bushy);
+    let trees = literal_query_set(query_seed, &xml);
+    let out = check_trees(&ctx, &xml, &trees);
+    (trees, out)
+}
+
+/// Two random shapes over the random tag alphabet, each with one
+/// `[step = literal]` leaf, each registered with three literals drawn from
+/// the string-values of the elements that step names in `xml` (so matches
+/// happen), one it lacks and a duplicate: shape groups of up to four
+/// bindings.
+fn literal_query_set(seed: u64, xml: &str) -> Vec<QueryTree> {
+    const SHAPES: &[&str] = &[
+        "//{0}[{1} = $]",
+        "//{0}[{1} = $]//{2}",
+        "//{0}[{1}/{2} = $]/{3}",
+        "/{0}//{1}[{2} = $]",
+        "//{0}//{1}[{2} = $]/@id",
+        "//{0}[{1} = $]/text()",
+        "//{0}[{1}][{2} = $]",
+        "//{0}[{1} = $]/{2}[{3}]",
+        "//{0}[@k][{1}//{2} = $]//{3}",
+    ];
+    let doc = Document::parse_str(xml).expect("generated documents are well-formed");
+    let mut next = xorshift(seed);
+    let mut queries = Vec::new();
+    for _ in 0..2 {
+        let mut shape = SHAPES[next(SHAPES.len())].to_string();
+        for slot in ["{0}", "{1}", "{2}", "{3}"] {
+            shape = shape.replace(slot, ["a", "b", "c", "d", "e", "*"][next(6)]);
+        }
+        let probe = QueryTree::parse(&shape.replace('$', "''")).expect("valid shape");
+        let leaf = probe.node(probe.parametric_node().expect("one `=` leaf"));
+        let named = |e: &usize| leaf.name().is_none_or(|n| doc.node(*e).name() == Some(n));
+        let mut values: Vec<String> =
+            doc.elements().filter(named).map(|e| doc.string_value(e)).collect();
+        values.retain(|v| !v.is_empty());
+        values.sort_unstable();
+        values.dedup();
+        if values.is_empty() {
+            values.push("v0".to_string()); // no such element holds text
+        }
+        let mut literals: Vec<&str> = (0..3).map(|_| values[next(values.len())].as_str()).collect();
+        literals.extend(["absent", literals[0]]);
+        queries.extend(literals.iter().map(|l| shape.replace('$', &format!("'{l}'"))));
+    }
     queries.iter().map(|q| QueryTree::parse(q).expect("valid query")).collect()
 }
 
@@ -177,6 +244,13 @@ proptest! {
     #[test]
     fn engines_agree_on_gated_query_sets(doc_seed in 0u64..4000, query_seed in 0u64..4000) {
         check_gated_case(doc_seed, query_seed);
+    }
+
+    /// The same sweep over shapes registered with several literals: the
+    /// regime of the shape groups.
+    #[test]
+    fn engines_agree_on_literal_query_sets(doc_seed in 0u64..4000, query_seed in 0u64..4000) {
+        check_literal_case(doc_seed, query_seed);
     }
 
     /// Deeply recursive documents — the regime where shared prefix
@@ -251,4 +325,20 @@ fn fixed_seed_gated_sweep() {
         }
     }
     assert!(matching >= 8, "{gated_queries} gated queries, {matching} of them matching");
+}
+
+/// The literal family's fixed seeds, pinned for CI like the general sweep.
+/// Across them the shape groups must be reached: subscriptions sharing a
+/// machine with other literals, and matching.
+#[test]
+fn fixed_seed_literal_sweep() {
+    let (mut shared, mut matching) = (0, 0);
+    for seed in 0..24u64 {
+        let (trees, out) = check_literal_case(seed, 5 * seed + 3);
+        for i in (0..trees.len()).filter(|&i| literal_shared(&trees, i)) {
+            shared += 1;
+            matching += usize::from(!out.matches[i].is_empty());
+        }
+    }
+    assert!(matching >= 24, "{shared} subscriptions in shape groups, {matching} of them matching");
 }

@@ -369,6 +369,46 @@ fn sampled_self_time_is_billed() {
 }
 
 #[test]
+fn a_shape_group_bills_each_subscription_what_it_costs_alone() {
+    // Subscriptions that differ only in a `= 'string'` literal share one
+    // machine, yet each one's per-query bill — work counters, matches and
+    // payload bytes — is what it is billed in an engine of its own, and so
+    // is the `vitex_matches_total` the registry folds.
+    let xml = auction::to_string(&AuctionConfig::sized(32 * 1024));
+    let payments = ["Cash", "Creditcard", "Cash", "Cheque"];
+    let emails = ["mailto:p3@example.org", "mailto:p9@example.org", "nobody"];
+    let trees: Vec<QueryTree> = (payments.iter())
+        .map(|l| format!("//item[quantity][payment = '{l}']/name"))
+        .chain(emails.iter().map(|l| format!("/site/people/person[emailaddress = '{l}']/@id")))
+        .map(|q| QueryTree::parse(&q).expect("valid query"))
+        .collect();
+    let shared = run_profiled(&trees, &xml);
+    assert_eq!(shared.groups.len(), 2, "one machine per shape");
+    let bill = |q: &vitex::core::telemetry::QueryCost| {
+        let m = &q.machine;
+        (
+            m.steps(),
+            m.pushes,
+            m.pops,
+            m.predicate_evals,
+            m.dispatch_hits,
+            q.matches,
+            q.emitted_bytes,
+        )
+    };
+    for (i, tree) in trees.iter().enumerate() {
+        let alone = run_profiled(std::slice::from_ref(tree), &xml);
+        assert_eq!(bill(&shared.queries[i]), bill(&alone.queries[0]), "{}", tree.original());
+    }
+    assert!(shared.queries.iter().filter(|q| q.matches > 0).count() >= 5, "the literals match");
+    let (out, telemetry) = run_observed(&trees, &xml);
+    let delivered: u64 = out.stats.iter().map(|s| s.emitted).sum();
+    let snapshot = telemetry.snapshot().expect("enabled");
+    assert_eq!(snapshot.counter("vitex_matches_total"), Some(delivered));
+    assert_eq!(delivered, shared.queries.iter().map(|q| q.matches).sum::<u64>());
+}
+
+#[test]
 fn profile_accumulates_across_session_documents() {
     let mut engine = MultiEngine::new();
     engine.set_profiling(true);
