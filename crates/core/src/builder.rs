@@ -119,6 +119,10 @@ pub struct MachineNode {
     /// `= 'string'` comparison is a lookup in the machine's binding
     /// table, which a shape group fills with every subscriber's literal.
     pub parametric: bool,
+    /// The query's parametric leaf is one of this node's inline attribute
+    /// predicates: its one named `= 'string'` test, whose attribute value
+    /// is looked up in the binding table at push.
+    pub parametric_attr: bool,
     /// Inline attribute predicate children.
     pub attr_preds: Vec<AttrTest>,
     /// Inline text predicate children.
@@ -133,6 +137,14 @@ impl MachineNode {
     /// Whether start-tag processing must look at this node's attributes.
     pub fn wants_attributes(&self) -> bool {
         !self.attr_preds.is_empty() || self.attr_result.is_some()
+    }
+
+    /// Whether `test`, one of this node's attribute predicates, is the
+    /// query's parametric leaf (see [`MachineNode::parametric_attr`]).
+    pub(crate) fn binds(&self, test: &AttrTest) -> bool {
+        self.parametric_attr
+            && test.name.is_some()
+            && matches!(test.comparison, Some((CmpOp::Eq, Literal::Str(_))))
     }
 }
 
@@ -234,6 +246,7 @@ impl MachineSpec {
                             && qnode.id == tree.result(),
                         needs_text: qnode.comparison.is_some(),
                         parametric: parametric == Some(qnode.id),
+                        parametric_attr: false,
                         attr_preds: Vec::new(),
                         text_preds: Vec::new(),
                         attr_result: None,
@@ -292,6 +305,7 @@ impl MachineSpec {
                         });
                     } else {
                         let slot = slot_of(tree, p, qnode.id);
+                        spec.nodes[pm].parametric_attr |= parametric == Some(qnode.id);
                         spec.nodes[pm].attr_preds.push(AttrTest {
                             name: name.clone(),
                             comparison: qnode.comparison.clone(),
@@ -512,13 +526,26 @@ mod tests {
 
     #[test]
     fn the_parametric_leaf_is_marked() {
-        let marked = |q: &str| -> Vec<usize> {
+        // (machine node, whether the mark is on one of its attribute tests)
+        let marked = |q: &str| -> Vec<(usize, bool)> {
             let m = compile(q);
-            m.nodes.iter().enumerate().filter(|(_, n)| n.parametric).map(|(i, _)| i).collect()
+            let nodes = m.nodes.iter().enumerate();
+            let marks = nodes.filter(|(_, n)| n.parametric || n.parametric_attr);
+            marks.map(|(i, n)| (i, n.parametric_attr)).collect()
         };
-        assert_eq!(marked("//a[c][b = 'v']/d"), [2]);
-        assert_eq!(marked("//a[b/c = 'v']"), [2], "the leaf of a predicate path");
-        for q in ["//a[b != 'v']", "//a[b = 1]", "//a[@id = 'v']", "//a[b = 'v'][c = 'w']"] {
+        assert_eq!(marked("//a[c][b = 'v']/d"), [(2, false)]);
+        assert_eq!(marked("//a[b/c = 'v']"), [(2, false)], "the leaf of a predicate path");
+        assert_eq!(marked("//a[@id = 'v'][b = 'w']"), [(1, false)], "an element leaf first");
+        assert_eq!(marked("//a[@k != 'u'][@id = 'v']/b"), [(0, true)]);
+        assert_eq!(marked("//a[b[@id = 'v']]/c"), [(1, true)], "a test on a predicate node");
+        for q in [
+            "//a[b != 'v']",
+            "//a[b = 1]",
+            "//a[@* = 'v']",
+            "//a[@id = 1]",
+            "//a[b = 'v'][c = 'w']",
+            "//a[@id = 'v']/b[@k = 'w']",
+        ] {
             assert!(marked(q).is_empty(), "{q}");
         }
     }

@@ -35,7 +35,7 @@
 //!   callback as soon as they are decidable.
 //! * [`multi::MultiEngine`] — publish/subscribe: many standing queries,
 //!   one scan, executed through the shared step trie so an event only
-//!   touches the machines it can move. Its [`shard::Session`] — the one
+//!   touches the machines it can move. Its [`session::Session`] — the one
 //!   pipeline every multi-query run goes through, `MultiEngine::run`
 //!   included — streams document collections back-to-back on the calling
 //!   thread without re-planning.
@@ -80,7 +80,7 @@ pub mod multi;
 pub mod plan;
 pub mod predicate;
 pub mod result;
-pub mod shard;
+pub mod session;
 pub mod stats;
 pub mod telemetry;
 
@@ -93,7 +93,7 @@ pub use machine::{CandidateStore, TwigM};
 pub use multi::{MultiEngine, MultiOutput};
 pub use plan::{PlanGroup, QueryPlanner};
 pub use result::{Match, MatchKind, QueryId};
-pub use shard::Session;
+pub use session::Session;
 pub use stats::{MachineStats, PlanStats, StreamStats};
 pub use telemetry::{Snapshot, Telemetry};
 

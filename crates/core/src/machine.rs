@@ -84,22 +84,24 @@
 //!
 //! ## Bindings: one machine for many literals
 //!
-//! A query's *parametric leaf* — its one predicate element compared with
-//! `= 'string'` ([`vitex_xpath::QueryTree::parametric_node`]) — is not
-//! compared with a literal but looked up in the machine's **binding
-//! table**: when the leaf pops, its string-value is hashed once and the
-//! table names the binding whose literal it equals (the bytes are
-//! compared, so a hash collision cannot match). A lone query's table has
-//! one binding; a shape group's holds one per distinct literal its
-//! subscribers test, and its machine then runs as all those one-literal
-//! machines at once:
+//! A query's *parametric leaf* ([`vitex_xpath::QueryTree::parametric_node`])
+//! — its one predicate element compared with `= 'string'`, or, without
+//! one, its one inline `[@name = 'string']` test — is not compared with a
+//! literal but looked up in the machine's **binding table**. The element's
+//! string-value when it pops, or the named attribute's value when the
+//! tested element is pushed, is hashed once and the table names the
+//! binding whose literal it equals (the bytes are compared, so a hash
+//! collision cannot match). A lone query's table has one binding; a shape
+//! group's holds one per distinct literal its subscribers test, and its
+//! machine then runs as all those one-literal machines at once:
 //!
 //! * structure does not depend on the literal, so pushes, pops and every
 //!   other flag are shared;
 //! * the leaf's ancestors up to its main-path **owner** keep, beside the
 //!   leaf's flag bit, the *set* of bindings it was satisfied for (`lits`,
 //!   a set in the store; with one binding the bit says it all and no set
-//!   is kept);
+//!   is kept). An attribute test's set starts on the entry it is tested
+//!   on, at push — the owner itself when that entry is on the main path;
 //! * where the owner pops satisfied for every binding, or for none, the
 //!   transitions are exactly the one-literal ones. Satisfied for some
 //!   bindings `S` only, it is both at once: every candidate that may slide
@@ -114,8 +116,10 @@
 //!   delivered once per binding. The caller's callback learns which
 //!   bindings: all of them, or a list ascending by binding id.
 //!
-//! Candidate instances stay 8 bytes and a machine without a parametric
-//! leaf never looks at any of this.
+//! An owner that holds an attribute test knows its set from the push on,
+//! so a root owner delivers what is decidable at push to that set at
+//! once (the others failed for good). Candidate instances stay 8 bytes
+//! and a machine without a parametric leaf never looks at any of this.
 
 use std::mem::size_of;
 use std::ops::{Index, IndexMut};
@@ -141,9 +145,8 @@ const NONE: u32 = u32::MAX;
 /// in the module docs).
 pub(crate) type Deliver<'a> = dyn FnMut(Option<&[u32]>, Match) + 'a;
 
-/// FNV-1a over `bytes`: what value gates and binding tables file a
-/// literal under.
-pub(crate) fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+/// FNV-1a over `bytes`: what a binding table files a literal under.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     let fold = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
     bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, fold)
 }
@@ -225,9 +228,10 @@ struct Entry {
     /// predicate leaves carrying a value comparison; [`NONE`] otherwise).
     text: u32,
     /// The bindings the parametric leaf's flag bit stands for, a set in
-    /// the store: kept by the leaf's ancestors up to its owner while the
-    /// machine has several bindings ([`NONE`] otherwise, and until the
-    /// bit is first set).
+    /// the store: kept by the leaf's ancestors up to its owner (for an
+    /// attribute test, from the entry it is tested on) while the machine
+    /// has several bindings ([`NONE`] otherwise, and until the bit is
+    /// first set).
     lits: u32,
 }
 
@@ -733,9 +737,15 @@ impl TwigM {
     /// binding 0.
     pub fn from_spec(spec: MachineSpec, mode: EvalMode) -> Self {
         let stacks = spec.nodes.iter().map(|_| Vec::new()).collect();
-        let bindings = spec.nodes.iter().find(|n| n.parametric).map(|n| match &n.comparison {
-            Some((CmpOp::Eq, Literal::Str(literal))) => Box::new(Bindings::new(literal)),
-            _ => unreachable!("a parametric leaf compares with `= 'string'`"),
+        let bindings = spec.nodes.iter().find_map(|n| {
+            let comparison = match n.parametric {
+                true => &n.comparison,
+                false => &n.attr_preds.iter().find(|t| n.binds(t))?.comparison,
+            };
+            match comparison {
+                Some((CmpOp::Eq, Literal::Str(literal))) => Some(Box::new(Bindings::new(literal))),
+                _ => unreachable!("a parametric leaf compares with `= 'string'`"),
+            }
         });
         TwigM { spec, mode, stacks, bindings, stats: MachineStats::default() }
     }
@@ -1031,24 +1041,35 @@ impl TwigM {
         emit: &mut Deliver<'_>,
     ) {
         let n = self.binding_count();
-        let Self { spec, stacks, stats, .. } = self;
+        let Self { spec, stacks, bindings, stats, .. } = self;
         let node = &spec.nodes[q];
         let own_index = stacks[q].len() as u32;
-        let mut flags = SmallBitSet::empty(node.nflags as usize);
-        // Inline attribute predicates are decidable right now.
-        for ap in &node.attr_preds {
-            stats.predicate_evals += 1;
-            let hit = attributes.iter().any(|a| {
-                attr_name_matches(ap.name.as_deref(), a.name.as_str())
-                    && cmp_opt(&ap.comparison, &a.value)
-            });
-            if hit {
-                flags.set(ap.slot.expect("predicate tests carry slots") as usize);
-                stats.flag_propagations += 1;
-            }
-        }
+        let flags = SmallBitSet::empty(node.nflags as usize);
         let mut entry =
             Entry { level, ptr, node_id, flags, cands: NONE, max_low: 0, text: NONE, lits: NONE };
+        // Inline attribute predicates are decidable right now; the
+        // parametric one names its bindings.
+        for ap in &node.attr_preds {
+            stats.predicate_evals += 1;
+            let slot = ap.slot.expect("predicate tests carry slots") as usize;
+            let mut named = attributes
+                .iter()
+                .filter(|a| attr_name_matches(ap.name.as_deref(), a.name.as_str()));
+            if !node.binds(ap) {
+                if named.any(|a| cmp_opt(&ap.comparison, &a.value)) {
+                    set_flag(stats, &mut entry, slot);
+                }
+                continue;
+            }
+            let table = bindings.as_deref().expect("a parametric test has a binding table");
+            for b in named.filter_map(|a| table.lookup(&a.value)) {
+                if n == 1 {
+                    set_flag(stats, &mut entry, slot);
+                } else {
+                    add_lits(stats, store, &mut entry, slot, &[b]);
+                }
+            }
+        }
         // Attribute-result candidates are born here, waiting on this entry.
         if let Some(ar) = &node.attr_result {
             for (i, a) in attributes.iter().enumerate() {
@@ -1074,14 +1095,23 @@ impl TwigM {
         // is a solution *now* — deliver it instead of buffering it until
         // the root element closes. This is what makes queries like
         // `//site/people/person/@id` stream with O(1) candidate memory. (A
-        // root that owns the parametric leaf is never satisfied yet: the
-        // leaf has not popped.)
+        // root that owns a parametric element leaf is never satisfied yet:
+        // the leaf has not popped. One holding its parametric attribute
+        // test for some bindings delivers to those: the others failed.)
         if node.is_root && entry.cands != NONE && entry.flags.all_set(node.nflags as usize) {
+            let held = match entry.lits {
+                NONE => Vec::new(),
+                set => std::mem::take(&mut store.sets[set]),
+            };
+            let within = (held.len() < n).then_some(&held[..]).filter(|set| !set.is_empty());
             let born = store.detach(&entry);
             for &c in &born {
-                emit_candidate(stats, store, c, n, emit);
+                emit_candidate(stats, store, c, within, n, emit);
             }
             store.recycle(&entry, born);
+            if entry.lits != NONE {
+                store.sets[entry.lits] = held;
+            }
             (entry.cands, entry.max_low) = (NONE, 0);
         }
         if node.needs_text {
@@ -1161,7 +1191,7 @@ impl TwigM {
                 if !(pnode.is_root && top.flags.all_set(pnode.nflags as usize)) {
                     store.arrive(top, &mut false, c, false);
                 } else if top.lits == NONE || store.sets[top.lits].len() == n {
-                    emit_candidate(stats, store, c, n, emit); // early emission (see push_entry)
+                    emit_candidate(stats, store, c, None, n, emit); // early emission (see push_entry)
                 } else {
                     // A root satisfied for some bindings: they have the text
                     // now, the others may still come.
@@ -1350,7 +1380,7 @@ impl TwigM {
             // delivery); an instance of a solution already delivered is
             // suppressed.
             for &c in &cands {
-                emit_candidate(stats, store, c, n, emit);
+                emit_candidate(stats, store, c, None, n, emit);
             }
             return store.recycle(e, cands);
         }
@@ -1369,7 +1399,7 @@ impl TwigM {
             if held == NONE || store.sets[held].len() == n {
                 for &c in &cands {
                     stats.candidates_forwarded += 1;
-                    emit_candidate(stats, store, c, n, emit);
+                    emit_candidate(stats, store, c, None, n, emit);
                 }
                 return store.recycle(e, cands);
             }
@@ -1589,17 +1619,19 @@ enum Sat {
     Some(u32),
 }
 
-/// Delivers one candidate as a solution, suppressing an instance of a
-/// solution already delivered, so that every solution reaches each of
-/// its bindings exactly once.
+/// Delivers one candidate as a solution — to the bindings in `within`
+/// only, when given — suppressing an instance of a solution already
+/// delivered, so that every solution reaches each of its bindings exactly
+/// once. The candidate ends here.
 fn emit_candidate(
     stats: &mut MachineStats,
     store: &mut CandidateStore,
     c: Cand,
+    within: Option<&[u32]>,
     n: usize,
     emit: &mut Deliver<'_>,
 ) {
-    let delivered = store.deliver(c, None, n, emit);
+    let delivered = store.deliver(c, within, n, emit);
     let bytes = store.release(c);
     if delivered {
         stats.on_candidate_emitted(bytes);
@@ -1720,20 +1752,17 @@ mod tests {
             let span = ByteSpan::new(self.offset, self.offset + 1);
             self.offset += 1;
             let (matches, delivered) = (&mut self.matches, &mut self.delivered);
-            let sym = self.interner.lookup(name);
-            self.machine.start_element_interned(
-                &mut self.store,
-                sym,
-                self.level,
-                &attrs,
-                id,
-                id + 1,
-                span,
-                &mut |m| {
-                    delivered.push((None, m.node));
-                    matches.push(m)
-                },
-            );
+            let emit = &mut |to: Option<&[u32]>, m: Match| {
+                delivered.push((to.map(<[u32]>::to_vec), m.node));
+                matches.push(m)
+            };
+            // `start_element_interned`, keeping which bindings a delivery
+            // at push goes to.
+            let named = self.interner.lookup(name).map(|s| self.machine.spec.machines_for(s));
+            let mut plan = Vec::new();
+            self.machine.plan_pushes(named.unwrap_or(&[]), self.level, &mut plan);
+            let (store, level) = (&mut self.store, self.level);
+            self.machine.apply_pushes(store, &plan, level, &attrs, id, id + 1, span, emit);
             self
         }
 
@@ -2255,6 +2284,71 @@ mod tests {
             d.open("c").open_attrs("c", &[("id", "1")]).close("c").close("c");
             d.open("q").open("p").text("y").close("p").close("q").close("a");
         });
+    }
+
+    /// The binding set on the top entry of machine node `q`, and whether
+    /// its flag bits are all set.
+    fn lits_of(d: &Driver, q: usize) -> (Option<Vec<u32>>, bool) {
+        let e = d.machine.stacks[q].last().expect("an open entry");
+        let set = (e.lits != NONE).then(|| d.store.sets[e.lits].clone());
+        (set, e.flags.all_set(d.machine.spec.nodes[q].nflags as usize))
+    }
+
+    #[test]
+    fn an_attribute_test_files_its_bindings_on_the_entry_at_push() {
+        // Machine nodes: r 0, a 1, b 2. The set is stored on `a` when it is
+        // pushed; a value no binding names sets nothing.
+        let mut d = Driver::new("/r/a[@id = 'x']/b");
+        for literal in ["y", "z"] {
+            d.machine.bind(literal);
+        }
+        d.open("r").open_attrs("a", &[("k", "x"), ("id", "y")]);
+        assert_eq!(lits_of(&d, 1), (Some(vec![1]), true));
+        d.open_attrs("b", &[("id", "z")]).close("b").close("a");
+        d.open_attrs("a", &[("id", "w")]);
+        assert_eq!(lits_of(&d, 1), (None, false));
+        d.close("a").close("r");
+        assert!(d.store.is_idle(), "the sets went back");
+        // A test on a predicate node files them on the predicate's entry.
+        let mut d = Driver::new("//p[q[@i = 'x']]/n");
+        d.machine.bind("y");
+        d.open("p").open_attrs("q", &[("i", "x")]);
+        assert_eq!(lits_of(&d, 1), (Some(vec![0]), true));
+        // With one binding the flag bit says it all.
+        let mut d = Driver::new("/r/a[@id = 'x']/b");
+        d.open("r").open_attrs("a", &[("id", "x")]);
+        assert_eq!(lits_of(&d, 1), (None, true));
+    }
+
+    #[test]
+    fn attribute_bindings_run_as_one_literal_machines() {
+        // Nested owners under `//`: `b`'s name reaches `a` through the outer
+        // item and `b` through the inner one.
+        let d = agrees_with_one_literal_machines("//item[@id = $]//name", &["a", "b", "c"], |d| {
+            d.open("r");
+            d.open_attrs("item", &[("id", "a")]).open_attrs("item", &[("id", "b")]);
+            d.leaf("name").close("item").close("item");
+            d.open_attrs("item", &[("id", "b")]).open_attrs("item", &[("id", "a")]);
+            d.leaf("name").close("item").leaf("name").close("item");
+            d.close("r");
+        });
+        assert!(d.delivered.iter().all(|(to, _)| to.is_some()), "{:?}", d.delivered);
+        // A test on a predicate node: the owner is its main-path ancestor.
+        agrees_with_one_literal_machines("//person[profile[@income = $]]/name", &["1", "2"], |d| {
+            d.open("site");
+            d.open("person").leaf("name").open_attrs("profile", &[("income", "2")]);
+            d.close("profile").open_attrs("profile", &[("income", "1")]).close("profile");
+            d.close("person");
+            d.open("person").open_attrs("profile", &[("income", "3")]).close("profile");
+            d.leaf("name").close("person");
+            d.close("site");
+        });
+        // A root owner early-emits at push, to its binding only.
+        let d = agrees_with_one_literal_machines("//item[@id = $]/@id", &["a", "b"], |d| {
+            d.open("r").open_attrs("item", &[("id", "b")]);
+            d.close("item").open_attrs("item", &[("id", "z")]).close("item").close("r");
+        });
+        assert_eq!(d.delivered, [(Some(vec![1]), 2)], "delivered for `b` only");
     }
 
     #[test]

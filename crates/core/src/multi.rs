@@ -12,8 +12,9 @@
 //!
 //! Registration goes through the [`QueryPlanner`]: queries of one
 //! **shape** (after canonicalization — predicate order sorted away — and
-//! with the literal of their one `= 'string'` predicate leaf erased) share
-//! one [`PlanGroup`] running a single machine, whose binding table files
+//! with the literal of their one `= 'string'` predicate leaf, or of their
+//! one inline `[@name = 'string']` test, erased) share one [`PlanGroup`]
+//! running a single machine, whose binding table files
 //! each subscriber under its literal. Every solution fans out to the
 //! subscribers of the bindings it reaches: bindings in first-registration
 //! order, each binding's subscribers in registration order. Structurally
@@ -32,11 +33,7 @@
 //!   advances it **once** — one axis/name witness check per distinct trie
 //!   node, however many groups share the step — and each push it decides
 //!   lands, through the node's routes, on exactly the group machine nodes
-//!   that must push. Where a value gate read the tag's attributes, that
-//!   is only the routed groups whose `[@name = 'literal']` test the tag
-//!   can pass (and those with no such test): a group whose test fails
-//!   would push an entry that can never be satisfied, so it is not shown
-//!   the element at all, and its matches do not change;
+//!   that must push;
 //! * the **dispatch index** (over the shared [`Interner`]) covers what
 //!   the trie does not: per interned name the groups whose *predicate
 //!   subtrees* test it, the groups with a predicate wildcard, and the
@@ -60,21 +57,18 @@
 //! tests live inside the delivered events.
 //!
 //! Both structures update **incrementally**: [`MultiEngine::add_query`]
-//! splices the new group into trie routes, value gates and index in place
-//! and [`MultiEngine::remove_query`] clears it back out when the last
+//! splices the new group into trie routes and index in place and
+//! [`MultiEngine::remove_query`] clears it back out when the last
 //! subscriber of a group leaves — no rebuild between runs, so long-lived
 //! pub/sub sessions can churn subscriptions mid-stream.
 //!
 //! Per subscription, a run reproduces a private [`crate::Engine`]'s
-//! matches and payloads. Its machine statistics are the `Engine`'s too,
-//! unless a value gate spared its group work: then they are what a
-//! one-query `MultiEngine` reports over the same document — a group's
-//! counters never depend on its neighbours — at most the `Engine`'s on
-//! every counter, with `emitted` equal. In a group with several bindings
-//! that holds for the work counters — pushes, pops, predicate evaluations
-//! and dispatch hits, the structure being the literal's alone — and for
-//! `emitted`, which counts the subscription's own deliveries; flag and
-//! candidate counters are the shared machine's.
+//! matches and payloads, and its machine statistics: in a group with one
+//! binding on every counter; in a group with several on the work counters
+//! — pushes, pops, predicate evaluations and dispatch hits, the structure
+//! being the literal's alone — and on `emitted`, which counts the
+//! subscription's own deliveries. Flag and candidate counters are then
+//! the shared machine's.
 
 use std::time::Instant;
 
@@ -90,11 +84,10 @@ use crate::error::EngineResult;
 use crate::intern::{Interner, Symbol};
 use crate::machine::{CandidateStore, Deliver};
 use crate::plan::group::Binding;
-use crate::plan::trie::for_each_pushed;
 use crate::plan::{PlanGroup, QueryPlanner};
 use crate::result::{Match, NodeId};
-use crate::shard::admit::{WalkScratch, Walked};
-use crate::shard::Session;
+use crate::session::admit::{WalkScratch, Walked};
+use crate::session::Session;
 use crate::stats::{MachineStats, PlanStats};
 use crate::telemetry::profile::match_bytes;
 use crate::telemetry::{CostLedger, Telemetry};
@@ -114,9 +107,8 @@ pub struct MultiOutput {
     /// what a private [`crate::Engine`] reports on every counter — except
     /// `emitted`, which counts each subscription's own deliveries. With
     /// several bindings the shared counters still equal a private
-    /// `Engine`'s on pushes, pops, predicate evaluations and dispatch hits
-    /// (the module docs say when a value gate lowers them); the flag and
-    /// candidate counters are the group's.
+    /// `Engine`'s on pushes, pops, predicate evaluations and dispatch
+    /// hits; the flag and candidate counters are the group's.
     pub stats: Vec<MachineStats>,
     /// Plan-level statistics: group/dedup/trie-sharing counters.
     pub plan: PlanStats,
@@ -628,10 +620,9 @@ impl Executor {
     }
 
     /// `startElement`: expands the walk's trie pushes along its routes
-    /// into per-slot main plans — over a gated push's survivors only —
-    /// merge-walks them with the slots whose predicate subtrees test the
-    /// tag's name (the walk's dispatch index), and records the slots that
-    /// pushed as the element's frame.
+    /// into per-slot main plans, merge-walks them with the slots whose
+    /// predicate subtrees test the tag's name (the walk's dispatch index),
+    /// and records the slots that pushed as the element's frame.
     pub(crate) fn start(
         &mut self,
         groups: &mut [PlanGroup],
@@ -641,16 +632,10 @@ impl Executor {
     ) {
         let Self { plans, pred_slots, main_scratch, frame_slots, frames, text_live, store, timer } =
             self;
-        let Walked { index, routes, pushes, survivors } = walked;
+        let Walked { index, routes, pushes } = walked;
         plans.clear();
         for p in pushes {
-            let (routes, ptr) = (&routes[p.node as usize], p.ptr);
-            match p.survivors(survivors) {
-                None => plans.extend(routes.iter().map(|&(slot, mnode)| (slot, mnode, ptr))),
-                alive => {
-                    for_each_pushed(routes, alive, |(slot, mnode)| plans.push((slot, mnode, ptr)))
-                }
-            }
+            plans.extend(routes[p.node as usize].iter().map(|&(slot, mnode)| (slot, mnode, p.ptr)));
         }
         // Routes ascend by slot, so one push expands in order; several
         // pushes interleave.

@@ -4,7 +4,9 @@
 //! Queries join a group by **shape** ([`vitex_xpath::QueryTree::shape_key`]):
 //! the canonical key with the literal of the query's parametric leaf
 //! erased. So `//item[payment = 'Cash']/@id` and
-//! `//item[payment = 'Creditcard']/@id` share one machine; each distinct
+//! `//item[payment = 'Creditcard']/@id` share one machine, and so do
+//! `/site/regions/asia/item[@id = 'item7']/name` and
+//! `/site/regions/asia/item[@id = 'item13']/name`; each distinct
 //! literal is a **binding**, and its subscribers get the solutions the
 //! machine delivers to it. A query without a parametric leaf is a shape
 //! with one binding, and so is a shape all of whose subscribers test the

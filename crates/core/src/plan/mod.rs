@@ -11,7 +11,8 @@
 //! 1. **Shapes** — each query is reduced to its shape key
 //!    ([`vitex_xpath::QueryTree::shape_key`]: the canonical structural
 //!    form, predicate order sorted away, with the literal of its one
-//!    `= 'string'` predicate leaf erased). Queries of one shape join one
+//!    `= 'string'` predicate leaf erased, or, without one, of its one
+//!    inline `[@name = 'string']` test). Queries of one shape join one
 //!    [`PlanGroup`] sharing a single TwigM machine, whose binding table
 //!    files each subscriber under the literal it tests; the group fans each
 //!    solution out to the subscribers of the bindings it reaches.
@@ -38,12 +39,11 @@ pub mod trie;
 
 pub use group::PlanGroup;
 pub(crate) use trie::RouteTable;
-pub use trie::{PrefixRunStats, RoutedStep, StepKey, StepTrie, TriePush};
+pub use trie::{PrefixRunStats, StepKey, StepTrie, TriePush};
 
 use vitex_xpath::query_tree::{NodeKind, QueryTree};
-use vitex_xpath::{CmpOp, Literal};
 
-use crate::builder::{AttrTest, BuildError, EvalMode, MachineSpec};
+use crate::builder::{BuildError, EvalMode, MachineSpec};
 use crate::intern::Interner;
 use crate::machine::TwigM;
 use crate::result::QueryId;
@@ -118,7 +118,10 @@ impl QueryPlanner {
             return Ok(Registration { group: g, created: false });
         }
         let spec = MachineSpec::compile_with(tree, interner)?;
-        let steps = routed_steps(&spec);
+        // The machine node each main-path step drives, in step order:
+        // what a push of the trie node at that depth lands on.
+        let main_nodes: Vec<u32> =
+            (0..spec.len()).filter(|&q| spec.nodes[q].is_main).map(|q| q as u32).collect();
         let machine = TwigM::from_spec(spec, EvalMode::Compact);
         let group = PlanGroup::new(machine, key, hash, terminal, id);
         let gid = match self.free_slots.pop() {
@@ -135,7 +138,7 @@ impl QueryPlanner {
                 self.groups.len() - 1
             }
         };
-        self.trie.add_group(terminal, gid, &steps);
+        self.trie.add_group(terminal, gid, &main_nodes);
         self.active_groups += 1;
         self.active_queries += 1;
         Ok(Registration { group: gid, created: true })
@@ -158,8 +161,7 @@ impl QueryPlanner {
         self.active_queries -= 1;
         if last {
             self.active_groups -= 1;
-            let group = &self.groups[gid];
-            self.trie.remove_group(group.trie_node(), gid, &routed_steps(group.machine().spec()));
+            self.trie.remove_group(self.groups[gid].trie_node(), gid);
             self.free_slots.push(gid);
         }
         last
@@ -250,24 +252,6 @@ impl QueryPlanner {
             })
             .collect()
     }
-}
-
-/// A compiled main path as the trie routes it, in step order: the
-/// machine node each step drives — what a push of the trie node at that
-/// depth lands on — and the value-gate key of the node's first inline
-/// `[@name = 'string']` test. `@*`, numeric literals and every other
-/// operator leave the step unkeyed: a gate decides only by string
-/// equality.
-fn routed_steps(spec: &MachineSpec) -> Vec<RoutedStep> {
-    let gate_key = |t: &AttrTest| match (&t.name, &t.comparison) {
-        (Some(name), Some((CmpOp::Eq, Literal::Str(literal)))) => {
-            Some(trie::gate_key(name, literal))
-        }
-        _ => None,
-    };
-    let main = spec.nodes.iter().enumerate().filter(|(_, n)| n.is_main);
-    main.map(|(q, n)| RoutedStep { mnode: q as u32, key: n.attr_preds.iter().find_map(gate_key) })
-        .collect()
 }
 
 /// Resident bytes of the active groups among `groups` (stack capacity
@@ -386,15 +370,9 @@ mod tests {
             assert_eq!(p.group(g).machine().binding_count(), 2, "{shape}");
         }
         // Everything else keys by its literal: a group per query.
-        for (n, shape) in [
-            "//a[b != $]",
-            "//a[b < $]",
-            "//a[text() = $]",
-            "//a[@id = $]/c",
-            "//a[b = $][c = 'v']",
-        ]
-        .into_iter()
-        .enumerate()
+        for (n, shape) in ["//a[b != $]", "//a[b < $]", "//a[text() = $]", "//a[b = $][c = 'v']"]
+            .into_iter()
+            .enumerate()
         {
             let at = |l: &str| shape.replace('$', &format!("'{l}'"));
             let g = group(&mut p, &mut i, &at("x"), 10 + n);
@@ -403,7 +381,40 @@ mod tests {
         }
         let numeric = group(&mut p, &mut i, "//a[b = 1]", 30);
         assert_ne!(group(&mut p, &mut i, "//a[b = 2]", 31), numeric, "numeric literals");
-        assert_eq!(p.group_count(), 3 + 2 * 5 + 2);
+        assert_eq!(p.group_count(), 3 + 2 * 4 + 2);
+    }
+
+    #[test]
+    fn inline_attribute_literals_share_a_shape_and_the_rest_do_not() {
+        let mut p = QueryPlanner::new();
+        let mut i = Interner::new();
+        let group =
+            |p: &mut QueryPlanner, i: &mut Interner, q: &str, id| register(p, i, q, id).group;
+        let at = |shape: &str, l: &str| shape.replace('$', &format!("'{l}'"));
+        // One named `= 'string'` attribute test and no such element: the
+        // literal is a binding, on the main path, under `//` or on a
+        // predicate node.
+        for shape in
+            ["/r/a[@id = $]/b", "//item[@id = $]//name", "//p[q[@i = $]]/n", "//a[@id = $]/@id"]
+        {
+            let g = group(&mut p, &mut i, &at(shape, "x"), 0);
+            assert_eq!(group(&mut p, &mut i, &at(shape, "y"), 1), g, "{shape}");
+            assert_eq!(p.group(g).machine().binding_count(), 2, "{shape}");
+        }
+        // `@*`, `!=`, two candidates, and an element leaf beside it: the
+        // attribute literal stays in the key.
+        for (n, shape) in
+            ["//a[@* = $]", "//a[@id != $]", "//a[@id = $][@k = 'v']", "//a[@id = $][b = 'v']"]
+                .into_iter()
+                .enumerate()
+        {
+            let g = group(&mut p, &mut i, &at(shape, "x"), 10 + n);
+            assert_ne!(group(&mut p, &mut i, &at(shape, "y"), 20 + n), g, "{shape}");
+            assert_eq!(p.group(g).machine().binding_count(), 1, "{shape}");
+        }
+        let numeric = group(&mut p, &mut i, "//a[@id = 1]", 30);
+        assert_ne!(group(&mut p, &mut i, "//a[@id = 2]", 31), numeric, "numeric literals");
+        assert_eq!(p.group_count(), 4 + 2 * 4 + 2);
     }
 
     #[test]

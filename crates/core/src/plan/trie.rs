@@ -31,47 +31,10 @@
 //! main-path planning thus scales with *distinct trie nodes*, not with
 //! the number of registered queries; [`PrefixRunStats`] counts both sides
 //! of that trade.
-//!
-//! ## Value gates
-//!
-//! Structure is half of what subscriptions share; the other half is the
-//! literal they test (YFilter's split, Diao et al., TODS 2003). A trie
-//! node N gets a **value gate** when every step from the root to N is a
-//! child step — so N's stack holds at most one entry — and some group
-//! routed through N tests `[@name = 'literal']` inline on its machine node
-//! for N. The gate files those groups under [`gate_key`]`(name, literal)`
-//! and keeps the routed groups with no such test apart; `add_group` /
-//! `remove_group` maintain it in place, and it lives beside the nodes, so
-//! a plan without gates pays nothing for it.
-//!
-//! At N's push, `StepTrie::advance` hashes the tag's attributes once. The
-//! **survivors** are the untested groups plus those whose key an
-//! attribute carries, among the survivors of the nearest gate above N.
-//! Every push at or below N carries that set ([`TriePush::gated`]), and
-//! the executor pushes only the routed groups in it. This is exact:
-//!
-//! * a skipped group's N entry fails its own test, so it could never be
-//!   satisfied;
-//! * without that entry its stack at N stays empty for the element's
-//!   whole life, so nothing at or below N — predicate nodes included —
-//!   could push for it;
-//! * with at most one entry per stack there is no outer entry that lazy
-//!   inheritance could have copied its candidates down to.
-//!
-//! So matches, payloads, callback order and emission points are those of
-//! an ungated run; only the skipped groups' counters fall, and a group's
-//! counters depend on its own test alone, never on its neighbours. A key
-//! collision only widens a survivor set: each survivor still evaluates its
-//! own test. `@*`, numeric literals, `!=` and relational tests stay
-//! ungated, and so does any step with a `//` above it: under
-//! `//item[@id = 'a']//name`, `<item id="a"><item id="b"><name/>` is a
-//! match through the outer item, which a gate on the inner one would drop.
 
-use vitex_xmlsax::event::Attribute;
 use vitex_xpath::Axis;
 
 use crate::intern::Symbol;
-use crate::machine::fnv1a;
 
 /// The label of a trie edge: one location step of a query's main path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,94 +53,14 @@ pub struct StepKey {
 type TrieEntry = u32;
 
 /// A main-path push decided by `StepTrie::advance`: the trie node (its
-/// routes name the group machine nodes to push onto), the parent-stack
-/// pointer the new entries carry and, below a value gate, which routed
-/// groups survive.
+/// routes name the group machine nodes to push onto) and the
+/// parent-stack pointer the new entries carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TriePush {
     /// The trie node that pushed.
     pub node: u32,
     /// Parent-stack pointer for the new entry.
     pub ptr: u32,
-    /// `None`: every routed group pushes. Otherwise a value gate at or
-    /// above `node` narrowed them to a range of the walk's survivor list
-    /// (ascending slots; see the module docs).
-    pub gated: Option<(u32, u32)>,
-}
-
-impl TriePush {
-    /// The push's survivors within the survivor list they were recorded
-    /// in; `None` when every routed group pushes.
-    pub(crate) fn survivors<'s>(&self, list: &'s [u32]) -> Option<&'s [u32]> {
-        self.gated.map(|(from, to)| &list[from as usize..to as usize])
-    }
-}
-
-/// One step of a group's main path, as [`StepTrie::add_group`] routes it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoutedStep {
-    /// The group's machine node for the step: what a push of the trie
-    /// node drives.
-    pub mnode: u32,
-    /// [`gate_key`] of the machine node's first inline
-    /// `[@name = 'literal']` test, if it has one.
-    pub key: Option<u64>,
-}
-
-/// The key a value gate files an `@name = 'literal'` test under and
-/// looks a start tag's attribute up by: FNV-1a over the name, a byte no
-/// UTF-8 string contains, and the value. Pairs that collide only widen a
-/// survivor set.
-pub fn gate_key(name: &str, value: &str) -> u64 {
-    fnv1a(name.bytes().chain([0xff]).chain(value.bytes()))
-}
-
-/// A trie node's value gate (see the module docs). Its lists hold group
-/// ids, ascending.
-#[derive(Debug)]
-struct Gate {
-    /// The gated trie node.
-    node: u32,
-    /// `(gate key, the routed groups testing it)`, ascending by key.
-    keyed: Vec<(u64, Vec<u32>)>,
-    /// The routed groups with no such test at this step.
-    untested: Vec<u32>,
-    /// The survivors of the node's open entry, as a range of
-    /// `StepTrie::survivors` (a gated node has at most one open entry).
-    open: (u32, u32),
-}
-
-impl Gate {
-    fn insert(&mut self, gid: u32, key: Option<u64>) {
-        let list = match key {
-            None => &mut self.untested,
-            Some(key) => match self.keyed.binary_search_by_key(&key, |&(k, _)| k) {
-                Ok(at) => &mut self.keyed[at].1,
-                Err(at) => {
-                    self.keyed.insert(at, (key, Vec::new()));
-                    &mut self.keyed[at].1
-                }
-            },
-        };
-        list.insert(list.partition_point(|&g| g < gid), gid);
-    }
-
-    /// Takes `gid` out; returns whether no keyed group is left, i.e. the
-    /// gate no longer narrows anything.
-    fn remove(&mut self, gid: u32, key: Option<u64>) -> bool {
-        let at = match key {
-            None => None,
-            Some(key) => self.keyed.binary_search_by_key(&key, |&(k, _)| k).ok(),
-        };
-        let list = at.map_or(&mut self.untested, |at| &mut self.keyed[at].1);
-        if let Ok(pos) = list.binary_search(&gid) {
-            list.remove(pos);
-        }
-        if let Some(at) = at.filter(|&at| self.keyed[at].1.is_empty()) {
-            self.keyed.remove(at);
-        }
-        self.keyed.is_empty()
-    }
 }
 
 /// Where a trie node's pushes land: per trie node, the `(group id,
@@ -239,18 +122,11 @@ pub struct StepTrie {
     by_symbol: Vec<Vec<u32>>,
     /// Trie nodes whose step is the wildcard `*`.
     wildcards: Vec<u32>,
-    /// The value gates, ascending by node.
-    gates: Vec<Gate>,
     /// Flat stack of the trie nodes pushed per open element: the end tag
     /// pops exactly the stacks its start tag pushed.
     open: Vec<u32>,
-    /// The survivor lists of the open gated entries, outermost first.
-    survivors: Vec<u32>,
-    /// Per open element, the `open` and `survivors` lengths before it.
-    frames: Vec<(u32, u32)>,
-    /// Scratch of one gated push: the hit groups, then the union.
-    hits: Vec<u32>,
-    union: Vec<u32>,
+    /// One `open` offset per open element.
+    frames: Vec<u32>,
     /// Runtime counters of the current (or last) document run.
     run_stats: PrefixRunStats,
 }
@@ -270,12 +146,8 @@ impl StepTrie {
             routes: vec![Vec::new()],
             by_symbol: Vec::new(),
             wildcards: Vec::new(),
-            gates: Vec::new(),
             open: Vec::new(),
-            survivors: Vec::new(),
             frames: Vec::new(),
-            hits: Vec::new(),
-            union: Vec::new(),
             run_stats: PrefixRunStats::default(),
         }
     }
@@ -323,44 +195,28 @@ impl StepTrie {
     }
 
     /// Records `group` as terminating at `node` and routes it on every
-    /// node from `node` up to the root. `steps[d - 1]` is the group's step
-    /// at depth `d`: the machine node a push of that trie node drives, and
-    /// the key its value gate files the group under (an unanchored step
-    /// has no gate and ignores the key).
-    pub fn add_group(&mut self, node: usize, group: usize, steps: &[RoutedStep]) {
-        debug_assert_eq!(steps.len(), self.nodes[node].depth as usize);
+    /// node from `node` up to the root. `mnodes[d - 1]` is the group's
+    /// machine node for the step at depth `d`: what a push of that trie
+    /// node drives.
+    pub fn add_group(&mut self, node: usize, group: usize, mnodes: &[u32]) {
+        debug_assert_eq!(mnodes.len(), self.nodes[node].depth as usize);
         self.nodes[node].terminals.push(group);
         let gid = group as u32;
         let mut cur = node;
         while let Some(parent) = self.nodes[cur].parent {
-            let step = steps[self.nodes[cur].depth as usize - 1];
+            let mnode = mnodes[self.nodes[cur].depth as usize - 1];
             let routes = &mut self.routes[cur];
-            routes.insert(routes.partition_point(|&(g, _)| g < gid), (gid, step.mnode));
-            match self.gate_index(cur) {
-                Ok(at) => self.gates[at].insert(gid, step.key),
-                Err(at) => {
-                    if let Some(key) = step.key.filter(|_| self.anchored(cur)) {
-                        // Until now nothing was keyed here: every other
-                        // routed group is untested.
-                        let untested = self.routes[cur].iter().map(|&(g, _)| g);
-                        let untested = untested.filter(|&g| g != gid).collect();
-                        let keyed = vec![(key, vec![gid])];
-                        let gate = Gate { node: cur as u32, keyed, untested, open: (0, 0) };
-                        self.gates.insert(at, gate);
-                    }
-                }
-            }
+            routes.insert(routes.partition_point(|&(g, _)| g < gid), (gid, mnode));
             cur = parent;
         }
     }
 
     /// Unrecords `group` from `node` (the group went inactive), splicing
-    /// it out of the route lists and value gates up to the root; `steps`
-    /// are the ones it was added with. Trie nodes are never deleted; an
-    /// empty suffix simply stops counting as shared — and, with no routes
-    /// left, `StepTrie::advance` stops touching its runtime stack
-    /// entirely. A gate whose last keyed group leaves is dropped.
-    pub fn remove_group(&mut self, node: usize, group: usize, steps: &[RoutedStep]) {
+    /// it out of the route lists up to the root. Trie nodes are never
+    /// deleted; an empty suffix simply stops counting as shared — and,
+    /// with no routes left, `StepTrie::advance` stops touching its runtime
+    /// stack entirely.
+    pub fn remove_group(&mut self, node: usize, group: usize) {
         let terminals = &mut self.nodes[node].terminals;
         if let Some(pos) = terminals.iter().position(|&g| g == group) {
             terminals.swap_remove(pos);
@@ -373,40 +229,8 @@ impl StepTrie {
                     .position(|&(g, _)| g == gid)
                     .expect("terminal group is routed on its whole path");
                 routes.remove(at); // order-preserving: routes stay ascending
-                if let Ok(at) = self.gate_index(cur) {
-                    if self.gates[at].remove(gid, steps[self.nodes[cur].depth as usize - 1].key) {
-                        self.gates.remove(at);
-                    }
-                }
                 cur = parent;
             }
-        }
-    }
-
-    /// Whether every step from the root to `node` is a child step, so its
-    /// stack holds at most one entry: the nodes a value gate may sit on.
-    fn anchored(&self, mut node: usize) -> bool {
-        while let Some(parent) = self.nodes[node].parent {
-            if self.nodes[node].key.axis != Axis::Child {
-                return false;
-            }
-            node = parent;
-        }
-        true
-    }
-
-    /// Where `node`'s gate is in `gates`, or where it would go.
-    fn gate_index(&self, node: usize) -> Result<usize, usize> {
-        self.gates.binary_search_by_key(&(node as u32), |g| g.node)
-    }
-
-    /// The nearest gate at or above `node`, as an index into `gates`.
-    fn gate_at_or_above(&self, mut node: usize) -> Option<usize> {
-        loop {
-            if let Ok(at) = self.gate_index(node) {
-                return Some(at);
-            }
-            node = self.nodes[node].parent?;
         }
     }
 
@@ -482,12 +306,6 @@ impl StepTrie {
             bytes += size_of::<Vec<u32>>() + list.capacity() * size_of::<u32>();
         }
         bytes += self.wildcards.capacity() * size_of::<u32>();
-        bytes += self.gates.capacity() * size_of::<Gate>();
-        for g in &self.gates {
-            bytes += g.keyed.capacity() * size_of::<(u64, Vec<u32>)>();
-            let lists = g.keyed.iter().map(|(_, l)| l).chain([&g.untested]);
-            bytes += lists.map(|l| l.capacity() * size_of::<u32>()).sum::<usize>();
-        }
         bytes as u64
     }
 
@@ -504,7 +322,6 @@ impl StepTrie {
             n.stack.clear();
         }
         self.open.clear();
-        self.survivors.clear();
         self.frames.clear();
         self.run_stats = PrefixRunStats::default();
     }
@@ -522,18 +339,11 @@ impl StepTrie {
     /// A `startElement` against the shared stacks: checks every live trie
     /// node whose step tests `sym` (plus the wildcard nodes) against its
     /// parent's **pre-event** stack — exactly the TwigM push rule — then
-    /// lets the value gates at or above each push narrow it by the tag's
-    /// `attributes`, applies the pushes, records them as the element's
-    /// frame, and appends them to `pushed` for the engine to fan out along
-    /// the routes. One check per distinct trie node, however many groups
-    /// share it. Every advance is paired with one [`StepTrie::retreat`].
-    pub(crate) fn advance(
-        &mut self,
-        sym: Option<Symbol>,
-        level: u32,
-        attributes: &[Attribute],
-        pushed: &mut Vec<TriePush>,
-    ) {
+    /// applies the pushes, records them as the element's frame, and
+    /// appends them to `pushed` for the engine to fan out along the
+    /// routes. One check per distinct trie node, however many groups share
+    /// it. Every advance is paired with one [`StepTrie::retreat`].
+    pub(crate) fn advance(&mut self, sym: Option<Symbol>, level: u32, pushed: &mut Vec<TriePush>) {
         let base = pushed.len();
         let (mut executed, mut saved) = (0u64, 0u64);
         // Plan phase: decide every push against pre-event stacks.
@@ -566,29 +376,14 @@ impl StepTrie {
                     }
                 }
             };
-            pushed.push(TriePush { node: ni, ptr, gated: None });
+            pushed.push(TriePush { node: ni, ptr });
         }
         self.run_stats.steps_executed += executed;
         self.run_stats.steps_saved += saved;
-        self.frames.push((self.open.len() as u32, self.survivors.len() as u32));
-        // Gate phase: no push of this event is below another one's gate
-        // (a gated node pushes only at its own depth), so the order is free.
-        if !self.gates.is_empty() {
-            for p in &mut pushed[base..] {
-                p.gated = self.narrow(p.node as usize, attributes);
-            }
-        }
+        self.frames.push(self.open.len() as u32);
         // Apply phase.
         for p in &pushed[base..] {
-            let routes = &self.routes[p.node as usize];
-            self.run_stats.forks += match p.survivors(&self.survivors) {
-                None => routes.len() as u64,
-                Some(alive) => {
-                    let mut forks = 0;
-                    for_each_alive(routes, |&(slot, _)| slot, alive, |_| forks += 1);
-                    forks
-                }
-            };
+            self.run_stats.forks += self.routes[p.node as usize].len() as u64;
             self.nodes[p.node as usize].stack.push(level);
             self.open.push(p.node);
             self.run_stats.live_entries += 1;
@@ -600,149 +395,28 @@ impl StepTrie {
     /// The `endElement` counterpart of [`StepTrie::advance`]: pops the
     /// shared-stack entries the matching start tag pushed.
     pub(crate) fn retreat(&mut self, level: u32) {
-        let (base, survivors) = self.frames.pop().expect("every retreat pairs with an advance");
+        let base = self.frames.pop().expect("every retreat pairs with an advance");
         for &node in &self.open[base as usize..] {
             let top = self.nodes[node as usize].stack.pop();
             debug_assert_eq!(top, Some(level), "shared stacks pop in start-tag pairing order");
             self.run_stats.live_entries -= 1;
         }
         self.open.truncate(base as usize);
-        self.survivors.truncate(survivors as usize);
     }
 
-    /// The survivors of a push of `node` (see the module docs): `None`
-    /// with no gate at or above it, the open entry's survivors of the
-    /// nearest gate above it, and at a gate the untested groups plus those
-    /// whose key one of `attributes` carries, among the survivors of the
-    /// gate above. A new list is appended to `survivors`.
-    fn narrow(&mut self, node: usize, attributes: &[Attribute]) -> Option<(u32, u32)> {
-        let at = self.gate_at_or_above(node)?;
-        if self.gates[at].node as usize != node {
-            return Some(self.gates[at].open);
-        }
-        let above = self.nodes[node].parent.and_then(|p| self.gate_at_or_above(p));
-        let above = above.map(|g| self.gates[g].open);
-        let Self { gates, survivors, hits, union, .. } = self;
-        let gate = &mut gates[at];
-        hits.clear();
-        let mut lists = 0;
-        for a in attributes {
-            let key = gate_key(a.name.as_str(), &a.value);
-            if let Ok(k) = gate.keyed.binary_search_by_key(&key, |&(k, _)| k) {
-                hits.extend_from_slice(&gate.keyed[k].1);
-                lists += 1;
-            }
-        }
-        if lists > 1 {
-            hits.sort_unstable();
-            hits.dedup();
-        }
-        union_into(&gate.untested, hits, union);
-        let start = survivors.len() as u32;
-        match above {
-            None => survivors.extend_from_slice(union),
-            Some((from, to)) => {
-                hits.clear();
-                let alive = &survivors[from as usize..to as usize];
-                for_each_alive(union, |&g| g, alive, |g| hits.push(g));
-                survivors.extend_from_slice(hits);
-            }
-        }
-        gate.open = (start, survivors.len() as u32);
-        Some(gate.open)
-    }
-
-    /// The current survivor lists: what the [`TriePush::gated`] ranges of
-    /// this document's pushes index.
-    pub(crate) fn survivors(&self) -> &[u32] {
-        &self.survivors
-    }
-
-    /// Bills one shared step per `(push, routed group that pushes)` pair
-    /// into the gid-indexed `bill` (cost attribution; a no-op on an empty
-    /// bill, i.e. when profiling is off).
+    /// Bills one shared step per `(push, routed group)` pair into the
+    /// gid-indexed `bill` (cost attribution; a no-op on an empty bill,
+    /// i.e. when profiling is off).
     pub(crate) fn bill_pushes(&self, pushed: &[TriePush], bill: &mut [u64]) {
         if bill.is_empty() {
             return;
         }
         for p in pushed {
-            let routes = &self.routes[p.node as usize];
-            for_each_pushed(routes, p.survivors(&self.survivors), |(gid, _)| {
-                bill[gid as usize] += 1
-            });
-        }
-    }
-}
-
-/// Calls `f` with every route of `routes` that a push drives: all of them
-/// when `alive` is `None`, otherwise those whose slot survives.
-pub(crate) fn for_each_pushed(
-    routes: &[(u32, u32)],
-    alive: Option<&[u32]>,
-    mut f: impl FnMut((u32, u32)),
-) {
-    match alive {
-        None => routes.iter().for_each(|&r| f(r)),
-        Some(alive) => for_each_alive(routes, |&(slot, _)| slot, alive, f),
-    }
-}
-
-/// Calls `f` on every item of `items` (ascending by `key`) whose key is
-/// in `alive` (ascending). It walks the shorter list and gallops through
-/// the longer, so it never costs more than merging the two, and one
-/// survivor against a long route list costs a few probes.
-fn for_each_alive<T: Copy>(
-    items: &[T],
-    key: impl Fn(&T) -> u32,
-    alive: &[u32],
-    mut f: impl FnMut(T),
-) {
-    if items.len() <= alive.len() {
-        let mut rest = alive;
-        for item in items {
-            let k = key(item);
-            rest = &rest[gallop(rest, |&g| g < k)..];
-            match rest.first() {
-                Some(&g) if g == k => f(*item),
-                Some(_) => {}
-                None => return,
-            }
-        }
-    } else {
-        let mut rest = items;
-        for &g in alive {
-            rest = &rest[gallop(rest, |item| key(item) < g)..];
-            match rest.first() {
-                Some(item) if key(item) == g => f(*item),
-                Some(_) => {}
-                None => return,
+            for &(gid, _) in &self.routes[p.node as usize] {
+                bill[gid as usize] += 1;
             }
         }
     }
-}
-
-/// How many leading elements of `xs` satisfy `below`, which holds on a
-/// prefix of `xs`: doubling, then bisecting, in O(log answer).
-fn gallop<T>(xs: &[T], below: impl Fn(&T) -> bool) -> usize {
-    let mut hi = 1;
-    while hi < xs.len() && below(&xs[hi]) {
-        hi *= 2;
-    }
-    let lo = hi / 2;
-    lo + xs[lo..hi.min(xs.len())].partition_point(below)
-}
-
-/// `out` ← `a` ∪ `b`: both ascending, the union ascending without repeats.
-fn union_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
-    out.clear();
-    let (mut i, mut j) = (0, 0);
-    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
-        out.push(x.min(y));
-        i += usize::from(x <= y);
-        j += usize::from(y <= x);
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
 }
 
 impl Default for StepTrie {
@@ -758,11 +432,6 @@ mod tests {
 
     fn key(interner: &mut Interner, axis: Axis, name: Option<&str>) -> StepKey {
         StepKey { axis, name: name.map(|n| interner.intern(n)) }
-    }
-
-    /// Unkeyed steps driving machine nodes `mnodes`.
-    fn steps(mnodes: &[u32]) -> Vec<RoutedStep> {
-        mnodes.iter().map(|&mnode| RoutedStep { mnode, key: None }).collect()
     }
 
     #[test]
@@ -808,27 +477,27 @@ mod tests {
         let ac = [key(&mut i, Axis::Child, Some("a")), key(&mut i, Axis::Child, Some("c"))];
         let n_ab = t.insert_path(&ab);
         let n_ac = t.insert_path(&ac);
-        t.add_group(n_ab, 1, &steps(&[0, 1]));
+        t.add_group(n_ab, 1, &[0, 1]);
         assert_eq!(t.shared_nodes(), 0);
-        t.add_group(n_ac, 2, &steps(&[0, 1]));
+        t.add_group(n_ac, 2, &[0, 1]);
         // /a now routes two groups; the b/c leaves route one each.
         assert_eq!(t.shared_nodes(), 1);
         assert_eq!(t.terminals(n_ab), &[1]);
         assert!(t.is_routed(1) && t.is_routed(2));
         // A low slot registered late (a recycled one) enters in order:
         // routes stay ascending by group id, whatever the insertion order.
-        t.add_group(n_ab, 0, &steps(&[5, 6]));
+        t.add_group(n_ab, 0, &[5, 6]);
         let n_a = t.insert_path(&ab[..1]);
         assert_eq!(t.routes()[n_a], [(0, 5), (1, 0), (2, 0)]);
         assert_eq!(t.routes()[n_ab], [(0, 6), (1, 1)]);
-        t.remove_group(n_ab, 1, &steps(&[0, 1]));
+        t.remove_group(n_ab, 1);
         assert_eq!(t.routes()[n_a], [(0, 5), (2, 0)]);
-        t.remove_group(n_ab, 0, &steps(&[5, 6]));
+        t.remove_group(n_ab, 0);
         assert_eq!(t.shared_nodes(), 0);
         assert!(t.terminals(n_ab).is_empty());
         assert!(!t.is_routed(0) && !t.is_routed(1), "retired groups leave no route behind");
         // Removing an unknown group is a no-op.
-        t.remove_group(n_ab, 99, &steps(&[0, 1]));
+        t.remove_group(n_ab, 99);
         assert_eq!(t.shared_nodes(), 0);
     }
 
@@ -848,26 +517,26 @@ mod tests {
         let path = [key(&mut i, Axis::Descendant, Some("a")), key(&mut i, Axis::Child, Some("b"))];
         let n_b = t.insert_path(&path);
         let n_a = t.insert_path(&path[..1]);
-        t.add_group(n_b, 0, &steps(&[0, 1]));
+        t.add_group(n_b, 0, &[0, 1]);
         let a = i.lookup("a");
         let b = i.lookup("b");
         t.begin_document();
         let mut pushed = Vec::new();
         // <a> at level 1: a pushes (descendant root), b has no witness.
-        t.advance(a, 1, &[], &mut pushed);
-        assert_eq!(pushed, [TriePush { node: n_a as u32, ptr: 0, gated: None }]);
+        t.advance(a, 1, &mut pushed);
+        assert_eq!(pushed, [TriePush { node: n_a as u32, ptr: 0 }]);
         // <x> at level 2: nothing matches.
         pushed.clear();
-        t.advance(None, 2, &[], &mut pushed);
+        t.advance(None, 2, &mut pushed);
         assert!(pushed.is_empty());
         // <b> at level 3 inside <x>? No — b needs a as *direct* parent.
-        t.advance(b, 3, &[], &mut pushed);
+        t.advance(b, 3, &mut pushed);
         assert!(pushed.is_empty(), "child axis needs level + 1 witness");
         t.retreat(3);
         // </x>, then <b> at level 2: direct child of the open a.
         t.retreat(2);
-        t.advance(b, 2, &[], &mut pushed);
-        assert_eq!(pushed, [TriePush { node: n_b as u32, ptr: 0, gated: None }]);
+        t.advance(b, 2, &mut pushed);
+        assert_eq!(pushed, [TriePush { node: n_b as u32, ptr: 0 }]);
         t.retreat(2);
         assert_eq!(t.live_entries(), 1, "</b> popped b's entry only");
         t.retreat(1);
@@ -890,103 +559,20 @@ mod tests {
         t.begin_document();
         let mut pushed = Vec::new();
         assert!(!t.has_live_step(a));
-        t.advance(a, 1, &[], &mut pushed);
+        t.advance(a, 1, &mut pushed);
         assert!(pushed.is_empty(), "no routed group: the node is dormant");
         assert_eq!(t.run_stats().steps_executed, 0);
-        t.add_group(n_a, 3, &steps(&[0]));
+        t.add_group(n_a, 3, &[0]);
         assert!(t.has_live_step(a) && !t.has_live_step(None));
-        t.advance(a, 2, &[], &mut pushed);
+        t.advance(a, 2, &mut pushed);
         assert_eq!(pushed.len(), 1);
         assert_eq!(t.run_stats().steps_executed, 1);
         // A wildcard step is live for every name, interned or not.
         let wild = t.insert_path(&[key(&mut i, Axis::Descendant, None)]);
-        t.add_group(wild, 4, &steps(&[0]));
+        t.add_group(wild, 4, &[0]);
         assert!(t.has_live_step(None));
-        t.remove_group(wild, 4, &steps(&[0]));
-        t.remove_group(n_a, 3, &steps(&[0]));
+        t.remove_group(wild, 4);
+        t.remove_group(n_a, 3);
         assert!(!t.has_live_step(a), "retiring the last group makes the step dormant again");
-    }
-
-    #[test]
-    fn value_gates_keep_their_lists_in_place_and_narrow_pushes() {
-        let mut i = Interner::new();
-        let mut t = StepTrie::new();
-        let [r, a, b] = ["r", "a", "b"].map(|n| key(&mut i, Axis::Child, Some(n)));
-        let n_b = t.insert_path(&[r, a, b]);
-        let n_a = t.insert_path(&[r, a]);
-        let deep = t.insert_path(&[r, key(&mut i, Axis::Descendant, Some("a"))]);
-        let (x, y, v) = (gate_key("id", "x"), gate_key("id", "y"), gate_key("k", "v"));
-        let route = |keys: &[Option<u64>]| -> Vec<RoutedStep> {
-            let steps = keys.iter().enumerate();
-            steps.map(|(m, &key)| RoutedStep { mnode: m as u32, key }).collect()
-        };
-        // /r/a[@id = 'x']/b as groups 3 and 0 (the lower one registered
-        // late, like a recycled slot), /r/a/b (1), /r/a[@id = 'y']/b (2),
-        // /r/a[@id = 'x']/b[@k = 'v'] (4), and /r//a[@id = 'x'] (5): a
-        // `//` above its step, so no gate takes it.
-        let set = [
-            (3, route(&[None, Some(x), None])),
-            (1, route(&[None, None, None])),
-            (2, route(&[None, Some(y), None])),
-            (4, route(&[None, Some(x), Some(v)])),
-            (0, route(&[None, Some(x), None])),
-        ];
-        for (g, steps) in &set {
-            t.add_group(n_b, *g, steps);
-        }
-        t.add_group(deep, 5, &route(&[None, Some(x)]));
-        let lists = |t: &StepTrie, node: usize, key: u64| {
-            let gate = &t.gates[t.gate_index(node).expect("gated")];
-            let keyed = gate.keyed.iter().find(|(k, _)| *k == key).map(|(_, l)| l.clone());
-            (keyed.unwrap_or_default(), gate.untested.clone())
-        };
-        assert_eq!(t.gates.iter().map(|g| g.node as usize).collect::<Vec<_>>(), [n_a, n_b]);
-        assert_eq!(lists(&t, n_a, x), (vec![0, 3, 4], vec![1]), "two groups, one literal");
-        assert_eq!(lists(&t, n_a, y).0, [2]);
-        assert_eq!(lists(&t, n_b, v), (vec![4], vec![0, 1, 2, 3]), "a nested gate");
-
-        let (sym_r, sym_a, sym_b) = (i.lookup("r"), i.lookup("a"), i.lookup("b"));
-        let tag = |pairs: &[(&str, &str)]| -> Vec<Attribute> {
-            pairs.iter().map(|&(n, v)| Attribute::new(n, v)).collect()
-        };
-        let survivors = |t: &StepTrie, pushed: &[TriePush]| -> Vec<Option<Vec<u32>>> {
-            pushed.iter().map(|p| p.survivors(t.survivors()).map(<[u32]>::to_vec)).collect()
-        };
-        t.begin_document();
-        let mut pushed = Vec::new();
-        t.advance(sym_r, 1, &tag(&[("id", "x")]), &mut pushed);
-        assert_eq!(survivors(&t, &pushed), [None], "no gate at or above /r");
-        let forks = t.run_stats().forks;
-        pushed.clear();
-        // `<a id="x">` pushes /r/a (gated) and /r//a (not).
-        t.advance(sym_a, 2, &tag(&[("id", "x")]), &mut pushed);
-        assert_eq!(survivors(&t, &pushed), [Some(vec![0, 1, 3, 4]), None]);
-        for (attrs, alive) in [(tag(&[("k", "v")]), vec![0, 1, 3, 4]), (tag(&[]), vec![0, 1, 3])] {
-            pushed.clear();
-            t.advance(sym_b, 3, &attrs, &mut pushed);
-            assert_eq!(survivors(&t, &pushed), [Some(alive)], "the gate above narrows /r/a/b");
-            t.retreat(3);
-        }
-        t.retreat(2);
-        assert_eq!(t.run_stats().forks - forks, 4 + 1 + 4 + 3, "forks count survivors");
-        assert!(t.survivors().is_empty(), "</a> drops its survivor list");
-        pushed.clear();
-        // A hit on `y` and a miss on `k`: the untested group and group 2.
-        t.advance(sym_a, 2, &tag(&[("id", "y"), ("k", "x")]), &mut pushed);
-        assert_eq!(survivors(&t, &pushed)[0], Some(vec![1, 2]));
-        t.retreat(2);
-        t.retreat(1);
-
-        // Upkeep: the last keyed group of a gate takes the gate with it;
-        // the untested groups it kept stay routed.
-        t.remove_group(n_b, 2, &set[2].1);
-        assert_eq!(lists(&t, n_a, y).0, [] as [u32; 0], "an emptied key goes");
-        t.remove_group(n_b, 4, &set[3].1);
-        assert!(t.gate_index(n_b).is_err(), "/r/a/b lost its last keyed group");
-        t.remove_group(n_b, 3, &set[0].1);
-        t.remove_group(n_b, 0, &set[4].1);
-        assert!(t.gates.is_empty() && t.route_count(n_b) == 1, "only /r/a/b is left");
-        t.add_group(n_b, 0, &set[4].1);
-        assert_eq!(lists(&t, n_a, x), (vec![0], vec![1]), "a new gate takes the routed groups");
     }
 }

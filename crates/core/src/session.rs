@@ -247,8 +247,9 @@ impl<F: FnMut(QueryId, Match)> EventSink for SessionSink<'_, '_, F> {
         node_id: NodeId,
         attr_id_base: NodeId,
     ) {
-        let (level, span, attributes) = (event.level, event.span, event.attributes.as_slice());
-        if self.walk.start(sym, level, attributes) {
+        let (level, span) = (event.level, event.span);
+        if self.walk.start(sym, level) {
+            let attributes = event.attributes.as_slice();
             let tag = StartTag { sym, level, attributes, node_id, attr_id_base, span };
             self.exec.start(self.groups, self.walk.walked(), &tag, self.on_match);
         }

@@ -3,17 +3,12 @@
 //! Every element and text event of a document gets an **admission
 //! filter** verdict (an event no group anywhere is interested in is never
 //! delivered) and, for a start tag, the **trie pushes** the global plan
-//! trie decided for it — each with its survivors where a value gate read
-//! the tag's attributes and narrowed the groups that push (see
-//! [`crate::plan::trie`]).
+//! trie decided for it (see [`crate::plan::trie`]).
 //!
 //! The session's sink asks this walk first and hands what it admits to
 //! the executor, which only *delivers*. Walking the trie here, once per
 //! event and nowhere else, is what the prefix counters — and therefore the
-//! plan statistics and the shared-step bill, both of which count
-//! survivors — are read from.
-
-use vitex_xmlsax::event::Attribute;
+//! plan statistics and the shared-step bill — are read from.
 
 use crate::intern::Symbol;
 use crate::multi::DispatchIndex;
@@ -40,8 +35,6 @@ pub(crate) struct Walked<'w> {
     pub(crate) routes: &'w RouteTable,
     /// The trie pushes of the tag.
     pub(crate) pushes: &'w [TriePush],
-    /// The survivor lists the gated pushes' ranges index.
-    pub(crate) survivors: &'w [u32],
 }
 
 /// Admission state of a session (see the module docs).
@@ -82,21 +75,15 @@ impl<'a> Admission<'a> {
     }
 
     /// Admits a start tag: `true` when some group wants it (the trie has
-    /// then advanced — its value gates reading `attributes` — and
-    /// [`Admission::walked`] holds what it decided). A dropped tag is
-    /// never shown to the trie — no live step tests its name, so it could
-    /// not have pushed.
-    pub(super) fn start(
-        &mut self,
-        sym: Option<Symbol>,
-        level: u32,
-        attributes: &[Attribute],
-    ) -> bool {
+    /// then advanced and [`Admission::walked`] holds what it decided). A
+    /// dropped tag is never shown to the trie — no live step tests its
+    /// name, so it could not have pushed.
+    pub(super) fn start(&mut self, sym: Option<Symbol>, level: u32) -> bool {
         if !self.wants_element(sym) {
             return false;
         }
         self.buf.pushed.clear();
-        self.trie.advance(sym, level, attributes, &mut self.buf.pushed);
+        self.trie.advance(sym, level, &mut self.buf.pushed);
         self.trie.bill_pushes(&self.buf.pushed, &mut self.buf.shared_steps);
         true
     }
@@ -118,12 +105,7 @@ impl<'a> Admission<'a> {
 
     /// What the walk decided for the last admitted start tag.
     pub(super) fn walked(&self) -> Walked<'_> {
-        Walked {
-            index: self.index,
-            routes: self.trie.routes(),
-            pushes: &self.buf.pushed,
-            survivors: self.trie.survivors(),
-        }
+        Walked { index: self.index, routes: self.trie.routes(), pushes: &self.buf.pushed }
     }
 
     /// The document's shared-step bill so far (empty unless profiling).
@@ -154,15 +136,15 @@ mod tests {
         let pushes = |adm: &Admission<'_>| adm.walked().pushes.len();
         // <a><x><b/></x>t<b/></a>: x is unknown to every query, and no
         // query reads text.
-        assert!(adm.start(a, 1, &[]));
+        assert!(adm.start(a, 1));
         assert_eq!(pushes(&adm), 1, "/a pushes");
-        assert!(!adm.start(None, 2, &[]), "<x> is filtered");
-        assert!(adm.start(b, 3, &[]), "<b> is admitted even under a filtered parent");
+        assert!(!adm.start(None, 2), "<x> is filtered");
+        assert!(adm.start(b, 3), "<b> is admitted even under a filtered parent");
         assert_eq!(pushes(&adm), 0, "/a/b does not match a/x/b");
         assert!(adm.end(b, 3));
         assert!(!adm.end(None, 2), "</x> pairs with its filtered start tag");
         assert!(!adm.text(), "no group reads text");
-        assert!(adm.start(b, 2, &[]));
+        assert!(adm.start(b, 2));
         assert_eq!(pushes(&adm), 1, "/a/b matches a/b");
         assert!(adm.end(b, 2));
         assert!(adm.end(a, 1));
@@ -173,7 +155,7 @@ mod tests {
         // A new document starts from an empty trie.
         adm.begin_document(0);
         assert_eq!(adm.trie_run_stats().steps_executed, 0);
-        assert!(adm.start(a, 1, &[]));
+        assert!(adm.start(a, 1));
         assert_eq!(pushes(&adm), 1);
     }
 
@@ -189,7 +171,7 @@ mod tests {
             let sym = parts.interner.lookup(name);
             let mut adm = Admission::new(parts.index, parts.planner.run_split().0, parts.walk);
             adm.begin_document(0);
-            let admitted = adm.start(sym, 1, &[]).then(|| adm.walked().pushes.len());
+            let admitted = adm.start(sym, 1).then(|| adm.walked().pushes.len());
             assert_eq!(adm.end(sym, 1), admitted.is_some(), "</{name}> pairs up");
             assert_eq!(adm.trie.live_entries(), 0);
             admitted

@@ -320,28 +320,53 @@ impl QueryTree {
 
     /// The query's **parametric leaf**: its one predicate element node
     /// compared with `= 'string'` — a test of the node's string-value,
-    /// decided when the element closes (`[payment = 'Cash']`). `None` when
-    /// the query has no such leaf, or more than one. Attribute and
-    /// `text()` comparisons, `!=`, numeric literals and relational
-    /// operators never make a leaf parametric.
+    /// decided when the element closes (`[payment = 'Cash']`). A query
+    /// with no such element takes its one inline `[@name = 'string']` test
+    /// instead, decided at the start tag (`[@id = 'item3']`). `None` when
+    /// the query has neither, or two candidates of the kind that decides:
+    /// two elements, or no element and two attribute tests. `@*`, `text()`
+    /// comparisons, `!=`, numeric literals and relational operators never
+    /// make a leaf parametric.
     pub fn parametric_node(&self) -> Option<QNodeId> {
-        let mut leaves = self.nodes.iter().filter(|n| {
-            n.kind.is_element()
-                && !n.on_main_path
-                && matches!(n.comparison, Some((CmpOp::Eq, Literal::Str(_))))
-        });
-        let leaf = leaves.next()?;
-        leaves.next().is_none().then_some(leaf.id)
+        let leaves = |attributes: bool| {
+            self.nodes.iter().filter(move |n| {
+                let kind = match &n.kind {
+                    NodeKind::Element { .. } => !attributes,
+                    NodeKind::Attribute { name } => attributes && name.is_some(),
+                    NodeKind::Text => false,
+                };
+                kind && !n.on_main_path
+                    && matches!(n.comparison, Some((CmpOp::Eq, Literal::Str(_))))
+            })
+        };
+        let mut elements = leaves(false);
+        let (leaf, mut rest) = match elements.next() {
+            Some(leaf) => (leaf, elements),
+            None => {
+                let mut tests = leaves(true);
+                (tests.next()?, tests)
+            }
+        };
+        rest.next().is_none().then_some(leaf.id)
     }
 
     /// The **shape key** and the literal it leaves out: the canonical key
     /// with the parametric leaf's literal erased to `''`, so queries that
-    /// differ only in that literal share a key
-    /// (`//a[b = 'x']` and `//a[b = 'y']` both read `//a[/b='']`). A query
-    /// without a parametric leaf keys by its canonical key and has no
-    /// literal. An erased leaf cannot be mistaken for a real `= ''` test:
-    /// a query whose key shows one has a second `=`-string leaf, which
-    /// leaves it without a parametric leaf and its other literal in place.
+    /// differ only in that literal share a key (`//a[b = 'x']` and
+    /// `//a[b = 'y']` both read `//a[/b='']`, `//a[@id = 'x']` and
+    /// `//a[@id = 'y']` both read `//a[/@id='']`). A query without a
+    /// parametric leaf keys by its canonical key and has no literal.
+    ///
+    /// An erased leaf cannot be mistaken for a real `= ''` test, because a
+    /// key shows which rule chose its leaf. An element-parametric key
+    /// always holds an element `=''` and no other element `=`-string test.
+    /// An attribute-parametric key never holds an element `=`-string test,
+    /// and holds exactly one named attribute one: the `=''`. A query whose
+    /// key reads like either with a real `''` literal has the same single
+    /// candidate, so the same rule makes it parametric, bound to `''`, in
+    /// the same shape. Any other query has no candidate, or two of the
+    /// deciding kind, and its key keeps every literal: it shows none, or
+    /// two where an erased key holds exactly one.
     ///
     /// ```
     /// use vitex_xpath::QueryTree;
@@ -349,6 +374,9 @@ impl QueryTree {
     /// let b = QueryTree::parse("//item[payment = 'Creditcard']/@id").unwrap();
     /// assert_eq!(a.shape_key(), ("//item[/payment='']/@id".to_string(), Some("Cash")));
     /// assert_eq!(a.shape_key().0, b.shape_key().0);
+    /// let c = QueryTree::parse("/site/regions/asia/item[@id = 'item7']/name").unwrap();
+    /// let key = "/site/regions/asia/item[/@id='']/name".to_string();
+    /// assert_eq!(c.shape_key(), (key, Some("item7")));
     /// ```
     pub fn shape_key(&self) -> (String, Option<&str>) {
         let leaf = self.parametric_node();
@@ -699,6 +727,18 @@ mod tests {
             assert_eq!(t.shape_key(), (key.to_string(), Some(literal)), "{q}");
             assert!(t.node(t.parametric_node().unwrap()).kind.is_element());
         }
+        // No such element: the one named inline attribute test, on the
+        // main path or on a predicate node.
+        for (q, key, literal) in [
+            ("//a[@id = 'x']", "//a[/@id='']", "x"),
+            ("/r/a[@id = 'x'][@k != 'y'][@* = 'z']/b", "/r/a[/@*='z'][/@id=''][/@k!='y']/b", "x"),
+            ("//p[q[@i = 'v']]/n", "//p[/q[/@i='']]/n", "v"),
+            ("//a[b/@id = 'x'][c > 2]", "//a[/b[/@id='']][/c>2]", "x"),
+        ] {
+            let t = build(q);
+            assert_eq!(t.shape_key(), (key.to_string(), Some(literal)), "{q}");
+            assert!(t.node(t.parametric_node().unwrap()).kind.is_attribute());
+        }
         // These stay keyed by their canonical form, literal and all.
         for q in [
             "//a",
@@ -706,8 +746,12 @@ mod tests {
             "//a[b = 5]",
             "//a[b < 'x']",
             "//a[text() = 'x']",
-            "//a[@id = 'x']",
+            "//a[@* = 'x']",
+            "//a[@id = 5]",
+            "//a[@id != 'x']",
+            "//a[@id = 'x'][@k = 'y']",
             "//a[b = 'x'][c = 'y']",
+            "//a[b = 'x'][c = 'y'][@id = 'z']",
             "//a[b = ''][c = 'x']",
         ] {
             let t = build(q);
@@ -722,6 +766,30 @@ mod tests {
             build("//a[b = ''][c = 'x']").shape_key().0,
             build("//a[b = 'x'][c]").shape_key().0
         );
+        assert_ne!(
+            build("//a[@id = ''][@k = 'x']").shape_key().0,
+            build("//a[@id = 'x'][@k]").shape_key().0
+        );
+        // A real `''` in the one candidate's place is that shape's binding.
+        assert_eq!(build("//a[@id = '']").shape_key(), ("//a[/@id='']".to_string(), Some("")));
+    }
+
+    #[test]
+    fn parametric_node_takes_the_element_leaf_first_then_the_one_named_attribute_test() {
+        let leaf = |q: &str| {
+            let t = build(q);
+            t.parametric_node().and_then(|id| t.node(id).name().map(str::to_owned))
+        };
+        let named = |n: &str| Some(n.to_string());
+        assert_eq!(leaf("//a[@id = 'x'][b = 'y']/c"), named("b"), "an element leaf wins");
+        assert_eq!(leaf("//a[@id = 'x'][b = 'y'][d = 'z']"), None, "two elements: no fallback");
+        assert_eq!(leaf("//a[@id = 'x'][b = 5]"), named("id"), "no `= 'string'` element");
+        assert_eq!(leaf("//a[@* = 'x'][@id = 'y']"), named("id"), "`@*` is no candidate");
+        for q in ["//a[@* = 'x']", "//a[@id = 5]", "//a[@id != 'x']", "//a[@id >= 'x']"] {
+            assert_eq!(leaf(q), None, "{q}");
+        }
+        assert_eq!(leaf("//a[@id = 'x']/b[@k = 'y']"), None, "two attribute tests");
+        assert_eq!(leaf("//a/@id"), None, "a result is no test");
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! Harness pieces shared by the differential batteries
 //! (`driver_differential`, `random_differential`, `telemetry`): the seeded
 //! query-set generator, the skewed auction subscription set, and the
-//! private-engine contract for machine statistics (gated and shape-group
+//! private-engine contract for machine statistics (shape-group
 //! subscriptions included).
 
-use vitex::core::{MachineStats, MultiEngine};
-use vitex::xmlsax::XmlReader;
+use vitex::core::MachineStats;
 use vitex::xpath::generate::{GenConfig, QueryGenerator};
-use vitex::xpath::query_tree::NodeKind;
-use vitex::xpath::{Axis, CmpOp, Literal, QueryTree};
+use vitex::xpath::QueryTree;
 
 /// Queries per generated set — enough for overlap and duplicates to
 /// appear (the generator's alphabet is 5 tags), small enough to keep the
@@ -46,21 +44,6 @@ pub fn pinned_queries_with_hog(k: usize) -> Vec<QueryTree> {
         .collect()
 }
 
-/// Whether a value gate can narrow `tree`'s group: some main-path step
-/// with only child steps above it (itself included) tests
-/// `[@name = 'string']` inline. A `//` ends the anchored prefix.
-pub fn gated(tree: &QueryTree) -> bool {
-    let steps = tree.main_path().iter().map(|&id| tree.node(id));
-    let anchored = steps.take_while(|n| n.axis == Axis::Child && n.kind.is_element());
-    anchored.flat_map(|n| &n.pred_children).any(|&c| {
-        let c = tree.node(c);
-        matches!(
-            (&c.kind, &c.comparison),
-            (NodeKind::Attribute { name: Some(_) }, Some((CmpOp::Eq, Literal::Str(_))))
-        )
-    })
-}
-
 /// Whether query `i` of `trees` shares its machine with another literal:
 /// a query of the same shape tests a different one, so their plan group
 /// has several bindings.
@@ -72,45 +55,23 @@ pub fn literal_shared(trees: &[QueryTree], i: usize) -> bool {
 }
 
 /// The private-engine contract for one subscription's machine statistics
-/// (`stats`, from a shared run over `xml`; `engine`, from a private
-/// `Engine`; `shared`: [`literal_shared`]).
-///
-/// * A query no value gate touches, in a group with one binding, does
-///   exactly the `Engine`'s work: equal on every counter.
-/// * A gated one does what a one-query `MultiEngine` does over the same
-///   document — a group's counters do not depend on its neighbours —
-///   which is at most the `Engine`'s on every counter, with `emitted`
-///   equal.
-/// * In a group with several bindings either holds on the work counters
-///   (pushes, pops, predicate evaluations, dispatch hits) and on
-///   `emitted`, the subscription's own deliveries; its flag and candidate
-///   counters are the group's.
+/// (`stats`, from a shared run; `engine`, from a private `Engine`;
+/// `shared`: [`literal_shared`]). In a group with one binding they are
+/// equal on every counter. In a group with several they are equal on the
+/// work counters (pushes, pops, predicate evaluations, dispatch hits) and
+/// on `emitted`, the subscription's own deliveries; its flag and candidate
+/// counters are the group's.
 #[allow(dead_code)] // telemetry has no use for it
 pub fn assert_private_stats(
     stats: &MachineStats,
     engine: &MachineStats,
-    tree: &QueryTree,
     shared: bool,
-    xml: &str,
     label: &str,
 ) {
-    let own = if gated(tree) {
-        let mut alone = MultiEngine::new();
-        alone.add_tree(tree).expect("registrable");
-        let alone = alone.run(XmlReader::from_str(xml), |_, _| {}).expect("one-query run");
-        let alone = alone.stats[0].clone();
-        for ((name, gated), (_, private)) in alone.rows().into_iter().zip(engine.rows()) {
-            assert!(gated <= private, "{name}: gated {gated} > private {private}: {label}");
-        }
-        assert_eq!(alone.emitted, engine.emitted, "gating emits what the Engine emits: {label}");
-        alone
-    } else {
-        engine.clone()
-    };
     if !shared {
-        assert_eq!(stats, &own, "machine statistics are the subscription's own: {label}");
+        assert_eq!(stats, engine, "machine statistics are the subscription's own: {label}");
         return;
     }
     let work = |s: &MachineStats| (s.pushes, s.pops, s.predicate_evals, s.dispatch_hits, s.emitted);
-    assert_eq!(work(stats), work(&own), "a shape group's work and own deliveries: {label}");
+    assert_eq!(work(stats), work(engine), "a shape group's work and own deliveries: {label}");
 }

@@ -388,7 +388,7 @@ fn spec_size_is_independent_of_the_interner_population() {
 mod plan_invariants {
     use proptest::prelude::*;
 
-    use vitex::core::plan::{RoutedStep, StepKey, StepTrie};
+    use vitex::core::plan::{StepKey, StepTrie};
     use vitex::core::{Interner, QueryId, QueryPlanner};
     use vitex::xpath::generate::{GenConfig, QueryGenerator};
     use vitex::xpath::{Axis, QueryTree};
@@ -429,22 +429,20 @@ mod plan_invariants {
                 let path = path_from(seed.wrapping_add(g as u64), &mut interner);
                 let node = trie.insert_path(&path);
                 prop_assert_eq!(trie.insert_path(&path), node, "re-insert is idempotent");
-                let steps = vec![RoutedStep { mnode: 0, key: None }; path.len()];
-                trie.add_group(node, g, &steps);
-                terminals.push((node, g, steps));
+                trie.add_group(node, g, &vec![0; path.len()]);
+                terminals.push((node, g));
                 prop_assert!(trie.terminals(node).contains(&g));
                 prop_assert!(trie.is_routed(g));
                 prop_assert!(trie.route_count(node) >= 1);
             }
             let len_at_peak = trie.len();
-            for (node, g, steps) in &terminals {
-                let (node, g) = (*node, *g);
-                trie.remove_group(node, g, steps);
+            for &(node, g) in &terminals {
+                trie.remove_group(node, g);
                 prop_assert!(!trie.is_routed(g), "removal leaves no orphan route");
             }
             prop_assert_eq!(trie.shared_nodes(), 0);
             prop_assert_eq!(trie.len(), len_at_peak, "nodes are never deleted");
-            for &(node, _, _) in &terminals {
+            for &(node, _) in &terminals {
                 prop_assert!(trie.terminals(node).is_empty());
                 prop_assert_eq!(trie.route_count(node), 0);
             }

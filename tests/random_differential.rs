@@ -4,12 +4,11 @@
 //! Two independent references anchor the sweep: the
 //! naive baseline (node-id sets) and k private single-query engines
 //! (match payloads + machine statistics under the private-engine contract,
-//! `common::assert_private_stats`). A second, seeded family of anchored
-//! paths with `[@id|@k = 'v0'..'v2']` tests points the sweep at the value
-//! gates, which the general generator reaches only rarely; a third, of
-//! random shapes with one `[step = 'literal']` leaf, each registered with
-//! several literals sampled from the document, points it at the shape
-//! groups.
+//! `common::assert_private_stats`). Two seeded families point the sweep at
+//! the shape groups, which the general generator reaches only rarely:
+//! random shapes with one inline `[@id|@k = $]` test, and random shapes
+//! with one `[step = $]` leaf, each registered with several literals
+//! sampled from the document.
 //!
 //! This is the correctness net under the step-trie executor, the hottest
 //! matching path: the hand-picked battery in
@@ -28,10 +27,7 @@ use proptest::prelude::*;
 
 mod common;
 
-use common::{
-    assert_private_stats, gated, literal_shared, pinned_queries_with_hog, query_set,
-    QUERIES_PER_SET,
-};
+use common::{assert_private_stats, literal_shared, pinned_queries_with_hog, query_set};
 use vitex::baseline::{naive, Document, NaiveConfig};
 use vitex::core::{evaluate_reader, EvalOutput, MultiEngine, MultiOutput};
 use vitex::xmlgen::auction::{self, AuctionConfig};
@@ -67,13 +63,12 @@ fn assert_matches_reference(
     out: &MultiOutput,
     reference: &[EvalOutput],
     trees: &[QueryTree],
-    xml: &str,
     label: &str,
 ) {
     for (i, single) in reference.iter().enumerate() {
         assert_eq!(out.matches[i], single.matches, "matches of query #{i}: {label}");
         let (at, shared) = (format!("query #{i}: {label}"), literal_shared(trees, i));
-        assert_private_stats(&out.stats[i], &single.stats, &trees[i], shared, xml, &at);
+        assert_private_stats(&out.stats[i], &single.stats, shared, &at);
         assert_eq!(
             (out.elements, out.text_nodes, out.events),
             (single.elements, single.text_nodes, single.events),
@@ -89,46 +84,50 @@ fn check_case(doc_seed: u64, query_seed: u64) {
     check_trees(&ctx, &xml, &query_set(query_seed));
 }
 
-/// [`check_case`] for the gated family: an anchored, attribute-keyed
-/// query set ([`gated_query_set`]) over an attribute-rich random
-/// document. Returns the trees and the run.
-fn check_gated_case(doc_seed: u64, query_seed: u64) -> (Vec<QueryTree>, MultiOutput) {
-    let ctx = format!("doc_seed={doc_seed} gated query_seed={query_seed}");
+/// [`check_case`] for the attribute family ([`attribute_query_set`]) over
+/// an attribute-rich random document. Returns the trees and the run.
+fn check_attribute_case(doc_seed: u64, query_seed: u64) -> (Vec<QueryTree>, MultiOutput) {
+    let ctx = format!("doc_seed={doc_seed} attribute query_seed={query_seed}");
     let values = ["v0", "v1", "v2"].map(String::from).to_vec();
     let xml = random::to_string(&RandomConfig {
         attr_prob: 0.8,
         values,
         ..RandomConfig::seeded(doc_seed)
     });
-    let trees = gated_query_set(query_seed);
+    let trees = attribute_query_set(query_seed);
     let out = check_trees(&ctx, &xml, &trees);
     (trees, out)
 }
 
-/// Anchored paths over the random tag alphabet: one to four child steps,
-/// each a wildcard with probability 1/2 (so paths meet the document) and
-/// testing `[@id|@k = 'v0'..'v2']` with probability 1/3, sometimes ending
-/// in `/@id`, plus a forced duplicate of the first query.
-fn gated_query_set(seed: u64) -> Vec<QueryTree> {
+/// Two random shapes over the random tag alphabet, each with one inline
+/// `[@id|@k = $]` test — on the main path, under `//`, on a predicate
+/// node, on a root that emits at push — each registered with the three
+/// values the document's attributes take, one they never take and a
+/// duplicate: shape groups of four bindings.
+fn attribute_query_set(seed: u64) -> Vec<QueryTree> {
+    const SHAPES: &[&str] = &[
+        "/{0}/{1}[@{a} = $]/{2}",
+        "/{0}[@{a} = $]/{1}/{2}[@k]",
+        "//{0}[@{a} = $]//{1}",
+        "//{0}[{1}[@{a} = $]]/{2}",
+        "//{0}[@{a} = $]/@id",
+        "//{0}//{1}[@{a} = $][{2}]/text()",
+        "/{0}/*/{1}[@{a} = $]",
+        "//{0}[@{a} = $][@k != 'v1']/{1}/@k",
+    ];
     let mut next = xorshift(seed);
-    let mut queries: Vec<String> = (0..QUERIES_PER_SET - 1)
-        .map(|_| {
-            let mut q = String::new();
-            for _ in 0..1 + next(4) {
-                let tag = ["a", "b", "c", "d", "e", "*", "*", "*", "*", "*"][next(10)];
-                q.push('/');
-                q.push_str(tag);
-                if next(3) == 0 {
-                    q.push_str(&format!("[@{} = 'v{}']", ["id", "k"][next(2)], next(3)));
-                }
-            }
-            if next(4) == 0 {
-                q.push_str("/@id");
-            }
-            q
-        })
-        .collect();
-    queries.push(queries[0].clone());
+    let mut queries = Vec::new();
+    for _ in 0..2 {
+        let mut shape = SHAPES[next(SHAPES.len())].to_string();
+        for slot in ["{0}", "{1}", "{2}"] {
+            shape = shape.replace(slot, ["a", "b", "c", "d", "e", "*", "*"][next(7)]);
+        }
+        shape = shape.replace("{a}", ["id", "k"][next(2)]);
+        let mut literals = vec!["v0", "v1", "v2", "absent"];
+        literals.swap(next(3), 3);
+        literals.push(literals[0]);
+        queries.extend(literals.iter().map(|l| shape.replace('$', &format!("'{l}'"))));
+    }
     queries.iter().map(|q| QueryTree::parse(q).expect("valid query")).collect()
 }
 
@@ -224,7 +223,7 @@ fn check_trees(ctx: &str, xml: &str, trees: &[QueryTree]) -> MultiOutput {
     }
 
     let out = run(trees, xml);
-    assert_matches_reference(&out, &reference, trees, xml, ctx);
+    assert_matches_reference(&out, &reference, trees, ctx);
     assert!(out.plan.groups < trees.len() as u64, "{ctx}: the forced duplicate must dedup");
     out
 }
@@ -239,11 +238,12 @@ proptest! {
         check_case(doc_seed, query_seed);
     }
 
-    /// The same sweep over anchored, attribute-keyed sets: the regime of
-    /// the value gates.
+    /// The same sweep over shapes registered with several inline
+    /// attribute literals: the regime of the shape groups' push-time
+    /// lookup.
     #[test]
     fn engines_agree_on_gated_query_sets(doc_seed in 0u64..4000, query_seed in 0u64..4000) {
-        check_gated_case(doc_seed, query_seed);
+        check_attribute_case(doc_seed, query_seed);
     }
 
     /// The same sweep over shapes registered with several literals: the
@@ -261,7 +261,7 @@ proptest! {
         let trees = query_set(query_seed);
         let reference = per_query_reference(&trees, &xml);
         let label = format!("depth={depth} query_seed={query_seed}");
-        assert_matches_reference(&run(&trees, &xml), &reference, &trees, &xml, &label);
+        assert_matches_reference(&run(&trees, &xml), &reference, &trees, &label);
     }
 }
 
@@ -293,7 +293,7 @@ fn a_warm_session_agrees_with_private_engines_on_every_document() {
             .expect("warm session");
         for (doc, (xml, out)) in docs.iter().zip(&outs).enumerate() {
             let reference = per_query_reference(trees, xml);
-            assert_matches_reference(out, &reference, trees, xml, &format!("document {doc}"));
+            assert_matches_reference(out, &reference, trees, &format!("document {doc}"));
         }
         assert!(outs.iter().any(|o| o.matches.iter().any(|m| !m.is_empty())), "the sets match");
     }
@@ -311,20 +311,21 @@ fn fixed_seed_regression_sweep() {
     }
 }
 
-/// The gated family's fixed seeds, pinned for CI like the general sweep.
-/// Across them the gates must be reached: gated queries that match, and
-/// gated pushes below what the private engines push.
+/// The attribute family's fixed seeds, pinned for CI like the general
+/// sweep. Across them the shape groups with several bindings must be
+/// reached: subscriptions sharing a machine with other attribute
+/// literals, and matching.
 #[test]
-fn fixed_seed_gated_sweep() {
-    let (mut gated_queries, mut matching) = (0, 0);
+fn fixed_seed_attribute_literal_sweep() {
+    let (mut shared, mut matching) = (0, 0);
     for seed in 0..24u64 {
-        let (trees, out) = check_gated_case(seed, 7 * seed + 1);
-        for (_, hits) in trees.iter().zip(&out.matches).filter(|(t, _)| gated(t)) {
-            gated_queries += 1;
-            matching += usize::from(!hits.is_empty());
+        let (trees, out) = check_attribute_case(seed, 7 * seed + 1);
+        for i in (0..trees.len()).filter(|&i| literal_shared(&trees, i)) {
+            shared += 1;
+            matching += usize::from(!out.matches[i].is_empty());
         }
     }
-    assert!(matching >= 8, "{gated_queries} gated queries, {matching} of them matching");
+    assert!(matching >= 24, "{shared} subscriptions in shape groups, {matching} of them matching");
 }
 
 /// The literal family's fixed seeds, pinned for CI like the general sweep.

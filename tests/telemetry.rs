@@ -356,9 +356,8 @@ fn sampled_self_time_is_billed() {
     // so the document must be long enough for several thousand touches.
     // Asserted on the sum over groups: a periodic document can alias a
     // small group out of every sample. The deterministic per-query
-    // section ignores all of it. (Value gates spare the pinned groups
-    // most of their pushes, hence 512 KiB.)
-    let xml = auction::to_string(&AuctionConfig::sized(512 * 1024));
+    // section ignores all of it.
+    let xml = auction::to_string(&AuctionConfig::sized(256 * 1024));
     let trees = pinned_queries_with_hog(100);
     let snap = run_profiled(&trees, &xml);
     let touches: u64 = snap.groups.iter().map(|g| g.machine.pushes + g.machine.pops).sum();
