@@ -90,11 +90,11 @@ impl SmallBitSet {
     }
 }
 
-/// A growable bitset over machine indices, used by the multi-query
-/// dispatch index ([`crate::multi::MultiEngine`]): one word-packed set per
-/// interned element name, iterated with bit-scanning so an event's cost is
-/// proportional to the number of *interested* machines, not to the number
-/// of registered queries.
+/// A growable bitset over plan-group slots, used by the multi-query
+/// engine ([`crate::multi::MultiEngine`]) for the groups that read text
+/// and the ones holding an open entry that does, iterated with
+/// bit-scanning so a text event's cost is proportional to the number of
+/// *interested* machines, not to the number of registered queries.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DynBitSet {
     words: Vec<u64>,
@@ -137,21 +137,6 @@ impl DynBitSet {
     pub fn for_each(&self, mut f: impl FnMut(usize)) {
         for (wi, &word) in self.words.iter().enumerate() {
             let mut w = word;
-            while w != 0 {
-                let bit = w.trailing_zeros() as usize;
-                f(wi * 64 + bit);
-                w &= w - 1;
-            }
-        }
-    }
-
-    /// Calls `f` with each index set in `self` **or** `other`, ascending.
-    /// The union is formed word-by-word; nothing is allocated.
-    pub fn union_for_each(&self, other: &DynBitSet, mut f: impl FnMut(usize)) {
-        let longest = self.words.len().max(other.words.len());
-        for wi in 0..longest {
-            let mut w = self.words.get(wi).copied().unwrap_or(0)
-                | other.words.get(wi).copied().unwrap_or(0);
             while w != 0 {
                 let bit = w.trailing_zeros() as usize;
                 f(wi * 64 + bit);
@@ -240,26 +225,6 @@ mod tests {
         assert_eq!(got, [70]);
         s.remove(70);
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn dyn_bitset_union_iteration() {
-        let mut a = DynBitSet::new();
-        a.insert(1);
-        a.insert(200);
-        let mut b = DynBitSet::new();
-        b.insert(1);
-        b.insert(70);
-        let mut got = Vec::new();
-        a.union_for_each(&b, |i| got.push(i));
-        assert_eq!(got, [1, 70, 200], "union, deduplicated, ascending");
-        let mut got = Vec::new();
-        b.union_for_each(&a, |i| got.push(i));
-        assert_eq!(got, [1, 70, 200], "length mismatch handled both ways");
-        let empty = DynBitSet::new();
-        let mut got = Vec::new();
-        empty.union_for_each(&a, |i| got.push(i));
-        assert_eq!(got, [1, 200]);
     }
 
     #[test]

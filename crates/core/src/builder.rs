@@ -163,14 +163,8 @@ pub struct MachineSpec {
     /// order. Symbols come from the interner handed to
     /// [`MachineSpec::compile_with`].
     pub name_symbols: Vec<Symbol>,
-    /// The distinct symbols mentioned by **predicate-subtree** nametests
-    /// only: the main path is driven by the plan trie, so per-group
-    /// element dispatch narrows to these.
-    pub pred_name_symbols: Vec<Symbol>,
     /// Machine nodes with a wildcard element test.
     pub wildcards: Vec<usize>,
-    /// Predicate-subtree machine nodes with a wildcard element test.
-    pub pred_wildcards: Vec<usize>,
     /// Nodes with text predicate children (checked on `characters`).
     pub text_watchers: Vec<usize>,
     /// Nodes whose entries accumulate string-values.
@@ -203,9 +197,7 @@ impl MachineSpec {
             nodes: Vec::with_capacity(tree.len()),
             by_symbol: Vec::new(),
             name_symbols: Vec::new(),
-            pred_name_symbols: Vec::new(),
             wildcards: Vec::new(),
-            pred_wildcards: Vec::new(),
             text_watchers: Vec::new(),
             text_accumulators: Vec::new(),
             text_result_parent: None,
@@ -265,16 +257,8 @@ impl MachineSpec {
                                 spec.by_symbol.len() - 1
                             });
                             spec.by_symbol[at].push(mi);
-                            if !node.is_main && !spec.pred_name_symbols.contains(&sym) {
-                                spec.pred_name_symbols.push(sym);
-                            }
                         }
-                        None => {
-                            spec.wildcards.push(mi);
-                            if !node.is_main {
-                                spec.pred_wildcards.push(mi);
-                            }
-                        }
+                        None => spec.wildcards.push(mi),
                     }
                     spec.nodes.push(node);
                     // Assign this node's slot within its parent.
@@ -403,10 +387,8 @@ impl MachineSpec {
         for list in &self.by_symbol {
             bytes += size_of::<Vec<usize>>() + list.capacity() * size_of::<usize>();
         }
-        bytes += (self.name_symbols.capacity() + self.pred_name_symbols.capacity())
-            * size_of::<Symbol>();
+        bytes += self.name_symbols.capacity() * size_of::<Symbol>();
         bytes += (self.wildcards.capacity()
-            + self.pred_wildcards.capacity()
             + self.text_watchers.capacity()
             + self.text_accumulators.capacity())
             * size_of::<usize>();
@@ -585,26 +567,6 @@ mod tests {
         )
         .unwrap()
         .needs_characters());
-    }
-
-    #[test]
-    fn pred_dispatch_lists_cover_predicate_subtrees_only() {
-        let mut interner = Interner::new();
-        let tree = QueryTree::parse("//a[b[*] and c]/a/d").unwrap();
-        let m = MachineSpec::compile_with(&tree, &mut interner).unwrap();
-        let b = interner.lookup("b").unwrap();
-        let c = interner.lookup("c").unwrap();
-        // a and d are main-path-only names; b, c and the wildcard live in
-        // predicate subtrees.
-        assert_eq!(m.pred_name_symbols, vec![b, c]);
-        assert_eq!(m.pred_wildcards.len(), 1);
-        assert!(!m.nodes[m.pred_wildcards[0]].is_main);
-        // A pure main-path query has empty predicate dispatch lists.
-        let pure = MachineSpec::compile_with(&QueryTree::parse("/a/*//d").unwrap(), &mut interner)
-            .unwrap();
-        assert!(pure.pred_name_symbols.is_empty());
-        assert!(pure.pred_wildcards.is_empty());
-        assert_eq!(pure.wildcards.len(), 1);
     }
 
     #[test]

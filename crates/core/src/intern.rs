@@ -6,7 +6,7 @@
 //! machine; with interning the name is resolved to a [`Symbol`] **once per
 //! event** by the document driver, and every downstream comparison — the
 //! [`crate::builder::MachineSpec`] name index, the
-//! [`crate::multi::MultiEngine`] dispatch index — is an integer index.
+//! [`crate::plan::StepTrie`]'s per-name step lists — is an integer index.
 //!
 //! Interners are deliberately *local* (owned by an engine, shared by the
 //! machines registered with it), not global: symbols from different

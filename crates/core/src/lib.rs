@@ -41,11 +41,11 @@
 //!   thread without re-planning.
 //! * [`plan::QueryPlanner`] — the shared-prefix query planner behind
 //!   `MultiEngine`: canonicalizes queries, dedupes structural duplicates
-//!   into one machine with a subscriber fan-out list, and tries main-path
-//!   steps so overlapping subscriptions share plan structure. The trie
-//!   also *executes*: its nodes own the shared main-path match state,
-//!   advanced once per event, so per-event planning scales with distinct
-//!   steps instead of with the number of standing queries.
+//!   into one machine with a subscriber fan-out list, and tries element
+//!   steps — main path and predicates — so overlapping subscriptions share
+//!   plan structure. The trie also *executes*: its nodes own the shared
+//!   match state, advanced once per event, so per-event planning scales
+//!   with distinct steps instead of with the number of standing queries.
 //! * [`driver::DocumentDriver`] — the single SAX event loop (node
 //!   numbering, counting, symbol resolution) behind both engines; custom
 //!   consumers implement [`driver::EventSink`].

@@ -906,67 +906,42 @@ impl TwigM {
         }
     }
 
-    /// `startElement` for a plan group's machine: the **main-path**
-    /// push decisions arrive pre-computed from the shared plan trie
-    /// (`main_plan`, `(machine node, ptr)` pairs in ascending node order —
-    /// the trie's stacks mirror this machine's main-path stacks exactly,
-    /// so the decisions are the ones [`TwigM::plan_pushes`] would have
-    /// made), and only the predicate-subtree nodes are planned here, when
-    /// `plan_preds` says this machine has predicate steps testing the
-    /// event's name (or a predicate wildcard). Both plans are merged and
-    /// applied through the same [`TwigM::apply_pushes`] as the
-    /// single-query entry point, so the transition semantics — flags,
-    /// candidates, early emission, statistics — cannot diverge between a
-    /// private engine and a plan group.
-    ///
-    /// Returns the number of entries pushed, which is what the engine's
-    /// frame stack uses to touch, at the matching end tag, exactly the
-    /// machines that have something to pop.
+    /// `startElement` for a plan group's machine: every push decision
+    /// arrives pre-computed from the shared step trie (`pushes`, `(machine
+    /// node, ptr)` pairs in ascending node order — each trie node's stack
+    /// mirrors the stacks of the machine nodes routed on it, so the
+    /// decisions are the ones [`TwigM::plan_pushes`] would have made, main
+    /// path and predicates alike). They are applied through the same
+    /// [`TwigM::apply_pushes`] as the single-query entry point, so the
+    /// transition semantics — flags, candidates, early emission,
+    /// statistics — cannot diverge between a private engine and a plan
+    /// group.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn start_element_prefix(
         &mut self,
         store: &mut CandidateStore,
-        main_plan: &[(u32, u32)],
-        plan_preds: bool,
-        sym: Option<Symbol>,
+        pushes: impl IntoIterator<Item = (u32, u32)>,
         level: u32,
         attributes: &[Attribute],
         node_id: u64,
         attr_id_base: u64,
         tag_span: ByteSpan,
         emit: &mut Deliver<'_>,
-    ) -> u32 {
+    ) {
+        let mut plan = std::mem::take(&mut store.plan);
+        plan.clear();
+        plan.extend(pushes);
         #[cfg(debug_assertions)]
-        for &(q, ptr) in main_plan {
-            debug_assert!(self.spec.nodes[q as usize].is_main, "trie drives main nodes only");
+        for &(q, ptr) in &plan {
             debug_assert_eq!(
                 self.push_point(q as usize, level),
                 Some(ptr),
                 "trie push decision must equal the machine's own"
             );
         }
-        let mut plan = std::mem::take(&mut store.plan);
-        plan.clear();
-        plan.extend_from_slice(main_plan);
-        if plan_preds {
-            let named = sym.map(|s| self.spec.machines_for(s)).unwrap_or(&[]);
-            for &q in named
-                .iter()
-                .filter(|&&q| !self.spec.nodes[q].is_main)
-                .chain(&self.spec.pred_wildcards)
-            {
-                if let Some(ptr) = self.push_point(q, level) {
-                    plan.push((q as u32, ptr));
-                }
-            }
-            // Planning happened against pre-event state, so ordering the
-            // merged plan by node index is purely cosmetic determinism.
-            plan.sort_unstable_by_key(|&(q, _)| q);
-        }
-        let pushes = plan.len() as u32;
+        debug_assert!(plan.is_sorted_by_key(|&(q, _)| q), "pushes ascend by node");
         self.apply_pushes(store, &plan, level, attributes, node_id, attr_id_base, tag_span, emit);
         store.plan = plan;
-        pushes
     }
 
     /// Phase 2 of `startElement`: apply a planned set of pushes.

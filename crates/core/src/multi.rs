@@ -25,39 +25,33 @@
 //! ## Execution
 //!
 //! Poking every machine on every event makes the per-event cost `O(k)` —
-//! fatal at thousands of standing queries. Two structures keep an event
-//! away from machines it cannot move:
-//!
-//! * the **step trie** ([`crate::plan::trie`]) owns the main-path match
-//!   state every group routed through a node agrees on. A start tag
-//!   advances it **once** — one axis/name witness check per distinct trie
-//!   node, however many groups share the step — and each push it decides
-//!   lands, through the node's routes, on exactly the group machine nodes
-//!   that must push;
-//! * the **dispatch index** (over the shared [`Interner`]) covers what
-//!   the trie does not: per interned name the groups whose *predicate
-//!   subtrees* test it, the groups with a predicate wildcard, and the
-//!   groups that consume `characters` events.
+//! fatal at thousands of standing queries. The **step trie**
+//! ([`crate::plan::trie`]) keeps an event away from machines it cannot
+//! move: every machine node of every group is routed on the trie node of
+//! its step path, main path and predicates alike, and that node owns the
+//! match state all of them agree on. A start tag advances it **once** —
+//! one axis/name witness check per distinct trie node, however many
+//! machine nodes share the step — and each push it decides lands, through
+//! the node's routes, on exactly the group machine nodes that must push.
 //!
 //! A document runs through one [`Session`] ([`MultiEngine::session`];
-//! [`MultiEngine::run`] is a one-document session): its **admission
-//! walk** asks both structures whether any group wants the event and
-//! advances the trie, and what it admits goes to the per-event apply step
-//! (the crate-private `Executor` at the bottom of this file), on the
-//! calling thread: a start tag merge-walks trie-decided main pushes ∪
-//! predicate-name interests in ascending group order, a frame stack lets
-//! an end tag touch exactly the machines its start tag pushed (an
-//! untouched machine has nothing to pop), and text goes to exactly the
-//! machines holding an open entry that reads text (any other text
-//! consumer is idle). Every solution leaves through the caller's callback
-//! and nowhere else (`fan_out_match`); [`MultiOutput::matches`] is one
-//! collecting adapter around a streamed document, at the API edge
-//! ([`Session::run_document`]). This is sound because a machine's stacks
+//! [`MultiEngine::run`] is a one-document session): it shows a start tag
+//! to the per-event apply step (the crate-private `Executor` at the
+//! bottom of this file) when a live trie step tests its name, and a text
+//! node when some group reads text, on the calling thread. The executor
+//! advances the trie and drives each routed group's pushes in ascending
+//! group order, a frame stack lets an end tag touch exactly the machines
+//! its start tag pushed (an untouched machine has nothing to pop), and
+//! text goes to exactly the machines holding an open entry that reads
+//! text (any other text consumer is idle). Every solution leaves through
+//! the caller's callback and nowhere else (`fan_out_match`);
+//! [`MultiOutput::matches`] is one collecting adapter around a streamed
+//! document, at the API edge ([`Session::run_document`]). This is sound because a machine's stacks
 //! only ever hold entries for elements it was shown, and text/attribute
 //! tests live inside the delivered events.
 //!
-//! Both structures update **incrementally**: [`MultiEngine::add_query`]
-//! splices the new group into trie routes and index in place and
+//! The plan updates **incrementally**: [`MultiEngine::add_query`] splices
+//! the new group into the trie routes in place and
 //! [`MultiEngine::remove_query`] clears it back out when the last
 //! subscriber of a group leaves — no rebuild between runs, so long-lived
 //! pub/sub sessions can churn subscriptions mid-stream.
@@ -78,15 +72,13 @@ use vitex_xmlsax::EventSource;
 use vitex_xpath::query_tree::QueryTree;
 
 use crate::bitset::DynBitSet;
-use crate::builder::MachineSpec;
 use crate::driver::DocumentDriver;
 use crate::error::EngineResult;
 use crate::intern::{Interner, Symbol};
 use crate::machine::{CandidateStore, Deliver};
 use crate::plan::group::Binding;
-use crate::plan::{PlanGroup, QueryPlanner};
+use crate::plan::{PlanGroup, QueryPlanner, StepTrie, TriePush};
 use crate::result::{Match, NodeId};
-use crate::session::admit::{WalkScratch, Walked};
 use crate::session::Session;
 use crate::stats::{MachineStats, PlanStats};
 use crate::telemetry::profile::match_bytes;
@@ -120,91 +112,6 @@ pub struct MultiOutput {
     pub events: u64,
 }
 
-/// The dispatch index: which groups care about which events *beyond* the
-/// main-path pushes the step trie decides, by group id. Maintained
-/// incrementally as groups activate and retire; with the trie it is the
-/// session's admission filter, and the executor dispatches from it.
-#[derive(Debug, Default)]
-pub(crate) struct DispatchIndex {
-    /// Symbol index → slots whose predicate subtrees test that name (and
-    /// have no predicate wildcard — those live in `wildcard`).
-    by_symbol: Vec<DynBitSet>,
-    /// Slots with a wildcard step in a predicate subtree: their machines
-    /// see every element event.
-    wildcard: DynBitSet,
-    /// Slots that consume `characters` events: the admission filter's
-    /// text question. Which of them a given text event can move is the
-    /// executor's `text_live`.
-    text: DynBitSet,
-}
-
-impl DispatchIndex {
-    /// Splices a group in at `slot`. `nsymbols` is the interner's current
-    /// size: compiling the group's spec may have interned names this
-    /// index has never seen.
-    fn add_group(&mut self, slot: usize, spec: &MachineSpec, nsymbols: usize) {
-        if self.by_symbol.len() < nsymbols {
-            self.by_symbol.resize(nsymbols, DynBitSet::new());
-        }
-        if !spec.pred_wildcards.is_empty() {
-            // A wildcard slot sees every element, which subsumes its
-            // named interests.
-            self.wildcard.insert(slot);
-        } else {
-            for &sym in &spec.pred_name_symbols {
-                self.by_symbol[sym.index()].insert(slot);
-            }
-        }
-        if spec.needs_characters() {
-            self.text.insert(slot);
-        }
-    }
-
-    /// Clears a retired group (last subscriber removed) back out of the
-    /// index — the inverse of [`DispatchIndex::add_group`].
-    fn remove_group(&mut self, slot: usize, spec: &MachineSpec) {
-        if !spec.pred_wildcards.is_empty() {
-            self.wildcard.remove(slot);
-        } else {
-            for &sym in &spec.pred_name_symbols {
-                if let Some(set) = self.by_symbol.get_mut(sym.index()) {
-                    set.remove(slot);
-                }
-            }
-        }
-        if spec.needs_characters() {
-            self.text.remove(slot);
-        }
-    }
-
-    /// Calls `f` for every slot with predicate interest in an element
-    /// with symbol `sym` (named slots ∪ wildcard slots), ascending.
-    #[inline]
-    fn for_each_element_target(&self, sym: Option<Symbol>, f: impl FnMut(usize)) {
-        match sym.and_then(|s| self.by_symbol.get(s.index())) {
-            Some(named) => named.union_for_each(&self.wildcard, f),
-            None => self.wildcard.for_each(f),
-        }
-    }
-
-    /// Whether *any* slot has predicate interest in an element with this
-    /// symbol — half of the admission filter's question (the other half
-    /// is [`crate::plan::StepTrie::has_live_step`]).
-    #[inline]
-    pub(crate) fn has_element_target(&self, sym: Option<Symbol>) -> bool {
-        !self.wildcard.is_empty()
-            || sym
-                .and_then(|s| self.by_symbol.get(s.index()))
-                .is_some_and(|named| !named.is_empty())
-    }
-
-    /// Whether any slot consumes `characters` events.
-    #[inline]
-    pub(crate) fn has_text_target(&self) -> bool {
-        !self.text.is_empty()
-    }
-}
-
 /// Evaluates many queries in a single sequential scan.
 pub struct MultiEngine {
     planner: QueryPlanner,
@@ -212,13 +119,12 @@ pub struct MultiEngine {
     records: Vec<QueryRecord>,
     interner: Interner,
     driver: DocumentDriver,
-    /// Predicate-subtree and text interests of every group, by group id.
-    index: DispatchIndex,
-    /// The per-event apply step, and the admission walk's buffers:
-    /// engine-owned so that a session per document clears them instead of
-    /// reallocating them.
+    /// The group slots that consume `characters` events: a session shows
+    /// text to the executor only while this is non-empty.
+    text: DynBitSet,
+    /// The per-event apply step: engine-owned so that a session per
+    /// document clears its buffers instead of reallocating them.
     exec: Executor,
-    walk: WalkScratch,
     /// Per-subscription cost attribution; `None` (the default) while
     /// profiling is off.
     profile: Option<CostLedger>,
@@ -240,9 +146,8 @@ impl MultiEngine {
             records: Vec::new(),
             interner: Interner::new(),
             driver: DocumentDriver::new(),
-            index: DispatchIndex::default(),
+            text: DynBitSet::new(),
             exec: Executor::default(),
-            walk: WalkScratch::default(),
             profile: None,
         }
     }
@@ -253,16 +158,14 @@ impl MultiEngine {
         self.add_tree(&tree)
     }
 
-    /// Registers an already-built query tree. The dispatch index and the
-    /// plan are updated in place — no rebuild happens on the next run, so
-    /// subscriptions can be added between (or ahead of) documents at any
-    /// point in a session.
+    /// Registers an already-built query tree. The plan is updated in
+    /// place — no rebuild happens on the next run, so subscriptions can be
+    /// added between (or ahead of) documents at any point in a session.
     pub fn add_tree(&mut self, tree: &QueryTree) -> EngineResult<QueryId> {
         let id = QueryId(self.records.len());
         let reg = self.planner.register(tree, id, &mut self.interner)?;
-        if reg.created {
-            let spec = self.planner.group(reg.group).machine().spec();
-            self.index.add_group(reg.group, spec, self.interner.len());
+        if reg.created && self.planner.group(reg.group).machine().spec().needs_characters() {
+            self.text.insert(reg.group);
         }
         self.records.push(QueryRecord { text: tree.original().to_owned(), group: Some(reg.group) });
         Ok(id)
@@ -272,14 +175,13 @@ impl MultiEngine {
     /// subscriber of its plan group (the shared machine retired with it),
     /// `Some(false)` when other subscribers keep the group alive, and
     /// `None` when the id is unknown or already removed. Like
-    /// registration, removal updates the plan and dispatch index in
-    /// place.
+    /// registration, removal updates the plan in place.
     pub fn remove_query(&mut self, id: QueryId) -> Option<bool> {
         let record = self.records.get_mut(id.0)?;
         let gid = record.group.take()?;
         let last = self.planner.unsubscribe(gid, id);
         if last {
-            self.index.remove_group(gid, self.planner.group(gid).machine().spec());
+            self.text.remove(gid);
         }
         Some(last)
     }
@@ -335,18 +237,16 @@ impl MultiEngine {
     }
 
     /// Splits the engine into the disjoint borrows a [`Session`] holds
-    /// while documents stream: the planner (its trie goes to the admission
-    /// walk, its groups to the executor), the dispatch index read-only,
-    /// the executor, and the registration records that parameterize
-    /// output assembly.
+    /// while documents stream: the planner (its trie and its groups go to
+    /// the executor), the text consumers read-only, the executor, and the
+    /// registration records that parameterize output assembly.
     pub(crate) fn session_parts(&mut self) -> SessionParts<'_> {
         SessionParts {
             planner: &mut self.planner,
             interner: &self.interner,
             driver: &mut self.driver,
-            index: &self.index,
+            text: &self.text,
             exec: &mut self.exec,
-            walk: &mut self.walk,
             records: &self.records,
             profile: self.profile.as_mut(),
         }
@@ -390,12 +290,9 @@ pub(crate) struct SessionParts<'a> {
     pub(crate) planner: &'a mut QueryPlanner,
     pub(crate) interner: &'a Interner,
     pub(crate) driver: &'a mut DocumentDriver,
-    /// The engine's dispatch index — read-only during a session: the
-    /// admission walk's any-group-interested filter, and what the executor
-    /// dispatches from.
-    pub(crate) index: &'a DispatchIndex,
+    /// The group slots that consume `characters` events.
+    pub(crate) text: &'a DynBitSet,
     pub(crate) exec: &'a mut Executor,
-    pub(crate) walk: &'a mut WalkScratch,
     pub(crate) records: &'a [QueryRecord],
     /// The cost ledger (`None` when profiling is off).
     pub(crate) profile: Option<&'a mut CostLedger>,
@@ -449,48 +346,6 @@ pub(crate) fn fan_out_match<F: FnMut(QueryId, Match)>(
     on_match(last, hit);
 }
 
-/// Merge-walks one event's trie-planned main pushes (`plans`: `(slot,
-/// machine node, ptr)`, sorted ascending) against its predicate dispatch
-/// targets (`pred_targets`: slots, ascending) in ascending slot order, so
-/// emission interleaving within an event is by group. `touch` drives one
-/// group's machine and returns its push count; slots that pushed are
-/// appended to `frame` for the matching end tag. This is the **one**
-/// merge-walk in the system.
-fn merge_prefix_targets(
-    plans: &[(u32, u32, u32)],
-    pred_targets: &[u32],
-    main_scratch: &mut Vec<(u32, u32)>,
-    frame: &mut Vec<u32>,
-    mut touch: impl FnMut(u32, &[(u32, u32)], bool) -> u32,
-) {
-    let (mut pi, mut di) = (0usize, 0usize);
-    while pi < plans.len() || di < pred_targets.len() {
-        let pg = plans.get(pi).map(|&(s, _, _)| s);
-        let dg = pred_targets.get(di).copied();
-        let slot = match (pg, dg) {
-            (Some(a), Some(b)) => a.min(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => unreachable!(),
-        };
-        main_scratch.clear();
-        while let Some(&(s, mnode, ptr)) = plans.get(pi) {
-            if s != slot {
-                break;
-            }
-            main_scratch.push((mnode, ptr));
-            pi += 1;
-        }
-        let plan_preds = dg == Some(slot);
-        if plan_preds {
-            di += 1;
-        }
-        if touch(slot, main_scratch, plan_preds) > 0 {
-            frame.push(slot);
-        }
-    }
-}
-
 /// A start tag as the [`Executor`] consumes it, borrowed from the
 /// driver's event.
 pub(crate) struct StartTag<'a> {
@@ -510,9 +365,10 @@ pub(crate) struct StartTag<'a> {
 /// document and measures ~3%).
 const SELF_SAMPLE: u64 = 1024;
 
-/// Per-group cost attribution: sampled machine self-time and the payload
-/// bytes of emitted solutions (a session switches it on while profiling,
-/// otherwise it is one predictable branch per touch).
+/// Per-group cost attribution: sampled machine self-time, the payload
+/// bytes of emitted solutions and the shared-step bill (a session switches
+/// it on while profiling, otherwise it is one predictable branch per
+/// touch).
 #[derive(Debug, Default)]
 struct SelfTimer {
     on: bool,
@@ -524,9 +380,17 @@ struct SelfTimer {
     /// several bills its bindings), tallied where a solution leaves its
     /// machine.
     emitted_bytes: Vec<u64>,
+    /// Trie pushes billed per routed group this document
+    /// ([`StepTrie::bill_pushes`]).
+    shared_steps: Vec<u64>,
 }
 
 impl SelfTimer {
+    /// The per-slot tables.
+    fn tables(&mut self) -> [&mut Vec<u64>; 3] {
+        [&mut self.ns, &mut self.emitted_bytes, &mut self.shared_steps]
+    }
+
     /// Runs one machine `touch` of group `slot`, handing it the emit
     /// closure: the fan-out to `subscribers` and `bindings` through
     /// `on_match`, after the byte tally while that is on.
@@ -558,18 +422,16 @@ impl SelfTimer {
 }
 
 /// The **one** per-event apply step of multi-query execution: given the
-/// group slots (a slot is a group id) and what the admission walk decided
-/// for an event, it drives exactly the machines the event can move and
-/// fans every solution out to its group's subscribers through the
-/// caller's callback ([`fan_out_match`]).
+/// step trie and the group slots (a slot is a group id), it drives exactly
+/// the machines an event can move and fans every solution out to its
+/// group's subscribers through the caller's callback ([`fan_out_match`]).
 #[derive(Debug, Default)]
 pub(crate) struct Executor {
-    /// Scratch: per-slot main-path plans, `(slot, machine node, ptr)`.
+    /// Scratch: the trie pushes of the current start tag.
+    pushed: Vec<TriePush>,
+    /// Scratch: the start tag's plan, `(slot, machine node, ptr)`,
+    /// ascending.
     plans: Vec<(u32, u32, u32)>,
-    /// Scratch: slots with predicate interest in the current event.
-    pred_slots: Vec<u32>,
-    /// Scratch: one group's main plan in machine form.
-    main_scratch: Vec<(u32, u32)>,
     /// Flat frame storage: slots that pushed, per open element.
     frame_slots: Vec<u32>,
     /// One `frame_slots` offset per open element.
@@ -586,22 +448,23 @@ pub(crate) struct Executor {
 impl Executor {
     /// Drops every frame a previous document left open (a parse error
     /// ends a document mid-element), takes back what its machines held in
-    /// the store, and zeroes the self-time samples.
+    /// the store, and zeroes the cost attribution.
     pub(crate) fn begin_document(&mut self) {
         self.frame_slots.clear();
         self.frames.clear();
         self.text_live.clear();
         self.store.reset();
-        self.timer.ns.fill(0);
-        self.timer.emitted_bytes.fill(0);
+        for table in self.timer.tables() {
+            table.fill(0);
+        }
     }
 
-    /// Switches cost attribution — self-time sampling and the
-    /// emitted-bytes tally — on or off for `slots` group slots (off keeps
-    /// no per-slot table).
+    /// Switches cost attribution — self-time sampling, the emitted-bytes
+    /// tally and the shared-step bill — on or off for `slots` group slots
+    /// (off keeps no per-slot table).
     pub(crate) fn sample_self_time(&mut self, on: bool, slots: usize) {
         self.timer.on = on;
-        for table in [&mut self.timer.ns, &mut self.timer.emitted_bytes] {
+        for table in self.timer.tables() {
             table.clear();
             table.resize(if on { slots } else { 0 }, 0);
         }
@@ -619,40 +482,45 @@ impl Executor {
         self.timer.emitted_bytes.get(slot).copied().unwrap_or(0)
     }
 
-    /// `startElement`: expands the walk's trie pushes along its routes
-    /// into per-slot main plans, merge-walks them with the slots whose
-    /// predicate subtrees test the tag's name (the walk's dispatch index),
-    /// and records the slots that pushed as the element's frame.
+    /// The document's shared-step bill, gid-indexed (empty unless
+    /// profiling).
+    pub(crate) fn shared_steps(&self) -> &[u64] {
+        &self.timer.shared_steps
+    }
+
+    /// `startElement`: advances the trie once and bills its pushes,
+    /// expands them along their routes into `(slot, machine node, ptr)`
+    /// plans, and drives each slot's run of them in ascending slot order,
+    /// recording the slots as the element's frame.
     pub(crate) fn start(
         &mut self,
+        trie: &mut StepTrie,
         groups: &mut [PlanGroup],
-        walked: Walked<'_>,
         tag: &StartTag<'_>,
         on_match: &mut impl FnMut(QueryId, Match),
     ) {
-        let Self { plans, pred_slots, main_scratch, frame_slots, frames, text_live, store, timer } =
-            self;
-        let Walked { index, routes, pushes } = walked;
+        let Self { pushed, plans, frame_slots, frames, text_live, store, timer } = self;
+        pushed.clear();
+        trie.advance(tag.sym, tag.level, pushed);
+        trie.bill_pushes(pushed, &mut timer.shared_steps);
         plans.clear();
-        for p in pushes {
-            plans.extend(routes[p.node as usize].iter().map(|&(slot, mnode)| (slot, mnode, p.ptr)));
+        for p in pushed.iter() {
+            let routes = trie.routes(p.node as usize);
+            plans.extend(routes.iter().map(|&(slot, mnode)| (slot, mnode, p.ptr)));
         }
-        // Routes ascend by slot, so one push expands in order; several
-        // pushes interleave.
-        if pushes.len() > 1 {
+        // Routes ascend, so one push expands in order; several pushes
+        // interleave.
+        if pushed.len() > 1 {
             plans.sort_unstable();
         }
-        pred_slots.clear();
-        index.for_each_element_target(tag.sym, |slot| pred_slots.push(slot as u32));
         frames.push(frame_slots.len() as u32);
-        merge_prefix_targets(plans, pred_slots, main_scratch, frame_slots, |slot, main, preds| {
+        for run in plans.chunk_by(|a, b| a.0 == b.0) {
+            let slot = run[0].0;
             let (machine, subscribers, bindings) = groups[slot as usize].machine_and_fan_out();
-            let pushes = timer.time(slot, (subscribers, bindings), on_match, |out| {
+            timer.time(slot, (subscribers, bindings), on_match, |out| {
                 machine.start_element_prefix(
                     store,
-                    main,
-                    preds,
-                    tag.sym,
+                    run.iter().map(|&(_, q, ptr)| (q, ptr)),
                     tag.level,
                     tag.attributes,
                     tag.node_id,
@@ -661,11 +529,11 @@ impl Executor {
                     out,
                 )
             });
-            if pushes > 0 && machine.text_live() {
+            frame_slots.push(slot);
+            if machine.text_live() {
                 text_live.insert(slot as usize);
             }
-            pushes
-        });
+        }
     }
 
     /// `characters`: to every slot whose machine holds an open entry that
@@ -813,7 +681,7 @@ mod tests {
     #[test]
     fn wildcard_only_machine_sees_every_event() {
         // A machine whose steps are all wildcards has an empty name index;
-        // the dispatch index must still deliver every element to it.
+        // its wildcard trie steps must still deliver every element to it.
         let xml = "<r><x><y/></x><z/></r>";
         let mut multi = MultiEngine::new();
         let q = multi.add_query("//*/*").unwrap();
@@ -917,11 +785,11 @@ mod tests {
         // it); the two /a/b subscribers share a machine and fire together,
         // in registration order.
         assert_eq!(streamed, [(0, 1), (3, 1), (1, 2), (2, 3), (0, 5), (3, 5)]);
-        // <a> checks /a once for two groups; <b>, <c>, <x> one node each
-        // (y is a predicate step, not a trie step).
-        assert_eq!(out.plan.prefix_steps_executed, 5);
+        // <a> checks /a once for two groups; <b>, <c>, <x>, <y> one node
+        // each (the predicate step of //x[y] is the trie step //x/y).
+        assert_eq!(out.plan.prefix_steps_executed, 6);
         assert_eq!(out.plan.prefix_steps_saved, 1, "/a is shared by two groups");
-        assert_eq!(out.plan.prefix_forks, 6);
+        assert_eq!(out.plan.prefix_forks, 7);
         assert!(out.plan.prefix_stack_bytes > 0);
         // Dedup still applies: the duplicate /a/b joined a group.
         assert_eq!(out.plan.queries, 4);

@@ -20,25 +20,26 @@
 //!    happens **once** per distinct shape, not once per registration or
 //!    per literal, and a literal joins or leaves a live shape without a
 //!    compilation.
-//! 2. **Shared-prefix trie** — main-path steps (axis + interned name
-//!    test) are inserted into a [`StepTrie`], so queries sharing prefixes
-//!    share trie nodes. The trie doubles as the grouping index (candidate
-//!    groups live at the terminal node, so registration compares shape
-//!    keys against a handful of candidates, not against every group) and
-//!    as the measurement substrate for [`PlanStats`] (shared-node counts,
-//!    dedup ratio).
+//! 2. **Shared-prefix trie** — element steps (axis + interned name test)
+//!    are inserted into a [`StepTrie`]: the main path from the root, and
+//!    each predicate step below the node of the step it qualifies, so
+//!    queries sharing step paths share trie nodes whether a step is on
+//!    their main path or in a predicate. Every machine node is routed on
+//!    the trie node of its step path. The trie doubles as the grouping
+//!    index (candidate groups live at the main path's terminal node, so
+//!    registration compares shape keys against a handful of candidates,
+//!    not against every group) and as the measurement substrate for
+//!    [`PlanStats`] (shared-node counts, dedup ratio).
 //! 3. **The trie executes** — it is also the **runtime** structure whose
-//!    nodes own the shared main-path match state (see [`trie`]): a start
-//!    tag advances each common prefix once per event and only forks into
-//!    per-group machines where queries diverge — predicates, branches,
-//!    suffix steps. There is no other way a multi-query start tag is
-//!    applied.
+//!    nodes own the shared match state (see [`trie`]): a start tag
+//!    advances each common step once per event and forks into per-group
+//!    machines along the routes, where flags and candidates diverge. It
+//!    is the one place a multi-query start tag's pushes are decided.
 
 pub mod group;
 pub mod trie;
 
 pub use group::PlanGroup;
-pub(crate) use trie::RouteTable;
 pub use trie::{PrefixRunStats, StepKey, StepTrie, TriePush};
 
 use vitex_xpath::query_tree::{NodeKind, QueryTree};
@@ -67,10 +68,9 @@ pub struct QueryPlanner {
     /// Group slots, dense indices. A slot whose group retires (every
     /// subscriber removed) goes onto [`QueryPlanner::free_slots`] and is
     /// **recycled** by a later registration, so long churny add/remove
-    /// sessions keep the id space — and with it the engine's dispatch
+    /// sessions keep the id space — and with it the engine's per-slot
     /// bitsets — from growing without bound. Between retirement and reuse
-    /// the slot still holds the retired group (inactive), so dispatch
-    /// structures can read its spec while unwiring it.
+    /// the slot still holds the retired group (inactive).
     groups: Vec<PlanGroup>,
     /// Retired slots available for reuse, most recently retired last.
     free_slots: Vec<usize>,
@@ -118,17 +118,14 @@ impl QueryPlanner {
             return Ok(Registration { group: g, created: false });
         }
         let spec = MachineSpec::compile_with(tree, interner)?;
-        // The machine node each main-path step drives, in step order:
-        // what a push of the trie node at that depth lands on.
-        let main_nodes: Vec<u32> =
-            (0..spec.len()).filter(|&q| spec.nodes[q].is_main).map(|q| q as u32).collect();
+        let routes = self.routes(&spec, terminal, interner);
         let machine = TwigM::from_spec(spec, EvalMode::Compact);
         let group = PlanGroup::new(machine, key, hash, terminal, id);
         let gid = match self.free_slots.pop() {
             Some(slot) => {
-                // Recycle a retired slot: the engine unwired the old
-                // group's dispatch bits at retirement, so the slot is
-                // clean to repopulate in place.
+                // Recycle a retired slot: the trie and the engine unwired
+                // the old group at retirement, so the slot is clean to
+                // repopulate in place.
                 self.recycled += 1;
                 self.groups[slot] = group;
                 slot
@@ -138,7 +135,7 @@ impl QueryPlanner {
                 self.groups.len() - 1
             }
         };
-        self.trie.add_group(terminal, gid, &main_nodes);
+        self.trie.add_group(terminal, gid, &routes);
         self.active_groups += 1;
         self.active_queries += 1;
         Ok(Registration { group: gid, created: true })
@@ -232,6 +229,31 @@ impl QueryPlanner {
             prefix_forks: run.forks,
             prefix_stack_bytes: run.peak_stack_bytes(),
         }
+    }
+
+    /// Where each node of `spec` routes: `(trie node, machine node)`, the
+    /// trie node of the machine node's step path. Main-path nodes, in step
+    /// order, take the nodes of the path to `terminal`; a predicate node
+    /// takes its parent's trie node's child along its own step.
+    fn routes(
+        &mut self,
+        spec: &MachineSpec,
+        terminal: usize,
+        interner: &mut Interner,
+    ) -> Vec<(usize, u32)> {
+        let mut main = self.trie.path_to(terminal).into_iter();
+        let mut at: Vec<usize> = Vec::with_capacity(spec.len());
+        for node in &spec.nodes {
+            let trie_node = if node.is_main {
+                main.next().expect("one main-path step per main-path node")
+            } else {
+                let parent = at[node.parent.expect("a predicate node has a parent")];
+                let name = node.name.as_deref().map(|n| interner.intern(n));
+                self.trie.child(parent, StepKey { axis: node.axis, name })
+            };
+            at.push(trie_node);
+        }
+        at.into_iter().zip(0..).collect()
     }
 
     /// The trie keys of `tree`'s main path: element steps only (attribute

@@ -1,42 +1,47 @@
 //! The shared-prefix **step trie**: one node per distinct location-step
-//! prefix across every registered query — and the *runtime* owner of the
-//! main-path match state those steps share.
+//! path across every registered query — and the *runtime* owner of the
+//! match state those steps share.
 //!
 //! Thousands of realistic standing queries overlap heavily — `/site/…`
 //! subscriptions in an auction feed, `//ProteinEntry/…` in the protein
 //! stream. The trie materializes that overlap: a query's main path
 //! descends edge by edge, each edge labeled by a [`StepKey`] (axis +
 //! interned name test), so queries sharing a `/a/b//c…` prefix share trie
-//! nodes. Terminal nodes carry the plan groups whose main path ends
-//! there, which makes the trie the planner's **grouping index**: an
-//! incoming query walks symbols (integer comparisons, no hashing of the
-//! whole query) and only then compares canonical keys against the few
-//! groups at its terminal.
+//! nodes. A predicate step hangs off the node of the step it qualifies
+//! (`//a[b]` adds `//a/b`), the way YFilter runs nested-path predicates as
+//! paths of its one shared automaton, so it is shared with every main-path
+//! or predicate step of the same path. Terminal nodes carry the plan
+//! groups whose main path ends there, which makes the trie the planner's
+//! **grouping index**: an incoming query walks symbols (integer
+//! comparisons, no hashing of the whole query) and only then compares
+//! shape keys against the few groups at its terminal.
 //!
 //! ## Runtime state
 //!
-//! The key observation behind prefix sharing is that a TwigM main-path
-//! node's **stack shape** — which entries exist, at what level, with what
-//! parent pointer — depends *only* on the (axis, name) chain from the
-//! machine root, never on the group's predicates, comparisons or result
-//! kind (those live in the flags/candidates carried *on* the entries,
-//! which do not influence push/pop timing). Every group whose main path
-//! routes through a trie node therefore agrees, at every moment of the
-//! stream, on that node's stack. Each trie node owns exactly one copy of
-//! that stack (`TrieEntry`: the level), `StepTrie::advance` updates it
-//! **once per event**, and the engine forks into per-group machines only
-//! where state actually diverges — delivering the planned pushes through
-//! the node's **routes** (`(group, machine node)` pairs) so each group's
-//! entry carries its own flags and candidate bookkeeping. Per-event
-//! main-path planning thus scales with *distinct trie nodes*, not with
-//! the number of registered queries; [`PrefixRunStats`] counts both sides
-//! of that trade.
+//! TwigM pushes every element-test node by one rule — a name test plus an
+//! axis witness on its parent node's stack — whether the node is on the
+//! main path or in a predicate. So a machine node's **stack shape** —
+//! which entries exist, at what level, with what parent pointer — depends
+//! *only* on the (axis, name) chain from the machine root, never on the
+//! group's predicates, comparisons or result kind (those live in the
+//! flags/candidates carried *on* the entries, which do not influence
+//! push/pop timing). Every machine node routed through a trie node
+//! therefore agrees, at every moment of the stream, on that node's stack.
+//! Each trie node owns exactly one copy of that stack (`TrieEntry`: the
+//! level), `StepTrie::advance` updates it **once per event**, and the
+//! engine forks into per-group machines only where state actually
+//! diverges — delivering the pushes through the node's **routes**
+//! (`(group, machine node)` pairs) so each group's entry carries its own
+//! flags and candidate bookkeeping. This is the one place a multi-query
+//! start tag's pushes are decided. Per-event planning thus scales with
+//! *distinct trie nodes*, not with the number of registered queries;
+//! [`PrefixRunStats`] counts both sides of that trade.
 
 use vitex_xpath::Axis;
 
 use crate::intern::Symbol;
 
-/// The label of a trie edge: one location step of a query's main path.
+/// The label of a trie edge: one element location step of a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepKey {
     /// Axis of the step.
@@ -52,9 +57,9 @@ pub struct StepKey {
 /// [`TriePush`], never read back.
 type TrieEntry = u32;
 
-/// A main-path push decided by `StepTrie::advance`: the trie node (its
-/// routes name the group machine nodes to push onto) and the
-/// parent-stack pointer the new entries carry.
+/// A push decided by `StepTrie::advance`: the trie node (its routes name
+/// the group machine nodes to push onto) and the parent-stack pointer the
+/// new entries carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TriePush {
     /// The trie node that pushed.
@@ -63,10 +68,6 @@ pub struct TriePush {
     pub ptr: u32,
 }
 
-/// Where a trie node's pushes land: per trie node, the `(group id,
-/// machine node)` pairs it drives, ascending by group id.
-pub(crate) type RouteTable = Vec<Vec<(u32, u32)>>;
-
 /// Per-run counters of the shared-prefix runtime, reset by
 /// [`StepTrie::begin_document`] and surfaced through
 /// [`crate::stats::PlanStats`].
@@ -74,9 +75,9 @@ pub(crate) type RouteTable = Vec<Vec<(u32, u32)>>;
 pub struct PrefixRunStats {
     /// Step checks executed against the trie (one per event × live node).
     pub steps_executed: u64,
-    /// Per-group step checks avoided (`routes - 1` per executed check).
+    /// Machine-node step checks avoided (`routes - 1` per executed check).
     pub steps_saved: u64,
-    /// Per-group entry deliveries fanned out from trie pushes.
+    /// Machine-node entry deliveries fanned out from trie pushes.
     pub forks: u64,
     /// Current live shared-stack entries.
     pub live_entries: u64,
@@ -95,12 +96,10 @@ impl PrefixRunStats {
 struct TrieNode {
     /// Edge label from the parent (meaningless for the root).
     key: StepKey,
-    /// Parent node; `None` for the root.
-    parent: Option<usize>,
-    /// 1-based step depth (0 for the root).
-    depth: u32,
+    /// Parent node; the root is its own parent.
+    parent: u32,
     /// Child node indices (small fan-out: linear scan beats hashing).
-    children: Vec<usize>,
+    children: Vec<u32>,
     /// Plan groups whose main path ends exactly here.
     terminals: Vec<usize>,
     /// The shared runtime stack (empty between documents).
@@ -112,12 +111,12 @@ struct TrieNode {
 pub struct StepTrie {
     /// `nodes[0]` is the root (no incoming edge).
     nodes: Vec<TrieNode>,
-    /// Parallel to `nodes`: the active plan groups whose main path passes
-    /// through each node (including those ending there), as `(group id,
-    /// the group's machine node for this step)`, **ascending by group id**
+    /// Parallel to `nodes`: the machine nodes a push of each node drives,
+    /// as `(group id, machine node)` of the active plan groups, **ascending**
     /// — a recycled low slot re-enters in order, so an event with a single
-    /// trie push expands into an already-sorted plan.
-    routes: RouteTable,
+    /// trie push expands into an already-sorted plan. One group may route
+    /// two machine nodes on one trie node: `//a[b]/b` tests `//a/b` twice.
+    routes: Vec<Vec<(u32, u32)>>,
     /// Symbol index → trie nodes whose step tests that name.
     by_symbol: Vec<Vec<u32>>,
     /// Trie nodes whose step is the wildcard `*`.
@@ -137,8 +136,7 @@ impl StepTrie {
         StepTrie {
             nodes: vec![TrieNode {
                 key: StepKey { axis: Axis::Child, name: None },
-                parent: None,
-                depth: 0,
+                parent: 0,
                 children: Vec::new(),
                 terminals: Vec::new(),
                 stack: Vec::new(),
@@ -152,41 +150,52 @@ impl StepTrie {
         }
     }
 
-    /// Descends `steps` from the root, creating missing nodes, and returns
-    /// the terminal node's index. Does **not** change routes — the planner
-    /// marks a route only when a path gains a distinct plan group.
-    pub fn insert_path(&mut self, steps: &[StepKey]) -> usize {
-        let mut cur = 0usize;
-        for &step in steps {
-            cur = match self.nodes[cur].children.iter().find(|&&c| self.nodes[c].key == step) {
-                Some(&c) => c,
-                None => {
-                    let id = self.nodes.len();
-                    let depth = self.nodes[cur].depth + 1;
-                    self.nodes.push(TrieNode {
-                        key: step,
-                        parent: Some(cur),
-                        depth,
-                        children: Vec::new(),
-                        terminals: Vec::new(),
-                        stack: Vec::new(),
-                    });
-                    self.routes.push(Vec::new());
-                    self.nodes[cur].children.push(id);
-                    match step.name {
-                        Some(sym) => {
-                            if self.by_symbol.len() <= sym.index() {
-                                self.by_symbol.resize(sym.index() + 1, Vec::new());
-                            }
-                            self.by_symbol[sym.index()].push(id as u32);
-                        }
-                        None => self.wildcards.push(id as u32),
-                    }
-                    id
-                }
-            };
+    /// The child of `parent` along `step`, created (unrouted) when
+    /// missing.
+    pub fn child(&mut self, parent: usize, step: StepKey) -> usize {
+        let children = &self.nodes[parent].children;
+        if let Some(&c) = children.iter().find(|&&c| self.nodes[c as usize].key == step) {
+            return c as usize;
         }
-        cur
+        let id = self.nodes.len();
+        self.nodes.push(TrieNode {
+            key: step,
+            parent: parent as u32,
+            children: Vec::new(),
+            terminals: Vec::new(),
+            stack: Vec::new(),
+        });
+        self.routes.push(Vec::new());
+        self.nodes[parent].children.push(id as u32);
+        match step.name {
+            Some(sym) => {
+                if self.by_symbol.len() <= sym.index() {
+                    self.by_symbol.resize(sym.index() + 1, Vec::new());
+                }
+                self.by_symbol[sym.index()].push(id as u32);
+            }
+            None => self.wildcards.push(id as u32),
+        }
+        id
+    }
+
+    /// Descends `steps` from the root, creating missing nodes, and returns
+    /// the last node's index. Does **not** change routes — the planner
+    /// routes a path only when it gains a distinct plan group.
+    pub fn insert_path(&mut self, steps: &[StepKey]) -> usize {
+        steps.iter().fold(0, |cur, &step| self.child(cur, step))
+    }
+
+    /// The nodes from the root (exclusive) down to `node`, in step order.
+    pub fn path_to(&self, node: usize) -> Vec<usize> {
+        let mut path = Vec::new();
+        let mut cur = node;
+        while cur != 0 {
+            path.push(cur);
+            cur = self.nodes[cur].parent as usize;
+        }
+        path.reverse();
+        path
     }
 
     /// The plan groups terminating at `node`.
@@ -194,54 +203,51 @@ impl StepTrie {
         &self.nodes[node].terminals
     }
 
-    /// Records `group` as terminating at `node` and routes it on every
-    /// node from `node` up to the root. `mnodes[d - 1]` is the group's
-    /// machine node for the step at depth `d`: what a push of that trie
-    /// node drives.
-    pub fn add_group(&mut self, node: usize, group: usize, mnodes: &[u32]) {
-        debug_assert_eq!(mnodes.len(), self.nodes[node].depth as usize);
+    /// Records `group` as terminating at `node` and files its `routes`:
+    /// `(trie node, machine node)` for every node of the group's machine,
+    /// what a push of that trie node drives.
+    pub fn add_group(&mut self, node: usize, group: usize, routes: &[(usize, u32)]) {
         self.nodes[node].terminals.push(group);
         let gid = group as u32;
-        let mut cur = node;
-        while let Some(parent) = self.nodes[cur].parent {
-            let mnode = mnodes[self.nodes[cur].depth as usize - 1];
-            let routes = &mut self.routes[cur];
-            routes.insert(routes.partition_point(|&(g, _)| g < gid), (gid, mnode));
-            cur = parent;
+        for &(at, mnode) in routes {
+            let list = &mut self.routes[at];
+            list.insert(list.partition_point(|&r| r < (gid, mnode)), (gid, mnode));
         }
     }
 
-    /// Unrecords `group` from `node` (the group went inactive), splicing
-    /// it out of the route lists up to the root. Trie nodes are never
-    /// deleted; an empty suffix simply stops counting as shared — and,
-    /// with no routes left, `StepTrie::advance` stops touching its runtime
-    /// stack entirely.
+    /// Unrecords `group` from `node` (the group went inactive) and splices
+    /// its routes out. A group's machine is one tree, routed onto one
+    /// subtree of the trie, so the walk starts at the top of `node`'s path
+    /// and descends only into nodes that route the group. Trie nodes are
+    /// never deleted; one with no routes left stops counting as shared and
+    /// `StepTrie::advance` stops touching its runtime stack.
     pub fn remove_group(&mut self, node: usize, group: usize) {
         let terminals = &mut self.nodes[node].terminals;
-        if let Some(pos) = terminals.iter().position(|&g| g == group) {
-            terminals.swap_remove(pos);
-            let gid = group as u32;
-            let mut cur = node;
-            while let Some(parent) = self.nodes[cur].parent {
-                let routes = &mut self.routes[cur];
-                let at = routes
-                    .iter()
-                    .position(|&(g, _)| g == gid)
-                    .expect("terminal group is routed on its whole path");
-                routes.remove(at); // order-preserving: routes stay ascending
-                cur = parent;
+        let Some(pos) = terminals.iter().position(|&g| g == group) else { return };
+        terminals.swap_remove(pos);
+        let gid = group as u32;
+        let mut top = node;
+        while self.nodes[top].parent != 0 {
+            top = self.nodes[top].parent as usize;
+        }
+        let mut todo = vec![top];
+        while let Some(at) = todo.pop() {
+            let routes = &mut self.routes[at];
+            let before = routes.len();
+            routes.retain(|&(g, _)| g != gid); // order-preserving
+            if routes.len() < before {
+                todo.extend(self.nodes[at].children.iter().map(|&c| c as usize));
             }
         }
     }
 
-    /// The route table: per trie node, the `(group id, machine node)`
-    /// pairs of the active groups routed through it, ascending by group
-    /// id.
-    pub(crate) fn routes(&self) -> &RouteTable {
-        &self.routes
+    /// The `(group id, machine node)` pairs routed through `node`,
+    /// ascending.
+    pub(crate) fn routes(&self, node: usize) -> &[(u32, u32)] {
+        &self.routes[node]
     }
 
-    /// Number of active groups whose main path passes through `node`.
+    /// Number of machine nodes routed through `node`.
     pub fn route_count(&self, node: usize) -> usize {
         self.routes[node].len()
     }
@@ -252,12 +258,11 @@ impl StepTrie {
         self.routes.iter().any(|r| r.iter().any(|&(g, _)| g as usize == group))
     }
 
-    /// Whether any **live** step — a trie node with at least one routed
-    /// group — tests `sym` (or is a wildcard). A start tag for which this
-    /// is false cannot advance the trie: [`StepTrie::advance`] checks
-    /// exactly these nodes. The admission filter asks this per element;
-    /// the first node listed is almost always live, so the scan is O(1)
-    /// outside heavy churn.
+    /// Whether any **live** step — a trie node with at least one route —
+    /// tests `sym` (or is a wildcard). A start tag for which this is false
+    /// cannot advance the trie: [`StepTrie::advance`] checks exactly these
+    /// nodes. The session admits an element by this; the first node listed
+    /// is almost always live, so the scan is O(1) outside heavy churn.
     pub(crate) fn has_live_step(&self, sym: Option<Symbol>) -> bool {
         self.steps_testing(sym).any(|ni| !self.routes[ni as usize].is_empty())
     }
@@ -281,10 +286,14 @@ impl StepTrie {
         self.nodes.len() == 1
     }
 
-    /// Step nodes on the main path of **more than one** active plan group
-    /// — the prefix structure the trie shares instead of duplicating.
+    /// Step nodes routing **at least two** distinct active plan groups —
+    /// the structure the trie shares instead of duplicating. One group
+    /// routing two machine nodes on a node shares nothing.
     pub fn shared_nodes(&self) -> usize {
-        self.routes.iter().filter(|r| r.len() >= 2).count()
+        self.routes
+            .iter()
+            .filter(|r| matches!((r.first(), r.last()), (Some(a), Some(b)) if a.0 != b.0))
+            .count()
     }
 
     /// Approximate heap bytes of the trie's *plan* structure. Runtime
@@ -297,7 +306,8 @@ impl StepTrie {
         use std::mem::size_of;
         let mut bytes = self.nodes.capacity() * size_of::<TrieNode>();
         for n in &self.nodes {
-            bytes += (n.children.capacity() + n.terminals.capacity()) * size_of::<usize>();
+            bytes += n.children.capacity() * size_of::<u32>()
+                + n.terminals.capacity() * size_of::<usize>();
         }
         for r in &self.routes {
             bytes += size_of::<Vec<(u32, u32)>>() + r.capacity() * size_of::<(u32, u32)>();
@@ -341,8 +351,9 @@ impl StepTrie {
     /// parent's **pre-event** stack — exactly the TwigM push rule — then
     /// applies the pushes, records them as the element's frame, and
     /// appends them to `pushed` for the engine to fan out along the
-    /// routes. One check per distinct trie node, however many groups share
-    /// it. Every advance is paired with one [`StepTrie::retreat`].
+    /// routes. One check per distinct trie node, however many machine
+    /// nodes share it. Every advance is paired with one
+    /// [`StepTrie::retreat`].
     pub(crate) fn advance(&mut self, sym: Option<Symbol>, level: u32, pushed: &mut Vec<TriePush>) {
         let base = pushed.len();
         let (mut executed, mut saved) = (0u64, 0u64);
@@ -355,24 +366,23 @@ impl StepTrie {
             }
             executed += 1;
             saved += routes as u64 - 1;
-            let ptr = match node.parent {
-                Some(0) | None => match node.key.axis {
+            let ptr = if node.parent == 0 {
+                match node.key.axis {
                     Axis::Child if level != 1 => continue,
                     _ => 0, // ptr unused at the path root
-                },
-                Some(p) => {
-                    let pstack = &self.nodes[p].stack;
-                    match node.key.axis {
-                        Axis::Child => match pstack.last() {
-                            Some(&top) if top + 1 == level => pstack.len() as u32 - 1,
-                            _ => continue,
-                        },
-                        Axis::Descendant => {
-                            if pstack.is_empty() {
-                                continue;
-                            }
-                            pstack.len() as u32 - 1
+                }
+            } else {
+                let pstack = &self.nodes[node.parent as usize].stack;
+                match node.key.axis {
+                    Axis::Child => match pstack.last() {
+                        Some(&top) if top + 1 == level => pstack.len() as u32 - 1,
+                        _ => continue,
+                    },
+                    Axis::Descendant => {
+                        if pstack.is_empty() {
+                            continue;
                         }
+                        pstack.len() as u32 - 1
                     }
                 }
             };
@@ -405,15 +415,16 @@ impl StepTrie {
     }
 
     /// Bills one shared step per `(push, routed group)` pair into the
-    /// gid-indexed `bill` (cost attribution; a no-op on an empty bill,
+    /// gid-indexed `bill` — once per group, however many of its machine
+    /// nodes the push drives (cost attribution; a no-op on an empty bill,
     /// i.e. when profiling is off).
     pub(crate) fn bill_pushes(&self, pushed: &[TriePush], bill: &mut [u64]) {
         if bill.is_empty() {
             return;
         }
         for p in pushed {
-            for &(gid, _) in &self.routes[p.node as usize] {
-                bill[gid as usize] += 1;
+            for run in self.routes[p.node as usize].chunk_by(|a, b| a.0 == b.0) {
+                bill[run[0].0 as usize] += 1;
             }
         }
     }
@@ -432,6 +443,12 @@ mod tests {
 
     fn key(interner: &mut Interner, axis: Axis, name: Option<&str>) -> StepKey {
         StepKey { axis, name: name.map(|n| interner.intern(n)) }
+    }
+
+    /// Routes a group's main path ending at `node`: `mnodes[d]` is the
+    /// machine node of the step at depth `d + 1`.
+    fn main_routes(t: &StepTrie, node: usize, mnodes: &[u32]) -> Vec<(usize, u32)> {
+        t.path_to(node).into_iter().zip(mnodes.iter().copied()).collect()
     }
 
     #[test]
@@ -477,21 +494,22 @@ mod tests {
         let ac = [key(&mut i, Axis::Child, Some("a")), key(&mut i, Axis::Child, Some("c"))];
         let n_ab = t.insert_path(&ab);
         let n_ac = t.insert_path(&ac);
-        t.add_group(n_ab, 1, &[0, 1]);
+        t.add_group(n_ab, 1, &main_routes(&t, n_ab, &[0, 1]));
         assert_eq!(t.shared_nodes(), 0);
-        t.add_group(n_ac, 2, &[0, 1]);
+        t.add_group(n_ac, 2, &main_routes(&t, n_ac, &[0, 1]));
         // /a now routes two groups; the b/c leaves route one each.
         assert_eq!(t.shared_nodes(), 1);
         assert_eq!(t.terminals(n_ab), &[1]);
         assert!(t.is_routed(1) && t.is_routed(2));
         // A low slot registered late (a recycled one) enters in order:
         // routes stay ascending by group id, whatever the insertion order.
-        t.add_group(n_ab, 0, &[5, 6]);
+        t.add_group(n_ab, 0, &main_routes(&t, n_ab, &[5, 6]));
         let n_a = t.insert_path(&ab[..1]);
-        assert_eq!(t.routes()[n_a], [(0, 5), (1, 0), (2, 0)]);
-        assert_eq!(t.routes()[n_ab], [(0, 6), (1, 1)]);
+        assert_eq!(t.path_to(n_ab), [n_a, n_ab]);
+        assert_eq!(t.routes(n_a), [(0, 5), (1, 0), (2, 0)]);
+        assert_eq!(t.routes(n_ab), [(0, 6), (1, 1)]);
         t.remove_group(n_ab, 1);
-        assert_eq!(t.routes()[n_a], [(0, 5), (2, 0)]);
+        assert_eq!(t.routes(n_a), [(0, 5), (2, 0)]);
         t.remove_group(n_ab, 0);
         assert_eq!(t.shared_nodes(), 0);
         assert!(t.terminals(n_ab).is_empty());
@@ -517,7 +535,7 @@ mod tests {
         let path = [key(&mut i, Axis::Descendant, Some("a")), key(&mut i, Axis::Child, Some("b"))];
         let n_b = t.insert_path(&path);
         let n_a = t.insert_path(&path[..1]);
-        t.add_group(n_b, 0, &[0, 1]);
+        t.add_group(n_b, 0, &main_routes(&t, n_b, &[0, 1]));
         let a = i.lookup("a");
         let b = i.lookup("b");
         t.begin_document();
@@ -562,17 +580,55 @@ mod tests {
         t.advance(a, 1, &mut pushed);
         assert!(pushed.is_empty(), "no routed group: the node is dormant");
         assert_eq!(t.run_stats().steps_executed, 0);
-        t.add_group(n_a, 3, &[0]);
+        t.add_group(n_a, 3, &[(n_a, 0)]);
         assert!(t.has_live_step(a) && !t.has_live_step(None));
         t.advance(a, 2, &mut pushed);
         assert_eq!(pushed.len(), 1);
         assert_eq!(t.run_stats().steps_executed, 1);
         // A wildcard step is live for every name, interned or not.
         let wild = t.insert_path(&[key(&mut i, Axis::Descendant, None)]);
-        t.add_group(wild, 4, &[0]);
+        t.add_group(wild, 4, &[(wild, 0)]);
         assert!(t.has_live_step(None));
         t.remove_group(wild, 4);
         t.remove_group(n_a, 3);
         assert!(!t.has_live_step(a), "retiring the last group makes the step dormant again");
+    }
+
+    #[test]
+    fn predicate_steps_route_on_the_node_of_their_path() {
+        // //a[b]/b: machine nodes a = 0, the predicate b = 1 and the main b
+        // = 2. Both b's test `//a/b`, so one group routes that node twice.
+        let mut i = Interner::new();
+        let mut t = StepTrie::new();
+        let n_a = t.insert_path(&[key(&mut i, Axis::Descendant, Some("a"))]);
+        let n_ab = t.child(n_a, key(&mut i, Axis::Child, Some("b")));
+        let (a, b) = (i.lookup("a"), i.lookup("b"));
+        t.add_group(n_ab, 0, &[(n_a, 0), (n_ab, 2), (n_ab, 1)]);
+        assert_eq!(t.routes(n_ab), [(0, 1), (0, 2)], "ascending by (group, machine node)");
+        assert_eq!(t.shared_nodes(), 0, "one group shares nothing with itself");
+        // <a><b/></a>: one bill per push, however many routes it drives.
+        let mut bill = vec![0u64; 2];
+        let mut pushed = Vec::new();
+        t.begin_document();
+        for (sym, level) in [(a, 1), (b, 2)] {
+            pushed.clear();
+            t.advance(sym, level, &mut pushed);
+            assert_eq!(pushed.len(), 1);
+            t.bill_pushes(&pushed, &mut bill);
+        }
+        assert_eq!(bill, [2, 0]);
+        assert_eq!(t.run_stats().forks, 3, "<b> forks to both machine nodes");
+        assert_eq!(t.run_stats().steps_saved, 1, "one check stands for two");
+        t.retreat(2);
+        t.retreat(1);
+        // //a/b as group 1 shares both nodes with group 0.
+        t.add_group(n_ab, 1, &main_routes(&t, n_ab, &[0, 1]));
+        assert_eq!(t.shared_nodes(), 2, "`//a` and `//a/b` each route two groups");
+        assert_eq!(t.routes(n_ab), [(0, 1), (0, 2), (1, 1)]);
+        // Removal walks group 0's subtree and takes both of its routes.
+        t.remove_group(n_ab, 0);
+        assert!(!t.is_routed(0));
+        assert_eq!((t.routes(n_a), t.routes(n_ab)), (&[(1, 0)][..], &[(1, 1)][..]));
+        assert_eq!(t.shared_nodes(), 0);
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! TwigM machines are independent consumers of one sequential scan. A
 //! [`Session`] is that scan for a frozen subscription set: the driver's
-//! interned events pass the admission walk, what it admits goes straight
-//! into the engine's `crate::multi::Executor` over the live plan groups,
+//! interned events that some group can see go straight into the engine's
+//! `crate::multi::Executor` over the step trie and the live plan groups,
 //! and the per-document epilogue assembles the output.
 //! [`MultiEngine::session`] opens one; [`MultiEngine::run`] is a
 //! one-document session.
@@ -20,11 +20,13 @@
 //! (`add_query` / `remove_query`) happens between sessions.
 //!
 //! What a session holds, borrowed from the engine: the driver and
-//! interner, the **admission walk** (`admit::Admission`: the
-//! any-group-interested filter, the global trie advance and the
-//! shared-step bill), the live groups and the executor that drives them.
-//! Its one `EventSink` asks the walk first and hands what it admits to the
-//! executor; at document end the session reads the groups directly.
+//! interner, the step trie, the set of groups that read text, the live
+//! groups and the executor that drives them. Its one `EventSink` admits
+//! an element when a live trie step tests its name
+//! (`StepTrie::has_live_step`: every machine node of every group is routed
+//! on a trie step, so no other element can move a machine) and a text node
+//! when some group reads text, and hands what it admits to the executor;
+//! at document end the session reads the groups directly.
 //!
 //! ## One door out
 //!
@@ -44,21 +46,18 @@
 //! solution of a shared machine its bindings in first-registration order,
 //! each binding's subscribers in registration order.
 
-pub(crate) mod admit;
-
 use vitex_xmlsax::event::{CharactersEvent, EndElementEvent, StartElementEvent};
 use vitex_xmlsax::EventSource;
 
+use crate::bitset::DynBitSet;
 use crate::driver::{DocumentDriver, EventSink};
 use crate::error::EngineResult;
 use crate::intern::{Interner, Symbol};
 use crate::multi::{Executor, MultiOutput, QueryRecord, SessionParts, StartTag};
-use crate::plan::{resident_bytes, PlanGroup};
+use crate::plan::{resident_bytes, PlanGroup, StepTrie};
 use crate::result::{Match, NodeId, QueryId};
 use crate::stats::{MachineStats, PlanStats, StreamStats};
 use crate::telemetry::CostLedger;
-
-use admit::Admission;
 
 /// A live session: the plan is frozen and any number of documents can
 /// stream through (see the module docs). Obtained from
@@ -69,8 +68,11 @@ pub struct Session<'a> {
     records: &'a [QueryRecord],
     /// Cost ledger: `None` unless profiling is on.
     profile: Option<&'a mut CostLedger>,
-    /// The admission walk, reset per document.
-    admission: Admission<'a>,
+    /// The step trie: its routes are frozen for the session, so a
+    /// filtered start tag's end tag (same symbol) gets the same verdict.
+    trie: &'a mut StepTrie,
+    /// The group slots that read text.
+    text: &'a DynBitSet,
     /// Plan-group slots, active or not, indexed by group id.
     groups: &'a mut [PlanGroup],
     /// The groups with several bindings, which bill their deliveries.
@@ -86,7 +88,7 @@ impl<'a> Session<'a> {
     /// Opens a session over `parts`. Opening costs the plan-statistics
     /// snapshot.
     pub(crate) fn open(parts: SessionParts<'a>) -> Self {
-        let SessionParts { planner, interner, driver, index, exec, walk, records, profile } = parts;
+        let SessionParts { planner, interner, driver, text, exec, records, profile } = parts;
         let plan = planner.stats_sans_group_bytes(interner);
         let (trie, groups, multi_binding) = planner.run_split();
         exec.sample_self_time(profile.is_some(), groups.len());
@@ -95,7 +97,8 @@ impl<'a> Session<'a> {
             interner,
             records,
             profile,
-            admission: Admission::new(index, trie, walk),
+            trie,
+            text,
             groups,
             multi_binding,
             exec,
@@ -139,10 +142,11 @@ impl<'a> Session<'a> {
             self.groups[g].reset_bills();
         }
         self.exec.begin_document();
-        self.admission.begin_document(if self.profile.is_some() { self.groups.len() } else { 0 });
+        self.trie.begin_document();
         let mut sink = SessionSink {
             interner: self.interner,
-            walk: &mut self.admission,
+            trie: self.trie,
+            text: self.text,
             groups: self.groups,
             exec: self.exec,
             on_match: &mut on_match,
@@ -158,7 +162,7 @@ impl<'a> Session<'a> {
     /// shared machine contributes once per subscriber, as private engines
     /// would, with what its own binding was delivered.
     fn finish_document(&mut self, stream: StreamStats) -> MultiOutput {
-        let run = self.admission.trie_run_stats();
+        let run = self.trie.run_stats();
         let plan = PlanStats {
             plan_bytes: self.plan.plan_bytes + resident_bytes(self.groups),
             prefix_steps_executed: run.steps_executed,
@@ -208,7 +212,7 @@ impl<'a> Session<'a> {
                 profile.fold_group(gid, g.shape_key(), subscribers, g.machine().stats());
                 profile.add_self_ns(gid, self.exec.self_ns(gid));
             }
-            let shared_steps = self.admission.shared_steps();
+            let shared_steps = self.exec.shared_steps();
             if shared_steps.iter().any(|&n| n > 0) {
                 profile.add_shared_steps(shared_steps);
             }
@@ -224,12 +228,15 @@ impl<'a> Session<'a> {
     }
 }
 
-/// The **one** [`EventSink`] of multi-query execution: every method asks
-/// the admission walk first and hands what it admits to the executor,
-/// with the borrowed driver event and the caller's callback.
+/// The **one** [`EventSink`] of multi-query execution: it admits an event
+/// some group can see and hands it to the executor, with the borrowed
+/// driver event and the caller's callback. An element is admitted when a
+/// live trie step tests its name, which depends on the symbol alone, so
+/// start and end tags pair up; a dropped start tag could not have pushed.
 struct SessionSink<'s, 'a, F> {
     interner: &'a Interner,
-    walk: &'s mut Admission<'a>,
+    trie: &'s mut StepTrie,
+    text: &'a DynBitSet,
     groups: &'s mut [PlanGroup],
     exec: &'s mut Executor,
     on_match: &'s mut F,
@@ -247,25 +254,26 @@ impl<F: FnMut(QueryId, Match)> EventSink for SessionSink<'_, '_, F> {
         node_id: NodeId,
         attr_id_base: NodeId,
     ) {
-        let (level, span) = (event.level, event.span);
-        if self.walk.start(sym, level) {
+        if self.trie.has_live_step(sym) {
+            let (level, span) = (event.level, event.span);
             let attributes = event.attributes.as_slice();
             let tag = StartTag { sym, level, attributes, node_id, attr_id_base, span };
-            self.exec.start(self.groups, self.walk.walked(), &tag, self.on_match);
+            self.exec.start(self.trie, self.groups, &tag, self.on_match);
         }
     }
 
     fn characters(&mut self, event: &CharactersEvent, node_id: NodeId) {
-        if self.walk.text() {
+        if !self.text.is_empty() {
             let (text, level, span) = (event.text.as_str(), event.level, event.span);
             self.exec.text(self.groups, text, level, node_id, span, self.on_match);
         }
     }
 
     fn end_element(&mut self, sym: Option<Symbol>, event: &EndElementEvent) {
-        if self.walk.end(sym, event.level) {
+        if self.trie.has_live_step(sym) {
             let (name, level, element_span) =
                 (event.name.as_str(), event.level, event.element_span);
+            self.trie.retreat(level);
             self.exec.end(self.groups, name, level, element_span, self.on_match);
         }
     }
@@ -275,7 +283,84 @@ impl<F: FnMut(QueryId, Match)> EventSink for SessionSink<'_, '_, F> {
 mod tests {
     use super::*;
     use crate::multi::MultiEngine;
+    use vitex_xmlsax::pos::ByteSpan;
     use vitex_xmlsax::XmlReader;
+
+    #[test]
+    fn filtered_tags_pair_up_and_are_never_delivered() {
+        let mut multi = MultiEngine::new();
+        let q = multi.add_query("/a/b").unwrap();
+        let parts = multi.session_parts();
+        let (a, b) = (parts.interner.lookup("a"), parts.interner.lookup("b"));
+        let (trie, groups, _) = parts.planner.run_split();
+        trie.begin_document();
+        parts.exec.begin_document();
+        let mut hits = Vec::new();
+        let mut on_match = |q: QueryId, m: Match| hits.push((q, m.node));
+        let mut sink = SessionSink {
+            interner: parts.interner,
+            trie,
+            text: parts.text,
+            groups,
+            exec: parts.exec,
+            on_match: &mut on_match,
+        };
+        let span = ByteSpan::new(0, 0);
+        let start = |sink: &mut SessionSink<'_, '_, _>, sym, name: &str, level, id| {
+            let event =
+                StartElementEvent { name: name.into(), attributes: Vec::new(), level, span };
+            sink.start_element(sym, &event, id, id + 1);
+            (sink.trie.run_stats().steps_executed, sink.groups[0].machine().stats().pushes)
+        };
+        let end = |sink: &mut SessionSink<'_, '_, _>, sym, name: &str, level| {
+            let event = EndElementEvent { name: name.into(), level, element_span: span };
+            sink.end_element(sym, &event);
+            sink.trie.live_entries()
+        };
+        // <a><x><b/></x>t<b/></a>: x is unknown to every query, and no
+        // query reads text. Each admitted start tag tests one live step.
+        assert_eq!(start(&mut sink, a, "a", 1, 0), (1, 1), "/a pushes");
+        assert_eq!(start(&mut sink, None, "x", 2, 1), (1, 1), "<x> is filtered");
+        assert_eq!(start(&mut sink, b, "b", 3, 2), (2, 1), "/a/b does not match a/x/b");
+        assert_eq!(end(&mut sink, b, "b", 3), 1);
+        assert_eq!(end(&mut sink, None, "x", 2), 1, "</x> pairs with its filtered start tag");
+        assert!(sink.text.is_empty(), "no group reads text");
+        let text = CharactersEvent { text: "t".into(), level: 1, span };
+        sink.characters(&text, 3);
+        assert_eq!(start(&mut sink, b, "b", 2, 4), (3, 2), "/a/b matches a/b");
+        assert_eq!(end(&mut sink, b, "b", 2), 1);
+        assert_eq!(end(&mut sink, a, "a", 1), 0, "every admitted start tag was retreated");
+        // A new document starts from an empty trie.
+        sink.trie.begin_document();
+        assert_eq!(sink.trie.run_stats().steps_executed, 0);
+        assert_eq!(start(&mut sink, a, "a", 1, 0).0, 1);
+        assert_eq!(hits, [(q, 4)], "the second <b> was delivered, the first never matched");
+    }
+
+    #[test]
+    fn retiring_every_group_on_a_trie_path_filters_its_tags_until_re_registration() {
+        // The filter has no index of its own: it reads trie liveness, so it
+        // must follow churn — predicate steps included, since `//c[d]`
+        // routes `<d>` through the trie step `//c/d`.
+        let mut multi = MultiEngine::new();
+        let q_ab = multi.add_query("/a/b").unwrap();
+        let q_c = multi.add_query("//c[d]").unwrap();
+        let live = |multi: &mut MultiEngine, name: &str| {
+            let parts = multi.session_parts();
+            parts.planner.trie().has_live_step(parts.interner.lookup(name))
+        };
+        assert!(live(&mut multi, "a"), "/a is a live trie step");
+        assert!(live(&mut multi, "d"), "//c/d is the live step of the predicate of //c[d]");
+        assert_eq!(multi.remove_query(q_c), Some(true));
+        assert!(!live(&mut multi, "d"), "retiring //c[d] makes <d> dormant again");
+        assert_eq!(multi.remove_query(q_ab), Some(true));
+        for name in ["a", "b", "c", "d"] {
+            assert!(!live(&mut multi, name), "<{name}>: every interested group retired");
+        }
+        assert_eq!(multi.add_query("/a/b").unwrap(), QueryId(2));
+        assert!(live(&mut multi, "a"), "re-registration revives the path");
+        assert!(!live(&mut multi, "c") && !live(&mut multi, "d"), "//c[d] stays retired");
+    }
 
     #[test]
     fn session_streams_documents_back_to_back() {

@@ -77,11 +77,11 @@ pub struct PlanStats {
     pub recycled_slots: u64,
     /// Total stacked machine nodes across active group machines.
     pub machine_nodes: u64,
-    /// Nodes in the shared step trie (one per distinct location-step
-    /// prefix across all registered queries).
+    /// Nodes in the shared step trie (one per distinct element step path
+    /// across all registered queries, predicate steps included).
     pub trie_nodes: u64,
-    /// Trie nodes on the main path of more than one plan group — the
-    /// prefix structure the trie deduplicates.
+    /// Trie nodes that route at least two distinct plan groups — the step
+    /// structure the trie deduplicates.
     pub shared_trie_nodes: u64,
     /// Approximate bytes of compiled plan structure (machine specs, stacks
     /// at rest, trie, subscriber lists).
@@ -90,21 +90,22 @@ pub struct PlanStats {
     // ----- step-trie execution counters -----
     // All four are per-*run* counters maintained by the runtime step trie
     // (zero before the first run).
-    /// Main-path step checks executed against the shared trie this run —
-    /// one per (event, trie node with live routes), instead of one per
-    /// (event, group, machine node) as per-group planning would need. It
-    /// scales with distinct trie nodes rather than with the query count.
+    /// Step checks executed against the shared trie this run — one per
+    /// (event, trie node with live routes), instead of one per (event,
+    /// group, machine node) as per-group planning would need. It scales
+    /// with distinct trie nodes rather than with the query count.
     pub prefix_steps_executed: u64,
-    /// Per-group main-path step checks *avoided* by sharing: for every
-    /// executed trie check, `routes - 1` group machines did not have to
-    /// re-evaluate the same axis/name witness.
+    /// Machine-node step checks *avoided* by sharing: for every executed
+    /// trie check, the `routes - 1` other machine nodes routed on it did
+    /// not have to re-evaluate the same axis/name witness (one group may
+    /// route two, as `//a[b]/b` does).
     pub prefix_steps_saved: u64,
     /// Forks from shared trie state into per-group machines: entry
-    /// deliveries where a trie push fanned out to each routed group's own
-    /// stack (flags/candidates diverge per group from here on).
+    /// deliveries where a trie push fanned out to each routed machine
+    /// node's own stack (flags/candidates diverge per group from here on).
     pub prefix_forks: u64,
-    /// Peak bytes of the shared trie stacks this run — the main-path
-    /// match state the groups consult instead of each probing their own.
+    /// Peak bytes of the shared trie stacks this run — the match state the
+    /// groups consult instead of each probing their own.
     pub prefix_stack_bytes: u64,
 }
 

@@ -15,7 +15,8 @@
 //! This is the correctness check for the unified [`DocumentDriver`] layer:
 //! all engines share one SAX loop, one numbering scheme and one
 //! interner-resolution path, so any disagreement here points at the
-//! step trie, the dispatch index or the symbol plumbing.
+//! step trie (which decides every multi-query push, predicate steps
+//! included) or the symbol plumbing.
 
 #[allow(dead_code)] // this battery does not generate query sets
 mod common;
@@ -459,8 +460,8 @@ fn truncated_document_delivers_its_prefix_then_the_engine_starts_fresh() {
         assert_eq!(streamed, &expected, "delivered prefix: {q}");
     }
 
-    // Recovery: the cut leaves entries on the shared trie stacks, open
-    // frames in the executor and open elements in the admission walk.
+    // Recovery: the cut leaves entries and open-element frames on the
+    // shared trie stacks and open frames in the executor.
     // The next document through the *same* engine — a run after the
     // failed run, and the next document of a warm session — must start
     // from nothing: it gets exactly a fresh engine's output.
@@ -608,7 +609,7 @@ fn churned_sessions_match_the_reference() {
 #[test]
 fn wildcard_only_query_sees_every_element_through_the_index() {
     // A machine with only wildcard steps has an empty name-dispatch set;
-    // the always-on wildcard set must still deliver the full stream.
+    // its wildcard trie steps must still deliver the full stream.
     let xml = recursive::to_string(&recursive::RecursiveConfig::square(6));
     let tree = QueryTree::parse("//*").unwrap();
     let expected = single_ids(&xml, &tree);
@@ -1020,4 +1021,102 @@ fn shape_groups_follow_literal_churn_between_sessions() {
     }
     assert_eq!(engine.group_count(), 2, "new literals join their shapes");
     check(&mut engine, &live, "literals added");
+}
+
+// --------------------------------------------------------------------- //
+// Predicate steps in the step trie: a predicate step is the trie node of
+// its path, shared with main-path and predicate steps of any group
+// --------------------------------------------------------------------- //
+
+/// Hand-made items: a payment before and after the name, two payments, an
+/// item without one and an item nested in another.
+const ITEMS: &str =
+    "<site><item id=\"i1\"><payment>Cash</payment><name>a</name><quantity>1</quantity></item>\
+    <item id=\"i2\"><name>b</name></item>\
+    <item id=\"i3\"><name>c</name><payment>Creditcard</payment><payment>Cash</payment></item>\
+    <item id=\"i4\"><quantity>2</quantity><payment>Cash</payment>\
+    <item id=\"i5\"><payment/><name>d</name></item></item></site>";
+
+#[test]
+fn predicate_steps_share_trie_nodes_with_main_steps() {
+    // `//a[b]/b`: one group, two routes on `//a/b`.
+    let xml = "<r><a><b/><b/></a><a><c/><b/></a><a><c/></a><a><b><a><b/></a></b></a></r>";
+    let out = check_queries("one group, two routes", &["//a[b]/b"], xml);
+    assert_eq!(out.matches[0].len(), 5);
+    assert_eq!((out.plan.trie_nodes, out.plan.shared_trie_nodes), (2, 0));
+
+    // A predicate step and two main steps of three groups on `//item/payment`.
+    let item_queries = ["//item[payment]/name", "//item[payment = 'Cash']/@id", "//item/payment"];
+    let auction = auction::to_string(&auction::AuctionConfig::sized(24_000));
+    for (label, xml) in [("hand-made items", ITEMS), ("auction", auction.as_str())] {
+        let out = check_queries(label, &item_queries, xml);
+        assert!(out.matches.iter().all(|m| !m.is_empty()), "{label}: every query matches");
+        assert_eq!((out.plan.trie_nodes, out.plan.shared_trie_nodes), (3, 2), "{label}");
+    }
+
+    // Wildcards: the predicate step `//a/*` is the main step of `//a/*`.
+    let xml = "<r><a><c/></a><a><b/><c/></a><a/><a><c><a><x/></a></c></a></r>";
+    let out = check_queries("wildcard steps", &["//a[*]/c", "//a/*"], xml);
+    assert_eq!((out.plan.trie_nodes, out.plan.shared_trie_nodes), (3, 2));
+
+    // A nested predicate branch is another query's main path.
+    let xml = "<r><a><b><c/></b><d/></a><a><b/><d/></a><a><d/><b><c/><c/></b></a></r>";
+    let out = check_queries("nested branch", &["//a[b[c]]/d", "//a/b/c"], xml);
+    assert_eq!(out.matches.iter().map(Vec::len).collect::<Vec<_>>(), [2, 3]);
+    assert_eq!((out.plan.trie_nodes, out.plan.shared_trie_nodes), (4, 3));
+
+    // The paper's exponential-matches query, predicates under `//*`.
+    let xml = recursive::to_string(&recursive::RecursiveConfig::square(6));
+    let out = check_queries("recursive", &["//*[author]//*[position]//*"], &xml);
+    assert!(!out.matches[0].is_empty());
+    assert_eq!(out.plan.trie_nodes, 5);
+}
+
+#[test]
+fn retiring_a_shared_predicate_branch_keeps_the_other_groups_routed() {
+    // `//item[payment]/name` routes its predicate on `//item/payment`, the
+    // node two other groups route too. Retiring it, then registering a new
+    // shape into the recycled slot, must leave an engine that does what a
+    // fresh one over the live queries does, callback order included.
+    let auction = auction::to_string(&auction::AuctionConfig::sized(16_000));
+    let docs = [ITEMS, auction.as_str()];
+    let mut engine = MultiEngine::new();
+    let retired = engine.add_query("//item[payment]/name").unwrap();
+    let mut live = vec!["//item/payment", "//item[payment = 'Cash']/@id"];
+    for q in &live {
+        engine.add_query(q).unwrap();
+    }
+    assert_eq!(engine.remove_query(retired), Some(true));
+    let newcomer = "//item[quantity][payment]/@id";
+    assert_eq!(engine.add_query(newcomer).unwrap(), QueryId(3));
+    live.insert(0, newcomer);
+    let mut fresh = MultiEngine::new();
+    for q in &live {
+        fresh.add_query(q).unwrap();
+    }
+    let text = |e: &MultiEngine, n| (0..n).map(|i| e.query_text(QueryId(i)).to_owned()).collect();
+    let (texts, fresh_texts): (Vec<String>, Vec<String>) = (text(&engine, 4), text(&fresh, 3));
+    for xml in docs {
+        let mut streamed = Vec::new();
+        let out = engine
+            .run(XmlReader::from_str(xml), |q, m| streamed.push((&texts[q.0], m.node)))
+            .unwrap();
+        let mut expected = Vec::new();
+        let fresh_out = fresh
+            .run(XmlReader::from_str(xml), |q, m| expected.push((&fresh_texts[q.0], m.node)))
+            .unwrap();
+        assert_eq!(streamed, expected, "callback order");
+        assert!(!streamed.is_empty());
+        assert_eq!(out.plan.recycled_slots, 1, "{newcomer} took the retired slot");
+        let work = |p: &vitex::core::PlanStats| {
+            (p.groups, p.shared_trie_nodes, p.prefix_steps_executed, p.prefix_forks)
+        };
+        assert_eq!(work(&out.plan), work(&fresh_out.plan), "groups and trie work");
+        let ids = [QueryId(3), QueryId(1), QueryId(2)];
+        for (j, id) in ids.iter().enumerate() {
+            assert_eq!(out.matches[id.0], fresh_out.matches[j], "{}", live[j]);
+            assert_eq!(out.stats[id.0], fresh_out.stats[j], "{}", live[j]);
+        }
+        check_queries("churned set", &live, xml);
+    }
 }

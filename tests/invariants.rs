@@ -418,22 +418,34 @@ mod plan_invariants {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
         /// Insert/remove round-trips: re-inserting a path is idempotent,
-        /// and removing every group leaves a fully unrouted (but intact)
-        /// trie — no orphan routes, no shared nodes, empty terminals.
+        /// each group routes its main path plus one predicate branch, and
+        /// removing every group leaves a fully unrouted (but intact) trie —
+        /// no orphan routes, no shared nodes, empty terminals.
         #[test]
         fn step_trie_insert_remove_round_trips(seed in 0u64..10_000, paths in 1usize..12) {
             let mut interner = Interner::new();
             let mut trie = StepTrie::new();
             let mut terminals = Vec::new();
+            let mut routed = 0;
             for g in 0..paths {
                 let path = path_from(seed.wrapping_add(g as u64), &mut interner);
                 let node = trie.insert_path(&path);
                 prop_assert_eq!(trie.insert_path(&path), node, "re-insert is idempotent");
-                trie.add_group(node, g, &vec![0; path.len()]);
+                let main = trie.path_to(node);
+                prop_assert_eq!(main.len(), path.len());
+                let mut routes: Vec<(usize, u32)> = main.iter().copied().zip(0..).collect();
+                // A predicate step hangs off a main-path node, as `[b]` off
+                // `a` in `//a[b]/c`; it may land on a main-path node itself.
+                let branch = trie.child(main[g % main.len()], path[(g + 1) % path.len()]);
+                routes.push((branch, path.len() as u32));
+                trie.add_group(node, g, &routes);
+                routed += routes.len();
                 terminals.push((node, g));
                 prop_assert!(trie.terminals(node).contains(&g));
                 prop_assert!(trie.is_routed(g));
-                prop_assert!(trie.route_count(node) >= 1);
+                prop_assert!(trie.route_count(node) >= 1 && trie.route_count(branch) >= 1);
+                let total: usize = (0..=trie.len()).map(|n| trie.route_count(n)).sum();
+                prop_assert_eq!(total, routed, "one route per machine node");
             }
             let len_at_peak = trie.len();
             for &(node, g) in &terminals {
@@ -444,8 +456,8 @@ mod plan_invariants {
             prop_assert_eq!(trie.len(), len_at_peak, "nodes are never deleted");
             for &(node, _) in &terminals {
                 prop_assert!(trie.terminals(node).is_empty());
-                prop_assert_eq!(trie.route_count(node), 0);
             }
+            prop_assert!((0..=trie.len()).all(|n| trie.route_count(n) == 0));
             prop_assert_eq!(trie.live_entries(), 0, "no runtime state without a run");
         }
 
@@ -509,7 +521,14 @@ mod plan_invariants {
                         "routes track activity exactly (slot {})", slot
                     );
                 }
-                prop_assert_eq!(planner.trie().live_entries(), 0);
+                let trie = planner.trie();
+                let routes: usize = (0..=trie.len()).map(|n| trie.route_count(n)).sum();
+                let machine_nodes: usize = (planner.groups().iter())
+                    .filter(|g| g.is_active())
+                    .map(|g| g.machine().spec().len())
+                    .sum();
+                prop_assert_eq!(routes, machine_nodes, "every machine node routes exactly once");
+                prop_assert_eq!(trie.live_entries(), 0);
             }
         }
     }
