@@ -5,7 +5,7 @@
 //! — and pushes each event into an [`EventSink`]; the engines are sinks,
 //! and anything else that wants a numbered, symbol-resolved event stream
 //! can be one too. [`DocumentDriver::run`] pulls events from an
-//! [`EventSource`] until the document ends.
+//! [`XmlReader`] until the document ends.
 //!
 //! Responsibilities split:
 //!
@@ -19,13 +19,14 @@
 //!   with it.
 
 use vitex_xmlsax::event::{CharactersEvent, EndElementEvent, StartElementEvent};
-use vitex_xmlsax::{EventSource, XmlEvent};
+use vitex_xmlsax::{XmlEvent, XmlReader};
 
 use crate::error::EngineResult;
 use crate::intern::Symbol;
 use crate::result::NodeId;
 use crate::stats::StreamStats;
-use crate::telemetry::{Telemetry, TID_COORDINATOR};
+use crate::telemetry::Telemetry;
+use std::io::Read;
 use std::time::Instant;
 
 /// Dispatch-latency sampling stride: with telemetry on, the first
@@ -87,9 +88,9 @@ impl DocumentDriver {
     }
 
     /// Attaches a telemetry handle. The driver records the sampled
-    /// per-event dispatch histogram, whole-document wall time, and a
-    /// `document` span per run; the stream counters it returns are folded
-    /// by the engine that ran it, with the rest of the document.
+    /// per-event dispatch histogram and one `vitex_doc_ns` sample per
+    /// document that streams to its end; the stream counters it returns
+    /// are folded by the engine that ran it, with the rest of the document.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
@@ -106,9 +107,9 @@ impl DocumentDriver {
     ///
     /// Per event the driver counts it, numbers the node it opens, and
     /// resolves (start tag) or replays (end tag) the element's symbol.
-    pub fn run<E: EventSource, S: EventSink>(
+    pub fn run<R: Read, S: EventSink>(
         &mut self,
-        mut reader: E,
+        mut reader: XmlReader<R>,
         sink: &mut S,
     ) -> EngineResult<StreamStats> {
         self.open_syms.clear();
@@ -158,8 +159,7 @@ impl DocumentDriver {
                 | XmlEvent::DoctypeDeclaration { .. } => {}
             }
         }
-        self.telemetry.add_elapsed(|r| &r.doc_ns, t_doc);
-        self.telemetry.record_span("document", "stream", TID_COORDINATOR, t_doc);
+        self.telemetry.observe_elapsed(|r| &r.doc_ns, t_doc);
         Ok(stats)
     }
 }
@@ -168,7 +168,6 @@ impl DocumentDriver {
 mod tests {
     use super::*;
     use crate::intern::Interner;
-    use vitex_xmlsax::XmlReader;
 
     /// Records everything the driver hands it.
     struct Recorder {

@@ -8,8 +8,10 @@
 //! logic lives in [`crate::machine`]; all document plumbing lives in
 //! [`crate::driver`].
 
+use std::io::Read;
+
 use vitex_xmlsax::event::{CharactersEvent, EndElementEvent, StartElementEvent};
-use vitex_xmlsax::{EventSource, XmlReader};
+use vitex_xmlsax::XmlReader;
 use vitex_xpath::query_tree::QueryTree;
 
 use crate::builder::{BuildError, EvalMode, MachineSpec};
@@ -73,8 +75,8 @@ impl Engine {
         &self.machine
     }
 
-    /// Attaches a telemetry handle: the driver records dispatch timing,
-    /// and each run folds its stream counters, the machine's counters and
+    /// Attaches a telemetry handle: the driver records dispatch and
+    /// document latency, and each run folds its stream counters, the machine's counters and
     /// the match count into the registry.
     pub fn set_telemetry(&mut self, telemetry: crate::telemetry::Telemetry) {
         self.driver.set_telemetry(telemetry);
@@ -84,9 +86,9 @@ impl Engine {
     /// solution the moment it becomes decidable, and keeps a copy of each
     /// for [`EvalOutput::matches`]. Resets the machine first, so an engine
     /// can be reused across documents.
-    pub fn run<E: EventSource, F: FnMut(Match)>(
+    pub fn run<R: Read, F: FnMut(Match)>(
         &mut self,
-        reader: E,
+        reader: XmlReader<R>,
         mut on_match: F,
     ) -> EngineResult<EvalOutput> {
         self.machine.reset();
@@ -178,9 +180,11 @@ impl<F: FnMut(Match)> EventSink for EngineSink<'_, F> {
     }
 }
 
-/// Evaluates a prepared query tree over any event source, collecting all
-/// matches.
-pub fn evaluate_reader<E: EventSource>(reader: E, tree: &QueryTree) -> EngineResult<EvalOutput> {
+/// Evaluates a prepared query tree over `reader`, collecting all matches.
+pub fn evaluate_reader<R: Read>(
+    reader: XmlReader<R>,
+    tree: &QueryTree,
+) -> EngineResult<EvalOutput> {
     let mut engine = Engine::new(tree)?;
     engine.run(reader, |_| {})
 }

@@ -64,11 +64,12 @@
 //! subscription's own deliveries. Flag and candidate counters are then
 //! the shared machine's.
 
+use std::io::Read;
 use std::time::Instant;
 
 use vitex_xmlsax::event::Attribute;
 use vitex_xmlsax::pos::ByteSpan;
-use vitex_xmlsax::EventSource;
+use vitex_xmlsax::XmlReader;
 use vitex_xpath::query_tree::QueryTree;
 
 use crate::bitset::DynBitSet;
@@ -269,9 +270,9 @@ impl MultiEngine {
     /// originating query's id the moment a solution is decidable; a
     /// solution of a shared machine fires once per subscriber, in
     /// registration order.
-    pub fn run<E: EventSource, F: FnMut(QueryId, Match)>(
+    pub fn run<R: Read, F: FnMut(QueryId, Match)>(
         &mut self,
-        reader: E,
+        reader: XmlReader<R>,
         on_match: F,
     ) -> EngineResult<MultiOutput> {
         self.session(|session| session.run_document(reader, on_match))

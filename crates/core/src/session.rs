@@ -46,8 +46,10 @@
 //! solution of a shared machine its bindings in first-registration order,
 //! each binding's subscribers in registration order.
 
+use std::io::Read;
+
 use vitex_xmlsax::event::{CharactersEvent, EndElementEvent, StartElementEvent};
-use vitex_xmlsax::EventSource;
+use vitex_xmlsax::XmlReader;
 
 use crate::bitset::DynBitSet;
 use crate::driver::{DocumentDriver, EventSink};
@@ -110,9 +112,9 @@ impl<'a> Session<'a> {
     /// adapter: each delivered match is also copied into the returned
     /// [`MultiOutput`]'s `matches` (per query, in delivery order), which
     /// therefore grows with their number.
-    pub fn run_document<E: EventSource, F: FnMut(QueryId, Match)>(
+    pub fn run_document<R: Read, F: FnMut(QueryId, Match)>(
         &mut self,
-        reader: E,
+        reader: XmlReader<R>,
         mut on_match: F,
     ) -> EngineResult<MultiOutput> {
         let mut matches = vec![Vec::new(); self.records.len()];
@@ -130,9 +132,9 @@ impl<'a> Session<'a> {
     /// leaves. It fires in emission order while the document is still
     /// streaming, and nothing is kept once it returns. A malformed
     /// document ends with its error; the next one starts from nothing.
-    pub fn stream_document<E: EventSource, F: FnMut(QueryId, Match)>(
+    pub fn stream_document<R: Read, F: FnMut(QueryId, Match)>(
         &mut self,
-        reader: E,
+        reader: XmlReader<R>,
         mut on_match: F,
     ) -> EngineResult<MultiOutput> {
         for g in self.groups.iter_mut().filter(|g| g.is_active()) {

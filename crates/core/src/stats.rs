@@ -10,7 +10,7 @@
 //! reports, how they add up, what they are called on export and which of
 //! them are *work*: each record has a **row table** — `(export name,
 //! value)` in export order — and the deterministic section of
-//! `vitex.metrics.v1`, the `--stats` lines and the cost ledger's bills all
+//! `vitex.metrics.v2`, the `--stats` lines and the cost ledger's bills all
 //! read the records through it. A new counter is a field and a row here,
 //! plus whoever increments it.
 

@@ -1,41 +1,35 @@
-//! Snapshot and export formats: stable-schema JSON, Chrome trace-event
-//! JSON, and a human-readable summary.
+//! Snapshot and export formats: stable-schema JSON and a human-readable
+//! summary.
 //!
-//! The JSON snapshot (`schema: "vitex.metrics.v1"`) is the payload a future
-//! subscription server would serve from its scrape endpoint; metric names
-//! are Prometheus-ready. The trace export follows the Chrome trace-event
-//! format (`ph: "X"` complete events, microsecond timestamps) and loads
-//! directly in Perfetto or `chrome://tracing`.
+//! The JSON snapshot (`schema: "vitex.metrics.v2"`) holds two sections,
+//! `counters` and `histograms`; metric names are Prometheus-style.
 
 use super::metrics::{CounterRow, HistogramRow, Registry};
-use super::span::{Span, SpanRecorder};
 use std::fmt::Write as _;
 
 /// Schema identifier embedded in every metrics snapshot.
-pub const SNAPSHOT_SCHEMA: &str = "vitex.metrics.v1";
+pub const SNAPSHOT_SCHEMA: &str = "vitex.metrics.v2";
 
-/// Point-in-time copy of every registry metric plus span-ring health.
+/// Point-in-time copy of every registry metric.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     /// All counters with determinism class.
     pub counters: Vec<CounterRow>,
-    /// Always empty: the registry exports no gauge (see `crate::compat`).
+    /// Always empty and never exported: the registry has no gauge (see
+    /// `crate::compat`).
     #[doc(hidden)]
     pub gauges: Vec<crate::compat::GaugeRow>,
     /// All histograms (non-empty buckets only).
     pub histograms: Vec<HistogramRow>,
-    /// Spans overwritten because the span ring was full.
-    pub spans_dropped: u64,
 }
 
 impl Snapshot {
-    /// Capture the registry and span-ring state.
-    pub fn capture(registry: &Registry, spans: &SpanRecorder) -> Snapshot {
+    /// Capture the registry.
+    pub fn capture(registry: &Registry) -> Snapshot {
         Snapshot {
             counters: registry.counter_rows(),
             gauges: Vec::new(),
             histograms: registry.histogram_rows(),
-            spans_dropped: spans.dropped(),
         }
     }
 
@@ -80,8 +74,7 @@ impl Snapshot {
                 c.name, c.deterministic, c.value
             );
         }
-        // `vitex.metrics.v1` keeps its (empty) gauge section.
-        out.push_str("],\"gauges\":[],\"histograms\":[");
+        out.push_str("],\"histograms\":[");
         for (i, h) in self.histograms.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -99,7 +92,7 @@ impl Snapshot {
             }
             out.push_str("]}");
         }
-        let _ = write!(out, "],\"spans_dropped\":{}}}", self.spans_dropped);
+        out.push_str("]}");
         out
     }
 
@@ -128,65 +121,12 @@ impl Snapshot {
                     writeln!(out, "    {:<44} {} / {:.1} / <2^{}", h.name, h.count, mean, max_pow2);
             }
         }
-        if self.spans_dropped > 0 {
-            let _ = writeln!(out, "  spans_dropped: {}", self.spans_dropped);
-        }
         out
-    }
-}
-
-/// Render spans as Chrome trace-event JSON (complete `"X"` events plus
-/// `thread_name` metadata), loadable in Perfetto / `chrome://tracing`.
-pub fn trace_json(spans: &[Span]) -> String {
-    let mut out = String::with_capacity(spans.len() * 96 + 512);
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    let mut tids: Vec<u32> = spans.iter().map(|s| s.tid).collect();
-    tids.sort_unstable();
-    tids.dedup();
-    for tid in &tids {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let name = thread_label(*tid);
-        let _ = write!(
-            out,
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-             \"args\":{{\"name\":\"{name}\"}}}}"
-        );
-    }
-    for s in spans {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        // Trace-event timestamps are in microseconds; keep fractional
-        // precision so short spans stay visible.
-        let ts = s.start_ns as f64 / 1000.0;
-        let dur = (s.dur_ns as f64 / 1000.0).max(0.001);
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\
-             \"ts\":{ts:.3},\"dur\":{dur:.3}}}",
-            s.name, s.cat, s.tid
-        );
-    }
-    out.push_str("]}");
-    out
-}
-
-fn thread_label(tid: u32) -> String {
-    if tid == super::span::TID_COORDINATOR {
-        "coordinator".to_string()
-    } else {
-        format!("thread-{tid}")
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::span::Span;
     use super::*;
     use crate::stats::{MachineStats, StreamStats};
 
@@ -194,24 +134,22 @@ mod tests {
         let registry = Registry::default();
         let stream = StreamStats { events: 10, ..StreamStats::default() };
         registry.fold_document(&stream, &MachineStats::default(), None, 0);
-        registry.doc_ns.add(999);
+        registry.doc_ns.observe(999);
         registry.dispatch_ns.observe(100);
-        let spans = SpanRecorder::default();
-        Snapshot::capture(&registry, &spans)
+        Snapshot::capture(&registry)
     }
 
     #[test]
     fn json_has_schema_and_values() {
         let json = sample_snapshot().to_json();
-        assert!(json.contains("\"schema\":\"vitex.metrics.v1\""));
+        // Two sections and nothing else.
+        assert!(json.starts_with("{\"schema\":\"vitex.metrics.v2\",\"counters\":[{"));
+        assert_eq!(json.matches("],\"histograms\":[").count(), 1);
+        assert!(json.ends_with("]}]}"));
         assert!(json.contains(
             "\"name\":\"vitex_stream_events_total\",\"deterministic\":true,\"value\":10"
         ));
-        assert!(
-            json.contains("\"name\":\"vitex_doc_ns_total\",\"deterministic\":false,\"value\":999")
-        );
-        assert!(json.contains("\"gauges\":[],"));
-        assert!(json.contains("\"spans_dropped\":0"));
+        assert!(json.contains("{\"name\":\"vitex_doc_ns\",\"count\":1,\"sum\":999,"));
     }
 
     #[test]
@@ -219,7 +157,7 @@ mod tests {
         let snap = sample_snapshot();
         let det = snap.deterministic_json();
         assert!(det.contains("vitex_stream_events_total"));
-        assert!(!det.contains("vitex_doc_ns_total"));
+        assert!(!det.contains("vitex_doc_ns"));
         assert!(!det.contains("vitex_dispatch_ns"));
     }
 
@@ -228,24 +166,7 @@ mod tests {
         let text = sample_snapshot().human_summary();
         assert!(text.contains("vitex_stream_events_total"));
         assert!(!text.contains("vitex_stream_elements_total"));
-        assert!(text.contains("vitex_doc_ns_total"));
+        assert!(text.contains("vitex_doc_ns"));
         assert!(text.contains("vitex_dispatch_ns"));
-    }
-
-    #[test]
-    fn trace_json_shape() {
-        let spans = vec![
-            Span { name: "document", cat: "stream", tid: 1, start_ns: 1000, dur_ns: 5000 },
-            Span { name: "probe", cat: "test", tid: 2, start_ns: 2000, dur_ns: 100 },
-        ];
-        let json = trace_json(&spans);
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.ends_with("]}"));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"ph\":\"M\""));
-        assert!(json.contains("\"name\":\"coordinator\""));
-        assert!(json.contains("\"name\":\"thread-2\""));
-        assert!(json.contains("\"ts\":1.000"));
-        assert!(json.contains("\"dur\":5.000"));
     }
 }

@@ -1,13 +1,13 @@
-//! Unified telemetry layer: metrics registry, stage spans, and exportable
-//! traces across parse → plan → dispatch → machines.
+//! Unified telemetry layer: one metrics registry across parse → plan →
+//! dispatch → machines, exported as `vitex.metrics.v2`.
 //!
 //! All pipeline stages record through one [`Telemetry`] handle — a cheap
 //! clone-able wrapper around an optional `Arc`. When telemetry is disabled
 //! (the default) the handle holds `None` and every recording method is an
 //! `#[inline]` early return that touches no atomics, takes no clock
 //! readings, and allocates nothing. When enabled, live counters and
-//! histograms are relaxed atomics, and coarse-grained spans land in a
-//! bounded ring for Chrome-trace export; what that costs is the benchmark's
+//! histograms are relaxed atomics — among them `vitex_doc_ns`, one sample
+//! per document; what that costs is the benchmark's
 //! `telemetry.enabled_overhead_pct` — the best full pass with an enabled
 //! handle attached over the best pass with the default disabled one,
 //! per workload.
@@ -23,31 +23,22 @@
 pub mod export;
 pub mod metrics;
 pub mod profile;
-pub mod span;
 
-pub use export::{trace_json, Snapshot, SNAPSHOT_SCHEMA};
+pub use export::{Snapshot, SNAPSHOT_SCHEMA};
 pub use metrics::{Counter, CounterRow, Histogram, HistogramRow, Registry};
 pub(crate) use profile::CostLedger;
 pub use profile::{GroupCost, ProfileSnapshot, QueryCost, PROFILE_SCHEMA};
-pub use span::{Span, SpanRecorder, TID_COORDINATOR};
 
 use crate::stats::{MachineStats, PlanStats, StreamStats};
 use std::sync::Arc;
 use std::time::Instant;
 use vitex_xmlsax::probe::ParseProbe;
 
-#[derive(Debug)]
-struct Inner {
-    registry: Registry,
-    spans: SpanRecorder,
-    epoch: Instant,
-}
-
-/// Shared handle to the telemetry sinks; `None` inside means disabled and
-/// every recording call is a no-op.
+/// Shared handle to the telemetry registry; `None` inside means disabled
+/// and every recording call is a no-op.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
-    inner: Option<Arc<Inner>>,
+    inner: Option<Arc<Registry>>,
 }
 
 impl Telemetry {
@@ -56,16 +47,9 @@ impl Telemetry {
         Telemetry { inner: None }
     }
 
-    /// A live handle with a fresh registry and span ring. The epoch for
-    /// span timestamps is the moment of this call.
+    /// A live handle with a fresh registry.
     pub fn enabled() -> Telemetry {
-        Telemetry {
-            inner: Some(Arc::new(Inner {
-                registry: Registry::default(),
-                spans: SpanRecorder::default(),
-                epoch: Instant::now(),
-            })),
-        }
+        Telemetry { inner: Some(Arc::default()) }
     }
 
     /// Whether recording is live.
@@ -75,8 +59,7 @@ impl Telemetry {
     }
 
     /// Start a timing interval: `Some(now)` when enabled, `None` (no clock
-    /// read) when disabled. Pair with [`Telemetry::add_elapsed`],
-    /// [`Telemetry::observe_elapsed`], or [`Telemetry::record_span`].
+    /// read) when disabled. Pair with [`Telemetry::observe_elapsed`].
     #[inline]
     pub fn timer(&self) -> Option<Instant> {
         if self.inner.is_some() {
@@ -86,57 +69,17 @@ impl Telemetry {
         }
     }
 
-    /// Add the nanoseconds elapsed since `t0` to a counter; returns the
-    /// elapsed ns (0 when disabled).
-    #[inline]
-    pub fn add_elapsed(
-        &self,
-        pick: impl FnOnce(&Registry) -> &Counter,
-        t0: Option<Instant>,
-    ) -> u64 {
-        match (&self.inner, t0) {
-            (Some(inner), Some(t0)) => {
-                let ns = t0.elapsed().as_nanos() as u64;
-                pick(&inner.registry).add(ns);
-                ns
-            }
-            _ => 0,
-        }
-    }
-
     /// Record the nanoseconds elapsed since `t0` as a histogram sample.
     #[inline]
     pub fn observe_elapsed(&self, pick: impl FnOnce(&Registry) -> &Histogram, t0: Option<Instant>) {
-        if let (Some(inner), Some(t0)) = (&self.inner, t0) {
-            pick(&inner.registry).observe(t0.elapsed().as_nanos() as u64);
-        }
-    }
-
-    /// Record a span from `t0` to now on logical thread `tid`.
-    #[inline]
-    pub fn record_span(
-        &self,
-        name: &'static str,
-        cat: &'static str,
-        tid: u32,
-        t0: Option<Instant>,
-    ) {
-        if let (Some(inner), Some(t0)) = (&self.inner, t0) {
-            let dur_ns = t0.elapsed().as_nanos() as u64;
-            let start_ns =
-                t0.checked_duration_since(inner.epoch).map(|d| d.as_nanos() as u64).unwrap_or(0);
-            inner.spans.record(Span { name, cat, tid, start_ns, dur_ns });
+        if let (Some(registry), Some(t0)) = (&self.inner, t0) {
+            pick(registry).observe(t0.elapsed().as_nanos() as u64);
         }
     }
 
     /// Snapshot all metrics, when enabled.
     pub fn snapshot(&self) -> Option<Snapshot> {
-        self.inner.as_deref().map(|i| Snapshot::capture(&i.registry, &i.spans))
-    }
-
-    /// Retained spans sorted by start time, when enabled.
-    pub fn spans(&self) -> Option<Vec<Span>> {
-        self.inner.as_deref().map(|i| i.spans.collect())
+        self.inner.as_deref().map(Snapshot::capture)
     }
 
     /// Folds one finished document into the deterministic section of the
@@ -150,8 +93,8 @@ impl Telemetry {
         plan: Option<&PlanStats>,
         matches: u64,
     ) {
-        if let Some(inner) = &self.inner {
-            inner.registry.fold_document(stream, machine, plan, matches);
+        if let Some(registry) = &self.inner {
+            registry.fold_document(stream, machine, plan, matches);
         }
     }
 }
@@ -160,9 +103,9 @@ impl Telemetry {
 /// counts land in the same registry as everything else.
 impl ParseProbe for Telemetry {
     fn on_scan_bytes(&self, wide: u64, scalar: u64) {
-        if let Some(inner) = &self.inner {
-            inner.registry.scan_wide_bytes.add(wide);
-            inner.registry.scan_scalar_bytes.add(scalar);
+        if let Some(registry) = &self.inner {
+            registry.scan_wide_bytes.add(wide);
+            registry.scan_scalar_bytes.add(scalar);
         }
     }
 }
@@ -176,12 +119,10 @@ mod tests {
         let tel = Telemetry::disabled();
         assert!(!tel.is_enabled());
         assert!(tel.timer().is_none());
-        assert_eq!(tel.add_elapsed(|r| &r.doc_ns, Some(Instant::now())), 0);
-        tel.observe_elapsed(|r| &r.dispatch_ns, Some(Instant::now()));
+        tel.observe_elapsed(|r| &r.doc_ns, Some(Instant::now()));
         let stream = StreamStats { elements: 1, text_nodes: 1, events: 1 };
         tel.fold_document(&stream, &MachineStats::default(), None, 1);
         assert!(tel.snapshot().is_none());
-        assert!(tel.spans().is_none());
     }
 
     #[test]
@@ -190,15 +131,13 @@ mod tests {
         assert!(tel.is_enabled());
         let t0 = tel.timer();
         assert!(t0.is_some());
-        let ns = tel.add_elapsed(|r| &r.doc_ns, t0);
         tel.observe_elapsed(|r| &r.dispatch_ns, t0);
-        tel.record_span("document", "stream", TID_COORDINATOR, t0);
+        tel.observe_elapsed(|r| &r.doc_ns, t0);
+        tel.observe_elapsed(|r| &r.doc_ns, t0);
         let snap = tel.snapshot().unwrap();
-        assert_eq!(snap.counter("vitex_doc_ns_total"), Some(ns));
-        assert_eq!(snap.histograms[0].count, 1);
-        let spans = tel.spans().unwrap();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].name, "document");
+        let count = |name| snap.histograms.iter().find(|h| h.name == name).unwrap().count;
+        assert_eq!(count("vitex_dispatch_ns"), 1);
+        assert_eq!(count("vitex_doc_ns"), 2);
     }
 
     #[test]

@@ -21,8 +21,7 @@
 //! ## APIs
 //!
 //! The interface is a **pull** API: [`XmlReader`], an iterator-style
-//! `next_event()` loop — this is what `vitex-core`'s engine drives (through
-//! the [`EventSource`] trait, so a recorded event sequence works too).
+//! `next_event()` loop — this is what `vitex-core`'s engines drive.
 //!
 //! A streaming [`writer::XmlWriter`] (used by the `vitex-xmlgen` dataset
 //! generators) and entity/escaping utilities round out the crate.
@@ -79,4 +78,4 @@ pub use event::{Attribute, CharactersEvent, EndElementEvent, StartElementEvent, 
 pub use name::QName;
 pub use pos::TextPosition;
 pub use probe::{ParseProbe, ProbeHandle};
-pub use reader::{EventSource, ReaderConfig, XmlReader};
+pub use reader::{ReaderConfig, XmlReader};

@@ -60,33 +60,6 @@ enum DocState {
     Done,
 }
 
-/// Anything that yields a stream of [`XmlEvent`]s terminated by
-/// [`XmlEvent::EndDocument`].
-///
-/// Downstream drivers (the `vitex-core` engines) are generic over this
-/// trait rather than over [`XmlReader`]'s input type, so a caller can also
-/// feed them a recorded or synthetic event sequence. Implementations must
-/// keep returning `EndDocument` once it has been delivered.
-pub trait EventSource {
-    /// Pulls the next event.
-    fn next_event(&mut self) -> XmlResult<XmlEvent>;
-}
-
-impl<R: Read> EventSource for XmlReader<R> {
-    fn next_event(&mut self) -> XmlResult<XmlEvent> {
-        XmlReader::next_event(self)
-    }
-}
-
-/// A mutable reference to an event source is itself an event source, so
-/// callers can lend a reader to a driver and keep it afterwards (e.g. to
-/// read parse statistics once the run completes).
-impl<E: EventSource + ?Sized> EventSource for &mut E {
-    fn next_event(&mut self) -> XmlResult<XmlEvent> {
-        (**self).next_event()
-    }
-}
-
 /// A streaming, pull-based XML parser.
 pub struct XmlReader<R: Read> {
     scanner: Scanner<R>,

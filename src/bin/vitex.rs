@@ -12,16 +12,15 @@
 //! Every run goes through one [`MultiEngine`] session — one parse, one
 //! document driver, k TwigM machines behind the shared step trie; with
 //! several queries every line is prefixed with the originating query's
-//! index. `--metrics`, `--metrics-json` and `--trace-out` switch on the
-//! unified telemetry layer: one registry and span ring covering parse →
-//! plan → dispatch → machines.
+//! index. `--metrics` and `--metrics-json` switch on the unified telemetry
+//! layer: one registry covering parse → plan → dispatch → machines.
 
 use std::fs::File;
 use std::io::{self, BufReader, Read, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use vitex_core::telemetry::{trace_json, Telemetry};
+use vitex_core::telemetry::Telemetry;
 use vitex_core::{Match, MatchKind, MultiEngine, MultiOutput, QueryId, StreamStats};
 use vitex_xmlsax::{ProbeHandle, XmlReader};
 use vitex_xpath::QueryTree;
@@ -38,7 +37,6 @@ struct Options {
     machine: bool,
     metrics: bool,
     metrics_json: Option<String>,
-    trace_out: Option<String>,
     profile: bool,
     profile_json: Option<String>,
 }
@@ -47,7 +45,7 @@ impl Options {
     /// Whether any telemetry export was requested (the recorder is enabled
     /// exactly then; otherwise every instrumentation point is a no-op).
     fn telemetry_requested(&self) -> bool {
-        self.metrics || self.metrics_json.is_some() || self.trace_out.is_some()
+        self.metrics || self.metrics_json.is_some()
     }
 
     /// Whether cost attribution was requested (the engine keeps a ledger
@@ -68,7 +66,6 @@ const FLAGS: &[&str] = &[
     "--machine",
     "--metrics",
     "--metrics-json",
-    "--trace-out",
     "--profile",
     "--profile-json",
     "-h",
@@ -92,8 +89,7 @@ fn usage_text() -> &'static str {
          \x20 --stats                print stream + machine + plan statistics on stderr\n\
          \x20 --machine              dump the compiled TwigM machine(s) and exit without reading a document\n\
          \x20 --metrics              print a human-readable telemetry summary on stderr after the run\n\
-         \x20 --metrics-json <PATH>  write a metrics snapshot (vitex.metrics.v1 JSON) to PATH\n\
-         \x20 --trace-out <PATH>     write stage spans as Chrome trace-event JSON (Perfetto-loadable) to PATH\n\
+         \x20 --metrics-json <PATH>  write a metrics snapshot (vitex.metrics.v2 JSON) to PATH\n\
          \x20 --profile              print a per-query cost-attribution table (top 10 by work) on stderr\n\
          \x20 --profile-json <PATH>  write the cost ledger (vitex.profile.v1 JSON) to PATH\n\
          \x20 -h, --help             show this help and exit\n\
@@ -102,7 +98,7 @@ fn usage_text() -> &'static str {
          \x20 vitex '//ProteinEntry[reference]/@id' protein.xml\n\
          \x20 vitex --count '//section[author]//table[position]//cell' book.xml\n\
          \x20 vitex -e '//quote[symbol = \"ACME\"]/price' -e '//quote/@seq' feed.xml\n\
-         \x20 vitex --metrics-json m.json --trace-out t.json -e '//a' -e '//b' doc.xml"
+         \x20 vitex --metrics-json m.json -e '//a' -e '//b' doc.xml"
 }
 
 /// Levenshtein edit distance, for the unknown-option suggestion.
@@ -180,7 +176,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, CliErro
             "--machine" => opts.machine = true,
             "--metrics" => opts.metrics = true,
             "--metrics-json" => opts.metrics_json = Some(value(&arg, "a path", args.next())?),
-            "--trace-out" => opts.trace_out = Some(value(&arg, "a path", args.next())?),
             "--profile" => opts.profile = true,
             "--profile-json" => opts.profile_json = Some(value(&arg, "a path", args.next())?),
             "--help" | "-h" => return Ok(Options { help: true, ..opts }),
@@ -286,34 +281,22 @@ fn open_reader(
     Ok(reader)
 }
 
-/// Detects two export flags aimed at the same file. Each export is a
-/// whole-file write, so a shared path would silently resolve to
-/// last-writer-wins clobbering; `main` turns this into an exit-2
+/// The path `--metrics-json` and `--profile-json` share, if they do. Each
+/// export is a whole-file write, so a shared path would silently resolve
+/// to last-writer-wins clobbering; `main` turns this into an exit-2
 /// diagnostic instead. Paths are compared as given — spelling the same
 /// file two ways is on the user — which keeps the check dependency-free
 /// and side-effect-free.
-fn duplicate_export_path(opts: &Options) -> Option<(&'static str, &'static str, &str)> {
-    let exports: [(&'static str, Option<&String>); 3] = [
-        ("--metrics-json", opts.metrics_json.as_ref()),
-        ("--profile-json", opts.profile_json.as_ref()),
-        ("--trace-out", opts.trace_out.as_ref()),
-    ];
-    for (i, &(flag_a, path_a)) in exports.iter().enumerate() {
-        for &(flag_b, path_b) in &exports[i + 1..] {
-            if let (Some(a), Some(b)) = (path_a, path_b) {
-                if a == b {
-                    return Some((flag_a, flag_b, a));
-                }
-            }
-        }
+fn duplicate_export_path(opts: &Options) -> Option<&str> {
+    match (&opts.metrics_json, &opts.profile_json) {
+        (Some(a), Some(b)) if a == b => Some(a),
+        _ => None,
     }
-    None
 }
 
 /// Writes one export artifact, mapping any I/O failure to the clean
-/// usage-error exit every exporting flag shares (`--metrics-json`,
-/// `--trace-out`, `--profile-json`): the path and OS error on stderr,
-/// exit code 2.
+/// usage-error exit both exporting flags share (`--metrics-json`,
+/// `--profile-json`): the path and OS error on stderr, exit code 2.
 fn write_export(path: &str, contents: &str) -> Result<(), ExitCode> {
     std::fs::write(path, contents).map_err(|e| {
         eprintln!("vitex: {path}: {e}");
@@ -321,8 +304,8 @@ fn write_export(path: &str, contents: &str) -> Result<(), ExitCode> {
     })
 }
 
-/// Writes the requested telemetry exports (`--metrics`, `--metrics-json`,
-/// `--trace-out`). A no-op when telemetry is disabled.
+/// Writes the requested telemetry exports (`--metrics`, `--metrics-json`).
+/// A no-op when telemetry is disabled.
 fn export_telemetry(opts: &Options, telemetry: &Telemetry) -> Result<(), ExitCode> {
     let Some(snapshot) = telemetry.snapshot() else { return Ok(()) };
     if opts.metrics {
@@ -330,10 +313,6 @@ fn export_telemetry(opts: &Options, telemetry: &Telemetry) -> Result<(), ExitCod
     }
     if let Some(path) = &opts.metrics_json {
         write_export(path, &snapshot.to_json())?;
-    }
-    if let Some(path) = &opts.trace_out {
-        let spans = telemetry.spans().unwrap_or_default();
-        write_export(path, &trace_json(&spans))?;
     }
     Ok(())
 }
@@ -459,9 +438,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if let Some((flag_a, flag_b, path)) = duplicate_export_path(&opts) {
+    if let Some(path) = duplicate_export_path(&opts) {
         eprintln!(
-            "vitex: {flag_a} and {flag_b} both write to '{path}'; give each export its own file"
+            "vitex: --metrics-json and --profile-json both write to '{path}'; \
+             give each export its own file"
         );
         return ExitCode::from(2);
     }
@@ -504,12 +484,12 @@ mod tests {
                 assert!(FLAGS.contains(&word), "help mentions {word}, which FLAGS lacks");
             }
         }
-        assert_eq!(FLAGS.len(), 13, "11 options, two of them with a short spelling");
+        assert_eq!(FLAGS.len(), 12, "10 options, two of them with a short spelling");
     }
 
     #[test]
     fn removed_flags_are_unknown_options() {
-        // The last five are spelled in halves (and kept out of variable
+        // The last six are spelled in halves (and kept out of variable
         // names): CI greps the sources for the deleted flags' names and
         // must find nothing.
         for flag in [
@@ -522,6 +502,7 @@ mod tests {
             concat!("--eag", "er"),
             concat!("--heart", "beat"),
             concat!("--sha", "rds"),
+            concat!("--trace", "-out"),
         ] {
             let err = parse(&[flag, "2", "//a"]).err().expect("rejected");
             assert_eq!(err, CliError::UnknownFlag(flag.to_string()));
@@ -534,7 +515,7 @@ mod tests {
         for (args, expected) in [
             (&["-e"][..], "vitex: -e expects a query, got nothing"),
             (&["//a", "--metrics-json"], "vitex: --metrics-json expects a path, got nothing"),
-            (&["-e", "//a", "--trace-out"], "vitex: --trace-out expects a path, got nothing"),
+            (&["-e", "//a", "--profile-json"], "vitex: --profile-json expects a path, got nothing"),
         ] {
             let message = parse(args).err().expect("rejected").message();
             let mut lines = message.lines();
@@ -584,15 +565,11 @@ mod tests {
         let mut opts = base_options();
         assert!(duplicate_export_path(&opts).is_none(), "no exports, no conflict");
         opts.metrics_json = Some("out.json".into());
-        opts.trace_out = Some("trace.json".into());
+        assert!(duplicate_export_path(&opts).is_none(), "one export, no conflict");
+        opts.profile_json = Some("profile.json".into());
         assert!(duplicate_export_path(&opts).is_none(), "distinct paths are fine");
         opts.profile_json = Some("out.json".into());
-        let (a, b, path) = duplicate_export_path(&opts).expect("clash detected");
-        assert_eq!((a, b, path), ("--metrics-json", "--profile-json", "out.json"));
-        opts.metrics_json = None;
-        opts.trace_out = Some("out.json".into());
-        let (a, b, _) = duplicate_export_path(&opts).expect("clash detected");
-        assert_eq!((a, b), ("--profile-json", "--trace-out"));
+        assert_eq!(duplicate_export_path(&opts), Some("out.json"), "clash detected");
     }
 
     #[test]

