@@ -112,23 +112,19 @@ impl Document {
                     let id = next_id;
                     next_id += 1;
                     let attributes = e
-                        .attributes
+                        .attributes()
                         .iter()
-                        .map(|a| {
+                        .map(|(name, value)| {
                             let aid = next_id;
                             next_id += 1;
-                            DomAttr {
-                                id: aid,
-                                name: a.name.as_str().into(),
-                                value: a.value.clone(),
-                            }
+                            DomAttr { id: aid, name: name.into(), value: value.into() }
                         })
                         .collect();
                     let parent = *stack.last().expect("stack holds at least the root");
                     let idx = arena.len();
                     arena.push(DomNode {
                         id,
-                        kind: DomKind::Element { name: e.name.as_str().into(), attributes },
+                        kind: DomKind::Element { name: e.name.into_owned(), attributes },
                         parent: Some(parent),
                         children: Vec::new(),
                         level: e.level,
@@ -148,7 +144,7 @@ impl Document {
                     let idx = arena.len();
                     arena.push(DomNode {
                         id,
-                        kind: DomKind::Text { content: c.text.clone() },
+                        kind: DomKind::Text { content: c.text.into_owned() },
                         parent: Some(parent),
                         children: Vec::new(),
                         level: c.level,

@@ -246,7 +246,7 @@ impl NaiveEvaluator {
             match reader.next_event()? {
                 XmlEvent::StartElement(e) => {
                     let elem_id = next_id;
-                    next_id += 1 + e.attributes.len() as u64;
+                    next_id += 1 + e.attributes().len() as u64;
                     // Extend embeddings with new bindings. The set must be
                     // closed under *subsets* of the applicable bindings —
                     // one element may bind several query nodes at once
@@ -257,7 +257,7 @@ impl NaiveEvaluator {
                     // its own ancestor.
                     for q in 0..n {
                         let node = &nodes[q];
-                        let name_ok = node.name.as_deref().is_none_or(|t| t == e.name.as_str());
+                        let name_ok = node.name.as_deref().is_none_or(|t| t == e.name);
                         if !name_ok {
                             continue;
                         }
@@ -413,20 +413,21 @@ fn bind_inline(
     emb: &mut Embedding,
     q: usize,
     node: &ENode,
-    e: &vitex_xmlsax::StartElementEvent,
+    e: &vitex_xmlsax::StartElementEvent<'_>,
     attr_id_base: u64,
 ) {
     for (bit, name, cmp) in &node.reqs.attr_preds {
-        let hit = e.attributes.iter().any(|a| {
-            name.as_deref().is_none_or(|t| t == a.name.as_str()) && cmp_opt(cmp, &a.value)
-        });
+        let hit = e
+            .attributes()
+            .iter()
+            .any(|(attr, value)| name.as_deref().is_none_or(|t| t == attr) && cmp_opt(cmp, value));
         if hit {
             emb.flags[q] |= 1 << bit;
         }
     }
     if let Some((bit, name)) = &node.reqs.attr_result {
-        for (i, a) in e.attributes.iter().enumerate() {
-            if name.as_deref().is_none_or(|t| t == a.name.as_str()) {
+        for (i, (attr, _)) in e.attributes().iter().enumerate() {
+            if name.as_deref().is_none_or(|t| t == attr) {
                 emb.flags[q] |= 1 << bit;
                 emb.results.push(attr_id_base + i as u64);
             }

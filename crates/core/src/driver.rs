@@ -56,16 +56,16 @@ pub trait EventSink {
     fn start_element(
         &mut self,
         sym: Option<Symbol>,
-        event: &StartElementEvent,
+        event: &StartElementEvent<'_>,
         node_id: NodeId,
         attr_id_base: NodeId,
     );
 
     /// A text node. `node_id` is the text node's id.
-    fn characters(&mut self, event: &CharactersEvent, node_id: NodeId);
+    fn characters(&mut self, event: &CharactersEvent<'_>, node_id: NodeId);
 
     /// An element closed; `sym` is the symbol its start tag resolved to.
-    fn end_element(&mut self, sym: Option<Symbol>, event: &EndElementEvent);
+    fn end_element(&mut self, sym: Option<Symbol>, event: &EndElementEvent<'_>);
 }
 
 /// Streams a document once, feeding an [`EventSink`].
@@ -131,8 +131,8 @@ impl DocumentDriver {
                 XmlEvent::StartElement(e) => {
                     stats.elements += 1;
                     let node_id = next_id;
-                    next_id += 1 + e.attributes.len() as u64;
-                    let sym = sink.resolve(e.name.as_str());
+                    next_id += 1 + e.attributes().len() as u64;
+                    let sym = sink.resolve(&e.name);
                     self.open_syms.push(sym);
                     let t_ev = dispatch_timer();
                     sink.start_element(sym, &e, node_id, node_id + 1);
@@ -183,23 +183,23 @@ mod tests {
         fn start_element(
             &mut self,
             sym: Option<Symbol>,
-            event: &StartElementEvent,
+            event: &StartElementEvent<'_>,
             node_id: NodeId,
             attr_id_base: NodeId,
         ) {
             self.log.push(format!(
                 "start {} sym={:?} id={node_id} attrs@{attr_id_base}",
-                event.name.as_str(),
+                event.name,
                 sym.map(Symbol::index)
             ));
         }
 
-        fn characters(&mut self, event: &CharactersEvent, node_id: NodeId) {
+        fn characters(&mut self, event: &CharactersEvent<'_>, node_id: NodeId) {
             self.log.push(format!("text {:?} id={node_id}", event.text));
         }
 
-        fn end_element(&mut self, sym: Option<Symbol>, event: &EndElementEvent) {
-            self.log.push(format!("end {} sym={:?}", event.name.as_str(), sym.map(Symbol::index)));
+        fn end_element(&mut self, sym: Option<Symbol>, event: &EndElementEvent<'_>) {
+            self.log.push(format!("end {} sym={:?}", event.name, sym.map(Symbol::index)));
         }
     }
 

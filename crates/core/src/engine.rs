@@ -142,7 +142,7 @@ impl<F: FnMut(Match)> EventSink for EngineSink<'_, F> {
     fn start_element(
         &mut self,
         sym: Option<Symbol>,
-        event: &StartElementEvent,
+        event: &StartElementEvent<'_>,
         node_id: NodeId,
         attr_id_base: NodeId,
     ) {
@@ -150,7 +150,7 @@ impl<F: FnMut(Match)> EventSink for EngineSink<'_, F> {
             self.store,
             sym,
             event.level,
-            &event.attributes,
+            event.attributes(),
             node_id,
             attr_id_base,
             event.span,
@@ -158,7 +158,7 @@ impl<F: FnMut(Match)> EventSink for EngineSink<'_, F> {
         );
     }
 
-    fn characters(&mut self, event: &CharactersEvent, node_id: NodeId) {
+    fn characters(&mut self, event: &CharactersEvent<'_>, node_id: NodeId) {
         self.machine.characters(
             self.store,
             &event.text,
@@ -169,10 +169,10 @@ impl<F: FnMut(Match)> EventSink for EngineSink<'_, F> {
         );
     }
 
-    fn end_element(&mut self, _sym: Option<Symbol>, event: &EndElementEvent) {
+    fn end_element(&mut self, _sym: Option<Symbol>, event: &EndElementEvent<'_>) {
         self.machine.end_element(
             self.store,
-            event.name.as_str(),
+            &event.name,
             event.level,
             event.element_span,
             &mut self.on_match,

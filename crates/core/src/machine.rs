@@ -125,7 +125,7 @@ use std::mem::size_of;
 use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
-use vitex_xmlsax::event::Attribute;
+use vitex_xmlsax::event::Attributes;
 use vitex_xmlsax::pos::ByteSpan;
 use vitex_xpath::{Axis, CmpOp, Literal};
 
@@ -880,7 +880,7 @@ impl TwigM {
         store: &mut CandidateStore,
         sym: Option<Symbol>,
         level: u32,
-        attributes: &[Attribute],
+        attributes: Attributes<'_>,
         node_id: u64,
         attr_id_base: u64,
         tag_span: ByteSpan,
@@ -922,7 +922,7 @@ impl TwigM {
         store: &mut CandidateStore,
         pushes: impl IntoIterator<Item = (u32, u32)>,
         level: u32,
-        attributes: &[Attribute],
+        attributes: Attributes<'_>,
         node_id: u64,
         attr_id_base: u64,
         tag_span: ByteSpan,
@@ -951,7 +951,7 @@ impl TwigM {
         store: &mut CandidateStore,
         plan: &[(u32, u32)],
         level: u32,
-        attributes: &[Attribute],
+        attributes: Attributes<'_>,
         node_id: u64,
         attr_id_base: u64,
         tag_span: ByteSpan,
@@ -1009,7 +1009,7 @@ impl TwigM {
         q: usize,
         ptr: u32,
         level: u32,
-        attributes: &[Attribute],
+        attributes: Attributes<'_>,
         node_id: u64,
         attr_id_base: u64,
         tag_span: ByteSpan,
@@ -1027,17 +1027,16 @@ impl TwigM {
         for ap in &node.attr_preds {
             stats.predicate_evals += 1;
             let slot = ap.slot.expect("predicate tests carry slots") as usize;
-            let mut named = attributes
-                .iter()
-                .filter(|a| attr_name_matches(ap.name.as_deref(), a.name.as_str()));
+            let mut named =
+                attributes.iter().filter(|&(name, _)| attr_name_matches(ap.name.as_deref(), name));
             if !node.binds(ap) {
-                if named.any(|a| cmp_opt(&ap.comparison, &a.value)) {
+                if named.any(|(_, value)| cmp_opt(&ap.comparison, value)) {
                     set_flag(stats, &mut entry, slot);
                 }
                 continue;
             }
             let table = bindings.as_deref().expect("a parametric test has a binding table");
-            for b in named.filter_map(|a| table.lookup(&a.value)) {
+            for b in named.filter_map(|(_, value)| table.lookup(value)) {
                 if n == 1 {
                     set_flag(stats, &mut entry, slot);
                 } else {
@@ -1047,18 +1046,16 @@ impl TwigM {
         }
         // Attribute-result candidates are born here, waiting on this entry.
         if let Some(ar) = &node.attr_result {
-            for (i, a) in attributes.iter().enumerate() {
-                if attr_name_matches(ar.name.as_deref(), a.name.as_str())
-                    && cmp_opt(&ar.comparison, &a.value)
-                {
+            for (i, (name, value)) in attributes.iter().enumerate() {
+                if attr_name_matches(ar.name.as_deref(), name) && cmp_opt(&ar.comparison, value) {
                     let c = store.create(
                         stats,
                         own_index,
                         MatchKind::Attribute,
                         attr_id_base + i as u64,
-                        Some(a.name.as_str()),
+                        Some(name),
                         tag_span,
-                        Some(a.value.as_str()),
+                        Some(value),
                         level,
                     );
                     store.arrive(&mut entry, &mut false, c, false);
@@ -1679,6 +1676,7 @@ fn cmp_opt(comparison: &Option<(CmpOp, Literal)>, value: &str) -> bool {
 mod tests {
     use super::*;
     use crate::intern::Interner;
+    use vitex_xmlsax::event::AttributeBuf;
     use vitex_xpath::query_tree::QueryTree;
 
     /// Drives the machine over a tiny hand-rolled event stream.
@@ -1723,7 +1721,7 @@ mod tests {
             self.level += 1;
             let id = self.next_id;
             self.next_id += 1 + attrs.len() as u64;
-            let attrs: Vec<Attribute> = attrs.iter().map(|(n, v)| Attribute::new(*n, *v)).collect();
+            let attrs: AttributeBuf = attrs.iter().copied().collect();
             let span = ByteSpan::new(self.offset, self.offset + 1);
             self.offset += 1;
             let (matches, delivered) = (&mut self.matches, &mut self.delivered);
@@ -1737,7 +1735,7 @@ mod tests {
             let mut plan = Vec::new();
             self.machine.plan_pushes(named.unwrap_or(&[]), self.level, &mut plan);
             let (store, level) = (&mut self.store, self.level);
-            self.machine.apply_pushes(store, &plan, level, &attrs, id, id + 1, span, emit);
+            self.machine.apply_pushes(store, &plan, level, attrs.view(), id, id + 1, span, emit);
             self
         }
 

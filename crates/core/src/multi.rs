@@ -67,7 +67,7 @@
 use std::io::Read;
 use std::time::Instant;
 
-use vitex_xmlsax::event::Attribute;
+use vitex_xmlsax::event::Attributes;
 use vitex_xmlsax::pos::ByteSpan;
 use vitex_xmlsax::XmlReader;
 use vitex_xpath::query_tree::QueryTree;
@@ -352,7 +352,7 @@ pub(crate) fn fan_out_match<F: FnMut(QueryId, Match)>(
 pub(crate) struct StartTag<'a> {
     pub(crate) sym: Option<Symbol>,
     pub(crate) level: u32,
-    pub(crate) attributes: &'a [Attribute],
+    pub(crate) attributes: Attributes<'a>,
     pub(crate) node_id: NodeId,
     pub(crate) attr_id_base: NodeId,
     pub(crate) span: ByteSpan,

@@ -252,29 +252,28 @@ impl<F: FnMut(QueryId, Match)> EventSink for SessionSink<'_, '_, F> {
     fn start_element(
         &mut self,
         sym: Option<Symbol>,
-        event: &StartElementEvent,
+        event: &StartElementEvent<'_>,
         node_id: NodeId,
         attr_id_base: NodeId,
     ) {
         if self.trie.has_live_step(sym) {
             let (level, span) = (event.level, event.span);
-            let attributes = event.attributes.as_slice();
+            let attributes = event.attributes();
             let tag = StartTag { sym, level, attributes, node_id, attr_id_base, span };
             self.exec.start(self.trie, self.groups, &tag, self.on_match);
         }
     }
 
-    fn characters(&mut self, event: &CharactersEvent, node_id: NodeId) {
+    fn characters(&mut self, event: &CharactersEvent<'_>, node_id: NodeId) {
         if !self.text.is_empty() {
-            let (text, level, span) = (event.text.as_str(), event.level, event.span);
+            let (text, level, span) = (&*event.text, event.level, event.span);
             self.exec.text(self.groups, text, level, node_id, span, self.on_match);
         }
     }
 
-    fn end_element(&mut self, sym: Option<Symbol>, event: &EndElementEvent) {
+    fn end_element(&mut self, sym: Option<Symbol>, event: &EndElementEvent<'_>) {
         if self.trie.has_live_step(sym) {
-            let (name, level, element_span) =
-                (event.name.as_str(), event.level, event.element_span);
+            let (name, level, element_span) = (&*event.name, event.level, event.element_span);
             self.trie.retreat(level);
             self.exec.end(self.groups, name, level, element_span, self.on_match);
         }
@@ -310,7 +309,7 @@ mod tests {
         let span = ByteSpan::new(0, 0);
         let start = |sink: &mut SessionSink<'_, '_, _>, sym, name: &str, level, id| {
             let event =
-                StartElementEvent { name: name.into(), attributes: Vec::new(), level, span };
+                StartElementEvent { name: name.into(), attrs: Default::default(), level, span };
             sink.start_element(sym, &event, id, id + 1);
             (sink.trie.run_stats().steps_executed, sink.groups[0].machine().stats().pushes)
         };

@@ -139,7 +139,7 @@ impl EntityTable {
                     pos,
                 ))
             }
-            EntityValue::Internal(t) => t.clone(),
+            EntityValue::Internal(t) => t,
         };
         if text.contains('<') {
             return Err(XmlError::new(XmlErrorKind::MarkupInEntity { name: name.to_owned() }, pos));
@@ -185,16 +185,13 @@ impl EntityTable {
     }
 }
 
-/// The five predefined entities of XML 1.0 §4.6.
+/// The five predefined entities of XML 1.0 §4.6, by name.
+pub const PREDEFINED: [(&str, char); 5] =
+    [("amp", '&'), ("lt", '<'), ("gt", '>'), ("quot", '"'), ("apos", '\'')];
+
+/// The predefined entity `name`, if it is one.
 pub fn predefined(name: &str) -> Option<char> {
-    match name {
-        "lt" => Some('<'),
-        "gt" => Some('>'),
-        "amp" => Some('&'),
-        "apos" => Some('\''),
-        "quot" => Some('"'),
-        _ => None,
-    }
+    PREDEFINED.iter().find(|&&(n, _)| n == name).map(|&(_, c)| c)
 }
 
 /// Parses the body of a character reference (after `#`, before `;`):

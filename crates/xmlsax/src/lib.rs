@@ -20,8 +20,11 @@
 //!
 //! ## APIs
 //!
-//! The interface is a **pull** API: [`XmlReader`], an iterator-style
-//! `next_event()` loop — this is what `vitex-core`'s engines drive.
+//! The interface is a **pull** API: [`XmlReader`], a `next_event()` loop —
+//! this is what `vitex-core`'s engines drive. Each event *borrows* its
+//! name, attributes and text from buffers the reader reuses, so a pass
+//! allocates nothing per event; [`XmlEvent::into_owned`] (or
+//! [`XmlReader::collect_events`]) keeps events past the next call.
 //!
 //! A streaming [`writer::XmlWriter`] (used by the `vitex-xmlgen` dataset
 //! generators) and entity/escaping utilities round out the crate.
@@ -45,15 +48,14 @@
 //! let xml = "<book><title>Streaming XPath</title></book>";
 //! let mut reader = XmlReader::from_str(xml);
 //! let mut titles = Vec::new();
+//! let mut in_title = false;
 //! loop {
 //!     match reader.next_event().unwrap() {
-//!         XmlEvent::StartElement(e) if e.name.as_str() == "title" => {
-//!             if let XmlEvent::Characters(t) = reader.next_event().unwrap() {
-//!                 titles.push(t.text);
-//!             }
-//!         }
+//!         XmlEvent::StartElement(e) => in_title = e.name == "title",
+//!         // The text is lent until the next call: copy what you keep.
+//!         XmlEvent::Characters(t) if in_title => titles.push(t.text.into_owned()),
 //!         XmlEvent::EndDocument => break,
-//!         _ => {}
+//!         _ => in_title = false,
 //!     }
 //! }
 //! assert_eq!(titles, ["Streaming XPath"]);
@@ -74,8 +76,9 @@ pub mod reader;
 pub mod writer;
 
 pub use error::{XmlError, XmlErrorKind, XmlResult};
-pub use event::{Attribute, CharactersEvent, EndElementEvent, StartElementEvent, XmlEvent};
-pub use name::QName;
+pub use event::{
+    AttributeBuf, Attributes, CharactersEvent, EndElementEvent, StartElementEvent, XmlEvent,
+};
 pub use pos::TextPosition;
 pub use probe::{ParseProbe, ProbeHandle};
 pub use reader::{ReaderConfig, XmlReader};

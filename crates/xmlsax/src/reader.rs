@@ -1,24 +1,30 @@
 //! The streaming pull parser.
 //!
-//! [`XmlReader`] drives a [`Scanner`] through the XML grammar and yields
+//! [`XmlReader`] drives a [`Scanner`] through the XML grammar and lends
 //! [`XmlEvent`]s one at a time. It is the "XML SAX parser" box of the ViteX
 //! architecture diagram; `vitex-core`'s engine calls [`XmlReader::next_event`]
 //! in a loop and feeds each event to the TwigM machine.
+//!
+//! Events borrow names, attributes and text from buffers the reader keeps
+//! and refills (the open-element names, one attribute buffer, one text
+//! buffer), so a pass allocates only while those buffers grow to the
+//! document's largest tag and text run.
 //!
 //! Well-formedness is enforced incrementally: the reader maintains exactly
 //! one piece of unbounded state — the stack of open element names — whose
 //! size is the document depth, not the document length.
 
+use std::borrow::Cow;
 use std::io::{Cursor, Read};
 
 use crate::entities::{self, EntityLimits, EntityTable};
 use crate::error::{XmlError, XmlErrorKind, XmlResult};
 use crate::event::{
-    Attribute, CharactersEvent, EndElementEvent, ProcessingInstructionEvent, StartElementEvent,
+    AttributeBuf, CharactersEvent, EndElementEvent, ProcessingInstructionEvent, StartElementEvent,
     XmlEvent,
 };
 use crate::input::{ByteClass, Scanner};
-use crate::name::{self, QName};
+use crate::name;
 use crate::pos::{ByteSpan, TextPosition};
 use crate::probe::ProbeHandle;
 
@@ -60,20 +66,51 @@ enum DocState {
     Done,
 }
 
+/// What the next call owes before it reads on. An end event lends the
+/// innermost open name, so the name is popped one call later.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Owed {
+    Nothing,
+    /// The end event of a self-closing tag whose start tag ended at this
+    /// offset.
+    End(u64),
+    /// The innermost element closed: pop it.
+    Pop,
+}
+
+/// Reference expansion: the entity table and its bounds.
+struct References {
+    table: EntityTable,
+    limits: EntityLimits,
+    /// The body of a character reference or declared entity.
+    body: String,
+}
+
+/// Initial capacity of the name, attribute and text buffers. They start
+/// non-empty so that how a buffer grows depends only on the lengths it
+/// reaches, not on the pieces it was filled in (`&amp;` then a run, or one
+/// run).
+const BUFFER_START: usize = 64;
+
 /// A streaming, pull-based XML parser.
 pub struct XmlReader<R: Read> {
     scanner: Scanner<R>,
-    config: ReaderConfig,
+    max_depth: usize,
     state: DocState,
-    /// Names of currently open elements (innermost last).
-    open: Vec<QName>,
+    /// Names of the open elements, back to back (innermost last). Bytes
+    /// past the last end are scratch for the tag being read.
+    names: String,
+    /// Where each open element's name ends in `names`.
+    name_ends: Vec<usize>,
     /// Byte offset of the `<` of each open element's start tag.
     open_starts: Vec<u64>,
-    entities: EntityTable,
-    /// A self-closing tag produces a deferred `EndElement`.
-    pending_end: Option<EndElementEvent>,
+    /// The attributes of the last start tag.
+    attrs: AttributeBuf,
+    /// The last text run, comment or processing instruction, decoded.
+    text: String,
+    refs: References,
+    owed: Owed,
     seen_doctype: bool,
-    scratch: String,
     /// Optional observability hook; scanner byte counts are flushed to it
     /// at document end and on drop (deltas, so the two never double-count).
     probe: Option<ProbeHandle>,
@@ -112,14 +149,20 @@ impl<R: Read> XmlReader<R> {
     pub fn with_config(source: R, config: ReaderConfig) -> Self {
         XmlReader {
             scanner: Scanner::with_capacity(source, config.buffer_capacity),
-            config,
+            max_depth: config.max_depth,
             state: DocState::Init,
-            open: Vec::new(),
+            names: String::with_capacity(BUFFER_START),
+            name_ends: Vec::new(),
             open_starts: Vec::new(),
-            entities: EntityTable::new(),
-            pending_end: None,
+            attrs: AttributeBuf::with_capacity(BUFFER_START),
+            text: String::with_capacity(BUFFER_START),
+            refs: References {
+                table: EntityTable::new(),
+                limits: config.entity_limits,
+                body: String::new(),
+            },
+            owed: Owed::Nothing,
             seen_doctype: false,
-            scratch: String::new(),
             probe: None,
             scan_reported: (0, 0),
         }
@@ -147,7 +190,7 @@ impl<R: Read> XmlReader<R> {
 
     /// Current element nesting depth (number of open elements).
     pub fn depth(&self) -> usize {
-        self.open.len()
+        self.name_ends.len() - usize::from(self.owed == Owed::Pop)
     }
 
     /// Current stream position.
@@ -160,23 +203,24 @@ impl<R: Read> XmlReader<R> {
         self.scanner.offset()
     }
 
-    /// Pulls the next event. After [`XmlEvent::EndDocument`] has been
-    /// returned, every further call returns it again.
-    pub fn next_event(&mut self) -> XmlResult<XmlEvent> {
-        let event = self.next_event_inner();
-        if matches!(&event, Ok(XmlEvent::EndDocument)) {
-            self.flush_scan_probe();
-        }
-        event
-    }
-
-    fn next_event_inner(&mut self) -> XmlResult<XmlEvent> {
-        if let Some(end) = self.pending_end.take() {
-            self.pop_open();
-            if self.open.is_empty() && self.state == DocState::InRoot {
-                self.state = DocState::Epilog;
+    /// Pulls the next event, borrowed from the reader's buffers until the
+    /// next call ([`XmlEvent::into_owned`] keeps one). After
+    /// [`XmlEvent::EndDocument`] has been returned, every further call
+    /// returns it again.
+    pub fn next_event(&mut self) -> XmlResult<XmlEvent<'_>> {
+        match std::mem::replace(&mut self.owed, Owed::Nothing) {
+            Owed::Nothing => {}
+            Owed::End(end_offset) => {
+                self.owed = Owed::Pop;
+                return Ok(XmlEvent::EndElement(self.innermost_end(end_offset)));
             }
-            return Ok(XmlEvent::EndElement(end));
+            Owed::Pop => {
+                self.name_ends.pop();
+                self.open_starts.pop();
+                if self.name_ends.is_empty() && self.state == DocState::InRoot {
+                    self.state = DocState::Epilog;
+                }
+            }
         }
         match self.state {
             DocState::Init => self.read_document_start(),
@@ -186,12 +230,12 @@ impl<R: Read> XmlReader<R> {
     }
 
     /// Convenience: runs the document to completion, returning all events
-    /// including the final `EndDocument`. Intended for tests and small
-    /// inputs; production consumers should stream.
-    pub fn collect_events(mut self) -> XmlResult<Vec<XmlEvent>> {
+    /// (owned) including the final `EndDocument`. Intended for tests and
+    /// small inputs; production consumers should stream.
+    pub fn collect_events(mut self) -> XmlResult<Vec<XmlEvent<'static>>> {
         let mut events = Vec::new();
         loop {
-            let e = self.next_event()?;
+            let e = self.next_event()?.into_owned();
             let done = e.is_end_document();
             events.push(e);
             if done {
@@ -204,7 +248,7 @@ impl<R: Read> XmlReader<R> {
     // Document start: BOM + XML declaration
     // ---------------------------------------------------------------- //
 
-    fn read_document_start(&mut self) -> XmlResult<XmlEvent> {
+    fn read_document_start(&mut self) -> XmlResult<XmlEvent<'static>> {
         if self.scanner.starts_with(b"\xEF\xBB\xBF")? {
             self.scanner.skip_raw(3);
         }
@@ -222,10 +266,11 @@ impl<R: Read> XmlReader<R> {
         Ok(XmlEvent::StartDocument { version: None, encoding: None })
     }
 
-    fn read_xml_declaration(&mut self) -> XmlResult<XmlEvent> {
+    fn read_xml_declaration(&mut self) -> XmlResult<XmlEvent<'static>> {
         self.scanner.consume_ascii(b"<?xml")?;
         let mut version = None;
         let mut encoding = None;
+        let mut key = String::new();
         loop {
             self.skip_whitespace()?;
             match self.scanner.peek_byte()? {
@@ -235,7 +280,8 @@ impl<R: Read> XmlReader<R> {
                 }
                 Some(_) => {
                     let pos = self.scanner.position();
-                    let key = self.read_name()?;
+                    key.clear();
+                    read_name(&mut self.scanner, &mut key)?;
                     self.skip_whitespace()?;
                     self.expect_ascii(b"=")?;
                     self.skip_whitespace()?;
@@ -279,14 +325,17 @@ impl<R: Read> XmlReader<R> {
     // Main content dispatch
     // ---------------------------------------------------------------- //
 
-    fn read_content(&mut self) -> XmlResult<XmlEvent> {
+    fn read_content(&mut self) -> XmlResult<XmlEvent<'_>> {
         loop {
             let pos = self.scanner.position();
             match self.scanner.peek_byte()? {
                 None => return self.handle_eof(pos),
                 Some(b'<') => match self.classify_markup()? {
                     Markup::EndTag => return self.read_end_tag(),
-                    Markup::Comment => return Ok(XmlEvent::Comment(self.read_comment()?)),
+                    Markup::Comment => {
+                        self.read_comment()?;
+                        return Ok(XmlEvent::Comment(Cow::Borrowed(&self.text)));
+                    }
                     Markup::Cdata => {
                         if self.state != DocState::InRoot {
                             return Err(XmlError::syntax(
@@ -296,11 +345,15 @@ impl<R: Read> XmlReader<R> {
                         }
                         return self.read_text();
                     }
-                    Markup::Doctype => {
-                        let event = self.read_doctype()?;
-                        return Ok(event);
+                    Markup::Doctype => return self.read_doctype(),
+                    Markup::Pi => {
+                        let target_end = self.read_pi()?;
+                        let (target, data) = self.text.split_at(target_end);
+                        return Ok(XmlEvent::ProcessingInstruction(ProcessingInstructionEvent {
+                            target: Cow::Borrowed(target),
+                            data: Cow::Borrowed(data),
+                        }));
                     }
-                    Markup::Pi => return self.read_pi().map(XmlEvent::ProcessingInstruction),
                     Markup::StartTag => return self.read_start_tag(),
                 },
                 Some(_) => {
@@ -316,7 +369,7 @@ impl<R: Read> XmlReader<R> {
         }
     }
 
-    fn handle_eof(&mut self, pos: TextPosition) -> XmlResult<XmlEvent> {
+    fn handle_eof(&mut self, pos: TextPosition) -> XmlResult<XmlEvent<'static>> {
         match self.state {
             DocState::InRoot => Err(XmlError::new(
                 XmlErrorKind::UnexpectedEof { expected: "end tags for open elements" },
@@ -327,6 +380,7 @@ impl<R: Read> XmlReader<R> {
             }
             DocState::Epilog | DocState::Done => {
                 self.state = DocState::Done;
+                self.flush_scan_probe();
                 Ok(XmlEvent::EndDocument)
             }
         }
@@ -359,7 +413,30 @@ impl<R: Read> XmlReader<R> {
     // Tags
     // ---------------------------------------------------------------- //
 
-    fn read_start_tag(&mut self) -> XmlResult<XmlEvent> {
+    /// Length of `names` that the open elements use.
+    fn open_names_len(&self) -> usize {
+        self.name_ends.last().copied().unwrap_or(0)
+    }
+
+    /// The innermost open element's name.
+    fn innermost_name(&self) -> &str {
+        let n = self.name_ends.len();
+        let start = n.checked_sub(2).map_or(0, |i| self.name_ends[i]);
+        &self.names[start..self.name_ends[n - 1]]
+    }
+
+    /// The end event of the innermost open element, whose end tag ends at
+    /// `end_offset`.
+    fn innermost_end(&self, end_offset: u64) -> EndElementEvent<'_> {
+        let start_offset = *self.open_starts.last().expect("stack in sync");
+        EndElementEvent {
+            name: Cow::Borrowed(self.innermost_name()),
+            level: self.name_ends.len() as u32,
+            element_span: ByteSpan::new(start_offset, end_offset),
+        }
+    }
+
+    fn read_start_tag(&mut self) -> XmlResult<XmlEvent<'_>> {
         let start_offset = self.scanner.offset();
         let position = self.scanner.position();
         match self.state {
@@ -369,8 +446,11 @@ impl<R: Read> XmlReader<R> {
             _ => unreachable!("start tag in state {:?}", self.state),
         }
         self.expect_ascii(b"<")?;
-        let name = QName::new(self.read_name()?);
-        let mut attributes: Vec<Attribute> = Vec::new();
+        // The name goes straight onto the open-name stack.
+        let name_start = self.open_names_len();
+        self.names.truncate(name_start);
+        read_name(&mut self.scanner, &mut self.names)?;
+        self.attrs.clear();
         let self_closing = loop {
             let had_ws = self.skip_whitespace()?;
             match self.scanner.peek_byte()? {
@@ -390,18 +470,21 @@ impl<R: Read> XmlReader<R> {
                         ));
                     }
                     let attr_pos = self.scanner.position();
-                    let attr_name = QName::new(self.read_name()?);
-                    if attributes.iter().any(|a| a.name == attr_name) {
+                    let attr_start = self.attrs.text.len();
+                    read_name(&mut self.scanner, &mut self.attrs.text)?;
+                    let attr_name = &self.attrs.text[attr_start..];
+                    if self.attrs.view().get(attr_name).is_some() {
                         return Err(XmlError::new(
-                            XmlErrorKind::DuplicateAttribute { name: attr_name.as_str().into() },
+                            XmlErrorKind::DuplicateAttribute { name: attr_name.into() },
                             attr_pos,
                         ));
                     }
+                    let name_end = self.attrs.text.len();
                     self.skip_whitespace()?;
                     self.expect_ascii(b"=")?;
                     self.skip_whitespace()?;
-                    let value = self.read_attribute_value()?;
-                    attributes.push(Attribute { name: attr_name, value });
+                    read_attribute_value(&mut self.scanner, &mut self.refs, &mut self.attrs.text)?;
+                    self.attrs.ends.push((name_end, self.attrs.text.len()));
                 }
                 None => {
                     return Err(XmlError::new(
@@ -411,78 +494,61 @@ impl<R: Read> XmlReader<R> {
                 }
             }
         };
-        if self.open.len() >= self.config.max_depth {
-            return Err(XmlError::new(
-                XmlErrorKind::DepthLimit { max: self.config.max_depth },
-                position,
-            ));
+        if self.name_ends.len() >= self.max_depth {
+            return Err(XmlError::new(XmlErrorKind::DepthLimit { max: self.max_depth }, position));
         }
         let end_offset = self.scanner.offset();
-        self.open.push(name.clone());
+        self.name_ends.push(self.names.len());
         self.open_starts.push(start_offset);
         if self.state == DocState::Prolog {
             self.state = DocState::InRoot;
         }
-        let level = self.open.len() as u32;
         if self_closing {
-            self.pending_end = Some(EndElementEvent {
-                name: name.clone(),
-                level,
-                element_span: ByteSpan::new(start_offset, end_offset),
-            });
+            self.owed = Owed::End(end_offset);
         }
         Ok(XmlEvent::StartElement(StartElementEvent {
-            name,
-            attributes,
-            level,
+            name: Cow::Borrowed(&self.names[name_start..]),
+            attrs: Cow::Borrowed(&self.attrs),
+            level: self.name_ends.len() as u32,
             span: ByteSpan::new(start_offset, end_offset),
         }))
     }
 
-    fn read_end_tag(&mut self) -> XmlResult<XmlEvent> {
+    fn read_end_tag(&mut self) -> XmlResult<XmlEvent<'_>> {
         let position = self.scanner.position();
         self.expect_ascii(b"</")?;
-        let name = self.read_name()?;
+        // Read past the open names and compare.
+        let found_start = self.open_names_len();
+        self.names.truncate(found_start);
+        read_name(&mut self.scanner, &mut self.names)?;
         self.skip_whitespace()?;
         self.expect_ascii(b">")?;
-        let expected = match self.open.last() {
-            Some(n) => n,
-            None => return Err(XmlError::new(XmlErrorKind::UnbalancedEndTag { name }, position)),
-        };
-        if expected.as_str() != name {
+        let found = &self.names[found_start..];
+        if self.name_ends.is_empty() {
             return Err(XmlError::new(
-                XmlErrorKind::MismatchedTag { expected: expected.as_str().into(), found: name },
+                XmlErrorKind::UnbalancedEndTag { name: found.into() },
                 position,
             ));
         }
-        let level = self.open.len() as u32;
-        let start_offset = *self.open_starts.last().expect("stack in sync");
-        let end_offset = self.scanner.offset();
-        let name = self.pop_open();
-        if self.open.is_empty() {
-            self.state = DocState::Epilog;
+        let expected = self.innermost_name();
+        if expected != found {
+            return Err(XmlError::new(
+                XmlErrorKind::MismatchedTag { expected: expected.into(), found: found.into() },
+                position,
+            ));
         }
-        Ok(XmlEvent::EndElement(EndElementEvent {
-            name,
-            level,
-            element_span: ByteSpan::new(start_offset, end_offset),
-        }))
-    }
-
-    fn pop_open(&mut self) -> QName {
-        self.open_starts.pop();
-        self.open.pop().expect("pop_open with empty stack")
+        self.owed = Owed::Pop;
+        Ok(XmlEvent::EndElement(self.innermost_end(self.scanner.offset())))
     }
 
     // ---------------------------------------------------------------- //
     // Text
     // ---------------------------------------------------------------- //
 
-    fn read_text(&mut self) -> XmlResult<XmlEvent> {
+    fn read_text(&mut self) -> XmlResult<XmlEvent<'_>> {
         let position = self.scanner.position();
         let start_offset = self.scanner.offset();
-        let mut text = std::mem::take(&mut self.scratch);
-        text.clear();
+        self.text.clear();
         // Rolling window to detect the illegal raw sequence `]]>` even when
         // split across scanning chunks (decoded entities / CDATA content are
         // exempt, as the spec requires).
@@ -491,21 +557,21 @@ impl<R: Read> XmlReader<R> {
             // Fast ASCII path via the prebuilt byte class. TEXT_RUN holds
             // neither `]` nor `>`, so a non-empty run ends any `]]` in
             // progress.
-            if self.scanner.consume_class_run(&TEXT_RUN, &mut text)? > 0 {
+            if self.scanner.consume_class_run(&TEXT_RUN, &mut self.text)? > 0 {
                 raw_tail = ['\0', '\0'];
             }
             match self.scanner.peek_byte()? {
                 None => break,
                 Some(b'<') => {
                     if self.scanner.starts_with(b"<![CDATA[")? {
-                        self.read_cdata_into(&mut text)?;
+                        self.read_cdata()?;
                         raw_tail = ['\0', '\0'];
                         continue;
                     }
                     break;
                 }
                 Some(b'&') => {
-                    self.read_reference_into(&mut text)?;
+                    self.refs.read(&mut self.scanner, &mut self.text)?;
                     raw_tail = ['\0', '\0'];
                     continue;
                 }
@@ -524,23 +590,24 @@ impl<R: Read> XmlReader<R> {
                         ));
                     }
                     raw_tail = [raw_tail[1], c];
-                    text.push(c);
+                    self.text.push(c);
                 }
             }
         }
-        let span = ByteSpan::new(start_offset, self.scanner.offset());
-        let level = self.open.len() as u32;
-        let event = CharactersEvent { text, level, span };
-        if event.text.is_empty() {
+        if self.text.is_empty() {
             // Nothing reportable (e.g. an empty CDATA section): recurse
             // into the next construct.
-            self.scratch = event.text;
             return self.read_content();
         }
-        Ok(XmlEvent::Characters(event))
+        Ok(XmlEvent::Characters(CharactersEvent {
+            text: Cow::Borrowed(&self.text),
+            level: self.name_ends.len() as u32,
+            span: ByteSpan::new(start_offset, self.scanner.offset()),
+        }))
     }
 
-    fn read_cdata_into(&mut self, out: &mut String) -> XmlResult<()> {
+    /// Appends a CDATA section's content to the text buffer.
+    fn read_cdata(&mut self) -> XmlResult<()> {
         self.expect_ascii(b"<![CDATA[")?;
         let open_pos = self.scanner.position();
         let mut tail: [char; 2] = ['\0', '\0'];
@@ -562,58 +629,25 @@ impl<R: Read> XmlReader<R> {
                     if tail == [']', ']'] && c == '>' {
                         // Remove the two buffered ']' that belonged to the
                         // terminator.
-                        out.truncate(out.len() - 2);
+                        self.text.truncate(self.text.len() - 2);
                         return Ok(());
                     }
                     tail = [tail[1], c];
-                    out.push(c);
+                    self.text.push(c);
                 }
             }
         }
-    }
-
-    /// Reads `&...;` (the `&` is still unconsumed) and appends the decoded
-    /// replacement to `out`.
-    fn read_reference_into(&mut self, out: &mut String) -> XmlResult<()> {
-        let pos = self.scanner.position();
-        self.expect_ascii(b"&")?;
-        let mut body = String::new();
-        loop {
-            match self.scanner.next_char()? {
-                None => {
-                    return Err(XmlError::new(
-                        XmlErrorKind::UnexpectedEof { expected: "entity reference" },
-                        pos,
-                    ))
-                }
-                Some(';') => break,
-                Some(c) if c == '#' || name::is_name_char(c) => body.push(c),
-                Some(c) => {
-                    return Err(XmlError::syntax(
-                        format!("invalid character {c:?} in entity reference"),
-                        pos,
-                    ))
-                }
-            }
-        }
-        if let Some(num) = body.strip_prefix('#') {
-            out.push(entities::parse_char_ref(num, pos)?);
-        } else if body.is_empty() {
-            return Err(XmlError::syntax("empty entity reference", pos));
-        } else {
-            self.entities.expand(&body, &self.config.entity_limits, pos, out)?;
-        }
-        Ok(())
     }
 
     // ---------------------------------------------------------------- //
     // Comments and processing instructions
     // ---------------------------------------------------------------- //
 
-    fn read_comment(&mut self) -> XmlResult<String> {
+    /// Reads a comment's content into the text buffer.
+    fn read_comment(&mut self) -> XmlResult<()> {
         let open_pos = self.scanner.position();
         self.expect_ascii(b"<!--")?;
-        let mut text = String::new();
+        self.text.clear();
         loop {
             match self.scanner.next_char()? {
                 None => {
@@ -629,13 +663,13 @@ impl<R: Read> XmlReader<R> {
                             self.scanner.position(),
                         ));
                     }
-                    text.push(c);
-                    if text.ends_with("--") {
+                    self.text.push(c);
+                    if self.text.ends_with("--") {
                         match self.scanner.peek_byte()? {
                             Some(b'>') => {
                                 self.expect_ascii(b">")?;
-                                text.truncate(text.len() - 2);
-                                return Ok(text);
+                                self.text.truncate(self.text.len() - 2);
+                                return Ok(());
                             }
                             _ => {
                                 return Err(XmlError::syntax(
@@ -650,17 +684,20 @@ impl<R: Read> XmlReader<R> {
         }
     }
 
-    fn read_pi(&mut self) -> XmlResult<ProcessingInstructionEvent> {
+    /// Reads a processing instruction's target and then its data into the
+    /// text buffer; returns where the target ends.
+    fn read_pi(&mut self) -> XmlResult<usize> {
         let position = self.scanner.position();
         self.expect_ascii(b"<?")?;
-        let target = self.read_name()?;
-        if target.eq_ignore_ascii_case("xml") {
+        self.text.clear();
+        read_name(&mut self.scanner, &mut self.text)?;
+        if self.text.eq_ignore_ascii_case("xml") {
             return Err(XmlError::syntax(
                 "processing-instruction target 'xml' is reserved",
                 position,
             ));
         }
-        let mut data = String::new();
+        let target_end = self.text.len();
         let had_ws = self.skip_whitespace()?;
         loop {
             match self.scanner.peek_byte()? {
@@ -675,7 +712,7 @@ impl<R: Read> XmlReader<R> {
                     break;
                 }
                 Some(_) => {
-                    if !had_ws && data.is_empty() {
+                    if !had_ws && self.text.len() == target_end {
                         return Err(XmlError::syntax(
                             "expected whitespace after PI target",
                             self.scanner.position(),
@@ -688,18 +725,18 @@ impl<R: Read> XmlReader<R> {
                             self.scanner.position(),
                         ));
                     }
-                    data.push(c);
+                    self.text.push(c);
                 }
             }
         }
-        Ok(ProcessingInstructionEvent { target, data })
+        Ok(target_end)
     }
 
     // ---------------------------------------------------------------- //
     // DOCTYPE
     // ---------------------------------------------------------------- //
 
-    fn read_doctype(&mut self) -> XmlResult<XmlEvent> {
+    fn read_doctype(&mut self) -> XmlResult<XmlEvent<'static>> {
         let position = self.scanner.position();
         if self.state != DocState::Prolog {
             return Err(XmlError::syntax("DOCTYPE must appear before the root element", position));
@@ -712,7 +749,8 @@ impl<R: Read> XmlReader<R> {
         if !self.skip_whitespace()? {
             return Err(XmlError::syntax("expected whitespace after '<!DOCTYPE'", position));
         }
-        let name = self.read_name()?;
+        let mut name = String::new();
+        read_name(&mut self.scanner, &mut name)?;
         self.skip_whitespace()?;
         // Optional ExternalID.
         if self.scanner.starts_with(b"SYSTEM")? {
@@ -796,18 +834,19 @@ impl<R: Read> XmlReader<R> {
             self.skip_markup_decl_tail()?;
             return Ok(());
         }
-        let name = self.read_name()?;
+        let mut name = String::new();
+        read_name(&mut self.scanner, &mut name)?;
         if !self.skip_whitespace()? {
             return Err(XmlError::syntax("expected whitespace after entity name", pos));
         }
         match self.scanner.peek_byte()? {
             Some(b'"') | Some(b'\'') => {
                 let raw = self.read_quoted_literal()?;
-                self.entities.declare_internal(&name, &raw);
+                self.refs.table.declare_internal(&name, &raw);
             }
             _ => {
                 // SYSTEM / PUBLIC external entity: record and skip.
-                self.entities.declare_external(&name);
+                self.refs.table.declare_external(&name);
                 self.skip_markup_decl_tail()?;
                 return Ok(());
             }
@@ -876,28 +915,6 @@ impl<R: Read> XmlReader<R> {
         }
     }
 
-    /// Reads an XML `Name`.
-    fn read_name(&mut self) -> XmlResult<String> {
-        let pos = self.scanner.position();
-        let mut out = String::new();
-        // Fast ASCII path.
-        self.scanner.consume_class_run(&NAME_RUN, &mut out)?;
-        // Slow path for non-ASCII name characters.
-        while let Some(c) = self.scanner.peek_char()? {
-            if c.is_ascii() || !name::is_name_char(c) {
-                break;
-            }
-            out.push(c);
-            self.scanner.next_char()?;
-            // Resume the fast path after each non-ASCII char.
-            self.scanner.consume_class_run(&NAME_RUN, &mut out)?;
-        }
-        if !name::is_valid_name(&out) {
-            return Err(XmlError::new(XmlErrorKind::InvalidName { name: out }, pos));
-        }
-        Ok(out)
-    }
-
     /// Reads `"..."` or `'...'` without reference expansion (XML
     /// declaration, DOCTYPE literals, entity replacement text).
     fn read_quoted_literal(&mut self) -> XmlResult<String> {
@@ -927,64 +944,6 @@ impl<R: Read> XmlReader<R> {
         }
     }
 
-    /// Reads an attribute value with XML 1.0 §3.3.3 normalization:
-    /// references expanded, whitespace characters become spaces, `<` is
-    /// forbidden.
-    fn read_attribute_value(&mut self) -> XmlResult<String> {
-        let pos = self.scanner.position();
-        let quote = match self.scanner.next_char()? {
-            Some(q @ ('"' | '\'')) => q,
-            None => {
-                return Err(XmlError::new(
-                    XmlErrorKind::UnexpectedEof { expected: "attribute value" },
-                    pos,
-                ))
-            }
-            _ => return Err(XmlError::syntax("expected quoted attribute value", pos)),
-        };
-        let run = if quote == '"' { &ATTR_RUN_DQ } else { &ATTR_RUN_SQ };
-        let mut out = String::new();
-        loop {
-            // Bulk-copy the printable run up to the next quote, reference,
-            // `<`, whitespace-to-normalize, or non-ASCII byte; the
-            // char-wise arms below handle the stopping byte.
-            self.scanner.consume_class_run(run, &mut out)?;
-            match self.scanner.peek_byte()? {
-                None => {
-                    return Err(XmlError::new(
-                        XmlErrorKind::UnexpectedEof { expected: "attribute value" },
-                        pos,
-                    ))
-                }
-                Some(b'<') => {
-                    return Err(XmlError::syntax(
-                        "'<' is not allowed in attribute values",
-                        self.scanner.position(),
-                    ))
-                }
-                Some(b'&') => {
-                    // References are expanded but their content is *not*
-                    // re-normalized (per spec: a character reference to
-                    // tab stays a tab).
-                    self.read_reference_into(&mut out)?;
-                }
-                Some(_) => {
-                    let c = self.scanner.next_char()?.expect("peeked byte");
-                    if c == quote {
-                        return Ok(out);
-                    }
-                    if !entities::is_xml_char(c) {
-                        return Err(XmlError::new(
-                            XmlErrorKind::InvalidChar { ch: c },
-                            self.scanner.position(),
-                        ));
-                    }
-                    out.push(if matches!(c, '\t' | '\n') { ' ' } else { c });
-                }
-            }
-        }
-    }
-
     fn expect_ascii(&mut self, s: &'static [u8]) -> XmlResult<()> {
         if !self.scanner.starts_with(s)? {
             return Err(XmlError::syntax(
@@ -993,6 +952,135 @@ impl<R: Read> XmlReader<R> {
             ));
         }
         self.scanner.consume_ascii(s)
+    }
+}
+
+impl References {
+    /// Reads `&...;` (the caller peeked the `&`) and appends the decoded
+    /// replacement to `out`. A predefined entity is matched in the input
+    /// window; any other body is read into the kept `body` buffer.
+    fn read<R: Read>(&mut self, scanner: &mut Scanner<R>, out: &mut String) -> XmlResult<()> {
+        let pos = scanner.position();
+        scanner.consume_ascii(b"&")?;
+        for (name, c) in entities::PREDEFINED {
+            if scanner.starts_with(name.as_bytes())? && scanner.peek_at(name.len())? == Some(b';') {
+                scanner.consume_ascii(name.as_bytes())?;
+                scanner.consume_ascii(b";")?;
+                out.push(c);
+                return Ok(());
+            }
+        }
+        self.body.clear();
+        loop {
+            match scanner.next_char()? {
+                None => {
+                    return Err(XmlError::new(
+                        XmlErrorKind::UnexpectedEof { expected: "entity reference" },
+                        pos,
+                    ))
+                }
+                Some(';') => break,
+                Some(c) if c == '#' || name::is_name_char(c) => self.body.push(c),
+                Some(c) => {
+                    return Err(XmlError::syntax(
+                        format!("invalid character {c:?} in entity reference"),
+                        pos,
+                    ))
+                }
+            }
+        }
+        if let Some(num) = self.body.strip_prefix('#') {
+            out.push(entities::parse_char_ref(num, pos)?);
+        } else if self.body.is_empty() {
+            return Err(XmlError::syntax("empty entity reference", pos));
+        } else {
+            self.table.expand(&self.body, &self.limits, pos, out)?;
+        }
+        Ok(())
+    }
+}
+
+/// Reads an XML `Name`, appending it to `out`.
+fn read_name<R: Read>(scanner: &mut Scanner<R>, out: &mut String) -> XmlResult<()> {
+    let pos = scanner.position();
+    let start = out.len();
+    // Fast ASCII path.
+    scanner.consume_class_run(&NAME_RUN, out)?;
+    // Slow path for non-ASCII name characters.
+    while let Some(c) = scanner.peek_char()? {
+        if c.is_ascii() || !name::is_name_char(c) {
+            break;
+        }
+        out.push(c);
+        scanner.next_char()?;
+        // Resume the fast path after each non-ASCII char.
+        scanner.consume_class_run(&NAME_RUN, out)?;
+    }
+    let name = &out[start..];
+    if !name::is_valid_name(name) {
+        return Err(XmlError::new(XmlErrorKind::InvalidName { name: name.into() }, pos));
+    }
+    Ok(())
+}
+
+/// Reads an attribute value with XML 1.0 §3.3.3 normalization, appending
+/// it to `out`: references expanded, whitespace characters become spaces,
+/// `<` is forbidden.
+fn read_attribute_value<R: Read>(
+    scanner: &mut Scanner<R>,
+    refs: &mut References,
+    out: &mut String,
+) -> XmlResult<()> {
+    let pos = scanner.position();
+    let quote = match scanner.next_char()? {
+        Some(q @ ('"' | '\'')) => q,
+        None => {
+            return Err(XmlError::new(
+                XmlErrorKind::UnexpectedEof { expected: "attribute value" },
+                pos,
+            ))
+        }
+        _ => return Err(XmlError::syntax("expected quoted attribute value", pos)),
+    };
+    let run = if quote == '"' { &ATTR_RUN_DQ } else { &ATTR_RUN_SQ };
+    loop {
+        // Bulk-copy the printable run up to the next quote, reference,
+        // `<`, whitespace-to-normalize, or non-ASCII byte; the char-wise
+        // arms below handle the stopping byte.
+        scanner.consume_class_run(run, out)?;
+        match scanner.peek_byte()? {
+            None => {
+                return Err(XmlError::new(
+                    XmlErrorKind::UnexpectedEof { expected: "attribute value" },
+                    pos,
+                ))
+            }
+            Some(b'<') => {
+                return Err(XmlError::syntax(
+                    "'<' is not allowed in attribute values",
+                    scanner.position(),
+                ))
+            }
+            Some(b'&') => {
+                // References are expanded but their content is *not*
+                // re-normalized (per spec: a character reference to tab
+                // stays a tab).
+                refs.read(scanner, out)?;
+            }
+            Some(_) => {
+                let c = scanner.next_char()?.expect("peeked byte");
+                if c == quote {
+                    return Ok(());
+                }
+                if !entities::is_xml_char(c) {
+                    return Err(XmlError::new(
+                        XmlErrorKind::InvalidChar { ch: c },
+                        scanner.position(),
+                    ));
+                }
+                out.push(if matches!(c, '\t' | '\n') { ' ' } else { c });
+            }
+        }
     }
 }
 
@@ -1076,29 +1164,5 @@ enum Markup {
 impl<R: Read> Drop for XmlReader<R> {
     fn drop(&mut self) {
         self.flush_scan_probe();
-    }
-}
-
-/// Iterating a reader yields events up to and including `EndDocument`,
-/// then stops. An error also terminates iteration.
-impl<R: Read> Iterator for XmlReader<R> {
-    type Item = XmlResult<XmlEvent>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.state == DocState::Done {
-            return None;
-        }
-        match self.next_event() {
-            Ok(e) => {
-                if e.is_end_document() {
-                    self.state = DocState::Done;
-                }
-                Some(Ok(e))
-            }
-            Err(e) => {
-                self.state = DocState::Done;
-                Some(Err(e))
-            }
-        }
     }
 }

@@ -403,7 +403,7 @@ mod tests {
         let starts: Vec<&str> = events
             .iter()
             .filter_map(|e| match e {
-                XmlEvent::StartElement(se) => Some(se.name.as_str()),
+                XmlEvent::StartElement(se) => Some(&*se.name),
                 _ => None,
             })
             .collect();

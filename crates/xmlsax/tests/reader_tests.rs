@@ -6,7 +6,7 @@ use vitex_xmlsax::reader::ReaderConfig;
 use vitex_xmlsax::{XmlErrorKind, XmlEvent, XmlReader};
 
 /// Collects all events, panicking on error.
-fn events(xml: &str) -> Vec<XmlEvent> {
+fn events(xml: &str) -> Vec<XmlEvent<'static>> {
     XmlReader::from_str(xml).collect_events().unwrap()
 }
 
@@ -23,20 +23,20 @@ fn trace(xml: &str) -> String {
 fn trace_with(xml: &str, config: ReaderConfig) -> String {
     let reader = XmlReader::with_config(std::io::Cursor::new(xml.as_bytes()), config);
     let mut out = String::new();
-    for ev in reader {
-        match ev.unwrap() {
+    for ev in reader.collect_events().unwrap() {
+        match ev {
             XmlEvent::StartDocument { .. } => {}
             XmlEvent::StartElement(e) => {
                 out.push('+');
-                out.push_str(e.name.as_str());
-                for a in &e.attributes {
-                    out.push_str(&format!("[{}={}]", a.name, a.value));
+                out.push_str(&e.name);
+                for (name, value) in e.attributes().iter() {
+                    out.push_str(&format!("[{}={}]", name, value));
                 }
                 out.push(' ');
             }
             XmlEvent::EndElement(e) => {
                 out.push('-');
-                out.push_str(e.name.as_str());
+                out.push_str(&e.name);
                 out.push(' ');
             }
             XmlEvent::Characters(c) => {
@@ -130,7 +130,7 @@ fn element_spans_cover_whole_elements() {
     for e in &evs {
         if let XmlEvent::EndElement(end) = e {
             let frag = end.element_span.slice(xml.as_bytes()).unwrap();
-            match end.name.as_str() {
+            match &*end.name {
                 "b" => assert_eq!(frag, b"<b>xy</b>"),
                 "a" => assert_eq!(frag, xml.as_bytes()),
                 _ => unreachable!(),
@@ -548,17 +548,16 @@ fn end_document_repeats() {
 
 #[test]
 fn iterator_stops_after_end() {
-    let evs: Vec<_> = XmlReader::from_str("<a/>").collect();
+    // A lending reader is no `Iterator`; `collect_events` stops the same way.
+    let evs = XmlReader::from_str("<a/>").collect_events().unwrap();
     assert_eq!(evs.len(), 4); // StartDocument, Start, End, EndDocument
-    assert!(evs.iter().all(|e| e.is_ok()));
+    assert!(evs.last().unwrap().is_end_document());
 }
 
 #[test]
 fn iterator_stops_after_error() {
-    let evs: Vec<_> = XmlReader::from_str("<a><b></a>").collect();
-    assert!(evs.last().unwrap().is_err());
-    let errors = evs.iter().filter(|e| e.is_err()).count();
-    assert_eq!(errors, 1);
+    let evs = XmlReader::from_str("<a><b></a>").collect_events();
+    assert!(matches!(evs.unwrap_err().kind(), XmlErrorKind::MismatchedTag { .. }));
 }
 
 #[test]
@@ -588,4 +587,79 @@ fn paper_figure_1_document_parses() {
     let evs = events(xml);
     let starts = evs.iter().filter(|e| matches!(e, XmlEvent::StartElement(_))).count();
     assert_eq!(starts, 10); // book, 3×section, 3×table, cell, position, author
+}
+
+// ------------------------------------------------------------------ //
+// Deferred pops: an end event lends the innermost open name, so the
+// name leaves the stack one call later. Errors that follow must not see
+// the difference.
+// ------------------------------------------------------------------ //
+
+/// Every element event as `+name@level dDEPTH` (the depth read after the
+/// event), then `$` or the error's kind, `line:column` and offset.
+fn deferred_trace(xml: &str, max_depth: usize) -> String {
+    let cfg = ReaderConfig { max_depth, ..Default::default() };
+    let mut r = XmlReader::with_config(std::io::Cursor::new(xml.as_bytes()), cfg);
+    let mut out = String::new();
+    loop {
+        let step = match r.next_event() {
+            Ok(XmlEvent::StartElement(e)) => format!("+{}@{}", e.name, e.level),
+            Ok(XmlEvent::EndElement(e)) => format!("-{}@{}", e.name, e.level),
+            Ok(XmlEvent::EndDocument) => return out + "$",
+            Ok(_) => continue,
+            Err(e) => {
+                let p = e.position();
+                return out + &format!("{:?} {}:{} @{}", e.kind(), p.line, p.column, p.offset);
+            }
+        };
+        out.push_str(&format!("{step} d{} ", r.depth()));
+    }
+}
+
+#[test]
+fn mismatch_after_a_self_closing_child_names_the_parent() {
+    assert_eq!(
+        deferred_trace("<a><b/></c>", 4096),
+        "+a@1 d1 +b@2 d2 -b@2 d1 MismatchedTag { expected: \"a\", found: \"c\" } 1:8 @7"
+    );
+}
+
+#[test]
+fn truncation_after_a_self_closing_child_is_an_eof() {
+    assert_eq!(
+        deferred_trace("<a><b/>", 4096),
+        "+a@1 d1 +b@2 d2 -b@2 d1 \
+         UnexpectedEof { expected: \"end tags for open elements\" } 1:8 @7"
+    );
+}
+
+#[test]
+fn a_second_root_after_a_self_closing_root_is_trailing_content() {
+    assert_eq!(deferred_trace("<a/><b/>", 4096), "+a@1 d1 -a@1 d0 TrailingContent 1:5 @4");
+    assert_eq!(
+        deferred_trace("<a/></a>", 4096),
+        "+a@1 d1 -a@1 d0 UnbalancedEndTag { name: \"a\" } 1:5 @4"
+    );
+    assert_eq!(
+        deferred_trace("<a><b/></a>x", 4096),
+        "+a@1 d1 +b@2 d2 -b@2 d1 -a@1 d0 TextOutsideRoot 1:12 @11"
+    );
+}
+
+#[test]
+fn self_closing_tags_at_the_depth_limit() {
+    assert_eq!(deferred_trace("<a><b/></a>", 2), "+a@1 d1 +b@2 d2 -b@2 d1 -a@1 d0 $");
+    assert_eq!(
+        deferred_trace("<a><b><c/></b></a>", 2),
+        "+a@1 d1 +b@2 d2 DepthLimit { max: 2 } 1:7 @6"
+    );
+    assert_eq!(deferred_trace("<a/>", 0), "DepthLimit { max: 0 } 1:1 @0");
+}
+
+#[test]
+fn positions_after_entities_are_accurate() {
+    // Predefined entities are matched in the input window; character
+    // references go through the body buffer. Both advance the column.
+    let e = parse_err("<a x=\"&lt;\">&amp;&#65;</b>");
+    assert_eq!((e.position().line, e.position().column, e.position().offset), (1, 23, 22));
 }

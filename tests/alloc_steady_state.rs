@@ -12,7 +12,12 @@
 //!   with them either — the callback is the only place a match goes;
 //! * a warm machine allocates **nothing** per transition — the only
 //!   allocations of a second pass are the `Arc<str>` payloads of the
-//!   matches it hands out.
+//!   matches it hands out;
+//! * the same holds for the whole pipeline, from `XmlReader::from_str` to
+//!   the callback: the reader lends its events from buffers it reuses, so
+//!   a warm engine or session pass allocates the match payloads plus a
+//!   per-document constant, whatever the document's length and however
+//!   many entities it decodes.
 //!
 //! Allocation counts are only meaningful optimised; CI runs this suite
 //! with `--release`.
@@ -23,6 +28,8 @@ use std::cell::Cell;
 use vitex::core::{
     CandidateStore, Engine, EvalMode, Interner, MachineSpec, Match, MultiEngine, TwigM,
 };
+use vitex::xmlgen::auction::{self, AuctionConfig};
+use vitex::xmlgen::protein::{self, ProteinConfig};
 use vitex::xmlgen::recursive::{self, RecursiveConfig};
 use vitex::xmlsax::{XmlEvent, XmlReader};
 use vitex::xpath::QueryTree;
@@ -150,12 +157,17 @@ fn what_a_streaming_session_holds_does_not_grow_with_the_number_of_matches() {
     );
 }
 
+/// The `Arc<str>` strings a match carries.
+fn payloads(m: &Match) -> u64 {
+    u64::from(m.name.is_some()) + u64::from(m.value.is_some())
+}
+
 /// A raw machine with everything it needs to replay a parsed document.
 struct Replay {
     machine: TwigM,
     store: CandidateStore,
     interner: Interner,
-    events: Vec<XmlEvent>,
+    events: Vec<XmlEvent<'static>>,
 }
 
 impl Replay {
@@ -163,21 +175,11 @@ impl Replay {
         let tree = QueryTree::parse(query).unwrap();
         let mut interner = Interner::new();
         let spec = MachineSpec::compile_with(&tree, &mut interner).unwrap();
-        let mut reader = XmlReader::from_str(xml);
-        let mut events = Vec::new();
-        loop {
-            let event = reader.next_event().unwrap();
-            let last = matches!(event, XmlEvent::EndDocument);
-            events.push(event);
-            if last {
-                break;
-            }
-        }
         Replay {
             machine: TwigM::from_spec(spec, EvalMode::Compact),
             store: CandidateStore::new(),
             interner,
-            events,
+            events: XmlReader::from_str(xml).collect_events().unwrap(),
         }
     }
 
@@ -191,7 +193,7 @@ impl Replay {
         let (mut emitted, mut arcs) = (0u64, 0u64);
         let mut emit = |m: Match| {
             emitted += 1;
-            arcs += u64::from(m.name.is_some()) + u64::from(m.value.is_some());
+            arcs += payloads(&m);
         };
         let mut next_id = 0u64;
         let before = tally().allocations;
@@ -199,12 +201,12 @@ impl Replay {
             match event {
                 XmlEvent::StartElement(e) => {
                     let node_id = next_id;
-                    next_id += 1 + e.attributes.len() as u64;
+                    next_id += 1 + e.attributes().len() as u64;
                     machine.start_element_interned(
                         store,
-                        interner.lookup(e.name.as_str()),
+                        interner.lookup(&e.name),
                         e.level,
-                        &e.attributes,
+                        e.attributes(),
                         node_id,
                         node_id + 1,
                         e.span,
@@ -216,7 +218,7 @@ impl Replay {
                     next_id += 1;
                 }
                 XmlEvent::EndElement(e) => {
-                    machine.end_element(store, e.name.as_str(), e.level, e.element_span, &mut emit);
+                    machine.end_element(store, &e.name, e.level, e.element_span, &mut emit);
                 }
                 _ => {}
             }
@@ -245,5 +247,132 @@ fn a_warm_machine_allocates_only_the_payloads_of_the_matches_it_emits() {
         assert_eq!((warm.0, warm.1), (matches, payloads), "{query}: the second pass agrees");
         assert!(cold.2 > payloads, "{query}: the first pass sizes the pools");
         assert_eq!(warm.2, payloads, "{query}: allocations of a warm pass");
+    }
+}
+
+// ------------------------------------------------------------------ //
+// The whole pipeline: bytes to callback
+// ------------------------------------------------------------------ //
+
+/// `xml` with the first character of every text node and attribute value
+/// replaced by `&amp;`: the same shape and decoded lengths, with an entity
+/// to decode in each of them.
+fn entity_dense(xml: &str) -> String {
+    let body = xml.find("?>").map_or(0, |i| i + 2);
+    let mut out = String::from(&xml[..body]);
+    let (mut in_tag, mut prev) = (false, '\0');
+    let mut chars = xml[body..].chars().peekable();
+    while let Some(c) = chars.next() {
+        out.push(c);
+        // A text node runs to the next `<`, a value to its closing quote.
+        let closer = match c {
+            '<' => {
+                in_tag = true;
+                None
+            }
+            '>' => {
+                in_tag = false;
+                Some('<')
+            }
+            '"' if in_tag && prev == '=' => Some('"'),
+            _ => None,
+        };
+        if closer.is_some_and(|close| chars.peek().is_some_and(|&n| n != close)) {
+            chars.next();
+            out.push_str("&amp;");
+        }
+        prev = c;
+    }
+    out
+}
+
+const PROTEIN_QUERY: &str = "//ProteinEntry[reference]/@id";
+
+/// Auction queries whose match counts depend on the document's shape
+/// alone, so its entity-dense variant matches as often.
+const AUCTION_QUERIES: &[&str] = &[
+    "//item[payment]/name",
+    "//item/@id",
+    "//person[profile/interest]/emailaddress/text()",
+    "//listitem",
+];
+
+/// What a document costs the pipeline beyond its match payloads: the
+/// reader's window and buffers, the session's per-document output, and
+/// the doublings of the match vector `Engine::run` collects.
+const PER_DOCUMENT: u64 = 32;
+
+/// One pass of a warm `engine` over `xml`, counted from
+/// `XmlReader::from_str` to the callback: `(allocations, payloads)`.
+fn engine_pass(engine: &mut Engine, xml: &str) -> (u64, u64) {
+    let mut arcs = 0u64;
+    let before = tally().allocations;
+    engine.run(XmlReader::from_str(xml), |m| arcs += payloads(&m)).unwrap();
+    (tally().allocations - before, arcs)
+}
+
+/// One pass of a session over `xml` after `warmup`, counted the same way.
+fn session_pass(engine: &mut MultiEngine, warmup: &str, xml: &str) -> (u64, u64) {
+    let (mut arcs, mut allocations) = (0u64, 0u64);
+    engine
+        .session(|session| {
+            session.stream_document(XmlReader::from_str(warmup), |_, _| {})?;
+            let before = tally().allocations;
+            session.stream_document(XmlReader::from_str(xml), |_, m| arcs += payloads(&m))?;
+            allocations = tally().allocations - before;
+            Ok(())
+        })
+        .unwrap();
+    (allocations, arcs)
+}
+
+#[test]
+fn the_entity_dense_variant_has_an_entity_in_every_text_node_and_value() {
+    assert_eq!(
+        entity_dense(r#"<?xml version="1.0"?><a x="yz" e=""><b>t</b><c/>uv</a>"#),
+        r#"<?xml version="1.0"?><a x="&amp;z" e=""><b>&amp;</b><c/>&amp;v</a>"#
+    );
+}
+
+#[test]
+fn a_warm_engine_allocates_the_payloads_plus_a_per_document_constant() {
+    let doc = |scale: u64| protein::to_string(&ProteinConfig::sized(scale * (128 << 10)));
+    let mut engine = Engine::from_query(PROTEIN_QUERY).unwrap();
+    engine_pass(&mut engine, &doc(1));
+    for scale in [1, 2, 4] {
+        let xml = doc(scale);
+        let (allocations, payloads) = engine_pass(&mut engine, &xml);
+        assert!(payloads > 0);
+        assert!(
+            allocations <= payloads + PER_DOCUMENT,
+            "{scale}x: {allocations} allocations for {payloads} payloads"
+        );
+        let dense = entity_dense(&xml);
+        assert_eq!(engine_pass(&mut engine, &dense), (allocations, payloads), "{scale}x, entities");
+    }
+}
+
+#[test]
+fn a_warm_session_allocates_the_payloads_plus_a_per_document_constant() {
+    let doc = |scale: u64| auction::to_string(&AuctionConfig::sized(scale * (128 << 10)));
+    let mut multi = MultiEngine::new();
+    for q in AUCTION_QUERIES {
+        multi.add_query(q).unwrap();
+    }
+    let warmup = doc(1);
+    for scale in [1, 2, 4] {
+        let xml = doc(scale);
+        let (allocations, payloads) = session_pass(&mut multi, &warmup, &xml);
+        assert!(payloads > 0);
+        assert!(
+            allocations <= payloads + PER_DOCUMENT,
+            "{scale}x: {allocations} allocations for {payloads} payloads"
+        );
+        let dense = entity_dense(&xml);
+        assert_eq!(
+            session_pass(&mut multi, &warmup, &dense),
+            (allocations, payloads),
+            "{scale}x, entities"
+        );
     }
 }

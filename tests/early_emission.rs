@@ -105,8 +105,18 @@ fn dump_state_reflects_stacks() {
     let mut store = CandidateStore::new();
     let span = vitex::xmlsax::pos::ByteSpan::new(0, 1);
     let mut sink = |_: vitex::Match| {};
-    m.start_element_interned(&mut store, interner.lookup("section"), 1, &[], 0, 1, span, &mut sink);
-    m.start_element_interned(&mut store, interner.lookup("cell"), 2, &[], 1, 2, span, &mut sink);
+    let none = vitex::xmlsax::Attributes::default();
+    m.start_element_interned(
+        &mut store,
+        interner.lookup("section"),
+        1,
+        none,
+        0,
+        1,
+        span,
+        &mut sink,
+    );
+    m.start_element_interned(&mut store, interner.lookup("cell"), 2, none, 1, 2, span, &mut sink);
     let dump = m.dump_state(&store);
     assert!(dump.contains("//section"), "{dump}");
     assert!(dump.contains("//cell"), "{dump}");

@@ -131,14 +131,14 @@ proptest! {
 
         // Attribute survives.
         let root = events.iter().find_map(|e| match e {
-            XmlEvent::StartElement(s) if s.name.as_str() == "root" => Some(s),
+            XmlEvent::StartElement(s) if s.name == "root" => Some(s),
             _ => None,
         }).unwrap();
         prop_assert_eq!(root.attribute("v").unwrap(), attr_value.as_str());
 
         // Text nodes survive (whitespace-preserving, entity round-trip).
         let got: Vec<String> = events.iter().filter_map(|e| match e {
-            XmlEvent::Characters(c) => Some(c.text.clone()),
+            XmlEvent::Characters(c) => Some(c.text.to_string()),
             _ => None,
         }).collect();
         let expected: Vec<String> =
