@@ -95,13 +95,19 @@ pub struct MultiOutput {
     /// streamed ([`Session::stream_document`]).
     pub matches: Vec<Vec<Match>>,
     /// Machine statistics per query (indexed by [`QueryId`]); removed
-    /// queries report zeros. Queries of one plan group share a machine and
-    /// report its statistics — equal, for a group with one binding, to
-    /// what a private [`crate::Engine`] reports on every counter — except
-    /// `emitted`, which counts each subscription's own deliveries. With
-    /// several bindings the shared counters still equal a private
-    /// `Engine`'s on pushes, pops, predicate evaluations and dispatch
-    /// hits; the flag and candidate counters are the group's.
+    /// queries report zeros. Empty, like `matches`, when the document was
+    /// streamed: filling it costs one record per registration, so
+    /// [`Session::stream_document`] leaves it to
+    /// [`Session::query_stats`], and only the collecting adapter
+    /// ([`Session::run_document`], [`MultiEngine::run`]) fills it.
+    ///
+    /// Queries of one plan group share a machine and report its
+    /// statistics — equal, for a group with one binding, to what a private
+    /// [`crate::Engine`] reports on every counter — except `emitted`, which
+    /// counts each subscription's own deliveries. With several bindings the
+    /// shared counters still equal a private `Engine`'s on pushes, pops,
+    /// predicate evaluations and dispatch hits; the flag and candidate
+    /// counters are the group's.
     pub stats: Vec<MachineStats>,
     /// Plan-level statistics: group/dedup/trie-sharing counters.
     pub plan: PlanStats,
@@ -441,19 +447,29 @@ pub(crate) struct Executor {
     /// ([`crate::machine::TwigM::text_live`]), kept current at the start
     /// and end touches that open and close such entries.
     text_live: DynBitSet,
+    /// The slots whose machine the current (or last) document pushed, in
+    /// first-touch order: the only machines off rest, so the only ones the
+    /// next document resets and the only ones whose statistics can be
+    /// nonzero.
+    touched: Vec<u32>,
     /// The run-time memory of every machine this executor drives.
     store: CandidateStore,
     timer: SelfTimer,
 }
 
 impl Executor {
-    /// Drops every frame a previous document left open (a parse error
-    /// ends a document mid-element), takes back what its machines held in
-    /// the store, and zeroes the cost attribution.
-    pub(crate) fn begin_document(&mut self) {
+    /// Puts the machines the previous document touched back at rest,
+    /// drops every frame it left open (a parse error ends a document
+    /// mid-element), takes back what its machines held in the store, and
+    /// zeroes the cost attribution. Every other machine is already at
+    /// rest, so this costs what that document touched, not the slot count.
+    pub(crate) fn begin_document(&mut self, groups: &mut [PlanGroup]) {
+        for slot in self.touched.drain(..) {
+            groups[slot as usize].reset();
+            self.text_live.remove(slot as usize);
+        }
         self.frame_slots.clear();
         self.frames.clear();
-        self.text_live.clear();
         self.store.reset();
         for table in self.timer.tables() {
             table.fill(0);
@@ -489,10 +505,19 @@ impl Executor {
         &self.timer.shared_steps
     }
 
+    /// The slots the current (or last) document pushed, in first-touch
+    /// order.
+    pub(crate) fn touched(&self) -> &[u32] {
+        &self.touched
+    }
+
     /// `startElement`: advances the trie once and bills its pushes,
     /// expands them along their routes into `(slot, machine node, ptr)`
     /// plans, and drives each slot's run of them in ascending slot order,
-    /// recording the slots as the element's frame.
+    /// recording the slots as the element's frame. A slot's first touch of
+    /// the document is the one that finds its machine without a dispatch
+    /// hit: the machine starts the document at rest, and every start touch
+    /// counts one.
     pub(crate) fn start(
         &mut self,
         trie: &mut StepTrie,
@@ -500,7 +525,7 @@ impl Executor {
         tag: &StartTag<'_>,
         on_match: &mut impl FnMut(QueryId, Match),
     ) {
-        let Self { pushed, plans, frame_slots, frames, text_live, store, timer } = self;
+        let Self { pushed, plans, frame_slots, frames, text_live, touched, store, timer } = self;
         pushed.clear();
         trie.advance(tag.sym, tag.level, pushed);
         trie.bill_pushes(pushed, &mut timer.shared_steps);
@@ -518,6 +543,9 @@ impl Executor {
         for run in plans.chunk_by(|a, b| a.0 == b.0) {
             let slot = run[0].0;
             let (machine, subscribers, bindings) = groups[slot as usize].machine_and_fan_out();
+            if machine.stats().dispatch_hits == 0 {
+                touched.push(slot);
+            }
             timer.time(slot, (subscribers, bindings), on_match, |out| {
                 machine.start_element_prefix(
                     store,

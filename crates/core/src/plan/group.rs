@@ -41,6 +41,9 @@ pub struct PlanGroup {
     hash: u64,
     /// Terminal node of the group's main path in the planner's step trie.
     trie_node: usize,
+    /// [`PlanGroup::approx_bytes`] as the planner's cached statistics
+    /// count it ([`PlanGroup::remeasure`]).
+    measured_bytes: u64,
 }
 
 /// A binding of a group with several: its subscriber range and its bill
@@ -65,7 +68,15 @@ impl PlanGroup {
         trie_node: usize,
         first: QueryId,
     ) -> Self {
-        PlanGroup { machine, subscribers: vec![first], bindings: Vec::new(), key, hash, trie_node }
+        PlanGroup {
+            machine,
+            subscribers: vec![first],
+            bindings: Vec::new(),
+            key,
+            hash,
+            trie_node,
+            measured_bytes: 0,
+        }
     }
 
     /// The shared machine.
@@ -73,18 +84,15 @@ impl PlanGroup {
         &self.machine
     }
 
-    /// Mutable access to the shared machine (the engine resets it).
-    pub(crate) fn machine_mut(&mut self) -> &mut TwigM {
-        &mut self.machine
-    }
-
     /// Whether the group has several bindings (and bills them).
     pub(crate) fn has_several_bindings(&self) -> bool {
         !self.bindings.is_empty()
     }
 
-    /// Zeroes the bindings' bills for a new document.
-    pub(crate) fn reset_bills(&mut self) {
+    /// Puts the machine and the bindings' bills back at rest for a new
+    /// document.
+    pub(crate) fn reset(&mut self) {
+        self.machine.reset();
         for b in &mut self.bindings {
             (b.delivered, b.bytes) = (0, 0);
         }
@@ -186,6 +194,19 @@ impl PlanGroup {
             + (self.subscribers.capacity() * std::mem::size_of::<QueryId>()) as u64
             + (self.bindings.capacity() * std::mem::size_of::<Binding>()) as u64
             + self.key.len() as u64
+    }
+
+    /// [`PlanGroup::approx_bytes`] as last measured.
+    pub(crate) fn measured_bytes(&self) -> u64 {
+        self.measured_bytes
+    }
+
+    /// Re-measures [`PlanGroup::approx_bytes`] and returns `(counted,
+    /// now)`: what the planner's cached statistics counted for the group,
+    /// and what they count from now on.
+    pub(crate) fn remeasure(&mut self) -> (u64, u64) {
+        let now = self.approx_bytes();
+        (std::mem::replace(&mut self.measured_bytes, now), now)
     }
 }
 

@@ -76,12 +76,13 @@ pub struct QueryPlanner {
     free_slots: Vec<usize>,
     /// Cumulative count of slot reuses ([`PlanStats::recycled_slots`]).
     recycled: u64,
-    /// The groups with several bindings: the only ones that bill their
-    /// deliveries per binding, so the only ones a document's epilogue
-    /// visits for that.
-    multi_binding: Vec<usize>,
     active_groups: usize,
     active_queries: usize,
+    /// [`QueryPlanner::stats`] as of the last document, kept across
+    /// sessions: `None` once a registration or removal changed the plan.
+    /// Between changes only stack capacity moves, in the groups a document
+    /// touched ([`QueryPlanner::remeasure`]).
+    cached: Option<PlanStats>,
 }
 
 impl QueryPlanner {
@@ -99,6 +100,7 @@ impl QueryPlanner {
         id: QueryId,
         interner: &mut Interner,
     ) -> Result<Registration, BuildError> {
+        self.cached = None;
         let steps = self.main_path_steps(tree, interner);
         let terminal = self.trie.insert_path(&steps);
         let (key, literal) = tree.shape_key();
@@ -108,12 +110,7 @@ impl QueryPlanner {
             group.is_active() && group.stable_hash() == hash && group.shape_key() == key
         });
         if let Some(g) = existing {
-            let group = &mut self.groups[g];
-            let several = group.has_several_bindings();
-            group.subscribe(id, literal);
-            if !several && group.has_several_bindings() {
-                self.multi_binding.push(g);
-            }
+            self.groups[g].subscribe(id, literal);
             self.active_queries += 1;
             return Ok(Registration { group: g, created: false });
         }
@@ -147,14 +144,10 @@ impl QueryPlanner {
     /// stop dispatching to it). An id that is not subscribed to `gid`
     /// changes nothing and returns `false`.
     pub fn unsubscribe(&mut self, gid: usize, id: QueryId) -> bool {
-        let group = &mut self.groups[gid];
-        let several = group.has_several_bindings();
-        let Some(last) = group.unsubscribe(id) else {
+        let Some(last) = self.groups[gid].unsubscribe(id) else {
             return false;
         };
-        if several && !group.has_several_bindings() {
-            self.multi_binding.retain(|&g| g != gid);
-        }
+        self.cached = None;
         self.active_queries -= 1;
         if last {
             self.active_groups -= 1;
@@ -176,12 +169,11 @@ impl QueryPlanner {
         &self.trie
     }
 
-    /// Splits the planner into the disjoint borrows execution needs: the
-    /// runtime trie is advanced once per event while the group machines
-    /// are driven from its push decisions, and the ids of the groups with
-    /// several bindings.
-    pub(crate) fn run_split(&mut self) -> (&mut StepTrie, &mut [PlanGroup], &[usize]) {
-        (&mut self.trie, &mut self.groups, &self.multi_binding)
+    /// Splits the planner into the disjoint borrows a document's events
+    /// need: the runtime trie is advanced once per event while the group
+    /// machines are driven from its push decisions.
+    pub(crate) fn runtime(&mut self) -> (&mut StepTrie, &mut [PlanGroup]) {
+        (&mut self.trie, &mut self.groups)
     }
 
     /// One group by index.
@@ -199,22 +191,21 @@ impl QueryPlanner {
         self.active_groups
     }
 
-    /// Plan-level statistics. `interner` contributes its table bytes: the
-    /// symbol table is part of the shared plan's resident structure.
+    /// Plan-level statistics, computed from scratch: a walk over every
+    /// group, trie node and interned name. `interner` contributes its table
+    /// bytes: the symbol table is part of the shared plan's resident
+    /// structure.
     pub fn stats(&self, interner: &Interner) -> PlanStats {
-        let mut stats = self.stats_sans_group_bytes(interner);
-        stats.plan_bytes += resident_bytes(&self.groups);
-        stats
+        self.measure(interner, PlanGroup::approx_bytes)
     }
 
-    /// [`QueryPlanner::stats`] with `plan_bytes` short of the groups'
-    /// resident bytes — the one part of the plan a streamed document
-    /// moves (stack capacity grows). A session snapshots this when it
-    /// opens and adds [`resident_bytes`] after each document, so a
-    /// one-document session walks the groups' bytes once, not twice.
-    pub(crate) fn stats_sans_group_bytes(&self, interner: &Interner) -> PlanStats {
+    /// [`QueryPlanner::stats`] with each active group counted as
+    /// `group_bytes` says.
+    fn measure(&self, interner: &Interner, group_bytes: impl Fn(&PlanGroup) -> u64) -> PlanStats {
         let active = self.groups.iter().filter(|g| g.is_active());
-        let machine_nodes = active.map(|g| g.machine().spec().len() as u64).sum();
+        let (machine_nodes, group_bytes) = active.fold((0, 0), |(nodes, bytes), g| {
+            (nodes + g.machine().spec().len() as u64, bytes + group_bytes(g))
+        });
         let run = self.trie.run_stats();
         PlanStats {
             queries: self.active_queries as u64,
@@ -223,11 +214,38 @@ impl QueryPlanner {
             machine_nodes,
             trie_nodes: self.trie.len() as u64,
             shared_trie_nodes: self.trie.shared_nodes() as u64,
-            plan_bytes: self.trie.approx_bytes() + interner.heap_bytes(),
+            plan_bytes: self.trie.approx_bytes() + interner.heap_bytes() + group_bytes,
             prefix_steps_executed: run.steps_executed,
             prefix_steps_saved: run.steps_saved,
             prefix_forks: run.forks,
             prefix_stack_bytes: run.peak_stack_bytes(),
+        }
+    }
+
+    /// [`QueryPlanner::stats`] from the cache, filled by one walk after a
+    /// registration or removal. A document leaves it current through
+    /// [`QueryPlanner::remeasure`]; its `prefix_*` fields are the fill's.
+    pub(crate) fn cached_stats(&mut self, interner: &Interner) -> PlanStats {
+        if let Some(stats) = self.cached {
+            return stats;
+        }
+        for group in &mut self.groups {
+            group.remeasure();
+        }
+        let stats = self.measure(interner, PlanGroup::measured_bytes);
+        self.cached = Some(stats);
+        stats
+    }
+
+    /// Re-measures the resident bytes of the group `slots` — the ones a
+    /// document touched, whose stacks may have grown — into the cache. The
+    /// rest of the plan holds still while documents stream.
+    pub(crate) fn remeasure(&mut self, slots: &[u32]) {
+        for &slot in slots {
+            let (counted, now) = self.groups[slot as usize].remeasure();
+            if let Some(stats) = &mut self.cached {
+                stats.plan_bytes = stats.plan_bytes + now - counted;
+            }
         }
     }
 
@@ -274,12 +292,6 @@ impl QueryPlanner {
             })
             .collect()
     }
-}
-
-/// Resident bytes of the active groups among `groups` (stack capacity
-/// grows with the documents seen, so this is re-read per document).
-pub(crate) fn resident_bytes(groups: &[PlanGroup]) -> u64 {
-    groups.iter().filter(|g| g.is_active()).map(PlanGroup::approx_bytes).sum()
 }
 
 #[cfg(test)]

@@ -323,13 +323,15 @@ impl StepTrie {
     // Runtime
     // ------------------------------------------------------------- //
 
-    /// Clears every shared stack and open-element frame and resets the
-    /// run counters — called at the start of each document run, mirroring
-    /// the machines' resets (a document that ended in a parse error left
-    /// its open elements behind).
+    /// Clears the shared stacks and open-element frames and resets the run
+    /// counters — called at the start of each document run, mirroring the
+    /// machines' resets (a document that ended in a parse error left its
+    /// open elements behind). Only the stacks `open` still lists hold
+    /// entries, so only they are cleared: nothing after a well-formed
+    /// document.
     pub fn begin_document(&mut self) {
-        for n in &mut self.nodes {
-            n.stack.clear();
+        for &node in &self.open {
+            self.nodes[node as usize].stack.clear();
         }
         self.open.clear();
         self.frames.clear();

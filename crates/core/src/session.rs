@@ -20,9 +20,9 @@
 //! (`add_query` / `remove_query`) happens between sessions.
 //!
 //! What a session holds, borrowed from the engine: the driver and
-//! interner, the step trie, the set of groups that read text, the live
-//! groups and the executor that drives them. Its one `EventSink` admits
-//! an element when a live trie step tests its name
+//! interner, the planner (its step trie and its groups), the set of groups
+//! that read text and the executor that drives them. Its one `EventSink`
+//! admits an element when a live trie step tests its name
 //! (`StepTrie::has_live_step`: every machine node of every group is routed
 //! on a trie step, so no other element can move a machine) and a text node
 //! when some group reads text, and hands what it admits to the executor;
@@ -38,6 +38,25 @@
 //! match (the `vitex` CLI is built on it), and buffering is **one**
 //! collecting adapter around it, [`Session::run_document`], which
 //! [`MultiEngine::run`] goes through.
+//!
+//! ## Per-document cost
+//!
+//! A pub/sub feed is many standing queries over many small documents, so
+//! what a document costs beyond its events must follow what it touched,
+//! not the registration count k (YFilter keeps its per-message work
+//! proportional to the states a message activates the same way). The
+//! executor lists the groups a document pushed; they are the only
+//! machines off rest. So the next document resets only those, the trie
+//! clears only the stacks still open, and the epilogue re-measures only
+//! their bytes into the planner's cached plan statistics, which a
+//! registration or removal invalidates and the next document refills with
+//! one walk. Telemetry sums the subscribers of the touched groups — exact,
+//! since an untouched machine's counters are zero. The streamed
+//! [`MultiOutput`] carries the stream counters and the plan statistics
+//! only; a subscription's statistics are read on request
+//! ([`Session::query_stats`]). What stays O(k) per document is opt-in: the
+//! collecting adapter's per-query vectors, and the cost ledger while
+//! profiling is on.
 //!
 //! ## Determinism
 //!
@@ -56,7 +75,7 @@ use crate::driver::{DocumentDriver, EventSink};
 use crate::error::EngineResult;
 use crate::intern::{Interner, Symbol};
 use crate::multi::{Executor, MultiOutput, QueryRecord, SessionParts, StartTag};
-use crate::plan::{resident_bytes, PlanGroup, StepTrie};
+use crate::plan::{PlanGroup, QueryPlanner, StepTrie};
 use crate::result::{Match, NodeId, QueryId};
 use crate::stats::{MachineStats, PlanStats, StreamStats};
 use crate::telemetry::CostLedger;
@@ -70,48 +89,28 @@ pub struct Session<'a> {
     records: &'a [QueryRecord],
     /// Cost ledger: `None` unless profiling is on.
     profile: Option<&'a mut CostLedger>,
-    /// The step trie: its routes are frozen for the session, so a
+    /// The step trie and the plan-group slots, active or not, indexed by
+    /// group id; the trie's routes are frozen for the session, so a
     /// filtered start tag's end tag (same symbol) gets the same verdict.
-    trie: &'a mut StepTrie,
+    planner: &'a mut QueryPlanner,
     /// The group slots that read text.
     text: &'a DynBitSet,
-    /// Plan-group slots, active or not, indexed by group id.
-    groups: &'a mut [PlanGroup],
-    /// The groups with several bindings, which bill their deliveries.
-    multi_binding: &'a [usize],
     exec: &'a mut Executor,
-    /// Plan statistics snapshot (the plan cannot change mid-session),
-    /// `plan_bytes` short of the groups' resident bytes; those and the
-    /// run counters are patched in per document.
-    plan: PlanStats,
 }
 
 impl<'a> Session<'a> {
-    /// Opens a session over `parts`. Opening costs the plan-statistics
-    /// snapshot.
+    /// Opens a session over `parts`.
     pub(crate) fn open(parts: SessionParts<'a>) -> Self {
         let SessionParts { planner, interner, driver, text, exec, records, profile } = parts;
-        let plan = planner.stats_sans_group_bytes(interner);
-        let (trie, groups, multi_binding) = planner.run_split();
-        exec.sample_self_time(profile.is_some(), groups.len());
-        Session {
-            driver,
-            interner,
-            records,
-            profile,
-            trie,
-            text,
-            groups,
-            multi_binding,
-            exec,
-            plan,
-        }
+        exec.sample_self_time(profile.is_some(), planner.groups().len());
+        Session { driver, interner, records, profile, planner, text, exec }
     }
 
     /// [`Session::stream_document`] behind the **one** collecting
     /// adapter: each delivered match is also copied into the returned
     /// [`MultiOutput`]'s `matches` (per query, in delivery order), which
-    /// therefore grows with their number.
+    /// therefore grows with their number, and `stats` holds every
+    /// registration's [`Session::query_stats`].
     pub fn run_document<R: Read, F: FnMut(QueryId, Match)>(
         &mut self,
         reader: XmlReader<R>,
@@ -123,109 +122,140 @@ impl<'a> Session<'a> {
             on_match(query, hit);
         })?;
         out.matches = matches;
+        out.stats = vec![MachineStats::default(); self.records.len()];
+        self.visit_touched(|q, stats, _| out.stats[q.0] = stats.clone());
         Ok(out)
     }
 
     /// Streams one document through the session and returns the
-    /// [`MultiOutput`] — per-query statistics, plan and stream counters —
-    /// with `matches` left empty: `on_match` is the only way a match
-    /// leaves. It fires in emission order while the document is still
-    /// streaming, and nothing is kept once it returns. A malformed
-    /// document ends with its error; the next one starts from nothing.
+    /// [`MultiOutput`] — plan and stream counters — with `matches` and
+    /// `stats` left empty: `on_match` is the only way a match leaves, and
+    /// [`Session::query_stats`] reads a subscription's statistics. It
+    /// fires in emission order while the document is still streaming, and
+    /// nothing is kept once it returns. A malformed document ends with its
+    /// error; the next one starts from nothing.
     pub fn stream_document<R: Read, F: FnMut(QueryId, Match)>(
         &mut self,
         reader: XmlReader<R>,
         mut on_match: F,
     ) -> EngineResult<MultiOutput> {
-        for g in self.groups.iter_mut().filter(|g| g.is_active()) {
-            g.machine_mut().reset();
-        }
-        for &g in self.multi_binding {
-            self.groups[g].reset_bills();
-        }
-        self.exec.begin_document();
-        self.trie.begin_document();
+        let (trie, groups) = self.planner.runtime();
+        self.exec.begin_document(groups);
+        trie.begin_document();
         let mut sink = SessionSink {
             interner: self.interner,
-            trie: self.trie,
+            trie,
             text: self.text,
-            groups: self.groups,
+            groups,
             exec: self.exec,
             on_match: &mut on_match,
         };
-        let stream = self.driver.run(reader, &mut sink)?;
-        Ok(self.finish_document(stream))
+        let stream = self.driver.run(reader, &mut sink);
+        // A document cut short grew its stacks too.
+        self.planner.remeasure(self.exec.touched());
+        Ok(self.finish_document(stream?))
     }
 
-    /// The per-document epilogue: projects group statistics onto
-    /// registration records, folds the document into the telemetry
+    /// Subscription `q`'s machine statistics for the last document, what
+    /// [`Session::run_document`] buffers as `stats[q]`: a private
+    /// [`crate::Engine`]'s (with several bindings, on the work counters
+    /// and on `emitted`, its own deliveries; see [`MultiOutput::stats`]).
+    /// Zeros for a removed or unknown query and for one whose group the
+    /// document did not touch. Costs the subscribers of `q`'s group.
+    pub fn query_stats(&self, q: QueryId) -> MachineStats {
+        let mut found = MachineStats::default();
+        if let Some(g) = self.records.get(q.0).and_then(|r| r.group) {
+            self.visit_group(g, |sub, stats, _| {
+                if sub == q {
+                    found = stats.clone();
+                }
+            });
+        }
+        found
+    }
+
+    /// Calls `f` with each subscriber of group `g` and what it reads for
+    /// the last document: the machine's statistics, with `emitted` its
+    /// binding's deliveries in a group with several (one with one binding
+    /// delivers every solution to every subscriber), and the payload bytes
+    /// delivered to it (zero unless profiling, for a group with one
+    /// binding).
+    fn visit_group(&self, g: usize, mut f: impl FnMut(QueryId, &MachineStats, u64)) {
+        let group = self.planner.group(g);
+        let stats = group.machine().stats();
+        if !group.has_several_bindings() {
+            let bytes = self.exec.emitted_bytes(g);
+            return group.subscribers().iter().for_each(|&q| f(q, stats, bytes));
+        }
+        let mut own = stats.clone();
+        for (subscribers, bill) in group.binding_bills() {
+            own.emitted = bill.delivered;
+            subscribers.iter().for_each(|&q| f(q, &own, bill.bytes));
+        }
+    }
+
+    /// [`Session::visit_group`] over the groups the last document touched:
+    /// every subscriber whose statistics can be nonzero.
+    fn visit_touched(&self, mut f: impl FnMut(QueryId, &MachineStats, u64)) {
+        for &g in self.exec.touched() {
+            self.visit_group(g as usize, &mut f);
+        }
+    }
+
+    /// The per-document epilogue: folds the document into the telemetry
     /// registry and the cost ledger (when there is one), and assembles the
     /// [`MultiOutput`]. Every fold is per subscription (not per group) — a
     /// shared machine contributes once per subscriber, as private engines
     /// would, with what its own binding was delivered.
     fn finish_document(&mut self, stream: StreamStats) -> MultiOutput {
-        let run = self.trie.run_stats();
+        let run = self.planner.trie().run_stats();
         let plan = PlanStats {
-            plan_bytes: self.plan.plan_bytes + resident_bytes(self.groups),
             prefix_steps_executed: run.steps_executed,
             prefix_steps_saved: run.steps_saved,
             prefix_forks: run.forks,
             prefix_stack_bytes: run.peak_stack_bytes(),
-            ..self.plan
+            ..self.planner.cached_stats(self.interner)
         };
-        let groups = &*self.groups;
-        let mut stats: Vec<MachineStats> = (self.records.iter())
-            .map(|r| {
-                r.group.map_or_else(MachineStats::default, |g| groups[g].machine().stats().clone())
-            })
-            .collect();
-        // The machine of a group with one binding delivers every solution it
-        // emits to every subscriber; one with several bills each binding.
-        let mut emitted_bytes: Vec<u64> = match self.profile {
-            Some(_) => (self.records.iter())
-                .map(|r| r.group.map_or(0, |g| self.exec.emitted_bytes(g)))
-                .collect(),
-            None => Vec::new(),
-        };
-        for (subscribers, bill) in
-            self.multi_binding.iter().flat_map(|&g| groups[g].binding_bills())
-        {
-            for q in subscribers {
-                stats[q.0].emitted = bill.delivered;
-                if let Some(bytes) = emitted_bytes.get_mut(q.0) {
-                    *bytes = bill.bytes;
-                }
-            }
-        }
         let telemetry = self.driver.telemetry();
         if telemetry.is_enabled() {
             let mut total = MachineStats::default();
-            stats.iter().for_each(|s| total.add(s));
+            self.visit_touched(|_, stats, _| total.add(stats));
             // `emitted` counts each subscriber's deliveries.
             telemetry.fold_document(&stream, &total, Some(&plan), total.emitted);
         }
-        if let Some(profile) = self.profile.as_deref_mut() {
-            profile.add_doc();
-            for (i, r) in self.records.iter().enumerate() {
-                profile.fold_query(QueryId(i), &r.text, r.group, &stats[i], emitted_bytes[i]);
-            }
-            for (gid, g) in groups.iter().enumerate().filter(|(_, g)| g.is_active()) {
-                let subscribers = g.subscribers().len() as u64;
-                profile.fold_group(gid, g.shape_key(), subscribers, g.machine().stats());
-                profile.add_self_ns(gid, self.exec.self_ns(gid));
-            }
-            let shared_steps = self.exec.shared_steps();
-            if shared_steps.iter().any(|&n| n > 0) {
-                profile.add_shared_steps(shared_steps);
-            }
+        if self.profile.is_some() {
+            self.fold_profile();
         }
         MultiOutput {
             matches: Vec::new(),
-            stats,
+            stats: Vec::new(),
             plan,
             elements: stream.elements,
             text_nodes: stream.text_nodes,
             events: stream.events,
+        }
+    }
+
+    /// Folds the document into the cost ledger: every registration, then
+    /// every active group (O(k) while profiling is on).
+    fn fold_profile(&mut self) {
+        let k = self.records.len();
+        let (mut stats, mut bytes) = (vec![MachineStats::default(); k], vec![0; k]);
+        self.visit_touched(|q, s, b| (stats[q.0], bytes[q.0]) = (s.clone(), b));
+        let Some(profile) = self.profile.as_deref_mut() else { return };
+        profile.add_doc();
+        for (i, r) in self.records.iter().enumerate() {
+            profile.fold_query(QueryId(i), &r.text, r.group, &stats[i], bytes[i]);
+        }
+        let groups = self.planner.groups().iter().enumerate();
+        for (gid, g) in groups.filter(|(_, g)| g.is_active()) {
+            let subscribers = g.subscribers().len() as u64;
+            profile.fold_group(gid, g.shape_key(), subscribers, g.machine().stats());
+            profile.add_self_ns(gid, self.exec.self_ns(gid));
+        }
+        let shared_steps = self.exec.shared_steps();
+        if shared_steps.iter().any(|&n| n > 0) {
+            profile.add_shared_steps(shared_steps);
         }
     }
 }
@@ -293,9 +323,9 @@ mod tests {
         let q = multi.add_query("/a/b").unwrap();
         let parts = multi.session_parts();
         let (a, b) = (parts.interner.lookup("a"), parts.interner.lookup("b"));
-        let (trie, groups, _) = parts.planner.run_split();
+        let (trie, groups) = parts.planner.runtime();
         trie.begin_document();
-        parts.exec.begin_document();
+        parts.exec.begin_document(groups);
         let mut hits = Vec::new();
         let mut on_match = |q: QueryId, m: Match| hits.push((q, m.node));
         let mut sink = SessionSink {
@@ -361,6 +391,41 @@ mod tests {
         assert_eq!(multi.add_query("/a/b").unwrap(), QueryId(2));
         assert!(live(&mut multi, "a"), "re-registration revives the path");
         assert!(!live(&mut multi, "c") && !live(&mut multi, "d"), "//c[d] stays retired");
+    }
+
+    #[test]
+    fn a_document_start_resets_exactly_the_machines_the_previous_document_pushed() {
+        let mut multi = MultiEngine::new();
+        let [a, b, c] = ["//a", "//b[x]", "//c"].map(|q| multi.add_query(q).unwrap());
+        let touched = |multi: &mut MultiEngine| multi.session_parts().exec.touched().to_vec();
+        let at_rest = |multi: &mut MultiEngine, q: QueryId| {
+            multi.session_parts().planner.group(q.0).machine().stats() == &MachineStats::default()
+        };
+        // A truncated document pushes //b[x] (its predicate step included),
+        // then //a: first-touch order, one entry per group.
+        let cut = multi.run(XmlReader::from_str("<r><b><x/></b><a><b/><a>"), |_, _| {});
+        assert!(cut.is_err());
+        assert_eq!(touched(&mut multi), [b.0 as u32, a.0 as u32]);
+        assert!(!at_rest(&mut multi, a) && !at_rest(&mut multi, b) && at_rest(&mut multi, c));
+        // The next document's start resets those two and nothing else; it
+        // then pushes //c alone.
+        multi
+            .session(|session| {
+                let out = session.stream_document(XmlReader::from_str("<r><c/></r>"), |_, _| {})?;
+                assert!(out.matches.is_empty() && out.stats.is_empty(), "a streamed document");
+                assert_eq!(session.query_stats(c).pushes, 1);
+                for q in [a, b] {
+                    assert_eq!(session.query_stats(q), MachineStats::default(), "{q:?}");
+                }
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(touched(&mut multi), [c.0 as u32]);
+        assert!(at_rest(&mut multi, a) && at_rest(&mut multi, b) && !at_rest(&mut multi, c));
+        // A document that pushes nothing resets //c and lists nothing.
+        multi.run(XmlReader::from_str("<r/>"), |_, _| {}).unwrap();
+        assert!(touched(&mut multi).is_empty());
+        assert!([a, b, c].into_iter().all(|q| at_rest(&mut multi, q)));
     }
 
     #[test]

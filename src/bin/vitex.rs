@@ -21,7 +21,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use vitex_core::telemetry::Telemetry;
-use vitex_core::{Match, MatchKind, MultiEngine, MultiOutput, QueryId, StreamStats};
+use vitex_core::{MachineStats, Match, MatchKind, MultiEngine, MultiOutput, QueryId, StreamStats};
 use vitex_xmlsax::{ProbeHandle, XmlReader};
 use vitex_xpath::QueryTree;
 
@@ -372,13 +372,18 @@ fn run_multi(opts: &Options, trees: &[QueryTree], telemetry: &Telemetry) -> Exit
             written.unwrap_or_else(|e| stdout_failed(e));
         }
     };
-    // Streamed: nothing but the callback above reads a match.
-    let result: Result<MultiOutput, _> = match open_reader(opts, telemetry) {
-        Ok(reader) => multi.session(|session| session.stream_document(reader, &mut on_match)),
+    // Streamed: nothing but the callback above reads a match, and the
+    // per-query statistics are read only for --stats.
+    let result: Result<(MultiOutput, Vec<MachineStats>), _> = match open_reader(opts, telemetry) {
+        Ok(reader) => multi.session(|session| {
+            let output = session.stream_document(reader, &mut on_match)?;
+            let queries = if opts.stats { trees.len() } else { 0 };
+            Ok((output, (0..queries).map(|i| session.query_stats(QueryId(i))).collect()))
+        }),
         Err(code) => return code,
     };
     match result {
-        Ok(output) => {
+        Ok((output, stats)) => {
             if opts.count {
                 for (i, c) in counts.iter().enumerate() {
                     let written =
@@ -399,7 +404,7 @@ fn run_multi(opts: &Options, trees: &[QueryTree], telemetry: &Telemetry) -> Exit
                 if prefixed {
                     eprintln!("plan:       {}", output.plan.summary());
                 }
-                for (i, s) in output.stats.iter().enumerate() {
+                for (i, s) in stats.iter().enumerate() {
                     if prefixed {
                         eprintln!("machine[{i}]: {}", s.summary());
                     } else {

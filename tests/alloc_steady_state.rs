@@ -34,15 +34,18 @@ use vitex::xmlgen::recursive::{self, RecursiveConfig};
 use vitex::xmlsax::{XmlEvent, XmlReader};
 use vitex::xpath::QueryTree;
 
-/// Allocation calls made and bytes currently held by one thread.
+/// Allocation calls made, bytes they asked for, and bytes currently held
+/// by one thread.
 #[derive(Clone, Copy, Default)]
 struct Tally {
     allocations: u64,
+    allocated_bytes: u64,
     live_bytes: i64,
 }
 
 thread_local! {
-    static TALLY: Cell<Tally> = const { Cell::new(Tally { allocations: 0, live_bytes: 0 }) };
+    static TALLY: Cell<Tally> =
+        const { Cell::new(Tally { allocations: 0, allocated_bytes: 0, live_bytes: 0 }) };
 }
 
 fn tally() -> Tally {
@@ -52,12 +55,15 @@ fn tally() -> Tally {
 struct Counting;
 
 impl Counting {
-    fn record(allocations: u64, bytes: i64) {
+    /// Records one call that asked for `asked` bytes (none for a
+    /// deallocation) and changed the bytes held by `held`.
+    fn record(allocations: u64, asked: usize, held: i64) {
         // A thread being torn down has no tally left to update.
         let _ = TALLY.try_with(|t| {
             let mut v = t.get();
             v.allocations += allocations;
-            v.live_bytes += bytes;
+            v.allocated_bytes += asked as u64;
+            v.live_bytes += held;
             t.set(v);
         });
     }
@@ -68,19 +74,19 @@ impl Counting {
 // `Cell` and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Counting::record(1, layout.size() as i64);
+        Counting::record(1, layout.size(), layout.size() as i64);
         // SAFETY: the caller's obligations are `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        Counting::record(0, -(layout.size() as i64));
+        Counting::record(0, 0, -(layout.size() as i64));
         // SAFETY: `ptr` came from `System` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Counting::record(1, new_size as i64 - layout.size() as i64);
+        Counting::record(1, new_size, new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` came from `System` with this `layout`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -298,8 +304,8 @@ const AUCTION_QUERIES: &[&str] = &[
 ];
 
 /// What a document costs the pipeline beyond its match payloads: the
-/// reader's window and buffers, the session's per-document output, and
-/// the doublings of the match vector `Engine::run` collects.
+/// reader's window and buffers, and the doublings of the match vector
+/// `Engine::run` collects. A streamed document's output holds no vector.
 const PER_DOCUMENT: u64 = 32;
 
 /// One pass of a warm `engine` over `xml`, counted from
@@ -324,6 +330,43 @@ fn session_pass(engine: &mut MultiEngine, warmup: &str, xml: &str) -> (u64, u64)
         })
         .unwrap();
     (allocations, arcs)
+}
+
+/// What a warm session's document that pushes one group allocates with
+/// `k` disjoint `//t{i}[w{i}]/@id` queries registered: `(allocations,
+/// bytes asked for)`.
+fn one_group_document(k: usize) -> (u64, u64) {
+    let mut multi = MultiEngine::new();
+    for i in 0..k {
+        multi.add_query(&format!("//t{i}[w{i}]/@id")).unwrap();
+    }
+    let xml = r#"<r><t3 id="x"><w3/></t3><t3/><z>text</z></r>"#;
+    let mut cost = (0, 0);
+    multi
+        .session(|session| {
+            session.stream_document(XmlReader::from_str(xml), |_, _| {})?;
+            let before = tally();
+            let mut matches = 0;
+            session.stream_document(XmlReader::from_str(xml), |_, _| matches += 1)?;
+            let after = tally();
+            assert_eq!(matches, 1, "k = {k}");
+            cost = (
+                after.allocations - before.allocations,
+                after.allocated_bytes - before.allocated_bytes,
+            );
+            Ok(())
+        })
+        .unwrap();
+    cost
+}
+
+#[test]
+fn a_document_costs_what_it_touched_not_the_number_of_queries() {
+    // The document pushes //t3[w3]/@id alone: its start resets one
+    // machine, and its epilogue reads one group's statistics and bytes, so
+    // 9 990 more registered queries cost it nothing.
+    let (few, many) = (one_group_document(10), one_group_document(10_000));
+    assert_eq!(few, many, "(allocations, bytes) at k = 10 and k = 10 000");
 }
 
 #[test]

@@ -4,7 +4,8 @@
 //! private-engine contract for machine statistics (shape-group
 //! subscriptions included).
 
-use vitex::core::MachineStats;
+use vitex::core::{MachineStats, MultiEngine, MultiOutput};
+use vitex::xmlsax::XmlReader;
 use vitex::xpath::generate::{GenConfig, QueryGenerator};
 use vitex::xpath::QueryTree;
 
@@ -74,4 +75,32 @@ pub fn assert_private_stats(
     }
     let work = |s: &MachineStats| (s.pushes, s.pops, s.predicate_evals, s.dispatch_hits, s.emitted);
     assert_eq!(work(stats), work(engine), "a shape group's work and own deliveries: {label}");
+}
+
+/// Asserts that the plan statistics a document reported — the planner's
+/// cache, refilled after a registration or removal and re-measured for
+/// the groups the document touched — equal `MultiEngine::plan_stats`
+/// recomputed from scratch: every structural field, `plan_bytes`, and the
+/// document's trie counters.
+#[allow(dead_code)] // telemetry has no use for it
+pub fn assert_plan_is_fresh(engine: &MultiEngine, out: &MultiOutput, label: &str) {
+    assert_eq!(out.plan, engine.plan_stats(), "cached plan statistics: {label}");
+}
+
+/// Runs `docs` through a warm `engine`, a session per document so that
+/// [`assert_plan_is_fresh`] can read the engine after each one.
+#[allow(dead_code)] // telemetry has no use for it
+pub fn run_checking_plan<D: AsRef<str>>(
+    engine: &mut MultiEngine,
+    docs: &[D],
+    label: &str,
+) -> Vec<MultiOutput> {
+    let mut outs = Vec::with_capacity(docs.len());
+    for (i, xml) in docs.iter().enumerate() {
+        let reader = XmlReader::from_str(xml.as_ref());
+        let out = engine.session(|session| session.run_document(reader, |_, _| {})).unwrap();
+        assert_plan_is_fresh(engine, &out, &format!("{label}, document {i}"));
+        outs.push(out);
+    }
+    outs
 }

@@ -21,7 +21,7 @@
 #[allow(dead_code)] // this battery does not generate query sets
 mod common;
 
-use common::{assert_private_stats, literal_shared};
+use common::{assert_plan_is_fresh, assert_private_stats, literal_shared, run_checking_plan};
 use vitex::baseline::{naive, oracle, Document, NaiveConfig};
 use vitex::core::{Engine, EngineError, EvalOutput, Match, MultiEngine, MultiOutput, QueryId};
 use vitex::xmlgen::{auction, protein, recursive};
@@ -279,6 +279,7 @@ fn incremental_add_and_remove_matches_fresh_registration() {
     assert_eq!(multi.remove_query(q_id), Some(true), "last subscriber retires the group");
     let q_name = multi.add_query("//ProteinEntry/protein/name").unwrap();
     let out = multi.run(XmlReader::from_str(&xml), |_, _| {}).expect("run");
+    assert_plan_is_fresh(&multi, &out, "added, removed, added");
 
     assert!(out.matches[q_cell.0].is_empty(), "removed query stays silent");
     assert!(out.matches[q_id.0].is_empty(), "retired group stays silent");
@@ -325,6 +326,7 @@ fn prefix_sharing_churn_splices_and_retires_trie_state() {
     let q_id = multi.add_query("//ProteinEntry[reference]/@id").unwrap();
     let check = |multi: &mut MultiEngine, live: &[(&str, QueryId)]| {
         let out = multi.run(XmlReader::from_str(&xml), |_, _| {}).expect("run");
+        assert_plan_is_fresh(multi, &out, &format!("{} live queries", live.len()));
         for (q, id) in live {
             let tree = QueryTree::parse(q).unwrap();
             let got: Vec<u64> = out.matches[id.0].iter().map(|m| m.node).collect();
@@ -362,8 +364,9 @@ fn prefix_sharing_churn_splices_and_retires_trie_state() {
 fn buffering_is_streaming_plus_a_copy() {
     // `run_document` is `stream_document` behind one collecting adapter:
     // both deliver the same `(query, match)` sequence, the buffered
-    // `matches` are that sequence grouped by query, and nothing else in
-    // the two outputs differs.
+    // `matches` are that sequence grouped by query, the buffered `stats`
+    // are what `query_stats` reads after the streamed document, and
+    // nothing else in the two outputs differs.
     let xml = mixed_doc();
     let queries: Vec<&str> = BATTERY.iter().chain(OVERLAP_SET).copied().collect();
     let mut engine = MultiEngine::new();
@@ -371,13 +374,15 @@ fn buffering_is_streaming_plus_a_copy() {
         engine.add_query(q).unwrap();
     }
     let (mut streamed, mut buffered) = (Vec::new(), Vec::new());
-    let (stream_out, run_out) = engine
+    let (stream_out, stream_stats, run_out) = engine
         .session(|session| {
             let stream_out =
                 session.stream_document(XmlReader::from_str(&xml), |q, m| streamed.push((q, m)))?;
+            let stats: Vec<_> =
+                (0..queries.len()).map(|i| session.query_stats(QueryId(i))).collect();
             let run_out =
                 session.run_document(XmlReader::from_str(&xml), |q, m| buffered.push((q, m)))?;
-            Ok((stream_out, run_out))
+            Ok((stream_out, stats, run_out))
         })
         .expect("both documents stream");
     assert!(streamed.len() > queries.len(), "the battery matches");
@@ -388,7 +393,8 @@ fn buffering_is_streaming_plus_a_copy() {
     }
     assert_eq!(run_out.matches, grouped, "buffer = the deliveries, by query");
     assert!(stream_out.matches.is_empty(), "a streamed document buffers nothing");
-    assert_eq!(stream_out.stats, run_out.stats, "machine stats");
+    assert!(stream_out.stats.is_empty(), "nor one record per registration");
+    assert_eq!(stream_stats, run_out.stats, "machine stats");
     assert_eq!(stream_out.plan, run_out.plan, "plan stats");
     assert_eq!(
         (stream_out.elements, stream_out.text_nodes, stream_out.events),
@@ -418,6 +424,7 @@ fn recycled_low_slot_keeps_callback_order_ascending_by_group() {
         .run(XmlReader::from_str(xml), |q, m| streamed.push((q, m.value.unwrap().to_string())))
         .expect("run");
     assert_eq!(out.plan.recycled_slots, 1, "/a/@w took the retired slot");
+    assert_plan_is_fresh(&engine, &out, "slot 0 recycled");
     assert_eq!(
         streamed,
         [(q_w, "0".to_string()), (q_y, "2".to_string()), (q_z, "3".to_string())],
@@ -495,6 +502,57 @@ fn truncated_document_delivers_its_prefix_then_the_engine_starts_fresh() {
 }
 
 #[test]
+fn the_lazy_reset_leaves_no_stale_state() {
+    // A document resets only the machines the previous one pushed. A
+    // truncated document pushes groups A and B; A retires and a newcomer
+    // recycles its slot; the next document pushes C alone. Every statistic
+    // of that document — buffered and read per query — must be a fresh
+    // engine's over the live queries, and B's must read zero although B
+    // was left mid-document.
+    const A: &str = "//a[b]/@id";
+    const B: &str = "//p/text()";
+    const C: &str = "//c";
+    const NEWCOMER: &str = "//d[e]";
+    let cut = r#"<r><a id="1"><b/></a><p>t</p><a id="2"><b/><p>u"#;
+    let xml = "<r><c/><c><x/></c><q/></r>";
+    let mut engine = MultiEngine::new();
+    let [a, b, c] = [A, B, C].map(|q| engine.add_query(q).unwrap());
+    let pushes = engine
+        .session(|session| {
+            let cut_off = session.stream_document(XmlReader::from_str(cut), |_, _| {});
+            assert!(matches!(cut_off, Err(EngineError::Xml(_))), "{cut_off:?}");
+            Ok([a, b, c].map(|q| session.query_stats(q).pushes))
+        })
+        .unwrap();
+    assert!(pushes[0] > 0 && pushes[1] > 0 && pushes[2] == 0, "A and B pushed: {pushes:?}");
+    assert_eq!(engine.remove_query(a), Some(true), "A retires");
+    let d = engine.add_query(NEWCOMER).unwrap();
+    let (out, read) = engine
+        .session(|session| {
+            let out = session.run_document(XmlReader::from_str(xml), |_, _| {})?;
+            let read: Vec<_> = (0..4).map(|i| session.query_stats(QueryId(i))).collect();
+            Ok((out, read))
+        })
+        .unwrap();
+    assert_eq!(out.plan.recycled_slots, 1, "the newcomer took A's slot");
+    assert_plan_is_fresh(&engine, &out, "after the lazy reset");
+    assert_eq!(read, out.stats, "query_stats reads what the adapter buffers");
+
+    let mut fresh = MultiEngine::new();
+    let live = [b, c, d].map(|q| (q, fresh.add_query(engine.query_text(q)).unwrap()));
+    let expected = fresh.run(XmlReader::from_str(xml), |_, _| {}).unwrap();
+    for (q, f) in live {
+        assert_eq!(out.stats[q.0], expected.stats[f.0], "{}", engine.query_text(q));
+        assert_eq!(out.matches[q.0], expected.matches[f.0], "{}", engine.query_text(q));
+    }
+    assert_eq!(out.stats[a.0], Default::default(), "A was removed");
+    assert_eq!(out.stats[b.0], Default::default(), "B's machine was reset");
+    assert_eq!(out.matches[c.0].len(), 2, "C matched");
+    let work = |p: &vitex::core::PlanStats| (p.prefix_steps_executed, p.prefix_forks);
+    assert_eq!(work(&out.plan), work(&expected.plan), "trie work");
+}
+
+#[test]
 fn sessions_survive_churn_and_back_to_back_documents() {
     // A long-lived pub/sub session: register, stream a document
     // collection through one warm session, churn subscriptions (removals
@@ -520,12 +578,16 @@ fn sessions_survive_churn_and_back_to_back_documents() {
                     .collect::<Result<Vec<_>, _>>()
             })
             .expect("session");
+        // The session's documents report the plan the reference, driven
+        // alike one document at a time, recomputes from scratch after each.
         for (xml, out) in docs.iter().zip(&outs) {
             let ref_out = reference.run(XmlReader::from_str(xml), |_, _| {}).unwrap();
+            assert_plan_is_fresh(reference, &ref_out, label);
             assert_eq!(out.matches, ref_out.matches, "{label}");
             assert_eq!(out.stats, ref_out.stats, "{label}");
             assert_eq!(out.plan, ref_out.plan, "{label}");
         }
+        assert_plan_is_fresh(engine, outs.last().expect("documents"), label);
         outs
     };
     // Session 1: the whole collection, back-to-back, no re-planning.
@@ -578,13 +640,7 @@ fn churned_sessions_match_the_reference() {
     assert_eq!(engine.remove_query(QueryId(0)), Some(true), "hog group retires");
     let newcomer = engine.add_query("/feed/www").expect("valid query");
 
-    let outs = engine
-        .session(|session| {
-            (0..2)
-                .map(|_| session.run_document(XmlReader::from_str(&xml), |_, _| {}))
-                .collect::<Result<Vec<_>, _>>()
-        })
-        .expect("session after churn");
+    let outs = run_checking_plan(&mut engine, &[&xml, &xml], "after churn");
     let profile = engine.profile_snapshot().expect("profiling on");
     assert_eq!(
         profile.queries[newcomer.0].group,
@@ -914,13 +970,7 @@ fn attribute_literals_follow_churn_between_sessions_of_one_engine() {
         live.push((engine.add_query(q).unwrap(), q));
     }
     let check = |engine: &mut MultiEngine, live: &[(QueryId, &str)], step: &str| {
-        let outs = engine
-            .session(|session| {
-                docs.iter()
-                    .map(|xml| session.run_document(XmlReader::from_str(xml), |_, _| {}))
-                    .collect::<Result<Vec<_>, _>>()
-            })
-            .expect("session");
+        let outs = run_checking_plan(engine, &docs, step);
         let queries: Vec<&str> = live.iter().map(|&(_, q)| q).collect();
         for (xml, out) in docs.iter().zip(&outs) {
             let expected = check_shape_groups(step, &queries, xml);
@@ -983,13 +1033,7 @@ fn shape_groups_follow_literal_churn_between_sessions() {
     }
     assert_eq!(engine.group_count(), 2);
     let check = |engine: &mut MultiEngine, live: &[(QueryId, String)], step: &str| {
-        let outs = engine
-            .session(|session| {
-                docs.iter()
-                    .map(|xml| session.run_document(XmlReader::from_str(xml), |_, _| {}))
-                    .collect::<Result<Vec<_>, _>>()
-            })
-            .expect("session");
+        let outs = run_checking_plan(engine, &docs, step);
         let mut fresh = MultiEngine::new();
         for (_, q) in live {
             fresh.add_query(q).unwrap();
@@ -1105,6 +1149,7 @@ fn retiring_a_shared_predicate_branch_keeps_the_other_groups_routed() {
         let fresh_out = fresh
             .run(XmlReader::from_str(xml), |q, m| expected.push((&fresh_texts[q.0], m.node)))
             .unwrap();
+        assert_plan_is_fresh(&engine, &out, "a shared predicate branch retired");
         assert_eq!(streamed, expected, "callback order");
         assert!(!streamed.is_empty());
         assert_eq!(out.plan.recycled_slots, 1, "{newcomer} took the retired slot");

@@ -27,7 +27,9 @@ use proptest::prelude::*;
 
 mod common;
 
-use common::{assert_private_stats, literal_shared, pinned_queries_with_hog, query_set};
+use common::{
+    assert_private_stats, literal_shared, pinned_queries_with_hog, query_set, run_checking_plan,
+};
 use vitex::baseline::{naive, Document, NaiveConfig};
 use vitex::core::{evaluate_reader, EvalOutput, MultiEngine, MultiOutput};
 use vitex::xmlgen::auction::{self, AuctionConfig};
@@ -267,7 +269,9 @@ proptest! {
 
 /// A warm session must treat every document as a fresh engine would: a
 /// session streaming several documents back-to-back produces, document
-/// by document, the private engines' matches and statistics. Two sets: a
+/// by document, the private engines' matches and statistics, and a warm
+/// engine streaming them a session each reports, after every document,
+/// the plan statistics `plan_stats()` recomputes from scratch. Two sets: a
 /// random one with a planted hog (three chained descendant wildcards)
 /// over random documents, and one descendant hog among 7 cheap pinned
 /// subscriptions over auction documents.
@@ -296,6 +300,11 @@ fn a_warm_session_agrees_with_private_engines_on_every_document() {
             assert_matches_reference(out, &reference, trees, &format!("document {doc}"));
         }
         assert!(outs.iter().any(|o| o.matches.iter().any(|m| !m.is_empty())), "the sets match");
+        let checked = run_checking_plan(&mut engine_with(trees), docs, "warm engine");
+        for (out, session_out) in checked.iter().zip(&outs) {
+            assert_eq!((&out.matches, &out.stats), (&session_out.matches, &session_out.stats));
+            assert_eq!(out.plan, session_out.plan, "one session or one per document");
+        }
     }
 }
 
