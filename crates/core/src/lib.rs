@@ -35,10 +35,10 @@
 //!   callback as soon as they are decidable.
 //! * [`multi::MultiEngine`] — publish/subscribe: many standing queries,
 //!   one scan, executed through the shared step trie so an event only
-//!   touches the machines it can move. Its [`session::Session`] — the one
-//!   pipeline every multi-query run goes through, `MultiEngine::run`
-//!   included — streams document collections back-to-back on the calling
-//!   thread without re-planning.
+//!   touches the machines it can move. [`MultiEngine::stream_document`] —
+//!   the one pipeline every multi-query document goes through,
+//!   [`MultiEngine::run`]'s collecting adapter included — streams document
+//!   collections back-to-back on the calling thread without re-planning.
 //! * [`plan::QueryPlanner`] — the shared-prefix query planner behind
 //!   `MultiEngine`: canonicalizes queries, dedupes structural duplicates
 //!   into one machine with a subscriber fan-out list, and tries element
@@ -80,7 +80,7 @@ pub mod multi;
 pub mod plan;
 pub mod predicate;
 pub mod result;
-pub mod session;
+mod session;
 pub mod stats;
 pub mod telemetry;
 
@@ -93,7 +93,6 @@ pub use machine::{CandidateStore, TwigM};
 pub use multi::{MultiEngine, MultiOutput};
 pub use plan::{PlanGroup, QueryPlanner};
 pub use result::{Match, MatchKind, QueryId};
-pub use session::Session;
 pub use stats::{MachineStats, PlanStats, StreamStats};
 pub use telemetry::{Snapshot, Telemetry};
 

@@ -34,11 +34,11 @@
 //! machine nodes share the step — and each push it decides lands, through
 //! the node's routes, on exactly the group machine nodes that must push.
 //!
-//! A document runs through one [`Session`] ([`MultiEngine::session`];
-//! [`MultiEngine::run`] is a one-document session): it shows a start tag
-//! to the per-event apply step (the crate-private `Executor` at the
-//! bottom of this file) when a live trie step tests its name, and a text
-//! node when some group reads text, on the calling thread. The executor
+//! A document streams through [`MultiEngine::stream_document`] (the
+//! per-document path lives in the crate-private `session` module): it
+//! shows a start tag to the per-event apply step (the crate-private
+//! `Executor` at the bottom of this file) when a live trie step tests its
+//! name, and every text node, on the calling thread. The executor
 //! advances the trie and drives each routed group's pushes in ascending
 //! group order, a frame stack lets an end tag touch exactly the machines
 //! its start tag pushed (an untouched machine has nothing to pop), and
@@ -46,15 +46,15 @@
 //! text (any other text consumer is idle). Every solution leaves through
 //! the caller's callback and nowhere else (`fan_out_match`);
 //! [`MultiOutput::matches`] is one collecting adapter around a streamed
-//! document, at the API edge ([`Session::run_document`]). This is sound because a machine's stacks
-//! only ever hold entries for elements it was shown, and text/attribute
-//! tests live inside the delivered events.
+//! document, at the API edge ([`MultiEngine::run`]). This is sound
+//! because a machine's stacks only ever hold entries for elements it was
+//! shown, and text/attribute tests live inside the delivered events.
 //!
 //! The plan updates **incrementally**: [`MultiEngine::add_query`] splices
 //! the new group into the trie routes in place and
 //! [`MultiEngine::remove_query`] clears it back out when the last
-//! subscriber of a group leaves — no rebuild between runs, so long-lived
-//! pub/sub sessions can churn subscriptions mid-stream.
+//! subscriber of a group leaves — no rebuild between documents, so a
+//! long-lived pub/sub engine can churn subscriptions mid-stream.
 //!
 //! Per subscription, a run reproduces a private [`crate::Engine`]'s
 //! matches and payloads, and its machine statistics: in a group with one
@@ -64,12 +64,10 @@
 //! subscription's own deliveries. Flag and candidate counters are then
 //! the shared machine's.
 
-use std::io::Read;
 use std::time::Instant;
 
 use vitex_xmlsax::event::Attributes;
 use vitex_xmlsax::pos::ByteSpan;
-use vitex_xmlsax::XmlReader;
 use vitex_xpath::query_tree::QueryTree;
 
 use crate::bitset::DynBitSet;
@@ -80,7 +78,6 @@ use crate::machine::{CandidateStore, Deliver};
 use crate::plan::group::Binding;
 use crate::plan::{PlanGroup, QueryPlanner, StepTrie, TriePush};
 use crate::result::{Match, NodeId};
-use crate::session::Session;
 use crate::stats::{MachineStats, PlanStats};
 use crate::telemetry::profile::match_bytes;
 use crate::telemetry::{CostLedger, Telemetry};
@@ -92,14 +89,14 @@ pub use crate::result::QueryId;
 pub struct MultiOutput {
     /// Matches per query, in emission order (indexed by [`QueryId`];
     /// removed queries keep an empty slot). Empty when the document was
-    /// streamed ([`Session::stream_document`]).
+    /// streamed ([`MultiEngine::stream_document`]).
     pub matches: Vec<Vec<Match>>,
     /// Machine statistics per query (indexed by [`QueryId`]); removed
     /// queries report zeros. Empty, like `matches`, when the document was
     /// streamed: filling it costs one record per registration, so
-    /// [`Session::stream_document`] leaves it to
-    /// [`Session::query_stats`], and only the collecting adapter
-    /// ([`Session::run_document`], [`MultiEngine::run`]) fills it.
+    /// [`MultiEngine::stream_document`] leaves it to
+    /// [`MultiEngine::query_stats`], and only the collecting adapter
+    /// ([`MultiEngine::run`]) fills it.
     ///
     /// Queries of one plan group share a machine and report its
     /// statistics — equal, for a group with one binding, to what a private
@@ -121,20 +118,19 @@ pub struct MultiOutput {
 
 /// Evaluates many queries in a single sequential scan.
 pub struct MultiEngine {
-    planner: QueryPlanner,
+    /// The step trie and the plan-group slots, active or not, indexed by
+    /// group id.
+    pub(crate) planner: QueryPlanner,
     /// Per-registration records, indexed by [`QueryId`].
-    records: Vec<QueryRecord>,
-    interner: Interner,
-    driver: DocumentDriver,
-    /// The group slots that consume `characters` events: a session shows
-    /// text to the executor only while this is non-empty.
-    text: DynBitSet,
-    /// The per-event apply step: engine-owned so that a session per
-    /// document clears its buffers instead of reallocating them.
-    exec: Executor,
+    pub(crate) records: Vec<QueryRecord>,
+    pub(crate) interner: Interner,
+    pub(crate) driver: DocumentDriver,
+    /// The per-event apply step: engine-owned so that each document
+    /// clears its buffers instead of reallocating them.
+    pub(crate) exec: Executor,
     /// Per-subscription cost attribution; `None` (the default) while
     /// profiling is off.
-    profile: Option<CostLedger>,
+    pub(crate) profile: Option<CostLedger>,
 }
 
 /// One registration's bookkeeping.
@@ -153,7 +149,6 @@ impl MultiEngine {
             records: Vec::new(),
             interner: Interner::new(),
             driver: DocumentDriver::new(),
-            text: DynBitSet::new(),
             exec: Executor::default(),
             profile: None,
         }
@@ -166,14 +161,11 @@ impl MultiEngine {
     }
 
     /// Registers an already-built query tree. The plan is updated in
-    /// place — no rebuild happens on the next run, so subscriptions can be
-    /// added between (or ahead of) documents at any point in a session.
+    /// place — no rebuild happens on the next document, so subscriptions
+    /// can be added between (or ahead of) documents at any point.
     pub fn add_tree(&mut self, tree: &QueryTree) -> EngineResult<QueryId> {
         let id = QueryId(self.records.len());
         let reg = self.planner.register(tree, id, &mut self.interner)?;
-        if reg.created && self.planner.group(reg.group).machine().spec().needs_characters() {
-            self.text.insert(reg.group);
-        }
         self.records.push(QueryRecord { text: tree.original().to_owned(), group: Some(reg.group) });
         Ok(id)
     }
@@ -186,11 +178,7 @@ impl MultiEngine {
     pub fn remove_query(&mut self, id: QueryId) -> Option<bool> {
         let record = self.records.get_mut(id.0)?;
         let gid = record.group.take()?;
-        let last = self.planner.unsubscribe(gid, id);
-        if last {
-            self.text.remove(gid);
-        }
-        Some(last)
+        Some(self.planner.unsubscribe(gid, id))
     }
 
     /// Active subscription count (registered minus removed).
@@ -209,9 +197,10 @@ impl MultiEngine {
         self.planner.group_count()
     }
 
-    /// The canonical text of a registered query (retained after removal).
-    pub fn query_text(&self, id: QueryId) -> &str {
-        &self.records[id.0].text
+    /// The canonical text of a registered query (retained after removal);
+    /// `None` for an id this engine never issued.
+    pub fn query_text(&self, id: QueryId) -> Option<&str> {
+        self.records.get(id.0).map(|r| r.text.as_str())
     }
 
     /// Plan-level statistics for the current subscription set.
@@ -235,6 +224,7 @@ impl MultiEngine {
         if on != self.profile.is_some() {
             self.profile = on.then(CostLedger::default);
         }
+        self.exec.timer.on = on;
     }
 
     /// Snapshot of the cost ledger: per-query deterministic counters plus
@@ -242,67 +232,12 @@ impl MultiEngine {
     pub fn profile_snapshot(&self) -> Option<crate::telemetry::ProfileSnapshot> {
         self.profile.as_ref().map(CostLedger::snapshot)
     }
-
-    /// Splits the engine into the disjoint borrows a [`Session`] holds
-    /// while documents stream: the planner (its trie and its groups go to
-    /// the executor), the text consumers read-only, the executor, and the
-    /// registration records that parameterize output assembly.
-    pub(crate) fn session_parts(&mut self) -> SessionParts<'_> {
-        SessionParts {
-            planner: &mut self.planner,
-            interner: &self.interner,
-            driver: &mut self.driver,
-            text: &self.text,
-            exec: &mut self.exec,
-            records: &self.records,
-            profile: self.profile.as_mut(),
-        }
-    }
-
-    /// Opens a streaming session, hands it to `f`, and closes it when `f`
-    /// returns. The subscription set is frozen for the session (it
-    /// mutably borrows the engine), so documents stream back-to-back
-    /// through [`Session::stream_document`] with no re-planning between
-    /// them.
-    pub fn session<T>(
-        &mut self,
-        f: impl FnOnce(&mut Session<'_>) -> EngineResult<T>,
-    ) -> EngineResult<T> {
-        f(&mut Session::open(self.session_parts()))
-    }
-
-    /// Streams `reader` once through every active plan group — a
-    /// one-document [`MultiEngine::session`]. `on_match` fires with the
-    /// originating query's id the moment a solution is decidable; a
-    /// solution of a shared machine fires once per subscriber, in
-    /// registration order.
-    pub fn run<R: Read, F: FnMut(QueryId, Match)>(
-        &mut self,
-        reader: XmlReader<R>,
-        on_match: F,
-    ) -> EngineResult<MultiOutput> {
-        self.session(|session| session.run_document(reader, on_match))
-    }
 }
 
 impl Default for MultiEngine {
     fn default() -> Self {
         MultiEngine::new()
     }
-}
-
-/// Split borrows of a [`MultiEngine`], held by a [`Session`] for its
-/// duration.
-pub(crate) struct SessionParts<'a> {
-    pub(crate) planner: &'a mut QueryPlanner,
-    pub(crate) interner: &'a Interner,
-    pub(crate) driver: &'a mut DocumentDriver,
-    /// The group slots that consume `characters` events.
-    pub(crate) text: &'a DynBitSet,
-    pub(crate) exec: &'a mut Executor,
-    pub(crate) records: &'a [QueryRecord],
-    /// The cost ledger (`None` when profiling is off).
-    pub(crate) profile: Option<&'a mut CostLedger>,
 }
 
 /// Fans one solution a group's machine delivered to `to` — its bindings,
@@ -373,9 +308,8 @@ pub(crate) struct StartTag<'a> {
 const SELF_SAMPLE: u64 = 1024;
 
 /// Per-group cost attribution: sampled machine self-time, the payload
-/// bytes of emitted solutions and the shared-step bill (a session switches
-/// it on while profiling, otherwise it is one predictable branch per
-/// touch).
+/// bytes of emitted solutions and the shared-step bill (on while the
+/// engine profiles, otherwise it is one predictable branch per touch).
 #[derive(Debug, Default)]
 struct SelfTimer {
     on: bool,
@@ -461,8 +395,10 @@ impl Executor {
     /// Puts the machines the previous document touched back at rest,
     /// drops every frame it left open (a parse error ends a document
     /// mid-element), takes back what its machines held in the store, and
-    /// zeroes the cost attribution. Every other machine is already at
-    /// rest, so this costs what that document touched, not the slot count.
+    /// zeroes the cost attribution: one entry per group slot while
+    /// profiling, no per-slot table otherwise. Every other machine is
+    /// already at rest, so this costs what that document touched, not the
+    /// slot count.
     pub(crate) fn begin_document(&mut self, groups: &mut [PlanGroup]) {
         for slot in self.touched.drain(..) {
             groups[slot as usize].reset();
@@ -471,19 +407,10 @@ impl Executor {
         self.frame_slots.clear();
         self.frames.clear();
         self.store.reset();
-        for table in self.timer.tables() {
-            table.fill(0);
-        }
-    }
-
-    /// Switches cost attribution — self-time sampling, the emitted-bytes
-    /// tally and the shared-step bill — on or off for `slots` group slots
-    /// (off keeps no per-slot table).
-    pub(crate) fn sample_self_time(&mut self, on: bool, slots: usize) {
-        self.timer.on = on;
+        let slots = if self.timer.on { groups.len() } else { 0 };
         for table in self.timer.tables() {
             table.clear();
-            table.resize(if on { slots } else { 0 }, 0);
+            table.resize(slots, 0);
         }
     }
 
@@ -674,7 +601,18 @@ mod tests {
         let id = multi.add_query("//a[ b ]").unwrap();
         assert_eq!(multi.len(), 1);
         assert_eq!(multi.group_count(), 1);
-        assert_eq!(multi.query_text(id), "//a[b]");
+        assert_eq!(multi.query_text(id), Some("//a[b]"));
+    }
+
+    #[test]
+    fn query_text_of_an_unknown_id_is_none() {
+        let mut multi = MultiEngine::new();
+        let q = multi.add_query("//a").unwrap();
+        assert_eq!(multi.query_text(QueryId(99)), None);
+        assert_eq!(multi.remove_query(q), Some(true));
+        assert_eq!(multi.query_text(q), Some("//a"), "a removed query keeps its text");
+        assert_eq!(multi.remove_query(QueryId(99)), None);
+        assert_eq!(multi.query_stats(QueryId(99)), MachineStats::default());
     }
 
     #[test]

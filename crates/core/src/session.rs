@@ -1,32 +1,21 @@
-//! Sessions: one pipeline from SAX events to delivered matches, on the
-//! calling thread.
+//! The per-document path of a [`MultiEngine`]: one pipeline from SAX
+//! events to delivered matches, on the calling thread.
 //!
-//! TwigM machines are independent consumers of one sequential scan. A
-//! [`Session`] is that scan for a frozen subscription set: the driver's
-//! interned events that some group can see go straight into the engine's
-//! `crate::multi::Executor` over the step trie and the live plan groups,
-//! and the per-document epilogue assembles the output.
-//! [`MultiEngine::session`] opens one; [`MultiEngine::run`] is a
-//! one-document session.
+//! TwigM machines are independent consumers of one sequential scan.
+//! [`MultiEngine::stream_document`] is that scan for the current
+//! subscription set: the driver's interned events that some group can see
+//! go straight into the engine's `crate::multi::Executor` over the step
+//! trie and the live plan groups, and the per-document epilogue assembles
+//! the output. Documents stream back-to-back through one engine without
+//! re-planning; registration churn (`add_query` / `remove_query`) happens
+//! between documents and updates the plan in place.
 //!
-//! [`MultiEngine::session`]: crate::MultiEngine::session
-//! [`MultiEngine::run`]: crate::MultiEngine::run
-//!
-//! ## Sessions
-//!
-//! A session freezes the subscription set (it mutably borrows the engine)
-//! and streams any number of documents back-to-back through
-//! [`Session::stream_document`] without re-planning. Registration churn
-//! (`add_query` / `remove_query`) happens between sessions.
-//!
-//! What a session holds, borrowed from the engine: the driver and
-//! interner, the planner (its step trie and its groups), the set of groups
-//! that read text and the executor that drives them. Its one `EventSink`
-//! admits an element when a live trie step tests its name
-//! (`StepTrie::has_live_step`: every machine node of every group is routed
-//! on a trie step, so no other element can move a machine) and a text node
-//! when some group reads text, and hands what it admits to the executor;
-//! at document end the session reads the groups directly.
+//! The engine's one `EventSink` admits an element when a live trie step
+//! tests its name (`StepTrie::has_live_step`: every machine node of every
+//! group is routed on a trie step, so no other element can move a machine)
+//! and hands every text node to the executor, which shows it only to the
+//! machines holding an open entry that reads text; at document end the
+//! epilogue reads the groups directly.
 //!
 //! ## One door out
 //!
@@ -34,10 +23,9 @@
 //! executor emits into `crate::multi::fan_out_match`, and what telemetry
 //! and the ledger report about matches is counted where a solution leaves
 //! its machine (`MachineStats::emitted`; payload bytes by the executor).
-//! So [`Session::stream_document`], the primitive, holds nothing per
+//! So [`MultiEngine::stream_document`], the primitive, holds nothing per
 //! match (the `vitex` CLI is built on it), and buffering is **one**
-//! collecting adapter around it, [`Session::run_document`], which
-//! [`MultiEngine::run`] goes through.
+//! collecting adapter around it, [`MultiEngine::run`].
 //!
 //! ## Per-document cost
 //!
@@ -54,8 +42,8 @@
 //! since an untouched machine's counters are zero. The streamed
 //! [`MultiOutput`] carries the stream counters and the plan statistics
 //! only; a subscription's statistics are read on request
-//! ([`Session::query_stats`]). What stays O(k) per document is opt-in: the
-//! collecting adapter's per-query vectors, and the cost ledger while
+//! ([`MultiEngine::query_stats`]). What stays O(k) per document is opt-in:
+//! the collecting adapter's per-query vectors, and the cost ledger while
 //! profiling is on.
 //!
 //! ## Determinism
@@ -70,48 +58,21 @@ use std::io::Read;
 use vitex_xmlsax::event::{CharactersEvent, EndElementEvent, StartElementEvent};
 use vitex_xmlsax::XmlReader;
 
-use crate::bitset::DynBitSet;
-use crate::driver::{DocumentDriver, EventSink};
+use crate::driver::EventSink;
 use crate::error::EngineResult;
 use crate::intern::{Interner, Symbol};
-use crate::multi::{Executor, MultiOutput, QueryRecord, SessionParts, StartTag};
-use crate::plan::{PlanGroup, QueryPlanner, StepTrie};
+use crate::multi::{Executor, MultiEngine, MultiOutput, StartTag};
+use crate::plan::{PlanGroup, StepTrie};
 use crate::result::{Match, NodeId, QueryId};
 use crate::stats::{MachineStats, PlanStats, StreamStats};
-use crate::telemetry::CostLedger;
 
-/// A live session: the plan is frozen and any number of documents can
-/// stream through (see the module docs). Obtained from
-/// [`MultiEngine::session`](crate::MultiEngine::session).
-pub struct Session<'a> {
-    driver: &'a mut DocumentDriver,
-    interner: &'a Interner,
-    records: &'a [QueryRecord],
-    /// Cost ledger: `None` unless profiling is on.
-    profile: Option<&'a mut CostLedger>,
-    /// The step trie and the plan-group slots, active or not, indexed by
-    /// group id; the trie's routes are frozen for the session, so a
-    /// filtered start tag's end tag (same symbol) gets the same verdict.
-    planner: &'a mut QueryPlanner,
-    /// The group slots that read text.
-    text: &'a DynBitSet,
-    exec: &'a mut Executor,
-}
-
-impl<'a> Session<'a> {
-    /// Opens a session over `parts`.
-    pub(crate) fn open(parts: SessionParts<'a>) -> Self {
-        let SessionParts { planner, interner, driver, text, exec, records, profile } = parts;
-        exec.sample_self_time(profile.is_some(), planner.groups().len());
-        Session { driver, interner, records, profile, planner, text, exec }
-    }
-
-    /// [`Session::stream_document`] behind the **one** collecting
+impl MultiEngine {
+    /// [`MultiEngine::stream_document`] behind the **one** collecting
     /// adapter: each delivered match is also copied into the returned
     /// [`MultiOutput`]'s `matches` (per query, in delivery order), which
     /// therefore grows with their number, and `stats` holds every
-    /// registration's [`Session::query_stats`].
-    pub fn run_document<R: Read, F: FnMut(QueryId, Match)>(
+    /// registration's [`MultiEngine::query_stats`].
+    pub fn run<R: Read, F: FnMut(QueryId, Match)>(
         &mut self,
         reader: XmlReader<R>,
         mut on_match: F,
@@ -127,13 +88,15 @@ impl<'a> Session<'a> {
         Ok(out)
     }
 
-    /// Streams one document through the session and returns the
-    /// [`MultiOutput`] — plan and stream counters — with `matches` and
+    /// Streams `reader` once through every active plan group and returns
+    /// the [`MultiOutput`] — plan and stream counters — with `matches` and
     /// `stats` left empty: `on_match` is the only way a match leaves, and
-    /// [`Session::query_stats`] reads a subscription's statistics. It
-    /// fires in emission order while the document is still streaming, and
-    /// nothing is kept once it returns. A malformed document ends with its
-    /// error; the next one starts from nothing.
+    /// [`MultiEngine::query_stats`] reads a subscription's statistics.
+    /// `on_match` fires with the originating query's id the moment a
+    /// solution is decidable (a solution of a shared machine once per
+    /// subscriber, in registration order), and nothing is kept once it
+    /// returns. A malformed document ends with its error; the next one
+    /// starts from nothing.
     pub fn stream_document<R: Read, F: FnMut(QueryId, Match)>(
         &mut self,
         reader: XmlReader<R>,
@@ -142,12 +105,11 @@ impl<'a> Session<'a> {
         let (trie, groups) = self.planner.runtime();
         self.exec.begin_document(groups);
         trie.begin_document();
-        let mut sink = SessionSink {
-            interner: self.interner,
+        let mut sink = DocumentSink {
+            interner: &self.interner,
             trie,
-            text: self.text,
             groups,
-            exec: self.exec,
+            exec: &mut self.exec,
             on_match: &mut on_match,
         };
         let stream = self.driver.run(reader, &mut sink);
@@ -157,7 +119,7 @@ impl<'a> Session<'a> {
     }
 
     /// Subscription `q`'s machine statistics for the last document, what
-    /// [`Session::run_document`] buffers as `stats[q]`: a private
+    /// [`MultiEngine::run`] buffers as `stats[q]`: a private
     /// [`crate::Engine`]'s (with several bindings, on the work counters
     /// and on `emitted`, its own deliveries; see [`MultiOutput::stats`]).
     /// Zeros for a removed or unknown query and for one whose group the
@@ -194,8 +156,8 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// [`Session::visit_group`] over the groups the last document touched:
-    /// every subscriber whose statistics can be nonzero.
+    /// [`MultiEngine::visit_group`] over the groups the last document
+    /// touched: every subscriber whose statistics can be nonzero.
     fn visit_touched(&self, mut f: impl FnMut(QueryId, &MachineStats, u64)) {
         for &g in self.exec.touched() {
             self.visit_group(g as usize, &mut f);
@@ -214,7 +176,7 @@ impl<'a> Session<'a> {
             prefix_steps_saved: run.steps_saved,
             prefix_forks: run.forks,
             prefix_stack_bytes: run.peak_stack_bytes(),
-            ..self.planner.cached_stats(self.interner)
+            ..self.planner.cached_stats(&self.interner)
         };
         let telemetry = self.driver.telemetry();
         if telemetry.is_enabled() {
@@ -242,7 +204,7 @@ impl<'a> Session<'a> {
         let k = self.records.len();
         let (mut stats, mut bytes) = (vec![MachineStats::default(); k], vec![0; k]);
         self.visit_touched(|q, s, b| (stats[q.0], bytes[q.0]) = (s.clone(), b));
-        let Some(profile) = self.profile.as_deref_mut() else { return };
+        let Some(profile) = self.profile.as_mut() else { return };
         profile.add_doc();
         for (i, r) in self.records.iter().enumerate() {
             profile.fold_query(QueryId(i), &r.text, r.group, &stats[i], bytes[i]);
@@ -265,16 +227,17 @@ impl<'a> Session<'a> {
 /// driver event and the caller's callback. An element is admitted when a
 /// live trie step tests its name, which depends on the symbol alone, so
 /// start and end tags pair up; a dropped start tag could not have pushed.
-struct SessionSink<'s, 'a, F> {
-    interner: &'a Interner,
+/// The trie's routes are frozen while a document streams, so a filtered
+/// start tag's end tag (same symbol) gets the same verdict.
+struct DocumentSink<'s, F> {
+    interner: &'s Interner,
     trie: &'s mut StepTrie,
-    text: &'a DynBitSet,
     groups: &'s mut [PlanGroup],
     exec: &'s mut Executor,
     on_match: &'s mut F,
 }
 
-impl<F: FnMut(QueryId, Match)> EventSink for SessionSink<'_, '_, F> {
+impl<F: FnMut(QueryId, Match)> EventSink for DocumentSink<'_, F> {
     fn resolve(&mut self, name: &str) -> Option<Symbol> {
         self.interner.lookup(name)
     }
@@ -295,10 +258,8 @@ impl<F: FnMut(QueryId, Match)> EventSink for SessionSink<'_, '_, F> {
     }
 
     fn characters(&mut self, event: &CharactersEvent<'_>, node_id: NodeId) {
-        if !self.text.is_empty() {
-            let (text, level, span) = (&*event.text, event.level, event.span);
-            self.exec.text(self.groups, text, level, node_id, span, self.on_match);
-        }
+        let (text, level, span) = (&*event.text, event.level, event.span);
+        self.exec.text(self.groups, text, level, node_id, span, self.on_match);
     }
 
     fn end_element(&mut self, sym: Option<Symbol>, event: &EndElementEvent<'_>) {
@@ -313,37 +274,33 @@ impl<F: FnMut(QueryId, Match)> EventSink for SessionSink<'_, '_, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multi::MultiEngine;
     use vitex_xmlsax::pos::ByteSpan;
-    use vitex_xmlsax::XmlReader;
 
     #[test]
     fn filtered_tags_pair_up_and_are_never_delivered() {
         let mut multi = MultiEngine::new();
         let q = multi.add_query("/a/b").unwrap();
-        let parts = multi.session_parts();
-        let (a, b) = (parts.interner.lookup("a"), parts.interner.lookup("b"));
-        let (trie, groups) = parts.planner.runtime();
+        let (a, b) = (multi.interner.lookup("a"), multi.interner.lookup("b"));
+        let (trie, groups) = multi.planner.runtime();
         trie.begin_document();
-        parts.exec.begin_document(groups);
+        multi.exec.begin_document(groups);
         let mut hits = Vec::new();
         let mut on_match = |q: QueryId, m: Match| hits.push((q, m.node));
-        let mut sink = SessionSink {
-            interner: parts.interner,
+        let mut sink = DocumentSink {
+            interner: &multi.interner,
             trie,
-            text: parts.text,
             groups,
-            exec: parts.exec,
+            exec: &mut multi.exec,
             on_match: &mut on_match,
         };
         let span = ByteSpan::new(0, 0);
-        let start = |sink: &mut SessionSink<'_, '_, _>, sym, name: &str, level, id| {
+        let start = |sink: &mut DocumentSink<'_, _>, sym, name: &str, level, id| {
             let event =
                 StartElementEvent { name: name.into(), attrs: Default::default(), level, span };
             sink.start_element(sym, &event, id, id + 1);
             (sink.trie.run_stats().steps_executed, sink.groups[0].machine().stats().pushes)
         };
-        let end = |sink: &mut SessionSink<'_, '_, _>, sym, name: &str, level| {
+        let end = |sink: &mut DocumentSink<'_, _>, sym, name: &str, level| {
             let event = EndElementEvent { name: name.into(), level, element_span: span };
             sink.end_element(sym, &event);
             sink.trie.live_entries()
@@ -355,7 +312,7 @@ mod tests {
         assert_eq!(start(&mut sink, b, "b", 3, 2), (2, 1), "/a/b does not match a/x/b");
         assert_eq!(end(&mut sink, b, "b", 3), 1);
         assert_eq!(end(&mut sink, None, "x", 2), 1, "</x> pairs with its filtered start tag");
-        assert!(sink.text.is_empty(), "no group reads text");
+        assert!(!sink.groups[0].machine().spec().needs_characters(), "no group reads text");
         let text = CharactersEvent { text: "t".into(), level: 1, span };
         sink.characters(&text, 3);
         assert_eq!(start(&mut sink, b, "b", 2, 4), (3, 2), "/a/b matches a/b");
@@ -376,56 +333,50 @@ mod tests {
         let mut multi = MultiEngine::new();
         let q_ab = multi.add_query("/a/b").unwrap();
         let q_c = multi.add_query("//c[d]").unwrap();
-        let live = |multi: &mut MultiEngine, name: &str| {
-            let parts = multi.session_parts();
-            parts.planner.trie().has_live_step(parts.interner.lookup(name))
+        let live = |multi: &MultiEngine, name: &str| {
+            multi.planner.trie().has_live_step(multi.interner.lookup(name))
         };
-        assert!(live(&mut multi, "a"), "/a is a live trie step");
-        assert!(live(&mut multi, "d"), "//c/d is the live step of the predicate of //c[d]");
+        assert!(live(&multi, "a"), "/a is a live trie step");
+        assert!(live(&multi, "d"), "//c/d is the live step of the predicate of //c[d]");
         assert_eq!(multi.remove_query(q_c), Some(true));
-        assert!(!live(&mut multi, "d"), "retiring //c[d] makes <d> dormant again");
+        assert!(!live(&multi, "d"), "retiring //c[d] makes <d> dormant again");
         assert_eq!(multi.remove_query(q_ab), Some(true));
         for name in ["a", "b", "c", "d"] {
-            assert!(!live(&mut multi, name), "<{name}>: every interested group retired");
+            assert!(!live(&multi, name), "<{name}>: every interested group retired");
         }
         assert_eq!(multi.add_query("/a/b").unwrap(), QueryId(2));
-        assert!(live(&mut multi, "a"), "re-registration revives the path");
-        assert!(!live(&mut multi, "c") && !live(&mut multi, "d"), "//c[d] stays retired");
+        assert!(live(&multi, "a"), "re-registration revives the path");
+        assert!(!live(&multi, "c") && !live(&multi, "d"), "//c[d] stays retired");
     }
 
     #[test]
     fn a_document_start_resets_exactly_the_machines_the_previous_document_pushed() {
         let mut multi = MultiEngine::new();
         let [a, b, c] = ["//a", "//b[x]", "//c"].map(|q| multi.add_query(q).unwrap());
-        let touched = |multi: &mut MultiEngine| multi.session_parts().exec.touched().to_vec();
-        let at_rest = |multi: &mut MultiEngine, q: QueryId| {
-            multi.session_parts().planner.group(q.0).machine().stats() == &MachineStats::default()
+        let touched = |multi: &MultiEngine| multi.exec.touched().to_vec();
+        let at_rest = |multi: &MultiEngine, q: QueryId| {
+            multi.planner.group(q.0).machine().stats() == &MachineStats::default()
         };
         // A truncated document pushes //b[x] (its predicate step included),
         // then //a: first-touch order, one entry per group.
         let cut = multi.run(XmlReader::from_str("<r><b><x/></b><a><b/><a>"), |_, _| {});
         assert!(cut.is_err());
-        assert_eq!(touched(&mut multi), [b.0 as u32, a.0 as u32]);
-        assert!(!at_rest(&mut multi, a) && !at_rest(&mut multi, b) && at_rest(&mut multi, c));
+        assert_eq!(touched(&multi), [b.0 as u32, a.0 as u32]);
+        assert!(!at_rest(&multi, a) && !at_rest(&multi, b) && at_rest(&multi, c));
         // The next document's start resets those two and nothing else; it
         // then pushes //c alone.
-        multi
-            .session(|session| {
-                let out = session.stream_document(XmlReader::from_str("<r><c/></r>"), |_, _| {})?;
-                assert!(out.matches.is_empty() && out.stats.is_empty(), "a streamed document");
-                assert_eq!(session.query_stats(c).pushes, 1);
-                for q in [a, b] {
-                    assert_eq!(session.query_stats(q), MachineStats::default(), "{q:?}");
-                }
-                Ok(())
-            })
-            .unwrap();
-        assert_eq!(touched(&mut multi), [c.0 as u32]);
-        assert!(at_rest(&mut multi, a) && at_rest(&mut multi, b) && !at_rest(&mut multi, c));
+        let out = multi.stream_document(XmlReader::from_str("<r><c/></r>"), |_, _| {}).unwrap();
+        assert!(out.matches.is_empty() && out.stats.is_empty(), "a streamed document");
+        assert_eq!(multi.query_stats(c).pushes, 1);
+        for q in [a, b] {
+            assert_eq!(multi.query_stats(q), MachineStats::default(), "{q:?}");
+        }
+        assert_eq!(touched(&multi), [c.0 as u32]);
+        assert!(at_rest(&multi, a) && at_rest(&multi, b) && !at_rest(&multi, c));
         // A document that pushes nothing resets //c and lists nothing.
         multi.run(XmlReader::from_str("<r/>"), |_, _| {}).unwrap();
-        assert!(touched(&mut multi).is_empty());
-        assert!([a, b, c].into_iter().all(|q| at_rest(&mut multi, q)));
+        assert!(touched(&multi).is_empty());
+        assert!([a, b, c].into_iter().all(|q| at_rest(&multi, q)));
     }
 
     #[test]
@@ -434,12 +385,10 @@ mod tests {
         let qa = multi.add_query("//a").unwrap();
         let qb = multi.add_query("//b").unwrap();
         let docs = ["<a><b/></a>", "<a><a/><b/><b/></a>", "<x/>"];
-        let outs = multi
-            .session(|session| {
-                docs.iter()
-                    .map(|xml| session.run_document(XmlReader::from_str(xml), |_, _| {}))
-                    .collect::<EngineResult<Vec<_>>>()
-            })
+        let outs = docs
+            .iter()
+            .map(|xml| multi.run(XmlReader::from_str(xml), |_, _| {}))
+            .collect::<EngineResult<Vec<_>>>()
             .unwrap();
         assert_eq!(outs[0].matches[qa.0].len(), 1);
         assert_eq!(outs[1].matches[qa.0].len(), 2);
@@ -452,13 +401,9 @@ mod tests {
     fn parse_error_mid_session_leaves_the_session_usable() {
         let mut multi = MultiEngine::new();
         let q = multi.add_query("//b").unwrap();
-        let out = multi
-            .session(|session| {
-                let err = session.run_document(XmlReader::from_str("<a><b></a>"), |_, _| {});
-                assert!(err.is_err(), "malformed document surfaces its error");
-                session.run_document(XmlReader::from_str("<a><b/></a>"), |_, _| {})
-            })
-            .unwrap();
+        let err = multi.run(XmlReader::from_str("<a><b></a>"), |_, _| {});
+        assert!(err.is_err(), "malformed document surfaces its error");
+        let out = multi.run(XmlReader::from_str("<a><b/></a>"), |_, _| {}).unwrap();
         assert_eq!(out.matches[q.0].len(), 1);
     }
 

@@ -11,8 +11,9 @@
 //! ```
 
 //! The second half of the demo streams a *collection* of snapshots
-//! through one [`vitex::core::MultiEngine::session`]: same subscriptions,
-//! no re-planning between documents, and nothing kept per match.
+//! through [`vitex::core::MultiEngine::stream_document`]: same
+//! subscriptions, no re-planning between documents, and nothing kept per
+//! match.
 
 use std::time::Instant;
 
@@ -72,24 +73,20 @@ fn main() {
         out.stats.iter().map(|s| s.peak_bytes).sum::<u64>()
     );
 
-    // A document collection through one session: a stream of snapshots,
-    // zero re-planning between documents, matches counted as they stream.
+    // A document collection through the same engine: a stream of
+    // snapshots, zero re-planning between documents, matches counted as
+    // they stream.
     let snapshots: Vec<String> =
         (0..3).map(|_| auction::to_string(&AuctionConfig::sized(1 << 20))).collect();
     let t = Instant::now();
-    let totals = multi
-        .session(|session| {
-            let mut totals = Vec::new();
-            for snap in &snapshots {
-                let mut delivered = 0usize;
-                session.stream_document(XmlReader::from_str(snap), |_, _| delivered += 1)?;
-                totals.push(delivered);
-            }
-            Ok(totals)
-        })
-        .expect("session");
+    let mut totals = Vec::new();
+    for snap in &snapshots {
+        let mut delivered = 0usize;
+        multi.stream_document(XmlReader::from_str(snap), |_, _| delivered += 1).expect("snapshot");
+        totals.push(delivered);
+    }
     println!(
-        "\none session: {} snapshots back-to-back in {:?}, matches per snapshot: {totals:?}",
+        "\none engine: {} snapshots back-to-back in {:?}, matches per snapshot: {totals:?}",
         snapshots.len(),
         t.elapsed(),
     );

@@ -9,7 +9,7 @@
 //! Run `vitex --help` for the full option list (every flag carries a
 //! one-line description there).
 //!
-//! Every run goes through one [`MultiEngine`] session — one parse, one
+//! Every run streams through one [`MultiEngine`] — one parse, one
 //! document driver, k TwigM machines behind the shared step trie; with
 //! several queries every line is prefixed with the originating query's
 //! index. `--metrics` and `--metrics-json` switch on the unified telemetry
@@ -343,8 +343,7 @@ fn stdout_failed(e: io::Error) -> ! {
     std::process::exit(2)
 }
 
-/// All queries over one scan via the multi-engine, streamed through one
-/// session.
+/// All queries over one scan via the multi-engine, streamed.
 fn run_multi(opts: &Options, trees: &[QueryTree], telemetry: &Telemetry) -> ExitCode {
     let mut multi = MultiEngine::new();
     multi.set_telemetry(telemetry.clone());
@@ -375,10 +374,9 @@ fn run_multi(opts: &Options, trees: &[QueryTree], telemetry: &Telemetry) -> Exit
     // Streamed: nothing but the callback above reads a match, and the
     // per-query statistics are read only for --stats.
     let result: Result<(MultiOutput, Vec<MachineStats>), _> = match open_reader(opts, telemetry) {
-        Ok(reader) => multi.session(|session| {
-            let output = session.stream_document(reader, &mut on_match)?;
+        Ok(reader) => multi.stream_document(reader, &mut on_match).map(|output| {
             let queries = if opts.stats { trees.len() } else { 0 };
-            Ok((output, (0..queries).map(|i| session.query_stats(QueryId(i))).collect()))
+            (output, (0..queries).map(|i| multi.query_stats(QueryId(i))).collect())
         }),
         Err(code) => return code,
     };

@@ -49,7 +49,7 @@ pub use vitex_core::{evaluate_str as evaluate, EngineError, Match, MatchKind};
 pub mod prelude {
     pub use vitex_core::{
         evaluate_reader, evaluate_str, CandidateStore, DocumentDriver, Engine, EvalMode, EventSink,
-        Match, MatchKind, MultiEngine, Session, TwigM,
+        Match, MatchKind, MultiEngine, TwigM,
     };
     pub use vitex_xmlsax::{XmlEvent, XmlReader};
     pub use vitex_xpath::{parse as parse_query, QueryTree};

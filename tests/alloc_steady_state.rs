@@ -8,14 +8,14 @@
 //!
 //! * what an [`Engine`] still holds after a document does not grow with
 //!   the number of matches it delivered;
-//! * what a streaming session holds *while* a document runs does not grow
-//!   with them either — the callback is the only place a match goes;
+//! * what a streaming `MultiEngine` holds *while* a document runs does not
+//!   grow with them either — the callback is the only place a match goes;
 //! * a warm machine allocates **nothing** per transition — the only
 //!   allocations of a second pass are the `Arc<str>` payloads of the
 //!   matches it hands out;
 //! * the same holds for the whole pipeline, from `XmlReader::from_str` to
 //!   the callback: the reader lends its events from buffers it reuses, so
-//!   a warm engine or session pass allocates the match payloads plus a
+//!   a warm engine's pass, one query or many, allocates the match payloads plus a
 //!   per-document constant, whatever the document's length and however
 //!   many entities it decodes.
 //!
@@ -131,20 +131,18 @@ fn what_an_engine_holds_does_not_grow_with_the_number_of_matches() {
     );
 }
 
-/// Streams `//*` over `xml` through a session. Returns the most this
-/// thread held at any delivery, relative to when the session opened, and
+/// Streams `//*` over `xml` through a `MultiEngine`. Returns the most
+/// this thread held at any delivery, relative to before the document, and
 /// the number of deliveries.
 fn streaming_peak(xml: &str) -> (i64, u64) {
     let mut engine = MultiEngine::new();
     engine.add_query("//*").unwrap();
     let (mut peak, mut delivered) = (0i64, 0u64);
+    let opened = tally().live_bytes;
     engine
-        .session(|session| {
-            let opened = tally().live_bytes;
-            session.stream_document(XmlReader::from_str(xml), |_, _| {
-                peak = peak.max(tally().live_bytes - opened);
-                delivered += 1;
-            })
+        .stream_document(XmlReader::from_str(xml), |_, _| {
+            peak = peak.max(tally().live_bytes - opened);
+            delivered += 1;
         })
         .unwrap();
     (peak, delivered)
@@ -317,22 +315,17 @@ fn engine_pass(engine: &mut Engine, xml: &str) -> (u64, u64) {
     (tally().allocations - before, arcs)
 }
 
-/// One pass of a session over `xml` after `warmup`, counted the same way.
+/// One streamed pass of `engine` over `xml` after `warmup`, counted the
+/// same way.
 fn session_pass(engine: &mut MultiEngine, warmup: &str, xml: &str) -> (u64, u64) {
-    let (mut arcs, mut allocations) = (0u64, 0u64);
-    engine
-        .session(|session| {
-            session.stream_document(XmlReader::from_str(warmup), |_, _| {})?;
-            let before = tally().allocations;
-            session.stream_document(XmlReader::from_str(xml), |_, m| arcs += payloads(&m))?;
-            allocations = tally().allocations - before;
-            Ok(())
-        })
-        .unwrap();
-    (allocations, arcs)
+    let mut arcs = 0u64;
+    engine.stream_document(XmlReader::from_str(warmup), |_, _| {}).unwrap();
+    let before = tally().allocations;
+    engine.stream_document(XmlReader::from_str(xml), |_, m| arcs += payloads(&m)).unwrap();
+    (tally().allocations - before, arcs)
 }
 
-/// What a warm session's document that pushes one group allocates with
+/// What a warm engine's document that pushes one group allocates with
 /// `k` disjoint `//t{i}[w{i}]/@id` queries registered: `(allocations,
 /// bytes asked for)`.
 fn one_group_document(k: usize) -> (u64, u64) {
@@ -341,23 +334,13 @@ fn one_group_document(k: usize) -> (u64, u64) {
         multi.add_query(&format!("//t{i}[w{i}]/@id")).unwrap();
     }
     let xml = r#"<r><t3 id="x"><w3/></t3><t3/><z>text</z></r>"#;
-    let mut cost = (0, 0);
-    multi
-        .session(|session| {
-            session.stream_document(XmlReader::from_str(xml), |_, _| {})?;
-            let before = tally();
-            let mut matches = 0;
-            session.stream_document(XmlReader::from_str(xml), |_, _| matches += 1)?;
-            let after = tally();
-            assert_eq!(matches, 1, "k = {k}");
-            cost = (
-                after.allocations - before.allocations,
-                after.allocated_bytes - before.allocated_bytes,
-            );
-            Ok(())
-        })
-        .unwrap();
-    cost
+    multi.stream_document(XmlReader::from_str(xml), |_, _| {}).unwrap();
+    let before = tally();
+    let mut matches = 0;
+    multi.stream_document(XmlReader::from_str(xml), |_, _| matches += 1).unwrap();
+    let after = tally();
+    assert_eq!(matches, 1, "k = {k}");
+    (after.allocations - before.allocations, after.allocated_bytes - before.allocated_bytes)
 }
 
 #[test]

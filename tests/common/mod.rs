@@ -87,8 +87,8 @@ pub fn assert_plan_is_fresh(engine: &MultiEngine, out: &MultiOutput, label: &str
     assert_eq!(out.plan, engine.plan_stats(), "cached plan statistics: {label}");
 }
 
-/// Runs `docs` through a warm `engine`, a session per document so that
-/// [`assert_plan_is_fresh`] can read the engine after each one.
+/// Runs `docs` through a warm `engine`, checking after each one that
+/// [`assert_plan_is_fresh`] holds.
 #[allow(dead_code)] // telemetry has no use for it
 pub fn run_checking_plan<D: AsRef<str>>(
     engine: &mut MultiEngine,
@@ -98,7 +98,7 @@ pub fn run_checking_plan<D: AsRef<str>>(
     let mut outs = Vec::with_capacity(docs.len());
     for (i, xml) in docs.iter().enumerate() {
         let reader = XmlReader::from_str(xml.as_ref());
-        let out = engine.session(|session| session.run_document(reader, |_, _| {})).unwrap();
+        let out = engine.run(reader, |_, _| {}).unwrap();
         assert_plan_is_fresh(engine, &out, &format!("{label}, document {i}"));
         outs.push(out);
     }

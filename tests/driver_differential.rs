@@ -1,5 +1,5 @@
 //! Driver-level differential tests: the single-query engine, the
-//! multi-query engine (one-document runs and warm sessions) and the naive
+//! multi-query engine (one-document runs and warm engines) and the naive
 //! baseline must produce **identical node-id sequences** for a battery of queries over
 //! generated documents — deep-recursive (the paper's Figure 1 regime) and
 //! protein-shaped (the paper's headline dataset). k independent
@@ -362,7 +362,7 @@ fn prefix_sharing_churn_splices_and_retires_trie_state() {
 
 #[test]
 fn buffering_is_streaming_plus_a_copy() {
-    // `run_document` is `stream_document` behind one collecting adapter:
+    // `run` is `stream_document` behind one collecting adapter:
     // both deliver the same `(query, match)` sequence, the buffered
     // `matches` are that sequence grouped by query, the buffered `stats`
     // are what `query_stats` reads after the streamed document, and
@@ -374,17 +374,13 @@ fn buffering_is_streaming_plus_a_copy() {
         engine.add_query(q).unwrap();
     }
     let (mut streamed, mut buffered) = (Vec::new(), Vec::new());
-    let (stream_out, stream_stats, run_out) = engine
-        .session(|session| {
-            let stream_out =
-                session.stream_document(XmlReader::from_str(&xml), |q, m| streamed.push((q, m)))?;
-            let stats: Vec<_> =
-                (0..queries.len()).map(|i| session.query_stats(QueryId(i))).collect();
-            let run_out =
-                session.run_document(XmlReader::from_str(&xml), |q, m| buffered.push((q, m)))?;
-            Ok((stream_out, stats, run_out))
-        })
-        .expect("both documents stream");
+    let stream_out = engine
+        .stream_document(XmlReader::from_str(&xml), |q, m| streamed.push((q, m)))
+        .expect("the document streams");
+    let stream_stats: Vec<_> = (0..queries.len()).map(|i| engine.query_stats(QueryId(i))).collect();
+    let run_out = engine
+        .run(XmlReader::from_str(&xml), |q, m| buffered.push((q, m)))
+        .expect("the document runs");
     assert!(streamed.len() > queries.len(), "the battery matches");
     assert_eq!(streamed, buffered, "delivered sequence");
     let mut grouped = vec![Vec::new(); queries.len()];
@@ -470,7 +466,7 @@ fn truncated_document_delivers_its_prefix_then_the_engine_starts_fresh() {
     // Recovery: the cut leaves entries and open-element frames on the
     // shared trie stacks and open frames in the executor.
     // The next document through the *same* engine — a run after the
-    // failed run, and the next document of a warm session — must start
+    // failed run, and the next document of a warm engine — must start
     // from nothing: it gets exactly a fresh engine's output.
     let whole = recursive::to_string(&recursive::RecursiveConfig::square(4));
     let observe = |out: MultiOutput, streamed: Vec<(usize, u64)>| {
@@ -491,14 +487,13 @@ fn truncated_document_delivers_its_prefix_then_the_engine_starts_fresh() {
     assert!(reused.run(XmlReader::from_str(xml), |_, _| {}).is_err());
     assert_eq!(run_whole(&mut reused), fresh, "a run after a truncated run");
     let mut streamed = Vec::new();
-    let out = engine()
-        .session(|session| {
-            let cut_off = session.run_document(XmlReader::from_str(xml), |_, _| {});
-            assert!(matches!(cut_off, Err(EngineError::Xml(_))), "{cut_off:?}");
-            session.run_document(XmlReader::from_str(&whole), |q, m| streamed.push((q.0, m.node)))
-        })
-        .expect("the session survives the truncated document");
-    assert_eq!(observe(out, streamed), fresh, "a session after a truncated document");
+    let mut warm = engine();
+    let cut_off = warm.run(XmlReader::from_str(xml), |_, _| {});
+    assert!(matches!(cut_off, Err(EngineError::Xml(_))), "{cut_off:?}");
+    let out = warm
+        .run(XmlReader::from_str(&whole), |q, m| streamed.push((q.0, m.node)))
+        .expect("the engine survives the truncated document");
+    assert_eq!(observe(out, streamed), fresh, "a warm engine after a truncated document");
 }
 
 #[test]
@@ -517,33 +512,25 @@ fn the_lazy_reset_leaves_no_stale_state() {
     let xml = "<r><c/><c><x/></c><q/></r>";
     let mut engine = MultiEngine::new();
     let [a, b, c] = [A, B, C].map(|q| engine.add_query(q).unwrap());
-    let pushes = engine
-        .session(|session| {
-            let cut_off = session.stream_document(XmlReader::from_str(cut), |_, _| {});
-            assert!(matches!(cut_off, Err(EngineError::Xml(_))), "{cut_off:?}");
-            Ok([a, b, c].map(|q| session.query_stats(q).pushes))
-        })
-        .unwrap();
+    let cut_off = engine.stream_document(XmlReader::from_str(cut), |_, _| {});
+    assert!(matches!(cut_off, Err(EngineError::Xml(_))), "{cut_off:?}");
+    let pushes = [a, b, c].map(|q| engine.query_stats(q).pushes);
     assert!(pushes[0] > 0 && pushes[1] > 0 && pushes[2] == 0, "A and B pushed: {pushes:?}");
     assert_eq!(engine.remove_query(a), Some(true), "A retires");
     let d = engine.add_query(NEWCOMER).unwrap();
-    let (out, read) = engine
-        .session(|session| {
-            let out = session.run_document(XmlReader::from_str(xml), |_, _| {})?;
-            let read: Vec<_> = (0..4).map(|i| session.query_stats(QueryId(i))).collect();
-            Ok((out, read))
-        })
-        .unwrap();
+    let out = engine.run(XmlReader::from_str(xml), |_, _| {}).unwrap();
+    let read: Vec<_> = (0..4).map(|i| engine.query_stats(QueryId(i))).collect();
     assert_eq!(out.plan.recycled_slots, 1, "the newcomer took A's slot");
     assert_plan_is_fresh(&engine, &out, "after the lazy reset");
     assert_eq!(read, out.stats, "query_stats reads what the adapter buffers");
 
     let mut fresh = MultiEngine::new();
-    let live = [b, c, d].map(|q| (q, fresh.add_query(engine.query_text(q)).unwrap()));
+    let text = |q: QueryId| engine.query_text(q).expect("a registered id");
+    let live = [b, c, d].map(|q| (q, fresh.add_query(text(q)).unwrap()));
     let expected = fresh.run(XmlReader::from_str(xml), |_, _| {}).unwrap();
     for (q, f) in live {
-        assert_eq!(out.stats[q.0], expected.stats[f.0], "{}", engine.query_text(q));
-        assert_eq!(out.matches[q.0], expected.matches[f.0], "{}", engine.query_text(q));
+        assert_eq!(out.stats[q.0], expected.stats[f.0], "{}", text(q));
+        assert_eq!(out.matches[q.0], expected.matches[f.0], "{}", text(q));
     }
     assert_eq!(out.stats[a.0], Default::default(), "A was removed");
     assert_eq!(out.stats[b.0], Default::default(), "B's machine was reset");
@@ -554,11 +541,11 @@ fn the_lazy_reset_leaves_no_stale_state() {
 
 #[test]
 fn sessions_survive_churn_and_back_to_back_documents() {
-    // A long-lived pub/sub session: register, stream a document
-    // collection through one warm session, churn subscriptions (removals
-    // retire groups whose slots the planner recycles), open a new session
-    // — at every step the output must equal a one-document run of an
-    // engine driven identically.
+    // A long-lived pub/sub engine: register, stream a document
+    // collection back-to-back, churn subscriptions (removals retire
+    // groups whose slots the planner recycles), stream it again — at
+    // every step the output must equal a one-document run of an engine
+    // driven identically.
     let docs = [
         mixed_doc(),
         recursive::to_string(&recursive::RecursiveConfig::square(7)),
@@ -571,14 +558,12 @@ fn sessions_survive_churn_and_back_to_back_documents() {
         engine.add_query(q).unwrap();
     }
     let check = |engine: &mut MultiEngine, reference: &mut MultiEngine, label: &str| {
-        let outs = engine
-            .session(|session| {
-                docs.iter()
-                    .map(|xml| session.run_document(XmlReader::from_str(xml), |_, _| {}))
-                    .collect::<Result<Vec<_>, _>>()
-            })
-            .expect("session");
-        // The session's documents report the plan the reference, driven
+        let outs = docs
+            .iter()
+            .map(|xml| engine.run(XmlReader::from_str(xml), |_, _| {}))
+            .collect::<Result<Vec<_>, _>>()
+            .expect("the collection runs");
+        // The warm engine's documents report the plan the reference, driven
         // alike one document at a time, recomputes from scratch after each.
         for (xml, out) in docs.iter().zip(&outs) {
             let ref_out = reference.run(XmlReader::from_str(xml), |_, _| {}).unwrap();
@@ -590,24 +575,24 @@ fn sessions_survive_churn_and_back_to_back_documents() {
         assert_plan_is_fresh(engine, outs.last().expect("documents"), label);
         outs
     };
-    // Session 1: the whole collection, back-to-back, no re-planning.
-    check(&mut engine, &mut reference, "session 1");
+    // The whole collection, back-to-back, no re-planning.
+    check(&mut engine, &mut reference, "before churn");
     // Churn: drop a duplicate, retire a group, add a new shape.
     for e in [&mut reference, &mut engine] {
         assert_eq!(e.remove_query(QueryId(0)), Some(false), "query 0 duplicates query 1");
         assert_eq!(e.remove_query(QueryId(5)), Some(true), "query 5 was its group's only one");
         assert_eq!(e.add_query("//listitem/text()").unwrap().0, OVERLAP_SET.len());
     }
-    // Session 2: over the churned plan.
-    let outs = check(&mut engine, &mut reference, "session 2");
+    // Again over the churned plan.
+    let outs = check(&mut engine, &mut reference, "after churn");
     assert!(outs.iter().all(|o| o.plan.recycled_slots > 0), "churn recycled a group slot");
 }
 
 #[test]
 fn churned_sessions_match_the_reference() {
-    // Churn between sessions of a profiled engine: a hog query is
+    // Churn between documents of a profiled engine: a hog query is
     // removed, a cheap newcomer recycles its plan-group slot, and the
-    // next session runs and bills the recycled slot like any other —
+    // next documents run and bill the recycled slot like any other —
     // output equal to an engine churned alike and run one document at a
     // time.
     let mut xml = String::from("<feed>");
@@ -622,14 +607,9 @@ fn churned_sessions_match_the_reference() {
     for q in queries {
         engine.add_query(q).expect("valid query");
     }
-    engine
-        .session(|session| {
-            for _ in 0..2 {
-                session.run_document(XmlReader::from_str(&xml), |_, _| {})?;
-            }
-            Ok(())
-        })
-        .expect("profiled session");
+    for _ in 0..2 {
+        engine.run(XmlReader::from_str(&xml), |_, _| {}).expect("profiled run");
+    }
     let hog_gid =
         engine.profile_snapshot().expect("profiling on").queries[0].group.expect("hog active");
 
@@ -949,7 +929,7 @@ fn attribute_literals_bind_where_no_trie_step_could_route_them() {
 
 #[test]
 fn attribute_literals_follow_churn_between_sessions_of_one_engine() {
-    // A warm engine churned between sessions — a literal retiring from its
+    // A warm engine churned between documents — a literal retiring from its
     // shape, a group retiring and its slot recycled, a literal coming
     // back — must at every step do what an engine freshly built over its
     // live queries does, and that one keeps the shape-group checks.
@@ -1016,7 +996,7 @@ fn one_solution_reaches_bindings_in_registration_order() {
 
 #[test]
 fn shape_groups_follow_literal_churn_between_sessions() {
-    // A warm engine whose shapes gain and lose literals between sessions
+    // A warm engine whose shapes gain and lose literals between documents
     // — a binding's last subscriber leaving, a new literal, one more
     // subscriber on a live one — does what an engine freshly built over
     // its live queries does, and never compiles a machine for a literal.
@@ -1138,7 +1118,8 @@ fn retiring_a_shared_predicate_branch_keeps_the_other_groups_routed() {
     for q in &live {
         fresh.add_query(q).unwrap();
     }
-    let text = |e: &MultiEngine, n| (0..n).map(|i| e.query_text(QueryId(i)).to_owned()).collect();
+    let text =
+        |e: &MultiEngine, n| (0..n).map(|i| e.query_text(QueryId(i)).unwrap().to_owned()).collect();
     let (texts, fresh_texts): (Vec<String>, Vec<String>) = (text(&engine, 4), text(&fresh, 3));
     for xml in docs {
         let mut streamed = Vec::new();

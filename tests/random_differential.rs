@@ -1,6 +1,6 @@
 //! The randomized differential harness: seeded random query *sets* ×
 //! seeded random documents through the multi-query engine — one-document
-//! runs and warm sessions — asserting identical matches and statistics.
+//! runs and warm engines — asserting identical matches and statistics.
 //! Two independent references anchor the sweep: the
 //! naive baseline (node-id sets) and k private single-query engines
 //! (match payloads + machine statistics under the private-engine contract,
@@ -267,11 +267,11 @@ proptest! {
     }
 }
 
-/// A warm session must treat every document as a fresh engine would: a
-/// session streaming several documents back-to-back produces, document
-/// by document, the private engines' matches and statistics, and a warm
-/// engine streaming them a session each reports, after every document,
-/// the plan statistics `plan_stats()` recomputes from scratch. Two sets: a
+/// A warm engine must treat every document as a fresh engine would: one
+/// streaming several documents back-to-back produces, document by
+/// document, the private engines' matches and statistics, and reports,
+/// after every document, the plan statistics `plan_stats()` recomputes
+/// from scratch. Two sets: a
 /// random one with a planted hog (three chained descendant wildcards)
 /// over random documents, and one descendant hog among 7 cheap pinned
 /// subscriptions over auction documents.
@@ -288,22 +288,21 @@ fn a_warm_session_agrees_with_private_engines_on_every_document() {
     let skewed_set = pinned_queries_with_hog(7);
 
     for (trees, docs) in [(&random_set, &random_docs), (&skewed_set, &auction_docs)] {
-        let outs = engine_with(trees)
-            .session(|session| {
-                docs.iter()
-                    .map(|xml| session.run_document(XmlReader::from_str(xml), |_, _| {}))
-                    .collect::<Result<Vec<_>, _>>()
-            })
-            .expect("warm session");
+        let mut engine = engine_with(trees);
+        let outs = docs
+            .iter()
+            .map(|xml| engine.run(XmlReader::from_str(xml), |_, _| {}))
+            .collect::<Result<Vec<_>, _>>()
+            .expect("warm engine");
         for (doc, (xml, out)) in docs.iter().zip(&outs).enumerate() {
             let reference = per_query_reference(trees, xml);
             assert_matches_reference(out, &reference, trees, &format!("document {doc}"));
         }
         assert!(outs.iter().any(|o| o.matches.iter().any(|m| !m.is_empty())), "the sets match");
         let checked = run_checking_plan(&mut engine_with(trees), docs, "warm engine");
-        for (out, session_out) in checked.iter().zip(&outs) {
-            assert_eq!((&out.matches, &out.stats), (&session_out.matches, &session_out.stats));
-            assert_eq!(out.plan, session_out.plan, "one session or one per document");
+        for (out, warm_out) in checked.iter().zip(&outs) {
+            assert_eq!((&out.matches, &out.stats), (&warm_out.matches, &warm_out.stats));
+            assert_eq!(out.plan, warm_out.plan, "two warm engines driven alike");
         }
     }
 }

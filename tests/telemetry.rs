@@ -185,20 +185,18 @@ fn every_name_the_readme_glossary_backticks_is_exported() {
 
 #[test]
 fn plan_rows_of_a_session_are_levels_not_sums() {
-    // The plan's shape is a level — after three documents of a session
+    // The plan's shape is a level — after three documents of a warm engine
     // there are still k subscriptions — and the trie's stack bytes are a
     // peak; only the step counters accumulate.
     let trees = query_set(5);
     let docs: Vec<String> =
         [11u64, 42, 7].iter().map(|&seed| random::to_string(&RandomConfig::seeded(seed))).collect();
     let (mut engine, telemetry) = observed_engine(&trees);
-    let outs = engine
-        .session(|session| {
-            docs.iter()
-                .map(|xml| session.run_document(XmlReader::from_str(xml), |_, _| {}))
-                .collect::<Result<Vec<_>, _>>()
-        })
-        .expect("session");
+    let outs = docs
+        .iter()
+        .map(|xml| engine.run(XmlReader::from_str(xml), |_, _| {}))
+        .collect::<Result<Vec<_>, _>>()
+        .expect("warm engine");
     let snapshot = telemetry.snapshot().expect("enabled");
     let row = |name| snapshot.counter(name).expect(name);
     let last = &outs[2].plan;
@@ -268,17 +266,13 @@ fn doc_ns(snapshot: &Snapshot) -> &HistogramRow {
 #[test]
 fn a_warm_session_records_one_latency_sample_per_completed_document() {
     // A document that ends in an error records no sample; the warm
-    // session's next document does.
+    // engine's next document does.
     let xml = random::to_string(&RandomConfig::seeded(5));
     let (mut engine, telemetry) = observed_engine(&query_set(3));
-    engine
-        .session(|session| {
-            session.stream_document(XmlReader::from_str(&xml), |_, _| {})?;
-            let malformed = session.stream_document(XmlReader::from_str("<a><b></a>"), |_, _| {});
-            assert!(malformed.is_err(), "mismatched end tag");
-            session.stream_document(XmlReader::from_str(&xml), |_, _| {})
-        })
-        .expect("the first and third documents are well-formed");
+    engine.stream_document(XmlReader::from_str(&xml), |_, _| {}).expect("well-formed");
+    let malformed = engine.stream_document(XmlReader::from_str("<a><b></a>"), |_, _| {});
+    assert!(malformed.is_err(), "mismatched end tag");
+    engine.stream_document(XmlReader::from_str(&xml), |_, _| {}).expect("well-formed");
     let snapshot = telemetry.snapshot().expect("enabled");
     let h = doc_ns(&snapshot);
     assert_eq!(h.count, 2, "two documents streamed to their end");
@@ -343,7 +337,7 @@ fn run_profiled(trees: &[QueryTree], xml: &str) -> ProfileSnapshot {
 #[test]
 fn streamed_and_buffered_sessions_bill_the_same() {
     // Matches and payload bytes are counted as they are delivered, not
-    // read back from a buffer: a session that keeps no match reports the
+    // read back from a buffer: a document that keeps no match reports the
     // same `vitex_matches_total` and the same per-query bills as one that
     // keeps them all.
     let xml = random::to_string(&RandomConfig::seeded(3));
@@ -352,16 +346,13 @@ fn streamed_and_buffered_sessions_bill_the_same() {
         let (mut engine, telemetry) = observed_engine(&trees);
         engine.set_profiling(true);
         let mut delivered = 0u64;
-        engine
-            .session(|session| {
-                let reader = XmlReader::from_str(&xml);
-                if buffered {
-                    session.run_document(reader, |_, _| delivered += 1)
-                } else {
-                    session.stream_document(reader, |_, _| delivered += 1)
-                }
-            })
-            .expect("engine run");
+        let reader = XmlReader::from_str(&xml);
+        if buffered {
+            engine.run(reader, |_, _| delivered += 1)
+        } else {
+            engine.stream_document(reader, |_, _| delivered += 1)
+        }
+        .expect("engine run");
         let snapshot = telemetry.snapshot().expect("enabled");
         assert_eq!(snapshot.counter("vitex_matches_total"), Some(delivered));
         let profile = engine.profile_snapshot().expect("profiling enabled");
@@ -449,13 +440,8 @@ fn profile_accumulates_across_session_documents() {
     let mut engine = MultiEngine::new();
     engine.set_profiling(true);
     engine.add_query("//a").unwrap();
-    engine
-        .session(|session| {
-            session.run_document(XmlReader::from_str("<a><a/></a>"), |_, _| {})?;
-            session.run_document(XmlReader::from_str("<r><a/></r>"), |_, _| {})?;
-            Ok(())
-        })
-        .unwrap();
+    engine.run(XmlReader::from_str("<a><a/></a>"), |_, _| {}).unwrap();
+    engine.run(XmlReader::from_str("<r><a/></r>"), |_, _| {}).unwrap();
     let snap = engine.profile_snapshot().expect("profiling enabled");
     assert_eq!(snap.docs, 2);
     assert_eq!(snap.queries.len(), 1);
