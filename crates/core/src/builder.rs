@@ -134,11 +134,6 @@ pub struct MachineNode {
 }
 
 impl MachineNode {
-    /// Whether start-tag processing must look at this node's attributes.
-    pub fn wants_attributes(&self) -> bool {
-        !self.attr_preds.is_empty() || self.attr_result.is_some()
-    }
-
     /// Whether `test`, one of this node's attribute predicates, is the
     /// query's parametric leaf (see [`MachineNode::parametric_attr`]).
     pub(crate) fn binds(&self, test: &AttrTest) -> bool {
@@ -327,23 +322,6 @@ impl MachineSpec {
         Ok(spec)
     }
 
-    /// The machine node generating result candidates: the result element
-    /// node itself, or the parent of an attribute/text result.
-    pub fn result_owner(&self) -> usize {
-        if let Some(p) = self.text_result_parent {
-            return p;
-        }
-        if let Some((i, _)) = self.nodes.iter().enumerate().find(|(_, n)| n.attr_result.is_some()) {
-            return i;
-        }
-        self.nodes
-            .iter()
-            .enumerate()
-            .find(|(_, n)| n.is_result)
-            .map(|(i, _)| i)
-            .expect("every query has a result node")
-    }
-
     /// Machine nodes whose nametest is `sym` (empty for names this spec
     /// never mentions, including symbols interned after compilation). A
     /// scan over the spec's few names beats the indexed load it replaces.
@@ -353,12 +331,6 @@ impl MachineSpec {
             Some(at) => &self.by_symbol[at],
             None => &[],
         }
-    }
-
-    /// Whether any machine node carries a wildcard element test (such a
-    /// machine must see every element event).
-    pub fn has_wildcard(&self) -> bool {
-        !self.wildcards.is_empty()
     }
 
     /// Whether the machine consumes `characters` events at all (text
@@ -456,8 +428,6 @@ mod tests {
         let ar = pe.attr_result.as_ref().unwrap();
         assert_eq!(ar.name.as_deref(), Some("id"));
         assert!(ar.comparison.is_none());
-        assert!(pe.wants_attributes());
-        assert_eq!(m.result_owner(), 0);
         // `reference` is an element predicate with slot 0.
         assert_eq!(m.nodes[1].flag_slot, Some(0));
     }
@@ -493,7 +463,6 @@ mod tests {
         assert_eq!(m.len(), 1);
         assert!(m.nodes[0].text_result);
         assert_eq!(m.text_result_parent, Some(0));
-        assert_eq!(m.result_owner(), 0);
     }
 
     #[test]
@@ -543,7 +512,6 @@ mod tests {
         assert_eq!(m.machines_for(b), [1]);
         assert_eq!(m.wildcards, [3]);
         assert_eq!(m.name_symbols, vec![a, b]);
-        assert!(m.has_wildcard());
         assert!(!m.needs_characters());
     }
 

@@ -784,17 +784,16 @@ impl TwigM {
         &self.stats
     }
 
-    /// Approximate resident bytes of the machine at rest: the compiled
-    /// spec, per-node stack headroom and the bound literals (run-time
-    /// entry/candidate bytes are tracked live in [`MachineStats`]). The
-    /// multi-query planner sums this across plan groups to report the
+    /// Approximate bytes of what was built: the compiled spec and the
+    /// bound literals. Stack capacity is run-time state and left out (as
+    /// are entry and candidate bytes, tracked live in [`MachineStats`]), so
+    /// the figure follows registrations alone, not the documents that ran.
+    /// The multi-query planner sums this across plan groups to report the
     /// build-memory effect of query sharing.
     pub fn approx_build_bytes(&self) -> u64 {
-        let stacks: usize =
-            self.stacks.iter().map(|s| s.capacity() * std::mem::size_of::<Entry>()).sum();
-        let literals =
+        let literals: usize =
             self.bindings.as_ref().map_or(0, |b| b.literals.iter().map(|l| l.len()).sum());
-        self.spec.approx_bytes() + (stacks + literals) as u64
+        self.spec.approx_bytes() + literals as u64
     }
 
     /// True when no entries are live (before a document and after a

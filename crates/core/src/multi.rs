@@ -66,7 +66,7 @@
 
 use std::time::Instant;
 
-use vitex_xmlsax::event::Attributes;
+use vitex_xmlsax::event::StartElementEvent;
 use vitex_xmlsax::pos::ByteSpan;
 use vitex_xpath::query_tree::QueryTree;
 
@@ -288,17 +288,6 @@ pub(crate) fn fan_out_match<F: FnMut(QueryId, Match)>(
     on_match(last, hit);
 }
 
-/// A start tag as the [`Executor`] consumes it, borrowed from the
-/// driver's event.
-pub(crate) struct StartTag<'a> {
-    pub(crate) sym: Option<Symbol>,
-    pub(crate) level: u32,
-    pub(crate) attributes: Attributes<'a>,
-    pub(crate) node_id: NodeId,
-    pub(crate) attr_id_base: NodeId,
-    pub(crate) span: ByteSpan,
-}
-
 /// Self-time sampling stride: every `SELF_SAMPLE`-th machine touch is
 /// timed and the elapsed nanoseconds scaled back up. The stride is the
 /// profiler's overhead dial: the touch path is the hottest loop in the
@@ -444,17 +433,20 @@ impl Executor {
     /// recording the slots as the element's frame. A slot's first touch of
     /// the document is the one that finds its machine without a dispatch
     /// hit: the machine starts the document at rest, and every start touch
-    /// counts one.
+    /// counts one. `node_id` is the element's id, and its attributes take
+    /// the ids after it.
     pub(crate) fn start(
         &mut self,
         trie: &mut StepTrie,
         groups: &mut [PlanGroup],
-        tag: &StartTag<'_>,
+        sym: Option<Symbol>,
+        event: &StartElementEvent<'_>,
+        node_id: NodeId,
         on_match: &mut impl FnMut(QueryId, Match),
     ) {
         let Self { pushed, plans, frame_slots, frames, text_live, touched, store, timer } = self;
         pushed.clear();
-        trie.advance(tag.sym, tag.level, pushed);
+        trie.advance(sym, event.level, pushed);
         trie.bill_pushes(pushed, &mut timer.shared_steps);
         plans.clear();
         for p in pushed.iter() {
@@ -477,11 +469,11 @@ impl Executor {
                 machine.start_element_prefix(
                     store,
                     run.iter().map(|&(_, q, ptr)| (q, ptr)),
-                    tag.level,
-                    tag.attributes,
-                    tag.node_id,
-                    tag.attr_id_base,
-                    tag.span,
+                    event.level,
+                    event.attributes(),
+                    node_id,
+                    node_id + 1,
+                    event.span,
                     out,
                 )
             });

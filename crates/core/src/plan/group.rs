@@ -41,9 +41,6 @@ pub struct PlanGroup {
     hash: u64,
     /// Terminal node of the group's main path in the planner's step trie.
     trie_node: usize,
-    /// [`PlanGroup::approx_bytes`] as the planner's cached statistics
-    /// count it ([`PlanGroup::remeasure`]).
-    measured_bytes: u64,
 }
 
 /// A binding of a group with several: its subscriber range and its bill
@@ -68,15 +65,7 @@ impl PlanGroup {
         trie_node: usize,
         first: QueryId,
     ) -> Self {
-        PlanGroup {
-            machine,
-            subscribers: vec![first],
-            bindings: Vec::new(),
-            key,
-            hash,
-            trie_node,
-            measured_bytes: 0,
-        }
+        PlanGroup { machine, subscribers: vec![first], bindings: Vec::new(), key, hash, trie_node }
     }
 
     /// The shared machine.
@@ -187,26 +176,15 @@ impl PlanGroup {
         Some(self.subscribers.is_empty())
     }
 
-    /// Approximate bytes of the group at rest: the shared machine (its
-    /// bound literals included) plus bookkeeping.
+    /// Approximate bytes of the group's plan structure: the shared
+    /// machine's spec and bound literals plus the subscriber lists and the
+    /// shape key. Run-time capacity is not counted, so the figure changes
+    /// only when a subscriber joins or leaves.
     pub fn approx_bytes(&self) -> u64 {
         self.machine.approx_build_bytes()
             + (self.subscribers.capacity() * std::mem::size_of::<QueryId>()) as u64
             + (self.bindings.capacity() * std::mem::size_of::<Binding>()) as u64
             + self.key.len() as u64
-    }
-
-    /// [`PlanGroup::approx_bytes`] as last measured.
-    pub(crate) fn measured_bytes(&self) -> u64 {
-        self.measured_bytes
-    }
-
-    /// Re-measures [`PlanGroup::approx_bytes`] and returns `(counted,
-    /// now)`: what the planner's cached statistics counted for the group,
-    /// and what they count from now on.
-    pub(crate) fn remeasure(&mut self) -> (u64, u64) {
-        let now = self.approx_bytes();
-        (std::mem::replace(&mut self.measured_bytes, now), now)
     }
 }
 

@@ -78,10 +78,9 @@ pub struct QueryPlanner {
     recycled: u64,
     active_groups: usize,
     active_queries: usize,
-    /// [`QueryPlanner::stats`] as of the last document, kept across
-    /// sessions: `None` once a registration or removal changed the plan.
-    /// Between changes only stack capacity moves, in the groups a document
-    /// touched ([`QueryPlanner::remeasure`]).
+    /// [`QueryPlanner::stats`] as its last walk found it, read for every
+    /// field but the `prefix_*` run counters: `None` once a registration or
+    /// removal changed the plan. Documents do not move those fields.
     cached: Option<PlanStats>,
 }
 
@@ -196,18 +195,11 @@ impl QueryPlanner {
     /// bytes: the symbol table is part of the shared plan's resident
     /// structure.
     pub fn stats(&self, interner: &Interner) -> PlanStats {
-        self.measure(interner, PlanGroup::approx_bytes)
-    }
-
-    /// [`QueryPlanner::stats`] with each active group counted as
-    /// `group_bytes` says.
-    fn measure(&self, interner: &Interner, group_bytes: impl Fn(&PlanGroup) -> u64) -> PlanStats {
         let active = self.groups.iter().filter(|g| g.is_active());
         let (machine_nodes, group_bytes) = active.fold((0, 0), |(nodes, bytes), g| {
-            (nodes + g.machine().spec().len() as u64, bytes + group_bytes(g))
+            (nodes + g.machine().spec().len() as u64, bytes + g.approx_bytes())
         });
-        let run = self.trie.run_stats();
-        PlanStats {
+        self.with_run_counters(PlanStats {
             queries: self.active_queries as u64,
             groups: self.active_groups as u64,
             recycled_slots: self.recycled,
@@ -215,37 +207,30 @@ impl QueryPlanner {
             trie_nodes: self.trie.len() as u64,
             shared_trie_nodes: self.trie.shared_nodes() as u64,
             plan_bytes: self.trie.approx_bytes() + interner.heap_bytes() + group_bytes,
+            ..PlanStats::default()
+        })
+    }
+
+    /// [`QueryPlanner::stats`] without the walk: the plan's shape from the
+    /// cache, filled by one walk after a registration or removal, with the
+    /// trie's run counters of the current (or last) document.
+    pub(crate) fn cached_stats(&mut self, interner: &Interner) -> PlanStats {
+        let shape = match self.cached {
+            Some(shape) => shape,
+            None => *self.cached.insert(self.stats(interner)),
+        };
+        self.with_run_counters(shape)
+    }
+
+    /// `shape` with its `prefix_*` fields read off the trie.
+    fn with_run_counters(&self, shape: PlanStats) -> PlanStats {
+        let run = self.trie.run_stats();
+        PlanStats {
             prefix_steps_executed: run.steps_executed,
             prefix_steps_saved: run.steps_saved,
             prefix_forks: run.forks,
             prefix_stack_bytes: run.peak_stack_bytes(),
-        }
-    }
-
-    /// [`QueryPlanner::stats`] from the cache, filled by one walk after a
-    /// registration or removal. A document leaves it current through
-    /// [`QueryPlanner::remeasure`]; its `prefix_*` fields are the fill's.
-    pub(crate) fn cached_stats(&mut self, interner: &Interner) -> PlanStats {
-        if let Some(stats) = self.cached {
-            return stats;
-        }
-        for group in &mut self.groups {
-            group.remeasure();
-        }
-        let stats = self.measure(interner, PlanGroup::measured_bytes);
-        self.cached = Some(stats);
-        stats
-    }
-
-    /// Re-measures the resident bytes of the group `slots` — the ones a
-    /// document touched, whose stacks may have grown — into the cache. The
-    /// rest of the plan holds still while documents stream.
-    pub(crate) fn remeasure(&mut self, slots: &[u32]) {
-        for &slot in slots {
-            let (counted, now) = self.groups[slot as usize].remeasure();
-            if let Some(stats) = &mut self.cached {
-                stats.plan_bytes = stats.plan_bytes + now - counted;
-            }
+            ..shape
         }
     }
 

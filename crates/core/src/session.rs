@@ -34,11 +34,14 @@
 //! not the registration count k (YFilter keeps its per-message work
 //! proportional to the states a message activates the same way). The
 //! executor lists the groups a document pushed; they are the only
-//! machines off rest. So the next document resets only those, the trie
-//! clears only the stacks still open, and the epilogue re-measures only
-//! their bytes into the planner's cached plan statistics, which a
-//! registration or removal invalidates and the next document refills with
-//! one walk. Telemetry sums the subscribers of the touched groups — exact,
+//! machines off rest. So the next document resets only those and the trie
+//! clears only the stacks still open. Plan statistics describe the plan,
+//! not the documents that ran (a machine's stack headroom is run-time
+//! state and not counted), so the planner caches them: a registration or
+//! removal invalidates the cache, the next document's epilogue refills it
+//! with one walk, and every other epilogue only reads the trie's run
+//! counters.
+//! Telemetry sums the subscribers of the touched groups — exact,
 //! since an untouched machine's counters are zero. The streamed
 //! [`MultiOutput`] carries the stream counters and the plan statistics
 //! only; a subscription's statistics are read on request
@@ -61,10 +64,10 @@ use vitex_xmlsax::XmlReader;
 use crate::driver::EventSink;
 use crate::error::EngineResult;
 use crate::intern::{Interner, Symbol};
-use crate::multi::{Executor, MultiEngine, MultiOutput, StartTag};
+use crate::multi::{Executor, MultiEngine, MultiOutput};
 use crate::plan::{PlanGroup, StepTrie};
 use crate::result::{Match, NodeId, QueryId};
-use crate::stats::{MachineStats, PlanStats, StreamStats};
+use crate::stats::{MachineStats, StreamStats};
 
 impl MultiEngine {
     /// [`MultiEngine::stream_document`] behind the **one** collecting
@@ -112,10 +115,8 @@ impl MultiEngine {
             exec: &mut self.exec,
             on_match: &mut on_match,
         };
-        let stream = self.driver.run(reader, &mut sink);
-        // A document cut short grew its stacks too.
-        self.planner.remeasure(self.exec.touched());
-        Ok(self.finish_document(stream?))
+        let stream = self.driver.run(reader, &mut sink)?;
+        Ok(self.finish_document(stream))
     }
 
     /// Subscription `q`'s machine statistics for the last document, what
@@ -170,14 +171,7 @@ impl MultiEngine {
     /// shared machine contributes once per subscriber, as private engines
     /// would, with what its own binding was delivered.
     fn finish_document(&mut self, stream: StreamStats) -> MultiOutput {
-        let run = self.planner.trie().run_stats();
-        let plan = PlanStats {
-            prefix_steps_executed: run.steps_executed,
-            prefix_steps_saved: run.steps_saved,
-            prefix_forks: run.forks,
-            prefix_stack_bytes: run.peak_stack_bytes(),
-            ..self.planner.cached_stats(&self.interner)
-        };
+        let plan = self.planner.cached_stats(&self.interner);
         let telemetry = self.driver.telemetry();
         if telemetry.is_enabled() {
             let mut total = MachineStats::default();
@@ -247,13 +241,10 @@ impl<F: FnMut(QueryId, Match)> EventSink for DocumentSink<'_, F> {
         sym: Option<Symbol>,
         event: &StartElementEvent<'_>,
         node_id: NodeId,
-        attr_id_base: NodeId,
+        _attr_id_base: NodeId,
     ) {
         if self.trie.has_live_step(sym) {
-            let (level, span) = (event.level, event.span);
-            let attributes = event.attributes();
-            let tag = StartTag { sym, level, attributes, node_id, attr_id_base, span };
-            self.exec.start(self.trie, self.groups, &tag, self.on_match);
+            self.exec.start(self.trie, self.groups, sym, event, node_id, self.on_match);
         }
     }
 

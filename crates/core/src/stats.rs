@@ -83,8 +83,10 @@ pub struct PlanStats {
     /// Trie nodes that route at least two distinct plan groups — the step
     /// structure the trie deduplicates.
     pub shared_trie_nodes: u64,
-    /// Approximate bytes of compiled plan structure (machine specs, stacks
-    /// at rest, trie, subscriber lists).
+    /// Approximate bytes of compiled plan structure: machine specs, bound
+    /// literals, the step trie, interned names and subscriber lists. No
+    /// run-time capacity is counted, so this changes only with the
+    /// registrations, not with the documents that ran.
     pub plan_bytes: u64,
 
     // ----- step-trie execution counters -----

@@ -29,8 +29,6 @@ pub mod protein;
 pub mod random;
 pub mod recursive;
 
-use std::io::Write;
-
 use vitex_xmlsax::writer::{WriteResult, XmlWriter};
 
 /// Renders a generator into an in-memory string.
@@ -42,42 +40,6 @@ pub fn to_string(generate: impl FnOnce(&mut XmlWriter<&mut Vec<u8>>) -> WriteRes
         w.finish().expect("in-memory generation cannot fail");
     }
     String::from_utf8(buf).expect("writer emits UTF-8")
-}
-
-/// Renders a generator into any sink (e.g. a file or a counting sink).
-pub fn to_writer<W: Write>(
-    sink: W,
-    generate: impl FnOnce(&mut XmlWriter<W>) -> WriteResult<()>,
-) -> WriteResult<u64> {
-    let mut w = XmlWriter::new(sink);
-    generate(&mut w)?;
-    w.finish()?;
-    Ok(w.bytes_written())
-}
-
-/// A sink that counts bytes and discards them — used to measure generator
-/// output sizes without allocation.
-#[derive(Debug, Default)]
-pub struct NullSink {
-    bytes: u64,
-}
-
-impl NullSink {
-    /// Bytes "written" so far.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-}
-
-impl Write for NullSink {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.bytes += buf.len() as u64;
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -92,13 +54,5 @@ mod tests {
         });
         assert_eq!(s, "<a><b>x</b></a>");
         vitex_xmlsax::XmlReader::from_str(&s).collect_events().unwrap();
-    }
-
-    #[test]
-    fn null_sink_counts() {
-        let mut s = NullSink::default();
-        let n = to_writer(&mut s, |w| w.leaf("a", "hello")).unwrap();
-        assert_eq!(n, s.bytes());
-        assert_eq!(n, "<a>hello</a>".len() as u64);
     }
 }

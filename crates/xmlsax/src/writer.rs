@@ -45,60 +45,27 @@ impl From<io::Error> for WriteError {
 /// Result alias for writer operations.
 pub type WriteResult<T> = Result<T, WriteError>;
 
-/// Formatting style.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Indent {
-    /// Everything on one line (canonical for round-tripping text nodes).
-    #[default]
-    None,
-    /// Pretty-print with the given number of spaces per level. Only safe
-    /// for data where inter-element whitespace is insignificant.
-    Spaces(u8),
-}
-
-/// A streaming XML writer over any [`Write`].
+/// A streaming XML writer over any [`Write`]: everything on one line, so
+/// text nodes round-trip as written.
 pub struct XmlWriter<W: Write> {
     sink: W,
     open: Vec<String>,
-    indent: Indent,
     /// The current start tag is still open (`<name attr=...`), awaiting
     /// either more attributes, content (close with `>`), or self-close.
     tag_open: bool,
-    root_written: bool,
     root_closed: bool,
-    /// Last thing written was element content (affects pretty indent).
-    just_wrote_text: bool,
     bytes_written: u64,
 }
 
 impl<W: Write> XmlWriter<W> {
-    /// Creates a writer with no indentation.
+    /// Creates a writer.
     pub fn new(sink: W) -> Self {
-        XmlWriter::with_indent(sink, Indent::None)
-    }
-
-    /// Creates a writer with the given indentation style.
-    pub fn with_indent(sink: W, indent: Indent) -> Self {
-        XmlWriter {
-            sink,
-            open: Vec::new(),
-            indent,
-            tag_open: false,
-            root_written: false,
-            root_closed: false,
-            just_wrote_text: false,
-            bytes_written: 0,
-        }
+        XmlWriter { sink, open: Vec::new(), tag_open: false, root_closed: false, bytes_written: 0 }
     }
 
     /// Total bytes emitted so far.
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written
-    }
-
-    /// Current element depth.
-    pub fn depth(&self) -> usize {
-        self.open.len()
     }
 
     /// Consumes the writer, returning the sink.
@@ -112,17 +79,6 @@ impl<W: Write> XmlWriter<W> {
         Ok(())
     }
 
-    fn newline_indent(&mut self) -> WriteResult<()> {
-        if let Indent::Spaces(n) = self.indent {
-            if self.root_written {
-                self.raw("\n")?;
-                let pad = " ".repeat(n as usize * self.open.len());
-                self.raw(&pad)?;
-            }
-        }
-        Ok(())
-    }
-
     fn close_pending_tag(&mut self) -> WriteResult<()> {
         if self.tag_open {
             self.raw(">")?;
@@ -133,11 +89,7 @@ impl<W: Write> XmlWriter<W> {
 
     /// Writes the XML declaration. Must be first.
     pub fn declaration(&mut self) -> WriteResult<()> {
-        self.raw("<?xml version=\"1.0\" encoding=\"UTF-8\"?>")?;
-        if matches!(self.indent, Indent::Spaces(_)) {
-            self.raw("\n")?;
-        }
-        Ok(())
+        self.raw("<?xml version=\"1.0\" encoding=\"UTF-8\"?>")
     }
 
     /// Opens an element.
@@ -149,15 +101,10 @@ impl<W: Write> XmlWriter<W> {
             return Err(WriteError::RootClosed);
         }
         self.close_pending_tag()?;
-        if !self.just_wrote_text {
-            self.newline_indent()?;
-        }
         self.raw("<")?;
         self.raw(tag)?;
         self.open.push(tag.to_owned());
         self.tag_open = true;
-        self.root_written = true;
-        self.just_wrote_text = false;
         Ok(())
     }
 
@@ -184,38 +131,7 @@ impl<W: Write> XmlWriter<W> {
         }
         self.close_pending_tag()?;
         let escaped = escape_text(content).into_owned();
-        self.raw(&escaped)?;
-        self.just_wrote_text = true;
-        Ok(())
-    }
-
-    /// Writes a CDATA section (content must not contain `]]>`; it is split
-    /// if it does).
-    pub fn cdata(&mut self, content: &str) -> WriteResult<()> {
-        self.close_pending_tag()?;
-        self.raw("<![CDATA[")?;
-        // Split any embedded terminator.
-        let mut rest = content;
-        while let Some(i) = rest.find("]]>") {
-            let (head, tail) = rest.split_at(i + 2);
-            self.raw(head)?;
-            self.raw("]]><![CDATA[")?;
-            rest = tail;
-        }
-        self.raw(rest)?;
-        self.raw("]]>")?;
-        self.just_wrote_text = true;
-        Ok(())
-    }
-
-    /// Writes a comment.
-    pub fn comment(&mut self, content: &str) -> WriteResult<()> {
-        self.close_pending_tag()?;
-        self.newline_indent()?;
-        self.raw("<!--")?;
-        self.raw(&content.replace("--", "- -"))?;
-        self.raw("-->")?;
-        Ok(())
+        self.raw(&escaped)
     }
 
     /// Closes the innermost open element (self-closing form if it had no
@@ -226,14 +142,10 @@ impl<W: Write> XmlWriter<W> {
             self.raw("/>")?;
             self.tag_open = false;
         } else {
-            if !self.just_wrote_text {
-                self.newline_indent()?;
-            }
             self.raw("</")?;
             self.raw(&tag)?;
             self.raw(">")?;
         }
-        self.just_wrote_text = false;
         if self.open.is_empty() {
             self.root_closed = true;
         }
@@ -252,25 +164,9 @@ impl<W: Write> XmlWriter<W> {
         while !self.open.is_empty() {
             self.end_element()?;
         }
-        if matches!(self.indent, Indent::Spaces(_)) {
-            self.raw("\n")?;
-        }
         self.sink.flush()?;
         Ok(())
     }
-}
-
-/// Writes a document to an in-memory string using a builder closure.
-pub fn write_to_string(
-    f: impl FnOnce(&mut XmlWriter<&mut Vec<u8>>) -> WriteResult<()>,
-) -> WriteResult<String> {
-    let mut buf = Vec::new();
-    {
-        let mut w = XmlWriter::new(&mut buf);
-        f(&mut w)?;
-        w.finish()?;
-    }
-    Ok(String::from_utf8(buf).expect("writer emits UTF-8"))
 }
 
 #[cfg(test)]
@@ -278,6 +174,19 @@ mod tests {
     use super::*;
     use crate::event::XmlEvent;
     use crate::reader::XmlReader;
+
+    /// Writes a document to an in-memory string using a builder closure.
+    fn write_to_string(
+        f: impl FnOnce(&mut XmlWriter<&mut Vec<u8>>) -> WriteResult<()>,
+    ) -> WriteResult<String> {
+        let mut buf = Vec::new();
+        {
+            let mut w = XmlWriter::new(&mut buf);
+            f(&mut w)?;
+            w.finish()?;
+        }
+        Ok(String::from_utf8(buf).expect("writer emits UTF-8"))
+    }
 
     #[test]
     fn writes_simple_document() {
@@ -320,27 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn cdata_splits_terminator() {
-        let s = write_to_string(|w| {
-            w.start_element("a")?;
-            w.cdata("x]]>y")?;
-            w.end_element()
-        })
-        .unwrap();
-        assert_eq!(s, "<a><![CDATA[x]]]]><![CDATA[>y]]></a>");
-        // And it round-trips through the reader.
-        let events = XmlReader::from_str(&s).collect_events().unwrap();
-        let text: String = events
-            .iter()
-            .filter_map(|e| match e {
-                XmlEvent::Characters(c) => Some(c.text.clone()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(text, "x]]>y");
-    }
-
-    #[test]
     fn rejects_invalid_names() {
         let err = write_to_string(|w| w.start_element("9bad")).unwrap_err();
         assert!(matches!(err, WriteError::InvalidName(_)));
@@ -372,20 +260,6 @@ mod tests {
         w.text("t").unwrap();
         w.finish().unwrap();
         assert_eq!(String::from_utf8(buf).unwrap(), "<a><b>t</b></a>");
-    }
-
-    #[test]
-    fn pretty_printing_indents() {
-        let mut buf = Vec::new();
-        {
-            let mut w = XmlWriter::with_indent(&mut buf, Indent::Spaces(2));
-            w.start_element("a").unwrap();
-            w.start_element("b").unwrap();
-            w.end_element().unwrap();
-            w.finish().unwrap();
-        }
-        let s = String::from_utf8(buf).unwrap();
-        assert_eq!(s, "<a>\n  <b/>\n</a>\n");
     }
 
     #[test]

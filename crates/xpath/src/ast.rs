@@ -60,14 +60,6 @@ pub enum CmpOp {
     Ge,
 }
 
-impl CmpOp {
-    /// XPath 1.0 relational operators always compare as numbers; equality
-    /// compares as strings unless the literal is numeric.
-    pub fn is_relational(&self) -> bool {
-        matches!(self, CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge)
-    }
-}
-
 /// A literal operand of a comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Literal {
@@ -203,13 +195,5 @@ mod tests {
         assert!(NodeTest::AttributeWildcard.is_attribute());
         assert!(!NodeTest::Text.is_element());
         assert!(!NodeTest::Text.is_attribute());
-    }
-
-    #[test]
-    fn relational_classification() {
-        assert!(CmpOp::Lt.is_relational());
-        assert!(CmpOp::Ge.is_relational());
-        assert!(!CmpOp::Eq.is_relational());
-        assert!(!CmpOp::Ne.is_relational());
     }
 }

@@ -49,16 +49,6 @@ impl NodeKind {
     pub fn is_attribute(&self) -> bool {
         matches!(self, NodeKind::Attribute { .. })
     }
-
-    /// Whether an element/attribute with the given name matches this test.
-    pub fn matches_name(&self, candidate: &str) -> bool {
-        match self {
-            NodeKind::Element { name } | NodeKind::Attribute { name } => {
-                name.as_deref().is_none_or(|n| n == candidate)
-            }
-            NodeKind::Text => false,
-        }
-    }
 }
 
 /// One node of the query tree.
@@ -93,12 +83,6 @@ impl QNode {
             NodeKind::Element { name } | NodeKind::Attribute { name } => name.as_deref(),
             NodeKind::Text => None,
         }
-    }
-
-    /// Number of *flag slots* this node needs on the machine's stack
-    /// entries: one per predicate child.
-    pub fn flag_count(&self) -> usize {
-        self.pred_children.len()
     }
 }
 
@@ -279,13 +263,6 @@ impl QueryTree {
     /// The query string this tree was built from (canonical form).
     pub fn original(&self) -> &str {
         &self.original
-    }
-
-    /// Ids in bottom-up (children before parents) order. Because parents
-    /// always precede children in id order, this is just reverse id order —
-    /// the order the machine processes pops for one element.
-    pub fn bottom_up(&self) -> impl Iterator<Item = QNodeId> + '_ {
-        (0..self.nodes.len()).rev()
     }
 
     /// Depth of a node (root = 0).
@@ -591,30 +568,12 @@ mod tests {
     }
 
     #[test]
-    fn wildcard_matches_any_name() {
-        let t = build("//*");
-        assert!(t.node(0).kind.matches_name("anything"));
-        let t2 = build("//a");
-        assert!(t2.node(0).kind.matches_name("a"));
-        assert!(!t2.node(0).kind.matches_name("b"));
-    }
-
-    #[test]
-    fn depth_and_bottom_up() {
+    fn depth_counts_ancestors() {
         let t = build("//a[b[c]]/d");
         assert_eq!(t.depth(0), 0); // a
         assert_eq!(t.depth(1), 1); // b
         assert_eq!(t.depth(2), 2); // c
         assert_eq!(t.depth(3), 1); // d
-        let order: Vec<QNodeId> = t.bottom_up().collect();
-        assert_eq!(order, [3, 2, 1, 0]);
-    }
-
-    #[test]
-    fn flag_count_counts_predicate_children() {
-        let t = build("//a[b and c and d]/e");
-        assert_eq!(t.node(0).flag_count(), 3);
-        assert_eq!(t.node(t.result()).flag_count(), 0);
     }
 
     #[test]

@@ -78,8 +78,8 @@ pub fn assert_private_stats(
 }
 
 /// Asserts that the plan statistics a document reported — the planner's
-/// cache, refilled after a registration or removal and re-measured for
-/// the groups the document touched — equal `MultiEngine::plan_stats`
+/// cache, refilled after a registration or removal, with the document's
+/// trie counters — equal `MultiEngine::plan_stats`
 /// recomputed from scratch: every structural field, `plan_bytes`, and the
 /// document's trie counters.
 #[allow(dead_code)] // telemetry has no use for it

@@ -23,7 +23,9 @@ mod common;
 
 use common::{assert_plan_is_fresh, assert_private_stats, literal_shared, run_checking_plan};
 use vitex::baseline::{naive, oracle, Document, NaiveConfig};
-use vitex::core::{Engine, EngineError, EvalOutput, Match, MultiEngine, MultiOutput, QueryId};
+use vitex::core::{
+    Engine, EngineError, EvalOutput, Match, MultiEngine, MultiOutput, PlanStats, QueryId,
+};
 use vitex::xmlgen::{auction, protein, recursive};
 use vitex::xmlsax::XmlReader;
 use vitex::xpath::QueryTree;
@@ -537,6 +539,59 @@ fn the_lazy_reset_leaves_no_stale_state() {
     assert_eq!(out.matches[c.0].len(), 2, "C matched");
     let work = |p: &vitex::core::PlanStats| (p.prefix_steps_executed, p.prefix_forks);
     assert_eq!(work(&out.plan), work(&expected.plan), "trie work");
+}
+
+#[test]
+fn plan_statistics_describe_the_plan_not_the_documents_that_ran() {
+    // Every `PlanStats` field but the four `prefix_*` run counters follows
+    // registrations alone: a deep document (machine stacks outgrow their
+    // first capacity), a truncated one and a well-formed one leave it
+    // where it stood before the first document, and where a fresh engine
+    // with the same registrations has it.
+    const QUERIES: &[&str] = &[
+        "//section//cell",
+        "//*[position]",
+        "//item[payment = 'Cash']/@id",
+        "//item[payment = 'Creditcard']/@id",
+    ];
+    let shape = |p: PlanStats| PlanStats {
+        prefix_steps_executed: 0,
+        prefix_steps_saved: 0,
+        prefix_forks: 0,
+        prefix_stack_bytes: 0,
+        ..p
+    };
+    let engine_with = |queries: &[&str]| {
+        let mut engine = MultiEngine::new();
+        for q in queries {
+            engine.add_query(q).unwrap();
+        }
+        engine
+    };
+    let mut engine = engine_with(QUERIES);
+    let before = shape(engine.plan_stats());
+    assert_eq!((before.queries, before.groups), (4, 3), "the two literals share one group");
+    let deep = format!(
+        r#"<r>{}<payment>Cash</payment><cell/><position/>{}</r>"#,
+        r#"<section><item id="i">"#.repeat(70),
+        "</item></section>".repeat(70)
+    );
+    let cut = r#"<r><section><item id="j"><payment>Ca"#;
+    let whole = r#"<r><section><cell/><position/></section><item id="k"><payment>Creditcard</payment></item></r>"#;
+    for (label, xml) in [("deep", deep.as_str()), ("truncated", cut), ("well-formed", whole)] {
+        match engine.stream_document(XmlReader::from_str(xml), |_, _| {}) {
+            Ok(out) => assert_eq!(shape(out.plan), before, "{label}: the document's statistics"),
+            Err(e) => assert_eq!(label, "truncated", "{e}"),
+        }
+        assert_eq!(shape(engine.plan_stats()), before, "{label}: plan_stats()");
+    }
+    assert_eq!(before, shape(engine_with(QUERIES).plan_stats()), "a fresh engine's");
+
+    engine.add_query("//table/cell").unwrap();
+    let grown = engine.stream_document(XmlReader::from_str(whole), |_, _| {}).unwrap().plan;
+    assert_eq!(grown.groups, before.groups + 1, "add_query adds a group");
+    assert!(grown.plan_bytes > before.plan_bytes, "add_query adds plan bytes");
+    assert_eq!(shape(grown), shape(engine.plan_stats()), "the cache follows registration");
 }
 
 #[test]
