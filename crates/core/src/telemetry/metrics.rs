@@ -121,10 +121,12 @@ pub struct Registry {
     /// document thread, by [`Registry::fold_document`].
     totals: Mutex<Totals>,
 
-    // ----- parser (xmlsax; depends on read chunking) -----
-    /// Bytes scanned by the SWAR wide path (`vitex_scan_wide_bytes_total`).
+    // ----- parser (xmlsax; the two add up to the bytes consumed) -----
+    /// Bytes the tokenizer walked past through its block stop masks
+    /// (`vitex_scan_wide_bytes_total`).
     pub scan_wide_bytes: Counter,
-    /// Bytes scanned by the scalar path (`vitex_scan_scalar_bytes_total`).
+    /// Bytes the tokenizer consumed one at a time
+    /// (`vitex_scan_scalar_bytes_total`).
     pub scan_scalar_bytes: Counter,
 
     // ----- timing -----

@@ -113,6 +113,12 @@ impl XmlError {
         XmlError { kind, position }
     }
 
+    /// The same error, reported at `position`.
+    pub(crate) fn at(mut self, position: TextPosition) -> Self {
+        self.position = position;
+        self
+    }
+
     /// Creates a [`XmlErrorKind::Syntax`] error at a position.
     pub fn syntax(msg: impl Into<String>, position: TextPosition) -> Self {
         XmlError::new(XmlErrorKind::Syntax { msg: msg.into() }, position)

@@ -40,6 +40,12 @@ impl AttributeBuf {
         self.ends.clear();
     }
 
+    /// The name of attribute `k`.
+    pub(crate) fn name(&self, k: usize) -> &str {
+        let start = k.checked_sub(1).map_or(0, |j| self.ends[j].1);
+        &self.text[start..self.ends[k].0]
+    }
+
     /// The borrowed view.
     pub fn view(&self) -> Attributes<'_> {
         Attributes { text: &self.text, ends: &self.ends }

@@ -1,472 +1,487 @@
-//! Buffered, position-tracking byte scanner over any [`Read`].
+//! Buffered, two-stage byte scanner over any [`Read`].
 //!
-//! This is the lowest layer of the streaming parser: a fixed-size sliding
-//! window over the input with UTF-8 decoding, XML 1.0 §2.11 line-ending
-//! normalization (`\r\n` and bare `\r` become `\n`), and byte/line/column
-//! accounting. Memory use is bounded by the window size regardless of
-//! document size — the property the ViteX memory experiments rely on.
+//! This is the lowest layer of the streaming parser: a sliding window over
+//! the input, walked in two stages (the split simdjson and Parabix make).
+//!
+//! * **Stage 1** classifies the window one 64-byte block at a time: one
+//!   pass of byte compares, shared between two classes and vectorized by
+//!   the compiler, packed eight lanes per `u64` word by a SWAR multiply
+//!   into two stop masks — one for character data, one for markup. Only
+//!   the current block's two masks are kept.
+//! * **Stage 2** (the reader) jumps from stop to stop with
+//!   `trailing_zeros` and slices names, values and text straight out of
+//!   the window; it looks at single bytes only where a mask stopped it.
+//!
+//! The window holds validated UTF-8 only (each read is checked once, in
+//! bulk), so a slice of it is text with no further check; malformed bytes
+//! wait past its end until the walk reaches them. It keeps the construct
+//! being read: it discards only bytes before `keep`, which the reader
+//! moves up once per event, so every offset an error may report is still
+//! in the window. Line and column are not tracked per byte. Each slide
+//! counts the newlines in the bytes it discards (`\r\n` and a bare `\r`
+//! count once, as XML 1.0 §2.11 normalizes them), and a position is
+//! computed from the window when asked. Memory use is bounded by the
+//! window and the largest single construct, not by the document.
 
 use std::io::Read;
 
+use crate::entities;
 use crate::error::{XmlError, XmlErrorKind, XmlResult};
+use crate::name;
 use crate::pos::TextPosition;
 
-/// A buffered scanner with single-character lookahead primitives.
-pub struct Scanner<R: Read> {
+/// `block` when no block is classified.
+const NO_BLOCK: usize = usize::MAX;
+/// Bytes one `read` asks for: a stack buffer, so the window stays the
+/// only heap the scanner holds.
+const CHUNK: usize = 8 * 1024;
+
+/// The buffered scanner: a window over the source, a cursor, and the
+/// stage-1 masks of the block under the cursor.
+pub(crate) struct Scanner<R: Read> {
     source: R,
-    buf: Vec<u8>,
-    /// First unconsumed byte in `buf`.
-    start: usize,
-    /// One past the last valid byte in `buf`.
-    end: usize,
-    /// The underlying reader reported end-of-stream.
+    /// The window. Reads append only whole, valid UTF-8 characters, so
+    /// any slice between two cursor positions is text as it stands.
+    buf: String,
+    /// The start of a character a read cut off, waiting for the rest.
+    held: ([u8; 4], usize),
+    /// The first byte of malformed UTF-8 (or of a character the stream
+    /// cut off) just past the window. The source is not read past it, and
+    /// decoding it is an error at the offset it sits at.
+    bad: Option<u8>,
+    /// First byte of the construct being read: only bytes before it may
+    /// be discarded.
+    keep: usize,
+    /// Next unread byte.
+    pos: usize,
+    /// The underlying reader reported end-of-stream (or `bad` was met).
     source_eof: bool,
-    pos: TextPosition,
-    /// Class-run bytes advanced by the SWAR wide path (plain integers:
-    /// the accounting is two adds per *run*, not per byte, so it stays on
-    /// even when no probe ever reads it).
-    scan_wide_bytes: u64,
-    /// Class-run bytes advanced by the scalar path (including the short
-    /// scalar probe that precedes every wide scan).
-    scan_scalar_bytes: u64,
+    /// Stream offset of `buf[0]`.
+    base: u64,
+    /// Newlines in the discarded bytes, and the characters on the last
+    /// line of them.
+    lines: u32,
+    columns: u32,
+    /// Window index of the block the two masks describe.
+    block: usize,
+    text_stops: u64,
+    tag_stops: u64,
+    /// Bytes walked past through the masks (the rest were read one at a
+    /// time): plain integers, flushed to a probe once per document.
+    block_bytes: u64,
 }
 
 impl<R: Read> Scanner<R> {
     /// Creates a scanner with a specific window size (minimum 16 bytes).
-    pub fn with_capacity(source: R, capacity: usize) -> Self {
+    pub(crate) fn with_capacity(source: R, capacity: usize) -> Self {
         Scanner {
             source,
-            buf: vec![0; capacity.max(16)],
-            start: 0,
-            end: 0,
+            buf: String::with_capacity(capacity.max(16)),
+            held: ([0; 4], 0),
+            bad: None,
+            keep: 0,
+            pos: 0,
             source_eof: false,
-            pos: TextPosition::START,
-            scan_wide_bytes: 0,
-            scan_scalar_bytes: 0,
+            base: 0,
+            lines: 0,
+            columns: 0,
+            block: NO_BLOCK,
+            text_stops: 0,
+            tag_stops: 0,
+            block_bytes: 0,
         }
     }
 
-    /// Class-run scan accounting since construction: `(wide_bytes,
-    /// scalar_bytes)`. Only the bulk class-run path is counted — char-wise
-    /// consumption (markup punctuation, UTF-8, `\r` normalization) is not
-    /// scanning in the memchr sense.
-    pub fn scan_counts(&self) -> (u64, u64) {
-        (self.scan_wide_bytes, self.scan_scalar_bytes)
+    /// Bytes consumed so far as `(through block masks, one at a time)`;
+    /// the two add up to [`Scanner::offset`].
+    pub(crate) fn scan_counts(&self) -> (u64, u64) {
+        (self.block_bytes, self.offset() - self.block_bytes)
     }
 
-    /// Current position (of the next unconsumed byte).
-    pub fn position(&self) -> TextPosition {
-        self.pos
+    /// Stream offset of the cursor.
+    pub(crate) fn offset(&self) -> u64 {
+        self.base + self.pos as u64
     }
 
-    /// Current absolute byte offset.
-    pub fn offset(&self) -> u64 {
-        self.pos.offset
+    /// Position of the cursor.
+    pub(crate) fn position(&self) -> TextPosition {
+        self.position_at(self.offset())
     }
 
-    fn buffered(&self) -> usize {
-        self.end - self.start
+    /// Position of stream offset `at`, which must lie in the window (at
+    /// or after the kept construct's start).
+    pub(crate) fn position_at(&self, at: u64) -> TextPosition {
+        let seen = &self.buf.as_bytes()[..(at - self.base) as usize];
+        let (lines, columns) = count_lines(seen, self.lines, self.columns);
+        TextPosition::new(at, lines + 1, columns + 1)
     }
 
-    /// Makes at least `n` bytes available in the window, unless the stream
-    /// ends first. Returns the number actually available (`< n` only at
-    /// end of stream).
-    fn ensure(&mut self, n: usize) -> XmlResult<usize> {
-        while self.buffered() < n && !self.source_eof {
-            // Slide the window if the tail has no room.
-            if self.end == self.buf.len() {
-                if self.start > 0 {
-                    self.buf.copy_within(self.start..self.end, 0);
-                    self.end -= self.start;
-                    self.start = 0;
-                }
-                if self.end == self.buf.len() {
-                    // A single construct larger than the window (only
-                    // possible for pathological lookahead requests; normal
-                    // scanning consumes as it goes). Grow geometrically.
-                    self.buf.resize(self.buf.len() * 2, 0);
-                }
-            }
-            let read = self
-                .source
-                .read(&mut self.buf[self.end..])
-                .map_err(|e| XmlError::new(XmlErrorKind::Io(e.into()), self.pos))?;
-            if read == 0 {
-                self.source_eof = true;
-            } else {
-                self.end += read;
-            }
-        }
-        Ok(self.buffered().min(n))
+    /// Marks the cursor as the start of the next construct: the window
+    /// may discard everything before it.
+    pub(crate) fn commit(&mut self) {
+        self.keep = self.pos;
     }
 
-    /// Peeks the next byte without consuming it.
-    pub fn peek_byte(&mut self) -> XmlResult<Option<u8>> {
-        if self.ensure(1)? == 0 {
-            return Ok(None);
-        }
-        Ok(Some(self.buf[self.start]))
+    /// The bytes from stream offset `from` to the cursor.
+    pub(crate) fn bytes_since(&self, from: u64) -> &[u8] {
+        &self.buf.as_bytes()[(from - self.base) as usize..self.pos]
     }
 
-    /// Peeks the byte at lookahead distance `i` (0 = next byte).
-    pub fn peek_at(&mut self, i: usize) -> XmlResult<Option<u8>> {
-        if self.ensure(i + 1)? < i + 1 {
-            return Ok(None);
-        }
-        Ok(Some(self.buf[self.start + i]))
+    /// The text from stream offset `from` to the cursor.
+    pub(crate) fn str_since(&self, from: u64) -> &str {
+        &self.buf[(from - self.base) as usize..self.pos]
     }
 
-    /// Whether the unconsumed input starts with `prefix`.
-    pub fn starts_with(&mut self, prefix: &[u8]) -> XmlResult<bool> {
-        if self.ensure(prefix.len())? < prefix.len() {
+    /// Reads more input, first sliding out the bytes before `keep` (or,
+    /// when the kept construct fills the window, doubling the window).
+    /// Returns `false` once the stream has ended or malformed UTF-8 stops
+    /// it.
+    fn fill(&mut self) -> XmlResult<bool> {
+        if self.source_eof {
             return Ok(false);
         }
-        Ok(&self.buf[self.start..self.start + prefix.len()] == prefix)
+        // Room for a read plus the held bytes that complete a character.
+        if self.buf.capacity() - self.buf.len() < 8 && self.keep > 0 {
+            (self.lines, self.columns) =
+                count_lines(&self.buf.as_bytes()[..self.keep], self.lines, self.columns);
+            self.buf.drain(..self.keep);
+            self.base += self.keep as u64;
+            self.pos -= self.keep;
+            self.keep = 0;
+        }
+        if self.buf.capacity() - self.buf.len() < 8 {
+            self.buf.reserve_exact(self.buf.capacity());
+        }
+        self.block = NO_BLOCK;
+        let mut chunk = [0; CHUNK];
+        let (held, h) = self.held;
+        chunk[..h].copy_from_slice(&held[..h]);
+        let room = (self.buf.capacity() - self.buf.len() - h).min(CHUNK - h);
+        let read = self
+            .source
+            .read(&mut chunk[h..h + room])
+            .map_err(|e| XmlError::new(XmlErrorKind::Io(e.into()), self.position()))?;
+        let got = &chunk[..h + read];
+        let valid = match std::str::from_utf8(got) {
+            Ok(text) => text,
+            Err(e) => {
+                let (text, rest) = got.split_at(e.valid_up_to());
+                if e.error_len().is_some() || read == 0 {
+                    // Malformed, or cut off by the end of the stream.
+                    self.bad = Some(rest[0]);
+                    self.source_eof = true;
+                } else {
+                    self.held.0[..rest.len()].copy_from_slice(rest);
+                }
+                std::str::from_utf8(text).expect("the valid prefix")
+            }
+        };
+        self.held.1 = h + read - valid.len();
+        self.buf.push_str(valid);
+        self.source_eof |= read == 0;
+        Ok(read > 0)
     }
 
-    /// Consumes `prefix`, which the caller has verified (ASCII only — the
-    /// position advance assumes one column per byte).
-    pub fn consume_ascii(&mut self, prefix: &[u8]) -> XmlResult<()> {
-        debug_assert!(prefix.is_ascii());
-        debug_assert!(self.buffered() >= prefix.len());
-        for &b in prefix {
-            self.start += 1;
-            self.pos.advance(b as char, 1);
+    /// Makes `n` bytes available at the cursor; `false` if the stream
+    /// ends (or turns malformed) first.
+    fn ensure(&mut self, n: usize) -> XmlResult<bool> {
+        while self.buf.len() - self.pos < n {
+            if !self.fill()? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// The byte at the cursor, not consumed.
+    #[inline]
+    pub(crate) fn peek(&mut self) -> XmlResult<Option<u8>> {
+        self.peek_at(0)
+    }
+
+    /// The byte `i` past the cursor, not consumed. The first byte of
+    /// malformed UTF-8 shows as itself; nothing after it shows.
+    #[inline]
+    pub(crate) fn peek_at(&mut self, i: usize) -> XmlResult<Option<u8>> {
+        if self.pos + i < self.buf.len() || self.ensure(i + 1)? {
+            Ok(Some(self.buf.as_bytes()[self.pos + i]))
+        } else {
+            Ok(self.bad.filter(|_| self.pos + i == self.buf.len()))
+        }
+    }
+
+    /// Whether the unread input starts with `prefix`.
+    pub(crate) fn starts_with(&mut self, prefix: &[u8]) -> XmlResult<bool> {
+        Ok(self.ensure(prefix.len())? && self.buf.as_bytes()[self.pos..].starts_with(prefix))
+    }
+
+    /// Consumes `n` bytes the caller has peeked.
+    #[inline]
+    pub(crate) fn advance(&mut self, n: usize) {
+        debug_assert!(self.pos + n <= self.buf.len());
+        self.pos += n;
+    }
+
+    /// Consumes `bytes` and then `last` if the unread input starts with
+    /// them; returns whether it did.
+    pub(crate) fn skip_exact(&mut self, bytes: &[u8], last: u8) -> XmlResult<bool> {
+        let n = bytes.len();
+        let found = (self.pos + n < self.buf.len() || self.ensure(n + 1)?)
+            && self.buf.as_bytes()[self.pos + n] == last
+            && &self.buf.as_bytes()[self.pos..self.pos + n] == bytes;
+        if found {
+            self.pos += n + 1;
+        }
+        Ok(found)
+    }
+
+    /// Discards a UTF-8 byte-order mark at the start of the stream: it
+    /// moves the offset but not the column.
+    pub(crate) fn skip_bom(&mut self) {
+        debug_assert!(self.pos == 0 && self.buf.starts_with('\u{FEFF}'));
+        self.buf.drain(..3);
+        self.base = 3;
+    }
+
+    /// Consumes a line end the cursor is at: `\r\n` or a bare `\r`.
+    pub(crate) fn skip_cr(&mut self) -> XmlResult<()> {
+        self.pos += 1;
+        if self.peek()? == Some(b'\n') {
+            self.pos += 1;
         }
         Ok(())
     }
 
-    /// Consumes `n` raw bytes the caller has already peeked, advancing the
-    /// offset without newline accounting (used for the UTF-8 BOM).
-    pub fn skip_raw(&mut self, n: usize) {
-        debug_assert!(self.buffered() >= n);
-        self.start += n;
-        self.pos.offset += n as u64;
-    }
-
-    /// Consumes and returns the next character, applying line-ending
-    /// normalization: `\r\n` and bare `\r` are delivered as `\n`.
-    ///
-    /// Returns `Ok(None)` at end of stream.
-    pub fn next_char(&mut self) -> XmlResult<Option<char>> {
-        let first = match self.peek_byte()? {
-            Some(b) => b,
-            None => return Ok(None),
-        };
-        if first == b'\r' {
-            // Normalize; consume a following '\n' too if present.
-            let mut consumed = 1;
-            if self.peek_at(1)? == Some(b'\n') {
-                consumed = 2;
-            }
-            self.start += consumed;
-            self.pos.advance('\n', consumed);
-            return Ok(Some('\n'));
-        }
-        if first < 0x80 {
-            self.start += 1;
-            self.pos.advance(first as char, 1);
-            return Ok(Some(first as char));
-        }
-        // Multi-byte UTF-8.
-        let len =
-            utf8_len(first).ok_or_else(|| XmlError::new(XmlErrorKind::InvalidUtf8, self.pos))?;
-        if self.ensure(len)? < len {
-            return Err(XmlError::new(XmlErrorKind::InvalidUtf8, self.pos));
-        }
-        let bytes = &self.buf[self.start..self.start + len];
-        let s = std::str::from_utf8(bytes)
-            .map_err(|_| XmlError::new(XmlErrorKind::InvalidUtf8, self.pos))?;
-        let ch = s.chars().next().expect("non-empty validated UTF-8");
-        self.start += len;
-        self.pos.advance(ch, len);
-        Ok(Some(ch))
-    }
-
-    /// Peeks the next character (with the same normalization as
-    /// [`Scanner::next_char`]) without consuming it.
-    pub fn peek_char(&mut self) -> XmlResult<Option<char>> {
-        let first = match self.peek_byte()? {
-            Some(b) => b,
-            None => return Ok(None),
-        };
-        if first == b'\r' {
-            return Ok(Some('\n'));
-        }
-        if first < 0x80 {
-            return Ok(Some(first as char));
-        }
-        let len =
-            utf8_len(first).ok_or_else(|| XmlError::new(XmlErrorKind::InvalidUtf8, self.pos))?;
-        if self.ensure(len)? < len {
-            return Err(XmlError::new(XmlErrorKind::InvalidUtf8, self.pos));
-        }
-        let bytes = &self.buf[self.start..self.start + len];
-        let s = std::str::from_utf8(bytes)
-            .map_err(|_| XmlError::new(XmlErrorKind::InvalidUtf8, self.pos))?;
-        Ok(s.chars().next())
-    }
-
-    /// The memchr-style fast path: consumes the longest prefix of bytes
-    /// whose [`ByteClass`] entry is set, appending it to `out` in one
-    /// `push_str` and advancing the position **in bulk** (one newline
-    /// count per run instead of a branch per byte). Classes never include
-    /// `\r` (normalization) or non-ASCII bytes (UTF-8 decoding), so the
-    /// char-wise slow path keeps handling those. Returns how many bytes
-    /// were consumed.
-    pub fn consume_class_run(&mut self, class: &ByteClass, out: &mut String) -> XmlResult<usize> {
-        // The class is ASCII-only sans '\r'; safe to push as str.
-        self.consume_class_run_with(class, |run| {
-            out.push_str(std::str::from_utf8(run).expect("ascii run"))
-        })
-    }
-
-    /// Zero-copy variant of [`Scanner::consume_class_run`]: the run is
-    /// handed to `sink` as borrowed slices (one per buffer window crossed)
-    /// instead of being appended to a `String`. Callers that only need the
-    /// span — or that copy into their own storage — skip the intermediate
-    /// allocation entirely.
-    pub fn consume_class_run_with(
-        &mut self,
-        class: &ByteClass,
-        mut sink: impl FnMut(&[u8]),
-    ) -> XmlResult<usize> {
-        let mut total = 0;
+    /// Skips XML whitespace; returns whether any was consumed.
+    #[inline]
+    pub(crate) fn skip_whitespace(&mut self) -> XmlResult<bool> {
+        let from = self.offset();
         loop {
-            if self.buffered() == 0 && self.ensure(1)? == 0 {
+            match self.peek()? {
+                Some(b' ' | b'\t' | b'\n') => self.pos += 1,
+                Some(b'\r') => self.skip_cr()?,
+                _ => return Ok(self.offset() != from),
+            }
+        }
+    }
+
+    /// The character at the cursor (not consumed) and its length in
+    /// bytes; the cursor must be at a non-ASCII byte. Malformed UTF-8 is
+    /// an error at its first byte.
+    pub(crate) fn decode(&mut self) -> XmlResult<(char, usize)> {
+        match self.buf[self.pos..].chars().next() {
+            Some(c) => Ok((c, c.len_utf8())),
+            None => Err(XmlError::new(XmlErrorKind::InvalidUtf8, self.position())),
+        }
+    }
+
+    /// Consumes the non-ASCII character at the cursor, which must be an
+    /// XML `Char`.
+    pub(crate) fn xml_char(&mut self) -> XmlResult<()> {
+        let (c, len) = self.decode()?;
+        self.pos += len;
+        if !entities::is_xml_char(c) {
+            return Err(XmlError::new(XmlErrorKind::InvalidChar { ch: c }, self.position()));
+        }
+        Ok(())
+    }
+
+    /// Consumes and returns the next character, normalizing line ends
+    /// (`\r\n` and a bare `\r` are delivered as `\n`); `None` at end of
+    /// stream. The character-wise path for markup that is rare in data:
+    /// comments, PIs, CDATA, the DOCTYPE.
+    pub(crate) fn next_char(&mut self) -> XmlResult<Option<char>> {
+        let (c, len) = match self.peek()? {
+            None => return Ok(None),
+            Some(b'\r') => {
+                self.skip_cr()?;
+                return Ok(Some('\n'));
+            }
+            Some(b) if b < 0x80 => (b as char, 1),
+            Some(_) => self.decode()?,
+        };
+        self.pos += len;
+        Ok(Some(c))
+    }
+
+    /// Stage 2: walks the cursor to the next stop of the text mask (`TAG
+    /// = false`) or the tag mask (`TAG = true`), reading more input as
+    /// needed. Returns the stop byte, not consumed (malformed UTF-8 stops
+    /// as its first byte), or `None` at end of stream.
+    #[inline]
+    pub(crate) fn run<const TAG: bool>(&mut self) -> XmlResult<Option<u8>> {
+        loop {
+            let stop = self.next_stop::<TAG>(self.pos);
+            self.block_bytes += (stop - self.pos) as u64;
+            self.pos = stop;
+            if stop < self.buf.len() {
+                return Ok(Some(self.buf.as_bytes()[stop]));
+            }
+            if !self.fill()? {
+                return Ok(self.bad);
+            }
+        }
+    }
+
+    /// Reads an XML `Name` at the cursor: an ASCII run up to the next
+    /// tag-mask stop, checked byte by byte, then any non-ASCII name
+    /// characters (each decoded and checked) and the runs after them.
+    pub(crate) fn name(&mut self) -> XmlResult<&str> {
+        let start = self.offset();
+        loop {
+            let from = self.pos;
+            let stop = self.next_stop::<true>(from);
+            let bytes = &self.buf.as_bytes()[from..stop];
+            self.pos =
+                bytes.iter().position(|&b| !NAME_BYTES[b as usize]).map_or(stop, |k| from + k);
+            self.block_bytes += (self.pos - from) as u64;
+            if self.pos < stop {
                 break;
             }
-            let window = &self.buf[self.start..self.end];
-            let n = match class.find_stop(window) {
-                Some(0) => break,
-                Some(stop) => stop,
-                None => window.len(),
-            };
-            let run = &self.buf[self.start..self.start + n];
-            sink(run);
-            self.pos.advance_ascii_run(run);
-            if class.wide.ok {
-                // The first word of every run is probed scalar-wise before
-                // the SWAR loop takes over (see ByteClass::find_stop).
-                let probe = n.min(8) as u64;
-                self.scan_scalar_bytes += probe;
-                self.scan_wide_bytes += n as u64 - probe;
-            } else {
-                self.scan_scalar_bytes += n as u64;
+            match self.buf.as_bytes().get(stop).copied() {
+                None if self.fill()? => continue,
+                None if self.bad.is_none() => break,
+                Some(b) if b < 0x80 => break,
+                _ => {}
             }
-            self.start += n;
-            total += n;
-            if n < window.len() {
-                break; // stopped at a boundary byte, not at window end
+            let (c, len) = self.decode()?;
+            if !name::is_name_char(c) {
+                break;
             }
+            self.pos += len;
         }
-        Ok(total)
+        // Every character after the first is a name character by now.
+        let name = self.str_since(start);
+        if name.chars().next().is_some_and(name::is_name_start_char) {
+            Ok(name)
+        } else {
+            let kind = XmlErrorKind::InvalidName { name: name.into() };
+            Err(XmlError::new(kind, self.position_at(start)))
+        }
     }
 
-    /// Consumes a class run without materializing it anywhere — the
-    /// borrowed-slice fast path for callers that discard the bytes (e.g.
-    /// whitespace skipping). Returns how many bytes were consumed.
-    pub fn skip_class_run(&mut self, class: &ByteClass) -> XmlResult<usize> {
-        self.consume_class_run_with(class, |_| {})
+    /// The first stop at or after window index `i`; the window's end if
+    /// none comes before it (bytes past the end classify as stops).
+    #[inline]
+    fn next_stop<const TAG: bool>(&mut self, mut i: usize) -> usize {
+        loop {
+            let b = i & !63;
+            if b != self.block {
+                self.classify(b);
+            }
+            let stops = if TAG { self.tag_stops } else { self.text_stops } >> (i - b);
+            if stops != 0 {
+                return i + stops.trailing_zeros() as usize;
+            }
+            i = b + 64;
+        }
+    }
+
+    /// Stage 1 on the block at window index `b`: a partial last block is
+    /// padded with `0x80`, a stop in both masks.
+    fn classify(&mut self, b: usize) {
+        let window = self.buf.as_bytes();
+        (self.text_stops, self.tag_stops) = match window.get(b..b + 64) {
+            Some(block) => block_masks(block.try_into().expect("64-byte block")),
+            None => {
+                let mut padded = [0x80; 64];
+                padded[..window.len() - b].copy_from_slice(&window[b..]);
+                block_masks(&padded)
+            }
+        };
+        self.block = b;
     }
 }
 
-/// All-ones in the low bit of every lane of a `u64` (8 ASCII lanes).
-const LANE_LO: u64 = 0x0101_0101_0101_0101;
-/// The high bit of every lane.
-const LANE_HI: u64 = 0x8080_8080_8080_8080;
-
-/// SWAR companion of a [`ByteClass`]: the ASCII members decomposed into at
-/// most 8 contiguous ranges so an 8-byte word can be classified with a few
-/// adds and masks instead of 8 table lookups. Derived at `const` time from
-/// the membership table; classes too fragmented to decompose fall back to
-/// the scalar loop (`ok == false`).
-#[derive(Debug, Clone, Copy)]
-struct WideSpec {
-    /// Per-range lane-replicated add constants, precomputed at `const`
-    /// time: `((0x80 - lo) * LANE_LO, (0x7F - hi) * LANE_LO)` for member
-    /// range `lo..=hi`. Slots past `len` hold an empty range (`lo > hi`)
-    /// whose compare never flags a lane, so [`WideSpec::stop_mask`] can
-    /// run a fixed-trip, fully unrollable loop.
-    adds: [(u64, u64); 8],
-    ok: bool,
+/// `(lines, columns)` carried over `bytes`: the newlines in them, and the
+/// characters after the last one (added to `columns` if there is none).
+/// The common cases are three vectorizable counts.
+fn count_lines(bytes: &[u8], lines: u32, columns: u32) -> (u32, u32) {
+    let chars = |s: &[u8]| s.iter().filter(|&&b| b & 0xC0 != 0x80).count() as u32;
+    let lf = bytes.iter().filter(|&&b| b == b'\n').count() as u32;
+    let cr = bytes.iter().filter(|&&b| b == b'\r').count() as u32;
+    if lf + cr == 0 {
+        return (lines, columns + chars(bytes));
+    }
+    let crlf = if cr == 0 { 0 } else { bytes.windows(2).filter(|w| w == b"\r\n").count() as u32 };
+    let last = bytes.iter().rposition(|&b| b == b'\n' || b == b'\r').expect("counted one");
+    (lines + lf + cr - crlf, chars(&bytes[last + 1..]))
 }
 
-impl WideSpec {
-    /// The add-constant pair of the empty range `1..=0`: `gt_hi` flags
-    /// every lane, so `ge_lo & !gt_hi` contributes no members.
-    const NEVER: (u64, u64) = ((0x80 - 1) * LANE_LO, 0x7F * LANE_LO);
-
-    const fn derive(table: &[bool; 256]) -> WideSpec {
-        let mut adds = [WideSpec::NEVER; 8];
-        let mut len = 0;
-        let mut b = 0usize;
-        while b < 0x80 {
-            if table[b] {
-                let lo = b;
-                while b < 0x80 && table[b] {
-                    b += 1;
-                }
-                let hi = b - 1;
-                if len == adds.len() {
-                    return WideSpec { adds: [WideSpec::NEVER; 8], ok: false };
-                }
-                adds[len] = ((0x80 - lo as u64) * LANE_LO, (0x7F - hi as u64) * LANE_LO);
-                len += 1;
-            } else {
-                b += 1;
-            }
-        }
-        let _ = len;
-        WideSpec { adds, ok: true }
-    }
-
-    /// Returns a mask with `0x80` set in every lane of `x` that must stop
-    /// the run: bytes outside all member ranges, plus non-ASCII bytes.
-    ///
-    /// The per-range compare is the 7-bit trick `x + (0x80 - lo)` /
-    /// `x + (0x7F - hi)`: with the high bit masked off, lane sums never
-    /// exceed `0xFE`, so no carry crosses lanes and the result is *exact*
-    /// (unlike the classic `haszero` subtraction, which can smear borrows
-    /// upward).
-    #[inline(always)]
-    fn stop_mask(&self, x: u64) -> u64 {
-        let x7 = x & !LANE_HI;
-        let mut member = 0u64;
-        // Fixed trip count over the padded table (empty ranges are
-        // no-ops): no data-dependent branch, fully unrollable.
-        let mut r = 0usize;
-        while r < self.adds.len() {
-            let (add_lo, add_hi) = self.adds[r];
-            let ge_lo = x7.wrapping_add(add_lo) & LANE_HI;
-            let gt_hi = x7.wrapping_add(add_hi) & LANE_HI;
-            member |= ge_lo & !gt_hi;
-            r += 1;
-        }
-        // Non-ASCII lanes (high bit in x) stop regardless of what their
-        // low 7 bits looked like to the range compares.
-        (x | !member) & LANE_HI
-    }
-}
-
-/// A 256-entry byte-membership table driving
-/// [`Scanner::consume_class_run`]: the scanning loop is a table lookup per
-/// byte instead of a predicate call, and tables are built once (`const`)
-/// per byte class rather than once per run.
+/// A byte's stops as `(text, tag)`.
 ///
-/// Construction masks out `\r` and non-ASCII bytes unconditionally — runs
-/// must stop there so line-ending normalization and UTF-8 decoding stay in
-/// the char-wise slow path.
-#[derive(Debug, Clone)]
-pub struct ByteClass {
-    table: [bool; 256],
-    wide: WideSpec,
+/// * Text stops at `<`, `=`, `>`, `&`, controls other than tab and
+///   newline (so `\r` too) and non-ASCII: `>` for `]]>`, `=` because
+///   tags need it anyway.
+/// * Tags stop at `<`, `=`, `>`, `&`, quotes, `/`, whitespace and the
+///   other controls (every byte up to space) and non-ASCII.
+#[inline(always)]
+fn stops(b: u8) -> (bool, bool) {
+    // `|` and `&`, not `||` and `&&`: no branches, so the block loop
+    // compiles to SIMD compares.
+    let shared = (b >= 0x80) | (b == b'<') | (b == b'=') | (b == b'>') | (b == b'&');
+    let text = shared | ((b < 0x20) & (b != b'\t') & (b != b'\n'));
+    let tag = shared | (b <= 0x20) | (b == b'"') | (b == b'\'') | (b == b'/');
+    (text, tag)
 }
 
-impl ByteClass {
-    /// Builds a class from a membership table (entries for `\r` and bytes
-    /// `>= 0x80` are ignored and forced to `false`).
-    pub const fn new(mut table: [bool; 256]) -> Self {
-        table[b'\r' as usize] = false;
-        let mut b = 0x80;
-        while b < 256 {
-            table[b] = false;
-            b += 1;
-        }
-        ByteClass { wide: WideSpec::derive(&table), table }
+/// Stage 1 on one 64-byte block: the `(text, tag)` stop masks, bit `i`
+/// for byte `i`. The byte loop shares its compares between the two
+/// classes and vectorizes; each class's eight 0/1 lanes per `u64` word are
+/// then packed with one multiply, which moves lane `k`'s bit to bit
+/// `56 + k` (no two partial products meet there).
+fn block_masks(block: &[u8; 64]) -> (u64, u64) {
+    let (mut text_lanes, mut tag_lanes) = ([0u8; 64], [0u8; 64]);
+    for i in 0..64 {
+        let (text, tag) = stops(block[i]);
+        text_lanes[i] = text as u8;
+        tag_lanes[i] = tag as u8;
     }
-
-    /// Whether byte `b` belongs to the class.
-    #[inline(always)]
-    pub fn contains(&self, b: u8) -> bool {
-        self.table[b as usize]
-    }
-
-    /// Index of the first byte of `window` *not* in the class, or `None`
-    /// if every byte is a member. A decomposable class is classified 8
-    /// bytes per step via [`WideSpec::stop_mask`]; the scalar loop
-    /// ([`ByteClass::find_stop_scalar`]) handles the tail and is the whole
-    /// scan for a class SWAR cannot express.
-    #[inline]
-    pub(crate) fn find_stop(&self, window: &[u8]) -> Option<usize> {
-        let mut i = 0;
-        if self.wide.ok {
-            // Most runs are short (tag/attribute names average well under
-            // 8 bytes): probe the first word scalar-wise so they never
-            // pay the SWAR setup; only runs that survive it go wide.
-            let probe = window.len().min(8);
-            while i < probe {
-                if !self.contains(window[i]) {
-                    return Some(i);
-                }
-                i += 1;
-            }
-            // 16 bytes per iteration: the two words' mask computations
-            // have no data dependency, so they overlap in the pipeline.
-            while i + 16 <= window.len() {
-                let a = u64::from_le_bytes(window[i..i + 8].try_into().expect("8-byte chunk"));
-                let b = u64::from_le_bytes(window[i + 8..i + 16].try_into().expect("8-byte chunk"));
-                let sa = self.wide.stop_mask(a);
-                let sb = self.wide.stop_mask(b);
-                if sa | sb != 0 {
-                    // from_le_bytes puts window[i] in the least significant
-                    // lane on every host, so trailing_zeros finds the first.
-                    return Some(if sa != 0 {
-                        i + sa.trailing_zeros() as usize / 8
-                    } else {
-                        i + 8 + sb.trailing_zeros() as usize / 8
-                    });
-                }
-                i += 16;
-            }
-            if i + 8 <= window.len() {
-                let x = u64::from_le_bytes(window[i..i + 8].try_into().expect("8-byte chunk"));
-                let stops = self.wide.stop_mask(x);
-                if stops != 0 {
-                    return Some(i + stops.trailing_zeros() as usize / 8);
-                }
-                i += 8;
-            }
-        }
-        self.find_stop_scalar(window, i)
-    }
-
-    /// [`ByteClass::find_stop`] from offset `from`, one table lookup per
-    /// byte.
-    #[inline]
-    fn find_stop_scalar(&self, window: &[u8], from: usize) -> Option<usize> {
-        window[from..].iter().position(|&b| !self.contains(b)).map(|p| from + p)
-    }
+    let pack = |lanes: &[u8; 64]| {
+        lanes.chunks_exact(8).enumerate().fold(0u64, |mask, (w, word)| {
+            let word = u64::from_le_bytes(word.try_into().expect("8-byte word"));
+            mask | (word.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * w)
+        })
+    };
+    (pack(&text_lanes), pack(&tag_lanes))
 }
 
-/// Length of a UTF-8 sequence from its first byte, or `None` if invalid.
-fn utf8_len(first: u8) -> Option<usize> {
-    match first {
-        0x00..=0x7F => Some(1),
-        0xC2..=0xDF => Some(2),
-        0xE0..=0xEF => Some(3),
-        0xF0..=0xF4 => Some(4),
-        _ => None,
+/// ASCII bytes that may appear in an XML name.
+static NAME_BYTES: [bool; 256] = {
+    let mut t = [false; 256];
+    let mut b = 0;
+    while b < 0x80 {
+        let c = b as u8;
+        t[b] = c.is_ascii_alphanumeric() || matches!(c, b':' | b'_' | b'-' | b'.');
+        b += 1;
     }
-}
+    t
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Cursor;
 
-    fn scan(s: &str) -> Scanner<Cursor<Vec<u8>>> {
-        Scanner::with_capacity(Cursor::new(s.as_bytes().to_vec()), 64 * 1024)
+    fn scan(s: &str, capacity: usize) -> Scanner<Cursor<Vec<u8>>> {
+        Scanner::with_capacity(Cursor::new(s.as_bytes().to_vec()), capacity)
+    }
+
+    /// The masks byte by byte, as the doc comment of `stops` states them.
+    fn reference(b: u8) -> (bool, bool) {
+        let shared = b >= 0x80 || matches!(b, b'<' | b'=' | b'>' | b'&');
+        let text = shared || (b < 0x20 && b != b'\t' && b != b'\n');
+        let tag = shared || b <= 0x20 || matches!(b, b'"' | b'\'' | b'/');
+        (text, tag)
     }
 
     #[test]
     fn reads_chars_and_tracks_position() {
-        let mut sc = scan("ab\ncd");
+        let mut sc = scan("ab\ncd", 64);
         assert_eq!(sc.next_char().unwrap(), Some('a'));
         assert_eq!(sc.next_char().unwrap(), Some('b'));
         assert_eq!(sc.next_char().unwrap(), Some('\n'));
-        assert_eq!(sc.position().line, 2);
-        assert_eq!(sc.position().column, 1);
+        assert_eq!((sc.position().line, sc.position().column), (2, 1));
         assert_eq!(sc.next_char().unwrap(), Some('c'));
         assert_eq!(sc.position().column, 2);
         assert_eq!(sc.next_char().unwrap(), Some('d'));
@@ -476,7 +491,7 @@ mod tests {
 
     #[test]
     fn normalizes_line_endings() {
-        let mut sc = scan("a\r\nb\rc");
+        let mut sc = scan("a\r\nb\rc", 64);
         let mut got = String::new();
         while let Some(c) = sc.next_char().unwrap() {
             got.push(c);
@@ -489,299 +504,243 @@ mod tests {
 
     #[test]
     fn decodes_multibyte_utf8() {
-        let mut sc = scan("é日x");
+        let mut sc = scan("é日x", 64);
         assert_eq!(sc.next_char().unwrap(), Some('é'));
         assert_eq!(sc.next_char().unwrap(), Some('日'));
         assert_eq!(sc.next_char().unwrap(), Some('x'));
         assert_eq!(sc.offset(), 6);
+        assert_eq!(sc.position().column, 4);
     }
 
     #[test]
     fn rejects_invalid_utf8() {
-        let mut sc = Scanner::with_capacity(Cursor::new(vec![0xFF, 0x41]), 64 * 1024);
-        assert!(sc.next_char().is_err());
+        let mut sc = Scanner::with_capacity(Cursor::new(b"ab\xFFc".to_vec()), 64);
+        assert_eq!(sc.next_char().unwrap(), Some('a'));
+        assert_eq!(sc.next_char().unwrap(), Some('b'));
+        let e = sc.next_char().unwrap_err();
+        assert!(matches!(e.kind(), XmlErrorKind::InvalidUtf8));
+        assert_eq!(e.position().offset, 2, "reported at the bad byte");
     }
 
     #[test]
     fn rejects_truncated_utf8() {
-        let mut sc = Scanner::with_capacity(Cursor::new(vec![0xC3]), 64 * 1024); // lone lead byte
-        assert!(sc.next_char().is_err());
+        let mut sc = Scanner::with_capacity(Cursor::new(vec![0xC3]), 64); // lone lead byte
+        assert!(matches!(sc.next_char().unwrap_err().kind(), XmlErrorKind::InvalidUtf8));
     }
 
     #[test]
     fn peek_does_not_consume() {
-        let mut sc = scan("xy");
-        assert_eq!(sc.peek_byte().unwrap(), Some(b'x'));
+        let mut sc = scan("xy", 64);
+        assert_eq!(sc.peek().unwrap(), Some(b'x'));
         assert_eq!(sc.peek_at(1).unwrap(), Some(b'y'));
         assert_eq!(sc.peek_at(2).unwrap(), None);
-        assert_eq!(sc.peek_char().unwrap(), Some('x'));
         assert_eq!(sc.next_char().unwrap(), Some('x'));
     }
 
     #[test]
     fn starts_with_and_consume() {
-        let mut sc = scan("<!--rest");
+        let mut sc = scan("<!--rest", 64);
         assert!(sc.starts_with(b"<!--").unwrap());
         assert!(!sc.starts_with(b"<!DOCTYPE").unwrap());
-        sc.consume_ascii(b"<!--").unwrap();
+        sc.advance(4);
         assert_eq!(sc.next_char().unwrap(), Some('r'));
     }
 
     #[test]
     fn ascii_run_stops_at_boundary() {
-        let mut sc = scan("hello<world");
-        let mut out = String::new();
-        let mut not_lt = [true; 256];
-        not_lt[b'<' as usize] = false;
-        let n = sc.consume_class_run(&ByteClass::new(not_lt), &mut out).unwrap();
-        assert_eq!(n, 5);
-        assert_eq!(out, "hello");
-        assert_eq!(sc.peek_byte().unwrap(), Some(b'<'));
+        let mut sc = scan("hello<world", 64);
+        assert_eq!(sc.run::<false>().unwrap(), Some(b'<'));
+        assert_eq!(sc.str_since(0), "hello");
     }
 
     #[test]
     fn ascii_run_stops_at_non_ascii_and_cr() {
-        static ALL: ByteClass = ByteClass::new([true; 256]);
-        let mut sc = scan("ab\récd");
-        let mut out = String::new();
-        sc.consume_class_run(&ALL, &mut out).unwrap();
-        assert_eq!(out, "ab");
-        assert_eq!(sc.next_char().unwrap(), Some('\n')); // normalized \r
-        out.clear();
-        sc.consume_class_run(&ALL, &mut out).unwrap();
-        assert_eq!(out, ""); // é is non-ASCII
-        assert_eq!(sc.next_char().unwrap(), Some('é'));
+        let mut sc = scan("ab\récd", 64);
+        assert_eq!(sc.run::<false>().unwrap(), Some(b'\r'));
+        assert_eq!(sc.offset(), 2);
+        sc.skip_cr().unwrap();
+        assert_eq!(sc.run::<false>().unwrap(), Some(0xC3), "é is non-ASCII");
+        sc.xml_char().unwrap();
+        assert_eq!(sc.run::<false>().unwrap(), None);
+        assert_eq!((sc.offset(), sc.position().line, sc.position().column), (7, 2, 4));
     }
 
     #[test]
     fn byte_class_masks_cr_and_non_ascii() {
-        let class = ByteClass::new([true; 256]);
-        assert!(class.contains(b'a') && class.contains(b'\n') && class.contains(0x7F));
-        assert!(!class.contains(b'\r'));
-        assert!(!class.contains(0x80) && !class.contains(0xFF));
+        for b in [b'\r', 0x80, 0xC3, 0xFF] {
+            assert_eq!(stops(b), (true, true), "byte {b:#x}");
+        }
+        assert_eq!(stops(b'a'), (false, false));
+        assert_eq!(stops(b'\n'), (false, true), "a newline ends a name, not text");
+        assert_eq!(stops(b'"'), (false, true));
+        assert_eq!(stops(b'<'), (true, true));
     }
 
     #[test]
     fn class_run_accounts_position_in_bulk() {
-        static ALL: ByteClass = ByteClass::new([true; 256]);
-        let mut sc = scan("ab\ncd\né");
-        let mut out = String::new();
-        let n = sc.consume_class_run(&ALL, &mut out).unwrap();
-        assert_eq!(n, 6);
-        assert_eq!(out, "ab\ncd\n");
-        assert_eq!(sc.position().line, 3);
-        assert_eq!(sc.position().column, 1);
-        assert_eq!(sc.offset(), 6);
-        assert_eq!(sc.next_char().unwrap(), Some('é'));
+        let mut sc = scan("ab\ncd\né", 64);
+        assert_eq!(sc.run::<false>().unwrap(), Some(0xC3));
+        assert_eq!(sc.str_since(0), "ab\ncd\n");
+        let p = sc.position();
+        assert_eq!((p.offset, p.line, p.column), (6, 3, 1));
     }
 
     #[test]
     fn class_run_spans_refills() {
-        static ALPHA: ByteClass = ByteClass::new({
-            let mut t = [false; 256];
-            let mut b = 0usize;
-            while b < 0x80 {
-                t[b] = (b as u8).is_ascii_alphabetic();
-                b += 1;
-            }
-            t
-        });
-        let text = format!("{}1rest", "xyz".repeat(40));
-        let mut sc = Scanner::with_capacity(Cursor::new(text.into_bytes()), 16);
-        let mut out = String::new();
-        let n = sc.consume_class_run(&ALPHA, &mut out).unwrap();
-        assert_eq!(n, 120);
-        assert_eq!(out, "xyz".repeat(40));
-        assert_eq!(sc.peek_byte().unwrap(), Some(b'1'));
+        let text = format!("{}<rest", "xyz".repeat(40));
+        let mut sc = scan(&text, 16);
+        assert_eq!(sc.run::<false>().unwrap(), Some(b'<'));
+        assert_eq!(sc.str_since(0), "xyz".repeat(40));
+    }
+
+    #[test]
+    fn class_run_crosses_windows_end_to_end() {
+        let text = format!("{}\n{}\x7f tail", "run ".repeat(50), "line".repeat(9));
+        let mut sc = scan(&text, 32);
+        assert_eq!(sc.run::<false>().unwrap(), None);
+        assert_eq!(sc.str_since(0), text);
+        assert_eq!(sc.position().line, 2);
     }
 
     #[test]
     fn works_across_tiny_buffer_refills() {
-        let text = "abcdefghijklmnopqrstuvwxyz".repeat(8);
-        let mut sc = Scanner::with_capacity(Cursor::new(text.clone().into_bytes()), 16);
+        // Committing after every character lets the window slide; the
+        // position is counted over what it discards.
+        let text = "abcdefghijklm\nopqrstuvwxyz".repeat(8);
+        let mut sc = scan(&text, 16);
         let mut got = String::new();
         while let Some(c) = sc.next_char().unwrap() {
             got.push(c);
+            sc.commit();
         }
         assert_eq!(got, text);
+        let p = sc.position();
+        assert_eq!((p.offset, p.line, p.column), (208, 9, 13));
     }
 
     #[test]
     fn lookahead_larger_than_window_grows() {
-        let mut sc = Scanner::with_capacity(Cursor::new(b"0123456789abcdef0123".to_vec()), 16);
+        let mut sc = scan("0123456789abcdef0123", 16);
         assert_eq!(sc.peek_at(18).unwrap(), Some(b'2'));
         assert_eq!(sc.next_char().unwrap(), Some('0'));
     }
 
     #[test]
-    fn wide_spec_decomposes_ranges() {
-        // Alphanumerics + ':' '_' '-' '.' — the NAME_RUN shape.
-        let class = ByteClass::new({
-            let mut t = [false; 256];
-            let mut b = 0usize;
-            while b < 0x80 {
-                let c = b as u8;
-                t[b] = c.is_ascii_alphanumeric() || matches!(c, b':' | b'_' | b'-' | b'.');
-                b += 1;
-            }
-            t
-        });
-        assert!(class.wide.ok);
-        // '-' '.' merge into one range (0x2D..=0x2E); ':' rides on '0'..='9':
-        // the class fits the 8-range budget, so `ok` held above.
-        for b in 0u8..=0x7F {
-            let member = class.contains(b);
-            let word = u64::from_le_bytes([b; 8]);
-            let stops = class.wide.stop_mask(word);
-            assert_eq!(stops == 0, member, "byte {b:#x}");
-        }
+    fn runs_are_borrowed_from_the_window() {
+        // A kept construct stays whole in the window however it arrived.
+        let text = format!("{} rest", "abcd".repeat(10));
+        let mut sc = scan(&text, 16);
+        assert_eq!(sc.name().unwrap(), "abcd".repeat(10));
+        assert_eq!(sc.peek().unwrap(), Some(b' '));
     }
 
     #[test]
-    fn wide_spec_rejects_fragmented_class() {
-        // Every other byte: 64 ranges, far past the 8-range budget.
-        let class = ByteClass::new({
-            let mut t = [false; 256];
-            let mut b = 0usize;
-            while b < 0x80 {
-                t[b] = b.is_multiple_of(2);
-                b += 1;
-            }
-            t
-        });
-        assert!(!class.wide.ok);
-        // find_stop still works via the scalar fallback.
-        assert_eq!(class.find_stop(b"\x00\x02\x04\x05"), Some(3));
+    fn skip_whitespace_consumes_without_output() {
+        let mut sc = scan("  \r\n\t x", 64);
+        assert!(sc.skip_whitespace().unwrap());
+        assert_eq!(sc.peek().unwrap(), Some(b'x'));
+        assert_eq!((sc.position().line, sc.position().column), (2, 3));
+        assert!(!sc.skip_whitespace().unwrap());
     }
 
     #[test]
     fn find_stop_wide_matches_scalar_on_all_boundaries() {
-        static TEXTISH: ByteClass = ByteClass::new({
-            let mut t = [false; 256];
-            let mut b = 0usize;
-            while b < 0x80 {
-                let c = b as u8;
-                t[b] = !matches!(c, b'<' | b'&' | b']' | b'>')
-                    && (c >= 0x20 || c == b'\t' || c == b'\n');
-                b += 1;
-            }
-            t
-        });
-        // Stop byte at every lane position of the 8-byte word, plus in the
-        // scalar tail, plus high-bit and no-stop windows.
-        for stop_at in 0..20usize {
-            let mut window = vec![b'a'; 20];
-            for &stop in &[b'<', b'&', b'\r', 0x80u8, 0x00] {
-                window[stop_at] = stop;
-                let wide = TEXTISH.find_stop(&window);
-                let scalar = TEXTISH.find_stop_scalar(&window, 0);
-                assert_eq!(wide, scalar, "stop {stop:#x} at {stop_at}");
-                assert_eq!(wide, Some(stop_at));
-                window[stop_at] = b'a';
+        // Every byte value in every lane of a block.
+        for b in 0..=255u8 {
+            for lane in 0..64 {
+                let mut block = [b'a'; 64];
+                block[lane] = b;
+                let (text, tag) = block_masks(&block);
+                let (want_text, want_tag) = reference(b);
+                assert_eq!(text, u64::from(want_text) << lane, "text, byte {b:#x} lane {lane}");
+                assert_eq!(tag, u64::from(want_tag) << lane, "tag, byte {b:#x} lane {lane}");
             }
         }
-        assert_eq!(TEXTISH.find_stop(&[b'x'; 23]), None);
-        assert_eq!(TEXTISH.find_stop(&[]), None);
     }
 
     #[test]
     fn wide_and_scalar_scan_agree_exhaustively() {
-        // Pseudo-random windows over the full byte range, wide vs scalar.
-        static TEXTISH: ByteClass = ByteClass::new({
-            let mut t = [false; 256];
-            let mut b = 0usize;
-            while b < 0x80 {
-                let c = b as u8;
-                t[b] = !matches!(c, b'<' | b'&') && (c >= 0x20 || c == b'\t' || c == b'\n');
-                b += 1;
-            }
-            t
-        });
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        for len in 0..64usize {
-            let mut window = Vec::with_capacity(len);
-            for _ in 0..len {
+        for _ in 0..2000 {
+            let mut block = [0u8; 64];
+            for byte in &mut block {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                window.push((state >> 56) as u8);
+                *byte = (state >> 56) as u8;
+            }
+            let (text, tag) = block_masks(&block);
+            for (i, &b) in block.iter().enumerate() {
+                let (want_text, want_tag) = reference(b);
+                assert_eq!(text >> i & 1 == 1, want_text, "byte {b:#x} at {i}");
+                assert_eq!(tag >> i & 1 == 1, want_tag, "byte {b:#x} at {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn scan_counts_split_wide_and_scalar() {
+        // Runs count as block bytes, stop bytes one at a time, whatever
+        // the window size.
+        for capacity in [16, 17, 64, 65, 1024] {
+            let text = format!("{}<{}\"x", "t".repeat(70), "n".repeat(130));
+            let mut sc = scan(&text, capacity);
+            assert_eq!(sc.run::<false>().unwrap(), Some(b'<'));
+            sc.advance(1);
+            sc.commit();
+            assert_eq!(sc.run::<true>().unwrap(), Some(b'"'));
+            assert_eq!(sc.offset(), 201);
+            sc.advance(1);
+            assert_eq!(sc.run::<true>().unwrap(), None);
+            assert_eq!(sc.scan_counts(), (70 + 130 + 1, 2));
+        }
+    }
+
+    #[test]
+    fn positions_count_line_ends_once_however_the_window_slides() {
+        // `\r\n` and a bare `\r` each end one line; `é` is one column.
+        let text = "ab\r\ncé\rd\nxyz";
+        for capacity in [16, 64] {
+            let mut sc = scan(text, capacity);
+            let mut seen = Vec::new();
+            while sc.next_char().unwrap().is_some() {
+                let p = sc.position();
+                seen.push((p.offset, p.line, p.column));
+                sc.commit();
             }
             assert_eq!(
-                TEXTISH.find_stop(&window),
-                TEXTISH.find_stop_scalar(&window, 0),
-                "window {window:?}"
+                seen,
+                [
+                    (1, 1, 2),
+                    (2, 1, 3),
+                    (4, 2, 1),
+                    (5, 2, 2),
+                    (7, 2, 3),
+                    (8, 3, 1),
+                    (9, 3, 2),
+                    (10, 4, 1),
+                    (11, 4, 2),
+                    (12, 4, 3),
+                    (13, 4, 4)
+                ]
             );
         }
     }
 
     #[test]
-    fn skip_class_run_consumes_without_output() {
-        static WS: ByteClass = ByteClass::new({
-            let mut t = [false; 256];
-            t[b' ' as usize] = true;
-            t[b'\t' as usize] = true;
-            t[b'\n' as usize] = true;
-            t
-        });
-        let mut sc = scan("  \n\t x");
-        let n = sc.skip_class_run(&WS).unwrap();
-        assert_eq!(n, 5);
-        assert_eq!(sc.peek_byte().unwrap(), Some(b'x'));
-        assert_eq!(sc.position().line, 2);
-        assert_eq!(sc.position().column, 3);
+    fn names_stop_at_the_first_non_name_character() {
+        let mut sc = scan("café:x-1.y!rest", 64);
+        assert_eq!(sc.name().unwrap(), "café:x-1.y");
+        assert_eq!(sc.peek().unwrap(), Some(b'!'));
+        let e = scan("9lives", 64).name().unwrap_err();
+        assert!(matches!(e.kind(), XmlErrorKind::InvalidName { name } if name == "9lives"));
     }
 
     #[test]
-    fn scan_counts_split_wide_and_scalar() {
-        static ALL: ByteClass = ByteClass::new([true; 256]);
-        let text = "x".repeat(100);
-        let mut sc = scan(&text);
-        sc.skip_class_run(&ALL).unwrap();
-        let (wide, scalar) = sc.scan_counts();
-        assert_eq!(wide + scalar, 100);
-        assert_eq!(scalar, 8, "first word is always probed scalar-wise");
-        // A class SWAR cannot express (every other byte) scans scalar.
-        static EVEN: ByteClass = ByteClass::new({
-            let mut t = [false; 256];
-            let mut b = 0usize;
-            while b < 0x80 {
-                t[b] = b.is_multiple_of(2);
-                b += 1;
-            }
-            t
-        });
-        let mut sc = scan(&"bd".repeat(50));
-        sc.skip_class_run(&EVEN).unwrap();
-        assert_eq!(sc.scan_counts(), (0, 100));
-    }
-
-    #[test]
-    fn consume_class_run_with_borrows_slices() {
-        static ALPHA: ByteClass = ByteClass::new({
-            let mut t = [false; 256];
-            let mut b = 0usize;
-            while b < 0x80 {
-                t[b] = (b as u8).is_ascii_alphabetic();
-                b += 1;
-            }
-            t
-        });
-        let text = format!("{}9", "abcd".repeat(10));
-        let mut sc = Scanner::with_capacity(Cursor::new(text.into_bytes()), 16);
-        let mut collected = Vec::new();
-        let n = sc.consume_class_run_with(&ALPHA, |run| collected.extend_from_slice(run)).unwrap();
-        assert_eq!(n, 40);
-        assert_eq!(collected, "abcd".repeat(10).into_bytes());
-        assert_eq!(sc.peek_byte().unwrap(), Some(b'9'));
-    }
-
-    #[test]
-    fn class_run_crosses_windows_end_to_end() {
-        static ALL: ByteClass = ByteClass::new([true; 256]);
-        let text = format!("{}\n{}\x7f tail", "run ".repeat(50), "line".repeat(9));
-        let mut sc = Scanner::with_capacity(Cursor::new(text.clone().into_bytes()), 32);
-        let mut out = String::new();
-        let n = sc.consume_class_run(&ALL, &mut out).unwrap();
-        assert_eq!(n, text.len());
-        assert_eq!(out, text);
-        assert_eq!(sc.position().line, 2);
+    fn byte_order_mark_moves_the_offset_not_the_column() {
+        let mut sc = scan("\u{FEFF}<a", 64);
+        assert!(sc.starts_with(b"\xEF\xBB\xBF").unwrap());
+        sc.skip_bom();
+        assert_eq!(sc.peek().unwrap(), Some(b'<'));
+        let p = sc.position();
+        assert_eq!((p.offset, p.line, p.column), (3, 1, 1));
     }
 }

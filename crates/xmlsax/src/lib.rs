@@ -68,7 +68,7 @@ pub mod entities;
 pub mod error;
 pub mod escape;
 pub mod event;
-pub mod input;
+mod input;
 pub mod name;
 pub mod pos;
 pub mod probe;

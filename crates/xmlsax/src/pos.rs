@@ -32,60 +32,6 @@ impl TextPosition {
     pub fn new(offset: u64, line: u32, column: u32) -> Self {
         TextPosition { offset, line, column }
     }
-
-    /// Advances the position over one decoded character occupying
-    /// `byte_len` bytes in the stream.
-    pub(crate) fn advance(&mut self, ch: char, byte_len: usize) {
-        self.offset += byte_len as u64;
-        if ch == '\n' {
-            self.line += 1;
-            self.column = 1;
-        } else {
-            self.column += 1;
-        }
-    }
-
-    /// Advances the position over a whole ASCII run (no `\r` — the
-    /// scanner's byte classes exclude it) in bulk: one newline scan per
-    /// run instead of a branch per byte. Equivalent to calling
-    /// [`TextPosition::advance`] for each byte.
-    ///
-    /// Newlines are counted 8 bytes at a time with an exact SWAR zero-lane
-    /// mask (`!((y7 + 0x7F·) | y) & 0x80·` where `y = x ^ '\n'·`): lane
-    /// sums never exceed `0xFE`, so no carry crosses lanes and the mask
-    /// has one bit per `\n`, with no false positives.
-    pub(crate) fn advance_ascii_run(&mut self, run: &[u8]) {
-        debug_assert!(run.is_ascii() && !run.contains(&b'\r'));
-        const LANE_LO: u64 = 0x0101_0101_0101_0101;
-        const LANE_HI: u64 = 0x8080_8080_8080_8080;
-        self.offset += run.len() as u64;
-        let mut newlines = 0u32;
-        let mut last: Option<usize> = None;
-        let mut i = 0usize;
-        while i + 8 <= run.len() {
-            let x = u64::from_le_bytes(run[i..i + 8].try_into().expect("8-byte chunk"));
-            let y = x ^ (LANE_LO * b'\n' as u64);
-            let m = !((y & !LANE_HI).wrapping_add(!LANE_HI) | y) & LANE_HI;
-            if m != 0 {
-                newlines += m.count_ones();
-                last = Some(i + 7 - m.leading_zeros() as usize / 8);
-            }
-            i += 8;
-        }
-        for (j, &b) in run[i..].iter().enumerate() {
-            if b == b'\n' {
-                newlines += 1;
-                last = Some(i + j);
-            }
-        }
-        match last {
-            None => self.column += run.len() as u32,
-            Some(p) => {
-                self.line += newlines;
-                self.column = (run.len() - p) as u32;
-            }
-        }
-    }
 }
 
 impl Default for TextPosition {
@@ -150,63 +96,6 @@ impl fmt::Display for ByteSpan {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn advance_tracks_lines_and_columns() {
-        let mut p = TextPosition::START;
-        p.advance('a', 1);
-        assert_eq!((p.offset, p.line, p.column), (1, 1, 2));
-        p.advance('\n', 1);
-        assert_eq!((p.offset, p.line, p.column), (2, 2, 1));
-        p.advance('é', 2); // two UTF-8 bytes, one column
-        assert_eq!((p.offset, p.line, p.column), (4, 2, 2));
-    }
-
-    #[test]
-    fn advance_ascii_run_matches_per_char_advance() {
-        for run in [&b"abc"[..], b"a\nbc", b"\n\n", b"x\ny\nz", b""] {
-            let mut bulk = TextPosition::new(5, 2, 3);
-            let mut slow = bulk;
-            bulk.advance_ascii_run(run);
-            for &b in run {
-                slow.advance(b as char, 1);
-            }
-            assert_eq!(bulk, slow, "run {run:?}");
-        }
-    }
-
-    #[test]
-    fn advance_ascii_run_wide_path_matches_per_char_advance() {
-        // Runs long enough to exercise the 8-byte SWAR loop, with newlines
-        // placed in every lane and in the scalar tail.
-        for nl_at in 0..27usize {
-            let mut run = vec![b'q'; 27];
-            run[nl_at] = b'\n';
-            if nl_at >= 3 {
-                run[nl_at - 3] = b'\n'; // two newlines in mixed lanes
-            }
-            let mut bulk = TextPosition::new(11, 4, 9);
-            let mut slow = bulk;
-            bulk.advance_ascii_run(&run);
-            for &b in &run {
-                slow.advance(b as char, 1);
-            }
-            assert_eq!(bulk, slow, "newline at {nl_at}");
-        }
-        // All newlines, and no newlines, across lane-multiple lengths.
-        for len in [8usize, 16, 24, 31] {
-            for byte in [b'\n', b' '] {
-                let run = vec![byte; len];
-                let mut bulk = TextPosition::START;
-                let mut slow = bulk;
-                bulk.advance_ascii_run(&run);
-                for &b in &run {
-                    slow.advance(b as char, 1);
-                }
-                assert_eq!(bulk, slow, "len {len} byte {byte:?}");
-            }
-        }
-    }
 
     #[test]
     fn display_is_line_colon_column() {

@@ -17,9 +17,11 @@ use std::sync::Arc;
 /// implementors override it to record. A probe handle may be cloned into
 /// readers on several threads, hence `Send + Sync`.
 pub trait ParseProbe: Send + Sync {
-    /// Scanner byte counts for one reader: bytes advanced by the SWAR wide
-    /// path vs the scalar path. Flushed once per document end (or reader
-    /// drop), with deltas since the previous flush.
+    /// Scanner byte counts for one reader: bytes walked past through the
+    /// block stop masks (`wide`) vs bytes consumed one at a time
+    /// (`scalar`); the two add up to the bytes consumed. Flushed once per
+    /// document end (or reader drop), with deltas since the previous
+    /// flush.
     fn on_scan_bytes(&self, wide: u64, scalar: u64) {
         let _ = (wide, scalar);
     }

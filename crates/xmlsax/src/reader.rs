@@ -1,6 +1,7 @@
 //! The streaming pull parser.
 //!
-//! [`XmlReader`] drives a [`Scanner`] through the XML grammar and lends
+//! [`XmlReader`] drives the two-stage scanner (`crate::input`) through
+//! the XML grammar and lends
 //! [`XmlEvent`]s one at a time. It is the "XML SAX parser" box of the ViteX
 //! architecture diagram; `vitex-core`'s engine calls [`XmlReader::next_event`]
 //! in a loop and feeds each event to the TwigM machine.
@@ -15,6 +16,7 @@
 //! size is the document depth, not the document length.
 
 use std::borrow::Cow;
+use std::hash::{BuildHasher, RandomState};
 use std::io::{Cursor, Read};
 
 use crate::entities::{self, EntityLimits, EntityTable};
@@ -23,7 +25,7 @@ use crate::event::{
     AttributeBuf, CharactersEvent, EndElementEvent, ProcessingInstructionEvent, StartElementEvent,
     XmlEvent,
 };
-use crate::input::{ByteClass, Scanner};
+use crate::input::Scanner;
 use crate::name;
 use crate::pos::{ByteSpan, TextPosition};
 use crate::probe::ProbeHandle;
@@ -109,6 +111,7 @@ pub struct XmlReader<R: Read> {
     /// The last text run, comment or processing instruction, decoded.
     text: String,
     refs: References,
+    attr_names: AttrNames,
     owed: Owed,
     seen_doctype: bool,
     /// Optional observability hook; scanner byte counts are flushed to it
@@ -161,6 +164,7 @@ impl<R: Read> XmlReader<R> {
                 limits: config.entity_limits,
                 body: String::new(),
             },
+            attr_names: AttrNames { hasher: RandomState::new(), slots: Vec::new(), indexed: 0 },
             owed: Owed::Nothing,
             seen_doctype: false,
             probe: None,
@@ -178,12 +182,12 @@ impl<R: Read> XmlReader<R> {
     /// Reports un-flushed scanner byte counts to the probe, if any.
     fn flush_scan_probe(&mut self) {
         if let Some(probe) = &self.probe {
-            let (wide, scalar) = self.scanner.scan_counts();
-            let d_wide = wide - self.scan_reported.0;
-            let d_scalar = scalar - self.scan_reported.1;
-            if d_wide > 0 || d_scalar > 0 {
-                probe.on_scan_bytes(d_wide, d_scalar);
-                self.scan_reported = (wide, scalar);
+            let (block, byte) = self.scanner.scan_counts();
+            let d_block = block - self.scan_reported.0;
+            let d_byte = byte - self.scan_reported.1;
+            if d_block > 0 || d_byte > 0 {
+                probe.on_scan_bytes(d_block, d_byte);
+                self.scan_reported = (block, byte);
             }
         }
     }
@@ -193,7 +197,7 @@ impl<R: Read> XmlReader<R> {
         self.name_ends.len() - usize::from(self.owed == Owed::Pop)
     }
 
-    /// Current stream position.
+    /// Current stream position, computed from the window on demand.
     pub fn position(&self) -> TextPosition {
         self.scanner.position()
     }
@@ -208,6 +212,8 @@ impl<R: Read> XmlReader<R> {
     /// [`XmlEvent::EndDocument`] has been returned, every further call
     /// returns it again.
     pub fn next_event(&mut self) -> XmlResult<XmlEvent<'_>> {
+        // The last event is done with: the window may let its bytes go.
+        self.scanner.commit();
         match std::mem::replace(&mut self.owed, Owed::Nothing) {
             Owed::Nothing => {}
             Owed::End(end_offset) => {
@@ -250,7 +256,7 @@ impl<R: Read> XmlReader<R> {
 
     fn read_document_start(&mut self) -> XmlResult<XmlEvent<'static>> {
         if self.scanner.starts_with(b"\xEF\xBB\xBF")? {
-            self.scanner.skip_raw(3);
+            self.scanner.skip_bom();
         }
         self.state = DocState::Prolog;
         // `<?xml` followed by whitespace is the declaration; `<?xml-...` is
@@ -267,24 +273,24 @@ impl<R: Read> XmlReader<R> {
     }
 
     fn read_xml_declaration(&mut self) -> XmlResult<XmlEvent<'static>> {
-        self.scanner.consume_ascii(b"<?xml")?;
+        self.scanner.advance(5); // `<?xml`
         let mut version = None;
         let mut encoding = None;
         let mut key = String::new();
         loop {
-            self.skip_whitespace()?;
-            match self.scanner.peek_byte()? {
+            self.scanner.skip_whitespace()?;
+            match self.scanner.peek()? {
                 Some(b'?') => {
                     self.expect_ascii(b"?>")?;
                     break;
                 }
                 Some(_) => {
-                    let pos = self.scanner.position();
+                    let at = self.scanner.offset();
                     key.clear();
-                    read_name(&mut self.scanner, &mut key)?;
-                    self.skip_whitespace()?;
+                    key.push_str(self.scanner.name()?);
+                    self.scanner.skip_whitespace()?;
                     self.expect_ascii(b"=")?;
-                    self.skip_whitespace()?;
+                    self.scanner.skip_whitespace()?;
                     let value = self.read_quoted_literal()?;
                     match key.as_str() {
                         "version" => version = Some(value),
@@ -296,7 +302,7 @@ impl<R: Read> XmlReader<R> {
                             {
                                 return Err(XmlError::new(
                                     XmlErrorKind::UnsupportedEncoding { encoding: value },
-                                    pos,
+                                    self.scanner.position_at(at),
                                 ));
                             }
                             encoding = Some(value);
@@ -305,7 +311,7 @@ impl<R: Read> XmlReader<R> {
                         other => {
                             return Err(XmlError::syntax(
                                 format!("unexpected XML-declaration attribute {other:?}"),
-                                pos,
+                                self.scanner.position_at(at),
                             ))
                         }
                     }
@@ -327,9 +333,8 @@ impl<R: Read> XmlReader<R> {
 
     fn read_content(&mut self) -> XmlResult<XmlEvent<'_>> {
         loop {
-            let pos = self.scanner.position();
-            match self.scanner.peek_byte()? {
-                None => return self.handle_eof(pos),
+            match self.scanner.peek()? {
+                None => return self.handle_eof(),
                 Some(b'<') => match self.classify_markup()? {
                     Markup::EndTag => return self.read_end_tag(),
                     Markup::Comment => {
@@ -340,7 +345,7 @@ impl<R: Read> XmlReader<R> {
                         if self.state != DocState::InRoot {
                             return Err(XmlError::syntax(
                                 "CDATA section outside the root element",
-                                pos,
+                                self.scanner.position(),
                             ));
                         }
                         return self.read_text();
@@ -361,22 +366,25 @@ impl<R: Read> XmlReader<R> {
                         return self.read_text();
                     }
                     // Outside the root element only whitespace may appear.
-                    if !self.skip_whitespace()? {
-                        return Err(XmlError::new(XmlErrorKind::TextOutsideRoot, pos));
+                    if !self.scanner.skip_whitespace()? {
+                        return Err(XmlError::new(
+                            XmlErrorKind::TextOutsideRoot,
+                            self.scanner.position(),
+                        ));
                     }
                 }
             }
         }
     }
 
-    fn handle_eof(&mut self, pos: TextPosition) -> XmlResult<XmlEvent<'static>> {
+    fn handle_eof(&mut self) -> XmlResult<XmlEvent<'static>> {
         match self.state {
             DocState::InRoot => Err(XmlError::new(
                 XmlErrorKind::UnexpectedEof { expected: "end tags for open elements" },
-                pos,
+                self.scanner.position(),
             )),
             DocState::Prolog | DocState::Init => {
-                Err(XmlError::new(XmlErrorKind::NoRootElement, pos))
+                Err(XmlError::new(XmlErrorKind::NoRootElement, self.scanner.position()))
             }
             DocState::Epilog | DocState::Done => {
                 self.state = DocState::Done;
@@ -387,7 +395,7 @@ impl<R: Read> XmlReader<R> {
     }
 
     fn classify_markup(&mut self) -> XmlResult<Markup> {
-        // peek_byte returned '<'; decide which construct follows.
+        // peek returned '<'; decide which construct follows.
         Ok(match self.scanner.peek_at(1)? {
             Some(b'/') => Markup::EndTag,
             Some(b'?') => Markup::Pi,
@@ -438,25 +446,30 @@ impl<R: Read> XmlReader<R> {
 
     fn read_start_tag(&mut self) -> XmlResult<XmlEvent<'_>> {
         let start_offset = self.scanner.offset();
-        let position = self.scanner.position();
         match self.state {
-            DocState::Epilog => return Err(XmlError::new(XmlErrorKind::TrailingContent, position)),
+            DocState::Epilog => {
+                return Err(XmlError::new(XmlErrorKind::TrailingContent, self.scanner.position()))
+            }
             DocState::Prolog => {}
             DocState::InRoot => {}
             _ => unreachable!("start tag in state {:?}", self.state),
         }
-        self.expect_ascii(b"<")?;
-        // The name goes straight onto the open-name stack.
+        // Past the `<`, the name goes straight onto the open-name stack.
+        self.scanner.advance(1);
         let name_start = self.open_names_len();
         self.names.truncate(name_start);
-        read_name(&mut self.scanner, &mut self.names)?;
+        self.names.push_str(self.scanner.name()?);
         self.attrs.clear();
         let self_closing = loop {
-            let had_ws = self.skip_whitespace()?;
-            match self.scanner.peek_byte()? {
+            let had_ws = self.scanner.skip_whitespace()?;
+            match self.scanner.peek()? {
                 Some(b'>') => {
-                    self.expect_ascii(b">")?;
+                    self.scanner.advance(1);
                     break false;
+                }
+                Some(b'/') if self.scanner.peek_at(1)? == Some(b'>') => {
+                    self.scanner.advance(2);
+                    break true;
                 }
                 Some(b'/') => {
                     self.expect_ascii(b"/>")?;
@@ -469,21 +482,22 @@ impl<R: Read> XmlReader<R> {
                             self.scanner.position(),
                         ));
                     }
-                    let attr_pos = self.scanner.position();
+                    let attr_at = self.scanner.offset();
                     let attr_start = self.attrs.text.len();
-                    read_name(&mut self.scanner, &mut self.attrs.text)?;
-                    let attr_name = &self.attrs.text[attr_start..];
-                    if self.attrs.view().get(attr_name).is_some() {
+                    self.attrs.text.push_str(self.scanner.name()?);
+                    if self.attr_names.repeats(&self.attrs, attr_start) {
                         return Err(XmlError::new(
-                            XmlErrorKind::DuplicateAttribute { name: attr_name.into() },
-                            attr_pos,
+                            XmlErrorKind::DuplicateAttribute {
+                                name: self.attrs.text[attr_start..].into(),
+                            },
+                            self.scanner.position_at(attr_at),
                         ));
                     }
                     let name_end = self.attrs.text.len();
-                    self.skip_whitespace()?;
+                    self.scanner.skip_whitespace()?;
                     self.expect_ascii(b"=")?;
-                    self.skip_whitespace()?;
-                    read_attribute_value(&mut self.scanner, &mut self.refs, &mut self.attrs.text)?;
+                    self.scanner.skip_whitespace()?;
+                    self.read_attribute_value()?;
                     self.attrs.ends.push((name_end, self.attrs.text.len()));
                 }
                 None => {
@@ -495,7 +509,10 @@ impl<R: Read> XmlReader<R> {
             }
         };
         if self.name_ends.len() >= self.max_depth {
-            return Err(XmlError::new(XmlErrorKind::DepthLimit { max: self.max_depth }, position));
+            return Err(XmlError::new(
+                XmlErrorKind::DepthLimit { max: self.max_depth },
+                self.scanner.position_at(start_offset),
+            ));
         }
         let end_offset = self.scanner.offset();
         self.name_ends.push(self.names.len());
@@ -515,30 +532,115 @@ impl<R: Read> XmlReader<R> {
     }
 
     fn read_end_tag(&mut self) -> XmlResult<XmlEvent<'_>> {
-        let position = self.scanner.position();
-        self.expect_ascii(b"</")?;
-        // Read past the open names and compare.
-        let found_start = self.open_names_len();
-        self.names.truncate(found_start);
-        read_name(&mut self.scanner, &mut self.names)?;
-        self.skip_whitespace()?;
+        let at = self.scanner.offset();
+        self.scanner.advance(2);
+        // The common case past `</`: the innermost open name, then `>`,
+        // compared in the window. The name was checked when its start tag
+        // was read.
+        if let Some(&end) = self.name_ends.last() {
+            let start = self.name_ends.len().checked_sub(2).map_or(0, |i| self.name_ends[i]);
+            if self.scanner.skip_exact(&self.names.as_bytes()[start..end], b'>')? {
+                self.owed = Owed::Pop;
+                return Ok(XmlEvent::EndElement(self.innermost_end(self.scanner.offset())));
+            }
+        }
+        // Compare in the window; the name is copied only into an error.
+        let name_at = self.scanner.offset();
+        self.scanner.name()?;
+        let name_end = self.scanner.offset();
+        self.scanner.skip_whitespace()?;
         self.expect_ascii(b">")?;
-        let found = &self.names[found_start..];
+        let end_offset = self.scanner.offset();
+        let found = &self.scanner.str_since(name_at)[..(name_end - name_at) as usize];
         if self.name_ends.is_empty() {
             return Err(XmlError::new(
                 XmlErrorKind::UnbalancedEndTag { name: found.into() },
-                position,
+                self.scanner.position_at(at),
             ));
         }
         let expected = self.innermost_name();
         if expected != found {
             return Err(XmlError::new(
                 XmlErrorKind::MismatchedTag { expected: expected.into(), found: found.into() },
-                position,
+                self.scanner.position_at(at),
             ));
         }
         self.owed = Owed::Pop;
-        Ok(XmlEvent::EndElement(self.innermost_end(self.scanner.offset())))
+        Ok(XmlEvent::EndElement(self.innermost_end(end_offset)))
+    }
+
+    /// Reads an attribute value with XML 1.0 §3.3.3 normalization, appending
+    /// it to the attribute buffer: references expanded, whitespace
+    /// characters become spaces, `<` is forbidden. Verbatim pieces are
+    /// walked with the tag mask and copied whole.
+    fn read_attribute_value(&mut self) -> XmlResult<()> {
+        let at = self.scanner.offset();
+        let quote = match self.scanner.next_char()? {
+            Some(q @ ('"' | '\'')) => q as u8,
+            None => {
+                return Err(XmlError::new(
+                    XmlErrorKind::UnexpectedEof { expected: "attribute value" },
+                    self.scanner.position_at(at),
+                ))
+            }
+            _ => {
+                return Err(XmlError::syntax(
+                    "expected quoted attribute value",
+                    self.scanner.position_at(at),
+                ))
+            }
+        };
+        let out = &mut self.attrs.text;
+        let mut piece = self.scanner.offset();
+        loop {
+            let Some(b) = self.scanner.run::<true>()? else {
+                return Err(XmlError::new(
+                    XmlErrorKind::UnexpectedEof { expected: "attribute value" },
+                    self.scanner.position_at(at),
+                ));
+            };
+            match b {
+                b'<' => {
+                    return Err(XmlError::syntax(
+                        "'<' is not allowed in attribute values",
+                        self.scanner.position(),
+                    ))
+                }
+                // Everything up to the stop is verbatim; the stop is not.
+                _ if b == quote || matches!(b, b'&' | b'\t' | b'\n' | b'\r') => {
+                    out.push_str(self.scanner.str_since(piece));
+                    match b {
+                        // References are expanded but their content is
+                        // *not* re-normalized (per spec: a character
+                        // reference to tab stays a tab).
+                        b'&' => self.refs.read(&mut self.scanner, out)?,
+                        b'\r' => {
+                            self.scanner.skip_cr()?;
+                            out.push(' ');
+                        }
+                        b'\t' | b'\n' => {
+                            self.scanner.advance(1);
+                            out.push(' ');
+                        }
+                        _ => {
+                            self.scanner.advance(1);
+                            return Ok(());
+                        }
+                    }
+                    piece = self.scanner.offset();
+                }
+                0..0x20 => {
+                    self.scanner.advance(1);
+                    return Err(XmlError::new(
+                        XmlErrorKind::InvalidChar { ch: b as char },
+                        self.scanner.position(),
+                    ));
+                }
+                0x80.. => self.scanner.xml_char()?,
+                // Space, the other quote, `>`, `=`, `/`.
+                _ => self.scanner.advance(1),
+            }
+        }
     }
 
     // ---------------------------------------------------------------- //
@@ -546,54 +648,46 @@ impl<R: Read> XmlReader<R> {
     // ---------------------------------------------------------------- //
 
     fn read_text(&mut self) -> XmlResult<XmlEvent<'_>> {
-        let position = self.scanner.position();
         let start_offset = self.scanner.offset();
         self.text.clear();
-        // Rolling window to detect the illegal raw sequence `]]>` even when
-        // split across scanning chunks (decoded entities / CDATA content are
-        // exempt, as the spec requires).
-        let mut raw_tail: [char; 2] = ['\0', '\0'];
-        loop {
-            // Fast ASCII path via the prebuilt byte class. TEXT_RUN holds
-            // neither `]` nor `>`, so a non-empty run ends any `]]` in
-            // progress.
-            if self.scanner.consume_class_run(&TEXT_RUN, &mut self.text)? > 0 {
-                raw_tail = ['\0', '\0'];
-            }
-            match self.scanner.peek_byte()? {
-                None => break,
-                Some(b'<') => {
-                    if self.scanner.starts_with(b"<![CDATA[")? {
-                        self.read_cdata()?;
-                        raw_tail = ['\0', '\0'];
-                        continue;
+        // Verbatim pieces are copied whole; `piece` is where the one being
+        // walked began — a raw `]]>` lies inside one.
+        let mut piece = start_offset;
+        while let Some(b) = self.scanner.run::<false>()? {
+            match b {
+                b'<' | b'&' | b'\r' => {
+                    if b == b'<' && !self.scanner.starts_with(b"<![CDATA[")? {
+                        break;
                     }
-                    break;
-                }
-                Some(b'&') => {
-                    self.refs.read(&mut self.scanner, &mut self.text)?;
-                    raw_tail = ['\0', '\0'];
-                    continue;
-                }
-                Some(_) => {
-                    let c = self.scanner.next_char()?.expect("peeked byte");
-                    if !entities::is_xml_char(c) {
-                        return Err(XmlError::new(
-                            XmlErrorKind::InvalidChar { ch: c },
-                            self.scanner.position(),
-                        ));
+                    self.text.push_str(self.scanner.str_since(piece));
+                    match b {
+                        b'<' => self.read_cdata()?,
+                        b'&' => self.refs.read(&mut self.scanner, &mut self.text)?,
+                        _ => {
+                            self.scanner.skip_cr()?;
+                            self.text.push('\n');
+                        }
                     }
-                    if raw_tail == [']', ']'] && c == '>' {
-                        return Err(XmlError::syntax(
-                            "']]>' must not appear in character data",
-                            position,
-                        ));
-                    }
-                    raw_tail = [raw_tail[1], c];
-                    self.text.push(c);
+                    piece = self.scanner.offset();
                 }
+                b'>' if self.scanner.bytes_since(piece).ends_with(b"]]") => {
+                    return Err(XmlError::syntax(
+                        "']]>' must not appear in character data",
+                        self.scanner.position_at(start_offset),
+                    ));
+                }
+                b'>' | b'=' => self.scanner.advance(1),
+                0..0x80 => {
+                    self.scanner.advance(1);
+                    return Err(XmlError::new(
+                        XmlErrorKind::InvalidChar { ch: b as char },
+                        self.scanner.position(),
+                    ));
+                }
+                _ => self.scanner.xml_char()?,
             }
         }
+        self.text.push_str(self.scanner.str_since(piece));
         if self.text.is_empty() {
             // Nothing reportable (e.g. an empty CDATA section): recurse
             // into the next construct.
@@ -609,14 +703,14 @@ impl<R: Read> XmlReader<R> {
     /// Appends a CDATA section's content to the text buffer.
     fn read_cdata(&mut self) -> XmlResult<()> {
         self.expect_ascii(b"<![CDATA[")?;
-        let open_pos = self.scanner.position();
+        let open = self.scanner.offset();
         let mut tail: [char; 2] = ['\0', '\0'];
         loop {
             match self.scanner.next_char()? {
                 None => {
                     return Err(XmlError::new(
                         XmlErrorKind::UnexpectedEof { expected: "CDATA section" },
-                        open_pos,
+                        self.scanner.position_at(open),
                     ))
                 }
                 Some(c) => {
@@ -645,7 +739,7 @@ impl<R: Read> XmlReader<R> {
 
     /// Reads a comment's content into the text buffer.
     fn read_comment(&mut self) -> XmlResult<()> {
-        let open_pos = self.scanner.position();
+        let open = self.scanner.offset();
         self.expect_ascii(b"<!--")?;
         self.text.clear();
         loop {
@@ -653,7 +747,7 @@ impl<R: Read> XmlReader<R> {
                 None => {
                     return Err(XmlError::new(
                         XmlErrorKind::UnexpectedEof { expected: "comment" },
-                        open_pos,
+                        self.scanner.position_at(open),
                     ))
                 }
                 Some(c) => {
@@ -665,9 +759,9 @@ impl<R: Read> XmlReader<R> {
                     }
                     self.text.push(c);
                     if self.text.ends_with("--") {
-                        match self.scanner.peek_byte()? {
+                        match self.scanner.peek()? {
                             Some(b'>') => {
-                                self.expect_ascii(b">")?;
+                                self.scanner.advance(1);
                                 self.text.truncate(self.text.len() - 2);
                                 return Ok(());
                             }
@@ -687,28 +781,28 @@ impl<R: Read> XmlReader<R> {
     /// Reads a processing instruction's target and then its data into the
     /// text buffer; returns where the target ends.
     fn read_pi(&mut self) -> XmlResult<usize> {
-        let position = self.scanner.position();
+        let at = self.scanner.offset();
         self.expect_ascii(b"<?")?;
         self.text.clear();
-        read_name(&mut self.scanner, &mut self.text)?;
+        self.text.push_str(self.scanner.name()?);
         if self.text.eq_ignore_ascii_case("xml") {
             return Err(XmlError::syntax(
                 "processing-instruction target 'xml' is reserved",
-                position,
+                self.scanner.position_at(at),
             ));
         }
         let target_end = self.text.len();
-        let had_ws = self.skip_whitespace()?;
+        let had_ws = self.scanner.skip_whitespace()?;
         loop {
-            match self.scanner.peek_byte()? {
+            match self.scanner.peek()? {
                 None => {
                     return Err(XmlError::new(
                         XmlErrorKind::UnexpectedEof { expected: "processing instruction" },
-                        position,
+                        self.scanner.position_at(at),
                     ))
                 }
                 Some(b'?') if self.scanner.peek_at(1)? == Some(b'>') => {
-                    self.expect_ascii(b"?>")?;
+                    self.scanner.advance(2);
                     break;
                 }
                 Some(_) => {
@@ -737,39 +831,44 @@ impl<R: Read> XmlReader<R> {
     // ---------------------------------------------------------------- //
 
     fn read_doctype(&mut self) -> XmlResult<XmlEvent<'static>> {
-        let position = self.scanner.position();
+        let at = self.scanner.offset();
         if self.state != DocState::Prolog {
-            return Err(XmlError::syntax("DOCTYPE must appear before the root element", position));
+            return Err(XmlError::syntax(
+                "DOCTYPE must appear before the root element",
+                self.scanner.position(),
+            ));
         }
         if self.seen_doctype {
-            return Err(XmlError::syntax("multiple DOCTYPE declarations", position));
+            return Err(XmlError::syntax("multiple DOCTYPE declarations", self.scanner.position()));
         }
         self.seen_doctype = true;
         self.expect_ascii(b"<!DOCTYPE")?;
-        if !self.skip_whitespace()? {
-            return Err(XmlError::syntax("expected whitespace after '<!DOCTYPE'", position));
+        if !self.scanner.skip_whitespace()? {
+            return Err(XmlError::syntax(
+                "expected whitespace after '<!DOCTYPE'",
+                self.scanner.position_at(at),
+            ));
         }
-        let mut name = String::new();
-        read_name(&mut self.scanner, &mut name)?;
-        self.skip_whitespace()?;
+        let name = self.scanner.name()?.to_owned();
+        self.scanner.skip_whitespace()?;
         // Optional ExternalID.
         if self.scanner.starts_with(b"SYSTEM")? {
-            self.expect_ascii(b"SYSTEM")?;
-            self.skip_whitespace()?;
+            self.scanner.advance(6);
+            self.scanner.skip_whitespace()?;
             let _ = self.read_quoted_literal()?;
-            self.skip_whitespace()?;
+            self.scanner.skip_whitespace()?;
         } else if self.scanner.starts_with(b"PUBLIC")? {
-            self.expect_ascii(b"PUBLIC")?;
-            self.skip_whitespace()?;
+            self.scanner.advance(6);
+            self.scanner.skip_whitespace()?;
             let _ = self.read_quoted_literal()?;
-            self.skip_whitespace()?;
+            self.scanner.skip_whitespace()?;
             let _ = self.read_quoted_literal()?;
-            self.skip_whitespace()?;
+            self.scanner.skip_whitespace()?;
         }
-        if self.scanner.peek_byte()? == Some(b'[') {
-            self.expect_ascii(b"[")?;
+        if self.scanner.peek()? == Some(b'[') {
+            self.scanner.advance(1);
             self.read_internal_subset()?;
-            self.skip_whitespace()?;
+            self.scanner.skip_whitespace()?;
         }
         self.expect_ascii(b">")?;
         Ok(XmlEvent::DoctypeDeclaration { name })
@@ -777,8 +876,8 @@ impl<R: Read> XmlReader<R> {
 
     fn read_internal_subset(&mut self) -> XmlResult<()> {
         loop {
-            self.skip_whitespace()?;
-            match self.scanner.peek_byte()? {
+            self.scanner.skip_whitespace()?;
+            match self.scanner.peek()? {
                 None => {
                     return Err(XmlError::new(
                         XmlErrorKind::UnexpectedEof { expected: "DOCTYPE internal subset" },
@@ -786,7 +885,7 @@ impl<R: Read> XmlReader<R> {
                     ))
                 }
                 Some(b']') => {
-                    self.expect_ascii(b"]")?;
+                    self.scanner.advance(1);
                     return Ok(());
                 }
                 Some(b'%') => {
@@ -805,7 +904,8 @@ impl<R: Read> XmlReader<R> {
                     } else if self.scanner.starts_with(b"<!")? {
                         // ELEMENT / ATTLIST / NOTATION: skip to the matching
                         // '>', honouring quoted literals.
-                        self.skip_markup_decl()?;
+                        self.scanner.advance(2);
+                        self.skip_markup_decl_tail()?;
                     } else {
                         return Err(XmlError::syntax(
                             "unexpected markup in DOCTYPE internal subset",
@@ -824,22 +924,27 @@ impl<R: Read> XmlReader<R> {
     }
 
     fn read_entity_decl(&mut self) -> XmlResult<()> {
-        let pos = self.scanner.position();
-        self.expect_ascii(b"<!ENTITY")?;
-        if !self.skip_whitespace()? {
-            return Err(XmlError::syntax("expected whitespace after '<!ENTITY'", pos));
+        let at = self.scanner.offset();
+        self.scanner.advance(8); // `<!ENTITY`
+        if !self.scanner.skip_whitespace()? {
+            return Err(XmlError::syntax(
+                "expected whitespace after '<!ENTITY'",
+                self.scanner.position_at(at),
+            ));
         }
-        if self.scanner.peek_byte()? == Some(b'%') {
+        if self.scanner.peek()? == Some(b'%') {
             // Parameter entity declaration: tolerated but ignored.
             self.skip_markup_decl_tail()?;
             return Ok(());
         }
-        let mut name = String::new();
-        read_name(&mut self.scanner, &mut name)?;
-        if !self.skip_whitespace()? {
-            return Err(XmlError::syntax("expected whitespace after entity name", pos));
+        let name = self.scanner.name()?.to_owned();
+        if !self.scanner.skip_whitespace()? {
+            return Err(XmlError::syntax(
+                "expected whitespace after entity name",
+                self.scanner.position_at(at),
+            ));
         }
-        match self.scanner.peek_byte()? {
+        match self.scanner.peek()? {
             Some(b'"') | Some(b'\'') => {
                 let raw = self.read_quoted_literal()?;
                 self.refs.table.declare_internal(&name, &raw);
@@ -851,7 +956,7 @@ impl<R: Read> XmlReader<R> {
                 return Ok(());
             }
         }
-        self.skip_whitespace()?;
+        self.scanner.skip_whitespace()?;
         self.expect_ascii(b">")?;
         Ok(())
     }
@@ -885,49 +990,28 @@ impl<R: Read> XmlReader<R> {
         }
     }
 
-    fn skip_markup_decl(&mut self) -> XmlResult<()> {
-        self.expect_ascii(b"<!")?;
-        self.skip_markup_decl_tail()
-    }
-
     // ---------------------------------------------------------------- //
     // Lexical helpers
     // ---------------------------------------------------------------- //
 
-    /// Skips XML whitespace; returns whether any was consumed.
-    ///
-    /// Bulk path: a zero-copy class run chews through space/tab/newline
-    /// without materializing the bytes; only `\r` (which needs line-ending
-    /// normalization) falls back to the char-wise path.
-    fn skip_whitespace(&mut self) -> XmlResult<bool> {
-        let mut any = false;
-        loop {
-            if self.scanner.skip_class_run(&WS_RUN)? > 0 {
-                any = true;
-            }
-            match self.scanner.peek_byte()? {
-                Some(b'\r') => {
-                    self.scanner.next_char()?;
-                    any = true;
-                }
-                _ => return Ok(any),
-            }
-        }
-    }
-
     /// Reads `"..."` or `'...'` without reference expansion (XML
     /// declaration, DOCTYPE literals, entity replacement text).
     fn read_quoted_literal(&mut self) -> XmlResult<String> {
-        let pos = self.scanner.position();
+        let at = self.scanner.offset();
         let quote = match self.scanner.next_char()? {
             Some(q @ ('"' | '\'')) => q,
             None => {
                 return Err(XmlError::new(
                     XmlErrorKind::UnexpectedEof { expected: "quoted literal" },
-                    pos,
+                    self.scanner.position_at(at),
                 ))
             }
-            _ => return Err(XmlError::syntax("expected quoted literal", pos)),
+            _ => {
+                return Err(XmlError::syntax(
+                    "expected quoted literal",
+                    self.scanner.position_at(at),
+                ))
+            }
         };
         let mut out = String::new();
         loop {
@@ -935,7 +1019,7 @@ impl<R: Read> XmlReader<R> {
                 None => {
                     return Err(XmlError::new(
                         XmlErrorKind::UnexpectedEof { expected: "quoted literal" },
-                        pos,
+                        self.scanner.position_at(at),
                     ))
                 }
                 Some(c) if c == quote => return Ok(out),
@@ -951,7 +1035,8 @@ impl<R: Read> XmlReader<R> {
                 self.scanner.position(),
             ));
         }
-        self.scanner.consume_ascii(s)
+        self.scanner.advance(s.len());
+        Ok(())
     }
 }
 
@@ -960,12 +1045,11 @@ impl References {
     /// replacement to `out`. A predefined entity is matched in the input
     /// window; any other body is read into the kept `body` buffer.
     fn read<R: Read>(&mut self, scanner: &mut Scanner<R>, out: &mut String) -> XmlResult<()> {
-        let pos = scanner.position();
-        scanner.consume_ascii(b"&")?;
+        let at = scanner.offset();
+        scanner.advance(1);
         for (name, c) in entities::PREDEFINED {
             if scanner.starts_with(name.as_bytes())? && scanner.peek_at(name.len())? == Some(b';') {
-                scanner.consume_ascii(name.as_bytes())?;
-                scanner.consume_ascii(b";")?;
+                scanner.advance(name.len() + 1);
                 out.push(c);
                 return Ok(());
             }
@@ -976,7 +1060,7 @@ impl References {
                 None => {
                     return Err(XmlError::new(
                         XmlErrorKind::UnexpectedEof { expected: "entity reference" },
-                        pos,
+                        scanner.position_at(at),
                     ))
                 }
                 Some(';') => break,
@@ -984,170 +1068,81 @@ impl References {
                 Some(c) => {
                     return Err(XmlError::syntax(
                         format!("invalid character {c:?} in entity reference"),
-                        pos,
+                        scanner.position_at(at),
                     ))
                 }
             }
         }
+        // The reference's position is worked out only if it fails.
+        let relocate = |e: XmlError| e.at(scanner.position_at(at));
         if let Some(num) = self.body.strip_prefix('#') {
-            out.push(entities::parse_char_ref(num, pos)?);
+            out.push(entities::parse_char_ref(num, TextPosition::START).map_err(relocate)?);
         } else if self.body.is_empty() {
-            return Err(XmlError::syntax("empty entity reference", pos));
+            return Err(XmlError::syntax("empty entity reference", scanner.position_at(at)));
         } else {
-            self.table.expand(&self.body, &self.limits, pos, out)?;
+            self.table
+                .expand(&self.body, &self.limits, TextPosition::START, out)
+                .map_err(relocate)?;
         }
         Ok(())
     }
 }
 
-/// Reads an XML `Name`, appending it to `out`.
-fn read_name<R: Read>(scanner: &mut Scanner<R>, out: &mut String) -> XmlResult<()> {
-    let pos = scanner.position();
-    let start = out.len();
-    // Fast ASCII path.
-    scanner.consume_class_run(&NAME_RUN, out)?;
-    // Slow path for non-ASCII name characters.
-    while let Some(c) = scanner.peek_char()? {
-        if c.is_ascii() || !name::is_name_char(c) {
-            break;
-        }
-        out.push(c);
-        scanner.next_char()?;
-        // Resume the fast path after each non-ASCII char.
-        scanner.consume_class_run(&NAME_RUN, out)?;
-    }
-    let name = &out[start..];
-    if !name::is_valid_name(name) {
-        return Err(XmlError::new(XmlErrorKind::InvalidName { name: name.into() }, pos));
-    }
-    Ok(())
+/// Attributes a start tag may have before the duplicate check stops
+/// scanning them and uses [`AttrNames`]' table.
+const LINEAR_ATTRS: usize = 16;
+
+/// Duplicate-attribute detection that stays linear in expectation on
+/// hostile tags: a tag's first [`LINEAR_ATTRS`] names are compared by a
+/// scan, the rest through a hash table of attribute indices, filled lazily
+/// and reused from tag to tag (a tag below the threshold allocates
+/// nothing). Names are hashed with a per-reader random key.
+struct AttrNames {
+    hasher: RandomState,
+    /// Open-addressed slots holding an attribute's index plus one (0:
+    /// empty).
+    slots: Vec<u32>,
+    /// Attributes of the current tag already in `slots`.
+    indexed: usize,
 }
 
-/// Reads an attribute value with XML 1.0 §3.3.3 normalization, appending
-/// it to `out`: references expanded, whitespace characters become spaces,
-/// `<` is forbidden.
-fn read_attribute_value<R: Read>(
-    scanner: &mut Scanner<R>,
-    refs: &mut References,
-    out: &mut String,
-) -> XmlResult<()> {
-    let pos = scanner.position();
-    let quote = match scanner.next_char()? {
-        Some(q @ ('"' | '\'')) => q,
-        None => {
-            return Err(XmlError::new(
-                XmlErrorKind::UnexpectedEof { expected: "attribute value" },
-                pos,
-            ))
+impl AttrNames {
+    /// Whether the name `attrs.text[from..]`, just read and not yet in
+    /// `attrs.ends`, repeats one of the tag's earlier attributes.
+    fn repeats(&mut self, attrs: &AttributeBuf, from: usize) -> bool {
+        let name = &attrs.text[from..];
+        let n = attrs.ends.len();
+        if n <= LINEAR_ATTRS {
+            self.indexed = 0;
+            return attrs.view().get(name).is_some();
         }
-        _ => return Err(XmlError::syntax("expected quoted attribute value", pos)),
-    };
-    let run = if quote == '"' { &ATTR_RUN_DQ } else { &ATTR_RUN_SQ };
-    loop {
-        // Bulk-copy the printable run up to the next quote, reference,
-        // `<`, whitespace-to-normalize, or non-ASCII byte; the char-wise
-        // arms below handle the stopping byte.
-        scanner.consume_class_run(run, out)?;
-        match scanner.peek_byte()? {
-            None => {
-                return Err(XmlError::new(
-                    XmlErrorKind::UnexpectedEof { expected: "attribute value" },
-                    pos,
-                ))
-            }
-            Some(b'<') => {
-                return Err(XmlError::syntax(
-                    "'<' is not allowed in attribute values",
-                    scanner.position(),
-                ))
-            }
-            Some(b'&') => {
-                // References are expanded but their content is *not*
-                // re-normalized (per spec: a character reference to tab
-                // stays a tab).
-                refs.read(scanner, out)?;
-            }
-            Some(_) => {
-                let c = scanner.next_char()?.expect("peeked byte");
-                if c == quote {
-                    return Ok(());
-                }
-                if !entities::is_xml_char(c) {
-                    return Err(XmlError::new(
-                        XmlErrorKind::InvalidChar { ch: c },
-                        scanner.position(),
-                    ));
-                }
-                out.push(if matches!(c, '\t' | '\n') { ' ' } else { c });
+        if self.indexed == 0 || 2 * n >= self.slots.len() {
+            self.slots.clear();
+            self.slots.resize((4 * n).next_power_of_two(), 0);
+            self.indexed = 0;
+        }
+        while self.indexed < n {
+            let free = self.probe(attrs, attrs.name(self.indexed)).expect_err("names are distinct");
+            self.slots[free] = self.indexed as u32 + 1;
+            self.indexed += 1;
+        }
+        self.probe(attrs, name).is_ok()
+    }
+
+    /// `Ok` if `name` is in the table, else `Err` with the free slot it
+    /// would take.
+    fn probe(&self, attrs: &AttributeBuf, name: &str) -> Result<(), usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.hasher.hash_one(name) as usize & mask;
+        loop {
+            match self.slots[i] {
+                0 => return Err(i),
+                k if attrs.name(k as usize - 1) == name => return Ok(()),
+                _ => i = (i + 1) & mask,
             }
         }
     }
 }
-
-const fn is_ascii_name_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || matches!(b, b':' | b'_' | b'-' | b'.')
-}
-
-/// Membership table for ASCII name bytes — the scanner's fast path chews
-/// through whole tag/attribute names with table lookups (E2: SAX
-/// dominates runtime, and names are the most frequent token class).
-static NAME_RUN: ByteClass = ByteClass::new({
-    let mut t = [false; 256];
-    let mut b = 0usize;
-    while b < 0x80 {
-        t[b] = is_ascii_name_byte(b as u8);
-        b += 1;
-    }
-    t
-});
-
-/// Membership table for plain character-data bytes: everything except
-/// markup/reference starters (`<`, `&`), the `]`/`>` bytes (kept
-/// char-wise so the `']]>'` well-formedness check sees them) and control
-/// characters other than tab/newline. `\r` and non-ASCII are excluded by
-/// [`ByteClass`] itself.
-static TEXT_RUN: ByteClass = ByteClass::new({
-    let mut t = [false; 256];
-    let mut b = 0usize;
-    while b < 0x80 {
-        let byte = b as u8;
-        t[b] = byte != b'<'
-            && byte != b'&'
-            && byte != b']'
-            && byte != b'>'
-            && (byte >= 0x20 || byte == b'\t' || byte == b'\n');
-        b += 1;
-    }
-    t
-});
-
-/// Membership tables for attribute-value bytes that can be copied
-/// verbatim (one per quote kind): printable ASCII minus the closing
-/// quote and the `<`/`&` specials. Tab/newline stay char-wise (they
-/// normalize to spaces), as do `\r`, controls and non-ASCII.
-static ATTR_RUN_DQ: ByteClass = ByteClass::new(attr_value_table(b'"'));
-/// See [`ATTR_RUN_DQ`]; single-quoted values.
-static ATTR_RUN_SQ: ByteClass = ByteClass::new(attr_value_table(b'\''));
-
-const fn attr_value_table(quote: u8) -> [bool; 256] {
-    let mut t = [false; 256];
-    let mut b = 0x20usize;
-    while b < 0x80 {
-        t[b] = b as u8 != quote && b as u8 != b'<' && b as u8 != b'&';
-        b += 1;
-    }
-    t
-}
-
-/// Membership table for XML whitespace, minus `\r` (normalization stays
-/// char-wise). Drives the zero-copy skip in [`XmlReader::skip_whitespace`].
-static WS_RUN: ByteClass = ByteClass::new({
-    let mut t = [false; 256];
-    t[b' ' as usize] = true;
-    t[b'\t' as usize] = true;
-    t[b'\n' as usize] = true;
-    t
-});
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Markup {

@@ -663,3 +663,41 @@ fn positions_after_entities_are_accurate() {
     let e = parse_err("<a x=\"&lt;\">&amp;&#65;</b>");
     assert_eq!((e.position().line, e.position().column, e.position().offset), (1, 23, 22));
 }
+
+// ------------------------------------------------------------------ //
+// Wide tags: the duplicate-attribute check stays linear
+// ------------------------------------------------------------------ //
+
+/// `<r a0="0" a1="1" …/>` with `n` distinct attributes, then `dup` again
+/// if given.
+fn wide_tag(n: usize, dup: Option<&str>) -> String {
+    let mut xml = String::from("<r");
+    for i in 0..n {
+        xml.push_str(&format!(" a{i}=\"{i}\""));
+    }
+    if let Some(name) = dup {
+        xml.push_str(&format!(" {name}=\"again\""));
+    }
+    xml + "/>"
+}
+
+#[test]
+fn a_tag_with_50_000_attributes_parses() {
+    let evs = events(&wide_tag(50_000, None));
+    let XmlEvent::StartElement(e) = &evs[1] else { panic!("expected the start tag") };
+    assert_eq!(e.attributes().len(), 50_000);
+    assert_eq!(e.attribute("a49999"), Some("49999"));
+}
+
+#[test]
+fn a_duplicate_50_000th_attribute_is_reported_where_it_starts() {
+    for (dup, offset) in [("a0", 727_768), ("a49998", 727_768)] {
+        let e = parse_err(&wide_tag(49_999, Some(dup)));
+        assert!(
+            matches!(e.kind(), XmlErrorKind::DuplicateAttribute { name } if name == dup),
+            "{e}"
+        );
+        let p = e.position();
+        assert_eq!((p.line, p.column, p.offset), (1, offset as u32 + 1, offset));
+    }
+}
