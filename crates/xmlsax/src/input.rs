@@ -98,6 +98,12 @@ impl<R: Read> Scanner<R> {
         (self.block_bytes, self.offset() - self.block_bytes)
     }
 
+    /// The window's size in bytes.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
     /// Stream offset of the cursor.
     pub(crate) fn offset(&self) -> u64 {
         self.base + self.pos as u64
@@ -122,6 +128,19 @@ impl<R: Read> Scanner<R> {
         self.keep = self.pos;
     }
 
+    /// Lets the window discard the construct's bytes before stream offset
+    /// `at` (at most the cursor): a long construct copied out as it goes.
+    pub(crate) fn release(&mut self, at: u64) {
+        let at = (at - self.base) as usize;
+        debug_assert!(self.keep <= at && at <= self.pos);
+        self.keep = at;
+    }
+
+    /// Whether the kept construct fills more than half the window.
+    pub(crate) fn crowded(&self) -> bool {
+        2 * (self.pos - self.keep) > self.buf.capacity()
+    }
+
     /// The bytes from stream offset `from` to the cursor.
     pub(crate) fn bytes_since(&self, from: u64) -> &[u8] {
         &self.buf.as_bytes()[(from - self.base) as usize..self.pos]
@@ -129,14 +148,25 @@ impl<R: Read> Scanner<R> {
 
     /// The text from stream offset `from` to the cursor.
     pub(crate) fn str_since(&self, from: u64) -> &str {
-        &self.buf[(from - self.base) as usize..self.pos]
+        self.str_between(from, self.offset())
+    }
+
+    /// The text between two stream offsets in the window.
+    pub(crate) fn str_between(&self, from: u64, to: u64) -> &str {
+        &self.buf[(from - self.base) as usize..(to - self.base) as usize]
+    }
+
+    /// The first byte of malformed UTF-8 just past the window, once a
+    /// read has met it.
+    pub(crate) fn bad(&self) -> Option<u8> {
+        self.bad
     }
 
     /// Reads more input, first sliding out the bytes before `keep` (or,
     /// when the kept construct fills the window, doubling the window).
     /// Returns `false` once the stream has ended or malformed UTF-8 stops
     /// it.
-    fn fill(&mut self) -> XmlResult<bool> {
+    pub(crate) fn fill(&mut self) -> XmlResult<bool> {
         if self.source_eof {
             return Ok(false);
         }
@@ -305,17 +335,24 @@ impl<R: Read> Scanner<R> {
     }
 
     /// Stage 2: walks the cursor to the next stop of the text mask (`TAG
-    /// = false`) or the tag mask (`TAG = true`), reading more input as
-    /// needed. Returns the stop byte, not consumed (malformed UTF-8 stops
-    /// as its first byte), or `None` at end of stream.
+    /// = false`) or the tag mask (`TAG = true`) in the window. Returns the
+    /// stop byte, not consumed, or `None` at the window's end.
+    #[inline]
+    pub(crate) fn run_here<const TAG: bool>(&mut self) -> Option<u8> {
+        let stop = self.next_stop::<TAG>(self.pos);
+        self.block_bytes += (stop - self.pos) as u64;
+        self.pos = stop;
+        self.buf.as_bytes().get(stop).copied()
+    }
+
+    /// [`Scanner::run_here`], reading more input at the window's end.
+    /// Returns the stop byte (malformed UTF-8 stops as its first byte), or
+    /// `None` at end of stream.
     #[inline]
     pub(crate) fn run<const TAG: bool>(&mut self) -> XmlResult<Option<u8>> {
         loop {
-            let stop = self.next_stop::<TAG>(self.pos);
-            self.block_bytes += (stop - self.pos) as u64;
-            self.pos = stop;
-            if stop < self.buf.len() {
-                return Ok(Some(self.buf.as_bytes()[stop]));
+            if let Some(b) = self.run_here::<TAG>() {
+                return Ok(Some(b));
             }
             if !self.fill()? {
                 return Ok(self.bad);

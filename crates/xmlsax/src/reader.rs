@@ -361,17 +361,23 @@ impl<R: Read> XmlReader<R> {
                     }
                     Markup::StartTag => return self.read_start_tag(),
                 },
+                Some(_) if self.state == DocState::InRoot => return self.read_text(),
+                // Outside the root element only whitespace may appear. It
+                // belongs to no event, so the window lets it go as it
+                // passes.
+                Some(b' ' | b'\t' | b'\n') => {
+                    self.scanner.advance(1);
+                    self.scanner.commit();
+                }
+                Some(b'\r') => {
+                    self.scanner.skip_cr()?;
+                    self.scanner.commit();
+                }
                 Some(_) => {
-                    if self.state == DocState::InRoot {
-                        return self.read_text();
-                    }
-                    // Outside the root element only whitespace may appear.
-                    if !self.scanner.skip_whitespace()? {
-                        return Err(XmlError::new(
-                            XmlErrorKind::TextOutsideRoot,
-                            self.scanner.position(),
-                        ));
-                    }
+                    return Err(XmlError::new(
+                        XmlErrorKind::TextOutsideRoot,
+                        self.scanner.position(),
+                    ))
                 }
             }
         }
@@ -651,9 +657,35 @@ impl<R: Read> XmlReader<R> {
         let start_offset = self.scanner.offset();
         self.text.clear();
         // Verbatim pieces are copied whole; `piece` is where the one being
-        // walked began — a raw `]]>` lies inside one.
+        // walked began — a raw `]]>` lies inside one. A text that fills
+        // half the window is copied out and let go as it is walked, once
+        // its start position (what a `]]>` error reports) is noted.
         let mut piece = start_offset;
-        while let Some(b) = self.scanner.run::<false>()? {
+        let mut start_position = None;
+        loop {
+            let b = match self.scanner.run_here::<false>() {
+                Some(b) => b,
+                None => {
+                    if self.scanner.crowded() {
+                        // Keep a `]` or two that may begin a `]]>`.
+                        let tail = self.scanner.bytes_since(piece).iter().rev().take(2);
+                        let brackets = tail.take_while(|&&b| b == b']').count() as u64;
+                        let at = self.scanner.offset() - brackets;
+                        self.text.push_str(self.scanner.str_between(piece, at));
+                        piece = at;
+                        start_position
+                            .get_or_insert_with(|| self.scanner.position_at(start_offset));
+                        self.scanner.release(piece);
+                    }
+                    if self.scanner.fill()? {
+                        continue;
+                    }
+                    match self.scanner.bad() {
+                        Some(b) => b,
+                        None => break,
+                    }
+                }
+            };
             match b {
                 b'<' | b'&' | b'\r' => {
                     if b == b'<' && !self.scanner.starts_with(b"<![CDATA[")? {
@@ -669,11 +701,16 @@ impl<R: Read> XmlReader<R> {
                         }
                     }
                     piece = self.scanner.offset();
+                    if self.scanner.crowded() {
+                        start_position
+                            .get_or_insert_with(|| self.scanner.position_at(start_offset));
+                        self.scanner.release(piece);
+                    }
                 }
                 b'>' if self.scanner.bytes_since(piece).ends_with(b"]]") => {
                     return Err(XmlError::syntax(
                         "']]>' must not appear in character data",
-                        self.scanner.position_at(start_offset),
+                        start_position.unwrap_or_else(|| self.scanner.position_at(start_offset)),
                     ));
                 }
                 b'>' | b'=' => self.scanner.advance(1),
@@ -689,8 +726,9 @@ impl<R: Read> XmlReader<R> {
         }
         self.text.push_str(self.scanner.str_since(piece));
         if self.text.is_empty() {
-            // Nothing reportable (e.g. an empty CDATA section): recurse
-            // into the next construct.
+            // Nothing reportable (e.g. an empty CDATA section): let its
+            // bytes go and recurse into the next construct.
+            self.scanner.commit();
             return self.read_content();
         }
         Ok(XmlEvent::Characters(CharactersEvent {
@@ -1159,5 +1197,37 @@ enum Markup {
 impl<R: Read> Drop for XmlReader<R> {
     fn drop(&mut self) {
         self.flush_scan_probe();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn long_text_and_skipped_bytes_stream_through_a_small_window() {
+        // A text node a thousand windows long, with references, line ends
+        // and `]` runs cut by refills; a thousand empty CDATA sections (no
+        // event); whitespace after the root. None of it is a construct the
+        // window must hold whole.
+        let unit = "plain text ]] &amp; ]\r\n caf\u{e9} ";
+        let xml = format!(
+            "<r>{}<e>{}</e></r>{}",
+            unit.repeat(2000),
+            "<![CDATA[]]>".repeat(1000),
+            "\n".repeat(100_000)
+        );
+        let config = ReaderConfig { buffer_capacity: 64, ..Default::default() };
+        let mut reader = XmlReader::with_config(Cursor::new(xml.as_bytes()), config);
+        let mut texts = Vec::new();
+        loop {
+            match reader.next_event().unwrap() {
+                XmlEvent::Characters(t) => texts.push(t.text.len()),
+                XmlEvent::EndDocument => break,
+                _ => {}
+            }
+        }
+        assert_eq!(texts, [2000 * "plain text ]] & ]\n caf\u{e9} ".len()]);
+        assert!(reader.scanner.capacity() <= 128, "window grew to {}", reader.scanner.capacity());
     }
 }
