@@ -16,12 +16,13 @@
 //! bulk), so a slice of it is text with no further check; malformed bytes
 //! wait past its end until the walk reaches them. It keeps the construct
 //! being read: it discards only bytes before `keep`, which the reader
-//! moves up once per event, so every offset an error may report is still
-//! in the window. Line and column are not tracked per byte. Each slide
-//! counts the newlines in the bytes it discards (`\r\n` and a bare `\r`
-//! count once, as XML 1.0 §2.11 normalizes them), and a position is
-//! computed from the window when asked. Memory use is bounded by the
-//! window and the largest single construct, not by the document.
+//! moves up at each event (and through a text node too long to keep), so
+//! every offset an error may report is still in the window. Line and
+//! column are not tracked per byte. Each slide counts the newlines in the
+//! bytes it discards (`\r\n` and a bare `\r` count once, as XML 1.0
+//! §2.11 normalizes them), and a position is computed from the window
+//! when asked. Memory use is bounded by the window and the largest tag,
+//! comment, PI or DOCTYPE, not by the document.
 
 use std::io::Read;
 
