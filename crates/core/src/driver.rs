@@ -33,9 +33,8 @@ use std::time::Instant;
 /// dispatched event of every document and every `DISPATCH_SAMPLE`-th
 /// after it is timed into `vitex_dispatch_ns`. A clock pair around every
 /// event was ≈ 40 % of a 150 ns parse-bound event; the histogram is a
-/// latency distribution, not a sum, so (like the ledger's `SELF_SAMPLE`
-/// in `multi.rs`) it only needs enough samples: a 10 000-event document
-/// still yields 157.
+/// latency distribution, not a sum, so it only needs enough samples: a
+/// 10 000-event document still yields 157.
 const DISPATCH_SAMPLE: u64 = 64;
 
 /// A consumer of numbered, symbol-resolved document events.

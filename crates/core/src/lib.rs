@@ -49,6 +49,11 @@
 //! * [`driver::DocumentDriver`] — the single SAX event loop (node
 //!   numbering, counting, symbol resolution) behind both engines; custom
 //!   consumers implement [`driver::EventSink`].
+//! * [`telemetry::Telemetry`] — the one observability surface: attach an
+//!   enabled handle to either engine, and [`Telemetry::snapshot`] reads
+//!   one `vitex.metrics.v3` [`Snapshot`] — counters, histograms, and for a
+//!   `MultiEngine` one row per subscription and per active plan group
+//!   (who costs what, ranked by [`Snapshot::top_queries`]).
 //! * [`machine::TwigM`] — the raw machine, for callers with their own event
 //!   source. They also make the [`machine::CandidateStore`] its
 //!   transitions are lent (the engines above own theirs) and reset both
@@ -93,7 +98,7 @@ pub use machine::{CandidateStore, TwigM};
 pub use multi::{MultiEngine, MultiOutput};
 pub use plan::{PlanGroup, QueryPlanner};
 pub use result::{Match, MatchKind, QueryId};
-pub use stats::{MachineStats, PlanStats, StreamStats};
+pub use stats::{Bill, MachineStats, PlanStats, StreamStats};
 pub use telemetry::{Snapshot, Telemetry};
 
 #[doc(hidden)]

@@ -64,8 +64,6 @@
 //! subscription's own deliveries. Flag and candidate counters are then
 //! the shared machine's.
 
-use std::time::Instant;
-
 use vitex_xmlsax::event::StartElementEvent;
 use vitex_xmlsax::pos::ByteSpan;
 use vitex_xpath::query_tree::QueryTree;
@@ -79,8 +77,7 @@ use crate::plan::group::Binding;
 use crate::plan::{PlanGroup, QueryPlanner, StepTrie, TriePush};
 use crate::result::{Match, NodeId};
 use crate::stats::{MachineStats, PlanStats};
-use crate::telemetry::profile::match_bytes;
-use crate::telemetry::{CostLedger, Telemetry};
+use crate::telemetry::Telemetry;
 
 pub use crate::result::QueryId;
 
@@ -128,14 +125,16 @@ pub struct MultiEngine {
     /// The per-event apply step: engine-owned so that each document
     /// clears its buffers instead of reallocating them.
     pub(crate) exec: Executor,
-    /// Per-subscription cost attribution; `None` (the default) while
-    /// profiling is off.
-    pub(crate) profile: Option<CostLedger>,
+    /// While telemetry is on, the groups whose subscriber set changed since
+    /// the last document, in order, each with whether that change created
+    /// it: what the next document's fold refreshes besides the groups it
+    /// touched.
+    pub(crate) churned: Vec<(u32, bool)>,
 }
 
 /// One registration's bookkeeping.
 pub(crate) struct QueryRecord {
-    /// Canonical text of the query as registered.
+    /// Source text of the query as registered (`QueryTree::original`).
     pub(crate) text: String,
     /// Owning plan group; `None` once removed.
     pub(crate) group: Option<usize>,
@@ -150,7 +149,7 @@ impl MultiEngine {
             interner: Interner::new(),
             driver: DocumentDriver::new(),
             exec: Executor::default(),
-            profile: None,
+            churned: Vec::new(),
         }
     }
 
@@ -167,6 +166,7 @@ impl MultiEngine {
         let id = QueryId(self.records.len());
         let reg = self.planner.register(tree, id, &mut self.interner)?;
         self.records.push(QueryRecord { text: tree.original().to_owned(), group: Some(reg.group) });
+        self.churn(reg.group, reg.created);
         Ok(id)
     }
 
@@ -178,7 +178,15 @@ impl MultiEngine {
     pub fn remove_query(&mut self, id: QueryId) -> Option<bool> {
         let record = self.records.get_mut(id.0)?;
         let gid = record.group.take()?;
+        self.churn(gid, false);
         Some(self.planner.unsubscribe(gid, id))
+    }
+
+    /// Notes a change to group `gid`'s subscribers for the telemetry rows.
+    fn churn(&mut self, gid: usize, created: bool) {
+        if self.driver.telemetry().is_enabled() {
+            self.churned.push((gid as u32, created));
+        }
     }
 
     /// Active subscription count (registered minus removed).
@@ -197,8 +205,8 @@ impl MultiEngine {
         self.planner.group_count()
     }
 
-    /// The canonical text of a registered query (retained after removal);
-    /// `None` for an id this engine never issued.
+    /// The source text of a registered query, as registered (retained
+    /// after removal); `None` for an id this engine never issued.
     pub fn query_text(&self, id: QueryId) -> Option<&str> {
         self.records.get(id.0).map(|r| r.text.as_str())
     }
@@ -210,27 +218,16 @@ impl MultiEngine {
 
     /// Attaches a telemetry handle: the driver records dispatch timing,
     /// and each run folds its stream counters, per-subscription machine
-    /// counters, plan statistics, and match count into the registry.
+    /// counters, plan statistics, and match count into the registry, with
+    /// one row per subscription (payload bytes delivered included) and one
+    /// per active plan group ([`crate::telemetry::QueryRow`],
+    /// [`crate::telemetry::GroupRow`]).
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.driver.set_telemetry(telemetry);
-    }
-
-    /// Enables (or disables) per-subscription cost attribution. Each run
-    /// then folds per-query machine counters, match deliveries, and
-    /// per-group diagnostics into the engine's cost ledger; read it back
-    /// with [`MultiEngine::profile_snapshot`]. Switching it off drops the
-    /// ledger.
-    pub fn set_profiling(&mut self, on: bool) {
-        if on != self.profile.is_some() {
-            self.profile = on.then(CostLedger::default);
+        if telemetry.is_enabled() {
+            // Rows for the groups registered before the handle came.
+            self.churned.extend((0..self.planner.groups().len() as u32).map(|g| (g, false)));
         }
-        self.exec.timer.on = on;
-    }
-
-    /// Snapshot of the cost ledger: per-query deterministic counters plus
-    /// per-group diagnostics. `None` when profiling is disabled.
-    pub fn profile_snapshot(&self) -> Option<crate::telemetry::ProfileSnapshot> {
-        self.profile.as_ref().map(CostLedger::snapshot)
+        self.driver.set_telemetry(telemetry);
     }
 }
 
@@ -238,6 +235,13 @@ impl Default for MultiEngine {
     fn default() -> Self {
         MultiEngine::new()
     }
+}
+
+/// Match payload bytes for delivery accounting: the node id plus the
+/// name/value text. A pure function of the match, so the total is
+/// deterministic wherever the match set is.
+fn match_bytes(m: &Match) -> u64 {
+    8 + m.name.as_deref().map_or(0, str::len) as u64 + m.value.as_deref().map_or(0, str::len) as u64
 }
 
 /// Fans one solution a group's machine delivered to `to` — its bindings,
@@ -288,67 +292,24 @@ pub(crate) fn fan_out_match<F: FnMut(QueryId, Match)>(
     on_match(last, hit);
 }
 
-/// Self-time sampling stride: every `SELF_SAMPLE`-th machine touch is
-/// timed and the elapsed nanoseconds scaled back up. The stride is the
-/// profiler's overhead dial: the touch path is the hottest loop in the
-/// engine, so even the counter bump shows up at small strides (64 cost
-/// ~8% on the k=1000 workload; 1024 keeps thousands of samples per
-/// document and measures ~3%).
-const SELF_SAMPLE: u64 = 1024;
-
-/// Per-group cost attribution: sampled machine self-time, the payload
-/// bytes of emitted solutions and the shared-step bill (on while the
-/// engine profiles, otherwise it is one predictable branch per touch).
-#[derive(Debug, Default)]
-struct SelfTimer {
-    on: bool,
-    touches: u64,
-    /// Scaled-up sampled nanoseconds per group, this document.
-    ns: Vec<u64>,
-    /// Payload bytes of the solutions each group emitted this document —
-    /// the ledger's `emitted_bytes` of a group with one binding (one with
-    /// several bills its bindings), tallied where a solution leaves its
-    /// machine.
-    emitted_bytes: Vec<u64>,
-    /// Trie pushes billed per routed group this document
-    /// ([`StepTrie::bill_pushes`]).
-    shared_steps: Vec<u64>,
-}
-
-impl SelfTimer {
-    /// The per-slot tables.
-    fn tables(&mut self) -> [&mut Vec<u64>; 3] {
-        [&mut self.ns, &mut self.emitted_bytes, &mut self.shared_steps]
-    }
-
-    /// Runs one machine `touch` of group `slot`, handing it the emit
-    /// closure: the fan-out to `subscribers` and `bindings` through
-    /// `on_match`, after the byte tally while that is on.
-    #[inline]
-    fn time<R>(
-        &mut self,
-        slot: u32,
-        (subscribers, bindings): (&[QueryId], &mut [Binding]),
-        on_match: &mut impl FnMut(QueryId, Match),
-        touch: impl FnOnce(&mut Deliver<'_>) -> R,
-    ) -> R {
-        let sampled = self.on && {
-            self.touches += 1;
-            self.touches.is_multiple_of(SELF_SAMPLE)
-        };
-        let t0 = sampled.then(Instant::now);
-        let mut bytes = self.emitted_bytes.get_mut(slot as usize);
-        let r = touch(&mut |to, hit| {
-            if let Some(bytes) = &mut bytes {
-                **bytes += match_bytes(&hit);
-            }
-            fan_out_match(subscribers, bindings, to, on_match, hit)
-        });
-        if let Some(t0) = t0 {
-            self.ns[slot as usize] += t0.elapsed().as_nanos() as u64 * SELF_SAMPLE;
+/// Runs one machine `touch` of group `slot`, handing it the emit closure:
+/// the fan-out to `subscribers` and `bindings` through `on_match`, after
+/// the slot's payload byte tally when `emitted_bytes` keeps one.
+#[inline]
+fn touch_group<R>(
+    emitted_bytes: &mut [u64],
+    slot: u32,
+    (subscribers, bindings): (&[QueryId], &mut [Binding]),
+    on_match: &mut impl FnMut(QueryId, Match),
+    touch: impl FnOnce(&mut Deliver<'_>) -> R,
+) -> R {
+    let mut bytes = emitted_bytes.get_mut(slot as usize);
+    touch(&mut |to, hit| {
+        if let Some(bytes) = &mut bytes {
+            **bytes += match_bytes(&hit);
         }
-        r
-    }
+        fan_out_match(subscribers, bindings, to, on_match, hit)
+    })
 }
 
 /// The **one** per-event apply step of multi-query execution: given the
@@ -377,48 +338,44 @@ pub(crate) struct Executor {
     touched: Vec<u32>,
     /// The run-time memory of every machine this executor drives.
     store: CandidateStore,
-    timer: SelfTimer,
+    /// Payload bytes of the solutions each slot's machine emitted this
+    /// document, tallied where a solution leaves its machine: a
+    /// subscription's `emitted_bytes` in a group with one binding (one with
+    /// several bills its bindings). One entry per slot while telemetry is
+    /// on, none otherwise.
+    emitted_bytes: Vec<u64>,
 }
 
 impl Executor {
     /// Puts the machines the previous document touched back at rest,
     /// drops every frame it left open (a parse error ends a document
     /// mid-element), takes back what its machines held in the store, and
-    /// zeroes the cost attribution: one entry per group slot while
-    /// profiling, no per-slot table otherwise. Every other machine is
-    /// already at rest, so this costs what that document touched, not the
-    /// slot count.
-    pub(crate) fn begin_document(&mut self, groups: &mut [PlanGroup]) {
+    /// zeroes their byte tallies — keeping one per group slot when
+    /// `tally_bytes` (telemetry is on), none otherwise. Every other machine
+    /// is already at rest with a zero tally, so this costs what that
+    /// document touched plus the slots created since, not the slot count.
+    pub(crate) fn begin_document(&mut self, groups: &mut [PlanGroup], tally_bytes: bool) {
         for slot in self.touched.drain(..) {
             groups[slot as usize].reset();
             self.text_live.remove(slot as usize);
+            if let Some(bytes) = self.emitted_bytes.get_mut(slot as usize) {
+                *bytes = 0;
+            }
         }
         self.frame_slots.clear();
         self.frames.clear();
         self.store.reset();
-        let slots = if self.timer.on { groups.len() } else { 0 };
-        for table in self.timer.tables() {
-            table.clear();
-            table.resize(slots, 0);
+        if tally_bytes {
+            self.emitted_bytes.resize(groups.len(), 0);
+        } else {
+            self.emitted_bytes.clear();
         }
     }
 
-    /// Sampled self-time (ns) of `slot`'s machine this document (zero
-    /// unless sampling is on).
-    pub(crate) fn self_ns(&self, slot: usize) -> u64 {
-        self.timer.ns.get(slot).copied().unwrap_or(0)
-    }
-
     /// Payload bytes `slot`'s machine emitted this document (zero unless
-    /// profiling).
+    /// telemetry is on).
     pub(crate) fn emitted_bytes(&self, slot: usize) -> u64 {
-        self.timer.emitted_bytes.get(slot).copied().unwrap_or(0)
-    }
-
-    /// The document's shared-step bill, gid-indexed (empty unless
-    /// profiling).
-    pub(crate) fn shared_steps(&self) -> &[u64] {
-        &self.timer.shared_steps
+        self.emitted_bytes.get(slot).copied().unwrap_or(0)
     }
 
     /// The slots the current (or last) document pushed, in first-touch
@@ -427,9 +384,9 @@ impl Executor {
         &self.touched
     }
 
-    /// `startElement`: advances the trie once and bills its pushes,
-    /// expands them along their routes into `(slot, machine node, ptr)`
-    /// plans, and drives each slot's run of them in ascending slot order,
+    /// `startElement`: advances the trie once, expands its pushes along
+    /// their routes into `(slot, machine node, ptr)` plans, and drives
+    /// each slot's run of them in ascending slot order,
     /// recording the slots as the element's frame. A slot's first touch of
     /// the document is the one that finds its machine without a dispatch
     /// hit: the machine starts the document at rest, and every start touch
@@ -444,10 +401,10 @@ impl Executor {
         node_id: NodeId,
         on_match: &mut impl FnMut(QueryId, Match),
     ) {
-        let Self { pushed, plans, frame_slots, frames, text_live, touched, store, timer } = self;
+        let Self { pushed, plans, frame_slots, frames, text_live, touched, store, emitted_bytes } =
+            self;
         pushed.clear();
         trie.advance(sym, event.level, pushed);
-        trie.bill_pushes(pushed, &mut timer.shared_steps);
         plans.clear();
         for p in pushed.iter() {
             let routes = trie.routes(p.node as usize);
@@ -465,7 +422,7 @@ impl Executor {
             if machine.stats().dispatch_hits == 0 {
                 touched.push(slot);
             }
-            timer.time(slot, (subscribers, bindings), on_match, |out| {
+            touch_group(emitted_bytes, slot, (subscribers, bindings), on_match, |out| {
                 machine.start_element_prefix(
                     store,
                     run.iter().map(|&(_, q, ptr)| (q, ptr)),
@@ -497,10 +454,10 @@ impl Executor {
         span: ByteSpan,
         on_match: &mut impl FnMut(QueryId, Match),
     ) {
-        let Self { text_live, store, timer, .. } = self;
+        let Self { text_live, store, emitted_bytes, .. } = self;
         text_live.for_each(|slot| {
             let (machine, subscribers, bindings) = groups[slot].machine_and_fan_out();
-            timer.time(slot as u32, (subscribers, bindings), on_match, |out| {
+            touch_group(emitted_bytes, slot as u32, (subscribers, bindings), on_match, |out| {
                 machine.characters_to(store, text, level, node_id, span, out)
             });
         });
@@ -519,7 +476,7 @@ impl Executor {
         let base = self.frames.pop().expect("events nest") as usize;
         for &slot in &self.frame_slots[base..] {
             let (machine, subscribers, bindings) = groups[slot as usize].machine_and_fan_out();
-            self.timer.time(slot, (subscribers, bindings), on_match, |out| {
+            touch_group(&mut self.emitted_bytes, slot, (subscribers, bindings), on_match, |out| {
                 machine.end_element_to(&mut self.store, name, level, element_span, out)
             });
             if !machine.text_live() {

@@ -415,21 +415,6 @@ impl StepTrie {
         }
         self.open.truncate(base as usize);
     }
-
-    /// Bills one shared step per `(push, routed group)` pair into the
-    /// gid-indexed `bill` — once per group, however many of its machine
-    /// nodes the push drives (cost attribution; a no-op on an empty bill,
-    /// i.e. when profiling is off).
-    pub(crate) fn bill_pushes(&self, pushed: &[TriePush], bill: &mut [u64]) {
-        if bill.is_empty() {
-            return;
-        }
-        for p in pushed {
-            for run in self.routes[p.node as usize].chunk_by(|a, b| a.0 == b.0) {
-                bill[run[0].0 as usize] += 1;
-            }
-        }
-    }
 }
 
 impl Default for StepTrie {
@@ -608,17 +593,14 @@ mod tests {
         t.add_group(n_ab, 0, &[(n_a, 0), (n_ab, 2), (n_ab, 1)]);
         assert_eq!(t.routes(n_ab), [(0, 1), (0, 2)], "ascending by (group, machine node)");
         assert_eq!(t.shared_nodes(), 0, "one group shares nothing with itself");
-        // <a><b/></a>: one bill per push, however many routes it drives.
-        let mut bill = vec![0u64; 2];
+        // <a><b/></a>: one push each, however many routes it drives.
         let mut pushed = Vec::new();
         t.begin_document();
         for (sym, level) in [(a, 1), (b, 2)] {
             pushed.clear();
             t.advance(sym, level, &mut pushed);
             assert_eq!(pushed.len(), 1);
-            t.bill_pushes(&pushed, &mut bill);
         }
-        assert_eq!(bill, [2, 0]);
         assert_eq!(t.run_stats().forks, 3, "<b> forks to both machine nodes");
         assert_eq!(t.run_stats().steps_saved, 1, "one check stands for two");
         t.retreat(2);

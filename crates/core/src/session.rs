@@ -21,8 +21,8 @@
 //!
 //! A match leaves through the caller's callback and nowhere else: the
 //! executor emits into `crate::multi::fan_out_match`, and what telemetry
-//! and the ledger report about matches is counted where a solution leaves
-//! its machine (`MachineStats::emitted`; payload bytes by the executor).
+//! reports about matches is counted where a solution leaves its machine
+//! (`MachineStats::emitted`; payload bytes by the executor).
 //! So [`MultiEngine::stream_document`], the primitive, holds nothing per
 //! match (the `vitex` CLI is built on it), and buffering is **one**
 //! collecting adapter around it, [`MultiEngine::run`].
@@ -41,13 +41,13 @@
 //! removal invalidates the cache, the next document's epilogue refills it
 //! with one walk, and every other epilogue only reads the trie's run
 //! counters.
-//! Telemetry sums the subscribers of the touched groups — exact,
-//! since an untouched machine's counters are zero. The streamed
-//! [`MultiOutput`] carries the stream counters and the plan statistics
-//! only; a subscription's statistics are read on request
-//! ([`MultiEngine::query_stats`]). What stays O(k) per document is opt-in:
-//! the collecting adapter's per-query vectors, and the cost ledger while
-//! profiling is on.
+//! Telemetry folds the subscribers of the touched groups into their rows
+//! and sums — exact, since an untouched machine's counters are zero — and
+//! refreshes the rows of the groups registration churn changed since the
+//! last document. The streamed [`MultiOutput`] carries the stream counters
+//! and the plan statistics only; a subscription's statistics are read on
+//! request ([`MultiEngine::query_stats`]). What stays O(k) per document is
+//! opt-in: the collecting adapter's per-query vectors.
 //!
 //! ## Determinism
 //!
@@ -67,7 +67,9 @@ use crate::intern::{Interner, Symbol};
 use crate::multi::{Executor, MultiEngine, MultiOutput};
 use crate::plan::{PlanGroup, StepTrie};
 use crate::result::{Match, NodeId, QueryId};
-use crate::stats::{MachineStats, StreamStats};
+use crate::stats::{Bill, MachineStats, PlanStats, StreamStats};
+use crate::telemetry::metrics::Totals;
+use crate::telemetry::{GroupRow, QueryRow};
 
 impl MultiEngine {
     /// [`MultiEngine::stream_document`] behind the **one** collecting
@@ -86,9 +88,19 @@ impl MultiEngine {
             on_match(query, hit);
         })?;
         out.matches = matches;
-        out.stats = vec![MachineStats::default(); self.records.len()];
-        self.visit_touched(|q, stats, _| out.stats[q.0] = stats.clone());
+        out.stats = self.all_query_stats();
         Ok(out)
+    }
+
+    /// Every registration's [`MultiEngine::query_stats`], indexed by
+    /// [`QueryId`], from one walk over the groups the last document
+    /// touched.
+    pub fn all_query_stats(&self) -> Vec<MachineStats> {
+        let mut stats = vec![MachineStats::default(); self.records.len()];
+        for &g in self.exec.touched() {
+            self.visit_group(g as usize, |q, s, _| stats[q.0] = s.clone());
+        }
+        stats
     }
 
     /// Streams `reader` once through every active plan group and returns
@@ -105,8 +117,9 @@ impl MultiEngine {
         reader: XmlReader<R>,
         mut on_match: F,
     ) -> EngineResult<MultiOutput> {
+        let tally_bytes = self.driver.telemetry().is_enabled();
         let (trie, groups) = self.planner.runtime();
-        self.exec.begin_document(groups);
+        self.exec.begin_document(groups, tally_bytes);
         trie.begin_document();
         let mut sink = DocumentSink {
             interner: &self.interner,
@@ -141,7 +154,7 @@ impl MultiEngine {
     /// the last document: the machine's statistics, with `emitted` its
     /// binding's deliveries in a group with several (one with one binding
     /// delivers every solution to every subscriber), and the payload bytes
-    /// delivered to it (zero unless profiling, for a group with one
+    /// delivered to it (zero unless telemetry is on, for a group with one
     /// binding).
     fn visit_group(&self, g: usize, mut f: impl FnMut(QueryId, &MachineStats, u64)) {
         let group = self.planner.group(g);
@@ -157,31 +170,12 @@ impl MultiEngine {
         }
     }
 
-    /// [`MultiEngine::visit_group`] over the groups the last document
-    /// touched: every subscriber whose statistics can be nonzero.
-    fn visit_touched(&self, mut f: impl FnMut(QueryId, &MachineStats, u64)) {
-        for &g in self.exec.touched() {
-            self.visit_group(g as usize, &mut f);
-        }
-    }
-
     /// The per-document epilogue: folds the document into the telemetry
-    /// registry and the cost ledger (when there is one), and assembles the
-    /// [`MultiOutput`]. Every fold is per subscription (not per group) — a
-    /// shared machine contributes once per subscriber, as private engines
-    /// would, with what its own binding was delivered.
+    /// registry, when one is attached, and assembles the [`MultiOutput`].
     fn finish_document(&mut self, stream: StreamStats) -> MultiOutput {
         let plan = self.planner.cached_stats(&self.interner);
-        let telemetry = self.driver.telemetry();
-        if telemetry.is_enabled() {
-            let mut total = MachineStats::default();
-            self.visit_touched(|_, stats, _| total.add(stats));
-            // `emitted` counts each subscriber's deliveries.
-            telemetry.fold_document(&stream, &total, Some(&plan), total.emitted);
-        }
-        if self.profile.is_some() {
-            self.fold_profile();
-        }
+        self.driver.telemetry().fold(|totals| self.fold_telemetry(totals, &stream, &plan));
+        self.churned.clear();
         MultiOutput {
             matches: Vec::new(),
             stats: Vec::new(),
@@ -192,27 +186,49 @@ impl MultiEngine {
         }
     }
 
-    /// Folds the document into the cost ledger: every registration, then
-    /// every active group (O(k) while profiling is on).
-    fn fold_profile(&mut self) {
-        let k = self.records.len();
-        let (mut stats, mut bytes) = (vec![MachineStats::default(); k], vec![0; k]);
-        self.visit_touched(|q, s, b| (stats[q.0], bytes[q.0]) = (s.clone(), b));
-        let Some(profile) = self.profile.as_mut() else { return };
-        profile.add_doc();
-        for (i, r) in self.records.iter().enumerate() {
-            profile.fold_query(QueryId(i), &r.text, r.group, &stats[i], bytes[i]);
+    /// Folds the document into the registry's deterministic section: a row
+    /// for each new registration, the rows of the groups churn changed
+    /// (dropped when retired, restarted when created), then one walk over
+    /// the touched groups that adds each machine to its group's row and to
+    /// every subscriber's — per subscription, as private engines would,
+    /// with what its own binding was delivered — and to the sums.
+    fn fold_telemetry(&self, totals: &mut Totals, stream: &StreamStats, plan: &PlanStats) {
+        for (id, r) in self.records.iter().enumerate().skip(totals.queries.len()) {
+            totals.queries.push(QueryRow { id, query: r.text.clone(), ..QueryRow::default() });
         }
-        let groups = self.planner.groups().iter().enumerate();
-        for (gid, g) in groups.filter(|(_, g)| g.is_active()) {
-            let subscribers = g.subscribers().len() as u64;
-            profile.fold_group(gid, g.shape_key(), subscribers, g.machine().stats());
-            profile.add_self_ns(gid, self.exec.self_ns(gid));
+        let new_row = |gid: usize, g: &PlanGroup| GroupRow {
+            gid,
+            shape: g.shape_key().to_owned(),
+            subscribers: g.subscribers().len() as u64,
+            bill: Bill::default(),
+        };
+        let rows = &mut totals.groups;
+        rows.resize(rows.len().max(self.planner.groups().len()), None);
+        for &(gid, created) in &self.churned {
+            let (gid, group) = (gid as usize, self.planner.group(gid as usize));
+            rows[gid] = match rows[gid].take() {
+                _ if !group.is_active() => None,
+                Some(row) if !created => {
+                    Some(GroupRow { subscribers: group.subscribers().len() as u64, ..row })
+                }
+                _ => Some(new_row(gid, group)),
+            };
         }
-        let shared_steps = self.exec.shared_steps();
-        if shared_steps.iter().any(|&n| n > 0) {
-            profile.add_shared_steps(shared_steps);
+        let mut total = MachineStats::default();
+        for &gid in self.exec.touched() {
+            let (gid, group) = (gid as usize, self.planner.group(gid as usize));
+            let row = rows[gid].get_or_insert_with(|| new_row(gid, group));
+            row.bill.add(group.machine().stats());
+            self.visit_group(gid, |q, stats, bytes| {
+                total.add(stats);
+                let row = &mut totals.queries[q.0];
+                row.bill.add(stats);
+                row.matches += stats.emitted;
+                row.emitted_bytes += bytes;
+            });
         }
+        // `emitted` counts each subscriber's deliveries.
+        totals.fold_document(stream, &total, Some(plan), total.emitted);
     }
 }
 
@@ -274,7 +290,7 @@ mod tests {
         let (a, b) = (multi.interner.lookup("a"), multi.interner.lookup("b"));
         let (trie, groups) = multi.planner.runtime();
         trie.begin_document();
-        multi.exec.begin_document(groups);
+        multi.exec.begin_document(groups, false);
         let mut hits = Vec::new();
         let mut on_match = |q: QueryId, m: Match| hits.push((q, m.node));
         let mut sink = DocumentSink {

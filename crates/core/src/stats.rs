@@ -8,11 +8,11 @@
 //!
 //! This module is the one place that knows which counters a layer
 //! reports, how they add up, what they are called on export and which of
-//! them are *work*: each record has a **row table** — `(export name,
-//! value)` in export order — and the deterministic section of
-//! `vitex.metrics.v2`, the `--stats` lines and the cost ledger's bills all
-//! read the records through it. A new counter is a field and a row here,
-//! plus whoever increments it.
+//! them are *work* ([`Bill`]): each record has a **row table** —
+//! `(export name, value)` in export order — and the deterministic section
+//! of `vitex.metrics.v3` and the `--stats` lines read the records through
+//! it. A new counter is a field and a row here, plus whoever increments
+//! it.
 
 /// `name=value` for every row, space-separated: the `--stats` rendering of
 /// a row table.
@@ -165,6 +165,43 @@ impl PlanStats {
     }
 }
 
+/// A machine's work counters on their own — what each per-query and
+/// per-group row of `vitex.metrics.v3` sums.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Bill {
+    /// Stack pushes.
+    pub pushes: u64,
+    /// Stack pops.
+    pub pops: u64,
+    /// Predicate evaluations.
+    pub predicate_evals: u64,
+    /// Dispatch hits.
+    pub dispatch_hits: u64,
+}
+
+impl Bill {
+    /// Machine steps executed: pushes + pops.
+    pub fn steps(&self) -> u64 {
+        self.pushes + self.pops
+    }
+
+    /// Attributable machine work — the **one** work formula: what the
+    /// `--stats` ranking orders subscriptions by
+    /// ([`crate::Snapshot::top_queries`]). Every term is deterministic, so
+    /// the ranking is too.
+    pub fn work(&self) -> u64 {
+        self.steps() + self.predicate_evals + self.dispatch_hits
+    }
+
+    /// Adds the work counters of `m`.
+    pub fn add(&mut self, m: &MachineStats) {
+        self.pushes += m.pushes;
+        self.pops += m.pops;
+        self.predicate_evals += m.predicate_evals;
+        self.dispatch_hits += m.dispatch_hits;
+    }
+}
+
 /// Counters and gauges maintained by the TwigM machine.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MachineStats {
@@ -241,18 +278,6 @@ impl MachineStats {
             ("vitex_machine_peak_candidates_sum", self.peak_candidates),
             ("vitex_machine_peak_bytes_sum", self.peak_bytes),
         ]
-    }
-
-    /// Machine steps executed: pushes + pops.
-    pub fn steps(&self) -> u64 {
-        self.pushes + self.pops
-    }
-
-    /// Attributable machine work — the **one** work formula: what the cost
-    /// ledger ranks subscriptions by. Every term is deterministic, so the
-    /// ranking is too.
-    pub fn work(&self) -> u64 {
-        self.pushes + self.pops + self.predicate_evals + self.dispatch_hits
     }
 
     /// Adds `other` field by field: what many machines did, as one record.
@@ -434,8 +459,9 @@ mod tests {
             assert!(one > 0, "{name} is exercised");
             assert_eq!(two, 2 * one, "{name}");
         }
-        assert_eq!(s.work(), 1 + 1 + 4 + 5);
-        assert_eq!(s.steps(), 2);
+        let mut bill = Bill::default();
+        bill.add(&s);
+        assert_eq!((bill.work(), bill.steps()), (1 + 1 + 4 + 5, 2));
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! locking, and no allocation; its export names live in the descriptor
 //! tables at the bottom of this file. What is *deterministic* is not
 //! recorded live at all: the registry holds the per-layer records of
-//! [`crate::stats`] and folds each finished document into them under one
-//! lock, and their export names are the records' own row tables.
+//! [`crate::stats`], one row per subscription and one per active plan
+//! group, and folds each finished document into them under one lock; their
+//! export names are the records' own row tables.
 //!
 //! Determinism classes matter for testing: a metric marked `deterministic`
 //! is a pure function of the document and the query set. Timers and the
@@ -17,7 +18,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crate::stats::{MachineStats, PlanStats, StreamStats};
+use crate::stats::{Bill, MachineStats, PlanStats, StreamStats};
 
 /// Number of log2 histogram buckets: bucket 0 holds zero-valued samples,
 /// bucket `i >= 1` holds samples `v` with `2^(i-1) <= v < 2^i`. 65 buckets
@@ -101,9 +102,10 @@ impl Histogram {
 }
 
 /// The deterministic section of the registry: the per-layer records every
-/// finished document is folded into, plus the match count.
+/// finished document is folded into, the match count, and the rows of the
+/// subscriptions and plan groups a multi-query engine folds.
 #[derive(Debug, Default)]
-struct Totals {
+pub(crate) struct Totals {
     stream: StreamStats,
     matches: u64,
     /// Summed over subscriptions — not over plan groups — so a query that
@@ -111,6 +113,31 @@ struct Totals {
     /// two private engines would.
     machine: MachineStats,
     plan: PlanStats,
+    /// One row per registration, indexed by [`crate::QueryId`].
+    pub(crate) queries: Vec<QueryRow>,
+    /// One row per plan-group slot, indexed by group id; `None` while the
+    /// slot holds no active group.
+    pub(crate) groups: Vec<Option<GroupRow>>,
+}
+
+impl Totals {
+    /// Folds one finished document into the per-layer records: `machine`
+    /// is the sum over its subscriptions, `plan` is absent for a
+    /// single-query engine (which has none).
+    pub(crate) fn fold_document(
+        &mut self,
+        stream: &StreamStats,
+        machine: &MachineStats,
+        plan: Option<&PlanStats>,
+        matches: u64,
+    ) {
+        self.stream.add(stream);
+        self.matches += matches;
+        self.machine.add(machine);
+        if let Some(plan) = plan {
+            self.plan.fold(plan);
+        }
+    }
 }
 
 /// Every metric the pipeline records, shared behind an `Arc` by every
@@ -118,7 +145,7 @@ struct Totals {
 #[derive(Debug, Default)]
 pub struct Registry {
     /// The deterministic section; locked once per document, on the
-    /// document thread, by [`Registry::fold_document`].
+    /// document thread, by the document's fold.
     totals: Mutex<Totals>,
 
     // ----- parser (xmlsax; the two add up to the bytes consumed) -----
@@ -163,31 +190,75 @@ pub struct HistogramRow {
     pub buckets: Vec<(usize, u64)>,
 }
 
+/// One subscription's row, summed over the documents folded: what a
+/// private [`crate::Engine`] would be billed for it (see
+/// [`crate::MultiOutput::stats`]). Every field is a pure function of the
+/// documents and the query set.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct QueryRow {
+    /// Registration index of the subscription ([`crate::QueryId`]).
+    pub id: usize,
+    /// The query's source text, as registered.
+    pub query: String,
+    /// Its machine's work counters.
+    pub bill: Bill,
+    /// Matches delivered to it.
+    pub matches: u64,
+    /// Payload bytes of the matches delivered to it: node id, name and
+    /// value text.
+    pub emitted_bytes: u64,
+}
+
+impl QueryRow {
+    /// The exported rows, in export order.
+    pub fn rows(&self) -> [(&'static str, u64); 7] {
+        let b = &self.bill;
+        [
+            ("vitex_query_steps_total", b.steps()),
+            ("vitex_query_pushes_total", b.pushes),
+            ("vitex_query_pops_total", b.pops),
+            ("vitex_query_predicate_evals_total", b.predicate_evals),
+            ("vitex_query_dispatch_hits_total", b.dispatch_hits),
+            ("vitex_query_matches_total", self.matches),
+            ("vitex_query_emitted_bytes_total", self.emitted_bytes),
+        ]
+    }
+}
+
+/// One active plan group's row: its machine, however many subscriptions it
+/// serves, summed over the documents folded since the group was created.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct GroupRow {
+    /// Plan group id (a slot a later group may recycle).
+    pub gid: usize,
+    /// The shape key every subscriber shares.
+    pub shape: String,
+    /// Subscriptions the group serves.
+    pub subscribers: u64,
+    /// The group machine's work counters.
+    pub bill: Bill,
+}
+
+impl GroupRow {
+    /// The exported rows, in export order.
+    pub fn rows(&self) -> [(&'static str, u64); 5] {
+        let m = &self.bill;
+        [
+            ("vitex_group_subscribers", self.subscribers),
+            ("vitex_group_pushes_total", m.pushes),
+            ("vitex_group_pops_total", m.pops),
+            ("vitex_group_predicate_evals_total", m.predicate_evals),
+            ("vitex_group_dispatch_hits_total", m.dispatch_hits),
+        ]
+    }
+}
+
 impl Registry {
     /// The deterministic section. Every critical section is plain
     /// arithmetic on counters that are valid at every step, so a poisoned
     /// lock is recovered rather than propagated.
-    fn totals(&self) -> MutexGuard<'_, Totals> {
+    pub(crate) fn totals(&self) -> MutexGuard<'_, Totals> {
         self.totals.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Folds one finished document into the deterministic section:
-    /// `machine` is the sum over its subscriptions, `plan` is absent for a
-    /// single-query engine (which has none).
-    pub(crate) fn fold_document(
-        &self,
-        stream: &StreamStats,
-        machine: &MachineStats,
-        plan: Option<&PlanStats>,
-        matches: u64,
-    ) {
-        let mut totals = self.totals();
-        totals.stream.add(stream);
-        totals.matches += matches;
-        totals.machine.add(machine);
-        if let Some(plan) = plan {
-            totals.plan.fold(plan);
-        }
     }
 
     /// Enumerate all counters with their export names and determinism

@@ -1,5 +1,5 @@
 //! Unified telemetry layer: one metrics registry across parse → plan →
-//! dispatch → machines, exported as `vitex.metrics.v2`.
+//! dispatch → machines, exported as one snapshot, `vitex.metrics.v3`.
 //!
 //! All pipeline stages record through one [`Telemetry`] handle — a cheap
 //! clone-able wrapper around an optional `Arc`. When telemetry is disabled
@@ -14,22 +14,23 @@
 //!
 //! Deterministic counters (stream, matches, machine, plan, prefix) are not
 //! recorded live: the registry holds the per-layer records of
-//! [`crate::stats`] and [`Telemetry::fold_document`] folds each finished
-//! document into them — once, the machine record summed per subscription
-//! — so their values are a pure function of the documents and the query
-//! set, and their export names are the records' own row tables. Timing
-//! counters are recorded live and vary from run to run.
+//! [`crate::stats`] and each finished document is folded into them — once,
+//! the machine record summed per subscription — so their values are a pure
+//! function of the documents and the query set, and their export names are
+//! the records' own row tables. A [`crate::MultiEngine`] folds, in the same
+//! walk over the groups the document touched, one [`QueryRow`] per
+//! subscription and one [`GroupRow`] per active plan group: who costs what,
+//! which is what the top-10 ranking of [`Snapshot::human_summary`] reads.
+//! Timing counters are recorded live and vary from run to run.
 
 pub mod export;
 pub mod metrics;
-pub mod profile;
 
 pub use export::{Snapshot, SNAPSHOT_SCHEMA};
-pub use metrics::{Counter, CounterRow, Histogram, HistogramRow, Registry};
-pub(crate) use profile::CostLedger;
-pub use profile::{GroupCost, ProfileSnapshot, QueryCost, PROFILE_SCHEMA};
+pub use metrics::{Counter, CounterRow, GroupRow, Histogram, HistogramRow, QueryRow, Registry};
 
 use crate::stats::{MachineStats, PlanStats, StreamStats};
+use metrics::Totals;
 use std::sync::Arc;
 use std::time::Instant;
 use vitex_xmlsax::probe::ParseProbe;
@@ -93,8 +94,14 @@ impl Telemetry {
         plan: Option<&PlanStats>,
         matches: u64,
     ) {
+        self.fold(|totals| totals.fold_document(stream, machine, plan, matches));
+    }
+
+    /// Runs `fold` on the deterministic section, under its lock, when
+    /// enabled.
+    pub(crate) fn fold(&self, fold: impl FnOnce(&mut Totals)) {
         if let Some(registry) = &self.inner {
-            registry.fold_document(stream, machine, plan, matches);
+            fold(&mut registry.totals());
         }
     }
 }

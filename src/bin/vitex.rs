@@ -12,15 +12,17 @@
 //! Every run streams through one [`MultiEngine`] — one parse, one
 //! document driver, k TwigM machines behind the shared step trie; with
 //! several queries every line is prefixed with the originating query's
-//! index. `--metrics` and `--metrics-json` switch on the unified telemetry
-//! layer: one registry covering parse → plan → dispatch → machines.
+//! index. `--stats` and `--metrics-json` switch on the unified telemetry
+//! layer: one registry covering parse → plan → dispatch → machines, with a
+//! row per query and per plan group, read as one `vitex.metrics.v3`
+//! snapshot — printed for people by `--stats`, written by `--metrics-json`.
 
 use std::fs::File;
 use std::io::{self, BufReader, Read, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use vitex_core::telemetry::Telemetry;
+use vitex_core::telemetry::{Snapshot, Telemetry};
 use vitex_core::{MachineStats, Match, MatchKind, MultiEngine, MultiOutput, QueryId, StreamStats};
 use vitex_xmlsax::{ProbeHandle, XmlReader};
 use vitex_xpath::QueryTree;
@@ -35,24 +37,7 @@ struct Options {
     values: bool,
     stats: bool,
     machine: bool,
-    metrics: bool,
     metrics_json: Option<String>,
-    profile: bool,
-    profile_json: Option<String>,
-}
-
-impl Options {
-    /// Whether any telemetry export was requested (the recorder is enabled
-    /// exactly then; otherwise every instrumentation point is a no-op).
-    fn telemetry_requested(&self) -> bool {
-        self.metrics || self.metrics_json.is_some()
-    }
-
-    /// Whether cost attribution was requested (the engine keeps a ledger
-    /// exactly then).
-    fn profiling_requested(&self) -> bool {
-        self.profile || self.profile_json.is_some()
-    }
 }
 
 /// Every flag the CLI accepts, for `--help` and the did-you-mean
@@ -64,10 +49,7 @@ const FLAGS: &[&str] = &[
     "--values",
     "--stats",
     "--machine",
-    "--metrics",
     "--metrics-json",
-    "--profile",
-    "--profile-json",
     "-h",
     "--help",
 ];
@@ -86,12 +68,9 @@ fn usage_text() -> &'static str {
          \x20 -e, --query <Q>        add a query (repeatable; pub/sub mode when more than one)\n\
          \x20 --count                print only the number of matches (per query in pub/sub mode)\n\
          \x20 --values               print attribute values / text content instead of byte spans\n\
-         \x20 --stats                print stream + machine + plan statistics on stderr\n\
+         \x20 --stats                print run statistics, metrics and the top 10 queries by work on stderr\n\
          \x20 --machine              dump the compiled TwigM machine(s) and exit without reading a document\n\
-         \x20 --metrics              print a human-readable telemetry summary on stderr after the run\n\
-         \x20 --metrics-json <PATH>  write a metrics snapshot (vitex.metrics.v2 JSON) to PATH\n\
-         \x20 --profile              print a per-query cost-attribution table (top 10 by work) on stderr\n\
-         \x20 --profile-json <PATH>  write the cost ledger (vitex.profile.v1 JSON) to PATH\n\
+         \x20 --metrics-json <PATH>  write the metrics snapshot (vitex.metrics.v3 JSON) to PATH\n\
          \x20 -h, --help             show this help and exit\n\
          \n\
          examples:\n\
@@ -174,10 +153,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, CliErro
             "--values" => opts.values = true,
             "--stats" => opts.stats = true,
             "--machine" => opts.machine = true,
-            "--metrics" => opts.metrics = true,
             "--metrics-json" => opts.metrics_json = Some(value(&arg, "a path", args.next())?),
-            "--profile" => opts.profile = true,
-            "--profile-json" => opts.profile_json = Some(value(&arg, "a path", args.next())?),
             "--help" | "-h" => return Ok(Options { help: true, ..opts }),
             // A lone "-" stays positional (as FILE it means stdin); anything
             // else starting with '-' is a misspelled flag, not a query or file.
@@ -281,53 +257,13 @@ fn open_reader(
     Ok(reader)
 }
 
-/// The path `--metrics-json` and `--profile-json` share, if they do. Each
-/// export is a whole-file write, so a shared path would silently resolve
-/// to last-writer-wins clobbering; `main` turns this into an exit-2
-/// diagnostic instead. Paths are compared as given — spelling the same
-/// file two ways is on the user — which keeps the check dependency-free
-/// and side-effect-free.
-fn duplicate_export_path(opts: &Options) -> Option<&str> {
-    match (&opts.metrics_json, &opts.profile_json) {
-        (Some(a), Some(b)) if a == b => Some(a),
-        _ => None,
-    }
-}
-
-/// Writes one export artifact, mapping any I/O failure to the clean
-/// usage-error exit both exporting flags share (`--metrics-json`,
-/// `--profile-json`): the path and OS error on stderr, exit code 2.
+/// Writes the `--metrics-json` export, mapping any I/O failure to a clean
+/// usage-error exit: the path and OS error on stderr, exit code 2.
 fn write_export(path: &str, contents: &str) -> Result<(), ExitCode> {
     std::fs::write(path, contents).map_err(|e| {
         eprintln!("vitex: {path}: {e}");
         ExitCode::from(2)
     })
-}
-
-/// Writes the requested telemetry exports (`--metrics`, `--metrics-json`).
-/// A no-op when telemetry is disabled.
-fn export_telemetry(opts: &Options, telemetry: &Telemetry) -> Result<(), ExitCode> {
-    let Some(snapshot) = telemetry.snapshot() else { return Ok(()) };
-    if opts.metrics {
-        eprint!("{}", snapshot.human_summary());
-    }
-    if let Some(path) = &opts.metrics_json {
-        write_export(path, &snapshot.to_json())?;
-    }
-    Ok(())
-}
-
-/// Emits the requested profiling outputs (`--profile` table on stderr,
-/// `--profile-json` ledger export). A no-op when profiling is disabled.
-fn export_profile(opts: &Options, engine: &MultiEngine) -> Result<(), ExitCode> {
-    let Some(snapshot) = engine.profile_snapshot() else { return Ok(()) };
-    if opts.profile {
-        eprint!("{}", snapshot.table(10));
-    }
-    if let Some(path) = &opts.profile_json {
-        write_export(path, &snapshot.to_json())?;
-    }
-    Ok(())
 }
 
 /// Ends the run on a failed write to stdout. A closed pipe is the consumer
@@ -343,11 +279,40 @@ fn stdout_failed(e: io::Error) -> ! {
     std::process::exit(2)
 }
 
+/// The `--stats` report on stderr: the run's records as their row tables
+/// — stream, plan (pub/sub mode only), one machine row per query — then
+/// the snapshot for people.
+fn print_stats(
+    output: &MultiOutput,
+    machines: &[MachineStats],
+    snapshot: &Snapshot,
+    prefixed: bool,
+) -> io::Result<()> {
+    let mut err = io::BufWriter::new(io::stderr().lock());
+    let stream = StreamStats {
+        elements: output.elements,
+        text_nodes: output.text_nodes,
+        events: output.events,
+    };
+    writeln!(err, "stream:     {}", stream.summary())?;
+    if prefixed {
+        writeln!(err, "plan:       {}", output.plan.summary())?;
+    }
+    for (i, m) in machines.iter().enumerate() {
+        if prefixed {
+            writeln!(err, "machine[{i}]: {}", m.summary())?;
+        } else {
+            writeln!(err, "machine:    {}", m.summary())?;
+        }
+    }
+    write!(err, "{}", snapshot.human_summary())?;
+    err.flush()
+}
+
 /// All queries over one scan via the multi-engine, streamed.
 fn run_multi(opts: &Options, trees: &[QueryTree], telemetry: &Telemetry) -> ExitCode {
     let mut multi = MultiEngine::new();
     multi.set_telemetry(telemetry.clone());
-    multi.set_profiling(opts.profiling_requested());
     for tree in trees {
         if let Err(e) = multi.add_tree(tree) {
             eprintln!("vitex: {e}");
@@ -371,17 +336,13 @@ fn run_multi(opts: &Options, trees: &[QueryTree], telemetry: &Telemetry) -> Exit
             written.unwrap_or_else(|e| stdout_failed(e));
         }
     };
-    // Streamed: nothing but the callback above reads a match, and the
-    // per-query statistics are read only for --stats.
-    let result: Result<(MultiOutput, Vec<MachineStats>), _> = match open_reader(opts, telemetry) {
-        Ok(reader) => multi.stream_document(reader, &mut on_match).map(|output| {
-            let queries = if opts.stats { trees.len() } else { 0 };
-            (output, (0..queries).map(|i| multi.query_stats(QueryId(i))).collect())
-        }),
+    // Streamed: nothing but the callback above reads a match.
+    let result = match open_reader(opts, telemetry) {
+        Ok(reader) => multi.stream_document(reader, &mut on_match),
         Err(code) => return code,
     };
     match result {
-        Ok((output, stats)) => {
+        Ok(output) => {
             if opts.count {
                 for (i, c) in counts.iter().enumerate() {
                     let written =
@@ -389,32 +350,16 @@ fn run_multi(opts: &Options, trees: &[QueryTree], telemetry: &Telemetry) -> Exit
                     written.unwrap_or_else(|e| stdout_failed(e));
                 }
             }
-            if opts.stats {
-                // Per-run records as their row tables: the rows --metrics
-                // prints, machines per query instead of summed.
-                let stream = StreamStats {
-                    elements: output.elements,
-                    text_nodes: output.text_nodes,
-                    events: output.events,
-                };
-                eprintln!("stream:     {}", stream.summary());
-                // The plan line is pub/sub-mode diagnostics.
-                if prefixed {
-                    eprintln!("plan:       {}", output.plan.summary());
-                }
-                for (i, s) in stats.iter().enumerate() {
-                    if prefixed {
-                        eprintln!("machine[{i}]: {}", s.summary());
-                    } else {
-                        eprintln!("machine:    {}", s.summary());
-                    }
-                }
+            let snapshot = telemetry.snapshot();
+            if let (true, Some(snapshot)) = (opts.stats, &snapshot) {
+                // A report nobody can read (stderr closed) is not a failure
+                // of the run.
+                let _ = print_stats(&output, &multi.all_query_stats(), snapshot, prefixed);
             }
-            if let Err(code) = export_telemetry(opts, telemetry) {
-                return code;
-            }
-            if let Err(code) = export_profile(opts, &multi) {
-                return code;
+            if let (Some(path), Some(snapshot)) = (&opts.metrics_json, &snapshot) {
+                if let Err(code) = write_export(path, &snapshot.to_json()) {
+                    return code;
+                }
             }
             if counts.iter().any(|&c| c > 0) {
                 ExitCode::SUCCESS
@@ -441,13 +386,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if let Some(path) = duplicate_export_path(&opts) {
-        eprintln!(
-            "vitex: --metrics-json and --profile-json both write to '{path}'; \
-             give each export its own file"
-        );
-        return ExitCode::from(2);
-    }
     let trees = match parse_trees(&opts.queries) {
         Ok(t) => t,
         Err(code) => return code,
@@ -455,18 +393,16 @@ fn main() -> ExitCode {
     if opts.machine {
         return dump_machines(&trees);
     }
-    let telemetry =
-        if opts.telemetry_requested() { Telemetry::enabled() } else { Telemetry::disabled() };
+    // The recorder is enabled exactly when the snapshot is read; otherwise
+    // every instrumentation point is a no-op.
+    let read = opts.stats || opts.metrics_json.is_some();
+    let telemetry = if read { Telemetry::enabled() } else { Telemetry::disabled() };
     run_multi(&opts, &trees, &telemetry)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn base_options() -> Options {
-        Options { queries: vec!["//a".into()], ..Options::default() }
-    }
 
     fn parse(args: &[&str]) -> Result<Options, CliError> {
         parse_args(args.iter().map(|a| a.to_string()))
@@ -487,12 +423,12 @@ mod tests {
                 assert!(FLAGS.contains(&word), "help mentions {word}, which FLAGS lacks");
             }
         }
-        assert_eq!(FLAGS.len(), 12, "10 options, two of them with a short spelling");
+        assert_eq!(FLAGS.len(), 9, "7 options, two of them with a short spelling");
     }
 
     #[test]
     fn removed_flags_are_unknown_options() {
-        // The last six are spelled in halves (and kept out of variable
+        // All but the first four and `--metrics` are spelled in halves (and kept out of variable
         // names): CI greps the sources for the deleted flags' names and
         // must find nothing.
         for flag in [
@@ -506,6 +442,9 @@ mod tests {
             concat!("--heart", "beat"),
             concat!("--sha", "rds"),
             concat!("--trace", "-out"),
+            concat!("--pro", "file"),
+            concat!("--pro", "file-json"),
+            "--metrics",
         ] {
             let err = parse(&[flag, "2", "//a"]).err().expect("rejected");
             assert_eq!(err, CliError::UnknownFlag(flag.to_string()));
@@ -518,7 +457,7 @@ mod tests {
         for (args, expected) in [
             (&["-e"][..], "vitex: -e expects a query, got nothing"),
             (&["//a", "--metrics-json"], "vitex: --metrics-json expects a path, got nothing"),
-            (&["-e", "//a", "--profile-json"], "vitex: --profile-json expects a path, got nothing"),
+            (&["//a", "--query"], "vitex: --query expects a query, got nothing"),
         ] {
             let message = parse(args).err().expect("rejected").message();
             let mut lines = message.lines();
@@ -564,22 +503,9 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_export_paths_are_detected_pairwise() {
-        let mut opts = base_options();
-        assert!(duplicate_export_path(&opts).is_none(), "no exports, no conflict");
-        opts.metrics_json = Some("out.json".into());
-        assert!(duplicate_export_path(&opts).is_none(), "one export, no conflict");
-        opts.profile_json = Some("profile.json".into());
-        assert!(duplicate_export_path(&opts).is_none(), "distinct paths are fine");
-        opts.profile_json = Some("out.json".into());
-        assert_eq!(duplicate_export_path(&opts), Some("out.json"), "clash detected");
-    }
-
-    #[test]
     fn write_export_maps_unwritable_path_to_usage_error() {
         // A path under a directory that cannot exist: the helper must
-        // surface the failure as the clean exit-2 result every exporting
-        // flag shares, not a panic.
+        // surface the failure as a clean exit-2 result, not a panic.
         let result = write_export("/nonexistent-vitex-dir/sub/out.json", "{}");
         assert!(result.is_err());
     }

@@ -645,11 +645,10 @@ fn sessions_survive_churn_and_back_to_back_documents() {
 
 #[test]
 fn churned_sessions_match_the_reference() {
-    // Churn between documents of a profiled engine: a hog query is
-    // removed, a cheap newcomer recycles its plan-group slot, and the
-    // next documents run and bill the recycled slot like any other —
-    // output equal to an engine churned alike and run one document at a
-    // time.
+    // Churn between documents of a warm engine: a hog query is removed,
+    // a cheap newcomer recycles its plan-group slot, and the next
+    // documents run the recycled slot like any other — output equal to an
+    // engine churned alike and run one document at a time.
     let mut xml = String::from("<feed>");
     for i in 0..300 {
         xml.push_str(&format!("<item id=\"{i}\"><a><b>x{i}</b></a></item>"));
@@ -657,32 +656,27 @@ fn churned_sessions_match_the_reference() {
     xml.push_str("</feed>");
 
     let mut engine = MultiEngine::new();
-    engine.set_profiling(true);
     let queries = ["//item//b", "/feed/zzz", "/feed/yyy", "/feed/xxx"];
     for q in queries {
         engine.add_query(q).expect("valid query");
     }
     for _ in 0..2 {
-        engine.run(XmlReader::from_str(&xml), |_, _| {}).expect("profiled run");
+        let out = engine.run(XmlReader::from_str(&xml), |_, _| {}).expect("warm run");
+        assert_eq!(out.plan.recycled_slots, 0, "nothing retired yet");
     }
-    let hog_gid =
-        engine.profile_snapshot().expect("profiling on").queries[0].group.expect("hog active");
 
     // Churn: retire the hog, let a cheap query recycle its slot. The
-    // removal retires the hog's group (Some(true) = last subscriber),
-    // so the only way `hog_gid` can serve a query again below is the
-    // newcomer recycling it.
+    // removal retires the hog's group (Some(true) = last subscriber), so
+    // the hog's is the one free slot the newcomer can recycle.
     assert_eq!(engine.remove_query(QueryId(0)), Some(true), "hog group retires");
-    let newcomer = engine.add_query("/feed/www").expect("valid query");
+    assert_eq!(engine.group_count(), 3);
+    engine.add_query("/feed/www").expect("valid query");
 
     let outs = run_checking_plan(&mut engine, &[&xml, &xml], "after churn");
-    let profile = engine.profile_snapshot().expect("profiling on");
-    assert_eq!(
-        profile.queries[newcomer.0].group,
-        Some(hog_gid),
-        "the newcomer recycled the retired hog's group slot {hog_gid}"
-    );
-    assert_eq!(profile.groups.len(), 4, "four group slots, the hog's recycled");
+    for out in &outs {
+        assert_eq!(out.plan.recycled_slots, 1, "the newcomer recycled the retired hog's slot");
+    }
+    assert_eq!(engine.group_count(), 4, "four group slots, the hog's recycled");
     // And the churned engine still matches a reference churned alike.
     let mut reference = MultiEngine::new();
     for q in queries {

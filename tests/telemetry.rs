@@ -4,7 +4,10 @@
 //! counters and histograms are present in the snapshot but excluded from
 //! the deterministic export.
 //!
-//! Also covers the export surface: the `vitex.metrics.v2` JSON snapshot
+//! The snapshot's per-query rows must bill each subscription what a
+//! private engine costs, and rank the expensive one first.
+//!
+//! Also covers the export surface: the `vitex.metrics.v3` JSON snapshot
 //! must be syntactically valid (checked with a small hand-rolled JSON
 //! walker — the workspace takes no serde dependency), and the README's
 //! metric glossary and the exported names must cover each other.
@@ -12,8 +15,10 @@
 mod common;
 
 use common::{pinned_queries_with_hog, query_set};
-use vitex::core::telemetry::{HistogramRow, ProfileSnapshot, Snapshot, Telemetry};
-use vitex::core::{evaluate_reader, Engine, MachineStats, MultiEngine, MultiOutput, StreamStats};
+use vitex::core::telemetry::{GroupRow, HistogramRow, QueryRow, Snapshot, Telemetry};
+use vitex::core::{
+    evaluate_reader, Bill, Engine, MachineStats, MultiEngine, MultiOutput, QueryId, StreamStats,
+};
 use vitex::xmlgen::auction::{self, AuctionConfig};
 use vitex::xmlgen::random::{self, RandomConfig};
 use vitex::xmlsax::XmlReader;
@@ -90,7 +95,7 @@ fn snapshot_round_trips_engine_output() {
     assert_eq!(snapshot.deterministic_counters(), expected);
 }
 
-/// The deterministic section of `vitex.metrics.v2`, in export order. A
+/// The deterministic section of `vitex.metrics.v3`, in export order. A
 /// literal on purpose: adding, renaming or reordering a row is a schema
 /// change, and must show up here.
 const DETERMINISTIC_NAMES: [&str; 27] = [
@@ -133,12 +138,14 @@ fn deterministic_export_names_and_order_are_pinned() {
     assert!(snapshot.counters[names.len()..].iter().all(|c| !c.deterministic));
 }
 
-/// Every exported metric name: counters, then histograms.
+/// Every exported metric name: counters, histograms, then the fields of
+/// the query and group rows.
 fn exported_names() -> Vec<&'static str> {
     let snapshot = Telemetry::enabled().snapshot().expect("enabled");
     assert!(snapshot.gauges.is_empty(), "the registry exports no gauge");
     let counters = snapshot.counters.iter().map(|c| c.name);
-    counters.chain(snapshot.histograms.iter().map(|h| h.name)).collect()
+    let rows = QueryRow::default().rows().into_iter().chain(GroupRow::default().rows());
+    counters.chain(snapshot.histograms.iter().map(|h| h.name)).chain(rows.map(|(n, _)| n)).collect()
 }
 
 #[test]
@@ -157,7 +164,7 @@ fn every_exported_name_is_in_the_readme_glossary() {
             readme.contains(&format!("`{name}`")) || families.any(|f| readme.contains(&f));
         assert!(documented, "{name} is exported but the README glossary does not mention it");
     }
-    assert_eq!(count, 31, "29 counters, 2 histograms");
+    assert_eq!(count, 43, "29 counters, 2 histograms, 7 query and 5 group fields");
 }
 
 #[test]
@@ -300,11 +307,11 @@ fn exports_are_valid_json() {
     let snapshot = telemetry.snapshot().expect("enabled");
     let metrics = snapshot.to_json();
     assert_json(&metrics);
-    assert!(metrics.starts_with("{\"schema\":\"vitex.metrics.v2\""));
-    // Counters and histograms only: the gauge section and the span-ring
-    // count of v1 are gone (spelled in halves, for CI's grep).
+    assert!(metrics.starts_with("{\"schema\":\"vitex.metrics.v3\""));
+    // Four sections: the gauge section and the span-ring count of v1 are
+    // gone (spelled in halves, for CI's grep).
     for key in ["gauges", concat!("spans", "_dropped")] {
-        assert!(!metrics.contains(key), "{key} is not a v2 key");
+        assert!(!metrics.contains(key), "{key} is not a v3 key");
     }
     assert_json(&snapshot.deterministic_json());
 }
@@ -320,31 +327,23 @@ fn disabled_telemetry_snapshots_nothing() {
     assert_eq!(out.matches[0].len(), 2);
 }
 
-// ---- cost-attribution (profile) battery ----
+// ---- per-query and per-group rows ----
 
-/// Runs `xml` through a fresh engine with profiling enabled and returns
-/// the ledger snapshot.
-fn run_profiled(trees: &[QueryTree], xml: &str) -> ProfileSnapshot {
-    let mut engine = MultiEngine::new();
-    engine.set_profiling(true);
-    for tree in trees {
-        engine.add_tree(tree).expect("registrable");
-    }
-    engine.run(XmlReader::from_str(xml), |_, _| {}).expect("engine run");
-    engine.profile_snapshot().expect("profiling enabled")
+/// Runs `xml` through a fresh observed engine and returns the snapshot.
+fn run_snapshot(trees: &[QueryTree], xml: &str) -> Snapshot {
+    run_observed(trees, xml).1.snapshot().expect("enabled")
 }
 
 #[test]
 fn streamed_and_buffered_sessions_bill_the_same() {
     // Matches and payload bytes are counted as they are delivered, not
     // read back from a buffer: a document that keeps no match reports the
-    // same `vitex_matches_total` and the same per-query bills as one that
+    // same `vitex_matches_total` and the same per-query rows as one that
     // keeps them all.
     let xml = random::to_string(&RandomConfig::seeded(3));
     let trees = query_set(8);
     let observe = |buffered: bool| {
         let (mut engine, telemetry) = observed_engine(&trees);
-        engine.set_profiling(true);
         let mut delivered = 0u64;
         let reader = XmlReader::from_str(&xml);
         if buffered {
@@ -355,13 +354,12 @@ fn streamed_and_buffered_sessions_bill_the_same() {
         .expect("engine run");
         let snapshot = telemetry.snapshot().expect("enabled");
         assert_eq!(snapshot.counter("vitex_matches_total"), Some(delivered));
-        let profile = engine.profile_snapshot().expect("profiling enabled");
-        let json = profile.deterministic_json();
-        assert_json(&json);
-        (delivered, snapshot.deterministic_json(), json)
+        assert_json(&snapshot.to_json());
+        (delivered, snapshot.deterministic_json(), snapshot.queries)
     };
     let (streamed, buffered) = (observe(false), observe(true));
     assert!(streamed.0 > 0, "the seeds were chosen to match something");
+    assert!(streamed.2.iter().any(|q| q.emitted_bytes > 0), "payload bytes are billed");
     assert_eq!(streamed, buffered);
 }
 
@@ -371,36 +369,19 @@ fn profile_ranks_the_planted_hog_first() {
     // ranks #1 by attributed work.
     let xml = auction::to_string(&AuctionConfig::sized(32 * 1024));
     let trees = pinned_queries_with_hog(100);
-    let snap = run_profiled(&trees, &xml);
+    let snap = run_snapshot(&trees, &xml);
     let ranked: Vec<(usize, u64)> =
-        snap.top_queries(2).iter().map(|q| (q.id, q.machine.work())).collect();
+        snap.top_queries(2).iter().map(|q| (q.id, q.bill.work())).collect();
     assert_eq!(ranked[0].0, 100, "the planted expensive query must rank #1: {ranked:?}");
     assert!(ranked[0].1 > ranked[1].1, "by a margin: {ranked:?}");
 }
 
 #[test]
-fn sampled_self_time_is_billed() {
-    // The ledger's `self_ns` comes from timing one machine touch in 1024,
-    // so the document must be long enough for several thousand touches.
-    // Asserted on the sum over groups: a periodic document can alias a
-    // small group out of every sample. The deterministic per-query
-    // section ignores all of it.
-    let xml = auction::to_string(&AuctionConfig::sized(256 * 1024));
-    let trees = pinned_queries_with_hog(100);
-    let snap = run_profiled(&trees, &xml);
-    let touches: u64 = snap.groups.iter().map(|g| g.machine.pushes + g.machine.pops).sum();
-    assert!(touches > 8 * 1024, "{touches} pushes + pops: too short a document to sample");
-    let self_ns: u64 = snap.groups.iter().map(|g| g.self_ns).sum();
-    assert!(self_ns > 0, "no self-time sampled over {touches} touches");
-    assert!(!snap.deterministic_json().contains("self_ns"), "self-time is not deterministic");
-}
-
-#[test]
 fn a_shape_group_bills_each_subscription_what_it_costs_alone() {
     // Subscriptions that differ only in a `= 'string'` literal share one
-    // machine, yet each one's per-query bill — work counters, matches and
-    // payload bytes — is what it is billed in an engine of its own, and so
-    // is the `vitex_matches_total` the registry folds.
+    // machine, yet each one's row — work counters, matches and payload
+    // bytes — is what it is billed in an engine of its own, and so is the
+    // `vitex_matches_total` the registry folds.
     let xml = auction::to_string(&AuctionConfig::sized(32 * 1024));
     let payments = ["Cash", "Creditcard", "Cash", "Cheque"];
     let emails = ["mailto:p3@example.org", "mailto:p9@example.org", "nobody"];
@@ -409,69 +390,131 @@ fn a_shape_group_bills_each_subscription_what_it_costs_alone() {
         .chain(emails.iter().map(|l| format!("/site/people/person[emailaddress = '{l}']/@id")))
         .map(|q| QueryTree::parse(&q).expect("valid query"))
         .collect();
-    let shared = run_profiled(&trees, &xml);
+    let shared = run_snapshot(&trees, &xml);
     assert_eq!(shared.groups.len(), 2, "one machine per shape");
-    let bill = |q: &vitex::core::telemetry::QueryCost| {
-        let m = &q.machine;
-        (
-            m.steps(),
-            m.pushes,
-            m.pops,
-            m.predicate_evals,
-            m.dispatch_hits,
-            q.matches,
-            q.emitted_bytes,
-        )
-    };
+    assert_eq!(shared.groups.iter().map(|g| g.subscribers).collect::<Vec<_>>(), [4, 3]);
     for (i, tree) in trees.iter().enumerate() {
-        let alone = run_profiled(std::slice::from_ref(tree), &xml);
-        assert_eq!(bill(&shared.queries[i]), bill(&alone.queries[0]), "{}", tree.original());
+        let alone = run_snapshot(std::slice::from_ref(tree), &xml);
+        assert_eq!(shared.queries[i].rows(), alone.queries[0].rows(), "{}", tree.original());
     }
-    assert!(shared.queries.iter().filter(|q| q.matches > 0).count() >= 5, "the literals match");
-    let (out, telemetry) = run_observed(&trees, &xml);
-    let delivered: u64 = out.stats.iter().map(|s| s.emitted).sum();
+    let matches = |q: &QueryRow| q.matches;
+    assert!(shared.queries.iter().filter(|q| matches(q) > 0).count() >= 5, "the literals match");
+    assert!(shared.queries.iter().all(|q| (matches(q) > 0) == (q.emitted_bytes > 0)));
+    assert_eq!(
+        shared.counter("vitex_matches_total"),
+        Some(shared.queries.iter().map(matches).sum())
+    );
+}
+
+#[test]
+fn rows_of_a_many_binding_group_equal_each_query_stats() {
+    // 400 subscriptions of one shape, two per e-mail literal, over
+    // persons with an address for even N only: one machine, and one walk
+    // of it reads every subscription's `query_stats` — the `--stats`
+    // rows — and fills its snapshot row with the same bill.
+    let mut xml = String::from("<site><people>");
+    for n in 0..200 {
+        let mail = if n % 2 == 0 {
+            format!("<emailaddress>mailto:p{n}@x</emailaddress>")
+        } else {
+            String::new()
+        };
+        xml.push_str(&format!("<person><name>n{n}</name>{mail}</person>"));
+    }
+    xml.push_str("</people></site>");
+    let trees: Vec<QueryTree> = (0..400)
+        .map(|n| {
+            QueryTree::parse(&format!("//person[emailaddress = 'mailto:p{}@x']/name", n % 200))
+        })
+        .collect::<Result<_, _>>()
+        .expect("valid queries");
+    let (mut engine, telemetry) = observed_engine(&trees);
+    engine.stream_document(XmlReader::from_str(&xml), |_, _| {}).expect("well-formed");
     let snapshot = telemetry.snapshot().expect("enabled");
-    assert_eq!(snapshot.counter("vitex_matches_total"), Some(delivered));
-    assert_eq!(delivered, shared.queries.iter().map(|q| q.matches).sum::<u64>());
+    assert_eq!(snapshot.groups.len(), 1, "one shape, one machine");
+    assert_eq!(snapshot.groups[0].subscribers, 400);
+    assert_eq!(snapshot.queries.len(), 400);
+    let walked = engine.all_query_stats();
+    assert_eq!(walked.len(), 400);
+    for (row, walked) in snapshot.queries.iter().zip(&walked) {
+        let stats = engine.query_stats(QueryId(row.id));
+        assert_eq!(walked, &stats, "{}", row.query);
+        let mut bill = Bill::default();
+        bill.add(&stats);
+        assert_eq!((row.bill, row.matches), (bill, stats.emitted), "{}", row.query);
+        assert_eq!(row.matches, u64::from(row.id % 2 == 0), "{}", row.query);
+    }
+}
+
+#[test]
+fn group_rows_follow_registration_churn() {
+    // A retired group's row goes, a slot recycled by a new shape starts a
+    // new row, a group joined by a second subscriber counts it, and a
+    // handle attached after registration still lists every active group.
+    let xml = "<r><a/><b/><c/></r>";
+    let mut engine = MultiEngine::new();
+    let [a, _, _] = ["//a", "//b", "//zzz"].map(|q| engine.add_query(q).expect("valid"));
+    engine.run(XmlReader::from_str(xml), |_, _| {}).expect("well-formed");
+    let telemetry = Telemetry::enabled();
+    engine.set_telemetry(telemetry.clone());
+    engine.run(XmlReader::from_str(xml), |_, _| {}).expect("well-formed");
+    let groups = |telemetry: &Telemetry| {
+        let snapshot = telemetry.snapshot().expect("enabled");
+        snapshot
+            .groups
+            .iter()
+            .map(|g| (g.gid, g.shape.clone(), g.subscribers, g.bill.pushes))
+            .collect::<Vec<_>>()
+    };
+    let row = |gid, shape: &str, subscribers, pushes| (gid, shape.to_string(), subscribers, pushes);
+    assert_eq!(
+        groups(&telemetry),
+        [row(0, "//a", 1, 1), row(1, "//b", 1, 1), row(2, "//zzz", 1, 0)]
+    );
+    assert_eq!(engine.remove_query(a), Some(true));
+    engine.add_query("//c").expect("valid");
+    engine.add_query("//b").expect("valid");
+    engine.run(XmlReader::from_str(xml), |_, _| {}).expect("well-formed");
+    assert_eq!(
+        groups(&telemetry),
+        [row(0, "//c", 1, 1), row(1, "//b", 2, 2), row(2, "//zzz", 1, 0)]
+    );
+    let snapshot = telemetry.snapshot().expect("enabled");
+    assert_eq!(snapshot.queries.len(), 5, "a row per registration, removed ones included");
+    assert_eq!(snapshot.queries[0].bill.pushes, 1, "//a kept what it cost before it left");
 }
 
 #[test]
 fn profile_accumulates_across_session_documents() {
-    let mut engine = MultiEngine::new();
-    engine.set_profiling(true);
-    engine.add_query("//a").unwrap();
+    let trees = [QueryTree::parse("//a").unwrap()];
+    let (mut engine, telemetry) = observed_engine(&trees);
     engine.run(XmlReader::from_str("<a><a/></a>"), |_, _| {}).unwrap();
     engine.run(XmlReader::from_str("<r><a/></r>"), |_, _| {}).unwrap();
-    let snap = engine.profile_snapshot().expect("profiling enabled");
-    assert_eq!(snap.docs, 2);
+    let snap = telemetry.snapshot().expect("enabled");
+    assert_eq!(doc_ns(&snap).count, 2);
     assert_eq!(snap.queries.len(), 1);
     assert_eq!(snap.queries[0].matches, 3, "2 matches from doc 1 + 1 from doc 2");
-    assert!(snap.queries[0].machine.pushes >= 3);
+    assert!(snap.queries[0].bill.pushes >= 3);
+    assert_eq!(snap.groups[0].bill, snap.queries[0].bill);
 }
 
 #[test]
 fn profile_full_export_is_valid_json_with_group_diagnostics() {
     let xml = random::to_string(&RandomConfig::seeded(33));
     let trees = query_set(6);
-    let snap = run_profiled(&trees, &xml);
+    let (mut engine, telemetry) = observed_engine(&trees);
+    engine.run(XmlReader::from_str(&xml), |_, _| {}).expect("engine run");
+    let snap = telemetry.snapshot().expect("enabled");
     let json = snap.to_json();
     assert_json(&json);
-    assert!(json.starts_with("{\"schema\":\"vitex.profile.v1\""));
-    assert!(json.contains("\"groups\":["));
-    assert!(json.contains("\"shared_steps\":"));
-    // The deterministic export is a strict prefix-section of the full one:
-    // same docs, same queries array, no groups.
+    assert_eq!(snap.queries.len(), trees.len());
+    assert_eq!(snap.groups.len(), engine.group_count());
+    assert_eq!(json.matches("\"vitex_query_steps_total\":").count(), trees.len());
+    assert_eq!(json.matches("\"vitex_group_subscribers\":").count(), engine.group_count());
+    // The rows stay out of the deterministic counter subset.
     let det = snap.deterministic_json();
     assert_json(&det);
-    assert!(!det.contains("\"groups\""));
-}
-
-#[test]
-fn disabled_profiling_snapshots_nothing() {
-    let mut engine = MultiEngine::new();
-    engine.add_query("//a").unwrap();
-    engine.run(XmlReader::from_str("<a><a/></a>"), |_, _| {}).unwrap();
-    assert!(engine.profile_snapshot().is_none());
+    assert!(!det.contains("\"queries\"") && !det.contains("\"groups\""));
 }
 
 // ---- minimal JSON syntax checker (no serde in the workspace) ----
