@@ -32,7 +32,7 @@ impl std::ops::DerefMut for ShardedEngine {
 pub struct ShardSession<'a>(&'a mut MultiEngine);
 impl ShardSession<'_> {
     /// [`MultiEngine::run`]: `benchmark/src/engines.rs:164` calls it.
-    pub fn run_document<R: Read, F: FnMut(QueryId, Match)>(
+    pub fn run_document<R: Read, F: FnMut(QueryId, &Match)>(
         &mut self,
         reader: XmlReader<R>,
         on_match: F,

@@ -19,7 +19,7 @@ use crate::driver::{DocumentDriver, EventSink};
 use crate::error::EngineResult;
 use crate::intern::{Interner, Symbol};
 use crate::machine::{CandidateStore, TwigM};
-use crate::result::{Match, NodeId};
+use crate::result::{Match, MatchRef, NodeId};
 use crate::stats::MachineStats;
 
 /// Everything a full evaluation run reports.
@@ -83,10 +83,11 @@ impl Engine {
     }
 
     /// Streams `reader` through the machine, invoking `on_match` for every
-    /// solution the moment it becomes decidable, and keeps a copy of each
-    /// for [`EvalOutput::matches`]. Resets the machine first, so an engine
-    /// can be reused across documents.
-    pub fn run<R: Read, F: FnMut(Match)>(
+    /// solution the moment it becomes decidable, and keeps each for
+    /// [`EvalOutput::matches`]: one owned [`Match`] per solution, built as
+    /// it leaves the machine and lent to `on_match` first. Resets the
+    /// machine first, so an engine can be reused across documents.
+    pub fn run<R: Read, F: FnMut(&Match)>(
         &mut self,
         reader: XmlReader<R>,
         mut on_match: F,
@@ -99,9 +100,10 @@ impl Engine {
                 machine: &mut self.machine,
                 store: &mut self.store,
                 interner: &self.interner,
-                on_match: |m: Match| {
-                    matches.push(m.clone());
-                    on_match(m);
+                on_match: |m: &MatchRef<'_>| {
+                    let owned = Match::from(*m);
+                    on_match(&owned);
+                    matches.push(owned);
                 },
             };
             self.driver.run(reader, &mut sink)?
@@ -127,14 +129,14 @@ impl Engine {
 }
 
 /// The single-query [`EventSink`]: every event goes to the one machine.
-struct EngineSink<'a, F: FnMut(Match)> {
+struct EngineSink<'a, F: FnMut(&MatchRef<'_>)> {
     machine: &'a mut TwigM,
     store: &'a mut CandidateStore,
     interner: &'a Interner,
     on_match: F,
 }
 
-impl<F: FnMut(Match)> EventSink for EngineSink<'_, F> {
+impl<F: FnMut(&MatchRef<'_>)> EventSink for EngineSink<'_, F> {
     fn resolve(&mut self, name: &str) -> Option<Symbol> {
         self.interner.lookup(name)
     }

@@ -52,9 +52,12 @@
 //!   is freed with its last instance), the `emitted` bit (a second
 //!   instance reaching the root is suppressed by looking at the payload,
 //!   so the machine keeps no set of emitted node ids and nothing in it
-//!   grows with the number of matches) and the merge stamp. A [`Match`]'s
-//!   `Arc<str>`s are built from the payload when it is emitted, and only
-//!   then.
+//!   grows with the number of matches) and the merge stamp. An emitted
+//!   solution reaches the caller as a [`MatchRef`] that borrows its name
+//!   and value from the store's string pool for the length of the
+//!   callback: the machine builds no owned string, and an owned
+//!   [`crate::Match`] is made at the API edge, by the adapter that keeps
+//!   one.
 //! * the [`CandidateStore`] holds payloads, candidate lists and string
 //!   buffers (names, values, string-value accumulators) in three pools
 //!   with free lists; entries hold `u32` handles into it. It belongs to
@@ -123,7 +126,6 @@
 
 use std::mem::size_of;
 use std::ops::{Index, IndexMut};
-use std::sync::Arc;
 
 use vitex_xmlsax::event::Attributes;
 use vitex_xmlsax::pos::ByteSpan;
@@ -133,7 +135,7 @@ use crate::bitset::SmallBitSet;
 use crate::builder::{EvalMode, MachineSpec};
 use crate::intern::Symbol;
 use crate::predicate;
-use crate::result::{Match, MatchKind};
+use crate::result::{MatchKind, MatchRef};
 use crate::stats::MachineStats;
 
 /// "No handle": an entry without candidates, text buffer or binding set, a
@@ -142,8 +144,8 @@ const NONE: u32 = u32::MAX;
 
 /// Where a machine delivers a solution: to the bindings listed (ascending
 /// binding ids), or with `None` to every binding it has (see "Bindings"
-/// in the module docs).
-pub(crate) type Deliver<'a> = dyn FnMut(Option<&[u32]>, Match) + 'a;
+/// in the module docs). The solution is lent for the call.
+pub(crate) type Deliver<'a> = dyn FnMut(Option<&[u32]>, &MatchRef<'_>) + 'a;
 
 /// FNV-1a over `bytes`: what a binding table files a literal under.
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
@@ -247,7 +249,7 @@ struct Cand {
 
 const CAND_BYTES: u64 = size_of::<Cand>() as u64;
 
-/// A candidate solution — what becomes a [`Match`] — and the state its
+/// A candidate solution — what becomes a [`MatchRef`] — and the state its
 /// instances share.
 #[derive(Debug)]
 struct Payload {
@@ -579,7 +581,7 @@ impl CandidateStore {
             if std::mem::replace(&mut p.emitted, true) {
                 return false;
             }
-            emit(None, self.to_match(c.payload));
+            emit(None, &self.match_ref(c.payload));
             return true;
         }
         let mut to = std::mem::take(&mut self.to);
@@ -600,7 +602,7 @@ impl CandidateStore {
         }
         let delivered = !to.is_empty();
         if delivered {
-            emit((to.len() < n).then_some(&to[..]), self.to_match(solution));
+            emit((to.len() < n).then_some(&to[..]), &self.match_ref(solution));
             self.record_done(solution, &to, n);
         }
         self.to = to;
@@ -625,16 +627,17 @@ impl CandidateStore {
         }
     }
 
-    /// The solution as the caller receives it.
-    fn to_match(&self, payload: u32) -> Match {
+    /// The solution as the caller receives it, borrowing its strings from
+    /// the pool.
+    fn match_ref(&self, payload: u32) -> MatchRef<'_> {
         let p = &self.payloads[payload];
-        let arc = |h: u32| (h != NONE).then(|| Arc::from(&*self.strings[h]));
-        Match {
+        let text = |h: u32| (h != NONE).then(|| &*self.strings[h]);
+        MatchRef {
             kind: p.kind,
             node: p.node,
-            name: arc(p.name),
+            name: text(p.name),
             span: p.span,
-            value: arc(p.value),
+            value: text(p.value),
             level: p.level,
         }
     }
@@ -719,8 +722,8 @@ fn entry_base_bytes(e: &Entry) -> u64 {
 ///
 /// Feed it SAX events ([`TwigM::start_element_interned`], [`TwigM::characters`],
 /// [`TwigM::end_element`]), lending each call the [`CandidateStore`] its
-/// run-time state lives in; solutions come out of the `emit` callback as
-/// soon as they are decidable. [`crate::engine::Engine`] wires an
+/// run-time state lives in; solutions come out of the `emit` callback,
+/// lent as [`MatchRef`]s, as soon as they are decidable. [`crate::engine::Engine`] wires an
 /// [`vitex_xmlsax::XmlReader`] to this interface.
 #[derive(Debug)]
 pub struct TwigM {
@@ -883,12 +886,12 @@ impl TwigM {
         node_id: u64,
         attr_id_base: u64,
         tag_span: ByteSpan,
-        emit: &mut dyn FnMut(Match),
+        emit: &mut dyn FnMut(&MatchRef<'_>),
     ) {
         let mut plan = std::mem::take(&mut store.plan);
         let named = sym.map(|s| self.spec.machines_for(s)).unwrap_or(&[]);
         self.plan_pushes(named, level, &mut plan);
-        let emit = &mut |_: Option<&[u32]>, m| emit(m);
+        let emit = &mut |_: Option<&[u32]>, m: &MatchRef<'_>| emit(m);
         self.apply_pushes(store, &plan, level, attributes, node_id, attr_id_base, tag_span, emit);
         store.plan = plan;
     }
@@ -1102,7 +1105,7 @@ impl TwigM {
         level: u32,
         node_id: u64,
         span: ByteSpan,
-        emit: &mut dyn FnMut(Match),
+        emit: &mut dyn FnMut(&MatchRef<'_>),
     ) {
         self.characters_to(store, text, level, node_id, span, &mut |_, m| emit(m));
     }
@@ -1185,7 +1188,7 @@ impl TwigM {
         name: &str,
         level: u32,
         element_span: ByteSpan,
-        emit: &mut dyn FnMut(Match),
+        emit: &mut dyn FnMut(&MatchRef<'_>),
     ) {
         self.end_element_to(store, name, level, element_span, &mut |_, m| emit(m));
     }
@@ -1675,6 +1678,7 @@ fn cmp_opt(comparison: &Option<(CmpOp, Literal)>, value: &str) -> bool {
 mod tests {
     use super::*;
     use crate::intern::Interner;
+    use crate::result::Match;
     use vitex_xmlsax::event::AttributeBuf;
     use vitex_xpath::query_tree::QueryTree;
 
@@ -1724,9 +1728,9 @@ mod tests {
             let span = ByteSpan::new(self.offset, self.offset + 1);
             self.offset += 1;
             let (matches, delivered) = (&mut self.matches, &mut self.delivered);
-            let emit = &mut |to: Option<&[u32]>, m: Match| {
+            let emit = &mut |to: Option<&[u32]>, m: &MatchRef<'_>| {
                 delivered.push((to.map(<[u32]>::to_vec), m.node));
-                matches.push(m)
+                matches.push(Match::from(*m))
             };
             // `start_element_interned`, keeping which bindings a delivery
             // at push goes to.
@@ -1744,9 +1748,9 @@ mod tests {
             let span = ByteSpan::new(self.offset, self.offset + t.len() as u64);
             self.offset += t.len() as u64;
             let (matches, delivered) = (&mut self.matches, &mut self.delivered);
-            let emit = &mut |to: Option<&[u32]>, m: Match| {
+            let emit = &mut |to: Option<&[u32]>, m: &MatchRef<'_>| {
                 delivered.push((to.map(<[u32]>::to_vec), m.node));
-                matches.push(m)
+                matches.push(Match::from(*m))
             };
             self.machine.characters_to(&mut self.store, t, self.level, id, span, emit);
             self
@@ -1756,9 +1760,9 @@ mod tests {
             let span = ByteSpan::new(0, self.offset);
             let level = self.level;
             let (matches, delivered) = (&mut self.matches, &mut self.delivered);
-            let emit = &mut |to: Option<&[u32]>, m: Match| {
+            let emit = &mut |to: Option<&[u32]>, m: &MatchRef<'_>| {
                 delivered.push((to.map(<[u32]>::to_vec), m.node));
-                matches.push(m)
+                matches.push(Match::from(*m))
             };
             self.machine.end_element_to(&mut self.store, name, level, span, emit);
             self.level -= 1;

@@ -6,7 +6,7 @@
 //! independent consumers of the same SAX events, running `k` queries costs
 //! one parse plus machine updates, not `k` parses. [`MultiEngine`]
 //! packages that: register queries, stream a document once, receive
-//! `(query id, match)` pairs as they become decidable.
+//! each match with the query ids it is for as soon as it is decidable.
 //!
 //! ## Planning
 //!
@@ -15,7 +15,7 @@
 //! with the literal of their one `= 'string'` predicate leaf, or of their
 //! one inline `[@name = 'string']` test, erased) share one [`PlanGroup`]
 //! running a single machine, whose binding table files
-//! each subscriber under its literal. Every solution fans out to the
+//! each subscriber under its literal. Every solution goes to the
 //! subscribers of the bindings it reaches: bindings in first-registration
 //! order, each binding's subscribers in registration order. Structurally
 //! identical queries are the one-binding case (plain deduplication). The
@@ -43,12 +43,24 @@
 //! group order, a frame stack lets an end tag touch exactly the machines
 //! its start tag pushed (an untouched machine has nothing to pop), and
 //! text goes to exactly the machines holding an open entry that reads
-//! text (any other text consumer is idle). Every solution leaves through
-//! the caller's callback and nowhere else (`fan_out_match`);
-//! [`MultiOutput::matches`] is one collecting adapter around a streamed
-//! document, at the API edge ([`MultiEngine::run`]). This is sound
-//! because a machine's stacks only ever hold entries for elements it was
-//! shown, and text/attribute tests live inside the delivered events.
+//! text (any other text consumer is idle). This is sound because a
+//! machine's stacks only ever hold entries for elements it was shown, and
+//! text/attribute tests live inside the delivered events.
+//!
+//! ## One door out
+//!
+//! Every solution leaves through the caller's callback and nowhere else,
+//! **once per group emission and binding it reaches** (`touch_group`):
+//! the callback is lent the solution as a [`MatchRef`] into the machines'
+//! string pool, and the binding's subscribers as one contiguous slice of
+//! the group's list — the whole list when the emission reaches every
+//! binding. So delivery costs what the groups emit, not emissions ×
+//! subscribers, and the stream builds no owned match at all (YFilter's
+//! accepting states hand a match to a list of query ids the same way).
+//! Owned matches exist only at the API edge: [`MultiEngine::run`] builds
+//! one [`Match`] per group delivery and fills [`MultiOutput::matches`],
+//! each vector sized exactly from the subscription's `emitted` statistics
+//! once the document has ended.
 //!
 //! The plan updates **incrementally**: [`MultiEngine::add_query`] splices
 //! the new group into the trie routes in place and
@@ -75,7 +87,7 @@ use crate::intern::{Interner, Symbol};
 use crate::machine::{CandidateStore, Deliver};
 use crate::plan::group::Binding;
 use crate::plan::{PlanGroup, QueryPlanner, StepTrie, TriePush};
-use crate::result::{Match, NodeId};
+use crate::result::{Match, MatchRef, NodeId};
 use crate::stats::{MachineStats, PlanStats};
 use crate::telemetry::Telemetry;
 
@@ -240,27 +252,33 @@ impl Default for MultiEngine {
 /// Match payload bytes for delivery accounting: the node id plus the
 /// name/value text. A pure function of the match, so the total is
 /// deterministic wherever the match set is.
-fn match_bytes(m: &Match) -> u64 {
-    8 + m.name.as_deref().map_or(0, str::len) as u64 + m.value.as_deref().map_or(0, str::len) as u64
+fn match_bytes(m: &MatchRef<'_>) -> u64 {
+    8 + m.name.map_or(0, str::len) as u64 + m.value.map_or(0, str::len) as u64
 }
 
-/// Fans one solution a group's machine delivered to `to` — its bindings,
-/// ascending, or `None` for all of them — out to their subscribers:
-/// binding by binding, each one's in registration order, the last
-/// subscriber taking the hit by value so a single-subscriber delivery
-/// never clones. With several bindings, each one reached is billed the
-/// delivery. This is the **one** fan-out in the system, and the callback
-/// the only place a match goes.
-pub(crate) fn fan_out_match<F: FnMut(QueryId, Match)>(
-    subscribers: &[QueryId],
-    bindings: &mut [Binding],
-    to: Option<&[u32]>,
-    on_match: &mut F,
-    hit: Match,
-) {
-    let mut reached = subscribers;
-    if !bindings.is_empty() {
-        let (count, bytes) = (bindings.len(), match_bytes(&hit));
+/// Runs one machine `touch` of group `slot`, handing it the emit closure.
+/// A solution the machine delivers to `to` — its bindings, ascending, or
+/// `None` for all of them — reaches `on_match` once per binding, lent with
+/// that binding's subscribers in registration order, or once with every
+/// subscriber when it reaches them all. With several bindings, each one
+/// reached is billed the delivery; the slot's payload byte tally grows
+/// when `emitted_bytes` keeps one. This is the **one** place a solution
+/// leaves the executor.
+#[inline]
+fn touch_group<R>(
+    emitted_bytes: &mut [u64],
+    slot: u32,
+    (subscribers, bindings): (&[QueryId], &mut [Binding]),
+    on_match: &mut impl FnMut(&[QueryId], &MatchRef<'_>),
+    touch: impl FnOnce(&mut Deliver<'_>) -> R,
+) -> R {
+    let mut tally = emitted_bytes.get_mut(slot as usize);
+    touch(&mut |to, hit| {
+        let count = bindings.len();
+        let bytes = if tally.is_some() || count > 0 { match_bytes(hit) } else { 0 };
+        if let Some(tally) = &mut tally {
+            **tally += bytes;
+        }
         // Bills binding `b` and returns its subscribers' range.
         let mut bill = |b: usize| {
             let start = if b == 0 { 0 } else { bindings[b - 1].end as usize };
@@ -273,49 +291,22 @@ pub(crate) fn fan_out_match<F: FnMut(QueryId, Match)>(
                 for b in 0..count {
                     bill(b);
                 }
+                on_match(subscribers, hit);
             }
             Some(to) => {
-                let (&last, rest) = to.split_last().expect("a delivery reaches a binding");
-                for &b in rest {
-                    subscribers[bill(b as usize)]
-                        .iter()
-                        .for_each(|&sub| on_match(sub, hit.clone()));
+                debug_assert!(!to.is_empty(), "a delivery reaches a binding");
+                for &b in to {
+                    on_match(&subscribers[bill(b as usize)], hit);
                 }
-                reached = &subscribers[bill(last as usize)];
             }
         }
-    }
-    let (&last, rest) = reached.split_last().expect("a binding has a subscriber");
-    for &sub in rest {
-        on_match(sub, hit.clone());
-    }
-    on_match(last, hit);
-}
-
-/// Runs one machine `touch` of group `slot`, handing it the emit closure:
-/// the fan-out to `subscribers` and `bindings` through `on_match`, after
-/// the slot's payload byte tally when `emitted_bytes` keeps one.
-#[inline]
-fn touch_group<R>(
-    emitted_bytes: &mut [u64],
-    slot: u32,
-    (subscribers, bindings): (&[QueryId], &mut [Binding]),
-    on_match: &mut impl FnMut(QueryId, Match),
-    touch: impl FnOnce(&mut Deliver<'_>) -> R,
-) -> R {
-    let mut bytes = emitted_bytes.get_mut(slot as usize);
-    touch(&mut |to, hit| {
-        if let Some(bytes) = &mut bytes {
-            **bytes += match_bytes(&hit);
-        }
-        fan_out_match(subscribers, bindings, to, on_match, hit)
     })
 }
 
 /// The **one** per-event apply step of multi-query execution: given the
 /// step trie and the group slots (a slot is a group id), it drives exactly
-/// the machines an event can move and fans every solution out to its
-/// group's subscribers through the caller's callback ([`fan_out_match`]).
+/// the machines an event can move and hands every solution to its group's
+/// subscribers through the caller's callback (`touch_group`).
 #[derive(Debug, Default)]
 pub(crate) struct Executor {
     /// Scratch: the trie pushes of the current start tag.
@@ -399,7 +390,7 @@ impl Executor {
         sym: Option<Symbol>,
         event: &StartElementEvent<'_>,
         node_id: NodeId,
-        on_match: &mut impl FnMut(QueryId, Match),
+        on_match: &mut impl FnMut(&[QueryId], &MatchRef<'_>),
     ) {
         let Self { pushed, plans, frame_slots, frames, text_live, touched, store, emitted_bytes } =
             self;
@@ -452,7 +443,7 @@ impl Executor {
         level: u32,
         node_id: NodeId,
         span: ByteSpan,
-        on_match: &mut impl FnMut(QueryId, Match),
+        on_match: &mut impl FnMut(&[QueryId], &MatchRef<'_>),
     ) {
         let Self { text_live, store, emitted_bytes, .. } = self;
         text_live.for_each(|slot| {
@@ -471,7 +462,7 @@ impl Executor {
         name: &str,
         level: u32,
         element_span: ByteSpan,
-        on_match: &mut impl FnMut(QueryId, Match),
+        on_match: &mut impl FnMut(&[QueryId], &MatchRef<'_>),
     ) {
         let base = self.frames.pop().expect("events nest") as usize;
         for &slot in &self.frame_slots[base..] {

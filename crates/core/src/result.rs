@@ -33,12 +33,54 @@ pub enum MatchKind {
     Text,
 }
 
-/// One query solution: a binding of the query's result node.
+/// One query solution as the machine hands it out: a binding of the
+/// query's result node, with `name` and `value` borrowed from the machine's
+/// string pool for the length of the callback.
 ///
-/// The string payloads (`name`, `value`) are `Arc`-backed: cloning a
-/// `Match` bumps two reference counts instead of copying heap text, so a
-/// shared plan group fanning one solution out to thousands of subscribers
-/// never deep-copies the payload.
+/// `Copy` and allocation-free: a shared plan group hands one solution to
+/// all the subscribers a binding reaches in a single callback, so fanning
+/// it out to thousands of them never copies the payload — nor builds an
+/// owned [`Match`] unless a caller asks for one (`Match::from`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MatchRef<'a> {
+    /// Kind of the matched node.
+    pub kind: MatchKind,
+    /// Document-order id of the matched node.
+    pub node: NodeId,
+    /// Element name or attribute name (`None` for text nodes).
+    pub name: Option<&'a str>,
+    /// Byte span in the source stream (see [`Match::span`]).
+    pub span: ByteSpan,
+    /// Attribute value or text content (`None` for elements).
+    pub value: Option<&'a str>,
+    /// Depth of the matched node's element context (see [`Match::level`]).
+    pub level: u32,
+}
+
+impl fmt::Display for MatchRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.kind {
+            MatchKind::Element => {
+                write!(f, "element <{}> #{} @{}", self.name.unwrap_or("?"), self.node, self.span)
+            }
+            MatchKind::Attribute => write!(
+                f,
+                "attribute @{}={:?} #{}",
+                self.name.unwrap_or("?"),
+                self.value.unwrap_or(""),
+                self.node
+            ),
+            MatchKind::Text => write!(f, "text {:?} #{}", self.value.unwrap_or(""), self.node),
+        }
+    }
+}
+
+/// One query solution, owned: what the collecting adapters
+/// ([`crate::Engine::run`], [`crate::MultiEngine::run`]) keep.
+///
+/// The string payloads (`name`, `value`) are `Arc`-backed, so a match
+/// delivered to several subscriptions is built once and each copy bumps
+/// two reference counts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Match {
     /// Kind of the matched node.
@@ -61,29 +103,36 @@ pub struct Match {
     pub level: u32,
 }
 
+impl Match {
+    /// The borrowed view of this match.
+    pub fn as_ref(&self) -> MatchRef<'_> {
+        MatchRef {
+            kind: self.kind,
+            node: self.node,
+            name: self.name.as_deref(),
+            span: self.span,
+            value: self.value.as_deref(),
+            level: self.level,
+        }
+    }
+}
+
+impl From<MatchRef<'_>> for Match {
+    fn from(m: MatchRef<'_>) -> Self {
+        Match {
+            kind: m.kind,
+            node: m.node,
+            name: m.name.map(Arc::from),
+            span: m.span,
+            value: m.value.map(Arc::from),
+            level: m.level,
+        }
+    }
+}
+
 impl fmt::Display for Match {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.kind {
-            MatchKind::Element => {
-                write!(
-                    f,
-                    "element <{}> #{} @{}",
-                    self.name.as_deref().unwrap_or("?"),
-                    self.node,
-                    self.span
-                )
-            }
-            MatchKind::Attribute => write!(
-                f,
-                "attribute @{}={:?} #{}",
-                self.name.as_deref().unwrap_or("?"),
-                self.value.as_deref().unwrap_or(""),
-                self.node
-            ),
-            MatchKind::Text => {
-                write!(f, "text {:?} #{}", self.value.as_deref().unwrap_or(""), self.node)
-            }
-        }
+        self.as_ref().fmt(f)
     }
 }
 
@@ -114,6 +163,7 @@ mod tests {
             level: 1,
         };
         assert_eq!(attr.to_string(), "attribute @id=\"x\" #2");
+        assert_eq!(Match::from(attr.as_ref()), attr, "an owned match round-trips");
         let text = Match {
             kind: MatchKind::Text,
             node: 3,

@@ -19,13 +19,18 @@
 //!
 //! ## One door out
 //!
-//! A match leaves through the caller's callback and nowhere else: the
-//! executor emits into `crate::multi::fan_out_match`, and what telemetry
-//! reports about matches is counted where a solution leaves its machine
-//! (`MachineStats::emitted`; payload bytes by the executor).
-//! So [`MultiEngine::stream_document`], the primitive, holds nothing per
-//! match (the `vitex` CLI is built on it), and buffering is **one**
-//! collecting adapter around it, [`MultiEngine::run`].
+//! A match leaves through the caller's callback and nowhere else, once
+//! per group emission and binding it reaches: the executor lends the
+//! callback the solution as a [`MatchRef`] into the machines' string pool
+//! together with the binding's subscribers (`crate::multi::touch_group`),
+//! and what telemetry reports about matches is counted where a solution
+//! leaves its machine (`MachineStats::emitted`; payload bytes by the
+//! executor). So [`MultiEngine::stream_document`], the primitive, holds
+//! nothing per match and allocates nothing per match either (the `vitex`
+//! CLI is built on it), and owned matches are made by **one** collecting
+//! adapter around it, [`MultiEngine::run`]: one [`Match`] per group
+//! delivery, copied into per-subscription vectors sized exactly from
+//! their `emitted` statistics once the document has ended.
 //!
 //! ## Per-document cost
 //!
@@ -54,7 +59,8 @@
 //! Matches reach the callback in the executor's visit order: events in
 //! document order, ascending group id within each event, and for one
 //! solution of a shared machine its bindings in first-registration order,
-//! each binding's subscribers in registration order.
+//! each binding's subscribers in registration order. Flattening the
+//! subscriber slices gives [`MultiEngine::run`]'s per-subscription order.
 
 use std::io::Read;
 
@@ -66,29 +72,53 @@ use crate::error::EngineResult;
 use crate::intern::{Interner, Symbol};
 use crate::multi::{Executor, MultiEngine, MultiOutput};
 use crate::plan::{PlanGroup, StepTrie};
-use crate::result::{Match, NodeId, QueryId};
+use crate::result::{Match, MatchRef, NodeId, QueryId};
 use crate::stats::{Bill, MachineStats, PlanStats, StreamStats};
 use crate::telemetry::metrics::Totals;
 use crate::telemetry::{GroupRow, QueryRow};
 
 impl MultiEngine {
     /// [`MultiEngine::stream_document`] behind the **one** collecting
-    /// adapter: each delivered match is also copied into the returned
-    /// [`MultiOutput`]'s `matches` (per query, in delivery order), which
-    /// therefore grows with their number, and `stats` holds every
-    /// registration's [`MultiEngine::query_stats`].
-    pub fn run<R: Read, F: FnMut(QueryId, Match)>(
+    /// adapter: each group delivery becomes one owned [`Match`], lent to
+    /// `on_match` once per subscriber it reaches, in registration order.
+    /// The returned [`MultiOutput`]'s `matches` (per query, in delivery
+    /// order) therefore grows with their number; each vector is sized
+    /// exactly from the query's `emitted` statistics once the document has
+    /// ended. `stats` holds every registration's
+    /// [`MultiEngine::query_stats`].
+    pub fn run<R: Read, F: FnMut(QueryId, &Match)>(
         &mut self,
         reader: XmlReader<R>,
         mut on_match: F,
     ) -> EngineResult<MultiOutput> {
-        let mut matches = vec![Vec::new(); self.records.len()];
-        let mut out = self.stream_document(reader, |query, hit| {
-            matches[query.0].push(hit.clone());
-            on_match(query, hit);
+        // Each group delivery, and where its subscribers end in `reached`
+        // (ids as `u32`, as the plan keeps its group and trie ids).
+        let (mut deliveries, mut reached) = (Vec::<(Match, usize)>::new(), Vec::<u32>::new());
+        let mut out = self.stream_document(reader, |subscribers, hit| {
+            let hit = Match::from(*hit);
+            for &q in subscribers {
+                on_match(q, &hit);
+                reached.push(q.0 as u32);
+            }
+            deliveries.push((hit, reached.len()));
         })?;
-        out.matches = matches;
         out.stats = self.all_query_stats();
+        let mut matches: Vec<Vec<Match>> =
+            out.stats.iter().map(|s| Vec::with_capacity(s.emitted as usize)).collect();
+        let mut start = 0;
+        for (hit, end) in deliveries {
+            let (&last, rest) = reached[start..end].split_last().expect("a subscriber");
+            for &q in rest {
+                matches[q as usize].push(hit.clone());
+            }
+            matches[last as usize].push(hit);
+            start = end;
+        }
+        debug_assert!(
+            matches.iter().zip(&out.stats).all(|(m, s)| m.len() as u64 == s.emitted),
+            "`emitted` counts each subscription's deliveries"
+        );
+        out.matches = matches;
         Ok(out)
     }
 
@@ -107,12 +137,13 @@ impl MultiEngine {
     /// the [`MultiOutput`] — plan and stream counters — with `matches` and
     /// `stats` left empty: `on_match` is the only way a match leaves, and
     /// [`MultiEngine::query_stats`] reads a subscription's statistics.
-    /// `on_match` fires with the originating query's id the moment a
-    /// solution is decidable (a solution of a shared machine once per
-    /// subscriber, in registration order), and nothing is kept once it
-    /// returns. A malformed document ends with its error; the next one
-    /// starts from nothing.
-    pub fn stream_document<R: Read, F: FnMut(QueryId, Match)>(
+    /// `on_match` fires the moment a solution is decidable, once per group
+    /// emission and binding it reaches: with that binding's subscribers in
+    /// registration order — a group's whole list when the emission reaches
+    /// every binding — and the solution lent as a [`MatchRef`]. Nothing is
+    /// kept, and nothing allocated, per match. A malformed document ends
+    /// with its error; the next one starts from nothing.
+    pub fn stream_document<R: Read, F: FnMut(&[QueryId], &MatchRef<'_>)>(
         &mut self,
         reader: XmlReader<R>,
         mut on_match: F,
@@ -247,7 +278,7 @@ struct DocumentSink<'s, F> {
     on_match: &'s mut F,
 }
 
-impl<F: FnMut(QueryId, Match)> EventSink for DocumentSink<'_, F> {
+impl<F: FnMut(&[QueryId], &MatchRef<'_>)> EventSink for DocumentSink<'_, F> {
     fn resolve(&mut self, name: &str) -> Option<Symbol> {
         self.interner.lookup(name)
     }
@@ -292,7 +323,8 @@ mod tests {
         trie.begin_document();
         multi.exec.begin_document(groups, false);
         let mut hits = Vec::new();
-        let mut on_match = |q: QueryId, m: Match| hits.push((q, m.node));
+        let mut on_match =
+            |qs: &[QueryId], m: &MatchRef<'_>| hits.extend(qs.iter().map(|&q| (q, m.node)));
         let mut sink = DocumentSink {
             interner: &multi.interner,
             trie,

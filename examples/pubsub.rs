@@ -82,7 +82,9 @@ fn main() {
     let mut totals = Vec::new();
     for snap in &snapshots {
         let mut delivered = 0usize;
-        multi.stream_document(XmlReader::from_str(snap), |_, _| delivered += 1).expect("snapshot");
+        multi
+            .stream_document(XmlReader::from_str(snap), |reached, _| delivered += reached.len())
+            .expect("snapshot");
         totals.push(delivered);
     }
     println!(

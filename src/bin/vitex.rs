@@ -17,13 +17,16 @@
 //! row per query and per plan group, read as one `vitex.metrics.v3`
 //! snapshot — printed for people by `--stats`, written by `--metrics-json`.
 
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufReader, Read, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use vitex_core::telemetry::{Snapshot, Telemetry};
-use vitex_core::{MachineStats, Match, MatchKind, MultiEngine, MultiOutput, QueryId, StreamStats};
+use vitex_core::{
+    MachineStats, MatchKind, MatchRef, MultiEngine, MultiOutput, QueryId, StreamStats,
+};
 use vitex_xmlsax::{ProbeHandle, XmlReader};
 use vitex_xpath::QueryTree;
 
@@ -174,19 +177,17 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, CliErro
     Ok(opts)
 }
 
-fn describe(m: &Match, values: bool) -> String {
-    if values {
-        match m.kind {
-            MatchKind::Element => {
-                format!("<{}> bytes {}", m.name.as_deref().unwrap_or("?"), m.span)
-            }
-            MatchKind::Attribute | MatchKind::Text => {
-                m.value.as_deref().unwrap_or_default().to_owned()
-            }
-        }
-    } else {
-        m.to_string()
-    }
+/// Writes the line that reports `m` into `line`, replacing its contents:
+/// the match, or with `--values` its value (an element: its name and
+/// byte span).
+fn describe(line: &mut String, m: &MatchRef<'_>, values: bool) {
+    line.clear();
+    // Writing into a `String` cannot fail.
+    let _ = match (values, m.kind) {
+        (false, _) => write!(line, "{m}"),
+        (true, MatchKind::Element) => write!(line, "<{}> bytes {}", m.name.unwrap_or("?"), m.span),
+        (true, MatchKind::Attribute | MatchKind::Text) => line.write_str(m.value.unwrap_or("")),
+    };
 }
 
 fn parse_trees(queries: &[String]) -> Result<Vec<QueryTree>, ExitCode> {
@@ -324,15 +325,20 @@ fn run_multi(opts: &Options, trees: &[QueryTree], telemetry: &Telemetry) -> Exit
     // A single query prints no `[i]` prefixes and a bare --count total.
     let prefixed = trees.len() > 1;
     let mut counts = vec![0u64; trees.len()];
-    let mut on_match = |qid: QueryId, m: Match| {
-        counts[qid.0] += 1;
-        if !opts.count {
-            let line = describe(&m, opts.values);
-            let written = if prefixed {
-                writeln!(out, "[{}] {line}", qid.0)
-            } else {
-                writeln!(out, "{line}")
-            };
+    // One emission is formatted once, into this reused buffer, and its
+    // line written for each subscriber it reached.
+    let mut line = String::new();
+    let mut on_match = |reached: &[QueryId], m: &MatchRef<'_>| {
+        for q in reached {
+            counts[q.0] += 1;
+        }
+        if opts.count {
+            return;
+        }
+        describe(&mut line, m, opts.values);
+        for q in reached {
+            let written =
+                if prefixed { writeln!(out, "[{}] {line}", q.0) } else { writeln!(out, "{line}") };
             written.unwrap_or_else(|e| stdout_failed(e));
         }
     };

@@ -43,13 +43,13 @@ pub use vitex_xmlgen as xmlgen;
 pub use vitex_xmlsax as xmlsax;
 pub use vitex_xpath as xpath;
 
-pub use vitex_core::{evaluate_str as evaluate, EngineError, Match, MatchKind};
+pub use vitex_core::{evaluate_str as evaluate, EngineError, Match, MatchKind, MatchRef};
 
 /// The most common imports in one line.
 pub mod prelude {
     pub use vitex_core::{
         evaluate_reader, evaluate_str, CandidateStore, DocumentDriver, Engine, EvalMode, EventSink,
-        Match, MatchKind, MultiEngine, TwigM,
+        Match, MatchKind, MatchRef, MultiEngine, TwigM,
     };
     pub use vitex_xmlsax::{XmlEvent, XmlReader};
     pub use vitex_xpath::{parse as parse_query, QueryTree};

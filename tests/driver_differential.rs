@@ -51,7 +51,7 @@ const BATTERY: &[&str] = &[
 fn single_run(xml: &str, tree: &QueryTree) -> (Vec<Match>, EvalOutput) {
     let mut engine = Engine::new(tree).expect("buildable");
     let mut order = Vec::new();
-    let out = engine.run(XmlReader::from_str(xml), |m| order.push(m)).expect("single run");
+    let out = engine.run(XmlReader::from_str(xml), |m| order.push(m.clone())).expect("single run");
     (order, out)
 }
 
@@ -260,7 +260,9 @@ fn shared_plan_reproduces_per_query_engines_bit_for_bit() {
         multi.add_query(q).unwrap();
     }
     let mut streamed: Vec<Vec<Match>> = vec![Vec::new(); OVERLAP_SET.len()];
-    let out = multi.run(XmlReader::from_str(&xml), |qid, m| streamed[qid.0].push(m)).expect("run");
+    let out = multi
+        .run(XmlReader::from_str(&xml), |qid, m| streamed[qid.0].push(m.clone()))
+        .expect("run");
     assert_equals_private_engines(&out, OVERLAP_SET, &xml);
     assert_eq!(streamed, out.matches, "streamed matches equal the buffered ones");
     assert!(out.plan.groups < OVERLAP_SET.len() as u64, "the overlap set dedups");
@@ -364,11 +366,11 @@ fn prefix_sharing_churn_splices_and_retires_trie_state() {
 
 #[test]
 fn buffering_is_streaming_plus_a_copy() {
-    // `run` is `stream_document` behind one collecting adapter:
-    // both deliver the same `(query, match)` sequence, the buffered
-    // `matches` are that sequence grouped by query, the buffered `stats`
-    // are what `query_stats` reads after the streamed document, and
-    // nothing else in the two outputs differs.
+    // `run` is `stream_document` behind one collecting adapter: the
+    // streamed subscriber slices, flattened, are `run`'s `(query, match)`
+    // sequence, the buffered `matches` are that sequence grouped by
+    // query, the buffered `stats` are what `query_stats` reads after the
+    // streamed document, and nothing else in the two outputs differs.
     let xml = mixed_doc();
     let queries: Vec<&str> = BATTERY.iter().chain(OVERLAP_SET).copied().collect();
     let mut engine = MultiEngine::new();
@@ -377,11 +379,13 @@ fn buffering_is_streaming_plus_a_copy() {
     }
     let (mut streamed, mut buffered) = (Vec::new(), Vec::new());
     let stream_out = engine
-        .stream_document(XmlReader::from_str(&xml), |q, m| streamed.push((q, m)))
+        .stream_document(XmlReader::from_str(&xml), |qs, m| {
+            streamed.extend(qs.iter().map(|&q| (q, Match::from(*m))))
+        })
         .expect("the document streams");
     let stream_stats: Vec<_> = (0..queries.len()).map(|i| engine.query_stats(QueryId(i))).collect();
     let run_out = engine
-        .run(XmlReader::from_str(&xml), |q, m| buffered.push((q, m)))
+        .run(XmlReader::from_str(&xml), |q, m| buffered.push((q, m.clone())))
         .expect("the document runs");
     assert!(streamed.len() > queries.len(), "the battery matches");
     assert_eq!(streamed, buffered, "delivered sequence");
@@ -419,7 +423,9 @@ fn recycled_low_slot_keeps_callback_order_ascending_by_group() {
     let q_w = engine.add_query("/a/@w").unwrap();
     let mut streamed = Vec::new();
     let out = engine
-        .run(XmlReader::from_str(xml), |q, m| streamed.push((q, m.value.unwrap().to_string())))
+        .run(XmlReader::from_str(xml), |q, m| {
+            streamed.push((q, m.value.as_deref().unwrap().to_owned()))
+        })
         .expect("run");
     assert_eq!(out.plan.recycled_slots, 1, "/a/@w took the retired slot");
     assert_plan_is_fresh(&engine, &out, "slot 0 recycled");

@@ -104,7 +104,7 @@ fn dump_state_reflects_stacks() {
     let mut m = TwigM::from_spec(spec, EvalMode::Compact);
     let mut store = CandidateStore::new();
     let span = vitex::xmlsax::pos::ByteSpan::new(0, 1);
-    let mut sink = |_: vitex::Match| {};
+    let mut sink = |_: &vitex::MatchRef<'_>| {};
     let none = vitex::xmlsax::Attributes::default();
     m.start_element_interned(
         &mut store,

@@ -349,7 +349,7 @@ fn streamed_and_buffered_sessions_bill_the_same() {
         if buffered {
             engine.run(reader, |_, _| delivered += 1)
         } else {
-            engine.stream_document(reader, |_, _| delivered += 1)
+            engine.stream_document(reader, |reached, _| delivered += reached.len() as u64)
         }
         .expect("engine run");
         let snapshot = telemetry.snapshot().expect("enabled");
