@@ -26,7 +26,7 @@ use std::fmt;
 use vitex_xpath::query_tree::{NodeKind, QueryTree};
 use vitex_xpath::{Axis, CmpOp, Literal};
 
-use crate::intern::{Interner, Symbol};
+use crate::intern::Interner;
 
 /// Candidate-propagation strategy — the ablation axis of experiment E6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -149,17 +149,6 @@ impl MachineNode {
 pub struct MachineSpec {
     /// Stacked machine nodes; parents precede children.
     pub nodes: Vec<MachineNode>,
-    /// Machine nodes per nametest, parallel to `name_symbols`: entry `i`
-    /// lists the nodes testing `name_symbols[i]`. Sparse on purpose — a
-    /// query names a handful of tags, so the table's size depends on the
-    /// query alone, never on how many names the shared interner holds.
-    pub by_symbol: Vec<Vec<usize>>,
-    /// The distinct symbols this spec's nametests mention, in first-use
-    /// order. Symbols come from the interner handed to
-    /// [`MachineSpec::compile_with`].
-    pub name_symbols: Vec<Symbol>,
-    /// Machine nodes with a wildcard element test.
-    pub wildcards: Vec<usize>,
     /// Nodes with text predicate children (checked on `characters`).
     pub text_watchers: Vec<usize>,
     /// Nodes whose entries accumulate string-values.
@@ -174,15 +163,14 @@ pub struct MachineSpec {
 
 impl MachineSpec {
     /// Compiles a query tree against a throwaway interner — enough to
-    /// inspect or measure the layout. A machine that is to be driven needs
-    /// [`MachineSpec::compile_with`] and the interner its events are
-    /// resolved through.
+    /// inspect or measure the layout.
     pub fn compile(tree: &QueryTree) -> Result<MachineSpec, BuildError> {
         MachineSpec::compile_with(tree, &mut Interner::new())
     }
 
     /// Compiles a query tree, interning every element nametest in
-    /// `interner`. Single pass; see experiment E7 for the measured
+    /// `interner`: the names a driver must resolve for this query's
+    /// events. Single pass; see experiment E7 for the measured
     /// linearity.
     pub fn compile_with(
         tree: &QueryTree,
@@ -190,9 +178,6 @@ impl MachineSpec {
     ) -> Result<MachineSpec, BuildError> {
         let mut spec = MachineSpec {
             nodes: Vec::with_capacity(tree.len()),
-            by_symbol: Vec::new(),
-            name_symbols: Vec::new(),
-            wildcards: Vec::new(),
             text_watchers: Vec::new(),
             text_accumulators: Vec::new(),
             text_result_parent: None,
@@ -242,18 +227,8 @@ impl MachineSpec {
                     if node.needs_text {
                         spec.text_accumulators.push(mi);
                     }
-                    match &node.name {
-                        Some(n) => {
-                            let sym = interner.intern(n);
-                            let at = spec.name_symbols.iter().position(|&s| s == sym);
-                            let at = at.unwrap_or_else(|| {
-                                spec.name_symbols.push(sym);
-                                spec.by_symbol.push(Vec::new());
-                                spec.by_symbol.len() - 1
-                            });
-                            spec.by_symbol[at].push(mi);
-                        }
-                        None => spec.wildcards.push(mi),
+                    if let Some(n) = &node.name {
+                        interner.intern(n);
                     }
                     spec.nodes.push(node);
                     // Assign this node's slot within its parent.
@@ -322,17 +297,6 @@ impl MachineSpec {
         Ok(spec)
     }
 
-    /// Machine nodes whose nametest is `sym` (empty for names this spec
-    /// never mentions, including symbols interned after compilation). A
-    /// scan over the spec's few names beats the indexed load it replaces.
-    #[inline]
-    pub fn machines_for(&self, sym: Symbol) -> &[usize] {
-        match self.name_symbols.iter().position(|&s| s == sym) {
-            Some(at) => &self.by_symbol[at],
-            None => &[],
-        }
-    }
-
     /// Whether the machine consumes `characters` events at all (text
     /// predicates, string-value accumulation, or text results).
     pub fn needs_characters(&self) -> bool {
@@ -342,8 +306,7 @@ impl MachineSpec {
     }
 
     /// Approximate heap bytes of the compiled layout: node storage (with
-    /// inline sub-tests and name strings), the symbol index and the
-    /// auxiliary node lists. The plan layer sums this across machines to
+    /// inline sub-tests and name strings) and the auxiliary node lists. The plan layer sums this across machines to
     /// report how much build memory query sharing saves (experiment E9).
     pub fn approx_bytes(&self) -> u64 {
         use std::mem::size_of;
@@ -356,13 +319,7 @@ impl MachineSpec {
                 bytes += a.name.as_ref().map_or(0, |s| s.len());
             }
         }
-        for list in &self.by_symbol {
-            bytes += size_of::<Vec<usize>>() + list.capacity() * size_of::<usize>();
-        }
-        bytes += self.name_symbols.capacity() * size_of::<Symbol>();
-        bytes += (self.wildcards.capacity()
-            + self.text_watchers.capacity()
-            + self.text_accumulators.capacity())
+        bytes += (self.text_watchers.capacity() + self.text_accumulators.capacity())
             * size_of::<usize>();
         bytes += self.query.len();
         bytes as u64
@@ -502,39 +459,21 @@ mod tests {
     }
 
     #[test]
-    fn symbol_index_and_wildcards() {
-        let mut interner = Interner::new();
-        let tree = QueryTree::parse("//a[b]/a/*").unwrap();
-        let m = MachineSpec::compile_with(&tree, &mut interner).unwrap();
-        let a = interner.lookup("a").unwrap();
-        let b = interner.lookup("b").unwrap();
-        assert_eq!(m.machines_for(a), [0, 2]);
-        assert_eq!(m.machines_for(b), [1]);
-        assert_eq!(m.wildcards, [3]);
-        assert_eq!(m.name_symbols, vec![a, b]);
-        assert!(!m.needs_characters());
-    }
-
-    #[test]
     fn shared_interner_gives_shared_symbols() {
         let mut interner = Interner::new();
-        let m1 =
-            MachineSpec::compile_with(&QueryTree::parse("//a/b").unwrap(), &mut interner).unwrap();
-        let m2 =
-            MachineSpec::compile_with(&QueryTree::parse("//b/c").unwrap(), &mut interner).unwrap();
-        let b = interner.lookup("b").unwrap();
-        // `b` resolves to the same symbol in both specs; the later symbol
-        // `c` is simply unknown to the first spec.
-        assert_eq!(m1.machines_for(b), &[1]);
-        assert_eq!(m2.machines_for(b), &[0]);
-        let c = interner.lookup("c").unwrap();
-        assert_eq!(m1.machines_for(c), &[] as &[usize]);
-        assert!(MachineSpec::compile_with(
-            &QueryTree::parse("//a[text() = 'v']").unwrap(),
-            &mut interner
-        )
-        .unwrap()
-        .needs_characters());
+        let mut compile_with =
+            |q: &str| MachineSpec::compile_with(&QueryTree::parse(q).unwrap(), &mut interner);
+        assert!(!compile_with("//a[b]/a/*").unwrap().needs_characters());
+        let (a, b) = (interner.lookup("a").unwrap(), interner.lookup("b").unwrap());
+        assert_eq!(interner.len(), 2, "every nametest once, the wildcard none");
+        let mut compile_with =
+            |q: &str| MachineSpec::compile_with(&QueryTree::parse(q).unwrap(), &mut interner);
+        // `b` resolves to the same symbol for both queries; only `c` is new.
+        compile_with("//b/c").unwrap();
+        assert!(compile_with("//a[text() = 'v']").unwrap().needs_characters());
+        assert_eq!((interner.lookup("a"), interner.lookup("b")), (Some(a), Some(b)));
+        assert!(interner.lookup("c").is_some());
+        assert_eq!(interner.len(), 3);
     }
 
     #[test]

@@ -1,25 +1,24 @@
-//! The evaluation engine: SAX reader → document driver → TwigM machine.
+//! The single-query evaluation engine: SAX reader → document driver →
+//! one TwigM machine.
 //!
 //! This is the assembled ViteX system of the paper's Figure 2: the XPath
-//! parser and TwigM builder run once per query; the
-//! [`crate::driver::DocumentDriver`] then streams the document, resolving
-//! each element name against the engine's interner once per event and
-//! feeding the machine through the symbol-dispatch fast path. All query
-//! logic lives in [`crate::machine`]; all document plumbing lives in
-//! [`crate::driver`].
+//! parser and TwigM builder run once per query, and the document streams
+//! once through the machine. An [`Engine`] is a [`MultiEngine`] with one
+//! registration: the step trie decides every push, as it does for any
+//! number of standing queries, so there is one way into a machine. All
+//! query logic lives in [`crate::machine`]; all document plumbing lives
+//! in [`crate::driver`].
 
 use std::io::Read;
 
-use vitex_xmlsax::event::{CharactersEvent, EndElementEvent, StartElementEvent};
 use vitex_xmlsax::XmlReader;
 use vitex_xpath::query_tree::QueryTree;
 
-use crate::builder::{BuildError, EvalMode, MachineSpec};
-use crate::driver::{DocumentDriver, EventSink};
+use crate::builder::{BuildError, EvalMode};
 use crate::error::EngineResult;
-use crate::intern::{Interner, Symbol};
-use crate::machine::{CandidateStore, TwigM};
-use crate::result::{Match, MatchRef, NodeId};
+use crate::machine::TwigM;
+use crate::multi::MultiEngine;
+use crate::result::{Match, QueryId};
 use crate::stats::MachineStats;
 
 /// Everything a full evaluation run reports.
@@ -39,11 +38,8 @@ pub struct EvalOutput {
 
 /// A reusable query engine: build once, run over many documents.
 pub struct Engine {
-    machine: TwigM,
-    /// The machine's run-time memory, kept warm across documents.
-    store: CandidateStore,
-    interner: Interner,
-    driver: DocumentDriver,
+    /// The one registration, `QueryId(0)`, never removed.
+    multi: MultiEngine,
 }
 
 impl Engine {
@@ -54,14 +50,7 @@ impl Engine {
 
     /// Compiles `tree` with an explicit evaluation mode.
     pub fn with_mode(tree: &QueryTree, mode: EvalMode) -> Result<Self, BuildError> {
-        let mut interner = Interner::new();
-        let spec = MachineSpec::compile_with(tree, &mut interner)?;
-        Ok(Engine {
-            machine: TwigM::from_spec(spec, mode),
-            store: CandidateStore::new(),
-            interner,
-            driver: DocumentDriver::new(),
-        })
+        Ok(Engine { multi: MultiEngine::with_one_query(tree, mode)? })
     }
 
     /// Convenience: compiles a query string.
@@ -72,113 +61,38 @@ impl Engine {
 
     /// The underlying machine (for its spec and statistics).
     pub fn machine(&self) -> &TwigM {
-        &self.machine
+        self.multi.planner.group(0).machine()
     }
 
-    /// Attaches a telemetry handle: the driver records dispatch and
-    /// document latency, and each run folds its stream counters, the machine's counters and
-    /// the match count into the registry.
+    /// Attaches a telemetry handle: each run records what a one-query
+    /// [`MultiEngine`] records, its query and group rows included.
     pub fn set_telemetry(&mut self, telemetry: crate::telemetry::Telemetry) {
-        self.driver.set_telemetry(telemetry);
+        self.multi.set_telemetry(telemetry);
     }
 
     /// Streams `reader` through the machine, invoking `on_match` for every
     /// solution the moment it becomes decidable, and keeps each for
     /// [`EvalOutput::matches`]: one owned [`Match`] per solution, built as
-    /// it leaves the machine and lent to `on_match` first. Resets the
-    /// machine first, so an engine can be reused across documents.
+    /// it leaves the machine and lent to `on_match` first. Each document
+    /// starts from a machine at rest, so an engine can be reused.
     pub fn run<R: Read, F: FnMut(&Match)>(
         &mut self,
         reader: XmlReader<R>,
         mut on_match: F,
     ) -> EngineResult<EvalOutput> {
-        self.machine.reset();
-        self.store.reset();
         let mut matches = Vec::new();
-        let stream = {
-            let mut sink = EngineSink {
-                machine: &mut self.machine,
-                store: &mut self.store,
-                interner: &self.interner,
-                on_match: |m: &MatchRef<'_>| {
-                    let owned = Match::from(*m);
-                    on_match(&owned);
-                    matches.push(owned);
-                },
-            };
-            self.driver.run(reader, &mut sink)?
-        };
-        debug_assert!(
-            self.machine.is_quiescent() && self.store.is_idle(),
-            "well-formed input drains all stacks and returns every store handle"
-        );
-        self.driver.telemetry().fold_document(
-            &stream,
-            self.machine.stats(),
-            None,
-            matches.len() as u64,
-        );
+        let out = self.multi.stream_document(reader, |_, m| {
+            let owned = Match::from(*m);
+            on_match(&owned);
+            matches.push(owned);
+        })?;
         Ok(EvalOutput {
             matches,
-            stats: self.machine.stats().clone(),
-            elements: stream.elements,
-            text_nodes: stream.text_nodes,
-            events: stream.events,
+            stats: self.multi.query_stats(QueryId(0)),
+            elements: out.elements,
+            text_nodes: out.text_nodes,
+            events: out.events,
         })
-    }
-}
-
-/// The single-query [`EventSink`]: every event goes to the one machine.
-struct EngineSink<'a, F: FnMut(&MatchRef<'_>)> {
-    machine: &'a mut TwigM,
-    store: &'a mut CandidateStore,
-    interner: &'a Interner,
-    on_match: F,
-}
-
-impl<F: FnMut(&MatchRef<'_>)> EventSink for EngineSink<'_, F> {
-    fn resolve(&mut self, name: &str) -> Option<Symbol> {
-        self.interner.lookup(name)
-    }
-
-    fn start_element(
-        &mut self,
-        sym: Option<Symbol>,
-        event: &StartElementEvent<'_>,
-        node_id: NodeId,
-        attr_id_base: NodeId,
-    ) {
-        self.machine.start_element_interned(
-            self.store,
-            sym,
-            event.level,
-            event.attributes(),
-            node_id,
-            attr_id_base,
-            event.span,
-            &mut self.on_match,
-        );
-    }
-
-    fn characters(&mut self, event: &CharactersEvent<'_>, node_id: NodeId) {
-        self.machine.characters(
-            self.store,
-            &event.text,
-            event.level,
-            node_id,
-            event.span,
-            &mut self.on_match,
-        );
-    }
-
-    fn end_element(&mut self, _sym: Option<Symbol>, event: &EndElementEvent<'_>) {
-        self.machine.end_element(
-            self.store,
-            &event.name,
-            event.level,
-            event.element_span,
-            &mut self.on_match,
-        );
     }
 }
 

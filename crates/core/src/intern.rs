@@ -5,7 +5,6 @@
 //! raw string dispatch every `startElement` hashes the tag name once per
 //! machine; with interning the name is resolved to a [`Symbol`] **once per
 //! event** by the document driver, and every downstream comparison — the
-//! [`crate::builder::MachineSpec`] name index, the
 //! [`crate::plan::StepTrie`]'s per-name step lists — is an integer index.
 //!
 //! Interners are deliberately *local* (owned by an engine, shared by the

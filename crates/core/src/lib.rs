@@ -31,8 +31,10 @@
 //! ## Entry points
 //!
 //! * [`evaluate_str`] / [`evaluate_reader`] — one-call evaluation.
-//! * [`engine::Engine`] — incremental: feed events, receive matches via a
-//!   callback as soon as they are decidable.
+//! * [`engine::Engine`] — one query, reusable across documents: matches
+//!   reach a callback as soon as they are decidable, and are kept. It is a
+//!   [`MultiEngine`] with one registration, so one query and many reach
+//!   the machines the same way.
 //! * [`multi::MultiEngine`] — publish/subscribe: many standing queries,
 //!   one scan, executed through the shared step trie so an event only
 //!   touches the machines it can move. [`MultiEngine::stream_document`] —
@@ -54,10 +56,9 @@
 //!   one `vitex.metrics.v3` [`Snapshot`] — counters, histograms, and for a
 //!   `MultiEngine` one row per subscription and per active plan group
 //!   (who costs what, ranked by [`Snapshot::top_queries`]).
-//! * [`machine::TwigM`] — the raw machine, for callers with their own event
-//!   source. They also make the [`machine::CandidateStore`] its
-//!   transitions are lent (the engines above own theirs) and reset both
-//!   between documents.
+//! * [`machine::TwigM`] — the machine itself, read through
+//!   [`Engine::machine`] or a plan group: its compiled spec, its statistics
+//!   and [`TwigM::dump_state`]. Only the engines drive it.
 //!
 //! ```
 //! let xml = "<book><section><author>C</author>\

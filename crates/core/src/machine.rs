@@ -133,7 +133,6 @@ use vitex_xpath::{Axis, CmpOp, Literal};
 
 use crate::bitset::SmallBitSet;
 use crate::builder::{EvalMode, MachineSpec};
-use crate::intern::Symbol;
 use crate::predicate;
 use crate::result::{MatchKind, MatchRef};
 use crate::stats::MachineStats;
@@ -370,8 +369,8 @@ impl<T> IndexMut<u32> for Pool<T> {
 /// One store serves any number of machines, as long as they are driven
 /// from one place: pass it to every transition of every one of them, and
 /// call [`CandidateStore::reset`] wherever the machines are
-/// [reset](TwigM::reset). [`crate::engine::Engine`] and the multi-query
-/// engines own theirs; only callers of the raw [`TwigM`] make one.
+/// [reset](TwigM::reset). The multi-query executor owns the one every
+/// engine drives its machines with.
 #[derive(Debug, Default)]
 pub struct CandidateStore {
     payloads: Pool<Payload>,
@@ -385,9 +384,6 @@ pub struct CandidateStore {
     epoch: u32,
     /// Scratch: the bindings one delivery goes to.
     to: Vec<u32>,
-    /// Scratch: one start tag's push plan, `(machine node, parent-stack
-    /// ptr)`.
-    plan: Vec<(u32, u32)>,
 }
 
 impl CandidateStore {
@@ -720,11 +716,14 @@ fn entry_base_bytes(e: &Entry) -> u64 {
 
 /// The TwigM machine.
 ///
-/// Feed it SAX events ([`TwigM::start_element_interned`], [`TwigM::characters`],
-/// [`TwigM::end_element`]), lending each call the [`CandidateStore`] its
-/// run-time state lives in; solutions come out of the `emit` callback,
-/// lent as [`MatchRef`]s, as soon as they are decidable. [`crate::engine::Engine`] wires an
-/// [`vitex_xmlsax::XmlReader`] to this interface.
+/// The engines drive it: [`crate::multi::MultiEngine`] — and
+/// [`crate::engine::Engine`], a one-query `MultiEngine` — hands each
+/// machine the start tags whose pushes the step trie decided, the text
+/// nodes it can read and the end tags of the elements it pushed, lending
+/// every transition the [`CandidateStore`] its run-time state lives in.
+/// Solutions leave through the engine's callback, lent as [`MatchRef`]s,
+/// as soon as they are decidable. From outside the crate a machine is
+/// read-only: its spec, its statistics and [`TwigM::dump_state`].
 #[derive(Debug)]
 pub struct TwigM {
     spec: MachineSpec,
@@ -807,8 +806,9 @@ impl TwigM {
 
     /// Whether a `characters` event could move the machine right now: some
     /// text-watching, accumulating or text-result-parent node has an open
-    /// entry. With none open [`TwigM::characters`] is a no-op, which is
+    /// entry. With none open a `characters` event is a no-op, which is
     /// what lets the multi-query executor skip idle machines on text.
+    #[inline]
     pub(crate) fn text_live(&self) -> bool {
         let open = |&q: &usize| !self.stacks[q].is_empty();
         self.spec.text_watchers.iter().any(open)
@@ -867,62 +867,22 @@ impl TwigM {
     // Transitions
     // ------------------------------------------------------------- //
 
-    /// `startElement`: push onto every machine node the element matches,
-    /// found by integer-indexed lookup of the interned symbol the
-    /// [`crate::driver::DocumentDriver`] resolved once per event.
-    ///
-    /// `node_id` is the element's document-order id; its attributes get ids
+    /// `startElement`: every push decision arrives pre-computed from the
+    /// step trie (`pushes`, `(machine node, ptr)` pairs decided against the
+    /// pre-event stacks, in any order: one push never reads another's
+    /// entry, and only a machine with a single node, which pushes once,
+    /// emits at a push). Each trie node's stack mirrors the stacks of the
+    /// machine nodes routed on it, so in debug builds every decision is
+    /// checked against the machine's own push rule (`TwigM::push_point`)
+    /// before any is applied, main path and predicates alike. `node_id` is
+    /// the element's document-order id; its attributes get ids
     /// `attr_id_base + i`. `tag_span` is the byte span of the start tag
-    /// (used as the span of attribute matches). `sym` must come from
-    /// the interner this machine's spec was compiled with (`None` means
-    /// the name is not interned there — only wildcard nodes can match).
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_element_interned(
-        &mut self,
-        store: &mut CandidateStore,
-        sym: Option<Symbol>,
-        level: u32,
-        attributes: Attributes<'_>,
-        node_id: u64,
-        attr_id_base: u64,
-        tag_span: ByteSpan,
-        emit: &mut dyn FnMut(&MatchRef<'_>),
-    ) {
-        let mut plan = std::mem::take(&mut store.plan);
-        let named = sym.map(|s| self.spec.machines_for(s)).unwrap_or(&[]);
-        self.plan_pushes(named, level, &mut plan);
-        let emit = &mut |_: Option<&[u32]>, m: &MatchRef<'_>| emit(m);
-        self.apply_pushes(store, &plan, level, attributes, node_id, attr_id_base, tag_span, emit);
-        store.plan = plan;
-    }
-
-    /// Phase 1 of `startElement`: plan all pushes for the `named` and
-    /// wildcard machine nodes against the pre-event stack state — every
-    /// push is decided before any is applied.
-    fn plan_pushes(&self, named: &[usize], level: u32, plan: &mut Vec<(u32, u32)>) {
-        plan.clear();
-        for &q in named.iter().chain(&self.spec.wildcards) {
-            if let Some(ptr) = self.push_point(q, level) {
-                plan.push((q as u32, ptr));
-            }
-        }
-    }
-
-    /// `startElement` for a plan group's machine: every push decision
-    /// arrives pre-computed from the shared step trie (`pushes`, `(machine
-    /// node, ptr)` pairs in ascending node order — each trie node's stack
-    /// mirrors the stacks of the machine nodes routed on it, so the
-    /// decisions are the ones [`TwigM::plan_pushes`] would have made, main
-    /// path and predicates alike). They are applied through the same
-    /// [`TwigM::apply_pushes`] as the single-query entry point, so the
-    /// transition semantics — flags, candidates, early emission,
-    /// statistics — cannot diverge between a private engine and a plan
-    /// group.
+    /// (used as the span of attribute matches).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn start_element_prefix(
         &mut self,
         store: &mut CandidateStore,
-        pushes: impl IntoIterator<Item = (u32, u32)>,
+        pushes: impl Iterator<Item = (u32, u32)> + Clone,
         level: u32,
         attributes: Attributes<'_>,
         node_id: u64,
@@ -930,39 +890,19 @@ impl TwigM {
         tag_span: ByteSpan,
         emit: &mut Deliver<'_>,
     ) {
-        let mut plan = std::mem::take(&mut store.plan);
-        plan.clear();
-        plan.extend(pushes);
         #[cfg(debug_assertions)]
-        for &(q, ptr) in &plan {
-            debug_assert_eq!(
-                self.push_point(q as usize, level),
-                Some(ptr),
-                "trie push decision must equal the machine's own"
-            );
+        {
+            for (q, ptr) in pushes.clone() {
+                debug_assert_eq!(
+                    self.push_point(q as usize, level),
+                    Some(ptr),
+                    "trie push decision must equal the machine's own"
+                );
+            }
         }
-        debug_assert!(plan.is_sorted_by_key(|&(q, _)| q), "pushes ascend by node");
-        self.apply_pushes(store, &plan, level, attributes, node_id, attr_id_base, tag_span, emit);
-        store.plan = plan;
-    }
-
-    /// Phase 2 of `startElement`: apply a planned set of pushes.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_pushes(
-        &mut self,
-        store: &mut CandidateStore,
-        plan: &[(u32, u32)],
-        level: u32,
-        attributes: Attributes<'_>,
-        node_id: u64,
-        attr_id_base: u64,
-        tag_span: ByteSpan,
-        emit: &mut Deliver<'_>,
-    ) {
-        if !plan.is_empty() {
-            self.stats.dispatch_hits += 1;
-        }
-        for &(q, ptr) in plan {
+        let mut hit = false;
+        for (q, ptr) in pushes {
+            hit = true;
             self.push_entry(
                 store,
                 q as usize,
@@ -975,9 +915,13 @@ impl TwigM {
                 emit,
             );
         }
+        self.stats.dispatch_hits += u64::from(hit);
     }
 
-    /// Where would machine node `q` attach for an element at `level`?
+    /// Where would machine node `q` attach for an element at `level`? The
+    /// machine's own push rule: the reference every trie decision is
+    /// checked against in debug builds.
+    #[cfg(any(debug_assertions, test))]
     fn push_point(&self, q: usize, level: u32) -> Option<u32> {
         let node = &self.spec.nodes[q];
         match node.parent {
@@ -1096,22 +1040,8 @@ impl TwigM {
     }
 
     /// `characters`: text predicates, string-value accumulation, text
-    /// result candidates. `level` is the depth of the text's parent
-    /// element.
-    pub fn characters(
-        &mut self,
-        store: &mut CandidateStore,
-        text: &str,
-        level: u32,
-        node_id: u64,
-        span: ByteSpan,
-        emit: &mut dyn FnMut(&MatchRef<'_>),
-    ) {
-        self.characters_to(store, text, level, node_id, span, &mut |_, m| emit(m));
-    }
-
-    /// [`TwigM::characters`], telling `emit` which bindings a solution
-    /// goes to.
+    /// result candidates, telling `emit` which bindings a solution goes
+    /// to. `level` is the depth of the text's parent element.
     pub(crate) fn characters_to(
         &mut self,
         store: &mut CandidateStore,
@@ -1181,20 +1111,7 @@ impl TwigM {
     /// `endElement`: pop every machine node whose top entry belongs to the
     /// closing element, innermost query nodes first, bookkeeping flags and
     /// candidates into parents. Solutions reaching the machine root are
-    /// handed to `emit`.
-    pub fn end_element(
-        &mut self,
-        store: &mut CandidateStore,
-        name: &str,
-        level: u32,
-        element_span: ByteSpan,
-        emit: &mut dyn FnMut(&MatchRef<'_>),
-    ) {
-        self.end_element_to(store, name, level, element_span, &mut |_, m| emit(m));
-    }
-
-    /// [`TwigM::end_element`], telling `emit` which bindings a solution
-    /// goes to.
+    /// handed to `emit`, with the bindings they go to.
     pub(crate) fn end_element_to(
         &mut self,
         store: &mut CandidateStore,
@@ -1677,7 +1594,6 @@ fn cmp_opt(comparison: &Option<(CmpOp, Literal)>, value: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::intern::Interner;
     use crate::result::Match;
     use vitex_xmlsax::event::AttributeBuf;
     use vitex_xpath::query_tree::QueryTree;
@@ -1686,7 +1602,6 @@ mod tests {
     struct Driver {
         machine: TwigM,
         store: CandidateStore,
-        interner: Interner,
         level: u32,
         next_id: u64,
         offset: u64,
@@ -1701,13 +1616,10 @@ mod tests {
         }
 
         fn with_mode(query: &str, mode: EvalMode) -> Self {
-            let tree = QueryTree::parse(query).unwrap();
-            let mut interner = Interner::new();
-            let spec = MachineSpec::compile_with(&tree, &mut interner).unwrap();
+            let spec = MachineSpec::compile(&QueryTree::parse(query).unwrap()).unwrap();
             Driver {
                 machine: TwigM::from_spec(spec, mode),
                 store: CandidateStore::new(),
-                interner,
                 level: 0,
                 next_id: 0,
                 offset: 0,
@@ -1732,13 +1644,16 @@ mod tests {
                 delivered.push((to.map(<[u32]>::to_vec), m.node));
                 matches.push(Match::from(*m))
             };
-            // `start_element_interned`, keeping which bindings a delivery
-            // at push goes to.
-            let named = self.interner.lookup(name).map(|s| self.machine.spec.machines_for(s));
-            let mut plan = Vec::new();
-            self.machine.plan_pushes(named.unwrap_or(&[]), self.level, &mut plan);
+            // The push rule on every node whose name test matches, all
+            // decided before any is applied: the trie's decisions.
+            let pushes: Vec<(u32, u32)> = (0..self.machine.spec.len())
+                .filter(|&q| self.machine.spec.nodes[q].name.as_deref().is_none_or(|n| n == name))
+                .filter_map(|q| Some((q as u32, self.machine.push_point(q, self.level)?)))
+                .collect();
             let (store, level) = (&mut self.store, self.level);
-            self.machine.apply_pushes(store, &plan, level, attrs.view(), id, id + 1, span, emit);
+            let attrs = attrs.view();
+            let pushes = pushes.into_iter();
+            self.machine.start_element_prefix(store, pushes, level, attrs, id, id + 1, span, emit);
             self
         }
 
@@ -1776,6 +1691,22 @@ mod tests {
         fn names(&self) -> Vec<u64> {
             self.matches.iter().map(|m| m.node).collect()
         }
+    }
+
+    /// The state dump shows live stacks mid-stream (demo introspection).
+    #[test]
+    fn dump_state_reflects_stacks() {
+        let mut d = Driver::new("//section[author]//cell");
+        d.open("section").open("cell");
+        let dump = d.machine.dump_state(&d.store);
+        assert!(dump.contains("//section"), "{dump}");
+        assert!(dump.contains("//cell"), "{dump}");
+        assert!(dump.contains("(1 entries)"), "{dump}");
+        assert!(dump.contains("/author ?"), "{dump}");
+        d.close("cell").close("section");
+        assert!(d.machine.is_quiescent());
+        let dump = d.machine.dump_state(&d.store);
+        assert!(dump.contains("(0 entries)"), "{dump}");
     }
 
     #[test]

@@ -36,12 +36,13 @@
 //!
 //! A document streams through [`MultiEngine::stream_document`] (the
 //! per-document path lives in the crate-private `session` module): it
-//! shows a start tag to the per-event apply step (the crate-private
-//! `Executor` at the bottom of this file) when a live trie step tests its
-//! name, and every text node, on the calling thread. The executor
-//! advances the trie and drives each routed group's pushes in ascending
-//! group order, a frame stack lets an end tag touch exactly the machines
-//! its start tag pushed (an untouched machine has nothing to pop), and
+//! shows every event to the per-event apply step (the crate-private
+//! `Executor` at the bottom of this file), on the calling thread. The
+//! executor advances the trie — which checks only the live steps that
+//! test the element's name — and drives each routed group's pushes in
+//! ascending group order; the slots a start tag pushed, listed with its
+//! level, let the end tag touch exactly those machines (an untouched
+//! machine has nothing to pop), and
 //! text goes to exactly the machines holding an open entry that reads
 //! text (any other text consumer is idle). This is sound because a
 //! machine's stacks only ever hold entries for elements it was shown, and
@@ -81,12 +82,13 @@ use vitex_xmlsax::pos::ByteSpan;
 use vitex_xpath::query_tree::QueryTree;
 
 use crate::bitset::DynBitSet;
+use crate::builder::{BuildError, EvalMode};
 use crate::driver::DocumentDriver;
 use crate::error::EngineResult;
 use crate::intern::{Interner, Symbol};
 use crate::machine::{CandidateStore, Deliver};
 use crate::plan::group::Binding;
-use crate::plan::{PlanGroup, QueryPlanner, StepTrie, TriePush};
+use crate::plan::{PlanGroup, QueryPlanner, StepTrie};
 use crate::result::{Match, MatchRef, NodeId};
 use crate::stats::{MachineStats, PlanStats};
 use crate::telemetry::Telemetry;
@@ -175,11 +177,29 @@ impl MultiEngine {
     /// place — no rebuild happens on the next document, so subscriptions
     /// can be added between (or ahead of) documents at any point.
     pub fn add_tree(&mut self, tree: &QueryTree) -> EngineResult<QueryId> {
+        Ok(self.subscribe(tree)?)
+    }
+
+    /// [`MultiEngine::add_tree`] with the builder's error.
+    fn subscribe(&mut self, tree: &QueryTree) -> Result<QueryId, BuildError> {
         let id = QueryId(self.records.len());
         let reg = self.planner.register(tree, id, &mut self.interner)?;
         self.records.push(QueryRecord { text: tree.original().to_owned(), group: Some(reg.group) });
         self.churn(reg.group, reg.created);
         Ok(id)
+    }
+
+    /// An engine whose one registration, `QueryId(0)`, is `tree` compiled
+    /// in `mode`, with its plan held at exact capacity: what
+    /// [`crate::Engine`] wraps. `mode` reaches the machine through no other
+    /// path.
+    pub(crate) fn with_one_query(tree: &QueryTree, mode: EvalMode) -> Result<Self, BuildError> {
+        let mut multi = MultiEngine::new();
+        multi.planner.mode = mode;
+        multi.subscribe(tree)?;
+        multi.planner.shrink_to_fit();
+        multi.records.shrink_to_fit();
+        Ok(multi)
     }
 
     /// Unregisters a query. Returns `Some(true)` when it was the **last**
@@ -309,15 +329,13 @@ fn touch_group<R>(
 /// subscribers through the caller's callback (`touch_group`).
 #[derive(Debug, Default)]
 pub(crate) struct Executor {
-    /// Scratch: the trie pushes of the current start tag.
-    pushed: Vec<TriePush>,
-    /// Scratch: the start tag's plan, `(slot, machine node, ptr)`,
-    /// ascending.
+    /// Scratch: the start tag's plan, `(slot, machine node, ptr)`, in
+    /// ascending slot order.
     plans: Vec<(u32, u32, u32)>,
-    /// Flat frame storage: slots that pushed, per open element.
-    frame_slots: Vec<u32>,
-    /// One `frame_slots` offset per open element.
-    frames: Vec<u32>,
+    /// The slots each open element pushed, with its level: an end tag
+    /// touches the run at the top that has its level (the ones below
+    /// belong to its ancestors, at lower levels).
+    frames: Vec<(u32, u32)>,
     /// Slots whose machine holds an open entry that reads text
     /// ([`crate::machine::TwigM::text_live`]), kept current at the start
     /// and end touches that open and close such entries.
@@ -353,7 +371,6 @@ impl Executor {
                 *bytes = 0;
             }
         }
-        self.frame_slots.clear();
         self.frames.clear();
         self.store.reset();
         if tally_bytes {
@@ -375,14 +392,15 @@ impl Executor {
         &self.touched
     }
 
-    /// `startElement`: advances the trie once, expands its pushes along
-    /// their routes into `(slot, machine node, ptr)` plans, and drives
-    /// each slot's run of them in ascending slot order,
-    /// recording the slots as the element's frame. A slot's first touch of
+    /// `startElement`: advances the trie once, which expands its pushes
+    /// along their routes into `(slot, machine node, ptr)` plans, and
+    /// drives each slot's run of them in ascending slot order, recording the
+    /// slots with the element's level. A slot's first touch of
     /// the document is the one that finds its machine without a dispatch
     /// hit: the machine starts the document at rest, and every start touch
     /// counts one. `node_id` is the element's id, and its attributes take
     /// the ids after it.
+    #[inline(always)]
     pub(crate) fn start(
         &mut self,
         trie: &mut StepTrie,
@@ -392,21 +410,19 @@ impl Executor {
         node_id: NodeId,
         on_match: &mut impl FnMut(&[QueryId], &MatchRef<'_>),
     ) {
-        let Self { pushed, plans, frame_slots, frames, text_live, touched, store, emitted_bytes } =
-            self;
-        pushed.clear();
-        trie.advance(sym, event.level, pushed);
+        let Self { plans, frames, text_live, touched, store, emitted_bytes } = self;
         plans.clear();
-        for p in pushed.iter() {
-            let routes = trie.routes(p.node as usize);
-            plans.extend(routes.iter().map(|&(slot, mnode)| (slot, mnode, p.ptr)));
+        trie.advance(sym, event.level, plans);
+        if plans.is_empty() {
+            return;
         }
-        // Routes ascend, so one push expands in order; several pushes
-        // interleave.
-        if pushed.len() > 1 {
-            plans.sort_unstable();
+        // Routes ascend, so one push expands in slot order; several pushes
+        // interleave. Within a slot the order is immaterial: every push was
+        // decided before any is applied, and only a one-node machine can
+        // emit at a push.
+        if !plans.is_sorted_by_key(|p| p.0) {
+            plans.sort_unstable_by_key(|p| p.0);
         }
-        frames.push(frame_slots.len() as u32);
         for run in plans.chunk_by(|a, b| a.0 == b.0) {
             let slot = run[0].0;
             let (machine, subscribers, bindings) = groups[slot as usize].machine_and_fan_out();
@@ -425,7 +441,7 @@ impl Executor {
                     out,
                 )
             });
-            frame_slots.push(slot);
+            frames.push((slot, event.level));
             if machine.text_live() {
                 text_live.insert(slot as usize);
             }
@@ -454,18 +470,20 @@ impl Executor {
         });
     }
 
-    /// `endElement`: pops the element's frame and touches exactly the
-    /// machines its start tag pushed, in the same ascending order.
+    /// `endElement`: pops the trie entries its start tag pushed and touches
+    /// exactly the machines it pushed, in the same ascending order.
     pub(crate) fn end(
         &mut self,
+        trie: &mut StepTrie,
         groups: &mut [PlanGroup],
         name: &str,
         level: u32,
         element_span: ByteSpan,
         on_match: &mut impl FnMut(&[QueryId], &MatchRef<'_>),
     ) {
-        let base = self.frames.pop().expect("events nest") as usize;
-        for &slot in &self.frame_slots[base..] {
+        trie.retreat(level);
+        let base = self.frames.iter().rposition(|&(_, at)| at != level).map_or(0, |i| i + 1);
+        for &(slot, _) in &self.frames[base..] {
             let (machine, subscribers, bindings) = groups[slot as usize].machine_and_fan_out();
             touch_group(&mut self.emitted_bytes, slot, (subscribers, bindings), on_match, |out| {
                 machine.end_element_to(&mut self.store, name, level, element_span, out)
@@ -474,7 +492,7 @@ impl Executor {
                 self.text_live.remove(slot as usize);
             }
         }
-        self.frame_slots.truncate(base);
+        self.frames.truncate(base);
     }
 }
 

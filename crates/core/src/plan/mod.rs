@@ -40,7 +40,7 @@ pub mod group;
 pub mod trie;
 
 pub use group::PlanGroup;
-pub use trie::{PrefixRunStats, StepKey, StepTrie, TriePush};
+pub use trie::{PrefixRunStats, StepKey, StepTrie};
 
 use vitex_xpath::query_tree::{NodeKind, QueryTree};
 
@@ -82,6 +82,9 @@ pub struct QueryPlanner {
     /// field but the `prefix_*` run counters: `None` once a registration or
     /// removal changed the plan. Documents do not move those fields.
     cached: Option<PlanStats>,
+    /// How new machines propagate candidates: [`EvalMode::Compact`] unless
+    /// a one-query [`crate::Engine`] asked for the E6 ablation.
+    pub(crate) mode: EvalMode,
 }
 
 impl QueryPlanner {
@@ -115,7 +118,7 @@ impl QueryPlanner {
         }
         let spec = MachineSpec::compile_with(tree, interner)?;
         let routes = self.routes(&spec, terminal, interner);
-        let machine = TwigM::from_spec(spec, EvalMode::Compact);
+        let machine = TwigM::from_spec(spec, self.mode);
         let group = PlanGroup::new(machine, key, hash, terminal, id);
         let gid = match self.free_slots.pop() {
             Some(slot) => {
@@ -154,6 +157,12 @@ impl QueryPlanner {
             self.free_slots.push(gid);
         }
         last
+    }
+
+    /// Drops the spare group slots: for a plan that will not change again.
+    /// (Slots are run-time capacity; the plan's bytes do not count them.)
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.groups.shrink_to_fit();
     }
 
     /// All group slots (inactive, not-yet-recycled slots included), dense
@@ -291,6 +300,36 @@ mod tests {
     ) -> Registration {
         let tree = QueryTree::parse(q).unwrap();
         planner.register(&tree, QueryId(id), interner).unwrap()
+    }
+
+    /// Which machine nodes an element's name reaches is decided by the step
+    /// trie, and depends on the query alone, never on how many names the
+    /// shared interner holds: the routes of the live steps testing a name
+    /// are exactly the machine nodes testing it.
+    #[test]
+    fn the_steps_a_name_selects_do_not_depend_on_the_interner_population() {
+        let tree = QueryTree::parse("//a[b]/a/c").unwrap();
+        let names = ["a", "b", "c", "unrelated4999"];
+        let selected = |crowd: usize| {
+            let (mut p, mut interner) = (QueryPlanner::new(), Interner::new());
+            for i in 0..crowd {
+                interner.intern(&format!("unrelated{i}"));
+            }
+            p.register(&tree, QueryId(0), &mut interner).unwrap();
+            let spec = p.group(0).machine().spec();
+            names.map(|name| {
+                let mut routes = p.trie.routes_testing(interner.lookup(name));
+                routes.sort_unstable();
+                let nodes = spec.nodes.iter().enumerate();
+                let testing = nodes.filter(|(_, n)| n.name.as_deref() == Some(name));
+                let testing: Vec<(u32, u32)> = testing.map(|(q, _)| (0, q as u32)).collect();
+                assert_eq!(routes, testing, "the machine nodes testing {name}");
+                routes
+            })
+        };
+        let (fresh, crowded) = (selected(0), selected(5000));
+        assert_eq!(crowded, fresh);
+        assert_eq!(fresh.map(|r| r.len()), [2, 1, 1, 0], "a, b and c are tested; nothing else");
     }
 
     #[test]

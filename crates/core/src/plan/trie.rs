@@ -28,7 +28,8 @@
 //! push/pop timing). Every machine node routed through a trie node
 //! therefore agrees, at every moment of the stream, on that node's stack.
 //! Each trie node owns exactly one copy of that stack (`TrieEntry`: the
-//! level), `StepTrie::advance` updates it **once per event**, and the
+//! level; the node keeps its height and top, the trie's open list the
+//! rest), `StepTrie::advance` updates it **once per event**, and the
 //! engine forks into per-group machines only where state actually
 //! diverges — delivering the pushes through the node's **routes**
 //! (`(group, machine node)` pairs) so each group's entry carries its own
@@ -51,22 +52,13 @@ pub struct StepKey {
 }
 
 /// One entry of a trie node's shared runtime stack: the level of the
-/// open element it stands for. The parent-stack pointer a TwigM entry
-/// would also carry is not stored — it is derived from the parent's
-/// stack height at plan time and handed to the groups in the
-/// [`TriePush`], never read back.
+/// open element it stands for. The push rule reads a stack's height and
+/// its top entry only, so a node holds those two and each entry of the
+/// trie's open list keeps the top it covered, restored when it pops. The
+/// parent-stack pointer a TwigM entry would also carry is not stored — it
+/// is derived from the parent's stack height at plan time and handed to
+/// the groups with each push, never read back.
 type TrieEntry = u32;
-
-/// A push decided by `StepTrie::advance`: the trie node (its routes name
-/// the group machine nodes to push onto) and the parent-stack pointer the
-/// new entries carry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TriePush {
-    /// The trie node that pushed.
-    pub node: u32,
-    /// Parent-stack pointer for the new entry.
-    pub ptr: u32,
-}
 
 /// Per-run counters of the shared-prefix runtime, reset by
 /// [`StepTrie::begin_document`] and surfaced through
@@ -102,8 +94,10 @@ struct TrieNode {
     children: Vec<u32>,
     /// Plan groups whose main path ends exactly here.
     terminals: Vec<usize>,
-    /// The shared runtime stack (empty between documents).
-    stack: Vec<TrieEntry>,
+    /// Height of the shared runtime stack (0 between documents).
+    height: u32,
+    /// Its top entry, when `height > 0`.
+    top: TrieEntry,
 }
 
 /// A trie over location-step paths, nodes addressed by dense indices.
@@ -121,11 +115,10 @@ pub struct StepTrie {
     by_symbol: Vec<Vec<u32>>,
     /// Trie nodes whose step is the wildcard `*`.
     wildcards: Vec<u32>,
-    /// Flat stack of the trie nodes pushed per open element: the end tag
-    /// pops exactly the stacks its start tag pushed.
-    open: Vec<u32>,
-    /// One `open` offset per open element.
-    frames: Vec<u32>,
+    /// Flat stack of the trie nodes pushed per open element, each with the
+    /// top entry its push covered: the end tag pops exactly the stacks its
+    /// start tag pushed, the last ones listed.
+    open: Vec<(u32, TrieEntry)>,
     /// Runtime counters of the current (or last) document run.
     run_stats: PrefixRunStats,
 }
@@ -139,13 +132,13 @@ impl StepTrie {
                 parent: 0,
                 children: Vec::new(),
                 terminals: Vec::new(),
-                stack: Vec::new(),
+                height: 0,
+                top: 0,
             }],
             routes: vec![Vec::new()],
             by_symbol: Vec::new(),
             wildcards: Vec::new(),
             open: Vec::new(),
-            frames: Vec::new(),
             run_stats: PrefixRunStats::default(),
         }
     }
@@ -163,7 +156,8 @@ impl StepTrie {
             parent: parent as u32,
             children: Vec::new(),
             terminals: Vec::new(),
-            stack: Vec::new(),
+            height: 0,
+            top: 0,
         });
         self.routes.push(Vec::new());
         self.nodes[parent].children.push(id as u32);
@@ -243,6 +237,7 @@ impl StepTrie {
 
     /// The `(group id, machine node)` pairs routed through `node`,
     /// ascending.
+    #[cfg(test)]
     pub(crate) fn routes(&self, node: usize) -> &[(u32, u32)] {
         &self.routes[node]
     }
@@ -261,19 +256,19 @@ impl StepTrie {
     /// Whether any **live** step — a trie node with at least one route —
     /// tests `sym` (or is a wildcard). A start tag for which this is false
     /// cannot advance the trie: [`StepTrie::advance`] checks exactly these
-    /// nodes. The session admits an element by this; the first node listed
-    /// is almost always live, so the scan is O(1) outside heavy churn.
+    /// nodes.
+    #[cfg(test)]
     pub(crate) fn has_live_step(&self, sym: Option<Symbol>) -> bool {
-        self.steps_testing(sym).any(|ni| !self.routes[ni as usize].is_empty())
+        steps_testing(&self.by_symbol, &self.wildcards, sym)
+            .any(|ni| !self.routes[ni as usize].is_empty())
     }
 
-    /// The trie nodes whose step an element named `sym` could satisfy:
-    /// the ones testing that name plus the wildcards. The two lists are
-    /// disjoint and a node appears in each at most once.
-    fn steps_testing(&self, sym: Option<Symbol>) -> impl Iterator<Item = u32> + '_ {
-        let named: &[u32] =
-            sym.and_then(|s| self.by_symbol.get(s.index())).map(Vec::as_slice).unwrap_or(&[]);
-        named.iter().chain(&self.wildcards).copied()
+    /// The routes of the live steps an element named `sym` could satisfy,
+    /// in the order [`StepTrie::advance`] checks them.
+    #[cfg(test)]
+    pub(crate) fn routes_testing(&self, sym: Option<Symbol>) -> Vec<(u32, u32)> {
+        let steps = steps_testing(&self.by_symbol, &self.wildcards, sym);
+        steps.flat_map(|ni| self.routes[ni as usize].iter().copied()).collect()
     }
 
     /// Number of step nodes (the root does not count: it is not a step).
@@ -323,18 +318,17 @@ impl StepTrie {
     // Runtime
     // ------------------------------------------------------------- //
 
-    /// Clears the shared stacks and open-element frames and resets the run
+    /// Clears the shared stacks and resets the run
     /// counters — called at the start of each document run, mirroring the
     /// machines' resets (a document that ended in a parse error left its
     /// open elements behind). Only the stacks `open` still lists hold
     /// entries, so only they are cleared: nothing after a well-formed
     /// document.
     pub fn begin_document(&mut self) {
-        for &node in &self.open {
-            self.nodes[node as usize].stack.clear();
+        for &(node, _) in &self.open {
+            self.nodes[node as usize].height = 0;
         }
         self.open.clear();
-        self.frames.clear();
         self.run_stats = PrefixRunStats::default();
     }
 
@@ -345,76 +339,98 @@ impl StepTrie {
 
     /// Total live shared-stack entries (0 between well-formed documents).
     pub fn live_entries(&self) -> usize {
-        self.nodes.iter().map(|n| n.stack.len()).sum()
+        self.nodes.iter().map(|n| n.height as usize).sum()
     }
 
     /// A `startElement` against the shared stacks: checks every live trie
     /// node whose step tests `sym` (plus the wildcard nodes) against its
-    /// parent's **pre-event** stack — exactly the TwigM push rule — then
-    /// applies the pushes, records them as the element's frame, and
-    /// appends them to `pushed` for the engine to fan out along the
-    /// routes. One check per distinct trie node, however many machine
-    /// nodes share it. Every advance is paired with one
-    /// [`StepTrie::retreat`].
-    pub(crate) fn advance(&mut self, sym: Option<Symbol>, level: u32, pushed: &mut Vec<TriePush>) {
-        let base = pushed.len();
-        let (mut executed, mut saved) = (0u64, 0u64);
+    /// parent's **pre-event** stack — exactly the TwigM push rule — and
+    /// expands each push along the node's routes into `plans` as
+    /// `(group, machine node, parent-stack ptr)`, then applies the pushes.
+    /// One check per distinct trie node, however many machine nodes share
+    /// it. The end tag's [`StepTrie::retreat`] pops them.
+    #[inline(always)]
+    pub(crate) fn advance(
+        &mut self,
+        sym: Option<Symbol>,
+        level: u32,
+        plans: &mut Vec<(u32, u32, u32)>,
+    ) {
+        let Self { nodes, routes, by_symbol, wildcards, open, run_stats } = self;
+        let base = open.len();
+        let (mut executed, mut saved, mut forks) = (0u64, 0u64, 0u64);
         // Plan phase: decide every push against pre-event stacks.
-        for ni in self.steps_testing(sym) {
-            let node = &self.nodes[ni as usize];
-            let routes = self.routes[ni as usize].len();
-            if routes == 0 {
+        for ni in steps_testing(by_symbol, wildcards, sym) {
+            let node = &nodes[ni as usize];
+            let node_routes = &routes[ni as usize];
+            if node_routes.is_empty() {
                 continue; // stale path: every group on it retired
             }
             executed += 1;
-            saved += routes as u64 - 1;
+            saved += node_routes.len() as u64 - 1;
             let ptr = if node.parent == 0 {
                 match node.key.axis {
                     Axis::Child if level != 1 => continue,
                     _ => 0, // ptr unused at the path root
                 }
             } else {
-                let pstack = &self.nodes[node.parent as usize].stack;
+                let pstack = &nodes[node.parent as usize];
                 match node.key.axis {
-                    Axis::Child => match pstack.last() {
-                        Some(&top) if top + 1 == level => pstack.len() as u32 - 1,
-                        _ => continue,
-                    },
-                    Axis::Descendant => {
-                        if pstack.is_empty() {
-                            continue;
-                        }
-                        pstack.len() as u32 - 1
-                    }
+                    _ if pstack.height == 0 => continue,
+                    Axis::Child if pstack.top + 1 != level => continue,
+                    _ => pstack.height - 1,
                 }
             };
-            pushed.push(TriePush { node: ni, ptr });
+            forks += node_routes.len() as u64;
+            for &(slot, mnode) in node_routes {
+                plans.push((slot, mnode, ptr));
+            }
+            open.push((ni, 0));
         }
-        self.run_stats.steps_executed += executed;
-        self.run_stats.steps_saved += saved;
-        self.frames.push(self.open.len() as u32);
+        if executed == 0 {
+            return; // no live step tests `sym`
+        }
         // Apply phase.
-        for p in &pushed[base..] {
-            self.run_stats.forks += self.routes[p.node as usize].len() as u64;
-            self.nodes[p.node as usize].stack.push(level);
-            self.open.push(p.node);
-            self.run_stats.live_entries += 1;
-            self.run_stats.peak_entries =
-                self.run_stats.peak_entries.max(self.run_stats.live_entries);
+        for (ni, below) in &mut open[base..] {
+            let node = &mut nodes[*ni as usize];
+            (*below, node.top, node.height) = (node.top, level, node.height + 1);
         }
+        run_stats.steps_executed += executed;
+        run_stats.steps_saved += saved;
+        run_stats.forks += forks;
+        run_stats.live_entries = open.len() as u64;
+        run_stats.peak_entries = run_stats.peak_entries.max(run_stats.live_entries);
     }
 
     /// The `endElement` counterpart of [`StepTrie::advance`]: pops the
-    /// shared-stack entries the matching start tag pushed.
+    /// shared-stack entries the matching start tag pushed — the last ones
+    /// open, each on top of its stack at the element's `level` (the ones
+    /// below belong to its ancestors, at lower levels).
+    #[inline]
     pub(crate) fn retreat(&mut self, level: u32) {
-        let base = self.frames.pop().expect("every retreat pairs with an advance");
-        for &node in &self.open[base as usize..] {
-            let top = self.nodes[node as usize].stack.pop();
-            debug_assert_eq!(top, Some(level), "shared stacks pop in start-tag pairing order");
-            self.run_stats.live_entries -= 1;
+        while let Some(&(ni, below)) = self.open.last() {
+            let node = &mut self.nodes[ni as usize];
+            if node.top != level {
+                break;
+            }
+            (node.top, node.height) = (below, node.height - 1);
+            self.open.pop();
         }
-        self.open.truncate(base as usize);
+        self.run_stats.live_entries = self.open.len() as u64;
     }
+}
+
+/// The trie nodes whose step an element named `sym` could satisfy: the
+/// ones testing that name (`by_symbol`) plus the `wildcards`. The two lists
+/// are disjoint and a node appears in each at most once.
+#[inline]
+fn steps_testing<'a>(
+    by_symbol: &'a [Vec<u32>],
+    wildcards: &'a [u32],
+    sym: Option<Symbol>,
+) -> impl Iterator<Item = u32> + 'a {
+    let named = sym.and_then(|s| by_symbol.get(s.index())).map_or(&[][..], Vec::as_slice);
+    named.iter().chain(wildcards).copied()
 }
 
 impl Default for StepTrie {
@@ -526,22 +542,25 @@ mod tests {
         let a = i.lookup("a");
         let b = i.lookup("b");
         t.begin_document();
-        let mut pushed = Vec::new();
+        // Plans are `(group, machine node, ptr)`: n_a routes (0, 0), n_b (0, 1).
+        let mut plans = Vec::new();
         // <a> at level 1: a pushes (descendant root), b has no witness.
-        t.advance(a, 1, &mut pushed);
-        assert_eq!(pushed, [TriePush { node: n_a as u32, ptr: 0 }]);
+        t.advance(a, 1, &mut plans);
+        assert_eq!(plans, [(0, 0, 0)]);
+        assert_eq!(t.routes(n_a), [(0, 0)]);
         // <x> at level 2: nothing matches.
-        pushed.clear();
-        t.advance(None, 2, &mut pushed);
-        assert!(pushed.is_empty());
+        plans.clear();
+        t.advance(None, 2, &mut plans);
+        assert!(plans.is_empty());
         // <b> at level 3 inside <x>? No — b needs a as *direct* parent.
-        t.advance(b, 3, &mut pushed);
-        assert!(pushed.is_empty(), "child axis needs level + 1 witness");
+        t.advance(b, 3, &mut plans);
+        assert!(plans.is_empty(), "child axis needs level + 1 witness");
         t.retreat(3);
         // </x>, then <b> at level 2: direct child of the open a.
         t.retreat(2);
-        t.advance(b, 2, &mut pushed);
-        assert_eq!(pushed, [TriePush { node: n_b as u32, ptr: 0 }]);
+        t.advance(b, 2, &mut plans);
+        assert_eq!(plans, [(0, 1, 0)]);
+        assert_eq!(t.routes(n_b), [(0, 1)]);
         t.retreat(2);
         assert_eq!(t.live_entries(), 1, "</b> popped b's entry only");
         t.retreat(1);
@@ -562,15 +581,15 @@ mod tests {
         let n_a = t.insert_path(&path);
         let a = i.lookup("a");
         t.begin_document();
-        let mut pushed = Vec::new();
+        let mut plans = Vec::new();
         assert!(!t.has_live_step(a));
-        t.advance(a, 1, &mut pushed);
-        assert!(pushed.is_empty(), "no routed group: the node is dormant");
+        t.advance(a, 1, &mut plans);
+        assert!(plans.is_empty(), "no routed group: the node is dormant");
         assert_eq!(t.run_stats().steps_executed, 0);
         t.add_group(n_a, 3, &[(n_a, 0)]);
         assert!(t.has_live_step(a) && !t.has_live_step(None));
-        t.advance(a, 2, &mut pushed);
-        assert_eq!(pushed.len(), 1);
+        t.advance(a, 2, &mut plans);
+        assert_eq!(plans, [(3, 0, 0)]);
         assert_eq!(t.run_stats().steps_executed, 1);
         // A wildcard step is live for every name, interned or not.
         let wild = t.insert_path(&[key(&mut i, Axis::Descendant, None)]);
@@ -594,12 +613,13 @@ mod tests {
         assert_eq!(t.routes(n_ab), [(0, 1), (0, 2)], "ascending by (group, machine node)");
         assert_eq!(t.shared_nodes(), 0, "one group shares nothing with itself");
         // <a><b/></a>: one push each, however many routes it drives.
-        let mut pushed = Vec::new();
+        let mut plans = Vec::new();
         t.begin_document();
-        for (sym, level) in [(a, 1), (b, 2)] {
-            pushed.clear();
-            t.advance(sym, level, &mut pushed);
-            assert_eq!(pushed.len(), 1);
+        for (sym, level, routed) in [(a, 1, &[(0, 0, 0)][..]), (b, 2, &[(0, 1, 0), (0, 2, 0)])] {
+            plans.clear();
+            t.advance(sym, level, &mut plans);
+            assert_eq!(t.live_entries(), level as usize, "one shared entry per push");
+            assert_eq!(plans, routed);
         }
         assert_eq!(t.run_stats().forks, 3, "<b> forks to both machine nodes");
         assert_eq!(t.run_stats().steps_saved, 1, "one check stands for two");

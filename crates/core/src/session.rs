@@ -10,10 +10,10 @@
 //! re-planning; registration churn (`add_query` / `remove_query`) happens
 //! between documents and updates the plan in place.
 //!
-//! The engine's one `EventSink` admits an element when a live trie step
-//! tests its name (`StepTrie::has_live_step`: every machine node of every
-//! group is routed on a trie step, so no other element can move a machine)
-//! and hands every text node to the executor, which shows it only to the
+//! The engine's one `EventSink` hands every event to the executor. A start
+//! tag advances the trie, which checks only the live steps that test its
+//! name (every machine node of every group is routed on a trie step, so no
+//! other element can move a machine); a text node goes only to the
 //! machines holding an open entry that reads text; at document end the
 //! epilogue reads the groups directly.
 //!
@@ -259,17 +259,14 @@ impl MultiEngine {
             });
         }
         // `emitted` counts each subscriber's deliveries.
-        totals.fold_document(stream, &total, Some(plan), total.emitted);
+        totals.fold_document(stream, &total, plan, total.emitted);
     }
 }
 
-/// The **one** [`EventSink`] of multi-query execution: it admits an event
-/// some group can see and hands it to the executor, with the borrowed
-/// driver event and the caller's callback. An element is admitted when a
-/// live trie step tests its name, which depends on the symbol alone, so
-/// start and end tags pair up; a dropped start tag could not have pushed.
-/// The trie's routes are frozen while a document streams, so a filtered
-/// start tag's end tag (same symbol) gets the same verdict.
+/// The **one** [`EventSink`] of multi-query execution: it hands each
+/// event to the executor, with the borrowed driver event and the caller's
+/// callback. An element that no live trie step tests pushes nothing, and
+/// its end tag finds nothing of its own to pop.
 struct DocumentSink<'s, F> {
     interner: &'s Interner,
     trie: &'s mut StepTrie,
@@ -290,9 +287,7 @@ impl<F: FnMut(&[QueryId], &MatchRef<'_>)> EventSink for DocumentSink<'_, F> {
         node_id: NodeId,
         _attr_id_base: NodeId,
     ) {
-        if self.trie.has_live_step(sym) {
-            self.exec.start(self.trie, self.groups, sym, event, node_id, self.on_match);
-        }
+        self.exec.start(self.trie, self.groups, sym, event, node_id, self.on_match);
     }
 
     fn characters(&mut self, event: &CharactersEvent<'_>, node_id: NodeId) {
@@ -300,12 +295,9 @@ impl<F: FnMut(&[QueryId], &MatchRef<'_>)> EventSink for DocumentSink<'_, F> {
         self.exec.text(self.groups, text, level, node_id, span, self.on_match);
     }
 
-    fn end_element(&mut self, sym: Option<Symbol>, event: &EndElementEvent<'_>) {
-        if self.trie.has_live_step(sym) {
-            let (name, level, element_span) = (&*event.name, event.level, event.element_span);
-            self.trie.retreat(level);
-            self.exec.end(self.groups, name, level, element_span, self.on_match);
-        }
+    fn end_element(&mut self, _sym: Option<Symbol>, event: &EndElementEvent<'_>) {
+        let (name, level, element_span) = (&*event.name, event.level, event.element_span);
+        self.exec.end(self.trie, self.groups, name, level, element_span, self.on_match);
     }
 }
 
@@ -345,18 +337,18 @@ mod tests {
             sink.trie.live_entries()
         };
         // <a><x><b/></x>t<b/></a>: x is unknown to every query, and no
-        // query reads text. Each admitted start tag tests one live step.
+        // query reads text. A start tag a live step tests checks that one.
         assert_eq!(start(&mut sink, a, "a", 1, 0), (1, 1), "/a pushes");
-        assert_eq!(start(&mut sink, None, "x", 2, 1), (1, 1), "<x> is filtered");
+        assert_eq!(start(&mut sink, None, "x", 2, 1), (1, 1), "<x> tests no step");
         assert_eq!(start(&mut sink, b, "b", 3, 2), (2, 1), "/a/b does not match a/x/b");
         assert_eq!(end(&mut sink, b, "b", 3), 1);
-        assert_eq!(end(&mut sink, None, "x", 2), 1, "</x> pairs with its filtered start tag");
+        assert_eq!(end(&mut sink, None, "x", 2), 1, "</x> has nothing of its own to pop");
         assert!(!sink.groups[0].machine().spec().needs_characters(), "no group reads text");
         let text = CharactersEvent { text: "t".into(), level: 1, span };
         sink.characters(&text, 3);
         assert_eq!(start(&mut sink, b, "b", 2, 4), (3, 2), "/a/b matches a/b");
         assert_eq!(end(&mut sink, b, "b", 2), 1);
-        assert_eq!(end(&mut sink, a, "a", 1), 0, "every admitted start tag was retreated");
+        assert_eq!(end(&mut sink, a, "a", 1), 0, "every push was retreated");
         // A new document starts from an empty trie.
         sink.trie.begin_document();
         assert_eq!(sink.trie.run_stats().steps_executed, 0);
@@ -366,8 +358,8 @@ mod tests {
 
     #[test]
     fn retiring_every_group_on_a_trie_path_filters_its_tags_until_re_registration() {
-        // The filter has no index of its own: it reads trie liveness, so it
-        // must follow churn — predicate steps included, since `//c[d]`
+        // Liveness has no index of its own: it reads the trie's routes, so
+        // it must follow churn — predicate steps included, since `//c[d]`
         // routes `<d>` through the trie step `//c/d`.
         let mut multi = MultiEngine::new();
         let q_ab = multi.add_query("/a/b").unwrap();

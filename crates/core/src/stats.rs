@@ -217,10 +217,8 @@ pub struct MachineStats {
     /// the machine is driven, so the value is configuration-invariant.
     pub predicate_evals: u64,
     /// Element events that engaged this machine with a non-empty push
-    /// plan — the machine's share of dispatch traffic. Calls with an
-    /// empty plan are not hits, so a single-query engine (shown every
-    /// element) and a plan group (shown only what can move it) agree by
-    /// construction.
+    /// plan — the machine's share of dispatch traffic: the start tags at
+    /// which the step trie pushed at least one of its nodes.
     pub dispatch_hits: u64,
     /// Candidates created (self, attribute, text).
     pub candidates_created: u64,

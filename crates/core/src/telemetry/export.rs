@@ -221,12 +221,17 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::{Bill, MachineStats, StreamStats};
+    use crate::stats::{Bill, MachineStats, PlanStats, StreamStats};
 
     fn sample_snapshot() -> Snapshot {
         let registry = Registry::default();
         let stream = StreamStats { events: 10, ..StreamStats::default() };
-        registry.totals().fold_document(&stream, &MachineStats::default(), None, 0);
+        registry.totals().fold_document(
+            &stream,
+            &MachineStats::default(),
+            &PlanStats::default(),
+            0,
+        );
         registry.doc_ns.observe(999);
         registry.dispatch_ns.observe(100);
         Snapshot::capture(&registry)

@@ -122,21 +122,18 @@ pub(crate) struct Totals {
 
 impl Totals {
     /// Folds one finished document into the per-layer records: `machine`
-    /// is the sum over its subscriptions, `plan` is absent for a
-    /// single-query engine (which has none).
+    /// is the sum over its subscriptions, `plan` the plan it ran.
     pub(crate) fn fold_document(
         &mut self,
         stream: &StreamStats,
         machine: &MachineStats,
-        plan: Option<&PlanStats>,
+        plan: &PlanStats,
         matches: u64,
     ) {
         self.stream.add(stream);
         self.matches += matches;
         self.machine.add(machine);
-        if let Some(plan) = plan {
-            self.plan.fold(plan);
-        }
+        self.plan.fold(plan);
     }
 }
 

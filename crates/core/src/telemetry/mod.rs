@@ -17,10 +17,12 @@
 //! [`crate::stats`] and each finished document is folded into them — once,
 //! the machine record summed per subscription — so their values are a pure
 //! function of the documents and the query set, and their export names are
-//! the records' own row tables. A [`crate::MultiEngine`] folds, in the same
-//! walk over the groups the document touched, one [`QueryRow`] per
-//! subscription and one [`GroupRow`] per active plan group: who costs what,
-//! which is what the top-10 ranking of [`Snapshot::human_summary`] reads.
+//! the records' own row tables. A [`crate::MultiEngine`] — and a
+//! [`crate::Engine`], which is one with a single registration — folds, in
+//! the same walk over the groups the document touched, one [`QueryRow`]
+//! per subscription and one [`GroupRow`] per active plan group: who costs
+//! what, which is what the top-10 ranking of [`Snapshot::human_summary`]
+//! reads.
 //! Timing counters are recorded live and vary from run to run.
 
 pub mod export;
@@ -29,7 +31,6 @@ pub mod metrics;
 pub use export::{Snapshot, SNAPSHOT_SCHEMA};
 pub use metrics::{Counter, CounterRow, GroupRow, Histogram, HistogramRow, QueryRow, Registry};
 
-use crate::stats::{MachineStats, PlanStats, StreamStats};
 use metrics::Totals;
 use std::sync::Arc;
 use std::time::Instant;
@@ -83,20 +84,6 @@ impl Telemetry {
         self.inner.as_deref().map(Snapshot::capture)
     }
 
-    /// Folds one finished document into the deterministic section of the
-    /// registry: the stream counters, the machine counters summed over the
-    /// document's subscriptions, the plan statistics (`None` from a
-    /// single-query engine, which has no plan) and the match count.
-    pub fn fold_document(
-        &self,
-        stream: &StreamStats,
-        machine: &MachineStats,
-        plan: Option<&PlanStats>,
-        matches: u64,
-    ) {
-        self.fold(|totals| totals.fold_document(stream, machine, plan, matches));
-    }
-
     /// Runs `fold` on the deterministic section, under its lock, when
     /// enabled.
     pub(crate) fn fold(&self, fold: impl FnOnce(&mut Totals)) {
@@ -120,6 +107,7 @@ impl ParseProbe for Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::{MachineStats, PlanStats, StreamStats};
 
     #[test]
     fn disabled_is_inert() {
@@ -128,7 +116,7 @@ mod tests {
         assert!(tel.timer().is_none());
         tel.observe_elapsed(|r| &r.doc_ns, Some(Instant::now()));
         let stream = StreamStats { elements: 1, text_nodes: 1, events: 1 };
-        tel.fold_document(&stream, &MachineStats::default(), None, 1);
+        tel.fold(|t| t.fold_document(&stream, &MachineStats::default(), &PlanStats::default(), 1));
         assert!(tel.snapshot().is_none());
     }
 
@@ -154,15 +142,13 @@ mod tests {
         let mut machine = MachineStats::default();
         machine.on_push(100);
         let plan = |queries| PlanStats { queries, prefix_forks: 4, ..PlanStats::default() };
-        tel.fold_document(&stream, &machine, Some(&plan(3)), 2);
-        tel.fold_document(&stream, &machine, Some(&plan(2)), 1);
-        // A single-query engine's document leaves the plan rows alone.
-        tel.fold_document(&stream, &machine, None, 0);
+        tel.fold(|t| t.fold_document(&stream, &machine, &plan(3), 2));
+        tel.fold(|t| t.fold_document(&stream, &machine, &plan(2), 1));
         let snap = tel.snapshot().unwrap();
-        assert_eq!(snap.counter("vitex_stream_events_total"), Some(21));
+        assert_eq!(snap.counter("vitex_stream_events_total"), Some(14));
         assert_eq!(snap.counter("vitex_matches_total"), Some(3));
-        assert_eq!(snap.counter("vitex_machine_pushes_total"), Some(3));
-        assert_eq!(snap.counter("vitex_machine_peak_bytes_sum"), Some(300));
+        assert_eq!(snap.counter("vitex_machine_pushes_total"), Some(2));
+        assert_eq!(snap.counter("vitex_machine_peak_bytes_sum"), Some(200));
         assert_eq!(snap.counter("vitex_plan_queries"), Some(2), "a level: the last plan");
         assert_eq!(snap.counter("vitex_prefix_forks_total"), Some(8));
     }
@@ -172,7 +158,8 @@ mod tests {
         let tel = Telemetry::enabled();
         let clone = tel.clone();
         let stream = StreamStats { elements: 1, text_nodes: 0, events: 3 };
-        clone.fold_document(&stream, &MachineStats::default(), None, 0);
+        clone
+            .fold(|t| t.fold_document(&stream, &MachineStats::default(), &PlanStats::default(), 0));
         assert_eq!(tel.snapshot().unwrap().counter("vitex_stream_events_total"), Some(3));
     }
 

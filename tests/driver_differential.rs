@@ -2,9 +2,8 @@
 //! multi-query engine (one-document runs and warm engines) and the naive
 //! baseline must produce **identical node-id sequences** for a battery of queries over
 //! generated documents — deep-recursive (the paper's Figure 1 regime) and
-//! protein-shaped (the paper's headline dataset). k independent
-//! single-query engines are the in-engine reference throughout: a
-//! multi-query run must reproduce their matches *and* — the private-engine
+//! protein-shaped (the paper's headline dataset). A multi-query run must
+//! reproduce k one-query engines' matches *and* — the private-engine
 //! contract, `common::assert_private_stats` — their per-query machine
 //! statistics, except where a shape group shares a machine among
 //! literals, which keeps the work counters and each subscription's own
@@ -12,11 +11,15 @@
 //! tables themselves, for pop-time element literals and for inline
 //! attribute literals.
 //!
-//! This is the correctness check for the unified [`DocumentDriver`] layer:
-//! all engines share one SAX loop, one numbering scheme and one
-//! interner-resolution path, so any disagreement here points at the
-//! step trie (which decides every multi-query push, predicate steps
-//! included) or the symbol plumbing.
+//! A one-query [`Engine`] is a one-query [`MultiEngine`], so the engines
+//! share one path into the machines, and the references that stand
+//! outside it are the machine's own push rule (`TwigM::push_point`, checked
+//! against every trie decision in debug builds), the DOM oracle and the
+//! naive enumerator. Every engine also shares one SAX loop, one numbering
+//! scheme and one interner-resolution path (the [`DocumentDriver`]), so a
+//! disagreement here points at the step trie (which decides every push,
+//! predicate steps included), the executor's fan-out or the symbol
+//! plumbing.
 
 #[allow(dead_code)] // this battery does not generate query sets
 mod common;

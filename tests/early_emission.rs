@@ -4,9 +4,7 @@
 //! the memory effect, and — crucially — that early emission changes *when*
 //! results appear but never *which* results appear.
 
-use vitex::core::{
-    evaluate_reader, CandidateStore, Engine, EvalMode, Interner, MachineSpec, TwigM,
-};
+use vitex::core::{evaluate_reader, Engine, EvalMode};
 use vitex::xmlsax::XmlReader;
 use vitex::xpath::QueryTree;
 
@@ -93,38 +91,4 @@ fn early_emission_respects_shared_dedup() {
         let out = engine.run(XmlReader::from_str(xml), |_| {}).unwrap();
         assert_eq!(out.matches.len(), 1, "{mode:?}");
     }
-}
-
-/// The state dump shows live stacks mid-stream (demo introspection).
-#[test]
-fn dump_state_reflects_stacks() {
-    let tree = QueryTree::parse("//section[author]//cell").unwrap();
-    let mut interner = Interner::new();
-    let spec = MachineSpec::compile_with(&tree, &mut interner).unwrap();
-    let mut m = TwigM::from_spec(spec, EvalMode::Compact);
-    let mut store = CandidateStore::new();
-    let span = vitex::xmlsax::pos::ByteSpan::new(0, 1);
-    let mut sink = |_: &vitex::MatchRef<'_>| {};
-    let none = vitex::xmlsax::Attributes::default();
-    m.start_element_interned(
-        &mut store,
-        interner.lookup("section"),
-        1,
-        none,
-        0,
-        1,
-        span,
-        &mut sink,
-    );
-    m.start_element_interned(&mut store, interner.lookup("cell"), 2, none, 1, 2, span, &mut sink);
-    let dump = m.dump_state(&store);
-    assert!(dump.contains("//section"), "{dump}");
-    assert!(dump.contains("//cell"), "{dump}");
-    assert!(dump.contains("(1 entries)"), "{dump}");
-    assert!(dump.contains("/author ?"), "{dump}");
-    m.end_element(&mut store, "cell", 2, span, &mut sink);
-    m.end_element(&mut store, "section", 1, span, &mut sink);
-    assert!(m.is_quiescent());
-    let dump = m.dump_state(&store);
-    assert!(dump.contains("(0 entries)"), "{dump}");
 }

@@ -359,7 +359,9 @@ fn deep_documents_within_parser_limits() {
 
 /// The paper's memory claim is polynomial in |Q| — not in |Q| · |Σ|: a
 /// compiled spec must cost the same whether the shared interner it was
-/// compiled against holds three names or five thousand.
+/// compiled against holds three names or five thousand. (Which steps a
+/// name selects is the step trie's, pinned the same way by
+/// `plan::tests::the_steps_a_name_selects_do_not_depend_on_the_interner_population`.)
 #[test]
 fn spec_size_is_independent_of_the_interner_population() {
     use vitex::core::Interner;
@@ -372,13 +374,7 @@ fn spec_size_is_independent_of_the_interner_population() {
     }
     let crowded = MachineSpec::compile_with(&tree, &mut crowded_names).unwrap();
     assert_eq!(crowded.approx_bytes(), fresh.approx_bytes());
-    for name in ["a", "b", "c"] {
-        let (f, c) = (fresh_names.lookup(name).unwrap(), crowded_names.lookup(name).unwrap());
-        assert_eq!(crowded.machines_for(c), fresh.machines_for(f), "nodes testing {name}");
-        assert!(!crowded.machines_for(c).is_empty());
-    }
-    let unrelated = crowded_names.lookup("unrelated4999").unwrap();
-    assert!(crowded.machines_for(unrelated).is_empty());
+    assert_eq!(crowded, fresh, "the layout does not depend on the symbols");
 }
 
 // --------------------------------------------------------------------- //

@@ -288,6 +288,30 @@ fn a_warm_session_records_one_latency_sample_per_completed_document() {
     assert!(!snapshot.deterministic_json().contains("vitex_doc_ns"));
 }
 
+/// An [`Engine`] is a one-query [`MultiEngine`]: with telemetry attached
+/// it writes that engine's `vitex.metrics.v3` snapshot, plan counters and
+/// its one `queries` row and one `groups` row included.
+#[test]
+fn an_engine_writes_the_snapshot_of_a_one_query_multi_engine() {
+    let query = "//person[profile/interest]/emailaddress/text()";
+    let docs = [auction::to_string(&AuctionConfig::sized(16 << 10)), "<site/>".to_string()];
+    let (single, multi) = (Telemetry::enabled(), Telemetry::enabled());
+    let mut engine = Engine::from_query(query).unwrap();
+    engine.set_telemetry(single.clone());
+    let mut reference = MultiEngine::new();
+    reference.set_telemetry(multi.clone());
+    reference.add_query(query).unwrap();
+    for xml in &docs {
+        engine.run(XmlReader::from_str(xml), |_| {}).unwrap();
+        reference.run(XmlReader::from_str(xml), |_, _| {}).unwrap();
+    }
+    let (single, multi) = (single.snapshot().unwrap(), multi.snapshot().unwrap());
+    assert_eq!(single.deterministic_json(), multi.deterministic_json());
+    assert_eq!(single.counter("vitex_plan_queries"), Some(1));
+    assert_eq!((single.queries.len(), single.groups.len()), (1, 1));
+    assert_eq!((single.queries, single.groups), (multi.queries, multi.groups));
+}
+
 #[test]
 fn each_engine_run_records_one_latency_sample() {
     let telemetry = Telemetry::enabled();
