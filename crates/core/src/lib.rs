@@ -45,9 +45,11 @@
 //!   `MultiEngine`: canonicalizes queries, dedupes structural duplicates
 //!   into one machine with a subscriber fan-out list, and tries element
 //!   steps — main path and predicates — so overlapping subscriptions share
-//!   plan structure. The trie also *executes*: its nodes own the shared
-//!   match state, advanced once per event, so per-event planning scales
-//!   with distinct steps instead of with the number of standing queries.
+//!   plan structure. The trie also *routes*: it decides each start tag's
+//!   pushes once per live step, from the step's first routed machine (the
+//!   machines hold the stacks; the trie keeps none), so per-event planning
+//!   scales with distinct steps instead of with the number of standing
+//!   queries.
 //! * [`driver::DocumentDriver`] — the single SAX event loop (node
 //!   numbering, counting, symbol resolution) behind both engines; custom
 //!   consumers implement [`driver::EventSink`].

@@ -868,21 +868,18 @@ impl TwigM {
     // ------------------------------------------------------------- //
 
     /// `startElement`: every push decision arrives pre-computed from the
-    /// step trie (`pushes`, `(machine node, ptr)` pairs decided against the
-    /// pre-event stacks, in any order: one push never reads another's
-    /// entry, and only a machine with a single node, which pushes once,
-    /// emits at a push). Each trie node's stack mirrors the stacks of the
-    /// machine nodes routed on it, so in debug builds every decision is
-    /// checked against the machine's own push rule (`TwigM::push_point`)
-    /// before any is applied, main path and predicates alike. `node_id` is
-    /// the element's document-order id; its attributes get ids
-    /// `attr_id_base + i`. `tag_span` is the byte span of the start tag
-    /// (used as the span of attribute matches).
+    /// step trie (`pushes`, `(machine node, ptr)` pairs decided by
+    /// [`TwigM::push_point`] against the pre-event stacks, in any order: one
+    /// push never reads another's entry, and only a machine with a single
+    /// node, which pushes once, emits at a push). `node_id` is the element's
+    /// document-order id; its attributes get ids `attr_id_base + i`.
+    /// `tag_span` is the byte span of the start tag (used as the span of
+    /// attribute matches).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn start_element_prefix(
         &mut self,
         store: &mut CandidateStore,
-        pushes: impl Iterator<Item = (u32, u32)> + Clone,
+        pushes: impl Iterator<Item = (u32, u32)>,
         level: u32,
         attributes: Attributes<'_>,
         node_id: u64,
@@ -890,16 +887,6 @@ impl TwigM {
         tag_span: ByteSpan,
         emit: &mut Deliver<'_>,
     ) {
-        #[cfg(debug_assertions)]
-        {
-            for (q, ptr) in pushes.clone() {
-                debug_assert_eq!(
-                    self.push_point(q as usize, level),
-                    Some(ptr),
-                    "trie push decision must equal the machine's own"
-                );
-            }
-        }
         let mut hit = false;
         for (q, ptr) in pushes {
             hit = true;
@@ -919,10 +906,12 @@ impl TwigM {
     }
 
     /// Where would machine node `q` attach for an element at `level`? The
-    /// machine's own push rule: the reference every trie decision is
-    /// checked against in debug builds.
-    #[cfg(any(debug_assertions, test))]
-    fn push_point(&self, q: usize, level: u32) -> Option<u32> {
+    /// machine's own push rule — a name-matched element pushes when its
+    /// axis is witnessed on the parent node's stack — and the pointer into
+    /// that stack. The step trie decides every push with it, once per
+    /// trie step, on the step's first route.
+    #[inline]
+    pub(crate) fn push_point(&self, q: usize, level: u32) -> Option<u32> {
         let node = &self.spec.nodes[q];
         match node.parent {
             None => match node.axis {

@@ -28,18 +28,21 @@
 //! fatal at thousands of standing queries. The **step trie**
 //! ([`crate::plan::trie`]) keeps an event away from machines it cannot
 //! move: every machine node of every group is routed on the trie node of
-//! its step path, main path and predicates alike, and that node owns the
-//! match state all of them agree on. A start tag advances it **once** —
-//! one axis/name witness check per distinct trie node, however many
-//! machine nodes share the step — and each push it decides lands, through
-//! the node's routes, on exactly the group machine nodes that must push.
+//! its step path, main path and predicates alike, and all of them hold the
+//! same stack shape. The trie only routes; the machines hold the stacks. A
+//! start tag checks each live step **once** — one axis/name witness check
+//! per distinct trie node, read off the step's first routed machine,
+//! however many machine nodes share the step — and each push it decides
+//! lands, through the node's routes, on exactly the group machine nodes
+//! that must push.
 //!
 //! A document streams through [`MultiEngine::stream_document`] (the
 //! per-document path lives in the crate-private `session` module): it
 //! shows every event to the per-event apply step (the crate-private
 //! `Executor` at the bottom of this file), on the calling thread. The
-//! executor advances the trie — which checks only the live steps that
-//! test the element's name — and drives each routed group's pushes in
+//! executor asks the trie for the start tag's pushes — it checks only the
+//! live steps that test the element's name, and counts its checks in the
+//! executor's run counters — and drives each routed group's pushes in
 //! ascending group order; the slots a start tag pushed, listed with its
 //! level, let the end tag touch exactly those machines (an untouched
 //! machine has nothing to pop), and
@@ -88,7 +91,7 @@ use crate::error::EngineResult;
 use crate::intern::{Interner, Symbol};
 use crate::machine::{CandidateStore, Deliver};
 use crate::plan::group::Binding;
-use crate::plan::{PlanGroup, QueryPlanner, StepTrie};
+use crate::plan::{PlanGroup, PrefixRunStats, QueryPlanner, StepTrie};
 use crate::result::{Match, MatchRef, NodeId};
 use crate::stats::{MachineStats, PlanStats};
 use crate::telemetry::Telemetry;
@@ -243,9 +246,10 @@ impl MultiEngine {
         self.records.get(id.0).map(|r| r.text.as_str())
     }
 
-    /// Plan-level statistics for the current subscription set.
+    /// Plan-level statistics for the current subscription set, with the
+    /// step counters of the current (or last) document.
     pub fn plan_stats(&self) -> PlanStats {
-        self.planner.stats(&self.interner)
+        self.exec.with_run_counters(self.planner.stats(&self.interner))
     }
 
     /// Attaches a telemetry handle: the driver records dispatch timing,
@@ -353,16 +357,19 @@ pub(crate) struct Executor {
     /// several bills its bindings). One entry per slot while telemetry is
     /// on, none otherwise.
     emitted_bytes: Vec<u64>,
+    /// The trie's step checks of the current (or last) document.
+    run: PrefixRunStats,
 }
 
 impl Executor {
     /// Puts the machines the previous document touched back at rest,
     /// drops every frame it left open (a parse error ends a document
     /// mid-element), takes back what its machines held in the store, and
-    /// zeroes their byte tallies — keeping one per group slot when
-    /// `tally_bytes` (telemetry is on), none otherwise. Every other machine
-    /// is already at rest with a zero tally, so this costs what that
-    /// document touched plus the slots created since, not the slot count.
+    /// zeroes the step counters and the byte tallies — keeping one tally
+    /// per group slot when `tally_bytes` (telemetry is on), none otherwise.
+    /// Every other machine is already at rest with a zero tally, so this
+    /// costs what that document touched plus the slots created since, not
+    /// the slot count.
     pub(crate) fn begin_document(&mut self, groups: &mut [PlanGroup], tally_bytes: bool) {
         for slot in self.touched.drain(..) {
             groups[slot as usize].reset();
@@ -373,6 +380,7 @@ impl Executor {
         }
         self.frames.clear();
         self.store.reset();
+        self.run = PrefixRunStats::default();
         if tally_bytes {
             self.emitted_bytes.resize(groups.len(), 0);
         } else {
@@ -392,8 +400,33 @@ impl Executor {
         &self.touched
     }
 
-    /// `startElement`: advances the trie once, which expands its pushes
-    /// along their routes into `(slot, machine node, ptr)` plans, and
+    /// The trie's step checks of the current (or last) document.
+    #[cfg(test)]
+    pub(crate) fn run_stats(&self) -> PrefixRunStats {
+        self.run
+    }
+
+    /// The last start tag's plan: `(slot, machine node, ptr)`, ascending
+    /// by slot.
+    #[cfg(test)]
+    pub(crate) fn plans(&self) -> &[(u32, u32, u32)] {
+        &self.plans
+    }
+
+    /// `shape` with its `prefix_*` fields read off the current (or last)
+    /// document's step counters.
+    pub(crate) fn with_run_counters(&self, shape: PlanStats) -> PlanStats {
+        PlanStats {
+            prefix_steps_executed: self.run.steps_executed,
+            prefix_steps_saved: self.run.steps_saved,
+            prefix_forks: self.run.forks,
+            ..shape
+        }
+    }
+
+    /// `startElement`: asks the trie for its pushes, decided against the
+    /// pre-event stacks and expanded along their routes into
+    /// `(slot, machine node, ptr)` plans, and
     /// drives each slot's run of them in ascending slot order, recording the
     /// slots with the element's level. A slot's first touch of
     /// the document is the one that finds its machine without a dispatch
@@ -403,16 +436,16 @@ impl Executor {
     #[inline(always)]
     pub(crate) fn start(
         &mut self,
-        trie: &mut StepTrie,
+        trie: &StepTrie,
         groups: &mut [PlanGroup],
         sym: Option<Symbol>,
         event: &StartElementEvent<'_>,
         node_id: NodeId,
         on_match: &mut impl FnMut(&[QueryId], &MatchRef<'_>),
     ) {
-        let Self { plans, frames, text_live, touched, store, emitted_bytes } = self;
+        let Self { plans, frames, text_live, touched, store, emitted_bytes, run } = self;
         plans.clear();
-        trie.advance(sym, event.level, plans);
+        trie.advance(groups, sym, event.level, plans, run);
         if plans.is_empty() {
             return;
         }
@@ -470,18 +503,16 @@ impl Executor {
         });
     }
 
-    /// `endElement`: pops the trie entries its start tag pushed and touches
-    /// exactly the machines it pushed, in the same ascending order.
+    /// `endElement`: touches exactly the machines its start tag pushed, in
+    /// the same ascending order.
     pub(crate) fn end(
         &mut self,
-        trie: &mut StepTrie,
         groups: &mut [PlanGroup],
         name: &str,
         level: u32,
         element_span: ByteSpan,
         on_match: &mut impl FnMut(&[QueryId], &MatchRef<'_>),
     ) {
-        trie.retreat(level);
         let base = self.frames.iter().rposition(|&(_, at)| at != level).map_or(0, |i| i + 1);
         for &(slot, _) in &self.frames[base..] {
             let (machine, subscribers, bindings) = groups[slot as usize].machine_and_fan_out();
@@ -690,7 +721,7 @@ mod tests {
         // /a/b and /a/c share the /a trie node; //x[y] forks on its
         // predicate. Results must equal private per-query engines, the
         // callback order is pinned by hand, and the prefix counters must
-        // show the runtime trie at work.
+        // show the trie's shared checks at work.
         let xml = "<a><b/><c/><x><y/></x><b/></a>";
         let queries = ["/a/b", "/a/c", "//x[y]", "/a/b"];
         let mut multi = MultiEngine::new();
@@ -715,7 +746,6 @@ mod tests {
         assert_eq!(out.plan.prefix_steps_executed, 6);
         assert_eq!(out.plan.prefix_steps_saved, 1, "/a is shared by two groups");
         assert_eq!(out.plan.prefix_forks, 7);
-        assert!(out.plan.prefix_stack_bytes > 0);
         // Dedup still applies: the duplicate /a/b joined a group.
         assert_eq!(out.plan.queries, 4);
         assert_eq!(out.plan.groups, 3);

@@ -30,11 +30,13 @@
 //!    registration compares shape keys against a handful of candidates,
 //!    not against every group) and as the measurement substrate for
 //!    [`PlanStats`] (shared-node counts, dedup ratio).
-//! 3. **The trie executes** — it is also the **runtime** structure whose
-//!    nodes own the shared match state (see [`trie`]): a start tag
-//!    advances each common step once per event and forks into per-group
-//!    machines along the routes, where flags and candidates diverge. It
-//!    is the one place a multi-query start tag's pushes are decided.
+//! 3. **The trie routes** — it also decides every push, and keeps no
+//!    run-time state of its own (see [`trie`]): the machines hold the
+//!    stacks, and every machine node routed on a trie node holds the same
+//!    stack shape, so a start tag checks each live step once per event, on
+//!    the step's first routed machine, and forks into per-group machines
+//!    along the routes, where flags and candidates diverge. It is the one
+//!    place a multi-query start tag's pushes are decided.
 
 pub mod group;
 pub mod trie;
@@ -78,9 +80,8 @@ pub struct QueryPlanner {
     recycled: u64,
     active_groups: usize,
     active_queries: usize,
-    /// [`QueryPlanner::stats`] as its last walk found it, read for every
-    /// field but the `prefix_*` run counters: `None` once a registration or
-    /// removal changed the plan. Documents do not move those fields.
+    /// [`QueryPlanner::stats`] as its last walk found it: `None` once a
+    /// registration or removal changed the plan. Documents do not move it.
     cached: Option<PlanStats>,
     /// How new machines propagate candidates: [`EvalMode::Compact`] unless
     /// a one-query [`crate::Engine`] asked for the E6 ablation.
@@ -177,11 +178,11 @@ impl QueryPlanner {
         &self.trie
     }
 
-    /// Splits the planner into the disjoint borrows a document's events
-    /// need: the runtime trie is advanced once per event while the group
-    /// machines are driven from its push decisions.
-    pub(crate) fn runtime(&mut self) -> (&mut StepTrie, &mut [PlanGroup]) {
-        (&mut self.trie, &mut self.groups)
+    /// Splits the planner into the borrows a document's events need: the
+    /// trie, read to decide each start tag's pushes, and the group machines
+    /// driven from its decisions.
+    pub(crate) fn runtime(&mut self) -> (&StepTrie, &mut [PlanGroup]) {
+        (&self.trie, &mut self.groups)
     }
 
     /// One group by index.
@@ -199,16 +200,16 @@ impl QueryPlanner {
         self.active_groups
     }
 
-    /// Plan-level statistics, computed from scratch: a walk over every
-    /// group, trie node and interned name. `interner` contributes its table
-    /// bytes: the symbol table is part of the shared plan's resident
-    /// structure.
+    /// The plan's shape, computed from scratch: a walk over every group,
+    /// trie node and interned name. `interner` contributes its table bytes:
+    /// the symbol table is part of the shared plan's resident structure.
+    /// The `prefix_*` run counters are the executor's, and zero here.
     pub fn stats(&self, interner: &Interner) -> PlanStats {
         let active = self.groups.iter().filter(|g| g.is_active());
         let (machine_nodes, group_bytes) = active.fold((0, 0), |(nodes, bytes), g| {
             (nodes + g.machine().spec().len() as u64, bytes + g.approx_bytes())
         });
-        self.with_run_counters(PlanStats {
+        PlanStats {
             queries: self.active_queries as u64,
             groups: self.active_groups as u64,
             recycled_slots: self.recycled,
@@ -217,54 +218,40 @@ impl QueryPlanner {
             shared_trie_nodes: self.trie.shared_nodes() as u64,
             plan_bytes: self.trie.approx_bytes() + interner.heap_bytes() + group_bytes,
             ..PlanStats::default()
-        })
+        }
     }
 
     /// [`QueryPlanner::stats`] without the walk: the plan's shape from the
-    /// cache, filled by one walk after a registration or removal, with the
-    /// trie's run counters of the current (or last) document.
+    /// cache, filled by one walk after a registration or removal.
     pub(crate) fn cached_stats(&mut self, interner: &Interner) -> PlanStats {
-        let shape = match self.cached {
+        match self.cached {
             Some(shape) => shape,
             None => *self.cached.insert(self.stats(interner)),
-        };
-        self.with_run_counters(shape)
-    }
-
-    /// `shape` with its `prefix_*` fields read off the trie.
-    fn with_run_counters(&self, shape: PlanStats) -> PlanStats {
-        let run = self.trie.run_stats();
-        PlanStats {
-            prefix_steps_executed: run.steps_executed,
-            prefix_steps_saved: run.steps_saved,
-            prefix_forks: run.forks,
-            prefix_stack_bytes: run.peak_stack_bytes(),
-            ..shape
         }
     }
 
     /// Where each node of `spec` routes: `(trie node, machine node)`, the
-    /// trie node of the machine node's step path. Main-path nodes, in step
-    /// order, take the nodes of the path to `terminal`; a predicate node
-    /// takes its parent's trie node's child along its own step.
+    /// trie node of the machine node's step path — its parent's trie node's
+    /// child along its own step (parents precede children), main path and
+    /// predicates alike. The main path's nodes exist already, down to
+    /// `terminal`.
     fn routes(
         &mut self,
         spec: &MachineSpec,
         terminal: usize,
         interner: &mut Interner,
     ) -> Vec<(usize, u32)> {
-        let mut main = self.trie.path_to(terminal).into_iter();
         let mut at: Vec<usize> = Vec::with_capacity(spec.len());
         for node in &spec.nodes {
-            let trie_node = if node.is_main {
-                main.next().expect("one main-path step per main-path node")
-            } else {
-                let parent = at[node.parent.expect("a predicate node has a parent")];
-                let name = node.name.as_deref().map(|n| interner.intern(n));
-                self.trie.child(parent, StepKey { axis: node.axis, name })
-            };
-            at.push(trie_node);
+            let name = node.name.as_deref().map(|n| interner.intern(n));
+            let parent = node.parent.map_or(0, |p| at[p]);
+            at.push(self.trie.child(parent, StepKey { axis: node.axis, name }));
         }
+        debug_assert_eq!(
+            spec.nodes.iter().rposition(|n| n.is_main).map(|q| at[q]),
+            Some(terminal),
+            "the main path's last node lands on the terminal"
+        );
         at.into_iter().zip(0..).collect()
     }
 

@@ -1,6 +1,6 @@
 //! The shared-prefix **step trie**: one node per distinct location-step
-//! path across every registered query — and the *runtime* owner of the
-//! match state those steps share.
+//! path across every registered query, and the index that routes each
+//! start tag to the machine nodes whose step it could satisfy.
 //!
 //! Thousands of realistic standing queries overlap heavily — `/site/…`
 //! subscriptions in an auction feed, `//ProteinEntry/…` in the protein
@@ -16,7 +16,7 @@
 //! comparisons, no hashing of the whole query) and only then compares
 //! shape keys against the few groups at its terminal.
 //!
-//! ## Runtime state
+//! ## Routing
 //!
 //! TwigM pushes every element-test node by one rule — a name test plus an
 //! axis witness on its parent node's stack — whether the node is on the
@@ -26,21 +26,21 @@
 //! group's predicates, comparisons or result kind (those live in the
 //! flags/candidates carried *on* the entries, which do not influence
 //! push/pop timing). Every machine node routed through a trie node
-//! therefore agrees, at every moment of the stream, on that node's stack.
-//! Each trie node owns exactly one copy of that stack (`TrieEntry`: the
-//! level; the node keeps its height and top, the trie's open list the
-//! rest), `StepTrie::advance` updates it **once per event**, and the
-//! engine forks into per-group machines only where state actually
-//! diverges — delivering the pushes through the node's **routes**
-//! (`(group, machine node)` pairs) so each group's entry carries its own
-//! flags and candidate bookkeeping. This is the one place a multi-query
-//! start tag's pushes are decided. Per-event planning thus scales with
-//! *distinct trie nodes*, not with the number of registered queries;
-//! [`PrefixRunStats`] counts both sides of that trade.
+//! therefore holds, at every moment of the stream, the same stack shape.
+//! The trie keeps no copy of it: the machines hold the stacks, and the
+//! trie is a static routing index of the step structure and its
+//! **routes** (`(group, machine node)` pairs). `StepTrie::advance` decides
+//! each live step's push **once per event**, with the machine's own rule on
+//! the step's first route, and expands it along the routes, so each
+//! group's entry carries its own flags and candidate bookkeeping. This is
+//! the one place a multi-query start tag's pushes are decided. Per-event
+//! planning thus scales with *distinct trie nodes*, not with the number of
+//! registered queries; [`PrefixRunStats`] counts both sides of that trade.
 
 use vitex_xpath::Axis;
 
 use crate::intern::Symbol;
+use crate::plan::PlanGroup;
 
 /// The label of a trie edge: one element location step of a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,17 +51,8 @@ pub struct StepKey {
     pub name: Option<Symbol>,
 }
 
-/// One entry of a trie node's shared runtime stack: the level of the
-/// open element it stands for. The push rule reads a stack's height and
-/// its top entry only, so a node holds those two and each entry of the
-/// trie's open list keeps the top it covered, restored when it pops. The
-/// parent-stack pointer a TwigM entry would also carry is not stored — it
-/// is derived from the parent's stack height at plan time and handed to
-/// the groups with each push, never read back.
-type TrieEntry = u32;
-
-/// Per-run counters of the shared-prefix runtime, reset by
-/// [`StepTrie::begin_document`] and surfaced through
+/// Per-document counters of the trie's step checks, kept by the executor
+/// that drives `StepTrie::advance` and surfaced through
 /// [`crate::stats::PlanStats`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PrefixRunStats {
@@ -71,17 +62,6 @@ pub struct PrefixRunStats {
     pub steps_saved: u64,
     /// Machine-node entry deliveries fanned out from trie pushes.
     pub forks: u64,
-    /// Current live shared-stack entries.
-    pub live_entries: u64,
-    /// Peak of `live_entries`.
-    pub peak_entries: u64,
-}
-
-impl PrefixRunStats {
-    /// Peak bytes of the shared trie stacks.
-    pub fn peak_stack_bytes(&self) -> u64 {
-        self.peak_entries * std::mem::size_of::<TrieEntry>() as u64
-    }
 }
 
 #[derive(Debug)]
@@ -94,10 +74,6 @@ struct TrieNode {
     children: Vec<u32>,
     /// Plan groups whose main path ends exactly here.
     terminals: Vec<usize>,
-    /// Height of the shared runtime stack (0 between documents).
-    height: u32,
-    /// Its top entry, when `height > 0`.
-    top: TrieEntry,
 }
 
 /// A trie over location-step paths, nodes addressed by dense indices.
@@ -115,12 +91,6 @@ pub struct StepTrie {
     by_symbol: Vec<Vec<u32>>,
     /// Trie nodes whose step is the wildcard `*`.
     wildcards: Vec<u32>,
-    /// Flat stack of the trie nodes pushed per open element, each with the
-    /// top entry its push covered: the end tag pops exactly the stacks its
-    /// start tag pushed, the last ones listed.
-    open: Vec<(u32, TrieEntry)>,
-    /// Runtime counters of the current (or last) document run.
-    run_stats: PrefixRunStats,
 }
 
 impl StepTrie {
@@ -132,22 +102,20 @@ impl StepTrie {
                 parent: 0,
                 children: Vec::new(),
                 terminals: Vec::new(),
-                height: 0,
-                top: 0,
             }],
             routes: vec![Vec::new()],
             by_symbol: Vec::new(),
             wildcards: Vec::new(),
-            open: Vec::new(),
-            run_stats: PrefixRunStats::default(),
         }
     }
 
     /// The child of `parent` along `step`, created (unrouted) when
-    /// missing.
+    /// missing. Newest children are looked at first: registration routes
+    /// the path it has just inserted, under a root that may have thousands
+    /// of children.
     pub fn child(&mut self, parent: usize, step: StepKey) -> usize {
         let children = &self.nodes[parent].children;
-        if let Some(&c) = children.iter().find(|&&c| self.nodes[c as usize].key == step) {
+        if let Some(&c) = children.iter().rev().find(|&&c| self.nodes[c as usize].key == step) {
             return c as usize;
         }
         let id = self.nodes.len();
@@ -156,8 +124,6 @@ impl StepTrie {
             parent: parent as u32,
             children: Vec::new(),
             terminals: Vec::new(),
-            height: 0,
-            top: 0,
         });
         self.routes.push(Vec::new());
         self.nodes[parent].children.push(id as u32);
@@ -181,7 +147,8 @@ impl StepTrie {
     }
 
     /// The nodes from the root (exclusive) down to `node`, in step order.
-    pub fn path_to(&self, node: usize) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn path_to(&self, node: usize) -> Vec<usize> {
         let mut path = Vec::new();
         let mut cur = node;
         while cur != 0 {
@@ -214,7 +181,7 @@ impl StepTrie {
     /// subtree of the trie, so the walk starts at the top of `node`'s path
     /// and descends only into nodes that route the group. Trie nodes are
     /// never deleted; one with no routes left stops counting as shared and
-    /// `StepTrie::advance` stops touching its runtime stack.
+    /// `StepTrie::advance` stops checking it.
     pub fn remove_group(&mut self, node: usize, group: usize) {
         let terminals = &mut self.nodes[node].terminals;
         let Some(pos) = terminals.iter().position(|&g| g == group) else { return };
@@ -291,12 +258,8 @@ impl StepTrie {
             .count()
     }
 
-    /// Approximate heap bytes of the trie's *plan* structure. Runtime
-    /// stack capacity is deliberately excluded: it varies over a run, and
-    /// plan statistics must be identical whether they are snapshotted
-    /// before a session or after a run — the runtime side is reported
-    /// separately as
-    /// [`PrefixRunStats::peak_stack_bytes`].
+    /// Approximate heap bytes of the trie: it holds no run-time state, so
+    /// the figure follows registrations alone.
     pub fn approx_bytes(&self) -> u64 {
         use std::mem::size_of;
         let mut bytes = self.nodes.capacity() * size_of::<TrieNode>();
@@ -314,109 +277,42 @@ impl StepTrie {
         bytes as u64
     }
 
-    // ------------------------------------------------------------- //
-    // Runtime
-    // ------------------------------------------------------------- //
-
-    /// Clears the shared stacks and resets the run
-    /// counters — called at the start of each document run, mirroring the
-    /// machines' resets (a document that ended in a parse error left its
-    /// open elements behind). Only the stacks `open` still lists hold
-    /// entries, so only they are cleared: nothing after a well-formed
-    /// document.
-    pub fn begin_document(&mut self) {
-        for &(node, _) in &self.open {
-            self.nodes[node as usize].height = 0;
-        }
-        self.open.clear();
-        self.run_stats = PrefixRunStats::default();
-    }
-
-    /// Counters of the current (or last completed) document run.
-    pub fn run_stats(&self) -> PrefixRunStats {
-        self.run_stats
-    }
-
-    /// Total live shared-stack entries (0 between well-formed documents).
-    pub fn live_entries(&self) -> usize {
-        self.nodes.iter().map(|n| n.height as usize).sum()
-    }
-
-    /// A `startElement` against the shared stacks: checks every live trie
-    /// node whose step tests `sym` (plus the wildcard nodes) against its
-    /// parent's **pre-event** stack — exactly the TwigM push rule — and
-    /// expands each push along the node's routes into `plans` as
-    /// `(group, machine node, parent-stack ptr)`, then applies the pushes.
-    /// One check per distinct trie node, however many machine nodes share
-    /// it. The end tag's [`StepTrie::retreat`] pops them.
+    /// A `startElement` against the routed machines: checks every live trie
+    /// node whose step tests `sym` (plus the wildcard nodes) with the
+    /// machine's own push rule (`TwigM::push_point`) on the node's first
+    /// route, and expands each push along the node's routes into `plans` as
+    /// `(group, machine node, parent-stack ptr)`. One check per distinct
+    /// trie node, however many machine nodes share it; every machine node
+    /// routed on it holds the same stack shape, which debug builds check
+    /// route by route. Nothing is applied here, so every decision reads the
+    /// **pre-event** stacks; `run` counts the checks.
     #[inline(always)]
     pub(crate) fn advance(
-        &mut self,
+        &self,
+        groups: &[PlanGroup],
         sym: Option<Symbol>,
         level: u32,
         plans: &mut Vec<(u32, u32, u32)>,
+        run: &mut PrefixRunStats,
     ) {
-        let Self { nodes, routes, by_symbol, wildcards, open, run_stats } = self;
-        let base = open.len();
-        let (mut executed, mut saved, mut forks) = (0u64, 0u64, 0u64);
-        // Plan phase: decide every push against pre-event stacks.
-        for ni in steps_testing(by_symbol, wildcards, sym) {
-            let node = &nodes[ni as usize];
-            let node_routes = &routes[ni as usize];
-            if node_routes.is_empty() {
+        let push_point =
+            |(g, m): (u32, u32)| groups[g as usize].machine().push_point(m as usize, level);
+        for ni in steps_testing(&self.by_symbol, &self.wildcards, sym) {
+            let routes = &self.routes[ni as usize];
+            let Some(&first) = routes.first() else {
                 continue; // stale path: every group on it retired
-            }
-            executed += 1;
-            saved += node_routes.len() as u64 - 1;
-            let ptr = if node.parent == 0 {
-                match node.key.axis {
-                    Axis::Child if level != 1 => continue,
-                    _ => 0, // ptr unused at the path root
-                }
-            } else {
-                let pstack = &nodes[node.parent as usize];
-                match node.key.axis {
-                    _ if pstack.height == 0 => continue,
-                    Axis::Child if pstack.top + 1 != level => continue,
-                    _ => pstack.height - 1,
-                }
             };
-            forks += node_routes.len() as u64;
-            for &(slot, mnode) in node_routes {
-                plans.push((slot, mnode, ptr));
-            }
-            open.push((ni, 0));
+            run.steps_executed += 1;
+            run.steps_saved += routes.len() as u64 - 1;
+            let decision = push_point(first);
+            debug_assert!(
+                routes.iter().all(|&route| push_point(route) == decision),
+                "every machine node routed on a trie step holds its stack shape"
+            );
+            let Some(ptr) = decision else { continue };
+            run.forks += routes.len() as u64;
+            plans.extend(routes.iter().map(|&(slot, mnode)| (slot, mnode, ptr)));
         }
-        if executed == 0 {
-            return; // no live step tests `sym`
-        }
-        // Apply phase.
-        for (ni, below) in &mut open[base..] {
-            let node = &mut nodes[*ni as usize];
-            (*below, node.top, node.height) = (node.top, level, node.height + 1);
-        }
-        run_stats.steps_executed += executed;
-        run_stats.steps_saved += saved;
-        run_stats.forks += forks;
-        run_stats.live_entries = open.len() as u64;
-        run_stats.peak_entries = run_stats.peak_entries.max(run_stats.live_entries);
-    }
-
-    /// The `endElement` counterpart of [`StepTrie::advance`]: pops the
-    /// shared-stack entries the matching start tag pushed — the last ones
-    /// open, each on top of its stack at the element's `level` (the ones
-    /// below belong to its ancestors, at lower levels).
-    #[inline]
-    pub(crate) fn retreat(&mut self, level: u32) {
-        while let Some(&(ni, below)) = self.open.last() {
-            let node = &mut self.nodes[ni as usize];
-            if node.top != level {
-                break;
-            }
-            (node.top, node.height) = (below, node.height - 1);
-            self.open.pop();
-        }
-        self.run_stats.live_entries = self.open.len() as u64;
     }
 }
 
@@ -443,6 +339,11 @@ impl Default for StepTrie {
 mod tests {
     use super::*;
     use crate::intern::Interner;
+    use crate::multi::MultiEngine;
+    use crate::result::{MatchRef, QueryId};
+    use crate::stats::MachineStats;
+    use vitex_xmlsax::event::StartElementEvent;
+    use vitex_xmlsax::pos::ByteSpan;
 
     fn key(interner: &mut Interner, axis: Axis, name: Option<&str>) -> StepKey {
         StepKey { axis, name: name.map(|n| interner.intern(n)) }
@@ -530,109 +431,160 @@ mod tests {
         assert!(t.approx_bytes() > 0);
     }
 
+    /// Drives an engine's executor by hand, one tag at a time, the way a
+    /// document's events reach it: what `advance` decides is the plan each
+    /// start tag leaves, and what it counts the executor's step counters.
+    struct Doc<'m>(&'m mut MultiEngine);
+
+    impl Doc<'_> {
+        /// Starts a document: the machines at rest, the counters at zero.
+        fn begin(multi: &mut MultiEngine) -> Doc<'_> {
+            let (_, groups) = multi.planner.runtime();
+            multi.exec.begin_document(groups, false);
+            Doc(multi)
+        }
+
+        /// A start tag named `name` at `level`; returns its plan,
+        /// `(group, machine node, ptr)`.
+        fn start(&mut self, name: &str, level: u32) -> Vec<(u32, u32, u32)> {
+            let Doc(multi) = self;
+            let sym = multi.interner.lookup(name);
+            let (trie, groups) = multi.planner.runtime();
+            let span = ByteSpan::new(0, 0);
+            let event =
+                StartElementEvent { name: name.into(), attrs: Default::default(), level, span };
+            multi.exec.start(
+                trie,
+                groups,
+                sym,
+                &event,
+                0,
+                &mut |_: &[QueryId], _: &MatchRef<'_>| {},
+            );
+            multi.exec.plans().to_vec()
+        }
+
+        /// The end tag of the element named `name` at `level`.
+        fn end(&mut self, name: &str, level: u32) {
+            let Doc(multi) = self;
+            let (_, groups) = multi.planner.runtime();
+            let span = ByteSpan::new(0, 0);
+            multi.exec.end(groups, name, level, span, &mut |_: &[QueryId], _: &MatchRef<'_>| {});
+        }
+
+        /// The step counters so far: `(executed, saved, forks)`.
+        fn counters(&self) -> (u64, u64, u64) {
+            let run = self.0.exec.run_stats();
+            (run.steps_executed, run.steps_saved, run.forks)
+        }
+
+        /// The statistics of group `g`'s machine.
+        fn machine(&self, g: usize) -> &MachineStats {
+            self.0.planner.group(g).machine().stats()
+        }
+    }
+
     #[test]
     fn advance_mirrors_machine_push_rules() {
-        let mut i = Interner::new();
-        let mut t = StepTrie::new();
-        // //a/b : descendant a, child b.
-        let path = [key(&mut i, Axis::Descendant, Some("a")), key(&mut i, Axis::Child, Some("b"))];
-        let n_b = t.insert_path(&path);
-        let n_a = t.insert_path(&path[..1]);
-        t.add_group(n_b, 0, &main_routes(&t, n_b, &[0, 1]));
-        let a = i.lookup("a");
-        let b = i.lookup("b");
-        t.begin_document();
-        // Plans are `(group, machine node, ptr)`: n_a routes (0, 0), n_b (0, 1).
-        let mut plans = Vec::new();
+        // //a/b : descendant a, child b; machine nodes a = 0, b = 1.
+        let mut multi = MultiEngine::new();
+        multi.add_query("//a/b").unwrap();
+        let mut doc = Doc::begin(&mut multi);
+        // Plans are `(group, machine node, ptr)`.
         // <a> at level 1: a pushes (descendant root), b has no witness.
-        t.advance(a, 1, &mut plans);
-        assert_eq!(plans, [(0, 0, 0)]);
-        assert_eq!(t.routes(n_a), [(0, 0)]);
+        assert_eq!(doc.start("a", 1), [(0, 0, 0)]);
         // <x> at level 2: nothing matches.
-        plans.clear();
-        t.advance(None, 2, &mut plans);
-        assert!(plans.is_empty());
+        assert!(doc.start("x", 2).is_empty());
         // <b> at level 3 inside <x>? No — b needs a as *direct* parent.
-        t.advance(b, 3, &mut plans);
-        assert!(plans.is_empty(), "child axis needs level + 1 witness");
-        t.retreat(3);
+        assert!(doc.start("b", 3).is_empty(), "child axis needs level + 1 witness");
+        doc.end("b", 3);
         // </x>, then <b> at level 2: direct child of the open a.
-        t.retreat(2);
-        t.advance(b, 2, &mut plans);
-        assert_eq!(plans, [(0, 1, 0)]);
-        assert_eq!(t.routes(n_b), [(0, 1)]);
-        t.retreat(2);
-        assert_eq!(t.live_entries(), 1, "</b> popped b's entry only");
-        t.retreat(1);
-        assert_eq!(t.live_entries(), 0);
-        let stats = t.run_stats();
-        assert_eq!(stats.live_entries, 0);
-        assert_eq!(stats.peak_entries, 2);
-        // One check per advance that named a live node: <a>, <b>, <b>.
-        assert_eq!(stats.steps_executed, 3);
-        assert_eq!(stats.forks, 2, "each push forks to the single routed group");
+        doc.end("x", 2);
+        assert_eq!(doc.start("b", 2), [(0, 1, 0)]);
+        doc.end("b", 2);
+        assert_eq!(doc.machine(0).live_entries, 1, "</b> popped b's entry only");
+        doc.end("a", 1);
+        assert_eq!((doc.machine(0).live_entries, doc.machine(0).peak_entries), (0, 2));
+        // One check per start tag that named a live step: <a>, <b>, <b>;
+        // each push forks to the single routed group.
+        assert_eq!(doc.counters(), (3, 0, 2));
+
+        // /a : a child step at the path root is witnessed at level 1 only.
+        let mut multi = MultiEngine::new();
+        multi.add_query("/a").unwrap();
+        let mut doc = Doc::begin(&mut multi);
+        assert!(doc.start("r", 1).is_empty());
+        assert!(doc.start("a", 2).is_empty(), "a root child step needs level 1");
+        doc.end("a", 2);
+        doc.end("r", 1);
+        assert_eq!(doc.start("a", 1), [(0, 0, 0)]);
+        assert_eq!(doc.counters(), (2, 0, 1), "<a> was checked twice and pushed once");
     }
 
     #[test]
     fn advance_skips_unrouted_nodes() {
-        let mut i = Interner::new();
-        let mut t = StepTrie::new();
-        let path = [key(&mut i, Axis::Descendant, Some("a"))];
-        let n_a = t.insert_path(&path);
-        let a = i.lookup("a");
-        t.begin_document();
-        let mut plans = Vec::new();
-        assert!(!t.has_live_step(a));
-        t.advance(a, 1, &mut plans);
-        assert!(plans.is_empty(), "no routed group: the node is dormant");
-        assert_eq!(t.run_stats().steps_executed, 0);
-        t.add_group(n_a, 3, &[(n_a, 0)]);
-        assert!(t.has_live_step(a) && !t.has_live_step(None));
-        t.advance(a, 2, &mut plans);
-        assert_eq!(plans, [(3, 0, 0)]);
-        assert_eq!(t.run_stats().steps_executed, 1);
+        // A retired group leaves its step in the trie, unrouted.
+        let mut multi = MultiEngine::new();
+        let q = multi.add_query("//a").unwrap();
+        multi.remove_query(q);
+        let a = multi.interner.lookup("a");
+        assert!(!multi.planner.trie().has_live_step(a));
+        let mut doc = Doc::begin(&mut multi);
+        assert!(doc.start("a", 1).is_empty(), "no routed group: the node is dormant");
+        assert_eq!(doc.counters().0, 0, "a dormant step counts no check");
+        doc.end("a", 1);
+        let q = multi.add_query("//a").unwrap();
+        assert!(multi.planner.trie().has_live_step(a) && !multi.planner.trie().has_live_step(None));
+        let mut doc = Doc::begin(&mut multi);
+        assert_eq!(doc.start("a", 2), [(0, 0, 0)]);
+        assert_eq!(doc.counters().0, 1);
+        doc.end("a", 2);
         // A wildcard step is live for every name, interned or not.
-        let wild = t.insert_path(&[key(&mut i, Axis::Descendant, None)]);
-        t.add_group(wild, 4, &[(wild, 0)]);
-        assert!(t.has_live_step(None));
-        t.remove_group(wild, 4);
-        t.remove_group(n_a, 3);
-        assert!(!t.has_live_step(a), "retiring the last group makes the step dormant again");
+        let w = multi.add_query("//*").unwrap();
+        assert!(multi.planner.trie().has_live_step(None));
+        let mut doc = Doc::begin(&mut multi);
+        assert_eq!(doc.start("zzz", 1), [(1, 0, 0)]);
+        assert_eq!(doc.start("a", 2), [(0, 0, 0), (1, 0, 0)]);
+        assert_eq!(doc.counters(), (3, 0, 3));
+        multi.remove_query(w);
+        multi.remove_query(q);
+        let trie = multi.planner.trie();
+        assert!(!trie.has_live_step(a), "retiring the last group makes the step dormant again");
+        assert!(!trie.has_live_step(None));
     }
 
     #[test]
     fn predicate_steps_route_on_the_node_of_their_path() {
         // //a[b]/b: machine nodes a = 0, the predicate b = 1 and the main b
         // = 2. Both b's test `//a/b`, so one group routes that node twice.
-        let mut i = Interner::new();
-        let mut t = StepTrie::new();
-        let n_a = t.insert_path(&[key(&mut i, Axis::Descendant, Some("a"))]);
-        let n_ab = t.child(n_a, key(&mut i, Axis::Child, Some("b")));
-        let (a, b) = (i.lookup("a"), i.lookup("b"));
-        t.add_group(n_ab, 0, &[(n_a, 0), (n_ab, 2), (n_ab, 1)]);
-        assert_eq!(t.routes(n_ab), [(0, 1), (0, 2)], "ascending by (group, machine node)");
-        assert_eq!(t.shared_nodes(), 0, "one group shares nothing with itself");
-        // <a><b/></a>: one push each, however many routes it drives.
-        let mut plans = Vec::new();
-        t.begin_document();
-        for (sym, level, routed) in [(a, 1, &[(0, 0, 0)][..]), (b, 2, &[(0, 1, 0), (0, 2, 0)])] {
-            plans.clear();
-            t.advance(sym, level, &mut plans);
-            assert_eq!(t.live_entries(), level as usize, "one shared entry per push");
-            assert_eq!(plans, routed);
-        }
-        assert_eq!(t.run_stats().forks, 3, "<b> forks to both machine nodes");
-        assert_eq!(t.run_stats().steps_saved, 1, "one check stands for two");
-        t.retreat(2);
-        t.retreat(1);
+        let mut multi = MultiEngine::new();
+        let q = multi.add_query("//a[b]/b").unwrap();
+        let n_ab = multi.planner.group(0).trie_node();
+        let n_a = multi.planner.trie().path_to(n_ab)[0];
+        let trie = multi.planner.trie();
+        assert_eq!(trie.routes(n_ab), [(0, 1), (0, 2)], "ascending by (group, machine node)");
+        assert_eq!(trie.shared_nodes(), 0, "one group shares nothing with itself");
+        // <a><b/></a>: one check each, however many routes it drives.
+        let mut doc = Doc::begin(&mut multi);
+        assert_eq!(doc.start("a", 1), [(0, 0, 0)]);
+        assert_eq!(doc.machine(0).live_entries, 1);
+        assert_eq!(doc.start("b", 2), [(0, 1, 0), (0, 2, 0)]);
+        assert_eq!(doc.machine(0).live_entries, 3, "both routed machine nodes pushed");
+        // <b> forks to both machine nodes, and one check stands for two.
+        assert_eq!(doc.counters(), (2, 1, 3));
+        doc.end("b", 2);
+        doc.end("a", 1);
+        assert!(multi.planner.group(0).machine().is_quiescent());
         // //a/b as group 1 shares both nodes with group 0.
-        t.add_group(n_ab, 1, &main_routes(&t, n_ab, &[0, 1]));
-        assert_eq!(t.shared_nodes(), 2, "`//a` and `//a/b` each route two groups");
-        assert_eq!(t.routes(n_ab), [(0, 1), (0, 2), (1, 1)]);
+        multi.add_query("//a/b").unwrap();
+        let trie = multi.planner.trie();
+        assert_eq!(trie.shared_nodes(), 2, "`//a` and `//a/b` each route two groups");
+        assert_eq!(trie.routes(n_ab), [(0, 1), (0, 2), (1, 1)]);
         // Removal walks group 0's subtree and takes both of its routes.
-        t.remove_group(n_ab, 0);
-        assert!(!t.is_routed(0));
-        assert_eq!((t.routes(n_a), t.routes(n_ab)), (&[(1, 0)][..], &[(1, 1)][..]));
-        assert_eq!(t.shared_nodes(), 0);
+        multi.remove_query(q);
+        let trie = multi.planner.trie();
+        assert!(!trie.is_routed(0));
+        assert_eq!((trie.routes(n_a), trie.routes(n_ab)), (&[(1, 0)][..], &[(1, 1)][..]));
+        assert_eq!(trie.shared_nodes(), 0);
     }
 }

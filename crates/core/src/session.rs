@@ -11,11 +11,11 @@
 //! between documents and updates the plan in place.
 //!
 //! The engine's one `EventSink` hands every event to the executor. A start
-//! tag advances the trie, which checks only the live steps that test its
-//! name (every machine node of every group is routed on a trie step, so no
-//! other element can move a machine); a text node goes only to the
-//! machines holding an open entry that reads text; at document end the
-//! epilogue reads the groups directly.
+//! tag asks the trie for its pushes, and the trie checks only the live
+//! steps that test its name (every machine node of every group is routed
+//! on a trie step, so no other element can move a machine); a text node
+//! goes only to the machines holding an open entry that reads text; at
+//! document end the epilogue reads the groups directly.
 //!
 //! ## One door out
 //!
@@ -27,10 +27,12 @@
 //! leaves its machine (`MachineStats::emitted`; payload bytes by the
 //! executor). So [`MultiEngine::stream_document`], the primitive, holds
 //! nothing per match and allocates nothing per match either (the `vitex`
-//! CLI is built on it), and owned matches are made by **one** collecting
-//! adapter around it, [`MultiEngine::run`]: one [`Match`] per group
-//! delivery, copied into per-subscription vectors sized exactly from
-//! their `emitted` statistics once the document has ended.
+//! CLI is built on it), and owned matches are made by two collecting
+//! adapters around it: [`MultiEngine::run`] makes one [`Match`] per group
+//! delivery, copied into per-subscription vectors sized exactly from their
+//! `emitted` statistics once the document has ended, and
+//! [`crate::Engine::run`], a one-query `MultiEngine`, collects its one
+//! subscription's matches the same way.
 //!
 //! ## Per-document cost
 //!
@@ -39,13 +41,13 @@
 //! not the registration count k (YFilter keeps its per-message work
 //! proportional to the states a message activates the same way). The
 //! executor lists the groups a document pushed; they are the only
-//! machines off rest. So the next document resets only those and the trie
-//! clears only the stacks still open. Plan statistics describe the plan,
-//! not the documents that ran (a machine's stack headroom is run-time
-//! state and not counted), so the planner caches them: a registration or
-//! removal invalidates the cache, the next document's epilogue refills it
-//! with one walk, and every other epilogue only reads the trie's run
-//! counters.
+//! machines off rest, and the machines hold every stack (the trie keeps
+//! none). So the next document resets only those. Plan statistics describe
+//! the plan, not the documents that ran (a machine's stack headroom is
+//! run-time state and not counted), so the planner caches them: a
+//! registration or removal invalidates the cache, the next document's
+//! epilogue refills it with one walk, and every other epilogue only reads
+//! the executor's step counters.
 //! Telemetry folds the subscribers of the touched groups into their rows
 //! and sums — exact, since an untouched machine's counters are zero — and
 //! refreshes the rows of the groups registration churn changed since the
@@ -151,7 +153,6 @@ impl MultiEngine {
         let tally_bytes = self.driver.telemetry().is_enabled();
         let (trie, groups) = self.planner.runtime();
         self.exec.begin_document(groups, tally_bytes);
-        trie.begin_document();
         let mut sink = DocumentSink {
             interner: &self.interner,
             trie,
@@ -204,7 +205,7 @@ impl MultiEngine {
     /// The per-document epilogue: folds the document into the telemetry
     /// registry, when one is attached, and assembles the [`MultiOutput`].
     fn finish_document(&mut self, stream: StreamStats) -> MultiOutput {
-        let plan = self.planner.cached_stats(&self.interner);
+        let plan = self.exec.with_run_counters(self.planner.cached_stats(&self.interner));
         self.driver.telemetry().fold(|totals| self.fold_telemetry(totals, &stream, &plan));
         self.churned.clear();
         MultiOutput {
@@ -269,7 +270,7 @@ impl MultiEngine {
 /// its end tag finds nothing of its own to pop.
 struct DocumentSink<'s, F> {
     interner: &'s Interner,
-    trie: &'s mut StepTrie,
+    trie: &'s StepTrie,
     groups: &'s mut [PlanGroup],
     exec: &'s mut Executor,
     on_match: &'s mut F,
@@ -297,7 +298,7 @@ impl<F: FnMut(&[QueryId], &MatchRef<'_>)> EventSink for DocumentSink<'_, F> {
 
     fn end_element(&mut self, _sym: Option<Symbol>, event: &EndElementEvent<'_>) {
         let (name, level, element_span) = (&*event.name, event.level, event.element_span);
-        self.exec.end(self.trie, self.groups, name, level, element_span, self.on_match);
+        self.exec.end(self.groups, name, level, element_span, self.on_match);
     }
 }
 
@@ -312,7 +313,6 @@ mod tests {
         let q = multi.add_query("/a/b").unwrap();
         let (a, b) = (multi.interner.lookup("a"), multi.interner.lookup("b"));
         let (trie, groups) = multi.planner.runtime();
-        trie.begin_document();
         multi.exec.begin_document(groups, false);
         let mut hits = Vec::new();
         let mut on_match =
@@ -329,12 +329,12 @@ mod tests {
             let event =
                 StartElementEvent { name: name.into(), attrs: Default::default(), level, span };
             sink.start_element(sym, &event, id, id + 1);
-            (sink.trie.run_stats().steps_executed, sink.groups[0].machine().stats().pushes)
+            (sink.exec.run_stats().steps_executed, sink.groups[0].machine().stats().pushes)
         };
         let end = |sink: &mut DocumentSink<'_, _>, sym, name: &str, level| {
             let event = EndElementEvent { name: name.into(), level, element_span: span };
             sink.end_element(sym, &event);
-            sink.trie.live_entries()
+            sink.groups[0].machine().stats().live_entries
         };
         // <a><x><b/></x>t<b/></a>: x is unknown to every query, and no
         // query reads text. A start tag a live step tests checks that one.
@@ -348,11 +348,12 @@ mod tests {
         sink.characters(&text, 3);
         assert_eq!(start(&mut sink, b, "b", 2, 4), (3, 2), "/a/b matches a/b");
         assert_eq!(end(&mut sink, b, "b", 2), 1);
-        assert_eq!(end(&mut sink, a, "a", 1), 0, "every push was retreated");
-        // A new document starts from an empty trie.
-        sink.trie.begin_document();
-        assert_eq!(sink.trie.run_stats().steps_executed, 0);
-        assert_eq!(start(&mut sink, a, "a", 1, 0).0, 1);
+        assert_eq!(end(&mut sink, a, "a", 1), 0, "every push was popped");
+        // A new document starts from nothing: machines at rest, counters at zero.
+        sink.exec.begin_document(sink.groups, false);
+        assert_eq!(sink.exec.run_stats().steps_executed, 0);
+        assert_eq!(sink.groups[0].machine().stats(), &MachineStats::default());
+        assert_eq!(start(&mut sink, a, "a", 1, 0), (1, 1));
         assert_eq!(hits, [(q, 4)], "the second <b> was delivered, the first never matched");
     }
 

@@ -90,8 +90,8 @@ pub struct PlanStats {
     pub plan_bytes: u64,
 
     // ----- step-trie execution counters -----
-    // All four are per-*run* counters maintained by the runtime step trie
-    // (zero before the first run).
+    // All three are per-*run* counters of the trie's step checks, kept by
+    // the executor (zero before the first run).
     /// Step checks executed against the shared trie this run — one per
     /// (event, trie node with live routes), instead of one per (event,
     /// group, machine node) as per-group planning would need. It scales
@@ -106,9 +106,6 @@ pub struct PlanStats {
     /// deliveries where a trie push fanned out to each routed machine
     /// node's own stack (flags/candidates diverge per group from here on).
     pub prefix_forks: u64,
-    /// Peak bytes of the shared trie stacks this run — the match state the
-    /// groups consult instead of each probing their own.
-    pub prefix_stack_bytes: u64,
 }
 
 impl PlanStats {
@@ -125,7 +122,7 @@ impl PlanStats {
     /// The exported rows, in export order: the plan's shape, then the
     /// step trie's run counters. `recycled_slots` and the dedup ratio are
     /// read off the record, not exported.
-    pub fn rows(&self) -> [(&'static str, u64); 10] {
+    pub fn rows(&self) -> [(&'static str, u64); 9] {
         [
             ("vitex_plan_queries", self.queries),
             ("vitex_plan_groups", self.groups),
@@ -136,19 +133,17 @@ impl PlanStats {
             ("vitex_prefix_steps_executed_total", self.prefix_steps_executed),
             ("vitex_prefix_steps_saved_total", self.prefix_steps_saved),
             ("vitex_prefix_forks_total", self.prefix_forks),
-            ("vitex_prefix_stack_bytes_peak", self.prefix_stack_bytes),
         ]
     }
 
     /// Folds the next document of a stream of documents in: the shape
-    /// fields are *levels* (the plan as of that document), the stack bytes
-    /// a peak, and only the three step counters accumulate.
+    /// fields are *levels* (the plan as of that document), and only the
+    /// three step counters accumulate.
     pub(crate) fn fold(&mut self, doc: &PlanStats) {
         *self = PlanStats {
             prefix_steps_executed: self.prefix_steps_executed + doc.prefix_steps_executed,
             prefix_steps_saved: self.prefix_steps_saved + doc.prefix_steps_saved,
             prefix_forks: self.prefix_forks + doc.prefix_forks,
-            prefix_stack_bytes: self.prefix_stack_bytes.max(doc.prefix_stack_bytes),
             ..*doc
         };
     }
@@ -412,22 +407,20 @@ mod tests {
     }
 
     #[test]
-    fn plan_fold_assigns_levels_maxes_the_peak_and_sums_the_step_counters() {
-        let doc = |queries, steps, stack| PlanStats {
+    fn plan_fold_assigns_levels_and_sums_the_step_counters() {
+        let doc = |queries, steps| PlanStats {
             queries,
             groups: queries,
             plan_bytes: 100 * queries,
             prefix_steps_executed: steps,
             prefix_steps_saved: 1,
             prefix_forks: 2,
-            prefix_stack_bytes: stack,
             ..PlanStats::default()
         };
         let mut total = PlanStats::default();
-        total.fold(&doc(3, 10, 48));
-        total.fold(&doc(2, 5, 24));
+        total.fold(&doc(3, 10));
+        total.fold(&doc(2, 5));
         assert_eq!((total.queries, total.groups, total.plan_bytes), (2, 2, 200), "last document");
-        assert_eq!(total.prefix_stack_bytes, 48, "peak");
         assert_eq!(
             (total.prefix_steps_executed, total.prefix_steps_saved, total.prefix_forks),
             (15, 2, 4)

@@ -78,10 +78,10 @@ pub fn assert_private_stats(
 }
 
 /// Asserts that the plan statistics a document reported — the planner's
-/// cache, refilled after a registration or removal, with the document's
-/// trie counters — equal `MultiEngine::plan_stats`
+/// cache, refilled after a registration or removal, with the executor's
+/// step counters — equal `MultiEngine::plan_stats`
 /// recomputed from scratch: every structural field, `plan_bytes`, and the
-/// document's trie counters.
+/// document's step counters.
 #[allow(dead_code)] // telemetry has no use for it
 pub fn assert_plan_is_fresh(engine: &MultiEngine, out: &MultiOutput, label: &str) {
     assert_eq!(out.plan, engine.plan_stats(), "cached plan statistics: {label}");

@@ -474,8 +474,8 @@ fn truncated_document_delivers_its_prefix_then_the_engine_starts_fresh() {
         assert_eq!(streamed, &expected, "delivered prefix: {q}");
     }
 
-    // Recovery: the cut leaves entries and open-element frames on the
-    // shared trie stacks and open frames in the executor.
+    // Recovery: the cut leaves entries on the machines' stacks and open
+    // frames in the executor.
     // The next document through the *same* engine — a run after the
     // failed run, and the next document of a warm engine — must start
     // from nothing: it gets exactly a fresh engine's output.
@@ -483,7 +483,7 @@ fn truncated_document_delivers_its_prefix_then_the_engine_starts_fresh() {
     let observe = |out: MultiOutput, streamed: Vec<(usize, u64)>| {
         let p = out.plan;
         let trie_run = (p.prefix_steps_executed, p.prefix_steps_saved, p.prefix_forks);
-        (out.matches, out.stats, trie_run, p.prefix_stack_bytes, streamed)
+        (out.matches, out.stats, trie_run, streamed)
     };
     let run_whole = |engine: &mut MultiEngine| {
         let mut streamed = Vec::new();
@@ -493,7 +493,7 @@ fn truncated_document_delivers_its_prefix_then_the_engine_starts_fresh() {
         observe(out, streamed)
     };
     let fresh = run_whole(&mut engine());
-    assert!(!fresh.4.is_empty(), "the second document matches");
+    assert!(!fresh.3.is_empty(), "the second document matches");
     let mut reused = engine();
     assert!(reused.run(XmlReader::from_str(xml), |_, _| {}).is_err());
     assert_eq!(run_whole(&mut reused), fresh, "a run after a truncated run");
@@ -552,7 +552,7 @@ fn the_lazy_reset_leaves_no_stale_state() {
 
 #[test]
 fn plan_statistics_describe_the_plan_not_the_documents_that_ran() {
-    // Every `PlanStats` field but the four `prefix_*` run counters follows
+    // Every `PlanStats` field but the three `prefix_*` run counters follows
     // registrations alone: a deep document (machine stacks outgrow their
     // first capacity), a truncated one and a well-formed one leave it
     // where it stood before the first document, and where a fresh engine
@@ -567,7 +567,6 @@ fn plan_statistics_describe_the_plan_not_the_documents_that_ran() {
         prefix_steps_executed: 0,
         prefix_steps_saved: 0,
         prefix_forks: 0,
-        prefix_stack_bytes: 0,
         ..p
     };
     let engine_with = |queries: &[&str]| {

@@ -427,8 +427,14 @@ mod plan_invariants {
                 let path = path_from(seed.wrapping_add(g as u64), &mut interner);
                 let node = trie.insert_path(&path);
                 prop_assert_eq!(trie.insert_path(&path), node, "re-insert is idempotent");
-                let main = trie.path_to(node);
-                prop_assert_eq!(main.len(), path.len());
+                // The path's nodes, found one step at a time.
+                let main: Vec<usize> = (path.iter())
+                    .scan(0, |at, &step| {
+                        *at = trie.child(*at, step);
+                        Some(*at)
+                    })
+                    .collect();
+                prop_assert_eq!(main.last(), Some(&node), "the path ends at its node");
                 let mut routes: Vec<(usize, u32)> = main.iter().copied().zip(0..).collect();
                 // A predicate step hangs off a main-path node, as `[b]` off
                 // `a` in `//a[b]/c`; it may land on a main-path node itself.
@@ -454,7 +460,6 @@ mod plan_invariants {
                 prop_assert!(trie.terminals(node).is_empty());
             }
             prop_assert!((0..=trie.len()).all(|n| trie.route_count(n) == 0));
-            prop_assert_eq!(trie.live_entries(), 0, "no runtime state without a run");
         }
 
         /// Planner churn: random register/unsubscribe sequences must keep
@@ -524,7 +529,10 @@ mod plan_invariants {
                     .map(|g| g.machine().spec().len())
                     .sum();
                 prop_assert_eq!(routes, machine_nodes, "every machine node routes exactly once");
-                prop_assert_eq!(trie.live_entries(), 0);
+                prop_assert!(
+                    planner.groups().iter().all(|g| g.machine().is_quiescent()),
+                    "no run-time state without a run"
+                );
             }
         }
     }

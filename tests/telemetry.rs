@@ -98,7 +98,7 @@ fn snapshot_round_trips_engine_output() {
 /// The deterministic section of `vitex.metrics.v3`, in export order. A
 /// literal on purpose: adding, renaming or reordering a row is a schema
 /// change, and must show up here.
-const DETERMINISTIC_NAMES: [&str; 27] = [
+const DETERMINISTIC_NAMES: [&str; 26] = [
     "vitex_stream_events_total",
     "vitex_stream_elements_total",
     "vitex_stream_text_nodes_total",
@@ -125,7 +125,6 @@ const DETERMINISTIC_NAMES: [&str; 27] = [
     "vitex_prefix_steps_executed_total",
     "vitex_prefix_steps_saved_total",
     "vitex_prefix_forks_total",
-    "vitex_prefix_stack_bytes_peak",
 ];
 
 #[test]
@@ -164,7 +163,7 @@ fn every_exported_name_is_in_the_readme_glossary() {
             readme.contains(&format!("`{name}`")) || families.any(|f| readme.contains(&f));
         assert!(documented, "{name} is exported but the README glossary does not mention it");
     }
-    assert_eq!(count, 43, "29 counters, 2 histograms, 7 query and 5 group fields");
+    assert_eq!(count, 42, "28 counters, 2 histograms, 7 query and 5 group fields");
 }
 
 #[test]
@@ -193,8 +192,8 @@ fn every_name_the_readme_glossary_backticks_is_exported() {
 #[test]
 fn plan_rows_of_a_session_are_levels_not_sums() {
     // The plan's shape is a level — after three documents of a warm engine
-    // there are still k subscriptions — and the trie's stack bytes are a
-    // peak; only the step counters accumulate.
+    // there are still k subscriptions — and only the step counters
+    // accumulate.
     let trees = query_set(5);
     let docs: Vec<String> =
         [11u64, 42, 7].iter().map(|&seed| random::to_string(&RandomConfig::seeded(seed))).collect();
@@ -213,10 +212,6 @@ fn plan_rows_of_a_session_are_levels_not_sums() {
     assert_eq!(row("vitex_plan_trie_nodes"), last.trie_nodes);
     assert_eq!(row("vitex_plan_shared_trie_nodes"), last.shared_trie_nodes);
     assert_eq!(row("vitex_plan_bytes"), last.plan_bytes);
-    assert_eq!(
-        row("vitex_prefix_stack_bytes_peak"),
-        outs.iter().map(|o| o.plan.prefix_stack_bytes).max().unwrap()
-    );
     assert_eq!(
         row("vitex_prefix_steps_executed_total"),
         outs.iter().map(|o| o.plan.prefix_steps_executed).sum::<u64>()
