@@ -62,9 +62,9 @@
 //! subscribers, and the stream builds no owned match at all (YFilter's
 //! accepting states hand a match to a list of query ids the same way).
 //! Owned matches exist only at the API edge: [`MultiEngine::run`] builds
-//! one [`Match`] per group delivery and fills [`MultiOutput::matches`],
-//! each vector sized exactly from the subscription's `emitted` statistics
-//! once the document has ended.
+//! one [`Match`] per group delivery, keeps it once per binding it reached,
+//! and fills [`MultiOutput::matches`] with a clone of each subscription's
+//! binding sequence, sized exactly once the document has ended.
 //!
 //! The plan updates **incrementally**: [`MultiEngine::add_query`] splices
 //! the new group into the trie routes in place and
@@ -280,20 +280,32 @@ fn match_bytes(m: &MatchRef<'_>) -> u64 {
     8 + m.name.map_or(0, str::len) as u64 + m.value.map_or(0, str::len) as u64
 }
 
+/// Whom one delivery reached: what the collecting adapter needs to keep
+/// it once per binding.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Reach {
+    /// The subscribers of one binding (a group with one binding has one),
+    /// named by the first of them (a [`QueryId`] as `u32`, as the plan
+    /// keeps its group and trie ids).
+    Binding(u32),
+    /// Every subscriber of group `slot`, across its several bindings.
+    Group(u32),
+}
+
 /// Runs one machine `touch` of group `slot`, handing it the emit closure.
 /// A solution the machine delivers to `to` — its bindings, ascending, or
 /// `None` for all of them — reaches `on_match` once per binding, lent with
-/// that binding's subscribers in registration order, or once with every
-/// subscriber when it reaches them all. With several bindings, each one
-/// reached is billed the delivery; the slot's payload byte tally grows
-/// when `emitted_bytes` keeps one. This is the **one** place a solution
-/// leaves the executor.
+/// whom it reached and that binding's subscribers in registration order,
+/// or once with every subscriber when it reaches them all. With several
+/// bindings, each one reached is billed the delivery; the slot's payload
+/// byte tally grows when `emitted_bytes` keeps one. This is the **one**
+/// place a solution leaves the executor.
 #[inline]
 fn touch_group<R>(
     emitted_bytes: &mut [u64],
     slot: u32,
     (subscribers, bindings): (&[QueryId], &mut [Binding]),
-    on_match: &mut impl FnMut(&[QueryId], &MatchRef<'_>),
+    on_match: &mut impl FnMut(Reach, &[QueryId], &MatchRef<'_>),
     touch: impl FnOnce(&mut Deliver<'_>) -> R,
 ) -> R {
     let mut tally = emitted_bytes.get_mut(slot as usize);
@@ -310,17 +322,20 @@ fn touch_group<R>(
             (binding.delivered, binding.bytes) = (binding.delivered + 1, binding.bytes + bytes);
             start..binding.end as usize
         };
+        let first = |subscribers: &[QueryId]| Reach::Binding(subscribers[0].0 as u32);
         match to {
-            None => {
+            None if count > 0 => {
                 for b in 0..count {
                     bill(b);
                 }
-                on_match(subscribers, hit);
+                on_match(Reach::Group(slot), subscribers, hit);
             }
+            None => on_match(first(subscribers), subscribers, hit),
             Some(to) => {
                 debug_assert!(!to.is_empty(), "a delivery reaches a binding");
                 for &b in to {
-                    on_match(&subscribers[bill(b as usize)], hit);
+                    let subscribers = &subscribers[bill(b as usize)];
+                    on_match(first(subscribers), subscribers, hit);
                 }
             }
         }
@@ -441,7 +456,7 @@ impl Executor {
         sym: Option<Symbol>,
         event: &StartElementEvent<'_>,
         node_id: NodeId,
-        on_match: &mut impl FnMut(&[QueryId], &MatchRef<'_>),
+        on_match: &mut impl FnMut(Reach, &[QueryId], &MatchRef<'_>),
     ) {
         let Self { plans, frames, text_live, touched, store, emitted_bytes, run } = self;
         plans.clear();
@@ -492,7 +507,7 @@ impl Executor {
         level: u32,
         node_id: NodeId,
         span: ByteSpan,
-        on_match: &mut impl FnMut(&[QueryId], &MatchRef<'_>),
+        on_match: &mut impl FnMut(Reach, &[QueryId], &MatchRef<'_>),
     ) {
         let Self { text_live, store, emitted_bytes, .. } = self;
         text_live.for_each(|slot| {
@@ -511,7 +526,7 @@ impl Executor {
         name: &str,
         level: u32,
         element_span: ByteSpan,
-        on_match: &mut impl FnMut(&[QueryId], &MatchRef<'_>),
+        on_match: &mut impl FnMut(Reach, &[QueryId], &MatchRef<'_>),
     ) {
         let base = self.frames.iter().rposition(|&(_, at)| at != level).map_or(0, |i| i + 1);
         for &(slot, _) in &self.frames[base..] {

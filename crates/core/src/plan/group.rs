@@ -108,6 +108,13 @@ impl PlanGroup {
         ranges.map(|(start, b)| (&self.subscribers[start..b.end as usize], b))
     }
 
+    /// Each binding's subscribers, in binding order: the whole list for a
+    /// group with one binding.
+    pub(crate) fn binding_subscribers(&self) -> impl Iterator<Item = &[QueryId]> {
+        let one = self.bindings.is_empty().then_some(&self.subscribers[..]);
+        one.into_iter().chain(self.binding_bills().map(|(subscribers, _)| subscribers))
+    }
+
     /// Whether any subscriber remains.
     pub fn is_active(&self) -> bool {
         !self.subscribers.is_empty()
@@ -204,10 +211,7 @@ mod tests {
 
     /// Each binding's subscribers, in binding order.
     fn filed(g: &PlanGroup) -> Vec<Vec<usize>> {
-        if g.bindings.is_empty() {
-            return vec![g.subscribers().iter().map(|q| q.0).collect()];
-        }
-        g.binding_bills().map(|(subs, _)| subs.iter().map(|q| q.0).collect()).collect()
+        g.binding_subscribers().map(|subs| subs.iter().map(|q| q.0).collect()).collect()
     }
 
     #[test]

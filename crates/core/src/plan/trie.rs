@@ -459,7 +459,7 @@ mod tests {
                 sym,
                 &event,
                 0,
-                &mut |_: &[QueryId], _: &MatchRef<'_>| {},
+                &mut |_, _: &[QueryId], _: &MatchRef<'_>| {},
             );
             multi.exec.plans().to_vec()
         }
@@ -469,7 +469,7 @@ mod tests {
             let Doc(multi) = self;
             let (_, groups) = multi.planner.runtime();
             let span = ByteSpan::new(0, 0);
-            multi.exec.end(groups, name, level, span, &mut |_: &[QueryId], _: &MatchRef<'_>| {});
+            multi.exec.end(groups, name, level, span, &mut |_, _: &[QueryId], _: &MatchRef<'_>| {});
         }
 
         /// The step counters so far: `(executed, saved, forks)`.

@@ -28,11 +28,14 @@
 //! executor). So [`MultiEngine::stream_document`], the primitive, holds
 //! nothing per match and allocates nothing per match either (the `vitex`
 //! CLI is built on it), and owned matches are made by two collecting
-//! adapters around it: [`MultiEngine::run`] makes one [`Match`] per group
-//! delivery, copied into per-subscription vectors sized exactly from their
-//! `emitted` statistics once the document has ended, and
+//! adapters around it. [`MultiEngine::run`] makes one [`Match`] per group
+//! delivery and logs it once with whom it reached (`crate::multi::Reach`).
+//! Once the document has ended, each binding's deliveries become one
+//! sequence, sized exactly from the binding's bill, that its first
+//! subscriber keeps; every other subscriber's vector is a clone of it. So
+//! what the adapter copies per subscriber is one contiguous vector.
 //! [`crate::Engine::run`], a one-query `MultiEngine`, collects its one
-//! subscription's matches the same way.
+//! subscription's matches as they are delivered.
 //!
 //! ## Per-document cost
 //!
@@ -72,7 +75,7 @@ use vitex_xmlsax::XmlReader;
 use crate::driver::EventSink;
 use crate::error::EngineResult;
 use crate::intern::{Interner, Symbol};
-use crate::multi::{Executor, MultiEngine, MultiOutput};
+use crate::multi::{Executor, MultiEngine, MultiOutput, Reach};
 use crate::plan::{PlanGroup, StepTrie};
 use crate::result::{Match, MatchRef, NodeId, QueryId};
 use crate::stats::{Bill, MachineStats, PlanStats, StreamStats};
@@ -82,43 +85,68 @@ use crate::telemetry::{GroupRow, QueryRow};
 impl MultiEngine {
     /// [`MultiEngine::stream_document`] behind the **one** collecting
     /// adapter: each group delivery becomes one owned [`Match`], lent to
-    /// `on_match` once per subscriber it reaches, in registration order.
-    /// The returned [`MultiOutput`]'s `matches` (per query, in delivery
-    /// order) therefore grows with their number; each vector is sized
-    /// exactly from the query's `emitted` statistics once the document has
-    /// ended. `stats` holds every registration's
-    /// [`MultiEngine::query_stats`].
+    /// `on_match` once per subscriber it reaches, in registration order,
+    /// and kept once for the binding it reached (for each binding, when it
+    /// reached them all). Once the document has ended, each binding's
+    /// matches form one sequence sized exactly from its bill: its first
+    /// subscriber's vector in the returned [`MultiOutput`]'s `matches` (per
+    /// query, in delivery order), which every other subscriber of the
+    /// binding gets a clone of. So `matches` grows with the deliveries
+    /// times the subscribers, and the copying costs one vector per
+    /// subscriber rather than one scattered push per subscriber and match.
+    /// `stats` holds every registration's [`MultiEngine::query_stats`].
     pub fn run<R: Read, F: FnMut(QueryId, &Match)>(
         &mut self,
         reader: XmlReader<R>,
         mut on_match: F,
     ) -> EngineResult<MultiOutput> {
-        // Each group delivery, and where its subscribers end in `reached`
-        // (ids as `u32`, as the plan keeps its group and trie ids).
-        let (mut deliveries, mut reached) = (Vec::<(Match, usize)>::new(), Vec::<u32>::new());
-        let mut out = self.stream_document(reader, |subscribers, hit| {
+        // Each group delivery and whom it reached, in stream order.
+        let mut log = Vec::<(Match, Reach)>::new();
+        let mut out = self.stream(reader, |reach, subscribers, hit| {
             let hit = Match::from(*hit);
             for &q in subscribers {
                 on_match(q, &hit);
-                reached.push(q.0 as u32);
             }
-            deliveries.push((hit, reached.len()));
+            log.push((hit, reach));
         })?;
         out.stats = self.all_query_stats();
+        // A binding's sequence is its first subscriber's vector, sized from
+        // that subscriber's `emitted` at its first delivery.
         let mut matches: Vec<Vec<Match>> =
-            out.stats.iter().map(|s| Vec::with_capacity(s.emitted as usize)).collect();
-        let mut start = 0;
-        for (hit, end) in deliveries {
-            let (&last, rest) = reached[start..end].split_last().expect("a subscriber");
-            for &q in rest {
-                matches[q as usize].push(hit.clone());
+            std::iter::repeat_with(Vec::new).take(out.stats.len()).collect();
+        let mut keep = |q: QueryId, hit: Match| {
+            let sequence = &mut matches[q.0];
+            if sequence.capacity() == 0 {
+                *sequence = Vec::with_capacity(out.stats[q.0].emitted as usize);
             }
-            matches[last as usize].push(hit);
-            start = end;
+            sequence.push(hit);
+        };
+        for (hit, reach) in log {
+            match reach {
+                Reach::Binding(first) => keep(QueryId(first as usize), hit),
+                Reach::Group(slot) => {
+                    for subscribers in self.planner.group(slot as usize).binding_subscribers() {
+                        keep(subscribers[0], hit.clone());
+                    }
+                }
+            }
+        }
+        // Each other subscriber of a binding gets a clone of its sequence.
+        for &g in self.exec.touched() {
+            for subscribers in self.planner.group(g as usize).binding_subscribers() {
+                if let [first, rest @ ..] = subscribers {
+                    for q in rest {
+                        matches[q.0] = matches[first.0].clone();
+                    }
+                }
+            }
         }
         debug_assert!(
-            matches.iter().zip(&out.stats).all(|(m, s)| m.len() as u64 == s.emitted),
-            "`emitted` counts each subscription's deliveries"
+            matches
+                .iter()
+                .zip(&out.stats)
+                .all(|(m, s)| (m.len() as u64, m.capacity()) == (s.emitted, m.len())),
+            "`emitted` counts each subscription's deliveries, and sizes its vector"
         );
         out.matches = matches;
         Ok(out)
@@ -146,6 +174,16 @@ impl MultiEngine {
     /// kept, and nothing allocated, per match. A malformed document ends
     /// with its error; the next one starts from nothing.
     pub fn stream_document<R: Read, F: FnMut(&[QueryId], &MatchRef<'_>)>(
+        &mut self,
+        reader: XmlReader<R>,
+        mut on_match: F,
+    ) -> EngineResult<MultiOutput> {
+        self.stream(reader, |_, subscribers, hit| on_match(subscribers, hit))
+    }
+
+    /// [`MultiEngine::stream_document`] with each delivery's [`Reach`]:
+    /// the group and binding it went to.
+    fn stream<R: Read, F: FnMut(Reach, &[QueryId], &MatchRef<'_>)>(
         &mut self,
         reader: XmlReader<R>,
         mut on_match: F,
@@ -276,7 +314,7 @@ struct DocumentSink<'s, F> {
     on_match: &'s mut F,
 }
 
-impl<F: FnMut(&[QueryId], &MatchRef<'_>)> EventSink for DocumentSink<'_, F> {
+impl<F: FnMut(Reach, &[QueryId], &MatchRef<'_>)> EventSink for DocumentSink<'_, F> {
     fn resolve(&mut self, name: &str) -> Option<Symbol> {
         self.interner.lookup(name)
     }
@@ -316,7 +354,7 @@ mod tests {
         multi.exec.begin_document(groups, false);
         let mut hits = Vec::new();
         let mut on_match =
-            |qs: &[QueryId], m: &MatchRef<'_>| hits.extend(qs.iter().map(|&q| (q, m.node)));
+            |_, qs: &[QueryId], m: &MatchRef<'_>| hits.extend(qs.iter().map(|&q| (q, m.node)));
         let mut sink = DocumentSink {
             interner: &multi.interner,
             trie,

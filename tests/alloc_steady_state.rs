@@ -21,7 +21,11 @@
 //!   constant, whatever the document's length, its number of matches and
 //!   however many entities it decodes. A warm `Engine` keeps an owned
 //!   `Match` per solution, so it allocates their `Arc<str>` payloads on
-//!   top of that constant.
+//!   top of that constant;
+//! * what `MultiEngine::run`, the collecting adapter, holds at its peak
+//!   beyond the output it returns does not grow with the subscribers that
+//!   share a binding: it keeps each delivery once, not once per
+//!   subscriber.
 //!
 //! Allocation counts are only meaningful optimised; CI runs this suite
 //! with `--release`.
@@ -35,22 +39,29 @@ use vitex::xmlgen::protein::{self, ProteinConfig};
 use vitex::xmlgen::recursive::{self, RecursiveConfig};
 use vitex::xmlsax::XmlReader;
 
-/// Allocation calls made, bytes they asked for, and bytes currently held
-/// by one thread.
+/// Allocation calls made, bytes they asked for, bytes currently held by
+/// one thread, and the most it held since `reset_peak`.
 #[derive(Clone, Copy, Default)]
 struct Tally {
     allocations: u64,
     allocated_bytes: u64,
     live_bytes: i64,
+    peak_bytes: i64,
 }
 
 thread_local! {
-    static TALLY: Cell<Tally> =
-        const { Cell::new(Tally { allocations: 0, allocated_bytes: 0, live_bytes: 0 }) };
+    static TALLY: Cell<Tally> = const {
+        Cell::new(Tally { allocations: 0, allocated_bytes: 0, live_bytes: 0, peak_bytes: 0 })
+    };
 }
 
 fn tally() -> Tally {
     TALLY.with(Cell::get)
+}
+
+/// Starts a new peak at what this thread holds now.
+fn reset_peak() {
+    TALLY.with(|t| t.set(Tally { peak_bytes: t.get().live_bytes, ..t.get() }));
 }
 
 struct Counting;
@@ -65,6 +76,7 @@ impl Counting {
             v.allocations += allocations;
             v.allocated_bytes += asked as u64;
             v.live_bytes += held;
+            v.peak_bytes = v.peak_bytes.max(v.live_bytes);
             t.set(v);
         });
     }
@@ -159,6 +171,35 @@ fn what_a_streaming_session_holds_does_not_grow_with_the_number_of_matches() {
         peak_large <= peak_small + 4096,
         "a streamed document keeps no match: peak {peak_small} B over {matches_small} matches, \
          {peak_large} B over {matches_large}"
+    );
+}
+
+/// A warm `MultiEngine::run` of `//listitem`, registered `subscribers`
+/// times (one group, one binding), over `xml`: the most this thread held
+/// during the pass beyond the output the pass returned, and the matches
+/// that output holds.
+fn run_excess(subscribers: usize, xml: &str) -> (i64, usize) {
+    let mut multi = MultiEngine::new();
+    for _ in 0..subscribers {
+        multi.add_query("//listitem").unwrap();
+    }
+    multi.run(XmlReader::from_str(xml), |_, _| {}).unwrap();
+    reset_peak();
+    let out = multi.run(XmlReader::from_str(xml), |_, _| {}).unwrap();
+    let held = tally();
+    (held.peak_bytes - held.live_bytes, out.matches.iter().map(Vec::len).sum())
+}
+
+#[test]
+fn what_a_collecting_run_holds_beyond_its_output_does_not_grow_with_the_subscribers() {
+    let xml = auction::to_string(&AuctionConfig::sized(512 << 10));
+    let (one, emitted) = run_excess(1, &xml);
+    assert!((1500..=2500).contains(&emitted), "{emitted} emissions");
+    let (many, delivered) = run_excess(62, &xml);
+    assert_eq!(delivered, 62 * emitted);
+    assert!(
+        many <= one + 1024,
+        "beyond its output a run held {one} B with one subscriber and {many} B with 62"
     );
 }
 

@@ -140,3 +140,36 @@ fn an_emission_reaching_several_bindings_calls_back_once_for_each() {
         }
     }
 }
+
+#[test]
+fn a_run_that_fails_mid_document_leaves_the_next_run_as_a_fresh_engine_would() {
+    let (mut engine, families) = subscriptions();
+    let xml = auction_doc();
+    let cut = &xml[..xml.len() / 2];
+    // The cut ends after the payment group's first emissions, several of
+    // its bindings among them.
+    let payment_group: Vec<QueryId> = families[CASH..].concat();
+    let mut reached = std::collections::HashSet::new();
+    let cut_stream = engine.stream_document(XmlReader::from_str(cut), |subscribers, _| {
+        if subscribers.iter().all(|q| payment_group.contains(q)) {
+            reached.insert(subscribers.to_vec());
+        }
+    });
+    assert!(cut_stream.is_err(), "the cut document is truncated");
+    assert!(reached.len() >= 2, "bindings reached before the cut: {reached:?}");
+    // A good run first, so the failing one follows a collected document.
+    let item = r#"<site><regions><asia><item id="w"><payment>Wire</payment></item></asia></regions></site>"#;
+    assert_eq!(
+        engine.run(XmlReader::from_str(item), |_, _| {}).unwrap().matches[families[WIRE][0].0]
+            .len(),
+        1
+    );
+    assert!(engine.run(XmlReader::from_str(cut), |_, _| {}).is_err(), "its error is returned");
+    let out = engine.run(XmlReader::from_str(&xml), |_, _| {}).unwrap();
+    let want = subscriptions().0.run(XmlReader::from_str(&xml), |_, _| {}).unwrap();
+    assert_eq!(out.matches, want.matches);
+    assert_eq!(out.stats, want.stats);
+    for (q, matches) in out.matches.iter().enumerate() {
+        assert_eq!(matches.capacity(), matches.len(), "query {q}");
+    }
+}
