@@ -16,7 +16,11 @@
 //!   that symbol at the matching end tag from its open-element stack, so
 //!   end tags never re-hash the name;
 //! * **sink** — query logic: which machines see the event, what they do
-//!   with it.
+//!   with it, and whether an element's content can matter at all
+//!   ([`EventSink::content_matters`]). Content that cannot is walked by
+//!   the reader ([`XmlReader::skip_subtree`]) and only counted: the stream
+//!   statistics and the node ids after it are what reading it would have
+//!   made them.
 
 use vitex_xmlsax::event::{CharactersEvent, EndElementEvent, StartElementEvent};
 use vitex_xmlsax::{XmlEvent, XmlReader};
@@ -43,7 +47,10 @@ const DISPATCH_SAMPLE: u64 = 64;
 /// driver guarantees: `start_element` / `end_element` calls are properly
 /// nested; `sym` at an end tag equals the `sym` its start tag resolved to;
 /// node ids are document-order (an element's attributes occupy the ids
-/// between it and its first child).
+/// between it and its first child). The content of an element whose
+/// [`EventSink::content_matters`] said `false` is not shown — no start
+/// tag, text or end tag inside it, though its nodes keep their ids — and
+/// the element's own end tag still is.
 pub trait EventSink {
     /// Maps an element name to this sink's interned symbol, if the name is
     /// known to it. Called once per start tag, before
@@ -59,6 +66,17 @@ pub trait EventSink {
         node_id: NodeId,
         attr_id_base: NodeId,
     );
+
+    /// Whether the content of the element whose start tag
+    /// [`EventSink::start_element`] just delivered can matter to this sink.
+    /// Called once per start tag, right after it. When it returns `false`
+    /// the driver walks past the element's content without building its
+    /// events ([`XmlReader::skip_subtree`]): none of it is delivered, and
+    /// the element's end tag is, as always. The default says every
+    /// element's content matters.
+    fn content_matters(&mut self) -> bool {
+        true
+    }
 
     /// A text node. `node_id` is the text node's id.
     fn characters(&mut self, event: &CharactersEvent<'_>, node_id: NodeId);
@@ -105,7 +123,10 @@ impl DocumentDriver {
     /// at 0 for each run.
     ///
     /// Per event the driver counts it, numbers the node it opens, and
-    /// resolves (start tag) or replays (end tag) the element's symbol.
+    /// resolves (start tag) or replays (end tag) the element's symbol. An
+    /// element whose content does not matter to `sink` has that content
+    /// walked by the reader, and counted and numbered from what the walk
+    /// reports.
     pub fn run<R: Read, S: EventSink>(
         &mut self,
         mut reader: XmlReader<R>,
@@ -136,6 +157,13 @@ impl DocumentDriver {
                     let t_ev = dispatch_timer();
                     sink.start_element(sym, &e, node_id, node_id + 1);
                     self.telemetry.observe_elapsed(|r| &r.dispatch_ns, t_ev);
+                    if !sink.content_matters() {
+                        let skipped = reader.skip_subtree()?;
+                        stats.events += skipped.events;
+                        stats.elements += skipped.elements;
+                        stats.text_nodes += skipped.text_nodes;
+                        next_id += skipped.node_ids;
+                    }
                 }
                 XmlEvent::Characters(c) => {
                     stats.text_nodes += 1;

@@ -38,7 +38,7 @@
 //!
 //! A document streams through [`MultiEngine::stream_document`] (the
 //! per-document path lives in the crate-private `session` module): it
-//! shows every event to the per-event apply step (the crate-private
+//! shows every event it reads to the per-event apply step (the crate-private
 //! `Executor` at the bottom of this file), on the calling thread. The
 //! executor asks the trie for the start tag's pushes — it checks only the
 //! live steps that test the element's name, and counts its checks in the
@@ -49,7 +49,10 @@
 //! text goes to exactly the machines holding an open entry that reads
 //! text (any other text consumer is idle). This is sound because a
 //! machine's stacks only ever hold entries for elements it was shown, and
-//! text/attribute tests live inside the delivered events.
+//! text/attribute tests live inside the delivered events. For the same
+//! reason an element in whose content no step can push, while no open
+//! entry reads text, need not have its content shown at all
+//! (`Executor::content_matters`): the reader walks past it.
 //!
 //! ## One door out
 //!
@@ -374,6 +377,9 @@ pub(crate) struct Executor {
     emitted_bytes: Vec<u64>,
     /// The trie's step checks of the current (or last) document.
     run: PrefixRunStats,
+    /// Whether a step could push inside the element of the last start tag
+    /// (`StepTrie::advance`).
+    below: bool,
 }
 
 impl Executor {
@@ -458,9 +464,9 @@ impl Executor {
         node_id: NodeId,
         on_match: &mut impl FnMut(Reach, &[QueryId], &MatchRef<'_>),
     ) {
-        let Self { plans, frames, text_live, touched, store, emitted_bytes, run } = self;
+        let Self { plans, frames, text_live, touched, store, emitted_bytes, run, below } = self;
         plans.clear();
-        trie.advance(groups, sym, event.level, plans, run);
+        *below = trie.advance(groups, sym, event.level, plans, run);
         if plans.is_empty() {
             return;
         }
@@ -494,6 +500,16 @@ impl Executor {
                 text_live.insert(slot as usize);
             }
         }
+    }
+
+    /// Whether the content of the element whose start tag came last could
+    /// move a machine: a step could push inside it, or an open entry reads
+    /// text. Neither holds for the content of an element in which no step
+    /// can push, once its start tag's touches are done and while no entry
+    /// reads text, so no event inside it reaches a machine.
+    #[inline]
+    pub(crate) fn content_matters(&self) -> bool {
+        self.below || !self.text_live.is_empty()
     }
 
     /// `characters`: to every slot whose machine holds an open entry that

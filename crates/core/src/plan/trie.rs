@@ -91,6 +91,10 @@ pub struct StepTrie {
     by_symbol: Vec<Vec<u32>>,
     /// Trie nodes whose step is the wildcard `*`.
     wildcards: Vec<u32>,
+    /// Routes on descendant-axis steps. While there are none, a start tag
+    /// whose pushed steps have no routed child opens a subtree nothing
+    /// can push in ([`StepTrie::advance`]).
+    descendant_routes: usize,
 }
 
 impl StepTrie {
@@ -106,6 +110,7 @@ impl StepTrie {
             routes: vec![Vec::new()],
             by_symbol: Vec::new(),
             wildcards: Vec::new(),
+            descendant_routes: 0,
         }
     }
 
@@ -173,6 +178,9 @@ impl StepTrie {
         for &(at, mnode) in routes {
             let list = &mut self.routes[at];
             list.insert(list.partition_point(|&r| r < (gid, mnode)), (gid, mnode));
+            if self.nodes[at].key.axis == Axis::Descendant {
+                self.descendant_routes += 1;
+            }
         }
     }
 
@@ -196,7 +204,11 @@ impl StepTrie {
             let routes = &mut self.routes[at];
             let before = routes.len();
             routes.retain(|&(g, _)| g != gid); // order-preserving
-            if routes.len() < before {
+            let removed = before - routes.len();
+            if removed > 0 {
+                if self.nodes[at].key.axis == Axis::Descendant {
+                    self.descendant_routes -= removed;
+                }
                 todo.extend(self.nodes[at].children.iter().map(|&c| c as usize));
             }
         }
@@ -286,6 +298,14 @@ impl StepTrie {
     /// routed on it holds the same stack shape, which debug builds check
     /// route by route. Nothing is applied here, so every decision reads the
     /// **pre-event** stacks; `run` counts the checks.
+    ///
+    /// Returns whether a step could push inside the element: `false` only
+    /// when no descendant-axis step is routed and no step that pushed here
+    /// has a routed child step. Then every routed step is a child step, and
+    /// one at level L + 2 or deeper needs a parent entry at level L + 1 or
+    /// deeper, which only the element's content could push; a child step
+    /// at level L + 1 needs an entry at level L, which only this tag could
+    /// have pushed. So nothing inside the element pushes.
     #[inline(always)]
     pub(crate) fn advance(
         &self,
@@ -294,9 +314,10 @@ impl StepTrie {
         level: u32,
         plans: &mut Vec<(u32, u32, u32)>,
         run: &mut PrefixRunStats,
-    ) {
+    ) -> bool {
         let push_point =
             |(g, m): (u32, u32)| groups[g as usize].machine().push_point(m as usize, level);
+        let mut below = self.descendant_routes > 0;
         for ni in steps_testing(&self.by_symbol, &self.wildcards, sym) {
             let routes = &self.routes[ni as usize];
             let Some(&first) = routes.first() else {
@@ -312,7 +333,14 @@ impl StepTrie {
             let Some(ptr) = decision else { continue };
             run.forks += routes.len() as u64;
             plans.extend(routes.iter().map(|&(slot, mnode)| (slot, mnode, ptr)));
+            below = below || self.has_routed_child(ni as usize);
         }
+        below
+    }
+
+    /// Whether a child step of `node` has a route.
+    fn has_routed_child(&self, node: usize) -> bool {
+        self.nodes[node].children.iter().any(|&c| !self.routes[c as usize].is_empty())
     }
 }
 
@@ -478,6 +506,11 @@ mod tests {
             (run.steps_executed, run.steps_saved, run.forks)
         }
 
+        /// Whether the content of the last start tag's element can matter.
+        fn content(&self) -> bool {
+            self.0.exec.content_matters()
+        }
+
         /// The statistics of group `g`'s machine.
         fn machine(&self, g: usize) -> &MachineStats {
             self.0.planner.group(g).machine().stats()
@@ -586,5 +619,41 @@ mod tests {
         assert!(!trie.is_routed(0));
         assert_eq!((trie.routes(n_a), trie.routes(n_ab)), (&[(1, 0)][..], &[(1, 1)][..]));
         assert_eq!(trie.shared_nodes(), 0);
+    }
+
+    #[test]
+    fn content_matters_while_a_step_could_push_inside_or_an_entry_reads_text() {
+        let mut multi = MultiEngine::new();
+        multi.add_query("/a/b").unwrap();
+        let d = multi.add_query("//d").unwrap();
+        let mut doc = Doc::begin(&mut multi);
+        doc.start("a", 1);
+        doc.start("b", 2);
+        assert!(doc.content(), "a routed `//` step could push anywhere");
+        multi.remove_query(d);
+        let mut doc = Doc::begin(&mut multi);
+        doc.start("a", 1);
+        assert!(doc.content(), "/a/b could push under the <a> that /a pushed");
+        doc.start("b", 2);
+        assert!(!doc.content(), "no step is routed below /a/b");
+        doc.end("b", 2);
+        doc.start("x", 2);
+        assert!(!doc.content(), "<x> pushed nothing, and /a/b needs level 2");
+        doc.end("x", 2);
+        doc.end("a", 1);
+        // An open entry that reads text keeps the content below it.
+        let t = multi.add_query("/a/b/text()").unwrap();
+        let mut doc = Doc::begin(&mut multi);
+        doc.start("a", 1);
+        doc.start("b", 2);
+        assert!(doc.content(), "/a/b/text() reads the text under <b>");
+        doc.end("b", 2);
+        doc.end("a", 1);
+        multi.remove_query(t);
+        // Registration churn keeps the count of descendant routes.
+        multi.add_query("/a[b//c]").unwrap();
+        let mut doc = Doc::begin(&mut multi);
+        doc.start("r", 1);
+        assert!(doc.content(), "the predicate step /a/b//c is routed");
     }
 }

@@ -10,12 +10,20 @@
 //! re-planning; registration churn (`add_query` / `remove_query`) happens
 //! between documents and updates the plan in place.
 //!
-//! The engine's one `EventSink` hands every event to the executor. A start
-//! tag asks the trie for its pushes, and the trie checks only the live
-//! steps that test its name (every machine node of every group is routed
-//! on a trie step, so no other element can move a machine); a text node
-//! goes only to the machines holding an open entry that reads text; at
-//! document end the epilogue reads the groups directly.
+//! The engine's one `EventSink` hands every event it is shown to the
+//! executor. A start tag asks the trie for its pushes, and the trie checks
+//! only the live steps that test its name (every machine node of every
+//! group is routed on a trie step, so no other element can move a
+//! machine); a text node goes only to the machines holding an open entry
+//! that reads text; at document end the epilogue reads the groups
+//! directly. After a start tag's touches the sink tells the driver whether
+//! the element's content can matter (`Executor::content_matters`): not
+//! when no descendant-axis step is routed, no open entry reads text, and
+//! no step that pushed at the tag has a routed child step, for then
+//! nothing inside can push. Such content is walked by the reader without
+//! building its events (`XmlReader::skip_subtree`), and the element's end
+//! tag arrives as always, so its pops and element matches keep their
+//! spans, and the stream counts and node ids are those of a full read.
 //!
 //! ## One door out
 //!
@@ -305,7 +313,9 @@ impl MultiEngine {
 /// The **one** [`EventSink`] of multi-query execution: it hands each
 /// event to the executor, with the borrowed driver event and the caller's
 /// callback. An element that no live trie step tests pushes nothing, and
-/// its end tag finds nothing of its own to pop.
+/// its end tag finds nothing of its own to pop; one in whose content
+/// nothing can push, and under which no entry reads text, has that content
+/// skipped.
 struct DocumentSink<'s, F> {
     interner: &'s Interner,
     trie: &'s StepTrie,
@@ -327,6 +337,10 @@ impl<F: FnMut(Reach, &[QueryId], &MatchRef<'_>)> EventSink for DocumentSink<'_, 
         _attr_id_base: NodeId,
     ) {
         self.exec.start(self.trie, self.groups, sym, event, node_id, self.on_match);
+    }
+
+    fn content_matters(&mut self) -> bool {
+        self.exec.content_matters()
     }
 
     fn characters(&mut self, event: &CharactersEvent<'_>, node_id: NodeId) {

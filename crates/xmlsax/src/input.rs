@@ -398,6 +398,118 @@ impl<R: Read> Scanner<R> {
         }
     }
 
+    /// The skip walk's start tag: a plain ASCII start tag at the cursor
+    /// (its `<`), read from the window alone and consumed. Plain means
+    /// ASCII names, at most [`PLAIN_ATTRS`] attributes with distinct names,
+    /// and quoted values free of `&`, `<` and control bytes. On anything
+    /// else, or where the tag runs past the window, it returns `None` and
+    /// leaves the cursor and the counts as they were, for the reader's own
+    /// routine to read the tag from its first byte.
+    pub(crate) fn plain_start_tag(&mut self) -> Option<PlainTag> {
+        let mut names = [(0, 0); PLAIN_ATTRS];
+        let mut jumped = 0;
+        let name = self.pos + 1;
+        let mut i = self.plain_name(name, &mut jumped)?;
+        let name_len = i - name;
+        let mut attributes = 0;
+        let self_closing = loop {
+            let ws = i;
+            i = self.plain_whitespace(i)?;
+            match self.byte(i)? {
+                b'>' => break false,
+                b'/' if self.byte(i + 1)? == b'>' => {
+                    i += 1;
+                    break true;
+                }
+                _ if i == ws || attributes == PLAIN_ATTRS => return None,
+                _ => {}
+            }
+            let start = i;
+            i = self.plain_name(start, &mut jumped)?;
+            let window = self.buf.as_bytes();
+            if names[..attributes].iter().any(|&(s, e)| window[s..e] == window[start..i]) {
+                return None;
+            }
+            names[attributes] = (start, i);
+            attributes += 1;
+            i = self.plain_whitespace(i)?;
+            if self.byte(i)? != b'=' {
+                return None;
+            }
+            i = self.plain_whitespace(i + 1)?;
+            let quote @ (b'"' | b'\'') = self.byte(i)? else { return None };
+            loop {
+                let stop = self.next_stop::<true>(i + 1);
+                jumped += stop - i - 1;
+                i = stop;
+                match self.byte(stop)? {
+                    b if b == quote => break,
+                    b' ' | b'"' | b'\'' | b'/' | b'>' | b'=' => {}
+                    _ => return None,
+                }
+            }
+            i += 1;
+        };
+        self.block_bytes += jumped as u64;
+        self.pos = i + 1;
+        Some(PlainTag { name_len, attributes: attributes as u32, self_closing })
+    }
+
+    /// The skip walk's text node: a plain ASCII text run at the cursor,
+    /// consumed up to the `<` of the next tag in the window. Plain means free
+    /// of `&`, `\r`, control bytes and `]]>`, and not followed by `<!` (a
+    /// CDATA section would continue the text node). Returns `false`, with
+    /// the cursor and the counts as they were, on anything else or where
+    /// the run reaches the window's end.
+    pub(crate) fn plain_text(&mut self) -> bool {
+        let start = self.pos;
+        let mut i = start;
+        let mut jumped = 0;
+        let end = loop {
+            let stop = self.next_stop::<false>(i);
+            jumped += stop - i;
+            match self.byte(stop) {
+                Some(b'<') if !matches!(self.byte(stop + 1), None | Some(b'!')) => break stop,
+                Some(b'=') => {}
+                Some(b'>') if !self.buf.as_bytes()[start..stop].ends_with(b"]]") => {}
+                _ => return false,
+            }
+            i = stop + 1;
+        };
+        self.block_bytes += jumped as u64;
+        self.pos = end;
+        true
+    }
+
+    /// The window's byte at index `i`, if it holds one.
+    #[inline]
+    fn byte(&self, i: usize) -> Option<u8> {
+        self.buf.as_bytes().get(i).copied()
+    }
+
+    /// The end of a plain ASCII name at window index `i`: a name-start
+    /// byte, then name bytes up to a tag stop inside the window. Counts
+    /// the name into `jumped`.
+    fn plain_name(&mut self, i: usize, jumped: &mut usize) -> Option<usize> {
+        let stop = self.next_stop::<true>(i);
+        let name = &self.buf.as_bytes()[i..stop];
+        let start =
+            name.first().is_some_and(|&b| b.is_ascii_alphabetic() || b == b'_' || b == b':');
+        if !start || stop == self.buf.len() || !name.iter().all(|&b| NAME_BYTES[b as usize]) {
+            return None;
+        }
+        *jumped += stop - i;
+        Some(stop)
+    }
+
+    /// The first window index at or after `i` that is not XML whitespace.
+    fn plain_whitespace(&self, mut i: usize) -> Option<usize> {
+        while matches!(self.byte(i)?, b' ' | b'\t' | b'\n' | b'\r') {
+            i += 1;
+        }
+        Some(i)
+    }
+
     /// The first stop at or after window index `i`; the window's end if
     /// none comes before it (bytes past the end classify as stops).
     #[inline]
@@ -429,6 +541,19 @@ impl<R: Read> Scanner<R> {
         };
         self.block = b;
     }
+}
+
+/// Attributes a start tag may have for the skip walk to read it; a tag
+/// with more goes to the reader's routine, whose duplicate check scales.
+const PLAIN_ATTRS: usize = 8;
+
+/// A start tag the skip walk read whole ([`Scanner::plain_start_tag`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PlainTag {
+    /// Length of the element name, which starts one byte past the `<`.
+    pub(crate) name_len: usize,
+    pub(crate) attributes: u32,
+    pub(crate) self_closing: bool,
 }
 
 /// `(lines, columns)` carried over `bytes`: the newlines in them, and the

@@ -81,4 +81,4 @@ pub use event::{
 };
 pub use pos::TextPosition;
 pub use probe::{ParseProbe, ProbeHandle};
-pub use reader::{ReaderConfig, XmlReader};
+pub use reader::{ReaderConfig, Skipped, XmlReader};

@@ -94,6 +94,23 @@ struct References {
 /// run).
 const BUFFER_START: usize = 64;
 
+/// What [`XmlReader::skip_subtree`] walked past: the events
+/// [`XmlReader::next_event`] would have returned in its place, and the
+/// document-order node ids their nodes would have taken.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Skipped {
+    /// Events: start and end tags, text nodes, comments and processing
+    /// instructions.
+    pub events: u64,
+    /// Start tags.
+    pub elements: u64,
+    /// Text nodes.
+    pub text_nodes: u64,
+    /// Node ids: one per element plus one per attribute, one per text
+    /// node.
+    pub node_ids: u64,
+}
+
 /// A streaming, pull-based XML parser.
 pub struct XmlReader<R: Read> {
     scanner: Scanner<R>,
@@ -207,6 +224,13 @@ impl<R: Read> XmlReader<R> {
         self.scanner.offset()
     }
 
+    /// Bytes consumed so far as `(walked past through the block stop
+    /// masks, read one at a time)`; the two add up to
+    /// [`XmlReader::offset`]. The probe is told the same counts.
+    pub fn scan_counts(&self) -> (u64, u64) {
+        self.scanner.scan_counts()
+    }
+
     /// Pulls the next event, borrowed from the reader's buffers until the
     /// next call ([`XmlEvent::into_owned`] keeps one). After
     /// [`XmlEvent::EndDocument`] has been returned, every further call
@@ -220,18 +244,109 @@ impl<R: Read> XmlReader<R> {
                 self.owed = Owed::Pop;
                 return Ok(XmlEvent::EndElement(self.innermost_end(end_offset)));
             }
-            Owed::Pop => {
-                self.name_ends.pop();
-                self.open_starts.pop();
-                if self.name_ends.is_empty() && self.state == DocState::InRoot {
-                    self.state = DocState::Epilog;
-                }
-            }
+            Owed::Pop => self.pop_innermost(),
         }
         match self.state {
             DocState::Init => self.read_document_start(),
             DocState::Done => Ok(XmlEvent::EndDocument),
             _ => self.read_content(),
+        }
+    }
+
+    /// Walks past the rest of the innermost open element's content without
+    /// building its events, and stops at that element's own end tag, which
+    /// the next [`XmlReader::next_event`] returns as it would have. Called
+    /// right after a [`XmlEvent::StartElement`], it skips the element's
+    /// whole subtree. After an end event, after a self-closing start tag
+    /// (whose end event is still to come) and outside the root element
+    /// there is nothing to skip. Returns what `next_event` would have
+    /// returned in between, counted ([`Skipped`]).
+    ///
+    /// It checks what `next_event` checks, with the same errors at the same
+    /// positions. The walk itself reads only plain constructs, each from
+    /// the window alone: ASCII start tags with at most eight attributes,
+    /// distinct names and quoted values free of `&`, `<` and control
+    /// bytes, and ASCII text free of `&`, `\r`, control bytes and `]]>`.
+    /// Everything else is read from its first byte by the routine
+    /// `next_event` uses, its event counted and dropped: end tags (whose
+    /// routine first compares the innermost open name whole), comments,
+    /// processing instructions, CDATA sections, references, non-ASCII
+    /// bytes, a construct that runs past the window, and a start tag at
+    /// the depth limit.
+    pub fn skip_subtree(&mut self) -> XmlResult<Skipped> {
+        let mut skipped = Skipped::default();
+        if self.owed != Owed::Nothing || self.state != DocState::InRoot {
+            return Ok(skipped);
+        }
+        let floor = self.name_ends.len();
+        loop {
+            self.scanner.commit();
+            match self.scanner.peek()? {
+                Some(b'<') => match self.scanner.peek_at(1)? {
+                    Some(b'/') if self.name_ends.len() == floor => return Ok(skipped),
+                    Some(b'/' | b'!' | b'?') | None => {}
+                    Some(_) if self.name_ends.len() < self.max_depth => {
+                        let start = self.scanner.offset();
+                        if let Some(tag) = self.scanner.plain_start_tag() {
+                            skipped.events += 1 + u64::from(tag.self_closing);
+                            skipped.elements += 1;
+                            skipped.node_ids += 1 + u64::from(tag.attributes);
+                            if !tag.self_closing {
+                                let name_end = start + 1 + tag.name_len as u64;
+                                self.names.truncate(self.open_names_len());
+                                self.names.push_str(self.scanner.str_between(start + 1, name_end));
+                                self.name_ends.push(self.names.len());
+                                self.open_starts.push(start);
+                            }
+                            continue;
+                        }
+                    }
+                    Some(_) => {}
+                },
+                Some(_) if self.scanner.plain_text() => {
+                    skipped.events += 1;
+                    skipped.text_nodes += 1;
+                    skipped.node_ids += 1;
+                    continue;
+                }
+                _ => {}
+            }
+            // Anything else: the routine `next_event` would run, from the
+            // construct's first byte.
+            let (elements, text_nodes, node_ids, own_end) = match self.read_content()? {
+                XmlEvent::StartElement(e) => (1, 0, 1 + e.attributes().len() as u64, false),
+                XmlEvent::Characters(_) => (0, 1, 1, false),
+                XmlEvent::EndElement(e) => (0, 0, 0, e.level as usize == floor),
+                _ => (0, 0, 0, false),
+            };
+            if own_end {
+                // An empty text node (an empty CDATA section) read on into
+                // the element's own end tag: that event is owed again.
+                self.owed = Owed::End(self.scanner.offset());
+                return Ok(skipped);
+            }
+            skipped.events += 1;
+            skipped.elements += elements;
+            skipped.text_nodes += text_nodes;
+            skipped.node_ids += node_ids;
+            match std::mem::replace(&mut self.owed, Owed::Nothing) {
+                Owed::End(_) => {
+                    skipped.events += 1;
+                    self.pop_innermost();
+                }
+                Owed::Pop => self.pop_innermost(),
+                Owed::Nothing => {}
+            }
+        }
+    }
+
+    /// Closes the innermost open element, whose end event has been
+    /// returned (or skipped).
+    fn pop_innermost(&mut self) {
+        self.name_ends.pop();
+        self.open_starts.pop();
+        if self.name_ends.is_empty() && self.state == DocState::InRoot {
+            self.state = DocState::Epilog;
         }
     }
 
@@ -1229,5 +1344,48 @@ mod tests {
         }
         assert_eq!(texts, [2000 * "plain text ]] & ]\n caf\u{e9} ".len()]);
         assert!(reader.scanner.capacity() <= 128, "window grew to {}", reader.scanner.capacity());
+    }
+
+    /// Reads `xml` up to the start tag of `<a>`, skips its content, and
+    /// returns the counts and the end event that follows.
+    fn skip_a(xml: &str) -> (Skipped, XmlEvent<'static>) {
+        let mut reader = XmlReader::from_str(xml);
+        while !matches!(reader.next_event().unwrap(), XmlEvent::StartElement(e) if e.name == "a") {}
+        let skipped = reader.skip_subtree().unwrap();
+        (skipped, reader.next_event().unwrap().into_owned())
+    }
+
+    #[test]
+    fn skipped_constructs_that_are_not_plain_go_through_the_routines() {
+        let plain_end = |xml: &str| {
+            let events = XmlReader::from_str(xml).collect_events().unwrap();
+            events.into_iter().find(|e| matches!(e, XmlEvent::EndElement(e) if e.name == "a"))
+        };
+        // Text with a comment, a PI, a reference, CDATA and non-ASCII;
+        // then an empty element and one with text.
+        let xml = "<r><a>x<!--c-->y<?p d?>&amp;<![CDATA[z]]>\u{e9}<b/><c k='v'>t</c></a></r>";
+        let (skipped, end) = skip_a(xml);
+        let counts = Skipped { events: 10, elements: 2, text_nodes: 4, node_ids: 7 };
+        assert_eq!((skipped, Some(end)), (counts, plain_end(xml)));
+        // An empty CDATA section is no text node: its routine reads on into
+        // `</a>`, whose event is owed again, span and all.
+        let xml = "<r><a><![CDATA[]]></a></r>";
+        let (skipped, end) = skip_a(xml);
+        assert_eq!((skipped, Some(end)), (Skipped::default(), plain_end(xml)));
+        // After a self-closing start tag or an end tag there is nothing to
+        // skip; outside the root element neither.
+        let mut reader = XmlReader::from_str("<r><a/><b>t</b></r>");
+        for _ in 0..3 {
+            reader.next_event().unwrap();
+        }
+        assert_eq!(reader.skip_subtree().unwrap(), Skipped::default());
+        assert!(matches!(reader.next_event().unwrap(), XmlEvent::EndElement(e) if e.name == "a"));
+        assert_eq!(reader.skip_subtree().unwrap(), Skipped::default());
+        assert!(matches!(reader.next_event().unwrap(), XmlEvent::StartElement(e) if e.name == "b"));
+        assert_eq!(reader.skip_subtree().unwrap().text_nodes, 1);
+        assert!(matches!(reader.next_event().unwrap(), XmlEvent::EndElement(e) if e.name == "b"));
+        let mut reader = XmlReader::from_str("<r/>");
+        assert_eq!(reader.skip_subtree().unwrap(), Skipped::default());
+        assert!(matches!(reader.next_event().unwrap(), XmlEvent::StartDocument { .. }));
     }
 }

@@ -18,7 +18,7 @@ use vitex_xmlgen::auction::{self, AuctionConfig};
 use vitex_xmlgen::protein::{self, ProteinConfig};
 use vitex_xmlgen::random::{self, RandomConfig};
 use vitex_xmlgen::recursive::{self, RecursiveConfig};
-use vitex_xmlsax::{ParseProbe, ReaderConfig, XmlEvent, XmlReader};
+use vitex_xmlsax::{ParseProbe, ReaderConfig, Skipped, XmlEvent, XmlReader};
 
 /// The `robustness.rs` base document.
 const BASE: &str = "<?xml version=\"1.0\"?>\
@@ -247,4 +247,171 @@ fn full_size_generator_documents_read_the_same_through_every_window() {
         let wide = format!("{}{wide}", &doc[..at]);
         assert_eq!(assert_window_independent(&format!("{name} (non-ASCII)"), wide.as_bytes()), "$");
     }
+}
+
+/// One step of a pass that skips every subtree rooted at `depth`: an
+/// event in full, or what a skip walked past.
+#[derive(Debug, PartialEq)]
+enum Step {
+    Event(XmlEvent<'static>),
+    Skip(Skipped),
+}
+
+/// What a skipping pass must produce, derived from a plain pass's events:
+/// each start tag at `depth` followed by the counts of the events up to
+/// its end tag (or up to the error, if the document fails inside it).
+fn expected_skips(events: &[XmlEvent<'static>], depth: u32) -> Vec<Step> {
+    let mut out = Vec::new();
+    let mut rest = events.iter();
+    while let Some(e) = rest.next() {
+        out.push(Step::Event(e.clone()));
+        let XmlEvent::StartElement(start) = e else { continue };
+        if start.level != depth {
+            continue;
+        }
+        let mut skipped = Skipped::default();
+        for e in rest.by_ref() {
+            match e {
+                XmlEvent::EndElement(end) if end.level == depth => {
+                    out.push(Step::Skip(skipped));
+                    out.push(Step::Event(e.clone()));
+                    break;
+                }
+                XmlEvent::StartElement(s) => {
+                    skipped.elements += 1;
+                    skipped.node_ids += 1 + s.attributes().len() as u64;
+                }
+                XmlEvent::Characters(_) => {
+                    skipped.text_nodes += 1;
+                    skipped.node_ids += 1;
+                }
+                _ => {}
+            }
+            skipped.events += 1;
+        }
+        if !matches!(out.last(), Some(Step::Event(XmlEvent::EndElement(_)))) {
+            out.push(Step::Skip(skipped)); // cut short by the error
+        }
+    }
+    out
+}
+
+/// A pass that calls `skip_subtree` after every start tag at `depth`,
+/// checking after each skip that the scan counts add up to the offset.
+fn skipping_trace<R: Read>(mut reader: XmlReader<R>, depth: u32) -> (Vec<Step>, String) {
+    let mut steps = Vec::new();
+    loop {
+        let skip = match reader.next_event() {
+            Ok(XmlEvent::EndDocument) => return (steps, "$".into()),
+            Ok(e) => {
+                let skip = matches!(&e, XmlEvent::StartElement(s) if s.level == depth);
+                steps.push(Step::Event(e.into_owned()));
+                skip
+            }
+            Err(e) => return (steps, outcome(&e)),
+        };
+        if skip {
+            match reader.skip_subtree() {
+                Ok(skipped) => steps.push(Step::Skip(skipped)),
+                Err(e) => return (steps, outcome(&e)),
+            }
+            let (block, byte) = reader.scan_counts();
+            assert_eq!(block + byte, reader.offset(), "scan counts after a skip");
+        }
+    }
+}
+
+fn outcome(e: &vitex_xmlsax::XmlError) -> String {
+    let p = e.position();
+    format!("{:?} {}:{} @{}", e.kind(), p.line, p.column, p.offset)
+}
+
+/// Skipping the subtrees at depths 1–3, through every window of the
+/// matrix, the default 64 KiB one and the one-byte trickle, must return the counts a plain pass
+/// reads in their place, then the same end tag and the rest of the same
+/// events; a document that fails must fail with the plain pass's error
+/// (a skip may or may not have returned before an error at the skipped
+/// element's own end tag).
+fn assert_skips_agree(name: &str, bytes: &[u8]) {
+    let (events, reference) = full_trace(XmlReader::from_slice(bytes));
+    for depth in 1..=3 {
+        let mut want = expected_skips(&events, depth);
+        let windows = [16, 17, 63, 64, 65, 127, 64 << 10].map(Some);
+        for capacity in windows.into_iter().chain([None]) {
+            let how = capacity.map_or("a 1-byte trickle".into(), |c| format!("a {c}-byte window"));
+            let (got, end) = skipping_trace(windowed(bytes, capacity), depth);
+            assert_eq!(end, reference, "{name}: outcome skipping depth {depth} through {how}");
+            if reference != "$" && got.len() + 1 == want.len() {
+                if let Some(Step::Skip(_)) = want.last() {
+                    want.pop(); // the error came inside the subtree
+                }
+            }
+            assert!(got == want, "{name}: steps skipping depth {depth} through {how}");
+        }
+    }
+}
+
+#[test]
+fn skipping_subtrees_counts_what_the_plain_pass_reads() {
+    for (name, bytes) in corpus() {
+        assert_skips_agree(&name, &bytes);
+    }
+    let docs = [
+        ("auction", auction::to_string(&AuctionConfig { seed: 2005, target_bytes: 16 << 10 })),
+        (
+            "protein",
+            protein::to_string(&ProteinConfig {
+                seed: 2005,
+                target_bytes: 16 << 10,
+                ..Default::default()
+            }),
+        ),
+        ("recursive", recursive::figure1()),
+        (
+            "recursive towers",
+            recursive::to_string(&RecursiveConfig {
+                section_depth: 6,
+                table_depth: 6,
+                towers: 6,
+                position_on_outermost_only: false,
+                author_present: true,
+            }),
+        ),
+    ];
+    for (name, doc) in &docs {
+        assert_skips_agree(name, doc.as_bytes());
+        // With `\r\n` line ends, and with two-byte characters in names,
+        // values and text: both leave many constructs to the routines.
+        assert_skips_agree(&format!("{name} (CRLF)"), doc.replace('>', ">\r\n").as_bytes());
+        let at = doc.find("?>").map_or(0, |i| i + 2);
+        let wide = format!("{}{}", &doc[..at], doc[at..].replace('e', "\u{e9}"));
+        assert_skips_agree(&format!("{name} (non-ASCII)"), wide.as_bytes());
+    }
+    // Faults the plain walk must leave to the routines, two levels down.
+    for fault in [
+        "t]]>t",
+        "<b x='1' x='2'/>",
+        "<b x='<'/>",
+        "<b x='a\x01'/>",
+        "<b x='&bad;'/>",
+        "<b x=1/>",
+        "<b x='1'y='2'/>",
+        "<b/ >",
+        "<9b/>",
+        "<b!/>",
+        "</c>",
+        "<b></c>",
+        "t&#0;",
+        "t\x01",
+        "<b>\u{e9}\u{fffe}</b>",
+        "<![CDATA[x]]]>",
+        "<!-- -- -->",
+        "<?xml x?>",
+        "<!DOCTYPE r>",
+    ] {
+        let xml = format!("<r><a><p>{fault}<q/></p></a></r>");
+        assert_skips_agree(&format!("{xml:?}"), xml.as_bytes());
+    }
+    let deep = format!("<r><a><p>{}</p></a></r>", "<d>".repeat(4100));
+    assert_skips_agree("past the depth limit", deep.as_bytes());
 }
