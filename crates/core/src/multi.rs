@@ -57,15 +57,16 @@
 //! ## One door out
 //!
 //! Every solution leaves through the caller's callback and nowhere else,
-//! **once per group emission and binding it reaches** (`touch_group`):
-//! the callback is lent the solution as a [`MatchRef`] into the machines'
+//! **once per group emission and binding it reaches** (`touch_group`),
+//! which also bills that binding the delivery and its payload bytes: the
+//! callback is lent the solution as a [`MatchRef`] into the machines'
 //! string pool, and the binding's subscribers as one contiguous slice of
-//! the group's list — the whole list when the emission reaches every
-//! binding. So delivery costs what the groups emit, not emissions ×
-//! subscribers, and the stream builds no owned match at all (YFilter's
-//! accepting states hand a match to a list of query ids the same way).
+//! the group's list. So delivery costs what the groups emit, not
+//! emissions × subscribers, and the stream builds no owned match at all
+//! (YFilter's accepting states hand a match to a list of query ids the
+//! same way).
 //! Owned matches exist only at the API edge: [`MultiEngine::run`] builds
-//! one [`Match`] per group delivery, keeps it once per binding it reached,
+//! one [`Match`] per binding delivery, keeps it once for that binding,
 //! and fills [`MultiOutput::matches`] with a clone of each subscription's
 //! binding sequence, sized exactly once the document has ended.
 //!
@@ -283,63 +284,31 @@ fn match_bytes(m: &MatchRef<'_>) -> u64 {
     8 + m.name.map_or(0, str::len) as u64 + m.value.map_or(0, str::len) as u64
 }
 
-/// Whom one delivery reached: what the collecting adapter needs to keep
-/// it once per binding.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Reach {
-    /// The subscribers of one binding (a group with one binding has one),
-    /// named by the first of them (a [`QueryId`] as `u32`, as the plan
-    /// keeps its group and trie ids).
-    Binding(u32),
-    /// Every subscriber of group `slot`, across its several bindings.
-    Group(u32),
-}
-
-/// Runs one machine `touch` of group `slot`, handing it the emit closure.
-/// A solution the machine delivers to `to` — its bindings, ascending, or
-/// `None` for all of them — reaches `on_match` once per binding, lent with
-/// whom it reached and that binding's subscribers in registration order,
-/// or once with every subscriber when it reaches them all. With several
-/// bindings, each one reached is billed the delivery; the slot's payload
-/// byte tally grows when `emitted_bytes` keeps one. This is the **one**
-/// place a solution leaves the executor.
+/// Runs one machine `touch` of a group, handing it the emit closure. A
+/// solution the machine delivers to `to` — its bindings, ascending, or
+/// `None` for all of them — reaches `on_match` once per binding, in
+/// binding order, lent with that binding's subscribers in registration
+/// order; each binding reached is billed the delivery and its payload
+/// bytes. This is the **one** place a solution leaves the executor.
 #[inline]
 fn touch_group<R>(
-    emitted_bytes: &mut [u64],
-    slot: u32,
     (subscribers, bindings): (&[QueryId], &mut [Binding]),
-    on_match: &mut impl FnMut(Reach, &[QueryId], &MatchRef<'_>),
+    on_match: &mut impl FnMut(&[QueryId], &MatchRef<'_>),
     touch: impl FnOnce(&mut Deliver<'_>) -> R,
 ) -> R {
-    let mut tally = emitted_bytes.get_mut(slot as usize);
     touch(&mut |to, hit| {
-        let count = bindings.len();
-        let bytes = if tally.is_some() || count > 0 { match_bytes(hit) } else { 0 };
-        if let Some(tally) = &mut tally {
-            **tally += bytes;
-        }
-        // Bills binding `b` and returns its subscribers' range.
-        let mut bill = |b: usize| {
+        let (bytes, count) = (match_bytes(hit), bindings.len());
+        let mut deliver = |b: usize| {
             let start = if b == 0 { 0 } else { bindings[b - 1].end as usize };
             let binding = &mut bindings[b];
             (binding.delivered, binding.bytes) = (binding.delivered + 1, binding.bytes + bytes);
-            start..binding.end as usize
+            on_match(&subscribers[start..binding.end as usize], hit);
         };
-        let first = |subscribers: &[QueryId]| Reach::Binding(subscribers[0].0 as u32);
         match to {
-            None if count > 0 => {
-                for b in 0..count {
-                    bill(b);
-                }
-                on_match(Reach::Group(slot), subscribers, hit);
-            }
-            None => on_match(first(subscribers), subscribers, hit),
+            None => (0..count).for_each(deliver),
             Some(to) => {
                 debug_assert!(!to.is_empty(), "a delivery reaches a binding");
-                for &b in to {
-                    let subscribers = &subscribers[bill(b as usize)];
-                    on_match(first(subscribers), subscribers, hit);
-                }
+                to.iter().for_each(|&b| deliver(b as usize));
             }
         }
     })
@@ -369,12 +338,6 @@ pub(crate) struct Executor {
     touched: Vec<u32>,
     /// The run-time memory of every machine this executor drives.
     store: CandidateStore,
-    /// Payload bytes of the solutions each slot's machine emitted this
-    /// document, tallied where a solution leaves its machine: a
-    /// subscription's `emitted_bytes` in a group with one binding (one with
-    /// several bills its bindings). One entry per slot while telemetry is
-    /// on, none otherwise.
-    emitted_bytes: Vec<u64>,
     /// The trie's step checks of the current (or last) document.
     run: PrefixRunStats,
     /// Whether a step could push inside the element of the last start tag
@@ -386,33 +349,17 @@ impl Executor {
     /// Puts the machines the previous document touched back at rest,
     /// drops every frame it left open (a parse error ends a document
     /// mid-element), takes back what its machines held in the store, and
-    /// zeroes the step counters and the byte tallies — keeping one tally
-    /// per group slot when `tally_bytes` (telemetry is on), none otherwise.
-    /// Every other machine is already at rest with a zero tally, so this
-    /// costs what that document touched plus the slots created since, not
-    /// the slot count.
-    pub(crate) fn begin_document(&mut self, groups: &mut [PlanGroup], tally_bytes: bool) {
+    /// zeroes the step counters. Every other machine is already at rest
+    /// with zero bills, so this costs what that document touched, not the
+    /// slot count.
+    pub(crate) fn begin_document(&mut self, groups: &mut [PlanGroup]) {
         for slot in self.touched.drain(..) {
             groups[slot as usize].reset();
             self.text_live.remove(slot as usize);
-            if let Some(bytes) = self.emitted_bytes.get_mut(slot as usize) {
-                *bytes = 0;
-            }
         }
         self.frames.clear();
         self.store.reset();
         self.run = PrefixRunStats::default();
-        if tally_bytes {
-            self.emitted_bytes.resize(groups.len(), 0);
-        } else {
-            self.emitted_bytes.clear();
-        }
-    }
-
-    /// Payload bytes `slot`'s machine emitted this document (zero unless
-    /// telemetry is on).
-    pub(crate) fn emitted_bytes(&self, slot: usize) -> u64 {
-        self.emitted_bytes.get(slot).copied().unwrap_or(0)
     }
 
     /// The slots the current (or last) document pushed, in first-touch
@@ -462,9 +409,9 @@ impl Executor {
         sym: Option<Symbol>,
         event: &StartElementEvent<'_>,
         node_id: NodeId,
-        on_match: &mut impl FnMut(Reach, &[QueryId], &MatchRef<'_>),
+        on_match: &mut impl FnMut(&[QueryId], &MatchRef<'_>),
     ) {
-        let Self { plans, frames, text_live, touched, store, emitted_bytes, run, below } = self;
+        let Self { plans, frames, text_live, touched, store, run, below } = self;
         plans.clear();
         *below = trie.advance(groups, sym, event.level, plans, run);
         if plans.is_empty() {
@@ -483,7 +430,7 @@ impl Executor {
             if machine.stats().dispatch_hits == 0 {
                 touched.push(slot);
             }
-            touch_group(emitted_bytes, slot, (subscribers, bindings), on_match, |out| {
+            touch_group((subscribers, bindings), on_match, |out| {
                 machine.start_element_prefix(
                     store,
                     run.iter().map(|&(_, q, ptr)| (q, ptr)),
@@ -523,12 +470,12 @@ impl Executor {
         level: u32,
         node_id: NodeId,
         span: ByteSpan,
-        on_match: &mut impl FnMut(Reach, &[QueryId], &MatchRef<'_>),
+        on_match: &mut impl FnMut(&[QueryId], &MatchRef<'_>),
     ) {
-        let Self { text_live, store, emitted_bytes, .. } = self;
+        let Self { text_live, store, .. } = self;
         text_live.for_each(|slot| {
             let (machine, subscribers, bindings) = groups[slot].machine_and_fan_out();
-            touch_group(emitted_bytes, slot as u32, (subscribers, bindings), on_match, |out| {
+            touch_group((subscribers, bindings), on_match, |out| {
                 machine.characters_to(store, text, level, node_id, span, out)
             });
         });
@@ -542,12 +489,12 @@ impl Executor {
         name: &str,
         level: u32,
         element_span: ByteSpan,
-        on_match: &mut impl FnMut(Reach, &[QueryId], &MatchRef<'_>),
+        on_match: &mut impl FnMut(&[QueryId], &MatchRef<'_>),
     ) {
         let base = self.frames.iter().rposition(|&(_, at)| at != level).map_or(0, |i| i + 1);
         for &(slot, _) in &self.frames[base..] {
             let (machine, subscribers, bindings) = groups[slot as usize].machine_and_fan_out();
-            touch_group(&mut self.emitted_bytes, slot, (subscribers, bindings), on_match, |out| {
+            touch_group((subscribers, bindings), on_match, |out| {
                 machine.end_element_to(&mut self.store, name, level, element_span, out)
             });
             if !machine.text_live() {

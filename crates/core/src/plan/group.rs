@@ -31,9 +31,8 @@ pub struct PlanGroup {
     /// Subscribing queries, binding by binding in binding order, each
     /// binding's in registration order (fan-out order).
     subscribers: Vec<QueryId>,
-    /// One per binding while there are several (empty for one): where its
-    /// subscribers end in `subscribers`, and what it was delivered this
-    /// document.
+    /// One per binding, at least one: where its subscribers end in
+    /// `subscribers`, and what it was delivered this document.
     bindings: Vec<Binding>,
     /// The shape key every subscriber shares.
     key: String,
@@ -43,8 +42,8 @@ pub struct PlanGroup {
     trie_node: usize,
 }
 
-/// A binding of a group with several: its subscriber range and its bill
-/// for the current document.
+/// A binding of a group: its subscriber range and its bill for the
+/// current document.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Binding {
     /// End of its subscribers in the group's list.
@@ -65,17 +64,15 @@ impl PlanGroup {
         trie_node: usize,
         first: QueryId,
     ) -> Self {
-        PlanGroup { machine, subscribers: vec![first], bindings: Vec::new(), key, hash, trie_node }
+        // `vec!` holds the one binding at exact capacity; a `push` would
+        // reserve four.
+        let bindings = vec![Binding { end: 1, ..Binding::default() }];
+        PlanGroup { machine, subscribers: vec![first], bindings, key, hash, trie_node }
     }
 
     /// The shared machine.
     pub fn machine(&self) -> &TwigM {
         &self.machine
-    }
-
-    /// Whether the group has several bindings (and bills them).
-    pub(crate) fn has_several_bindings(&self) -> bool {
-        !self.bindings.is_empty()
     }
 
     /// Puts the machine and the bindings' bills back at rest for a new
@@ -100,19 +97,12 @@ impl PlanGroup {
         &self.subscribers
     }
 
-    /// With several bindings, each one's subscribers and bill this
-    /// document, in binding order; nothing for a group with one.
+    /// Each binding's subscribers and bill this document, in binding
+    /// order.
     pub(crate) fn binding_bills(&self) -> impl Iterator<Item = (&[QueryId], &Binding)> {
         let starts = std::iter::once(0).chain(self.bindings.iter().map(|b| b.end as usize));
         let ranges = starts.zip(&self.bindings);
         ranges.map(|(start, b)| (&self.subscribers[start..b.end as usize], b))
-    }
-
-    /// Each binding's subscribers, in binding order: the whole list for a
-    /// group with one binding.
-    pub(crate) fn binding_subscribers(&self) -> impl Iterator<Item = &[QueryId]> {
-        let one = self.bindings.is_empty().then_some(&self.subscribers[..]);
-        one.into_iter().chain(self.binding_bills().map(|(subscribers, _)| subscribers))
     }
 
     /// Whether any subscriber remains.
@@ -140,46 +130,35 @@ impl PlanGroup {
     /// recompilation. Idempotence is the caller's concern: every
     /// registration gets a fresh [`QueryId`].
     pub(crate) fn subscribe(&mut self, id: QueryId, literal: Option<&str>) {
-        let Some(literal) = literal else {
-            return self.subscribers.push(id);
-        };
-        let (b, new) = self.machine.bind(literal);
-        let count = self.subscribers.len() as u32;
+        let (b, new) = literal.map_or((0, false), |literal| self.machine.bind(literal));
         if new {
-            if self.bindings.is_empty() {
-                self.bindings.push(Binding { end: count, ..Binding::default() });
-            }
-            self.bindings.push(Binding { end: count + 1, ..Binding::default() });
-            self.subscribers.push(id);
-        } else if self.bindings.is_empty() {
+            let end = self.subscribers.len() as u32 + 1;
+            self.bindings.push(Binding { end, ..Binding::default() });
             self.subscribers.push(id);
         } else {
             let end = self.bindings[b as usize].end;
             self.subscribers.insert(end as usize, id);
             self.bindings[b as usize..].iter_mut().for_each(|later| later.end += 1);
         }
+        debug_assert_eq!(self.bindings.len(), self.machine.binding_count());
     }
 
     /// Removes a subscriber — and its binding, when it was the binding's
-    /// last. Returns `Some(last)` when the id was subscribed — `last`
-    /// meaning it was the final one and the group is now inactive — and
-    /// `None` for unknown ids (nothing changed), so callers can keep their
-    /// own counters consistent.
+    /// last and others remain. Returns `Some(last)` when the id was
+    /// subscribed — `last` meaning it was the final one and the group is
+    /// now inactive — and `None` for unknown ids (nothing changed), so
+    /// callers can keep their own counters consistent.
     pub(crate) fn unsubscribe(&mut self, id: QueryId) -> Option<bool> {
         let pos = self.subscribers.iter().position(|&s| s == id)?;
         self.subscribers.remove(pos);
-        if !self.bindings.is_empty() {
-            let b = self.bindings.partition_point(|r| r.end as usize <= pos);
-            self.bindings[b..].iter_mut().for_each(|later| later.end -= 1);
-            let start = if b == 0 { 0 } else { self.bindings[b - 1].end };
-            if self.bindings[b].end == start {
-                self.bindings.remove(b);
-                self.machine.unbind(b as u32);
-                if self.bindings.len() == 1 {
-                    self.bindings.clear();
-                }
-            }
+        let b = self.bindings.partition_point(|r| r.end as usize <= pos);
+        self.bindings[b..].iter_mut().for_each(|later| later.end -= 1);
+        let start = if b == 0 { 0 } else { self.bindings[b - 1].end };
+        if self.bindings[b].end == start && self.bindings.len() > 1 {
+            self.bindings.remove(b);
+            self.machine.unbind(b as u32);
         }
+        debug_assert_eq!(self.bindings.len(), self.machine.binding_count());
         Some(self.subscribers.is_empty())
     }
 
@@ -211,7 +190,7 @@ mod tests {
 
     /// Each binding's subscribers, in binding order.
     fn filed(g: &PlanGroup) -> Vec<Vec<usize>> {
-        g.binding_subscribers().map(|subs| subs.iter().map(|q| q.0).collect()).collect()
+        g.binding_bills().map(|(subs, _)| subs.iter().map(|q| q.0).collect()).collect()
     }
 
     #[test]
@@ -232,6 +211,7 @@ mod tests {
         assert_eq!(g.shape_key(), "//a[/b]");
         assert_eq!(g.trie_node(), 1);
         assert_eq!(g.machine().spec().len(), 2);
+        assert_eq!(g.bindings.capacity(), 1, "the one binding at exact capacity");
         assert!(g.approx_bytes() > 0);
     }
 
@@ -265,7 +245,6 @@ mod tests {
             g.unsubscribe(QueryId(q));
         }
         assert_eq!((filed(&g), g.machine().binding_count()), (vec![vec![4, 6]], 1));
-        assert!(g.bindings.is_empty(), "one binding keeps no ranges");
         assert_eq!(g.unsubscribe(QueryId(4)), Some(false));
         assert_eq!(g.unsubscribe(QueryId(6)), Some(true), "the last subscriber retires the group");
     }

@@ -108,7 +108,7 @@ impl QueryPlanner {
         let terminal = self.trie.insert_path(&steps);
         let (key, literal) = tree.shape_key();
         let hash = QueryTree::hash_canonical(&key);
-        let existing = self.trie.terminals(terminal).iter().copied().find(|&g| {
+        let existing = self.trie.terminals(terminal).iter().map(|&g| g as usize).find(|&g| {
             let group = &self.groups[g];
             group.is_active() && group.stable_hash() == hash && group.shape_key() == key
         });
@@ -228,6 +228,12 @@ impl QueryPlanner {
             Some(shape) => shape,
             None => *self.cached.insert(self.stats(interner)),
         }
+    }
+
+    /// Whether a registration or removal changed the plan since a
+    /// document's epilogue last cached its statistics.
+    pub(crate) fn changed_since_document(&self) -> bool {
+        self.cached.is_none()
     }
 
     /// Where each node of `spec` routes: `(trie node, machine node)`, the

@@ -73,7 +73,7 @@ struct TrieNode {
     /// Child node indices (small fan-out: linear scan beats hashing).
     children: Vec<u32>,
     /// Plan groups whose main path ends exactly here.
-    terminals: Vec<usize>,
+    terminals: Vec<u32>,
 }
 
 /// A trie over location-step paths, nodes addressed by dense indices.
@@ -165,7 +165,7 @@ impl StepTrie {
     }
 
     /// The plan groups terminating at `node`.
-    pub fn terminals(&self, node: usize) -> &[usize] {
+    pub fn terminals(&self, node: usize) -> &[u32] {
         &self.nodes[node].terminals
     }
 
@@ -173,8 +173,8 @@ impl StepTrie {
     /// `(trie node, machine node)` for every node of the group's machine,
     /// what a push of that trie node drives.
     pub fn add_group(&mut self, node: usize, group: usize, routes: &[(usize, u32)]) {
-        self.nodes[node].terminals.push(group);
         let gid = group as u32;
+        self.nodes[node].terminals.push(gid);
         for &(at, mnode) in routes {
             let list = &mut self.routes[at];
             list.insert(list.partition_point(|&r| r < (gid, mnode)), (gid, mnode));
@@ -191,10 +191,10 @@ impl StepTrie {
     /// never deleted; one with no routes left stops counting as shared and
     /// `StepTrie::advance` stops checking it.
     pub fn remove_group(&mut self, node: usize, group: usize) {
-        let terminals = &mut self.nodes[node].terminals;
-        let Some(pos) = terminals.iter().position(|&g| g == group) else { return };
-        terminals.swap_remove(pos);
         let gid = group as u32;
+        let terminals = &mut self.nodes[node].terminals;
+        let Some(pos) = terminals.iter().position(|&g| g == gid) else { return };
+        terminals.swap_remove(pos);
         let mut top = node;
         while self.nodes[top].parent != 0 {
             top = self.nodes[top].parent as usize;
@@ -277,7 +277,7 @@ impl StepTrie {
         let mut bytes = self.nodes.capacity() * size_of::<TrieNode>();
         for n in &self.nodes {
             bytes += n.children.capacity() * size_of::<u32>()
-                + n.terminals.capacity() * size_of::<usize>();
+                + n.terminals.capacity() * size_of::<u32>();
         }
         for r in &self.routes {
             bytes += size_of::<Vec<(u32, u32)>>() + r.capacity() * size_of::<(u32, u32)>();
@@ -468,7 +468,7 @@ mod tests {
         /// Starts a document: the machines at rest, the counters at zero.
         fn begin(multi: &mut MultiEngine) -> Doc<'_> {
             let (_, groups) = multi.planner.runtime();
-            multi.exec.begin_document(groups, false);
+            multi.exec.begin_document(groups);
             Doc(multi)
         }
 
@@ -487,7 +487,7 @@ mod tests {
                 sym,
                 &event,
                 0,
-                &mut |_, _: &[QueryId], _: &MatchRef<'_>| {},
+                &mut |_: &[QueryId], _: &MatchRef<'_>| {},
             );
             multi.exec.plans().to_vec()
         }
@@ -497,7 +497,7 @@ mod tests {
             let Doc(multi) = self;
             let (_, groups) = multi.planner.runtime();
             let span = ByteSpan::new(0, 0);
-            multi.exec.end(groups, name, level, span, &mut |_, _: &[QueryId], _: &MatchRef<'_>| {});
+            multi.exec.end(groups, name, level, span, &mut |_: &[QueryId], _: &MatchRef<'_>| {});
         }
 
         /// The step counters so far: `(executed, saved, forks)`.

@@ -30,18 +30,18 @@
 //! A match leaves through the caller's callback and nowhere else, once
 //! per group emission and binding it reaches: the executor lends the
 //! callback the solution as a [`MatchRef`] into the machines' string pool
-//! together with the binding's subscribers (`crate::multi::touch_group`),
-//! and what telemetry reports about matches is counted where a solution
-//! leaves its machine (`MachineStats::emitted`; payload bytes by the
-//! executor). So [`MultiEngine::stream_document`], the primitive, holds
-//! nothing per match and allocates nothing per match either (the `vitex`
-//! CLI is built on it), and owned matches are made by two collecting
-//! adapters around it. [`MultiEngine::run`] makes one [`Match`] per group
-//! delivery and logs it once with whom it reached (`crate::multi::Reach`).
-//! Once the document has ended, each binding's deliveries become one
-//! sequence, sized exactly from the binding's bill, that its first
-//! subscriber keeps; every other subscriber's vector is a clone of it. So
-//! what the adapter copies per subscriber is one contiguous vector.
+//! together with the binding's subscribers, and bills that binding the
+//! delivery and its payload bytes (`crate::multi::touch_group`); what
+//! telemetry reports about a subscription's matches is its binding's bill.
+//! So [`MultiEngine::stream_document`], the primitive, holds nothing per
+//! match and allocates nothing per match either (the `vitex` CLI is built
+//! on it), and owned matches are made by two collecting adapters around
+//! it. [`MultiEngine::run`] makes one [`Match`] per binding delivery and
+//! logs it with the binding's first subscriber. Once the document has
+//! ended, each binding's deliveries become one sequence, sized exactly
+//! from the binding's bill, that its first subscriber keeps; every other
+//! subscriber's vector is a clone of it. So what the adapter copies per
+//! subscriber is one contiguous vector.
 //! [`crate::Engine::run`], a one-query `MultiEngine`, collects its one
 //! subscription's matches as they are delivered.
 //!
@@ -83,7 +83,7 @@ use vitex_xmlsax::XmlReader;
 use crate::driver::EventSink;
 use crate::error::EngineResult;
 use crate::intern::{Interner, Symbol};
-use crate::multi::{Executor, MultiEngine, MultiOutput, Reach};
+use crate::multi::{Executor, MultiEngine, MultiOutput};
 use crate::plan::{PlanGroup, StepTrie};
 use crate::result::{Match, MatchRef, NodeId, QueryId};
 use crate::stats::{Bill, MachineStats, PlanStats, StreamStats};
@@ -92,56 +92,47 @@ use crate::telemetry::{GroupRow, QueryRow};
 
 impl MultiEngine {
     /// [`MultiEngine::stream_document`] behind the **one** collecting
-    /// adapter: each group delivery becomes one owned [`Match`], lent to
-    /// `on_match` once per subscriber it reaches, in registration order,
-    /// and kept once for the binding it reached (for each binding, when it
-    /// reached them all). Once the document has ended, each binding's
-    /// matches form one sequence sized exactly from its bill: its first
-    /// subscriber's vector in the returned [`MultiOutput`]'s `matches` (per
-    /// query, in delivery order), which every other subscriber of the
-    /// binding gets a clone of. So `matches` grows with the deliveries
-    /// times the subscribers, and the copying costs one vector per
-    /// subscriber rather than one scattered push per subscriber and match.
+    /// adapter: each binding delivery becomes one owned [`Match`], lent to
+    /// `on_match` once per subscriber of the binding, in registration
+    /// order, and kept once for the binding. Once the document has ended,
+    /// each binding's matches form one sequence sized exactly from its
+    /// bill: its first subscriber's vector in the returned
+    /// [`MultiOutput`]'s `matches` (per query, in delivery order), which
+    /// every other subscriber of the binding gets a clone of. So `matches`
+    /// grows with the deliveries times the subscribers, and the copying
+    /// costs one vector per subscriber rather than one scattered push per
+    /// subscriber and match.
     /// `stats` holds every registration's [`MultiEngine::query_stats`].
     pub fn run<R: Read, F: FnMut(QueryId, &Match)>(
         &mut self,
         reader: XmlReader<R>,
         mut on_match: F,
     ) -> EngineResult<MultiOutput> {
-        // Each group delivery and whom it reached, in stream order.
-        let mut log = Vec::<(Match, Reach)>::new();
-        let mut out = self.stream(reader, |reach, subscribers, hit| {
+        // Each binding delivery and the binding's first subscriber, in
+        // stream order.
+        let mut log = Vec::<(Match, QueryId)>::new();
+        let mut out = self.stream_document(reader, |subscribers, hit| {
             let hit = Match::from(*hit);
             for &q in subscribers {
                 on_match(q, &hit);
             }
-            log.push((hit, reach));
+            log.push((hit, subscribers[0]));
         })?;
         out.stats = self.all_query_stats();
         // A binding's sequence is its first subscriber's vector, sized from
         // that subscriber's `emitted` at its first delivery.
         let mut matches: Vec<Vec<Match>> =
             std::iter::repeat_with(Vec::new).take(out.stats.len()).collect();
-        let mut keep = |q: QueryId, hit: Match| {
-            let sequence = &mut matches[q.0];
+        for (hit, first) in log {
+            let sequence = &mut matches[first.0];
             if sequence.capacity() == 0 {
-                *sequence = Vec::with_capacity(out.stats[q.0].emitted as usize);
+                *sequence = Vec::with_capacity(out.stats[first.0].emitted as usize);
             }
             sequence.push(hit);
-        };
-        for (hit, reach) in log {
-            match reach {
-                Reach::Binding(first) => keep(QueryId(first as usize), hit),
-                Reach::Group(slot) => {
-                    for subscribers in self.planner.group(slot as usize).binding_subscribers() {
-                        keep(subscribers[0], hit.clone());
-                    }
-                }
-            }
         }
         // Each other subscriber of a binding gets a clone of its sequence.
         for &g in self.exec.touched() {
-            for subscribers in self.planner.group(g as usize).binding_subscribers() {
+            for (subscribers, _) in self.planner.group(g as usize).binding_bills() {
                 if let [first, rest @ ..] = subscribers {
                     for q in rest {
                         matches[q.0] = matches[first.0].clone();
@@ -176,29 +167,18 @@ impl MultiEngine {
     /// `stats` left empty: `on_match` is the only way a match leaves, and
     /// [`MultiEngine::query_stats`] reads a subscription's statistics.
     /// `on_match` fires the moment a solution is decidable, once per group
-    /// emission and binding it reaches: with that binding's subscribers in
-    /// registration order — a group's whole list when the emission reaches
-    /// every binding — and the solution lent as a [`MatchRef`]. Nothing is
-    /// kept, and nothing allocated, per match. A malformed document ends
-    /// with its error; the next one starts from nothing.
+    /// emission and binding it reaches, in binding order: with that
+    /// binding's subscribers in registration order, and the solution lent
+    /// as a [`MatchRef`]. Nothing is kept, and nothing allocated, per
+    /// match. A malformed document ends with its error; the next one starts
+    /// from nothing.
     pub fn stream_document<R: Read, F: FnMut(&[QueryId], &MatchRef<'_>)>(
         &mut self,
         reader: XmlReader<R>,
         mut on_match: F,
     ) -> EngineResult<MultiOutput> {
-        self.stream(reader, |_, subscribers, hit| on_match(subscribers, hit))
-    }
-
-    /// [`MultiEngine::stream_document`] with each delivery's [`Reach`]:
-    /// the group and binding it went to.
-    fn stream<R: Read, F: FnMut(Reach, &[QueryId], &MatchRef<'_>)>(
-        &mut self,
-        reader: XmlReader<R>,
-        mut on_match: F,
-    ) -> EngineResult<MultiOutput> {
-        let tally_bytes = self.driver.telemetry().is_enabled();
         let (trie, groups) = self.planner.runtime();
-        self.exec.begin_document(groups, tally_bytes);
+        self.exec.begin_document(groups);
         let mut sink = DocumentSink {
             interner: &self.interner,
             trie,
@@ -229,20 +209,21 @@ impl MultiEngine {
     }
 
     /// Calls `f` with each subscriber of group `g` and what it reads for
-    /// the last document: the machine's statistics, with `emitted` its
-    /// binding's deliveries in a group with several (one with one binding
-    /// delivers every solution to every subscriber), and the payload bytes
-    /// delivered to it (zero unless telemetry is on, for a group with one
-    /// binding).
+    /// the last document: the machine's statistics with `emitted` its
+    /// binding's deliveries, and the payload bytes delivered to it.
     fn visit_group(&self, g: usize, mut f: impl FnMut(QueryId, &MachineStats, u64)) {
         let group = self.planner.group(g);
         let stats = group.machine().stats();
-        if !group.has_several_bindings() {
-            let bytes = self.exec.emitted_bytes(g);
-            return group.subscribers().iter().for_each(|&q| f(q, stats, bytes));
-        }
         let mut own = stats.clone();
         for (subscribers, bill) in group.binding_bills() {
+            // A lone binding is delivered every solution once: its bill is
+            // the machine's count, until a removal merges bindings.
+            debug_assert!(
+                group.machine().binding_count() > 1
+                    || bill.delivered == stats.emitted
+                    || self.planner.changed_since_document(),
+                "a lone binding's bill counts what the machine emitted"
+            );
             own.emitted = bill.delivered;
             subscribers.iter().for_each(|&q| f(q, &own, bill.bytes));
         }
@@ -324,7 +305,7 @@ struct DocumentSink<'s, F> {
     on_match: &'s mut F,
 }
 
-impl<F: FnMut(Reach, &[QueryId], &MatchRef<'_>)> EventSink for DocumentSink<'_, F> {
+impl<F: FnMut(&[QueryId], &MatchRef<'_>)> EventSink for DocumentSink<'_, F> {
     fn resolve(&mut self, name: &str) -> Option<Symbol> {
         self.interner.lookup(name)
     }
@@ -365,10 +346,10 @@ mod tests {
         let q = multi.add_query("/a/b").unwrap();
         let (a, b) = (multi.interner.lookup("a"), multi.interner.lookup("b"));
         let (trie, groups) = multi.planner.runtime();
-        multi.exec.begin_document(groups, false);
+        multi.exec.begin_document(groups);
         let mut hits = Vec::new();
         let mut on_match =
-            |_, qs: &[QueryId], m: &MatchRef<'_>| hits.extend(qs.iter().map(|&q| (q, m.node)));
+            |qs: &[QueryId], m: &MatchRef<'_>| hits.extend(qs.iter().map(|&q| (q, m.node)));
         let mut sink = DocumentSink {
             interner: &multi.interner,
             trie,
@@ -402,7 +383,7 @@ mod tests {
         assert_eq!(end(&mut sink, b, "b", 2), 1);
         assert_eq!(end(&mut sink, a, "a", 1), 0, "every push was popped");
         // A new document starts from nothing: machines at rest, counters at zero.
-        sink.exec.begin_document(sink.groups, false);
+        sink.exec.begin_document(sink.groups);
         assert_eq!(sink.exec.run_stats().steps_executed, 0);
         assert_eq!(sink.groups[0].machine().stats(), &MachineStats::default());
         assert_eq!(start(&mut sink, a, "a", 1, 0), (1, 1));
@@ -461,6 +442,24 @@ mod tests {
         multi.run(XmlReader::from_str("<r/>"), |_, _| {}).unwrap();
         assert!(touched(&multi).is_empty());
         assert!([a, b, c].into_iter().all(|q| at_rest(&multi, q)));
+    }
+
+    #[test]
+    fn a_removal_that_merges_bindings_leaves_the_survivor_its_own_bill() {
+        let mut multi = MultiEngine::new();
+        let [cash, wire] = ["Cash", "Wire"]
+            .map(|p| multi.add_query(&format!("//item[payment = '{p}']/@id")).unwrap());
+        let xml = r#"<r><item id="a"><payment>Cash</payment></item>
+            <item id="b"><payment>Wire</payment></item>
+            <item id="c"><payment>Cash</payment></item></r>"#;
+        multi.run(XmlReader::from_str(xml), |_, _| {}).unwrap();
+        assert_eq!([cash, wire].map(|q| multi.query_stats(q).emitted), [2, 1]);
+        assert_eq!(multi.remove_query(cash), Some(false));
+        assert_eq!(multi.planner.group(0).machine().binding_count(), 1);
+        assert_eq!(multi.query_stats(wire).emitted, 1, "its binding's bill, not the machine's 3");
+        let out = multi.run(XmlReader::from_str(xml), |_, _| {}).unwrap();
+        assert_eq!(out.stats[wire.0].emitted, 1);
+        assert_eq!(out.matches[wire.0].len(), 1);
     }
 
     #[test]

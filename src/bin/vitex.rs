@@ -325,8 +325,8 @@ fn run_multi(opts: &Options, trees: &[QueryTree], telemetry: &Telemetry) -> Exit
     // A single query prints no `[i]` prefixes and a bare --count total.
     let prefixed = trees.len() > 1;
     let mut counts = vec![0u64; trees.len()];
-    // One emission is formatted once, into this reused buffer, and its
-    // line written for each subscriber it reached.
+    // Each callback is formatted once, into this reused buffer, and its
+    // line written for each subscriber it was lent.
     let mut line = String::new();
     let mut on_match = |reached: &[QueryId], m: &MatchRef<'_>| {
         for q in reached {

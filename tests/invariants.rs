@@ -443,7 +443,7 @@ mod plan_invariants {
                 trie.add_group(node, g, &routes);
                 routed += routes.len();
                 terminals.push((node, g));
-                prop_assert!(trie.terminals(node).contains(&g));
+                prop_assert!(trie.terminals(node).contains(&(g as u32)));
                 prop_assert!(trie.is_routed(g));
                 prop_assert!(trie.route_count(node) >= 1 && trie.route_count(branch) >= 1);
                 let total: usize = (0..=trie.len()).map(|n| trie.route_count(n)).sum();

@@ -426,6 +426,50 @@ fn a_shape_group_bills_each_subscription_what_it_costs_alone() {
 }
 
 #[test]
+fn payload_bytes_are_the_node_id_name_and_value_of_each_match() {
+    // A subscription's `vitex_query_emitted_bytes_total` is exactly
+    // Σ (8 + name length + value length) over the matches `run` gives it:
+    // for a lone query, a group of one binding with two subscribers and a
+    // group of two bindings, whether the handle came before registration
+    // or after it.
+    let xml = auction::to_string(&AuctionConfig::sized(32 * 1024));
+    let queries = [
+        "/site/people/person/name/text()",
+        "//item/@id",
+        "//item/@id",
+        "//item[payment = 'Cash']/name",
+        "//item[payment = 'Creditcard']/name",
+        "//item[payment = 'Cash']/name",
+    ];
+    let trees: Vec<QueryTree> =
+        queries.iter().map(|q| QueryTree::parse(q).expect("valid query")).collect();
+    let len = |text: &Option<std::sync::Arc<str>>| text.as_deref().map_or(0, str::len) as u64;
+    for attach_first in [true, false] {
+        let telemetry = Telemetry::enabled();
+        let mut engine = MultiEngine::new();
+        if attach_first {
+            engine.set_telemetry(telemetry.clone());
+        }
+        for tree in &trees {
+            engine.add_tree(tree).expect("registrable");
+        }
+        if !attach_first {
+            engine.set_telemetry(telemetry.clone());
+        }
+        let out = engine.run(XmlReader::from_str(&xml), |_, _| {}).expect("engine run");
+        let snapshot = telemetry.snapshot().expect("enabled");
+        let subscribers: Vec<u64> = snapshot.groups.iter().map(|g| g.subscribers).collect();
+        assert_eq!(subscribers, [1, 2, 3], "a lone query, a pair, two bindings");
+        for (q, matches) in out.matches.iter().enumerate() {
+            let bytes: u64 = matches.iter().map(|m| 8 + len(&m.name) + len(&m.value)).sum();
+            assert!(bytes > 0, "{} matches", queries[q]);
+            let row = &snapshot.queries[q];
+            assert_eq!(row.emitted_bytes, bytes, "{} (attached first: {attach_first})", row.query);
+        }
+    }
+}
+
+#[test]
 fn rows_of_a_many_binding_group_equal_each_query_stats() {
     // 400 subscriptions of one shape, two per e-mail literal, over
     // persons with an address for even N only: one machine, and one walk
