@@ -100,7 +100,7 @@ pub use intern::{Interner, Symbol};
 pub use machine::{CandidateStore, TwigM};
 pub use multi::{MultiEngine, MultiOutput};
 pub use plan::{PlanGroup, QueryPlanner};
-pub use result::{Match, MatchKind, MatchRef, QueryId};
+pub use result::{Match, MatchKind, MatchRef, QueryId, Text};
 pub use stats::{Bill, MachineStats, PlanStats, StreamStats};
 pub use telemetry::{Snapshot, Telemetry};
 

@@ -41,7 +41,9 @@
 //! ended, each binding's deliveries become one sequence, sized exactly
 //! from the binding's bill, that its first subscriber keeps; every other
 //! subscriber's vector is a clone of it. So what the adapter copies per
-//! subscriber is one contiguous vector.
+//! subscriber is one contiguous vector, and a match in it whose name and
+//! value are short ([`crate::Text`] keeps them inline) copies as plain
+//! bytes, with no reference count to bump.
 //! [`crate::Engine::run`], a one-query `MultiEngine`, collects its one
 //! subscription's matches as they are delivered.
 //!

@@ -203,6 +203,7 @@ fn parse_trees(queries: &[String]) -> Result<Vec<QueryTree>, ExitCode> {
 }
 
 fn dump_machines(trees: &[QueryTree]) -> ExitCode {
+    let mut out = io::stdout().lock();
     for tree in trees {
         let spec = match vitex_core::MachineSpec::compile(tree) {
             Ok(s) => s,
@@ -211,27 +212,38 @@ fn dump_machines(trees: &[QueryTree]) -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        println!("query: {}", spec.query);
-        println!("query tree:\n{tree}");
-        println!("machine nodes: {}", spec.len());
-        for (i, n) in spec.nodes.iter().enumerate() {
-            println!(
-                "  [{i}] {}{} parent={:?} main={} root={} result={} flags={} attr_preds={} \
-                 text_preds={} attr_result={}",
-                if n.axis == vitex_xpath::Axis::Descendant { "//" } else { "/" },
-                n.name.as_deref().unwrap_or("*"),
-                n.parent,
-                n.is_main,
-                n.is_root,
-                n.is_result,
-                n.nflags,
-                n.attr_preds.len(),
-                n.text_preds.len(),
-                n.attr_result.is_some(),
-            );
-        }
+        write_machine(&mut out, tree, &spec).unwrap_or_else(|e| stdout_failed(e));
     }
     ExitCode::SUCCESS
+}
+
+/// The `--machine` dump of one query: its tree and its machine's nodes.
+fn write_machine(
+    out: &mut impl Write,
+    tree: &QueryTree,
+    spec: &vitex_core::MachineSpec,
+) -> io::Result<()> {
+    writeln!(out, "query: {}", spec.query)?;
+    writeln!(out, "query tree:\n{tree}")?;
+    writeln!(out, "machine nodes: {}", spec.len())?;
+    for (i, n) in spec.nodes.iter().enumerate() {
+        writeln!(
+            out,
+            "  [{i}] {}{} parent={:?} main={} root={} result={} flags={} attr_preds={} \
+             text_preds={} attr_result={}",
+            if n.axis == vitex_xpath::Axis::Descendant { "//" } else { "/" },
+            n.name.as_deref().unwrap_or("*"),
+            n.parent,
+            n.is_main,
+            n.is_root,
+            n.is_result,
+            n.nflags,
+            n.attr_preds.len(),
+            n.text_preds.len(),
+            n.attr_result.is_some(),
+        )?;
+    }
+    Ok(())
 }
 
 /// Opens FILE — or stdin, when FILE is absent or `-` — as a streaming
@@ -267,11 +279,13 @@ fn write_export(path: &str, contents: &str) -> Result<(), ExitCode> {
     })
 }
 
-/// Ends the run on a failed write to stdout. A closed pipe is the consumer
-/// saying "enough" (`vitex '//a/b' big.xml | head -1`): exit 0 at once
-/// instead of scanning the rest of the document for nobody; pending
-/// exports are skipped. Any other failure (a full disk behind a
-/// redirect) is reported, exit 2.
+/// Ends the run on a failed write to stdout, the one way every stdout
+/// write fails (matches, counts, `--help` and `--machine`). A closed pipe
+/// is the consumer saying "enough" (`vitex '//a/b' big.xml | head -1`,
+/// `vitex --help | grep -q usage`): exit 0 at once instead of scanning
+/// the rest of the document for nobody, or panicking; pending exports are
+/// skipped. Any other failure (a full disk behind a redirect) is
+/// reported, exit 2.
 fn stdout_failed(e: io::Error) -> ! {
     if e.kind() == io::ErrorKind::BrokenPipe {
         std::process::exit(0);
@@ -383,7 +397,7 @@ fn run_multi(opts: &Options, trees: &[QueryTree], telemetry: &Telemetry) -> Exit
 fn main() -> ExitCode {
     let opts = match parse_args(std::env::args().skip(1)) {
         Ok(opts) if opts.help => {
-            println!("{}", usage_text());
+            writeln!(io::stdout().lock(), "{}", usage_text()).unwrap_or_else(|e| stdout_failed(e));
             return ExitCode::SUCCESS;
         }
         Ok(opts) => opts,

@@ -20,12 +20,14 @@
 //!   a warm `MultiEngine`'s streamed pass allocates a per-document
 //!   constant, whatever the document's length, its number of matches and
 //!   however many entities it decodes. A warm `Engine` keeps an owned
-//!   `Match` per solution, so it allocates their `Arc<str>` payloads on
-//!   top of that constant;
+//!   `Match` per solution, whose name and value are kept inline up to
+//!   `Text::INLINE_CAP` bytes, so on top of that constant it allocates
+//!   only for longer strings, two allocations each;
 //! * what `MultiEngine::run`, the collecting adapter, holds at its peak
 //!   beyond the output it returns does not grow with the subscribers that
 //!   share a binding: it keeps each delivery once, not once per
-//!   subscriber.
+//!   subscriber. With short names and values it allocates its vectors and
+//!   a per-document constant, however many matches it copies.
 //!
 //! Allocation counts are only meaningful optimised; CI runs this suite
 //! with `--release`.
@@ -33,7 +35,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use vitex::core::{Engine, MatchRef, MultiEngine};
+use vitex::core::{Engine, MatchRef, MultiEngine, Text};
 use vitex::xmlgen::auction::{self, AuctionConfig};
 use vitex::xmlgen::protein::{self, ProteinConfig};
 use vitex::xmlgen::recursive::{self, RecursiveConfig};
@@ -107,6 +109,9 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
+
+/// Subscribers of the one binding of the collecting runs.
+const SUBSCRIBERS: usize = 62;
 
 const RECURSIVE: &str = "//*[author]//*[position]//*";
 
@@ -195,18 +200,59 @@ fn what_a_collecting_run_holds_beyond_its_output_does_not_grow_with_the_subscrib
     let xml = auction::to_string(&AuctionConfig::sized(512 << 10));
     let (one, emitted) = run_excess(1, &xml);
     assert!((1500..=2500).contains(&emitted), "{emitted} emissions");
-    let (many, delivered) = run_excess(62, &xml);
-    assert_eq!(delivered, 62 * emitted);
+    let (many, delivered) = run_excess(SUBSCRIBERS, &xml);
+    assert_eq!(delivered, SUBSCRIBERS * emitted);
     assert!(
         many <= one + 1024,
         "beyond its output a run held {one} B with one subscriber and {many} B with 62"
     );
 }
 
-/// The strings a match carries: what an owned copy of it allocates, one
-/// `Arc<str>` each.
+/// A warm `MultiEngine::run` of `multi` over `xml`: the allocations the
+/// pass made, from `XmlReader::from_str` to the returned output, and the
+/// matches that output holds.
+fn run_allocations(multi: &mut MultiEngine, xml: &str) -> (u64, usize) {
+    multi.run(XmlReader::from_str(xml), |_, _| {}).unwrap();
+    let before = tally().allocations;
+    let out = multi.run(XmlReader::from_str(xml), |_, _| {}).unwrap();
+    (tally().allocations - before, out.matches.iter().map(Vec::len).sum())
+}
+
+#[test]
+fn a_warm_collecting_run_allocates_its_vectors_plus_a_per_document_constant() {
+    // 62 subscribers of one binding, whose element matches carry the
+    // inline name `listitem`: an owned match allocates nothing, and a
+    // copy of one for another subscriber touches no reference count. What
+    // is left is a vector per subscriber, the doublings of the delivery
+    // log and the reader's buffers (86 allocations at 1x, 88 at 4x).
+    let mut multi = MultiEngine::new();
+    for _ in 0..SUBSCRIBERS {
+        multi.add_query("//listitem").unwrap();
+    }
+    let mut delivered = Vec::new();
+    for scale in [1, 2, 4] {
+        let xml = auction::to_string(&AuctionConfig::sized(scale * (128 << 10)));
+        let (allocations, matches) = run_allocations(&mut multi, &xml);
+        assert!(
+            allocations <= SUBSCRIBERS as u64 + PER_DOCUMENT,
+            "{scale}x: {allocations} allocations for {matches} matches"
+        );
+        delivered.push(matches);
+    }
+    assert!(delivered[2] > 3 * delivered[0], "{delivered:?} matches");
+}
+
+/// The strings a match carries.
 fn payloads(m: &MatchRef<'_>) -> u64 {
     u64::from(m.name.is_some()) + u64::from(m.value.is_some())
+}
+
+/// What an owned copy of a match allocates: nothing for a string of at
+/// most `Text::INLINE_CAP` bytes, kept inline, and two allocations (the
+/// `Arc` and its `String`) for a longer one.
+fn owned_allocations(m: &MatchRef<'_>) -> u64 {
+    let long = [m.name, m.value].into_iter().flatten().filter(|s| s.len() > Text::INLINE_CAP);
+    2 * long.count() as u64
 }
 
 /// One streamed pass of `multi` over `xml`, from `XmlReader::from_str` to
@@ -302,20 +348,26 @@ const AUCTION_QUERIES: &[&str] = &[
     "//listitem",
 ];
 
-/// What a document costs the pipeline beyond the payloads of the owned
-/// matches `Engine::run` keeps: the reader's window and buffers, and the
-/// doublings of the match vector `Engine::run` collects. A streamed
-/// document's output holds no vector and its matches are lent, so this
-/// is all it allocates.
+/// What a document costs the pipeline beyond the long strings of the
+/// owned matches `Engine::run` keeps: the reader's window and buffers,
+/// and the doublings of the match vector `Engine::run` collects. A
+/// streamed document's output holds no vector and its matches are lent,
+/// so this is all it allocates.
 const PER_DOCUMENT: u64 = 32;
 
 /// One pass of a warm `engine` over `xml`, counted from
-/// `XmlReader::from_str` to the callback: `(allocations, payloads)`.
-fn engine_pass(engine: &mut Engine, xml: &str) -> (u64, u64) {
-    let mut arcs = 0u64;
+/// `XmlReader::from_str` to the callback: `(allocations, strings the
+/// matches carry, allocations their owned strings cost)`.
+fn engine_pass(engine: &mut Engine, xml: &str) -> (u64, u64, u64) {
+    let (mut strings, mut owned) = (0u64, 0u64);
     let before = tally().allocations;
-    engine.run(XmlReader::from_str(xml), |m| arcs += payloads(&m.as_ref())).unwrap();
-    (tally().allocations - before, arcs)
+    engine
+        .run(XmlReader::from_str(xml), |m| {
+            strings += payloads(&m.as_ref());
+            owned += owned_allocations(&m.as_ref());
+        })
+        .unwrap();
+    (tally().allocations - before, strings, owned)
 }
 
 /// One streamed pass of `engine` over `xml` after `warmup`, counted the
@@ -374,14 +426,20 @@ fn a_warm_engine_allocates_the_payloads_plus_a_per_document_constant() {
     engine_pass(&mut engine, &doc(1));
     for scale in [1, 2, 4] {
         let xml = doc(scale);
-        let (allocations, payloads) = engine_pass(&mut engine, &xml);
-        assert!(payloads > 0);
+        let (allocations, strings, owned) = engine_pass(&mut engine, &xml);
+        assert!(strings > 0);
+        // Protein's ids (`PIR0000001`) are all kept inline.
+        assert_eq!(owned, 0, "{scale}x: {strings} strings");
         assert!(
-            allocations <= payloads + PER_DOCUMENT,
-            "{scale}x: {allocations} allocations for {payloads} payloads"
+            allocations <= owned + PER_DOCUMENT,
+            "{scale}x: {allocations} allocations for {strings} strings"
         );
         let dense = entity_dense(&xml);
-        assert_eq!(engine_pass(&mut engine, &dense), (allocations, payloads), "{scale}x, entities");
+        assert_eq!(
+            engine_pass(&mut engine, &dense),
+            (allocations, strings, owned),
+            "{scale}x, entities"
+        );
     }
 }
 

@@ -18,6 +18,7 @@ use common::{pinned_queries_with_hog, query_set};
 use vitex::core::telemetry::{GroupRow, HistogramRow, QueryRow, Snapshot, Telemetry};
 use vitex::core::{
     evaluate_reader, Bill, Engine, MachineStats, MultiEngine, MultiOutput, QueryId, StreamStats,
+    Text,
 };
 use vitex::xmlgen::auction::{self, AuctionConfig};
 use vitex::xmlgen::random::{self, RandomConfig};
@@ -443,7 +444,7 @@ fn payload_bytes_are_the_node_id_name_and_value_of_each_match() {
     ];
     let trees: Vec<QueryTree> =
         queries.iter().map(|q| QueryTree::parse(q).expect("valid query")).collect();
-    let len = |text: &Option<std::sync::Arc<str>>| text.as_deref().map_or(0, str::len) as u64;
+    let len = |text: &Option<Text>| text.as_deref().map_or(0, str::len) as u64;
     for attach_first in [true, false] {
         let telemetry = Telemetry::enabled();
         let mut engine = MultiEngine::new();
