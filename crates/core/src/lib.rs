@@ -7,7 +7,7 @@
 //! participate in an *exponential* number of pattern matches on recursive
 //! data.
 //!
-//! ## How it works (paper §3; the [`machine`] module doc has the rules in detail)
+//! ## How it works (paper §3; each rule is stated on its [`machine`] transition)
 //!
 //! * [`builder`] compiles a [`vitex_xpath::QueryTree`] into a **TwigM
 //!   machine** in time linear in the query size: one machine node per query

@@ -3,129 +3,22 @@
 //! This is the runtime half of the paper's contribution. Each stacked
 //! machine node owns a stack of `Entry` values — the paper's triplet
 //! *(level, match status of query children, candidate solutions)*. The
-//! transition functions below implement the `startElement` / `characters` /
-//! `endElement` behaviour described in §3.2 of the paper:
+//! transitions below implement the `startElement` / `characters` /
+//! `endElement` behaviour described in §3.2 of the paper, and each states
+//! its rule: the push rule (`push_point`), bookkeeping at pop
+//! (`end_element_to`), forwarding (`forward`), lazy inheritance (`fail`)
+//! and emission (`reach_root`), the only way a solution leaves: neither
+//! the machine nor anything between it and the API edge keeps a copy.
 //!
-//! * **push** — an element is pushed onto every machine node whose name
-//!   test it satisfies *and* whose axis is witnessed by the parent machine
-//!   node's stack (child: an open entry exactly one level up; descendant:
-//!   any open entry). Axis checks use the stack state *before* this
-//!   element's own pushes, so an element can never serve as its own
-//!   ancestor (relevant for queries like `//a//a`).
-//! * **bookkeeping at pop** — when an element closes, its entries pop
-//!   (innermost query nodes first). A satisfied *predicate* entry sets its
-//!   match flag on **every** compatible parent entry — flags are single
-//!   bits, so this eager fan-out is cheap and encodes what would otherwise
-//!   be exponentially many match combinations. A satisfied *main-path*
-//!   entry forwards its candidate solutions one query level up, attaching
-//!   them to the **deepest** compatible parent entry; outer alternatives
-//!   are preserved by a lazy *inheritance* rule (see below) instead of
-//!   eager copying.
-//! * **lazy inheritance** — a candidate records the lowest stack index it
-//!   is compatible with (`low`). When the entry holding it pops, the
-//!   candidate slides to the entry below (if still ≥ `low`) — its chances
-//!   through outer ancestors stay alive without ever materializing the
-//!   match combinations. When a satisfied entry *forwards* candidates, a
-//!   copy also slides down, because chains through outer entries may
-//!   succeed where the inner chain's continuation fails; a solution that
-//!   reaches the root along several chains is reported exactly once.
-//! * **emission** — candidates on a satisfied entry of the machine *root*
-//!   are solutions (paper: "a node matching the root of TwigM ensures that
-//!   the candidate solutions associated with it are indeed query
-//!   solutions") and are handed to the caller's `emit` callback
-//!   immediately — the only way a solution leaves: neither the machine
-//!   nor anything between it and the API edge keeps a copy.
-//!
-//! ## Representation: instance, payload, store
-//!
-//! The transitions above move candidates far more often than they create
-//! them (on the recursive benchmark document: 1 752 created, 103 416
-//! moved), so what moves is as small as it can be:
-//!
-//! * an **instance** (`Cand`) is what sits in an entry's candidate list:
-//!   8 bytes, `Copy` — the compatibility bound `low` and the handle of
-//!   the solution it stands for. Down-copying, forwarding and inheriting
-//!   are `memcpy`.
-//! * a **payload** is the solution itself — kind, node id, span, level,
-//!   name and value — stored **once**, however many instances stand for
-//!   it, together with what the instances share: their count (the payload
-//!   is freed with its last instance), the `emitted` bit (a second
-//!   instance reaching the root is suppressed by looking at the payload,
-//!   so the machine keeps no set of emitted node ids and nothing in it
-//!   grows with the number of matches) and the merge stamp. An emitted
-//!   solution reaches the caller as a [`MatchRef`] that borrows its name
-//!   and value from the store's string pool for the length of the
-//!   callback: the machine builds no owned string, and an owned
-//!   [`crate::Match`] is made at the API edge, by the adapter that keeps
-//!   one.
-//! * the [`CandidateStore`] holds payloads, candidate lists and string
-//!   buffers (names, values, string-value accumulators) in three pools
-//!   with free lists; entries hold `u32` handles into it. It belongs to
-//!   **whoever drives machines** — one in [`crate::engine::Engine`], one
-//!   in the multi-query executor — and is lent to
-//!   every transition, so a thousand machines share one set of warm
-//!   buffers, a warm transition allocates nothing, and a machine at rest
-//!   is its spec plus empty stacks. The owner resets it once per document,
-//!   next to [`TwigM::reset`]: a well-formed document hands every handle
-//!   back, which makes that reset O(1); after an aborted document it
-//!   reclaims what the abandoned entries still held.
-//!
-//! **Why hand-over preserves order and counters.** "The candidates slide
-//! to the entry below" is, when the entry below holds none and every
-//! candidate may slide (`max_low`, an upper bound on `low` over the list,
-//! is below the popped index), the same as appending them one by one to an
-//! empty list: same members, same order, none merged. So the list *handle*
-//! moves, in O(1), and `candidates_inherited` grows by the list's length —
-//! exactly what the walk would have counted. A list arriving at a
-//! non-empty list is merged in one pass over both (`CandidateStore::arrive`):
-//! arrivals append in their own order, and an arrival whose solution is
-//! already there widens that instance's range instead — the outcome, and
-//! hence the emission order, of the one-by-one walk. [`MachineStats`]
-//! counts these *logical* operations, per instance and in the walk's
-//! order, so its counters and peaks do not depend on which route a list
-//! took.
-//!
-//! ## Bindings: one machine for many literals
-//!
-//! A query's *parametric leaf* ([`vitex_xpath::QueryTree::parametric_node`])
-//! — its one predicate element compared with `= 'string'`, or, without
-//! one, its one inline `[@name = 'string']` test — is not compared with a
-//! literal but looked up in the machine's **binding table**. The element's
-//! string-value when it pops, or the named attribute's value when the
-//! tested element is pushed, is hashed once and the table names the
-//! binding whose literal it equals (the bytes are compared, so a hash
-//! collision cannot match). A lone query's table has one binding; a shape
-//! group's holds one per distinct literal its subscribers test, and its
-//! machine then runs as all those one-literal machines at once:
-//!
-//! * structure does not depend on the literal, so pushes, pops and every
-//!   other flag are shared;
-//! * the leaf's ancestors up to its main-path **owner** keep, beside the
-//!   leaf's flag bit, the *set* of bindings it was satisfied for (`lits`,
-//!   a set in the store; with one binding the bit says it all and no set
-//!   is kept). An attribute test's set starts on the entry it is tested
-//!   on, at push — the owner itself when that entry is on the main path;
-//! * where the owner pops satisfied for every binding, or for none, the
-//!   transitions are exactly the one-literal ones. Satisfied for some
-//!   bindings `S` only, it is both at once: every candidate that may slide
-//!   to the entry below does (as for a failed entry), and what goes up
-//!   goes for `S` only — a **tagged** payload: the solution's own when no
-//!   other instance of it is left, otherwise a *variant* that stands for
-//!   the same solution and keeps it alive;
-//! * emission delivers a solution to the bindings its payload stands for
-//!   (and, at a root that is the owner, that the entry satisfied) minus
-//!   those it already reached: the solution keeps a per-binding *done*
-//!   record, so one reaching the root along two owner entries is
-//!   delivered once per binding. The caller's callback learns which
-//!   bindings: all of them, or a list ascending by binding id.
-//!
-//! An owner that holds an attribute test knows its set from the push on,
-//! so a root owner delivers what is decidable at push to that set at
-//! once (the others failed for good). Candidate instances stay 8 bytes
-//! and a machine without a parametric leaf never looks at any of this.
+//! Beside them sit the [`CandidateStore`] (`store.rs`), where a candidate
+//! waits as an 8-byte instance of a solution stored once, and the binding
+//! table (`bindings.rs`), through which one machine runs as many
+//! one-literal machines at once.
+
+mod bindings;
+mod store;
 
 use std::mem::size_of;
-use std::ops::{Index, IndexMut};
 
 use vitex_xmlsax::event::Attributes;
 use vitex_xmlsax::pos::ByteSpan;
@@ -136,72 +29,18 @@ use crate::builder::{EvalMode, MachineSpec};
 use crate::predicate;
 use crate::result::{MatchKind, MatchRef};
 use crate::stats::MachineStats;
+use bindings::Bindings;
+pub use store::CandidateStore;
+use store::{Cand, CAND_BYTES};
 
 /// "No handle": an entry without candidates, text buffer or binding set, a
 /// payload without a name, value or tag.
 const NONE: u32 = u32::MAX;
 
 /// Where a machine delivers a solution: to the bindings listed (ascending
-/// binding ids), or with `None` to every binding it has (see "Bindings"
-/// in the module docs). The solution is lent for the call.
+/// binding ids), or with `None` to every binding it has (see
+/// `bindings.rs`). The solution is lent for the call.
 pub(crate) type Deliver<'a> = dyn FnMut(Option<&[u32]>, &MatchRef<'_>) + 'a;
-
-/// FNV-1a over `bytes`: what a binding table files a literal under.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let fold = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, fold)
-}
-
-/// A machine's binding table: the literals its parametric leaf is
-/// compared with, by binding id (see the module docs).
-#[derive(Debug, Clone)]
-struct Bindings {
-    /// Each binding's literal, by id: first-registration order.
-    literals: Vec<Box<str>>,
-    /// `(fnv1a of the literal, binding id)`, ascending: the lookup index.
-    index: Vec<(u64, u32)>,
-}
-
-impl Bindings {
-    /// A table binding `first` as binding 0.
-    fn new(first: &str) -> Self {
-        let mut table = Bindings { literals: Vec::new(), index: Vec::new() };
-        table.bind(first);
-        table
-    }
-
-    fn len(&self) -> usize {
-        self.literals.len()
-    }
-
-    /// The binding whose literal is `value`: one hash, then a byte
-    /// comparison per binding filed under it.
-    fn lookup(&self, value: &str) -> Option<u32> {
-        let hash = fnv1a(value.bytes());
-        let filed = &self.index[self.index.partition_point(|&(h, _)| h < hash)..];
-        let mut ids = filed.iter().take_while(|&&(h, _)| h == hash).map(|&(_, id)| id);
-        ids.find(|&id| *self.literals[id as usize] == *value)
-    }
-
-    /// `literal`'s binding id, and whether this call added it (as the last
-    /// binding).
-    fn bind(&mut self, literal: &str) -> (u32, bool) {
-        if let Some(id) = self.lookup(literal) {
-            return (id, false);
-        }
-        let (hash, id) = (fnv1a(literal.bytes()), self.literals.len() as u32);
-        self.index.insert(self.index.partition_point(|&(h, _)| h <= hash), (hash, id));
-        self.literals.push(literal.into());
-        (id, true)
-    }
-
-    /// Drops binding `id`; the later ones move down by one.
-    fn unbind(&mut self, id: u32) {
-        self.literals.remove(id as usize);
-        self.index.retain(|&(_, i)| i != id);
-        self.index.iter_mut().filter(|(_, i)| *i > id).for_each(|(_, i)| *i -= 1);
-    }
-}
 
 /// A stack entry: the paper's *(level, match flags, candidates)* triplet,
 /// plus the parent-stack pointer that makes the compact encoding work.
@@ -234,480 +73,6 @@ struct Entry {
     /// has several bindings ([`NONE`] otherwise, and until the bit is
     /// first set).
     lits: u32,
-}
-
-/// A candidate instance: one solution waiting on one stack entry.
-#[derive(Debug, Clone, Copy)]
-struct Cand {
-    /// Lowest index in the *current* stack this instance may slide down
-    /// to (compatibility bound).
-    low: u32,
-    /// The solution it stands for.
-    payload: u32,
-}
-
-const CAND_BYTES: u64 = size_of::<Cand>() as u64;
-
-/// A candidate solution — what becomes a [`MatchRef`] — and the state its
-/// instances share.
-#[derive(Debug)]
-struct Payload {
-    node: u64,
-    span: ByteSpan,
-    level: u32,
-    /// Name and value strings in the store ([`NONE`] where the match has
-    /// none).
-    name: u32,
-    value: u32,
-    /// Live instances; the payload is freed with the last one.
-    instances: u32,
-    /// Merge epoch this payload was last seen in on the receiving side,
-    /// and its position in that list.
-    stamp: u32,
-    pos: u32,
-    kind: MatchKind,
-    /// Already delivered (to every binding): any further instance reaching
-    /// the root is a duplicate.
-    emitted: bool,
-    /// Its [`Tag`] in the store, [`NONE`] for a solution that stands for
-    /// every binding and has reached none of them.
-    tag: u32,
-}
-
-impl Default for Payload {
-    fn default() -> Self {
-        Payload {
-            node: 0,
-            span: ByteSpan::default(),
-            level: 0,
-            name: NONE,
-            value: NONE,
-            instances: 0,
-            stamp: 0,
-            pos: 0,
-            kind: MatchKind::Element,
-            emitted: false,
-            tag: NONE,
-        }
-    }
-}
-
-/// Which bindings a payload stands for, and which its solution reached
-/// (see "Bindings" in the module docs).
-#[derive(Debug)]
-struct Tag {
-    /// The solution's own payload when this one is a variant of it
-    /// (holding it alive; the variant has no strings of its own), [`NONE`]
-    /// on the solution's payload.
-    base: u32,
-    /// The bindings the payload stands for, ascending; empty for all.
-    alive: Vec<u32>,
-    /// On the solution's payload: the bindings already delivered to,
-    /// ascending.
-    done: Vec<u32>,
-}
-
-impl Default for Tag {
-    fn default() -> Self {
-        Tag { base: NONE, alive: Vec::new(), done: Vec::new() }
-    }
-}
-
-/// Recycled slots addressed by `u32` handles. A slot handed back keeps its
-/// contents (and heap capacity) until it is taken again.
-#[derive(Debug)]
-struct Pool<T> {
-    slots: Vec<T>,
-    free: Vec<u32>,
-}
-
-impl<T> Default for Pool<T> {
-    fn default() -> Self {
-        Pool { slots: Vec::new(), free: Vec::new() }
-    }
-}
-
-impl<T: Default> Pool<T> {
-    fn take(&mut self) -> u32 {
-        self.free.pop().unwrap_or_else(|| {
-            self.slots.push(T::default());
-            self.slots.len() as u32 - 1
-        })
-    }
-
-    fn give(&mut self, handle: u32) {
-        self.free.push(handle);
-    }
-
-    fn is_idle(&self) -> bool {
-        self.free.len() == self.slots.len()
-    }
-
-    /// Reclaims every slot, lowest handle first out.
-    fn reclaim(&mut self) {
-        self.free.clear();
-        self.free.extend((0..self.slots.len() as u32).rev());
-    }
-}
-
-impl<T> Index<u32> for Pool<T> {
-    type Output = T;
-    fn index(&self, handle: u32) -> &T {
-        &self.slots[handle as usize]
-    }
-}
-
-impl<T> IndexMut<u32> for Pool<T> {
-    fn index_mut(&mut self, handle: u32) -> &mut T {
-        &mut self.slots[handle as usize]
-    }
-}
-
-/// The run-time memory of TwigM machines: candidate payloads, candidate
-/// lists and string buffers, pooled and recycled (see the module docs).
-///
-/// One store serves any number of machines, as long as they are driven
-/// from one place: pass it to every transition of every one of them, and
-/// call [`CandidateStore::reset`] wherever the machines are
-/// [reset](TwigM::reset). The multi-query executor owns the one every
-/// engine drives its machines with.
-#[derive(Debug, Default)]
-pub struct CandidateStore {
-    payloads: Pool<Payload>,
-    lists: Pool<Vec<Cand>>,
-    strings: Pool<String>,
-    /// Binding sets of entries (`Entry::lits`), ascending ids.
-    sets: Pool<Vec<u32>>,
-    tags: Pool<Tag>,
-    /// The current merge epoch: a payload stamped with it is in the list
-    /// being merged into, at its recorded position.
-    epoch: u32,
-    /// Scratch: the bindings one delivery goes to.
-    to: Vec<u32>,
-}
-
-impl CandidateStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        CandidateStore::default()
-    }
-
-    /// Takes back everything lent out, keeping the buffers. After a
-    /// well-formed document the machines have already returned it all and
-    /// there is nothing to do; a document that ended mid-element leaves
-    /// handles in abandoned stack entries, and those are reclaimed here.
-    pub fn reset(&mut self) {
-        if !self.is_idle() {
-            self.payloads.reclaim();
-            self.lists.reclaim();
-            self.strings.reclaim();
-            self.sets.reclaim();
-            self.tags.reclaim();
-        }
-    }
-
-    /// Whether nothing is lent out.
-    pub(crate) fn is_idle(&self) -> bool {
-        self.payloads.is_idle()
-            && self.lists.is_idle()
-            && self.strings.is_idle()
-            && self.sets.is_idle()
-            && self.tags.is_idle()
-    }
-
-    /// A pooled copy of `s`.
-    fn string(&mut self, s: &str) -> u32 {
-        let h = self.strings.take();
-        let buf = &mut self.strings[h];
-        buf.clear();
-        buf.push_str(s);
-        h
-    }
-
-    /// The pooled string `h`, or `""` for [`NONE`].
-    fn str(&self, h: u32) -> &str {
-        if h == NONE {
-            ""
-        } else {
-            &self.strings[h]
-        }
-    }
-
-    /// Stores a new solution, counts it, and returns its first instance.
-    #[allow(clippy::too_many_arguments)]
-    fn create(
-        &mut self,
-        stats: &mut MachineStats,
-        low: u32,
-        kind: MatchKind,
-        node: u64,
-        name: Option<&str>,
-        span: ByteSpan,
-        value: Option<&str>,
-        level: u32,
-    ) -> Cand {
-        let name = name.map_or(NONE, |n| self.string(n));
-        let value = value.map_or(NONE, |v| self.string(v));
-        let payload = self.payloads.take();
-        self.payloads[payload] =
-            Payload { node, span, level, name, value, instances: 1, kind, ..Payload::default() };
-        stats.on_candidate_created(CAND_BYTES + self.payload_bytes(payload));
-        Cand { low, payload }
-    }
-
-    /// Bytes a payload accounts for beyond its instances.
-    fn payload_bytes(&self, payload: u32) -> u64 {
-        let p = &self.payloads[payload];
-        (size_of::<Payload>() + self.str(p.name).len() + self.str(p.value).len()) as u64
-    }
-
-    /// Ends one instance's life and returns the bytes that go with it: its
-    /// own, plus the payload's when it was the last.
-    fn release(&mut self, c: Cand) -> u64 {
-        let p = &mut self.payloads[c.payload];
-        p.instances -= 1;
-        if p.instances > 0 {
-            return CAND_BYTES;
-        }
-        CAND_BYTES + self.free(c.payload)
-    }
-
-    /// Frees a payload nothing stands on any more and returns its bytes —
-    /// plus its solution's, when it was a variant holding the last of it.
-    fn free(&mut self, payload: u32) -> u64 {
-        let bytes = self.payload_bytes(payload);
-        let p = &self.payloads[payload];
-        let (tag, strings) = (p.tag, [p.name, p.value]);
-        for h in strings.into_iter().filter(|&h| h != NONE) {
-            self.strings.give(h);
-        }
-        self.payloads.give(payload);
-        if tag == NONE {
-            return bytes;
-        }
-        let base = self.tags[tag].base;
-        self.tags.give(tag);
-        if base == NONE {
-            return bytes;
-        }
-        let solution = &mut self.payloads[base];
-        solution.instances -= 1;
-        if solution.instances > 0 {
-            bytes
-        } else {
-            bytes + self.free(base)
-        }
-    }
-
-    /// The solution `payload` belongs to (itself, or a variant's base), and
-    /// the bindings `payload` stands for (ascending; empty for all).
-    fn solution(&self, payload: u32) -> (u32, &[u32]) {
-        match self.payloads[payload].tag {
-            NONE => (payload, &[]),
-            t => {
-                let tag = &self.tags[t];
-                (if tag.base == NONE { payload } else { tag.base }, &tag.alive)
-            }
-        }
-    }
-
-    /// A fresh tag with `base` and the `alive` list `fill` writes (reading
-    /// the store as it is).
-    fn tag(&mut self, base: u32, fill: impl FnOnce(&Self, &mut Vec<u32>)) -> u32 {
-        let t = self.tags.take();
-        let mut alive = std::mem::take(&mut self.tags[t].alive);
-        alive.clear();
-        fill(self, &mut alive);
-        let tag = &mut self.tags[t];
-        (tag.base, tag.alive) = (base, alive);
-        tag.done.clear();
-        t
-    }
-
-    /// A new instance standing for `c`'s solution for those bindings of
-    /// `lits` that `c` stands for: a variant payload, holding the solution
-    /// alive. `None` when `c` stands for none of them.
-    fn variant(&mut self, stats: &mut MachineStats, c: Cand, lits: &[u32]) -> Option<Cand> {
-        let (solution, _) = self.solution(c.payload);
-        let tag = self.tag(solution, |store, alive| {
-            let (_, stands) = store.solution(c.payload);
-            let kept = |l: &u32| stands.is_empty() || stands.binary_search(l).is_ok();
-            alive.extend(lits.iter().copied().filter(kept));
-        });
-        if self.tags[tag].alive.is_empty() {
-            self.tags.give(tag);
-            return None;
-        }
-        let payload = self.payloads.take();
-        self.payloads[payload] = Payload { instances: 1, tag, ..Payload::default() };
-        self.payloads[solution].instances += 1;
-        stats.on_candidate_copied(CAND_BYTES + self.payload_bytes(payload));
-        Some(Cand { low: c.low, payload })
-    }
-
-    /// `c`, carried on for the bindings in `lits` only: its payload tagged
-    /// in place when `c` is all there is of the solution, otherwise a
-    /// variant, `c` itself ending here.
-    fn retag(&mut self, stats: &mut MachineStats, c: Cand, lits: &[u32]) -> Option<Cand> {
-        let p = &self.payloads[c.payload];
-        if p.tag == NONE && p.instances == 1 {
-            let tag = self.tag(NONE, |_, alive| alive.extend_from_slice(lits));
-            self.payloads[c.payload].tag = tag;
-            return Some(c);
-        }
-        let up = self.variant(stats, c, lits);
-        stats.on_candidate_dropped(self.release(c));
-        up
-    }
-
-    /// Delivers `c`'s solution through `emit` to the bindings `c` stands
-    /// for — those in `within` only, when given — that the solution has not
-    /// reached yet, and records them; `false` when there are none. `n` is
-    /// the machine's binding count.
-    fn deliver(
-        &mut self,
-        c: Cand,
-        within: Option<&[u32]>,
-        n: usize,
-        emit: &mut Deliver<'_>,
-    ) -> bool {
-        let p = &mut self.payloads[c.payload];
-        if p.tag == NONE && within.is_none() {
-            // The one-literal case: all bindings, once.
-            if std::mem::replace(&mut p.emitted, true) {
-                return false;
-            }
-            emit(None, &self.match_ref(c.payload));
-            return true;
-        }
-        let mut to = std::mem::take(&mut self.to);
-        to.clear();
-        let (solution, stands) = self.solution(c.payload);
-        let s = &self.payloads[solution];
-        let done: &[u32] = if s.tag == NONE { &[] } else { &self.tags[s.tag].done };
-        let new = |l: &u32| !s.emitted && done.binary_search(l).is_err();
-        match (stands.is_empty(), within) {
-            (true, None) => to.extend((0..n as u32).filter(new)),
-            (true, Some(w)) => to.extend(w.iter().copied().filter(new)),
-            (false, w) => to.extend(
-                stands
-                    .iter()
-                    .copied()
-                    .filter(|l| new(l) && w.is_none_or(|w| w.binary_search(l).is_ok())),
-            ),
-        }
-        let delivered = !to.is_empty();
-        if delivered {
-            emit((to.len() < n).then_some(&to[..]), &self.match_ref(solution));
-            self.record_done(solution, &to, n);
-        }
-        self.to = to;
-        delivered
-    }
-
-    /// Records that `solution` reached the bindings `to` (ascending).
-    fn record_done(&mut self, solution: u32, to: &[u32], n: usize) {
-        let mut tag = self.payloads[solution].tag;
-        if tag == NONE {
-            tag = self.tag(NONE, |_, _| {});
-            self.payloads[solution].tag = tag;
-        }
-        let done = &mut self.tags[tag].done;
-        for &l in to {
-            if let Err(at) = done.binary_search(&l) {
-                done.insert(at, l);
-            }
-        }
-        if done.len() == n {
-            self.payloads[solution].emitted = true;
-        }
-    }
-
-    /// The solution as the caller receives it, borrowing its strings from
-    /// the pool.
-    fn match_ref(&self, payload: u32) -> MatchRef<'_> {
-        let p = &self.payloads[payload];
-        let text = |h: u32| (h != NONE).then(|| &*self.strings[h]);
-        MatchRef {
-            kind: p.kind,
-            node: p.node,
-            name: text(p.name),
-            span: p.span,
-            value: text(p.value),
-            level: p.level,
-        }
-    }
-
-    /// Detaches `entry`'s list for a walk; [`CandidateStore::hand_over`]
-    /// or [`CandidateStore::recycle`] ends it.
-    fn detach(&mut self, entry: &Entry) -> Vec<Cand> {
-        std::mem::take(&mut self.lists[entry.cands])
-    }
-
-    /// Gives the detached list of `from` to `to`, which holds none.
-    fn hand_over(&mut self, from: &Entry, list: Vec<Cand>, to: &mut Entry, max_low: u32) {
-        debug_assert!(to.cands == NONE && !list.is_empty());
-        self.lists[from.cands] = list;
-        to.cands = from.cands;
-        to.max_low = max_low;
-    }
-
-    /// Returns the detached list of `from`, now walked, to the pool.
-    fn recycle(&mut self, from: &Entry, list: Vec<Cand>) {
-        self.lists[from.cands] = list;
-        self.lists.give(from.cands);
-    }
-
-    /// One instance arrives at `entry`: it joins the list, or — when the
-    /// list already holds an instance of the same solution — widens that
-    /// one's range and is absorbed (`true`).
-    ///
-    /// `stamped` carries one merge across the arrivals of a walk: start it
-    /// `false`. The first arrival that could be present at all (its
-    /// solution has another instance somewhere — a freshly created one
-    /// never does) stamps every payload in the list with a fresh epoch and
-    /// its position, after which each lookup is one comparison; the
-    /// arrivals of one walk are distinct solutions, so the stamps stay
-    /// exact as the list grows.
-    ///
-    /// `c` is either an instance on the move — absorbed, it ends — or, with
-    /// `copy`, a duplicate of one that stays where it is — unabsorbed, it
-    /// becomes an instance of its own.
-    fn arrive(&mut self, entry: &mut Entry, stamped: &mut bool, c: Cand, copy: bool) -> bool {
-        if entry.cands == NONE {
-            entry.cands = self.lists.take();
-            self.lists[entry.cands].clear();
-        } else if self.payloads[c.payload].instances > 1 {
-            if !*stamped {
-                *stamped = true;
-                self.next_epoch();
-                for (pos, held) in self.lists[entry.cands].iter().enumerate() {
-                    let p = &mut self.payloads.slots[held.payload as usize];
-                    (p.stamp, p.pos) = (self.epoch, pos as u32);
-                }
-            }
-            let p = &mut self.payloads[c.payload];
-            if p.stamp == self.epoch {
-                p.instances -= u32::from(!copy);
-                let held = &mut self.lists[entry.cands][p.pos as usize];
-                held.low = held.low.min(c.low);
-                return true;
-            }
-        }
-        self.payloads[c.payload].instances += u32::from(copy);
-        self.lists[entry.cands].push(c);
-        entry.max_low = entry.max_low.max(c.low);
-        false
-    }
-
-    /// Starts a merge epoch no payload is stamped with.
-    fn next_epoch(&mut self) {
-        if self.epoch == u32::MAX {
-            self.payloads.slots.iter_mut().for_each(|p| p.stamp = 0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-    }
 }
 
 fn entry_base_bytes(e: &Entry) -> u64 {
@@ -863,10 +228,6 @@ impl TwigM {
         self.stats = MachineStats::default();
     }
 
-    // ------------------------------------------------------------- //
-    // Transitions
-    // ------------------------------------------------------------- //
-
     /// `startElement`: every push decision arrives pre-computed from the
     /// step trie (`pushes`, `(machine node, ptr)` pairs decided by
     /// [`TwigM::push_point`] against the pre-event stacks, in any order: one
@@ -906,10 +267,14 @@ impl TwigM {
     }
 
     /// Where would machine node `q` attach for an element at `level`? The
-    /// machine's own push rule — a name-matched element pushes when its
-    /// axis is witnessed on the parent node's stack — and the pointer into
-    /// that stack. The step trie decides every push with it, once per
-    /// trie step, on the step's first route.
+    /// push rule: an element is pushed onto every machine node whose name
+    /// test it satisfies *and* whose axis is witnessed by the parent
+    /// machine node's stack (child: an open entry exactly one level up;
+    /// descendant: any open entry); the answer is the pointer into that
+    /// stack. The step trie decides every push with it, once per trie step,
+    /// on the step's first route, against the stacks *before* the element's
+    /// own pushes, so an element can never serve as its own ancestor (as in
+    /// `//a//a`).
     #[inline]
     pub(crate) fn push_point(&self, q: usize, level: u32) -> Option<u32> {
         let node = &self.spec.nodes[q];
@@ -925,13 +290,7 @@ impl TwigM {
                         Some(top) if top.level + 1 == level => Some(stack.len() as u32 - 1),
                         _ => None,
                     },
-                    Axis::Descendant => {
-                        if stack.is_empty() {
-                            None
-                        } else {
-                            Some(stack.len() as u32 - 1)
-                        }
-                    }
+                    Axis::Descendant => (stack.len() as u32).checked_sub(1),
                 }
             }
         }
@@ -1004,21 +363,14 @@ impl TwigM {
         // `//site/people/person/@id` stream with O(1) candidate memory. (A
         // root that owns a parametric element leaf is never satisfied yet:
         // the leaf has not popped. One holding its parametric attribute
-        // test for some bindings delivers to those: the others failed.)
+        // test for some bindings delivers to those, for good: the others
+        // failed.)
         if node.is_root && entry.cands != NONE && entry.flags.all_set(node.nflags as usize) {
-            let held = match entry.lits {
-                NONE => Vec::new(),
-                set => std::mem::take(&mut store.sets[set]),
-            };
-            let within = (held.len() < n).then_some(&held[..]).filter(|set| !set.is_empty());
             let born = store.detach(&entry);
             for &c in &born {
-                emit_candidate(stats, store, c, within, n, emit);
+                reach_root(stats, store, c, entry.lits, true, n, emit);
             }
             store.recycle(&entry, born);
-            if entry.lits != NONE {
-                store.sets[entry.lits] = held;
-            }
             (entry.cands, entry.max_low) = (NONE, 0);
         }
         if node.needs_text {
@@ -1081,16 +433,10 @@ impl TwigM {
                     Some(text),
                     level,
                 );
-                if !(pnode.is_root && top.flags.all_set(pnode.nflags as usize)) {
-                    store.arrive(top, &mut false, c, false);
-                } else if top.lits == NONE || store.sets[top.lits].len() == n {
-                    emit_candidate(stats, store, c, None, n, emit); // early emission (see push_entry)
-                } else {
-                    // A root satisfied for some bindings: they have the text
-                    // now, the others may still come.
-                    let held = std::mem::take(&mut store.sets[top.lits]);
-                    deliver_now(stats, store, c, &held, n, emit);
-                    store.sets[top.lits] = held;
+                // Early emission (see push_entry); a root satisfied for
+                // some bindings keeps the text for the others.
+                let at_root = pnode.is_root && top.flags.all_set(pnode.nflags as usize);
+                if !(at_root && reach_root(stats, store, c, top.lits, false, n, emit)) {
                     store.arrive(top, &mut false, c, false);
                 }
             }
@@ -1099,8 +445,14 @@ impl TwigM {
 
     /// `endElement`: pop every machine node whose top entry belongs to the
     /// closing element, innermost query nodes first, bookkeeping flags and
-    /// candidates into parents. Solutions reaching the machine root are
-    /// handed to `emit`, with the bindings they go to.
+    /// candidates into parents. A satisfied *predicate* entry sets its
+    /// match flag on **every** compatible parent entry — flags are single
+    /// bits, so this eager fan-out is cheap and encodes what would
+    /// otherwise be exponentially many match combinations. A satisfied
+    /// *main-path* entry forwards its candidates one query level up
+    /// ([`TwigM::forward`]); a failed one lets them slide down
+    /// ([`TwigM::fail`]). Solutions reaching the machine root are handed to
+    /// `emit`, with the bindings they go to.
     pub(crate) fn end_element_to(
         &mut self,
         store: &mut CandidateStore,
@@ -1112,25 +464,25 @@ impl TwigM {
         // Reverse id order = children before parents (the builder lays
         // parents out first).
         for q in (0..self.spec.nodes.len()).rev() {
-            let needs_pop = matches!(self.stacks[q].last(), Some(top) if top.level == level);
-            if needs_pop {
-                self.pop_entry(store, q, name, element_span, emit);
+            if let Some(e) = self.stacks[q].pop_if(|top| top.level == level) {
+                self.pop_entry(store, q, e, name, element_span, emit);
             }
         }
     }
 
+    /// Pops `e`, the former top of machine node `q`'s stack.
     fn pop_entry(
         &mut self,
         store: &mut CandidateStore,
         q: usize,
+        mut e: Entry,
         name: &str,
         element_span: ByteSpan,
         emit: &mut Deliver<'_>,
     ) {
         let n = self.binding_count();
         let Self { spec, stacks, bindings, stats, .. } = self;
-        let idx = stacks[q].len() - 1;
-        let mut e = stacks[q].pop().expect("checked by caller");
+        let idx = stacks[q].len() as u32;
         let node = &spec.nodes[q];
         let base = entry_base_bytes(&e);
 
@@ -1160,54 +512,49 @@ impl TwigM {
             // its flag stands for.
             let sat = match e.lits {
                 _ if !satisfied => Sat::No,
-                NONE => Sat::All,
-                set if store.sets[set].len() == n => Sat::All,
+                set if store.holds_all(set, n) => Sat::All,
                 set => Sat::Some(set),
             };
-            if e.lits != NONE && !matches!(sat, Sat::Some(_)) {
-                store.sets.give(e.lits);
+            self.pop_main(store, q, idx, &mut e, sat, base, name, element_span, emit);
+        } else {
+            // Predicate node: propagate the match flag — with several
+            // bindings, for the ones this subtree satisfied; no candidates
+            // live here.
+            debug_assert!(e.cands == NONE, "predicate entries never hold candidates");
+            if satisfied {
+                let slot = node.flag_slot.expect("predicate nodes have slots") as usize;
+                let p = node.parent.expect("predicate nodes have parents");
+                let parents = match node.axis {
+                    Axis::Child => e.ptr as usize..=e.ptr as usize,
+                    Axis::Descendant => 0..=e.ptr as usize,
+                };
+                let parents = &mut stacks[p][parents];
+                if n == 1 || (!node.parametric && e.lits == NONE) {
+                    parents.iter_mut().for_each(|t| set_flag(stats, t, slot));
+                } else if node.parametric {
+                    parents.iter_mut().for_each(|t| add_lits(stats, store, t, slot, &[bound]));
+                } else {
+                    let set = std::mem::take(&mut store.sets[e.lits]);
+                    parents.iter_mut().for_each(|t| add_lits(stats, store, t, slot, &set));
+                    store.sets[e.lits] = set;
+                }
             }
-            return self.pop_main(
-                store,
-                q,
-                idx as u32,
-                &mut e,
-                sat,
-                base,
-                name,
-                element_span,
-                emit,
-            );
-        }
-        // Predicate node: propagate the match flag — with several bindings,
-        // for the ones this subtree satisfied; no candidates live here.
-        debug_assert!(e.cands == NONE, "predicate entries never hold candidates");
-        if satisfied {
-            let slot = node.flag_slot.expect("predicate nodes have slots") as usize;
-            let p = node.parent.expect("predicate nodes have parents");
-            let parents = match node.axis {
-                Axis::Child => e.ptr as usize..=e.ptr as usize,
-                Axis::Descendant => 0..=e.ptr as usize,
-            };
-            let parents = &mut stacks[p][parents];
-            if n == 1 || (!node.parametric && e.lits == NONE) {
-                parents.iter_mut().for_each(|t| set_flag(stats, t, slot));
-            } else if node.parametric {
-                parents.iter_mut().for_each(|t| add_lits(stats, store, t, slot, &[bound]));
-            } else {
-                let set = std::mem::take(&mut store.sets[e.lits]);
-                parents.iter_mut().for_each(|t| add_lits(stats, store, t, slot, &set));
-                store.sets[e.lits] = set;
-            }
+            stats.on_pop(base);
         }
         if e.lits != NONE {
             store.sets.give(e.lits);
         }
-        stats.on_pop(base);
     }
 
     /// The main-path half of a pop: the entry (at index `idx` of its stack)
-    /// was satisfied as `sat` says, and its candidates move on.
+    /// was satisfied as `sat` says. Its candidates slide down if it failed
+    /// ([`TwigM::fail`]) and go up if it held ([`TwigM::forward`]); where
+    /// they reach a satisfied root entry — this one, or the parent entry
+    /// they go up to — they are solutions ([`reach_root`]). An owner of the
+    /// parametric leaf that holds for some bindings only is both at once:
+    /// at a satisfied root its candidates are delivered to those and fail
+    /// for the others; elsewhere they go up for those only
+    /// ([`TwigM::forward_tagged`]).
     #[allow(clippy::too_many_arguments)]
     fn pop_main(
         &mut self,
@@ -1239,93 +586,49 @@ impl TwigM {
             store.arrive(e, &mut false, c, false);
         }
         stats.on_pop(base);
-        if let Sat::Some(set) = sat {
-            let held = std::mem::take(&mut store.sets[set]);
-            if e.cands != NONE {
-                let cands = store.detach(e);
-                self.pop_partial(store, q, idx, e, cands, &held, emit);
-            }
-            store.sets[set] = held;
-            return store.sets.give(set);
-        }
         if e.cands == NONE {
             return;
         }
-        let cands = store.detach(e);
-        if let Sat::No = sat {
-            return self.fail(store, q, idx, e, cands);
-        }
-        if node.is_root {
-            // Solutions! Emit immediately (the paper's incremental
-            // delivery); an instance of a solution already delivered is
-            // suppressed.
-            for &c in &cands {
-                emit_candidate(stats, store, c, None, n, emit);
+        let mut cands = store.detach(e);
+        let own = match sat {
+            Sat::No => return self.fail(store, q, idx, e, cands),
+            Sat::All => NONE,
+            Sat::Some(set) => set,
+        };
+        // The bindings of the satisfied root the candidates reach, if any:
+        // this entry's, or the parent entry's (at most one of the two owns
+        // the parametric leaf and keeps a set).
+        let held = match node.parent {
+            None => Some(own),
+            Some(p) => {
+                let (pn, target) = (&spec.nodes[p], &stacks[p][e.ptr as usize]);
+                let root = pn.is_root && target.flags.all_set(pn.nflags as usize);
+                root.then_some(if own == NONE { target.lits } else { own })
             }
-            return store.recycle(e, cands);
+        };
+        if held.is_none() && own != NONE {
+            return self.forward_tagged(store, q, idx, e, cands, own);
         }
-        let p = node.parent.expect("non-root nodes have parents");
-        let pn = &spec.nodes[p];
-        let target = &stacks[p][e.ptr as usize];
-        if pn.is_root && target.flags.all_set(pn.nflags as usize) {
-            // The forwarding target is the machine root with all its
-            // predicates already satisfied: the candidates are solutions
-            // right now — deliver instead of buffering (down-copies would
-            // only ever produce duplicates, so they are skipped too). A root
-            // that owns the parametric leaf may hold for some bindings only:
-            // they get the candidates now, which also wait on it for the
-            // others.
-            let held = target.lits;
-            if held == NONE || store.sets[held].len() == n {
-                for &c in &cands {
-                    stats.candidates_forwarded += 1;
-                    emit_candidate(stats, store, c, None, n, emit);
-                }
-                return store.recycle(e, cands);
-            }
-            let held_for = std::mem::take(&mut store.sets[held]);
-            for &c in &cands {
-                deliver_now(stats, store, c, &held_for, n, emit);
-            }
-            store.sets[held] = held_for;
+        stats.candidates_forwarded += if node.is_root { 0 } else { cands.len() as u64 };
+        if let Some(held) = held {
+            // What ends here skips `forward`: its down-copies could only
+            // ever be duplicates.
+            cands.retain(|&c| !reach_root(stats, store, c, held, false, n, emit));
         }
-        self.forward(store, q, idx, e, cands)
+        if cands.is_empty() {
+            store.recycle(e, cands)
+        } else if own == NONE {
+            self.forward(store, q, idx, e, cands)
+        } else {
+            self.fail(store, q, idx, e, cands)
+        }
     }
 
-    /// [`TwigM::pop_main`] for an entry that owns the parametric leaf and
-    /// holds for the bindings in `s` only. For the others it failed.
-    #[allow(clippy::too_many_arguments)]
-    fn pop_partial(
-        &mut self,
-        store: &mut CandidateStore,
-        q: usize,
-        idx: u32,
-        e: &Entry,
-        cands: Vec<Cand>,
-        s: &[u32],
-        emit: &mut Deliver<'_>,
-    ) {
-        let n = self.binding_count();
-        let Self { spec, stacks, stats, .. } = self;
-        let node = &spec.nodes[q];
-        let root_now = node.parent.is_none_or(|p| {
-            let pn = &spec.nodes[p];
-            pn.is_root && stacks[p][e.ptr as usize].flags.all_set(pn.nflags as usize)
-        });
-        if !root_now {
-            return self.forward_tagged(store, q, idx, e, cands, s);
-        }
-        // Solutions for the bindings in `s`, at the root or forwarded to a
-        // satisfied one (which owns no parametric leaf: this entry does).
-        for &c in &cands {
-            stats.candidates_forwarded += u64::from(!node.is_root);
-            deliver_now(stats, store, c, s, n, emit);
-        }
-        self.fail(store, q, idx, e, cands)
-    }
-
-    /// Candidates of a satisfied non-root entry go up to the deepest
-    /// compatible parent entry.
+    /// Candidates of a satisfied non-root entry go up, attached to the
+    /// **deepest** compatible parent entry. Outer alternatives are kept by
+    /// lazy inheritance instead of eager copying: a copy slides down too,
+    /// because chains through outer entries may succeed where the inner
+    /// chain's continuation fails (see [`TwigM::fail`]).
     fn forward(
         &mut self,
         store: &mut CandidateStore,
@@ -1357,37 +660,24 @@ impl TwigM {
                 Axis::Child => e.ptr,
                 Axis::Descendant => 0,
             };
-            stats.candidates_forwarded += cands.len() as u64;
             cands.iter_mut().for_each(|c| c.low = new_low);
-            let target = &mut stacks[p][e.ptr as usize];
-            if target.cands == NONE {
-                return store.hand_over(e, cands, target, new_low);
-            }
-            let mut stamped = false;
-            for &c in &cands {
-                if store.arrive(target, &mut stamped, c, false) {
-                    stats.on_candidate_merged(CAND_BYTES);
+            return store.move_up(stats, e, cands, &mut stacks[p][e.ptr as usize], new_low);
+        }
+        // Strawman: a copy to every compatible parent entry below the
+        // deepest, which the original moves to.
+        let (lo, ptr) = match node.axis {
+            Axis::Child => (e.ptr, e.ptr),
+            Axis::Descendant => (0, e.ptr),
+        };
+        for &c in &cands {
+            for low in lo..=ptr {
+                let copy = low < ptr;
+                if copy {
+                    stats.on_candidate_copied(CAND_BYTES);
                 }
-            }
-        } else {
-            // Strawman: a copy to every compatible parent entry below the
-            // deepest, which the original moves to.
-            let (lo, ptr) = match node.axis {
-                Axis::Child => (e.ptr, e.ptr),
-                Axis::Descendant => (0, e.ptr),
-            };
-            for &c in &cands {
-                for low in lo..=ptr {
-                    let copy = low < ptr;
-                    if copy {
-                        stats.on_candidate_copied(CAND_BYTES);
-                    } else {
-                        stats.candidates_forwarded += 1;
-                    }
-                    let target = &mut stacks[p][low as usize];
-                    if store.arrive(target, &mut false, Cand { low, ..c }, copy) {
-                        stats.on_candidate_merged(CAND_BYTES);
-                    }
+                let target = &mut stacks[p][low as usize];
+                if store.arrive(target, &mut false, Cand { low, ..c }, copy) {
+                    stats.on_candidate_merged(CAND_BYTES);
                 }
             }
         }
@@ -1395,9 +685,9 @@ impl TwigM {
     }
 
     /// Candidates of a non-root entry that owns the parametric leaf and is
-    /// satisfied for the bindings in `s` only. For the others it failed:
-    /// every candidate that may slide down does. What goes up, goes for
-    /// `s` only, as a tagged instance.
+    /// satisfied for the bindings in the set `s` only. For the others it
+    /// failed: every candidate that may slide down does. What goes up, goes
+    /// for `s` only, as a tagged instance.
     fn forward_tagged(
         &mut self,
         store: &mut CandidateStore,
@@ -1405,7 +695,7 @@ impl TwigM {
         idx: u32,
         e: &Entry,
         mut cands: Vec<Cand>,
-        s: &[u32],
+        s: u32,
     ) {
         let Self { spec, mode, stacks, stats, .. } = self;
         debug_assert_eq!(*mode, EvalMode::Compact, "several bindings run compact");
@@ -1435,23 +725,16 @@ impl TwigM {
         }
         cands.truncate(up);
         stats.candidates_forwarded += up as u64;
-        let target = &mut stacks[p][e.ptr as usize];
-        if target.cands == NONE && up > 0 {
-            return store.hand_over(e, cands, target, new_low);
-        }
-        let mut stamped = false;
-        for &c in &cands {
-            if store.arrive(target, &mut stamped, c, false) {
-                stats.on_candidate_merged(CAND_BYTES);
-            }
-        }
-        store.recycle(e, cands);
+        store.move_up(stats, e, cands, &mut stacks[p][e.ptr as usize], new_low)
     }
 
     /// Candidates of an entry that failed (for every binding, or for all
-    /// but those they were just delivered to): each slides down to the
-    /// next compatible entry of the same stack, or is discarded at its
-    /// bound.
+    /// but those they were just delivered to) follow the lazy inheritance
+    /// rule: a candidate records the lowest stack index it is compatible
+    /// with (`low`), and when the entry holding it pops it slides to the
+    /// entry below if that is still ≥ `low` — its chances through outer
+    /// ancestors stay alive without ever materializing the match
+    /// combinations — or is discarded at its bound.
     fn fail(
         &mut self,
         store: &mut CandidateStore,
@@ -1499,41 +782,37 @@ enum Sat {
     Some(u32),
 }
 
-/// Delivers one candidate as a solution — to the bindings in `within`
-/// only, when given — suppressing an instance of a solution already
-/// delivered, so that every solution reaches each of its bindings exactly
-/// once. The candidate ends here.
-fn emit_candidate(
+/// Emission: `c` has reached a satisfied entry of the machine *root*, and
+/// candidates there are solutions (paper: "a node matching the root of
+/// TwigM ensures that the candidate solutions associated with it are
+/// indeed query solutions"). The root holds for the bindings in the set
+/// `held` ([`NONE`]: all of them); the solution goes at once to those of
+/// them it stands for and has not reached, so a solution reaching the root
+/// along several chains is delivered once per binding. Returns whether `c`
+/// ends here: it does when `held` is every binding or `fin`al (decided at
+/// push: the others failed for good); otherwise it stays for the others.
+#[inline]
+fn reach_root(
     stats: &mut MachineStats,
     store: &mut CandidateStore,
     c: Cand,
-    within: Option<&[u32]>,
+    held: u32,
+    fin: bool,
     n: usize,
     emit: &mut Deliver<'_>,
-) {
-    let delivered = store.deliver(c, within, n, emit);
+) -> bool {
+    let delivered = store.deliver(c, held, n, emit);
+    if !fin && !store.holds_all(held, n) {
+        stats.emitted += u64::from(delivered);
+        return false;
+    }
     let bytes = store.release(c);
     if delivered {
         stats.on_candidate_emitted(bytes);
     } else {
         stats.on_candidate_suppressed(bytes);
     }
-}
-
-/// Delivers `c`'s solution to those bindings of `within` it stands for and
-/// has not reached; the candidate itself stays where it is, for the
-/// others.
-fn deliver_now(
-    stats: &mut MachineStats,
-    store: &mut CandidateStore,
-    c: Cand,
-    within: &[u32],
-    n: usize,
-    emit: &mut Deliver<'_>,
-) {
-    if store.deliver(c, Some(within), n, emit) {
-        stats.emitted += 1;
-    }
+    true
 }
 
 /// Sets a flag bit, counting only actual transitions.
@@ -1582,6 +861,8 @@ fn cmp_opt(comparison: &Option<(CmpOp, Literal)>, value: &str) -> bool {
 
 #[cfg(test)]
 mod tests {
+    use super::bindings::fnv1a;
+    use super::store::Payload;
     use super::*;
     use crate::result::Match;
     use vitex_xmlsax::event::AttributeBuf;
@@ -1787,9 +1068,9 @@ mod tests {
     #[test]
     fn alternative_outer_chain_survives_inner_failure() {
         // Regression test for the subtle completeness case behind the
-        // module doc's lazy-inheritance rule: an inner satisfied step whose
-        // own parent fails must not steal the candidate from a viable outer
-        // chain.
+        // lazy-inheritance rule (`TwigM::forward`): an inner satisfied step
+        // whose own parent fails must not steal the candidate from a viable
+        // outer chain.
         //
         // Query: //a[p]/b[q]//c over:
         //   <a> <p/> <b> <a> <b> <q/> <c/> </b> </a> <q/> </b> </a>
@@ -2087,12 +1368,12 @@ mod tests {
     /// through one machine per literal. Each binding must be delivered,
     /// in order, exactly the matches of its literal's machine — nothing
     /// twice — and the shared machine must do its work counters' worth.
-    /// Returns the shared driver.
+    /// Returns the shared driver and all of its machine's statistics.
     fn agrees_with_one_literal_machines(
         shape: &str,
         literals: &[&str],
         events: impl Fn(&mut Driver),
-    ) -> Driver {
+    ) -> (Driver, [u64; 19]) {
         let query = |literal: &str| shape.replace('$', &format!("'{literal}'"));
         let mut shared = Driver::new(&query(literals[0]));
         for literal in literals {
@@ -2112,14 +1393,61 @@ mod tests {
             assert_eq!(got, alone.names(), "{}", query(literal));
             assert_eq!(work(shared.machine.stats()), work(alone.machine.stats()), "{literal}");
         }
-        shared
+        let stats = all_fields(shared.machine.stats());
+        (shared, stats)
+    }
+
+    /// Every field of `s`, in declaration order: what a test pins.
+    fn all_fields(s: &MachineStats) -> [u64; 19] {
+        let MachineStats {
+            pushes,
+            pops,
+            flag_propagations,
+            predicate_evals,
+            dispatch_hits,
+            candidates_created,
+            candidates_forwarded,
+            candidates_inherited,
+            candidates_discarded,
+            candidates_merged,
+            candidates_copied,
+            emitted,
+            duplicates_suppressed,
+            live_entries,
+            peak_entries,
+            live_candidates,
+            peak_candidates,
+            live_bytes,
+            peak_bytes,
+        } = *s;
+        [
+            pushes,
+            pops,
+            flag_propagations,
+            predicate_evals,
+            dispatch_hits,
+            candidates_created,
+            candidates_forwarded,
+            candidates_inherited,
+            candidates_discarded,
+            candidates_merged,
+            candidates_copied,
+            emitted,
+            duplicates_suppressed,
+            live_entries,
+            peak_entries,
+            live_candidates,
+            peak_candidates,
+            live_bytes,
+            peak_bytes,
+        ]
     }
 
     #[test]
     fn an_owner_holds_the_set_of_bindings_its_leaves_satisfied() {
         // Two `p` children satisfy two literals on one `a`: its `c` reaches
         // both in one delivery; the second `a` reaches one; the third none.
-        let d = agrees_with_one_literal_machines("//a[p = $]/c", &["x", "y", "z"], |d| {
+        let (d, _) = agrees_with_one_literal_machines("//a[p = $]/c", &["x", "y", "z"], |d| {
             d.open("r");
             d.open("a").open("p").text("x").close("p").open("p").text("y").close("p");
             d.leaf("c").close("a");
@@ -2136,14 +1464,22 @@ mod tests {
     fn nested_owners_deliver_once_per_binding() {
         // `//a[p = $]//b` over `a` in `a`: the inner `a` holds for one
         // literal, the outer for the other or the same one.
-        for (outer, inner) in [("y", "x"), ("x", "x"), ("x", "y"), ("w", "x")] {
-            let d = agrees_with_one_literal_machines("//a[p = $]//b", &["x", "y"], |d| {
+        // The full statistics were recorded before the satisfied-root
+        // rule became one function, and must not move.
+        for (outer, inner, stats) in [
+            ("y", "x", [6, 6, 2, 2, 6, 2, 2, 1, 2, 0, 0, 3, 0, 0, 3, 0, 2, 0, 226]),
+            ("x", "x", [6, 6, 2, 2, 6, 2, 2, 1, 2, 0, 0, 2, 0, 0, 3, 0, 2, 0, 226]),
+            ("x", "y", [6, 6, 2, 2, 6, 2, 2, 1, 2, 0, 0, 3, 0, 0, 3, 0, 2, 0, 226]),
+            ("w", "x", [6, 6, 1, 2, 6, 2, 2, 1, 2, 0, 0, 1, 0, 0, 3, 0, 2, 0, 226]),
+        ] {
+            let (d, got) = agrees_with_one_literal_machines("//a[p = $]//b", &["x", "y"], |d| {
                 d.open("a").open("p").text(outer).close("p");
                 d.open("a").open("p").text(inner).close("p").leaf("b").close("a");
                 d.leaf("b").close("a");
             });
             let deliveries = d.delivered.iter().map(|(to, _)| to.as_ref().map_or(2, Vec::len));
             assert!(deliveries.sum::<usize>() <= 4, "{outer}/{inner}: {:?}", d.delivered);
+            assert_eq!(got, stats, "{outer}/{inner}");
         }
     }
 
@@ -2153,13 +1489,19 @@ mod tests {
         // what goes up to `r` (satisfied only once its `z` closes) goes for
         // the inner `a`'s literal only, a variant of the solution that also
         // waits below for the other.
-        for (outer, inner) in [("x", "y"), ("y", "y"), ("w", "x")] {
-            let d = agrees_with_one_literal_machines("//r[z]/a[p = $]//b", &["x", "y"], |d| {
-                d.open("r").open("a").open("p").text(outer).close("p");
-                d.open("r").open("a").open("p").text(inner).close("p").leaf("b");
-                d.close("a").leaf("z").close("r").leaf("b").close("a").leaf("z").close("r");
-            });
-            assert!(d.machine.stats().candidates_copied > 0, "{outer}/{inner}: a variant was made");
+        for (outer, inner, stats) in [
+            ("x", "y", [10, 10, 4, 2, 10, 2, 5, 1, 1, 0, 2, 3, 0, 0, 5, 0, 3, 0, 321]),
+            ("y", "y", [10, 10, 4, 2, 10, 2, 5, 1, 1, 0, 2, 2, 1, 0, 5, 0, 3, 0, 321]),
+            ("w", "x", [10, 10, 3, 2, 10, 2, 3, 1, 2, 0, 1, 1, 0, 0, 5, 0, 2, 0, 321]),
+        ] {
+            let (_, got) =
+                agrees_with_one_literal_machines("//r[z]/a[p = $]//b", &["x", "y"], |d| {
+                    d.open("r").open("a").open("p").text(outer).close("p");
+                    d.open("r").open("a").open("p").text(inner).close("p").leaf("b");
+                    d.close("a").leaf("z").close("r").leaf("b").close("a").leaf("z").close("r");
+                });
+            assert!(got[10] > 0, "{outer}/{inner}: a variant was made");
+            assert_eq!(got, stats, "{outer}/{inner}");
         }
     }
 
@@ -2167,19 +1509,24 @@ mod tests {
     fn a_partly_satisfied_root_delivers_early_and_keeps_the_rest() {
         // Text results and element results decidable at the root while it
         // holds for some bindings: those get them at once, the rest later.
-        agrees_with_one_literal_machines("//a[p = $]/text()", &["x", "y", "z"], |d| {
-            d.open("a").open("p").text("x").close("p").text("t1");
-            d.open("p").text("y").close("p").text("t2").close("a");
-        });
-        agrees_with_one_literal_machines("//a[p = $]/c/d", &["x", "y"], |d| {
+        let (_, stats) =
+            agrees_with_one_literal_machines("//a[p = $]/text()", &["x", "y", "z"], |d| {
+                d.open("a").open("p").text("x").close("p").text("t1");
+                d.open("p").text("y").close("p").text("t2").close("a");
+            });
+        assert_eq!(stats, [3, 3, 2, 2, 3, 2, 0, 0, 2, 0, 0, 3, 0, 0, 2, 0, 2, 0, 180]);
+        let (_, stats) = agrees_with_one_literal_machines("//a[p = $]/c/d", &["x", "y"], |d| {
             d.open("a").open("p").text("x").close("p").open("c").leaf("d").close("c");
             d.open("p").text("y").close("p").open("c").leaf("d").close("c").close("a");
         });
-        agrees_with_one_literal_machines("//a[q/p = $]//c/@id", &["x", "y"], |d| {
-            d.open("a").open("q").open("p").text("x").close("p").close("q");
-            d.open("c").open_attrs("c", &[("id", "1")]).close("c").close("c");
-            d.open("q").open("p").text("y").close("p").close("q").close("a");
-        });
+        assert_eq!(stats, [7, 7, 2, 2, 7, 2, 4, 0, 0, 0, 0, 3, 0, 0, 3, 0, 2, 0, 274]);
+        let (_, stats) =
+            agrees_with_one_literal_machines("//a[q/p = $]//c/@id", &["x", "y"], |d| {
+                d.open("a").open("q").open("p").text("x").close("p").close("q");
+                d.open("c").open_attrs("c", &[("id", "1")]).close("c").close("c");
+                d.open("q").open("p").text("y").close("p").close("q").close("a");
+            });
+        assert_eq!(stats, [7, 7, 4, 2, 7, 1, 1, 0, 0, 0, 0, 2, 0, 0, 3, 0, 1, 0, 212]);
     }
 
     /// The binding set on the top entry of machine node `q`, and whether
@@ -2220,31 +1567,40 @@ mod tests {
     fn attribute_bindings_run_as_one_literal_machines() {
         // Nested owners under `//`: `b`'s name reaches `a` through the outer
         // item and `b` through the inner one.
-        let d = agrees_with_one_literal_machines("//item[@id = $]//name", &["a", "b", "c"], |d| {
-            d.open("r");
-            d.open_attrs("item", &[("id", "a")]).open_attrs("item", &[("id", "b")]);
-            d.leaf("name").close("item").close("item");
-            d.open_attrs("item", &[("id", "b")]).open_attrs("item", &[("id", "a")]);
-            d.leaf("name").close("item").leaf("name").close("item");
-            d.close("r");
-        });
+        let (d, stats) =
+            agrees_with_one_literal_machines("//item[@id = $]//name", &["a", "b", "c"], |d| {
+                d.open("r");
+                d.open_attrs("item", &[("id", "a")]).open_attrs("item", &[("id", "b")]);
+                d.leaf("name").close("item").close("item");
+                d.open_attrs("item", &[("id", "b")]).open_attrs("item", &[("id", "a")]);
+                d.leaf("name").close("item").leaf("name").close("item");
+                d.close("r");
+            });
         assert!(d.delivered.iter().all(|(to, _)| to.is_some()), "{:?}", d.delivered);
+        assert_eq!(stats, [7, 7, 4, 4, 7, 3, 3, 2, 3, 0, 0, 5, 0, 0, 3, 0, 2, 0, 232]);
         // A test on a predicate node: the owner is its main-path ancestor.
-        agrees_with_one_literal_machines("//person[profile[@income = $]]/name", &["1", "2"], |d| {
-            d.open("site");
-            d.open("person").leaf("name").open_attrs("profile", &[("income", "2")]);
-            d.close("profile").open_attrs("profile", &[("income", "1")]).close("profile");
-            d.close("person");
-            d.open("person").open_attrs("profile", &[("income", "3")]).close("profile");
-            d.leaf("name").close("person");
-            d.close("site");
-        });
+        let (_, stats) = agrees_with_one_literal_machines(
+            "//person[profile[@income = $]]/name",
+            &["1", "2"],
+            |d| {
+                d.open("site");
+                d.open("person").leaf("name").open_attrs("profile", &[("income", "2")]);
+                d.close("profile").open_attrs("profile", &[("income", "1")]).close("profile");
+                d.close("person");
+                d.open("person").open_attrs("profile", &[("income", "3")]).close("profile");
+                d.leaf("name").close("person");
+                d.close("site");
+            },
+        );
+        assert_eq!(stats, [7, 7, 4, 3, 7, 2, 2, 0, 1, 0, 0, 1, 0, 0, 2, 0, 1, 0, 164]);
         // A root owner early-emits at push, to its binding only.
-        let d = agrees_with_one_literal_machines("//item[@id = $]/@id", &["a", "b"], |d| {
-            d.open("r").open_attrs("item", &[("id", "b")]);
-            d.close("item").open_attrs("item", &[("id", "z")]).close("item").close("r");
-        });
+        let (d, stats) =
+            agrees_with_one_literal_machines("//item[@id = $]/@id", &["a", "b"], |d| {
+                d.open("r").open_attrs("item", &[("id", "b")]);
+                d.close("item").open_attrs("item", &[("id", "z")]).close("item").close("r");
+            });
         assert_eq!(d.delivered, [(Some(vec![1]), 2)], "delivered for `b` only");
+        assert_eq!(stats, [2, 2, 1, 2, 2, 2, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 0, 115]);
     }
 
     #[test]

@@ -716,7 +716,7 @@ fn wildcard_only_query_sees_every_element_through_the_index() {
 
 // --------------------------------------------------------------------- //
 // Shape groups: subscriptions that differ only in a string literal share
-// one machine (`plan/group.rs`, `machine.rs` "Bindings")
+// one machine (`plan/group.rs`, `machine/bindings.rs`)
 // --------------------------------------------------------------------- //
 
 /// Runs `queries` through one engine over `xml`: each query's matches
