@@ -8,19 +8,33 @@
 //! ## Layout
 //!
 //! Only **element-test** query nodes become *stacked* machine nodes (they
-//! are the ones XML open/close nesting applies to). Attribute and `text()`
-//! query nodes are folded into their parent machine node as inline
-//! sub-tests, evaluated directly on `startElement` (attributes) or
-//! `characters` (text) events:
+//! are the ones XML open/close nesting applies to). They keep the query's
+//! order, so parents precede children and node 0 is the machine root. Each
+//! has one [`Role`]:
 //!
-//! * an attribute / text **predicate child** occupies one of the parent's
-//!   match-flag slots, exactly like an element predicate child;
+//! * the **root** and the other **main**-path nodes carry candidates up
+//!   towards the root, where they are solutions;
+//! * a **predicate** node, once its subtree is satisfied, sets one
+//!   match-flag slot on its parent's entries: its role names both.
+//!
+//! Attribute and `text()` query nodes are folded into their parent machine
+//! node as inline sub-tests, evaluated directly on `startElement`
+//! (attributes) or `characters` (text) events:
+//!
+//! * an attribute / text **predicate child** ([`AttrPred`], [`TextTest`])
+//!   carries one of the parent's match-flag slots, exactly like an element
+//!   predicate child;
 //! * an attribute / text **result child** (e.g. the `@id` of
 //!   `//ProteinEntry[reference]/@id`) makes the parent machine node a
-//!   *candidate generator*: matching attributes / text nodes become
-//!   candidate solutions attached to the parent's stack entry.
+//!   *candidate generator* ([`MachineNode::attr_result`],
+//!   [`MachineSpec::text_result_parent`]): matching attributes / text nodes
+//!   become candidate solutions attached to the parent's stack entry.
+//!
+//! The query's parametric leaf, if it has one, is stated once, as a
+//! [`Leaf`]: a predicate node, or one attribute predicate of a node.
 
-use std::collections::HashMap;
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use std::fmt;
 
 use vitex_xpath::query_tree::{NodeKind, QueryTree};
@@ -68,25 +82,55 @@ impl fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// An inline attribute sub-test (predicate or result) on a machine node.
+/// An inline attribute test: a name test and an optional value comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttrTest {
     /// Attribute name; `None` for `@*`.
     pub name: Option<String>,
     /// Optional value comparison.
     pub comparison: Option<(CmpOp, Literal)>,
-    /// Flag slot in the owning machine node's entries (predicates only;
-    /// `None` for the result sub-test).
-    pub slot: Option<u32>,
 }
 
-/// An inline `text()` sub-test on a machine node.
+/// An inline attribute predicate: its test and the flag slot it sets.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AttrPred {
+    /// What an attribute of the element must satisfy.
+    pub test: AttrTest,
+    /// Flag slot in the owning machine node's entries.
+    pub slot: u32,
+}
+
+/// An inline `text()` predicate on a machine node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TextTest {
     /// Optional content comparison.
     pub comparison: Option<(CmpOp, Literal)>,
-    /// Flag slot (predicates only).
-    pub slot: Option<u32>,
+    /// Flag slot in the owning machine node's entries.
+    pub slot: u32,
+}
+
+/// What a stacked machine node is for (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    /// The machine root, node 0: the first main-path element.
+    Root,
+    /// A main-path node below the root, under parent machine node `.0`.
+    Main(usize),
+    /// A predicate node under parent machine node `.0`: satisfied, it sets
+    /// flag slot `.1` on the parent's entries.
+    Pred(usize, u32),
+}
+
+/// Where the query's parametric leaf ([`QueryTree::parametric_node`]) is:
+/// its `= 'string'` comparison is a lookup in the machine's binding table,
+/// which a shape group fills with every subscriber's literal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Leaf {
+    /// Predicate machine node `.0`, tested on its string-value at pop.
+    Node(usize),
+    /// Machine node `.0`'s attribute predicate `.1` (an index into its
+    /// [`MachineNode::attr_preds`]), tested at push.
+    Attr(usize, usize),
 }
 
 /// One stacked machine node (an element-test query node).
@@ -94,52 +138,33 @@ pub struct TextTest {
 pub struct MachineNode {
     /// Axis of the incoming query edge.
     pub axis: Axis,
-    /// Parent machine node (index into [`MachineSpec::nodes`]); `None` for
-    /// the machine root.
-    pub parent: Option<usize>,
+    /// Root, main-path node or predicate node, with its parent.
+    pub role: Role,
     /// Element name to match; `None` is the wildcard.
     pub name: Option<String>,
-    /// String-value comparison (predicate-subtree leaves only).
+    /// String-value comparison (predicate-subtree leaves only): entries
+    /// accumulate descendant text for it.
     pub comparison: Option<(CmpOp, Literal)>,
-    /// This node's flag slot in its parent's entries (predicate nodes
-    /// only).
-    pub flag_slot: Option<u32>,
     /// Number of flag slots entries of this node carry (= number of
     /// predicate children of any kind).
     pub nflags: u32,
-    /// On the main path?
-    pub is_main: bool,
-    /// The machine root (first main-path element)?
-    pub is_root: bool,
     /// The result node itself (element-result queries)?
     pub is_result: bool,
-    /// Entries must accumulate descendant text for `comparison`.
-    pub needs_text: bool,
-    /// The query's parametric leaf ([`QueryTree::parametric_node`]): its
-    /// `= 'string'` comparison is a lookup in the machine's binding
-    /// table, which a shape group fills with every subscriber's literal.
-    pub parametric: bool,
-    /// The query's parametric leaf is one of this node's inline attribute
-    /// predicates: its one named `= 'string'` test, whose attribute value
-    /// is looked up in the binding table at push.
-    pub parametric_attr: bool,
     /// Inline attribute predicate children.
-    pub attr_preds: Vec<AttrTest>,
+    pub attr_preds: Vec<AttrPred>,
     /// Inline text predicate children.
     pub text_preds: Vec<TextTest>,
     /// Inline attribute result child (this node is the result's parent).
     pub attr_result: Option<AttrTest>,
-    /// Inline text result child.
-    pub text_result: bool,
 }
 
 impl MachineNode {
-    /// Whether `test`, one of this node's attribute predicates, is the
-    /// query's parametric leaf (see [`MachineNode::parametric_attr`]).
-    pub(crate) fn binds(&self, test: &AttrTest) -> bool {
-        self.parametric_attr
-            && test.name.is_some()
-            && matches!(test.comparison, Some((CmpOp::Eq, Literal::Str(_))))
+    /// The parent machine node; `None` for the root.
+    pub fn parent(&self) -> Option<usize> {
+        match self.role {
+            Role::Root => None,
+            Role::Main(parent) | Role::Pred(parent, _) => Some(parent),
+        }
     }
 }
 
@@ -147,16 +172,16 @@ impl MachineNode {
 /// immutable after build, shareable across runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineSpec {
-    /// Stacked machine nodes; parents precede children.
+    /// Stacked machine nodes; parents precede children (node 0 is the root).
     pub nodes: Vec<MachineNode>,
     /// Nodes with text predicate children (checked on `characters`).
     pub text_watchers: Vec<usize>,
-    /// Nodes whose entries accumulate string-values.
+    /// Nodes with a string-value comparison, whose entries accumulate text.
     pub text_accumulators: Vec<usize>,
     /// The node whose entries generate text-result candidates.
     pub text_result_parent: Option<usize>,
-    /// The machine root.
-    pub root: usize,
+    /// The query's parametric leaf, if it has one.
+    pub parametric: Option<Leaf>,
     /// The canonical query text (diagnostics).
     pub query: String,
 }
@@ -181,117 +206,87 @@ impl MachineSpec {
             text_watchers: Vec::new(),
             text_accumulators: Vec::new(),
             text_result_parent: None,
-            root: 0,
+            parametric: None,
             query: tree.original().to_owned(),
         };
-        // Query-node id → machine-node index (element nodes only).
-        let mut index: HashMap<usize, usize> = HashMap::new();
+        // By query-node id, each element's machine node (`None` for an
+        // attribute or `text()` test): parents precede children.
+        let mut at: Vec<Option<usize>> = Vec::with_capacity(tree.len());
         let parametric = tree.parametric_node();
 
         for qnode in tree.nodes() {
-            match &qnode.kind {
-                NodeKind::Element { name } => {
-                    let parent = qnode.parent.map(|p| {
-                        *index.get(&p).expect(
-                            "parent of an element query node is an element (grammar \
-                             forbids steps under attributes/text)",
-                        )
-                    });
-                    let mi = spec.nodes.len();
-                    index.insert(qnode.id, mi);
-                    // Flag slots are assigned in pred_children order as the
-                    // children are visited (children follow parents in id
-                    // order, so slots are handed out before any child needs
-                    // its own slot).
-                    let nflags = qnode.pred_children.len() as u32;
-                    let node = MachineNode {
-                        axis: qnode.axis,
-                        parent,
-                        name: name.clone(),
-                        comparison: qnode.comparison.clone(),
-                        flag_slot: None, // filled when visited as a child below
-                        nflags,
-                        is_main: qnode.on_main_path,
-                        is_root: qnode.parent.is_none(),
-                        is_result: qnode.on_main_path
-                            && qnode.main_child.is_none()
-                            && qnode.id == tree.result(),
-                        needs_text: qnode.comparison.is_some(),
-                        parametric: parametric == Some(qnode.id),
-                        parametric_attr: false,
-                        attr_preds: Vec::new(),
-                        text_preds: Vec::new(),
-                        attr_result: None,
-                        text_result: false,
-                    };
-                    if node.needs_text {
-                        spec.text_accumulators.push(mi);
-                    }
-                    if let Some(n) = &node.name {
-                        interner.intern(n);
-                    }
-                    spec.nodes.push(node);
-                    // Assign this node's slot within its parent.
-                    if let Some(p) = qnode.parent {
-                        if !qnode.on_main_path {
-                            let slot = slot_of(tree, p, qnode.id);
-                            let pm = index[&p];
-                            spec.nodes[mi].flag_slot = Some(slot);
-                            debug_assert!(slot < spec.nodes[pm].nflags);
+            let (leaf, comparison) = (parametric == Some(qnode.id), qnode.comparison.clone());
+            // The flag slot of a predicate child in its parent's entries.
+            let slot = match qnode.parent {
+                Some(p) if !qnode.on_main_path => {
+                    let slot = tree.node(p).pred_children.iter().position(|&c| c == qnode.id);
+                    Some(slot.ok_or_else(|| BuildError::new("internal: unlisted predicate"))? as u32)
+                }
+                _ => None,
+            };
+            let parent = match qnode.parent.map(|p| at[p]) {
+                Some(None) => return Err(BuildError::new("internal: a step under an attribute")),
+                parent => parent.flatten(),
+            };
+            let NodeKind::Element { name } = &qnode.kind else {
+                // An attribute or `text()` test folds into its parent.
+                let Some(pm) = parent.filter(|_| qnode.axis == Axis::Child) else {
+                    return Err(BuildError::new(
+                        "internal: an attribute or text() step survived normalization off an \
+                         element's child axis",
+                    ));
+                };
+                at.push(None);
+                let node = &mut spec.nodes[pm];
+                match (&qnode.kind, slot) {
+                    (NodeKind::Attribute { name }, slot) => {
+                        let test = AttrTest { name: name.clone(), comparison };
+                        let Some(slot) = slot else {
+                            node.attr_result = Some(test);
+                            continue;
+                        };
+                        if leaf {
+                            spec.parametric = Some(Leaf::Attr(pm, node.attr_preds.len()));
                         }
+                        node.attr_preds.push(AttrPred { test, slot });
                     }
-                }
-                NodeKind::Attribute { name } => {
-                    let p = qnode.parent.expect(
-                        "attribute query nodes always have an element parent after normalization",
-                    );
-                    let pm = *index.get(&p).expect("parent compiled before child");
-                    if qnode.axis != Axis::Child {
-                        return Err(BuildError::new(
-                            "internal: descendant-axis attribute survived normalization",
-                        ));
-                    }
-                    if qnode.on_main_path {
-                        spec.nodes[pm].attr_result = Some(AttrTest {
-                            name: name.clone(),
-                            comparison: qnode.comparison.clone(),
-                            slot: None,
-                        });
-                    } else {
-                        let slot = slot_of(tree, p, qnode.id);
-                        spec.nodes[pm].parametric_attr |= parametric == Some(qnode.id);
-                        spec.nodes[pm].attr_preds.push(AttrTest {
-                            name: name.clone(),
-                            comparison: qnode.comparison.clone(),
-                            slot: Some(slot),
-                        });
-                    }
-                }
-                NodeKind::Text => {
-                    let p = qnode.parent.expect(
-                        "text query nodes always have an element parent after normalization",
-                    );
-                    let pm = *index.get(&p).expect("parent compiled before child");
-                    if qnode.axis != Axis::Child {
-                        return Err(BuildError::new(
-                            "internal: descendant-axis text() survived normalization",
-                        ));
-                    }
-                    if qnode.on_main_path {
-                        spec.nodes[pm].text_result = true;
-                        spec.text_result_parent = Some(pm);
-                    } else {
-                        let slot = slot_of(tree, p, qnode.id);
-                        spec.nodes[pm].text_preds.push(TextTest {
-                            comparison: qnode.comparison.clone(),
-                            slot: Some(slot),
-                        });
-                        if !spec.text_watchers.contains(&pm) {
+                    (_, None) => spec.text_result_parent = Some(pm),
+                    (_, Some(slot)) => {
+                        if node.text_preds.is_empty() {
                             spec.text_watchers.push(pm);
                         }
+                        node.text_preds.push(TextTest { comparison, slot });
                     }
                 }
+                continue;
+            };
+            let mi = spec.nodes.len();
+            at.push(Some(mi));
+            if comparison.is_some() {
+                spec.text_accumulators.push(mi);
             }
+            if leaf {
+                spec.parametric = Some(Leaf::Node(mi));
+            }
+            if let Some(n) = name {
+                interner.intern(n);
+            }
+            let role = match (parent, slot) {
+                (None, _) => Role::Root,
+                (Some(parent), None) => Role::Main(parent),
+                (Some(parent), Some(slot)) => Role::Pred(parent, slot),
+            };
+            spec.nodes.push(MachineNode {
+                axis: qnode.axis,
+                role,
+                name: name.clone(),
+                comparison,
+                nflags: qnode.pred_children.len() as u32,
+                is_result: qnode.id == tree.result(),
+                attr_preds: Vec::new(),
+                text_preds: Vec::new(),
+                attr_result: None,
+            });
         }
         debug_assert!(!spec.nodes.is_empty(), "normalized trees have ≥1 element node");
         Ok(spec)
@@ -313,9 +308,9 @@ impl MachineSpec {
         let mut bytes = self.nodes.capacity() * size_of::<MachineNode>();
         for n in &self.nodes {
             bytes += n.name.as_ref().map_or(0, |s| s.len());
-            bytes += n.attr_preds.capacity() * size_of::<AttrTest>();
+            bytes += n.attr_preds.capacity() * size_of::<AttrPred>();
             bytes += n.text_preds.capacity() * size_of::<TextTest>();
-            for a in n.attr_preds.iter().chain(n.attr_result.iter()) {
+            for a in n.attr_preds.iter().map(|p| &p.test).chain(n.attr_result.iter()) {
                 bytes += a.name.as_ref().map_or(0, |s| s.len());
             }
         }
@@ -336,17 +331,8 @@ impl MachineSpec {
     }
 }
 
-/// The flag-slot index of query node `child` within `parent`'s predicate
-/// children.
-fn slot_of(tree: &QueryTree, parent: usize, child: usize) -> u32 {
-    tree.node(parent)
-        .pred_children
-        .iter()
-        .position(|&c| c == child)
-        .expect("child listed under parent") as u32
-}
-
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 mod tests {
     use super::*;
     use vitex_xpath::query_tree::QueryTree;
@@ -361,16 +347,15 @@ mod tests {
         // (author and position are element predicates, so they stack too).
         let m = compile("//section[author]//table[position]//cell");
         assert_eq!(m.len(), 5);
-        assert_eq!(m.root, 0);
         let section = &m.nodes[0];
-        assert!(section.is_root && section.is_main && !section.is_result);
+        assert!(section.role == Role::Root && !section.is_result);
         assert_eq!(section.nflags, 1);
         let author = &m.nodes[1];
         assert_eq!(author.name.as_deref(), Some("author"));
-        assert_eq!(author.flag_slot, Some(0));
-        assert!(!author.is_main);
+        assert_eq!(author.role, Role::Pred(0, 0));
+        assert_eq!(m.nodes[2].role, Role::Main(0));
         let cell = m.nodes.iter().find(|n| n.name.as_deref() == Some("cell")).unwrap();
-        assert!(cell.is_result && cell.is_main);
+        assert!(cell.is_result && cell.role == Role::Main(2));
         assert_eq!(cell.nflags, 0);
     }
 
@@ -386,7 +371,7 @@ mod tests {
         assert_eq!(ar.name.as_deref(), Some("id"));
         assert!(ar.comparison.is_none());
         // `reference` is an element predicate with slot 0.
-        assert_eq!(m.nodes[1].flag_slot, Some(0));
+        assert_eq!(m.nodes[1].role, Role::Pred(0, 0));
     }
 
     #[test]
@@ -397,11 +382,11 @@ mod tests {
         assert_eq!(a.nflags, 2);
         assert_eq!(a.attr_preds.len(), 1);
         let ap = &a.attr_preds[0];
-        assert_eq!(ap.name.as_deref(), Some("id"));
-        assert!(ap.comparison.is_some());
+        assert_eq!(ap.test.name.as_deref(), Some("id"));
+        assert!(ap.test.comparison.is_some());
         // Slots: @id is pred child 0, b is pred child 1.
-        assert_eq!(ap.slot, Some(0));
-        assert_eq!(m.nodes[1].flag_slot, Some(1));
+        assert_eq!(ap.slot, 0);
+        assert_eq!(m.nodes[1].role, Role::Pred(0, 1));
     }
 
     #[test]
@@ -418,34 +403,26 @@ mod tests {
     fn text_result_registers_parent() {
         let m = compile("//a/text()");
         assert_eq!(m.len(), 1);
-        assert!(m.nodes[0].text_result);
         assert_eq!(m.text_result_parent, Some(0));
     }
 
     #[test]
     fn value_comparison_needs_text_accumulation() {
         let m = compile("//a[b = 'v']");
-        let b = &m.nodes[1];
-        assert!(b.needs_text);
-        assert_eq!(m.text_accumulators, vec![1]);
+        assert!(m.nodes[1].comparison.is_some());
         // The main node never accumulates.
-        assert!(!m.nodes[0].needs_text);
+        assert_eq!(m.text_accumulators, vec![1]);
     }
 
     #[test]
     fn the_parametric_leaf_is_marked() {
-        // (machine node, whether the mark is on one of its attribute tests)
-        let marked = |q: &str| -> Vec<(usize, bool)> {
-            let m = compile(q);
-            let nodes = m.nodes.iter().enumerate();
-            let marks = nodes.filter(|(_, n)| n.parametric || n.parametric_attr);
-            marks.map(|(i, n)| (i, n.parametric_attr)).collect()
-        };
-        assert_eq!(marked("//a[c][b = 'v']/d"), [(2, false)]);
-        assert_eq!(marked("//a[b/c = 'v']"), [(2, false)], "the leaf of a predicate path");
-        assert_eq!(marked("//a[@id = 'v'][b = 'w']"), [(1, false)], "an element leaf first");
-        assert_eq!(marked("//a[@k != 'u'][@id = 'v']/b"), [(0, true)]);
-        assert_eq!(marked("//a[b[@id = 'v']]/c"), [(1, true)], "a test on a predicate node");
+        let leaf = |q: &str| compile(q).parametric;
+        assert_eq!(leaf("//a[c][b = 'v']/d"), Some(Leaf::Node(2)));
+        assert_eq!(leaf("//a[b/c = 'v']"), Some(Leaf::Node(2)), "the leaf of a predicate path");
+        assert_eq!(leaf("//a[@id = 'v'][b = 'w']"), Some(Leaf::Node(1)), "an element leaf first");
+        assert_eq!(leaf("//a[@k != 'u'][@id = 'v']/b"), Some(Leaf::Attr(0, 1)));
+        let on_pred = Some(Leaf::Attr(1, 0));
+        assert_eq!(leaf("//a[b[@id = 'v']]/c"), on_pred, "a test on a predicate node");
         for q in [
             "//a[b != 'v']",
             "//a[b = 1]",
@@ -454,7 +431,7 @@ mod tests {
             "//a[b = 'v'][c = 'w']",
             "//a[@id = 'v']/b[@k = 'w']",
         ] {
-            assert!(marked(q).is_empty(), "{q}");
+            assert_eq!(leaf(q), None, "{q}");
         }
     }
 
@@ -485,11 +462,22 @@ mod tests {
     }
 
     #[test]
+    fn a_step_under_an_attribute_is_a_build_error() {
+        // The parser rejects `//a[@id/b]`; a query built by hand reaches the
+        // builder, which must not fold `b` into `a`.
+        let mut query = vitex_xpath::parse("//a[@id]").unwrap();
+        let b = vitex_xpath::parse("//a/b").unwrap().steps.pop().unwrap();
+        query.steps[0].predicates[0].conditions[0].path.push(b);
+        let err = MachineSpec::compile(&QueryTree::build(&query).unwrap()).unwrap_err();
+        assert!(err.message().starts_with("internal:"), "{err}");
+    }
+
+    #[test]
     fn single_node_query() {
         let m = compile("//a");
         assert_eq!(m.len(), 1);
         let a = &m.nodes[0];
-        assert!(a.is_root && a.is_result && a.is_main);
+        assert!(a.role == Role::Root && a.is_result && a.parent().is_none());
         assert_eq!(a.nflags, 0);
     }
 

@@ -15,6 +15,8 @@
 //! table (`bindings.rs`), through which one machine runs as many
 //! one-literal machines at once.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 mod bindings;
 mod store;
 
@@ -25,7 +27,7 @@ use vitex_xmlsax::pos::ByteSpan;
 use vitex_xpath::{Axis, CmpOp, Literal};
 
 use crate::bitset::SmallBitSet;
-use crate::builder::{EvalMode, MachineSpec};
+use crate::builder::{AttrTest, EvalMode, Leaf, MachineSpec, Role};
 use crate::predicate;
 use crate::result::{MatchKind, MatchRef};
 use crate::stats::MachineStats;
@@ -104,16 +106,15 @@ impl TwigM {
     /// binding 0.
     pub fn from_spec(spec: MachineSpec, mode: EvalMode) -> Self {
         let stacks = spec.nodes.iter().map(|_| Vec::new()).collect();
-        let bindings = spec.nodes.iter().find_map(|n| {
-            let comparison = match n.parametric {
-                true => &n.comparison,
-                false => &n.attr_preds.iter().find(|t| n.binds(t))?.comparison,
-            };
-            match comparison {
-                Some((CmpOp::Eq, Literal::Str(literal))) => Some(Box::new(Bindings::new(literal))),
-                _ => unreachable!("a parametric leaf compares with `= 'string'`"),
-            }
-        });
+        let leaf = match spec.parametric {
+            Some(Leaf::Node(q)) => spec.nodes[q].comparison.as_ref(),
+            Some(Leaf::Attr(q, test)) => spec.nodes[q].attr_preds[test].test.comparison.as_ref(),
+            None => None,
+        };
+        let bindings = match leaf {
+            Some((CmpOp::Eq, Literal::Str(literal))) => Some(Box::new(Bindings::new(literal))),
+            _ => None,
+        };
         TwigM { spec, mode, stacks, bindings, stats: MachineStats::default() }
     }
 
@@ -125,15 +126,16 @@ impl TwigM {
     }
 
     /// Binds `literal` to the parametric leaf: its binding id (new
-    /// bindings come last) and whether it is new. Between documents only.
+    /// bindings come last) and whether it is new: binding 0, without a
+    /// table. Between documents only.
     pub(crate) fn bind(&mut self, literal: &str) -> (u32, bool) {
-        self.bindings.as_mut().expect("only a parametric leaf binds literals").bind(literal)
+        self.bindings.as_mut().map_or((0, false), |b| b.bind(literal))
     }
 
     /// Drops binding `id`; the later ones move down by one. Between
     /// documents only.
     pub(crate) fn unbind(&mut self, id: u32) {
-        self.bindings.as_mut().expect("only a parametric leaf binds literals").unbind(id);
+        self.bindings.iter_mut().for_each(|b| b.unbind(id));
     }
 
     /// The compiled layout.
@@ -199,7 +201,7 @@ impl TwigM {
             let _ = writeln!(
                 out,
                 "[{q}] {axis}{name}{} ({} entries)",
-                if node.is_main { "" } else { " ?" },
+                if let Role::Pred(..) = node.role { " ?" } else { "" },
                 stack.len()
             );
             for e in stack {
@@ -248,22 +250,91 @@ impl TwigM {
         tag_span: ByteSpan,
         emit: &mut Deliver<'_>,
     ) {
+        let n = self.binding_count();
+        let Self { spec, stacks, bindings, stats, .. } = self;
+        // The parametric attribute test, if any, and its binding table.
+        let leaf = match (spec.parametric, bindings.as_deref()) {
+            (Some(Leaf::Attr(node, test)), Some(table)) => Some((node, test, table)),
+            _ => None,
+        };
         let mut hit = false;
-        for (q, ptr) in pushes {
+        for (q, ptr) in pushes.map(|(q, ptr)| (q as usize, ptr)) {
             hit = true;
-            self.push_entry(
-                store,
-                q as usize,
-                ptr,
+            let node = &spec.nodes[q];
+            let own_index = stacks[q].len() as u32;
+            let flags = SmallBitSet::empty(node.nflags as usize);
+            let mut entry = Entry {
                 level,
-                attributes,
+                ptr,
                 node_id,
-                attr_id_base,
-                tag_span,
-                emit,
-            );
+                flags,
+                cands: NONE,
+                max_low: 0,
+                text: NONE,
+                lits: NONE,
+            };
+            // Inline attribute predicates are decidable right now; the
+            // parametric one names its bindings.
+            for (i, ap) in node.attr_preds.iter().enumerate() {
+                stats.predicate_evals += 1;
+                let (slot, test) = (ap.slot as usize, &ap.test);
+                let mut named = attributes.iter().filter(|&(name, _)| name_matches(test, name));
+                let Some((.., table)) = leaf.filter(|&(at, t, _)| (at, t) == (q, i)) else {
+                    if named.any(|(_, value)| cmp_opt(&test.comparison, value)) {
+                        set_flag(stats, &mut entry, slot);
+                    }
+                    continue;
+                };
+                for b in named.filter_map(|(_, value)| table.lookup(value)) {
+                    if n == 1 {
+                        set_flag(stats, &mut entry, slot);
+                    } else {
+                        add_lits(stats, store, &mut entry, slot, &[b]);
+                    }
+                }
+            }
+            // Attribute-result candidates are born here, waiting on this entry.
+            if let Some(ar) = &node.attr_result {
+                for (i, (name, value)) in attributes.iter().enumerate() {
+                    if name_matches(ar, name) && cmp_opt(&ar.comparison, value) {
+                        let c = store.create(
+                            stats,
+                            own_index,
+                            MatchKind::Attribute,
+                            attr_id_base + i as u64,
+                            Some(name),
+                            tag_span,
+                            Some(value),
+                            level,
+                        );
+                        store.arrive(&mut entry, &mut false, c, false);
+                    }
+                }
+            }
+            // Early emission: if this is the machine root and its predicates
+            // are already satisfied (e.g. it has none), any candidate born
+            // here is a solution *now* — deliver it instead of buffering it
+            // until the root element closes. This is what makes queries like
+            // `//site/people/person/@id` stream with O(1) candidate memory.
+            // (A root that owns a parametric element leaf is never satisfied
+            // yet: the leaf has not popped. One holding its parametric
+            // attribute test for some bindings delivers to those, for good:
+            // the others failed.)
+            if q == 0 && entry.cands != NONE && entry.flags.all_set(node.nflags as usize) {
+                let born = store.detach(&entry);
+                for &c in &born {
+                    reach_root(stats, store, c, entry.lits, true, n, emit);
+                }
+                store.recycle(&entry, born);
+                (entry.cands, entry.max_low) = (NONE, 0);
+            }
+            if node.comparison.is_some() {
+                entry.text = store.string("");
+            }
+            stats.on_push(entry_base_bytes(&entry));
+            stacks[q].push(entry);
         }
-        self.stats.dispatch_hits += u64::from(hit);
+        stats.dispatch_hits += u64::from(hit);
     }
 
     /// Where would machine node `q` attach for an element at `level`? The
@@ -278,7 +349,7 @@ impl TwigM {
     #[inline]
     pub(crate) fn push_point(&self, q: usize, level: u32) -> Option<u32> {
         let node = &self.spec.nodes[q];
-        match node.parent {
+        match node.parent() {
             None => match node.axis {
                 Axis::Child if level != 1 => None,
                 _ => Some(0), // ptr unused at the root
@@ -294,90 +365,6 @@ impl TwigM {
                 }
             }
         }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn push_entry(
-        &mut self,
-        store: &mut CandidateStore,
-        q: usize,
-        ptr: u32,
-        level: u32,
-        attributes: Attributes<'_>,
-        node_id: u64,
-        attr_id_base: u64,
-        tag_span: ByteSpan,
-        emit: &mut Deliver<'_>,
-    ) {
-        let n = self.binding_count();
-        let Self { spec, stacks, bindings, stats, .. } = self;
-        let node = &spec.nodes[q];
-        let own_index = stacks[q].len() as u32;
-        let flags = SmallBitSet::empty(node.nflags as usize);
-        let mut entry =
-            Entry { level, ptr, node_id, flags, cands: NONE, max_low: 0, text: NONE, lits: NONE };
-        // Inline attribute predicates are decidable right now; the
-        // parametric one names its bindings.
-        for ap in &node.attr_preds {
-            stats.predicate_evals += 1;
-            let slot = ap.slot.expect("predicate tests carry slots") as usize;
-            let mut named =
-                attributes.iter().filter(|&(name, _)| attr_name_matches(ap.name.as_deref(), name));
-            if !node.binds(ap) {
-                if named.any(|(_, value)| cmp_opt(&ap.comparison, value)) {
-                    set_flag(stats, &mut entry, slot);
-                }
-                continue;
-            }
-            let table = bindings.as_deref().expect("a parametric test has a binding table");
-            for b in named.filter_map(|(_, value)| table.lookup(value)) {
-                if n == 1 {
-                    set_flag(stats, &mut entry, slot);
-                } else {
-                    add_lits(stats, store, &mut entry, slot, &[b]);
-                }
-            }
-        }
-        // Attribute-result candidates are born here, waiting on this entry.
-        if let Some(ar) = &node.attr_result {
-            for (i, (name, value)) in attributes.iter().enumerate() {
-                if attr_name_matches(ar.name.as_deref(), name) && cmp_opt(&ar.comparison, value) {
-                    let c = store.create(
-                        stats,
-                        own_index,
-                        MatchKind::Attribute,
-                        attr_id_base + i as u64,
-                        Some(name),
-                        tag_span,
-                        Some(value),
-                        level,
-                    );
-                    store.arrive(&mut entry, &mut false, c, false);
-                }
-            }
-        }
-        // Early emission: if this is the machine root and its predicates
-        // are already satisfied (e.g. it has none), any candidate born here
-        // is a solution *now* — deliver it instead of buffering it until
-        // the root element closes. This is what makes queries like
-        // `//site/people/person/@id` stream with O(1) candidate memory. (A
-        // root that owns a parametric element leaf is never satisfied yet:
-        // the leaf has not popped. One holding its parametric attribute
-        // test for some bindings delivers to those, for good: the others
-        // failed.)
-        if node.is_root && entry.cands != NONE && entry.flags.all_set(node.nflags as usize) {
-            let born = store.detach(&entry);
-            for &c in &born {
-                reach_root(stats, store, c, entry.lits, true, n, emit);
-            }
-            store.recycle(&entry, born);
-            (entry.cands, entry.max_low) = (NONE, 0);
-        }
-        if node.needs_text {
-            entry.text = store.string("");
-        }
-        stats.on_push(entry_base_bytes(&entry));
-        stacks[q].push(entry);
     }
 
     /// `characters`: text predicates, string-value accumulation, text
@@ -400,9 +387,8 @@ impl TwigM {
                 if top.level == level {
                     for tp in &spec.nodes[q].text_preds {
                         stats.predicate_evals += 1;
-                        let slot = tp.slot.expect("predicate tests carry slots") as usize;
-                        if !top.flags.get(slot) && cmp_opt(&tp.comparison, text) {
-                            top.flags.set(slot);
+                        if !top.flags.get(tp.slot as usize) && cmp_opt(&tp.comparison, text) {
+                            top.flags.set(tp.slot as usize);
                             stats.flag_propagations += 1;
                         }
                     }
@@ -420,7 +406,6 @@ impl TwigM {
         }
         // Text-result candidates.
         if let Some(p) = spec.text_result_parent {
-            let pnode = &spec.nodes[p];
             let own_index = stacks[p].len().wrapping_sub(1) as u32;
             if let Some(top) = stacks[p].last_mut().filter(|top| top.level == level) {
                 let c = store.create(
@@ -433,10 +418,11 @@ impl TwigM {
                     Some(text),
                     level,
                 );
-                // Early emission (see push_entry); a root satisfied for
-                // some bindings keeps the text for the others.
-                let at_root = pnode.is_root && top.flags.all_set(pnode.nflags as usize);
-                if !(at_root && reach_root(stats, store, c, top.lits, false, n, emit)) {
+                // Early emission (see `start_element_prefix`); a root satisfied
+                // for some bindings keeps the text for the others, if any.
+                let at_root = p == 0 && top.flags.all_set(spec.nodes[p].nflags as usize);
+                let fin = root_set_is_final(spec);
+                if !(at_root && reach_root(stats, store, c, top.lits, fin, n, emit)) {
                     store.arrive(top, &mut false, c, false);
                 }
             }
@@ -488,15 +474,13 @@ impl TwigM {
 
         let mut satisfied = e.flags.all_set(node.nflags as usize);
         // The binding a parametric leaf's string-value names.
-        let mut bound = NONE;
+        let (leaf, mut bound) = (spec.parametric == Some(Leaf::Node(q)), NONE);
         if let Some((op, lit)) = &node.comparison {
             stats.predicate_evals += 1;
             let value = store.str(e.text);
-            satisfied &= if node.parametric {
-                let table = bindings.as_deref().expect("a parametric leaf has a binding table");
-                table.lookup(value).inspect(|&id| bound = id).is_some()
-            } else {
-                predicate::compare(value, *op, lit)
+            satisfied &= match bindings.as_deref() {
+                Some(table) if leaf => table.lookup(value).inspect(|&id| bound = id).is_some(),
+                _ => predicate::compare(value, *op, lit),
             };
         }
         // Release the entry's byte accounting now; candidate bytes travel
@@ -506,7 +490,29 @@ impl TwigM {
             store.strings.give(e.text);
         }
 
-        if node.is_main {
+        if let Role::Pred(parent, slot) = node.role {
+            // Predicate node: propagate the match flag — with several
+            // bindings, for the ones this subtree satisfied; no candidates
+            // live here.
+            debug_assert!(e.cands == NONE, "predicate entries never hold candidates");
+            if satisfied {
+                let parents = match node.axis {
+                    Axis::Child => e.ptr as usize..=e.ptr as usize,
+                    Axis::Descendant => 0..=e.ptr as usize,
+                };
+                let (parents, slot) = (&mut stacks[parent][parents], slot as usize);
+                if n == 1 || (!leaf && e.lits == NONE) {
+                    parents.iter_mut().for_each(|t| set_flag(stats, t, slot));
+                } else if leaf {
+                    parents.iter_mut().for_each(|t| add_lits(stats, store, t, slot, &[bound]));
+                } else {
+                    let set = std::mem::take(&mut store.sets[e.lits]);
+                    parents.iter_mut().for_each(|t| add_lits(stats, store, t, slot, &set));
+                    store.sets[e.lits] = set;
+                }
+            }
+            stats.on_pop(base);
+        } else {
             // Owning the parametric leaf of a machine with several
             // bindings, the entry may hold for some of them only: the set
             // its flag stands for.
@@ -516,30 +522,6 @@ impl TwigM {
                 set => Sat::Some(set),
             };
             self.pop_main(store, q, idx, &mut e, sat, base, name, element_span, emit);
-        } else {
-            // Predicate node: propagate the match flag — with several
-            // bindings, for the ones this subtree satisfied; no candidates
-            // live here.
-            debug_assert!(e.cands == NONE, "predicate entries never hold candidates");
-            if satisfied {
-                let slot = node.flag_slot.expect("predicate nodes have slots") as usize;
-                let p = node.parent.expect("predicate nodes have parents");
-                let parents = match node.axis {
-                    Axis::Child => e.ptr as usize..=e.ptr as usize,
-                    Axis::Descendant => 0..=e.ptr as usize,
-                };
-                let parents = &mut stacks[p][parents];
-                if n == 1 || (!node.parametric && e.lits == NONE) {
-                    parents.iter_mut().for_each(|t| set_flag(stats, t, slot));
-                } else if node.parametric {
-                    parents.iter_mut().for_each(|t| add_lits(stats, store, t, slot, &[bound]));
-                } else {
-                    let set = std::mem::take(&mut store.sets[e.lits]);
-                    parents.iter_mut().for_each(|t| add_lits(stats, store, t, slot, &set));
-                    store.sets[e.lits] = set;
-                }
-            }
-            stats.on_pop(base);
         }
         if e.lits != NONE {
             store.sets.give(e.lits);
@@ -595,51 +577,51 @@ impl TwigM {
             Sat::All => NONE,
             Sat::Some(set) => set,
         };
-        // The bindings of the satisfied root the candidates reach, if any:
-        // this entry's, or the parent entry's (at most one of the two owns
-        // the parametric leaf and keeps a set).
-        let held = match node.parent {
-            None => Some(own),
-            Some(p) => {
-                let (pn, target) = (&spec.nodes[p], &stacks[p][e.ptr as usize]);
-                let root = pn.is_root && target.flags.all_set(pn.nflags as usize);
-                root.then_some(if own == NONE { target.lits } else { own })
-            }
+        let Some(p) = node.parent() else {
+            // The root: solutions for the bindings it holds for.
+            cands.retain(|&c| !reach_root(stats, store, c, own, false, n, emit));
+            return self.fail(store, q, idx, e, cands);
         };
-        if held.is_none() && own != NONE {
-            return self.forward_tagged(store, q, idx, e, cands, own);
+        let (pn, target) = (&spec.nodes[p], &stacks[p][e.ptr as usize]);
+        let root = p == 0 && target.flags.all_set(pn.nflags as usize);
+        if !root && own != NONE {
+            return self.forward_tagged(store, q, p, idx, e, cands, own);
         }
-        stats.candidates_forwarded += if node.is_root { 0 } else { cands.len() as u64 };
-        if let Some(held) = held {
-            // What ends here skips `forward`: its down-copies could only
-            // ever be duplicates.
-            cands.retain(|&c| !reach_root(stats, store, c, held, false, n, emit));
+        stats.candidates_forwarded += cands.len() as u64;
+        if root {
+            // The root entry's bindings, or this entry's (at most one of
+            // the two owns the parametric leaf). What ends here skips
+            // `forward`: its down-copies could only be duplicates. A final
+            // set ends a candidate that reaches no other root entry: one on
+            // entry 0, or, up a child edge, one leaving no down-copy.
+            let held = if own == NONE { target.lits } else { own };
+            let (fin, child) = (root_set_is_final(spec), node.axis == Axis::Child);
+            let fin = |c: Cand| fin && (e.ptr == 0 || (child && c.low >= idx));
+            cands.retain(|&c| !reach_root(stats, store, c, held, fin(c), n, emit));
         }
-        if cands.is_empty() {
-            store.recycle(e, cands)
-        } else if own == NONE {
-            self.forward(store, q, idx, e, cands)
+        if own == NONE {
+            self.forward(store, q, p, idx, e, cands)
         } else {
             self.fail(store, q, idx, e, cands)
         }
     }
 
-    /// Candidates of a satisfied non-root entry go up, attached to the
-    /// **deepest** compatible parent entry. Outer alternatives are kept by
-    /// lazy inheritance instead of eager copying: a copy slides down too,
-    /// because chains through outer entries may succeed where the inner
-    /// chain's continuation fails (see [`TwigM::fail`]).
+    /// Candidates of a satisfied non-root entry go up to machine node `p`,
+    /// attached to the **deepest** compatible parent entry. Outer
+    /// alternatives are kept by lazy inheritance instead of eager copying: a
+    /// copy slides down too, because chains through outer entries may
+    /// succeed where the inner chain's continuation fails ([`TwigM::fail`]).
     fn forward(
         &mut self,
         store: &mut CandidateStore,
         q: usize,
+        p: usize,
         idx: u32,
         e: &Entry,
         mut cands: Vec<Cand>,
     ) {
         let Self { spec, mode, stacks, stats, .. } = self;
         let node = &spec.nodes[q];
-        let p = node.parent.expect("non-root nodes have parents");
         if *mode == EvalMode::Compact {
             // Outer entries of *this* stack are alternative attachment
             // points whose upward chains may succeed where this one's
@@ -686,12 +668,14 @@ impl TwigM {
 
     /// Candidates of a non-root entry that owns the parametric leaf and is
     /// satisfied for the bindings in the set `s` only. For the others it
-    /// failed: every candidate that may slide down does. What goes up, goes
-    /// for `s` only, as a tagged instance.
+    /// failed: every candidate that may slide down does. What goes up to
+    /// machine node `p`, goes for `s` only, as a tagged instance.
+    #[allow(clippy::too_many_arguments)]
     fn forward_tagged(
         &mut self,
         store: &mut CandidateStore,
         q: usize,
+        p: usize,
         idx: u32,
         e: &Entry,
         mut cands: Vec<Cand>,
@@ -700,7 +684,6 @@ impl TwigM {
         let Self { spec, mode, stacks, stats, .. } = self;
         debug_assert_eq!(*mode, EvalMode::Compact, "several bindings run compact");
         let node = &spec.nodes[q];
-        let p = node.parent.expect("non-root nodes have parents");
         let new_low = match node.axis {
             Axis::Child => e.ptr,
             Axis::Descendant => 0,
@@ -744,14 +727,14 @@ impl TwigM {
         cands: Vec<Cand>,
     ) {
         let Self { stacks, stats, .. } = self;
-        if idx == 0 {
+        let Some(below) = stacks[q].last_mut() else {
+            // The bottom entry (`idx` 0): nothing to slide onto.
             for &c in &cands {
                 stats.on_candidate_dropped(store.release(c));
             }
             return store.recycle(e, cands);
-        }
-        let below = stacks[q].last_mut().expect("idx > 0 means a lower entry exists");
-        if below.cands == NONE && e.max_low < idx {
+        };
+        if below.cands == NONE && e.max_low < idx && !cands.is_empty() {
             // All of them slide, onto nothing: the list itself moves.
             stats.candidates_inherited += cands.len() as u64;
             return store.hand_over(e, cands, below, e.max_low);
@@ -789,8 +772,9 @@ enum Sat {
 /// `held` ([`NONE`]: all of them); the solution goes at once to those of
 /// them it stands for and has not reached, so a solution reaching the root
 /// along several chains is delivered once per binding. Returns whether `c`
-/// ends here: it does when `held` is every binding or `fin`al (decided at
-/// push: the others failed for good); otherwise it stays for the others.
+/// ends here: when `held` is every binding (a duplicate, if it delivered
+/// nothing), or is `fin`al for `c` (the others failed for good and `c`
+/// reaches no other root entry; discarded, if it delivered nothing).
 #[inline]
 fn reach_root(
     stats: &mut MachineStats,
@@ -801,18 +785,24 @@ fn reach_root(
     n: usize,
     emit: &mut Deliver<'_>,
 ) -> bool {
-    let delivered = store.deliver(c, held, n, emit);
-    if !fin && !store.holds_all(held, n) {
+    let (delivered, all) = (store.deliver(c, held, n, emit), store.holds_all(held, n));
+    if !fin && !all {
         stats.emitted += u64::from(delivered);
         return false;
     }
     let bytes = store.release(c);
-    if delivered {
-        stats.on_candidate_emitted(bytes);
-    } else {
-        stats.on_candidate_suppressed(bytes);
+    match (delivered, all) {
+        (true, _) => stats.on_candidate_emitted(bytes),
+        (false, true) => stats.on_candidate_suppressed(bytes),
+        (false, false) => stats.on_candidate_dropped(bytes),
     }
     true
+}
+
+/// Whether a root entry's binding set is final once it is pushed: the
+/// root carries the parametric attribute test, which decides the set then.
+fn root_set_is_final(spec: &MachineSpec) -> bool {
+    matches!(spec.parametric, Some(Leaf::Attr(0, _)))
 }
 
 /// Sets a flag bit, counting only actual transitions.
@@ -846,9 +836,9 @@ fn add_lits(
     entry.flags.set(slot);
 }
 
-/// Does an attribute name test (None = `@*`) match a concrete name?
-fn attr_name_matches(test: Option<&str>, name: &str) -> bool {
-    test.is_none_or(|t| t == name)
+/// Does an attribute test's name (`None` for `@*`) match a concrete name?
+fn name_matches(test: &AttrTest, name: &str) -> bool {
+    test.name.as_deref().is_none_or(|t| t == name)
 }
 
 /// Optional comparison: `None` is existence (always true).
@@ -860,6 +850,7 @@ fn cmp_opt(comparison: &Option<(CmpOp, Literal)>, value: &str) -> bool {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 mod tests {
     use super::bindings::fnv1a;
     use super::store::Payload;
@@ -1275,6 +1266,8 @@ mod tests {
         }
     }
 
+    const _: () = assert!(size_of::<crate::builder::MachineNode>() == 184);
+
     #[test]
     fn the_moving_parts_are_small() {
         assert_eq!(size_of::<Cand>(), 8);
@@ -1527,6 +1520,20 @@ mod tests {
                 d.open("q").open("p").text("y").close("p").close("q").close("a");
             });
         assert_eq!(stats, [7, 7, 4, 2, 7, 1, 1, 0, 0, 0, 0, 2, 0, 0, 3, 0, 1, 0, 212]);
+        // A root whose set its attribute test decided at push: the others
+        // failed for good, so its text results end once delivered, as they
+        // do in the lone query's machine.
+        let events = |d: &mut Driver| {
+            d.open("r").open_attrs("item", &[("id", "a")]).text("t1").leaf("x").text("t2");
+            d.leaf("x").text("t3").close("item").close("r");
+        };
+        let (_, stats) =
+            agrees_with_one_literal_machines("//item[@id = $]/text()", &["a", "b"], events);
+        assert_eq!(stats, [1, 1, 1, 1, 1, 3, 0, 0, 0, 0, 0, 3, 0, 0, 1, 0, 1, 0, 114]);
+        let mut alone = Driver::new("//item[@id = 'a']/text()");
+        events(&mut alone);
+        let alone = all_fields(alone.machine.stats());
+        assert_eq!((alone[16], alone[8]), (stats[16], stats[8]), "peak and discarded candidates");
     }
 
     /// The binding set on the top entry of machine node `q`, and whether
@@ -1577,7 +1584,17 @@ mod tests {
                 d.close("r");
             });
         assert!(d.delivered.iter().all(|(to, _)| to.is_some()), "{:?}", d.delivered);
-        assert_eq!(stats, [7, 7, 4, 4, 7, 3, 3, 2, 3, 0, 0, 5, 0, 0, 3, 0, 2, 0, 232]);
+        assert_eq!(stats, [7, 7, 4, 4, 7, 3, 3, 2, 2, 0, 0, 5, 0, 0, 3, 0, 2, 0, 232]);
+        // Reaching the inner root entry along a child edge, `name`'s
+        // solution leaves a down-copy on the outer `x`, whose chain reaches
+        // the outer root entry: delivered to `b`, it is not final there,
+        // and the copy goes on to `a`.
+        let (d, _) =
+            agrees_with_one_literal_machines("//item[@id = $]/x//name", &["a", "b"], |d| {
+                d.open_attrs("item", &[("id", "a")]).open("x").open_attrs("item", &[("id", "b")]);
+                d.open("x").leaf("name").close("x").close("item").close("x").close("item");
+            });
+        assert_eq!(d.delivered, [(Some(vec![1]), 6), (Some(vec![0]), 6)]);
         // A test on a predicate node: the owner is its main-path ancestor.
         let (_, stats) = agrees_with_one_literal_machines(
             "//person[profile[@income = $]]/name",

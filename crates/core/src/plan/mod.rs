@@ -46,7 +46,7 @@ pub use trie::{PrefixRunStats, StepKey, StepTrie};
 
 use vitex_xpath::query_tree::{NodeKind, QueryTree};
 
-use crate::builder::{BuildError, EvalMode, MachineSpec};
+use crate::builder::{BuildError, EvalMode, MachineSpec, Role};
 use crate::intern::Interner;
 use crate::machine::TwigM;
 use crate::result::QueryId;
@@ -250,11 +250,11 @@ impl QueryPlanner {
         let mut at: Vec<usize> = Vec::with_capacity(spec.len());
         for node in &spec.nodes {
             let name = node.name.as_deref().map(|n| interner.intern(n));
-            let parent = node.parent.map_or(0, |p| at[p]);
+            let parent = node.parent().map_or(0, |p| at[p]);
             at.push(self.trie.child(parent, StepKey { axis: node.axis, name }));
         }
         debug_assert_eq!(
-            spec.nodes.iter().rposition(|n| n.is_main).map(|q| at[q]),
+            spec.nodes.iter().rposition(|n| !matches!(n.role, Role::Pred(..))).map(|q| at[q]),
             Some(terminal),
             "the main path's last node lands on the terminal"
         );

@@ -22,7 +22,7 @@ fn main() {
 
     // 2. The TwigM builder (linear in |Q|).
     let spec = MachineSpec::compile(&tree).expect("buildable");
-    println!("TwigM machine: {} nodes, root = {:?}", spec.len(), spec.nodes[spec.root].name);
+    println!("TwigM machine: {} nodes, root = {:?}", spec.len(), spec.nodes[0].name);
 
     // 3. Stream the document through the machine.
     let out = evaluate_reader(XmlReader::from_str(&xml), &tree).expect("evaluation");

@@ -227,15 +227,16 @@ fn write_machine(
     writeln!(out, "query tree:\n{tree}")?;
     writeln!(out, "machine nodes: {}", spec.len())?;
     for (i, n) in spec.nodes.iter().enumerate() {
+        let main = !matches!(n.role, vitex_core::builder::Role::Pred(..));
         writeln!(
             out,
             "  [{i}] {}{} parent={:?} main={} root={} result={} flags={} attr_preds={} \
              text_preds={} attr_result={}",
             if n.axis == vitex_xpath::Axis::Descendant { "//" } else { "/" },
             n.name.as_deref().unwrap_or("*"),
-            n.parent,
-            n.is_main,
-            n.is_root,
+            n.parent(),
+            main,
+            n.parent().is_none(),
             n.is_result,
             n.nflags,
             n.attr_preds.len(),

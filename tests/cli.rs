@@ -1,6 +1,7 @@
 //! The `vitex` binary against a consumer that hangs up
 //! (`vitex '//a/b' big.xml | head -1`): a closed stdout must end the run,
-//! not be written at until the input runs out.
+//! not be written at until the input runs out. And its `--machine` dump,
+//! byte for byte.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -35,4 +36,42 @@ fn exits_once_stdout_is_closed(args: &[&str]) {
 fn closed_stdout_ends_the_run() {
     exits_once_stdout_is_closed(&["//a"]);
     exits_once_stdout_is_closed(&["-e", "//a", "-e", "//r"]);
+}
+
+/// What `--machine` prints for the paper's Figure 3 query and an
+/// attribute-predicate text query: each query's tree, then one line per
+/// machine node (`parent=`, `main=` and `root=` are read off its role).
+const MACHINE_DUMP: &str = r#"query: //section[author]//table[position]//cell
+query tree:
+*//section
+  ?/author
+  *//table
+    ?/position
+    *//cell
+
+machine nodes: 5
+  [0] //section parent=None main=true root=true result=false flags=1 attr_preds=0 text_preds=0 attr_result=false
+  [1] /author parent=Some(0) main=false root=false result=false flags=0 attr_preds=0 text_preds=0 attr_result=false
+  [2] //table parent=Some(0) main=true root=false result=false flags=1 attr_preds=0 text_preds=0 attr_result=false
+  [3] /position parent=Some(2) main=false root=false result=false flags=0 attr_preds=0 text_preds=0 attr_result=false
+  [4] //cell parent=Some(2) main=true root=false result=true flags=0 attr_preds=0 text_preds=0 attr_result=false
+query: //a[@id = 'x']/text()
+query tree:
+*//a
+  ?/@id = 'x'
+  */text()
+
+machine nodes: 1
+  [0] //a parent=None main=true root=true result=false flags=1 attr_preds=1 text_preds=0 attr_result=false
+"#;
+
+#[test]
+fn the_machine_dump_is_pinned() {
+    let queries = ["//section[author]//table[position]//cell", "//a[@id = 'x']/text()"];
+    let out = Command::new(env!("CARGO_BIN_EXE_vitex"))
+        .args(["--machine", "-e", queries[0], "-e", queries[1]])
+        .output()
+        .expect("vitex runs");
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(String::from_utf8_lossy(&out.stdout), MACHINE_DUMP);
 }
