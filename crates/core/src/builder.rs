@@ -33,29 +33,12 @@
 //! The query's parametric leaf, if it has one, is stated once, as a
 //! [`Leaf`]: a predicate node, or one attribute predicate of a node.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
-
 use std::fmt;
 
 use vitex_xpath::query_tree::{NodeKind, QueryTree};
 use vitex_xpath::{Axis, CmpOp, Literal};
 
 use crate::intern::Interner;
-
-/// Candidate-propagation strategy — the ablation axis of experiment E6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvalMode {
-    /// The paper's design: a candidate is attached to the *deepest*
-    /// compatible stack entry and lazily re-attached (inherited) outward /
-    /// upward as entries pop. Polynomial space.
-    #[default]
-    Compact,
-    /// Strawman: candidates are copied to **every** compatible parent
-    /// entry at forwarding time. Exposes the duplication the compact
-    /// encoding avoids; still better than full match enumeration (that
-    /// strawman lives in `vitex-baseline`).
-    Eager,
-}
 
 /// Errors from compiling a query tree.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -58,6 +58,7 @@ pub struct GaugeRow {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 mod tests {
     use super::*;
 

@@ -192,6 +192,7 @@ impl DocumentDriver {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 mod tests {
     use super::*;
     use crate::intern::Interner;

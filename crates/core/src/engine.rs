@@ -14,11 +14,11 @@ use std::io::Read;
 use vitex_xmlsax::XmlReader;
 use vitex_xpath::query_tree::QueryTree;
 
-use crate::builder::{BuildError, EvalMode};
+use crate::builder::BuildError;
 use crate::error::EngineResult;
 use crate::machine::TwigM;
 use crate::multi::MultiEngine;
-use crate::result::{Match, QueryId};
+use crate::result::Match;
 use crate::stats::MachineStats;
 
 /// Everything a full evaluation run reports.
@@ -43,14 +43,9 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Compiles `tree` in the default (compact) mode.
+    /// Compiles `tree`.
     pub fn new(tree: &QueryTree) -> Result<Self, BuildError> {
-        Engine::with_mode(tree, EvalMode::Compact)
-    }
-
-    /// Compiles `tree` with an explicit evaluation mode.
-    pub fn with_mode(tree: &QueryTree, mode: EvalMode) -> Result<Self, BuildError> {
-        Ok(Engine { multi: MultiEngine::with_one_query(tree, mode)? })
+        Ok(Engine { multi: MultiEngine::with_one_query(tree)? })
     }
 
     /// Convenience: compiles a query string.
@@ -72,23 +67,19 @@ impl Engine {
 
     /// Streams `reader` through the machine, invoking `on_match` for every
     /// solution the moment it becomes decidable, and keeps each for
-    /// [`EvalOutput::matches`]: one owned [`Match`] per solution, built as
-    /// it leaves the machine and lent to `on_match` first. Each document
-    /// starts from a machine at rest, so an engine can be reused.
+    /// [`EvalOutput::matches`]: [`MultiEngine::run`] over the one query, so
+    /// one owned [`Match`] per solution, lent to `on_match` first, in a
+    /// vector sized exactly. Each document starts from a machine at rest,
+    /// so an engine can be reused.
     pub fn run<R: Read, F: FnMut(&Match)>(
         &mut self,
         reader: XmlReader<R>,
         mut on_match: F,
     ) -> EngineResult<EvalOutput> {
-        let mut matches = Vec::new();
-        let out = self.multi.stream_document(reader, |_, m| {
-            let owned = Match::from(*m);
-            on_match(&owned);
-            matches.push(owned);
-        })?;
+        let mut out = self.multi.run(reader, |_, m| on_match(m))?;
         Ok(EvalOutput {
-            matches,
-            stats: self.multi.query_stats(QueryId(0)),
+            matches: out.matches.swap_remove(0),
+            stats: out.stats.swap_remove(0),
             elements: out.elements,
             text_nodes: out.text_nodes,
             events: out.events,
@@ -117,6 +108,7 @@ pub fn evaluate_str(xml: &str, query: &str) -> EngineResult<Vec<Match>> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 mod tests {
     use super::*;
     use crate::result::MatchKind;

@@ -52,6 +52,9 @@ impl Interner {
         if let Some(&sym) = self.map.get(name) {
             return sym;
         }
+        // Symbols are `u32`s: 2^32 names, each an `Arc` and a map entry,
+        // would take hundreds of GiB before this could fail.
+        #[allow(clippy::expect_used)]
         let sym = Symbol(u32::try_from(self.names.len()).expect("interner overflow"));
         let shared: Arc<str> = name.into();
         self.names.push(Arc::clone(&shared));
@@ -94,6 +97,7 @@ impl Interner {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 mod tests {
     use super::*;
 

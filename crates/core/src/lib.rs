@@ -33,8 +33,9 @@
 //! * [`evaluate_str`] / [`evaluate_reader`] — one-call evaluation.
 //! * [`engine::Engine`] — one query, reusable across documents: matches
 //!   reach a callback as soon as they are decidable, and are kept. It is a
-//!   [`MultiEngine`] with one registration, so one query and many reach
-//!   the machines the same way.
+//!   [`MultiEngine`] with one registration, run through the same
+//!   collecting adapter, so one query and many reach the machines the same
+//!   way.
 //! * [`multi::MultiEngine`] — publish/subscribe: many standing queries,
 //!   one scan, executed through the shared step trie so an event only
 //!   touches the machines it can move. [`MultiEngine::stream_document`] —
@@ -73,6 +74,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 pub mod bitset;
 pub mod builder;
@@ -92,7 +94,7 @@ mod session;
 pub mod stats;
 pub mod telemetry;
 
-pub use builder::{BuildError, EvalMode, MachineSpec};
+pub use builder::{BuildError, MachineSpec};
 pub use driver::{DocumentDriver, EventSink};
 pub use engine::{evaluate_reader, evaluate_str, Engine, EvalOutput};
 pub use error::{EngineError, EngineResult};

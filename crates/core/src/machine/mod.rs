@@ -15,8 +15,6 @@
 //! table (`bindings.rs`), through which one machine runs as many
 //! one-literal machines at once.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
-
 mod bindings;
 mod store;
 
@@ -27,7 +25,7 @@ use vitex_xmlsax::pos::ByteSpan;
 use vitex_xpath::{Axis, CmpOp, Literal};
 
 use crate::bitset::SmallBitSet;
-use crate::builder::{AttrTest, EvalMode, Leaf, MachineSpec, Role};
+use crate::builder::{AttrTest, Leaf, MachineSpec, Role};
 use crate::predicate;
 use crate::result::{MatchKind, MatchRef};
 use crate::stats::MachineStats;
@@ -94,7 +92,6 @@ fn entry_base_bytes(e: &Entry) -> u64 {
 #[derive(Debug)]
 pub struct TwigM {
     spec: MachineSpec,
-    mode: EvalMode,
     stacks: Vec<Vec<Entry>>,
     /// The parametric leaf's binding table (`None` without one).
     bindings: Option<Box<Bindings>>,
@@ -104,7 +101,7 @@ pub struct TwigM {
 impl TwigM {
     /// Wraps an already-compiled spec. A parametric leaf's literal becomes
     /// binding 0.
-    pub fn from_spec(spec: MachineSpec, mode: EvalMode) -> Self {
+    pub fn from_spec(spec: MachineSpec) -> Self {
         let stacks = spec.nodes.iter().map(|_| Vec::new()).collect();
         let leaf = match spec.parametric {
             Some(Leaf::Node(q)) => spec.nodes[q].comparison.as_ref(),
@@ -115,7 +112,7 @@ impl TwigM {
             Some((CmpOp::Eq, Literal::Str(literal))) => Some(Box::new(Bindings::new(literal))),
             _ => None,
         };
-        TwigM { spec, mode, stacks, bindings, stats: MachineStats::default() }
+        TwigM { spec, stacks, bindings, stats: MachineStats::default() }
     }
 
     /// How many literals the parametric leaf is looked up against: the
@@ -141,11 +138,6 @@ impl TwigM {
     /// The compiled layout.
     pub fn spec(&self) -> &MachineSpec {
         &self.spec
-    }
-
-    /// The evaluation mode.
-    pub fn mode(&self) -> EvalMode {
-        self.mode
     }
 
     /// Instrumentation counters.
@@ -620,50 +612,27 @@ impl TwigM {
         e: &Entry,
         mut cands: Vec<Cand>,
     ) {
-        let Self { spec, mode, stacks, stats, .. } = self;
-        let node = &spec.nodes[q];
-        if *mode == EvalMode::Compact {
-            // Outer entries of *this* stack are alternative attachment
-            // points whose upward chains may succeed where this one's
-            // fails: copy candidates down (lazy inheritance keeps them
-            // moving).
-            if idx > 0 {
-                let below = &mut stacks[q][idx as usize - 1];
-                let mut stamped = false;
-                for &c in cands.iter().filter(|c| c.low < idx) {
-                    stats.on_candidate_copied(CAND_BYTES);
-                    if store.arrive(below, &mut stamped, c, true) {
-                        stats.on_candidate_merged(CAND_BYTES);
-                    }
-                }
-            }
-            // Forward originals to the deepest compatible parent entry.
-            let new_low = match node.axis {
-                Axis::Child => e.ptr,
-                Axis::Descendant => 0,
-            };
-            cands.iter_mut().for_each(|c| c.low = new_low);
-            return store.move_up(stats, e, cands, &mut stacks[p][e.ptr as usize], new_low);
-        }
-        // Strawman: a copy to every compatible parent entry below the
-        // deepest, which the original moves to.
-        let (lo, ptr) = match node.axis {
-            Axis::Child => (e.ptr, e.ptr),
-            Axis::Descendant => (0, e.ptr),
-        };
-        for &c in &cands {
-            for low in lo..=ptr {
-                let copy = low < ptr;
-                if copy {
-                    stats.on_candidate_copied(CAND_BYTES);
-                }
-                let target = &mut stacks[p][low as usize];
-                if store.arrive(target, &mut false, Cand { low, ..c }, copy) {
+        let Self { spec, stacks, stats, .. } = self;
+        // Outer entries of *this* stack are alternative attachment points
+        // whose upward chains may succeed where this one's fails: copy
+        // candidates down (lazy inheritance keeps them moving).
+        if idx > 0 {
+            let below = &mut stacks[q][idx as usize - 1];
+            let mut stamped = false;
+            for &c in cands.iter().filter(|c| c.low < idx) {
+                stats.on_candidate_copied(CAND_BYTES);
+                if store.arrive(below, &mut stamped, c, true) {
                     stats.on_candidate_merged(CAND_BYTES);
                 }
             }
         }
-        store.recycle(e, cands);
+        // Forward originals to the deepest compatible parent entry.
+        let new_low = match spec.nodes[q].axis {
+            Axis::Child => e.ptr,
+            Axis::Descendant => 0,
+        };
+        cands.iter_mut().for_each(|c| c.low = new_low);
+        store.move_up(stats, e, cands, &mut stacks[p][e.ptr as usize], new_low)
     }
 
     /// Candidates of a non-root entry that owns the parametric leaf and is
@@ -681,8 +650,7 @@ impl TwigM {
         mut cands: Vec<Cand>,
         s: u32,
     ) {
-        let Self { spec, mode, stacks, stats, .. } = self;
-        debug_assert_eq!(*mode, EvalMode::Compact, "several bindings run compact");
+        let Self { spec, stacks, stats, .. } = self;
         let node = &spec.nodes[q];
         let new_low = match node.axis {
             Axis::Child => e.ptr,
@@ -873,13 +841,9 @@ mod tests {
 
     impl Driver {
         fn new(query: &str) -> Self {
-            Driver::with_mode(query, EvalMode::Compact)
-        }
-
-        fn with_mode(query: &str, mode: EvalMode) -> Self {
             let spec = MachineSpec::compile(&QueryTree::parse(query).unwrap()).unwrap();
             Driver {
-                machine: TwigM::from_spec(spec, mode),
+                machine: TwigM::from_spec(spec),
                 store: CandidateStore::new(),
                 level: 0,
                 next_id: 0,
@@ -1221,24 +1185,14 @@ mod tests {
     }
 
     #[test]
-    fn eager_mode_agrees_with_compact() {
-        for mode in [EvalMode::Compact, EvalMode::Eager] {
-            let mut d = Driver::with_mode("//a[p]/b[q]//c", mode);
-            d.open("a");
-            d.leaf("p");
-            d.open("b");
-            d.open("a");
-            d.leaf("p");
-            d.open("b");
-            d.leaf("q");
-            d.leaf("c");
-            d.close("b");
-            d.close("a");
-            d.leaf("q");
-            d.close("b");
-            d.close("a");
-            assert_eq!(d.matches.len(), 1, "mode {mode:?}");
-        }
+    fn a_solution_on_two_chains_is_emitted_once() {
+        // The chain-stealing document: `c` completes the inner `a/b` chain
+        // and, through lazy inheritance, the outer one.
+        let mut d = Driver::new("//a[p]/b[q]//c");
+        d.open("a").leaf("p").open("b");
+        d.open("a").leaf("p").open("b").leaf("q").leaf("c").close("b").close("a");
+        d.leaf("q").close("b").close("a");
+        assert_eq!(d.matches.len(), 1);
     }
 
     #[test]

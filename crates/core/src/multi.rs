@@ -89,7 +89,7 @@ use vitex_xmlsax::pos::ByteSpan;
 use vitex_xpath::query_tree::QueryTree;
 
 use crate::bitset::DynBitSet;
-use crate::builder::{BuildError, EvalMode};
+use crate::builder::BuildError;
 use crate::driver::DocumentDriver;
 use crate::error::EngineResult;
 use crate::intern::{Interner, Symbol};
@@ -196,13 +196,10 @@ impl MultiEngine {
         Ok(id)
     }
 
-    /// An engine whose one registration, `QueryId(0)`, is `tree` compiled
-    /// in `mode`, with its plan held at exact capacity: what
-    /// [`crate::Engine`] wraps. `mode` reaches the machine through no other
-    /// path.
-    pub(crate) fn with_one_query(tree: &QueryTree, mode: EvalMode) -> Result<Self, BuildError> {
+    /// An engine whose one registration, `QueryId(0)`, is `tree`, with its
+    /// plan held at exact capacity: what [`crate::Engine`] wraps.
+    pub(crate) fn with_one_query(tree: &QueryTree) -> Result<Self, BuildError> {
         let mut multi = MultiEngine::new();
-        multi.planner.mode = mode;
         multi.subscribe(tree)?;
         multi.planner.shrink_to_fit();
         multi.records.shrink_to_fit();
@@ -506,6 +503,7 @@ impl Executor {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 mod tests {
     use super::*;
     use vitex_xmlsax::XmlReader;

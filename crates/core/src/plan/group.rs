@@ -175,14 +175,15 @@ impl PlanGroup {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 mod tests {
     use super::*;
-    use crate::builder::{EvalMode, MachineSpec};
+    use crate::builder::MachineSpec;
     use vitex_xpath::QueryTree;
 
     fn group(query: &str) -> PlanGroup {
         let tree = QueryTree::parse(query).unwrap();
-        let machine = TwigM::from_spec(MachineSpec::compile(&tree).unwrap(), EvalMode::Compact);
+        let machine = TwigM::from_spec(MachineSpec::compile(&tree).unwrap());
         let (key, _) = tree.shape_key();
         let hash = QueryTree::hash_canonical(&key);
         PlanGroup::new(machine, key, hash, 1, QueryId(0))

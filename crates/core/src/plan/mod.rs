@@ -46,7 +46,7 @@ pub use trie::{PrefixRunStats, StepKey, StepTrie};
 
 use vitex_xpath::query_tree::{NodeKind, QueryTree};
 
-use crate::builder::{BuildError, EvalMode, MachineSpec, Role};
+use crate::builder::{BuildError, MachineSpec, Role};
 use crate::intern::Interner;
 use crate::machine::TwigM;
 use crate::result::QueryId;
@@ -83,9 +83,6 @@ pub struct QueryPlanner {
     /// [`QueryPlanner::stats`] as its last walk found it: `None` once a
     /// registration or removal changed the plan. Documents do not move it.
     cached: Option<PlanStats>,
-    /// How new machines propagate candidates: [`EvalMode::Compact`] unless
-    /// a one-query [`crate::Engine`] asked for the E6 ablation.
-    pub(crate) mode: EvalMode,
 }
 
 impl QueryPlanner {
@@ -119,7 +116,7 @@ impl QueryPlanner {
         }
         let spec = MachineSpec::compile_with(tree, interner)?;
         let routes = self.routes(&spec, terminal, interner);
-        let machine = TwigM::from_spec(spec, self.mode);
+        let machine = TwigM::from_spec(spec);
         let group = PlanGroup::new(machine, key, hash, terminal, id);
         let gid = match self.free_slots.pop() {
             Some(slot) => {
@@ -282,6 +279,7 @@ impl QueryPlanner {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 mod tests {
     use super::*;
 

@@ -364,6 +364,7 @@ impl Default for StepTrie {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 mod tests {
     use super::*;
     use crate::intern::Interner;

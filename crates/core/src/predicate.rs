@@ -43,39 +43,27 @@ pub fn xpath_number(s: &str) -> f64 {
 
 /// Evaluates `node_value <op> literal`.
 pub fn compare(node_value: &str, op: CmpOp, literal: &Literal) -> bool {
-    match (op, literal) {
-        (CmpOp::Eq, Literal::Str(s)) => node_value == s,
-        (CmpOp::Ne, Literal::Str(s)) => node_value != s,
-        (CmpOp::Eq, Literal::Num(n)) => {
-            let v = xpath_number(node_value);
-            v == *n // NaN == n is false by IEEE, matching XPath
-        }
-        (CmpOp::Ne, Literal::Num(n)) => {
-            let v = xpath_number(node_value);
-            // XPath 1.0: NaN != n is *true*.
-            v.is_nan() || v != *n
-        }
-        (op, lit) => {
-            let left = xpath_number(node_value);
-            let right = match lit {
-                Literal::Num(n) => *n,
-                Literal::Str(s) => xpath_number(s),
-            };
-            if left.is_nan() || right.is_nan() {
-                return false;
-            }
-            match op {
-                CmpOp::Lt => left < right,
-                CmpOp::Le => left <= right,
-                CmpOp::Gt => left > right,
-                CmpOp::Ge => left >= right,
-                CmpOp::Eq | CmpOp::Ne => unreachable!("handled above"),
-            }
-        }
+    let right = match (op, literal) {
+        (CmpOp::Eq, Literal::Str(s)) => return node_value == s,
+        (CmpOp::Ne, Literal::Str(s)) => return node_value != s,
+        (_, Literal::Num(n)) => *n,
+        (_, Literal::Str(s)) => xpath_number(s),
+    };
+    // IEEE comparisons are XPath's: with NaN on either side only `!=`
+    // holds.
+    let left = xpath_number(node_value);
+    match op {
+        CmpOp::Eq => left == right,
+        CmpOp::Ne => left != right,
+        CmpOp::Lt => left < right,
+        CmpOp::Le => left <= right,
+        CmpOp::Gt => left > right,
+        CmpOp::Ge => left >= right,
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 mod tests {
     use super::*;
 

@@ -242,8 +242,9 @@ impl fmt::Display for Text {
     }
 }
 
-/// One query solution, owned: what the collecting adapters
-/// ([`crate::Engine::run`], [`crate::MultiEngine::run`]) keep.
+/// One query solution, owned: what the collecting adapter
+/// ([`crate::MultiEngine::run`], and [`crate::Engine::run`] over it)
+/// keeps.
 ///
 /// The string payloads (`name`, `value`) are [`Text`]s: one of at most
 /// [`Text::INLINE_CAP`] bytes lives inside the match, a longer one in one
@@ -306,6 +307,7 @@ impl fmt::Display for Match {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 mod tests {
     use super::*;
 

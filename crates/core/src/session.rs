@@ -35,17 +35,15 @@
 //! telemetry reports about a subscription's matches is its binding's bill.
 //! So [`MultiEngine::stream_document`], the primitive, holds nothing per
 //! match and allocates nothing per match either (the `vitex` CLI is built
-//! on it), and owned matches are made by two collecting adapters around
-//! it. [`MultiEngine::run`] makes one [`Match`] per binding delivery and
-//! logs it with the binding's first subscriber. Once the document has
-//! ended, each binding's deliveries become one sequence, sized exactly
-//! from the binding's bill, that its first subscriber keeps; every other
-//! subscriber's vector is a clone of it. So what the adapter copies per
-//! subscriber is one contiguous vector, and a match in it whose name and
-//! value are short ([`crate::Text`] keeps them inline) copies as plain
-//! bytes, with no reference count to bump.
-//! [`crate::Engine::run`], a one-query `MultiEngine`, collects its one
-//! subscription's matches as they are delivered.
+//! on it), and owned matches are made by one collecting adapter around it.
+//! [`MultiEngine::run`] makes one [`Match`] per binding delivery and
+//! pushes it onto the binding's sequence, which its first subscriber
+//! keeps. Once the document has ended, each sequence is sized exactly and
+//! every other subscriber's vector is a clone of it. So what the adapter
+//! copies per subscriber is one contiguous vector, and a match in it whose
+//! name and value are short ([`crate::Text`] keeps them inline) copies as
+//! plain bytes, with no reference count to bump. [`crate::Engine::run`] is
+//! the same adapter over a one-query `MultiEngine`.
 //!
 //! ## Per-document cost
 //!
@@ -96,52 +94,44 @@ impl MultiEngine {
     /// [`MultiEngine::stream_document`] behind the **one** collecting
     /// adapter: each binding delivery becomes one owned [`Match`], lent to
     /// `on_match` once per subscriber of the binding, in registration
-    /// order, and kept once for the binding. Once the document has ended,
-    /// each binding's matches form one sequence sized exactly from its
-    /// bill: its first subscriber's vector in the returned
-    /// [`MultiOutput`]'s `matches` (per query, in delivery order), which
-    /// every other subscriber of the binding gets a clone of. So `matches`
-    /// grows with the deliveries times the subscribers, and the copying
-    /// costs one vector per subscriber rather than one scattered push per
-    /// subscriber and match.
+    /// order, and pushed once onto the binding's sequence: its first
+    /// subscriber's vector in the returned [`MultiOutput`]'s `matches` (per
+    /// query, in delivery order). Once the document has ended, each
+    /// sequence is sized exactly, and every other subscriber of the binding
+    /// gets a clone of it. So `matches` grows with the deliveries times the
+    /// subscribers, and the copying costs one vector per subscriber rather
+    /// than one scattered push per subscriber and match.
     /// `stats` holds every registration's [`MultiEngine::query_stats`].
     pub fn run<R: Read, F: FnMut(QueryId, &Match)>(
         &mut self,
         reader: XmlReader<R>,
         mut on_match: F,
     ) -> EngineResult<MultiOutput> {
-        // Each binding delivery and the binding's first subscriber, in
-        // stream order.
-        let mut log = Vec::<(Match, QueryId)>::new();
+        let mut matches: Vec<Vec<Match>> =
+            std::iter::repeat_with(Vec::new).take(self.records.len()).collect();
         let mut out = self.stream_document(reader, |subscribers, hit| {
             let hit = Match::from(*hit);
             for &q in subscribers {
                 on_match(q, &hit);
             }
-            log.push((hit, subscribers[0]));
-        })?;
-        out.stats = self.all_query_stats();
-        // A binding's sequence is its first subscriber's vector, sized from
-        // that subscriber's `emitted` at its first delivery.
-        let mut matches: Vec<Vec<Match>> =
-            std::iter::repeat_with(Vec::new).take(out.stats.len()).collect();
-        for (hit, first) in log {
-            let sequence = &mut matches[first.0];
+            // A binding with one delivery holds one `Match`.
+            let sequence = &mut matches[subscribers[0].0];
             if sequence.capacity() == 0 {
-                *sequence = Vec::with_capacity(out.stats[first.0].emitted as usize);
+                sequence.reserve_exact(1);
             }
             sequence.push(hit);
-        }
-        // Each other subscriber of a binding gets a clone of its sequence.
+        })?;
         for &g in self.exec.touched() {
             for (subscribers, _) in self.planner.group(g as usize).binding_bills() {
                 if let [first, rest @ ..] = subscribers {
+                    matches[first.0].shrink_to_fit();
                     for q in rest {
                         matches[q.0] = matches[first.0].clone();
                     }
                 }
             }
         }
+        out.stats = self.all_query_stats();
         debug_assert!(
             matches
                 .iter()
@@ -338,6 +328,7 @@ impl<F: FnMut(&[QueryId], &MatchRef<'_>)> EventSink for DocumentSink<'_, F> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 mod tests {
     use super::*;
     use vitex_xmlsax::pos::ByteSpan;

@@ -3,8 +3,8 @@
 //! The paper's headline memory claim ("stable at 1 MB while streaming a
 //! 75 MB Protein dataset") is about the *machine's* state, not the process
 //! RSS. [`MachineStats`] accounts for exactly that state — stack entries,
-//! candidate buffers, string-value accumulators — so experiments E1 and E6
-//! can report peak machine-resident bytes without an OS profiler.
+//! candidate buffers, string-value accumulators — so experiment E1 can
+//! report peak machine-resident bytes without an OS profiler.
 //!
 //! This module is the one place that knows which counters a layer
 //! reports, how they add up, what they are called on export and which of
@@ -226,13 +226,13 @@ pub struct MachineStats {
     /// Candidate instances absorbed into an existing instance of the same
     /// solution on arrival at an entry (range-merge).
     pub candidates_merged: u64,
-    /// Candidate copies made (down-copies at forward time in compact mode;
-    /// range fan-out in eager mode).
+    /// Candidate copies made: down-copies at forward time.
     pub candidates_copied: u64,
     /// Solutions emitted.
     pub emitted: u64,
-    /// Duplicate emissions suppressed (eager mode only; compact mode must
-    /// never produce any, which the differential tests assert).
+    /// Solutions that reached a root entry holding every binding after
+    /// every binding had been delivered them: ended there, delivering
+    /// nothing.
     pub duplicates_suppressed: u64,
 
     /// Current live stack entries across all machine nodes.
@@ -364,6 +364,7 @@ impl MachineStats {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 mod tests {
     use super::*;
 

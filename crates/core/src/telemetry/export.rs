@@ -219,6 +219,7 @@ impl Snapshot {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 mod tests {
     use super::*;
     use crate::stats::{Bill, MachineStats, PlanStats, StreamStats};

@@ -105,6 +105,7 @@ impl ParseProbe for Telemetry {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 mod tests {
     use super::*;
     use crate::stats::{MachineStats, PlanStats, StreamStats};

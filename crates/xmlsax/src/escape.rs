@@ -47,6 +47,7 @@ fn escape_with(s: &str, needs: impl Fn(char) -> bool) -> Cow<'_, str> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 mod tests {
     use super::*;
 

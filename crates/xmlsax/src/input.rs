@@ -196,7 +196,7 @@ impl<R: Read> Scanner<R> {
         let valid = match std::str::from_utf8(got) {
             Ok(text) => text,
             Err(e) => {
-                let (text, rest) = got.split_at(e.valid_up_to());
+                let rest = &got[e.valid_up_to()..];
                 if e.error_len().is_some() || read == 0 {
                     // Malformed, or cut off by the end of the stream.
                     self.bad = Some(rest[0]);
@@ -204,7 +204,8 @@ impl<R: Read> Scanner<R> {
                 } else {
                     self.held.0[..rest.len()].copy_from_slice(rest);
                 }
-                std::str::from_utf8(text).expect("the valid prefix")
+                // The valid prefix `e` ends.
+                got.utf8_chunks().next().map_or("", |chunk| chunk.valid())
             }
         };
         self.held.1 = h + read - valid.len();
@@ -531,8 +532,8 @@ impl<R: Read> Scanner<R> {
     /// padded with `0x80`, a stop in both masks.
     fn classify(&mut self, b: usize) {
         let window = self.buf.as_bytes();
-        (self.text_stops, self.tag_stops) = match window.get(b..b + 64) {
-            Some(block) => block_masks(block.try_into().expect("64-byte block")),
+        (self.text_stops, self.tag_stops) = match window[b..].first_chunk() {
+            Some(block) => block_masks(block),
             None => {
                 let mut padded = [0x80; 64];
                 padded[..window.len() - b].copy_from_slice(&window[b..]);
@@ -567,8 +568,8 @@ fn count_lines(bytes: &[u8], lines: u32, columns: u32) -> (u32, u32) {
         return (lines, columns + chars(bytes));
     }
     let crlf = if cr == 0 { 0 } else { bytes.windows(2).filter(|w| w == b"\r\n").count() as u32 };
-    let last = bytes.iter().rposition(|&b| b == b'\n' || b == b'\r').expect("counted one");
-    (lines + lf + cr - crlf, chars(&bytes[last + 1..]))
+    let after = bytes.iter().rposition(|&b| b == b'\n' || b == b'\r').map_or(0, |i| i + 1);
+    (lines + lf + cr - crlf, chars(&bytes[after..]))
 }
 
 /// A byte's stops as `(text, tag)`.
@@ -601,8 +602,8 @@ fn block_masks(block: &[u8; 64]) -> (u64, u64) {
         tag_lanes[i] = tag as u8;
     }
     let pack = |lanes: &[u8; 64]| {
-        lanes.chunks_exact(8).enumerate().fold(0u64, |mask, (w, word)| {
-            let word = u64::from_le_bytes(word.try_into().expect("8-byte word"));
+        lanes.as_chunks().0.iter().enumerate().fold(0u64, |mask, (w, &word)| {
+            let word = u64::from_le_bytes(word);
             mask | (word.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * w)
         })
     };
@@ -622,6 +623,7 @@ static NAME_BYTES: [bool; 256] = {
 };
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 mod tests {
     use super::*;
     use std::io::Cursor;

@@ -94,6 +94,7 @@ impl fmt::Display for ByteSpan {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 mod tests {
     use super::*;
 

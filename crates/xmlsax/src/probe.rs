@@ -31,6 +31,7 @@ pub trait ParseProbe: Send + Sync {
 pub type ProbeHandle = Arc<dyn ParseProbe>;
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};

@@ -557,7 +557,10 @@ impl<R: Read> XmlReader<R> {
     /// The end event of the innermost open element, whose end tag ends at
     /// `end_offset`.
     fn innermost_end(&self, end_offset: u64) -> EndElementEvent<'_> {
-        let start_offset = *self.open_starts.last().expect("stack in sync");
+        debug_assert_eq!(self.open_starts.len(), self.name_ends.len(), "one start per open name");
+        // Only ever called with an element open.
+        #[allow(clippy::expect_used)]
+        let start_offset = *self.open_starts.last().expect("an element is open");
         EndElementEvent {
             name: Cow::Borrowed(self.innermost_name()),
             level: self.name_ends.len() as u32,
@@ -568,12 +571,10 @@ impl<R: Read> XmlReader<R> {
     fn read_start_tag(&mut self) -> XmlResult<XmlEvent<'_>> {
         let start_offset = self.scanner.offset();
         match self.state {
-            DocState::Epilog => {
+            DocState::Epilog | DocState::Done => {
                 return Err(XmlError::new(XmlErrorKind::TrailingContent, self.scanner.position()))
             }
-            DocState::Prolog => {}
-            DocState::InRoot => {}
-            _ => unreachable!("start tag in state {:?}", self.state),
+            DocState::Init | DocState::Prolog | DocState::InRoot => {}
         }
         // Past the `<`, the name goes straight onto the open-name stack.
         self.scanner.advance(1);
@@ -638,9 +639,7 @@ impl<R: Read> XmlReader<R> {
         let end_offset = self.scanner.offset();
         self.name_ends.push(self.names.len());
         self.open_starts.push(start_offset);
-        if self.state == DocState::Prolog {
-            self.state = DocState::InRoot;
-        }
+        self.state = DocState::InRoot;
         if self_closing {
             self.owed = Owed::End(end_offset);
         }
@@ -965,7 +964,8 @@ impl<R: Read> XmlReader<R> {
                             self.scanner.position(),
                         ));
                     }
-                    let c = self.scanner.next_char()?.expect("peeked byte");
+                    // At the end of input the next turn reports it.
+                    let Some(c) = self.scanner.next_char()? else { continue };
                     if !entities::is_xml_char(c) {
                         return Err(XmlError::new(
                             XmlErrorKind::InvalidChar { ch: c },
@@ -1275,8 +1275,10 @@ impl AttrNames {
             self.indexed = 0;
         }
         while self.indexed < n {
-            let free = self.probe(attrs, attrs.name(self.indexed)).expect_err("names are distinct");
-            self.slots[free] = self.indexed as u32 + 1;
+            // The tag's earlier names are distinct: each finds a free slot.
+            if let Err(free) = self.probe(attrs, attrs.name(self.indexed)) {
+                self.slots[free] = self.indexed as u32 + 1;
+            }
             self.indexed += 1;
         }
         self.probe(attrs, name).is_ok()
@@ -1316,6 +1318,7 @@ impl<R: Read> Drop for XmlReader<R> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 mod tests {
     use super::*;
 

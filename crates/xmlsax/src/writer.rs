@@ -170,6 +170,7 @@ impl<W: Write> XmlWriter<W> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 mod tests {
     use super::*;
     use crate::event::XmlEvent;

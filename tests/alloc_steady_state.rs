@@ -223,8 +223,9 @@ fn a_warm_collecting_run_allocates_its_vectors_plus_a_per_document_constant() {
     // 62 subscribers of one binding, whose element matches carry the
     // inline name `listitem`: an owned match allocates nothing, and a
     // copy of one for another subscriber touches no reference count. What
-    // is left is a vector per subscriber, the doublings of the delivery
-    // log and the reader's buffers (86 allocations at 1x, 88 at 4x).
+    // is left is a vector per subscriber, the doublings and the final
+    // sizing of the binding's sequence and the reader's buffers (87
+    // allocations at 1x, 89 at 4x).
     let mut multi = MultiEngine::new();
     for _ in 0..SUBSCRIBERS {
         multi.add_query("//listitem").unwrap();

@@ -1,10 +1,10 @@
 //! How shared plan groups hand out their matches:
 //! `MultiEngine::stream_document` calls back once per group emission and
 //! binding it reaches, lent with that binding's subscribers, and
-//! `MultiEngine::run` is that stream flattened per subscriber into
-//! vectors sized from the statistics.
+//! `MultiEngine::run` — and `Engine::run`, its one-query case — is that
+//! stream flattened per subscriber into vectors sized exactly.
 
-use vitex::core::{Match, MultiEngine, QueryId};
+use vitex::core::{Engine, Match, MultiEngine, QueryId};
 use vitex::xmlgen::auction::{self, AuctionConfig};
 use vitex::xmlsax::XmlReader;
 
@@ -110,6 +110,12 @@ fn the_flattened_slices_are_runs_per_subscriber_sequence() {
         let sizes = (matches.capacity() as u64, matches.len() as u64);
         assert_eq!(sizes, (stats.emitted, stats.emitted), "query {q}: capacity and length");
     }
+    // A one-query `Engine` is the same adapter: its vector is the
+    // subscription's, sized exactly too.
+    let mut single = Engine::from_query(SHAPES[1]).unwrap();
+    let one = single.run(XmlReader::from_str(&xml), |_| {}).unwrap();
+    assert_eq!(one.matches, out.matches[1], "the Engine's matches are query 1's");
+    assert_eq!(one.matches.capacity(), one.matches.len(), "the Engine's vector is sized exactly");
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! the memory effect, and — crucially — that early emission changes *when*
 //! results appear but never *which* results appear.
 
-use vitex::core::{evaluate_reader, Engine, EvalMode};
+use vitex::core::{evaluate_reader, Engine};
 use vitex::xmlsax::XmlReader;
 use vitex::xpath::QueryTree;
 
@@ -85,10 +85,8 @@ fn text_results_stream_under_hot_root() {
 #[test]
 fn early_emission_respects_shared_dedup() {
     let xml = "<a><p/><b><a><p/><b><q/><c/></b></a><q/></b></a>";
-    for mode in [EvalMode::Compact, EvalMode::Eager] {
-        let tree = QueryTree::parse("//a[p]/b[q]//c").unwrap();
-        let mut engine = Engine::with_mode(&tree, mode).unwrap();
-        let out = engine.run(XmlReader::from_str(xml), |_| {}).unwrap();
-        assert_eq!(out.matches.len(), 1, "{mode:?}");
-    }
+    let tree = QueryTree::parse("//a[p]/b[q]//c").unwrap();
+    let mut engine = Engine::new(&tree).unwrap();
+    let out = engine.run(XmlReader::from_str(xml), |_| {}).unwrap();
+    assert_eq!(out.matches.len(), 1);
 }

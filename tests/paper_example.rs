@@ -80,7 +80,7 @@ fn figure3_machine_shape() {
     // Each machine node has a stack; stacks start empty (paper: "Each
     // machine node has a stack associated with it … initialized to be
     // empty").
-    let machine = vitex::core::TwigM::from_spec(spec, vitex::core::EvalMode::Compact);
+    let machine = vitex::core::TwigM::from_spec(spec);
     assert!(machine.is_quiescent());
 }
 
