@@ -523,12 +523,12 @@ impl TwigM {
     /// The main-path half of a pop: the entry (at index `idx` of its stack)
     /// was satisfied as `sat` says. Its candidates slide down if it failed
     /// ([`TwigM::fail`]) and go up if it held ([`TwigM::forward`]); where
-    /// they reach a satisfied root entry — this one, or the parent entry
-    /// they go up to — they are solutions ([`reach_root`]). An owner of the
-    /// parametric leaf that holds for some bindings only is both at once:
-    /// at a satisfied root its candidates are delivered to those and fail
-    /// for the others; elsewhere they go up for those only
-    /// ([`TwigM::forward_tagged`]).
+    /// they reach a satisfied root entry — this one, the parent entry they
+    /// go up to, or the root entry they slide onto — they are solutions
+    /// ([`reach_root`]). An owner of the parametric leaf that holds for some
+    /// bindings only is both at once: at a satisfied root its candidates
+    /// are delivered to those and fail for the others; elsewhere they go up
+    /// for those only ([`TwigM::forward_tagged`]).
     #[allow(clippy::too_many_arguments)]
     fn pop_main(
         &mut self,
@@ -565,14 +565,14 @@ impl TwigM {
         }
         let mut cands = store.detach(e);
         let own = match sat {
-            Sat::No => return self.fail(store, q, idx, e, cands),
+            Sat::No => return self.fail(store, q, idx, e, cands, n, emit),
             Sat::All => NONE,
             Sat::Some(set) => set,
         };
         let Some(p) = node.parent() else {
             // The root: solutions for the bindings it holds for.
             cands.retain(|&c| !reach_root(stats, store, c, own, false, n, emit));
-            return self.fail(store, q, idx, e, cands);
+            return self.fail(store, q, idx, e, cands, n, emit);
         };
         let (pn, target) = (&spec.nodes[p], &stacks[p][e.ptr as usize]);
         let root = p == 0 && target.flags.all_set(pn.nflags as usize);
@@ -594,15 +594,24 @@ impl TwigM {
         if own == NONE {
             self.forward(store, q, p, idx, e, cands)
         } else {
-            self.fail(store, q, idx, e, cands)
+            self.fail(store, q, idx, e, cands, n, emit)
         }
     }
 
     /// Candidates of a satisfied non-root entry go up to machine node `p`,
-    /// attached to the **deepest** compatible parent entry. Outer
-    /// alternatives are kept by lazy inheritance instead of eager copying: a
-    /// copy slides down too, because chains through outer entries may
-    /// succeed where the inner chain's continuation fails ([`TwigM::fail`]).
+    /// attached to the **deepest** compatible parent entry `P = e.ptr`.
+    /// Outer alternatives are kept by lazy inheritance instead of eager
+    /// copying ([`TwigM::fail`]), and a copy goes down this stack only up a
+    /// child edge:
+    /// * up a child edge the original is pinned to `P` (`low = P`), while
+    ///   the outer entries of this stack point below `P`: a copy slides down
+    ///   to the entry below, because chains through those may succeed where
+    ///   the inner chain's continuation fails;
+    /// * up a descendant edge the original goes with `low = 0`, so it
+    ///   already slides to every parent entry `≤ P`. A copy could only
+    ///   reach parent entries `≤ ptr(idx − 1) ≤ P`, which the original
+    ///   reaches too, and a solution reaching the root twice is suppressed
+    ///   there (`Payload::emitted`). So none is made.
     fn forward(
         &mut self,
         store: &mut CandidateStore,
@@ -613,10 +622,12 @@ impl TwigM {
         mut cands: Vec<Cand>,
     ) {
         let Self { spec, stacks, stats, .. } = self;
-        // Outer entries of *this* stack are alternative attachment points
-        // whose upward chains may succeed where this one's fails: copy
-        // candidates down (lazy inheritance keeps them moving).
-        if idx > 0 {
+        let axis = spec.nodes[q].axis;
+        // Up a child edge, the outer entries of *this* stack are the only
+        // way to the parent entries below `P`: copy candidates down (lazy
+        // inheritance keeps them moving). Up a descendant edge the original
+        // reaches those entries itself.
+        if axis == Axis::Child && idx > 0 {
             let below = &mut stacks[q][idx as usize - 1];
             let mut stamped = false;
             for &c in cands.iter().filter(|c| c.low < idx) {
@@ -627,7 +638,7 @@ impl TwigM {
             }
         }
         // Forward originals to the deepest compatible parent entry.
-        let new_low = match spec.nodes[q].axis {
+        let new_low = match axis {
             Axis::Child => e.ptr,
             Axis::Descendant => 0,
         };
@@ -685,16 +696,21 @@ impl TwigM {
     /// with (`low`), and when the entry holding it pops it slides to the
     /// entry below if that is still ≥ `low` — its chances through outer
     /// ancestors stay alive without ever materializing the match
-    /// combinations — or is discarded at its bound.
+    /// combinations — or is discarded at its bound. A candidate sliding
+    /// onto a satisfied root entry is a solution then, as is one going up
+    /// to it.
+    #[allow(clippy::too_many_arguments)]
     fn fail(
         &mut self,
         store: &mut CandidateStore,
         q: usize,
         idx: u32,
         e: &Entry,
-        cands: Vec<Cand>,
+        mut cands: Vec<Cand>,
+        n: usize,
+        emit: &mut Deliver<'_>,
     ) {
-        let Self { stacks, stats, .. } = self;
+        let Self { spec, stacks, stats, .. } = self;
         let Some(below) = stacks[q].last_mut() else {
             // The bottom entry (`idx` 0): nothing to slide onto.
             for &c in &cands {
@@ -702,10 +718,28 @@ impl TwigM {
             }
             return store.recycle(e, cands);
         };
-        if below.cands == NONE && e.max_low < idx && !cands.is_empty() {
-            // All of them slide, onto nothing: the list itself moves.
-            stats.candidates_inherited += cands.len() as u64;
-            return store.hand_over(e, cands, below, e.max_low);
+        if q == 0 && below.flags.all_set(spec.nodes[0].nflags as usize) {
+            // The entry below already holds, so a candidate that may slide
+            // onto it is decided now, not when that entry closes. A final
+            // set ends it on the bottom entry, or where it slides no
+            // further.
+            let fin = root_set_is_final(spec);
+            let fin = |c: Cand| fin && (idx == 1 || c.low + 1 >= idx);
+            let held = below.lits;
+            cands.retain(|&c| c.low >= idx || !reach_root(stats, store, c, held, fin(c), n, emit));
+        }
+        if e.max_low < idx && !cands.is_empty() {
+            if below.cands == NONE {
+                // All of them slide, onto nothing: the list itself moves.
+                stats.candidates_inherited += cands.len() as u64;
+                return store.hand_over(e, cands, below, e.max_low);
+            }
+            if cands.iter().all(|c| store.payloads[c.payload].instances == 1) {
+                // All of them slide, and none can meet its solution below:
+                // the list is appended whole.
+                stats.candidates_inherited += cands.len() as u64;
+                return store.append(e, cands, below, e.max_low);
+            }
         }
         let mut stamped = false;
         for &c in &cands {
@@ -1249,13 +1283,14 @@ mod tests {
 
     #[test]
     fn merge_stamps_survive_epoch_wrap_around() {
-        // Two towers of the benchmark's recursive shape: every tower merges
-        // down-copies into lists that already hold the same solutions,
-        // which takes a stamping pass per merge. Started two epochs short
-        // of the wrap, the run crosses it; a stale stamp surviving the
-        // wrap would merge the wrong pair (or none) and move the counters.
+        // Two towers of the benchmark's recursive shape, with a child edge
+        // under the middle step: every tower merges down-copies into lists
+        // that already hold the same solutions, which takes a stamping pass
+        // per merge. Started two epochs short of the wrap, the run crosses
+        // it; a stale stamp surviving the wrap would merge the wrong pair
+        // (or none) and move the counters.
         let run = |epoch: u32| {
-            let mut d = Driver::new("//*[author]//*[position]//*");
+            let mut d = Driver::new("//*[author]//*/*[position]//*");
             d.store.epoch = epoch;
             d.open("book");
             for _ in 0..2 {
@@ -1271,6 +1306,35 @@ mod tests {
         let wrapped = run(u32::MAX - 1);
         assert_eq!((&wrapped.0, &wrapped.1), (&matches, &stats));
         assert_eq!(wrapped.2, epochs - 1, "one epoch before the wrap, the rest after it");
+    }
+
+    #[test]
+    fn only_a_child_edge_copies_down() {
+        // The inner `<c>` forwards `<d>` to its own parent, `<b>` entry 1,
+        // pinned there by the `/` edge; the outer `<c>` is the only way to
+        // `<b>` entry 0, so a copy slides down to it. Both reach `<a>`,
+        // where the copy merges into the original. The `//` edges up to
+        // `<c>` and to `<a>` copy none.
+        let mut d = Driver::new("//a[x]//b/c//d");
+        d.open("r").open("a").open("b").open("c").open("b").open("c").leaf("d");
+        d.close("c").close("b").close("c").close("b").leaf("x").close("a").close("r");
+        let s = d.machine.stats();
+        assert_eq!((s.candidates_copied, s.candidates_merged), (1, 1), "{s:?}");
+        assert_eq!(d.matches.len(), 1);
+    }
+
+    #[test]
+    fn a_candidate_sliding_onto_a_satisfied_root_is_delivered_then() {
+        // The outer `<a>` holds once its first `<a>` closed; the second
+        // never does. The second `<c>` goes up the `//` edge to it, the
+        // deepest root entry, and slides onto the outer one when it pops:
+        // decided there, at the inner `</a>`, not at the outer one.
+        let mut d = Driver::new("//a[a//c]//*//c");
+        d.open("a").open("a").leaf("c").close("a");
+        d.open("a").open("e").leaf("c").close("e").leaf("d").close("a");
+        assert_eq!(d.names(), [5]);
+        d.close("a");
+        assert_eq!(d.names(), [5, 2]);
     }
 
     #[test]
@@ -1538,7 +1602,10 @@ mod tests {
                 d.close("r");
             });
         assert!(d.delivered.iter().all(|(to, _)| to.is_some()), "{:?}", d.delivered);
-        assert_eq!(stats, [7, 7, 4, 4, 7, 3, 3, 2, 2, 0, 0, 5, 0, 0, 3, 0, 2, 0, 232]);
+        // The inner items' candidates slide onto the outer ones, which hold
+        // for their own literal from push: delivered then, they end on the
+        // bottom entry.
+        assert_eq!(stats, [7, 7, 4, 4, 7, 3, 3, 0, 0, 0, 0, 5, 0, 0, 3, 0, 1, 0, 212]);
         // Reaching the inner root entry along a child edge, `name`'s
         // solution leaves a down-copy on the outer `x`, whose chain reaches
         // the outer root entry: delivered to `b`, it is not final there,

@@ -1,7 +1,7 @@
 //! The candidate store: instances, payloads, pooled lists and strings.
 //!
 //! The transitions move candidates far more often than they create them
-//! (on the recursive benchmark document: 1 752 created, 103 416 moved), so
+//! (on the recursive benchmark document: 1 752 created, 49 272 moved), so
 //! what moves is as small as it can be:
 //!
 //! * an **instance** (`Cand`) is what sits in an entry's candidate list:
@@ -38,14 +38,18 @@
 //! is below the popped index), the same as appending them one by one to an
 //! empty list: same members, same order, none merged. So the list *handle*
 //! moves, in O(1), and `candidates_inherited` grows by the list's length —
-//! exactly what the walk would have counted. A list arriving at a
-//! non-empty list is merged in one pass over both (`CandidateStore::arrive`):
-//! arrivals append in their own order, and an arrival whose solution is
-//! already there widens that instance's range instead — the outcome, and
-//! hence the emission order, of the one-by-one walk. [`MachineStats`]
-//! counts these *logical* operations, per instance and in the walk's
-//! order, so its counters and peaks do not depend on which route a list
-//! took.
+//! exactly what the walk would have counted. When the entry below holds a
+//! list, every candidate may slide, and no solution has a second instance
+//! (each payload's count is 1), none of them can be there already: the
+//! walk would append each, in order, merging none, and so does one
+//! `extend_from_slice` ([`CandidateStore::append`]), counted the same way.
+//! Otherwise a list arriving at a non-empty list is merged in one pass over
+//! both (`CandidateStore::arrive`): arrivals append in their own order, and
+//! an arrival whose solution is already there widens that instance's range
+//! instead — the outcome, and hence the emission order, of the one-by-one
+//! walk. [`MachineStats`] counts these *logical* operations, per instance
+//! and in the walk's order, so its counters and peaks do not depend on
+//! which route a list took.
 
 use std::mem::size_of;
 use std::ops::{Index, IndexMut};
@@ -328,6 +332,15 @@ impl CandidateStore {
         self.lists[from.cands] = list;
         to.cands = from.cands;
         to.max_low = max_low;
+    }
+
+    /// Appends the detached list of `from` to `to`'s non-empty one and
+    /// returns it to the pool.
+    pub(super) fn append(&mut self, from: &Entry, list: Vec<Cand>, to: &mut Entry, max_low: u32) {
+        debug_assert!(to.cands != NONE && !list.is_empty());
+        self.lists[to.cands].extend_from_slice(&list);
+        to.max_low = to.max_low.max(max_low);
+        self.recycle(from, list);
     }
 
     /// Returns the detached list of `from`, now walked, to the pool.

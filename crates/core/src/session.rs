@@ -70,9 +70,10 @@
 //! ## Determinism
 //!
 //! Matches reach the callback in the executor's visit order: events in
-//! document order, ascending group id within each event, and for one
-//! solution of a shared machine its bindings in first-registration order,
-//! each binding's subscribers in registration order. Flattening the
+//! document order, ascending group id within each event, the solutions one
+//! machine delivers at one event in its candidate list's order, and for
+//! one solution of a shared machine its bindings in first-registration
+//! order, each binding's subscribers in registration order. Flattening the
 //! subscriber slices gives [`MultiEngine::run`]'s per-subscription order.
 
 use std::io::Read;

@@ -226,7 +226,7 @@ pub struct MachineStats {
     /// Candidate instances absorbed into an existing instance of the same
     /// solution on arrival at an entry (range-merge).
     pub candidates_merged: u64,
-    /// Candidate copies made: down-copies at forward time.
+    /// Candidate copies made: down-copies at forward time, up a child edge.
     pub candidates_copied: u64,
     /// Solutions emitted.
     pub emitted: u64,

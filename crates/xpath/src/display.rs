@@ -120,6 +120,7 @@ impl fmt::Display for Query {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 mod tests {
     use crate::parse;
 

@@ -203,7 +203,9 @@ pub fn tokenize(input: &str) -> ParseResult<Vec<Token>> {
                 // An NCName (ASCII fast path + full Unicode via chars()).
                 let rest = &input[i..];
                 let mut char_indices = rest.char_indices();
-                let (_, first) = char_indices.next().expect("non-empty rest");
+                let Some((_, first)) = char_indices.next() else {
+                    return Err(ParseError::new("unexpected end of query", offset));
+                };
                 if !vitex_name_start(first) {
                     return Err(ParseError::new(format!("unexpected character {first:?}"), offset));
                 }
@@ -236,6 +238,7 @@ fn vitex_name_char(c: char) -> bool {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 mod tests {
     use super::*;
 

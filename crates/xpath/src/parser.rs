@@ -182,22 +182,18 @@ impl Parser {
             self.bump();
             path.push(self.parse_step(axis)?);
         }
-        let comparison = match self.peek() {
-            TokenKind::Eq
-            | TokenKind::Ne
-            | TokenKind::Lt
-            | TokenKind::Le
-            | TokenKind::Gt
-            | TokenKind::Ge => {
-                let op = match self.bump() {
-                    TokenKind::Eq => CmpOp::Eq,
-                    TokenKind::Ne => CmpOp::Ne,
-                    TokenKind::Lt => CmpOp::Lt,
-                    TokenKind::Le => CmpOp::Le,
-                    TokenKind::Gt => CmpOp::Gt,
-                    TokenKind::Ge => CmpOp::Ge,
-                    _ => unreachable!("matched comparison token"),
-                };
+        let op = match self.peek() {
+            TokenKind::Eq => Some(CmpOp::Eq),
+            TokenKind::Ne => Some(CmpOp::Ne),
+            TokenKind::Lt => Some(CmpOp::Lt),
+            TokenKind::Le => Some(CmpOp::Le),
+            TokenKind::Gt => Some(CmpOp::Gt),
+            TokenKind::Ge => Some(CmpOp::Ge),
+            _ => None,
+        };
+        let comparison = match op {
+            Some(op) => {
+                self.bump();
                 let lit = match self.bump() {
                     TokenKind::StringLit(s) => Literal::Str(s),
                     TokenKind::Number(n) => Literal::Num(n),
@@ -214,7 +210,7 @@ impl Parser {
                 };
                 Some((op, lit))
             }
-            _ => None,
+            None => None,
         };
         Ok(Condition { path, comparison })
     }
@@ -249,6 +245,7 @@ fn validate_path(steps: &[Step], what: &str) -> ParseResult<()> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 mod tests {
     use super::*;
 

@@ -252,6 +252,9 @@ impl QueryTree {
 
     /// The result node (last main-path step).
     pub fn result(&self) -> QNodeId {
+        // A built tree's main path holds at least its root: the parser
+        // rejects a query without a step.
+        #[allow(clippy::expect_used)]
         *self.main_path.last().expect("main path is non-empty")
     }
 
@@ -305,15 +308,24 @@ impl QueryTree {
     /// comparisons, `!=`, numeric literals and relational operators never
     /// make a leaf parametric.
     pub fn parametric_node(&self) -> Option<QNodeId> {
+        self.parametric_leaf().map(|(id, _)| id)
+    }
+
+    /// The parametric leaf and its literal.
+    fn parametric_leaf(&self) -> Option<(QNodeId, &str)> {
         let leaves = |attributes: bool| {
-            self.nodes.iter().filter(move |n| {
+            self.nodes.iter().filter_map(move |n| {
                 let kind = match &n.kind {
                     NodeKind::Element { .. } => !attributes,
                     NodeKind::Attribute { name } => attributes && name.is_some(),
                     NodeKind::Text => false,
                 };
-                kind && !n.on_main_path
-                    && matches!(n.comparison, Some((CmpOp::Eq, Literal::Str(_))))
+                match &n.comparison {
+                    Some((CmpOp::Eq, Literal::Str(s))) if kind && !n.on_main_path => {
+                        Some((n.id, s.as_str()))
+                    }
+                    _ => None,
+                }
             })
         };
         let mut elements = leaves(false);
@@ -324,7 +336,7 @@ impl QueryTree {
                 (tests.next()?, tests)
             }
         };
-        rest.next().is_none().then_some(leaf.id)
+        rest.next().is_none().then_some(leaf)
     }
 
     /// The **shape key** and the literal it leaves out: the canonical key
@@ -356,14 +368,10 @@ impl QueryTree {
     /// assert_eq!(c.shape_key(), (key, Some("item7")));
     /// ```
     pub fn shape_key(&self) -> (String, Option<&str>) {
-        let leaf = self.parametric_node();
+        let leaf = self.parametric_leaf();
         let mut out = String::with_capacity(self.original.len());
-        self.key_node(self.root(), leaf, &mut out);
-        let literal = leaf.map(|id| match &self.nodes[id].comparison {
-            Some((_, Literal::Str(s))) => s.as_str(),
-            _ => unreachable!("a parametric leaf compares with a string"),
-        });
-        (out, literal)
+        self.key_node(self.root(), leaf.map(|(id, _)| id), &mut out);
+        (out, leaf.map(|(_, literal)| literal))
     }
 
     fn canonical_node(&self, id: QNodeId, out: &mut String) {
@@ -475,6 +483,7 @@ impl fmt::Display for QueryTree {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 mod tests {
     use super::*;
     use crate::parse;

@@ -15,6 +15,8 @@
 //! * the logical counters of the benchmark's recursive document, pinned
 //!   to the unit, so a cheaper way of moving candidates provably counts
 //!   what the one-by-one walk counted;
+//! * a main path of `//` edges only copies no candidate down a stack, so
+//!   none is ever merged;
 //! * a document that ends mid-element leaves nothing behind that the next
 //!   document can see.
 
@@ -26,7 +28,7 @@ use vitex::xmlgen::random::{self, RandomConfig};
 use vitex::xmlgen::{protein, recursive};
 use vitex::xmlsax::XmlReader;
 use vitex::xpath::generate::{GenConfig, QueryGenerator};
-use vitex::xpath::QueryTree;
+use vitex::xpath::{Axis, QueryTree};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
@@ -136,6 +138,44 @@ fn compact_encoding_keeps_one_candidate_where_eager_copying_kept_twelve() {
     assert_eq!(got, (1, 0, 1, 1_268), "(emitted, copied, peak candidates, peak bytes)");
 }
 
+#[test]
+fn descendant_main_paths_copy_and_merge_nothing() {
+    // Up a `//` edge a satisfied entry's candidates go to the parent entry
+    // with bound 0, from where they slide to every outer parent entry: no
+    // copy goes down the stack they leave, so no list ever meets a
+    // solution twice. Only a `/` edge on the main path copies (and merges).
+    let recursive_tags = ["book", "section", "table", "cell", "author", "position"];
+    let families = [
+        (
+            GenConfig::default(),
+            (0..24).map(|s| random::to_string(&RandomConfig::seeded(s))).collect(),
+        ),
+        (
+            GenConfig { tags: recursive_tags.map(String::from).to_vec(), ..GenConfig::default() },
+            [5, 8].map(|d| recursive::to_string(&recursive::RecursiveConfig::square(d))).to_vec(),
+        ),
+    ];
+    let (mut queries, mut created, mut inherited) = (0, 0, 0);
+    for (config, docs) in &families {
+        let mut qgen = QueryGenerator::new(2005, config.clone());
+        for _ in 0..400 {
+            let tree = QueryTree::build(&qgen.query()).unwrap();
+            if tree.main_path()[1..].iter().any(|&q| tree.node(q).axis != Axis::Descendant) {
+                continue;
+            }
+            queries += 1;
+            for xml in docs {
+                let s = evaluate_reader(XmlReader::from_str(xml), &tree).unwrap().stats;
+                let got = (s.candidates_copied, s.candidates_merged);
+                assert_eq!(got, (0, 0), "(copied, merged) for {}", tree.original());
+                (created, inherited) =
+                    (created + s.candidates_created, inherited + s.candidates_inherited);
+            }
+        }
+    }
+    assert!(queries >= 100 && created > 0 && inherited > 0, "{queries} {created} {inherited}");
+}
+
 /// Everything the machine counts as a unit of work on its stacks and
 /// candidates (pops equal pushes by conservation and are left out).
 fn machine_ops(s: &MachineStats) -> u64 {
@@ -190,15 +230,15 @@ fn recursive_benchmark_document_counts_to_the_unit() {
         predicate_evals: 0,
         dispatch_hits: 1_777,
         candidates_created: 1_752,
-        candidates_forwarded: 16_152,
-        candidates_inherited: 72_864,
-        candidates_discarded: 1_752,
-        candidates_merged: 13_248,
-        candidates_copied: 14_400,
+        candidates_forwarded: 2_904,
+        candidates_inherited: 46_368,
+        candidates_discarded: 600,
+        candidates_merged: 0,
+        candidates_copied: 0,
         emitted: 1_152,
         duplicates_suppressed: 0,
         peak_entries: 148,
-        peak_candidates: 143,
+        peak_candidates: 73,
         // Byte gauges depend on the representation; conservation (they
         // return to zero) is checked above.
         peak_bytes: out.stats.peak_bytes,
