@@ -165,8 +165,6 @@ pub struct MachineSpec {
     pub text_result_parent: Option<usize>,
     /// The query's parametric leaf, if it has one.
     pub parametric: Option<Leaf>,
-    /// The canonical query text (diagnostics).
-    pub query: String,
 }
 
 impl MachineSpec {
@@ -190,7 +188,6 @@ impl MachineSpec {
             text_accumulators: Vec::new(),
             text_result_parent: None,
             parametric: None,
-            query: tree.original().to_owned(),
         };
         // By query-node id, each element's machine node (`None` for an
         // attribute or `text()` test): parents precede children.
@@ -299,7 +296,6 @@ impl MachineSpec {
         }
         bytes += (self.text_watchers.capacity() + self.text_accumulators.capacity())
             * size_of::<usize>();
-        bytes += self.query.len();
         bytes as u64
     }
 

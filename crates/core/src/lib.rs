@@ -26,7 +26,7 @@
 //!   entry as an 8-byte instance of a solution stored once, which is what
 //!   turns the exponential match space into `O(|D|·|Q|·(|Q|+B))` work —
 //!   and, with every instance, solution and string buffer pooled in a
-//!   [`machine::CandidateStore`], into no allocation per event.
+//!   candidate store, into no allocation per event.
 //!
 //! ## Entry points
 //!
@@ -60,8 +60,8 @@
 //!   `MultiEngine` one row per subscription and per active plan group
 //!   (who costs what, ranked by [`Snapshot::top_queries`]).
 //! * [`machine::TwigM`] — the machine itself, read through
-//!   [`Engine::machine`] or a plan group: its compiled spec, its statistics
-//!   and [`TwigM::dump_state`]. Only the engines drive it.
+//!   [`Engine::machine`] or a plan group: its compiled spec and its
+//!   statistics. Only the engines drive it.
 //!
 //! ```
 //! let xml = "<book><section><author>C</author>\
@@ -99,7 +99,7 @@ pub use driver::{DocumentDriver, EventSink};
 pub use engine::{evaluate_reader, evaluate_str, Engine, EvalOutput};
 pub use error::{EngineError, EngineResult};
 pub use intern::{Interner, Symbol};
-pub use machine::{CandidateStore, TwigM};
+pub use machine::TwigM;
 pub use multi::{MultiEngine, MultiOutput};
 pub use plan::{PlanGroup, QueryPlanner};
 pub use result::{Match, MatchKind, MatchRef, QueryId, Text};

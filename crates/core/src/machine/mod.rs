@@ -10,7 +10,7 @@
 //! and emission (`reach_root`), the only way a solution leaves: neither
 //! the machine nor anything between it and the API edge keeps a copy.
 //!
-//! Beside them sit the [`CandidateStore`] (`store.rs`), where a candidate
+//! Beside them sit the `CandidateStore` (`store.rs`), where a candidate
 //! waits as an 8-byte instance of a solution stored once, and the binding
 //! table (`bindings.rs`), through which one machine runs as many
 //! one-literal machines at once.
@@ -30,7 +30,7 @@ use crate::predicate;
 use crate::result::{MatchKind, MatchRef};
 use crate::stats::MachineStats;
 use bindings::Bindings;
-pub use store::CandidateStore;
+pub(crate) use store::CandidateStore;
 use store::{Cand, CAND_BYTES};
 
 /// "No handle": an entry without candidates, text buffer or binding set, a
@@ -85,10 +85,10 @@ fn entry_base_bytes(e: &Entry) -> u64 {
 /// [`crate::engine::Engine`], a one-query `MultiEngine` — hands each
 /// machine the start tags whose pushes the step trie decided, the text
 /// nodes it can read and the end tags of the elements it pushed, lending
-/// every transition the [`CandidateStore`] its run-time state lives in.
+/// every transition the `CandidateStore` its run-time state lives in.
 /// Solutions leave through the engine's callback, lent as [`MatchRef`]s,
 /// as soon as they are decidable. From outside the crate a machine is
-/// read-only: its spec, its statistics and [`TwigM::dump_state`].
+/// read-only: its spec and its statistics.
 #[derive(Debug)]
 pub struct TwigM {
     spec: MachineSpec,
@@ -183,7 +183,8 @@ impl TwigM {
     /// ```text
     /// [2] //table        L5 #4 flags 0/1 cands 1
     /// ```
-    pub fn dump_state(&self, store: &CandidateStore) -> String {
+    #[cfg(test)]
+    pub(crate) fn dump_state(&self, store: &CandidateStore) -> String {
         use std::fmt::Write;
         let mut out = String::new();
         for (q, stack) in self.stacks.iter().enumerate() {
@@ -214,7 +215,7 @@ impl TwigM {
 
     /// Clears all run state (stacks, statistics) so the machine can
     /// process another document. What the dropped entries held in the
-    /// store is reclaimed by [`CandidateStore::reset`].
+    /// store is reclaimed by `CandidateStore::reset`.
     pub fn reset(&mut self) {
         for s in &mut self.stacks {
             s.clear();
@@ -878,7 +879,7 @@ mod tests {
             let spec = MachineSpec::compile(&QueryTree::parse(query).unwrap()).unwrap();
             Driver {
                 machine: TwigM::from_spec(spec),
-                store: CandidateStore::new(),
+                store: CandidateStore::default(),
                 level: 0,
                 next_id: 0,
                 offset: 0,

@@ -172,7 +172,7 @@ impl<T> IndexMut<u32> for Pool<T> {
 /// [reset](super::TwigM::reset). The multi-query executor owns the one
 /// every engine drives its machines with.
 #[derive(Debug, Default)]
-pub struct CandidateStore {
+pub(crate) struct CandidateStore {
     pub(super) payloads: Pool<Payload>,
     pub(super) lists: Pool<Vec<Cand>>,
     pub(super) strings: Pool<String>,
@@ -187,11 +187,6 @@ pub struct CandidateStore {
 }
 
 impl CandidateStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        CandidateStore::default()
-    }
-
     /// Takes back everything lent out, keeping the buffers. After a
     /// well-formed document the machines have already returned it all and
     /// there is nothing to do; a document that ended mid-element leaves

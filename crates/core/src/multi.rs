@@ -95,7 +95,7 @@ use crate::error::EngineResult;
 use crate::intern::{Interner, Symbol};
 use crate::machine::{CandidateStore, Deliver};
 use crate::plan::group::Binding;
-use crate::plan::{PlanGroup, PrefixRunStats, QueryPlanner, StepTrie};
+use crate::plan::{PlanGroup, QueryPlanner, StepTrie};
 use crate::result::{Match, MatchRef, NodeId};
 use crate::stats::{MachineStats, PlanStats};
 use crate::telemetry::Telemetry;
@@ -146,11 +146,6 @@ pub struct MultiEngine {
     /// The per-event apply step: engine-owned so that each document
     /// clears its buffers instead of reallocating them.
     pub(crate) exec: Executor,
-    /// While telemetry is on, the groups whose subscriber set changed since
-    /// the last document, in order, each with whether that change created
-    /// it: what the next document's fold refreshes besides the groups it
-    /// touched.
-    pub(crate) churned: Vec<(u32, bool)>,
 }
 
 /// One registration's bookkeeping.
@@ -170,7 +165,6 @@ impl MultiEngine {
             interner: Interner::new(),
             driver: DocumentDriver::new(),
             exec: Executor::default(),
-            churned: Vec::new(),
         }
     }
 
@@ -192,7 +186,7 @@ impl MultiEngine {
         let id = QueryId(self.records.len());
         let reg = self.planner.register(tree, id, &mut self.interner)?;
         self.records.push(QueryRecord { text: tree.original().to_owned(), group: Some(reg.group) });
-        self.churn(reg.group, reg.created);
+        self.file_rows([(reg.group, reg.created)]);
         Ok(id)
     }
 
@@ -214,15 +208,9 @@ impl MultiEngine {
     pub fn remove_query(&mut self, id: QueryId) -> Option<bool> {
         let record = self.records.get_mut(id.0)?;
         let gid = record.group.take()?;
-        self.churn(gid, false);
-        Some(self.planner.unsubscribe(gid, id))
-    }
-
-    /// Notes a change to group `gid`'s subscribers for the telemetry rows.
-    fn churn(&mut self, gid: usize, created: bool) {
-        if self.driver.telemetry().is_enabled() {
-            self.churned.push((gid as u32, created));
-        }
+        let last = self.planner.unsubscribe(gid, id);
+        self.file_rows([(gid, false)]);
+        Some(last)
     }
 
     /// Active subscription count (registered minus removed).
@@ -260,11 +248,9 @@ impl MultiEngine {
     /// per active plan group ([`crate::telemetry::QueryRow`],
     /// [`crate::telemetry::GroupRow`]).
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        if telemetry.is_enabled() {
-            // Rows for the groups registered before the handle came.
-            self.churned.extend((0..self.planner.groups().len() as u32).map(|g| (g, false)));
-        }
         self.driver.set_telemetry(telemetry);
+        // Rows for what was registered before the handle came.
+        self.file_rows((0..self.planner.groups().len()).map(|g| (g, false)));
     }
 }
 
@@ -335,8 +321,9 @@ pub(crate) struct Executor {
     touched: Vec<u32>,
     /// The run-time memory of every machine this executor drives.
     store: CandidateStore,
-    /// The trie's step checks of the current (or last) document.
-    run: PrefixRunStats,
+    /// The trie's step checks of the current (or last) document: the
+    /// `prefix_*` fields, the rest zero.
+    run: PlanStats,
     /// Whether a step could push inside the element of the last start tag
     /// (`StepTrie::advance`).
     below: bool,
@@ -356,7 +343,7 @@ impl Executor {
         }
         self.frames.clear();
         self.store.reset();
-        self.run = PrefixRunStats::default();
+        self.run = PlanStats::default();
     }
 
     /// The slots the current (or last) document pushed, in first-touch
@@ -367,7 +354,7 @@ impl Executor {
 
     /// The trie's step checks of the current (or last) document.
     #[cfg(test)]
-    pub(crate) fn run_stats(&self) -> PrefixRunStats {
+    pub(crate) fn run_stats(&self) -> PlanStats {
         self.run
     }
 
@@ -382,9 +369,9 @@ impl Executor {
     /// document's step counters.
     pub(crate) fn with_run_counters(&self, shape: PlanStats) -> PlanStats {
         PlanStats {
-            prefix_steps_executed: self.run.steps_executed,
-            prefix_steps_saved: self.run.steps_saved,
-            prefix_forks: self.run.forks,
+            prefix_steps_executed: self.run.prefix_steps_executed,
+            prefix_steps_saved: self.run.prefix_steps_saved,
+            prefix_forks: self.run.prefix_forks,
             ..shape
         }
     }

@@ -36,8 +36,6 @@ pub struct PlanGroup {
     bindings: Vec<Binding>,
     /// The shape key every subscriber shares.
     key: String,
-    /// Stable hash of `key` — compared before the string.
-    hash: u64,
     /// Terminal node of the group's main path in the planner's step trie.
     trie_node: usize,
 }
@@ -57,17 +55,11 @@ pub(crate) struct Binding {
 impl PlanGroup {
     /// A new group with its first subscriber (whose literal, if any, the
     /// machine holds as binding 0).
-    pub(crate) fn new(
-        machine: TwigM,
-        key: String,
-        hash: u64,
-        trie_node: usize,
-        first: QueryId,
-    ) -> Self {
+    pub(crate) fn new(machine: TwigM, key: String, trie_node: usize, first: QueryId) -> Self {
         // `vec!` holds the one binding at exact capacity; a `push` would
         // reserve four.
         let bindings = vec![Binding { end: 1, ..Binding::default() }];
-        PlanGroup { machine, subscribers: vec![first], bindings, key, hash, trie_node }
+        PlanGroup { machine, subscribers: vec![first], bindings, key, trie_node }
     }
 
     /// The shared machine.
@@ -113,11 +105,6 @@ impl PlanGroup {
     /// The shape key shared by every subscriber.
     pub fn shape_key(&self) -> &str {
         &self.key
-    }
-
-    /// Stable hash of the shape key.
-    pub fn stable_hash(&self) -> u64 {
-        self.hash
     }
 
     /// Terminal trie node of the group's main path.
@@ -185,8 +172,7 @@ mod tests {
         let tree = QueryTree::parse(query).unwrap();
         let machine = TwigM::from_spec(MachineSpec::compile(&tree).unwrap());
         let (key, _) = tree.shape_key();
-        let hash = QueryTree::hash_canonical(&key);
-        PlanGroup::new(machine, key, hash, 1, QueryId(0))
+        PlanGroup::new(machine, key, 1, QueryId(0))
     }
 
     /// Each binding's subscribers, in binding order.

@@ -42,7 +42,7 @@ pub mod group;
 pub mod trie;
 
 pub use group::PlanGroup;
-pub use trie::{PrefixRunStats, StepKey, StepTrie};
+pub use trie::{StepKey, StepTrie};
 
 use vitex_xpath::query_tree::{NodeKind, QueryTree};
 
@@ -78,7 +78,6 @@ pub struct QueryPlanner {
     free_slots: Vec<usize>,
     /// Cumulative count of slot reuses ([`PlanStats::recycled_slots`]).
     recycled: u64,
-    active_groups: usize,
     active_queries: usize,
     /// [`QueryPlanner::stats`] as its last walk found it: `None` once a
     /// registration or removal changed the plan. Documents do not move it.
@@ -104,10 +103,9 @@ impl QueryPlanner {
         let steps = self.main_path_steps(tree, interner);
         let terminal = self.trie.insert_path(&steps);
         let (key, literal) = tree.shape_key();
-        let hash = QueryTree::hash_canonical(&key);
         let existing = self.trie.terminals(terminal).iter().map(|&g| g as usize).find(|&g| {
             let group = &self.groups[g];
-            group.is_active() && group.stable_hash() == hash && group.shape_key() == key
+            group.is_active() && group.shape_key() == key
         });
         if let Some(g) = existing {
             self.groups[g].subscribe(id, literal);
@@ -117,7 +115,7 @@ impl QueryPlanner {
         let spec = MachineSpec::compile_with(tree, interner)?;
         let routes = self.routes(&spec, terminal, interner);
         let machine = TwigM::from_spec(spec);
-        let group = PlanGroup::new(machine, key, hash, terminal, id);
+        let group = PlanGroup::new(machine, key, terminal, id);
         let gid = match self.free_slots.pop() {
             Some(slot) => {
                 // Recycle a retired slot: the trie and the engine unwired
@@ -133,7 +131,6 @@ impl QueryPlanner {
             }
         };
         self.trie.add_group(terminal, gid, &routes);
-        self.active_groups += 1;
         self.active_queries += 1;
         Ok(Registration { group: gid, created: true })
     }
@@ -150,7 +147,6 @@ impl QueryPlanner {
         self.cached = None;
         self.active_queries -= 1;
         if last {
-            self.active_groups -= 1;
             self.trie.remove_group(self.groups[gid].trie_node(), gid);
             self.free_slots.push(gid);
         }
@@ -194,7 +190,7 @@ impl QueryPlanner {
 
     /// Active group count (machines actually running).
     pub fn group_count(&self) -> usize {
-        self.active_groups
+        self.groups.len() - self.free_slots.len()
     }
 
     /// The plan's shape, computed from scratch: a walk over every group,
@@ -208,7 +204,7 @@ impl QueryPlanner {
         });
         PlanStats {
             queries: self.active_queries as u64,
-            groups: self.active_groups as u64,
+            groups: self.group_count() as u64,
             recycled_slots: self.recycled,
             machine_nodes,
             trie_nodes: self.trie.len() as u64,

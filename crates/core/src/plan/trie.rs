@@ -35,12 +35,14 @@
 //! group's entry carries its own flags and candidate bookkeeping. This is
 //! the one place a multi-query start tag's pushes are decided. Per-event
 //! planning thus scales with *distinct trie nodes*, not with the number of
-//! registered queries; [`PrefixRunStats`] counts both sides of that trade.
+//! registered queries; the `prefix_*` fields of [`PlanStats`] count both
+//! sides of that trade.
 
 use vitex_xpath::Axis;
 
 use crate::intern::Symbol;
 use crate::plan::PlanGroup;
+use crate::stats::PlanStats;
 
 /// The label of a trie edge: one element location step of a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,19 +51,6 @@ pub struct StepKey {
     pub axis: Axis,
     /// Interned name test; `None` is the wildcard `*`.
     pub name: Option<Symbol>,
-}
-
-/// Per-document counters of the trie's step checks, kept by the executor
-/// that drives `StepTrie::advance` and surfaced through
-/// [`crate::stats::PlanStats`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PrefixRunStats {
-    /// Step checks executed against the trie (one per event × live node).
-    pub steps_executed: u64,
-    /// Machine-node step checks avoided (`routes - 1` per executed check).
-    pub steps_saved: u64,
-    /// Machine-node entry deliveries fanned out from trie pushes.
-    pub forks: u64,
 }
 
 #[derive(Debug)]
@@ -313,7 +302,7 @@ impl StepTrie {
         sym: Option<Symbol>,
         level: u32,
         plans: &mut Vec<(u32, u32, u32)>,
-        run: &mut PrefixRunStats,
+        run: &mut PlanStats,
     ) -> bool {
         let push_point =
             |(g, m): (u32, u32)| groups[g as usize].machine().push_point(m as usize, level);
@@ -323,15 +312,15 @@ impl StepTrie {
             let Some(&first) = routes.first() else {
                 continue; // stale path: every group on it retired
             };
-            run.steps_executed += 1;
-            run.steps_saved += routes.len() as u64 - 1;
+            run.prefix_steps_executed += 1;
+            run.prefix_steps_saved += routes.len() as u64 - 1;
             let decision = push_point(first);
             debug_assert!(
                 routes.iter().all(|&route| push_point(route) == decision),
                 "every machine node routed on a trie step holds its stack shape"
             );
             let Some(ptr) = decision else { continue };
-            run.forks += routes.len() as u64;
+            run.prefix_forks += routes.len() as u64;
             plans.extend(routes.iter().map(|&(slot, mnode)| (slot, mnode, ptr)));
             below = below || self.has_routed_child(ni as usize);
         }
@@ -504,7 +493,7 @@ mod tests {
         /// The step counters so far: `(executed, saved, forks)`.
         fn counters(&self) -> (u64, u64, u64) {
             let run = self.0.exec.run_stats();
-            (run.steps_executed, run.steps_saved, run.forks)
+            (run.prefix_steps_executed, run.prefix_steps_saved, run.prefix_forks)
         }
 
         /// Whether the content of the last start tag's element can matter.

@@ -60,11 +60,12 @@
 //! epilogue refills it with one walk, and every other epilogue only reads
 //! the executor's step counters.
 //! Telemetry folds the subscribers of the touched groups into their rows
-//! and sums — exact, since an untouched machine's counters are zero — and
-//! refreshes the rows of the groups registration churn changed since the
-//! last document. The streamed [`MultiOutput`] carries the stream counters
-//! and the plan statistics only; a subscription's statistics are read on
-//! request ([`MultiEngine::query_stats`]). What stays O(k) per document is
+//! and sums — exact, since an untouched machine's counters are zero. The
+//! rows themselves are filed at registration and removal
+//! (`MultiEngine::file_rows`), so a document replays no churn. The
+//! streamed [`MultiOutput`] carries the stream counters and the plan
+//! statistics only; a subscription's statistics are read on request
+//! ([`MultiEngine::query_stats`]). What stays O(k) per document is
 //! opt-in: the collecting adapter's per-query vectors.
 //!
 //! ## Determinism
@@ -227,7 +228,6 @@ impl MultiEngine {
     fn finish_document(&mut self, stream: StreamStats) -> MultiOutput {
         let plan = self.exec.with_run_counters(self.planner.cached_stats(&self.interner));
         self.driver.telemetry().fold(|totals| self.fold_telemetry(totals, &stream, &plan));
-        self.churned.clear();
         MultiOutput {
             matches: Vec::new(),
             stats: Vec::new(),
@@ -238,39 +238,49 @@ impl MultiEngine {
         }
     }
 
-    /// Folds the document into the registry's deterministic section: a row
-    /// for each new registration, the rows of the groups churn changed
-    /// (dropped when retired, restarted when created), then one walk over
-    /// the touched groups that adds each machine to its group's row and to
-    /// every subscriber's — per subscription, as private engines would,
-    /// with what its own binding was delivered — and to the sums.
-    fn fold_telemetry(&self, totals: &mut Totals, stream: &StreamStats, plan: &PlanStats) {
-        for (id, r) in self.records.iter().enumerate().skip(totals.queries.len()) {
-            totals.queries.push(QueryRow { id, query: r.text.clone(), ..QueryRow::default() });
-        }
-        let new_row = |gid: usize, g: &PlanGroup| GroupRow {
-            gid,
-            shape: g.shape_key().to_owned(),
-            subscribers: g.subscribers().len() as u64,
-            bill: Bill::default(),
-        };
-        let rows = &mut totals.groups;
-        rows.resize(rows.len().max(self.planner.groups().len()), None);
-        for &(gid, created) in &self.churned {
-            let (gid, group) = (gid as usize, self.planner.group(gid as usize));
-            rows[gid] = match rows[gid].take() {
-                _ if !group.is_active() => None,
-                Some(row) if !created => {
-                    Some(GroupRow { subscribers: group.subscribers().len() as u64, ..row })
-                }
-                _ => Some(new_row(gid, group)),
+    /// Files registration into the telemetry rows, when a handle is
+    /// attached: a row for each new registration, and the rows of the
+    /// groups in `changed`, each with whether its change created it
+    /// (dropped when retired, restarted when created, otherwise their
+    /// subscriber count refreshed).
+    pub(crate) fn file_rows(&self, changed: impl IntoIterator<Item = (usize, bool)>) {
+        self.driver.telemetry().fold(|totals| {
+            for (id, r) in self.records.iter().enumerate().skip(totals.queries.len()) {
+                totals.queries.push(QueryRow { id, query: r.text.clone(), ..QueryRow::default() });
+            }
+            let new_row = |gid: usize, g: &PlanGroup| GroupRow {
+                gid,
+                shape: g.shape_key().to_owned(),
+                subscribers: g.subscribers().len() as u64,
+                bill: Bill::default(),
             };
-        }
+            let rows = &mut totals.groups;
+            rows.resize(rows.len().max(self.planner.groups().len()), None);
+            for (gid, created) in changed {
+                let group = self.planner.group(gid);
+                rows[gid] = match rows[gid].take() {
+                    _ if !group.is_active() => None,
+                    Some(row) if !created => {
+                        Some(GroupRow { subscribers: group.subscribers().len() as u64, ..row })
+                    }
+                    _ => Some(new_row(gid, group)),
+                };
+            }
+        });
+    }
+
+    /// Folds the document into the registry's deterministic section: one
+    /// walk over the touched groups that adds each machine to its group's
+    /// row (filed when the group was registered) and to every subscriber's
+    /// — per subscription, as private engines would, with what its own
+    /// binding was delivered — and to the sums.
+    fn fold_telemetry(&self, totals: &mut Totals, stream: &StreamStats, plan: &PlanStats) {
         let mut total = MachineStats::default();
         for &gid in self.exec.touched() {
-            let (gid, group) = (gid as usize, self.planner.group(gid as usize));
-            let row = rows[gid].get_or_insert_with(|| new_row(gid, group));
-            row.bill.add(group.machine().stats());
+            let gid = gid as usize;
+            if let Some(row) = &mut totals.groups[gid] {
+                row.bill.add(self.planner.group(gid).machine().stats());
+            }
             self.visit_group(gid, |q, stats, bytes| {
                 total.add(stats);
                 let row = &mut totals.queries[q.0];
@@ -356,7 +366,7 @@ mod tests {
             let event =
                 StartElementEvent { name: name.into(), attrs: Default::default(), level, span };
             sink.start_element(sym, &event, id, id + 1);
-            (sink.exec.run_stats().steps_executed, sink.groups[0].machine().stats().pushes)
+            (sink.exec.run_stats().prefix_steps_executed, sink.groups[0].machine().stats().pushes)
         };
         let end = |sink: &mut DocumentSink<'_, _>, sym, name: &str, level| {
             let event = EndElementEvent { name: name.into(), level, element_span: span };
@@ -378,7 +388,7 @@ mod tests {
         assert_eq!(end(&mut sink, a, "a", 1), 0, "every push was popped");
         // A new document starts from nothing: machines at rest, counters at zero.
         sink.exec.begin_document(sink.groups);
-        assert_eq!(sink.exec.run_stats().steps_executed, 0);
+        assert_eq!(sink.exec.run_stats().prefix_steps_executed, 0);
         assert_eq!(sink.groups[0].machine().stats(), &MachineStats::default());
         assert_eq!(start(&mut sink, a, "a", 1, 0), (1, 1));
         assert_eq!(hits, [(q, 4)], "the second <b> was delivered, the first never matched");

@@ -18,11 +18,13 @@
 //! the machine record summed per subscription — so their values are a pure
 //! function of the documents and the query set, and their export names are
 //! the records' own row tables. A [`crate::MultiEngine`] — and a
-//! [`crate::Engine`], which is one with a single registration — folds, in
-//! the same walk over the groups the document touched, one [`QueryRow`]
-//! per subscription and one [`GroupRow`] per active plan group: who costs
-//! what, which is what the top-10 ranking of [`Snapshot::human_summary`]
-//! reads.
+//! [`crate::Engine`], which is one with a single registration — files one
+//! [`QueryRow`] per subscription and one [`GroupRow`] per active plan group
+//! when a query is registered or removed, or the handle attached, and
+//! bills them in the same walk over the groups a document touched: who
+//! costs what, which is what the top-10 ranking of
+//! [`Snapshot::human_summary`] reads. So a snapshot taken before any
+//! document lists every registration with zero counts.
 //! Timing counters are recorded live and vary from run to run.
 
 pub mod export;

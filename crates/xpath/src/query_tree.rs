@@ -420,26 +420,6 @@ impl QueryTree {
             self.key_node(mc, erase, out);
         }
     }
-
-    /// A 64-bit FNV-1a hash of [`QueryTree::canonical_key`]. Deterministic
-    /// across processes and platforms (unlike `std`'s randomized hashers),
-    /// so plan identities are stable in logs, benches and snapshots.
-    pub fn stable_hash(&self) -> u64 {
-        QueryTree::hash_canonical(&self.canonical_key())
-    }
-
-    /// [`QueryTree::stable_hash`] for an already-serialized canonical key
-    /// — callers holding the key avoid re-walking the tree.
-    pub fn hash_canonical(key: &str) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        for b in key.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
-    }
 }
 
 impl fmt::Display for QueryTree {
@@ -632,7 +612,6 @@ mod tests {
         let a = build("//a[c and b]/d");
         let b = build("//a[b][c]/d");
         assert_eq!(a.canonical_key(), b.canonical_key());
-        assert_eq!(a.stable_hash(), b.stable_hash());
         // ...but the original text keeps the user's spelling.
         assert_ne!(a.original(), b.original());
     }
@@ -662,24 +641,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn stable_hash_is_deterministic() {
-        // Fixed value: stable across processes/platforms by construction
-        // (FNV-1a over the canonical key); recompute to catch regressions.
-        let t = build("//a");
-        assert_eq!(t.canonical_key(), "//a");
-        let expected = {
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for b in "//a".bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            h
-        };
-        assert_eq!(t.stable_hash(), expected);
-        assert_eq!(t.stable_hash(), build("//a").stable_hash());
     }
 
     #[test]

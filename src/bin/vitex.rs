@@ -223,7 +223,7 @@ fn write_machine(
     tree: &QueryTree,
     spec: &vitex_core::MachineSpec,
 ) -> io::Result<()> {
-    writeln!(out, "query: {}", spec.query)?;
+    writeln!(out, "query: {}", tree.original())?;
     writeln!(out, "query tree:\n{tree}")?;
     writeln!(out, "machine nodes: {}", spec.len())?;
     for (i, n) in spec.nodes.iter().enumerate() {

@@ -48,8 +48,8 @@ pub use vitex_core::{evaluate_str as evaluate, EngineError, Match, MatchKind, Ma
 /// The most common imports in one line.
 pub mod prelude {
     pub use vitex_core::{
-        evaluate_reader, evaluate_str, CandidateStore, DocumentDriver, Engine, EventSink, Match,
-        MatchKind, MatchRef, MultiEngine, TwigM,
+        evaluate_reader, evaluate_str, DocumentDriver, Engine, EventSink, Match, MatchKind,
+        MatchRef, MultiEngine, TwigM,
     };
     pub use vitex_xmlsax::{XmlEvent, XmlReader};
     pub use vitex_xpath::{parse as parse_query, QueryTree};

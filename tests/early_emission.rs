@@ -44,8 +44,8 @@ fn pending_root_predicate_defers_emission() {
         .run(XmlReader::from_str(xml), |m| {
             seen_any = true;
             // ids: site=0, person=1, @id=2, license=3. The match is the
-            // attribute (id 2), deliverable only at site's close (the
-            // machine cannot know about license earlier).
+            // attribute (id 2). It is decidable once <license/> is read,
+            // and is delivered when site closes (ROADMAP item 24).
             fired_after_license = m.node == 2;
         })
         .unwrap();

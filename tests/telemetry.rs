@@ -549,6 +549,26 @@ fn group_rows_follow_registration_churn() {
 }
 
 #[test]
+fn rows_are_filed_at_registration() {
+    // No document has run: the rows are there already, nothing billed, and
+    // a retirement drops its group's row at once.
+    let telemetry = Telemetry::enabled();
+    let mut engine = MultiEngine::new();
+    engine.set_telemetry(telemetry.clone());
+    let [a1, a2, _] = ["//a", "//a", "//b"].map(|q| engine.add_query(q).expect("valid"));
+    let groups = || {
+        let snapshot = telemetry.snapshot().expect("enabled");
+        let rows = snapshot.groups.iter();
+        rows.map(|g| (g.gid, g.shape.clone(), g.subscribers, g.bill.pushes)).collect::<Vec<_>>()
+    };
+    assert_eq!(telemetry.snapshot().expect("enabled").queries.len(), 3);
+    assert_eq!(groups(), [(0, "//a".to_string(), 2, 0), (1, "//b".to_string(), 1, 0)]);
+    assert_eq!(engine.remove_query(a1), Some(false));
+    assert_eq!(engine.remove_query(a2), Some(true));
+    assert_eq!(groups(), [(1, "//b".to_string(), 1, 0)], "the retired group's row is gone");
+}
+
+#[test]
 fn profile_accumulates_across_session_documents() {
     let trees = [QueryTree::parse("//a").unwrap()];
     let (mut engine, telemetry) = observed_engine(&trees);
